@@ -1,11 +1,21 @@
-"""Bottom-up evaluation: naive and semi-naive, with order atoms and negation.
+"""Bottom-up evaluation: one fixpoint driver, seed x round executor.
 
 The engine evaluates a :class:`~repro.datalog.program.Program` over a
 :class:`~repro.datalog.database.Database` of EDB facts:
 
-* IDB predicates are computed SCC by SCC in topological order of the
-  dependency graph; within a recursive SCC, semi-naive (delta) iteration
-  is used.
+* One **fixpoint driver** (:class:`_Driver`) computes the IDB SCC by SCC
+  in topological order of the dependency graph, with semi-naive (delta)
+  rounds inside each SCC.  A run is a *seed* — cold (empty IDB), resume
+  (the IDB, frontier and cursor of an :class:`EvaluationSnapshot`) or
+  ingest (a prior complete fixpoint plus the EDB rows added since,
+  seeded by differentiation) — and a *round executor*: local
+  (:class:`_LocalExecutor`, in-process) or the sharded barrier of
+  :mod:`repro.parallel.engine`.  :func:`evaluate`,
+  :func:`~repro.parallel.engine.evaluate_sharded` and
+  :meth:`repro.persist.Session.ingest` all enter through it, so IDB
+  seeding, rule firing, snapshots and the budget-trip handler exist
+  once.  ``strategy="naive"`` is a short loop on the same driver, kept
+  as the test oracle.
 * Each rule's join runs on one of two engines.  The default
   ``engine="slots"`` is the **compiled slot-based engine** of
   :mod:`repro.datalog.plan`: each rule is compiled once per (rule,
@@ -41,7 +51,7 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..observability.trace import Tracer, get_tracer
@@ -113,19 +123,8 @@ class EvaluationStats:
         # getattr with a default, not attribute access: ``other`` may be
         # a stats object deserialized from an older checkpoint that
         # predates newer counters (see :meth:`from_dict`).
-        self.rule_firings += getattr(other, "rule_firings", 0)
-        self.probes += getattr(other, "probes", 0)
-        self.rows_scanned += getattr(other, "rows_scanned", 0)
-        self.facts_derived += getattr(other, "facts_derived", 0)
-        self.iterations += getattr(other, "iterations", 0)
-        self.index_builds += getattr(other, "index_builds", 0)
-        self.env_allocations += getattr(other, "env_allocations", 0)
-        self.intern_hits += getattr(other, "intern_hits", 0)
-        self.block_probes += getattr(other, "block_probes", 0)
-        self.budget_trips += getattr(other, "budget_trips", 0)
-        self.worker_restarts += getattr(other, "worker_restarts", 0)
-        self.shards_redispatched += getattr(other, "shards_redispatched", 0)
-        self.degradations += getattr(other, "degradations", 0)
+        for name in _INT_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name, 0))
         # Wall-clock merges in integer nanoseconds: float ``+=`` is
         # commutative but not associative, so shard stats merged in
         # different orders could disagree in the last bits.  Integer
@@ -144,23 +143,12 @@ class EvaluationStats:
 
     def as_dict(self) -> dict[str, object]:
         """The counters as a plain dict (benchmark ``extra_info`` payloads)."""
-        return {
-            "rule_firings": self.rule_firings,
-            "probes": self.probes,
-            "rows_scanned": self.rows_scanned,
-            "facts_derived": self.facts_derived,
-            "iterations": self.iterations,
-            "index_builds": self.index_builds,
-            "env_allocations": self.env_allocations,
-            "intern_hits": self.intern_hits,
-            "block_probes": self.block_probes,
-            "budget_trips": self.budget_trips,
-            "worker_restarts": self.worker_restarts,
-            "shards_redispatched": self.shards_redispatched,
-            "degradations": self.degradations,
-            "wall_time_seconds": self.wall_time_seconds,
-            "rows_scanned_by_rule": dict(sorted(self.rows_scanned_by_rule.items())),
+        payload: dict[str, object] = {
+            name: getattr(self, name) for name in _INT_COUNTERS
         }
+        payload["wall_time_seconds"] = self.wall_time_seconds
+        payload["rows_scanned_by_rule"] = dict(sorted(self.rows_scanned_by_rule.items()))
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "EvaluationStats":
@@ -173,21 +161,7 @@ class EvaluationStats:
         ignored, so stats survive both directions of a version skew.
         """
         stats = cls()
-        for key in (
-            "rule_firings",
-            "probes",
-            "rows_scanned",
-            "facts_derived",
-            "iterations",
-            "index_builds",
-            "env_allocations",
-            "intern_hits",
-            "block_probes",
-            "budget_trips",
-            "worker_restarts",
-            "shards_redispatched",
-            "degradations",
-        ):
+        for key in _INT_COUNTERS:
             setattr(stats, key, int(payload.get(key, 0)))  # type: ignore[call-overload]
         stats.wall_time_seconds = float(payload.get("wall_time_seconds", 0.0))  # type: ignore[arg-type]
         by_rule = payload.get("rows_scanned_by_rule", {})
@@ -227,6 +201,11 @@ class EvaluationStats:
                 ratios[key] = other_value / value
         return ratios
 
+
+#: The integer work counters, in declaration order — the one list
+#: :meth:`~EvaluationStats.merge`, :meth:`~EvaluationStats.as_dict` and
+#: :meth:`~EvaluationStats.from_dict` are derived from.
+_INT_COUNTERS = tuple(f.name for f in fields(EvaluationStats) if f.type == "int")
 
 #: A ground fact key: (predicate, row of values).
 Fact = tuple[str, Row]
@@ -352,6 +331,8 @@ _UNSET = object()
 class _RuleJoin:
     """An interpreted join plan for one rule with an optional delta subgoal."""
 
+    order = "greedy"
+
     def __init__(self, rule: Rule, delta_index: int | None):
         self.rule = rule
         self.rule_key = repr(rule)
@@ -468,64 +449,25 @@ def _run_join(
 class _EngineBase:
     """Driver-facing helpers shared by every engine adapter.
 
-    ``run`` returns an engine-specific result batch; :meth:`result_count`
-    sizes it (for ``rule_firings``) and :meth:`derive` inserts the head
-    rows — plus provenance and the semi-naive sink delta — returning the
-    number of *new* facts.  The drivers never reach into batch internals,
-    so a batch can be a list of environments (per-row engines) or a
-    column block (the columnar engine) without driver changes.
+    ``compile`` builds an engine-specific plan (:meth:`make_plan` adds
+    the ``plan`` trace event); ``run`` returns an engine-specific result
+    batch; :meth:`result_count` sizes it (for ``rule_firings``) and
+    :meth:`derive` inserts the head rows — plus provenance and the
+    semi-naive sink delta — returning the number of *new* facts.  The
+    driver never reaches into batch internals, so a batch can be a list
+    of environments (per-row engines) or a column block (the columnar
+    engine) without driver changes.
     """
 
-    def result_count(self, results) -> int:
-        return len(results)
-
-    def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
-        rule = plan.rule
-        head_pred = rule.head.predicate
-        new = 0
-        for env in results:
-            head_row = self.head_row(plan, env)
-            if head_row in head_relation:
-                continue
-            head_relation.add(head_row)
-            new += 1
-            if prov is not None:
-                prov[(head_pred, head_row)] = (
-                    rule,
-                    tuple(self.support_rows(plan, env)),
-                )
-            if sink_delta is not None:
-                sink_delta[head_pred].add(head_row)
-        stats.facts_derived += new
-        return new
-
-
-class _SlotEngine(_EngineBase):
-    """The compiled slot-based engine (:mod:`repro.datalog.plan`)."""
-
-    name = "slots"
-
-    def __init__(self, program: Program, database: Database, idb, plan_order: str, tracer: Tracer):
+    def __init__(self, database: Database, idb, plan_order: str, tracer: Tracer):
         self.database = database
         self.idb = idb
         self.plan_order = plan_order
         self.tracer = tracer
         self.trace_on = tracer.enabled
 
-    def _size_of(self, literal: Literal) -> float:
-        """Estimated relation size at plan-compile time.
-
-        EDB sizes are exact; IDB relations still empty when the plan is
-        compiled (recursive predicates) get a default guess."""
-        rel = self.idb.get(literal.predicate)
-        if rel is not None:
-            return float(len(rel)) or float(DEFAULT_IDB_ESTIMATE)
-        return float(len(self.database.relation(literal.predicate, literal.atom.arity)))
-
-    def make_plan(self, rule: Rule, delta_index: int | None) -> RulePlan:
-        plan = compile_rule(
-            rule, delta_index, order=self.plan_order, size_of=self._size_of
-        )
+    def make_plan(self, rule: Rule, delta_index: int | None):
+        plan = self.compile(rule, delta_index)
         if self.trace_on:
             self.tracer.event(
                 "plan",
@@ -537,6 +479,49 @@ class _SlotEngine(_EngineBase):
             )
         return plan
 
+    def result_count(self, results) -> int:
+        return len(results)
+
+    def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
+        rule = plan.rule
+        head_pred = rule.head.predicate
+        new = 0
+        for env in results:
+            head_row = plan.head_row(env)
+            if head_row in head_relation:
+                continue
+            head_relation.add(head_row)
+            new += 1
+            if prov is not None:
+                prov[(head_pred, head_row)] = (rule, tuple(plan.support_rows(env)))
+            if sink_delta is not None:
+                sink_delta[head_pred].add(head_row)
+        stats.facts_derived += new
+        return new
+
+
+class _SlotEngine(_EngineBase):
+    """The compiled slot-based engine (:mod:`repro.datalog.plan`)."""
+
+    name = "slots"
+
+    def _size_of(self, literal: Literal) -> float:
+        """Estimated relation size at plan-compile time.
+
+        EDB sizes are exact; IDB relations still empty when the plan is
+        compiled (recursive predicates) get a default guess."""
+        rel = self.idb.get(literal.predicate)
+        if rel is not None:
+            return float(len(rel)) or float(DEFAULT_IDB_ESTIMATE)
+        return float(len(self.database.relation(literal.predicate, literal.atom.arity)))
+
+    def compile(self, rule: Rule, delta_index: int | None) -> RulePlan:
+        # ``compile_rule`` is looked up as this module's global on every
+        # call: the perf harness times plan compilation by wrapping it.
+        return compile_rule(
+            rule, delta_index, order=self.plan_order, size_of=self._size_of
+        )
+
     def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
         return plan.run(
             relation_of,
@@ -545,14 +530,6 @@ class _SlotEngine(_EngineBase):
             tracer=self.tracer if self.trace_on else None,
             governor=governor,
         )
-
-    @staticmethod
-    def head_row(plan: RulePlan, env) -> Row:
-        return plan.head_row(env)
-
-    @staticmethod
-    def support_rows(plan: RulePlan, env) -> list[Fact]:
-        return plan.support_rows(env)
 
 
 class _ColumnarSlotEngine(_SlotEngine):
@@ -568,8 +545,8 @@ class _ColumnarSlotEngine(_SlotEngine):
 
     name = "slots"
 
-    def __init__(self, program: Program, database: Database, idb, plan_order: str, tracer: Tracer):
-        super().__init__(program, database, idb, plan_order, tracer)
+    def __init__(self, database: Database, idb, plan_order: str, tracer: Tracer):
+        super().__init__(database, idb, plan_order, tracer)
         self.interner = database.interner
 
     def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
@@ -626,26 +603,10 @@ class _InterpEngine(_EngineBase):
 
     name = "interpreted"
 
-    def __init__(self, program: Program, database: Database, idb, plan_order: str, tracer: Tracer):
-        self.database = database
-        self.tracer = tracer
-        self.trace_on = tracer.enabled
-
     def _edb_lookup(self, predicate: str, row: Row, arity: int) -> bool:
         return row in self.database.relation(predicate, arity)
 
-    def make_plan(self, rule: Rule, delta_index: int | None) -> _RuleJoin:
-        join = _RuleJoin(rule, delta_index)
-        if self.trace_on:
-            self.tracer.event(
-                "plan",
-                predicate=rule.head.predicate,
-                rule=join.rule_key,
-                order="greedy",
-                delta=join.delta_predicate or "",
-                steps=join.describe(),
-            )
-        return join
+    compile = staticmethod(_RuleJoin)
 
     def run(self, join: _RuleJoin, relation_of, delta_relation, stats, governor=None):
         # The governed buffer makes the recursive interpreter cancellable
@@ -659,26 +620,18 @@ class _InterpEngine(_EngineBase):
         )
         return results
 
-    @staticmethod
-    def head_row(join: _RuleJoin, env) -> Row:
-        return join.head_row(env)
 
-    @staticmethod
-    def support_rows(join: _RuleJoin, env) -> list[Fact]:
-        return join.support_rows(env)
-
-
-def _make_engine(engine: str, program, database, idb, plan_order: str, tracer: Tracer):
+def _make_engine(engine: str, database, idb, plan_order: str, tracer: Tracer):
     if engine == "slots":
         # The storage backend picks the executor: same compiled plans,
         # block kernels on columnar databases, closure chains on rows.
         if database.storage == "columnar":
-            return _ColumnarSlotEngine(program, database, idb, plan_order, tracer)
-        return _SlotEngine(program, database, idb, plan_order, tracer)
+            return _ColumnarSlotEngine(database, idb, plan_order, tracer)
+        return _SlotEngine(database, idb, plan_order, tracer)
     if engine == "interpreted":
         # The interpreter runs unchanged on either backend through the
         # value-level Relation API (columnar relations decode lazily).
-        return _InterpEngine(program, database, idb, plan_order, tracer)
+        return _InterpEngine(database, idb, plan_order, tracer)
     raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
 
 
@@ -749,6 +702,494 @@ def _sccs(graph: Mapping[str, set[str]]) -> list[list[str]]:
         if node not in index:
             strongconnect(node)
     return components
+
+
+# ----------------------------------------------------------------------
+# The fixpoint driver: one SCC/round loop, seed x round executor
+# ----------------------------------------------------------------------
+class _LocalExecutor:
+    """The in-process round executor: fire a round's delta plans in turn.
+
+    Whether a plan runs over row environments or column blocks is the
+    engine adapter's business (:class:`_EngineBase`); an executor only
+    decides *where* a round's plans run — here one after another in the
+    calling process, in :class:`repro.parallel.engine._ShardedExecutor`
+    across a worker fleet behind a barrier.
+    """
+
+    #: extra attributes of the run's ``evaluate`` span
+    span_attrs: dict = {}
+
+    def __init__(self, driver: "_Driver", engine: str, plan_order: str):
+        self.driver = driver
+        self.eng = _make_engine(
+            engine, driver.database, driver.idb, plan_order, driver.tracer
+        )
+        self.plans: list = []
+
+    def new_frontier(self, predicate: str) -> Relation:
+        """An empty delta relation for one member of the current SCC."""
+        return self.driver.database.new_relation(
+            self.driver.program.arity_of(predicate)
+        )
+
+    def begin_scc(self, members: set[str], delta_rules) -> None:
+        # Called after the SCC was seeded, so cost estimates see the
+        # exit-layer IDB sizes; each (rule, delta-position) is compiled
+        # exactly once per SCC.
+        self.plans = [self.eng.make_plan(rule, pos) for _, rule, pos in delta_rules]
+
+    def run_round(self, delta, new_delta, scc_index: int, iteration: int) -> None:
+        for plan in self.plans:
+            delta_rel = delta[plan.delta_predicate]
+            if len(delta_rel):
+                self.driver.fire_rule(plan, delta_rel, new_delta, scc_index, iteration)
+
+    def report(self) -> "dict | None":
+        """The ``EvaluationResult.shards`` payload (sharded runs only)."""
+        return None
+
+
+class _Driver:
+    """The fixpoint driver (see the module docstring): seed x executor.
+
+    The constructor applies the seed's state — ``resume_from`` holds the
+    checkpointed round to resume, or for an ingest the prior complete
+    fixpoint — to the IDB and the cumulative stats; the caller then
+    builds a round executor over ``driver.idb`` and calls :meth:`run`
+    (passing the added EDB rows as ``ingest`` for the ingest seed).
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        database: Database,
+        *,
+        tracer: Tracer,
+        governor: "Governor | None" = None,
+        resume_from: "EvaluationSnapshot | None" = None,
+        strategy: str = "seminaive",
+        provenance: bool = False,
+        checkpoint_every: int = 0,
+        checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
+    ):
+        _check_resume(resume_from, strategy, provenance)
+        if strategy not in ("seminaive", "naive"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        self.program = program
+        self.database = database
+        self.tracer = tracer
+        self.trace_on = tracer.enabled
+        self.governor = governor
+        self.resume_from = resume_from
+        self.strategy = strategy
+        #: the governor's phase label ("ingest" under the ingest seed)
+        self.phase = "evaluate"
+        self.checkpoint_every = checkpoint_every
+        self.checkpoint_sink = checkpoint_sink
+        self.started = time.perf_counter()
+        self.stats = stats = EvaluationStats()
+        self.interner = interner = database.interner
+        idb_preds = program.idb_predicates
+        self.idb = idb = {
+            pred: database.new_relation(program.arity_of(pred)) for pred in idb_preds
+        }
+        if resume_from is not None:
+            stats.merge(resume_from.stats)
+            if interner is not None and resume_from.interner is not None:
+                # Replay the checkpointed value table first so this run
+                # assigns the same codes the checkpointed run did.
+                for value in resume_from.interner:
+                    interner.intern(value)
+            for pred, rows in resume_from.idb.items():
+                if pred in idb:
+                    for row in rows:
+                        idb[pred].add(row)
+        self.base_wall = stats.wall_time_seconds
+        # intern_hits reports this run's dictionary re-use: the delta of
+        # the interner's hit counter, on top of any resumed base (the
+        # hits spent re-seeding the snapshot rows above are checkpointed
+        # work, already counted by the run that produced the snapshot).
+        self.base_intern = stats.intern_hits
+        self.hits0 = 0 if interner is None else interner.hits
+        self.prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = (
+            {} if provenance else None
+        )
+
+        # A closure, not a method: the interpreter calls it per row.
+        def relation_of(predicate: str, arity: int) -> Relation:
+            if predicate in idb_preds:
+                return idb[predicate]
+            return database.relation(predicate, arity)
+
+        self.relation_of = relation_of
+
+    # -- shared per-rule / per-round machinery -------------------------
+    def check(self) -> None:
+        if self.governor is not None:
+            self.governor.check(self.phase, self.stats)
+
+    def sync_intern_hits(self) -> None:
+        if self.interner is not None:
+            self.stats.intern_hits = (
+                self.base_intern + self.interner.hits - self.hits0
+            )
+
+    def elapsed(self) -> float:
+        return self.base_wall + (time.perf_counter() - self.started)
+
+    def fire_rule(
+        self,
+        plan,
+        delta_relation: Relation | None,
+        sink_delta: dict[str, Relation] | None,
+        scc_index: int | None,
+        iteration: int | None,
+    ) -> None:
+        """Run one rule's join, record the results (into ``sink_delta``
+        too, when given) and — when tracing — emit a ``rule`` span with
+        the per-rule work deltas."""
+        stats, eng = self.stats, self.eng
+        rule = plan.rule
+        head_relation = self.idb[rule.head.predicate]
+
+        def run() -> None:
+            rows_before = stats.rows_scanned
+            results = eng.run(
+                plan, self.relation_of, delta_relation, stats, self.governor
+            )
+            stats.rule_firings += eng.result_count(results)
+            key = plan.rule_key
+            stats.rows_scanned_by_rule[key] = (
+                stats.rows_scanned_by_rule.get(key, 0)
+                + stats.rows_scanned
+                - rows_before
+            )
+            eng.derive(plan, results, head_relation, sink_delta, self.prov, stats)
+            self.check()
+
+        if not self.trace_on:
+            run()
+            return
+        before = (
+            stats.probes,
+            stats.rows_scanned,
+            stats.facts_derived,
+            stats.rule_firings,
+            stats.index_builds,
+        )
+        with self.tracer.span(
+            "rule",
+            predicate=rule.head.predicate,
+            rule=plan.rule_key,
+            scc=scc_index,
+            iteration=iteration,
+            delta=delta_relation is not None,
+        ) as span:
+            run()
+            span.set(
+                firings=stats.rule_firings - before[3],
+                probes=stats.probes - before[0],
+                rows_scanned=stats.rows_scanned - before[1],
+                facts_derived=stats.facts_derived - before[2],
+                index_builds=stats.index_builds - before[4],
+            )
+
+    def make_snapshot(
+        self,
+        completed: int,
+        scc_index: int | None,
+        iteration: int,
+        delta: "dict[str, Relation] | None",
+        complete: bool = False,
+    ) -> EvaluationSnapshot:
+        self.sync_intern_hits()
+        snap_stats = self.stats.copy()
+        snap_stats.wall_time_seconds = self.elapsed()
+        return EvaluationSnapshot(
+            strategy=self.strategy,
+            completed_sccs=completed,
+            scc_index=scc_index,
+            iteration=iteration,
+            idb={pred: rel.rows() for pred, rel in self.idb.items()},
+            delta=None
+            if delta is None
+            else {pred: rel.rows() for pred, rel in delta.items()},
+            stats=snap_stats,
+            complete=complete,
+            interner=None if self.interner is None else tuple(self.interner.values),
+        )
+
+    def checkpoint(self, completed, scc_index, iteration, delta) -> None:
+        """Emit a round-boundary snapshot when one is due."""
+        if (
+            self.checkpoint_sink is not None
+            and self.checkpoint_every > 0
+            and self.stats.iterations % self.checkpoint_every == 0
+        ):
+            self.checkpoint_sink(
+                self.make_snapshot(completed, scc_index, iteration, delta)
+            )
+
+    def partial_result(self, shards: "dict | None") -> EvaluationResult:
+        """The fixpoint so far: the final result, or an abort's partial."""
+        self.sync_intern_hits()
+        self.stats.wall_time_seconds = self.elapsed()
+        return EvaluationResult(
+            idb=self.idb,
+            stats=self.stats,
+            program=self.program,
+            database=self.database,
+            provenance=self.prov,
+            shards=shards,
+        )
+
+    # -- the run -------------------------------------------------------
+    def run(
+        self,
+        executor,
+        *,
+        ingest: "Mapping[str, Sequence[Row]] | None" = None,
+        max_iterations: int | None = None,
+    ) -> EvaluationResult:
+        """Drive the fixpoint to completion on ``executor``."""
+        # The executor refers to the driver, never the reverse: without
+        # a reference cycle a finished run is freed by refcount alone.
+        self.eng = executor.eng
+        stats, tracer = self.stats, self.tracer
+        seed = "cold" if self.resume_from is None else "resume"
+        if ingest is not None:
+            seed = self.phase = "ingest"
+        try:
+            with tracer.span(
+                "evaluate",
+                strategy=self.strategy,
+                engine=self.eng.name,
+                rules=len(self.program.rules),
+                seed=seed,
+                **executor.span_attrs,
+            ) as root:
+                if self.strategy == "naive":
+                    completed = self._naive_rounds()
+                else:
+                    completed = self._seminaive_sccs(executor, ingest, max_iterations)
+                if self.checkpoint_sink is not None:
+                    self.checkpoint_sink(
+                        self.make_snapshot(
+                            completed, None, stats.iterations, None, complete=True
+                        )
+                    )
+                if self.trace_on:
+                    root.set(
+                        **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
+                    )
+        except EvaluationAborted as exc:
+            stats.budget_trips += 1
+            partial = self.partial_result(executor.report())
+            if self.trace_on:
+                tracer.event(
+                    "budget.trip",
+                    phase=exc.phase or self.phase,
+                    limit=exc.limit or "",
+                    facts_derived=stats.facts_derived,
+                    iterations=stats.iterations,
+                )
+            raise exc.with_context(
+                phase=self.phase, partial=partial, stats=stats
+            ) from None
+        return self.partial_result(executor.report())
+
+    def _naive_rounds(self) -> int:
+        """The test oracle: fire every rule against the full relations
+        until a round derives nothing new.  Naive snapshots carry no
+        frontier — the whole IDB is the state — so a resumed run simply
+        keeps iterating over the seeded relations."""
+        stats = self.stats
+        plans = [self.eng.make_plan(rule, None) for rule in self.program.rules]
+        changed = True
+        while changed:
+            stats.iterations += 1
+            self.check()
+            if self.trace_on:
+                self.tracer.event("iteration", index=stats.iterations, delta_in=None)
+            before = stats.facts_derived
+            for plan in plans:
+                self.fire_rule(plan, None, None, None, stats.iterations)
+            changed = stats.facts_derived > before
+            self.checkpoint(0, None, stats.iterations, None)
+        return 0
+
+    def _seminaive_sccs(self, executor, ingest, max_iterations: int | None) -> int:
+        """SCC by SCC in topological order; delta rounds inside each.
+
+        Cold and resumed runs fire a non-recursive SCC's rules once and
+        seed a recursive SCC from its exit rules (or from the resumed
+        frontier).  An ingest run instead seeds *every* SCC by
+        differentiation (Bancilhon–Ramakrishnan): ``changed`` carries,
+        per predicate, the rows new since the prior fixpoint — first the
+        ingested EDB rows, then each SCC's newly derived facts — and a
+        rule fires once per positive body position whose predicate
+        changed *outside* the SCC, with the changed rows as the delta
+        there and current full relations elsewhere.  Any derivation
+        using a new fact holds one at some body position, so it is
+        reached by one of these firings or by the rounds that follow.
+        """
+        program, database, stats = self.program, self.database, self.stats
+        tracer, eng = self.tracer, self.eng
+        resume_from = self.resume_from
+        changed: dict[str, Relation] | None = None
+        if ingest is not None:
+            changed = {}
+            for pred, rows in ingest.items():
+                rel = database.new_relation(database.relation(pred).arity)
+                for row in rows:
+                    rel.add(row)
+                changed[pred] = rel
+        graph = program.dependency_graph()
+        components = _sccs(graph)
+        for scc_index, component in enumerate(components):
+            if resume_from is not None and scc_index < resume_from.completed_sccs:
+                continue  # fixpoint already contained in the seeded IDB
+            self.check()
+            members = set(component)
+            recursive = len(component) > 1 or any(
+                head in graph.get(head, set()) for head in component
+            )
+            rules = [
+                (index, rule)
+                for index, rule in enumerate(program.rules)
+                if rule.head.predicate in members
+            ]
+            with tracer.span(
+                "scc",
+                index=scc_index,
+                members=",".join(sorted(members)),
+                recursive=recursive,
+            ):
+                if changed is None and not recursive:
+                    for _, rule in rules:
+                        self.fire_rule(eng.make_plan(rule, None), None, None, scc_index, None)
+                    continue
+                exit_rules = []
+                delta_rules: list[tuple[int, Rule, int]] = []
+                for index, rule in rules:
+                    recursive_positions = [
+                        i
+                        for i, item in enumerate(rule.body)
+                        if isinstance(item, Literal) and item.positive and item.predicate in members
+                    ]
+                    if not recursive_positions:
+                        exit_rules.append(rule)
+                    for pos in recursive_positions:
+                        delta_rules.append((index, rule, pos))
+                delta = {pred: executor.new_frontier(pred) for pred in members}
+                iterations = 0
+                if (
+                    resume_from is not None
+                    and resume_from.scc_index == scc_index
+                    and resume_from.delta is not None
+                ):
+                    # The snapshot was taken at a round boundary of this
+                    # SCC: its exit rules already fired (their facts are
+                    # in the seeded IDB), so restore the frontier and
+                    # iteration cursor instead of re-deriving round one.
+                    for pred in members:
+                        for row in resume_from.delta.get(pred, ()):
+                            delta[pred].add(row)
+                    iterations = resume_from.iteration
+                elif changed is None:
+                    for rule in exit_rules:
+                        self.fire_rule(eng.make_plan(rule, None), None, delta, scc_index, None)
+                else:
+                    # Each plan is compiled immediately before it fires,
+                    # so its cost order reads the live relation sizes.
+                    for _, rule in rules:
+                        for pos, item in enumerate(rule.body):
+                            if (
+                                not isinstance(item, Literal)
+                                or not item.positive
+                                or item.predicate in members
+                            ):
+                                continue
+                            outside = changed.get(item.predicate)
+                            if outside is not None and len(outside):
+                                self.fire_rule(
+                                    eng.make_plan(rule, pos), outside, delta, scc_index, None
+                                )
+                executor.begin_scc(members, delta_rules)
+                scc_new = None
+                if changed is not None:
+                    scc_new = {pred: executor.new_frontier(pred) for pred in members}
+                    _absorb(scc_new, delta)
+                while any(len(d) for d in delta.values()):
+                    iterations += 1
+                    if max_iterations is not None and iterations > max_iterations:
+                        break
+                    stats.iterations += 1
+                    self.check()
+                    if self.trace_on:
+                        tracer.event(
+                            "iteration",
+                            scc=scc_index,
+                            index=iterations,
+                            delta_in=sum(len(d) for d in delta.values()),
+                        )
+                    new_delta = {pred: executor.new_frontier(pred) for pred in members}
+                    executor.run_round(delta, new_delta, scc_index, iterations)
+                    delta = new_delta
+                    if scc_new is not None:
+                        _absorb(scc_new, delta)
+                    self.checkpoint(scc_index, scc_index, iterations, delta)
+                if scc_new is not None:
+                    for pred in members:
+                        if len(scc_new[pred]):
+                            changed[pred] = scc_new[pred]
+        return len(components)
+
+
+def _absorb(into: dict[str, Relation], delta: dict[str, Relation]) -> None:
+    for pred, rel in delta.items():
+        for row in rel.rows():
+            into[pred].add(row)
+
+
+def _evaluate_ingest(
+    program: Program,
+    database: Database,
+    new_rows: "Mapping[str, Sequence[Row]]",
+    prior_idb: "Mapping[str, frozenset]",
+    prior_stats: EvaluationStats,
+    *,
+    engine: str,
+    plan_order: str,
+    tracer: Tracer,
+    governor: "Governor | None",
+) -> EvaluationResult:
+    """The ingest seed's entry point (:class:`repro.persist.Session`).
+
+    ``database`` already contains ``new_rows``; ``prior_idb`` /
+    ``prior_stats`` are the complete fixpoint from before they were
+    added.  Internal on purpose: incremental maintenance is reached
+    through a session, which owns the journal-first ordering and the
+    non-monotone fallback, not through :func:`evaluate`'s signature.
+    """
+    prior = EvaluationSnapshot(
+        strategy="seminaive",
+        completed_sccs=0,
+        scc_index=None,
+        iteration=0,
+        idb=prior_idb,
+        delta=None,
+        stats=prior_stats,
+    )
+    driver = _Driver(
+        program,
+        database,
+        tracer=tracer,
+        governor=governor,
+        resume_from=prior,
+    )
+    return driver.run(_LocalExecutor(driver, engine, plan_order), ingest=new_rows)
 
 
 def evaluate(
@@ -941,443 +1382,20 @@ def evaluate(
             result.fallbacks = tuple(steps) + tuple(result.fallbacks)
         return result
     _check_plan_order(plan_order)
-    governor = Governor.of(budget, cancellation)
-    _check_resume(resume_from, strategy, provenance)
-    database = _resolve_storage(database, storage)
-    if strategy == "naive":
-        return _evaluate_naive(
-            program,
-            database,
-            provenance=provenance,
-            tracer=tracer,
-            engine=engine,
-            plan_order=plan_order,
-            budget=governor,
-            checkpoint_every=checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-            resume_from=resume_from,
-        )
-    if strategy != "seminaive":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    trace_on = tracer.enabled
-    started = time.perf_counter()
-    stats = EvaluationStats()
-    base_wall = 0.0
-    interner = database.interner
-    idb: dict[str, Relation] = {
-        pred: database.new_relation(program.arity_of(pred))
-        for pred in program.idb_predicates
-    }
-    if resume_from is not None:
-        stats.merge(resume_from.stats)
-        base_wall = stats.wall_time_seconds
-        if interner is not None and resume_from.interner is not None:
-            # Replay the checkpointed value table first so this run
-            # assigns the same codes the checkpointed run did.
-            for value in resume_from.interner:
-                interner.intern(value)
-        for pred, rows in resume_from.idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-    # intern_hits reports this run's dictionary re-use: the delta of the
-    # interner's hit counter, on top of any resumed base (the hits spent
-    # re-seeding the snapshot rows above are checkpointed work, already
-    # counted by the run that produced the snapshot).
-    base_intern = stats.intern_hits
-    hits0 = 0 if interner is None else interner.hits
-
-    def sync_intern_hits() -> None:
-        if interner is not None:
-            stats.intern_hits = base_intern + interner.hits - hits0
-
-    prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = {} if provenance else None
-    idb_preds = program.idb_predicates
-    eng = _make_engine(engine, program, database, idb, plan_order, tracer)
-    checkpointing = checkpoint_sink is not None and checkpoint_every > 0
-
-    def make_snapshot(
-        completed: int,
-        scc_index: int | None,
-        iteration: int,
-        delta: "dict[str, Relation] | None",
-        complete: bool = False,
-    ) -> EvaluationSnapshot:
-        sync_intern_hits()
-        snap_stats = stats.copy()
-        snap_stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return EvaluationSnapshot(
-            strategy="seminaive",
-            completed_sccs=completed,
-            scc_index=scc_index,
-            iteration=iteration,
-            idb={pred: rel.rows() for pred, rel in idb.items()},
-            delta=None
-            if delta is None
-            else {pred: rel.rows() for pred, rel in delta.items()},
-            stats=snap_stats,
-            complete=complete,
-            interner=None if interner is None else tuple(interner.values),
-        )
-
-    def relation_of(predicate: str, arity: int) -> Relation:
-        if predicate in idb_preds:
-            return idb[predicate]
-        return database.relation(predicate, arity)
-
-    def fire_rule(
-        plan,
-        delta_relation: Relation | None,
-        sink_delta: dict[str, Relation] | None,
-        scc_index: int,
-        iteration: int | None,
-    ) -> None:
-        """Run one rule's join, record the results (into ``sink_delta``
-        too, when given) and — when tracing — emit a ``rule`` span with
-        the per-rule work deltas."""
-        rule = plan.rule
-        head_relation = idb[rule.head.predicate]
-
-        def run() -> None:
-            rows_before = stats.rows_scanned
-            results = eng.run(plan, relation_of, delta_relation, stats, governor)
-            stats.rule_firings += eng.result_count(results)
-            key = plan.rule_key
-            stats.rows_scanned_by_rule[key] = (
-                stats.rows_scanned_by_rule.get(key, 0)
-                + stats.rows_scanned
-                - rows_before
-            )
-            eng.derive(plan, results, head_relation, sink_delta, prov, stats)
-            if governor is not None:
-                governor.check("evaluate", stats)
-
-        if not trace_on:
-            run()
-            return
-        before = (
-            stats.probes,
-            stats.rows_scanned,
-            stats.facts_derived,
-            stats.rule_firings,
-            stats.index_builds,
-        )
-        with tracer.span(
-            "rule",
-            predicate=rule.head.predicate,
-            rule=plan.rule_key,
-            scc=scc_index,
-            iteration=iteration,
-            delta=delta_relation is not None,
-        ) as span:
-            run()
-            span.set(
-                firings=stats.rule_firings - before[3],
-                probes=stats.probes - before[0],
-                rows_scanned=stats.rows_scanned - before[1],
-                facts_derived=stats.facts_derived - before[2],
-                index_builds=stats.index_builds - before[4],
-            )
-
-    def partial_result() -> EvaluationResult:
-        return EvaluationResult(
-            idb=idb, stats=stats, program=program, database=database, provenance=prov
-        )
-
-    try:
-        with tracer.span(
-            "evaluate", strategy="seminaive", engine=eng.name, rules=len(program.rules)
-        ) as root:
-            graph = program.dependency_graph()
-            components = _sccs(graph)
-            for scc_index, component in enumerate(components):
-                if resume_from is not None and scc_index < resume_from.completed_sccs:
-                    continue  # fixpoint already contained in the seeded IDB
-                resuming_here = (
-                    resume_from is not None
-                    and resume_from.scc_index == scc_index
-                    and resume_from.delta is not None
-                )
-                if governor is not None:
-                    governor.check("evaluate", stats)
-                members = set(component)
-                recursive = len(component) > 1 or any(
-                    head in graph.get(head, set()) for head in component
-                )
-                rules = [r for r in program.rules if r.head.predicate in members]
-                with tracer.span(
-                    "scc",
-                    index=scc_index,
-                    members=",".join(sorted(members)),
-                    recursive=recursive,
-                ):
-                    if not recursive:
-                        for rule in rules:
-                            fire_rule(eng.make_plan(rule, None), None, None, scc_index, None)
-                        continue
-                    # Semi-naive iteration inside a recursive SCC.
-                    exit_rules = []
-                    delta_rules: list[tuple[Rule, int]] = []
-                    for rule in rules:
-                        recursive_positions = [
-                            i
-                            for i, item in enumerate(rule.body)
-                            if isinstance(item, Literal) and item.positive and item.predicate in members
-                        ]
-                        if not recursive_positions:
-                            exit_rules.append(rule)
-                        else:
-                            for pos in recursive_positions:
-                                delta_rules.append((rule, pos))
-                    if resuming_here:
-                        # The snapshot was taken at a round boundary of this
-                        # SCC: its exit rules already fired (their facts are
-                        # in the seeded IDB), so restore the frontier and
-                        # iteration cursor instead of re-deriving round one.
-                        assert resume_from is not None and resume_from.delta is not None
-                        delta = {}
-                        for pred in members:
-                            rel = database.new_relation(program.arity_of(pred))
-                            for row in resume_from.delta.get(pred, ()):
-                                rel.add(row)
-                            delta[pred] = rel
-                        iterations = resume_from.iteration
-                    else:
-                        delta = {
-                            pred: database.new_relation(program.arity_of(pred))
-                            for pred in members
-                        }
-                        for rule in exit_rules:
-                            fire_rule(eng.make_plan(rule, None), None, delta, scc_index, None)
-                        iterations = 0
-                    # Delta plans are compiled after the exit rules fired, so
-                    # cost estimates see the exit-layer IDB sizes; each (rule,
-                    # delta-position) is compiled exactly once per SCC.
-                    delta_joins = [
-                        eng.make_plan(rule, pos) for rule, pos in delta_rules
-                    ]
-                    while any(len(d) for d in delta.values()):
-                        iterations += 1
-                        if max_iterations is not None and iterations > max_iterations:
-                            break
-                        stats.iterations += 1
-                        if governor is not None:
-                            governor.check("evaluate", stats)
-                        if trace_on:
-                            tracer.event(
-                                "iteration",
-                                scc=scc_index,
-                                index=iterations,
-                                delta_in=sum(len(d) for d in delta.values()),
-                            )
-                        new_delta: dict[str, Relation] = {
-                            pred: database.new_relation(program.arity_of(pred))
-                            for pred in members
-                        }
-                        for plan in delta_joins:
-                            delta_rel = delta[plan.delta_predicate]
-                            if not len(delta_rel):
-                                continue
-                            fire_rule(plan, delta_rel, new_delta, scc_index, iterations)
-                        delta = new_delta
-                        if checkpointing and stats.iterations % checkpoint_every == 0:
-                            checkpoint_sink(
-                                make_snapshot(scc_index, scc_index, iterations, delta)
-                            )
-            if checkpoint_sink is not None:
-                checkpoint_sink(
-                    make_snapshot(
-                        len(components), None, stats.iterations, None, complete=True
-                    )
-                )
-            if trace_on:
-                root.set(
-                    **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
-                )
-    except EvaluationAborted as exc:
-        stats.budget_trips += 1
-        sync_intern_hits()
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        if trace_on:
-            tracer.event(
-                "budget.trip",
-                phase=exc.phase or "evaluate",
-                limit=exc.limit or "",
-                facts_derived=stats.facts_derived,
-                iterations=stats.iterations,
-            )
-        raise exc.with_context(
-            phase="evaluate", partial=partial_result(), stats=stats
-        ) from None
-    sync_intern_hits()
-    stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-    return partial_result()
-
-
-def _evaluate_naive(
-    program: Program,
-    database: Database,
-    *,
-    provenance: bool = False,
-    tracer: Tracer | None = None,
-    engine: str = "slots",
-    plan_order: str = "cost",
-    storage: str | None = None,
-    budget: "Budget | Governor | None" = None,
-    cancellation: CancellationToken | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
-    resume_from: EvaluationSnapshot | None = None,
-) -> EvaluationResult:
-    """Naive bottom-up evaluation: full re-evaluation until fixpoint.
-
-    Naive snapshots carry no delta frontier — the whole IDB is the
-    state — so resumption simply re-seeds the relations and keeps
-    iterating; the naive fixpoint loop is idempotent over the seeded
-    facts.
-    """
-    if tracer is None:
-        tracer = get_tracer()
-    _check_plan_order(plan_order)
-    governor = Governor.of(budget, cancellation)
-    _check_resume(resume_from, "naive", provenance)
-    database = _resolve_storage(database, storage)
-    trace_on = tracer.enabled
-    started = time.perf_counter()
-    stats = EvaluationStats()
-    base_wall = 0.0
-    interner = database.interner
-    idb: dict[str, Relation] = {
-        pred: database.new_relation(program.arity_of(pred))
-        for pred in program.idb_predicates
-    }
-    if resume_from is not None:
-        stats.merge(resume_from.stats)
-        base_wall = stats.wall_time_seconds
-        if interner is not None and resume_from.interner is not None:
-            for value in resume_from.interner:
-                interner.intern(value)
-        for pred, rows in resume_from.idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-    base_intern = stats.intern_hits
-    hits0 = 0 if interner is None else interner.hits
-
-    def sync_intern_hits() -> None:
-        if interner is not None:
-            stats.intern_hits = base_intern + interner.hits - hits0
-
-    prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = {} if provenance else None
-    idb_preds = program.idb_predicates
-    eng = _make_engine(engine, program, database, idb, plan_order, tracer)
-    checkpointing = checkpoint_sink is not None and checkpoint_every > 0
-
-    def make_snapshot(complete: bool = False) -> EvaluationSnapshot:
-        sync_intern_hits()
-        snap_stats = stats.copy()
-        snap_stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return EvaluationSnapshot(
-            strategy="naive",
-            completed_sccs=0,
-            scc_index=None,
-            iteration=stats.iterations,
-            idb={pred: rel.rows() for pred, rel in idb.items()},
-            delta=None,
-            stats=snap_stats,
-            complete=complete,
-            interner=None if interner is None else tuple(interner.values),
-        )
-
-    def relation_of(predicate: str, arity: int) -> Relation:
-        if predicate in idb_preds:
-            return idb[predicate]
-        return database.relation(predicate, arity)
-
-    plans = [eng.make_plan(rule, None) for rule in program.rules]
-
-    def fire_rule(plan) -> bool:
-        head_relation = idb[plan.rule.head.predicate]
-        rows_before = stats.rows_scanned
-        results = eng.run(plan, relation_of, None, stats, governor)
-        stats.rule_firings += eng.result_count(results)
-        key = plan.rule_key
-        stats.rows_scanned_by_rule[key] = (
-            stats.rows_scanned_by_rule.get(key, 0) + stats.rows_scanned - rows_before
-        )
-        changed = eng.derive(plan, results, head_relation, None, prov, stats) > 0
-        if governor is not None:
-            governor.check("evaluate", stats)
-        return changed
-
-    def partial_result() -> EvaluationResult:
-        return EvaluationResult(
-            idb=idb, stats=stats, program=program, database=database, provenance=prov
-        )
-
-    try:
-        with tracer.span(
-            "evaluate", strategy="naive", engine=eng.name, rules=len(program.rules)
-        ) as root:
-            changed = True
-            while changed:
-                changed = False
-                stats.iterations += 1
-                if governor is not None:
-                    governor.check("evaluate", stats)
-                if trace_on:
-                    tracer.event("iteration", index=stats.iterations, delta_in=None)
-                for plan in plans:
-                    if not trace_on:
-                        changed |= fire_rule(plan)
-                        continue
-                    before = (
-                        stats.probes,
-                        stats.rows_scanned,
-                        stats.facts_derived,
-                        stats.rule_firings,
-                        stats.index_builds,
-                    )
-                    with tracer.span(
-                        "rule",
-                        predicate=plan.rule.head.predicate,
-                        rule=plan.rule_key,
-                        iteration=stats.iterations,
-                    ) as span:
-                        changed |= fire_rule(plan)
-                        span.set(
-                            firings=stats.rule_firings - before[3],
-                            probes=stats.probes - before[0],
-                            rows_scanned=stats.rows_scanned - before[1],
-                            facts_derived=stats.facts_derived - before[2],
-                            index_builds=stats.index_builds - before[4],
-                        )
-                if checkpointing and stats.iterations % checkpoint_every == 0:
-                    checkpoint_sink(make_snapshot())
-            if checkpoint_sink is not None:
-                checkpoint_sink(make_snapshot(complete=True))
-            if trace_on:
-                root.set(
-                    **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
-                )
-    except EvaluationAborted as exc:
-        stats.budget_trips += 1
-        sync_intern_hits()
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        if trace_on:
-            tracer.event(
-                "budget.trip",
-                phase=exc.phase or "evaluate",
-                limit=exc.limit or "",
-                facts_derived=stats.facts_derived,
-                iterations=stats.iterations,
-            )
-        raise exc.with_context(
-            phase="evaluate", partial=partial_result(), stats=stats
-        ) from None
-    sync_intern_hits()
-    stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-    return partial_result()
+    driver = _Driver(
+        program,
+        _resolve_storage(database, storage),
+        tracer=tracer,
+        governor=Governor.of(budget, cancellation),
+        resume_from=resume_from,
+        strategy=strategy,
+        provenance=provenance,
+        checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink,
+    )
+    return driver.run(
+        _LocalExecutor(driver, engine, plan_order), max_iterations=max_iterations
+    )
 
 
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:

@@ -1,8 +1,10 @@
 """The sharded semi-naive master: hash-partitioned multiprocess evaluation.
 
-``evaluate_sharded`` mirrors the sequential seminaive driver of
-:mod:`repro.datalog.evaluation` SCC by SCC, but farms every delta join
-out to ``workers`` forked processes (:mod:`repro.parallel.worker`):
+``evaluate_sharded`` runs the one fixpoint driver of
+:mod:`repro.datalog.evaluation` — SCC order, seeding, snapshots and
+budget handling are the driver's — with :class:`_ShardedExecutor` as
+its round executor, which farms every delta join out to ``workers``
+forked processes (:mod:`repro.parallel.worker`):
 
 * **Sharding** — each semi-naive delta block is hash-partitioned by its
   full code row (``hash(codes) % workers``; int-tuple hashing is
@@ -60,10 +62,9 @@ from ..datalog.evaluation import (
     EvaluationSnapshot,
     EvaluationStats,
     _check_plan_order,
-    _check_resume,
     _ColumnarSlotEngine,
+    _Driver,
     _resolve_storage,
-    _sccs,
 )
 from ..datalog.program import Program
 from ..datalog.terms import Constant, Variable
@@ -71,14 +72,9 @@ from ..digest import workload_digest
 from ..observability.trace import Tracer, get_tracer
 from ..persist.checkpoint import Checkpoint
 from ..robustness.budget import Budget, CancellationToken, Governor
-from ..robustness.errors import (
-    BudgetExceededError,
-    EvaluationAborted,
-    InjectedFault,
-    ReproError,
-)
+from ..robustness.errors import BudgetExceededError, InjectedFault, ReproError
 from .supervisor import DEFAULT_SUPERVISION, SupervisionPolicy
-from .worker import worker_main
+from .worker import _columns_of, _rows_of, worker_main
 
 __all__ = [
     "FleetExhausted",
@@ -149,17 +145,6 @@ def _pre_intern_head_constants(program: Program, database: Database) -> None:
                 interner.intern(arg.value)
 
 
-def _columns_of(rows) -> list[list[int]]:
-    """Transpose code tuples into per-position columns for shipping."""
-    return [list(column) for column in zip(*rows)]
-
-
-def _rows_of(n: int, columns) -> list[tuple[int, ...]]:
-    if not columns:
-        return [()] * n
-    return list(zip(*columns))
-
-
 class _DeltaBuffer:
     """A semi-naive frontier on the master: ordered rows + a seen-set.
 
@@ -220,34 +205,16 @@ class _ShardedEngine(_ColumnarSlotEngine):
 
     name = "sharded"
 
-    def __init__(self, program, database, idb, plan_order, tracer, accept_log):
-        super().__init__(program, database, idb, plan_order, tracer)
+    def __init__(self, database, idb, plan_order, tracer, accept_log):
+        super().__init__(database, idb, plan_order, tracer)
         self.accept_log = accept_log
 
     def derive(self, plan, results, head_relation, sink_delta, prov, stats):
-        n, cols = results
-        if not n:
-            return 0
-        head_pred = plan.rule.head.predicate
-        intern = self.interner.intern
-        head_cols = [
-            cols[p] if s else [intern(p)] * n for s, p in plan.head_layout
-        ]
-        keys = zip(*head_cols) if head_cols else iter([()] * n)
-        live = head_relation.code_rows()
-        add_codes = head_relation.add_codes
-        sink = None if sink_delta is None else sink_delta[head_pred].add_codes
-        out = self.accept_log[head_pred]
-        new = 0
-        for codes in keys:
-            if codes in live:
-                continue
-            add_codes(codes)
-            new += 1
-            out.append(codes)
-            if sink is not None:
-                sink(codes)
-        stats.facts_derived += new
+        new = super().derive(plan, results, head_relation, sink_delta, prov, stats)
+        if new:
+            # Columns are append-only: the accepted rows are the last ``new``.
+            tail = [column[-new:] for column in head_relation.columns]
+            self.accept_log[plan.rule.head.predicate].extend(_rows_of(new, tail))
         return new
 
 
@@ -510,276 +477,215 @@ class WorkerPool:
         self.close()
 
 
-def evaluate_sharded(
-    program: Program,
-    database: Database,
-    *,
-    workers: int,
-    pool: WorkerPool | None = None,
-    provenance: bool = False,
-    max_iterations: int | None = None,
-    strategy: str = "seminaive",
-    tracer: Tracer | None = None,
-    plan_order: str = "cost",
-    storage: str | None = None,
-    budget: "Budget | Governor | None" = None,
-    cancellation: CancellationToken | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
-    resume_from: EvaluationSnapshot | None = None,
-    supervision: "SupervisionPolicy | None" = None,
-) -> EvaluationResult:
-    """Semi-naive evaluation sharded across ``workers`` processes.
+class _ShardedExecutor:
+    """The sharded round executor of the fixpoint driver.
 
-    The public entry point is ``evaluate(..., workers=N)``; benchmarks
-    call this directly with a pre-built ``pool`` so fork + EDB shipping
-    stays outside the timed region.  Results — fixpoint, digests,
-    ``iterations``, ``rule_firings``, ``facts_derived``,
-    ``rows_scanned`` (total and per rule) — are byte-identical to the
-    sequential columnar engine; the per-process counters (``probes``,
-    ``block_probes``, ``env_allocations``, ``index_builds``) report
-    fleet totals and therefore exceed the sequential values.
-
-    Restrictions: ``strategy`` must be ``"seminaive"`` (delta sharding
-    is meaningless under naive re-evaluation) and ``provenance`` is
-    unsupported (support tuples are process-local).  ``checkpoint_*``
-    and ``resume_from`` work exactly as in the sequential engine.
-
-    Worker deaths and stragglers are handled by the supervision layer
-    (``supervision``, a :class:`SupervisionPolicy`): the dead worker is
-    respawned warm from the master's current state and its shard
-    re-dispatched — byte-identical results, because shards are pure
-    functions of ``(round, partition)`` and a dead worker's reply was
-    never merged.  Recovery is bounded by the policy's retry budget;
-    exhausting it raises :class:`FleetExhausted`, which the public
-    ``evaluate`` entry point turns into a degradation-ladder rung.
+    :class:`repro.datalog.evaluation._Driver` owns the SCC/round loop,
+    the IDB seeding, snapshots and the abort handler; this class only
+    answers "where does a round's delta join run?" — on the fleet, one
+    :meth:`barrier` per round (linear SCCs) or per plan (nonlinear
+    ones).  Exit and non-recursive rules still fire locally on the
+    master through :class:`_ShardedEngine`, which records every accept.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive int, got {workers!r}")
-    if provenance:
-        raise ValueError(
-            "workers=N cannot record provenance (support tuples are "
-            "process-local); use the sequential engine for derivation trees"
+
+    def __init__(
+        self,
+        driver,
+        pool: "WorkerPool | None",
+        workers: int,
+        plan_order: str,
+        policy: SupervisionPolicy,
+        started_cpu: float,
+    ):
+        self.driver = driver
+        # Every code row ever accepted into the IDB, in acceptance order,
+        # plus the per-predicate cursor up to which the workers have been
+        # told.  Rows seeded from a resume snapshot are excluded on
+        # purpose: they ride the warm-start envelope instead.
+        self.accept_log: "defaultdict[str, list[tuple]]" = defaultdict(list)
+        self.shipped_upto: "defaultdict[str, int]" = defaultdict(int)
+        self.eng = _ShardedEngine(
+            driver.database, driver.idb, plan_order, driver.tracer, self.accept_log
         )
-    if strategy != "seminaive":
-        raise ValueError(
-            f"workers=N requires strategy='seminaive', got {strategy!r} "
-            "(delta sharding has no meaning under naive re-evaluation)"
-        )
-    if tracer is None:
-        tracer = get_tracer()
-    _check_plan_order(plan_order)
-    governor = Governor.of(budget, cancellation)
-    _check_resume(resume_from, "seminaive", provenance)
-    database = _resolve_storage(database, storage).to_storage("columnar")
-    policy = supervision if supervision is not None else DEFAULT_SUPERVISION
-    # One backoff iterator per run: every worker recovery consumes one
-    # delay, so the whole evaluation is bounded to ``attempts - 1``
-    # respawns before FleetExhausted asks the caller to degrade.
-    retry_delays = policy.retry.delays()
-
-    trace_on = tracer.enabled
-    started = time.perf_counter()
-    started_cpu = time.process_time()
-    stats = EvaluationStats()
-    base_wall = 0.0
-    interner = database.interner
-    idb: dict[str, Relation] = {
-        pred: database.new_relation(program.arity_of(pred))
-        for pred in program.idb_predicates
-    }
-    if resume_from is not None:
-        stats.merge(resume_from.stats)
-        base_wall = stats.wall_time_seconds
-        if resume_from.interner is not None:
-            for value in resume_from.interner:
-                interner.intern(value)
-        for pred, rows in resume_from.idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-    base_intern = stats.intern_hits
-    hits0 = interner.hits
-
-    def sync_intern_hits() -> None:
-        stats.intern_hits = base_intern + interner.hits - hits0
-
-    # Every code row ever accepted into the IDB, in acceptance order,
-    # plus the per-predicate cursor up to which the workers have been
-    # told.  Rows seeded from a resume snapshot are excluded on purpose:
-    # they ride the warm-start envelope instead.
-    accept_log: "defaultdict[str, list[tuple]]" = defaultdict(list)
-    shipped_upto: "defaultdict[str, int]" = defaultdict(int)
-    eng = _ShardedEngine(program, database, idb, plan_order, tracer, accept_log)
-    checkpointing = checkpoint_sink is not None and checkpoint_every > 0
-
-    own_pool = pool is None
-    if own_pool:
-        pool = WorkerPool(
-            program, database, workers, plan_order=plan_order, idb=idb
-        )
-    else:
-        if resume_from is not None:
-            raise ValueError(
-                "a pre-built pool cannot resume from a snapshot; let "
-                "evaluate_sharded construct its own pool"
+        if pool is None:
+            pool = WorkerPool(
+                driver.program,
+                driver.database,
+                workers,
+                plan_order=plan_order,
+                idb=driver.idb,
             )
-        if pool.workers != workers:
-            raise ValueError(
-                f"pool has {pool.workers} workers, evaluation asked for {workers}"
-            )
-        if pool.database is not database or pool.program is not program:
-            raise ValueError(
-                "pool was built for a different program/database object"
-            )
-        if pool.plan_order != plan_order:
-            raise ValueError(
-                f"pool was built with plan_order={pool.plan_order!r}, "
-                f"evaluation asked for {plan_order!r}"
-            )
+        self.pool = pool
+        self.span_attrs = {"workers": pool.workers}
+        self.policy = policy
+        # One backoff iterator per run: every worker recovery consumes
+        # one delay, so the whole evaluation is bounded to
+        # ``attempts - 1`` respawns before FleetExhausted asks the
+        # caller to degrade.
+        self.retry_delays = policy.retry.delays()
+        # Per-worker dispatch heartbeat (``time.monotonic`` at the last
+        # successful send): merge-side liveness checks measure straggler
+        # time from here.
+        self.sent_at = [0.0] * pool.workers
+        # Per-worker accounting and the modeled critical path.  Both
+        # sides report CPU time (``time.process_time``), which is immune
+        # to core contention: the master's own CPU is its serial work
+        # (dispatch pickling, merge, dedup — it runs while workers
+        # idle), and on a machine with >= ``workers`` free cores the
+        # fleet's wall clock converges to ``master_cpu + sum over
+        # barriers of max(worker cpu)``, so the benchmarks report that
+        # quantity (``critical_path_seconds``) alongside raw wall time.
+        self.started_cpu = started_cpu
+        self.worker_report = [
+            {"tasks": 0, "cpu_seconds": 0.0, "wall_seconds": 0.0, "results": 0, "accepted": 0}
+            for _ in range(pool.workers)
+        ]
+        self.barrier_max_cpu = 0.0
 
-    idb_preds = program.idb_predicates
-    # Per-worker dispatch heartbeat (``time.monotonic`` at the last
-    # successful send): merge-side liveness checks measure straggler
-    # time from here.
-    sent_at = [0.0] * pool.workers
-
-    # Per-worker accounting and the modeled critical path.  Both sides
-    # report CPU time (``time.process_time``), which is immune to core
-    # contention: the master's own CPU is its serial work (dispatch
-    # pickling, merge, dedup — it runs while workers idle), and on a
-    # machine with >= ``workers`` free cores the fleet's wall clock
-    # converges to ``master_cpu + sum over barriers of max(worker
-    # cpu)``, so the benchmarks report that quantity
-    # (``critical_path_seconds``) alongside raw wall time.
-    worker_report = [
-        {"tasks": 0, "cpu_seconds": 0.0, "wall_seconds": 0.0, "results": 0, "accepted": 0}
-        for _ in range(pool.workers)
-    ]
-    path = {"barrier_max_cpu": 0.0}
-
-    def shard_report() -> dict:
-        master_serial = max(0.0, time.process_time() - started_cpu)
+    def report(self) -> dict:
+        """The ``EvaluationResult.shards`` payload."""
+        master_serial = max(0.0, time.process_time() - self.started_cpu)
         return {
-            "workers": pool.workers,
+            "workers": self.pool.workers,
             "per_worker": [
                 {key: round(val, 6) if isinstance(val, float) else val
                  for key, val in report.items()}
-                for report in worker_report
+                for report in self.worker_report
             ],
             "master_serial_seconds": round(master_serial, 6),
             "critical_path_seconds": round(
-                master_serial + path["barrier_max_cpu"], 6
+                master_serial + self.barrier_max_cpu, 6
             ),
         }
 
-    def make_snapshot(
-        completed: int,
-        scc_index: "int | None",
-        iteration: int,
-        delta: "dict[str, _DeltaBuffer] | None",
-        complete: bool = False,
-    ) -> EvaluationSnapshot:
-        sync_intern_hits()
-        snap_stats = stats.copy()
-        snap_stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return EvaluationSnapshot(
-            strategy="seminaive",
-            completed_sccs=completed,
-            scc_index=scc_index,
-            iteration=iteration,
-            idb={pred: rel.rows() for pred, rel in idb.items()},
-            delta=None
-            if delta is None
-            else {pred: rel.rows() for pred, rel in delta.items()},
-            stats=snap_stats,
-            complete=complete,
-            interner=tuple(interner.values),
+    def new_frontier(self, predicate: str) -> _DeltaBuffer:
+        return _DeltaBuffer(
+            self.driver.program.arity_of(predicate), self.driver.interner
         )
 
-    def relation_of(predicate: str, arity: int) -> Relation:
-        if predicate in idb_preds:
-            return idb[predicate]
-        return database.relation(predicate, arity)
-
-    def fire_rule(plan, delta_relation, sink_delta, scc_index, iteration) -> None:
-        """Run one rule locally on the master (exit / non-recursive)."""
-        head_relation = idb[plan.rule.head.predicate]
-
-        def run() -> None:
-            rows_before = stats.rows_scanned
-            results = eng.run(plan, relation_of, delta_relation, stats, governor)
-            stats.rule_firings += eng.result_count(results)
-            key = plan.rule_key
-            stats.rows_scanned_by_rule[key] = (
-                stats.rows_scanned_by_rule.get(key, 0)
-                + stats.rows_scanned
-                - rows_before
-            )
-            eng.derive(plan, results, head_relation, sink_delta, None, stats)
-            if governor is not None:
-                governor.check("evaluate", stats)
-
-        if not trace_on:
-            run()
-            return
-        before = (
-            stats.probes,
-            stats.rows_scanned,
-            stats.facts_derived,
-            stats.rule_firings,
-            stats.index_builds,
+    def begin_scc(self, members: "set[str]", delta_rules) -> None:
+        """Per-SCC dispatch metadata; the *workers* compile the plans."""
+        idb_preds = self.driver.program.idb_predicates
+        self.compile_specs: "list | None" = [
+            (rule_index, pos) for rule_index, _, pos in delta_rules
+        ]
+        #: plan id -> (rule_key, head_pred): stats attribution and head
+        #: acceptance in :meth:`barrier`
+        self.plan_meta = {
+            plan_id: (repr(rule), rule.head.predicate)
+            for plan_id, (_, rule, pos) in enumerate(delta_rules)
+        }
+        self.delta_pred_of = [rule.body[pos].predicate for _, rule, pos in delta_rules]
+        # The IDB predicates each plan reads through non-delta literals
+        # (positive or negated): exactly the mirrors that must be
+        # current before it runs.
+        self.needed_of = [
+            {
+                item.predicate
+                for i, item in enumerate(rule.body)
+                if i != pos
+                and isinstance(item, Literal)
+                and item.predicate in idb_preds
+            }
+            for _, rule, pos in delta_rules
+        ]
+        # A delta plan that reads a same-SCC relation through a
+        # non-delta literal sees facts derived earlier in the same
+        # round; those SCCs barrier per plan so the mirrors can be
+        # refreshed in between.
+        self.nonlinear = any(
+            i != pos
+            and isinstance(item, Literal)
+            and item.positive
+            and item.predicate in members
+            for _, rule, pos in delta_rules
+            for i, item in enumerate(rule.body)
         )
-        with tracer.span(
-            "rule",
-            predicate=plan.rule.head.predicate,
-            rule=plan.rule_key,
-            scc=scc_index,
-            iteration=iteration,
-            delta=delta_relation is not None,
-        ) as span:
-            run()
-            span.set(
-                firings=stats.rule_firings - before[3],
-                probes=stats.probes - before[0],
-                rows_scanned=stats.rows_scanned - before[1],
-                facts_derived=stats.facts_derived - before[2],
-                index_builds=stats.index_builds - before[4],
+        # Aligned sharding needs the workers' mirrors to be exact for
+        # their partitions, which nonlinear SCCs (reading whole
+        # same-SCC relations) cannot give.
+        self.aligned_cols = (
+            None
+            if self.nonlinear
+            else _alignment(delta_rules, members, self.driver.program)
+        )
+        self.first_round = True
+        # Retained past the SCC's first barrier so recovery can
+        # re-dispatch the compile payload to replacement workers that
+        # never saw it.
+        self.compile_cache: dict = {}
+
+    def run_round(self, delta, new_delta, scc_index: int, iteration: int) -> None:
+        delta_pred_of = self.delta_pred_of
+        if self.nonlinear:
+            for plan_id, pred in enumerate(delta_pred_of):
+                if len(delta[pred]):
+                    self.barrier(
+                        [plan_id],
+                        {pred: delta[pred]},
+                        self.needed_of[plan_id],
+                        new_delta,
+                        scc_index,
+                        iteration,
+                    )
+        else:
+            run_ids = [
+                plan_id
+                for plan_id, pred in enumerate(delta_pred_of)
+                if len(delta[pred])
+            ]
+            needed = set()
+            for plan_id in run_ids:
+                needed |= self.needed_of[plan_id]
+            self.barrier(
+                run_ids,
+                delta,
+                needed,
+                new_delta,
+                scc_index,
+                iteration,
+                self.aligned_cols,
+                self.aligned_cols is None or self.first_round,
             )
+        self.first_round = False
 
     def barrier(
+        self,
         run_plan_ids,
         delta_by_pred,
-        compile_specs,
-        plan_meta,
         needed,
         new_delta,
         scc_index,
         iteration,
-        compile_cache,
         aligned_cols=None,
         ship_delta=True,
     ) -> None:
         """One fleet synchronization: dispatch tasks, merge replies.
 
-        ``plan_meta`` maps plan id -> (rule_key, head_pred) for stats
-        attribution and head acceptance; ``needed`` is the set of IDB
-        predicates the dispatched plans read through non-delta literals
-        (only their accept-log suffixes are shipped).  In aligned mode
-        (``aligned_cols`` set) the delta ships only on the SCC's first
-        round (``ship_delta``) — afterwards each worker's frontier *is*
-        its shard — and replies are accepted without re-deduplication,
-        because partition ownership makes the workers' mirror checks
-        exact.
+        ``needed`` is the set of IDB predicates the dispatched plans
+        read through non-delta literals (only their accept-log suffixes
+        are shipped).  In aligned mode (``aligned_cols`` set) the delta
+        ships only on the SCC's first round (``ship_delta``) —
+        afterwards each worker's frontier *is* its shard — and replies
+        are accepted without re-deduplication, because partition
+        ownership makes the workers' mirror checks exact.
 
-        ``compile_cache`` retains the SCC's compile payload past its
-        first barrier so a replacement worker (which has no compiled
-        plans) can be re-dispatched mid-SCC.  Worker deaths, protocol
-        errors and stragglers are *recovered* — respawn plus shard
-        re-dispatch under the run's retry budget — raising
-        :class:`FleetExhausted` only when the budget runs dry; worker
-        budget trips still raise the usual abort.
+        The SCC's compile payload rides its first barrier and is
+        retained in ``compile_cache`` so a replacement worker (which
+        has no compiled plans) can be re-dispatched mid-SCC.  Worker
+        deaths, protocol errors and stragglers are *recovered* —
+        respawn plus shard re-dispatch under the run's retry budget —
+        raising :class:`FleetExhausted` only when the budget runs dry;
+        worker budget trips still raise the usual abort.
         """
+        driver, pool, policy = self.driver, self.pool, self.policy
+        stats, idb, governor = driver.stats, driver.idb, driver.governor
+        tracer, trace_on = driver.tracer, driver.trace_on
+        accept_log, shipped_upto = self.accept_log, self.shipped_upto
+        plan_meta, compile_cache = self.plan_meta, self.compile_cache
+        retry_delays, sent_at = self.retry_delays, self.sent_at
+        worker_report = self.worker_report
+        compile_specs, self.compile_specs = self.compile_specs, None
         extension = pool.take_intern_extension()
         updates = []
         for pred in sorted(needed):
@@ -812,9 +718,8 @@ def evaluate_sharded(
             "deadline": deadline,
         }
         shared = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
-        shard_by_pred = {}
-        if ship_delta:
-            shard_by_pred = {
+        def partition() -> dict:
+            return {
                 pred: _shard_rows(
                     rel.code_rows(),
                     pool.workers,
@@ -823,30 +728,18 @@ def evaluate_sharded(
                 for pred, rel in delta_by_pred.items()
                 if len(rel)
             }
+
+        def shard_of(index: int, buckets: dict) -> list:
+            return [
+                (pred, len(bucket), _columns_of(bucket))
+                for pred, by_worker in buckets.items()
+                for bucket in (by_worker[index],)
+                if bucket
+            ]
+
+        shard_by_pred = partition() if ship_delta else {}
         update_rows = sum(n for _, n, _ in updates)
         straggler_limit = policy.straggler_limit(deadline)
-
-        def recovery_shard(index: int) -> list:
-            """The lost shard, recomputed for a replacement worker.
-
-            Shards are pure functions of ``(round, partition)``: the
-            master's delta buffers hold the full current-round frontier
-            (in aligned mode too — ``new_delta`` accumulates every
-            accepted row), so the replacement's bucket comes out
-            byte-identical to the one the dead worker held, even when
-            the original dispatch shipped no delta at all
-            (``ship_delta=False``: live workers keep their own
-            frontier, but a replacement lost its).
-            """
-            shard = []
-            for pred, rel in delta_by_pred.items():
-                if not len(rel):
-                    continue
-                column = None if aligned_cols is None else aligned_cols[pred]
-                bucket = _shard_rows(rel.code_rows(), pool.workers, column)[index]
-                if bucket:
-                    shard.append((pred, len(bucket), _columns_of(bucket)))
-            return shard
 
         def recover(index: int, reason: str) -> None:
             """Respawn worker ``index`` and re-dispatch its shard.
@@ -858,8 +751,7 @@ def evaluate_sharded(
             ``--timeout``.
             """
             while True:
-                if governor is not None:
-                    governor.check("evaluate", stats)
+                driver.check()
                 delay = next(retry_delays, None)
                 if delay is None:
                     raise FleetExhausted(
@@ -903,7 +795,15 @@ def evaluate_sharded(
                 # payload (the replacement has no plans) and a fresh
                 # deadline slice; interner extension and accept-log
                 # updates re-absorb idempotently on top of the warm
-                # envelope.
+                # envelope.  Shards are pure functions of ``(round,
+                # partition)``: the master's delta buffers hold the full
+                # current-round frontier (in aligned mode too —
+                # ``new_delta`` accumulates every accepted row), so the
+                # replacement's bucket comes out byte-identical to the
+                # one the dead worker held, even when the original
+                # dispatch shipped no delta at all (``ship_delta=False``:
+                # live workers keep their own frontier, but a
+                # replacement lost its).
                 blob = pickle.dumps(
                     {
                         **task,
@@ -915,7 +815,9 @@ def evaluate_sharded(
                     pickle.HIGHEST_PROTOCOL,
                 )
                 try:
-                    conn.send(("task", blob, recovery_shard(index)))
+                    conn.send(
+                        ("task", blob, shard_of(index, shard_by_pred or partition()))
+                    )
                 except (BrokenPipeError, OSError) as exc:
                     reason = f"re-dispatch failed ({exc.__class__.__name__})"
                     continue
@@ -924,12 +826,7 @@ def evaluate_sharded(
                 return
 
         for index in range(pool.workers):
-            shard = [
-                (pred, len(bucket), _columns_of(bucket))
-                for pred, buckets in shard_by_pred.items()
-                for bucket in (buckets[index],)
-                if bucket
-            ]
+            shard = shard_of(index, shard_by_pred)
             if trace_on:
                 try:
                     tracer.event(
@@ -1088,7 +985,7 @@ def evaluate_sharded(
                         # nothing this round — the dead pipe engages
                         # recovery at the next dispatch.
                         pool.kill(index)
-        path["barrier_max_cpu"] += round_max_cpu
+        self.barrier_max_cpu += round_max_cpu
         for pred, acc in accepted_rows.items():
             if not acc:
                 continue
@@ -1124,233 +1021,108 @@ def evaluate_sharded(
                 or "worker budget slice exhausted; fleet aborted",
                 limit=aborted.get("limit") or "timeout",
             )
-        if governor is not None:
-            governor.check("evaluate", stats)
+        driver.check()
 
-    def partial_result() -> EvaluationResult:
-        return EvaluationResult(
-            idb=idb,
-            stats=stats,
-            program=program,
-            database=database,
-            provenance=None,
-            shards=shard_report(),
+
+def evaluate_sharded(
+    program: Program,
+    database: Database,
+    *,
+    workers: int,
+    pool: WorkerPool | None = None,
+    provenance: bool = False,
+    max_iterations: int | None = None,
+    strategy: str = "seminaive",
+    tracer: Tracer | None = None,
+    plan_order: str = "cost",
+    storage: str | None = None,
+    budget: "Budget | Governor | None" = None,
+    cancellation: CancellationToken | None = None,
+    checkpoint_every: int = 0,
+    checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
+    resume_from: EvaluationSnapshot | None = None,
+    supervision: "SupervisionPolicy | None" = None,
+) -> EvaluationResult:
+    """Semi-naive evaluation sharded across ``workers`` processes.
+
+    The public entry point is ``evaluate(..., workers=N)``; benchmarks
+    call this directly with a pre-built ``pool`` so fork + EDB shipping
+    stays outside the timed region.  Results — fixpoint, digests,
+    ``iterations``, ``rule_firings``, ``facts_derived``,
+    ``rows_scanned`` (total and per rule) — are byte-identical to the
+    sequential columnar engine; the per-process counters (``probes``,
+    ``block_probes``, ``env_allocations``, ``index_builds``) report
+    fleet totals and therefore exceed the sequential values.
+
+    Restrictions: ``strategy`` must be ``"seminaive"`` (delta sharding
+    is meaningless under naive re-evaluation) and ``provenance`` is
+    unsupported (support tuples are process-local).  ``checkpoint_*``
+    and ``resume_from`` work exactly as in the sequential engine.
+
+    Worker deaths and stragglers are handled by the supervision layer
+    (``supervision``, a :class:`SupervisionPolicy`): the dead worker is
+    respawned warm from the master's current state and its shard
+    re-dispatched — byte-identical results, because shards are pure
+    functions of ``(round, partition)`` and a dead worker's reply was
+    never merged.  Recovery is bounded by the policy's retry budget;
+    exhausting it raises :class:`FleetExhausted`, which the public
+    ``evaluate`` entry point turns into a degradation-ladder rung.
+    """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive int, got {workers!r}")
+    if provenance:
+        raise ValueError(
+            "workers=N cannot record provenance (support tuples are "
+            "process-local); use the sequential engine for derivation trees"
         )
-
-    try:
-        with tracer.span(
-            "evaluate",
-            strategy="seminaive",
-            engine=eng.name,
-            rules=len(program.rules),
-            workers=pool.workers,
-        ) as root:
-            graph = program.dependency_graph()
-            components = _sccs(graph)
-            for scc_index, component in enumerate(components):
-                if resume_from is not None and scc_index < resume_from.completed_sccs:
-                    continue
-                resuming_here = (
-                    resume_from is not None
-                    and resume_from.scc_index == scc_index
-                    and resume_from.delta is not None
-                )
-                if governor is not None:
-                    governor.check("evaluate", stats)
-                members = set(component)
-                recursive = len(component) > 1 or any(
-                    head in graph.get(head, set()) for head in component
-                )
-                indexed_rules = [
-                    (index, rule)
-                    for index, rule in enumerate(program.rules)
-                    if rule.head.predicate in members
-                ]
-                with tracer.span(
-                    "scc",
-                    index=scc_index,
-                    members=",".join(sorted(members)),
-                    recursive=recursive,
-                ):
-                    if not recursive:
-                        for _, rule in indexed_rules:
-                            fire_rule(
-                                eng.make_plan(rule, None), None, None, scc_index, None
-                            )
-                        continue
-                    exit_rules = []
-                    delta_rules: "list[tuple[int, Rule, int]]" = []
-                    for rule_index, rule in indexed_rules:
-                        recursive_positions = [
-                            i
-                            for i, item in enumerate(rule.body)
-                            if isinstance(item, Literal)
-                            and item.positive
-                            and item.predicate in members
-                        ]
-                        if not recursive_positions:
-                            exit_rules.append(rule)
-                        else:
-                            for pos in recursive_positions:
-                                delta_rules.append((rule_index, rule, pos))
-                    if resuming_here:
-                        assert resume_from is not None and resume_from.delta is not None
-                        delta = {}
-                        for pred in members:
-                            buf = _DeltaBuffer(program.arity_of(pred), interner)
-                            for row in resume_from.delta.get(pred, ()):
-                                buf.add(row)
-                            delta[pred] = buf
-                        iterations = resume_from.iteration
-                    else:
-                        delta = {
-                            pred: _DeltaBuffer(program.arity_of(pred), interner)
-                            for pred in members
-                        }
-                        for rule in exit_rules:
-                            fire_rule(
-                                eng.make_plan(rule, None), None, delta, scc_index, None
-                            )
-                        iterations = 0
-                    compile_specs = [
-                        (rule_index, pos) for rule_index, _, pos in delta_rules
-                    ]
-                    plan_meta = {
-                        plan_id: (repr(rule), rule.head.predicate)
-                        for plan_id, (_, rule, pos) in enumerate(delta_rules)
-                    }
-                    delta_pred_of = {
-                        plan_id: rule.body[pos].predicate
-                        for plan_id, (_, rule, pos) in enumerate(delta_rules)
-                    }
-                    # The IDB predicates each plan reads through
-                    # non-delta literals (positive or negated): exactly
-                    # the mirrors that must be current before it runs.
-                    needed_of = [
-                        {
-                            item.predicate
-                            for i, item in enumerate(rule.body)
-                            if i != pos
-                            and isinstance(item, Literal)
-                            and item.predicate in idb_preds
-                        }
-                        for _, rule, pos in delta_rules
-                    ]
-                    # A delta plan that reads a same-SCC relation through
-                    # a non-delta literal sees facts derived earlier in
-                    # the same round; those SCCs barrier per plan so the
-                    # mirrors can be refreshed in between.
-                    nonlinear = any(
-                        i != pos
-                        and isinstance(item, Literal)
-                        and item.positive
-                        and item.predicate in members
-                        for _, rule, pos in delta_rules
-                        for i, item in enumerate(rule.body)
-                    )
-                    # Aligned sharding needs the workers' mirrors to be
-                    # exact for their partitions, which nonlinear SCCs
-                    # (reading whole same-SCC relations) cannot give.
-                    aligned_cols = (
-                        None if nonlinear else _alignment(delta_rules, members, program)
-                    )
-                    first_round = True
-                    # Retained past the SCC's first barrier so recovery
-                    # can re-dispatch the compile payload to replacement
-                    # workers that never saw it.
-                    compile_cache: dict = {}
-                    while any(len(d) for d in delta.values()):
-                        iterations += 1
-                        if max_iterations is not None and iterations > max_iterations:
-                            break
-                        stats.iterations += 1
-                        if governor is not None:
-                            governor.check("evaluate", stats)
-                        if trace_on:
-                            tracer.event(
-                                "iteration",
-                                scc=scc_index,
-                                index=iterations,
-                                delta_in=sum(len(d) for d in delta.values()),
-                            )
-                        new_delta: dict[str, _DeltaBuffer] = {
-                            pred: _DeltaBuffer(program.arity_of(pred), interner)
-                            for pred in members
-                        }
-                        if nonlinear:
-                            for plan_id in range(len(delta_rules)):
-                                delta_rel = delta[delta_pred_of[plan_id]]
-                                if not len(delta_rel):
-                                    continue
-                                barrier(
-                                    [plan_id],
-                                    {delta_pred_of[plan_id]: delta_rel},
-                                    compile_specs,
-                                    plan_meta,
-                                    needed_of[plan_id],
-                                    new_delta,
-                                    scc_index,
-                                    iterations,
-                                    compile_cache,
-                                )
-                                compile_specs = None
-                        else:
-                            run_ids = [
-                                plan_id
-                                for plan_id in range(len(delta_rules))
-                                if len(delta[delta_pred_of[plan_id]])
-                            ]
-                            needed = set()
-                            for plan_id in run_ids:
-                                needed |= needed_of[plan_id]
-                            barrier(
-                                run_ids,
-                                delta,
-                                compile_specs,
-                                plan_meta,
-                                needed,
-                                new_delta,
-                                scc_index,
-                                iterations,
-                                compile_cache,
-                                aligned_cols,
-                                aligned_cols is None or first_round,
-                            )
-                            compile_specs = None
-                        first_round = False
-                        delta = new_delta
-                        if checkpointing and stats.iterations % checkpoint_every == 0:
-                            checkpoint_sink(
-                                make_snapshot(scc_index, scc_index, iterations, delta)
-                            )
-            if checkpoint_sink is not None:
-                checkpoint_sink(
-                    make_snapshot(
-                        len(components), None, stats.iterations, None, complete=True
-                    )
-                )
-            if trace_on:
-                root.set(
-                    **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
-                )
-    except EvaluationAborted as exc:
-        stats.budget_trips += 1
-        sync_intern_hits()
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        if trace_on:
-            tracer.event(
-                "budget.trip",
-                phase=exc.phase or "evaluate",
-                limit=exc.limit or "",
-                facts_derived=stats.facts_derived,
-                iterations=stats.iterations,
+    if strategy != "seminaive":
+        raise ValueError(
+            f"workers=N requires strategy='seminaive', got {strategy!r} "
+            "(delta sharding has no meaning under naive re-evaluation)"
+        )
+    if tracer is None:
+        tracer = get_tracer()
+    _check_plan_order(plan_order)
+    database = _resolve_storage(database, storage).to_storage("columnar")
+    if pool is not None:
+        if resume_from is not None:
+            raise ValueError(
+                "a pre-built pool cannot resume from a snapshot; let "
+                "evaluate_sharded construct its own pool"
             )
-        raise exc.with_context(
-            phase="evaluate", partial=partial_result(), stats=stats
-        ) from None
+        if pool.workers != workers:
+            raise ValueError(
+                f"pool has {pool.workers} workers, evaluation asked for {workers}"
+            )
+        if pool.database is not database or pool.program is not program:
+            raise ValueError(
+                "pool was built for a different program/database object"
+            )
+        if pool.plan_order != plan_order:
+            raise ValueError(
+                f"pool was built with plan_order={pool.plan_order!r}, "
+                f"evaluation asked for {plan_order!r}"
+            )
+    started_cpu = time.process_time()
+    driver = _Driver(
+        program,
+        database,
+        tracer=tracer,
+        governor=Governor.of(budget, cancellation),
+        resume_from=resume_from,
+        checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink,
+    )
+    executor = _ShardedExecutor(
+        driver,
+        pool,
+        workers,
+        plan_order,
+        supervision if supervision is not None else DEFAULT_SUPERVISION,
+        started_cpu,
+    )
+    try:
+        return driver.run(executor, max_iterations=max_iterations)
     finally:
-        if own_pool:
-            pool.close()
-    sync_intern_hits()
-    stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-    return partial_result()
+        if pool is None:
+            executor.pool.close()

@@ -68,6 +68,7 @@ def _rows_of(n: int, columns) -> list[tuple[int, ...]]:
 
 
 def _columns_of(rows) -> list[list[int]]:
+    """Transpose code tuples into per-position columns for shipping."""
     return [list(column) for column in zip(*rows)]
 
 

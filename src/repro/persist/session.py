@@ -54,13 +54,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..datalog.atoms import Atom, Literal
-from ..datalog.database import Database, Relation, Row
+from ..datalog.atoms import Atom
+from ..datalog.database import Database, Row
 from ..datalog.evaluation import (
     EvaluationResult,
     EvaluationSnapshot,
     EvaluationStats,
-    _make_engine,
+    _evaluate_ingest,
     _sccs,
     evaluate,
 )
@@ -227,14 +227,7 @@ class Session:
                     reason=str(exc),
                 )
                 fallback_chain.append(step)
-                tracer = self.tracer
-                if tracer.enabled:
-                    tracer.event(
-                        "budget.fallback",
-                        stage=step.stage,
-                        fell_back_to=step.fell_back_to,
-                        reason=step.reason,
-                    )
+                self._trace_fallback(step)
                 return
             counter[0] += 1
             if self.throttle:
@@ -367,6 +360,24 @@ class Session:
                 reason=step.reason,
             )
 
+    def _recompute(
+        self,
+        stage: str,
+        reason: str,
+        mode: str,
+        fallback_chain: list[FallbackStep],
+        journaled_seq: int | None,
+    ) -> SessionResult:
+        """Fall back to a full governed re-evaluation, recording why."""
+        step = FallbackStep(stage=stage, fell_back_to="recompute", reason=reason)
+        fallback_chain.append(step)
+        self._trace_fallback(step)
+        outcome = self.run()
+        outcome.mode = mode
+        outcome.fallback_chain = fallback_chain + outcome.fallback_chain
+        self._mark_covered(journaled_seq, outcome)
+        return outcome
+
     def _journal_commit(
         self, new_rows: Mapping[str, Sequence[Row]], governor: Governor | None
     ) -> int | None:
@@ -468,28 +479,18 @@ class Session:
         for predicate, rows in new_rows.items():
             for row in rows:
                 self.database.add_row(predicate, row)
+        # The EDB is now ahead of the last fixpoint.  Drop it until the
+        # re-derivation below lands: after an abort the next ingest must
+        # recompute from the journaled EDB, not answer from a stale prior.
+        self._last = None
 
         if reason is not None:
-            step = FallbackStep(
-                stage="session.ingest", fell_back_to="recompute", reason=reason
+            return self._recompute(
+                "session.ingest", reason, "recompute", fallback_chain, journaled_seq
             )
-            fallback_chain.append(step)
-            self._trace_fallback(step)
-            fresh = self.run()
-            fresh.mode = "recompute"
-            fresh.fallback_chain = fallback_chain + fresh.fallback_chain
-            self._mark_covered(journaled_seq, fresh)
-            return fresh
 
         assert prior is not None
-        prior_idb, prior_stats = prior
-        idb, stats = self._incremental_fixpoint(
-            new_rows, prior_idb, prior_stats, governor
-        )
-        result = EvaluationResult(
-            idb=idb, stats=stats, program=self.program, database=self.database
-        )
-        self._last = result
+        result = self._incremental_fixpoint(new_rows, prior, governor)
         outcome = self._checkpoint_complete(
             result, "incremental", fallback_chain, governor
         )
@@ -562,6 +563,7 @@ class Session:
         """
         governor = self._governor()
         fallback_chain: list[FallbackStep] = []
+        self._last = None  # rebuilt below; an abort must not leave a stale one
         records = [] if self.journal is None else self.journal.replay()
         # Pre-seed from the newest self-contained checkpoint: it is the
         # durable copy of every ingested fact whose journal record has
@@ -625,20 +627,17 @@ class Session:
                 for predicate, row in record.rows:
                     self.database.add_row(predicate, row)
             if applicable:
-                step = FallbackStep(
-                    stage="session.recover",
-                    fell_back_to="recompute",
-                    reason="no complete checkpoint covers the journal chain",
+                outcome = self._recompute(
+                    "session.recover",
+                    "no complete checkpoint covers the journal chain",
+                    "recovered",
+                    fallback_chain,
+                    applicable[-1].seq,
                 )
-                fallback_chain.append(step)
-                self._trace_fallback(step)
-            outcome = self.run()
-            outcome.fallback_chain = fallback_chain + outcome.fallback_chain
-            if applicable:
-                outcome.mode = "recovered"
                 outcome.replayed = len(applicable)
-                self._mark_covered(applicable[-1].seq, outcome)
-            elif absorbed_seq and self.journal is not None:
+                return outcome
+            outcome = self.run()
+            if absorbed_seq:
                 self._mark_covered(absorbed_seq, outcome)
             return outcome
 
@@ -680,30 +679,18 @@ class Session:
                 self.database.add_row(predicate, row)
         overlap = self._negated_predicates() & set(new_rows)
         if overlap:
-            step = FallbackStep(
-                stage="session.recover",
-                fell_back_to="recompute",
-                reason=(
-                    f"replayed predicate(s) {', '.join(sorted(overlap))} "
-                    "occur negated (non-monotonic)"
-                ),
+            outcome = self._recompute(
+                "session.recover",
+                f"replayed predicate(s) {', '.join(sorted(overlap))} "
+                "occur negated (non-monotonic)",
+                "recovered",
+                fallback_chain,
+                suffix[-1].seq,
             )
-            fallback_chain.append(step)
-            self._trace_fallback(step)
-            outcome = self.run()
-            outcome.mode = "recovered"
             outcome.replayed = len(covered) + len(suffix)
-            outcome.fallback_chain = fallback_chain + outcome.fallback_chain
-            self._mark_covered(suffix[-1].seq, outcome)
             return outcome
 
-        idb, stats = self._incremental_fixpoint(
-            new_rows, prior[0], prior[1], governor
-        )
-        result = EvaluationResult(
-            idb=idb, stats=stats, program=self.program, database=self.database
-        )
-        self._last = result
+        result = self._incremental_fixpoint(new_rows, prior, governor)
         outcome = self._checkpoint_complete(
             result, "recovered", fallback_chain, governor
         )
@@ -778,115 +765,22 @@ class Session:
     def _incremental_fixpoint(
         self,
         new_rows: Mapping[str, Sequence[Row]],
-        prior_idb: Mapping[str, frozenset],
-        prior_stats: EvaluationStats,
+        prior: "tuple[Mapping[str, frozenset], EvaluationStats]",
         governor: Governor | None,
-    ) -> tuple[dict[str, Relation], EvaluationStats]:
-        """Delta-seeded re-derivation over the updated database.
-
-        ``changed`` carries, per predicate, the rows that are new since
-        the prior fixpoint — initially the ingested EDB rows, extended
-        with each SCC's newly derived facts as the dependency order is
-        walked.  For every rule and every positive body position whose
-        predicate changed *outside* the rule's own SCC, the rule fires
-        once with the changed rows as the delta there (and current full
-        relations elsewhere); within the SCC the standard semi-naive
-        rounds take over.  Any derivation using at least one new fact
-        has some body position holding a new fact, so it is reached by
-        one of these firings — which is the differentiation-correctness
-        argument (Bancilhon–Ramakrishnan) behind row-identity with
-        recomputation.
-        """
-        program, database = self.program, self.database
-        tracer = self.tracer
-        started = time.perf_counter()
-        stats = prior_stats.copy()
-        base_wall = stats.wall_time_seconds
-        idb: dict[str, Relation] = {
-            pred: database.new_relation(program.arity_of(pred))
-            for pred in program.idb_predicates
-        }
-        for pred, rows in prior_idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-        idb_preds = program.idb_predicates
-        eng = _make_engine(self.engine, program, database, idb, self.plan_order, tracer)
-
-        def relation_of(predicate: str, arity: int) -> Relation:
-            if predicate in idb_preds:
-                return idb[predicate]
-            return database.relation(predicate, arity)
-
-        changed: dict[str, Relation] = {}
-        for pred, rows in new_rows.items():
-            rel = database.new_relation(database.relation(pred).arity)
-            for row in rows:
-                rel.add(row)
-            changed[pred] = rel
-
-        def fire(plan, delta_relation: Relation, sink: dict[str, Relation]) -> None:
-            rows_before = stats.rows_scanned
-            results = eng.run(plan, relation_of, delta_relation, stats, governor)
-            stats.rule_firings += eng.result_count(results)
-            key = plan.rule_key
-            stats.rows_scanned_by_rule[key] = (
-                stats.rows_scanned_by_rule.get(key, 0) + stats.rows_scanned - rows_before
-            )
-            eng.derive(plan, results, idb[plan.rule.head.predicate], sink, None, stats)
-            if governor is not None:
-                governor.check("ingest", stats)
-
-        graph = program.dependency_graph()
-        for component in _sccs(graph):
-            members = set(component)
-            rules = [r for r in program.rules if r.head.predicate in members]
-            delta: dict[str, Relation] = {
-                pred: database.new_relation(program.arity_of(pred)) for pred in members
-            }
-            scc_new: dict[str, Relation] = {
-                pred: database.new_relation(program.arity_of(pred)) for pred in members
-            }
-            # Phase 1: seed from changed predicates outside this SCC.
-            member_positions: list[tuple] = []
-            for rule in rules:
-                for pos, item in enumerate(rule.body):
-                    if not (isinstance(item, Literal) and item.positive):
-                        continue
-                    if item.predicate in members:
-                        member_positions.append((rule, pos))
-                        continue
-                    delta_rel = changed.get(item.predicate)
-                    if delta_rel is None or not len(delta_rel):
-                        continue
-                    fire(eng.make_plan(rule, pos), delta_rel, delta)
-            for pred in members:
-                for row in delta[pred].rows():
-                    scc_new[pred].add(row)
-            # Phase 2: standard semi-naive rounds within the SCC.
-            delta_joins = [eng.make_plan(rule, pos) for rule, pos in member_positions]
-            while any(len(d) for d in delta.values()):
-                stats.iterations += 1
-                if governor is not None:
-                    governor.check("ingest", stats)
-                new_delta: dict[str, Relation] = {
-                    pred: database.new_relation(program.arity_of(pred))
-                    for pred in members
-                }
-                for plan in delta_joins:
-                    delta_rel = delta[plan.delta_predicate]
-                    if not len(delta_rel):
-                        continue
-                    fire(plan, delta_rel, new_delta)
-                for pred in members:
-                    for row in new_delta[pred].rows():
-                        scc_new[pred].add(row)
-                delta = new_delta
-            for pred in members:
-                if len(scc_new[pred]):
-                    changed[pred] = scc_new[pred]
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return idb, stats
+    ) -> EvaluationResult:
+        """Delta-seeded re-derivation over the already-updated database:
+        the shared fixpoint driver's *ingest* seed."""
+        self._last = _evaluate_ingest(
+            self.program,
+            self.database,
+            new_rows,
+            *prior,
+            engine=self.engine,
+            plan_order=self.plan_order,
+            tracer=self.tracer,
+            governor=governor,
+        )
+        return self._last
 
     # ------------------------------------------------------------------
     def inspect(self) -> dict:

@@ -1,5 +1,6 @@
 """The evaluation profiler: aggregation, top-k, rendering."""
 
+from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.observability import (
     RingBufferSink,
@@ -7,6 +8,7 @@ from repro.observability import (
     profile_evaluation,
     tracing,
 )
+from repro.persist import Session
 from repro.workloads.generators import good_path_bidirectional_database
 from repro.workloads.programs import good_path
 
@@ -85,3 +87,35 @@ def test_naive_strategy_profiles_too():
     profile, result = profile_evaluation(program, database, strategy="naive")
     assert sum(r.firings for r in profile.rules.values()) == result.stats.rule_firings
     assert profile.iterations == result.stats.iterations
+
+
+def test_ingest_is_traced_and_profiled_like_a_cold_run():
+    """An incremental ingest runs on the shared fixpoint driver, so it
+    emits the same span kinds a cold run does — tagged with its seed —
+    and the profiler renders it."""
+    program, database = _workload()
+    base, held_back = {}, []
+    for pred in sorted(database.predicates()):
+        rows = sorted(database.relation(pred).rows())
+        base[pred] = rows[: len(rows) // 2]
+        held_back.extend((pred, row) for row in rows[len(rows) // 2 :])
+    session = Session(program, Database.from_rows(base), storage="columnar")
+    before = session.run().stats
+    with tracing(RingBufferSink()) as tracer:
+        outcome = session.ingest(held_back)
+    assert outcome.mode == "incremental"
+    events = list(tracer.sinks[0])
+    spans = {e.name for e in events if e.kind == "span"}
+    assert {"evaluate", "scc", "rule"} <= spans
+    assert any(e.kind == "event" and e.name == "iteration" for e in events)
+    (root,) = [e for e in events if e.name == "evaluate"]
+    assert root.attrs["seed"] == "ingest"
+    assert root.attrs["facts_derived"] == outcome.stats.facts_derived
+    profile = build_profile(events)
+    new_facts = outcome.stats.facts_derived - before.facts_derived
+    assert new_facts > 0
+    assert sum(r.facts_derived for r in profile.rules.values()) == new_facts
+    assert profile.iterations == outcome.stats.iterations - before.iterations
+    assert "rule" in profile.render(top=3)
+    # dictionary re-use is accounted on columnar storage, cumulatively
+    assert outcome.stats.intern_hits > before.intern_hits

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datalog.database import Database
+from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
 from repro.persist import CheckpointStore, FlakyStore, RetryPolicy, Session
 from repro.robustness import Budget, BudgetExceededError, FaultInjector
@@ -228,3 +229,26 @@ def test_session_stats_cumulative_and_monotone(tmp_path):
     assert resumed.stats.facts_derived == first.stats.facts_derived
     assert resumed.stats.iterations >= 1
     assert resumed.stats.wall_time_seconds > 0.0
+
+
+def test_budget_trip_inside_ingest_does_not_leave_a_stale_prior():
+    """A trip mid-ingest leaves the journaled rows in the EDB; the next
+    ingest must recompute from that EDB, not extend the pre-trip
+    fixpoint (which would silently drop the rows' consequences)."""
+    session = Session(_program(), _database(), budget=Budget(max_facts=20))
+    session.run()
+    chain = [("edge", (node, node + 1)) for node in range(5, 15)]
+    with pytest.raises(BudgetExceededError) as info:
+        session.ingest(chain)
+    exc = info.value
+    assert exc.phase == "ingest" and exc.limit == "max_facts"
+    assert exc.stats is not None and exc.stats.budget_trips == 1
+    # the shared abort handler attached the partial fixpoint: a subset
+    # of the full one that already holds some of the new consequences
+    full = _rows(evaluate(_program(), session.database))
+    partial = _rows(exc.partial)
+    assert all(partial[pred] <= full[pred] for pred in full)
+    assert sum(map(len, partial.values())) > 20
+    session.budget = None
+    outcome = session.ingest([("edge", (15, 16))])
+    assert _rows(outcome.result) == _rows(evaluate(_program(), session.database))
