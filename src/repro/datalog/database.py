@@ -28,12 +28,21 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .atoms import Atom
 from .terms import Constant
+from ..robustness.errors import ReproError
 
-__all__ = ["STORAGES", "Interner", "Relation", "ColumnarRelation", "Database"]
+__all__ = [
+    "STORAGES",
+    "ArityMismatch",
+    "Interner",
+    "Relation",
+    "ColumnarRelation",
+    "Database",
+]
 
 Value = object
 Row = tuple
@@ -45,6 +54,47 @@ STORAGES = ("rows", "columnar")
 #: and compares like any object but equals no real code, so a probe key
 #: containing it simply misses every index bucket and row set.
 _MISSING = object()
+
+
+class ArityMismatch(ReproError, ValueError):
+    """A row whose length is not its relation's arity.
+
+    Relations raise it unnamed; :class:`Database` re-raises it naming
+    the predicate, which is what the CLI and the daemon report.
+    """
+
+    def __init__(self, expected: int, got: int, predicate: str | None = None):
+        super().__init__(expected, got, predicate)
+        self.expected = expected
+        self.got = got
+        self.predicate = predicate
+
+    def __str__(self) -> str:
+        where = f" for {self.predicate}" if self.predicate else ""
+        return f"arity mismatch{where}: expected {self.expected}, got {self.got}"
+
+
+def _check_arity(arity: int, rows: list[Row]) -> None:
+    """Raise :class:`ArityMismatch` for the first row not ``arity`` long."""
+    if set(map(len, rows)) - {arity}:
+        got = next(len(row) for row in rows if len(row) != arity)
+        raise ArityMismatch(arity, got)
+
+
+def _projection(positions: tuple[int, ...]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[i] for i in positions)``, without a generator per row."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
+
+
+def _build_index(rows: Iterable[Row], key_of: Callable[[Row], Row]) -> dict[Row, list[Row]]:
+    """``rows`` bucketed by their ``key_of`` projection."""
+    built: dict[Row, list[Row]] = defaultdict(list)
+    for row in rows:
+        built[key_of(row)].append(row)
+    return dict(built)
 
 
 class Interner:
@@ -133,22 +183,40 @@ class Relation:
     def __init__(self, arity: int, rows: Iterable[Row] = ()):
         self.arity = arity
         self._rows: set[Row] = set()
-        self._indexes: dict[tuple[int, ...], dict[Row, list[Row]]] = {}
-        for row in rows:
-            self.add(row)
+        # positions -> (row projection, index): ``add`` keys every built
+        # index with the function ``index_for`` built it with.
+        self._indexes: dict[
+            tuple[int, ...], tuple[Callable[[Row], Row], dict[Row, list[Row]]]
+        ] = {}
+        self.extend(rows)
 
     def add(self, row: Sequence[Value]) -> bool:
         """Insert a tuple; return True when it was new."""
         row = tuple(row)
         if len(row) != self.arity:
-            raise ValueError(f"arity mismatch: expected {self.arity}, got {len(row)}")
+            raise ArityMismatch(self.arity, len(row))
         if row in self._rows:
             return False
         self._rows.add(row)
-        for positions, index in self._indexes.items():
-            key = tuple(row[i] for i in positions)
-            index.setdefault(key, []).append(row)
+        for key_of, index in self._indexes.values():
+            index.setdefault(key_of(row), []).append(row)
         return True
+
+    def extend(self, rows: Iterable[Row]) -> int:
+        """Bulk :meth:`add` of tuples; returns how many were new.
+
+        Every row's arity is checked before the first is inserted.  A
+        relation without built indexes takes the batch in one set update.
+        """
+        rows = list(rows)
+        _check_arity(self.arity, rows)
+        before = len(self._rows)
+        if self._indexes:
+            for row in rows:
+                self.add(row)
+        else:
+            self._rows.update(rows)
+        return len(self._rows) - before
 
     def __contains__(self, row: Sequence[Value]) -> bool:
         return tuple(row) in self._rows
@@ -184,15 +252,14 @@ class Relation:
         """
         if not positions:
             raise ValueError("index_for needs bound positions; use all_rows() for full scans")
-        index = self._indexes.get(positions)
-        if index is None:
-            built: dict[Row, list[Row]] = defaultdict(list)
-            for row in self._rows:
-                built[tuple(row[i] for i in positions)].append(row)
-            index = self._indexes[positions] = dict(built)
+        entry = self._indexes.get(positions)
+        if entry is None:
+            key_of = _projection(positions)
+            entry = key_of, _build_index(self._rows, key_of)
+            self._indexes[positions] = entry
             if stats is not None:
                 stats.index_builds += 1
-        return index
+        return entry[1]
 
     def has_index(self, positions: tuple[int, ...]) -> bool:
         """Whether the index for ``positions`` has already been built."""
@@ -215,7 +282,9 @@ class Relation:
         return sorted(self._rows, key=repr)
 
     def copy(self) -> "Relation":
-        return Relation(self.arity, self._rows)
+        fresh = Relation(self.arity)
+        fresh._rows = set(self._rows)
+        return fresh
 
     def __repr__(self) -> str:
         return f"Relation(arity={self.arity}, rows={len(self._rows)})"
@@ -256,19 +325,32 @@ class ColumnarRelation:
         self.columns: list[list[int]] = [[] for _ in range(arity)]
         self._row_set: set[tuple[int, ...]] = set()
         self._code_indexes: dict[tuple[int, ...], dict] = {}
-        self._value_indexes: dict[tuple[int, ...], dict[Row, list[Row]]] = {}
+        # positions -> (row projection, index), as in ``Relation``.
+        self._value_indexes: dict[
+            tuple[int, ...], tuple[Callable[[Row], Row], dict[Row, list[Row]]]
+        ] = {}
         self._decoded: set[Row] | None = None
-        for row in rows:
-            self.add(row)
+        self.extend(rows)
 
     # -- writes ---------------------------------------------------------
     def add(self, row: Sequence[Value]) -> bool:
         """Insert a value tuple (interning it); return True when new."""
         row = tuple(row)
         if len(row) != self.arity:
-            raise ValueError(f"arity mismatch: expected {self.arity}, got {len(row)}")
+            raise ArityMismatch(self.arity, len(row))
+        return self.add_codes(tuple(map(self.interner.intern, row)))
+
+    def extend(self, rows: Iterable[Row]) -> int:
+        """Bulk :meth:`add` of value tuples; returns how many were new.
+
+        Every row's arity is checked before the first is interned;
+        values are interned in order of first appearance in ``rows``, so
+        the codes are the ones row-by-row :meth:`add` would assign.
+        """
+        rows = list(rows)
+        _check_arity(self.arity, rows)
         intern = self.interner.intern
-        return self.add_codes(tuple(intern(v) for v in row))
+        return self.extend_codes([tuple(map(intern, row)) for row in rows])
 
     def add_codes(self, codes: tuple[int, ...]) -> bool:
         """Insert an already-encoded row; return True when it was new.
@@ -295,9 +377,8 @@ class ColumnarRelation:
             row = tuple(values[c] for c in codes)
             if self._decoded is not None:
                 self._decoded.add(row)
-            for positions, index in self._value_indexes.items():
-                key = tuple(row[i] for i in positions)
-                index.setdefault(key, []).append(row)
+            for key_of, index in self._value_indexes.values():
+                index.setdefault(key_of(row), []).append(row)
         return True
 
     def extend_codes(self, rows: Iterable[tuple[int, ...]]) -> int:
@@ -409,15 +490,14 @@ class ColumnarRelation:
         """
         if not positions:
             raise ValueError("index_for needs bound positions; use all_rows() for full scans")
-        index = self._value_indexes.get(positions)
-        if index is None:
-            built: dict[Row, list[Row]] = defaultdict(list)
-            for row in self._decoded_rows():
-                built[tuple(row[i] for i in positions)].append(row)
-            index = self._value_indexes[positions] = dict(built)
+        entry = self._value_indexes.get(positions)
+        if entry is None:
+            key_of = _projection(positions)
+            entry = key_of, _build_index(self._decoded_rows(), key_of)
+            self._value_indexes[positions] = entry
             if stats is not None:
                 stats.index_builds += 1
-        return index
+        return entry[1]
 
     def has_index(self, positions: tuple[int, ...]) -> bool:
         return positions in self._value_indexes
@@ -444,6 +524,17 @@ class ColumnarRelation:
 
     def __repr__(self) -> str:
         return f"ColumnarRelation(arity={self.arity}, rows={len(self._row_set)})"
+
+
+_value_of = attrgetter("value")
+
+
+def _row_of(fact: Atom) -> Row:
+    """The value tuple of a ground fact (a variable has no ``value``)."""
+    try:
+        return tuple(map(_value_of, fact.args))
+    except AttributeError:
+        raise ValueError(f"fact {fact} is not ground") from None
 
 
 class Database:
@@ -479,8 +570,18 @@ class Database:
             else None
         )
         self._relations: dict[str, Relation | ColumnarRelation] = {}
+        # One bulk load per relation.  Columnar rows are encoded here, in
+        # fact order: codes follow first appearance across predicates,
+        # exactly as fact-by-fact ``add_fact`` assigns them.
+        intern = None if self.interner is None else self.interner.intern
+        grouped: dict[str, list[Row]] = defaultdict(list)
         for fact in facts:
-            self.add_fact(fact)
+            row = _row_of(fact)
+            if intern is not None:
+                row = tuple(map(intern, row))
+            grouped[fact.predicate].append(row)
+        for predicate, rows in grouped.items():
+            self._extend(predicate, rows, encoded=intern is not None)
 
     @classmethod
     def from_rows(
@@ -492,8 +593,7 @@ class Database:
         """Build a database directly from raw value tuples."""
         db = cls(storage=storage)
         for predicate, rows in rows_by_predicate.items():
-            for row in rows:
-                db.add_row(predicate, tuple(row))
+            db._extend(predicate, list(map(tuple, rows)))
         return db
 
     def new_relation(self, arity: int) -> "Relation | ColumnarRelation":
@@ -524,22 +624,37 @@ class Database:
         db = Database(storage=storage)
         for predicate, relation in sorted(self._relations.items()):
             target = db.new_relation(relation.arity)
-            for row in relation.to_rows():
-                target.add(row)
+            target.extend(relation.to_rows())
             db._relations[predicate] = target
         return db
 
+    def _extend(self, predicate: str, rows: list[Row], *, encoded: bool = False) -> None:
+        """Bulk-insert ``rows`` (interner codes when ``encoded``) into one relation."""
+        relation = self._relations.get(predicate)
+        if relation is None:
+            if not rows:
+                return
+            relation = self.new_relation(len(rows[0]))
+        try:
+            if encoded:
+                _check_arity(relation.arity, rows)
+                relation.extend_codes(rows)  # type: ignore[union-attr]
+            else:
+                relation.extend(rows)
+        except ArityMismatch as error:
+            raise ArityMismatch(error.expected, error.got, predicate) from None
+        self._relations[predicate] = relation
+
     def add_fact(self, fact: Atom) -> bool:
-        if not fact.is_ground():
-            raise ValueError(f"fact {fact} is not ground")
-        row = tuple(arg.value for arg in fact.args)  # type: ignore[union-attr]
-        return self.add_row(fact.predicate, row)
+        return self.add_row(fact.predicate, _row_of(fact))
 
     def add_row(self, predicate: str, row: Sequence[Value]) -> bool:
         relation = self._relations.get(predicate)
         if relation is None:
             relation = self.new_relation(len(row))
             self._relations[predicate] = relation
+        elif len(row) != relation.arity:
+            raise ArityMismatch(relation.arity, len(row), predicate)
         return relation.add(row)
 
     def relation(self, predicate: str, arity: int | None = None) -> "Relation | ColumnarRelation":
@@ -619,8 +734,7 @@ class Database:
         db = cls(storage=storage, interner=interner)
         for predicate, entry in entries.items():
             relation = db.new_relation(int(entry["arity"]))  # type: ignore[call-overload]
-            for row in entry["rows"]:  # type: ignore[union-attr]
-                relation.add(tuple(row))
+            relation.extend(map(tuple, entry["rows"]))  # type: ignore[arg-type]
             db._relations[predicate] = relation
         return db
 

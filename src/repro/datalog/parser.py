@@ -21,13 +21,23 @@ The module exposes :func:`parse_program`, :func:`parse_rules`,
 :func:`parse_rule`, :func:`parse_atom`, :func:`parse_constraints` and
 :func:`parse_facts`; the latter returns ground facts suitable for
 :class:`repro.datalog.database.Database`.
+
+Programs, constraints and goals go through the tokenizer and the
+recursive-descent :class:`_Parser`.  A facts text is far larger and far
+more regular — ``(ws fact)* ws`` with ``fact := pred "(" const ("," const)*
+")" "."`` — so :func:`parse_facts` reads it with one regex match per
+fact (``_FACT_RE``, built from the tokenizer's own lexical pieces) and
+never builds a token list or a :class:`Rule` for a well-formed fact.
+Where the regex stops short of the end of the text, the parser proper
+takes over from that offset: it skips a trailing gap, or raises the
+error for the first malformed statement, positions counted from the
+start of the text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .atoms import Atom, BodyItem, Literal, OrderAtom
 from .program import Program
@@ -52,14 +62,21 @@ class ParseError(ReproError, ValueError):
     """Raised on any syntax error, with position information."""
 
 
+# The lexical pieces, shared by the tokenizer and the ground-fact scanner
+# so the two cannot drift apart.
+_COMMENT = r"%[^\n]*"
+_NUMBER = r"-?\d+(?:\.\d+)?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_STRING = r"\"[^\"]*\"|'[^']*'"
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+|%[^\n]*)
+    rf"""
+    (?P<WS>\s+|{_COMMENT})
   | (?P<ARROW>:-)
   | (?P<OP><=|>=|!=|<>|<|>|=)
-  | (?P<NUMBER>-?\d+\.\d+|-?\d+)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<STRING>"[^"]*"|'[^']*')
+  | (?P<NUMBER>{_NUMBER})
+  | (?P<IDENT>{_IDENT})
+  | (?P<STRING>{_STRING})
   | (?P<LPAREN>\()
   | (?P<RPAREN>\))
   | (?P<COMMA>,)
@@ -69,25 +86,25 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str, start: int = 0) -> list[_Token]:
+    """The tokens of ``source[start:]``, positions absolute in ``source``."""
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {source[pos]!r} at position {pos}")
+    pos = start
+    for match in _TOKEN_RE.finditer(source, start):
+        if match.start() != pos:
+            break
         kind = match.lastgroup
-        assert kind is not None
         if kind != "WS":
             tokens.append(_Token(kind, match.group(), pos))
         pos = match.end()
+    if pos < len(source):
+        raise ParseError(f"unexpected character {source[pos]!r} at position {pos}")
     tokens.append(_Token("EOF", "", len(source)))
     return tokens
 
@@ -95,8 +112,8 @@ def _tokenize(source: str) -> list[_Token]:
 class _Parser:
     """Recursive-descent parser over the token list."""
 
-    def __init__(self, source: str):
-        self._tokens = _tokenize(source)
+    def __init__(self, source: str, start: int = 0):
+        self._tokens = _tokenize(source, start)
         self._index = 0
 
     # -- token plumbing -------------------------------------------------
@@ -267,13 +284,81 @@ def parse_program_and_facts(
     return Program(rules, query), facts
 
 
-def parse_facts(source: str) -> list[Atom]:
-    """Parse ground facts (``p(a, 1).`` lines) into ground atoms."""
+# -- ground facts ---------------------------------------------------------
+#
+# A facts text is ``(ws fact)* ws`` with ``fact := pred ( const , ... ) .``;
+# ``_FACT_RE`` *is* that grammar, spelled with the tokenizer's own lexical
+# pieces.  ``_GAP`` is what the tokenizer drops between two tokens; a
+# comment must run to its line end, so backtracking can never cut one
+# short and resurrect the text behind the ``%``.
+_GAP = rf"\s*(?:{_COMMENT}(?:\n|\Z)\s*)*"
+_GROUND = rf"(?:{_NUMBER}|[a-z][A-Za-z0-9_]*|{_STRING})"
+_FACT_RE = re.compile(
+    rf"{_GAP}([a-z_][A-Za-z0-9_]*){_GAP}\("
+    rf"({_GAP}(?:{_GROUND}{_GAP}(?:,{_GAP}{_GROUND}{_GAP})*)?)"
+    rf"\){_GAP}\."
+)
+#: Splits the argument text ``_FACT_RE`` has already validated; comments
+#: come out as tokens too (a ``%`` inside a string never starts one).
+_ARGUMENT_RE = re.compile(rf"{_NUMBER}|{_IDENT}|{_STRING}|{_COMMENT}")
+
+
+class _Constants(dict):
+    """Argument text -> :class:`Constant`, built on first sight."""
+
+    def __missing__(self, text: str) -> Constant:
+        if text[0] in "\"'":
+            value: object = text[1:-1]
+        elif text[0].isalpha():
+            value = text
+        else:
+            value = float(text) if "." in text else int(text)
+        constant = self[text] = Constant(value)  # type: ignore[arg-type]
+        return constant
+
+
+def _scan_facts(source: str) -> tuple[list[Atom], int]:
+    """The leading ground facts of ``source`` and the offset they end at."""
+    facts: list[Atom] = []
+    constants = _Constants()
+    split = _ARGUMENT_RE.findall
+    match_fact = _FACT_RE.match
+    end = 0
+    while (match := match_fact(source, end)) is not None:
+        predicate, arguments = match.groups()
+        texts = split(arguments)
+        if "%" in arguments:
+            texts = [text for text in texts if text[0] != "%"]
+        facts.append(Atom(predicate, tuple([constants[text] for text in texts])))
+        end = match.end()
+    return facts, end
+
+
+def _parse_facts_from(source: str, start: int = 0) -> list[Atom]:
+    """The recursive-descent facts parser over ``source[start:]``.
+
+    The reference :func:`_scan_facts` is tested against, and the one
+    place a malformed facts text gets its error phrased.
+    """
     facts = []
-    for rule in _Parser(source).statements():
+    for rule in _Parser(source, start).statements():
         if rule.body or rule.head.predicate == "__false__":
             raise ParseError(f"expected a ground fact but found {rule}")
         if not rule.head.is_ground():
             raise ParseError(f"fact {rule.head} is not ground")
         facts.append(rule.head)
+    return facts
+
+
+def parse_facts(source: str) -> list[Atom]:
+    """Parse ground facts (``p(a, 1).`` lines) into ground atoms.
+
+    One regex match per fact; the parser proper only runs over whatever
+    the scanner did not take — trailing blanks, or the first malformed
+    statement, whose error it raises with positions absolute in
+    ``source``.
+    """
+    facts, end = _scan_facts(source)
+    if end < len(source):
+        facts.extend(_parse_facts_from(source, end))
     return facts

@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..datalog.atoms import Atom
-from ..datalog.database import Database, Row
+from ..datalog.database import ArityMismatch, Database, Row
 from ..datalog.evaluation import (
     EvaluationResult,
     EvaluationSnapshot,
@@ -437,12 +437,17 @@ class Session:
         # fact must never leave a half-applied batch behind.
         normalized = self._normalize_facts(facts)
         idb_preds = self.program.idb_predicates
-        for predicate, _row in normalized:
+        arities: dict[str, int] = {}
+        for predicate, row in normalized:
             if predicate in idb_preds:
                 raise ValueError(
                     f"cannot ingest {predicate}: it is an IDB predicate "
                     "(derived, not stored)"
                 )
+            if predicate not in arities:
+                arities[predicate] = self.database.relation(predicate, len(row)).arity
+            if len(row) != arities[predicate]:
+                raise ArityMismatch(arities[predicate], len(row), predicate)
         # The prior fixpoint must be anchored to the *pre-ingest* digest.
         prior = self._prior_fixpoint()
         # Deduplicate against the current EDB without mutating it — the

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.datalog.atoms import Atom
-from repro.datalog.database import Database, Relation
+from repro.datalog.database import ArityMismatch, ColumnarRelation, Database, Interner, Relation
+from repro.robustness.errors import ReproError
 from repro.datalog.terms import Constant
 
 
@@ -20,6 +21,39 @@ class TestRelation:
         rel = Relation(2)
         with pytest.raises(ValueError):
             rel.add((1,))
+
+    def test_arity_error_is_typed(self):
+        with pytest.raises(ArityMismatch) as caught:
+            Relation(2).add((1,))
+        assert isinstance(caught.value, ReproError)
+        assert str(caught.value) == "arity mismatch: expected 2, got 1"
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Relation(2), lambda: ColumnarRelation(2, Interner())]
+    )
+    def test_extend_checks_every_row_before_inserting_any(self, make):
+        rel = make()
+        assert rel.extend([(1, 2), (3, 4), (1, 2)]) == 2
+        assert rel.extend([(3, 4), (5, 6)]) == 1
+        with pytest.raises(ArityMismatch, match="expected 2, got 3"):
+            rel.extend([(7, 8), (7, 8, 9), (1,)])
+        assert rel.rows() == {(1, 2), (3, 4), (5, 6)}
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Relation(3), lambda: ColumnarRelation(3, Interner())]
+    )
+    @pytest.mark.parametrize("positions", [(0,), (2,), (0, 2), (2, 0), (0, 1, 2)])
+    def test_extend_and_add_keep_built_indexes_in_step(self, make, positions):
+        rel = make()
+        rel.extend([(1, 2, 3), (1, 5, 3)])
+        index = rel.index_for(positions)
+        rel.extend([(1, 2, 4), (1, 2, 3)])
+        rel.add((9, 9, 9))
+        expected = {}
+        for row in rel.rows():
+            expected.setdefault(tuple(row[i] for i in positions), set()).add(row)
+        assert {key: set(rows) for key, rows in index.items()} == expected
+        assert all(len(rows) == len(set(rows)) for rows in index.values())
 
     def test_probe_full_scan(self):
         rel = Relation(2, [(1, 2), (3, 4)])
@@ -92,6 +126,19 @@ class TestDatabase:
 
         with pytest.raises(ValueError):
             Database([Atom("e", (Variable("X"),))])
+
+    @pytest.mark.parametrize("storage", ["rows", "columnar"])
+    def test_mixed_arities_name_the_predicate(self, storage):
+        facts = [Atom("e", (Constant(1), Constant(2))), Atom("e", (Constant(1),))]
+        with pytest.raises(ArityMismatch) as caught:
+            Database(facts, storage=storage)
+        assert str(caught.value) == "arity mismatch for e: expected 2, got 1"
+        db = Database(facts[:1], storage=storage)
+        with pytest.raises(ArityMismatch, match="for e: expected 2, got 1"):
+            db.add_fact(facts[1])
+        with pytest.raises(ArityMismatch, match="for e: expected 2, got 3"):
+            Database.from_rows({"e": [(1, 2), (1, 2, 3)]}, storage=storage)
+        assert isinstance(caught.value, ValueError) and isinstance(caught.value, ReproError)
 
     def test_from_rows(self):
         db = Database.from_rows({"e": [(1, 2), (2, 3)], "v": [(1,)]})

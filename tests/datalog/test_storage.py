@@ -19,10 +19,56 @@ from repro.datalog.database import (
     Relation,
 )
 from repro.datalog.evaluation import evaluate
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_facts, parse_program
 from repro.digest import fixpoint_digest, workload_digest
 from repro.persist.checkpoint import Checkpoint
 from repro.workloads.generators import random_workload
+
+
+# ------------------------------------------------------------- bulk load
+INTERLEAVED = """
+a(3, x). b(x, 1.5). a(4, "Two words"). c(). b(y, 3). a(3, x). a(1, y). b(x, 1.5).
+c(). d(1). d(1.0). d(true).
+"""
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_bulk_load_equals_fact_by_fact_load(storage):
+    """Same relations, same first-appearance interner codes (the worker
+    hand-off gate compares ``Interner.digest()``)."""
+    facts = parse_facts(INTERLEAVED)
+    bulk = Database(facts, storage=storage)
+    one_by_one = Database(storage=storage)
+    for fact in facts:
+        one_by_one.add_fact(fact)
+    assert bulk.to_dict() == one_by_one.to_dict()
+    assert workload_digest(parse_program("p(X) :- d(X).", query="p"), bulk) == workload_digest(
+        parse_program("p(X) :- d(X).", query="p"), one_by_one
+    )
+    if storage == "columnar":
+        assert bulk.interner.to_list() == one_by_one.interner.to_list()
+        assert bulk.interner.digest() == one_by_one.interner.digest()
+        assert bulk.interner.hits == one_by_one.interner.hits
+        for predicate in bulk.predicates():
+            assert (
+                bulk.relation(predicate).code_rows()
+                == one_by_one.relation(predicate).code_rows()
+            )
+            assert bulk.relation(predicate).columns == one_by_one.relation(predicate).columns
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_conversion_and_from_rows_load_in_bulk_with_the_same_codes(storage):
+    source = Database(parse_facts(INTERLEAVED), storage=storage)
+    other = "columnar" if storage == "rows" else "rows"
+    converted = source.to_storage(other)
+    assert converted.to_dict() == source.to_dict()
+    rebuilt = Database.from_rows(
+        {p: source.relation(p).to_rows() for p in sorted(source.predicates())}, storage=other
+    )
+    assert rebuilt.to_dict() == source.to_dict()
+    if other == "columnar":
+        assert rebuilt.interner.digest() == converted.interner.digest()
 
 
 # ---------------------------------------------------------------- interner

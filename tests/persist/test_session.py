@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.datalog.database import Database
+from repro.datalog.database import ArityMismatch, Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
-from repro.persist import CheckpointStore, FlakyStore, RetryPolicy, Session
+from repro.persist import CheckpointStore, FlakyStore, IngestJournal, RetryPolicy, Session
 from repro.robustness import Budget, BudgetExceededError, FaultInjector
 
 PROGRAM_TEXT = """
@@ -146,6 +146,18 @@ def test_ingest_rejects_idb_predicate():
     session.run()
     with pytest.raises(ValueError, match="IDB"):
         session.ingest([("path", (1, 9))])
+
+
+def test_ingest_rejects_wrong_arity_before_journaling_anything(tmp_path):
+    journal = IngestJournal(tmp_path / "journal")
+    session = Session(_program(), _database(), journal=journal)
+    session.run()
+    before = session.database.to_dict()
+    for batch in ([("edge", (5, 6)), ("edge", (6,))], [("fresh", (1,)), ("fresh", (1, 2))]):
+        with pytest.raises(ArityMismatch, match="arity mismatch for (edge|fresh): expected"):
+            session.ingest(batch)
+    assert session.database.to_dict() == before
+    assert journal.info()["records"] == 0
 
 
 def test_unrecoverable_store_degrades_to_in_memory(tmp_path):

@@ -82,6 +82,29 @@ class TestRoutes:
         assert status == 404
         assert "register it first" in payload["error"]
 
+    def test_register_with_mixed_arity_facts_is_400(self):
+        app = ServeApp()
+        spec = dict(ALPHA, facts="e(1, 2). e(1).")
+        status, payload = run(app.handle("PUT", "/programs/alpha", spec))
+        assert status == 400
+        assert payload == {"error": "arity mismatch for e: expected 2, got 1"}
+
+    def test_ingest_with_wrong_arity_is_400_and_applies_nothing(self):
+        app = ServeApp()
+
+        async def drive():
+            await register(app, "alpha", ALPHA)
+            before = await app.handle("POST", "/programs/alpha/query", {"goal": "p(X, Y)"})
+            rejected = await app.handle(
+                "POST", "/programs/alpha/ingest", {"facts": "e(10, 11). e(11)."}
+            )
+            after = await app.handle("POST", "/programs/alpha/query", {"goal": "p(X, Y)"})
+            return before, rejected, after
+
+        before, rejected, after = run(drive())
+        assert rejected == (400, {"error": "arity mismatch for e: expected 2, got 1"})
+        assert after[1]["answers"] == before[1]["answers"]
+
     def test_register_then_query_and_stats(self):
         app = ServeApp()
 

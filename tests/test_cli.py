@@ -85,6 +85,19 @@ class TestRun:
         assert "optimized work:" in out
         assert "answers match" in out
 
+    @pytest.mark.parametrize("storage", ["rows", "columnar"])
+    def test_mixed_arity_facts_are_an_input_error(self, files, tmp_path, capsys, storage):
+        facts = tmp_path / "mixed.dl"
+        facts.write_text("a(1, 2). a(1).")
+        code = main([
+            "run", files["program.dl"], "--query", "p", "--data", str(facts),
+            "--storage", storage,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: arity mismatch for a: expected 2, got 1\n"
+        assert "Traceback" not in captured.err
+
 
 class TestCheck:
     def test_satisfied(self, files, capsys):
