@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .terms import Constant, Substitution, Term, Variable, is_variable
+from ..robustness.errors import ReproError
 
 __all__ = [
     "Atom",
@@ -27,6 +28,7 @@ __all__ = [
     "negate_comparison",
     "flip_comparison",
     "evaluate_comparison",
+    "IncomparableValues",
 ]
 
 #: The comparison predicates of the dense-order language.
@@ -46,29 +48,48 @@ def flip_comparison(op: str) -> str:
     return _FLIP[op]
 
 
+class IncomparableValues(ReproError, TypeError):
+    """An order comparison between values that share no order: a number
+    against a string, say.  Bad input data, so a :class:`ReproError`
+    (CLI exit 2, HTTP 400); a ``TypeError`` for callers that predate it."""
+
+    def __init__(self, left: object, right: object):
+        super().__init__(f"values {left!r} and {right!r} are not order-comparable")
+
+
 def evaluate_comparison(left: object, right: object, op: str) -> bool:
     """Evaluate ``left op right`` over Python values.
 
-    Raises ``TypeError`` when the values are not mutually comparable
-    (e.g. a number against a string), mirroring the single-sorted dense
-    domain of the paper.
+    Raises :class:`IncomparableValues` when the values are not mutually
+    comparable (e.g. a number against a string), mirroring the
+    single-sorted dense domain of the paper.  ``bool`` is not a number
+    here.
     """
     if op == "=":
         return left == right
     if op == "!=":
         return left != right
-    left_numeric = isinstance(left, numbers.Real) and not isinstance(left, bool)
-    right_numeric = isinstance(right, numbers.Real) and not isinstance(right, bool)
-    if left_numeric != right_numeric:
-        raise TypeError(f"values {left!r} and {right!r} are not order-comparable")
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
+    left_type, right_type = type(left), type(right)
+    if not (
+        (left_type is int or left_type is float)
+        and (right_type is int or right_type is float)
+    ):
+        # Exact int/float pairs skip the (slow) numbers.Real ABC check.
+        left_numeric = isinstance(left, numbers.Real) and left_type is not bool
+        right_numeric = isinstance(right, numbers.Real) and right_type is not bool
+        if left_numeric != right_numeric:
+            raise IncomparableValues(left, right)
+    try:
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        if op == ">=":
+            return left >= right
+    except TypeError:
+        raise IncomparableValues(left, right) from None
     raise ValueError(f"unknown comparison operator {op!r}")
 
 

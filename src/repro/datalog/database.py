@@ -218,6 +218,20 @@ class Relation:
             self._rows.update(rows)
         return len(self._rows) - before
 
+    def add_fresh(self, rows: list[Row]) -> None:
+        """Bulk insert of rows the caller has already vetted.
+
+        ``rows`` must be distinct tuples of this arity that the relation
+        does not hold (the engine has just filtered a head batch against
+        :meth:`all_rows`): the row set takes them in one update and each
+        built index files them in ``rows`` order, which leaves exactly
+        the state row-by-row :meth:`add` would.
+        """
+        self._rows.update(rows)
+        for key_of, index in self._indexes.values():
+            for row in rows:
+                index.setdefault(key_of(row), []).append(row)
+
     def __contains__(self, row: Sequence[Value]) -> bool:
         return tuple(row) in self._rows
 
@@ -450,10 +464,15 @@ class ColumnarRelation:
     # -- value-level reads (the Relation contract) ----------------------
     def _decoded_rows(self) -> set[Row]:
         if self._decoded is None:
+            # Column-wise: one list comprehension per column and one zip,
+            # not a generator per row.  zip() of no columns yields nothing,
+            # so arity 0 reads the row set (empty, or the empty tuple).
             values = self.interner.values
-            self._decoded = {
-                tuple(values[c] for c in codes) for codes in self._row_set
-            }
+            self._decoded = (
+                set(zip(*[[values[c] for c in column] for column in self.columns]))
+                if self.arity
+                else set(self._row_set)
+            )
         return self._decoded
 
     def __contains__(self, row: Sequence[Value]) -> bool:

@@ -531,6 +531,22 @@ class _SlotEngine(_EngineBase):
             governor=governor,
         )
 
+    def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
+        if prov is not None:
+            return super().derive(plan, results, head_relation, sink_delta, prov, stats)
+        # Batch insert: project, dedup in first-appearance order, drop
+        # the known rows, then one bulk add per relation.
+        live = head_relation.all_rows()
+        fresh = [
+            row for row in dict.fromkeys(plan.head_rows(results)) if row not in live
+        ]
+        if fresh:
+            head_relation.add_fresh(fresh)
+            if sink_delta is not None:
+                sink_delta[plan.rule.head.predicate].add_fresh(fresh)
+            stats.facts_derived += len(fresh)
+        return len(fresh)
+
 
 class _ColumnarSlotEngine(_SlotEngine):
     """The slot engine over columnar storage: batched block kernels.
@@ -624,7 +640,7 @@ class _InterpEngine(_EngineBase):
 def _make_engine(engine: str, database, idb, plan_order: str, tracer: Tracer):
     if engine == "slots":
         # The storage backend picks the executor: same compiled plans,
-        # block kernels on columnar databases, closure chains on rows.
+        # block kernels on columnar databases, generated row kernels on rows.
         if database.storage == "columnar":
             return _ColumnarSlotEngine(database, idb, plan_order, tracer)
         return _SlotEngine(database, idb, plan_order, tracer)

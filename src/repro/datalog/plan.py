@@ -4,11 +4,11 @@ This module is the compiled counterpart of the tuple-at-a-time
 interpreter that seeded :mod:`repro.datalog.evaluation`.  A rule is
 compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
 
-* variables are mapped to integer *slots* and the environment becomes a
-  single fixed-size list that is overwritten in place while the join
-  backtracks — no per-row ``dict`` copies.  Slot ownership is static
-  (each scan step writes only the slots of variables it binds first),
-  so backtracking needs no restore pass;
+* variables are mapped to integer *slots*, and each slot becomes one
+  local variable of the generated kernel — no per-row ``dict`` copies,
+  no environment object at all.  Slot ownership is static (each scan
+  step binds only the variables it sees first), so backtracking is
+  nothing but the next iteration of a ``for`` loop;
 * each positive literal compiles to a *scan* step with a precomputed
   probe-key layout (constants inlined, bound variables read from their
   slots), ``sets`` (row position → slot) for newly bound variables and
@@ -17,8 +17,14 @@ compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
   set-membership test that scans zero rows;
 * order atoms and negated EDB literals compile to filter steps that are
   flushed into the plan as soon as their variables are bound;
-* the steps are folded into a chain of closures at compile time, so
-  executing a plan is one call per step per surviving row.
+* the steps are printed as **one Python function per plan shape**
+  (:func:`_kernel_source`): nested ``for`` loops with probe keys and
+  filters inline, ``compile()``-d once per shape and shared by every
+  plan of that shape through a bounded cache.  The step objects stay
+  as the plan's description: :meth:`RulePlan.describe`, the profiler
+  and the columnar executor read them; the kernel is derived from
+  their integer layouts alone, constants travel as values, and no
+  predicate, variable or constant text ever reaches ``compile()``.
 
 Two body orderings are provided.  :func:`order_body_greedy` reproduces
 the seed interpreter's static order (delta literal first, then
@@ -40,18 +46,22 @@ compiled plan executes through :meth:`RulePlan.run_blocks` instead:
 each step becomes one **batched kernel invocation over the whole
 block** of surviving bindings — a probe loop over int-code keys against
 a code-level hash index, followed by C-speed list-comprehension gathers
-of the live columns — rather than one closure call per row.  The step
+of the live columns — rather than one loop iteration per row.  The step
 layouts (probe keys, sets, checks, filters) are shared between the two
 executors, so both compute identical results from one compilation.
 """
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+import weakref
+from functools import lru_cache
 from itertools import repeat as _repeat
 from typing import Callable, Sequence
 
 from .atoms import Literal, OrderAtom, evaluate_comparison
-from .database import Relation
+from .database import ArityMismatch, Relation
 from .rules import Rule
 from .terms import Constant, Variable
 
@@ -228,10 +238,6 @@ def order_body_cost(
 # index when is_slot, else an inlined constant value.
 
 
-def _project(layout, env):
-    return tuple(env[p] if s else p for s, p in layout)
-
-
 class _ScanStep:
     """Probe (or fully scan) a relation, binding fresh variable slots."""
 
@@ -251,57 +257,6 @@ class _ScanStep:
         key = f" key={list(self.key_positions)}" if self.key_positions else " full"
         return f"{tag} {self.literal!r}{key}"
 
-    def compile(self, next_fn):
-        rel_index = self.rel_index
-        layout = self.key_layout
-        sets = self.sets
-        checks = self.checks
-        if self.key_positions:
-
-            def run(env, rels, stats, out):
-                rows = rels[rel_index].get(tuple(env[p] if s else p for s, p in layout))
-                stats.probes += 1
-                if not rows:
-                    return
-                stats.rows_scanned += len(rows)
-                if checks:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        for slot, pos in checks:
-                            if env[slot] != row[pos]:
-                                break
-                        else:
-                            next_fn(env, rels, stats, out)
-                else:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        next_fn(env, rels, stats, out)
-
-        else:
-
-            def run(env, rels, stats, out):
-                rows = rels[rel_index]
-                stats.probes += 1
-                stats.rows_scanned += len(rows)
-                if checks:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        for slot, pos in checks:
-                            if env[slot] != row[pos]:
-                                break
-                        else:
-                            next_fn(env, rels, stats, out)
-                else:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        next_fn(env, rels, stats, out)
-
-        return run
-
 
 class _ExistsStep:
     """A positive literal whose positions are all bound: set membership,
@@ -318,17 +273,6 @@ class _ExistsStep:
     def describe(self) -> str:
         return f"exists {self.literal!r}"
 
-    def compile(self, next_fn):
-        rel_index = self.rel_index
-        layout = self.layout
-
-        def run(env, rels, stats, out):
-            stats.probes += 1
-            if tuple(env[p] if s else p for s, p in layout) in rels[rel_index]:
-                next_fn(env, rels, stats, out)
-
-        return run
-
 
 class _OrderStep:
     """A fully bound order atom."""
@@ -342,32 +286,6 @@ class _OrderStep:
 
     def describe(self) -> str:
         return f"filter {self.atom!r}"
-
-    def compile(self, next_fn):
-        ls, lp = self.left
-        rs, rp = self.right
-        op = self.atom.op
-        if op == "=":
-
-            def run(env, rels, stats, out):
-                if (env[lp] if ls else lp) == (env[rp] if rs else rp):
-                    next_fn(env, rels, stats, out)
-
-        elif op == "!=":
-
-            def run(env, rels, stats, out):
-                if (env[lp] if ls else lp) != (env[rp] if rs else rp):
-                    next_fn(env, rels, stats, out)
-
-        else:
-
-            def run(env, rels, stats, out):
-                if evaluate_comparison(
-                    env[lp] if ls else lp, env[rp] if rs else rp, op
-                ):
-                    next_fn(env, rels, stats, out)
-
-        return run
 
 
 class _NegStep:
@@ -383,27 +301,13 @@ class _NegStep:
     def describe(self) -> str:
         return f"neg {self.literal!r}"
 
-    def compile(self, next_fn):
-        rel_index = self.rel_index
-        layout = self.layout
-
-        def run(env, rels, stats, out):
-            if tuple(env[p] if s else p for s, p in layout) not in rels[rel_index]:
-                next_fn(env, rels, stats, out)
-
-        return run
-
-
-def _emit(env, rels, stats, out):
-    out.append(tuple(env))
-
 
 class _GovernedList(list):
     """The result buffer of a governed rule execution.
 
     Every emitted row ticks the governor (strided deadline/cancellation
     check), so even a single explosive join stays cancellable without
-    recompiling the closure chain or touching the ungoverned hot path.
+    a second kernel or any cost on the ungoverned hot path.
     """
 
     __slots__ = ("_governor",)
@@ -415,6 +319,162 @@ class _GovernedList(list):
     def append(self, item) -> None:
         list.append(self, item)
         self._governor.tick("rule")
+
+
+# ----------------------------------------------------------------------
+# Generated kernels
+# ----------------------------------------------------------------------
+# A plan *shape* is ``(steps, head, num_slots, num_consts)`` with every
+# constant replaced by its index into the plan's constants tuple, so it
+# holds nothing but small ints, bools and the fixed tags below: the
+# source generated from it cannot contain program text.
+
+#: CPython compiles at most 20 statically nested blocks per function; a
+#: longer join continues in a chained kernel function.
+_MAX_LOOPS = 16
+
+_PY_OP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
+
+
+def _plan_shape(steps, head_layout, num_slots):
+    """``(shape, constants)`` of a compiled step list."""
+    consts: list = []
+
+    def shaped(layout):
+        terms = []
+        for is_slot, payload in layout:
+            if not is_slot:
+                consts.append(payload)
+                payload = len(consts) - 1
+            terms.append((is_slot, payload))
+        return tuple(terms)
+
+    shape = []
+    for step in steps:
+        kind = step.__class__
+        if kind is _OrderStep:
+            shape.append(("order", step.atom.op, *shaped((step.left, step.right))))
+        elif kind is _ScanStep:
+            arity = step.literal.atom.arity
+            shape.append(("scan", shaped(step.key_layout), step.sets, step.checks, arity))
+        else:
+            shape.append(("neg" if kind is _NegStep else "exists", shaped(step.layout)))
+    head = shaped(head_layout)
+    return (tuple(shape), head, num_slots, len(consts)), tuple(consts)
+
+
+def _term(term) -> str:
+    is_slot, index = term
+    return f"s{index}" if is_slot else f"k{index}"
+
+
+def _tuple(names) -> str:
+    names = list(names)
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+
+def _kernel_source(shape) -> str:
+    """Python source of ``kernel(rels, stats, out, k)`` and
+    ``heads(envs, k)`` for one plan shape.
+
+    ``kernel`` is the join as nested ``for`` loops over local slot
+    variables ``s<i>``, appending one slot tuple per match to ``out``;
+    work is counted in locals and flushed to ``stats`` in a ``finally``,
+    so an abort inside the loops reports the probes made so far.
+    ``heads`` projects those tuples onto the rule head.
+    """
+    steps, head, num_slots, num_consts = shape
+    rels = []
+    for step in steps:
+        if step[0] != "order":
+            rels.append(f"{'g' if step[0] == 'scan' and step[1] else 'r'}{len(rels)}")
+    consts = [f"    {_tuple(f'k{i}' for i in range(num_consts))} = k"] if num_consts else []
+    prologue = [f"    {_tuple(rels)} = rels"] if rels else []
+    prologue += consts + ["    append = out.append", "    probes = scanned = 0", "    try:"]
+    epilogue = ["    finally:", "        stats.probes += probes"]
+    epilogue += ["        stats.rows_scanned += scanned", ""]
+    lines = ["def kernel(rels, stats, out, k):", *prologue]
+    bound = loops = chained = 0  # slots bound; loops open in, functions before, this one
+
+    def emit(line: str) -> None:
+        lines.append("    " * (loops + 2) + line)
+
+    rel = 0
+    for step in steps:
+        kind = step[0]
+        skip = "continue" if loops else "return"
+        if kind == "order":
+            _, op, left, right = step
+            a, b, py = _term(left), _term(right), _PY_OP[op]
+            if op in ("=", "!="):
+                emit(f"if not {a} {py} {b}: {skip}")
+            else:
+                emit(
+                    f"if not ({a} {py} {b} if type({a}) in NUMERIC and type({b}) in NUMERIC"
+                    f" else compare({a}, {b}, {op!r})): {skip}"
+                )
+            continue
+        name = rels[rel]
+        rel += 1
+        if kind == "exists":
+            emit("probes += 1")
+            emit(f"if {_tuple(map(_term, step[1]))} not in {name}: {skip}")
+        elif kind == "neg":
+            emit(f"if {_tuple(map(_term, step[1]))} in {name}: {skip}")
+        else:
+            _, key, sets, checks, arity = step
+            if loops == _MAX_LOOPS:
+                chained += 1
+                call = f"kernel{chained}(rels, stats, out, k{''.join(f', s{i}' for i in range(bound))})"
+                emit(call)
+                lines += [*epilogue, f"def {call}:", *prologue]
+                loops = 0
+            names = ["_"] * arity
+            for slot, pos in sets:
+                names[pos] = f"s{slot}"
+            for slot, pos in checks:
+                names[pos] = f"c{pos}"
+            emit("probes += 1")
+            if key:
+                emit(f"rows = {name}({_tuple(map(_term, key))}, ())")
+                name = "rows"
+            emit(f"scanned += len({name})")
+            emit(f"for {_tuple(names)} in {name}:")
+            loops += 1
+            bound += len(sets)
+            for slot, pos in checks:
+                emit(f"if s{slot} != c{pos}: continue")
+    emit(f"append({_tuple(f's{i}' for i in range(num_slots))})")
+    lines += [*epilogue, "def heads(envs, k):"]
+    if head == tuple((True, i) for i in range(num_slots)):
+        lines.append("    return envs")
+    else:
+        used = {index for is_slot, index in head if is_slot}
+        env = _tuple(f"s{i}" if i in used else "_" for i in range(num_slots)) if used else "_"
+        lines += [*consts, f"    return [{_tuple(map(_term, head))} for {env} in envs]"]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _compiled_kernel(shape):
+    """``(kernel, heads)`` for a plan shape, compiled once per shape.
+
+    ``compile()`` costs more than everything else in plan compilation;
+    programs reuse a few dozen shapes, so plans share the functions and
+    own only their constants tuple.  The source is registered in
+    :mod:`linecache` under ``<plan:HASH>`` for as long as the functions
+    live, so tracebacks and profiles show the generated line.
+    """
+    source = _kernel_source(shape)
+    name = f"<plan:{hashlib.sha1(source.encode()).hexdigest()[:12]}>"
+    namespace = {"compare": evaluate_comparison, "NUMERIC": (int, float)}
+    exec(compile(source, name, "exec"), namespace)
+    # Popped, so the functions are not in a cycle with their globals and
+    # die (finalizer included) with the last plan that holds them.
+    kernel, heads = namespace.pop("kernel"), namespace.pop("heads")
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    weakref.finalize(kernel, linecache.cache.pop, name, None)
+    return kernel, heads
 
 
 # ----------------------------------------------------------------------
@@ -436,9 +496,10 @@ class _RelSpec:
 class RulePlan:
     """One rule compiled for one delta position (or none).
 
-    ``run`` executes the closure chain and returns the matching
-    environments as slot tuples; :meth:`head_row` / :meth:`support_rows`
-    project them onto the head and the positive body literals.
+    ``run`` executes the generated kernel and returns the matching
+    environments as slot tuples; :meth:`head_rows` projects a batch of
+    them onto the head, :meth:`head_row` / :meth:`support_rows` one of
+    them onto the head and the positive body literals (provenance).
     """
 
     __slots__ = (
@@ -453,7 +514,9 @@ class RulePlan:
         "rel_specs",
         "head_layout",
         "support_layouts",
-        "_entry",
+        "_kernel",
+        "_heads",
+        "_consts",
     )
 
     def __init__(self, rule: Rule, delta_index: int | None, order: str, ordered_body):
@@ -568,10 +631,8 @@ class RulePlan:
             )
             for lit in rule.positive_literals
         )
-        entry = _emit
-        for step in reversed(steps):
-            entry = step.compile(entry)
-        self._entry = entry
+        shape, self._consts = _plan_shape(steps, head_layout, self.num_slots)
+        self._kernel, self._heads = _compiled_kernel(shape)
 
     # ------------------------------------------------------------------
     def run(
@@ -594,9 +655,13 @@ class RulePlan:
         rels = []
         for spec in self.rel_specs:
             rel = delta_relation if spec.is_delta else relation_of(spec.predicate, spec.arity)
+            if rel.arity != spec.arity:
+                # The kernel unpacks scanned rows by the literal's arity.
+                raise ArityMismatch(spec.arity, rel.arity, spec.predicate)
             if spec.kind == "index":
-                if tracer is not None and not rel.has_index(spec.key_positions):
-                    rels.append(rel.index_for(spec.key_positions, stats))
+                built = tracer is not None and not rel.has_index(spec.key_positions)
+                rels.append(rel.index_for(spec.key_positions, stats).get)
+                if built:
                     tracer.event(
                         "index_build",
                         predicate=spec.predicate,
@@ -604,14 +669,11 @@ class RulePlan:
                         rows=len(rel),
                         delta=spec.is_delta,
                     )
-                else:
-                    rels.append(rel.index_for(spec.key_positions, stats))
             else:
                 rels.append(rel.all_rows())
-        env = [None] * self.num_slots
         out: list[tuple] = [] if governor is None else _GovernedList(governor)
         stats.env_allocations += 1
-        self._entry(env, rels, stats, out)
+        self._kernel(rels, stats, out, self._consts)
         stats.env_allocations += len(out)
         return out
 
@@ -836,6 +898,10 @@ class RulePlan:
                 governor.tick_batch("rule", n)
         return n, cols
 
+    def head_rows(self, envs: list[tuple]) -> list[tuple]:
+        """The head rows of a batch of result environments, in order."""
+        return self._heads(envs, self._consts)
+
     def head_row(self, env: Sequence[object]) -> tuple:
         return tuple(env[p] if s else p for s, p in self.head_layout)
 
@@ -850,6 +916,10 @@ class RulePlan:
     def describe(self) -> str:
         """One line per step — the plan the profiler and traces report."""
         return "; ".join(step.describe() for step in self.steps)
+
+    def source(self) -> str:
+        """The generated kernel's source (``<plan:…>`` in tracebacks)."""
+        return "".join(linecache.getlines(self._kernel.__code__.co_filename))
 
     def __repr__(self) -> str:
         delta = "" if self.delta_index is None else f", delta={self.delta_index}"

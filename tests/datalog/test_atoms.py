@@ -1,5 +1,8 @@
 """Unit tests for atoms, order atoms and literals."""
 
+import operator
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,8 +16,10 @@ from repro.datalog.atoms import (
     evaluate_comparison,
     flip_comparison,
     negate_comparison,
+    IncomparableValues,
 )
 from repro.datalog.terms import Constant, Substitution, Variable
+from repro.robustness.errors import ReproError
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -43,6 +48,31 @@ class TestComparisonAlgebra:
     def test_incomparable_families_raise(self):
         with pytest.raises(TypeError):
             evaluate_comparison(1, "a", "<")
+
+    def test_incomparable_values_are_a_typed_input_error(self):
+        with pytest.raises(IncomparableValues) as caught:
+            evaluate_comparison("abc", 3, "<")
+        assert isinstance(caught.value, ReproError)
+        assert str(caught.value) == "values 'abc' and 3 are not order-comparable"
+
+    NUMBERS = [(1, 2), (1, 2.5), (0.5, 1), (2.0, 2.0), (Fraction(1, 2), 1), (2, Fraction(3, 2))]
+    OTHERS = [("a", "b"), ("b", "a"), (False, True), ("", "")]
+    MIXED = [(1, "a"), ("a", 1.5), (True, 1), (2, False), (Fraction(1, 2), "a"), (None, 1)]
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_order_semantics_by_value_family(self, op):
+        python = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}[op]
+        # Within a family — exact int/float (the fast path), other
+        # numbers.Real, strings, bools — it is Python's own order.
+        for left, right in self.NUMBERS + self.OTHERS:
+            assert evaluate_comparison(left, right, op) is python(left, right)
+            assert evaluate_comparison(right, left, op) is python(right, left)
+        # Across families (bool is not a number) it is an error,
+        # as are same-family values Python itself cannot order.
+        for left, right in self.MIXED + [(None, "a")]:
+            with pytest.raises(IncomparableValues):
+                evaluate_comparison(left, right, op)
+            assert evaluate_comparison(left, right, "!=") is (left != right)
 
     def test_equality_across_families_allowed(self):
         assert not evaluate_comparison(1, "a", "=")

@@ -55,6 +55,19 @@ class TestRelation:
         assert {key: set(rows) for key, rows in index.items()} == expected
         assert all(len(rows) == len(set(rows)) for rows in index.values())
 
+    def test_add_fresh_leaves_the_state_row_by_row_add_would(self):
+        rows = [(i % 7, i % 5, i) for i in range(40)]
+        one_by_one, bulk = Relation(3, rows[:10]), Relation(3, rows[:10])
+        for rel in (one_by_one, bulk):
+            rel.index_for((0,))
+            rel.index_for((1, 0))
+        for row in rows[10:]:
+            one_by_one.add(row)
+        bulk.add_fresh(rows[10:])
+        assert list(bulk) == list(one_by_one)  # same set layout, same scan order
+        for positions in ((0,), (1, 0)):
+            assert bulk.index_for(positions) == one_by_one.index_for(positions)
+
     def test_probe_full_scan(self):
         rel = Relation(2, [(1, 2), (3, 4)])
         assert sorted(rel.probe((), ())) == [(1, 2), (3, 4)]

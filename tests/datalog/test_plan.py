@@ -118,6 +118,39 @@ class TestCompiledPlan:
         # One slot-list per rule execution plus one tuple per result row.
         assert result.stats.env_allocations == 3
 
+    def test_generated_kernel_is_one_nested_loop(self):
+        plan = compile_rule(parse_rule("p(X, Y) :- e(X, Z), p(Z, Y)."), 1, order="greedy")
+        assert plan.describe() == "scan* p(Z, Y) full; scan e(X, Z) key=[1]"
+        assert plan.source() == (
+            "def kernel(rels, stats, out, k):\n"
+            "    (r0, g1) = rels\n"
+            "    append = out.append\n"
+            "    probes = scanned = 0\n"
+            "    try:\n"
+            "        probes += 1\n"
+            "        scanned += len(r0)\n"
+            "        for (s0, s1) in r0:\n"
+            "            probes += 1\n"
+            "            rows = g1((s0,), ())\n"
+            "            scanned += len(rows)\n"
+            "            for (s2, _) in rows:\n"
+            "                append((s0, s1, s2))\n"
+            "    finally:\n"
+            "        stats.probes += probes\n"
+            "        stats.rows_scanned += scanned\n"
+            "\n"
+            "def heads(envs, k):\n"
+            "    return [(s2, s1) for (_, s1, s2) in envs]\n"
+        )
+
+    def test_plans_of_one_shape_share_their_functions(self):
+        first = compile_rule(parse_rule('p(X, 1) :- e(X, Y), Y < 3, not b(Y, "u").'), order="greedy")
+        second = compile_rule(parse_rule("reach(A, x) :- hop(A, B), B < 0.5, not cut(B, 9)."), order="greedy")
+        assert first._kernel is second._kernel and first._heads is second._heads
+        assert first._consts == (3, "u", 1) and second._consts == (0.5, 9, "x")
+        assert first.head_rows([(7, 2), (8, 0)]) == [(7, 1), (8, 1)]
+        assert second.head_rows([(7, 2)]) == [(7, "x")]
+
     def test_support_rows_follow_rule_order(self):
         rule = parse_rule("q(X) :- end(Y), e(X, Y).")
         plan = compile_rule(

@@ -105,6 +105,25 @@ class TestRoutes:
         assert rejected == (400, {"error": "arity mismatch for e: expected 2, got 1"})
         assert after[1]["answers"] == before[1]["answers"]
 
+    def test_mixed_family_comparison_is_400(self):
+        # e(2, "abc") meets Y < 3: bad data, not a server fault — at
+        # registration, on the ingest's incremental fixpoint, and on a
+        # per-request evaluation over the EDB that now holds the row.
+        app = ServeApp()
+        spec = {"program": "q(X) :- e(X, Y), Y < 3.", "query": "q", "facts": "e(1, 2)."}
+        bad = 'e(2, "abc").'
+
+        async def drive():
+            await register(app, "alpha", spec)
+            return [
+                await app.handle("PUT", "/programs/beta", dict(spec, facts=bad)),
+                await app.handle("POST", "/programs/alpha/ingest", {"facts": bad}),
+                await app.handle("POST", "/programs/alpha/query", {"goal": "q(X)"}),
+            ]
+
+        for reply in run(drive()):
+            assert reply == (400, {"error": "values 'abc' and 3 are not order-comparable"})
+
     def test_register_then_query_and_stats(self):
         app = ServeApp()
 

@@ -98,6 +98,20 @@ class TestRun:
         assert captured.err == "error: arity mismatch for a: expected 2, got 1\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "executor",
+        [["--storage", "rows"], ["--storage", "columnar"], ["--engine", "interpreted"]],
+    )
+    def test_mixed_family_comparison_is_an_input_error(self, tmp_path, capsys, executor):
+        program = tmp_path / "order.dl"
+        program.write_text("q(X) :- e(X, Y), Y < 3.")
+        facts = tmp_path / "mixed.dl"
+        facts.write_text('e(1, 2). e(2, "abc").')
+        code = main(["run", str(program), "--query", "q", "--data", str(facts), *executor])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: values 'abc' and 3 are not order-comparable\n"
+
 
 class TestCheck:
     def test_satisfied(self, files, capsys):
