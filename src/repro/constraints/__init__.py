@@ -1,6 +1,6 @@
 """Integrity constraints, dense-order reasoning and locality analysis."""
 
-from .dense_order import OrderConstraintSet, UnsatisfiableError
+from .dense_order import OrderConstraintSet, UnsatisfiableError, UnsupportedModelError
 from .dependencies import (
     disjointness_constraint,
     domain_constraint,
@@ -29,6 +29,7 @@ from .locality import (
 __all__ = [
     "OrderConstraintSet",
     "UnsatisfiableError",
+    "UnsupportedModelError",
     "disjointness_constraint",
     "domain_constraint",
     "functional_dependency",

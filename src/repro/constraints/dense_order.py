@@ -5,7 +5,7 @@ over a dense total order without endpoints.  This module provides, for a
 conjunction of such atoms over variables and constants:
 
 * :meth:`OrderConstraintSet.is_satisfiable` — exact satisfiability,
-* :meth:`OrderConstraintSet.entails` — exact entailment (by refutation),
+* :meth:`OrderConstraintSet.entails` — exact entailment (a closure read),
 * :meth:`OrderConstraintSet.implied_equalities` — the partition of terms
   forced equal (used to substitute ``X`` for ``Y`` whenever the order
   atoms of a rule imply ``X = Y``, as the algorithm of Section 4.1
@@ -22,6 +22,25 @@ constants added), condense to strongly connected components, and declare
 unsatisfiability exactly when an SCC contains a strict edge or the two
 sides of a ``!=`` atom.  Over dense orders without endpoints this test
 is sound and complete.
+
+Entailment and projection are *read* from that one condensed graph
+rather than refuted atom by atom.  Per SCC the structure keeps, as
+integer bitmasks over SCC ids, what it reaches, what reaches it, what
+it reaches through at least one strict edge, and the ``!=`` pairs.
+``C |= a = b`` iff ``a`` and ``b`` share an SCC and ``C |= a <= b`` iff
+``a`` reaches ``b``.  ``C |= a < b`` iff ``a`` reaches ``b`` and
+collapsing the nodes between them (``reach[a] & coreach[b]``, exactly
+what assuming ``b <= a`` would merge) is contradictory: a strict edge
+*or a ``!=`` pair* lies among them — ``a <= m, m <= b, a != b`` forces
+``a < b`` without any strict edge.  ``C |= a != b`` iff one of the two
+is strictly below the other or they are an explicit ``!=`` pair.
+
+A question may mention terms the set does not.  A variable it never
+mentions is unconstrained, and so is a lone constant with no other
+constant to be ordered against: neither needs a node.  Any other
+foreign constant is added as an extra node before condensation, so it
+gets its true order against the set's constants (``X < 3`` entails
+``X < 5`` only through ``3 < 5``).
 """
 
 from __future__ import annotations
@@ -33,32 +52,53 @@ from ..datalog.atoms import OrderAtom, evaluate_comparison
 from ..datalog.terms import Constant, Term, Variable
 from ..robustness.errors import ReproError
 
-__all__ = ["OrderConstraintSet", "UnsatisfiableError"]
+__all__ = ["OrderConstraintSet", "UnsatisfiableError", "UnsupportedModelError"]
 
 
 class UnsatisfiableError(ReproError, ValueError):
     """Raised by operations that require a satisfiable constraint set."""
 
 
+class UnsupportedModelError(ReproError, NotImplementedError):
+    """Raised by ``model()`` for order edges through non-numeric constants."""
+
+
 def _is_numeric(value: object) -> bool:
     return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
 
 
+#: strongest relation between two terms -> the comparisons it entails
+_ENTAILED = {
+    "=": ("=", "<=", ">="),
+    "<": ("<", "<=", "!="),
+    ">": (">", ">=", "!="),
+    "<=": ("<=",),
+    ">=": (">=",),
+    "!=": ("!=",),
+    None: (),
+}
+
+
 class _Structure:
-    """The condensed constraint structure shared by all queries."""
+    """The condensed constraint graph every question is read from.
+
+    Nodes are the terms of ``atoms`` plus the ``extra`` terms (see the
+    module docstring); ``terms`` keeps the former only.
+    """
 
     __slots__ = (
         "terms",
-        "class_of",
-        "classes",
+        "extra",
+        "constants",
         "edges",
         "neq_pairs",
         "satisfiable",
-        "scc_of",
+        "node",
         "scc_members",
+        "_closure",
     )
 
-    def __init__(self, atoms: Sequence[OrderAtom]):
+    def __init__(self, atoms: Sequence[OrderAtom], extra: Sequence[Term] = ()):
         self.terms: list[Term] = []
         seen: set[Term] = set()
         for atom in atoms:
@@ -66,7 +106,9 @@ class _Structure:
                 if term not in seen:
                     seen.add(term)
                     self.terms.append(term)
-        parent: dict[Term, Term] = {t: t for t in self.terms}
+        self.extra = tuple(t for t in dict.fromkeys(extra) if t not in seen)
+        nodes = self.terms + list(self.extra)
+        parent: dict[Term, Term] = {t: t for t in nodes}
 
         def find(term: Term) -> Term:
             root = term
@@ -96,18 +138,19 @@ class _Structure:
                 union(left, right)
         # Detect a class holding two constants with different values.
         const_of_class: dict[Term, Constant] = {}
-        for term in self.terms:
+        self.constants = 0
+        for term in nodes:
             if isinstance(term, Constant):
+                self.constants += 1
                 root = find(term)
                 existing = const_of_class.get(root)
                 if existing is not None and existing.value != term.value:
                     satisfiable = False
                 const_of_class.setdefault(root, term)
 
-        self.class_of = {t: find(t) for t in self.terms}
-        self.classes = sorted({find(t) for t in self.terms}, key=str)
+        classes = sorted({find(t) for t in nodes}, key=str)
         self.edges: set[tuple[Term, Term, bool]] = set()  # (src, dst, strict)
-        self.neq_pairs: set[frozenset[Term]] = set()
+        self.neq_pairs: list[tuple[Term, Term]] = []
         for atom in atoms:
             op, left, right = atom.op, find(atom.left), find(atom.right)
             if op in (">", ">="):
@@ -118,11 +161,9 @@ class _Structure:
             elif op == "<=":
                 self.edges.add((left, right, False))
             elif op == "!=":
-                if left == right:
-                    satisfiable = False
-                self.neq_pairs.add(frozenset((left, right)))
+                self.neq_pairs.append((left, right))
         # Add the true order among comparable constant classes.
-        const_classes = [c for c in self.classes if c in const_of_class]
+        const_classes = [c for c in classes if c in const_of_class]
         for i, ca in enumerate(const_classes):
             for cb in const_classes[i + 1:]:
                 va, vb = const_of_class[ca].value, const_of_class[cb].value
@@ -135,24 +176,69 @@ class _Structure:
                     # happen: they were unioned above
                 else:
                     # Different families: distinct domain elements.
-                    self.neq_pairs.add(frozenset((ca, cb)))
+                    self.neq_pairs.append((ca, cb))
 
-        self.scc_of, components = _condense(self.classes, self.edges)
-        self.scc_members = components
-        if satisfiable:
-            for src, dst, strict in self.edges:
-                if strict and self.scc_of[src] == self.scc_of[dst]:
-                    satisfiable = False
-                    break
-        if satisfiable:
-            for pair in self.neq_pairs:
-                items = tuple(pair)
-                first = items[0]
-                second = items[1] if len(items) == 2 else items[0]
-                if self.scc_of[first] == self.scc_of[second]:
-                    satisfiable = False
-                    break
-        self.satisfiable = satisfiable
+        scc_of, self.scc_members = _condense(classes, self.edges)
+        #: term -> id of its SCC (ids are reverse-topological, see _condense)
+        self.node: dict[Term, int] = {t: scc_of[find(t)] for t in nodes}
+        node = self.node
+        self.satisfiable = (
+            satisfiable
+            and not any(strict and node[s] == node[d] for s, d, strict in self.edges)
+            and not any(node[a] == node[b] for a, b in self.neq_pairs)
+        )
+        self._closure: tuple[list[int], list[int], list[int], set[int]] | None = None
+
+    def _close(self) -> tuple[list[int], list[int], list[int], set[int]]:
+        """``(reach, coreach, strict, unequal)`` of a satisfiable structure.
+
+        The first three map an SCC id to a bitmask of SCC ids: the SCCs
+        it reaches (itself included), those that reach it, and those it
+        reaches through at least one strict edge.  ``unequal`` holds
+        each ``!=`` pair as a two-bit mask.
+        """
+        node, count = self.node, len(self.scc_members)
+        successors: list[list[tuple[int, bool]]] = [[] for _ in range(count)]
+        for src, dst, is_strict in self.edges:
+            if node[src] != node[dst]:
+                successors[node[src]].append((node[dst], is_strict))
+        reach, strict = [0] * count, [0] * count
+        # Ids are reverse-topological: every successor of ``i`` has a
+        # smaller id, so it is closed before ``i`` is.
+        for i in range(count):
+            reached, strictly = 1 << i, 0
+            for j, is_strict in successors[i]:
+                reached |= reach[j]
+                strictly |= reach[j] if is_strict else strict[j]
+            reach[i], strict[i] = reached, strictly
+        coreach = [1 << i for i in range(count)]
+        for i in reversed(range(count)):
+            for j, _ in successors[i]:
+                coreach[j] |= coreach[i]
+        unequal = {1 << node[a] | 1 << node[b] for a, b in self.neq_pairs}
+        self._closure = reach, coreach, strict, unequal
+        return self._closure
+
+    def strongest(self, left: Term, right: Term) -> str | None:
+        """The strongest comparison a satisfiable set forces between two
+        terms (``left op right``), or ``None`` when it forces none."""
+        if left == right:
+            return "="
+        a, b = self.node.get(left), self.node.get(right)
+        if a is None or b is None:
+            return None  # an unconstrained term (module docstring)
+        if a == b:
+            return "="
+        reach, coreach, strict, unequal = self._closure or self._close()
+        for low, high, op in ((a, b, "<"), (b, a, ">")):
+            if reach[low] >> high & 1:
+                if strict[low] >> high & 1:
+                    return op
+                between = reach[low] & coreach[high]
+                if any(pair & between == pair for pair in unequal):
+                    return op
+                return op + "="
+        return "!=" if (1 << a | 1 << b) in unequal else None
 
 
 def _condense(
@@ -210,6 +296,10 @@ def _condense(
     return scc_of, components
 
 
+#: Every set without atoms reads from this one structure.
+_EMPTY = _Structure(())
+
+
 class OrderConstraintSet:
     """An immutable conjunction of dense-order atoms with decision procedures."""
 
@@ -219,19 +309,25 @@ class OrderConstraintSet:
         self.atoms: tuple[OrderAtom, ...] = tuple(atoms)
         self._structure: _Structure | None = None
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def with_atoms(self, more: Iterable[OrderAtom]) -> "OrderConstraintSet":
-        return OrderConstraintSet(self.atoms + tuple(more))
-
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(a) for a in self.atoms) + "}"
 
-    def _struct(self) -> _Structure:
-        if self._structure is None:
-            self._structure = _Structure(self.atoms)
-        return self._structure
+    def _struct(self, terms: Iterable[Term] = ()) -> _Structure:
+        """The structure that questions about ``terms`` are read from.
+
+        Built once over the atoms, and once more whenever a question
+        brings constants that need a node and have none yet (module
+        docstring); the constants of earlier questions stay nodes.
+        """
+        wanted = tuple(t for t in dict.fromkeys(terms) if isinstance(t, Constant))
+        structure = self._structure
+        if structure is None:
+            structure = _Structure(self.atoms, wanted) if self.atoms else _EMPTY
+        missing = tuple(c for c in wanted if c not in structure.node)
+        if missing and structure.constants + len(missing) > 1:
+            structure = _Structure(self.atoms, structure.extra + missing)
+        self._structure = structure
+        return structure
 
     # ------------------------------------------------------------------
     # Decision procedures
@@ -241,14 +337,14 @@ class OrderConstraintSet:
         return self._struct().satisfiable
 
     def entails(self, atom: OrderAtom) -> bool:
-        """Exact entailment, decided by refutation.
+        """Exact entailment, read from the closure of the condensed graph.
 
-        ``C |= a`` iff ``C and not a`` is unsatisfiable.  An unsatisfiable
-        set entails everything.
+        An unsatisfiable set entails everything.
         """
-        if not self.is_satisfiable():
+        structure = self._struct((atom.left, atom.right))
+        if not structure.satisfiable:
             return True
-        return not self.with_atoms([atom.negated()]).is_satisfiable()
+        return atom.op in _ENTAILED[structure.strongest(atom.left, atom.right)]
 
     def implied_equalities(self) -> list[frozenset[Term]]:
         """Groups of terms forced equal (size >= 2 groups only).
@@ -261,8 +357,7 @@ class OrderConstraintSet:
             raise UnsatisfiableError("constraint set is unsatisfiable")
         groups: dict[int, set[Term]] = {}
         for term in structure.terms:
-            root = structure.class_of[term]
-            groups.setdefault(structure.scc_of[root], set()).add(term)
+            groups.setdefault(structure.node[term], set()).add(term)
         return [frozenset(g) for g in groups.values() if len(g) >= 2]
 
     def equality_substitution(self) -> dict[Variable, Term]:
@@ -299,6 +394,9 @@ class OrderConstraintSet:
         structure = self._struct()
         if not structure.satisfiable:
             return None
+        if structure.extra:
+            # Extra constants would take part in the assignment.
+            structure = _Structure(self.atoms)
         scc_count = len(structure.scc_members)
         # Value per SCC.  SCCs holding a constant are pinned to it.
         pinned: dict[int, object] = {}
@@ -310,7 +408,7 @@ class OrderConstraintSet:
         successors: dict[int, set[int]] = {i: set() for i in range(scc_count)}
         predecessors: dict[int, set[int]] = {i: set() for i in range(scc_count)}
         for src, dst, _ in structure.edges:
-            a, b = structure.scc_of[src], structure.scc_of[dst]
+            a, b = structure.node[src], structure.node[dst]
             if a != b:
                 successors[a].add(b)
                 predecessors[b].add(a)
@@ -318,10 +416,10 @@ class OrderConstraintSet:
         # order over mixed families; restrict models to the numeric case.
         for src, dst, _ in structure.edges:
             for end in (src, dst):
-                node = structure.scc_of[end]
+                node = structure.node[end]
                 value = pinned.get(node)
                 if value is not None and not _is_numeric(value):
-                    raise NotImplementedError(
+                    raise UnsupportedModelError(
                         "model() supports non-numeric constants only in =/!= atoms"
                     )
         # scc ids from Tarjan come in reverse topological order.
@@ -378,8 +476,7 @@ class OrderConstraintSet:
         assignment: dict[Variable, object] = {}
         for term in structure.terms:
             if isinstance(term, Variable):
-                node = structure.scc_of[structure.class_of[term]]
-                assignment[term] = values[node]
+                assignment[term] = values[structure.node[term]]
         return assignment
 
     # ------------------------------------------------------------------
@@ -393,26 +490,16 @@ class OrderConstraintSet:
         can co-occur only as ``<``).  The result uses normalized
         orientation so syntactic comparisons of projections are stable.
         """
-        if not self.is_satisfiable():
+        structure = self._struct(terms)
+        if not structure.satisfiable:
             raise UnsatisfiableError("projection of an unsatisfiable set is undefined")
+        # Insertion in pair order: it decides the frozenset's iteration
+        # order, which rule bodies built from projections inherit.
         entailed: set[OrderAtom] = set()
         items = list(dict.fromkeys(terms))
         for i, left in enumerate(items):
             for right in items[i + 1:]:
-                if left == right:
-                    continue
-                if self.entails(OrderAtom(left, "=", right)):
-                    entailed.add(OrderAtom(left, "=", right).normalized())
-                    continue
-                if self.entails(OrderAtom(left, "<", right)):
-                    entailed.add(OrderAtom(left, "<", right).normalized())
-                elif self.entails(OrderAtom(right, "<", left)):
-                    entailed.add(OrderAtom(right, "<", left).normalized())
-                else:
-                    if self.entails(OrderAtom(left, "<=", right)):
-                        entailed.add(OrderAtom(left, "<=", right).normalized())
-                    elif self.entails(OrderAtom(right, "<=", left)):
-                        entailed.add(OrderAtom(right, "<=", left).normalized())
-                    if self.entails(OrderAtom(left, "!=", right)):
-                        entailed.add(OrderAtom(left, "!=", right).normalized())
+                op = structure.strongest(left, right)
+                if op is not None:
+                    entailed.add(OrderAtom(left, op, right).normalized())
         return frozenset(entailed)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..constraints.dense_order import OrderConstraintSet
+from ..constraints.dense_order import OrderConstraintSet, UnsatisfiableError
 from ..datalog.atoms import Literal, OrderAtom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
@@ -60,15 +60,29 @@ class OrderPropagation:
         return self.projections.get(predicate)
 
 
-def normalize_rule(rule: Rule) -> Rule | None:
-    """Substitute forced equalities; None when order atoms are unsatisfiable."""
-    order = OrderConstraintSet(rule.order_atoms)
+class _Solvers(dict):
+    """One :class:`OrderConstraintSet` per distinct conjunction (a tuple
+    of order atoms): rules that share order atoms, and projections
+    consulted round after round, share the structures built for them."""
+
+    def __missing__(self, atoms: tuple[OrderAtom, ...]) -> OrderConstraintSet:
+        solver = self[atoms] = OrderConstraintSet(atoms)
+        return solver
+
+
+def _normalize(rule: Rule, solvers: _Solvers) -> Rule | None:
+    order = solvers[rule.order_atoms]
     if not order.is_satisfiable():
         return None
     mapping = order.equality_substitution()
     if not mapping:
         return rule
     return rule.substitute(Substitution(mapping))
+
+
+def normalize_rule(rule: Rule) -> Rule | None:
+    """Substitute forced equalities; None when order atoms are unsatisfiable."""
+    return _normalize(rule, _Solvers())
 
 
 def _order_constants(program: Program) -> list[Constant]:
@@ -105,17 +119,20 @@ def _rule_context(
 
 
 def _head_projection(
-    rule: Rule, context: Sequence[OrderAtom], constants: Sequence[Constant]
+    rule: Rule, context: OrderConstraintSet, constants: Sequence[Constant]
 ) -> frozenset[OrderAtom] | None:
-    """Project the rule context onto the head argument positions."""
-    order = OrderConstraintSet(context)
-    if not order.is_satisfiable():
-        return None
+    """Project the rule context onto the head argument positions.
+
+    None when the context is unsatisfiable.
+    """
     head_terms = list(rule.head.args)
     terms: list[Term] = list(dict.fromkeys(head_terms)) + [
         c for c in constants if c not in head_terms
     ]
-    projected = order.project(terms)
+    try:
+        projected = context.project(terms)
+    except UnsatisfiableError:
+        return None
     # Rewrite head terms into positional placeholders.  Duplicate head
     # terms induce equalities among placeholders; head constants pin them.
     rename: dict[Term, Variable] = {}
@@ -150,11 +167,10 @@ def _head_projection(
 
 
 def _meet(
-    first: frozenset[OrderAtom], second: frozenset[OrderAtom]
+    first: frozenset[OrderAtom], second: frozenset[OrderAtom], solvers: _Solvers
 ) -> frozenset[OrderAtom]:
     """The strongest consequences shared by two projections."""
-    left = OrderConstraintSet(tuple(first))
-    right = OrderConstraintSet(tuple(second))
+    left, right = solvers[tuple(first)], solvers[tuple(second)]
     shared = {
         atom for atom in (first | second) if left.entails(atom) and right.entails(atom)
     }
@@ -167,8 +183,9 @@ def propagate_order_constraints(
     """Run the preprocessing pass; see the module docstring."""
     normalized: list[Rule] = []
     dropped: list[Rule] = []
+    solvers = _Solvers()
     for rule in program.rules:
-        cleaned = normalize_rule(rule)
+        cleaned = _normalize(rule, solvers)
         if cleaned is None:
             dropped.append(rule)
         else:
@@ -176,25 +193,42 @@ def propagate_order_constraints(
     idb = frozenset(r.head.predicate for r in normalized)
     constants = _order_constants(program)
     projections: dict[str, frozenset[OrderAtom] | None] = {p: None for p in idb}
+    #: rule index -> (projections of its IDB subgoals, its head projection)
+    memo: dict[int, tuple[tuple, frozenset[OrderAtom] | None]] = {}
+
+    def head_projection(index: int, rule: Rule) -> frozenset[OrderAtom] | None:
+        """The rule's head projection under the current ``projections``
+        (None: underivable), recomputed only when an input changed."""
+        inputs = tuple(
+            projections[literal.predicate]
+            for literal in rule.positive_literals
+            if literal.predicate in idb
+        )
+        cached = memo.get(index)
+        if cached is None or cached[0] != inputs:
+            context = _rule_context(rule, projections, idb)
+            projected = None
+            if context is not None:
+                projected = _head_projection(rule, solvers[tuple(context)], constants)
+            cached = memo[index] = (inputs, projected)
+        return cached[1]
 
     changed = True
     while changed:
         changed = False
-        for rule in normalized:
-            context = _rule_context(rule, projections, idb)
-            if context is None:
-                continue
-            head_proj = _head_projection(rule, context, constants)
+        for index, rule in enumerate(normalized):
+            head_proj = head_projection(index, rule)
             if head_proj is None:
                 continue
             predicate = rule.head.predicate
             current = projections[predicate]
-            updated = head_proj if current is None else _meet(current, head_proj)
+            updated = (
+                head_proj if current is None else _meet(current, head_proj, solvers)
+            )
             if current is None or updated != current:
                 # Only record a change when the meet is semantically new.
                 if current is not None:
-                    old = OrderConstraintSet(tuple(current))
-                    new = OrderConstraintSet(tuple(updated))
+                    old, new = solvers[tuple(current)], solvers[tuple(updated)]
                     if all(old.entails(a) for a in updated) and all(
                         new.entails(a) for a in current
                     ):
@@ -203,13 +237,13 @@ def propagate_order_constraints(
                 changed = True
 
     kept: list[Rule] = []
-    for rule in normalized:
-        context = _rule_context(rule, projections, idb)
-        if context is None or not OrderConstraintSet(context).is_satisfiable():
+    for index, rule in enumerate(normalized):
+        # The confirming round left every rule's entry current.
+        if head_projection(index, rule) is None:
             dropped.append(rule)
             continue
         if push:
-            own = OrderConstraintSet(rule.order_atoms)
+            own = solvers[rule.order_atoms]
             additions: list[OrderAtom] = []
             for literal in rule.positive_literals:
                 projection = projections.get(literal.predicate)
