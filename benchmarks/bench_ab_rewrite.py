@@ -30,27 +30,6 @@ def _database(size):
     return ab_database(num_b=size, num_a=size, branching=2, seed=0)
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_original(benchmark, workload, size):
-    program, _ = workload
-    database = _database(size)
-    result = benchmark(evaluate, program, database)
-    benchmark.extra_info["probes"] = result.stats.probes
-    benchmark.extra_info["rows_scanned"] = result.stats.rows_scanned
-    benchmark.extra_info["answers"] = len(result.query_rows())
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_rewritten(benchmark, workload, size):
-    program, report = workload
-    database = _database(size)
-    expected = evaluate(program, database).query_rows()
-    result = benchmark(evaluate, report.program, database)
-    assert result.query_rows() == expected
-    benchmark.extra_info["probes"] = result.stats.probes
-    benchmark.extra_info["rows_scanned"] = result.stats.rows_scanned
-
-
 def test_probe_savings_hold(workload):
     """Cross-size check: the rewriting consistently probes less."""
     program, report = workload

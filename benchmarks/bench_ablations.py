@@ -30,56 +30,6 @@ def workload():
     return good_path_order_constraints()
 
 
-def _verify(program, variant, database, expected):
-    result = evaluate(variant, database)
-    assert result.query_rows() == expected
-    return result
-
-
-def test_baseline_original(benchmark, workload, database):
-    program, _ = workload
-    result = benchmark(evaluate, program, database)
-    benchmark.extra_info["facts_derived"] = result.stats.facts_derived
-
-
-def test_cgm88_only(benchmark, workload, database):
-    """Per-rule residues without the query tree: misses the cross-rule
-    X >= 100 interaction entirely (the paper's Section 3 point)."""
-    program, constraints = workload
-    variant = constrain_program(program, constraints)
-    expected = evaluate(program, database).query_rows()
-    result = benchmark(evaluate, variant, database)
-    assert result.query_rows() == expected
-    benchmark.extra_info["facts_derived"] = result.stats.facts_derived
-
-
-def test_full_without_residue_injection(benchmark, workload, database):
-    program, constraints = workload
-    report = optimize(program, constraints, inject_residues=False)
-    expected = evaluate(program, database).query_rows()
-    result = benchmark(evaluate, report.program, database)
-    assert result.query_rows() == expected
-    benchmark.extra_info["facts_derived"] = result.stats.facts_derived
-
-
-def test_full_without_order_propagation(benchmark, workload, database):
-    program, constraints = workload
-    report = optimize(program, constraints, propagate_orders=False)
-    expected = evaluate(program, database).query_rows()
-    result = benchmark(evaluate, report.program, database)
-    assert result.query_rows() == expected
-    benchmark.extra_info["facts_derived"] = result.stats.facts_derived
-
-
-def test_full_pipeline(benchmark, workload, database):
-    program, constraints = workload
-    report = optimize(program, constraints)
-    expected = evaluate(program, database).query_rows()
-    result = benchmark(evaluate, report.program, database)
-    assert result.query_rows() == expected
-    benchmark.extra_info["facts_derived"] = result.stats.facts_derived
-
-
 def test_ablation_ordering(workload, database):
     """The structural claim: CGM88-only cannot prune the decoy region,
     the full pipeline can."""

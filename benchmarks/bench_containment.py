@@ -1,10 +1,8 @@
 """E6 — Proposition 5.1: program-in-UCQ containment via satisfiability.
 
-Times the containment decision for the transitive-closure family and
-the reduction construction itself.
+Decides containment for the transitive-closure family in both
+directions and shows the reduction's artifacts.
 """
-
-import pytest
 
 from repro.core.containment import (
     containment_as_satisfiability,
@@ -28,33 +26,6 @@ TC = parse_program(
 
 CONTAINED = UnionOfConjunctiveQueries((cq("t(X, Y) :- e(X, Z)."),))
 NOT_CONTAINED = UnionOfConjunctiveQueries((cq("t(X, Y) :- e(X, Y)."),))
-
-
-def test_containment_positive(benchmark):
-    assert benchmark(program_contained_in_ucq, TC, CONTAINED)
-
-
-def test_containment_negative(benchmark):
-    assert not benchmark(program_contained_in_ucq, TC, NOT_CONTAINED)
-
-
-def test_reduction_construction(benchmark):
-    marked, ics = benchmark(containment_as_satisfiability, TC, CONTAINED)
-    assert marked.query == "__ans__"
-    assert len(ics) == 1
-
-
-@pytest.mark.parametrize("members", [1, 2, 3])
-def test_containment_union_size(benchmark, members):
-    """Containment cost as the union grows."""
-    queries = [
-        cq("t(X, Y) :- e(X, Z)."),
-        cq("t(X, Y) :- e(Z, Y)."),
-        cq("t(X, Y) :- e(X, Z), e(Z, W)."),
-    ][:members]
-    union = UnionOfConjunctiveQueries(tuple(queries))
-    result = benchmark(program_contained_in_ucq, TC, union)
-    assert result  # every prefix includes the covering first member
 
 
 def experiment():

@@ -3,15 +3,12 @@
 The proposition's practical payoff: emptiness of a *recursive* program
 costs only the initialization-rule checks, while deciding
 satisfiability of the query predicate runs the full query-tree
-pipeline.  The bench reports both on the same inputs, plus the cost of
-the four Theorem 5.2 rule-class cases.
+pipeline.  The experiment runs both deciders on the same inputs.
 """
 
-import pytest
-
-from repro.core.emptiness import is_empty_program, rule_satisfiable_wrt
+from repro.core.emptiness import is_empty_program
 from repro.core.reachability import is_satisfiable
-from repro.datalog.parser import parse_constraints, parse_program, parse_rule
+from repro.datalog.parser import parse_constraints, parse_program
 
 
 def _chain_program(depth: int):
@@ -22,48 +19,6 @@ def _chain_program(depth: int):
     program = parse_program("\n".join(lines), query=f"p{depth}")
     constraints = parse_constraints(":- a(X, Y), b(Y, Z).")
     return program, constraints
-
-
-@pytest.mark.parametrize("depth", [2, 6, 12])
-def test_emptiness_via_initialization_rules(benchmark, depth):
-    program, constraints = _chain_program(depth)
-    assert benchmark(is_empty_program, program, constraints)
-
-
-@pytest.mark.parametrize("depth", [2, 6, 12])
-def test_satisfiability_full_pipeline(benchmark, depth):
-    program, constraints = _chain_program(depth)
-    assert not benchmark(is_satisfiable, program, constraints)
-
-
-RULE_CASES = {
-    "plain": (
-        "q(X) :- a(X, Y), b(Y, X).",
-        ":- a(X, Y), b(Y, Z).",
-    ),
-    "theta_ics": (
-        "q(X) :- step(X, Y).",
-        ":- step(X, Y), X >= Y. :- step(X, Y), X < Y.",
-    ),
-    "negated_ics": (
-        "q(X) :- member(X), not vetted(X).",
-        ":- member(X), not registered(X). :- registered(X), not vetted(X).",
-    ),
-    "theta_negated_ics": (
-        "q(X) :- v(X), not w(X), X > 5.",
-        ":- v(X), not w(X), X > 3.",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(RULE_CASES))
-def test_rule_satisfiability_classes(benchmark, case):
-    """The four complexity classes of Theorem 5.2 on one rule each
-    (all four examples are unsatisfiable)."""
-    rule_src, ics_src = RULE_CASES[case]
-    rule = parse_rule(rule_src)
-    constraints = parse_constraints(ics_src)
-    assert not benchmark(rule_satisfiable_wrt, rule, constraints)
 
 
 def experiment():

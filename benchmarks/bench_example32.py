@@ -31,26 +31,6 @@ def _database(decoys):
     )
 
 
-@pytest.mark.parametrize("decoys", DECOYS)
-def test_original(benchmark, workload, decoys):
-    program, _ = workload
-    database = _database(decoys)
-    result = benchmark(evaluate, program, database)
-    benchmark.extra_info["facts_derived"] = result.stats.facts_derived
-    benchmark.extra_info["rows_scanned"] = result.stats.rows_scanned
-
-
-@pytest.mark.parametrize("decoys", DECOYS)
-def test_semantically_optimized(benchmark, workload, decoys):
-    program, report = workload
-    database = _database(decoys)
-    expected = evaluate(program, database).query_rows()
-    result = benchmark(evaluate, report.program, database)
-    assert result.query_rows() == expected
-    benchmark.extra_info["facts_derived"] = result.stats.facts_derived
-    benchmark.extra_info["rows_scanned"] = result.stats.rows_scanned
-
-
 def test_optimized_cost_flat_in_decoys(workload):
     """The headline shape: decoy chains cost the original program linearly
     and the rewritten program (almost) nothing."""

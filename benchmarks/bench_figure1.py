@@ -1,45 +1,13 @@
 """F1 — Figure 1: query-tree construction for the a/b running example.
 
 Regenerates the paper's figure artifacts (adornments p1-p3, rules
-s1-s6, the three-root forest) and times each phase of the algorithm.
+s1-s6, the three-root forest).
 """
-
-import pytest
 
 from repro.core.adornments import compute_adornments
 from repro.core.querytree import build_query_tree
 from repro.core.rewrite import optimize
 from repro.workloads.programs import ab_transitive_closure
-
-
-@pytest.fixture(scope="module")
-def workload():
-    return ab_transitive_closure()
-
-
-def test_bottom_up_phase(benchmark, workload):
-    program, constraints = workload
-    result = benchmark(compute_adornments, program, constraints)
-    assert len(result.adornments["p"]) == 3
-    assert len(result.adorned_rules) == 6
-    benchmark.extra_info["adornments"] = len(result.adornments["p"])
-    benchmark.extra_info["adorned_rules"] = len(result.adorned_rules)
-
-
-def test_top_down_phase(benchmark, workload):
-    program, constraints = workload
-    result = compute_adornments(program, constraints)
-    tree = benchmark(build_query_tree, result)
-    assert len(tree.roots) == 3
-    benchmark.extra_info["expanded_nodes"] = len(tree.expanded)
-
-
-def test_full_pipeline(benchmark, workload):
-    program, constraints = workload
-    report = benchmark(optimize, program, constraints)
-    assert report.satisfiable and report.complete
-    assert report.program is not None
-    benchmark.extra_info["rewritten_rules"] = len(report.program.rules)
 
 
 def experiment():

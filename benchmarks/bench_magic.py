@@ -21,27 +21,6 @@ WORKLOADS = {name: (prog, ics, db, atom) for name, prog, ics, db, atom in magic_
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_original_baseline(benchmark, name):
-    program, _, database, _ = WORKLOADS[name]
-    result = benchmark(evaluate, program, database)
-    benchmark.extra_info.update(result.stats.as_dict())
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-@pytest.mark.parametrize("order", ORDERS)
-def test_pipeline_order(benchmark, name, order):
-    program, ics, database, atom = WORKLOADS[name]
-    report = run_pipeline(program, ics, atom, order=order)
-    assert report.program is not None
-    baseline = evaluate(program, database)
-    result = benchmark(evaluate, report.program, database)
-    benchmark.extra_info.update(result.stats.as_dict())
-    benchmark.extra_info["work_ratio_vs_original"] = baseline.stats.compare(
-        result.stats
-    )
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_answers_identical_all_orders(name):
     """Every ordering answers the bound query atom exactly like P."""
     program, ics, database, atom = WORKLOADS[name]

@@ -1,11 +1,9 @@
 """E8 — Theorem 5.4: the two-counter-machine reduction, executably.
 
-Times (a) building the reduction artifacts, (b) checking the encoded
-halting run against all generated ic's, and (c) deriving halt() — for
-machines whose run lengths grow.
+Builds the reduction artifacts, checks the encoded halting run against
+all generated ic's and derives halt() — for machines whose run lengths
+grow.
 """
-
-import pytest
 
 from repro.constraints.integrity import database_satisfies
 from repro.datalog.evaluation import evaluate
@@ -17,47 +15,6 @@ MACHINES = {
     "count8": counting_machine(8),
     "busy3": busy_machine(3),
 }
-
-
-@pytest.mark.parametrize("name", sorted(MACHINES))
-def test_build_reduction(benchmark, name):
-    artifacts = benchmark(build_reduction, MACHINES[name])
-    assert len(artifacts.program.rules) == 3
-    benchmark.extra_info["constraints"] = len(artifacts.constraints)
-
-
-@pytest.mark.parametrize("name", sorted(MACHINES))
-def test_consistency_check(benchmark, name):
-    machine = MACHINES[name]
-    trace = machine.trace_if_halts(500)
-    artifacts = build_reduction(machine)
-    database = consistent_database_for(machine, trace)
-    assert benchmark(database_satisfies, artifacts.constraints, database)
-    benchmark.extra_info["edb_facts"] = database.size()
-
-
-@pytest.mark.parametrize("name", sorted(MACHINES))
-def test_halt_derivation(benchmark, name):
-    machine = MACHINES[name]
-    trace = machine.trace_if_halts(500)
-    artifacts = build_reduction(machine)
-    database = consistent_database_for(machine, trace)
-    result = benchmark(evaluate, artifacts.program, database)
-    assert len(result.relation("halt")) > 0
-
-
-@pytest.mark.parametrize("name", sorted(MACHINES))
-def test_theta_variant_consistency(benchmark, name):
-    """Theorem 5.3 shape ({!=}-ic's): far cheaper — no eq/neq closure."""
-    from repro.machines.reduction_theta import build_reduction_theta, theta_database_for
-
-    machine = MACHINES[name]
-    trace = machine.trace_if_halts(500)
-    artifacts = build_reduction_theta(machine)
-    database = theta_database_for(machine, trace)
-    assert benchmark(database_satisfies, artifacts.constraints, database)
-    benchmark.extra_info["edb_facts"] = database.size()
-    benchmark.extra_info["constraints"] = len(artifacts.constraints)
 
 
 def experiment():

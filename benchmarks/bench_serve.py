@@ -14,9 +14,8 @@ answers are byte-identical to the single-process pipeline's.
 
 import asyncio
 
-from common import Experiment, md_table
+from common import Experiment, md_table, serve_workloads
 
-from repro.bench import _serve_workloads
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_atom, parse_facts, parse_program
@@ -73,7 +72,7 @@ def _expected_answers(spec: dict, goal_text: str) -> list[list]:
 
 def test_cache_hits_are_constant_independent():
     """Goals differing only in constants share one compiled artifact."""
-    workloads = _serve_workloads(True)
+    workloads = serve_workloads(True)
     responses = _drive(workloads, passes=2)
     first_sweep = [r for r in responses if r["sweep"] == 1]
     # Per tenant: one bound-free shape (three goals) and one bound-bound
@@ -84,7 +83,7 @@ def test_cache_hits_are_constant_independent():
 
 def test_served_answers_match_pipeline():
     """Every served response equals the single-process pipeline."""
-    workloads = _serve_workloads(True)
+    workloads = serve_workloads(True)
     for response in _drive(workloads, passes=1):
         spec = workloads[response["tenant"]]
         assert response["answers"] == _expected_answers(spec, response["goal"])
@@ -92,7 +91,7 @@ def test_served_answers_match_pipeline():
 
 def experiment() -> Experiment:
     def build() -> str:
-        workloads = _serve_workloads(False)
+        workloads = serve_workloads(False)
         responses = _drive(workloads, passes=2)
         rows = []
         mismatches = 0

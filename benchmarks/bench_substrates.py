@@ -1,19 +1,10 @@
-"""Substrate benchmarks: the engine, the dense-order solver, and
-homomorphism search — the components whose costs every experiment above
-is built from.
+"""Substrate benchmark: the bottom-up engine whose cost every experiment
+above is built from.
 """
 
-import random
-
-import pytest
-
-from repro.constraints.dense_order import OrderConstraintSet
-from repro.cq.homomorphism import all_homomorphisms
-from repro.datalog.atoms import Atom, OrderAtom
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
-from repro.datalog.terms import Constant, Variable
 
 TC = parse_program(
     """
@@ -26,75 +17,6 @@ TC = parse_program(
 
 def _chain_db(n):
     return Database.from_rows({"e": [(i, i + 1) for i in range(n)]})
-
-
-def _random_db(n, m, seed=0):
-    rng = random.Random(seed)
-    return Database.from_rows(
-        {"e": {(rng.randrange(n), rng.randrange(n)) for _ in range(m)}}
-    )
-
-
-@pytest.mark.parametrize("n", [50, 100, 200])
-def test_engine_seminaive_chain(benchmark, n):
-    result = benchmark(evaluate, TC, _chain_db(n))
-    assert len(result.rows("t")) == n * (n + 1) // 2
-
-
-@pytest.mark.parametrize("n", [50, 100])
-def test_engine_naive_chain(benchmark, n):
-    result = benchmark(lambda: evaluate(TC, _chain_db(n), strategy="naive"))
-    assert len(result.rows("t")) == n * (n + 1) // 2
-
-
-@pytest.mark.parametrize("m", [100, 400])
-def test_engine_random_graph(benchmark, m):
-    database = _random_db(60, m)
-    result = benchmark(evaluate, TC, database)
-    assert result.stats.facts_derived == len(result.rows("t"))
-
-
-def _random_order_atoms(count, seed=0):
-    rng = random.Random(seed)
-    terms = [Variable(f"V{i}") for i in range(8)] + [Constant(i) for i in range(4)]
-    ops = ["<", "<=", ">", ">=", "=", "!="]
-    return [
-        OrderAtom(rng.choice(terms), rng.choice(ops), rng.choice(terms))
-        for _ in range(count)
-    ]
-
-
-@pytest.mark.parametrize("count", [8, 32, 128])
-def test_dense_order_satisfiability(benchmark, count):
-    atoms = _random_order_atoms(count)
-
-    def run():
-        return OrderConstraintSet(atoms).is_satisfiable()
-
-    benchmark(run)
-
-
-@pytest.mark.parametrize("count", [8, 32])
-def test_dense_order_projection(benchmark, count):
-    atoms = [a for a in _random_order_atoms(count, seed=3)]
-    constraints = OrderConstraintSet(atoms)
-    if not constraints.is_satisfiable():
-        pytest.skip("sampled set unsatisfiable")
-    terms = [Variable(f"V{i}") for i in range(4)]
-    benchmark(constraints.project, terms)
-
-
-@pytest.mark.parametrize("size", [20, 60])
-def test_homomorphism_search(benchmark, size):
-    rng = random.Random(1)
-    target = [
-        Atom("e", (Constant(rng.randrange(12)), Constant(rng.randrange(12))))
-        for _ in range(size)
-    ]
-    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-    source = [Atom("e", (X, Y)), Atom("e", (Y, Z)), Atom("e", (Z, X))]
-    result = benchmark(all_homomorphisms, source, target)
-    assert isinstance(result, list)
 
 
 def experiment():

@@ -2,16 +2,20 @@
 
 Two consumers:
 
-* the ``pytest-benchmark`` timing tests in ``bench_*.py`` (wall-clock
-  shapes; run with ``pytest benchmarks/ --benchmark-only``), and
 * each module's ``experiment()`` — the deterministic section of the
   regenerated ``EXPERIMENTS.md`` (``python -m repro report
-  --regenerate``), built from seeded work counters only.
+  --regenerate``), built from seeded work counters only, and
+* the plain assertion tests beside it (``pytest benchmarks -q``), which
+  pin the claim the section's narrative makes.
 
-Workload builders that used to live inside individual bench modules
-(the colored-closure family, the bound-query magic workloads) live here
-so both consumers and the docs reference one definition.
+Timings are not measured here: ``perf/`` is the repo's one benchmark.
+
+Workload builders shared by several bench modules, scripts and docs
+(the colored-closure family, the bound-query magic workloads, the
+serving tenants) live here so all reference one definition.
 """
+
+import random
 
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_constraints, parse_program
@@ -35,6 +39,7 @@ __all__ = [
     "bound_atom",
     "colored_closure",
     "magic_workloads",
+    "serve_workloads",
     "stats_variants",
 ]
 
@@ -82,6 +87,41 @@ def magic_workloads():
     program, ics = same_generation()
     db = same_generation_database(depth=5, fanout=2, seed=0)
     yield "sg", program, ics, db, bound_atom("query", 2)
+
+
+def serve_workloads(quick: bool) -> dict[str, dict]:
+    """Two tenant workloads for the serving experiment (E12).
+
+    Each is a recursive closure over a seeded random edge set, shipped
+    as program/facts *text* (the daemon's wire format) together with
+    the goal shapes the clients cycle.  Per tenant the bound-first
+    goals share one adornment — the artifact cache collapses them to a
+    single compiled pipeline, so almost every request after warmup is
+    a cache hit."""
+
+    def edge_facts(predicate: str, nodes: int, edges: int, seed: int) -> str:
+        rng = random.Random(seed)
+        rows: set[tuple[int, int]] = set()
+        while len(rows) < edges:
+            left = rng.randrange(nodes - 1)
+            rows.add((left, rng.randrange(left + 1, nodes)))
+        return "\n".join(f"{predicate}({l}, {r})." for l, r in sorted(rows))
+
+    nodes, edges = (18, 30) if quick else (40, 90)
+    return {
+        "alpha": {
+            "program": "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).",
+            "query": "p",
+            "facts": edge_facts("e", nodes, edges, seed=11),
+            "goals": ["p(0, V)", "p(1, V)", "p(2, V)", f"p(0, {nodes - 1})"],
+        },
+        "beta": {
+            "program": "q(X, Y) :- f(X, Y).\nq(X, Y) :- f(X, Z), q(Z, Y).",
+            "query": "q",
+            "facts": edge_facts("f", nodes, edges, seed=23),
+            "goals": ["q(0, V)", "q(3, V)", "q(5, V)", f"q(1, {nodes - 1})"],
+        },
+    }
 
 
 def stats_variants(rows):

@@ -12,7 +12,7 @@ Commands
 ``client``       talk to a running daemon (register / query / ingest / stats)
 ``trace``        print the structured trace of a rewrite + evaluation
 ``profile``      per-rule / per-predicate hot-path breakdown
-``bench``        engine benchmark suite (writes BENCH_results.json)
+``bench``        the repo benchmark: every argument goes to ``perf/run.py``
 ``report``       regenerate EXPERIMENTS.md from the benchmark suite
 ``check``        check a fact base against integrity constraints
 ``satisfiable``  decide satisfiability of the query predicate
@@ -47,7 +47,7 @@ Examples::
     python -m repro trace examples/good_path.dl --query goodPath \
         --constraints examples/good_path_ics.dl
     python -m repro profile examples/good_path.dl --query goodPath --top 5
-    python -m repro bench --json --quick
+    python -m repro bench --smoke
     python -m repro report --regenerate --check
     python -m repro check ics.dl --data facts.dl
     python -m repro satisfiable program.dl --constraints ics.dl --query p
@@ -592,31 +592,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import render_results, run_bench, write_results
+def _bench(argv: Sequence[str]) -> int:
+    """``repro bench <args>`` is ``python perf/run.py <args>``: the repo
+    has one benchmark (see ``perf/README.md``) and it lives beside
+    ``src/`` in a checkout, not in the installed package."""
+    import subprocess  # only this command needs it; keep it off every other start
 
-    workloads = args.workloads.split(",") if args.workloads else None
-    repeat = args.repeat if args.repeat is not None else (1 if args.quick else 3)
-    try:
-        payload = run_bench(
-            workloads=workloads,
-            quick=args.quick,
-            repeat=repeat,
-            timeout=args.timeout,
-            max_iterations=args.max_iterations,
-            max_facts=args.max_facts,
-            storage=args.storage,
-            workers=args.workers,
+    script = Path(__file__).resolve().parents[2] / "perf" / "run.py"
+    if not script.is_file():
+        raise UsageError(
+            f"repro bench runs perf/run.py of a source checkout; {script} does not exist"
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(render_results(payload))
-    if args.json:
-        write_results(payload, args.output)
-        print(f"\nresults written to {args.output}")
-    if payload.get("budget_exceeded"):
-        return 1
-    return 0 if payload["ok"] else 1
+    return subprocess.call([sys.executable, str(script), *argv])
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -962,38 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
     engine_flags(cmd)
     cmd.set_defaults(func=_cmd_profile)
 
-    cmd = sub.add_parser(
-        "bench", help="engine benchmark suite (interpreted vs compiled plans)"
-    )
-    cmd.add_argument(
-        "--json", action="store_true", help="write the results payload to --output"
-    )
-    cmd.add_argument(
-        "--output", default="BENCH_results.json", help="results path (with --json)"
-    )
-    cmd.add_argument(
-        "--quick", action="store_true",
-        help="CI-smoke sizes: tiny workloads, repeat=1 unless overridden",
-    )
-    cmd.add_argument(
-        "--repeat", type=int, default=None,
-        help="timing runs per engine (default 3, or 1 with --quick)",
-    )
-    cmd.add_argument(
-        "--workloads", help="comma-separated subset (default: the whole suite)"
-    )
-    cmd.add_argument(
-        "--storage", choices=STORAGES, default=None,
-        help="force every engine config onto one storage backend "
-        "(default: each config's own choice)",
-    )
-    cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="also benchmark sharded evaluation at worker counts "
-        "1, 2, ... N (powers of two), gated on digest equality",
-    )
-    budget_flags(cmd)
-    cmd.set_defaults(func=_cmd_bench)
+    # Listed for --help only: main() hands ``bench`` to perf/run.py unparsed.
+    sub.add_parser("bench", help="the repo benchmark (arguments go to perf/run.py)")
 
     cmd = sub.add_parser("report", help="regenerate EXPERIMENTS.md from the benchmarks")
     cmd.add_argument(
@@ -1031,12 +988,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point.  Exit codes: 0 success, 1 budget exceeded (partial
     results were printed), 2 usage or input error."""
-    parser = build_parser()
     try:
+        if argv is None:
+            argv = sys.argv[1:]
+        if argv and argv[0] == "bench":
+            return _bench(argv[1:])
         # parse_args sits inside the try: malformed --timeout/--max-facts
         # values raise UsageError from their type= callables and must
         # reach the exit-code-2 handler below, not a traceback.
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except EvaluationAborted as exc:
         print(f"aborted: {exc}", file=sys.stderr)

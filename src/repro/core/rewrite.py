@@ -100,7 +100,7 @@ class OptimizationReport:
 
         SHA-256 over the original program's rules, its query predicate
         and the constraints — the same :func:`repro.digest.workload_digest`
-        (without EDB rows) that persist and bench use, so a cached
+        (without EDB rows) that persist and serve use, so a cached
         rewrite can never be replayed against a program it was not
         computed from.  The serving layer's artifact cache
         (:class:`repro.serve.cache.ArtifactCache`) builds its keys on

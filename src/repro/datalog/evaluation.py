@@ -29,7 +29,7 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   relation size × bound-position count) or the seed interpreter's
   greedy bound-count order (``"greedy"``).  ``engine="interpreted"``
   keeps the original tuple-at-a-time interpreter as a measurable
-  baseline (see ``repro bench``).
+  baseline.
 * :class:`EvaluationStats` counts rule firings, index probes, rows
   scanned, facts derived, index builds and environment allocations —
   plus per-rule ``rows_scanned`` — the "join work" measures the
@@ -142,7 +142,7 @@ class EvaluationStats:
         self.rows_scanned_by_rule = dict(sorted(merged.items()))
 
     def as_dict(self) -> dict[str, object]:
-        """The counters as a plain dict (benchmark ``extra_info`` payloads)."""
+        """The counters as a plain dict (report tables, checkpoints, trace events)."""
         payload: dict[str, object] = {
             name: getattr(self, name) for name in _INT_COUNTERS
         }

@@ -1,22 +1,18 @@
 """The canonical workload and fixpoint digests, shared by every layer.
 
-Three subsystems need to agree byte-for-byte on "is this the same
-workload?" and "is this the same fixpoint?":
+Every layer that asks "is this the same workload?" or "is this the same
+fixpoint?" must agree byte-for-byte:
 
 * the **persistence layer** binds checkpoints to the exact inputs they
   were computed from (:mod:`repro.persist.checkpoint`);
-* the **benchmark harness** gates engine configurations on identical
-  fixpoints and commits the digests to ``BENCH_results.json``
-  (:mod:`repro.bench`);
 * the **serving layer** keys its rewrite/adornment artifact cache by
-  program shape (:mod:`repro.serve`).
+  program shape (:mod:`repro.serve`);
+* the **tests and smoke scripts** gate every engine, storage, worker
+  count and recovery path on an identical fixpoint digest.
 
-Historically bench and persist each hashed program + query
-independently; any drift between the two implementations would have
-silently decoupled the checkpoint-resume gate from the benchmark
-baseline.  This module is now the single definition — persist and bench
-both import it, and :meth:`repro.core.rewrite.OptimizationReport
-.cache_key` exposes the same digest for cache keying.
+This module is the single definition — all of them import it, and
+:meth:`repro.core.rewrite.OptimizationReport.cache_key` exposes the
+same digest for cache keying.
 """
 
 from __future__ import annotations
@@ -76,10 +72,9 @@ def fixpoint_digest(results: Iterable[tuple[str, Mapping]]) -> str:
     """SHA-256 over labeled IDB fixpoints, order-independent per relation.
 
     Each item is ``(label, idb)`` where ``idb`` maps predicates to
-    relations (anything with ``.rows()``).  Byte-compatible with the
-    digests committed in ``BENCH_results.json``, so a resumed fixpoint
-    can be checked against the benchmark baseline — and a served answer
-    against the offline pipeline.
+    relations (anything with ``.rows()``), so a resumed fixpoint can be
+    checked against a cold recompute and a served answer against the
+    offline pipeline.
     """
     digest = hashlib.sha256()
     for unit_label, idb in results:

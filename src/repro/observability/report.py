@@ -183,8 +183,8 @@ GENERATED_HEADER = """\
 > with `--check` and fails when it is stale.  Every number below is a
 > deterministic work counter (`EvaluationStats`) or structural count on
 > seeded workloads — byte-identical across runs and machines.  Wall-clock
-> shapes are measured separately with `pytest benchmarks/ --benchmark-only`
-> and are intentionally excluded here.
+> time is measured separately by the repo benchmark (`python3 perf/run.py`,
+> see `perf/README.md`) and is intentionally excluded here.
 
 The paper is an extended abstract with one figure (Figure 1) and no
 measurement tables; its "evaluation" consists of worked examples and

@@ -62,8 +62,8 @@ class CheckpointMismatch(CheckpointError):
 
 
 # workload_digest / fixpoint_digest are re-exported from
-# :mod:`repro.digest` — the single shared definition used by persist,
-# bench and serve (so the three digest computations can't drift).
+# :mod:`repro.digest` — the single shared definition used by persist
+# and serve (so the digest computations can't drift).
 
 
 def _rows_payload(rows: "Iterable[Row]") -> list[list]:

@@ -123,14 +123,6 @@ def test_workload_digest_sensitivity():
     assert workload_digest(PROGRAM, _database(), constraints=("ic1",)) != base
 
 
-def test_fixpoint_digest_matches_bench():
-    from repro.bench import _fixpoint_digest
-
-    result = evaluate(PROGRAM, _database())
-    labeled = [("unit", result.idb)]
-    assert fixpoint_digest(labeled) == _fixpoint_digest(labeled)
-
-
 def test_fixpoint_digest_survives_serialization():
     """JSON round trip of the IDB must not change the digest."""
     from repro.datalog.database import Relation

@@ -5,8 +5,6 @@ to stderr as diagnostics), 2 usage/input error.  A tripped budget must
 never escape as a traceback.
 """
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -112,26 +110,3 @@ class TestPipelineBudget:
             "magic", files["program.dl"], "--goal", "p(0, Y)", "--timeout", "60",
         ]) == 0
         assert capsys.readouterr().out == unbudgeted
-
-
-class TestBenchBudget:
-    def test_quick_bench_with_tiny_timeout_exits_one(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench", "--quick", "--timeout", "0.0001", "--json", "--output", str(out),
-        ])
-        assert code == 1
-        payload = json.loads(out.read_text())
-        assert payload["budget_exceeded"] is True
-        # A partial bench is not a fixpoint mismatch.
-        assert payload["ok"] is True
-        rendered = capsys.readouterr().out
-        assert "BUDGET EXCEEDED" in rendered
-
-    def test_quick_bench_unbudgeted_exits_zero(self, tmp_path):
-        out = tmp_path / "bench.json"
-        code = main(["bench", "--quick", "--json", "--output", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["budget_exceeded"] is False
-        assert payload["ok"] is True

@@ -2,8 +2,7 @@
 
 import asyncio
 
-from repro.bench import _fixpoint_digest
-from repro.digest import fixpoint_digest, program_digest, workload_digest
+from repro.digest import program_digest, workload_digest
 from repro.observability import RingBufferSink, build_profile
 from repro.observability.trace import tracing
 from repro.serve.app import ServeApp
@@ -53,10 +52,7 @@ def test_profile_render_has_serving_section():
 
 
 class TestSharedDigests:
-    """Satellite: one digest implementation across bench/persist/serve."""
-
-    def test_bench_alias_is_the_shared_function(self):
-        assert _fixpoint_digest is fixpoint_digest
+    """Satellite: one digest implementation across persist/serve."""
 
     def test_program_digest_ignores_data(self):
         from repro.datalog.parser import parse_program

@@ -94,14 +94,14 @@ class TestNormalizedMessagesSharedWithCli:
     """One normalization helper, two transports, identical bytes."""
 
     def test_timeout_message_identical(self, capsys):
-        assert main(["bench", "--quick", "--timeout", "banana"]) == 2
+        assert main(["run", "program.dl", "--timeout", "banana"]) == 2
         cli_message = capsys.readouterr().err.strip()
         with pytest.raises(UsageError) as info:
             parse_timeout_value("banana")
         assert cli_message == f"error: {info.value}"
 
     def test_max_facts_message_identical(self, capsys):
-        assert main(["bench", "--quick", "--max-facts", "0"]) == 2
+        assert main(["run", "program.dl", "--max-facts", "0"]) == 2
         cli_message = capsys.readouterr().err.strip()
         with pytest.raises(UsageError) as info:
             parse_limit_value("0", option="max-facts")

@@ -1,7 +1,10 @@
 """CLI tests: every command end to end via temp files."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 PROGRAM = """
@@ -150,3 +153,20 @@ class TestDecisionCommands:
             "contained", files["program.dl"], "--query", "p", "--ucq", files["ucq.dl"],
         ]) == 0
         assert "contained" in capsys.readouterr().out
+
+
+class TestBenchPassThrough:
+    """``repro bench <args>`` is ``python perf/run.py <args>``."""
+
+    def test_smoke_run_ends_in_the_result_line(self, capfd):
+        code = main(["bench", "--smoke", "--workload", "rewrite_compile", "--trace", "0"])
+        assert code == 0
+        last = capfd.readouterr().out.strip().splitlines()[-1]
+        assert set(json.loads(last)) == {"correct", "attempted", "failed", "metrics"}
+
+    def test_without_a_checkout_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "repro" / "cli.py"))
+        assert main(["bench", "--smoke"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "perf/run.py" in err
+        assert "Traceback" not in err
