@@ -7,15 +7,17 @@ from-scratch recompute over the initial EDB plus every *acknowledged*
 ingest.
 
 1. **Daemon kill.** Boot the real daemon (``repro serve``) with a
-   persist directory, register a tenant, acknowledge two ingests over
-   HTTP, SIGKILL the daemon, restart it and re-register with the
-   *original* facts only.  Recovery must surface both acked ingests by
-   itself — from the self-contained checkpoint and the journal — and
-   the answers must be byte-identical to an in-process recompute over
-   initial + ingested facts.
+   persist directory, register a tenant, acknowledge two dozen ingests
+   over HTTP — checkpoints follow journal lag, so every one of them is
+   still uncovered — SIGKILL the daemon, restart it and re-register
+   with the *original* facts only.  Recovery must surface every acked
+   ingest by itself — from the self-contained checkpoint and the
+   journal, ``replayed`` equal to the uncovered count — and the answers
+   must be byte-identical to an in-process recompute over initial +
+   ingested facts.  A second kill and restart must replay nothing.
 
-2. **Fsync-window kill.** A child process acknowledges one ingest whose
-   checkpoint save is forced to fail (acked but journal-covered only),
+2. **Fsync-window kill.** A child process acknowledges one ingest with
+   checkpoint saves forced to fail (acked but journal-covered only),
    then dies by SIGKILL while a second ingest faults at
    ``journal.fsync``.  The un-acked record's bytes may or may not be
    durable, so recovery is allowed to land on either admissible state —
@@ -61,6 +63,10 @@ PROGRAM = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y)."
 FACTS = "\n".join(f"e({i}, {i + 1})." for i in range(12))
 INGESTS = ["e(12, 13).", "e(13, 14)."]
 TENANT = "journal-smoke"
+#: The daemon-kill phase: an EDB whose checkpoint dwarfs two dozen
+#: journal frames, so none of the ingests is checkpoint-covered.
+DAEMON_FACTS = "\n".join(f"e({i}, {i + 1})." for i in range(60))
+DAEMON_INGESTS = [f"e({i}, {i + 1})." for i in range(60, 84)]
 
 FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0)
 
@@ -119,51 +125,65 @@ def _served_answers(payload: dict) -> str:
     return json.dumps(sorted(payload["answers"]), sort_keys=True)
 
 
+def _kill(daemon: subprocess.Popen, client: ServeClient) -> None:
+    client.close()
+    os.kill(daemon.pid, signal.SIGKILL)
+    daemon.wait(timeout=60)
+
+
 def daemon_kill_phase() -> int:
-    """Register, ack two ingests, SIGKILL, restart with original facts."""
+    """Register, ack many ingests, SIGKILL, restart with original facts."""
+    expect = _expected_answers(DAEMON_FACTS, *DAEMON_INGESTS)
     with tempfile.TemporaryDirectory() as tmp:
         persist = Path(tmp) / "tenants"
         daemon, client = _boot(persist)
         try:
-            registered = client.register(TENANT, PROGRAM, facts=FACTS, query="p")
+            registered = client.register(TENANT, PROGRAM, facts=DAEMON_FACTS, query="p")
             if registered["mode"] != "fresh":
                 return _fail(f"first registration was {registered['mode']!r}")
-            for facts in INGESTS:
+            for facts in DAEMON_INGESTS:
                 client.ingest(TENANT, facts)  # each return is the ack
-            print(f"daemon-kill: acked {len(INGESTS)} ingests")
+            uncovered = client.stats()["tenants"][TENANT]["journal"]["lag"]
+            if uncovered != len(DAEMON_INGESTS) or uncovered < 20:
+                return _fail(
+                    f"{uncovered} uncovered records after {len(DAEMON_INGESTS)} "
+                    "acked ingests; expected all of them (and at least 20)"
+                )
+            print(f"daemon-kill: acked {uncovered} ingests, none checkpoint-covered")
         finally:
-            client.close()
-            os.kill(daemon.pid, signal.SIGKILL)
-            daemon.wait(timeout=60)
+            _kill(daemon, client)
         print(f"daemon-kill: killed pid {daemon.pid}")
 
-        daemon, client = _boot(persist)
-        try:
-            # Original facts only: recovery itself must carry the
-            # acknowledged ingests across the restart.
-            reregistered = client.register(TENANT, PROGRAM, facts=FACTS, query="p")
-            mode = reregistered["mode"]
-            if mode == "fresh":
-                return _fail("restart recomputed from the original facts; "
-                             "acked ingests were lost")
-            answer = client.query(TENANT, "p(0, Y)", mode="materialized")
-            got = _served_answers(answer)
-            expect = _expected_answers(FACTS, *INGESTS)
-            if got != expect:
-                return _fail(
-                    "restart answers differ from the clean recompute\n"
-                    f"  expect: {expect}\n  got:    {got}"
+        # Restart twice on the original facts only: the first recovery
+        # must replay every acknowledged ingest, the second nothing.
+        for restart, (want_mode, want_replayed) in enumerate(
+            [("recovered", uncovered), ("warm", 0)], start=1
+        ):
+            daemon, client = _boot(persist)
+            try:
+                mode = client.register(
+                    TENANT, PROGRAM, facts=DAEMON_FACTS, query="p"
+                )["mode"]
+                journal = client.stats()["tenants"][TENANT]["journal"]
+                if (mode, journal["replayed"]) != (want_mode, want_replayed):
+                    return _fail(
+                        f"restart {restart}: mode {mode!r}, replayed "
+                        f"{journal['replayed']}; expected {want_mode!r}, {want_replayed}"
+                    )
+                answer = client.query(TENANT, "p(0, Y)", mode="materialized")
+                got = _served_answers(answer)
+                if got != expect:
+                    return _fail(
+                        f"restart {restart}: answers differ from the clean recompute\n"
+                        f"  expect: {expect}\n  got:    {got}"
+                    )
+                print(
+                    f"daemon-kill: restart {restart} mode={mode}, "
+                    f"replayed={journal['replayed']}, answers byte-identical "
+                    f"({len(answer['answers'])} rows), journal lag={journal['lag']}"
                 )
-            stats = client.stats()
-            print(
-                f"daemon-kill: mode={mode}, answers byte-identical "
-                f"({len(answer['answers'])} rows), "
-                f"journal lag={stats['journal']['lag']}"
-            )
-        finally:
-            client.close()
-            daemon.terminate()
-            daemon.wait(timeout=60)
+            finally:
+                _kill(daemon, client)
     return 0
 
 
@@ -174,8 +194,9 @@ def child(root: Path) -> None:
     store = CheckpointStore(root)
     session = Session(program, database, store=store, retry=FAST_RETRY)
     session.run()
-    # Checkpoint saves now fail: the next ingest is acked by its journal
-    # fsync alone, so only a replay can carry it across the kill.
+    # Checkpoint saves now fail, lag-triggered or not: the next ingest is
+    # acked by its journal fsync alone, so only a replay can carry it
+    # across the kill.
     session.store = FlakyStore(
         store, FaultInjector().arm_random("checkpoint.save", rate=1.0)
     )

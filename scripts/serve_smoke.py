@@ -5,15 +5,22 @@ Boots the real daemon (``repro serve``) on an ephemeral port with a
 persist directory, then walks the full tenant life cycle over HTTP:
 
 1. register a program, query it (mode ``fresh``, full evaluation);
-2. ingest new facts and query again (answers grow);
+2. ingest two dozen facts one request at a time and query again
+   (answers grow); checkpoints follow journal lag, so every one of the
+   ingests is acknowledged but not yet checkpoint-covered;
 3. SIGKILL the daemon mid-flight;
-4. restart it on the same persist directory, re-register the same
-   workload and verify the tenant comes back ``warm`` — rebuilt from
-   its checkpoint with **zero evaluation** — and that its materialized
-   answers are byte-identical to the pre-kill daemon's.
+4. restart it on the same persist directory, re-register the workload
+   with its *original* facts and verify the tenant comes back
+   ``recovered`` — checkpoint restore plus a replay of exactly the
+   uncovered records — with materialized and magic answers
+   byte-identical to the pre-kill daemon's;
+5. SIGKILL and restart once more: the recovery's covering checkpoint
+   makes this one ``warm`` — **zero evaluation**, nothing replayed —
+   and the answers are byte-identical again.
 
 Exits non-zero on any deviation: a cold restart (mode ``fresh`` after
-the kill), missing answers, or any byte difference in the served JSON.
+the kill), a replay count that is not the uncovered count, missing
+answers, or any byte difference in the served JSON.
 
 Usage (from the repository root)::
 
@@ -37,8 +44,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.serve.client import ServeClient  # noqa: E402
 
 PROGRAM = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y)."
-FACTS = "\n".join(f"e({i}, {i + 1})." for i in range(12))
-INGESTED = "e(12, 13)."
+FACTS = "\n".join(f"e({i}, {i + 1})." for i in range(60))
+INGESTED = [f"e({i}, {i + 1})." for i in range(60, 84)]
 TENANT = "smoke"
 
 
@@ -85,6 +92,12 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _kill(daemon: subprocess.Popen, client: ServeClient) -> None:
+    client.close()
+    os.kill(daemon.pid, signal.SIGKILL)
+    daemon.wait(timeout=60)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         persist = Path(tmp) / "tenants"
@@ -102,57 +115,70 @@ def main() -> int:
             if not first["answers"]:
                 return _fail("fresh query returned no answers")
 
-            client.ingest(TENANT, INGESTED)
+            for facts in INGESTED:
+                client.ingest(TENANT, facts)
             second = client.query(TENANT, "p(0, Y)")
-            if len(second["answers"]) != len(first["answers"]) + 1:
-                return _fail("ingest did not grow the answer set")
+            if len(second["answers"]) != len(first["answers"]) + len(INGESTED):
+                return _fail("ingests did not grow the answer set")
             print(
                 f"queried: {len(first['answers'])} answers, "
-                f"{len(second['answers'])} after ingest"
+                f"{len(second['answers'])} after {len(INGESTED)} ingests"
             )
+            uncovered = client.stats()["tenants"][TENANT]["journal"]["lag"]
+            if uncovered != len(INGESTED) or uncovered < 20:
+                return _fail(
+                    f"{uncovered} uncovered journal records after "
+                    f"{len(INGESTED)} ingests; expected all of them (>= 20)"
+                )
             before = client.query(TENANT, "p(0, Y)", mode="materialized")
             before_bytes = json.dumps(before["answers"], sort_keys=True)
         finally:
-            client.close()
-            os.kill(daemon.pid, signal.SIGKILL)
-            daemon.wait(timeout=60)
-        print(f"killed daemon pid {daemon.pid}")
+            _kill(daemon, client)
+        print(f"killed daemon pid {daemon.pid} with {uncovered} uncovered records")
 
-        daemon, client = _boot(persist)
-        try:
-            # The restarted daemon re-registers the workload *as
-            # ingested* — the post-ingest checkpoint anchors it.
-            reregistered = client.register(
-                TENANT, PROGRAM, facts=FACTS + "\n" + INGESTED, query="p"
-            )
-            print(
-                f"re-registered: mode={reregistered['mode']}, "
-                f"resumed_seq={reregistered['resumed_seq']}"
-            )
-            if reregistered["mode"] != "warm":
-                return _fail(
-                    f"restart recomputed (mode {reregistered['mode']!r}); "
-                    "expected a warm start from the checkpoint"
+        # The restarted daemon re-registers the workload with its
+        # original facts: recovery itself carries the ingests.  The
+        # first restart replays them; its covering checkpoint makes the
+        # second one warm.
+        for restart, (want_mode, want_replayed) in enumerate(
+            [("recovered", uncovered), ("warm", 0)], start=1
+        ):
+            daemon, client = _boot(persist)
+            try:
+                reregistered = client.register(
+                    TENANT, PROGRAM, facts=FACTS, query="p"
                 )
-            after = client.query(TENANT, "p(0, Y)", mode="materialized")
-            if after["materialized_mode"] != "warm":
-                return _fail(
-                    f"materialized mode is {after['materialized_mode']!r}, not warm"
+                replayed = client.stats()["tenants"][TENANT]["journal"]["replayed"]
+                print(
+                    f"restart {restart}: mode={reregistered['mode']}, "
+                    f"resumed_seq={reregistered['resumed_seq']}, replayed={replayed}"
                 )
-            after_bytes = json.dumps(after["answers"], sort_keys=True)
-            if after_bytes != before_bytes:
-                return _fail(
-                    "warm answers differ from the pre-kill daemon\n"
-                    f"  before: {before_bytes}\n  after:  {after_bytes}"
-                )
-            magic = client.query(TENANT, "p(0, Y)")
-            if json.dumps(magic["answers"], sort_keys=True) != before_bytes:
-                return _fail("magic-mode answers differ after the warm restart")
-        finally:
-            client.close()
-            daemon.terminate()
-            daemon.wait(timeout=60)
-        print(f"warm answers byte-identical ({len(after['answers'])} rows)")
+                if (reregistered["mode"], replayed) != (want_mode, want_replayed):
+                    return _fail(
+                        f"restart {restart} came back {reregistered['mode']!r} "
+                        f"replaying {replayed}; expected {want_mode!r} "
+                        f"replaying {want_replayed}"
+                    )
+                after = client.query(TENANT, "p(0, Y)", mode="materialized")
+                if after["materialized_mode"] != want_mode:
+                    return _fail(
+                        f"materialized mode is {after['materialized_mode']!r}, "
+                        f"not {want_mode}"
+                    )
+                after_bytes = json.dumps(after["answers"], sort_keys=True)
+                if after_bytes != before_bytes:
+                    return _fail(
+                        f"restart {restart} answers differ from the pre-kill daemon\n"
+                        f"  before: {before_bytes}\n  after:  {after_bytes}"
+                    )
+                magic = client.query(TENANT, "p(0, Y)")
+                if json.dumps(magic["answers"], sort_keys=True) != before_bytes:
+                    return _fail(
+                        f"magic-mode answers differ after restart {restart}"
+                    )
+            finally:
+                _kill(daemon, client)
+        print(f"restart answers byte-identical ({len(after['answers'])} rows)")
         return 0
 
 

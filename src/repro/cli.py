@@ -441,6 +441,9 @@ def _cmd_session_ingest(args: argparse.Namespace) -> int:
     if not facts:
         raise UsageError(f"--facts file {args.facts} holds no ground facts")
     outcome = session.ingest(facts)
+    # This process is about to exit: make sure a checkpoint at the
+    # post-ingest digest is there for the next command to start from.
+    session.checkpoint()
     _print_session_outcome(session, outcome)
     print(
         "note: resumes must now see the ingested facts too "

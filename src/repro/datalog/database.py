@@ -232,6 +232,15 @@ class Relation:
             for row in rows:
                 index.setdefault(key_of(row), []).append(row)
 
+    def discard(self, rows: Iterable[Row]) -> None:
+        """Remove ``rows`` (an aborted ingest takes back what it added).
+
+        Built indexes are dropped rather than edited; they rebuild on
+        the next probe.
+        """
+        self._rows.difference_update(rows)
+        self._indexes.clear()
+
     def __contains__(self, row: Sequence[Value]) -> bool:
         return tuple(row) in self._rows
 
@@ -427,6 +436,22 @@ class ColumnarRelation:
             for codes in fresh:
                 self.add_codes(codes)
         return len(fresh)
+
+    def discard(self, rows: Iterable[Row]) -> None:
+        """Remove value ``rows``, as :meth:`Relation.discard` does.
+
+        The columns are rewritten without them; indexes and decoded
+        caches are dropped and rebuild lazily.
+        """
+        doomed = {tuple(map(self.interner.code_of, row)) for row in rows}
+        self._row_set -= doomed
+        kept = [codes for codes in zip(*self.columns) if codes not in doomed]
+        self.columns = [list(column) for column in zip(*kept)] or [
+            [] for _ in range(self.arity)
+        ]
+        self._code_indexes.clear()
+        self._value_indexes.clear()
+        self._decoded = None
 
     # -- code-level reads (the block-kernel API) ------------------------
     def code_rows(self) -> set[tuple[int, ...]]:

@@ -7,8 +7,9 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   in topological order of the dependency graph, with semi-naive (delta)
   rounds inside each SCC.  A run is a *seed* — cold (empty IDB), resume
   (the IDB, frontier and cursor of an :class:`EvaluationSnapshot`) or
-  ingest (a prior complete fixpoint plus the EDB rows added since,
-  seeded by differentiation) — and a *round executor*: local
+  ingest (the live relations of a prior complete fixpoint, extended in
+  place from the EDB rows added since, seeded by differentiation) —
+  and a *round executor*: local
   (:class:`_LocalExecutor`, in-process) or the sharded barrier of
   :mod:`repro.parallel.engine`.  :func:`evaluate`,
   :func:`~repro.parallel.engine.evaluate_sharded` and
@@ -459,15 +460,26 @@ class _EngineBase:
     engine) without driver changes.
     """
 
-    def __init__(self, database: Database, idb, plan_order: str, tracer: Tracer):
+    def __init__(
+        self, database: Database, idb, plan_order: str, tracer: Tracer, plans=None
+    ):
         self.database = database
         self.idb = idb
         self.plan_order = plan_order
         self.tracer = tracer
         self.trace_on = tracer.enabled
+        #: (rule, delta position) -> compiled plan, when the caller keeps
+        #: plans across runs (a session, between ingests); else ``None``.
+        self.plans = plans
 
     def make_plan(self, rule: Rule, delta_index: int | None):
+        plans = self.plans
+        plan = None if plans is None else plans.get((rule, delta_index))
+        if plan is not None:
+            return plan
         plan = self.compile(rule, delta_index)
+        if plans is not None:
+            plans[rule, delta_index] = plan
         if self.trace_on:
             self.tracer.event(
                 "plan",
@@ -561,8 +573,10 @@ class _ColumnarSlotEngine(_SlotEngine):
 
     name = "slots"
 
-    def __init__(self, database: Database, idb, plan_order: str, tracer: Tracer):
-        super().__init__(database, idb, plan_order, tracer)
+    def __init__(
+        self, database: Database, idb, plan_order: str, tracer: Tracer, plans=None
+    ):
+        super().__init__(database, idb, plan_order, tracer, plans)
         self.interner = database.interner
 
     def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
@@ -637,17 +651,19 @@ class _InterpEngine(_EngineBase):
         return results
 
 
-def _make_engine(engine: str, database, idb, plan_order: str, tracer: Tracer):
+def _make_engine(
+    engine: str, database, idb, plan_order: str, tracer: Tracer, plans=None
+):
     if engine == "slots":
         # The storage backend picks the executor: same compiled plans,
         # block kernels on columnar databases, generated row kernels on rows.
         if database.storage == "columnar":
-            return _ColumnarSlotEngine(database, idb, plan_order, tracer)
-        return _SlotEngine(database, idb, plan_order, tracer)
+            return _ColumnarSlotEngine(database, idb, plan_order, tracer, plans)
+        return _SlotEngine(database, idb, plan_order, tracer, plans)
     if engine == "interpreted":
         # The interpreter runs unchanged on either backend through the
         # value-level Relation API (columnar relations decode lazily).
-        return _InterpEngine(database, idb, plan_order, tracer)
+        return _InterpEngine(database, idb, plan_order, tracer, plans)
     raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
 
 
@@ -736,10 +752,10 @@ class _LocalExecutor:
     #: extra attributes of the run's ``evaluate`` span
     span_attrs: dict = {}
 
-    def __init__(self, driver: "_Driver", engine: str, plan_order: str):
+    def __init__(self, driver: "_Driver", engine: str, plan_order: str, plans=None):
         self.driver = driver
         self.eng = _make_engine(
-            engine, driver.database, driver.idb, plan_order, driver.tracer
+            engine, driver.database, driver.idb, plan_order, driver.tracer, plans
         )
         self.plans: list = []
 
@@ -769,11 +785,13 @@ class _LocalExecutor:
 class _Driver:
     """The fixpoint driver (see the module docstring): seed x executor.
 
-    The constructor applies the seed's state — ``resume_from`` holds the
-    checkpointed round to resume, or for an ingest the prior complete
-    fixpoint — to the IDB and the cumulative stats; the caller then
-    builds a round executor over ``driver.idb`` and calls :meth:`run`
-    (passing the added EDB rows as ``ingest`` for the ingest seed).
+    The constructor applies the seed's state to the IDB and the
+    cumulative stats — ``resume_from`` holds the checkpointed round to
+    resume; ``live`` is the ingest seed's prior complete fixpoint, whose
+    relations (rows *and* maintained indexes) the driver adopts and
+    extends in place.  The caller then builds a round executor over
+    ``driver.idb`` and calls :meth:`run` (passing the added EDB rows as
+    ``ingest`` for the ingest seed).
     """
 
     def __init__(
@@ -784,6 +802,7 @@ class _Driver:
         tracer: Tracer,
         governor: "Governor | None" = None,
         resume_from: "EvaluationSnapshot | None" = None,
+        live: "EvaluationResult | None" = None,
         strategy: str = "seminaive",
         provenance: bool = False,
         checkpoint_every: int = 0,
@@ -807,9 +826,19 @@ class _Driver:
         self.stats = stats = EvaluationStats()
         self.interner = interner = database.interner
         idb_preds = program.idb_predicates
-        self.idb = idb = {
-            pred: database.new_relation(program.arity_of(pred)) for pred in idb_preds
-        }
+        #: Ingest seed only: every frontier this run filled.  Each row it
+        #: adds to a live relation is in exactly one of them, so they are
+        #: what :meth:`discard_added` takes back after an abort.
+        self.added: "list[dict[str, Relation]] | None" = None
+        if live is not None:
+            stats.merge(live.stats)
+            self.idb = idb = live.idb
+            self.added = []
+        else:
+            self.idb = idb = {
+                pred: database.new_relation(program.arity_of(pred))
+                for pred in idb_preds
+            }
         if resume_from is not None:
             stats.merge(resume_from.stats)
             if interner is not None and resume_from.interner is not None:
@@ -819,8 +848,7 @@ class _Driver:
                     interner.intern(value)
             for pred, rows in resume_from.idb.items():
                 if pred in idb:
-                    for row in rows:
-                        idb[pred].add(row)
+                    idb[pred].extend(rows)
         self.base_wall = stats.wall_time_seconds
         # intern_hits reports this run's dictionary re-use: the delta of
         # the interner's hit counter, on top of any resumed base (the
@@ -1002,6 +1030,10 @@ class _Driver:
         except EvaluationAborted as exc:
             stats.budget_trips += 1
             partial = self.partial_result(executor.report())
+            if self.added is not None:
+                # The live relations go back to the prior fixpoint
+                # (:meth:`discard_added`); the partial keeps its own rows.
+                partial.idb = {pred: rel.copy() for pred, rel in self.idb.items()}
             if self.trace_on:
                 tracer.event(
                     "budget.trip",
@@ -1014,6 +1046,14 @@ class _Driver:
                 phase=self.phase, partial=partial, stats=stats
             ) from None
         return self.partial_result(executor.report())
+
+    def discard_added(self) -> None:
+        """Undo an aborted ingest: the live relations lose every row this
+        run added and are the prior complete fixpoint again."""
+        for frontier in self.added:
+            for pred, rel in frontier.items():
+                if len(rel):
+                    self.idb[pred].discard(rel.all_rows())
 
     def _naive_rounds(self) -> int:
         """The test oracle: fire every rule against the full relations
@@ -1099,6 +1139,8 @@ class _Driver:
                     for pos in recursive_positions:
                         delta_rules.append((index, rule, pos))
                 delta = {pred: executor.new_frontier(pred) for pred in members}
+                if changed is not None:
+                    self.added.append(delta)
                 iterations = 0
                 if (
                     resume_from is not None
@@ -1151,6 +1193,8 @@ class _Driver:
                             delta_in=sum(len(d) for d in delta.values()),
                         )
                     new_delta = {pred: executor.new_frontier(pred) for pred in members}
+                    if changed is not None:
+                        self.added.append(new_delta)
                     executor.run_round(delta, new_delta, scc_index, iterations)
                     delta = new_delta
                     if scc_new is not None:
@@ -1173,9 +1217,9 @@ def _evaluate_ingest(
     program: Program,
     database: Database,
     new_rows: "Mapping[str, Sequence[Row]]",
-    prior_idb: "Mapping[str, frozenset]",
-    prior_stats: EvaluationStats,
+    live: EvaluationResult,
     *,
+    plans: dict,
     engine: str,
     plan_order: str,
     tracer: Tracer,
@@ -1183,29 +1227,25 @@ def _evaluate_ingest(
 ) -> EvaluationResult:
     """The ingest seed's entry point (:class:`repro.persist.Session`).
 
-    ``database`` already contains ``new_rows``; ``prior_idb`` /
-    ``prior_stats`` are the complete fixpoint from before they were
-    added.  Internal on purpose: incremental maintenance is reached
-    through a session, which owns the journal-first ordering and the
-    non-monotone fallback, not through :func:`evaluate`'s signature.
+    ``database`` already contains ``new_rows``; ``live`` is the complete
+    fixpoint from before they were added.  Its relations are extended
+    **in place** — nothing is copied or re-indexed, so the cost is the
+    rows added and derived — and the returned result shares them (its
+    stats are cumulative on ``live.stats``).  A run that raises takes
+    its additions back first: ``live`` is then exactly the fixpoint it
+    was.  ``plans`` caches compiled plans between calls.  Internal on
+    purpose: incremental maintenance is reached through a session,
+    which owns the journal-first ordering and the non-monotone
+    fallback, not through :func:`evaluate`'s signature.
     """
-    prior = EvaluationSnapshot(
-        strategy="seminaive",
-        completed_sccs=0,
-        scc_index=None,
-        iteration=0,
-        idb=prior_idb,
-        delta=None,
-        stats=prior_stats,
-    )
-    driver = _Driver(
-        program,
-        database,
-        tracer=tracer,
-        governor=governor,
-        resume_from=prior,
-    )
-    return driver.run(_LocalExecutor(driver, engine, plan_order), ingest=new_rows)
+    driver = _Driver(program, database, tracer=tracer, governor=governor, live=live)
+    try:
+        return driver.run(
+            _LocalExecutor(driver, engine, plan_order, plans), ingest=new_rows
+        )
+    except BaseException:
+        driver.discard_added()
+        raise
 
 
 def evaluate(

@@ -6,14 +6,16 @@ boundaries:
 
 * a **format version** (:data:`CHECKPOINT_VERSION`), so a future format
   change can be detected instead of mis-parsed;
-* a **workload digest** — SHA-256 over the program's rules and query,
-  the integrity constraints and every EDB row — binding the checkpoint
-  to the exact inputs it was computed from.  Resuming a checkpoint
+* a **workload digest** — SHA-256 over the program's rules and query
+  and the integrity constraints, bound to a multiset hash of every EDB
+  row (:mod:`repro.digest`) — binding the checkpoint to the exact
+  inputs it was computed from.  Resuming a checkpoint
   against a *different* workload would silently produce answers for
   neither, so a mismatched digest is treated exactly like corruption;
 * a **content checksum** — SHA-256 over the canonical JSON encoding of
   the payload, embedded next to it and baked into the filename
-  (``ckpt-<seq>-<checksum12>.json``).  A torn write, a truncated file
+  (``ckpt-<seq>-<checksum12>.json``).  The payload is serialized once:
+  the file is those canonical bytes inside a two-field envelope.  A torn write, a truncated file
   or a bit flip fails verification on load and the file is quarantined
   (renamed to ``*.corrupt``), never silently used.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..datalog.database import Row
@@ -46,7 +49,9 @@ __all__ = [
 ]
 
 #: Format version written into (and required of) every checkpoint file.
-CHECKPOINT_VERSION = 1
+#: Version 2: workload digests bind to the multiset EDB hash, and the
+#: file embeds the canonical payload bytes the checksum was taken over.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ReproError):
@@ -196,13 +201,20 @@ class Checkpoint:
             raise CheckpointCorrupt(f"malformed checkpoint payload: {exc}") from exc
 
     # ------------------------------------------------------------------
-    def encode(self) -> tuple[str, str]:
-        """``(file text, checksum)`` — canonical JSON with embedded checksum."""
-        payload = self.to_payload()
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    @cached_property
+    def _encoded(self) -> tuple[str, str]:
+        canonical = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
         checksum = hashlib.sha256(canonical.encode()).hexdigest()
-        text = json.dumps({"checksum": checksum, "payload": payload}, sort_keys=True)
-        return text, checksum
+        return f'{{"checksum":"{checksum}","payload":{canonical}}}', checksum
+
+    def encode(self) -> tuple[str, str]:
+        """``(file text, checksum)`` — canonical JSON with embedded checksum.
+
+        The payload is serialized once per checkpoint (snapshots are
+        immutable): the checksum is taken over those bytes and the
+        envelope assembled around them.
+        """
+        return self._encoded
 
     @classmethod
     def decode(cls, text: str) -> "Checkpoint":
@@ -230,5 +242,4 @@ class Checkpoint:
 
     def filename(self) -> str:
         """The content-addressed filename: ``ckpt-<seq>-<checksum12>.json``."""
-        _, checksum = self.encode()
-        return f"ckpt-{self.seq:08d}-{checksum[:12]}.json"
+        return f"ckpt-{self.seq:08d}-{self._encoded[1][:12]}.json"

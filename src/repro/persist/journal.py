@@ -363,10 +363,12 @@ class IngestJournal:
                 segment=self._active.name,
             )
 
-    def commit(self, record: JournalRecord) -> None:
-        """Append + fsync: the record is acknowledged when this returns."""
-        self.append(record)
+    def commit(self, record: JournalRecord) -> int:
+        """Append + fsync: the record is acknowledged when this returns
+        (the frame's size in bytes)."""
+        size = self.append(record)
         self.sync()
+        return size
 
     def spill(self, data: bytes) -> None:
         """Write raw bytes at the acknowledged offset without acking.
@@ -553,9 +555,10 @@ class FlakyJournal:
         self._fault("journal.fsync", None)
         self.journal.sync()
 
-    def commit(self, record: JournalRecord) -> None:
-        self.append(record)
+    def commit(self, record: JournalRecord) -> int:
+        size = self.append(record)
         self.sync()
+        return size
 
     def replay(self, after_seq: int = 0) -> list[JournalRecord]:
         self._fault("journal.replay", None)
@@ -596,8 +599,9 @@ def commit_with_retry(
     policy=None,
     governor: Governor | None = None,
     sleep=time.sleep,
-) -> None:
-    """Commit ``record``, retrying transient ``OSError`` failures.
+) -> int:
+    """Commit ``record``, retrying transient ``OSError`` failures;
+    returns the acknowledged frame's size in bytes.
 
     The exact analogue of :func:`~repro.persist.store.save_with_retry`
     under the same :class:`~repro.persist.store.RetryPolicy`: the
@@ -620,8 +624,7 @@ def commit_with_retry(
         if governor is not None:
             governor.check("journal")
         try:
-            journal.commit(record)
-            return
+            return journal.commit(record)
         except OSError as exc:
             last_error = exc
             delay = next(delays, None)

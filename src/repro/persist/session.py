@@ -27,19 +27,39 @@ cycle:
   ingest detects this and falls back to a full recompute — wrong
   answers are never an option.
 
+  An ingest is **priced by its delta**.  The session's live fixpoint
+  is extended *in place*: the relations of the last result — rows and
+  their incrementally maintained indexes — are the ones the delta
+  rounds add to, the compiled plans are kept between ingests, and the
+  workload digest moves by one hash per added row.  The returned
+  result therefore shares its relations with every earlier result of
+  the session.  An ingest that aborts mid-derivation (budget trip,
+  typed error) takes its additions back, so a caller still holding
+  the previous result sees exactly the pre-ingest fixpoint; the
+  session itself then has no current fixpoint (its EDB is ahead) and
+  the next ingest recomputes.
+
   Ingest is **journal-first**: the normalized new rows are appended to
   the session's :class:`~repro.persist.journal.IngestJournal` and
   ``fsync``\\ ed *before* the in-memory EDB mutates — the fsync is the
-  acknowledgment point, so an acknowledged ingest survives a SIGKILL
-  at any later instant (mid-fixpoint, mid-checkpoint, or with the
-  checkpoint store degraded).  Once the post-ingest complete
-  checkpoint lands, the covered journal prefix is compacted away.
-* :meth:`Session.recover` — crash recovery: chain the journal's
-  acknowledged records onto the initial EDB, restore the newest
-  *complete* checkpoint along that chain, and idempotently replay the
-  uncovered suffix (incrementally when monotone, by recompute
-  otherwise).  The resulting fixpoint is byte-identical to a cold
-  recompute over (initial EDB + every acknowledged ingest).
+  acknowledgment point, and the only durable write an ingest waits
+  for, so an acknowledged ingest survives a SIGKILL at any later
+  instant.  Checkpoints follow **journal lag**: a covering
+  self-contained checkpoint (EDB + fixpoint) is written when the
+  journal bytes acknowledged since the last one reach that
+  checkpoint's own size — so checkpoint writes stay within 2x of
+  journal writes, and a restart replays at most one checkpoint's worth
+  of journal — and additionally after every full run, after a recovery
+  that replayed records, and on :meth:`Session.checkpoint`.  Once a
+  covering checkpoint lands, the journal prefix it covers is compacted
+  away.  (A session with a store but no journal has no other durable
+  copy, so there every ingest checkpoints.)
+* :meth:`Session.recover` — crash recovery: restore the newest
+  self-contained checkpoint, chain the journal's acknowledged records
+  onto its EDB (one hash per row), and replay them all as **one**
+  incremental delta (by recompute when not monotone).  The resulting
+  fixpoint is byte-identical to a cold recompute over (initial EDB +
+  every acknowledged ingest).
 * :meth:`Session.inspect` — a JSON-ready summary of store + journal.
 
 Statistics stay cumulative across the whole life cycle (resume and
@@ -65,9 +85,10 @@ from ..datalog.evaluation import (
     evaluate,
 )
 from ..datalog.program import Program
+from ..digest import bind_edb, edb_hash, program_digest, rows_hash
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Budget, CancellationToken, FallbackStep, Governor
-from .checkpoint import Checkpoint, CheckpointError, workload_digest
+from .checkpoint import Checkpoint, CheckpointError
 from .journal import (
     FlakyJournal,
     IngestJournal,
@@ -158,10 +179,18 @@ class Session:
             )
         else:
             self.journal = journal  # type: ignore[assignment]
-        # The highest journal sequence the newest *complete* checkpoint
-        # is known to cover (recovery recomputes it from the digest
-        # chain; ingest advances it as covering checkpoints land).
+        # Journal positions.  Every record up to ``_applied_seq`` has
+        # its rows in the EDB (ingest and recovery advance it); a
+        # self-contained checkpoint on disk reflects every record up to
+        # ``_covered_seq`` (advanced when one lands).
+        self._applied_seq = 0
         self._covered_seq = 0
+        # Journal lag in bytes: the size of the newest covering
+        # checkpoint, and the journal bytes acknowledged since it
+        # landed.  An ingest checkpoints when the second reaches the
+        # first.
+        self._checkpoint_bytes = 0
+        self._lag_bytes = 0
         self.checkpoint_every = checkpoint_every
         self.constraints = tuple(constraints)
         self.strategy = strategy
@@ -178,6 +207,13 @@ class Session:
         self.retry = retry if retry is not None else RetryPolicy()
         self.throttle = throttle
         self._last: EvaluationResult | None = None
+        #: Compiled (rule, delta position) plans, kept between ingests.
+        self._plans: dict = {}
+        # The workload digest: the program-shape digest bound to the
+        # EDB's multiset hash.  The hash is taken on first use and then
+        # moves with the rows this session adds (:meth:`_add_rows`).
+        self._shape = program_digest(program, self.constraints)
+        self._edb_hash: int | None = None
 
     @property
     def tracer(self) -> Tracer:
@@ -185,7 +221,16 @@ class Session:
 
     def workload(self) -> str:
         """The digest binding checkpoints to this exact workload."""
-        return workload_digest(self.program, self.database, self.constraints)
+        if self._edb_hash is None:
+            self._edb_hash = edb_hash(self.database)
+        return bind_edb(self._shape, self._edb_hash)
+
+    def _add_rows(self, rows: Iterable[tuple[str, Row]]) -> None:
+        """Add EDB rows, moving the workload digest with them."""
+        self.workload()  # the hash must predate the rows
+        add_row = self.database.add_row
+        added = [(predicate, row) for predicate, row in rows if add_row(predicate, row)]
+        self._edb_hash = rows_hash(added, self._edb_hash)
 
     # ------------------------------------------------------------------
     def _governor(self) -> Governor | None:
@@ -201,7 +246,6 @@ class Session:
         if self.store is None:
             return None
         store = self.store
-        workload = self.workload()
         state = {"degraded": False}
 
         def sink(snapshot: EvaluationSnapshot) -> None:
@@ -213,7 +257,7 @@ class Session:
                 # cover without losing the only copy of ingested facts.
                 snapshot = replace(snapshot, edb=self._edb_rows())
             checkpoint = Checkpoint(
-                seq=store.next_seq(), workload=workload, snapshot=snapshot
+                seq=store.next_seq(), workload=self.workload(), snapshot=snapshot
             )
             try:
                 save_with_retry(
@@ -230,6 +274,8 @@ class Session:
                 self._trace_fallback(step)
                 return
             counter[0] += 1
+            if snapshot.complete:
+                self._covering_landed(checkpoint)
             if self.throttle:
                 # Deliberate pacing between checkpoints; the crash tests
                 # use it to make "SIGKILL mid-fixpoint" land reliably
@@ -237,6 +283,18 @@ class Session:
                 time.sleep(self.throttle)
 
         return sink
+
+    def _covering_landed(self, checkpoint: Checkpoint) -> None:
+        """A self-contained checkpoint of the current EDB is durable.
+
+        It reflects every journal record applied so far, so that prefix
+        is compacted away, and lag is counted afresh against its size.
+        """
+        self._checkpoint_bytes = len(checkpoint.encode()[0])
+        self._lag_bytes = 0
+        self._covered_seq = max(self._covered_seq, self._applied_seq)
+        if self.journal is not None and self._covered_seq:
+            self.journal.compact(self._covered_seq)
 
     # ------------------------------------------------------------------
     def run(self, *, resume: bool = False) -> SessionResult:
@@ -287,27 +345,24 @@ class Session:
         """:meth:`run` with ``resume=True``."""
         return self.run(resume=True)
 
-    def warm_start(self) -> SessionResult | None:
-        """Restore the latest *complete* fixpoint with zero evaluation.
+    def checkpoint(self) -> bool:
+        """Write a covering checkpoint of the live fixpoint now.
 
-        The serving daemon's restart path: when the store holds a
-        complete checkpoint for this exact workload digest, the saved
-        IDB is rebuilt into an :class:`~repro.datalog.evaluation
-        .EvaluationResult` directly — no rules fire, no rounds run —
-        and the session is primed for incremental :meth:`ingest`.
-        Returns ``None`` when no complete checkpoint exists (the caller
-        decides whether to fall back to :meth:`run`).
+        The explicit counterpart of the lag-triggered checkpoint of
+        :meth:`ingest` (``repro session ingest`` calls it before
+        exiting): the journal prefix it covers is compacted away.
+        Returns whether the store now holds a checkpoint reflecting
+        every acknowledged ingest — trivially so when nothing was
+        acknowledged since the last one; ``False`` without a store or a
+        current fixpoint, or when the store stayed broken through the
+        retry budget (traced as a ``budget.fallback`` like any degraded
+        save).
         """
-        if self.store is None:
-            return None
-        latest = self.store.latest(expect_workload=self.workload())
-        if latest is None or not latest.complete:
-            return None
-        outcome = self._complete_from(
-            (latest.snapshot.idb, latest.snapshot.stats), "warm", []
-        )
-        outcome.resumed_seq = latest.seq
-        return outcome
+        if self._checkpoint_bytes and not self._lag_bytes:
+            return True
+        if self._last is None:
+            return False
+        return self._cover(self._last, [], self._governor()) > 0
 
     # ------------------------------------------------------------------
     def _normalize_facts(self, facts: Iterable[object]) -> list[tuple[str, Row]]:
@@ -324,18 +379,24 @@ class Session:
                 normalized.append((str(predicate), tuple(row)))
         return normalized
 
-    def _prior_fixpoint(self) -> "tuple[Mapping[str, frozenset], EvaluationStats] | None":
-        """The last complete fixpoint: in-memory first, else the store."""
-        if self._last is not None:
-            return (
-                {pred: rel.rows() for pred, rel in self._last.idb.items()},
-                self._last.stats,
+    def _live_fixpoint(self) -> "EvaluationResult | None":
+        """The current complete fixpoint, as relations of this session's
+        database that an ingest may extend: in-memory first, else the
+        store's."""
+        last = self._last
+        if last is not None and last.database is not self.database:
+            # A sharded run evaluates on its own columnar copy: move the
+            # fixpoint into this session's backend, once.
+            last = self._restore(
+                {pred: rel.rows() for pred, rel in last.idb.items()}, last.stats
             )
-        if self.store is not None:
-            latest = self.store.latest(expect_workload=self.workload())
+        elif last is None and self.store is not None:
+            latest = self.store.latest(
+                expect_workload=self.workload(), quarantine_mismatch=False
+            )
             if latest is not None and latest.complete:
-                return latest.snapshot.idb, latest.snapshot.stats
-        return None
+                last = self._restore(latest.snapshot.idb, latest.snapshot.stats)
+        return last
 
     def _negated_predicates(self) -> set[str]:
         return {
@@ -366,22 +427,23 @@ class Session:
         reason: str,
         mode: str,
         fallback_chain: list[FallbackStep],
-        journaled_seq: int | None,
     ) -> SessionResult:
-        """Fall back to a full governed re-evaluation, recording why."""
+        """Fall back to a full governed re-evaluation, recording why.
+
+        The run's final checkpoint covers every applied journal record
+        (:meth:`_covering_landed`)."""
         step = FallbackStep(stage=stage, fell_back_to="recompute", reason=reason)
         fallback_chain.append(step)
         self._trace_fallback(step)
         outcome = self.run()
         outcome.mode = mode
         outcome.fallback_chain = fallback_chain + outcome.fallback_chain
-        self._mark_covered(journaled_seq, outcome)
         return outcome
 
     def _journal_commit(
         self, new_rows: Mapping[str, Sequence[Row]], governor: Governor | None
-    ) -> int | None:
-        """Append + fsync the normalized rows; returns the acked seq.
+    ) -> None:
+        """Append + fsync the normalized rows.
 
         This is the **acknowledgment point** of an ingest: it runs
         before any in-memory mutation, so a commit that fails after the
@@ -390,7 +452,7 @@ class Session:
         *pre-ingest* workload digest, the chain link recovery uses.
         """
         if self.journal is None:
-            return None
+            return
         record = JournalRecord(
             seq=self.journal.next_seq(),
             workload=self.workload(),
@@ -400,21 +462,10 @@ class Session:
                 for row in new_rows[predicate]
             ),
         )
-        commit_with_retry(
+        self._lag_bytes += commit_with_retry(
             self.journal, record, policy=self.retry, governor=governor
         )
-        return record.seq
-
-    def _mark_covered(self, seq: int | None, outcome: SessionResult) -> None:
-        """Compact the journal once a covering complete checkpoint landed."""
-        if self.journal is None or seq is None:
-            return
-        degraded = any(
-            step.stage == "session.checkpoint" for step in outcome.fallback_chain
-        )
-        if outcome.checkpoints_written > 0 and not degraded:
-            self._covered_seq = max(self._covered_seq, seq)
-            self.journal.compact(self._covered_seq)
+        self._applied_seq = record.seq
 
     def ingest(self, facts: Iterable[object]) -> SessionResult:
         """Add EDB facts and bring the fixpoint up to date incrementally.
@@ -432,6 +483,13 @@ class Session:
         or budget trip at any point after the fsync is recoverable via
         :meth:`recover`; a journal failure before the fsync leaves the
         session completely untouched (nothing was acknowledged).
+
+        The incremental path extends the live relations in place: the
+        result's ``idb`` holds the same relation objects as the
+        session's previous result.  The journal fsync is the only
+        durable write it waits for, except when journal lag has reached
+        the last covering checkpoint's size and a new one is due (see
+        the module docstring).
         """
         # Normalize and validate BEFORE any state changes: an invalid
         # fact must never leave a half-applied batch behind.
@@ -449,7 +507,7 @@ class Session:
             if len(row) != arities[predicate]:
                 raise ArityMismatch(arities[predicate], len(row), predicate)
         # The prior fixpoint must be anchored to the *pre-ingest* digest.
-        prior = self._prior_fixpoint()
+        live = self._live_fixpoint()
         # Deduplicate against the current EDB without mutating it — the
         # fallback decision below must be taken on a pristine session.
         new_rows: dict[str, list[Row]] = {}
@@ -461,12 +519,14 @@ class Session:
             new_rows.setdefault(predicate, []).append(row)
 
         fallback_chain: list[FallbackStep] = []
-        if not new_rows and prior is not None:
+        if not new_rows and live is not None:
             # Nothing actually new: the prior fixpoint still stands.
-            return self._complete_from(prior, "incremental", fallback_chain)
+            return SessionResult(
+                result=live, mode="incremental", fallback_chain=fallback_chain
+            )
 
         reason = None
-        if prior is None:
+        if live is None:
             reason = "no prior complete fixpoint to increment from"
         else:
             overlap = self._negated_predicates() & set(new_rows)
@@ -480,31 +540,38 @@ class Session:
         # Journal-first: fsync the acknowledged rows before the EDB
         # mutates.  From here on, any crash — including a budget trip
         # inside the recompute fallback below — is recoverable.
-        journaled_seq = self._journal_commit(new_rows, governor)
-        for predicate, rows in new_rows.items():
-            for row in rows:
-                self.database.add_row(predicate, row)
+        self._journal_commit(new_rows, governor)
+        self._add_rows(
+            (predicate, row) for predicate, rows in new_rows.items() for row in rows
+        )
         # The EDB is now ahead of the last fixpoint.  Drop it until the
         # re-derivation below lands: after an abort the next ingest must
         # recompute from the journaled EDB, not answer from a stale prior.
         self._last = None
 
         if reason is not None:
-            return self._recompute(
-                "session.ingest", reason, "recompute", fallback_chain, journaled_seq
-            )
+            return self._recompute("session.ingest", reason, "recompute", fallback_chain)
 
-        assert prior is not None
-        result = self._incremental_fixpoint(new_rows, prior, governor)
-        outcome = self._checkpoint_complete(
-            result, "incremental", fallback_chain, governor
+        assert live is not None
+        outcome = SessionResult(
+            result=self._incremental_fixpoint(new_rows, live, governor),
+            mode="incremental",
+            fallback_chain=fallback_chain,
         )
-        self._mark_covered(journaled_seq, outcome)
+        # Checkpoints follow journal lag.  Without a journal the
+        # checkpoint is the only durable copy, so every ingest is due.
+        if self.store is not None and (
+            self.journal is None or self._lag_bytes >= self._checkpoint_bytes
+        ):
+            outcome.checkpoints_written += self._cover(
+                outcome.result, fallback_chain, governor
+            )
         return outcome
 
     # ------------------------------------------------------------------
-    def _newest_self_contained(self) -> "Checkpoint | None":
-        """The newest complete, EDB-carrying checkpoint that binds here.
+    def _newest_self_contained(self) -> "tuple[Checkpoint, int] | None":
+        """The newest complete, EDB-carrying checkpoint that binds here,
+        with its size on disk.
 
         A *self-contained* checkpoint carries the extensional database
         alongside the fixpoint, so it can seed recovery even after the
@@ -514,51 +581,55 @@ class Session:
         (rules out a different workload sharing the directory), and it
         must contain every row of this session's initial EDB (rules
         out a checkpoint from an older registration whose facts have
-        since changed).
+        since changed).  Files are read newest first, each at most once.
         """
         if self.store is None:
             return None
-        for path in sorted(self.store.paths(), reverse=True):
+        for path in reversed(self.store.paths()):
             try:
                 found = self.store.load(path, quarantine_mismatch=False)
-            except CheckpointError:
+            except (CheckpointError, OSError):
+                continue  # unreadable: an older file may still serve
+            edb = found.snapshot.edb
+            if not found.complete or edb is None:
                 continue
-            if not found.complete or found.snapshot.edb is None:
-                continue
-            probe = Database(storage=self.database.storage)
-            for predicate, rows in found.snapshot.edb.items():
-                for row in rows:
-                    probe.add_row(predicate, row)
-            if workload_digest(self.program, probe, self.constraints) != found.workload:
+            digest = bind_edb(
+                self._shape,
+                rows_hash((pred, row) for pred, rows in edb.items() for row in rows),
+            )
+            if digest != found.workload:
                 continue
             if not all(
-                probe.contains(predicate, row)
+                row in edb.get(predicate, ())
                 for predicate in self.database.predicates()
-                for row in self.database.relation(predicate).rows()
+                for row in self.database.relation(predicate)
             ):
                 continue
-            return found
+            return found, path.stat().st_size
         return None
 
     def recover(self) -> SessionResult:
-        """Crash recovery: newest complete checkpoint + journal replay.
+        """Crash recovery: newest self-contained checkpoint + journal replay.
 
         The session must be constructed with the workload's *initial*
         EDB (as first registered).  Recovery then:
 
-        1. replays the journal's acknowledged records onto the digest
-           chain — each record carries the pre-ingest workload digest,
-           so the chain positions every record against the initial EDB
-           (records whose rows the EDB already contains are stale and
-           skipped; a record that neither chains nor is contained
-           raises :class:`~repro.persist.journal.JournalMismatch`);
-        2. restores the newest *complete* checkpoint bound to any
-           digest along the chain (zero evaluation, like
-           :meth:`warm_start`);
-        3. re-applies the uncovered suffix — incrementally for a
-           monotone suffix, by governed recompute otherwise — and
-           writes a fresh covering checkpoint, after which the covered
-           journal prefix is compacted away.
+        1. folds in the EDB of the newest self-contained checkpoint that
+           binds to this workload — the durable copy of every ingested
+           fact whose journal record has been compacted away — and
+           restores its fixpoint (zero evaluation);
+        2. chains the journal's acknowledged records onto that EDB:
+           each record carries the pre-ingest workload digest, and the
+           digest moves by one hash per row, so the walk costs the
+           journal's size, not the database's (records whose rows the
+           EDB already contains are stale and skipped; a record that
+           neither chains nor is contained raises
+           :class:`~repro.persist.journal.JournalMismatch` and leaves
+           the EDB as step 1 left it);
+        3. re-applies the chained records as one delta — incrementally
+           when monotone, by governed recompute otherwise — and writes
+           a fresh covering checkpoint, after which the covered journal
+           prefix is compacted away.
 
         The result is byte-identical to a cold recompute over (initial
         EDB + every acknowledged ingest), which is exactly the
@@ -570,118 +641,78 @@ class Session:
         fallback_chain: list[FallbackStep] = []
         self._last = None  # rebuilt below; an abort must not leave a stale one
         records = [] if self.journal is None else self.journal.replay()
-        # Pre-seed from the newest self-contained checkpoint: it is the
-        # durable copy of every ingested fact whose journal record has
-        # been compacted away, and folding its EDB in first makes the
-        # digest chain below start at that checkpoint's digest (covered
-        # records then read as stale and skip; live records chain on).
         base = self._newest_self_contained()
         if base is not None:
-            assert base.snapshot.edb is not None
-            for predicate, rows in base.snapshot.edb.items():
-                for row in rows:
-                    self.database.add_row(predicate, row)
-        digests = [self.workload()]
-        applicable: list[JournalRecord] = []
-        absorbed_seq = 0
+            edb = base[0].snapshot.edb
+            assert edb is not None
+            self._add_rows((pred, row) for pred, rows in edb.items() for row in rows)
+        head = self.workload()
+        edb_sum = self._edb_hash
+        contains = self.database.contains
+        # The rows the chain adds, in journal order, not yet in the EDB.
+        chained: dict[tuple[str, Row], None] = {}
+        replayed = 0
+        for record in records:
+            if record.workload == head:
+                fresh = [
+                    pair
+                    for pair in record.rows
+                    if pair not in chained and not contains(*pair)
+                ]
+                chained.update(dict.fromkeys(fresh))
+                edb_sum = rows_hash(fresh, edb_sum)
+                head = bind_edb(self._shape, edb_sum)
+                replayed += 1
+            elif all(pair in chained or contains(*pair) for pair in record.rows):
+                # Stale: the EDB already includes these rows (the base
+                # checkpoint covers them, or a re-registration resent
+                # ingested facts).  Idempotent replay skips them; those
+                # ahead of the chain are durable elsewhere already.
+                if not replayed:
+                    self._covered_seq = max(self._covered_seq, record.seq)
+            else:
+                raise JournalMismatch(
+                    f"journal record {record.seq} does not chain onto this "
+                    f"workload (expected digest {head[:12]}…, record "
+                    f"carries {record.workload[:12]}…)"
+                )
+        self._add_rows(chained)
         if records:
-            scratch = self.database.copy()
-            for record in records:
-                if record.workload == digests[-1]:
-                    for predicate, row in record.rows:
-                        scratch.add_row(predicate, row)
-                    applicable.append(record)
-                    digests.append(
-                        workload_digest(self.program, scratch, self.constraints)
-                    )
-                elif all(
-                    scratch.contains(predicate, row) for predicate, row in record.rows
-                ):
-                    # Stale: the initial EDB already includes these rows
-                    # (e.g. a re-registration that resent ingested
-                    # facts).  Idempotent replay skips them.
-                    absorbed_seq = max(absorbed_seq, record.seq)
-                    continue
-                else:
-                    raise JournalMismatch(
-                        f"journal record {record.seq} does not chain onto this "
-                        f"workload (expected digest {digests[-1][:12]}…, record "
-                        f"carries {record.workload[:12]}…)"
-                    )
-        checkpoint = None
-        best_k = 0
-        if self.store is not None:
-            for k in range(len(digests) - 1, -1, -1):
-                found = self.store.latest(
-                    expect_workload=digests[k], quarantine_mismatch=False
-                )
-                if found is not None and found.complete:
-                    checkpoint, best_k = found, k
-                    break
-        if checkpoint is None and base is not None:
-            # The chain probe can miss when the newest file at the base
-            # digest is an incomplete mid-evaluation snapshot; the base
-            # itself is complete and sits at digests[0] by construction.
-            checkpoint, best_k = base, 0
+            self._applied_seq = max(self._applied_seq, records[-1].seq)
 
-        if checkpoint is None:
+        if base is None:
             # No covering checkpoint anywhere: the journal is the only
-            # durable copy — fold every acknowledged record into the
-            # EDB and recompute under the governor.
-            for record in applicable:
-                for predicate, row in record.rows:
-                    self.database.add_row(predicate, row)
-            if applicable:
-                outcome = self._recompute(
-                    "session.recover",
-                    "no complete checkpoint covers the journal chain",
-                    "recovered",
-                    fallback_chain,
-                    applicable[-1].seq,
-                )
-                outcome.replayed = len(applicable)
-                return outcome
-            outcome = self.run()
-            if absorbed_seq:
-                self._mark_covered(absorbed_seq, outcome)
+            # durable copy — every acknowledged record is in the EDB
+            # now; recompute under the governor.
+            if not replayed:
+                return self.run()
+            outcome = self._recompute(
+                "session.recover",
+                "no complete checkpoint covers the journal chain",
+                "recovered",
+                fallback_chain,
+            )
+            outcome.replayed = replayed
             return outcome
 
-        covered, suffix = applicable[:best_k], applicable[best_k:]
-        for record in covered:
-            for predicate, row in record.rows:
-                self.database.add_row(predicate, row)
-        # Records are compactable only once a *self-contained* durable
-        # copy of their rows exists: absorbed records are contained in
-        # the session's initial EDB (re-supplied at every recovery),
-        # chain-covered records in the covering checkpoint's EDB — if
-        # it carries one.  A covering checkpoint without an EDB defers
-        # compaction until the next EDB-carrying checkpoint lands.
-        compactable = absorbed_seq
-        if covered and checkpoint.snapshot.edb is not None:
-            compactable = max(compactable, covered[-1].seq)
-        if compactable:
-            self._covered_seq = max(self._covered_seq, compactable)
-        prior = (checkpoint.snapshot.idb, checkpoint.snapshot.stats)
-
-        if not suffix:
-            # Pure warm restore: the newest complete checkpoint already
-            # reflects every acknowledged record.
-            outcome = self._complete_from(
-                prior, "recovered" if covered else "warm", fallback_chain
-            )
-            outcome.resumed_seq = checkpoint.seq
-            outcome.replayed = len(covered)
+        checkpoint, self._checkpoint_bytes = base
+        live = self._restore(checkpoint.snapshot.idb, checkpoint.snapshot.stats)
+        outcome = SessionResult(
+            result=live,
+            mode="warm",
+            resumed_seq=checkpoint.seq,
+            fallback_chain=fallback_chain,
+        )
+        if not replayed:
+            # Pure warm restore: the checkpoint already reflects every
+            # acknowledged record.
             if self.journal is not None and self._covered_seq:
                 self.journal.compact(self._covered_seq)
             return outcome
 
         new_rows: dict[str, list[Row]] = {}
-        for record in suffix:
-            for predicate, row in record.rows:
-                new_rows.setdefault(predicate, []).append(row)
-        for predicate, rows in new_rows.items():
-            for row in rows:
-                self.database.add_row(predicate, row)
+        for predicate, row in chained:
+            new_rows.setdefault(predicate, []).append(row)
         overlap = self._negated_predicates() & set(new_rows)
         if overlap:
             outcome = self._recompute(
@@ -690,18 +721,17 @@ class Session:
                 "occur negated (non-monotonic)",
                 "recovered",
                 fallback_chain,
-                suffix[-1].seq,
             )
-            outcome.replayed = len(covered) + len(suffix)
-            return outcome
-
-        result = self._incremental_fixpoint(new_rows, prior, governor)
-        outcome = self._checkpoint_complete(
-            result, "recovered", fallback_chain, governor
-        )
-        outcome.resumed_seq = checkpoint.seq
-        outcome.replayed = len(covered) + len(suffix)
-        self._mark_covered(suffix[-1].seq, outcome)
+        else:
+            outcome.result = self._incremental_fixpoint(new_rows, live, governor)
+            outcome.mode = "recovered"
+            # A replayed suffix is owed a checkpoint now; if the save
+            # fails, the next ingest tries again.
+            self._lag_bytes = self._checkpoint_bytes
+            outcome.checkpoints_written = self._cover(
+                outcome.result, fallback_chain, governor
+            )
+        outcome.replayed = replayed
         return outcome
 
     def journal_info(self) -> dict | None:
@@ -712,38 +742,34 @@ class Session:
         info["lag"] = self.journal.lag(max(self._covered_seq, info["covered_seq"]))
         return info
 
-    def _complete_from(
-        self,
-        prior: "tuple[Mapping[str, frozenset], EvaluationStats]",
-        mode: str,
-        fallback_chain: list[FallbackStep],
-    ) -> SessionResult:
-        prior_idb, prior_stats = prior
+    def _restore(
+        self, idb_rows: Mapping[str, Iterable[Row]], stats: EvaluationStats
+    ) -> EvaluationResult:
+        """Make saved IDB rows the live fixpoint (no evaluation)."""
         idb = {
             pred: self.database.new_relation(self.program.arity_of(pred))
             for pred in self.program.idb_predicates
         }
-        for pred, rows in prior_idb.items():
+        for pred, rows in idb_rows.items():
             if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-        result = EvaluationResult(
+                idb[pred].extend(rows)
+        self._last = EvaluationResult(
             idb=idb,
-            stats=prior_stats.copy(),
+            stats=stats.copy(),
             program=self.program,
             database=self.database,
         )
-        self._last = result
-        return SessionResult(result=result, mode=mode, fallback_chain=fallback_chain)
+        return self._last
 
-    def _checkpoint_complete(
+    def _cover(
         self,
         result: EvaluationResult,
-        mode: str,
         fallback_chain: list[FallbackStep],
         governor: Governor | None,
-    ) -> SessionResult:
-        """Persist a ``complete=True`` snapshot of ``result`` (post-ingest)."""
+    ) -> int:
+        """Persist a self-contained ``complete=True`` snapshot of
+        ``result``; returns how many checkpoints landed (0 or 1), with
+        a degraded save recorded in ``fallback_chain``."""
         counter = [0]
         sink = self._make_sink(governor, fallback_chain, counter)
         if sink is not None:
@@ -759,27 +785,27 @@ class Session:
                     complete=True,
                 )
             )
-        return SessionResult(
-            result=result,
-            mode=mode,
-            checkpoints_written=counter[0],
-            fallback_chain=fallback_chain,
-        )
+        return counter[0]
 
     # ------------------------------------------------------------------
     def _incremental_fixpoint(
         self,
         new_rows: Mapping[str, Sequence[Row]],
-        prior: "tuple[Mapping[str, frozenset], EvaluationStats]",
+        live: EvaluationResult,
         governor: Governor | None,
     ) -> EvaluationResult:
         """Delta-seeded re-derivation over the already-updated database:
-        the shared fixpoint driver's *ingest* seed."""
+        the shared fixpoint driver's *ingest* seed, extending ``live``'s
+        relations in place.  There is no current fixpoint while it runs
+        — nor after it raises (``live`` is then rolled back, but the
+        EDB stays ahead of it)."""
+        self._last = None
         self._last = _evaluate_ingest(
             self.program,
             self.database,
             new_rows,
-            *prior,
+            live,
+            plans=self._plans,
             engine=self.engine,
             plan_order=self.plan_order,
             tracer=self.tracer,

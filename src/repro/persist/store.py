@@ -98,8 +98,8 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def save(self, checkpoint: Checkpoint) -> Path:
         """Atomically persist ``checkpoint``; returns the final path."""
-        text, checksum = checkpoint.encode()
-        final = self.directory / f"ckpt-{checkpoint.seq:08d}-{checksum[:12]}.json"
+        text, _ = checkpoint.encode()
+        final = self.directory / checkpoint.filename()
         self._write_atomic(final, text)
         tracer = self.tracer
         if tracer.enabled:
@@ -317,8 +317,8 @@ class FlakyStore:
             if flavor == "enospc":
                 raise OSError(errno.ENOSPC, "no space left on device (injected)") from exc
             if flavor == "torn" and checkpoint is not None:
-                text, checksum = checkpoint.encode()
-                final = self.directory / f"ckpt-{checkpoint.seq:08d}-{checksum[:12]}.json"
+                text, _ = checkpoint.encode()
+                final = self.directory / checkpoint.filename()
                 final.write_bytes(text.encode()[: len(text) // 2])
             raise OSError(errno.EIO, f"injected {flavor} I/O error at {site}") from exc
 

@@ -38,6 +38,7 @@ import json
 import time
 from typing import TYPE_CHECKING
 
+from ..datalog.terms import Constant
 from ..magic.pipeline import specialize_pipeline
 from ..magic.transform import match_query_atom
 from ..observability.trace import get_tracer
@@ -240,9 +241,11 @@ class ServeApp:
         recovery = {"worker_restarts": 0, "shards_redispatched": 0, "degradations": 0}
         # Journal lag: acknowledged-but-not-yet-checkpointed ingest
         # records across the fleet — the work a kill right now would
-        # replay on restart.  Durability is not at risk (the records
-        # are fsynced), but a persistently growing lag means
-        # checkpoints keep failing and restarts keep getting slower.
+        # replay on restart.  Positive lag is the steady state (a
+        # checkpoint is written once the journal has grown by the last
+        # checkpoint's size, which also bounds it); lag that keeps
+        # growing past that means checkpoints keep failing and restarts
+        # keep getting slower.
         journal = {"lag": 0, "replayed": 0}
         async with self.registry.lock.read_locked():
             for name in self.registry.names():
@@ -405,10 +408,14 @@ class ServeApp:
                 f"program {tenant.name!r} has no materialized fixpoint"
             )
         result = tenant.materialized.result
-        rows = result.rows(request.goal.predicate)
-        answers = frozenset(
-            row for row in rows if match_query_atom(row, request.goal)
+        goal = request.goal
+        # Probe the live relation's hash index on the goal's constants
+        # (kept current across ingests); an all-free goal scans.
+        bound = tuple(i for i, arg in enumerate(goal.args) if isinstance(arg, Constant))
+        rows = result.relation(goal.predicate).probe(
+            bound, tuple(goal.args[i].value for i in bound)
         )
+        answers = frozenset(row for row in rows if match_query_atom(row, goal))
         return {
             "mode": "materialized",
             "materialized_mode": tenant.mode,

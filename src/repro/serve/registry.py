@@ -10,7 +10,8 @@ Registration is where recovery happens: the tenant materializes via
 :meth:`~repro.persist.session.Session.recover`, which restores the
 newest complete checkpoint with **zero evaluation** and replays the
 suffix of the tenant's write-ahead ingest journal — the acknowledged
-ingests a kill arrived before a checkpoint could cover.  A restarted
+ingests since that checkpoint (checkpoints follow journal lag, so
+there normally are some).  A restarted
 daemon therefore answers ``materialized`` queries for its old tenants
 without losing a single acknowledged write (asserted byte-for-byte by
 the ``serve-smoke`` and journal-kill CI jobs).  Both the journal and
@@ -19,8 +20,8 @@ runs with ``--persist-dir``.
 
 Concurrency follows the read/write split of the API: queries only read
 tenant state and run concurrently; ``ingest`` (and re-registration)
-mutate the database and the materialized fixpoint, so they take the
-tenant's write side.  :class:`ReadWriteLock` is a minimal asyncio
+mutate the database and extend the materialized fixpoint's relations
+in place, so they take the tenant's write side.  :class:`ReadWriteLock` is a minimal asyncio
 writer-preferring RW lock — all acquisition happens on the event loop;
 only the CPU-bound pipeline work inside an acquired section is shipped
 to executor threads.
@@ -227,13 +228,14 @@ class Tenant:
             info["idb_facts"] = sum(len(rel) for rel in result.idb.values())
             info["latest_round"] = result.stats.iterations
         if self.session.store is not None:
-            info["checkpoint"] = self.session.store.latest_summary(
-                expect_workload=self.session.workload()
-            )
+            # The newest checkpoint in the tenant's own directory: with
+            # journal lag it predates the ingests counted below.
+            info["checkpoint"] = self.session.store.latest_summary()
         journal = self.session.journal_info()
         if journal is not None:
-            # The fsynced-but-not-yet-checkpointed window: records a
-            # kill right now would have to replay on the next start.
+            # The fsynced-but-not-yet-checkpointed records: what a kill
+            # right now would replay on the next start, bounded by one
+            # checkpoint's worth of journal bytes.
             info["journal"] = {
                 "records": journal["records"],
                 "last_seq": journal["last_seq"],

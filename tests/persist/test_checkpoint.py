@@ -1,12 +1,15 @@
 """Checkpoint format: round trips, checksums, digests, version gates."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.evaluation import EvaluationStats, evaluate
 from repro.datalog.parser import parse_program
+from repro.digest import bind_edb, edb_hash, program_digest, rows_hash
 from repro.persist.checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -69,7 +72,8 @@ def test_encode_decode_round_trip():
 
 def test_decode_rejects_bit_flip():
     text, _ = _checkpoint().encode()
-    flipped = text.replace('"seq": 1', '"seq": 2', 1)
+    flipped = text.replace('"seq":1', '"seq":2', 1)
+    assert flipped != text
     with pytest.raises(CheckpointCorrupt, match="checksum mismatch"):
         Checkpoint.decode(flipped)
 
@@ -140,3 +144,53 @@ def test_fixpoint_digest_survives_serialization():
         for pred, rows in restored.snapshot.idb.items()
     }
     assert fixpoint_digest([("unit", idb)]) == before
+
+
+def test_payload_is_serialized_once_per_checkpoint(tmp_path, monkeypatch):
+    """encode / filename / save share one canonical serialization, and
+    the checksum is of exactly the payload bytes the file embeds."""
+    from repro.persist import CheckpointStore
+
+    calls = []
+    real = Checkpoint.to_payload
+    monkeypatch.setattr(
+        Checkpoint, "to_payload", lambda self: calls.append(1) or real(self)
+    )
+    ckpt = _checkpoint()
+    text, checksum = ckpt.encode()
+    path = CheckpointStore(tmp_path).save(ckpt)
+    assert path.name == ckpt.filename() and path.read_text() == text
+    assert len(calls) == 1
+    prefix = f'{{"checksum":"{checksum}","payload":'
+    assert text.startswith(prefix) and text.endswith("}")
+    embedded = text[len(prefix):-1]
+    assert hashlib.sha256(embedded.encode()).hexdigest() == checksum
+    assert json.loads(embedded) == real(ckpt)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_multiset_digest_tracks_any_sequence_of_adds(seed):
+    """The carried EDB hash equals a from-scratch ``workload_digest``
+    after every batch of adds, whatever the insertion order."""
+    rng = random.Random(seed)
+    rows = list(
+        {(rng.choice(["edge", "node", "label"]), (rng.randint(0, 30), rng.choice([1, "a", None, 2.5])))
+         for _ in range(60)}
+    )
+    shape = program_digest(PROGRAM)
+    digests = set()
+    for _ in range(3):
+        rng.shuffle(rows)
+        database, carried = Database(), 0
+        position = 0
+        while position < len(rows):
+            batch = rows[position : position + rng.randint(1, 7)]
+            position += len(batch)
+            for predicate, row in batch:
+                assert database.add_row(predicate, row)
+            carried = rows_hash(batch, carried)
+            assert carried == edb_hash(database)
+            assert bind_edb(shape, carried) == workload_digest(PROGRAM, database)
+        digests.add(bind_edb(shape, carried))
+    assert len(digests) == 1  # independent of insertion order
+    assert workload_digest(PROGRAM, Database()) == bind_edb(shape, 0) != shape

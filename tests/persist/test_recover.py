@@ -76,10 +76,11 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, engine, storage)
         retry=FAST,
     )
     session.run()
-    session.ingest([("edge", (4, 5))])  # acked and checkpoint-covered
+    session.ingest([("edge", (4, 5))])
+    assert session.checkpoint()  # acked and checkpoint-covered
     injector.arm_random("checkpoint.save", rate=1.0)
-    outcome = session.ingest([("edge", (5, 6))])  # acked, checkpoint lost
-    assert outcome.fallback_chain  # degraded: no durable checkpoint
+    session.ingest([("edge", (5, 6))])  # acked by its journal fsync alone
+    assert not session.checkpoint()  # degraded: no durable checkpoint
     # -- restart --------------------------------------------------------
     fresh = Session(
         _program(),
@@ -246,6 +247,7 @@ def test_recovery_after_compaction_uses_self_contained_checkpoint(
     session.run()
     session.ingest([("edge", (4, 5))])
     session.ingest([("edge", (5, 6))])
+    assert session.checkpoint()
     assert session.journal_info()["lag"] == 0  # fully compacted
     recovered = Session(
         _program(), _database(), store=store, storage=storage

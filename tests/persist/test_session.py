@@ -209,7 +209,8 @@ def test_inspect_is_read_only_across_workloads(tmp_path):
     quarantine the other workload's valid checkpoints."""
     session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
     session.run()
-    session.ingest([("edge", (5, 6))])  # complete checkpoint, new digest
+    session.ingest([("edge", (5, 6))])
+    assert session.checkpoint()  # complete checkpoint, new digest
     stale = Session(_program(), _database(), store=CheckpointStore(tmp_path))
     info = stale.inspect()
     assert not info["store"]["corrupt"]

@@ -194,6 +194,52 @@ class TestRoutes:
         assert payload["materialized_mode"] == "fresh"
         assert payload["answers"] == expected_answers(ALPHA, "p(0, Y)")
 
+    @pytest.mark.parametrize("storage", ["rows", "columnar"])
+    def test_materialized_mode_probes_the_live_index_across_ingests(self, storage):
+        """Bound, repeated-variable, absent-constant and all-free goals
+        agree with a scan of the fixpoint, before and after ingests that
+        extend the probed relation (and its index) in place."""
+        app = ServeApp()
+        goals = ["p(0, Y)", "p(X, 5)", "p(3, 7)", "p(X, X)", "p(99, Y)", "p(X, Y)"]
+
+        async def ask():
+            answers = {}
+            for goal in goals:
+                status, payload = await app.handle(
+                    "POST", "/programs/alpha/query",
+                    {"goal": goal, "mode": "materialized"},
+                )
+                assert status == 200, payload
+                answers[goal] = payload["answers"]
+            return answers
+
+        async def drive():
+            await register(app, "alpha", {**ALPHA, "storage": storage})
+            relation = app.registry.get("alpha").materialized.result.idb["p"]
+            rounds = [await ask()]
+            for facts in ("e(10, 11).", "e(5, 5).", "e(11, 0)."):
+                status, _ = await app.handle(
+                    "POST", "/programs/alpha/ingest", {"facts": facts}
+                )
+                assert status == 200
+                assert app.registry.get("alpha").materialized.result.idb["p"] is relation
+                rounds.append(await ask())
+            return rounds
+
+        facts = ALPHA["facts"]
+        for answers, extra in zip(
+            run(drive()), ("", "e(10, 11).", "e(5, 5).", "e(11, 0).")
+        ):
+            facts += "\n" + extra
+            scanned = evaluate(
+                parse_program(ALPHA["program"], query="p"), Database(parse_facts(facts))
+            ).query_rows()
+            for goal in goals:
+                atom = parse_atom(goal)
+                assert answers[goal] == rows_payload(
+                    frozenset(row for row in scanned if match_query_atom(row, atom))
+                ), goal
+
     def test_ingest_refreshes_answers(self):
         app = ServeApp()
 

@@ -5,8 +5,9 @@ killed after acknowledging an ingest but before its covering checkpoint
 landed must come back serving that ingest — replayed from the tenant's
 write-ahead journal.  ``/healthz`` and ``/stats`` surface the fleet's
 journal lag (acked-but-uncovered records a kill right now would
-replay) and the replay counter; a journal that cannot ack maps to a
-retryable HTTP 503.
+replay — positive in the steady state, since checkpoints follow the
+journal's growth rather than every ingest) and the replay counter; a
+journal that cannot ack maps to a retryable HTTP 503.
 """
 
 import asyncio
@@ -90,9 +91,14 @@ def test_healthz_and_stats_expose_journal_lag(tmp_path):
         app, ("GET", "/healthz", None), ("GET", "/stats", None)
     )
     assert status == 200
-    # The ingest's checkpoint landed, so its journal record is compacted
-    # away: zero lag, nothing a kill right now would need to replay.
-    assert health["journal"] == {"lag": 0, "replayed": 0}
+    # The ingest was acknowledged by its journal fsync; no checkpoint
+    # covers it yet, so a kill right now would replay one record.
+    assert health["journal"] == {"lag": 1, "replayed": 0}
+    assert stats["journal"] == {"lag": 1, "replayed": 0}
+    assert stats["tenants"]["jr"]["journal"]["lag"] == 1
+    # Once a covering checkpoint lands the record is compacted away.
+    assert app.registry.get("jr").session.checkpoint()
+    ((_, stats),) = drive(app, ("GET", "/stats", None))
     assert stats["journal"] == {"lag": 0, "replayed": 0}
     tenant = stats["tenants"]["jr"]["journal"]
     assert tenant["lag"] == 0

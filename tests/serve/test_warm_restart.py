@@ -87,6 +87,7 @@ def test_ingest_re_anchors_the_warm_start_digest(tmp_path):
         ("PUT", "/programs/wr", SPEC),
         ("POST", "/programs/wr/ingest", {"facts": "e(8, 9)."}),
     )
+    assert first.registry.get("wr").session.checkpoint()
     # Restart registering the *ingested* EDB: the post-ingest checkpoint
     # anchors it, so the restart is warm against the new digest.
     grown = dict(SPEC, facts=SPEC["facts"] + "\ne(8, 9).")
