@@ -64,7 +64,7 @@ def _expected_answers(spec: dict, goal_text: str) -> list[list]:
     goal = parse_atom(goal_text)
     report = run_pipeline(program, (), goal, order="semantic-first")
     assert report.program is not None
-    result = evaluate(report.program, database, engine="slots", plan_order="cost")
+    result = evaluate(report.program, database)
     return rows_payload(
         frozenset(row for row in result.query_rows() if match_query_atom(row, goal))
     )

@@ -67,7 +67,7 @@ from .core.emptiness import is_empty_program, unsatisfiable_initialization_rules
 from .core.reachability import is_satisfiable
 from .core.rewrite import optimize
 from .cq.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
-from .datalog.database import STORAGES, Database
+from .datalog.database import Database
 from .datalog.evaluation import evaluate
 from .datalog.parser import (
     parse_atom,
@@ -138,40 +138,6 @@ def _budget_from(args: argparse.Namespace) -> Governor | None:
     return Governor(budget)
 
 
-def _workers_from(args: argparse.Namespace) -> "int | None":
-    """Validate ``--workers`` against the other engine flags early, so
-    misuse is a clean usage error (exit 2), not a traceback."""
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        return None
-    if workers < 1:
-        raise UsageError(f"--workers must be a positive integer, got {workers}")
-    if getattr(args, "engine", "slots") != "slots":
-        raise UsageError("--workers requires the compiled slot engine (--engine slots)")
-    if getattr(args, "strategy", "seminaive") != "seminaive":
-        raise UsageError("--workers requires --strategy seminaive")
-    return workers
-
-
-def _supervision_from(args: argparse.Namespace):
-    """Build a :class:`SupervisionPolicy` from ``--worker-retries``.
-
-    ``None`` means "use the default policy" (3 restarts); the flag only
-    makes sense alongside ``--workers``, so misuse is a usage error.
-    """
-    retries = getattr(args, "worker_retries", None)
-    if retries is None:
-        return None
-    if retries < 0:
-        raise UsageError(f"--worker-retries must be >= 0, got {retries}")
-    if getattr(args, "workers", None) is None:
-        raise UsageError("--worker-retries requires --workers")
-    from .parallel import SupervisionPolicy
-    from .persist.store import RetryPolicy
-
-    return SupervisionPolicy(retry=RetryPolicy(attempts=retries + 1))
-
-
 def _load_program(args: argparse.Namespace) -> Program:
     program = parse_program(_read(args.program), query=args.query)
     if program.query is None:
@@ -190,15 +156,11 @@ def _load_database(path: str) -> Database:
 
 
 def _database_from(args: argparse.Namespace, inline_facts) -> Database:
-    """Combine a program file's inline facts with an optional --data file.
-
-    Commands that expose ``--storage`` get their EDB built directly in
-    the requested backend; the rest default to row storage.
-    """
+    """Combine a program file's inline facts with an optional --data file."""
     facts = list(inline_facts)
     if getattr(args, "data", None):
         facts.extend(parse_facts(_read(args.data)))
-    return Database(facts, storage=getattr(args, "storage", "rows"))
+    return Database(facts)
 
 
 def _with_optional_trace(args: argparse.Namespace, body) -> int:
@@ -242,19 +204,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     constraints = _load_constraints(args)
     database = _database_from(args, inline_facts)
     governor = _budget_from(args)
-    workers = _workers_from(args)
-    supervision = _supervision_from(args)
 
     def body() -> int:
-        original = evaluate(
-            program,
-            database,
-            engine=args.engine,
-            plan_order=args.plan_order,
-            workers=workers,
-            supervision=supervision,
-            budget=governor,
-        )
+        original = evaluate(program, database, budget=governor)
         print(f"answers ({len(original.query_rows())}):")
         for row in sorted(original.query_rows(), key=repr):
             print(f"  {program.query}{row!r}")
@@ -386,10 +338,6 @@ def _session_from(args: argparse.Namespace) -> Session:
         store=CheckpointStore(args.checkpoint_dir),
         journal=journal,
         checkpoint_every=args.checkpoint_every,
-        strategy=args.strategy,
-        engine=args.engine,
-        plan_order=args.plan_order,
-        workers=_workers_from(args),
         budget=_budget_from(args),
         throttle=args.throttle,
     )
@@ -468,13 +416,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_iterations=args.max_iterations,
         max_facts=args.max_facts,
     )
-    if args.workers is not None and args.workers < 1:
-        raise UsageError(f"--workers must be a positive integer, got {args.workers}")
     app = ServeApp(
         persist_root=None if args.persist_dir is None else Path(args.persist_dir),
         defaults=None if defaults.unlimited else defaults,
         cache_capacity=args.cache_capacity,
-        workers=args.workers,
     )
     return run_server(app, host=args.host, port=args.port)
 
@@ -513,9 +458,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                     constraints=None if not args.constraints else _read(args.constraints),
                     facts=None if not args.data else _read(args.data),
                     query=args.query,
-                    engine=args.engine,
-                    storage=args.storage,
-                    workers=args.workers,
                 )
             elif args.client_command == "inspect":
                 payload = client.inspect(args.name)
@@ -580,15 +522,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     program, inline_facts = parse_program_and_facts(_read(args.program), query=args.query)
     database = _database_from(args, inline_facts)
-    profile, result = profile_evaluation(
-        program,
-        database,
-        strategy=args.strategy,
-        engine=args.engine,
-        plan_order=args.plan_order,
-        workers=_workers_from(args),
-        supervision=_supervision_from(args),
-    )
+    profile, result = profile_evaluation(program, database)
     print(profile.render(top=args.top))
     if program.query is not None:
         print(f"\nanswers: {len(result.query_rows())} rows in {program.query}")
@@ -700,34 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="run under a tracer and append a per-span summary",
         )
 
-    def engine_flags(cmd) -> None:
-        cmd.add_argument(
-            "--engine", default="slots", choices=("slots", "interpreted"),
-            help="join engine: compiled slot plans (default) or the interpreter",
-        )
-        cmd.add_argument(
-            "--plan-order", default="cost", choices=("cost", "greedy"),
-            help="compiled-plan body order: cost-based (default) or greedy",
-        )
-        cmd.add_argument(
-            "--storage", default="rows", choices=STORAGES,
-            help="fact storage: per-row tuple sets (default) or "
-            "dictionary-encoded column arrays with block-at-a-time joins",
-        )
-        cmd.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="shard semi-naive evaluation across N forked worker "
-            "processes (requires the slot engine; evaluation runs on "
-            "columnar storage — see docs/parallel.md)",
-        )
-        cmd.add_argument(
-            "--worker-retries", type=int, default=None, metavar="N",
-            help="worker-fleet supervision retry budget: total worker "
-            "restarts allowed per evaluation before degrading to fewer "
-            "workers and finally sequential (default 3; requires "
-            "--workers — see docs/robustness.md)",
-        )
-
     def budget_flags(cmd) -> None:
         # The type= callables raise UsageError with the same normalized
         # message the serving daemon returns as HTTP 400, so CLI and
@@ -754,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare", action="store_true", help="also run the optimized program"
     )
     trace_flag(cmd)
-    engine_flags(cmd)
     budget_flags(cmd)
     cmd.set_defaults(func=_cmd_run)
 
@@ -818,10 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
             "0 = only the final complete checkpoint)",
         )
         cmd.add_argument(
-            "--strategy", default="seminaive", choices=("seminaive", "naive"),
-            help="evaluation strategy (checkpoints are strategy-bound)",
-        )
-        cmd.add_argument(
             "--throttle", type=float, default=0.0, metavar="SECONDS",
             help="sleep after each checkpoint save (crash-test pacing)",
         )
@@ -835,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the write-ahead ingest journal (ingests are "
             "then only durable once their checkpoint lands)",
         )
-        engine_flags(cmd)
         budget_flags(cmd)
         cmd.set_defaults(func=func)
         return cmd
@@ -875,12 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-capacity", type=int, default=128, metavar="N",
         help="pipeline artifact cache entries (default 128)",
     )
-    cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="default worker count for tenant materialization: shard "
-        "each tenant's fixpoint runs across N forked processes "
-        "(per-tenant 'workers' on register overrides)",
-    )
     budget_flags(cmd)  # the server-side ceiling every request is clamped to
     cmd.set_defaults(func=_cmd_serve)
 
@@ -899,15 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     ccmd.add_argument("--constraints", help="integrity constraint file")
     ccmd.add_argument("--data", help="fact file")
     ccmd.add_argument("--query", help="query predicate name")
-    ccmd.add_argument("--engine", choices=("slots", "interpreted"), help="join engine")
-    ccmd.add_argument(
-        "--storage", choices=STORAGES,
-        help="tenant fact storage backend (daemon default: rows)",
-    )
-    ccmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard this tenant's fixpoint runs across N forked processes",
-    )
     ccmd.set_defaults(func=_cmd_client)
     ccmd = client_sub.add_parser("inspect", help="GET /programs/{name}")
     ccmd.add_argument("name", help="tenant name")
@@ -945,11 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--query", help="query predicate name")
     cmd.add_argument("--data", help="fact file (inline program facts also count)")
     cmd.add_argument("--top", type=int, default=10, help="show the top K rules (default 10)")
-    cmd.add_argument(
-        "--strategy", default="seminaive", choices=("seminaive", "naive"),
-        help="evaluation strategy to profile",
-    )
-    engine_flags(cmd)
     cmd.set_defaults(func=_cmd_profile)
 
     # Listed for --help only: main() hands ``bench`` to perf/run.py unparsed.

@@ -701,6 +701,14 @@ class Database:
             raise ArityMismatch(relation.arity, len(row), predicate)
         return relation.add(row)
 
+    def discard_rows(self, predicate: str, rows: Iterable[Row]) -> None:
+        """Take ``rows`` back out (a rejected ingest un-stages its batch);
+        a relation left empty is forgotten, as if never added to."""
+        relation = self._relations[predicate]
+        relation.discard(rows)
+        if not len(relation):
+            del self._relations[predicate]
+
     def relation(self, predicate: str, arity: int | None = None) -> "Relation | ColumnarRelation":
         """The relation for ``predicate`` (an empty one if absent)."""
         relation = self._relations.get(predicate)

@@ -17,20 +17,17 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   seeding, rule firing, snapshots and the budget-trip handler exist
   once.  ``strategy="naive"`` is a short loop on the same driver, kept
   as the test oracle.
-* Each rule's join runs on one of two engines.  The default
-  ``engine="slots"`` is the **compiled slot-based engine** of
+* Each rule's join runs on the **compiled slot-based engine** of
   :mod:`repro.datalog.plan`: each rule is compiled once per (rule,
   delta-position) into a plan over integer variable slots — the
   environment is a fixed-size list overwritten in place (no per-row
   ``dict`` copies), probe keys and head/filter projections are
   precomputed position tuples, fully bound subgoals become zero-scan
-  existence checks, and hash indexes are fetched once per rule
-  execution.  ``plan_order`` selects **cost-based body reordering**
-  (``"cost"``, the default: literals ordered by estimated selectivity,
-  relation size × bound-position count) or the seed interpreter's
-  greedy bound-count order (``"greedy"``).  ``engine="interpreted"``
-  keeps the original tuple-at-a-time interpreter as a measurable
-  baseline.
+  existence checks, hash indexes are fetched once per rule execution,
+  and body literals are ordered by estimated selectivity (relation
+  size × bound-position count).  ``engine="interpreted"`` keeps the
+  original tuple-at-a-time interpreter (greedy bound-count order) as
+  the reference the tests compare against.
 * :class:`EvaluationStats` counts rule firings, index probes, rows
   scanned, facts derived, index builds and environment allocations —
   plus per-rule ``rows_scanned`` — the "join work" measures the
@@ -56,10 +53,10 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import Budget, CancellationToken, FallbackStep, Governor
+from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import EvaluationAborted
 from .atoms import Atom, Literal, OrderAtom, evaluate_comparison
-from .database import STORAGES, Database, Relation, Row
+from .database import Database, Relation, Row
 from .plan import (
     DEFAULT_IDB_ESTIMATE,
     RulePlan,
@@ -73,8 +70,6 @@ from .terms import Constant, Variable
 
 __all__ = [
     "ENGINES",
-    "PLAN_ORDERS",
-    "STORAGES",
     "EvaluationStats",
     "EvaluationResult",
     "EvaluationSnapshot",
@@ -86,12 +81,6 @@ __all__ = [
 
 #: Valid ``engine`` arguments of :func:`evaluate`.
 ENGINES = ("slots", "interpreted")
-
-#: Valid ``plan_order`` arguments of :func:`evaluate`.
-PLAN_ORDERS = ("cost", "greedy")
-
-# STORAGES (valid ``storage`` arguments) is defined next to the storage
-# backends in :mod:`repro.datalog.database` and re-exported here.
 
 
 @dataclass
@@ -116,7 +105,6 @@ class EvaluationStats:
     budget_trips: int = 0
     worker_restarts: int = 0
     shards_redispatched: int = 0
-    degradations: int = 0
     wall_time_seconds: float = 0.0
     rows_scanned_by_rule: dict[str, int] = field(default_factory=dict)
 
@@ -221,16 +209,10 @@ class EvaluationResult:
     program: Program
     database: Database
     provenance: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = None
-    #: Sharded-evaluation report (``evaluate(..., workers=N)`` only):
-    #: per-worker task/CPU totals plus the modeled critical path — see
-    #: :func:`repro.parallel.engine.evaluate_sharded`.
+    #: Sharded-evaluation report: per-worker task/CPU totals plus the
+    #: modeled critical path — set by
+    #: :func:`repro.parallel.engine.evaluate_sharded` only.
     shards: dict | None = None
-    #: Degradation-ladder rungs taken on the way to this result
-    #: (``evaluate(..., workers=N)`` only): one
-    #: :class:`~repro.robustness.budget.FallbackStep` per abandoned
-    #: fleet configuration when worker recovery exhausted its retry
-    #: budget.  Empty on clean runs.
-    fallbacks: tuple = ()
 
     def relation(self, predicate: str) -> Relation:
         """The computed relation for an IDB predicate (empty if none derived)."""
@@ -331,8 +313,6 @@ _UNSET = object()
 
 class _RuleJoin:
     """An interpreted join plan for one rule with an optional delta subgoal."""
-
-    order = "greedy"
 
     def __init__(self, rule: Rule, delta_index: int | None):
         self.rule = rule
@@ -460,12 +440,9 @@ class _EngineBase:
     engine) without driver changes.
     """
 
-    def __init__(
-        self, database: Database, idb, plan_order: str, tracer: Tracer, plans=None
-    ):
+    def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
         self.database = database
         self.idb = idb
-        self.plan_order = plan_order
         self.tracer = tracer
         self.trace_on = tracer.enabled
         #: (rule, delta position) -> compiled plan, when the caller keeps
@@ -485,7 +462,6 @@ class _EngineBase:
                 "plan",
                 predicate=rule.head.predicate,
                 rule=plan.rule_key,
-                order=plan.order,
                 delta=plan.delta_predicate or "",
                 steps=plan.describe(),
             )
@@ -530,9 +506,7 @@ class _SlotEngine(_EngineBase):
     def compile(self, rule: Rule, delta_index: int | None) -> RulePlan:
         # ``compile_rule`` is looked up as this module's global on every
         # call: the perf harness times plan compilation by wrapping it.
-        return compile_rule(
-            rule, delta_index, order=self.plan_order, size_of=self._size_of
-        )
+        return compile_rule(rule, delta_index, size_of=self._size_of)
 
     def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
         return plan.run(
@@ -573,10 +547,8 @@ class _ColumnarSlotEngine(_SlotEngine):
 
     name = "slots"
 
-    def __init__(
-        self, database: Database, idb, plan_order: str, tracer: Tracer, plans=None
-    ):
-        super().__init__(database, idb, plan_order, tracer, plans)
+    def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
+        super().__init__(database, idb, tracer, plans)
         self.interner = database.interner
 
     def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
@@ -651,38 +623,18 @@ class _InterpEngine(_EngineBase):
         return results
 
 
-def _make_engine(
-    engine: str, database, idb, plan_order: str, tracer: Tracer, plans=None
-):
+def _make_engine(engine: str, database, idb, tracer: Tracer, plans=None):
     if engine == "slots":
         # The storage backend picks the executor: same compiled plans,
         # block kernels on columnar databases, generated row kernels on rows.
         if database.storage == "columnar":
-            return _ColumnarSlotEngine(database, idb, plan_order, tracer, plans)
-        return _SlotEngine(database, idb, plan_order, tracer, plans)
+            return _ColumnarSlotEngine(database, idb, tracer, plans)
+        return _SlotEngine(database, idb, tracer, plans)
     if engine == "interpreted":
         # The interpreter runs unchanged on either backend through the
         # value-level Relation API (columnar relations decode lazily).
-        return _InterpEngine(database, idb, plan_order, tracer, plans)
+        return _InterpEngine(database, idb, tracer, plans)
     raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
-
-
-def _check_plan_order(plan_order: str) -> None:
-    if plan_order not in PLAN_ORDERS:
-        raise ValueError(
-            f"unknown plan order {plan_order!r} (valid: {', '.join(PLAN_ORDERS)})"
-        )
-
-
-def _resolve_storage(database: Database, storage: str | None) -> Database:
-    """Validate ``storage`` and convert ``database`` to it when asked."""
-    if storage is None:
-        return database
-    if storage not in STORAGES:
-        raise ValueError(
-            f"unknown storage {storage!r} (valid: {', '.join(STORAGES)})"
-        )
-    return database.to_storage(storage)
 
 
 def _sccs(graph: Mapping[str, set[str]]) -> list[list[str]]:
@@ -752,10 +704,10 @@ class _LocalExecutor:
     #: extra attributes of the run's ``evaluate`` span
     span_attrs: dict = {}
 
-    def __init__(self, driver: "_Driver", engine: str, plan_order: str, plans=None):
+    def __init__(self, driver: "_Driver", engine: str, plans=None):
         self.driver = driver
         self.eng = _make_engine(
-            engine, driver.database, driver.idb, plan_order, driver.tracer, plans
+            engine, driver.database, driver.idb, driver.tracer, plans
         )
         self.plans: list = []
 
@@ -1220,10 +1172,9 @@ def _evaluate_ingest(
     live: EvaluationResult,
     *,
     plans: dict,
-    engine: str,
-    plan_order: str,
     tracer: Tracer,
     governor: "Governor | None",
+    commit: "Callable[[], object] | None" = None,
 ) -> EvaluationResult:
     """The ingest seed's entry point (:class:`repro.persist.Session`).
 
@@ -1231,18 +1182,21 @@ def _evaluate_ingest(
     fixpoint from before they were added.  Its relations are extended
     **in place** — nothing is copied or re-indexed, so the cost is the
     rows added and derived — and the returned result shares them (its
-    stats are cumulative on ``live.stats``).  A run that raises takes
-    its additions back first: ``live`` is then exactly the fixpoint it
-    was.  ``plans`` caches compiled plans between calls.  Internal on
+    stats are cumulative on ``live.stats``).  ``commit`` runs once the
+    derivation is complete (the session journals the batch there).  A
+    run that raises — in the derivation or in ``commit`` — takes its
+    additions back first: ``live`` is then exactly the fixpoint it was.
+    ``plans`` caches compiled plans between calls.  Internal on
     purpose: incremental maintenance is reached through a session,
-    which owns the journal-first ordering and the non-monotone
+    which owns the derive-then-journal ordering and the non-monotone
     fallback, not through :func:`evaluate`'s signature.
     """
     driver = _Driver(program, database, tracer=tracer, governor=governor, live=live)
     try:
-        return driver.run(
-            _LocalExecutor(driver, engine, plan_order, plans), ingest=new_rows
-        )
+        result = driver.run(_LocalExecutor(driver, "slots", plans), ingest=new_rows)
+        if commit is not None:
+            commit()
+        return result
     except BaseException:
         driver.discard_added()
         raise
@@ -1257,10 +1211,6 @@ def evaluate(
     strategy: str = "seminaive",
     tracer: Tracer | None = None,
     engine: str = "slots",
-    plan_order: str = "cost",
-    storage: str | None = None,
-    workers: int | None = None,
-    supervision: "object | None" = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
     checkpoint_every: int = 0,
@@ -1277,41 +1227,19 @@ def evaluate(
     terminates) and *truncates silently* — for an error-raising bound
     use ``budget`` instead.
 
-    ``strategy`` selects ``"seminaive"`` (default, delta-driven) or
-    ``"naive"`` (re-evaluate every rule against the full relations each
-    round) — the naive mode exists as a correctness oracle and as a
-    baseline in the engine benchmarks.
-
-    ``engine`` selects the join engine: ``"slots"`` (default, the
-    compiled slot-based engine) or ``"interpreted"`` (the seed
-    tuple-at-a-time interpreter).  ``plan_order`` selects the compiled
-    engine's static body ordering: ``"cost"`` (default, cost-based
-    reordering by estimated selectivity) or ``"greedy"`` (the seed
-    interpreter's bound-count order); the interpreted engine always
-    uses the greedy order.
-
-    ``storage`` selects the storage backend: ``None`` (default)
-    evaluates in the database's own backend, ``"rows"`` / ``"columnar"``
-    convert first (see :meth:`~repro.datalog.database.Database.to_storage`).
-    On columnar storage the slot engine runs the batched block kernels
-    of :meth:`~repro.datalog.plan.RulePlan.run_blocks`; results and
-    fixpoint digests are byte-identical across backends.
-
-    ``workers=N`` shards the evaluation across ``N`` forked worker
-    processes (:mod:`repro.parallel`): each semi-naive delta is
-    hash-partitioned by code row, workers run the columnar block
-    kernels over their shard, and frontiers merge at round boundaries.
-    Requires ``engine="slots"`` and ``strategy="seminaive"``;
-    ``provenance`` is unsupported.  Fixpoints, digests, iteration
-    counts and ``rows_scanned`` are byte-identical to the sequential
-    engines; see ``docs/parallel.md``.  Worker deaths are recovered by
-    the supervision layer (respawn + shard re-dispatch under a bounded
-    retry budget); when recovery is exhausted the run *degrades* —
-    half the workers, then sequential columnar — recording each rung
-    as a :class:`~repro.robustness.budget.FallbackStep` in
-    ``result.fallbacks`` instead of raising.  ``supervision`` accepts
-    a :class:`~repro.parallel.supervisor.SupervisionPolicy` overriding
-    the default retry/straggler settings.
+    There is one way to evaluate: semi-naive rounds over the compiled
+    slot engine, body literals in cost order, in this process, in the
+    database's own storage backend.  Two references stay for the tests
+    to compare it against: ``strategy="naive"`` (re-evaluate every rule
+    against the full relations each round) and ``engine="interpreted"``
+    (the seed tuple-at-a-time interpreter, greedy body order).  A
+    columnar database (:meth:`~repro.datalog.database.Database.to_storage`)
+    runs the batched block kernels of
+    :meth:`~repro.datalog.plan.RulePlan.run_blocks`, and
+    :func:`repro.parallel.evaluate_sharded` shards those across
+    processes; both are reached by direct call only, give byte-identical
+    fixpoint digests, and exist until the benchmark stops pricing them
+    (``docs/storage.md``, ``docs/parallel.md``).
 
     ``tracer`` overrides the globally installed tracer (see
     :func:`repro.observability.trace.tracing`); the default disabled
@@ -1342,105 +1270,9 @@ def evaluate(
     """
     if tracer is None:
         tracer = get_tracer()
-    if workers is not None:
-        # The multiprocess sharded evaluator (docs/parallel.md): the
-        # compiled columnar engine, hash-partitioned across N forked
-        # workers.  Imported lazily — repro.parallel imports this
-        # module at its own top level.
-        if engine != "slots":
-            raise ValueError(
-                "workers=N requires the compiled slot engine "
-                f"(engine='slots'), got engine={engine!r}"
-            )
-        from ..parallel.engine import WorkerFailure, evaluate_sharded
-
-        # The fleet degradation ladder: a sharded run whose supervisor
-        # exhausted its recovery budget (or whose pool could not warm
-        # up) is *retried* at half the worker count, down to one, then
-        # sequentially on the columnar engine — a recoverable fault
-        # costs rungs and time, never the answer and never exit 2.
-        # Budget trips and cancellation are not recoverable faults:
-        # they propagate as usual (exit 1).
-        rungs = []
-        count = workers
-        while count >= 1:
-            rungs.append(count)
-            count //= 2
-        steps: list[FallbackStep] = []
-        carried_restarts = 0
-        carried_redispatched = 0
-        result = None
-        for rung, count in enumerate(rungs):
-            try:
-                result = evaluate_sharded(
-                    program,
-                    database,
-                    workers=count,
-                    provenance=provenance,
-                    max_iterations=max_iterations,
-                    strategy=strategy,
-                    tracer=tracer,
-                    plan_order=plan_order,
-                    storage=storage,
-                    budget=budget,
-                    cancellation=cancellation,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_sink=checkpoint_sink,
-                    resume_from=resume_from,
-                    supervision=supervision,
-                )
-                break
-            except WorkerFailure as exc:
-                recovery = getattr(exc, "recovery", None) or {}
-                carried_restarts += recovery.get("worker_restarts", 0)
-                carried_redispatched += recovery.get("shards_redispatched", 0)
-                fell_back_to = (
-                    f"sharded-w{rungs[rung + 1]}"
-                    if rung + 1 < len(rungs)
-                    else "sequential-columnar"
-                )
-                step = FallbackStep(
-                    stage=f"sharded-w{count}",
-                    fell_back_to=fell_back_to,
-                    reason=str(exc),
-                )
-                steps.append(step)
-                if tracer.enabled:
-                    tracer.event(
-                        "shard.degrade",
-                        stage=step.stage,
-                        fell_back_to=step.fell_back_to,
-                        reason=step.reason,
-                    )
-        if result is None:
-            # Every sharded rung failed: the sequential columnar engine
-            # is the ladder's floor (no fleet, nothing left to crash).
-            result = evaluate(
-                program,
-                database,
-                provenance=provenance,
-                max_iterations=max_iterations,
-                strategy=strategy,
-                tracer=tracer,
-                engine="slots",
-                plan_order=plan_order,
-                storage="columnar",
-                budget=budget,
-                cancellation=cancellation,
-                checkpoint_every=checkpoint_every,
-                checkpoint_sink=checkpoint_sink,
-                resume_from=resume_from,
-            )
-        if steps:
-            result.stats.degradations += len(steps)
-            result.stats.worker_restarts += carried_restarts
-            result.stats.shards_redispatched += carried_redispatched
-            result.fallbacks = tuple(steps) + tuple(result.fallbacks)
-        return result
-    _check_plan_order(plan_order)
     driver = _Driver(
         program,
-        _resolve_storage(database, storage),
+        database,
         tracer=tracer,
         governor=Governor.of(budget, cancellation),
         resume_from=resume_from,
@@ -1449,9 +1281,7 @@ def evaluate(
         checkpoint_every=checkpoint_every,
         checkpoint_sink=checkpoint_sink,
     )
-    return driver.run(
-        _LocalExecutor(driver, engine, plan_order), max_iterations=max_iterations
-    )
+    return driver.run(_LocalExecutor(driver, engine), max_iterations=max_iterations)
 
 
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:

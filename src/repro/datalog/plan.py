@@ -26,14 +26,14 @@ compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
   their integer layouts alone, constants travel as values, and no
   predicate, variable or constant text ever reaches ``compile()``.
 
-Two body orderings are provided.  :func:`order_body_greedy` reproduces
-the seed interpreter's static order (delta literal first, then
-greedily by bound-argument count).  :func:`order_body_cost` adds a
-cost model: literals are ordered by estimated scan cost
+Plans order their body with :func:`order_body_cost`: the delta literal
+first, then literals by estimated scan cost
 ``relation_size × SELECTIVITY^bound_positions`` (fully bound literals
 cost nothing — they become existence checks), so small relations such
 as magic predicates are joined before large ones even when neither has
-a bound argument yet.
+a bound argument yet.  :func:`order_body_greedy` (greedily by
+bound-argument count) is the reference interpreter's order and nothing
+else's.
 
 Relations are accessed through :meth:`Relation.index_for` /
 :meth:`Relation.all_rows`: the index for a probe's position set is
@@ -507,7 +507,6 @@ class RulePlan:
         "rule_key",
         "delta_index",
         "delta_predicate",
-        "order",
         "num_slots",
         "slot_of",
         "steps",
@@ -519,11 +518,10 @@ class RulePlan:
         "_consts",
     )
 
-    def __init__(self, rule: Rule, delta_index: int | None, order: str, ordered_body):
+    def __init__(self, rule: Rule, delta_index: int | None, ordered_body):
         self.rule = rule
         self.rule_key = repr(rule)
         self.delta_index = delta_index
-        self.order = order
         self.delta_predicate = None
         if delta_index is not None:
             item = rule.body[delta_index]
@@ -923,28 +921,17 @@ class RulePlan:
 
     def __repr__(self) -> str:
         delta = "" if self.delta_index is None else f", delta={self.delta_index}"
-        return f"RulePlan({self.rule_key!r}, order={self.order}{delta})"
+        return f"RulePlan({self.rule_key!r}{delta})"
 
 
 def compile_rule(
-    rule: Rule,
-    delta_index: int | None = None,
-    *,
-    order: str = "cost",
-    size_of: SizeEstimator | None = None,
+    rule: Rule, delta_index: int | None = None, *, size_of: SizeEstimator
 ) -> RulePlan:
-    """Compile ``rule`` into a :class:`RulePlan`.
+    """Compile ``rule`` into a :class:`RulePlan`, body in cost order.
 
-    ``order`` selects the body ordering: ``"cost"`` (requires a
-    ``size_of`` estimator; falls back to greedy without one) or
-    ``"greedy"`` (the seed interpreter's order).  ``delta_index`` marks
-    the body literal to read from the semi-naive delta relation; it is
-    always scanned first.
+    ``size_of`` estimates each positive literal's relation size (see
+    :func:`order_body_cost`).  ``delta_index`` marks the body literal
+    to read from the semi-naive delta relation; it is always scanned
+    first.
     """
-    if order not in ("cost", "greedy"):
-        raise ValueError(f"unknown plan order {order!r} (valid: cost, greedy)")
-    if order == "cost" and size_of is not None:
-        ordered = order_body_cost(rule, delta_index, size_of)
-    else:
-        ordered = order_body_greedy(rule, delta_index)
-    return RulePlan(rule, delta_index, order, ordered)
+    return RulePlan(rule, delta_index, order_body_cost(rule, delta_index, size_of))

@@ -101,20 +101,13 @@ class PipelineReport:
         self,
         database: Database,
         *,
-        engine: str = "slots",
-        plan_order: str = "cost",
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
     ) -> EvaluationResult | None:
         if self.program is None:
             return None
         return evaluate(
-            self.program,
-            database,
-            engine=engine,
-            plan_order=plan_order,
-            budget=budget,
-            cancellation=cancellation,
+            self.program, database, budget=budget, cancellation=cancellation
         )
 
     def answers(self, database: Database) -> frozenset[Row]:
@@ -311,15 +304,11 @@ def query_atom_answers(
     database: Database,
     query_atom: Atom,
     *,
-    engine: str = "slots",
-    plan_order: str = "cost",
     budget: "Budget | Governor | None" = None,
 ) -> tuple[frozenset[Row], EvaluationResult]:
     """Evaluate ``program`` and select the rows matching ``query_atom``."""
     program = _as_query_program(program, query_atom)
-    result = evaluate(
-        program, database, engine=engine, plan_order=plan_order, budget=budget
-    )
+    result = evaluate(program, database, budget=budget)
     rows = frozenset(
         row for row in result.query_rows() if match_query_atom(row, query_atom)
     )
@@ -363,43 +352,24 @@ def check_equivalence(
     query_atom: Atom,
     database: Database,
     *,
-    engine: str = "slots",
-    plan_order: str = "cost",
     budget: "Budget | Governor | None" = None,
 ) -> EquivalenceCheck:
     """Evaluate both programs on ``database`` and compare query answers.
 
     ``transformed`` may be a plain program, a :class:`PipelineReport`,
     a :class:`MagicProgram`, or ``None`` (an empty rewriting: the
-    transformed side answers nothing).  ``engine``/``plan_order`` select
-    the join engine used on both sides (see
-    :func:`repro.datalog.evaluation.evaluate`); ``budget`` governs both
+    transformed side answers nothing).  ``budget`` governs both
     evaluations (a shared governor bounds their combined wall time).
     """
     original_rows, original_result = query_atom_answers(
-        original,
-        database,
-        query_atom,
-        engine=engine,
-        plan_order=plan_order,
-        budget=budget,
+        original, database, query_atom, budget=budget
     )
     if isinstance(transformed, PipelineReport):
-        result = transformed.evaluation(
-            database, engine=engine, plan_order=plan_order, budget=budget
-        )
+        result = transformed.evaluation(database, budget=budget)
     elif isinstance(transformed, MagicProgram):
-        result = evaluate(
-            transformed.program,
-            database,
-            engine=engine,
-            plan_order=plan_order,
-            budget=budget,
-        )
+        result = evaluate(transformed.program, database, budget=budget)
     elif isinstance(transformed, Program):
-        result = evaluate(
-            transformed, database, engine=engine, plan_order=plan_order, budget=budget
-        )
+        result = evaluate(transformed, database, budget=budget)
     else:
         result = None
     if result is None:

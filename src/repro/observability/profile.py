@@ -169,7 +169,6 @@ class EvaluationProfile:
     shards: dict[int, ShardProfile] = field(default_factory=dict)
     worker_restarts: int = 0
     shards_redispatched: int = 0
-    degradations: list[str] = field(default_factory=list)
 
     def top_rules(self, k: int = 10, *, key: str = "time") -> list[RuleProfile]:
         """The k hottest rules by ``key`` (any counter attribute)."""
@@ -210,8 +209,6 @@ class EvaluationProfile:
                 f"recovery: {self.worker_restarts} worker restart(s), "
                 f"{self.shards_redispatched} shard(s) re-dispatched"
             )
-        for degradation in self.degradations:
-            lines.append(f"degraded: {degradation}")
         lines += [
             "",
             f"top {min(top, len(self.rules))} rules by time:",
@@ -362,12 +359,6 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
             entry.respawns += 1
             profile.worker_restarts += 1
             profile.shards_redispatched += 1
-        elif event.kind == "event" and event.name == "shard.degrade":
-            profile.degradations.append(
-                f"{event.attrs.get('stage', '?')} -> "
-                f"{event.attrs.get('fell_back_to', '?')} "
-                f"({event.attrs.get('reason', '')})"
-            )
         elif event.kind == "event" and event.name in ("serve.cache", "pipeline.cache"):
             if event.attrs.get("hit"):
                 profile.serve_cache_hits += 1
@@ -383,39 +374,16 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
                 rule_text, RuleProfile(rule_text, predicate)
             )
             if not entry.plan:
-                order = event.attrs.get("order", "")
-                entry.plan = f"[{order}] {event.attrs.get('steps', '')}"
+                entry.plan = str(event.attrs.get("steps", ""))
     return profile
 
 
 def profile_evaluation(
-    program: "Program",
-    database: "Database",
-    *,
-    strategy: str = "seminaive",
-    engine: str = "slots",
-    plan_order: str = "cost",
-    workers: "int | None" = None,
-    supervision: "object | None" = None,
+    program: "Program", database: "Database", *, strategy: str = "seminaive"
 ) -> tuple[EvaluationProfile, "EvaluationResult"]:
-    """Evaluate ``program`` under a fresh tracer and profile the run.
-
-    With ``workers=N`` the sharded evaluator runs and the profile gains
-    a per-shard section fed by the ``shard.dispatch``/``shard.merge``
-    trace events.
-    """
+    """Evaluate ``program`` under a fresh tracer and profile the run."""
     from ..datalog.evaluation import evaluate
 
     sink = RingBufferSink()
-    tracer = Tracer([sink])
-    result = evaluate(
-        program,
-        database,
-        strategy=strategy,
-        tracer=tracer,
-        engine=engine,
-        plan_order=plan_order,
-        workers=workers,
-        supervision=supervision,
-    )
+    result = evaluate(program, database, strategy=strategy, tracer=Tracer([sink]))
     return build_profile(sink), result

@@ -61,10 +61,8 @@ from ..datalog.evaluation import (
     EvaluationResult,
     EvaluationSnapshot,
     EvaluationStats,
-    _check_plan_order,
     _ColumnarSlotEngine,
     _Driver,
-    _resolve_storage,
 )
 from ..datalog.program import Program
 from ..datalog.terms import Constant, Variable
@@ -92,19 +90,8 @@ class WorkerFailure(ReproError):
     :class:`~repro.robustness.errors.BudgetExceededError` path (CLI
     exit 1, partial fixpoint attached); this error is for crashes and
     protocol violations the supervision layer could not (or was not
-    allowed to) recover from.  Raised out of ``evaluate_sharded``
-    directly it maps to exit code 2, but the public
-    ``evaluate(..., workers=N)`` entry point catches it and *degrades*
-    down the fleet ladder instead — see ``docs/parallel.md``.
-
-    ``recovery`` carries the worker-restart / shard-re-dispatch
-    counters accumulated before the failure, so the degradation ladder
-    can fold them into the final result's stats.
+    allowed to) recover from.
     """
-
-    def __init__(self, message: str, *, recovery: "dict | None" = None):
-        super().__init__(message)
-        self.recovery: dict = dict(recovery or {})
 
 
 class FleetExhausted(WorkerFailure):
@@ -112,9 +99,7 @@ class FleetExhausted(WorkerFailure):
 
     Every respawn consumes one :class:`~repro.persist.store.RetryPolicy`
     backoff delay; when the iterator runs dry the fleet is declared
-    unrecoverable at its current size and this error asks the caller to
-    degrade (``evaluate`` halves the worker count, then falls back to
-    the sequential columnar engine).
+    unrecoverable at its current size.
     """
 
 
@@ -205,8 +190,8 @@ class _ShardedEngine(_ColumnarSlotEngine):
 
     name = "sharded"
 
-    def __init__(self, database, idb, plan_order, tracer, accept_log):
-        super().__init__(database, idb, plan_order, tracer)
+    def __init__(self, database, idb, tracer, accept_log):
+        super().__init__(database, idb, tracer)
         self.accept_log = accept_log
 
     def derive(self, plan, results, head_relation, sink_delta, prov, stats):
@@ -289,8 +274,7 @@ class WorkerPool:
     are the per-run fixed cost the benchmarks report separately as
     ``shard_overhead_seconds``.  The pool is a context manager; it is
     single-use per evaluation but a benchmark may construct it ahead
-    of the timed region and pass it to ``evaluate(..., workers=N)``
-    via ``evaluate_sharded(..., pool=...)``.
+    of the timed region and pass it to ``evaluate_sharded(..., pool=...)``.
     """
 
     def __init__(
@@ -299,7 +283,6 @@ class WorkerPool:
         database: Database,
         workers: int,
         *,
-        plan_order: str = "cost",
         idb: "dict[str, Relation] | None" = None,
     ):
         if workers < 1:
@@ -309,7 +292,6 @@ class WorkerPool:
         self.program = program
         self.database = database
         self.workers = workers
-        self.plan_order = plan_order
         _pre_intern_head_constants(program, database)
         warm = self._warm_payload(idb)
         self._ctx = _fork_context()
@@ -366,7 +348,6 @@ class WorkerPool:
         return {
             "workers": self.workers,
             "program": self.program,
-            "plan_order": self.plan_order,
             "edb": self.database.to_dict(include_interner=True),
             "envelope": envelope,
             "interner_digest": self.interner_digest,
@@ -493,7 +474,6 @@ class _ShardedExecutor:
         driver,
         pool: "WorkerPool | None",
         workers: int,
-        plan_order: str,
         policy: SupervisionPolicy,
         started_cpu: float,
     ):
@@ -505,23 +485,18 @@ class _ShardedExecutor:
         self.accept_log: "defaultdict[str, list[tuple]]" = defaultdict(list)
         self.shipped_upto: "defaultdict[str, int]" = defaultdict(int)
         self.eng = _ShardedEngine(
-            driver.database, driver.idb, plan_order, driver.tracer, self.accept_log
+            driver.database, driver.idb, driver.tracer, self.accept_log
         )
         if pool is None:
             pool = WorkerPool(
-                driver.program,
-                driver.database,
-                workers,
-                plan_order=plan_order,
-                idb=driver.idb,
+                driver.program, driver.database, workers, idb=driver.idb
             )
         self.pool = pool
         self.span_attrs = {"workers": pool.workers}
         self.policy = policy
         # One backoff iterator per run: every worker recovery consumes
         # one delay, so the whole evaluation is bounded to
-        # ``attempts - 1`` respawns before FleetExhausted asks the
-        # caller to degrade.
+        # ``attempts - 1`` respawns before FleetExhausted.
         self.retry_delays = policy.retry.delays()
         # Per-worker dispatch heartbeat (``time.monotonic`` at the last
         # successful send): merge-side liveness checks measure straggler
@@ -748,7 +723,7 @@ class _ShardedExecutor:
             retry budget runs dry (:class:`FleetExhausted`).  Each
             attempt consumes one backoff delay, clamped to the
             governor's remaining deadline — recovery never outlives
-            ``--timeout``.
+            the budget's timeout.
             """
             while True:
                 driver.check()
@@ -757,11 +732,7 @@ class _ShardedExecutor:
                     raise FleetExhausted(
                         f"worker {index} unrecoverable: retry budget of "
                         f"{policy.retry.attempts - 1} restart(s) exhausted "
-                        f"({reason})",
-                        recovery={
-                            "worker_restarts": stats.worker_restarts,
-                            "shards_redispatched": stats.shards_redispatched,
-                        },
+                        f"({reason})"
                     )
                 if trace_on:
                     tracer.event(
@@ -1034,8 +1005,6 @@ def evaluate_sharded(
     max_iterations: int | None = None,
     strategy: str = "seminaive",
     tracer: Tracer | None = None,
-    plan_order: str = "cost",
-    storage: str | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
     checkpoint_every: int = 0,
@@ -1045,9 +1014,10 @@ def evaluate_sharded(
 ) -> EvaluationResult:
     """Semi-naive evaluation sharded across ``workers`` processes.
 
-    The public entry point is ``evaluate(..., workers=N)``; benchmarks
-    call this directly with a pre-built ``pool`` so fork + EDB shipping
-    stays outside the timed region.  Results — fixpoint, digests,
+    Reached by direct call only; the benchmark passes a pre-built
+    ``pool`` so fork + EDB shipping stays outside the timed region.
+    ``database`` is converted to columnar storage when it is not
+    already.  Results — fixpoint, digests,
     ``iterations``, ``rule_firings``, ``facts_derived``,
     ``rows_scanned`` (total and per rule) — are byte-identical to the
     sequential columnar engine; the per-process counters (``probes``,
@@ -1065,8 +1035,7 @@ def evaluate_sharded(
     re-dispatched — byte-identical results, because shards are pure
     functions of ``(round, partition)`` and a dead worker's reply was
     never merged.  Recovery is bounded by the policy's retry budget;
-    exhausting it raises :class:`FleetExhausted`, which the public
-    ``evaluate`` entry point turns into a degradation-ladder rung.
+    exhausting it raises :class:`FleetExhausted`.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
@@ -1082,8 +1051,7 @@ def evaluate_sharded(
         )
     if tracer is None:
         tracer = get_tracer()
-    _check_plan_order(plan_order)
-    database = _resolve_storage(database, storage).to_storage("columnar")
+    database = database.to_storage("columnar")
     if pool is not None:
         if resume_from is not None:
             raise ValueError(
@@ -1097,11 +1065,6 @@ def evaluate_sharded(
         if pool.database is not database or pool.program is not program:
             raise ValueError(
                 "pool was built for a different program/database object"
-            )
-        if pool.plan_order != plan_order:
-            raise ValueError(
-                f"pool was built with plan_order={pool.plan_order!r}, "
-                f"evaluation asked for {plan_order!r}"
             )
     started_cpu = time.process_time()
     driver = _Driver(
@@ -1117,7 +1080,6 @@ def evaluate_sharded(
         driver,
         pool,
         workers,
-        plan_order,
         supervision if supervision is not None else DEFAULT_SUPERVISION,
         started_cpu,
     )

@@ -9,9 +9,7 @@ state and re-dispatch the lost shard — runs under a bounded
 :class:`~repro.persist.store.RetryPolicy`, reusing the checkpoint
 store's capped-exponential-backoff-with-seeded-jitter semantics; when
 the budget is exhausted the engine raises
-:class:`~repro.parallel.engine.FleetExhausted` and the evaluation
-ladder in :func:`~repro.datalog.evaluation.evaluate` degrades (half
-the workers, then sequential columnar) instead of failing.
+:class:`~repro.parallel.engine.FleetExhausted`.
 
 Shard re-dispatch is *safe* because shards are pure functions of
 ``(round, partition)``: the master's delta buffers hold the full

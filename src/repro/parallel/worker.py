@@ -79,7 +79,6 @@ class _WorkerState:
         self.index: int = payload["index"]
         self.workers: int = payload["workers"]
         self.program = payload["program"]
-        self.plan_order: str = payload["plan_order"]
         database = Database.from_dict(payload["edb"])
         if database.storage != "columnar":
             database = database.to_storage("columnar")
@@ -145,7 +144,6 @@ class _WorkerState:
             compile_rule(
                 self.program.rules[rule_index],
                 delta_index,
-                order=self.plan_order,
                 size_of=self._size_of,
             )
             for rule_index, delta_index in compile_payload["specs"]

@@ -17,7 +17,7 @@ new facts without cold recomputation (see ``docs/robustness.md``,
   compaction), the chaos-harness :class:`FlakyJournal`, and
   :func:`commit_with_retry`;
 * :mod:`repro.persist.session` — :class:`Session`, the durable
-  run/resume/ingest/recover/inspect life cycle over both engines.
+  run/resume/ingest/recover/inspect life cycle.
 """
 
 from .checkpoint import (

@@ -608,8 +608,7 @@ def commit_with_retry(
     governor is consulted before every attempt, each backoff sleep is
     clamped to its remaining deadline, and an exhausted attempt budget
     raises :class:`JournalUnavailable` — the ingest is then NOT
-    acknowledged and the caller's state is untouched (journal-first
-    ordering means nothing was mutated yet).
+    acknowledged and the session takes the staged batch back.
 
     Re-attempts are safe because :meth:`IngestJournal.append` always
     writes at the last acknowledged offset: a half-written or unsynced

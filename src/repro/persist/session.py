@@ -1,8 +1,7 @@
 """Durable evaluation sessions: run, crash, resume, ingest.
 
-A :class:`Session` binds one workload (program + database + engine
-options) to one checkpoint directory and exposes the durable life
-cycle:
+A :class:`Session` binds one workload (program + database) to one
+checkpoint directory and exposes the durable life cycle:
 
 * :meth:`Session.run` — evaluate with periodic checkpoints.  Saves go
   through :func:`~repro.persist.store.save_with_retry`; a store that
@@ -33,18 +32,21 @@ cycle:
   rounds add to, the compiled plans are kept between ingests, and the
   workload digest moves by one hash per added row.  The returned
   result therefore shares its relations with every earlier result of
-  the session.  An ingest that aborts mid-derivation (budget trip,
-  typed error) takes its additions back, so a caller still holding
-  the previous result sees exactly the pre-ingest fixpoint; the
-  session itself then has no current fixpoint (its EDB is ahead) and
-  the next ingest recomputes.
+  the session.
 
-  Ingest is **journal-first**: the normalized new rows are appended to
-  the session's :class:`~repro.persist.journal.IngestJournal` and
-  ``fsync``\\ ed *before* the in-memory EDB mutates — the fsync is the
-  acknowledgment point, and the only durable write an ingest waits
-  for, so an acknowledged ingest survives a SIGKILL at any later
-  instant.  Checkpoints follow **journal lag**: a covering
+  Ingest **derives, then journals, then acknowledges**: the new rows
+  are staged in the EDB and the fixpoint is brought up to date first;
+  only a batch whose derivation completed is appended to the session's
+  :class:`~repro.persist.journal.IngestJournal` and ``fsync``\\ ed — the
+  fsync is the acknowledgment point, and the only durable write an
+  ingest waits for, so an acknowledged ingest survives a SIGKILL at any
+  later instant.  A batch that is rejected on the way (an order atom
+  meeting incomparable values, a budget trip, a journal that cannot
+  fsync) is taken back whole: EDB, fixpoint, workload digest and
+  journal are what they were, the error propagates, and the session
+  keeps serving and ingesting.  So the journal only ever holds batches
+  that :meth:`Session.recover` can replay.  Checkpoints follow
+  **journal lag**: a covering
   self-contained checkpoint (EDB + fixpoint) is written when the
   journal bytes acknowledged since the last one reach that
   checkpoint's own size — so checkpoint writes stay within 2x of
@@ -72,7 +74,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.database import ArityMismatch, Database, Row
@@ -147,11 +149,6 @@ class Session:
         journal: "IngestJournal | FlakyJournal | None | str" = "auto",
         checkpoint_every: int = 1,
         constraints: Sequence[object] = (),
-        strategy: str = "seminaive",
-        engine: str = "slots",
-        plan_order: str = "cost",
-        storage: str | None = None,
-        workers: int | None = None,
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
         tracer: Tracer | None = None,
@@ -159,13 +156,7 @@ class Session:
         throttle: float = 0.0,
     ):
         self.program = program
-        # The session evaluates (and ingests) in one storage backend for
-        # its whole life cycle; ``storage=None`` keeps the database's
-        # own.  Conversion happens once here, not per run — the workload
-        # digest is computed over decoded rows, so it is unaffected.
-        self.database = (
-            database if storage is None else database.to_storage(storage)
-        )
+        self.database = database
         self.store = store
         # ``journal="auto"`` (the default) co-locates the write-ahead
         # ingest journal with the checkpoint store (``<dir>/journal``);
@@ -193,14 +184,6 @@ class Session:
         self._lag_bytes = 0
         self.checkpoint_every = checkpoint_every
         self.constraints = tuple(constraints)
-        self.strategy = strategy
-        self.engine = engine
-        self.plan_order = plan_order
-        # ``workers=N`` shards full runs and resumes across N forked
-        # processes (see docs/parallel.md); incremental ingest stays
-        # sequential — its delta-seeded firings are far below the
-        # sharding break-even point.
-        self.workers = workers
         self.budget = budget
         self.cancellation = cancellation
         self._tracer = tracer
@@ -265,13 +248,9 @@ class Session:
                 )
             except CheckpointStoreUnavailable as exc:
                 state["degraded"] = True
-                step = FallbackStep(
-                    stage="session.checkpoint",
-                    fell_back_to="in-memory",
-                    reason=str(exc),
+                self._fall_back(
+                    fallback_chain, "session.checkpoint", "in-memory", str(exc)
                 )
-                fallback_chain.append(step)
-                self._trace_fallback(step)
                 return
             counter[0] += 1
             if snapshot.complete:
@@ -311,17 +290,13 @@ class Session:
         resumed_seq: int | None = None
         if resume and self.store is not None:
             latest = self.store.latest(expect_workload=self.workload())
-            if latest is not None and latest.snapshot.strategy == self.strategy:
+            if latest is not None and latest.snapshot.strategy == "seminaive":
                 resume_from = latest.snapshot
                 resumed_seq = latest.seq
         sink = self._make_sink(governor, fallback_chain, counter)
         result = evaluate(
             self.program,
             self.database,
-            strategy=self.strategy,
-            engine=self.engine,
-            plan_order=self.plan_order,
-            workers=self.workers,
             budget=governor,
             tracer=self._tracer,
             checkpoint_every=self.checkpoint_every,
@@ -329,10 +304,6 @@ class Session:
             resume_from=resume_from,
         )
         self._last = result
-        # Degradation-ladder rungs the fleet took (worker recovery
-        # exhaustion) join the session's own fallback steps, so callers
-        # see one chain for the whole run.
-        fallback_chain.extend(getattr(result, "fallbacks", ()))
         return SessionResult(
             result=result,
             mode="resumed" if resume_from is not None else "fresh",
@@ -384,13 +355,7 @@ class Session:
         database that an ingest may extend: in-memory first, else the
         store's."""
         last = self._last
-        if last is not None and last.database is not self.database:
-            # A sharded run evaluates on its own columnar copy: move the
-            # fixpoint into this session's backend, once.
-            last = self._restore(
-                {pred: rel.rows() for pred, rel in last.idb.items()}, last.stats
-            )
-        elif last is None and self.store is not None:
+        if last is None and self.store is not None:
             latest = self.store.latest(
                 expect_workload=self.workload(), quarantine_mismatch=False
             )
@@ -411,7 +376,12 @@ class Session:
             for pred in sorted(self.database.predicates())
         }
 
-    def _trace_fallback(self, step: FallbackStep) -> None:
+    def _fall_back(
+        self, chain: list[FallbackStep], stage: str, fell_back_to: str, reason: str
+    ) -> None:
+        """Record one degradation in ``chain`` and in the trace."""
+        step = FallbackStep(stage=stage, fell_back_to=fell_back_to, reason=reason)
+        chain.append(step)
         tracer = self.tracer
         if tracer.enabled:
             tracer.event(
@@ -421,41 +391,40 @@ class Session:
                 reason=step.reason,
             )
 
-    def _recompute(
-        self,
-        stage: str,
-        reason: str,
-        mode: str,
-        fallback_chain: list[FallbackStep],
+    def _recover_by_recompute(
+        self, reason: str, fallback_chain: list[FallbackStep]
     ) -> SessionResult:
-        """Fall back to a full governed re-evaluation, recording why.
+        """Recovery's fall-back to a full governed re-evaluation.
 
         The run's final checkpoint covers every applied journal record
         (:meth:`_covering_landed`)."""
-        step = FallbackStep(stage=stage, fell_back_to="recompute", reason=reason)
-        fallback_chain.append(step)
-        self._trace_fallback(step)
+        self._fall_back(fallback_chain, "session.recover", "recompute", reason)
         outcome = self.run()
-        outcome.mode = mode
+        outcome.mode = "recovered"
         outcome.fallback_chain = fallback_chain + outcome.fallback_chain
         return outcome
 
     def _journal_commit(
-        self, new_rows: Mapping[str, Sequence[Row]], governor: Governor | None
+        self,
+        new_rows: Mapping[str, Sequence[Row]],
+        workload: str,
+        governor: Governor | None,
     ) -> None:
         """Append + fsync the normalized rows.
 
-        This is the **acknowledgment point** of an ingest: it runs
-        before any in-memory mutation, so a commit that fails after the
-        retry budget leaves the session byte-identical to before the
-        call — the caller simply never acked.  The record carries the
-        *pre-ingest* workload digest, the chain link recovery uses.
+        This is the **acknowledgment point** of an ingest.  It runs
+        once the batch has been derived, and :meth:`ingest` takes the
+        staged rows and their consequences back when it fails after the
+        retry budget, so the session is then byte-identical to before
+        the call — the caller simply never acked.  The record carries
+        ``workload``, the *pre-ingest* digest: the chain link recovery
+        uses.
         """
         if self.journal is None:
             return
         record = JournalRecord(
             seq=self.journal.next_seq(),
-            workload=self.workload(),
+            workload=workload,
             rows=tuple(
                 (predicate, tuple(row))
                 for predicate in sorted(new_rows)
@@ -477,12 +446,14 @@ class Session:
         (non-monotonic update) — the session falls back to a full
         recompute, recorded in the result's ``fallback_chain``.
 
-        Ordering is **journal-first**: normalize and validate, decide
-        the path (incremental vs. recompute), journal the new rows with
-        append+fsync, and only then mutate the EDB and derive.  A crash
-        or budget trip at any point after the fsync is recoverable via
-        :meth:`recover`; a journal failure before the fsync leaves the
-        session completely untouched (nothing was acknowledged).
+        Ordering: normalize and validate, decide the path (incremental
+        vs. recompute), stage the new rows in the EDB and derive, and
+        only then journal them with append+fsync — the acknowledgment.
+        A crash at any point after the fsync is recoverable via
+        :meth:`recover`; anything that raises before it — a typed error
+        or budget trip in the derivation, a journal that cannot fsync —
+        takes the whole batch back and leaves the session completely
+        untouched (nothing was acknowledged).
 
         The incremental path extends the live relations in place: the
         result's ``idb`` holds the same relation objects as the
@@ -537,25 +508,36 @@ class Session:
                 )
 
         governor = self._governor()
-        # Journal-first: fsync the acknowledged rows before the EDB
-        # mutates.  From here on, any crash — including a budget trip
-        # inside the recompute fallback below — is recoverable.
-        self._journal_commit(new_rows, governor)
+        workload, edb_hash = self.workload(), self._edb_hash
         self._add_rows(
             (predicate, row) for predicate, rows in new_rows.items() for row in rows
         )
-        # The EDB is now ahead of the last fixpoint.  Drop it until the
-        # re-derivation below lands: after an abort the next ingest must
-        # recompute from the journaled EDB, not answer from a stale prior.
-        self._last = None
 
-        if reason is not None:
-            return self._recompute("session.ingest", reason, "recompute", fallback_chain)
+        def commit() -> None:
+            self._journal_commit(new_rows, workload, governor)
 
-        assert live is not None
+        try:
+            if reason is None:
+                result = self._incremental_fixpoint(new_rows, live, governor, commit)
+            else:
+                self._fall_back(fallback_chain, "session.ingest", "recompute", reason)
+                result = evaluate(
+                    self.program, self.database, budget=governor, tracer=self._tracer
+                )
+                commit()
+        except BaseException:
+            # Rejected: the staged rows leave the EDB (the derivation
+            # already took its own additions back) and the prior
+            # fixpoint stands.
+            for predicate, rows in new_rows.items():
+                self.database.discard_rows(predicate, rows)
+            self._edb_hash = edb_hash
+            self._last = live
+            raise
+        self._last = result
         outcome = SessionResult(
-            result=self._incremental_fixpoint(new_rows, live, governor),
-            mode="incremental",
+            result=result,
+            mode="incremental" if reason is None else "recompute",
             fallback_chain=fallback_chain,
         )
         # Checkpoints follow journal lag.  Without a journal the
@@ -686,11 +668,8 @@ class Session:
             # now; recompute under the governor.
             if not replayed:
                 return self.run()
-            outcome = self._recompute(
-                "session.recover",
-                "no complete checkpoint covers the journal chain",
-                "recovered",
-                fallback_chain,
+            outcome = self._recover_by_recompute(
+                "no complete checkpoint covers the journal chain", fallback_chain
             )
             outcome.replayed = replayed
             return outcome
@@ -715,11 +694,9 @@ class Session:
             new_rows.setdefault(predicate, []).append(row)
         overlap = self._negated_predicates() & set(new_rows)
         if overlap:
-            outcome = self._recompute(
-                "session.recover",
+            outcome = self._recover_by_recompute(
                 f"replayed predicate(s) {', '.join(sorted(overlap))} "
                 "occur negated (non-monotonic)",
-                "recovered",
                 fallback_chain,
             )
         else:
@@ -775,7 +752,7 @@ class Session:
         if sink is not None:
             sink(
                 EvaluationSnapshot(
-                    strategy=self.strategy,
+                    strategy="seminaive",
                     completed_sccs=len(_sccs(self.program.dependency_graph())),
                     scc_index=None,
                     iteration=result.stats.iterations,
@@ -793,12 +770,15 @@ class Session:
         new_rows: Mapping[str, Sequence[Row]],
         live: EvaluationResult,
         governor: Governor | None,
+        commit: "Callable[[], object] | None" = None,
     ) -> EvaluationResult:
         """Delta-seeded re-derivation over the already-updated database:
         the shared fixpoint driver's *ingest* seed, extending ``live``'s
-        relations in place.  There is no current fixpoint while it runs
-        — nor after it raises (``live`` is then rolled back, but the
-        EDB stays ahead of it)."""
+        relations in place, then ``commit`` (the ingest's journal
+        write).  There is no current fixpoint while it runs — nor after
+        it raises: ``live`` is then rolled back, and the caller decides
+        whether the EDB follows it (:meth:`ingest`) or stays ahead
+        (:meth:`recover`, whose rows are already durable)."""
         self._last = None
         self._last = _evaluate_ingest(
             self.program,
@@ -806,10 +786,9 @@ class Session:
             new_rows,
             live,
             plans=self._plans,
-            engine=self.engine,
-            plan_order=self.plan_order,
             tracer=self.tracer,
             governor=governor,
+            commit=commit,
         )
         return self._last
 
@@ -818,10 +797,6 @@ class Session:
         """A JSON-ready summary of the session's checkpoint store."""
         info: dict = {
             "workload": self.workload(),
-            "strategy": self.strategy,
-            "engine": self.engine,
-            "storage": self.database.storage,
-            "workers": self.workers,
             "checkpoint_every": self.checkpoint_every,
         }
         if self.store is None:

@@ -74,26 +74,14 @@ class ServeApp:
         persist_root: "Path | None" = None,
         defaults: Budget | None = None,
         cache_capacity: int = 128,
-        workers: "int | None" = None,
-        degraded_inflight_limit: int = 4,
     ):
         self.registry = TenantRegistry(persist_root)
         self.cache = ArtifactCache(cache_capacity)
-        # Daemon-wide default worker count for tenant materialization;
-        # a register request's own ``workers`` wins, and the default is
-        # only applied where sharding is legal (slot engine, semi-naive).
-        self.workers = workers
         self.governors = RequestGovernorFactory(defaults)
         self.started_at = time.monotonic()
         self.requests = 0
         self.aborted = 0
         self.rejected = 0
-        # Admission control for degraded tenants: a tenant whose last
-        # evaluation walked the degradation ladder (its fleet fell back
-        # toward sequential) answers slower, so concurrent queries
-        # beyond this limit are shed with HTTP 429 instead of queueing.
-        self.degraded_inflight_limit = degraded_inflight_limit
-        self.shed = 0
 
     # ------------------------------------------------------------------
     async def handle(self, method: str, path: str, body: object = None) -> tuple[int, dict]:
@@ -199,15 +187,6 @@ class ServeApp:
     # ------------------------------------------------------------------
     async def _register(self, name: str, payload: object) -> tuple[int, dict]:
         request = parse_register(payload)
-        if (
-            request.workers is None
-            and self.workers is not None
-            and request.engine == "slots"
-            and request.strategy == "seminaive"
-        ):
-            import dataclasses
-
-            request = dataclasses.replace(request, workers=self.workers)
         tenant = self.registry.create(name, request)
         async with self.registry.lock.write_locked():
             outcome = await asyncio.get_running_loop().run_in_executor(
@@ -230,15 +209,7 @@ class ServeApp:
                 return 200, {"tenant": name, **tenant.info()}
 
     async def _healthz(self) -> dict:
-        """Readiness: liveness plus the fleet's degradation state.
-
-        ``ok`` stays true as long as the daemon answers — a degraded
-        tenant still serves correct (if slower) results — but the
-        payload names the degraded tenants and totals the recovery
-        counters so orchestrators can route around a limping instance.
-        """
-        degraded = []
-        recovery = {"worker_restarts": 0, "shards_redispatched": 0, "degradations": 0}
+        """Readiness: liveness plus the fleet's journal lag."""
         # Journal lag: acknowledged-but-not-yet-checkpointed ingest
         # records across the fleet — the work a kill right now would
         # replay on restart.  Positive lag is the steady state (a
@@ -250,27 +221,19 @@ class ServeApp:
         async with self.registry.lock.read_locked():
             for name in self.registry.names():
                 tenant = self.registry.get(name)
-                recovery["worker_restarts"] += tenant.worker_restarts
-                recovery["shards_redispatched"] += tenant.shards_redispatched
-                recovery["degradations"] += tenant.degradations
                 info = tenant.session.journal_info()
                 if info is not None:
                     journal["lag"] += info["lag"]
                 journal["replayed"] += tenant.replayed
-                if tenant.degraded:
-                    degraded.append(name)
         return {
             "ok": True,
             "ready": True,
             "uptime_seconds": time.monotonic() - self.started_at,
             "tenants": len(self.registry),
-            "degraded_tenants": degraded,
-            "recovery": recovery,
             "journal": journal,
         }
 
     async def _stats(self) -> dict:
-        recovery = {"worker_restarts": 0, "shards_redispatched": 0, "degradations": 0}
         journal = {"lag": 0, "replayed": 0}
         async with self.registry.lock.read_locked():
             tenants = {}
@@ -278,9 +241,6 @@ class ServeApp:
                 tenant = self.registry.get(name)
                 async with tenant.lock.read_locked():
                     tenants[name] = tenant.info()
-                recovery["worker_restarts"] += tenant.worker_restarts
-                recovery["shards_redispatched"] += tenant.shards_redispatched
-                recovery["degradations"] += tenant.degradations
                 per_tenant = tenants[name].get("journal")
                 if per_tenant is not None:
                     journal["lag"] += per_tenant["lag"]
@@ -290,9 +250,7 @@ class ServeApp:
             "requests": self.requests,
             "aborted": self.aborted,
             "rejected": self.rejected,
-            "shed": self.shed,
             "governors_minted": self.governors.minted,
-            "recovery": recovery,
             "journal": journal,
             "cache": self.cache.stats(),
             "tenants": tenants,
@@ -303,60 +261,25 @@ class ServeApp:
         request = parse_query(payload)
         async with self.registry.lock.read_locked():
             tenant = self.registry.get(name)
-        # Admission control: a degraded tenant (its fleet fell down the
-        # degradation ladder on the last evaluation) answers slower, so
-        # concurrent load beyond the limit is shed with 429 and partial
-        # diagnostics rather than queued behind a limping engine.
-        if tenant.degraded and tenant.inflight >= self.degraded_inflight_limit:
-            self.shed += 1
-            tenant.shed += 1
-            return 429, self._shed_payload(tenant)
-        tenant.inflight += 1
-        try:
-            async with tenant.lock.read_locked():
-                if request.goal.predicate not in tenant.program.idb_predicates:
-                    raise UsageError(
-                        f"query atom {request.goal} does not use an IDB predicate "
-                        f"of program {name!r}"
-                    )
-                if request.mode == "materialized":
-                    response = self._answer_materialized(tenant, request)
-                else:
-                    governor = self.governors.for_request(
-                        timeout=request.timeout,
-                        max_facts=request.max_facts,
-                        max_iterations=request.max_iterations,
-                    )
-                    response = await asyncio.get_running_loop().run_in_executor(
-                        None, self._answer_magic, tenant, request, governor
-                    )
-                tenant.queries += 1
-        finally:
-            tenant.inflight -= 1
+        async with tenant.lock.read_locked():
+            if request.goal.predicate not in tenant.program.idb_predicates:
+                raise UsageError(
+                    f"query atom {request.goal} does not use an IDB predicate "
+                    f"of program {name!r}"
+                )
+            if request.mode == "materialized":
+                response = self._answer_materialized(tenant, request)
+            else:
+                governor = self.governors.for_request(
+                    timeout=request.timeout,
+                    max_facts=request.max_facts,
+                    max_iterations=request.max_iterations,
+                )
+                response = await asyncio.get_running_loop().run_in_executor(
+                    None, self._answer_magic, tenant, request, governor
+                )
+            tenant.queries += 1
         return 200, {"tenant": name, "goal": str(request.goal), **response}
-
-    @staticmethod
-    def _shed_payload(tenant: Tenant) -> dict:
-        """The 429 body: why the load was shed, with what diagnostics."""
-        payload: dict = {
-            "error": (
-                f"program {tenant.name!r} is degraded after fleet recovery "
-                "exhaustion; concurrent query load is being shed"
-            ),
-            "degraded": True,
-            "shed": True,
-            "recovery": {
-                "worker_restarts": tenant.worker_restarts,
-                "shards_redispatched": tenant.shards_redispatched,
-                "degradations": tenant.degradations,
-            },
-        }
-        if tenant.materialized is not None:
-            payload["fallbacks"] = [
-                step.describe() for step in tenant.materialized.fallback_chain
-            ]
-            payload["latest_round"] = tenant.materialized.result.stats.iterations
-        return payload
 
     def _answer_magic(self, tenant: Tenant, request: QueryRequest, governor) -> dict:
         report, cache_hit = specialize_pipeline(
@@ -377,12 +300,7 @@ class ServeApp:
                 "satisfiable": False,
                 "answers": [],
             }
-        result = report.evaluation(
-            tenant.database,
-            engine=tenant.engine,
-            plan_order=tenant.plan_order,
-            budget=governor,
-        )
+        result = report.evaluation(tenant.database, budget=governor)
         answers = frozenset(
             row for row in result.query_rows()
             if match_query_atom(row, request.goal)

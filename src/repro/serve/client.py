@@ -4,14 +4,13 @@ Backs the ``repro client`` CLI command, the serving benchmark and the
 ``serve-smoke`` CI script.  One :class:`ServeClient` holds one
 keep-alive connection; errors surface as :class:`ServeClientError`
 carrying the HTTP status and the decoded JSON body, so callers can
-distinguish bad input (400), unknown tenants (404), shed load (429)
-and budget-tripped requests (503, with partial diagnostics) without
-string matching.
+distinguish bad input (400), unknown tenants (404) and budget-tripped
+requests (503, with partial diagnostics) without string matching.
 
 Transport failures (a dropped keep-alive, a daemon mid-restart) are
 retried under the shared :class:`~repro.persist.store.RetryPolicy` —
 the same capped-exponential-backoff-with-seeded-jitter curve the
-checkpoint store and the worker-fleet supervisor use — and the retry
+checkpoint store uses — and the retry
 counts are surfaced on the client (``retries_total``,
 ``last_retries``).
 """
@@ -138,9 +137,6 @@ class ServeClient:
         constraints: str | None = None,
         facts: str | None = None,
         query: str | None = None,
-        engine: str | None = None,
-        storage: str | None = None,
-        workers: int | None = None,
     ) -> dict:
         payload: dict = {"program": program}
         if constraints is not None:
@@ -149,12 +145,6 @@ class ServeClient:
             payload["facts"] = facts
         if query is not None:
             payload["query"] = query
-        if engine is not None:
-            payload["engine"] = engine
-        if storage is not None:
-            payload["storage"] = storage
-        if workers is not None:
-            payload["workers"] = workers
         return self.request("PUT", f"/programs/{name}", payload)
 
     def inspect(self, name: str) -> dict:

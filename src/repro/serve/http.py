@@ -22,7 +22,6 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

@@ -119,30 +119,11 @@ class Tenant:
         self.name = name
         self.program = request.program
         self.constraints = request.constraints
-        # The tenant's EDB is built directly in the requested storage
-        # backend, so queries (materialized and magic-specialized alike)
-        # evaluate on it without per-request conversion.
-        self.database = Database(request.facts, storage=request.storage)
-        self.engine = request.engine
-        self.plan_order = request.plan_order
-        self.strategy = request.strategy
-        self.storage = request.storage
-        self.workers = request.workers
+        self.database = Database(request.facts)
         self.lock = ReadWriteLock()
         self.registered_at = time.time()
         self.queries = 0
         self.ingests = 0
-        # Fleet-recovery bookkeeping: cumulative counters across every
-        # materialization/ingest, plus the degraded flag that drives
-        # the app's admission control (a tenant whose *latest*
-        # evaluation had to walk the degradation ladder sheds load
-        # until a later run completes at full strength).
-        self.worker_restarts = 0
-        self.shards_redispatched = 0
-        self.degradations = 0
-        self.degraded = False
-        self.inflight = 0
-        self.shed = 0
         # Journal replay bookkeeping: records re-applied at the last
         # materialization (crash recovery), surfaced via /stats.
         self.replayed = 0
@@ -155,10 +136,6 @@ class Tenant:
             store=store,
             checkpoint_every=0,
             constraints=self.constraints,
-            strategy=self.strategy,
-            engine=self.engine,
-            plan_order=self.plan_order,
-            workers=self.workers,
         )
         self.materialized: SessionResult | None = None
         self.mode: str | None = None
@@ -179,23 +156,13 @@ class Tenant:
         self.materialized = outcome
         self.mode = outcome.mode
         self.replayed += outcome.replayed
-        self._absorb_recovery(outcome)
         return outcome
 
     def ingest(self, facts: Iterable[object]) -> SessionResult:
         outcome = self.session.ingest(facts)
         self.materialized = outcome
         self.ingests += 1
-        self._absorb_recovery(outcome)
         return outcome
-
-    def _absorb_recovery(self, outcome: SessionResult) -> None:
-        """Fold one evaluation's recovery counters into the tenant."""
-        stats = outcome.result.stats
-        self.worker_restarts += getattr(stats, "worker_restarts", 0)
-        self.shards_redispatched += getattr(stats, "shards_redispatched", 0)
-        self.degradations += getattr(stats, "degradations", 0)
-        self.degraded = getattr(stats, "degradations", 0) > 0
 
     # -- diagnostics ----------------------------------------------------
     def info(self) -> dict:
@@ -207,21 +174,10 @@ class Tenant:
             "query": self.program.query,
             "rules": len(self.program.rules),
             "constraints": len(self.constraints),
-            "engine": self.engine,
-            "strategy": self.strategy,
-            "storage": self.storage,
-            "workers": self.workers,
             "mode": self.mode,
             "edb_facts": edb_facts,
             "queries": self.queries,
             "ingests": self.ingests,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "recovery": {
-                "worker_restarts": self.worker_restarts,
-                "shards_redispatched": self.shards_redispatched,
-                "degradations": self.degradations,
-            },
         }
         if self.materialized is not None:
             result = self.materialized.result

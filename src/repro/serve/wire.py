@@ -48,10 +48,21 @@ __all__ = [
 QUERY_MODES = ("magic", "materialized")
 
 
-def _require_object(payload: object) -> dict:
+def _require_object(payload: object, fields: Sequence[str]) -> dict:
+    """``payload`` as a JSON object holding nothing outside ``fields``.
+
+    A field the route does not read is refused, not skipped: a client
+    must not be served as if an option it sent had been honoured.
+    """
     if not isinstance(payload, dict):
         raise UsageError(
             f"request body must be a JSON object, got {type(payload).__name__}"
+        )
+    unknown = sorted(set(payload).difference(fields))
+    if unknown:
+        raise UsageError(
+            f"unknown field(s) {', '.join(map(repr, unknown))} "
+            f"(this route reads: {', '.join(fields)})"
         )
     return payload
 
@@ -78,19 +89,11 @@ def _choice_field(payload: dict, name: str, choices: Sequence[str], default: str
 
 @dataclass(frozen=True)
 class RegisterRequest:
-    """``PUT /programs/{name}``: program text plus engine options."""
+    """``PUT /programs/{name}``: program, constraint and fact text."""
 
     program: "Program"
     facts: tuple[Atom, ...]
     constraints: "tuple[IntegrityConstraint, ...]"
-    engine: str
-    plan_order: str
-    strategy: str
-    storage: str = "rows"
-    #: Shard the tenant's materialization/resume runs across N forked
-    #: worker processes (``None`` = the daemon's default; see
-    #: docs/parallel.md).  Requires the slot engine and semi-naive.
-    workers: "int | None" = None
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ class IngestRequest:
 
 
 def parse_register(payload: object) -> RegisterRequest:
-    payload = _require_object(payload)
+    payload = _require_object(payload, ("program", "constraints", "facts", "query"))
     source = _text_field(payload, "program", required=True)
     query = _text_field(payload, "query")
     try:
@@ -135,32 +138,16 @@ def parse_register(payload: object) -> RegisterRequest:
             constraints = tuple(parse_constraints(constraints_text))
         except Exception as exc:
             raise UsageError(f"cannot parse constraints: {exc}") from exc
-    engine = _choice_field(payload, "engine", ("slots", "interpreted"), "slots")
-    strategy = _choice_field(payload, "strategy", ("seminaive", "naive"), "seminaive")
-    workers = payload.get("workers")
-    if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise UsageError(
-                f"field 'workers' must be a positive integer, got {workers!r}"
-            )
-        if engine != "slots":
-            raise UsageError("workers requires the compiled slot engine (engine='slots')")
-        if strategy != "seminaive":
-            raise UsageError("workers requires strategy='seminaive'")
     return RegisterRequest(
-        program=program,
-        facts=tuple(facts),
-        constraints=constraints,
-        engine=engine,
-        plan_order=_choice_field(payload, "plan_order", ("cost", "greedy"), "cost"),
-        strategy=strategy,
-        storage=_choice_field(payload, "storage", ("rows", "columnar"), "rows"),
-        workers=workers,
+        program=program, facts=tuple(facts), constraints=constraints
     )
 
 
 def parse_query(payload: object) -> QueryRequest:
-    payload = _require_object(payload)
+    payload = _require_object(
+        payload,
+        ("goal", "mode", "order", "sips", "timeout", "max_facts", "max_iterations"),
+    )
     goal_text = _text_field(payload, "goal", required=True)
     try:
         goal = parse_atom(goal_text)
@@ -182,7 +169,7 @@ def parse_query(payload: object) -> QueryRequest:
 
 
 def parse_ingest(payload: object) -> IngestRequest:
-    payload = _require_object(payload)
+    payload = _require_object(payload, ("facts",))
     facts_text = _text_field(payload, "facts", required=True)
     try:
         facts = tuple(parse_facts(facts_text))

@@ -1,6 +1,7 @@
-"""Engine agreement: compiled plans (both orders), the interpreter and
-naive evaluation compute identical fixpoints on random workloads —
-under both storage backends.
+"""Engine agreement: compiled plans, the interpreter and naive
+evaluation compute identical fixpoints on random workloads — under both
+storage backends.  Only the first config is reachable from a command or
+the daemon; the rest are the references, built by direct call.
 
 ``random_workload`` draws recursive programs that include negated EDB
 literals and order-atom filters, so the property exercises every step
@@ -14,6 +15,7 @@ import pytest
 
 from repro.datalog.database import STORAGES
 from repro.datalog.evaluation import evaluate
+from repro.parallel import evaluate_sharded
 from repro.digest import fixpoint_digest
 from repro.robustness.budget import Budget
 from repro.robustness.errors import BudgetExceededError
@@ -22,8 +24,7 @@ from repro.workloads.programs import good_path
 from repro.workloads.generators import good_path_bidirectional_database
 
 ENGINE_CONFIGS = (
-    {"engine": "slots", "plan_order": "cost"},
-    {"engine": "slots", "plan_order": "greedy"},
+    {"engine": "slots"},
     {"engine": "interpreted"},
     {"engine": "slots", "strategy": "naive"},
     {"engine": "interpreted", "strategy": "naive"},
@@ -37,8 +38,8 @@ CONFIGS = tuple(
 )
 
 
-def _fixpoint(program, database, **kwargs):
-    result = evaluate(program, database, **kwargs)
+def _fixpoint(program, database, storage, **kwargs):
+    result = evaluate(program, database.to_storage(storage), **kwargs)
     return {pred: result.rows(pred) for pred in program.idb_predicates}
 
 
@@ -89,21 +90,15 @@ def _digest(result):
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_sharded_evaluator_matches_sequential_slots(workers):
-    """``evaluate(..., workers=N)`` must reproduce the sequential slot
-    engine exactly: same fixpoint digest, same iteration count, and the
+    """``evaluate_sharded`` must reproduce the sequential slot engine
+    exactly: same fixpoint digest, same iteration count, and the
     same join-work counters — sharding redistributes the work, it never
     changes it (docs/parallel.md)."""
     for seed, kwargs in SHARDED_SEEDS:
         program, database, _ = random_workload(seed, **kwargs)
-        sequential = evaluate(
-            program, database.copy(), engine="slots", storage="columnar"
-        )
-        sharded = evaluate(
-            program,
-            database.copy(),
-            engine="slots",
-            storage="columnar",
-            workers=workers,
+        sequential = evaluate(program, database.to_storage("columnar"))
+        sharded = evaluate_sharded(
+            program, database.to_storage("columnar"), workers=workers
         )
         label = f"seed={seed} workers={workers}"
         assert _digest(sharded) == _digest(sequential), label
@@ -124,10 +119,8 @@ def test_sharded_evaluator_agrees_across_input_storages(storage):
     (converting to columnar for the hand-off) and lands on the same
     digest either way."""
     program, database, _ = random_workload(21, nodes=8, edges=40)
-    sequential = evaluate(program, database.copy(), engine="slots", storage=storage)
-    sharded = evaluate(
-        program, database.copy(), engine="slots", storage=storage, workers=2
-    )
+    sequential = evaluate(program, database.to_storage(storage))
+    sharded = evaluate_sharded(program, database.to_storage(storage), workers=2)
     assert _digest(sharded) == _digest(sequential)
     assert sharded.stats.iterations == sequential.stats.iterations
 
@@ -137,13 +130,11 @@ def test_sharded_budget_trip_partial_is_subset_of_fixpoint():
     accepted so far: the partial IDB must be a subset of the true
     fixpoint, with merged stats and a sharding report attached."""
     program, database, _ = random_workload(21, nodes=8, edges=40)
-    full = evaluate(program, database.copy(), engine="slots", storage="columnar")
+    full = evaluate(program, database.to_storage("columnar"))
     with pytest.raises(BudgetExceededError) as info:
-        evaluate(
+        evaluate_sharded(
             program,
-            database.copy(),
-            engine="slots",
-            storage="columnar",
+            database.to_storage("columnar"),
             workers=4,
             budget=Budget(max_facts=1),
         )
@@ -165,8 +156,8 @@ def test_storages_agree_on_example31():
     program, _ = good_path()
     database = good_path_bidirectional_database(num_chains=3, chain_length=12, seed=0)
 
-    rows = evaluate(program, database.copy(), engine="slots", storage="rows")
-    columnar = evaluate(program, database.copy(), engine="slots", storage="columnar")
+    rows = evaluate(program, database.copy())
+    columnar = evaluate(program, database.to_storage("columnar"))
 
     assert columnar.query_rows() == rows.query_rows()
     assert columnar.stats.probes == rows.stats.probes
@@ -184,21 +175,16 @@ def test_storages_agree_on_example31():
 
 def test_example31_rows_scanned_regression():
     """The compiled cost-ordered engine must scan strictly fewer rows
-    than the seed interpreter on the Example 3.1 workload (and at most
-    as many as the greedy-ordered plans), with identical answers."""
+    than the seed interpreter on the Example 3.1 workload, with
+    identical answers."""
     program, _ = good_path()
     database = good_path_bidirectional_database(num_chains=3, chain_length=12, seed=0)
 
     interpreted = evaluate(program, database.copy(), engine="interpreted")
-    greedy = evaluate(
-        program, database.copy(), engine="slots", plan_order="greedy"
-    )
-    cost = evaluate(program, database.copy(), engine="slots", plan_order="cost")
+    cost = evaluate(program, database.copy())
 
     assert cost.query_rows() == interpreted.query_rows()
-    assert greedy.query_rows() == interpreted.query_rows()
     assert cost.stats.rows_scanned < interpreted.stats.rows_scanned
-    assert cost.stats.rows_scanned <= greedy.stats.rows_scanned
 
     # The per-rule attribution exists for every rule that scanned rows,
     # and adds up to the total.

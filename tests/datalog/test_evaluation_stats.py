@@ -37,7 +37,6 @@ def test_as_dict_covers_every_counter_including_iterations():
         "wall_time_seconds": 0.0,
         "worker_restarts": 0,
         "shards_redispatched": 0,
-        "degradations": 0,
         "rows_scanned_by_rule": {"r": 20},
     }
     assert set(payload) == set(EvaluationStats.__dataclass_fields__)
@@ -80,7 +79,6 @@ def test_merge_sums_every_counter():
         "wall_time_seconds": 0.75,
         "worker_restarts": 0,
         "shards_redispatched": 0,
-        "degradations": 0,
         "rows_scanned_by_rule": {"r": 7, "s": 1, "t": 3},
     }
 
@@ -163,7 +161,6 @@ def test_compare_zero_baseline_never_divides_by_zero():
         "block_probes",
         "worker_restarts",
         "shards_redispatched",
-        "degradations",
     }
     for key in zero_on_both:
         assert ratios[key] == 1.0
@@ -185,7 +182,6 @@ def test_compare_zero_baseline_never_divides_by_zero():
         "budget_trips": 1.0,
         "worker_restarts": 1.0,
         "shards_redispatched": 1.0,
-        "degradations": 1.0,
     }
 
 

@@ -35,6 +35,11 @@ from repro.workloads.generators import (
 from repro.workloads.programs import ab_transitive_closure, good_path
 
 
+def _unit(literal):
+    """A size estimator with no information: every relation one row."""
+    return 1.0
+
+
 # ----------------------------------------------------------------------
 # (a) no program text in the generated source
 # ----------------------------------------------------------------------
@@ -86,7 +91,7 @@ def _named_program(n):
 
 def _sources(program):
     return [
-        compile_rule(rule, delta, order="greedy").source()
+        compile_rule(rule, delta, size_of=_unit).source()
         for rule in program.rules
         for delta in [None]
         + [i for i, item in enumerate(rule.body) if isinstance(item, Literal) and item.positive]
@@ -172,7 +177,7 @@ def test_code_cache_is_bounded_under_random_shapes():
     assert bound is not None
     misses_before = _compiled_kernel.cache_info().misses
     for _ in range(5000):
-        compile_rule(_random_rule(rng), order="greedy")
+        compile_rule(_random_rule(rng), size_of=_unit)
         assert _compiled_kernel.cache_info().currsize <= bound
     assert _compiled_kernel.cache_info().misses - misses_before > bound
     # Evicted kernels take their linecache entry with them.
@@ -230,7 +235,7 @@ ABORT_GOLDEN = {
 def test_abort_inside_a_kernel_reports_the_closure_chains_work(workload, k):
     program, database = ABORT_WORKLOADS[workload]()
     with pytest.raises(BudgetExceededError) as caught:
-        evaluate(program, database, engine="slots", storage="rows", budget=_TripOnRow(k))
+        evaluate(program, database, budget=_TripOnRow(k))
     partial = caught.value.partial
     stats = partial.stats
     assert (
@@ -250,13 +255,21 @@ def test_abort_inside_a_kernel_reports_the_closure_chains_work(workload, k):
 @pytest.mark.parametrize("workload", sorted(ABORT_WORKLOADS))
 def test_provenance_supports_match_the_interpreter(workload):
     program, database = ABORT_WORKLOADS[workload]()
-    slots = evaluate(
-        program, database.copy(), engine="slots", plan_order="greedy", provenance=True
-    )
+    slots = evaluate(program, database.copy(), provenance=True)
     interpreted = evaluate(program, database.copy(), engine="interpreted", provenance=True)
-    plain = evaluate(program, database.copy(), engine="slots", plan_order="greedy")
-    assert slots.provenance == interpreted.provenance
-    assert slots.provenance
+    plain = evaluate(program, database.copy())
+    # The interpreter joins in greedy order and the kernels in cost order,
+    # so which derivation of a fact comes first may differ: the same
+    # facts are explained, each by a sound instance of one of its rules.
+    assert slots.provenance and slots.provenance.keys() == interpreted.provenance.keys()
+    for (predicate, row), (rule, supports) in slots.provenance.items():
+        assert rule.head.predicate == predicate
+        assert [s[0] for s in supports] == [l.predicate for l in rule.positive_literals]
+        for support_predicate, support_row in supports:
+            if support_predicate in program.idb_predicates:
+                assert support_row in slots.rows(support_predicate)
+            else:
+                assert database.contains(support_predicate, support_row)
     # The batch insert (provenance off) derives the same facts and counts.
     assert slots.idb.keys() == plain.idb.keys()
     for predicate in plain.idb:
@@ -299,27 +312,18 @@ def _with_extras(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_executors_agree_on_digest_and_counters(seed):
     program, database = _with_extras(seed)
-    runs = {
-        (order, storage): evaluate(
-            program, database.copy(), engine="slots", plan_order=order, storage=storage
-        )
-        for order in ("greedy", "cost")
-        for storage in ("rows", "columnar")
-    }
+    rows = evaluate(program, database.copy())
+    columnar = evaluate(program, database.to_storage("columnar"))
     interpreted = evaluate(program, database.copy(), engine="interpreted")
     digest = fixpoint_digest([("x", interpreted.idb)])
-    for order in ("greedy", "cost"):
-        rows, columnar = runs[order, "rows"], runs[order, "columnar"]
-        assert fixpoint_digest([("x", rows.idb)]) == digest
-        assert fixpoint_digest([("x", columnar.idb)]) == digest
-        for counter in PINNED:
-            assert getattr(rows.stats, counter) == getattr(columnar.stats, counter), counter
-        assert rows.stats.rows_scanned_by_rule == columnar.stats.rows_scanned_by_rule
+    assert fixpoint_digest([("x", rows.idb)]) == digest
+    assert fixpoint_digest([("x", columnar.idb)]) == digest
+    for counter in PINNED:
+        assert getattr(rows.stats, counter) == getattr(columnar.stats, counter), counter
+    assert rows.stats.rows_scanned_by_rule == columnar.stats.rows_scanned_by_rule
     # Firings and rounds are properties of the program, not of the engine.
     for counter in ("iterations", "rule_firings", "facts_derived"):
-        assert getattr(runs["greedy", "rows"].stats, counter) == getattr(
-            interpreted.stats, counter
-        ), counter
+        assert getattr(rows.stats, counter) == getattr(interpreted.stats, counter), counter
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +340,7 @@ def test_join_longer_than_the_block_limit_chains_kernels():
     }
     assert results["slots"].query_rows() == {(i, i + hops) for i in range(4)}
     assert results["slots"].query_rows() == results["interpreted"].query_rows()
-    columnar = evaluate(program, database.copy(), storage="columnar")
+    columnar = evaluate(program, database.to_storage("columnar"))
     for counter in PINNED:
         assert getattr(results["slots"].stats, counter) == getattr(columnar.stats, counter)
 
@@ -356,7 +360,7 @@ def test_traceback_inside_a_kernel_shows_the_generated_line():
     text = "".join(traceback.format_exception(caught.value))
     assert 'File "<plan:' in text
     assert "compare(s1, k0, '<')" in text
-    plan = compile_rule(program.rules[0], order="greedy")
+    plan = compile_rule(program.rules[0], size_of=_unit)
     name = plan._kernel.__code__.co_filename
     assert name.startswith("<plan:") and name in text
     assert plan.source() == "".join(linecache.getlines(name))

@@ -13,6 +13,11 @@ from repro.datalog.plan import (
 )
 
 
+def _unit(literal):
+    """A size estimator with no information: every relation one row."""
+    return 1.0
+
+
 def _literal_names(ordered):
     return [item.predicate for item, _ in ordered if hasattr(item, "predicate")]
 
@@ -65,7 +70,7 @@ class TestOrderings:
 class TestCompiledPlan:
     def test_fully_bound_literal_becomes_existence_check(self):
         rule = parse_rule("q(X) :- start(X), path(X, Y), end(Y).")
-        plan = compile_rule(rule, order="greedy")
+        plan = compile_rule(rule, size_of=_unit)
         assert "exists end" in plan.describe()
 
     def test_existence_check_scans_zero_rows(self):
@@ -98,18 +103,7 @@ class TestCompiledPlan:
     def test_unbound_head_variable_rejected(self):
         rule = parse_rule("p(X, Y) :- e(X, Z).")
         with pytest.raises(ValueError):
-            compile_rule(rule, order="greedy")
-
-    def test_unknown_order_rejected(self):
-        rule = parse_rule("p(X, Y) :- e(X, Y).")
-        with pytest.raises(ValueError):
-            compile_rule(rule, order="alphabetical")
-
-    def test_cost_without_estimator_falls_back_to_greedy(self):
-        rule = parse_rule("p(X, Y) :- e(X, Y).")
-        plan = compile_rule(rule, order="cost", size_of=None)
-        assert plan.order == "cost"
-        assert "scan e" in plan.describe()
+            compile_rule(rule, size_of=_unit)
 
     def test_plan_run_counts_env_allocations(self):
         program = parse_program("p(X, Y) :- e(X, Y).", query="p")
@@ -119,7 +113,7 @@ class TestCompiledPlan:
         assert result.stats.env_allocations == 3
 
     def test_generated_kernel_is_one_nested_loop(self):
-        plan = compile_rule(parse_rule("p(X, Y) :- e(X, Z), p(Z, Y)."), 1, order="greedy")
+        plan = compile_rule(parse_rule("p(X, Y) :- e(X, Z), p(Z, Y)."), 1, size_of=_unit)
         assert plan.describe() == "scan* p(Z, Y) full; scan e(X, Z) key=[1]"
         assert plan.source() == (
             "def kernel(rels, stats, out, k):\n"
@@ -144,8 +138,8 @@ class TestCompiledPlan:
         )
 
     def test_plans_of_one_shape_share_their_functions(self):
-        first = compile_rule(parse_rule('p(X, 1) :- e(X, Y), Y < 3, not b(Y, "u").'), order="greedy")
-        second = compile_rule(parse_rule("reach(A, x) :- hop(A, B), B < 0.5, not cut(B, 9)."), order="greedy")
+        first = compile_rule(parse_rule('p(X, 1) :- e(X, Y), Y < 3, not b(Y, "u").'), size_of=_unit)
+        second = compile_rule(parse_rule("reach(A, x) :- hop(A, B), B < 0.5, not cut(B, 9)."), size_of=_unit)
         assert first._kernel is second._kernel and first._heads is second._heads
         assert first._consts == (3, "u", 1) and second._consts == (0.5, 9, "x")
         assert first.head_rows([(7, 2), (8, 0)]) == [(7, 1), (8, 1)]
@@ -154,7 +148,7 @@ class TestCompiledPlan:
     def test_support_rows_follow_rule_order(self):
         rule = parse_rule("q(X) :- end(Y), e(X, Y).")
         plan = compile_rule(
-            rule, order="cost", size_of=lambda lit: {"end": 1.0, "e": 100.0}[lit.predicate]
+            rule, size_of=lambda lit: {"end": 1.0, "e": 100.0}[lit.predicate]
         )
         # Provenance supports stay in textual rule order even though the
         # plan scans end(Y) first.

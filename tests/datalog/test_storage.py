@@ -225,7 +225,7 @@ def test_workload_digest_is_storage_invariant():
 def test_fixpoint_digest_is_storage_invariant(storage):
     program, database, _ = random_workload(7)
     baseline = evaluate(program, database.copy())
-    result = evaluate(program, database.copy(), storage=storage)
+    result = evaluate(program, database.to_storage(storage))
     assert fixpoint_digest([("w", result.idb)]) == fixpoint_digest([("w", baseline.idb)])
 
 
@@ -296,22 +296,19 @@ def test_resume_from_mid_run_snapshot_matches_fresh_run(storage):
     resume replays the snapshot's interner so code assignment (and the
     resulting fixpoint) is reproduced exactly."""
     program, database, _ = random_workload(11)
-    fresh = evaluate(program, database.copy(), storage=storage)
+    fresh = evaluate(program, database.to_storage(storage))
 
     snapshots = []
     evaluate(
         program,
-        database.copy(),
-        storage=storage,
+        database.to_storage(storage),
         checkpoint_every=1,
         checkpoint_sink=snapshots.append,
     )
     partial = next((s for s in snapshots if not s.complete), snapshots[0])
     if storage == "columnar":
         assert partial.interner is not None
-    resumed = evaluate(
-        program, database.copy(), storage=storage, resume_from=partial
-    )
+    resumed = evaluate(program, database.to_storage(storage), resume_from=partial)
     assert {p: resumed.rows(p) for p in program.idb_predicates} == {
         p: fresh.rows(p) for p in program.idb_predicates
     }

@@ -25,9 +25,8 @@ def test_profile_example_prints_hot_rules(capsys):
     assert "answers: 2 rows in goodPath" in out
 
 
-def test_profile_top_and_strategy_flags(capsys):
-    assert main(["profile", GOOD_PATH, "--query", "goodPath", "--top", "1",
-                 "--strategy", "naive"]) == 0
+def test_profile_top_flag(capsys):
+    assert main(["profile", GOOD_PATH, "--query", "goodPath", "--top", "1"]) == 0
     out = capsys.readouterr().out
     assert "top 1 rules" in out
 

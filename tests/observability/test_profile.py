@@ -99,7 +99,7 @@ def test_ingest_is_traced_and_profiled_like_a_cold_run():
         rows = sorted(database.relation(pred).rows())
         base[pred] = rows[: len(rows) // 2]
         held_back.extend((pred, row) for row in rows[len(rows) // 2 :])
-    session = Session(program, Database.from_rows(base), storage="columnar")
+    session = Session(program, Database.from_rows(base, storage="columnar"))
     before = session.run().stats
     with tracing(RingBufferSink()) as tracer:
         outcome = session.ingest(held_back)

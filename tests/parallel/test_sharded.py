@@ -11,7 +11,7 @@ import pytest
 
 from repro.datalog.evaluation import evaluate
 from repro.digest import fixpoint_digest
-from repro.observability import RingBufferSink, tracing
+from repro.observability import RingBufferSink, build_profile, tracing
 from repro.parallel import WorkerFailure, WorkerPool, evaluate_sharded
 from repro.workloads.generators import random_workload
 
@@ -49,11 +49,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="seminaive"):
             evaluate_sharded(program, database, workers=2, strategy="naive")
 
-    def test_evaluate_rejects_workers_on_interpreted_engine(self):
-        program, database = _workload()
-        with pytest.raises(ValueError, match="slot engine"):
-            evaluate(program, database, engine="interpreted", workers=2)
-
     def test_pool_requires_columnar_database(self):
         program, database, _ = random_workload(0)
         with pytest.raises(ValueError, match="columnar"):
@@ -72,14 +67,6 @@ class TestPoolMismatch:
         with WorkerPool(program, database, 2) as pool:
             with pytest.raises(ValueError, match="different program/database"):
                 evaluate_sharded(program, database.copy(), workers=2, pool=pool)
-
-    def test_plan_order_mismatch(self):
-        program, database = _workload(0, nodes=4, edges=6)
-        with WorkerPool(program, database, 2, plan_order="cost") as pool:
-            with pytest.raises(ValueError, match="plan_order"):
-                evaluate_sharded(
-                    program, database, workers=2, pool=pool, plan_order="greedy"
-                )
 
     def test_prebuilt_pool_cannot_resume(self):
         program, database = _workload(0, nodes=4, edges=6)
@@ -201,6 +188,8 @@ def test_dispatch_and_merge_trace_events():
         for e in merges
     }
     assert dispatched == merged
+    # ...and the profiler turns them into its per-worker table.
+    assert "shard workers (2):" in build_profile(sink).render()
 
 
 # ----------------------------------------------------------------------

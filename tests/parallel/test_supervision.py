@@ -1,6 +1,5 @@
 """Chaos-driven supervision tests: injected worker kills at the
-dispatch/merge fault sites, the recovery counters, and the degradation
-ladder down to the sequential columnar engine.
+dispatch/merge fault sites and the recovery counters.
 
 The core invariant under test: a worker killed at *any* dispatch or
 merge occurrence is recovered (respawn + shard re-dispatch) and the
@@ -14,8 +13,7 @@ import pytest
 
 from repro.datalog.evaluation import EvaluationStats, evaluate
 from repro.digest import fixpoint_digest
-from repro.parallel import SupervisionPolicy
-from repro.persist.store import RetryPolicy
+from repro.parallel import evaluate_sharded
 from repro.robustness import FaultInjector
 from repro.robustness.faults import chaos
 from repro.workloads.generators import random_workload
@@ -35,7 +33,7 @@ def _digest(result):
 @pytest.fixture()
 def reference():
     program, database = _workload()
-    return evaluate(program, database.copy(), engine="slots", storage="columnar")
+    return evaluate(program, database.copy())
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +46,7 @@ class TestChaosWorkerKill:
         program, database = _workload()
         injector = FaultInjector().arm("shard.dispatch", at=occurrence)
         with chaos(injector):
-            result = evaluate(program, database, workers=2)
+            result = evaluate_sharded(program, database, workers=2)
         assert injector.fired, "the armed occurrence must actually fire"
         assert _digest(result) == _digest(reference)
         assert result.stats.iterations == reference.stats.iterations
@@ -57,8 +55,6 @@ class TestChaosWorkerKill:
         assert result.stats.rows_scanned == reference.stats.rows_scanned
         assert result.stats.worker_restarts >= 1
         assert result.stats.shards_redispatched >= 1
-        assert result.stats.degradations == 0
-        assert result.fallbacks == ()
 
     @pytest.mark.parametrize("occurrence", [1, 2])
     def test_kill_at_merge_recovers_byte_identical(self, reference, occurrence):
@@ -68,7 +64,7 @@ class TestChaosWorkerKill:
         program, database = _workload()
         injector = FaultInjector().arm("shard.merge", at=occurrence)
         with chaos(injector):
-            result = evaluate(program, database, workers=2)
+            result = evaluate_sharded(program, database, workers=2)
         assert injector.fired
         assert _digest(result) == _digest(reference)
         assert result.stats.rule_firings == reference.stats.rule_firings
@@ -80,61 +76,11 @@ class TestChaosWorkerKill:
         program, database = _workload()
         injector = FaultInjector().arm("shard.dispatch", at=2)
         with chaos(injector):
-            result = evaluate(program, database, workers=2)
+            result = evaluate_sharded(program, database, workers=2)
         assert (
             result.stats.rows_scanned_by_rule
             == reference.stats.rows_scanned_by_rule
         )
-
-
-# ----------------------------------------------------------------------
-# Retry exhaustion: the degradation ladder, never exit 2
-
-
-class TestDegradationLadder:
-    def test_exhaustion_degrades_to_sequential(self, reference):
-        # Every dispatch kills its worker and the retry budget allows
-        # zero respawns: each fleet size is exhausted immediately and
-        # the run walks the whole ladder down to sequential columnar —
-        # completing with the right answer instead of raising.
-        program, database = _workload()
-        injector = FaultInjector().arm("shard.dispatch", times=500)
-        policy = SupervisionPolicy(retry=RetryPolicy(attempts=1, base_delay=0.0))
-        with chaos(injector):
-            result = evaluate(program, database, workers=2, supervision=policy)
-        assert _digest(result) == _digest(reference)
-        assert result.stats.degradations == 2
-        stages = [step.stage for step in result.fallbacks]
-        targets = [step.fell_back_to for step in result.fallbacks]
-        assert stages == ["sharded-w2", "sharded-w1"]
-        assert targets == ["sharded-w1", "sequential-columnar"]
-        for step in result.fallbacks:
-            assert "retry budget" in step.reason
-
-    def test_partial_recovery_then_exhaustion_carries_counters(self, reference):
-        # One respawn is allowed per fleet size; the killed replacements
-        # drain it and the carried worker_restarts survive degradation.
-        program, database = _workload()
-        injector = FaultInjector().arm("shard.dispatch", times=500)
-        policy = SupervisionPolicy(retry=RetryPolicy(attempts=2, base_delay=0.0))
-        with chaos(injector):
-            result = evaluate(program, database, workers=2, supervision=policy)
-        assert _digest(result) == _digest(reference)
-        assert result.stats.degradations == 2
-        assert result.stats.worker_restarts >= 1
-
-    def test_degrade_trace_events(self):
-        from repro.observability import RingBufferSink
-
-        program, database = _workload()
-        injector = FaultInjector().arm("shard.dispatch", times=500)
-        sink = RingBufferSink()
-        policy = SupervisionPolicy(retry=RetryPolicy(attempts=1, base_delay=0.0))
-        with chaos(injector, sink):
-            evaluate(program, database, workers=2, supervision=policy)
-        degrades = [e for e in sink.events if e.name == "shard.degrade"]
-        assert [e.attrs["stage"] for e in degrades] == ["sharded-w2", "sharded-w1"]
-        assert degrades[-1].attrs["fell_back_to"] == "sequential-columnar"
 
 
 # ----------------------------------------------------------------------
@@ -146,32 +92,27 @@ class TestRecoveryStats:
         stats = EvaluationStats()
         stats.worker_restarts = 2
         stats.shards_redispatched = 3
-        stats.degradations = 1
         payload = stats.as_dict()
         assert payload["worker_restarts"] == 2
         assert payload["shards_redispatched"] == 3
-        assert payload["degradations"] == 1
         rebuilt = EvaluationStats.from_dict(payload)
         assert rebuilt.worker_restarts == 2
         assert rebuilt.shards_redispatched == 3
-        assert rebuilt.degradations == 1
         other = EvaluationStats()
         other.worker_restarts = 1
         other.shards_redispatched = 1
         rebuilt.merge(other)
         assert rebuilt.worker_restarts == 3
         assert rebuilt.shards_redispatched == 4
-        assert rebuilt.degradations == 1
 
     def test_from_dict_tolerates_missing_recovery_keys(self):
         # Payloads written before the supervision layer existed.
         payload = EvaluationStats().as_dict()
-        for key in ("worker_restarts", "shards_redispatched", "degradations"):
+        for key in ("worker_restarts", "shards_redispatched"):
             payload.pop(key)
         rebuilt = EvaluationStats.from_dict(payload)
         assert rebuilt.worker_restarts == 0
         assert rebuilt.shards_redispatched == 0
-        assert rebuilt.degradations == 0
 
     def test_compare_covers_recovery_counters(self):
         a = EvaluationStats()
@@ -187,12 +128,12 @@ class TestRecoveryStats:
 
 class TestArmRandomDeterminism:
     @staticmethod
-    def _fired(engine_kwargs, seed=13, rate=0.35):
-        program, database = _workload(seed=5, nodes=6, edges=18)
+    def _fired(run=evaluate, seed=13, rate=0.35):
+        program, database, _ = random_workload(5, nodes=6, edges=18)
         injector = FaultInjector(seed).arm_random("iteration", rate=rate)
         with chaos(injector):
             try:
-                evaluate(program, database, **engine_kwargs)
+                run(program, database)
             except Exception:
                 pass
         return list(injector.fired)
@@ -202,15 +143,16 @@ class TestArmRandomDeterminism:
         # configuration, and the rng draw sequence depends only on the
         # observation sequence — so the faulted occurrences agree
         # across both engines and every fleet size.
-        configs = [
-            {"engine": "interpreted"},
-            {"engine": "slots"},
-            {"engine": "slots", "storage": "columnar"},
-            {"workers": 1},
-            {"workers": 2},
-            {"workers": 4},
+        runs = [
+            lambda program, database: evaluate(program, database, engine="interpreted"),
+            evaluate,
+            lambda program, database: evaluate(program, database.to_storage("columnar")),
+            *(
+                lambda program, database, n=n: evaluate_sharded(program, database, workers=n)
+                for n in (1, 2, 4)
+            ),
         ]
-        patterns = [self._fired(config) for config in configs]
+        patterns = [self._fired(run) for run in runs]
         assert all(pattern == patterns[0] for pattern in patterns[1:])
         assert patterns[0], "the random arm must fire at least once"
 
@@ -218,6 +160,6 @@ class TestArmRandomDeterminism:
         # Seed 13 first fires at occurrence 1, seed 0 at occurrence 4
         # (the workload runs 7 rounds) — different seeds, different
         # faulted occurrences.
-        base = self._fired({"engine": "slots"}, seed=13)
-        other = self._fired({"engine": "slots"}, seed=0)
+        base = self._fired(seed=13)
+        other = self._fired(seed=0)
         assert base != other

@@ -9,8 +9,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
 from repro.persist import CheckpointStore, Session
@@ -71,8 +69,7 @@ def _wait_for_checkpoints(ckpt_dir, minimum, timeout=30.0):
     return False
 
 
-@pytest.mark.parametrize("engine", ("slots", "interpreted"))
-def test_sigkill_mid_fixpoint_then_resume(tmp_path, engine):
+def test_sigkill_mid_fixpoint_then_resume(tmp_path):
     program, data = _write_workload(tmp_path)
     ckpt_dir = tmp_path / "ckpts"
     cmd = [
@@ -90,8 +87,6 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path, engine):
         str(ckpt_dir),
         "--checkpoint-every",
         "1",
-        "--engine",
-        engine,
         "--throttle",
         "0.05",  # slow the rounds down so the kill lands mid-fixpoint
     ]
@@ -110,9 +105,7 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path, engine):
 
     # Resume in-process and verify the answer row for row.
     parsed = parse_program(PROGRAM_TEXT, query="q")
-    outcome = Session(
-        parsed, _database(), store=CheckpointStore(ckpt_dir), engine=engine
-    ).resume()
+    outcome = Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).resume()
     assert outcome.mode == "resumed"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()

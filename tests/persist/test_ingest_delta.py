@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.datalog.atoms import IncomparableValues
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
@@ -74,7 +75,7 @@ def fsyncs(monkeypatch):
 
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
 def test_ingest_extends_the_live_relations_in_place(storage):
-    session = Session(_program(), _database(), storage=storage)
+    session = Session(_program(), _database().to_storage(storage))
     first = session.run().result
     relations = dict(first.idb)
     session.ingest([("edge", (4, 5))])  # builds whatever indexes ingests probe
@@ -182,7 +183,7 @@ def test_explicit_checkpoint_covers_and_is_idempotent(tmp_path):
 
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
 def test_aborted_ingest_hands_back_exactly_the_prior_fixpoint(storage):
-    session = Session(_program(), _database(), storage=storage)
+    session = Session(_program(), _database().to_storage(storage))
     held = session.run().result
     session.ingest([("edge", (4, 5))])
     before = {pred: rel.rows() for pred, rel in held.idb.items()}
@@ -200,14 +201,72 @@ def test_aborted_ingest_hands_back_exactly_the_prior_fixpoint(storage):
     assert sorted(held.idb["path"].probe((0,), (1,))) == sorted(
         row for row in before["path"] if row[0] == 1
     )
-    # The session has no current fixpoint (its EDB is ahead): the next
-    # ingest recomputes over everything that was journaled.
-    assert session._last is None
+    # The batch was never acknowledged, so it left the EDB with its
+    # consequences: the next ingest extends the same fixpoint.
+    assert session.database.relation("edge").rows() == frozenset(EDGES + [(4, 5)])
     session.budget = None
     outcome = session.ingest([("edge", (15, 16))])
-    assert outcome.mode == "recompute"
-    edges = EDGES + [(n, n + 1) for n in range(4, 16)]
-    assert _digest(outcome.result) == _cold_digest(edges)
+    assert outcome.mode == "incremental" and outcome.result.idb is held.idb
+    assert _digest(outcome.result) == _cold_digest(EDGES + [(4, 5), (15, 16)])
+
+
+def _tree_bytes(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_rejected_ingest_leaves_session_and_journal_untouched(tmp_path):
+    """``n("abc")`` meets ``X > 3``: the derivation raises a typed error
+    *before* the journal commit, so nothing of the batch survives — in
+    memory, on disk, or across a restart (open since PR 13)."""
+    program = parse_program("big(X) :- n(X), X > 3.", query="big")
+
+    def database():
+        return Database.from_rows({"n": [(1,), (5,)]})
+
+    session = Session(program, database(), store=CheckpointStore(tmp_path))
+    live = session.run().result
+    before = (
+        session.workload(),
+        session.database.to_dict(),
+        {pred: rel.rows() for pred, rel in live.idb.items()},
+        _tree_bytes(tmp_path),
+    )
+    with pytest.raises(IncomparableValues, match="'abc' and 3 are not order-comparable"):
+        session.ingest([("n", ("abc",)), ("n", (7,)), ("fresh", (1,))])
+    assert session._last is live
+    assert before == (
+        session.workload(),
+        session.database.to_dict(),
+        {pred: rel.rows() for pred, rel in live.idb.items()},
+        _tree_bytes(tmp_path),
+    )
+    # The session keeps ingesting and running...
+    outcome = session.ingest([("n", (9,))])
+    assert outcome.mode == "incremental"
+    assert outcome.result.rows("big") == {(5,), (9,)}
+    assert session.run().result.rows("big") == {(5,), (9,)}
+    session.journal.close()
+    # ...and a fresh process recovers every acknowledged ingest, only those.
+    recovered = Session(program, database(), store=CheckpointStore(tmp_path)).recover()
+    assert recovered.result.rows("big") == {(5,), (9,)}
+    assert recovered.result.database.relation("n").rows() == {(1,), (5,), (9,)}
+
+
+def test_rejected_recompute_ingest_is_taken_back_too():
+    """The same on the recompute path (no prior fixpoint to extend)."""
+    program = parse_program("big(X) :- n(X), X > 3.", query="big")
+    session = Session(program, Database.from_rows({"n": [(1,), (5,)]}))
+    workload = session.workload()
+    with pytest.raises(IncomparableValues):
+        session.ingest([("n", ("abc",))])
+    assert session.workload() == workload
+    assert session.database.relation("n").rows() == {(1,), (5,)}
+    outcome = session.ingest([("n", (9,))])
+    assert outcome.mode == "recompute" and outcome.result.rows("big") == {(5,), (9,)}
 
 
 def test_recover_reads_each_checkpoint_file_at_most_once(tmp_path):
@@ -285,16 +344,15 @@ def test_any_interleaving_equals_a_cold_recompute(tmp_path, seed):
             try:
                 session.ingest([("edge", row) for row in rows])
             except BudgetExceededError:
-                # Journaled before the trip: recovery owes these rows.
-                # Whoever still holds the previous result sees exactly
-                # the pre-ingest fixpoint; the session has none.
-                acked += rows
-                assert session._last is None
+                # Tripped before the journal commit: never acknowledged,
+                # so the session is where it was — and so is whoever
+                # still holds the previous result.
+                assert session._last is held
                 assert held is None or _digest(held) == before
-                continue
+            else:
+                acked += rows  # the budget was enough after all
             finally:
                 session.budget = None
-            acked += rows  # the budget was enough after all
         else:
             rows = fresh_rows()
             outcome = session.ingest([("edge", row) for row in rows])

@@ -48,10 +48,10 @@ def _database(extra=()):
     return Database.from_rows({"edge": list(EDGES) + list(extra)})
 
 
-def _cold_digest(extra=(), program=None, database=None):
+def _cold_digest(extra=(), program=None, database=None, engine="slots"):
     """Digest of a from-scratch recompute over initial EDB + ``extra``."""
     result = evaluate(
-        program or _program(), database or _database(extra)
+        program or _program(), database or _database(extra), engine=engine
     )
     return fixpoint_digest([("recovery", result.idb)])
 
@@ -64,16 +64,13 @@ def _digest(outcome):
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
 def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, engine, storage):
     """Kill after ack but before the covering checkpoint: the journal
-    suffix alone must carry the ingest across the restart."""
+    suffix alone must carry the ingest across the restart — on a
+    database of either backend, against a cold recompute by either
+    engine."""
     injector = FaultInjector()
     store = FlakyStore(CheckpointStore(tmp_path), injector)
     session = Session(
-        _program(),
-        _database(),
-        store=store,
-        engine=engine,
-        storage=storage,
-        retry=FAST,
+        _program(), _database().to_storage(storage), store=store, retry=FAST
     )
     session.run()
     session.ingest([("edge", (4, 5))])
@@ -83,16 +80,12 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, engine, storage)
     assert not session.checkpoint()  # degraded: no durable checkpoint
     # -- restart --------------------------------------------------------
     fresh = Session(
-        _program(),
-        _database(),
-        store=CheckpointStore(tmp_path),
-        engine=engine,
-        storage=storage,
+        _program(), _database().to_storage(storage), store=CheckpointStore(tmp_path)
     )
     recovered = fresh.recover()
     assert recovered.mode == "recovered"
     assert recovered.replayed >= 1
-    assert _digest(recovered) == _cold_digest([(4, 5), (5, 6)])
+    assert _digest(recovered) == _cold_digest([(4, 5), (5, 6)], engine=engine)
 
 
 def test_append_crash_leaves_state_unmutated(tmp_path):
@@ -195,10 +188,10 @@ def test_foreign_journal_raises_mismatch(tmp_path):
 
 def test_budget_trip_mid_recompute_fallback_is_recoverable(tmp_path):
     """Regression for the mutate-before-decision ordering bug: an ingest
-    that journals, mutates, then trips its budget inside the recompute
-    fallback leaves no durable checkpoint of the new state — but the
-    journal already holds the record, so a restart recovers the full
-    fixpoint including the interrupted ingest."""
+    that trips its budget inside the recompute fallback was never
+    acknowledged, so it leaves nothing behind — no journal record, no
+    EDB row — and a restart recovers the fixpoint without it; retried
+    with budget to spare it is acknowledged and survives the restart."""
     negation = parse_program(
         """
         reach(X) :- source(X).
@@ -213,14 +206,19 @@ def test_budget_trip_mid_recompute_fallback_is_recoverable(tmp_path):
     store = CheckpointStore(tmp_path)
     Session(negation, database, store=store).run()
     # Negation forces the recompute fallback on ingest; a one-fact budget
-    # trips it after the journal fsync and the EDB mutation.
+    # trips it before the journal fsync.
     tripper = Session(
         negation, database, store=store, budget=Budget(max_facts=1)
     )
     with pytest.raises(BudgetExceededError):
-        tripper.ingest([("edge", (4, 5))])
-    journal = IngestJournal(store.directory / "journal")
-    assert journal.last_seq >= 1  # the record was acknowledged pre-trip
+        tripper.ingest([("blocked", (4,))])
+    assert tripper.journal.last_seq == 0  # nothing was acknowledged
+    assert not database.contains("blocked", (4,))
+    recovered = Session(negation, database, store=store).recover()
+    assert _digest(recovered) == _cold_digest(program=negation, database=database)
+    tripper.budget = None
+    assert tripper.ingest([("edge", (4, 5))]).mode == "incremental"
+    tripper.journal.close()
     recovered = Session(negation, database, store=store).recover()
     cold = evaluate(
         negation,
@@ -243,14 +241,14 @@ def test_recovery_after_compaction_uses_self_contained_checkpoint(
     the checkpoint itself must carry the ingested EDB rows — recovery
     from the initial database alone still yields the full fixpoint."""
     store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store, storage=storage)
+    session = Session(_program(), _database().to_storage(storage), store=store)
     session.run()
     session.ingest([("edge", (4, 5))])
     session.ingest([("edge", (5, 6))])
     assert session.checkpoint()
     assert session.journal_info()["lag"] == 0  # fully compacted
     recovered = Session(
-        _program(), _database(), store=store, storage=storage
+        _program(), _database().to_storage(storage), store=store
     ).recover()
     assert recovered.replayed == 0
     assert _digest(recovered) == _cold_digest([(4, 5), (5, 6)])

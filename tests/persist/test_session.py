@@ -80,16 +80,15 @@ def test_ingest_incremental_row_identical_to_recompute(tmp_path, engine):
         _database(),
         store=CheckpointStore(tmp_path),
         checkpoint_every=1,
-        engine=engine,
     )
     session.run()
     outcome = session.ingest([("edge", (5, 6)), ("edge", (0, 1))])
     assert outcome.mode == "incremental"
     assert not outcome.fallback_chain
+    # against a cold recompute on the session's own engine and on the
+    # interpreter reference
     recomputed = _rows(
-        Session(_program(), _database(extra=[(5, 6), (0, 1)]), engine=engine)
-        .run()
-        .result
+        evaluate(_program(), _database(extra=[(5, 6), (0, 1)]), engine=engine)
     )
     assert _rows(outcome.result) == recomputed
 
@@ -245,9 +244,9 @@ def test_session_stats_cumulative_and_monotone(tmp_path):
 
 
 def test_budget_trip_inside_ingest_does_not_leave_a_stale_prior():
-    """A trip mid-ingest leaves the journaled rows in the EDB; the next
-    ingest must recompute from that EDB, not extend the pre-trip
-    fixpoint (which would silently drop the rows' consequences)."""
+    """A trip mid-ingest rejects the batch whole — rows and consequences
+    leave with it — so the prior fixpoint the next ingest extends is
+    exactly the fixpoint of the session's EDB, never a stale one."""
     session = Session(_program(), _database(), budget=Budget(max_facts=20))
     session.run()
     chain = [("edge", (node, node + 1)) for node in range(5, 15)]
@@ -258,10 +257,11 @@ def test_budget_trip_inside_ingest_does_not_leave_a_stale_prior():
     assert exc.stats is not None and exc.stats.budget_trips == 1
     # the shared abort handler attached the partial fixpoint: a subset
     # of the full one that already holds some of the new consequences
-    full = _rows(evaluate(_program(), session.database))
+    full = _rows(evaluate(_program(), _database(extra=[row for _, row in chain])))
     partial = _rows(exc.partial)
     assert all(partial[pred] <= full[pred] for pred in full)
     assert sum(map(len, partial.values())) > 20
+    assert session.database.relation("edge").rows() == _database().relation("edge").rows()
     session.budget = None
     outcome = session.ingest([("edge", (15, 16))])
     assert _rows(outcome.result) == _rows(evaluate(_program(), session.database))

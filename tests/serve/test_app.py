@@ -105,24 +105,50 @@ class TestRoutes:
         assert rejected == (400, {"error": "arity mismatch for e: expected 2, got 1"})
         assert after[1]["answers"] == before[1]["answers"]
 
-    def test_mixed_family_comparison_is_400(self):
+    def test_mixed_family_comparison_is_400(self, tmp_path):
         # e(2, "abc") meets Y < 3: bad data, not a server fault — at
-        # registration, on the ingest's incremental fixpoint, and on a
-        # per-request evaluation over the EDB that now holds the row.
-        app = ServeApp()
+        # registration and on the ingest's incremental fixpoint.  The
+        # rejected batch is gone: the tenant keeps answering and
+        # ingesting, and a restarted daemon recovers it.
+        app = ServeApp(persist_root=tmp_path)
         spec = {"program": "q(X) :- e(X, Y), Y < 3.", "query": "q", "facts": "e(1, 2)."}
-        bad = 'e(2, "abc").'
+        bad = 'e(2, "abc"). e(7, 0).'
+        ask = ("POST", "/programs/alpha/query", {"goal": "q(X)"})
+        resident = ("POST", "/programs/alpha/query", {"goal": "q(X)", "mode": "materialized"})
 
         async def drive():
             await register(app, "alpha", spec)
-            return [
+            rejected = [
                 await app.handle("PUT", "/programs/beta", dict(spec, facts=bad)),
                 await app.handle("POST", "/programs/alpha/ingest", {"facts": bad}),
-                await app.handle("POST", "/programs/alpha/query", {"goal": "q(X)"}),
             ]
+            served = [await app.handle(*ask), await app.handle(*resident)]
+            status, _ = await app.handle(
+                "POST", "/programs/alpha/ingest", {"facts": "e(3, 1)."}
+            )
+            assert status == 200
+            served += [await app.handle(*ask), await app.handle(*resident)]
+            app.registry.get("alpha").session.journal.close()
+            restarted = ServeApp(persist_root=tmp_path)
+            recovered = await register(restarted, "alpha", spec)
+            served.append(await restarted.handle(*resident))
+            return rejected, served, recovered
 
-        for reply in run(drive()):
+        rejected, served, recovered = run(drive())
+        for reply in rejected:
             assert reply == (400, {"error": "values 'abc' and 3 are not order-comparable"})
+        assert [status for status, _ in served] == [200] * 5
+        assert [payload["answers"] for _, payload in served] == [
+            [[1]], [[1]], [[1], [3]], [[1], [3]], [[1], [3]]
+        ]
+        assert recovered["mode"] in ("warm", "recovered")
+
+    def test_register_naming_a_removed_option_is_400(self):
+        status, payload = run(
+            ServeApp().handle("PUT", "/programs/alpha", {**ALPHA, "workers": 2})
+        )
+        assert status == 400
+        assert "unknown field(s) 'workers'" in payload["error"]
 
     def test_register_then_query_and_stats(self):
         app = ServeApp()
@@ -194,8 +220,7 @@ class TestRoutes:
         assert payload["materialized_mode"] == "fresh"
         assert payload["answers"] == expected_answers(ALPHA, "p(0, Y)")
 
-    @pytest.mark.parametrize("storage", ["rows", "columnar"])
-    def test_materialized_mode_probes_the_live_index_across_ingests(self, storage):
+    def test_materialized_mode_probes_the_live_index_across_ingests(self):
         """Bound, repeated-variable, absent-constant and all-free goals
         agree with a scan of the fixpoint, before and after ingests that
         extend the probed relation (and its index) in place."""
@@ -214,7 +239,7 @@ class TestRoutes:
             return answers
 
         async def drive():
-            await register(app, "alpha", {**ALPHA, "storage": storage})
+            await register(app, "alpha", ALPHA)
             relation = app.registry.get("alpha").materialized.result.idb["p"]
             rounds = [await ask()]
             for facts in ("e(10, 11).", "e(5, 5).", "e(11, 0)."):
@@ -278,61 +303,6 @@ class TestRoutes:
         assert payload["query"] == "p"
         assert payload["edb_facts"] == 10
         assert payload["latest_round"] >= 1
-
-
-class TestWorkers:
-    def test_register_with_workers_materializes_sharded(self):
-        app = ServeApp()
-
-        async def drive():
-            await register(app, "alpha", {**ALPHA, "workers": 2})
-            status, info = await app.handle("GET", "/programs/alpha")
-            assert status == 200
-            status, answer = await app.handle(
-                "POST", "/programs/alpha/query",
-                {"goal": "p(0, Y)", "mode": "materialized"},
-            )
-            assert status == 200
-            return info, answer
-
-        info, answer = run(drive())
-        assert info["workers"] == 2
-        assert answer["answers"] == expected_answers(ALPHA, "p(0, Y)")
-
-    def test_non_positive_workers_is_400(self):
-        app = ServeApp()
-        status, payload = run(
-            app.handle("PUT", "/programs/alpha", {**ALPHA, "workers": 0})
-        )
-        assert status == 400
-        assert "positive integer" in payload["error"]
-
-    def test_workers_with_interpreted_engine_is_400(self):
-        app = ServeApp()
-        status, payload = run(
-            app.handle(
-                "PUT", "/programs/alpha",
-                {**ALPHA, "workers": 2, "engine": "interpreted"},
-            )
-        )
-        assert status == 400
-        assert "slot engine" in payload["error"]
-
-    def test_daemon_default_applies_only_where_sharding_is_legal(self):
-        app = ServeApp(workers=2)
-
-        async def drive():
-            await register(app, "alpha", ALPHA)
-            _, sharded = await app.handle("GET", "/programs/alpha")
-            # An interpreted tenant must NOT inherit the daemon default
-            # (it would be rejected as a usage error if it did).
-            await register(app, "beta", {**BETA, "engine": "interpreted"})
-            _, sequential = await app.handle("GET", "/programs/beta")
-            return sharded, sequential
-
-        sharded, sequential = run(drive())
-        assert sharded["workers"] == 2
-        assert sequential["workers"] is None
 
 
 class TestBudgets:

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.persist.store import RetryPolicy
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import ServeDaemon
@@ -137,3 +138,57 @@ def test_concurrent_thread_clients_agree(daemon):
     for thread in threads:
         thread.join()
     assert not failures
+
+
+# ----------------------------------------------------------------------
+# The client's RetryPolicy over a failing transport (no socket needed)
+
+
+class TestClientRetry:
+    def _flaky(self, failures, response_payload=b'{"ok": true}'):
+        """A client whose transport fails ``failures`` times, then works."""
+        client = ServeClient(retry=RetryPolicy(base_delay=0.0, jitter=0.0))
+        state = {"left": failures}
+
+        class _Response:
+            status = 200
+
+        def round_trip(method, path, body):
+            if state["left"] > 0:
+                state["left"] -= 1
+                raise ConnectionResetError("keep-alive dropped")
+            return _Response(), response_payload
+
+        client._round_trip = round_trip
+        client.close = lambda: None
+        return client
+
+    def test_retries_under_policy_and_surfaces_count(self):
+        client = self._flaky(2)
+        payload = client.request("GET", "/healthz")
+        assert payload["ok"] is True
+        assert payload["client_retries"] == 2
+        assert client.last_retries == 2
+        assert client.retries_total == 2
+
+    def test_clean_request_has_no_retry_key(self):
+        client = self._flaky(0)
+        payload = client.request("GET", "/healthz")
+        assert "client_retries" not in payload
+        assert client.last_retries == 0
+
+    def test_exhausted_policy_reraises(self):
+        client = self._flaky(10)  # default policy allows 3 retries
+        with pytest.raises(ConnectionResetError):
+            client.request("GET", "/healthz")
+        assert client.retries_total == 3
+
+    def test_retry_counts_accumulate_across_requests(self):
+        client = self._flaky(1)
+        client.request("GET", "/healthz")
+        assert client.retries_total == 1
+        # Second request is clean; last_retries resets, total sticks.
+        payload = client.request("GET", "/healthz")
+        assert client.last_retries == 0
+        assert client.retries_total == 1
+        assert "client_retries" not in payload

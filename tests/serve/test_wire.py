@@ -31,7 +31,6 @@ class TestParseRegister:
         request = parse_register({"program": PROGRAM, "facts": FACTS, "query": "p"})
         assert request.program.query == "p"
         assert len(request.facts) == 2
-        assert request.engine == "slots"
 
     def test_body_must_be_object(self):
         with pytest.raises(UsageError, match="JSON object"):
@@ -45,9 +44,35 @@ class TestParseRegister:
         with pytest.raises(UsageError, match="cannot parse program"):
             parse_register({"program": "p(X :-"})
 
-    def test_bad_engine_choice(self):
-        with pytest.raises(UsageError, match="invalid engine"):
-            parse_register({"program": PROGRAM, "engine": "turbo"})
+
+
+#: (parser, a body that parses, a field the route does not read)
+UNREAD_FIELDS = [
+    *(
+        (parse_register, {"program": PROGRAM}, field)
+        for field in ("engine", "plan_order", "strategy", "storage", "workers", "goal")
+    ),
+    (parse_query, {"goal": "p(1, Y)"}, "engine"),
+    (parse_query, {"goal": "p(1, Y)"}, "facts"),
+    (parse_ingest, {"facts": FACTS}, "workers"),
+    (parse_ingest, {"facts": FACTS}, "program"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,body,field", UNREAD_FIELDS, ids=[f"{p.__name__}-{f}" for p, _, f in UNREAD_FIELDS]
+)
+def test_a_field_the_route_does_not_read_is_refused(parse, body, field):
+    parse(body)
+    with pytest.raises(UsageError, match=f"unknown field.*'{field}'"):
+        parse({**body, field: 2})
+
+
+def test_the_benchmark_bodies_parse():
+    """The field sets ``perf/serve.py`` sends."""
+    parse_register({"program": PROGRAM, "constraints": "", "facts": FACTS, "query": "p"})
+    parse_query({"goal": "p(1, Y)", "mode": "materialized", "order": "magic-first"})
+    parse_ingest({"facts": FACTS})
 
 
 class TestParseQuery:

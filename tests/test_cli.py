@@ -1,11 +1,18 @@
 """CLI tests: every command end to end via temp files."""
 
+import argparse
 import json
 
 import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.datalog.database import Database
+from repro.datalog.evaluation import evaluate
+from repro.datalog.parser import parse_facts, parse_program
+from repro.robustness import ReproError
+from repro.serve.registry import Tenant
+from repro.serve.wire import parse_register
 
 PROGRAM = """
 p(X, Y) :- a(X, Y).
@@ -92,10 +99,11 @@ class TestRun:
     def test_mixed_arity_facts_are_an_input_error(self, files, tmp_path, capsys, storage):
         facts = tmp_path / "mixed.dl"
         facts.write_text("a(1, 2). a(1).")
-        code = main([
-            "run", files["program.dl"], "--query", "p", "--data", str(facts),
-            "--storage", storage,
-        ])
+        # Either backend refuses the load with the typed error main()
+        # turns into exit 2; `run` loads into the first.
+        with pytest.raises(ReproError, match="arity mismatch for a"):
+            Database(parse_facts(facts.read_text()), storage=storage)
+        code = main(["run", files["program.dl"], "--query", "p", "--data", str(facts)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: arity mismatch for a: expected 2, got 1\n"
@@ -103,17 +111,30 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "executor",
-        [["--storage", "rows"], ["--storage", "columnar"], ["--engine", "interpreted"]],
+        [
+            # what `run` does, then the two reference executors by direct call
+            {"storage": "rows", "engine": "slots"},
+            {"storage": "columnar", "engine": "slots"},
+            {"storage": "rows", "engine": "interpreted"},
+        ],
     )
     def test_mixed_family_comparison_is_an_input_error(self, tmp_path, capsys, executor):
         program = tmp_path / "order.dl"
         program.write_text("q(X) :- e(X, Y), Y < 3.")
         facts = tmp_path / "mixed.dl"
         facts.write_text('e(1, 2). e(2, "abc").')
-        code = main(["run", str(program), "--query", "q", "--data", str(facts), *executor])
+        message = "values 'abc' and 3 are not order-comparable"
+        # Every executor raises the typed error main() turns into exit 2...
+        with pytest.raises(ReproError, match=message):
+            evaluate(
+                parse_program(program.read_text(), query="q"),
+                Database(parse_facts(facts.read_text()), storage=executor["storage"]),
+                engine=executor["engine"],
+            )
+        # ...and `run` reaches only the first of them.
+        code = main(["run", str(program), "--query", "q", "--data", str(facts)])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: values 'abc' and 3 are not order-comparable\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCheck:
@@ -153,6 +174,47 @@ class TestDecisionCommands:
             "contained", files["program.dl"], "--query", "p", "--ucq", files["ucq.dl"],
         ]) == 0
         assert "contained" in capsys.readouterr().out
+
+
+class TestOneWayToEvaluate:
+    """No front door selects an engine, a plan order, a storage backend,
+    a strategy or a worker count."""
+
+    REMOVED = {
+        "--engine", "--plan-order", "--storage", "--strategy",
+        "--workers", "--worker-retries",
+    }
+
+    def test_no_subparser_registers_a_removed_option(self):
+        def walk(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from walk(child)
+
+        registered = set(walk(cli.build_parser()))
+        assert "--timeout" in registered  # the walk does reach the leaves
+        assert not registered & self.REMOVED
+
+    def test_a_removed_option_is_a_usage_error(self, files, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", files["program.dl"], "--query", "p", "--engine", "interpreted"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --engine interpreted" in err
+        assert "Traceback" not in err
+
+    def test_inspect_payloads_name_no_selector(self, files, tmp_path, capsys):
+        assert main([
+            "session", "inspect", files["program.dl"], "--query", "p",
+            "--data", files["facts.dl"], "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ]) == 0
+        inspected = json.loads(capsys.readouterr().out)
+        request = parse_register({"program": PROGRAM, "query": "p", "facts": FACTS})
+        info = Tenant("alpha", request).info()
+        for payload in (inspected, info):
+            assert not {"engine", "storage", "strategy", "workers"} & set(payload)
 
 
 class TestBenchPassThrough:
