@@ -2,11 +2,12 @@
 """Crash-recovery smoke test for CI.
 
 Runs a dense 3-color transitive closure as a durable session
-(``checkpoint_every=1``), SIGKILLs the process mid-fixpoint, resumes
-from the surviving checkpoints, and verifies the resumed fixpoint
-digest against a cold in-process recompute.  Exits non-zero on any
-deviation: no checkpoints written, the kill landing after completion,
-a resume that recomputes from scratch, or a digest mismatch.
+(``checkpoint_every=1``), SIGKILLs the process mid-fixpoint, restarts
+with ``Session.recover()`` on the surviving checkpoints, and verifies
+the resumed fixpoint digest against a cold in-process recompute.  Exits
+non-zero on any deviation: no checkpoints written, the kill landing
+after completion, a restart that recomputes from scratch, or a digest
+mismatch.
 
 Usage (from the repository root)::
 
@@ -40,8 +41,16 @@ from repro.persist import CheckpointStore, Session, fixpoint_digest  # noqa: E40
 # Dense and deep (degree ~17 over 350 nodes): dozens of semi-naive
 # rounds, so there is a long mid-fixpoint window to land the kill in.
 COLORS, NODES, EDGES = 3, 350, 6000
-# Pace the child's rounds so the kill reliably lands mid-fixpoint.
-CHILD_THROTTLE = 0.2
+
+
+class PacedStore(CheckpointStore):
+    """The child's store: sleeps after each save, so its rounds are slow
+    enough for the kill to land mid-fixpoint reliably."""
+
+    def save(self, checkpoint):
+        path = super().save(checkpoint)
+        time.sleep(0.2)
+        return path
 
 
 def _workload():
@@ -63,9 +72,8 @@ def _run_child(checkpoint_dir: str) -> int:
     Session(
         program,
         database,
-        store=CheckpointStore(checkpoint_dir),
+        store=PacedStore(checkpoint_dir),
         checkpoint_every=1,
-        throttle=CHILD_THROTTLE,
     ).run()
     return 0
 
@@ -137,7 +145,7 @@ def main() -> int:
             database,
             store=CheckpointStore(ckpt_dir),
             checkpoint_every=1,
-        ).resume()
+        ).recover()
         if outcome.mode != "resumed":
             print(f"FAIL: expected a resume, got mode {outcome.mode!r}", file=sys.stderr)
             return 1

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Journal-kill smoke test for CI (the ``chaos-smoke`` job).
+"""Journal-kill smoke test for CI (the ``smoke`` job).
 
 Two kill scenarios against the write-ahead ingest journal, both judged
 by one rule: after a restart, the served fixpoint must equal a clean

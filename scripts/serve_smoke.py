@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Serving smoke test for CI (the ``serve-smoke`` job).
+"""Serving smoke test for CI (the ``smoke`` job).
 
 Boots the real daemon (``repro serve``) on an ephemeral port with a
 persist directory, then walks the full tenant life cycle over HTTP:

@@ -7,7 +7,7 @@ Commands
 ``run``          evaluate a program (optionally optimized) over facts
 ``magic``        magic-sets transformation for a bound query atom
 ``pipeline``     chain the semantic rewrite and magic sets (either order)
-``session``      durable evaluation: run / resume / recover / ingest / inspect
+``session``      durable evaluation: run (start or restart) / ingest / inspect
 ``serve``        boot the multi-tenant HTTP serving daemon
 ``client``       talk to a running daemon (register / query / ingest / stats)
 ``trace``        print the structured trace of a rewrite + evaluation
@@ -38,8 +38,6 @@ Examples::
         --order magic-first --data facts.dl --compare --trace
     python -m repro session run program.dl --query p --data facts.dl \
         --checkpoint-dir ./ckpts --checkpoint-every 1
-    python -m repro session resume program.dl --query p --data facts.dl \
-        --checkpoint-dir ./ckpts
     python -m repro session ingest program.dl --query p --data facts.dl \
         --facts new_facts.dl --checkpoint-dir ./ckpts
     python -m repro session inspect program.dl --query p --data facts.dl \
@@ -90,7 +88,7 @@ from .observability import (
     trace_summary,
     tracing,
 )
-from .persist import CheckpointStore, Session
+from .persist import CheckpointStore, IngestJournal, Session
 from .robustness import (
     Budget,
     EvaluationAborted,
@@ -325,21 +323,13 @@ def _session_from(args: argparse.Namespace) -> Session:
     if program.query is None:
         raise UsageError("--query is required for this command")
     database = _database_from(args, inline_facts)
-    journal: "IngestJournal | None | str" = "auto"
-    if getattr(args, "no_journal", False):
-        journal = None
-    elif getattr(args, "journal_dir", None):
-        from .persist import IngestJournal
-
-        journal = IngestJournal(args.journal_dir)
     return Session(
         program,
         database,
         store=CheckpointStore(args.checkpoint_dir),
-        journal=journal,
+        journal=IngestJournal(args.journal_dir) if args.journal_dir else None,
         checkpoint_every=args.checkpoint_every,
         budget=_budget_from(args),
-        throttle=args.throttle,
     )
 
 
@@ -351,6 +341,8 @@ def _print_session_outcome(session: Session, outcome) -> None:
     detail = "" if outcome.resumed_seq is None else f" from checkpoint {outcome.resumed_seq}"
     print(f"mode: {outcome.mode}{detail}")
     print(f"checkpoints written: {outcome.checkpoints_written}")
+    if outcome.replayed:
+        print(f"journal records replayed: {outcome.replayed}")
     rows = result.query_rows()
     print(f"answers ({len(rows)}):")
     for row in sorted(rows, key=repr):
@@ -363,23 +355,10 @@ def _print_session_outcome(session: Session, outcome) -> None:
 
 
 def _cmd_session_run(args: argparse.Namespace) -> int:
+    # A fresh process over the initial files: the checkpoint directory
+    # may hold more than they do.  Start or restart, recovery decides.
     session = _session_from(args)
-    _print_session_outcome(session, session.run())
-    return 0
-
-
-def _cmd_session_resume(args: argparse.Namespace) -> int:
-    session = _session_from(args)
-    _print_session_outcome(session, session.resume())
-    return 0
-
-
-def _cmd_session_recover(args: argparse.Namespace) -> int:
-    session = _session_from(args)
-    outcome = session.recover()
-    _print_session_outcome(session, outcome)
-    if outcome.replayed:
-        print(f"journal records replayed: {outcome.replayed}")
+    _print_session_outcome(session, session.recover())
     return 0
 
 
@@ -389,14 +368,10 @@ def _cmd_session_ingest(args: argparse.Namespace) -> int:
     if not facts:
         raise UsageError(f"--facts file {args.facts} holds no ground facts")
     outcome = session.ingest(facts)
-    # This process is about to exit: make sure a checkpoint at the
-    # post-ingest digest is there for the next command to start from.
+    # This process is about to exit: leave the next command a covering
+    # checkpoint to restore instead of a journal suffix to replay.
     session.checkpoint()
     _print_session_outcome(session, outcome)
-    print(
-        "note: resumes must now see the ingested facts too "
-        "(append them to the --data file)"
-    )
     return 0
 
 
@@ -704,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     session = sub.add_parser(
         "session",
-        help="durable evaluation sessions: run / resume / recover / ingest / inspect",
+        help="durable evaluation sessions: run (start or restart) / ingest / inspect",
     )
     session_sub = session.add_subparsers(dest="session_command", required=True)
 
@@ -723,33 +698,18 @@ def build_parser() -> argparse.ArgumentParser:
             "0 = only the final complete checkpoint)",
         )
         cmd.add_argument(
-            "--throttle", type=float, default=0.0, metavar="SECONDS",
-            help="sleep after each checkpoint save (crash-test pacing)",
-        )
-        cmd.add_argument(
             "--journal-dir", metavar="DIR",
             help="write-ahead ingest journal directory "
             "(default: <checkpoint-dir>/journal)",
-        )
-        cmd.add_argument(
-            "--no-journal", action="store_true",
-            help="disable the write-ahead ingest journal (ingests are "
-            "then only durable once their checkpoint lands)",
         )
         budget_flags(cmd)
         cmd.set_defaults(func=func)
         return cmd
 
     session_command(
-        "run", "evaluate with periodic checkpoints", _cmd_session_run
-    )
-    session_command(
-        "resume", "restart from the newest valid checkpoint", _cmd_session_resume
-    )
-    session_command(
-        "recover",
-        "crash recovery: newest complete checkpoint + journal replay",
-        _cmd_session_recover,
+        "run",
+        "start, or restart from the directory's checkpoints and journal",
+        _cmd_session_run,
     )
     cmd = session_command(
         "ingest", "add EDB facts and re-derive incrementally", _cmd_session_ingest

@@ -29,7 +29,13 @@ from typing import Iterable, Sequence
 from ..constraints.integrity import IntegrityConstraint, check_no_idb
 from ..constraints.locality import is_fully_local
 from ..observability.trace import get_tracer
-from ..robustness.budget import Budget, CancellationToken, FallbackStep, Governor
+from ..robustness.budget import (
+    Budget,
+    CancellationToken,
+    FallbackStep,
+    Governor,
+    record_fallback,
+)
 from ..robustness.errors import BudgetExceededError, Cancelled, EvaluationAborted, ReproError
 from ..datalog.atoms import Atom, Literal
 from ..datalog.database import Database, Row
@@ -345,6 +351,7 @@ def optimize(
             governor=None,
         )
     tracer = get_tracer()
+    fallbacks: list[FallbackStep] = []
     try:
         return _optimize_full(
             program,
@@ -357,18 +364,9 @@ def optimize(
     except Cancelled:
         raise
     except EvaluationAborted as exc:
-        first = FallbackStep(
-            stage="query-tree rewrite",
-            fell_back_to="residue-only rewrite",
-            reason=str(exc),
+        record_fallback(
+            fallbacks, "query-tree rewrite", "residue-only rewrite", str(exc), tracer
         )
-        if tracer.enabled:
-            tracer.event(
-                "budget.fallback",
-                stage=first.stage,
-                fell_back_to=first.fell_back_to,
-                reason=first.reason,
-            )
     tree_side, residue_side = _split_constraints(constraints)
     try:
         return _optimize_residue_only(
@@ -377,23 +375,14 @@ def optimize(
             tree_side,
             residue_side,
             inject_residues=inject_residues,
-            fallback_chain=(first,),
+            fallback_chain=tuple(fallbacks),
         )
     except Cancelled:
         raise
     except ReproError as exc:
-        second = FallbackStep(
-            stage="residue-only rewrite",
-            fell_back_to="original program",
-            reason=str(exc),
+        record_fallback(
+            fallbacks, "residue-only rewrite", "original program", str(exc), tracer
         )
-        if tracer.enabled:
-            tracer.event(
-                "budget.fallback",
-                stage=second.stage,
-                fell_back_to=second.fell_back_to,
-                reason=second.reason,
-            )
         return OptimizationReport(
             original=program,
             constraints=constraints,
@@ -405,7 +394,7 @@ def optimize(
             program=program,
             satisfiable=True,
             complete=False,
-            fallback_chain=(first, second),
+            fallback_chain=tuple(fallbacks),
         )
 
 

@@ -41,7 +41,13 @@ from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..digest import program_digest
 from ..observability.trace import get_tracer
-from ..robustness.budget import Budget, CancellationToken, FallbackStep, Governor
+from ..robustness.budget import (
+    Budget,
+    CancellationToken,
+    FallbackStep,
+    Governor,
+    record_fallback,
+)
 from ..robustness.errors import Cancelled, EvaluationAborted
 from .adorn import adornment_of, bound_args
 from .sips import SipsStrategy, get_sips, left_to_right
@@ -265,19 +271,7 @@ def run_pipeline(
             except EvaluationAborted as exc:
                 # Skip the stage: the previous stage's program is still a
                 # sound input for whatever comes next.
-                step = FallbackStep(
-                    stage=stage_name,
-                    fell_back_to="skip stage",
-                    reason=str(exc),
-                )
-                fallbacks.append(step)
-                if trace_on:
-                    tracer.event(
-                        "budget.fallback",
-                        stage=step.stage,
-                        fell_back_to=step.fell_back_to,
-                        reason=step.reason,
-                    )
+                record_fallback(fallbacks, stage_name, "skip stage", str(exc), tracer)
         if trace_on:
             pipeline_span.set(
                 stages=len(stages),

@@ -1,4 +1,4 @@
-"""Durable evaluation sessions: checkpoint/restore, resume, ingest.
+"""Durable evaluation sessions: checkpoint/restore, recover, ingest.
 
 The persistence layer makes fixpoints survive process death and absorb
 new facts without cold recomputation (see ``docs/robustness.md``,
@@ -9,7 +9,7 @@ new facts without cold recomputation (see ``docs/robustness.md``,
   digests, and the corruption/mismatch error taxonomy;
 * :mod:`repro.persist.store` — :class:`CheckpointStore` (atomic
   write-temp-fsync-rename saves, checksum-verified loads, quarantine of
-  anything suspect), the chaos-harness :class:`FlakyStore`, and
+  corrupt files only), the chaos-harness :class:`FlakyStore`, and
   :func:`save_with_retry` under a :class:`RetryPolicy`;
 * :mod:`repro.persist.journal` — :class:`IngestJournal`, the
   append-only CRC-framed write-ahead log of acknowledged ingests
@@ -17,7 +17,7 @@ new facts without cold recomputation (see ``docs/robustness.md``,
   compaction), the chaos-harness :class:`FlakyJournal`, and
   :func:`commit_with_retry`;
 * :mod:`repro.persist.session` — :class:`Session`, the durable
-  run/resume/ingest/recover/inspect life cycle.
+  recover/ingest/checkpoint life cycle; ``recover()`` is the one reader.
 """
 
 from .checkpoint import (

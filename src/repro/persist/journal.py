@@ -1,11 +1,10 @@
 """The write-ahead ingest journal: fsync-before-ack durability for deltas.
 
-Checkpoints (PR 5) make *fixpoints* durable, but an acknowledged
-:meth:`Session.ingest <repro.persist.session.Session.ingest>` used to
-become durable only when the post-ingest checkpoint landed — a process
-killed between the ack and that checkpoint, or any ingest after the
-checkpoint store degraded to in-memory, silently lost acknowledged
-writes.  :class:`IngestJournal` closes that window with the classic
+Checkpoints make *fixpoints* durable; :class:`IngestJournal` makes the
+acknowledgment of a :meth:`Session.ingest
+<repro.persist.session.Session.ingest>` durable, so a process killed
+before the next checkpoint — or ingesting while the checkpoint store is
+degraded to in-memory — loses nothing it acknowledged.  The classic
 write-ahead contract:
 
 * **append-only, CRC-framed records** — each ingest is one normalized
@@ -25,44 +24,36 @@ write-ahead contract:
   :meth:`IngestJournal.compact` deletes the segments that ``s`` fully
   covers.
 
-Recovery is *latest complete checkpoint + idempotent replay of the
-journal suffix*: each record carries the workload digest of the EDB it
-was appended against, so :meth:`Session.recover
-<repro.persist.session.Session.recover>` chains records onto the
-initial EDB, finds the newest complete checkpoint along the chain and
-re-derives only the uncovered suffix.  Replaying a record whose rows
-are already present is a no-op by construction (EDB rows are sets).
+Recovery is *newest self-contained checkpoint + idempotent replay of
+the journal suffix*, and :meth:`Session.recover
+<repro.persist.session.Session.recover>` — the journal's only reader —
+documents it.  Replaying a record whose rows are already present is a
+no-op by construction (EDB rows are sets).
 
-:class:`FlakyJournal` mirrors :class:`~repro.persist.store.FlakyStore`
-for the chaos harness: the deterministic
-:class:`~repro.robustness.faults.FaultInjector` decides *when* to fail
-at the ``journal.append`` / ``journal.fsync`` / ``journal.replay``
-sites, and the wrapper decides *how* — ``transient`` (EIO, nothing
-written), ``torn`` (half the frame's bytes actually land, then EIO) or
-``enospc``.  :func:`commit_with_retry` is the recovery policy, sharing
-:class:`~repro.persist.store.RetryPolicy` with checkpoint saves.
+:class:`FlakyJournal` is the journal under the chaos harness
+(:class:`~repro.robustness.faults.FlakyIO`); :func:`commit_with_retry`
+is :func:`~repro.persist.store.with_retry` around a commit.
 
 This journal is also the durable delta-log substrate that DRed-style
-retractions (ROADMAP item 1) will replay: a deletion record is just a
-future ``kind`` on the same frame format.
+retractions (parked in ROADMAP) would replay: a deletion record is just
+a future ``kind`` on the same frame format.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Governor
-from ..robustness.errors import InjectedFault
-from ..robustness.faults import FaultInjector
+from ..robustness.faults import FlakyIO
 from .checkpoint import CheckpointError
+from .store import RetryPolicy, with_retry
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -74,16 +65,12 @@ __all__ = [
     "IngestJournal",
     "FlakyJournal",
     "commit_with_retry",
-    "JOURNAL_FAULT_FLAVORS",
 ]
 
 #: Format tag written at the head of every frame (bump on layout change).
 JOURNAL_VERSION = 1
 
 _MAGIC = b"J1"
-
-#: The OSError flavors :class:`FlakyJournal` can inject, in cycling order.
-JOURNAL_FAULT_FLAVORS = ("transient", "torn", "enospc")
 
 
 class JournalError(CheckpointError):
@@ -154,12 +141,6 @@ class JournalRecord:
         ).encode()
         crc = zlib.crc32(payload) & 0xFFFFFFFF
         return b"%s %08x %d %s\n" % (_MAGIC, crc, len(payload), payload)
-
-    def rows_by_predicate(self) -> dict[str, list[tuple]]:
-        grouped: dict[str, list[tuple]] = {}
-        for predicate, row in self.rows:
-            grouped.setdefault(predicate, []).append(row)
-        return grouped
 
 
 def _parse_frame(data: bytes, offset: int) -> "tuple[JournalRecord, int] | None":
@@ -324,11 +305,8 @@ class IngestJournal:
             and len(self._segments[self._active]) >= self.segment_records
         ):
             self.rotate()
-        fd = self._ensure_fd()
         frame = record.encode()
-        os.lseek(fd, self._good_offset, os.SEEK_SET)
-        os.write(fd, frame)
-        os.ftruncate(fd, self._good_offset + len(frame))
+        self.spill(frame)
         self._pending = (record, len(frame))
         tracer = self.tracer
         if tracer.enabled:
@@ -371,13 +349,10 @@ class IngestJournal:
         return size
 
     def spill(self, data: bytes) -> None:
-        """Write raw bytes at the acknowledged offset without acking.
-
-        Used by :class:`FlakyJournal`'s ``torn`` flavor to model a
-        non-atomic write interrupted mid-frame: the bytes land on disk,
-        the next scan truncates them away, the next append overwrites
-        them.
-        """
+        """Write raw bytes at the acknowledged offset without acking:
+        :meth:`append`'s write, and on its own a write interrupted
+        mid-frame (:class:`FlakyJournal`'s ``torn`` flavor) — the next
+        scan truncates the bytes away, the next append overwrites them."""
         self.open()
         fd = self._ensure_fd()
         os.lseek(fd, self._good_offset, os.SEEK_SET)
@@ -490,69 +465,28 @@ def _segment_number(path: Path) -> int | None:
     return int(stem) if stem.isdigit() else None
 
 
-class FlakyJournal:
-    """An :class:`IngestJournal` whose I/O fails on command.
-
-    Mirrors :class:`~repro.persist.store.FlakyStore`: the
-    :class:`~repro.robustness.faults.FaultInjector` decides *when*
-    (``arm("journal.fsync", at=1)``, ``arm_random(...)``), this wrapper
-    decides *how*, cycling through ``flavors`` per fired occurrence:
-
-    * ``"transient"`` — ``OSError(EIO)``, nothing written;
-    * ``"torn"`` — the first half of the frame's bytes land at the
-      acknowledged offset (a write interrupted mid-frame), then
-      ``OSError(EIO)`` — exercising torn-tail truncation on reopen;
-    * ``"enospc"`` — ``OSError(ENOSPC)``, nothing written.
-    """
-
-    def __init__(
-        self,
-        journal: IngestJournal,
-        injector: FaultInjector,
-        *,
-        flavors: Sequence[str] = ("transient",),
-    ):
-        for flavor in flavors:
-            if flavor not in JOURNAL_FAULT_FLAVORS:
-                raise ValueError(
-                    f"unknown fault flavor {flavor!r} "
-                    f"(valid: {', '.join(JOURNAL_FAULT_FLAVORS)})"
-                )
-        self.journal = journal
-        self.injector = injector
-        self.flavors = tuple(flavors)
-        self._fired = 0
+class FlakyJournal(FlakyIO):
+    """An :class:`IngestJournal` whose ``append``, ``sync`` and
+    ``replay`` fail on command (sites ``journal.append`` /
+    ``journal.fsync`` / ``journal.replay``); a *torn* append lands the
+    first half of the frame at the acknowledged offset — a write
+    interrupted mid-frame — for torn-tail truncation to find on
+    reopen."""
 
     @property
-    def directory(self) -> Path:
-        return self.journal.directory
+    def journal(self) -> IngestJournal:
+        return self.inner  # type: ignore[return-value]
 
-    @property
-    def tracer(self) -> Tracer:
-        return self.journal.tracer
-
-    def _fault(self, site: str, record: JournalRecord | None) -> None:
-        try:
-            self.injector.observe(site, {})
-        except InjectedFault as exc:
-            flavor = self.flavors[self._fired % len(self.flavors)]
-            self._fired += 1
-            if flavor == "enospc":
-                raise OSError(
-                    errno.ENOSPC, f"no space left on device (injected at {site})"
-                ) from exc
-            if flavor == "torn" and record is not None:
-                frame = record.encode()
-                self.journal.spill(frame[: len(frame) // 2])
-            raise OSError(errno.EIO, f"injected {flavor} I/O error at {site}") from exc
-
-    # -- faulted operations --------------------------------------------
     def append(self, record: JournalRecord) -> int:
-        self._fault("journal.append", record)
+        def tear() -> None:
+            frame = record.encode()
+            self.journal.spill(frame[: len(frame) // 2])
+
+        self._fault("journal.append", tear)
         return self.journal.append(record)
 
     def sync(self) -> None:
-        self._fault("journal.fsync", None)
+        self._fault("journal.fsync")
         self.journal.sync()
 
     def commit(self, record: JournalRecord) -> int:
@@ -561,87 +495,33 @@ class FlakyJournal:
         return size
 
     def replay(self, after_seq: int = 0) -> list[JournalRecord]:
-        self._fault("journal.replay", None)
+        self._fault("journal.replay")
         return self.journal.replay(after_seq)
-
-    # -- clean passthroughs --------------------------------------------
-    def open(self) -> "FlakyJournal":
-        self.journal.open()
-        return self
-
-    def next_seq(self) -> int:
-        return self.journal.next_seq()
-
-    @property
-    def last_seq(self) -> int:
-        return self.journal.last_seq
-
-    def records(self) -> list[JournalRecord]:
-        return self.journal.records()
-
-    def lag(self, covered_seq: int | None = None) -> int:
-        return self.journal.lag(covered_seq)
-
-    def compact(self, covered_seq: int) -> int:
-        return self.journal.compact(covered_seq)
-
-    def info(self) -> dict:
-        return self.journal.info()
-
-    def close(self) -> None:
-        self.journal.close()
 
 
 def commit_with_retry(
     journal: "IngestJournal | FlakyJournal",
     record: JournalRecord,
     *,
-    policy=None,
+    policy: RetryPolicy | None = None,
     governor: Governor | None = None,
     sleep=time.sleep,
 ) -> int:
-    """Commit ``record``, retrying transient ``OSError`` failures;
-    returns the acknowledged frame's size in bytes.
-
-    The exact analogue of :func:`~repro.persist.store.save_with_retry`
-    under the same :class:`~repro.persist.store.RetryPolicy`: the
-    governor is consulted before every attempt, each backoff sleep is
-    clamped to its remaining deadline, and an exhausted attempt budget
-    raises :class:`JournalUnavailable` — the ingest is then NOT
-    acknowledged and the session takes the staged batch back.
-
-    Re-attempts are safe because :meth:`IngestJournal.append` always
-    writes at the last acknowledged offset: a half-written or unsynced
-    frame from a failed attempt is overwritten, never duplicated.
-    """
-    from .store import RetryPolicy
-
-    policy = policy if policy is not None else RetryPolicy()
-    delays = policy.delays()
-    last_error: OSError | None = None
-    for attempt in range(1, max(1, policy.attempts) + 1):
-        if governor is not None:
-            governor.check("journal")
-        try:
-            return journal.commit(record)
-        except OSError as exc:
-            last_error = exc
-            delay = next(delays, None)
-            if delay is None:
-                break
-            remaining = governor.remaining() if governor is not None else None
-            if remaining is not None:
-                delay = max(0.0, min(delay, remaining))
-            tracer = journal.tracer
-            if tracer.enabled:
-                tracer.event(
-                    "journal.retry",
-                    seq=record.seq,
-                    attempt=attempt,
-                    delay=round(delay, 6),
-                    error=str(exc),
-                )
-            sleep(delay)
-    raise JournalUnavailable(
-        f"journal commit failed after {policy.attempts} attempts: {last_error}"
-    ) from last_error
+    """Commit ``record`` under :func:`~repro.persist.store.with_retry`;
+    returns the acknowledged frame's size in bytes.  An exhausted
+    attempt budget raises :class:`JournalUnavailable` — the ingest is
+    then NOT acknowledged and the session takes the staged batch back.
+    Re-attempts are safe: :meth:`IngestJournal.append` always writes at
+    the last acknowledged offset, so a failed attempt's frame is
+    overwritten, never duplicated."""
+    return with_retry(
+        journal,
+        journal.commit,
+        record,
+        phase="journal",
+        what="journal commit",
+        unavailable=JournalUnavailable,
+        policy=policy,
+        governor=governor,
+        sleep=sleep,
+    )

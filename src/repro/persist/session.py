@@ -1,77 +1,44 @@
-"""Durable evaluation sessions: run, crash, resume, ingest.
+"""Durable evaluation sessions: recover, ingest, checkpoint.
 
-A :class:`Session` binds one workload (program + database) to one
-checkpoint directory and exposes the durable life cycle:
+A :class:`Session` binds one workload (program + *initial* database) to
+one checkpoint directory.  Its durable life cycle is ``recover`` →
+``ingest``\\ * → ``checkpoint``; each method's docstring is the contract:
 
-* :meth:`Session.run` — evaluate with periodic checkpoints.  Saves go
-  through :func:`~repro.persist.store.save_with_retry`; a store that
-  stays broken after the retry budget **degrades** the session to plain
-  in-memory evaluation (recorded as a
-  :class:`~repro.robustness.budget.FallbackStep` and a
-  ``budget.fallback`` trace event) instead of failing the run.
-* :meth:`Session.resume` — pick up the newest valid checkpoint for
-  this exact workload digest and restart the fixpoint from its saved
-  frontier.  Corrupt or foreign checkpoints are quarantined during the
-  walk; with no usable checkpoint the session falls back to a fresh
-  run.
-* :meth:`Session.ingest` — add new EDB facts and re-derive
-  **incrementally**: the new facts seed delta relations
-  (Bancilhon–Ramakrishnan differentiation — each rule fires once per
-  changed body position with the delta there and full relations
-  elsewhere), then normal semi-naive rounds propagate inside each SCC,
-  in dependency order.  Every derivation that uses at least one new
-  fact is covered, so the result is row-identical to recomputation.
-  When an ingested predicate occurs **negated** in the program the
-  update is non-monotonic (new facts can retract conclusions), so
-  ingest detects this and falls back to a full recompute — wrong
-  answers are never an option.
-
-  An ingest is **priced by its delta**.  The session's live fixpoint
-  is extended *in place*: the relations of the last result — rows and
-  their incrementally maintained indexes — are the ones the delta
-  rounds add to, the compiled plans are kept between ingests, and the
-  workload digest moves by one hash per added row.  The returned
-  result therefore shares its relations with every earlier result of
-  the session.
-
-  Ingest **derives, then journals, then acknowledges**: the new rows
-  are staged in the EDB and the fixpoint is brought up to date first;
-  only a batch whose derivation completed is appended to the session's
-  :class:`~repro.persist.journal.IngestJournal` and ``fsync``\\ ed — the
-  fsync is the acknowledgment point, and the only durable write an
-  ingest waits for, so an acknowledged ingest survives a SIGKILL at any
-  later instant.  A batch that is rejected on the way (an order atom
-  meeting incomparable values, a budget trip, a journal that cannot
-  fsync) is taken back whole: EDB, fixpoint, workload digest and
-  journal are what they were, the error propagates, and the session
-  keeps serving and ingesting.  So the journal only ever holds batches
-  that :meth:`Session.recover` can replay.  Checkpoints follow
-  **journal lag**: a covering
-  self-contained checkpoint (EDB + fixpoint) is written when the
-  journal bytes acknowledged since the last one reach that
+* :meth:`Session.recover` — start *or* restart, and the **only** code
+  that reads a checkpoint file or a journal segment: newest
+  self-contained checkpoint + journal replay, else an evaluation picked
+  up from the newest frontier a killed one left, else a fresh run.
+  A valid checkpoint that does not fit is skipped, never renamed.
+* :meth:`Session.ingest` — add EDB facts and extend the live fixpoint
+  *in place* by semi-naive differentiation (recompute when an ingested
+  predicate occurs negated): **derive, then journal, then acknowledge**
+  — the journal fsync is the acknowledgment and the only durable write
+  an ingest waits for; a batch rejected on the way is taken back whole.
+  A session that holds no fixpoint yet recovers first.
+* :meth:`Session.checkpoint` — checkpoints follow **journal lag**: a
+  covering self-contained checkpoint (EDB + fixpoint) is written when
+  the journal bytes acknowledged since the last one reach that
   checkpoint's own size — so checkpoint writes stay within 2x of
   journal writes, and a restart replays at most one checkpoint's worth
-  of journal — and additionally after every full run, after a recovery
-  that replayed records, and on :meth:`Session.checkpoint`.  Once a
-  covering checkpoint lands, the journal prefix it covers is compacted
-  away.  (A session with a store but no journal has no other durable
-  copy, so there every ingest checkpoints.)
-* :meth:`Session.recover` — crash recovery: restore the newest
-  self-contained checkpoint, chain the journal's acknowledged records
-  onto its EDB (one hash per row), and replay them all as **one**
-  incremental delta (by recompute when not monotone).  The resulting
-  fixpoint is byte-identical to a cold recompute over (initial EDB +
-  every acknowledged ingest).
+  of journal — and additionally after every full evaluation, after a
+  recovery that replayed records, and on this call.  Once one lands,
+  the journal prefix it covers is compacted away.
+* :meth:`Session.run` — the cold evaluation recovery falls back to and
+  the tests compare against; it writes checkpoints, never reads disk.
 * :meth:`Session.inspect` — a JSON-ready summary of store + journal.
 
-Statistics stay cumulative across the whole life cycle (resume and
-ingest merge the prior snapshot's counters before adding new work), so
-budget accounting and reports see the true total cost.
+Checkpoint saves go through :func:`~repro.persist.store.save_with_retry`;
+a store that stays broken after the retry budget **degrades** the
+session to in-memory evaluation (a
+:class:`~repro.robustness.budget.FallbackStep` and a ``budget.fallback``
+trace event) instead of failing it.  Statistics stay cumulative across
+the whole life cycle (a restored frontier or fixpoint brings its
+counters, and ingest adds to them), so budget accounting and reports
+see the true total cost.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -89,7 +56,13 @@ from ..datalog.evaluation import (
 from ..datalog.program import Program
 from ..digest import bind_edb, edb_hash, program_digest, rows_hash
 from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import Budget, CancellationToken, FallbackStep, Governor
+from ..robustness.budget import (
+    Budget,
+    CancellationToken,
+    FallbackStep,
+    Governor,
+    record_fallback,
+)
 from .checkpoint import Checkpoint, CheckpointError
 from .journal import (
     FlakyJournal,
@@ -108,19 +81,17 @@ from .store import (
 
 __all__ = ["Session", "SessionResult"]
 
-#: Facts accepted by :meth:`Session.ingest`: ground atoms or (predicate, row).
-FactLike = "Atom | tuple[str, Sequence[object]]"
-
 
 @dataclass
 class SessionResult:
     """The outcome of one session operation.
 
     ``mode`` records the path taken: ``"fresh"`` (full evaluation),
-    ``"resumed"`` (restarted from a checkpoint), ``"incremental"``
-    (delta-seeded ingest), ``"recompute"`` (ingest fell back to full
-    re-evaluation), ``"warm"`` (zero-evaluation checkpoint restore) or
-    ``"recovered"`` (checkpoint restore plus journal replay).
+    ``"resumed"`` (recovery restarted a killed evaluation from its
+    newest frontier checkpoint), ``"incremental"`` (delta-seeded
+    ingest), ``"recompute"`` (ingest fell back to full re-evaluation),
+    ``"warm"`` (zero-evaluation checkpoint restore) or ``"recovered"``
+    (recovery replayed journal records).
     ``fallback_chain`` lists every degradation taken, in order;
     ``replayed`` counts the journal records recovery re-applied.
     """
@@ -146,30 +117,22 @@ class Session:
         database: Database,
         *,
         store: "CheckpointStore | FlakyStore | None" = None,
-        journal: "IngestJournal | FlakyJournal | None | str" = "auto",
+        journal: "IngestJournal | FlakyJournal | None" = None,
         checkpoint_every: int = 1,
         constraints: Sequence[object] = (),
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
         tracer: Tracer | None = None,
         retry: RetryPolicy | None = None,
-        throttle: float = 0.0,
     ):
         self.program = program
         self.database = database
         self.store = store
-        # ``journal="auto"`` (the default) co-locates the write-ahead
-        # ingest journal with the checkpoint store (``<dir>/journal``);
-        # pass an explicit journal to place it elsewhere, or ``None``
-        # to run without write-ahead durability.
-        if journal == "auto":
-            self.journal = (
-                None
-                if store is None
-                else IngestJournal(Path(store.directory) / "journal", tracer=tracer)
-            )
-        else:
-            self.journal = journal  # type: ignore[assignment]
+        # The write-ahead ingest journal lives with the checkpoint store
+        # (``<dir>/journal``) unless one is passed to place it elsewhere.
+        if journal is None and store is not None:
+            journal = IngestJournal(Path(store.directory) / "journal", tracer=tracer)
+        self.journal = journal
         # Journal positions.  Every record up to ``_applied_seq`` has
         # its rows in the EDB (ingest and recovery advance it); a
         # self-contained checkpoint on disk reflects every record up to
@@ -188,7 +151,6 @@ class Session:
         self.cancellation = cancellation
         self._tracer = tracer
         self.retry = retry if retry is not None else RetryPolicy()
-        self.throttle = throttle
         self._last: EvaluationResult | None = None
         #: Compiled (rule, delta position) plans, kept between ingests.
         self._plans: dict = {}
@@ -208,113 +170,105 @@ class Session:
             self._edb_hash = edb_hash(self.database)
         return bind_edb(self._shape, self._edb_hash)
 
-    def _add_rows(self, rows: Iterable[tuple[str, Row]]) -> None:
-        """Add EDB rows, moving the workload digest with them."""
+    def _add_rows(self, rows: Iterable[tuple[str, Row]]) -> list[tuple[str, Row]]:
+        """Add EDB rows, moving the workload digest with them; returns
+        those that were new."""
         self.workload()  # the hash must predate the rows
         add_row = self.database.add_row
         added = [(predicate, row) for predicate, row in rows if add_row(predicate, row)]
         self._edb_hash = rows_hash(added, self._edb_hash)
+        return added
 
     # ------------------------------------------------------------------
     def _governor(self) -> Governor | None:
         return Governor.of(self.budget, self.cancellation)
 
-    def _make_sink(
+    def _save(
         self,
+        snapshot: EvaluationSnapshot,
         governor: Governor | None,
         fallback_chain: list[FallbackStep],
-        counter: list[int],
-    ):
-        """A checkpoint sink that saves-with-retry and degrades on failure."""
-        if self.store is None:
-            return None
-        store = self.store
-        state = {"degraded": False}
-
-        def sink(snapshot: EvaluationSnapshot) -> None:
-            if state["degraded"]:
-                return
-            if snapshot.complete and snapshot.edb is None:
-                # Complete checkpoints are self-contained: they carry
-                # the EDB so the journal can compact the records they
-                # cover without losing the only copy of ingested facts.
-                snapshot = replace(snapshot, edb=self._edb_rows())
-            checkpoint = Checkpoint(
-                seq=store.next_seq(), workload=self.workload(), snapshot=snapshot
+    ) -> int:
+        """Checkpoint ``snapshot`` with retry; returns how many landed
+        (0 or 1).  A store that stays broken degrades the operation to
+        in-memory — recorded once in its ``fallback_chain``, after
+        which its later snapshots are not attempted."""
+        if self.store is None or any(
+            step.stage == "session.checkpoint" for step in fallback_chain
+        ):
+            return 0
+        if snapshot.complete and snapshot.edb is None:
+            # Complete checkpoints are self-contained: they carry the
+            # EDB so the journal can compact the records they cover
+            # without losing the only copy of ingested facts.
+            edb = {
+                pred: self.database.relation(pred).rows()
+                for pred in sorted(self.database.predicates())
+            }
+            snapshot = replace(snapshot, edb=edb)
+        checkpoint = Checkpoint(
+            seq=self.store.next_seq(), workload=self.workload(), snapshot=snapshot
+        )
+        try:
+            save_with_retry(
+                self.store, checkpoint, policy=self.retry, governor=governor
             )
-            try:
-                save_with_retry(
-                    store, checkpoint, policy=self.retry, governor=governor
-                )
-            except CheckpointStoreUnavailable as exc:
-                state["degraded"] = True
-                self._fall_back(
-                    fallback_chain, "session.checkpoint", "in-memory", str(exc)
-                )
-                return
-            counter[0] += 1
-            if snapshot.complete:
-                self._covering_landed(checkpoint)
-            if self.throttle:
-                # Deliberate pacing between checkpoints; the crash tests
-                # use it to make "SIGKILL mid-fixpoint" land reliably
-                # between two saves.
-                time.sleep(self.throttle)
-
-        return sink
-
-    def _covering_landed(self, checkpoint: Checkpoint) -> None:
-        """A self-contained checkpoint of the current EDB is durable.
-
-        It reflects every journal record applied so far, so that prefix
-        is compacted away, and lag is counted afresh against its size.
-        """
-        self._checkpoint_bytes = len(checkpoint.encode()[0])
-        self._lag_bytes = 0
-        self._covered_seq = max(self._covered_seq, self._applied_seq)
-        if self.journal is not None and self._covered_seq:
-            self.journal.compact(self._covered_seq)
+        except CheckpointStoreUnavailable as exc:
+            record_fallback(
+                fallback_chain, "session.checkpoint", "in-memory", str(exc), self.tracer
+            )
+            return 0
+        if snapshot.complete:
+            # A self-contained checkpoint of the current EDB is durable.
+            # It reflects every journal record applied so far, so that
+            # prefix is compacted away, and lag is counted afresh
+            # against its size.
+            self._checkpoint_bytes = len(checkpoint.encode()[0])
+            self._lag_bytes = 0
+            self._covered_seq = max(self._covered_seq, self._applied_seq)
+            if self.journal is not None and self._covered_seq:
+                self.journal.compact(self._covered_seq)
+        return 1
 
     # ------------------------------------------------------------------
-    def run(self, *, resume: bool = False) -> SessionResult:
-        """Evaluate the workload, checkpointing as configured.
+    def run(self) -> SessionResult:
+        """Evaluate the workload cold, checkpointing as configured.
 
-        With ``resume=True`` the newest valid checkpoint of this
-        workload (if any) supplies the starting frontier; without one
-        the run is simply fresh.
+        Never reads disk: this is the evaluation :meth:`recover` falls
+        back to on an empty directory, and the reference the tests
+        compare recovery against.  Over a directory that may have been
+        used before, call :meth:`recover` — a cold run there knows
+        nothing of the ingests the directory holds.
         """
+        return self._evaluate(None)
+
+    def _evaluate(self, frontier: Checkpoint | None) -> SessionResult:
+        """One governed, checkpointed evaluation of the current EDB,
+        started from ``frontier``'s saved round when there is one."""
         governor = self._governor()
         fallback_chain: list[FallbackStep] = []
-        counter = [0]
-        resume_from: EvaluationSnapshot | None = None
-        resumed_seq: int | None = None
-        if resume and self.store is not None:
-            latest = self.store.latest(expect_workload=self.workload())
-            if latest is not None and latest.snapshot.strategy == "seminaive":
-                resume_from = latest.snapshot
-                resumed_seq = latest.seq
-        sink = self._make_sink(governor, fallback_chain, counter)
-        result = evaluate(
+        written = 0
+
+        def sink(snapshot: EvaluationSnapshot) -> None:
+            nonlocal written
+            written += self._save(snapshot, governor, fallback_chain)
+
+        self._last = evaluate(
             self.program,
             self.database,
             budget=governor,
             tracer=self._tracer,
             checkpoint_every=self.checkpoint_every,
-            checkpoint_sink=sink,
-            resume_from=resume_from,
+            checkpoint_sink=None if self.store is None else sink,
+            resume_from=None if frontier is None else frontier.snapshot,
         )
-        self._last = result
         return SessionResult(
-            result=result,
-            mode="resumed" if resume_from is not None else "fresh",
-            checkpoints_written=counter[0],
-            resumed_seq=resumed_seq,
+            result=self._last,
+            mode="fresh" if frontier is None else "resumed",
+            checkpoints_written=written,
+            resumed_seq=None if frontier is None else frontier.seq,
             fallback_chain=fallback_chain,
         )
-
-    def resume(self) -> SessionResult:
-        """:meth:`run` with ``resume=True``."""
-        return self.run(resume=True)
 
     def checkpoint(self) -> bool:
         """Write a covering checkpoint of the live fixpoint now.
@@ -331,7 +285,7 @@ class Session:
         """
         if self._checkpoint_bytes and not self._lag_bytes:
             return True
-        if self._last is None:
+        if self._last is None or self.store is None:
             return False
         return self._cover(self._last, [], self._governor()) > 0
 
@@ -350,19 +304,6 @@ class Session:
                 normalized.append((str(predicate), tuple(row)))
         return normalized
 
-    def _live_fixpoint(self) -> "EvaluationResult | None":
-        """The current complete fixpoint, as relations of this session's
-        database that an ingest may extend: in-memory first, else the
-        store's."""
-        last = self._last
-        if last is None and self.store is not None:
-            latest = self.store.latest(
-                expect_workload=self.workload(), quarantine_mismatch=False
-            )
-            if latest is not None and latest.complete:
-                last = self._restore(latest.snapshot.idb, latest.snapshot.stats)
-        return last
-
     def _negated_predicates(self) -> set[str]:
         return {
             lit.predicate
@@ -370,56 +311,15 @@ class Session:
             for lit in rule.negative_literals
         }
 
-    def _edb_rows(self) -> dict[str, frozenset]:
-        return {
-            pred: frozenset(tuple(row) for row in self.database.relation(pred).rows())
-            for pred in sorted(self.database.predicates())
-        }
-
-    def _fall_back(
-        self, chain: list[FallbackStep], stage: str, fell_back_to: str, reason: str
-    ) -> None:
-        """Record one degradation in ``chain`` and in the trace."""
-        step = FallbackStep(stage=stage, fell_back_to=fell_back_to, reason=reason)
-        chain.append(step)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.event(
-                "budget.fallback",
-                stage=step.stage,
-                fell_back_to=step.fell_back_to,
-                reason=step.reason,
-            )
-
-    def _recover_by_recompute(
-        self, reason: str, fallback_chain: list[FallbackStep]
-    ) -> SessionResult:
-        """Recovery's fall-back to a full governed re-evaluation.
-
-        The run's final checkpoint covers every applied journal record
-        (:meth:`_covering_landed`)."""
-        self._fall_back(fallback_chain, "session.recover", "recompute", reason)
-        outcome = self.run()
-        outcome.mode = "recovered"
-        outcome.fallback_chain = fallback_chain + outcome.fallback_chain
-        return outcome
-
     def _journal_commit(
         self,
         new_rows: Mapping[str, Sequence[Row]],
         workload: str,
         governor: Governor | None,
     ) -> None:
-        """Append + fsync the normalized rows.
-
-        This is the **acknowledgment point** of an ingest.  It runs
-        once the batch has been derived, and :meth:`ingest` takes the
-        staged rows and their consequences back when it fails after the
-        retry budget, so the session is then byte-identical to before
-        the call — the caller simply never acked.  The record carries
-        ``workload``, the *pre-ingest* digest: the chain link recovery
-        uses.
-        """
+        """Append + fsync the derived batch: the **acknowledgment point**
+        of an ingest.  The record carries ``workload``, the *pre-ingest*
+        digest — the chain link recovery uses."""
         if self.journal is None:
             return
         record = JournalRecord(
@@ -440,27 +340,33 @@ class Session:
         """Add EDB facts and bring the fixpoint up to date incrementally.
 
         Facts are ground :class:`~repro.datalog.atoms.Atom` objects or
-        ``(predicate, row)`` pairs.  Requires a prior *complete*
-        fixpoint (from this session or its store); without one — or
-        when an ingested predicate occurs negated in the program
-        (non-monotonic update) — the session falls back to a full
-        recompute, recorded in the result's ``fallback_chain``.
+        ``(predicate, row)`` pairs.  A session that holds no fixpoint
+        yet :meth:`recover`\\ s first — the directory's state, or a fresh
+        run on an empty one — so an ingest never builds on less than
+        what is durable.
 
-        Ordering: normalize and validate, decide the path (incremental
-        vs. recompute), stage the new rows in the EDB and derive, and
-        only then journal them with append+fsync — the acknowledgment.
-        A crash at any point after the fsync is recoverable via
-        :meth:`recover`; anything that raises before it — a typed error
-        or budget trip in the derivation, a journal that cannot fsync —
-        takes the whole batch back and leaves the session completely
-        untouched (nothing was acknowledged).
+        The new facts seed delta relations (Bancilhon–Ramakrishnan
+        differentiation: each rule fires once per changed body position
+        with the delta there and full relations elsewhere), then normal
+        semi-naive rounds propagate inside each SCC in dependency order
+        — row-identical to recomputation, and priced by the delta: the
+        live relations and their indexes are extended *in place* (the
+        result's ``idb`` holds the same relation objects as the previous
+        result), compiled plans are kept between ingests, and the
+        workload digest moves by one hash per added row.  When an
+        ingested predicate occurs negated in the program the update is
+        non-monotonic, and the session falls back to a full recompute,
+        recorded in the result's ``fallback_chain``.
 
-        The incremental path extends the live relations in place: the
-        result's ``idb`` holds the same relation objects as the
-        session's previous result.  The journal fsync is the only
-        durable write it waits for, except when journal lag has reached
-        the last covering checkpoint's size and a new one is due (see
-        the module docstring).
+        Ordering: normalize and validate, decide the path, stage the
+        new rows in the EDB and derive, and only then journal them with
+        append+fsync — the acknowledgment, and the only durable write
+        an ingest waits for unless journal lag makes a checkpoint due.
+        A crash after the fsync is recoverable via :meth:`recover`;
+        anything that raises before it — a typed error or budget trip
+        in the derivation, a journal that cannot fsync — takes the
+        whole batch back (EDB, fixpoint, digest, journal), so the
+        journal only ever holds batches that :meth:`recover` can replay.
         """
         # Normalize and validate BEFORE any state changes: an invalid
         # fact must never leave a half-applied batch behind.
@@ -477,8 +383,11 @@ class Session:
                 arities[predicate] = self.database.relation(predicate, len(row)).arity
             if len(row) != arities[predicate]:
                 raise ArityMismatch(arities[predicate], len(row), predicate)
-        # The prior fixpoint must be anchored to the *pre-ingest* digest.
-        live = self._live_fixpoint()
+        fallback_chain: list[FallbackStep] = []
+        if self._last is None:
+            fallback_chain += self.recover().fallback_chain
+        live = self._last
+        assert live is not None
         # Deduplicate against the current EDB without mutating it — the
         # fallback decision below must be taken on a pristine session.
         new_rows: dict[str, list[Row]] = {}
@@ -489,23 +398,19 @@ class Session:
             pending.add((predicate, row))
             new_rows.setdefault(predicate, []).append(row)
 
-        fallback_chain: list[FallbackStep] = []
-        if not new_rows and live is not None:
+        if not new_rows:
             # Nothing actually new: the prior fixpoint still stands.
             return SessionResult(
                 result=live, mode="incremental", fallback_chain=fallback_chain
             )
 
         reason = None
-        if live is None:
-            reason = "no prior complete fixpoint to increment from"
-        else:
-            overlap = self._negated_predicates() & set(new_rows)
-            if overlap:
-                reason = (
-                    f"ingested predicate(s) {', '.join(sorted(overlap))} "
-                    "occur negated (non-monotonic)"
-                )
+        overlap = self._negated_predicates() & set(new_rows)
+        if overlap:
+            reason = (
+                f"ingested predicate(s) {', '.join(sorted(overlap))} "
+                "occur negated (non-monotonic)"
+            )
 
         governor = self._governor()
         workload, edb_hash = self.workload(), self._edb_hash
@@ -520,7 +425,9 @@ class Session:
             if reason is None:
                 result = self._incremental_fixpoint(new_rows, live, governor, commit)
             else:
-                self._fall_back(fallback_chain, "session.ingest", "recompute", reason)
+                record_fallback(
+                    fallback_chain, "session.ingest", "recompute", reason, self.tracer
+                )
                 result = evaluate(
                     self.program, self.database, budget=governor, tracer=self._tracer
                 )
@@ -540,58 +447,56 @@ class Session:
             mode="incremental" if reason is None else "recompute",
             fallback_chain=fallback_chain,
         )
-        # Checkpoints follow journal lag.  Without a journal the
-        # checkpoint is the only durable copy, so every ingest is due.
-        if self.store is not None and (
-            self.journal is None or self._lag_bytes >= self._checkpoint_bytes
-        ):
+        # Checkpoints follow journal lag.
+        if self.store is not None and self._lag_bytes >= self._checkpoint_bytes:
             outcome.checkpoints_written += self._cover(
                 outcome.result, fallback_chain, governor
             )
         return outcome
 
     # ------------------------------------------------------------------
-    def _newest_self_contained(self) -> "tuple[Checkpoint, int] | None":
-        """The newest complete, EDB-carrying checkpoint that binds here,
-        with its size on disk.
+    def _read_store(self) -> "tuple[Checkpoint | None, int, dict[str, Checkpoint]]":
+        """One pass over the store, newest file first, each read at most
+        once: the newest self-contained checkpoint that binds here and
+        its size on disk, plus — of the files newer than it — the newest
+        checkpoint per workload digest (frontiers of killed evaluations).
 
-        A *self-contained* checkpoint carries the extensional database
-        alongside the fixpoint, so it can seed recovery even after the
-        journal compacted the records it covers.  Binding is verified
-        from the checkpoint's own contents: its EDB must reproduce its
-        workload digest under this session's program and constraints
-        (rules out a different workload sharing the directory), and it
-        must contain every row of this session's initial EDB (rules
-        out a checkpoint from an older registration whose facts have
-        since changed).  Files are read newest first, each at most once.
+        A *self-contained* checkpoint is complete and carries the EDB
+        beside the fixpoint, so it can seed recovery even after the
+        journal compacted the records it covers.  It binds when its EDB
+        reproduces its own workload digest under this session's program
+        and constraints (not another workload sharing the directory)
+        and contains every row of this session's initial EDB (not an
+        older registration whose facts have since changed).
         """
-        if self.store is None:
-            return None
-        for path in reversed(self.store.paths()):
+        frontiers: dict[str, Checkpoint] = {}
+        for path in reversed(self.store.paths() if self.store is not None else []):
             try:
-                found = self.store.load(path, quarantine_mismatch=False)
+                found = self.store.load(path)
             except (CheckpointError, OSError):
                 continue  # unreadable: an older file may still serve
             edb = found.snapshot.edb
-            if not found.complete or edb is None:
-                continue
-            digest = bind_edb(
-                self._shape,
-                rows_hash((pred, row) for pred, rows in edb.items() for row in rows),
-            )
-            if digest != found.workload:
-                continue
-            if not all(
-                row in edb.get(predicate, ())
-                for predicate in self.database.predicates()
-                for row in self.database.relation(predicate)
+            if (
+                found.complete
+                and edb is not None
+                and found.workload
+                == bind_edb(
+                    self._shape,
+                    rows_hash((pred, row) for pred, rows in edb.items() for row in rows),
+                )
+                and all(
+                    row in edb.get(predicate, ())
+                    for predicate in self.database.predicates()
+                    for row in self.database.relation(predicate)
+                )
             ):
-                continue
-            return found, path.stat().st_size
-        return None
+                return found, path.stat().st_size, frontiers
+            frontiers.setdefault(found.workload, found)
+        return None, 0, frontiers
 
     def recover(self) -> SessionResult:
-        """Crash recovery: newest self-contained checkpoint + journal replay.
+        """Start or restart from the durable state: newest self-contained
+        checkpoint + journal replay.
 
         The session must be constructed with the workload's *initial*
         EDB (as first registered).  Recovery then:
@@ -606,28 +511,48 @@ class Session:
            journal's size, not the database's (records whose rows the
            EDB already contains are stale and skipped; a record that
            neither chains nor is contained raises
-           :class:`~repro.persist.journal.JournalMismatch` and leaves
-           the EDB as step 1 left it);
+           :class:`~repro.persist.journal.JournalMismatch`);
         3. re-applies the chained records as one delta — incrementally
            when monotone, by governed recompute otherwise — and writes
            a fresh covering checkpoint, after which the covered journal
            prefix is compacted away.
 
+        With no self-contained checkpoint, step 3 is an evaluation of
+        (initial EDB + chained records), picked up from the newest
+        frontier checkpoint saved for exactly that EDB if a killed
+        evaluation left one (mode ``"resumed"``) — a fresh run on an
+        empty directory, so callers use ``recover()`` unconditionally.
+
         The result is byte-identical to a cold recompute over (initial
-        EDB + every acknowledged ingest), which is exactly the
-        crash-consistency property the kill-sweep tests assert.  With
-        no journal and no checkpoint this is simply a fresh run, so
-        callers can use ``recover()`` unconditionally at startup.
+        EDB + every acknowledged ingest).  A recovery that raises leaves
+        the session as constructed — initial EDB, no fixpoint — and can
+        simply be called again.
         """
+        self.workload()
+        before = self._edb_hash, self._applied_seq, self._covered_seq
+        folded: list[tuple[str, Row]] = []
+        try:
+            return self._recover(folded)
+        except BaseException:
+            for predicate in {predicate for predicate, _ in folded}:
+                rows = [row for pred, row in folded if pred == predicate]
+                self.database.discard_rows(predicate, rows)
+            self._edb_hash, self._applied_seq, self._covered_seq = before
+            self._last = None  # an abort must not leave a stale fixpoint
+            raise
+
+    def _recover(self, folded: list[tuple[str, Row]]) -> SessionResult:
+        """:meth:`recover`, noting in ``folded`` each row it adds to the EDB."""
         governor = self._governor()
         fallback_chain: list[FallbackStep] = []
-        self._last = None  # rebuilt below; an abort must not leave a stale one
         records = [] if self.journal is None else self.journal.replay()
-        base = self._newest_self_contained()
+        base, base_bytes, frontiers = self._read_store()
         if base is not None:
-            edb = base[0].snapshot.edb
+            edb = base.snapshot.edb
             assert edb is not None
-            self._add_rows((pred, row) for pred, rows in edb.items() for row in rows)
+            folded += self._add_rows(
+                (pred, row) for pred, rows in edb.items() for row in rows
+            )
         head = self.workload()
         edb_sum = self._edb_hash
         contains = self.database.contains
@@ -658,29 +583,47 @@ class Session:
                     f"workload (expected digest {head[:12]}…, record "
                     f"carries {record.workload[:12]}…)"
                 )
-        self._add_rows(chained)
+        folded += self._add_rows(chained)
         if records:
             self._applied_seq = max(self._applied_seq, records[-1].seq)
 
-        if base is None:
-            # No covering checkpoint anywhere: the journal is the only
-            # durable copy — every acknowledged record is in the EDB
-            # now; recompute under the governor.
-            if not replayed:
-                return self.run()
-            outcome = self._recover_by_recompute(
-                "no complete checkpoint covers the journal chain", fallback_chain
-            )
+        new_rows: dict[str, list[Row]] = {}
+        for predicate, row in chained:
+            new_rows.setdefault(predicate, []).append(row)
+        overlap = self._negated_predicates() & set(new_rows)
+        if base is None or overlap:
+            # No covering checkpoint anywhere (the journal is the only
+            # durable copy; every acknowledged record is in the EDB now)
+            # or a non-monotone replay: evaluate, from the frontier a
+            # killed evaluation of this very EDB left, if any.  The
+            # final checkpoint covers every applied record.
+            frontier = frontiers.get(self.workload())
+            if frontier is not None and frontier.snapshot.strategy != "seminaive":
+                frontier = None
+            if replayed:
+                reason = "no complete checkpoint covers the journal chain"
+                if base is not None:
+                    reason = (
+                        f"replayed predicate(s) {', '.join(sorted(overlap))} "
+                        "occur negated (non-monotonic)"
+                    )
+                record_fallback(
+                    fallback_chain, "session.recover", "recompute", reason, self.tracer
+                )
+            outcome = self._evaluate(frontier)
+            if replayed:
+                outcome.mode = "recovered"
+            outcome.fallback_chain = fallback_chain + outcome.fallback_chain
             outcome.replayed = replayed
             return outcome
 
-        checkpoint, self._checkpoint_bytes = base
-        live = self._restore(checkpoint.snapshot.idb, checkpoint.snapshot.stats)
+        self._checkpoint_bytes = base_bytes
         outcome = SessionResult(
-            result=live,
+            result=self._restore(base.snapshot),
             mode="warm",
-            resumed_seq=checkpoint.seq,
+            resumed_seq=base.seq,
             fallback_chain=fallback_chain,
+            replayed=replayed,
         )
         if not replayed:
             # Pure warm restore: the checkpoint already reflects every
@@ -688,27 +631,14 @@ class Session:
             if self.journal is not None and self._covered_seq:
                 self.journal.compact(self._covered_seq)
             return outcome
-
-        new_rows: dict[str, list[Row]] = {}
-        for predicate, row in chained:
-            new_rows.setdefault(predicate, []).append(row)
-        overlap = self._negated_predicates() & set(new_rows)
-        if overlap:
-            outcome = self._recover_by_recompute(
-                f"replayed predicate(s) {', '.join(sorted(overlap))} "
-                "occur negated (non-monotonic)",
-                fallback_chain,
-            )
-        else:
-            outcome.result = self._incremental_fixpoint(new_rows, live, governor)
-            outcome.mode = "recovered"
-            # A replayed suffix is owed a checkpoint now; if the save
-            # fails, the next ingest tries again.
-            self._lag_bytes = self._checkpoint_bytes
-            outcome.checkpoints_written = self._cover(
-                outcome.result, fallback_chain, governor
-            )
-        outcome.replayed = replayed
+        outcome.result = self._incremental_fixpoint(new_rows, outcome.result, governor)
+        outcome.mode = "recovered"
+        # A replayed suffix is owed a checkpoint now; if the save
+        # fails, the next ingest tries again.
+        self._lag_bytes = self._checkpoint_bytes
+        outcome.checkpoints_written = self._cover(
+            outcome.result, fallback_chain, governor
+        )
         return outcome
 
     def journal_info(self) -> dict | None:
@@ -719,20 +649,18 @@ class Session:
         info["lag"] = self.journal.lag(max(self._covered_seq, info["covered_seq"]))
         return info
 
-    def _restore(
-        self, idb_rows: Mapping[str, Iterable[Row]], stats: EvaluationStats
-    ) -> EvaluationResult:
-        """Make saved IDB rows the live fixpoint (no evaluation)."""
+    def _restore(self, snapshot: EvaluationSnapshot) -> EvaluationResult:
+        """Make a complete snapshot's IDB the live fixpoint (no evaluation)."""
         idb = {
             pred: self.database.new_relation(self.program.arity_of(pred))
             for pred in self.program.idb_predicates
         }
-        for pred, rows in idb_rows.items():
+        for pred, rows in snapshot.idb.items():
             if pred in idb:
                 idb[pred].extend(rows)
         self._last = EvaluationResult(
             idb=idb,
-            stats=stats.copy(),
+            stats=snapshot.stats.copy(),
             program=self.program,
             database=self.database,
         )
@@ -747,22 +675,17 @@ class Session:
         """Persist a self-contained ``complete=True`` snapshot of
         ``result``; returns how many checkpoints landed (0 or 1), with
         a degraded save recorded in ``fallback_chain``."""
-        counter = [0]
-        sink = self._make_sink(governor, fallback_chain, counter)
-        if sink is not None:
-            sink(
-                EvaluationSnapshot(
-                    strategy="seminaive",
-                    completed_sccs=len(_sccs(self.program.dependency_graph())),
-                    scc_index=None,
-                    iteration=result.stats.iterations,
-                    idb={pred: rel.rows() for pred, rel in result.idb.items()},
-                    delta=None,
-                    stats=result.stats.copy(),
-                    complete=True,
-                )
-            )
-        return counter[0]
+        snapshot = EvaluationSnapshot(
+            strategy="seminaive",
+            completed_sccs=len(_sccs(self.program.dependency_graph())),
+            scc_index=None,
+            iteration=result.stats.iterations,
+            idb={pred: rel.rows() for pred, rel in result.idb.items()},
+            delta=None,
+            stats=result.stats.copy(),
+            complete=True,
+        )
+        return self._save(snapshot, governor, fallback_chain)
 
     # ------------------------------------------------------------------
     def _incremental_fixpoint(
@@ -776,9 +699,8 @@ class Session:
         the shared fixpoint driver's *ingest* seed, extending ``live``'s
         relations in place, then ``commit`` (the ingest's journal
         write).  There is no current fixpoint while it runs — nor after
-        it raises: ``live`` is then rolled back, and the caller decides
-        whether the EDB follows it (:meth:`ingest`) or stays ahead
-        (:meth:`recover`, whose rows are already durable)."""
+        it raises: ``live`` is then rolled back, and the caller takes
+        the rows it staged back out of the EDB."""
         self._last = None
         self._last = _evaluate_ingest(
             self.program,
@@ -802,19 +724,13 @@ class Session:
         if self.store is None:
             info["store"] = None
             return info
-        paths = self.store.paths()
-        corrupt = sorted(
-            p.name for p in self.store.directory.glob("*.corrupt*")
-        )
         info["store"] = {
             "directory": str(self.store.directory),
-            "checkpoints": len(paths),
-            "corrupt": corrupt,
+            "checkpoints": len(self.store.paths()),
+            "corrupt": sorted(p.name for p in self.store.directory.glob("*.corrupt*")),
         }
-        # Read-only diagnostic: never quarantine a checkpoint just
-        # because it belongs to a different workload than ours.  The
-        # envelope summary carries ``latest_round`` and ``age_seconds``
-        # together (shared with the daemon's /stats endpoint).
+        # The envelope summary carries ``latest_round`` and
+        # ``age_seconds`` together (shared with the daemon's /stats).
         info["latest"] = self.store.latest_summary(expect_workload=self.workload())
         info["journal"] = self.journal_info()
         return info

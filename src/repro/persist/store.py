@@ -6,44 +6,36 @@ same directory, flush, ``fsync``, then ``os.replace`` onto the final
 content-addressed name — so a process killed at *any* instant leaves
 either the previous set of valid checkpoints or the previous set plus
 one new valid checkpoint (plus, at worst, an ignorable ``*.tmp``).
-Loads verify the embedded checksum and the expected workload digest;
-anything that fails is **quarantined** — renamed to ``*.corrupt`` with
-a ``checkpoint.quarantine`` trace event — and never used.
+Loads verify the embedded checksum; a file that fails is **quarantined**
+— renamed to ``*.corrupt`` with a ``checkpoint.quarantine`` trace event
+— and never used.  A *valid* checkpoint is never renamed: one carrying
+another workload digest than the expected one is another workload's, or
+a later state's, and is simply not returned.
 
-:class:`FlakyStore` wraps a store with the deterministic
-:class:`~repro.robustness.faults.FaultInjector` of the chaos harness:
-each ``save``/``load`` consults the injector at the trace sites
-``checkpoint.save`` / ``checkpoint.load`` and converts an armed
-:class:`~repro.robustness.errors.InjectedFault` into a realistic
-``OSError`` — a torn write (truncated bytes actually land on disk),
-``ENOSPC``, or a transient I/O error — cycling deterministically
-through the armed flavors.
-
-:func:`save_with_retry` is the recovery policy: transient ``OSError``
-saves retry under capped exponential backoff with seeded jitter
-(:class:`RetryPolicy`), sleeping never past a
-:class:`~repro.robustness.budget.Governor` deadline and re-checking the
-governor before each attempt so a budget trip still aborts promptly.
-An exhausted retry budget raises :class:`CheckpointStoreUnavailable`,
-which the session layer degrades on (checkpointing off, evaluation
-continues in memory) rather than failing the run.
+:class:`FlakyStore` is the store under the chaos harness
+(:class:`~repro.robustness.faults.FlakyIO`).  :func:`with_retry` is the
+retry loop of every durable write — capped exponential backoff with
+seeded jitter (:class:`RetryPolicy`), clamped to the
+:class:`~repro.robustness.budget.Governor` — and
+:func:`save_with_retry` is that loop around a checkpoint save.
 """
 
 from __future__ import annotations
 
-import errno
 import os
 import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, TypeVar
 
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Governor
-from ..robustness.errors import InjectedFault
-from ..robustness.faults import FaultInjector
+from ..robustness.faults import FlakyIO
 from .checkpoint import Checkpoint, CheckpointCorrupt, CheckpointError, CheckpointMismatch
+
+Item = TypeVar("Item")
+T = TypeVar("T")
 
 __all__ = [
     "CheckpointStore",
@@ -51,11 +43,8 @@ __all__ = [
     "RetryPolicy",
     "CheckpointStoreUnavailable",
     "save_with_retry",
-    "FAULT_FLAVORS",
+    "with_retry",
 ]
-
-#: The OSError flavors :class:`FlakyStore` can inject, in cycling order.
-FAULT_FLAVORS = ("transient", "torn", "enospc")
 
 
 class CheckpointStoreUnavailable(CheckpointError):
@@ -79,12 +68,9 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------
     def paths(self) -> list[Path]:
-        """Valid-looking checkpoint files, oldest first (by sequence)."""
-        return sorted(
-            p
-            for p in self.directory.glob("ckpt-*.json")
-            if not p.name.endswith(".corrupt")
-        )
+        """Checkpoint files, oldest first (by sequence); quarantined
+        ones (``*.json.corrupt*``) are not among them."""
+        return sorted(self.directory.glob("ckpt-*.json"))
 
     def next_seq(self) -> int:
         """One past the highest sequence number present (corrupt included)."""
@@ -125,24 +111,17 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------
     def load(
-        self,
-        path: str | os.PathLike,
-        *,
-        expect_workload: str | None = None,
-        quarantine_mismatch: bool = True,
+        self, path: str | os.PathLike, *, expect_workload: str | None = None
     ) -> Checkpoint:
         """Load and verify one checkpoint file.
 
-        Corruption (unparsable, malformed, checksum mismatch) always
+        Corruption (unparsable, malformed, checksum mismatch)
         quarantines the file and raises — a corrupt file is garbage no
-        matter who asks.  When ``expect_workload`` is given, a
-        workload-digest mismatch also raises; it quarantines only with
-        ``quarantine_mismatch`` (the default, right for resume-type
-        reads where a foreign checkpoint must never be used again —
-        read-only callers like ``inspect`` pass ``False``, since a
-        mismatch against *their* workload may be another workload's
-        perfectly valid checkpoint).  A quarantined checkpoint is never
-        returned.
+        matter who asks.  When ``expect_workload`` is given, a valid
+        checkpoint carrying another digest raises
+        :class:`~repro.persist.checkpoint.CheckpointMismatch` and stays
+        where it is: it is another workload's, or a later state's,
+        perfectly good checkpoint.
         """
         path = Path(path)
         try:
@@ -155,13 +134,10 @@ class CheckpointStore:
             self.quarantine(path, str(exc))
             raise
         if expect_workload is not None and checkpoint.workload != expect_workload:
-            reason = (
-                f"workload digest {checkpoint.workload[:12]}… does not match "
-                f"expected {expect_workload[:12]}…"
+            raise CheckpointMismatch(
+                f"{path.name}: workload digest {checkpoint.workload[:12]}… does "
+                f"not match expected {expect_workload[:12]}…"
             )
-            if quarantine_mismatch:
-                self.quarantine(path, reason)
-            raise CheckpointMismatch(f"{path.name}: {reason}")
         tracer = self.tracer
         if tracer.enabled:
             tracer.event(
@@ -172,76 +148,46 @@ class CheckpointStore:
             )
         return checkpoint
 
-    def latest(
-        self,
-        *,
-        expect_workload: str | None = None,
-        quarantine_mismatch: bool = True,
-    ) -> Checkpoint | None:
+    def latest(self, *, expect_workload: str | None = None) -> Checkpoint | None:
         """The newest loadable checkpoint (``None`` if the store is empty).
 
-        Walks newest to oldest; files that fail verification are
-        quarantined in passing (mismatches only per
-        ``quarantine_mismatch``) and the walk continues, so one torn
-        final write never blocks recovery from the checkpoint before it.
+        Walks newest to oldest; corrupt files are quarantined in
+        passing and the walk continues, so one torn final write never
+        blocks recovery from the checkpoint before it.
         """
-        found = self.latest_with_path(
-            expect_workload=expect_workload,
-            quarantine_mismatch=quarantine_mismatch,
-        )
+        found = self.latest_with_path(expect_workload=expect_workload)
         return None if found is None else found[0]
 
     def latest_with_path(
-        self,
-        *,
-        expect_workload: str | None = None,
-        quarantine_mismatch: bool = True,
+        self, *, expect_workload: str | None = None
     ) -> tuple[Checkpoint, Path] | None:
         """:meth:`latest` plus the file it was loaded from."""
         for path in reversed(self.paths()):
             try:
-                return (
-                    self.load(
-                        path,
-                        expect_workload=expect_workload,
-                        quarantine_mismatch=quarantine_mismatch,
-                    ),
-                    path,
-                )
+                return self.load(path, expect_workload=expect_workload), path
             except CheckpointError:
                 continue
         return None
 
-    def latest_summary(
-        self,
-        *,
-        expect_workload: str | None = None,
-        now: float | None = None,
-    ) -> dict | None:
+    def latest_summary(self, *, expect_workload: str | None = None) -> dict | None:
         """The newest checkpoint's envelope summary plus its on-disk age.
 
-        Read-only diagnostic (never quarantines a workload mismatch):
-        the :meth:`Checkpoint.summary
+        Read-only diagnostic: the :meth:`Checkpoint.summary
         <repro.persist.checkpoint.Checkpoint.summary>` dict extended
-        with ``age_seconds`` — the mtime delta between the checkpoint
-        file and ``now`` (wall clock by default) — so ``repro session
-        inspect`` and the serving daemon's ``/stats`` report checkpoint
-        age and round number together from one code path.
+        with ``age_seconds`` — the file's mtime against the wall clock —
+        so ``repro session inspect`` and the serving daemon's ``/stats``
+        report checkpoint age and round number together from one code
+        path.
         """
-        found = self.latest_with_path(
-            expect_workload=expect_workload, quarantine_mismatch=False
-        )
+        found = self.latest_with_path(expect_workload=expect_workload)
         if found is None:
             return None
         checkpoint, path = found
         summary = checkpoint.summary()
         try:
-            mtime = path.stat().st_mtime
+            summary["age_seconds"] = max(0.0, time.time() - path.stat().st_mtime)
         except OSError:
             summary["age_seconds"] = None
-        else:
-            reference = time.time() if now is None else now
-            summary["age_seconds"] = max(0.0, reference - mtime)
         return summary
 
     # ------------------------------------------------------------------
@@ -268,115 +214,30 @@ class CheckpointStore:
         return target
 
 
-class FlakyStore:
-    """A :class:`CheckpointStore` whose I/O fails on command.
-
-    The :class:`~repro.robustness.faults.FaultInjector` decides *when*
-    (``arm("checkpoint.save", at=2)``, ``arm_random(...)``) exactly as
-    it does for engine trace sites; this wrapper decides *how*, cycling
-    through ``flavors`` per fired occurrence:
-
-    * ``"transient"`` — ``OSError(EIO)``, nothing written;
-    * ``"torn"`` — the first half of the encoded bytes land on the
-      final path (a non-atomic write interrupted mid-stream), then
-      ``OSError(EIO)`` — exercising checksum quarantine on later loads;
-    * ``"enospc"`` — ``OSError(ENOSPC)``, nothing written.
-    """
-
-    def __init__(
-        self,
-        store: CheckpointStore,
-        injector: FaultInjector,
-        *,
-        flavors: Sequence[str] = ("transient",),
-    ):
-        for flavor in flavors:
-            if flavor not in FAULT_FLAVORS:
-                raise ValueError(
-                    f"unknown fault flavor {flavor!r} (valid: {', '.join(FAULT_FLAVORS)})"
-                )
-        self.store = store
-        self.injector = injector
-        self.flavors = tuple(flavors)
-        self._fired = 0
+class FlakyStore(FlakyIO):
+    """A :class:`CheckpointStore` whose ``save`` and ``load`` fail on
+    command (sites ``checkpoint.save`` / ``checkpoint.load``); a *torn*
+    save lands the first half of the encoded bytes on the final path —
+    a non-atomic write interrupted mid-stream — for checksum quarantine
+    to find on a later load."""
 
     @property
-    def directory(self) -> Path:
-        return self.store.directory
-
-    @property
-    def tracer(self) -> Tracer:
-        return self.store.tracer
-
-    def _fault(self, site: str, checkpoint: Checkpoint | None) -> None:
-        try:
-            self.injector.observe(site, {})
-        except InjectedFault as exc:
-            flavor = self.flavors[self._fired % len(self.flavors)]
-            self._fired += 1
-            if flavor == "enospc":
-                raise OSError(errno.ENOSPC, "no space left on device (injected)") from exc
-            if flavor == "torn" and checkpoint is not None:
-                text, _ = checkpoint.encode()
-                final = self.directory / checkpoint.filename()
-                final.write_bytes(text.encode()[: len(text) // 2])
-            raise OSError(errno.EIO, f"injected {flavor} I/O error at {site}") from exc
+    def store(self) -> CheckpointStore:
+        return self.inner  # type: ignore[return-value]
 
     def save(self, checkpoint: Checkpoint) -> Path:
-        self._fault("checkpoint.save", checkpoint)
+        def tear() -> None:
+            text = checkpoint.encode()[0].encode()
+            (self.store.directory / checkpoint.filename()).write_bytes(
+                text[: len(text) // 2]
+            )
+
+        self._fault("checkpoint.save", tear)
         return self.store.save(checkpoint)
 
-    def load(
-        self,
-        path,
-        *,
-        expect_workload: str | None = None,
-        quarantine_mismatch: bool = True,
-    ) -> Checkpoint:
-        self._fault("checkpoint.load", None)
-        return self.store.load(
-            path,
-            expect_workload=expect_workload,
-            quarantine_mismatch=quarantine_mismatch,
-        )
-
-    def latest(
-        self,
-        *,
-        expect_workload: str | None = None,
-        quarantine_mismatch: bool = True,
-    ) -> Checkpoint | None:
-        # Fault accounting happens per underlying file read via load();
-        # a transient fault on one file must not abort the whole walk.
-        for path in reversed(self.store.paths()):
-            try:
-                return self.load(
-                    path,
-                    expect_workload=expect_workload,
-                    quarantine_mismatch=quarantine_mismatch,
-                )
-            except (CheckpointError, OSError):
-                continue
-        return None
-
-    def latest_summary(
-        self,
-        *,
-        expect_workload: str | None = None,
-        now: float | None = None,
-    ) -> dict | None:
-        # Read-only diagnostic: served by the underlying store directly
-        # (fault sites cover the save/load paths that matter).
-        return self.store.latest_summary(expect_workload=expect_workload, now=now)
-
-    def paths(self) -> list[Path]:
-        return self.store.paths()
-
-    def next_seq(self) -> int:
-        return self.store.next_seq()
-
-    def quarantine(self, path: Path, reason: str) -> Path:
-        return self.store.quarantine(path, reason)
+    def load(self, path, *, expect_workload: str | None = None) -> Checkpoint:
+        self._fault("checkpoint.load")
+        return self.store.load(path, expect_workload=expect_workload)
 
 
 @dataclass(frozen=True)
@@ -403,32 +264,36 @@ class RetryPolicy:
             yield base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
 
-def save_with_retry(
-    store: CheckpointStore | FlakyStore,
-    checkpoint: Checkpoint,
+def with_retry(
+    target: object,
+    write: Callable[[Item], T],
+    item: Item,
     *,
+    phase: str,
+    what: str,
+    unavailable: type[CheckpointError],
     policy: RetryPolicy | None = None,
     governor: Governor | None = None,
     sleep=time.sleep,
-) -> Path:
-    """Save ``checkpoint``, retrying transient ``OSError`` failures.
+) -> T:
+    """``write(item)`` — one durable write to ``target`` of a numbered
+    (``.seq``) item — retrying transient ``OSError`` failures.
 
     Before every attempt the governor (if any) is consulted, so a
-    deadline that expires mid-backoff aborts the evaluation with the
-    usual :class:`~repro.robustness.errors.BudgetExceededError` instead
-    of burning the remaining budget on sleeps; each sleep is clamped to
-    the governor's remaining time.  Raises
-    :class:`CheckpointStoreUnavailable` once the attempt budget is
-    exhausted — the caller's cue to degrade to in-memory evaluation.
+    deadline that expires mid-backoff aborts with the usual
+    :class:`~repro.robustness.errors.BudgetExceededError` instead of
+    burning the remaining budget on sleeps; each sleep is clamped to
+    the governor's remaining time and traced as ``<phase>.retry``.
+    An exhausted attempt budget raises ``unavailable``.
     """
     policy = policy if policy is not None else RetryPolicy()
     delays = policy.delays()
     last_error: OSError | None = None
     for attempt in range(1, max(1, policy.attempts) + 1):
         if governor is not None:
-            governor.check("checkpoint")
+            governor.check(phase)
         try:
-            return store.save(checkpoint)
+            return write(item)
         except OSError as exc:
             last_error = exc
             delay = next(delays, None)
@@ -437,16 +302,40 @@ def save_with_retry(
             remaining = governor.remaining() if governor is not None else None
             if remaining is not None:
                 delay = max(0.0, min(delay, remaining))
-            tracer = store.tracer
+            tracer = target.tracer  # type: ignore[attr-defined]
             if tracer.enabled:
                 tracer.event(
-                    "checkpoint.retry",
-                    seq=checkpoint.seq,
+                    f"{phase}.retry",
+                    seq=item.seq,  # type: ignore[attr-defined]
                     attempt=attempt,
                     delay=round(delay, 6),
                     error=str(exc),
                 )
             sleep(delay)
-    raise CheckpointStoreUnavailable(
-        f"checkpoint save failed after {policy.attempts} attempts: {last_error}"
+    raise unavailable(
+        f"{what} failed after {policy.attempts} attempts: {last_error}"
     ) from last_error
+
+
+def save_with_retry(
+    store: CheckpointStore | FlakyStore,
+    checkpoint: Checkpoint,
+    *,
+    policy: RetryPolicy | None = None,
+    governor: Governor | None = None,
+    sleep=time.sleep,
+) -> Path:
+    """Save ``checkpoint`` under :func:`with_retry`; an exhausted
+    attempt budget raises :class:`CheckpointStoreUnavailable` — the
+    caller's cue to degrade to in-memory evaluation."""
+    return with_retry(
+        store,
+        store.save,
+        checkpoint,
+        phase="checkpoint",
+        what="checkpoint save",
+        unavailable=CheckpointStoreUnavailable,
+        policy=policy,
+        governor=governor,
+        sleep=sleep,
+    )

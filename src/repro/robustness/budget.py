@@ -44,6 +44,7 @@ __all__ = [
     "CancellationToken",
     "Governor",
     "FallbackStep",
+    "record_fallback",
     "RequestGovernorFactory",
     "parse_timeout_value",
     "parse_limit_value",
@@ -161,6 +162,17 @@ class FallbackStep:
 
     def describe(self) -> str:
         return f"{self.stage} -> {self.fell_back_to} ({self.reason})"
+
+
+def record_fallback(
+    chain: list[FallbackStep], stage: str, fell_back_to: str, reason: str, tracer
+) -> None:
+    """Record one degradation: a ``chain`` step and a ``budget.fallback`` event."""
+    chain.append(FallbackStep(stage=stage, fell_back_to=fell_back_to, reason=reason))
+    if tracer.enabled:
+        tracer.event(
+            "budget.fallback", stage=stage, fell_back_to=fell_back_to, reason=reason
+        )
 
 
 class Governor:

@@ -28,18 +28,26 @@ Because :class:`InjectedFault` subclasses
 exercises the *same* partial-result path of the evaluation engine and
 the *same* degradation ladder of the optimizer that real budget trips
 use — which is precisely what the chaos tests assert.
+
+Disk I/O fails with an ``OSError`` instead: :class:`FlakyIO`, the base
+of :class:`~repro.persist.store.FlakyStore` and
+:class:`~repro.persist.journal.FlakyJournal`, translates.
 """
 
 from __future__ import annotations
 
+import errno
 import random
 from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..observability.trace import RingBufferSink, Sink, Tracer, set_tracer
 from .errors import InjectedFault
 
-__all__ = ["FaultInjector", "ChaosTracer", "chaos"]
+__all__ = ["FaultInjector", "ChaosTracer", "chaos", "FlakyIO", "FAULT_FLAVORS"]
+
+#: The ``OSError`` flavors :class:`FlakyIO` can inject, in cycling order.
+FAULT_FLAVORS = ("transient", "torn", "enospc")
 
 
 class FaultInjector:
@@ -123,6 +131,57 @@ class ChaosTracer(Tracer):
     def _open(self, span) -> None:
         self.injector.observe(f"span:{span.name}", span.attrs)
         super()._open(span)
+
+
+class FlakyIO:
+    """A durable object whose I/O fails on command.
+
+    Wraps ``inner`` — every attribute not overridden in a subclass is
+    ``inner``'s.  The :class:`FaultInjector` decides *when*
+    (``arm("checkpoint.save", at=2)``, ``arm_random(...)``) exactly as
+    it does for engine trace sites; ``flavors`` decide *how*, cycling
+    per fired occurrence: ``"transient"`` — ``OSError(EIO)``, nothing
+    written; ``"torn"`` — the site's ``tear`` hook first lands half of
+    the bytes the operation would have written, then ``OSError(EIO)``;
+    ``"enospc"`` — ``OSError(ENOSPC)``, nothing written.
+    """
+
+    def __init__(
+        self,
+        inner: object,
+        injector: FaultInjector,
+        *,
+        flavors: Sequence[str] = ("transient",),
+    ):
+        for flavor in flavors:
+            if flavor not in FAULT_FLAVORS:
+                raise ValueError(
+                    f"unknown fault flavor {flavor!r} (valid: {', '.join(FAULT_FLAVORS)})"
+                )
+        self.inner = inner
+        self.injector = injector
+        self.flavors = tuple(flavors)
+        self._fired = 0
+
+    def __getattr__(self, name: str):
+        if name == "inner":  # not constructed yet: nothing to delegate to
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def _fault(self, site: str, tear: "Callable[[], object] | None" = None) -> None:
+        """Count one occurrence of ``site``; raise ``OSError`` if it is armed."""
+        try:
+            self.injector.observe(site, {})
+        except InjectedFault as exc:
+            flavor = self.flavors[self._fired % len(self.flavors)]
+            self._fired += 1
+            if flavor == "enospc":
+                raise OSError(
+                    errno.ENOSPC, f"no space left on device (injected at {site})"
+                ) from exc
+            if flavor == "torn" and tear is not None:
+                tear()
+            raise OSError(errno.EIO, f"injected {flavor} I/O error at {site}") from exc
 
 
 @contextmanager

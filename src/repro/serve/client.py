@@ -1,7 +1,7 @@
 """A small blocking client for the serving daemon (stdlib only).
 
 Backs the ``repro client`` CLI command, the serving benchmark and the
-``serve-smoke`` CI script.  One :class:`ServeClient` holds one
+``serve_smoke.py`` CI script.  One :class:`ServeClient` holds one
 keep-alive connection; errors surface as :class:`ServeClientError`
 carrying the HTTP status and the decoded JSON body, so callers can
 distinguish bad input (400), unknown tenants (404) and budget-tripped

@@ -14,7 +14,7 @@ ingests since that checkpoint (checkpoints follow journal lag, so
 there normally are some).  A restarted
 daemon therefore answers ``materialized`` queries for its old tenants
 without losing a single acknowledged write (asserted byte-for-byte by
-the ``serve-smoke`` and journal-kill CI jobs).  Both the journal and
+the serve and journal-kill scripts of CI's ``smoke`` job).  Both the journal and
 the checkpoints live under the tenant's directory when the daemon
 runs with ``--persist-dir``.
 

@@ -1,4 +1,4 @@
-"""Kill-resume crash tests: a session SIGKILLed mid-fixpoint resumes
+"""Kill-restart crash tests: a session SIGKILLed mid-fixpoint restarts
 from its checkpoints to the verified answer, and damaged checkpoints
 are quarantined — never silently used."""
 
@@ -19,6 +19,24 @@ path(X, Y) :- path(X, Z), step(Z, Y).
 q(Y) :- path(0, Y).
 """
 CHAIN = 40  # long enough for many semi-naive rounds
+
+# The victim: the command line itself, over a store that sleeps after
+# each save so the kill lands mid-fixpoint.
+PACED_CLI = """
+import sys, time
+from repro.cli import main
+from repro.persist import CheckpointStore
+
+save = CheckpointStore.save
+
+def paced(self, checkpoint):
+    path = save(self, checkpoint)
+    time.sleep(0.05)
+    return path
+
+CheckpointStore.save = paced
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def _write_workload(tmp_path):
@@ -74,8 +92,8 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path):
     ckpt_dir = tmp_path / "ckpts"
     cmd = [
         sys.executable,
-        "-m",
-        "repro",
+        "-c",
+        PACED_CLI,
         "session",
         "run",
         str(program),
@@ -87,8 +105,6 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path):
         str(ckpt_dir),
         "--checkpoint-every",
         "1",
-        "--throttle",
-        "0.05",  # slow the rounds down so the kill lands mid-fixpoint
     ]
     proc = _spawn_session(cmd)
     try:
@@ -103,9 +119,9 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path):
     interrupted = store.latest()
     assert interrupted is not None and not interrupted.complete
 
-    # Resume in-process and verify the answer row for row.
+    # Restart in-process and verify the answer row for row.
     parsed = parse_program(PROGRAM_TEXT, query="q")
-    outcome = Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).resume()
+    outcome = Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).recover()
     assert outcome.mode == "resumed"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
@@ -114,15 +130,10 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path):
 
 def test_resume_cli_after_kill_round_trips(tmp_path):
     """The whole loop through the command line: run, kill, `session
-    resume`, `session inspect` — the resumed store ends complete."""
+    run` again, `session inspect` — the resumed store ends complete."""
     program, data = _write_workload(tmp_path)
     ckpt_dir = tmp_path / "ckpts"
-    base = [
-        sys.executable,
-        "-m",
-        "repro",
-        "session",
-    ]
+    base = [sys.executable, "-m", "repro", "session"]
     common = [
         str(program),
         "--query",
@@ -134,7 +145,7 @@ def test_resume_cli_after_kill_round_trips(tmp_path):
         "--checkpoint-every",
         "1",
     ]
-    proc = _spawn_session(base + ["run"] + common + ["--throttle", "0.05"])
+    proc = _spawn_session([sys.executable, "-c", PACED_CLI, "session", "run"] + common)
     try:
         assert _wait_for_checkpoints(ckpt_dir, minimum=2)
         os.kill(proc.pid, signal.SIGKILL)
@@ -143,7 +154,7 @@ def test_resume_cli_after_kill_round_trips(tmp_path):
 
     env = dict(os.environ, PYTHONPATH=str(_repo_src()))
     resumed = subprocess.run(
-        base + ["resume"] + common,
+        base + ["run"] + common,
         env=env,
         capture_output=True,
         text=True,
@@ -165,7 +176,7 @@ def test_resume_cli_after_kill_round_trips(tmp_path):
 
 
 def test_resume_with_corrupted_latest_checkpoint_quarantines(tmp_path):
-    """Truncate the newest checkpoint (as a torn write would): resume
+    """Truncate the newest checkpoint (as a torn write would): recovery
     quarantines it and restarts from the older valid one."""
     parsed = parse_program(PROGRAM_TEXT, query="q")
     ckpt_dir = tmp_path / "ckpts"
@@ -182,7 +193,7 @@ def test_resume_with_corrupted_latest_checkpoint_quarantines(tmp_path):
 
     outcome = Session(
         parsed, _database(), store=CheckpointStore(ckpt_dir)
-    ).resume()
+    ).recover()
     assert outcome.mode == "resumed"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
@@ -200,7 +211,7 @@ def test_resume_with_all_checkpoints_destroyed_restarts_fresh(tmp_path):
         path.write_text("garbage")
     outcome = Session(
         parsed, _database(), store=CheckpointStore(ckpt_dir)
-    ).resume()
+    ).recover()
     assert outcome.mode == "fresh"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()

@@ -257,16 +257,19 @@ def test_rejected_ingest_leaves_session_and_journal_untouched(tmp_path):
 
 
 def test_rejected_recompute_ingest_is_taken_back_too():
-    """The same on the recompute path (no prior fixpoint to extend)."""
-    program = parse_program("big(X) :- n(X), X > 3.", query="big")
+    """The same on the recompute path (an ingested predicate occurs
+    negated), from a session that never ran: it recovers first."""
+    program = parse_program("big(X) :- n(X), not hidden(X), X > 3.", query="big")
     session = Session(program, Database.from_rows({"n": [(1,), (5,)]}))
     workload = session.workload()
     with pytest.raises(IncomparableValues):
-        session.ingest([("n", ("abc",))])
+        session.ingest([("n", ("abc",)), ("hidden", (5,))])
     assert session.workload() == workload
+    assert session.database.predicates() == {"n"}
     assert session.database.relation("n").rows() == {(1,), (5,)}
-    outcome = session.ingest([("n", (9,))])
-    assert outcome.mode == "recompute" and outcome.result.rows("big") == {(5,), (9,)}
+    assert session._last.rows("big") == {(5,)}
+    outcome = session.ingest([("n", (9,)), ("hidden", (5,))])
+    assert outcome.mode == "recompute" and outcome.result.rows("big") == {(9,)}
 
 
 def test_recover_reads_each_checkpoint_file_at_most_once(tmp_path):

@@ -268,3 +268,81 @@ def test_journal_only_recovery_without_any_checkpoint(tmp_path):
     assert recovered.replayed == 1
     assert recovered.fallback_chain
     assert _digest(recovered) == _cold_digest([(4, 5)])
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        pytest.param(["start", (4, 5), "restart"], id="A-restart-after-ingest"),
+        pytest.param(["start", (4, 5), (5, 6), "restart"], id="B-ingest-after-ingest"),
+        pytest.param(["start", (4, 5), "restart", "restart"], id="C-restart-twice"),
+    ],
+)
+def test_every_step_a_fresh_session_on_the_initial_edb(tmp_path, steps):
+    """The CLI's shape — each step a new process that knows only the
+    initial files and the directory: every acknowledged fact is answered
+    after every step, and no valid checkpoint is ever renamed."""
+    ingested = []
+    for step in steps:
+        session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+        if isinstance(step, tuple):
+            ingested.append(step)
+            outcome = session.ingest([("edge", step)])
+            assert outcome.mode == "incremental"
+            assert session.checkpoint()
+        else:
+            outcome = session.recover()
+            assert outcome.mode == ("fresh" if step == "start" else "warm")
+        session.journal.close()
+        assert _digest(outcome) == _cold_digest(ingested), step
+        assert not list(tmp_path.glob("*.corrupt*"))
+
+
+def test_recovery_resumes_a_killed_evaluation_of_the_journal_chain(tmp_path):
+    """No self-contained checkpoint, only journal records and the
+    frontiers of an evaluation killed while it was re-deriving them:
+    recovery picks up the frontier bound to the *post-chain* digest."""
+    injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
+    writer = Session(
+        _program(),
+        _database(),
+        store=FlakyStore(CheckpointStore(tmp_path), injector),
+        retry=FAST,
+    )
+    writer.run()
+    writer.ingest([("edge", (4, 5))])  # acknowledged; nothing else is on disk
+    writer.journal.close()
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(BudgetExceededError):  # "killed" after two rounds
+        Session(
+            _program(), _database(), store=store, budget=Budget(max_iterations=2)
+        ).recover()
+    frontiers = store.paths()
+    assert frontiers and not store.latest().complete
+    recovered = Session(_program(), _database(), store=store).recover()
+    assert recovered.mode == "recovered" and recovered.replayed == 1
+    assert recovered.resumed_seq == store.load(frontiers[-1]).seq
+    assert _digest(recovered) == _cold_digest([(4, 5)])
+
+
+def test_failed_recovery_leaves_the_session_as_constructed(tmp_path):
+    """A budget trip inside recovery's replay takes the folded rows back
+    out: the same session can recover again — or ingest, which does."""
+    store = CheckpointStore(tmp_path)
+    writer = Session(_program(), _database(), store=store)
+    writer.run()
+    writer.ingest([("edge", (4, 5))])
+    writer.ingest([("edge", (5, 6))])  # acknowledged, not checkpoint-covered
+    writer.journal.close()
+    session = Session(_program(), _database(), store=store, budget=Budget(max_facts=1))
+    with pytest.raises(BudgetExceededError):
+        session.recover()
+    assert session._last is None
+    assert session.database.relation("edge").rows() == set(EDGES)
+    assert session.workload() == Session(_program(), _database()).workload()
+    session.budget = None
+    outcome = session.ingest([("edge", (6, 7))])
+    assert _digest(outcome) == _cold_digest([(4, 5), (5, 6), (6, 7)])
+    session.journal.close()
+    recovered = Session(_program(), _database(), store=store).recover()
+    assert _digest(recovered) == _cold_digest([(4, 5), (5, 6), (6, 7)])

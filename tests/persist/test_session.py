@@ -1,4 +1,4 @@
-"""Session life cycle: run, resume, ingest, inspect, degradation."""
+"""Session life cycle: run, recover, ingest, inspect, degradation."""
 
 import pytest
 
@@ -41,14 +41,14 @@ def test_resume_from_store_is_row_identical(tmp_path):
     baseline = _rows(Session(_program(), _database()).run().result)
     store = CheckpointStore(tmp_path)
     Session(_program(), _database(), store=store, checkpoint_every=1).run()
-    # remove the final (complete) checkpoints so resume really restarts
+    # remove the final (complete) checkpoints so recovery really restarts
     # from a mid-fixpoint frontier
     paths = store.paths()
     for path in paths[-2:]:
         path.unlink()
     resumed = Session(
         _program(), _database(), store=CheckpointStore(tmp_path), checkpoint_every=1
-    ).resume()
+    ).recover()
     assert resumed.mode == "resumed"
     assert resumed.resumed_seq is not None
     assert _rows(resumed.result) == baseline
@@ -57,20 +57,24 @@ def test_resume_from_store_is_row_identical(tmp_path):
 def test_resume_empty_store_falls_back_to_fresh(tmp_path):
     outcome = Session(
         _program(), _database(), store=CheckpointStore(tmp_path), checkpoint_every=1
-    ).resume()
+    ).recover()
     assert outcome.mode == "fresh"
     assert outcome.resumed_seq is None
 
 
 def test_resume_ignores_checkpoint_of_other_workload(tmp_path):
-    Session(_program(), _database(), store=CheckpointStore(tmp_path)).run()
+    store = CheckpointStore(tmp_path)
+    Session(_program(), _database(), store=store).run()
+    foreign = store.paths()
     other_db = _database(extra=[(5, 6)])
     outcome = Session(
         _program(), other_db, store=CheckpointStore(tmp_path)
-    ).resume()
-    # foreign checkpoints are quarantined, never resumed from
-    assert outcome.mode == "fresh"
-    assert list(tmp_path.glob("*.corrupt"))
+    ).recover()
+    # a foreign checkpoint is ignored — and stays where it is: it is
+    # somebody's perfectly valid checkpoint
+    assert outcome.mode == "fresh" and outcome.resumed_seq is None
+    assert not list(tmp_path.glob("*.corrupt*"))
+    assert [path for path in foreign if path.exists()] == foreign
 
 
 @pytest.mark.parametrize("engine", ("slots", "interpreted"))
@@ -131,10 +135,12 @@ def test_ingest_negated_predicate_falls_back_to_recompute():
     assert _rows(outcome.result) == _rows(Session(program, fresh_db).run().result)
 
 
-def test_ingest_without_prior_fixpoint_recomputes():
+def test_ingest_without_prior_fixpoint_recovers_first():
+    """No fixpoint in memory: the ingest starts from ``recover()`` — with
+    nothing on disk, a fresh run — and is then an ordinary delta."""
     session = Session(_program(), _database())
     outcome = session.ingest([("edge", (5, 6))])
-    assert outcome.mode == "recompute"
+    assert outcome.mode == "incremental" and not outcome.fallback_chain
     assert _rows(outcome.result) == _rows(
         Session(_program(), _database(extra=[(5, 6)])).run().result
     )
@@ -236,7 +242,7 @@ def test_session_stats_cumulative_and_monotone(tmp_path):
         path.unlink()
     resumed = Session(
         _program(), _database(), store=CheckpointStore(tmp_path), checkpoint_every=1
-    ).resume()
+    ).recover()
     # cumulative counters never go backwards across the resume boundary
     assert resumed.stats.facts_derived == first.stats.facts_derived
     assert resumed.stats.iterations >= 1

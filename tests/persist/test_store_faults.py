@@ -14,6 +14,7 @@ from repro.persist.checkpoint import (
     CheckpointMismatch,
     workload_digest,
 )
+from repro.persist import Session
 from repro.persist.store import (
     CheckpointStore,
     CheckpointStoreUnavailable,
@@ -121,29 +122,17 @@ def test_double_quarantine_keeps_both_forensic_copies(tmp_path):
     assert store.paths() == []
 
 
-def test_workload_mismatch_quarantined(tmp_path):
+def test_workload_mismatch_is_never_quarantined(tmp_path):
+    """A valid checkpoint of another workload — or of a later state of
+    this one — is not returned, and is left untouched on disk."""
     store = CheckpointStore(tmp_path)
     (ckpt,) = _checkpoints(1)
     path = store.save(ckpt)
     with pytest.raises(CheckpointMismatch):
         store.load(path, expect_workload="0" * 64)
-    assert path.with_name(path.name + ".corrupt").exists()
-    assert store.latest(expect_workload="0" * 64) is None
-
-
-def test_workload_mismatch_not_quarantined_when_read_only(tmp_path):
-    """``quarantine_mismatch=False`` (inspect-type reads) must leave a
-    foreign workload's valid checkpoint untouched on disk."""
-    store = CheckpointStore(tmp_path)
-    (ckpt,) = _checkpoints(1)
-    path = store.save(ckpt)
-    with pytest.raises(CheckpointMismatch):
-        store.load(path, expect_workload="0" * 64, quarantine_mismatch=False)
     assert path.exists()
-    assert not list(tmp_path.glob("*.corrupt"))
-    assert (
-        store.latest(expect_workload="0" * 64, quarantine_mismatch=False) is None
-    )
+    assert not list(tmp_path.glob("*.corrupt*"))
+    assert store.latest(expect_workload="0" * 64) is None
     assert path.exists()  # still loadable by its own workload
     assert store.latest(expect_workload=ckpt.workload).seq == ckpt.seq
 
@@ -196,16 +185,20 @@ def test_flaky_rejects_unknown_flavor(tmp_path):
         FlakyStore(CheckpointStore(tmp_path), FaultInjector(), flavors=("explode",))
 
 
-def test_flaky_load_faults_and_latest_skips(tmp_path):
+def test_flaky_load_faults_and_recovery_walks_past(tmp_path):
     base = CheckpointStore(tmp_path)
     first, second = _checkpoints(2)
     base.save(first)
     base.save(second)
     injector = FaultInjector().arm("checkpoint.load", at=1)
     store = FlakyStore(base, injector)
-    # the newest load faults transiently; latest() falls through to the older
-    latest = store.latest()
-    assert latest is not None and latest.seq == first.seq
+    with pytest.raises(OSError):
+        store.load(base.paths()[-1])
+    # the newest load faults transiently; the one reader of the store,
+    # Session.recover(), falls through to the older frontier
+    injector.arm("checkpoint.load", at=2)
+    outcome = Session(PROGRAM, _database(), store=store).recover()
+    assert outcome.mode == "resumed" and outcome.resumed_seq == first.seq
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -215,6 +219,72 @@ class TestOneWayToEvaluate:
         info = Tenant("alpha", request).info()
         for payload in (inspected, info):
             assert not {"engine", "storage", "strategy", "workers"} & set(payload)
+
+
+class TestSessionRoundTrips:
+    """``session run`` / ``session ingest`` with every step a fresh
+    process over the *initial* files and one checkpoint directory: no
+    acknowledged fact is ever lost, no valid checkpoint ever renamed."""
+
+    CLOSURE = "p(X, Y) :- e(X, Y).\np(X, Z) :- e(X, Y), p(Y, Z).\n"
+
+    @pytest.fixture()
+    def session(self, tmp_path):
+        (tmp_path / "prog.dl").write_text(self.CLOSURE)
+        (tmp_path / "data.dl").write_text("e(1, 2). e(2, 3).\n")
+        (tmp_path / "f1.dl").write_text("e(3, 4).\n")
+        (tmp_path / "f2.dl").write_text("e(4, 5).\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+        def step(verb, facts=None, ckpt="ckpt"):
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "session", verb,
+                    str(tmp_path / "prog.dl"), "--query", "p",
+                    "--data", str(tmp_path / "data.dl"),
+                    "--checkpoint-dir", str(tmp_path / ckpt),
+                    *(["--facts", str(tmp_path / facts)] if facts else []),
+                ],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert not list((tmp_path / ckpt).glob("*.corrupt*"))
+            mode = next(
+                line for line in done.stdout.splitlines() if line.startswith("mode: ")
+            )
+            return mode.split()[1], sum(
+                line.startswith("  p(") for line in done.stdout.splitlines()
+            )
+
+        return step
+
+    def test_an_ingested_fact_survives_a_restart_and_a_second_ingest(
+        self, session, tmp_path
+    ):
+        assert session("run") == ("fresh", 3)
+        assert session("ingest", "f1.dl") == ("incremental", 6)
+        shutil.copytree(tmp_path / "ckpt", tmp_path / "twin")
+        # a restart straight after the ingest ...
+        assert session("run") == ("warm", 6)
+        # ... and, in a directory that saw no restart, a second ingest
+        assert session("ingest", "f2.dl", ckpt="twin") == ("incremental", 10)
+        assert session("run", ckpt="twin") == ("warm", 10)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["session", "resume", "prog.dl", "--checkpoint-dir", "d"],
+            ["session", "recover", "prog.dl", "--checkpoint-dir", "d"],
+            ["session", "run", "prog.dl", "--checkpoint-dir", "d", "--throttle", "0.1"],
+            ["session", "run", "prog.dl", "--checkpoint-dir", "d", "--no-journal"],
+        ],
+    )
+    def test_the_removed_verbs_and_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
 
 
 class TestBenchPassThrough:
