@@ -65,7 +65,7 @@ from .core.emptiness import is_empty_program, unsatisfiable_initialization_rules
 from .core.reachability import is_satisfiable
 from .core.rewrite import optimize
 from .cq.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
-from .datalog.database import Database
+from .datalog.database import Database, FactRows
 from .datalog.evaluation import evaluate
 from .datalog.parser import (
     parse_atom,
@@ -155,10 +155,9 @@ def _load_database(path: str) -> Database:
 
 def _database_from(args: argparse.Namespace, inline_facts) -> Database:
     """Combine a program file's inline facts with an optional --data file."""
-    facts = list(inline_facts)
     if getattr(args, "data", None):
-        facts.extend(parse_facts(_read(args.data)))
-    return Database(facts)
+        return Database(FactRows.of(inline_facts, parse_facts(_read(args.data))))
+    return Database(inline_facts)
 
 
 def _with_optional_trace(args: argparse.Namespace, body) -> int:

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import islice, starmap
+from operator import attrgetter, eq, itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .atoms import Atom
 from .terms import Constant
@@ -38,6 +39,8 @@ from ..robustness.errors import ReproError
 __all__ = [
     "STORAGES",
     "ArityMismatch",
+    "NonGroundFact",
+    "FactRows",
     "Interner",
     "Relation",
     "ColumnarRelation",
@@ -89,12 +92,23 @@ def _projection(positions: tuple[int, ...]) -> Callable[[Row], Row]:
     return itemgetter(*positions)
 
 
-def _build_index(rows: Iterable[Row], key_of: Callable[[Row], Row]) -> dict[Row, list[Row]]:
-    """``rows`` bucketed by their ``key_of`` projection."""
-    built: dict[Row, list[Row]] = defaultdict(list)
-    for row in rows:
-        built[key_of(row)].append(row)
-    return dict(built)
+def _build_index(rows: Collection[Row], positions: tuple[int, ...]) -> dict[Row, list[Row]]:
+    """``rows`` bucketed by their projection on ``positions``.
+
+    The keys of the whole batch come from one ``map``: ``itemgetter``
+    with several positions returns the key tuple itself, and ``zip``
+    over a single column wraps each value in the 1-tuple a probe asks
+    for — no Python call per row.  ``rows`` is walked twice, keys and
+    rows in step: a set nobody touches meanwhile keeps its order.
+    """
+    keys = map(itemgetter(*positions), rows)
+    if len(positions) == 1:
+        keys = zip(keys)
+    built: dict[Row, list[Row]] = {}
+    bucket = built.setdefault
+    for key, row in zip(keys, rows):
+        bucket(key, []).append(row)
+    return built
 
 
 class Interner:
@@ -277,8 +291,7 @@ class Relation:
             raise ValueError("index_for needs bound positions; use all_rows() for full scans")
         entry = self._indexes.get(positions)
         if entry is None:
-            key_of = _projection(positions)
-            entry = key_of, _build_index(self._rows, key_of)
+            entry = _projection(positions), _build_index(self._rows, positions)
             self._indexes[positions] = entry
             if stats is not None:
                 stats.index_builds += 1
@@ -536,8 +549,7 @@ class ColumnarRelation:
             raise ValueError("index_for needs bound positions; use all_rows() for full scans")
         entry = self._value_indexes.get(positions)
         if entry is None:
-            key_of = _projection(positions)
-            entry = key_of, _build_index(self._decoded_rows(), key_of)
+            entry = _projection(positions), _build_index(self._decoded_rows(), positions)
             self._value_indexes[positions] = entry
             if stats is not None:
                 stats.index_builds += 1
@@ -573,12 +585,110 @@ class ColumnarRelation:
 _value_of = attrgetter("value")
 
 
+class NonGroundFact(ReproError, ValueError):
+    """An atom holding a variable where a ground fact was required."""
+
+
 def _row_of(fact: Atom) -> Row:
     """The value tuple of a ground fact (a variable has no ``value``)."""
     try:
         return tuple(map(_value_of, fact.args))
     except AttributeError:
-        raise ValueError(f"fact {fact} is not ground") from None
+        raise NonGroundFact(f"fact {fact} is not ground") from None
+
+
+def _atom_of(predicate: str, row: Row) -> Atom:
+    return Atom(predicate, tuple(map(Constant, row)))
+
+
+class FactRows(Sequence):
+    """Ground facts held as value rows; reads as a sequence of atoms.
+
+    What :func:`~repro.datalog.parser.parse_facts` returns and what
+    :class:`Database` loads without building an :class:`Atom` or a
+    :class:`Constant`.  ``groups`` maps each predicate, in order of
+    first appearance, to its rows in source order; ``order`` names the
+    predicate of every fact in source order, which is what interner
+    codes, journal records and ``list(facts)`` follow.  Neither may be
+    mutated afterwards.
+
+    Immutable, and otherwise the list of ground atoms it stands for:
+    ``len``, indexing (a slice is a list), iteration, ``in``, ``==``
+    with a list or tuple of atoms and ``repr``.  Atoms are built on
+    demand, one per fact read.
+    """
+
+    __slots__ = ("_order", "_groups")
+
+    def __init__(self, order: list[str], groups: dict[str, list[Row]]):
+        self._order = order
+        self._groups = groups
+
+    @classmethod
+    def of(cls, *sources: Iterable) -> "FactRows":
+        """``sources`` one after the other as one :class:`FactRows`.
+
+        A source is a :class:`FactRows`, whose rows are taken as they
+        are, or an iterable of ground atoms and ``(predicate, row)``
+        pairs in any mix.
+        """
+        order: list[str] = []
+        groups: dict[str, list[Row]] = defaultdict(list)
+        for source in sources:
+            if isinstance(source, FactRows):
+                order += source._order
+                for predicate, rows in source._groups.items():
+                    groups[predicate] += rows
+                continue
+            for fact in source:
+                if isinstance(fact, Atom):
+                    predicate, row = fact.predicate, _row_of(fact)
+                else:
+                    predicate, row = fact
+                order.append(predicate)
+                groups[predicate].append(tuple(row))
+        return cls(order, dict(groups))
+
+    def grouped(
+        self, encode: "Callable[[Value], object] | None" = None
+    ) -> Mapping[str, list[Row]]:
+        """Every predicate's rows, predicates in order of first appearance.
+
+        Read-only.  With ``encode`` the rows are new ones, each value put
+        through it fact by fact in source order — the order an interner
+        has to see them in.
+        """
+        if encode is None:
+            return self._groups
+        encoded: dict[str, list[Row]] = defaultdict(list)
+        for predicate, row in self._pairs():
+            encoded[predicate].append(tuple(map(encode, row)))
+        return encoded
+
+    def _pairs(self) -> "Iterator[tuple[str, Row]]":
+        """``(predicate, row)`` of every fact, in source order."""
+        following = {p: iter(rows) for p, rows in self._groups.items()}
+        return zip(self._order, map(next, map(following.__getitem__, self._order)))
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(starmap(_atom_of, list(self._pairs())[index]))
+        start = range(len(self))[index]
+        return _atom_of(*next(islice(self._pairs(), start, None)))
+
+    def __iter__(self) -> Iterator[Atom]:
+        return starmap(_atom_of, self._pairs())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (FactRows, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class Database:
@@ -598,7 +708,7 @@ class Database:
 
     def __init__(
         self,
-        facts: Iterable[Atom] = (),
+        facts: "Iterable[Atom | tuple[str, Sequence[Value]]]" = (),
         *,
         storage: str = "rows",
         interner: "Interner | None" = None,
@@ -614,17 +724,13 @@ class Database:
             else None
         )
         self._relations: dict[str, Relation | ColumnarRelation] = {}
+        if not isinstance(facts, FactRows):
+            facts = FactRows.of(facts)
         # One bulk load per relation.  Columnar rows are encoded here, in
         # fact order: codes follow first appearance across predicates,
         # exactly as fact-by-fact ``add_fact`` assigns them.
         intern = None if self.interner is None else self.interner.intern
-        grouped: dict[str, list[Row]] = defaultdict(list)
-        for fact in facts:
-            row = _row_of(fact)
-            if intern is not None:
-                row = tuple(map(intern, row))
-            grouped[fact.predicate].append(row)
-        for predicate, rows in grouped.items():
+        for predicate, rows in facts.grouped(intern).items():
             self._extend(predicate, rows, encoded=intern is not None)
 
     @classmethod
@@ -729,7 +835,7 @@ class Database:
         """Iterate all stored facts as ground atoms."""
         for predicate in sorted(self._relations):
             for row in sorted(self._relations[predicate], key=repr):
-                yield Atom(predicate, tuple(Constant(v) for v in row))
+                yield _atom_of(predicate, row)
 
     def size(self) -> int:
         return sum(len(rel) for rel in self._relations.values())

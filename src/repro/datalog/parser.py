@@ -19,27 +19,33 @@ a comment running to end of line.
 
 The module exposes :func:`parse_program`, :func:`parse_rules`,
 :func:`parse_rule`, :func:`parse_atom`, :func:`parse_constraints` and
-:func:`parse_facts`; the latter returns ground facts suitable for
-:class:`repro.datalog.database.Database`.
+:func:`parse_facts`; the latter returns a
+:class:`~repro.datalog.database.FactRows` — an immutable sequence of
+ground atoms that holds value rows and builds an atom only when one is
+read — which :class:`repro.datalog.database.Database` loads as rows.
 
 Programs, constraints and goals go through the tokenizer and the
 recursive-descent :class:`_Parser`.  A facts text is far larger and far
 more regular — ``(ws fact)* ws`` with ``fact := pred "(" const ("," const)*
-")" "."`` — so :func:`parse_facts` reads it with one regex match per
-fact (``_FACT_RE``, built from the tokenizer's own lexical pieces) and
-never builds a token list or a :class:`Rule` for a well-formed fact.
-Where the regex stops short of the end of the text, the parser proper
-takes over from that offset: it skips a trailing gap, or raises the
-error for the first malformed statement, positions counted from the
-start of the text.
+")" "."`` — so :func:`parse_facts` reads it in bulk: one ``split`` on
+``_FACT_RE`` (built from the tokenizer's own lexical pieces) takes every
+leading well-formed fact, and each predicate's rows are cut out of its
+joined argument texts.  No token list, :class:`Rule`, :class:`Atom` or
+:class:`Constant` is built for a well-formed fact.  Where the regex
+stops short of the end of the text, the parser proper takes over from
+that offset: it skips a trailing gap, or raises the error for the first
+malformed statement, positions counted from the start of the text.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from itertools import compress, count, repeat
 from typing import Iterator, NamedTuple
 
 from .atoms import Atom, BodyItem, Literal, OrderAtom
+from .database import FactRows
 from .program import Program
 from .rules import Rule
 from .terms import Constant, Term, Variable
@@ -290,54 +296,39 @@ def parse_program_and_facts(
 # ``_FACT_RE`` *is* that grammar, spelled with the tokenizer's own lexical
 # pieces.  ``_GAP`` is what the tokenizer drops between two tokens; a
 # comment must run to its line end, so backtracking can never cut one
-# short and resurrect the text behind the ``%``.
+# short and resurrect the text behind the ``%``.  The groups are the whole
+# fact (``split`` reports no offsets; the lengths of these add up to one),
+# its predicate and its argument text.
 _GAP = rf"\s*(?:{_COMMENT}(?:\n|\Z)\s*)*"
 _GROUND = rf"(?:{_NUMBER}|[a-z][A-Za-z0-9_]*|{_STRING})"
 _FACT_RE = re.compile(
-    rf"{_GAP}([a-z_][A-Za-z0-9_]*){_GAP}\("
+    rf"({_GAP}([a-z_][A-Za-z0-9_]*){_GAP}\("
     rf"({_GAP}(?:{_GROUND}{_GAP}(?:,{_GAP}{_GROUND}{_GAP})*)?)"
-    rf"\){_GAP}\."
+    rf"\){_GAP}\.)"
 )
 #: Splits the argument text ``_FACT_RE`` has already validated; comments
 #: come out as tokens too (a ``%`` inside a string never starts one).
 _ARGUMENT_RE = re.compile(rf"{_NUMBER}|{_IDENT}|{_STRING}|{_COMMENT}")
 
 
-class _Constants(dict):
-    """Argument text -> :class:`Constant`, built on first sight."""
+class _Values(dict):
+    """Argument text -> the value it denotes, converted on first sight."""
 
-    def __missing__(self, text: str) -> Constant:
+    def __missing__(self, text: str) -> object:
         if text[0] in "\"'":
             value: object = text[1:-1]
         elif text[0].isalpha():
             value = text
         else:
             value = float(text) if "." in text else int(text)
-        constant = self[text] = Constant(value)  # type: ignore[arg-type]
-        return constant
-
-
-def _scan_facts(source: str) -> tuple[list[Atom], int]:
-    """The leading ground facts of ``source`` and the offset they end at."""
-    facts: list[Atom] = []
-    constants = _Constants()
-    split = _ARGUMENT_RE.findall
-    match_fact = _FACT_RE.match
-    end = 0
-    while (match := match_fact(source, end)) is not None:
-        predicate, arguments = match.groups()
-        texts = split(arguments)
-        if "%" in arguments:
-            texts = [text for text in texts if text[0] != "%"]
-        facts.append(Atom(predicate, tuple([constants[text] for text in texts])))
-        end = match.end()
-    return facts, end
+        self[text] = value
+        return value
 
 
 def _parse_facts_from(source: str, start: int = 0) -> list[Atom]:
     """The recursive-descent facts parser over ``source[start:]``.
 
-    The reference :func:`_scan_facts` is tested against, and the one
+    The reference :func:`parse_facts` is tested against, and the one
     place a malformed facts text gets its error phrased.
     """
     facts = []
@@ -350,15 +341,59 @@ def _parse_facts_from(source: str, start: int = 0) -> list[Atom]:
     return facts
 
 
-def parse_facts(source: str) -> list[Atom]:
-    """Parse ground facts (``p(a, 1).`` lines) into ground atoms.
+def parse_facts(source: str) -> FactRows:
+    """Parse ground facts (``p(a, 1).`` lines) into a :class:`FactRows`.
 
-    One regex match per fact; the parser proper only runs over whatever
-    the scanner did not take — trailing blanks, or the first malformed
+    The result reads as an immutable sequence of ground atoms in source
+    order (``len``, indexing, iteration, ``==`` with a list of atoms),
+    but holds value rows: an :class:`Atom` exists only once somebody
+    asks for one, and ``Database(parse_facts(text))`` never does.
+
+    One ``_FACT_RE.split`` takes every leading well-formed fact; each
+    predicate's argument texts are then tokenised, converted and cut
+    into rows together.  The parser proper only runs over whatever the
+    regex did not take — trailing blanks, or the first malformed
     statement, whose error it raises with positions absolute in
     ``source``.
     """
-    facts, end = _scan_facts(source)
-    if end < len(source):
-        facts.extend(_parse_facts_from(source, end))
-    return facts
+    # [gap, fact, predicate, arguments, gap, fact, ...]: the facts before
+    # the first gap that holds anything are the ones a match loop would
+    # have taken one after the other.
+    parts = _FACT_RE.split(source)
+    gaps = parts[::4]
+    taken = next(compress(count(), gaps), len(gaps) - 1)
+    end = sum(map(len, parts[1 : 4 * taken : 4]))
+    rest = _parse_facts_from(source, end) if end < len(source) else []
+    order = parts[2 : 4 * taken : 4]
+    texts: dict[str, list[str]] = defaultdict(list)
+    for predicate, text in zip(order, parts[3 : 4 * taken : 4]):
+        texts[predicate].append(text)
+    del parts, gaps  # a copy of the text, not to be held while rows are cut
+
+    tokens = _ARGUMENT_RE.findall
+    value_of = _Values().__getitem__
+    groups: dict[str, list[tuple]] = {}
+    for predicate, group in texts.items():
+        joined = ",".join(group)
+        commas = set(map(str.count, group, repeat(",")))
+        if (
+            len(commas) == 1
+            and not ('"' in joined or "'" in joined or "%" in joined)
+            and (commas != {0} or all(map(str.strip, group)))
+        ):
+            # Nothing but tokens, blanks and the commas between tokens,
+            # as many in every fact: cells are cut at the commas, rows
+            # every ``arity`` cells.
+            arity = commas.pop() + 1
+            cells = map(str.strip, joined.split(","))
+            rows = list(zip(*[map(value_of, cells)] * arity))
+        else:
+            # A string or a comment may hold a comma, or the group is
+            # ragged or has facts of no argument: fact by fact.
+            rows = [
+                tuple(map(value_of, [t for t in tokens(text) if t[0] != "%"]))
+                for text in group
+            ]
+        groups[predicate] = rows
+    facts = FactRows(order, groups)
+    return FactRows.of(facts, rest) if rest else facts

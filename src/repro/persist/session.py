@@ -43,8 +43,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..datalog.atoms import Atom
-from ..datalog.database import ArityMismatch, Database, Row
+from ..datalog.database import ArityMismatch, Database, FactRows, Row
 from ..datalog.evaluation import (
     EvaluationResult,
     EvaluationSnapshot,
@@ -290,20 +289,6 @@ class Session:
         return self._cover(self._last, [], self._governor()) > 0
 
     # ------------------------------------------------------------------
-    def _normalize_facts(self, facts: Iterable[object]) -> list[tuple[str, Row]]:
-        normalized: list[tuple[str, Row]] = []
-        for fact in facts:
-            if isinstance(fact, Atom):
-                if not fact.is_ground():
-                    raise ValueError(f"ingested fact {fact} is not ground")
-                normalized.append(
-                    (fact.predicate, tuple(arg.value for arg in fact.args))  # type: ignore[union-attr]
-                )
-            else:
-                predicate, row = fact  # type: ignore[misc]
-                normalized.append((str(predicate), tuple(row)))
-        return normalized
-
     def _negated_predicates(self) -> set[str]:
         return {
             lit.predicate
@@ -370,19 +355,18 @@ class Session:
         """
         # Normalize and validate BEFORE any state changes: an invalid
         # fact must never leave a half-applied batch behind.
-        normalized = self._normalize_facts(facts)
+        groups = FactRows.of(facts).grouped()
         idb_preds = self.program.idb_predicates
-        arities: dict[str, int] = {}
-        for predicate, row in normalized:
+        for predicate, rows in groups.items():
             if predicate in idb_preds:
                 raise ValueError(
                     f"cannot ingest {predicate}: it is an IDB predicate "
                     "(derived, not stored)"
                 )
-            if predicate not in arities:
-                arities[predicate] = self.database.relation(predicate, len(row)).arity
-            if len(row) != arities[predicate]:
-                raise ArityMismatch(arities[predicate], len(row), predicate)
+            arity = self.database.relation(predicate, len(rows[0])).arity
+            for row in rows:
+                if len(row) != arity:
+                    raise ArityMismatch(arity, len(row), predicate)
         fallback_chain: list[FallbackStep] = []
         if self._last is None:
             fallback_chain += self.recover().fallback_chain
@@ -390,13 +374,12 @@ class Session:
         assert live is not None
         # Deduplicate against the current EDB without mutating it — the
         # fallback decision below must be taken on a pristine session.
+        contains = self.database.contains
         new_rows: dict[str, list[Row]] = {}
-        pending: set[tuple[str, Row]] = set()
-        for predicate, row in normalized:
-            if self.database.contains(predicate, row) or (predicate, row) in pending:
-                continue
-            pending.add((predicate, row))
-            new_rows.setdefault(predicate, []).append(row)
+        for predicate, rows in groups.items():
+            fresh = [row for row in dict.fromkeys(rows) if not contains(predicate, row)]
+            if fresh:
+                new_rows[predicate] = fresh
 
         if not new_rows:
             # Nothing actually new: the prior fixpoint still stands.

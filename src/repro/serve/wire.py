@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from ..datalog.atoms import Atom
+from ..datalog.database import FactRows
 from ..datalog.parser import parse_atom, parse_constraints, parse_facts, parse_program_and_facts
 from ..magic.pipeline import PIPELINE_ORDERS
 from ..magic.sips import STRATEGIES
@@ -92,7 +93,7 @@ class RegisterRequest:
     """``PUT /programs/{name}``: program, constraint and fact text."""
 
     program: "Program"
-    facts: tuple[Atom, ...]
+    facts: Sequence[Atom]
     constraints: "tuple[IntegrityConstraint, ...]"
 
 
@@ -124,11 +125,11 @@ def parse_register(payload: object) -> RegisterRequest:
         program, inline_facts = parse_program_and_facts(source, query=query)
     except Exception as exc:
         raise UsageError(f"cannot parse program: {exc}") from exc
-    facts = list(inline_facts)
+    facts: Sequence[Atom] = tuple(inline_facts)
     facts_text = _text_field(payload, "facts")
     if facts_text:
         try:
-            facts.extend(parse_facts(facts_text))
+            facts = FactRows.of(facts, parse_facts(facts_text))
         except Exception as exc:
             raise UsageError(f"cannot parse facts: {exc}") from exc
     constraints: "tuple[IntegrityConstraint, ...]" = ()
@@ -139,7 +140,7 @@ def parse_register(payload: object) -> RegisterRequest:
         except Exception as exc:
             raise UsageError(f"cannot parse constraints: {exc}") from exc
     return RegisterRequest(
-        program=program, facts=tuple(facts), constraints=constraints
+        program=program, facts=facts, constraints=constraints
     )
 
 

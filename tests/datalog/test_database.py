@@ -3,7 +3,14 @@
 import pytest
 
 from repro.datalog.atoms import Atom
-from repro.datalog.database import ArityMismatch, ColumnarRelation, Database, Interner, Relation
+from repro.datalog.database import (
+    ArityMismatch,
+    ColumnarRelation,
+    Database,
+    Interner,
+    NonGroundFact,
+    Relation,
+)
 from repro.robustness.errors import ReproError
 from repro.datalog.terms import Constant
 
@@ -139,6 +146,29 @@ class TestDatabase:
 
         with pytest.raises(ValueError):
             Database([Atom("e", (Variable("X"),))])
+
+    def test_nonground_fact_error_is_typed(self):
+        from repro.datalog.terms import Variable
+
+        nonground = Atom("e", (Constant(1), Variable("X")))
+        for load in (lambda: Database([nonground]), lambda: Database().add_fact(nonground)):
+            with pytest.raises(NonGroundFact) as caught:
+                load()
+            assert isinstance(caught.value, ReproError) and isinstance(caught.value, ValueError)
+            assert str(caught.value) == "fact e(1, X) is not ground"
+
+    @pytest.mark.parametrize("storage", ["rows", "columnar"])
+    def test_pairs_and_atoms_load_alike_and_may_be_mixed(self, storage):
+        """The class docstring's "ground atoms or (predicate, row) pairs"."""
+        atoms = [Atom("e", (Constant(1), Constant(2))), Atom("v", (Constant("a"),)),
+                 Atom("e", (Constant(2), Constant(3)))]
+        pairs = [("e", (1, 2)), ("v", ("a",)), ("e", [2, 3])]
+        expected = Database(atoms, storage=storage)
+        for facts in (pairs, [atoms[0], pairs[1], atoms[2]], iter(pairs)):
+            db = Database(facts, storage=storage)
+            assert db.to_dict(include_interner=True) == expected.to_dict(include_interner=True)
+        with pytest.raises(ArityMismatch, match="for e: expected 2, got 1"):
+            Database([atoms[0], ("e", (1,))], storage=storage)
 
     @pytest.mark.parametrize("storage", ["rows", "columnar"])
     def test_mixed_arities_name_the_predicate(self, storage):

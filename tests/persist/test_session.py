@@ -153,6 +153,36 @@ def test_ingest_rejects_idb_predicate():
         session.ingest([("path", (1, 9))])
 
 
+def test_ingest_takes_atoms_pairs_and_parsed_rows_alike(built):
+    from repro.datalog.atoms import Atom
+    from repro.datalog.terms import Constant
+
+    atom = Atom("edge", (Constant(5), Constant(6)))
+    for facts in ([atom], [("edge", [5, 6])], parse_facts("edge(5, 6). edge(5, 6).")):
+        session = Session(_program(), _database())
+        session.run()
+        for instances in built.values():
+            instances.clear()
+        outcome = session.ingest(facts)
+        # The loader's own normaliser: rows are read off, no atom is rebuilt.
+        assert built[Atom] == [] and built[Constant] == []
+        assert outcome.mode == "incremental"
+        assert session.database.relation("edge", 2).rows() == set(EDGES) | {(5, 6)}
+
+
+def test_ingest_rejects_a_non_ground_atom_with_the_loaders_typed_error():
+    from repro.datalog.atoms import Atom
+    from repro.datalog.database import NonGroundFact
+    from repro.datalog.terms import Constant, Variable
+
+    session = Session(_program(), _database())
+    session.run()
+    before = session.database.to_dict()
+    with pytest.raises(NonGroundFact, match=r"^fact edge\(5, X\) is not ground$"):
+        session.ingest([("edge", (5, 6)), Atom("edge", (Constant(5), Variable("X")))])
+    assert session.database.to_dict() == before
+
+
 def test_ingest_rejects_wrong_arity_before_journaling_anything(tmp_path):
     journal = IngestJournal(tmp_path / "journal")
     session = Session(_program(), _database(), journal=journal)

@@ -11,6 +11,9 @@ import asyncio
 import pytest
 
 from repro.cli import main
+from repro.datalog.atoms import Atom
+from repro.datalog.parser import parse_facts
+from repro.datalog.terms import Constant
 from repro.robustness import UsageError
 from repro.robustness.budget import parse_limit_value, parse_timeout_value
 from repro.serve.app import ServeApp
@@ -31,6 +34,28 @@ class TestParseRegister:
         request = parse_register({"program": PROGRAM, "facts": FACTS, "query": "p"})
         assert request.program.query == "p"
         assert len(request.facts) == 2
+
+    def test_facts_text_joins_inline_facts_without_becoming_atoms(self, built):
+        body = {
+            "program": PROGRAM + "\ne(1, 2).",
+            "facts": "e(2, 3).\n" + "".join(f"far({i}, {i + 1}).\n" for i in range(500)),
+            "query": "p",
+        }
+        app = ServeApp()
+
+        async def drive():
+            status, _ = await app.handle("PUT", "/programs/t", body)
+            assert status == 200
+            return await app.handle("POST", "/programs/t/query", {"goal": "p(1, Y)"})
+
+        status, payload = asyncio.run(drive())
+        assert (status, payload["answers"]) == (200, [[1, 2], [1, 3]])
+        ground = [a for a in built[Atom] if a.predicate in ("e", "far") and a.is_ground()]
+        assert ground == [Atom("e", (Constant(1), Constant(2)))]
+        # Inline facts first, then the text, as when both were atoms.
+        request = parse_register(body)
+        assert request.facts[:2] == parse_facts("e(1, 2). e(2, 3).")
+        assert len(request.facts) == 502
 
     def test_body_must_be_object(self):
         with pytest.raises(UsageError, match="JSON object"):
@@ -113,6 +138,10 @@ class TestParseIngest:
 
     def test_parses(self):
         assert len(parse_ingest({"facts": FACTS}).facts) == 2
+
+    def test_an_ingest_carries_real_atoms(self):
+        facts = parse_ingest({"facts": FACTS}).facts
+        assert isinstance(facts, tuple) and all(type(fact) is Atom for fact in facts)
 
 
 class TestNormalizedMessagesSharedWithCli:

@@ -11,6 +11,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
@@ -98,6 +99,21 @@ class TestRun:
         out = capsys.readouterr().out
         assert "optimized work:" in out
         assert "answers match" in out
+
+    def test_data_file_joins_inline_facts_without_becoming_atoms(self, files, tmp_path, capsys, built):
+        program = tmp_path / "inline.dl"
+        program.write_text(PROGRAM + "a(3, 4). a(4, 5).\n")
+        data = tmp_path / "big.dl"
+        data.write_text("b(1, 2). b(2, 3).\n" + "".join(f"c({i}, {i + 1}).\n" for i in range(500)))
+        assert main(["run", str(program), "--query", "p", "--data", str(data)]) == 0
+        out = capsys.readouterr().out
+        # The answers of FACTS, which holds the same a and b rows.
+        assert main(["run", files["program.dl"], "--query", "p", "--data", files["facts.dl"]]) == 0
+        assert out == capsys.readouterr().out and "answers (10):" in out
+        ground = [a for a in built[Atom] if a.predicate in "abc" and a.is_ground()]
+        # Inline facts came through the program parser; the rows of
+        # either --data file were never atoms.
+        assert ground == parse_facts("a(3, 4). a(4, 5).")
 
     @pytest.mark.parametrize("storage", ["rows", "columnar"])
     def test_mixed_arity_facts_are_an_input_error(self, files, tmp_path, capsys, storage):
