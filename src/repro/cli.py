@@ -66,7 +66,7 @@ from .core.reachability import is_satisfiable
 from .core.rewrite import optimize
 from .cq.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
 from .datalog.database import Database, FactRows
-from .datalog.evaluation import evaluate
+from .datalog.evaluation import EvaluationStats, evaluate
 from .datalog.parser import (
     parse_atom,
     parse_constraints,
@@ -76,7 +76,13 @@ from .datalog.parser import (
     parse_rules,
 )
 from .datalog.program import Program
-from .magic import check_equivalence, get_sips, magic_transform, run_pipeline
+from .magic import (
+    check_equivalence,
+    get_sips,
+    magic_transform,
+    match_query_atom,
+    run_pipeline,
+)
 from .magic.pipeline import PIPELINE_ORDERS
 from .magic.sips import STRATEGIES
 from .observability import (
@@ -214,8 +220,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         if args.compare:
             report = optimize(program, constraints, budget=governor)
-            for step in report.fallback_chain:
-                print(f"fallback: {step.describe()}")
             rewritten = report.evaluation(database, budget=governor)
             if rewritten is None:
                 print("optimized: query unsatisfiable (empty program)")
@@ -246,6 +250,41 @@ def _print_work(label: str, stats) -> None:
     )
 
 
+def _answer_goal(
+    args: argparse.Namespace,
+    label: str,
+    original: Program,
+    final: Program | None,
+    goal,
+    database: Database,
+    governor: Governor | None,
+    differ: str = "answers DIFFER",
+) -> int:
+    """Print ``final``'s answers to ``goal`` and what they cost; only
+    under ``--compare`` is ``original`` evaluated too (exit 1 on a mismatch)."""
+    check = None
+    if args.compare:
+        check = check_equivalence(original, final, goal, database, budget=governor)
+        answers, stats = check.transformed_answers, check.transformed_stats
+    elif final is None:
+        answers, stats = frozenset(), EvaluationStats()
+    else:
+        result = evaluate(final, database, budget=governor)
+        answers = frozenset(
+            row for row in result.query_rows() if match_query_atom(row, goal)
+        )
+        stats = result.stats
+    print(f"\nanswers ({len(answers)}):")
+    for row in sorted(answers, key=repr):
+        print(f"  {goal.predicate}{row!r}")
+    _print_work(f"{label} work", stats)
+    if check is None:
+        return 0
+    _print_work("original work", check.original_stats)
+    print("answers match" if check.equivalent else differ)
+    return 0 if check.equivalent else 1
+
+
 def _cmd_magic(args: argparse.Namespace) -> int:
     goal = _load_goal(args)
     program, inline_facts = parse_program_and_facts(
@@ -260,15 +299,9 @@ def _cmd_magic(args: argparse.Namespace) -> int:
         print(mp.program)
         if args.data or inline_facts:
             database = _database_from(args, inline_facts)
-            check = check_equivalence(program, mp, goal, database, budget=governor)
-            print(f"\nanswers ({len(check.transformed_answers)}):")
-            for row in sorted(check.transformed_answers, key=repr):
-                print(f"  {goal.predicate}{row!r}")
-            _print_work("magic work", check.transformed_stats)
-            if args.compare:
-                _print_work("original work", check.original_stats)
-                print("answers match" if check.equivalent else "answers DIFFER")
-                return 0 if check.equivalent else 1
+            return _answer_goal(
+                args, "magic", program, mp.program, goal, database, governor
+            )
         return 0
 
     return _with_optional_trace(args, body)
@@ -299,19 +332,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             print(report.program)
         if args.data or inline_facts:
             database = _database_from(args, inline_facts)
-            check = check_equivalence(program, report, goal, database, budget=governor)
-            print(f"\nanswers ({len(check.transformed_answers)}):")
-            for row in sorted(check.transformed_answers, key=repr):
-                print(f"  {goal.predicate}{row!r}")
-            _print_work("pipeline work", check.transformed_stats)
-            if args.compare:
-                _print_work("original work", check.original_stats)
-                print(
-                    "answers match"
-                    if check.equivalent
-                    else "answers DIFFER — is the database consistent?"
-                )
-                return 0 if check.equivalent else 1
+            return _answer_goal(
+                args, "pipeline", program, report.program, goal, database, governor,
+                differ="answers DIFFER — is the database consistent?",
+            )
         return 0
 
     return _with_optional_trace(args, body)
@@ -615,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--timeout", type=_timeout_value, default=None, metavar="SECONDS",
             help="wall-clock budget for the whole command; on expiry the "
-            "rewrite degrades and evaluation stops with partial results "
-            "(exit code 1)",
+            "command stops with whatever partial results it has (exit code 1)",
         )
         cmd.add_argument(
             "--max-facts", type=_max_facts_value, default=None, metavar="N",

@@ -60,8 +60,8 @@ class AdornmentLimitError(BudgetExceededError, RuntimeError):
     """The per-predicate adornment count exceeded ``max_adornments``.
 
     Subclasses ``RuntimeError`` for backward compatibility with callers
-    of the original guard, and ``BudgetExceededError`` so the
-    optimizer's degradation ladder treats it like any budget trip.
+    of the original guard, and ``BudgetExceededError`` so every front
+    door reports it like any budget trip — governed run or not.
     """
 
 __all__ = [

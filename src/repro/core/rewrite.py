@@ -24,19 +24,13 @@ examples and benchmarks can show the whole story.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..constraints.integrity import IntegrityConstraint, check_no_idb
 from ..constraints.locality import is_fully_local
 from ..observability.trace import get_tracer
-from ..robustness.budget import (
-    Budget,
-    CancellationToken,
-    FallbackStep,
-    Governor,
-    record_fallback,
-)
-from ..robustness.errors import BudgetExceededError, Cancelled, EvaluationAborted, ReproError
+from ..robustness.budget import Budget, CancellationToken, Governor
+from ..robustness.errors import abort_phase
 from ..datalog.atoms import Atom, Literal
 from ..datalog.database import Database, Row
 from ..datalog.evaluation import EvaluationResult, evaluate
@@ -54,25 +48,19 @@ __all__ = ["OptimizationReport", "optimize"]
 
 @dataclass
 class OptimizationReport:
-    """All artifacts of one optimization run.
-
-    When the run degraded under a budget (see :func:`optimize`),
-    ``fallback_chain`` records each abandoned strategy in order and the
-    tree-phase artifacts (``adornment_result``, ``tree``) are ``None``.
-    """
+    """All artifacts of one optimization run."""
 
     original: Program
     constraints: tuple[IntegrityConstraint, ...]
     tree_constraints: tuple[IntegrityConstraint, ...]
     residue_only_constraints: tuple[IntegrityConstraint, ...]
     preprocessed: Program
-    adornment_result: AdornmentResult | None
-    tree: QueryTree | None
+    adornment_result: AdornmentResult
+    tree: QueryTree
     program: Program | None
     satisfiable: bool
     complete: bool
     predicate_names: dict[tuple, str] = field(default_factory=dict)
-    fallback_chain: tuple[FallbackStep, ...] = ()
 
     def evaluate(
         self,
@@ -82,11 +70,8 @@ class OptimizationReport:
         cancellation: CancellationToken | None = None,
     ) -> frozenset[Row]:
         """Evaluate the rewritten program's query over a database."""
-        if self.program is None:
-            return frozenset()
-        return evaluate(
-            self.program, database, budget=budget, cancellation=cancellation
-        ).query_rows()
+        result = self.evaluation(database, budget=budget, cancellation=cancellation)
+        return frozenset() if result is None else result.query_rows()
 
     def evaluation(
         self,
@@ -101,24 +86,7 @@ class OptimizationReport:
             self.program, database, budget=budget, cancellation=cancellation
         )
 
-    def cache_key(self) -> str:
-        """The data-independent digest keying this report's artifacts.
-
-        SHA-256 over the original program's rules, its query predicate
-        and the constraints — the same :func:`repro.digest.workload_digest`
-        (without EDB rows) that persist and serve use, so a cached
-        rewrite can never be replayed against a program it was not
-        computed from.  The serving layer's artifact cache
-        (:class:`repro.serve.cache.ArtifactCache`) builds its keys on
-        this digest.
-        """
-        from ..digest import program_digest
-
-        return program_digest(self.original, self.constraints)
-
     def render_tree(self) -> str:
-        if self.tree is None:
-            return "(no query tree: the tree phase was skipped by a budget fallback)"
         return self.tree.render()
 
     def summary(self) -> str:
@@ -133,8 +101,6 @@ class OptimizationReport:
                 "non-local constraints handled by residue injection only: "
                 + "; ".join(repr(ic) for ic in self.residue_only_constraints)
             )
-        for step in self.fallback_chain:
-            lines.append(f"fallback: {step.describe()}")
         return "\n".join(lines)
 
     def explain(self) -> str:
@@ -159,24 +125,18 @@ class OptimizationReport:
             )
         adornment_lines: list[str] = []
         result = self.adornment_result
-        if result is not None:
-            for predicate in sorted(result.adornments):
-                for adornment in result.adornments[predicate]:
-                    name = result.adorned_name(predicate, adornment)
-                    residues = sorted(
-                        triplet.render(result.constraints)
-                        for triplet in prune_redundant(adornment)
-                        if not triplet.is_trivial()
-                    )
-                    adornment_lines.append(f"{name}: {residues if residues else '(trivial)'}")
+        for predicate in sorted(result.adornments):
+            for adornment in result.adornments[predicate]:
+                name = result.adorned_name(predicate, adornment)
+                residues = sorted(
+                    triplet.render(result.constraints)
+                    for triplet in prune_redundant(adornment)
+                    if not triplet.is_trivial()
+                )
+                adornment_lines.append(f"{name}: {residues if residues else '(trivial)'}")
         if adornment_lines:
             sections.append("== Adornments ==\n" + "\n".join(adornment_lines))
-        if self.fallback_chain:
-            sections.append(
-                "== Budget fallbacks ==\n"
-                + "\n".join(step.describe() for step in self.fallback_chain)
-            )
-        if self.tree is not None and self.tree.roots:
+        if self.tree.roots:
             sections.append("== Query tree ==\n" + self.tree.render())
         if self.program is not None:
             sections.append("== Rewritten program P' ==\n" + repr(self.program))
@@ -187,16 +147,6 @@ class OptimizationReport:
             )
         sections.append("== Summary ==\n" + self.summary())
         return "\n\n".join(sections)
-
-
-def _split_constraints(
-    constraints: Sequence[IntegrityConstraint],
-) -> tuple[list[IntegrityConstraint], list[IntegrityConstraint]]:
-    tree_side: list[IntegrityConstraint] = []
-    residue_side: list[IntegrityConstraint] = []
-    for ic in constraints:
-        (tree_side if is_fully_local(ic) else residue_side).append(ic)
-    return tree_side, residue_side
 
 
 def _class_nodes(tree: QueryTree) -> dict[tuple, GoalNode]:
@@ -328,135 +278,30 @@ def optimize(
     constraints were used only for sound residue injection.
 
     With a ``budget`` (a :class:`~repro.robustness.budget.Budget` or a
-    shared running :class:`~repro.robustness.budget.Governor`) the run
-    is governed and **degrades instead of failing**: when the adornment
-    or query-tree phase trips a limit, the optimizer falls back to the
-    residue-only rewrite (sound single-rule CGM injection via
-    :func:`~repro.core.residues.constrain_program`), and if that too
-    aborts, to the original program unchanged.  Each abandoned rung is
-    recorded in ``report.fallback_chain``.  Cancellation is never
-    degraded — a :class:`~repro.robustness.errors.Cancelled` always
-    propagates.  Without a budget, limit violations (e.g. the
-    ``max_adornments`` guard) raise as before.
+    shared running :class:`~repro.robustness.budget.Governor`) or a
+    ``cancellation`` token the run is governed: a tripped limit, a fired
+    token or an injected fault raises the matching
+    :class:`~repro.robustness.errors.EvaluationAborted` with ``phase``
+    set.  There is no partial rewrite — the caller gets ``P'`` or the
+    typed abort.
     """
     constraints = tuple(constraints)
     governor = Governor.of(budget, cancellation)
-    if governor is None:
-        return _optimize_full(
-            program,
-            constraints,
-            inject_residues=inject_residues,
-            propagate_orders=propagate_orders,
-            max_adornments=max_adornments,
-            governor=None,
-        )
-    tracer = get_tracer()
-    fallbacks: list[FallbackStep] = []
-    try:
-        return _optimize_full(
-            program,
-            constraints,
-            inject_residues=inject_residues,
-            propagate_orders=propagate_orders,
-            max_adornments=max_adornments,
-            governor=governor,
-        )
-    except Cancelled:
-        raise
-    except EvaluationAborted as exc:
-        record_fallback(
-            fallbacks, "query-tree rewrite", "residue-only rewrite", str(exc), tracer
-        )
-    tree_side, residue_side = _split_constraints(constraints)
-    try:
-        return _optimize_residue_only(
-            program,
-            constraints,
-            tree_side,
-            residue_side,
-            inject_residues=inject_residues,
-            fallback_chain=tuple(fallbacks),
-        )
-    except Cancelled:
-        raise
-    except ReproError as exc:
-        record_fallback(
-            fallbacks, "residue-only rewrite", "original program", str(exc), tracer
-        )
-        return OptimizationReport(
-            original=program,
-            constraints=constraints,
-            tree_constraints=tuple(tree_side),
-            residue_only_constraints=tuple(residue_side),
-            preprocessed=program,
-            adornment_result=None,
-            tree=None,
-            program=program,
-            satisfiable=True,
-            complete=False,
-            fallback_chain=tuple(fallbacks),
-        )
-
-
-def _optimize_residue_only(
-    program: Program,
-    constraints: tuple[IntegrityConstraint, ...],
-    tree_side: Sequence[IntegrityConstraint],
-    residue_side: Sequence[IntegrityConstraint],
-    *,
-    inject_residues: bool,
-    fallback_chain: tuple[FallbackStep, ...],
-) -> OptimizationReport:
-    """The middle rung of the ladder: sound per-rule residue injection.
-
-    No adornment fixpoint, no query tree — just
-    :func:`~repro.core.residues.constrain_program`, which is linear in
-    the program and therefore safe to run even after a budget trip.
-    """
-    rewritten: Program | None = (
-        constrain_program(program, constraints) if inject_residues else program
-    )
-    satisfiable = True
-    if rewritten is not None and not rewritten.rules_for(program.query):
-        rewritten = None
-        satisfiable = False
-    return OptimizationReport(
-        original=program,
-        constraints=constraints,
-        tree_constraints=tuple(tree_side),
-        residue_only_constraints=tuple(residue_side),
-        preprocessed=program,
-        adornment_result=None,
-        tree=None,
-        program=rewritten,
-        satisfiable=satisfiable,
-        complete=False,
-        fallback_chain=fallback_chain,
-    )
-
-
-def _optimize_full(
-    program: Program,
-    constraints: tuple[IntegrityConstraint, ...],
-    *,
-    inject_residues: bool,
-    propagate_orders: bool,
-    max_adornments: int,
-    governor: Governor | None,
-) -> OptimizationReport:
-    """The top rung: the complete query-tree rewrite of Theorem 4.1."""
     if program.query is None:
         raise ValueError("optimize() needs a program with a query predicate")
     check_no_idb(constraints, program)
     tracer = get_tracer()
     trace_on = tracer.enabled
-    with tracer.span(
+    with abort_phase("optimize"), tracer.span(
         "optimize",
         query=program.query,
         rules=len(program.rules),
         constraints=len(constraints),
     ) as opt_span:
-        tree_side, residue_side = _split_constraints(constraints)
+        tree_side: list[IntegrityConstraint] = []
+        residue_side: list[IntegrityConstraint] = []
+        for ic in constraints:
+            (tree_side if is_fully_local(ic) else residue_side).append(ic)
         if trace_on:
             opt_span.set(
                 tree_constraints=len(tree_side),

@@ -946,7 +946,6 @@ class _Driver:
         executor,
         *,
         ingest: "Mapping[str, Sequence[Row]] | None" = None,
-        max_iterations: int | None = None,
     ) -> EvaluationResult:
         """Drive the fixpoint to completion on ``executor``."""
         # The executor refers to the driver, never the reverse: without
@@ -968,7 +967,7 @@ class _Driver:
                 if self.strategy == "naive":
                     completed = self._naive_rounds()
                 else:
-                    completed = self._seminaive_sccs(executor, ingest, max_iterations)
+                    completed = self._seminaive_sccs(executor, ingest)
                 if self.checkpoint_sink is not None:
                     self.checkpoint_sink(
                         self.make_snapshot(
@@ -1027,7 +1026,7 @@ class _Driver:
             self.checkpoint(0, None, stats.iterations, None)
         return 0
 
-    def _seminaive_sccs(self, executor, ingest, max_iterations: int | None) -> int:
+    def _seminaive_sccs(self, executor, ingest) -> int:
         """SCC by SCC in topological order; delta rounds inside each.
 
         Cold and resumed runs fire a non-recursive SCC's rules once and
@@ -1133,8 +1132,6 @@ class _Driver:
                     _absorb(scc_new, delta)
                 while any(len(d) for d in delta.values()):
                     iterations += 1
-                    if max_iterations is not None and iterations > max_iterations:
-                        break
                     stats.iterations += 1
                     self.check()
                     if self.trace_on:
@@ -1207,7 +1204,6 @@ def evaluate(
     database: Database,
     *,
     provenance: bool = False,
-    max_iterations: int | None = None,
     strategy: str = "seminaive",
     tracer: Tracer | None = None,
     engine: str = "slots",
@@ -1222,10 +1218,6 @@ def evaluate(
     Returns an :class:`EvaluationResult` with the full IDB.  With
     ``provenance=True`` each derived fact remembers the first rule
     instantiation that produced it (for :func:`derivation_tree`).
-    ``max_iterations`` bounds semi-naive rounds per SCC (used by tests
-    exploring non-terminating hypotheticals; normal evaluation always
-    terminates) and *truncates silently* — for an error-raising bound
-    use ``budget`` instead.
 
     There is one way to evaluate: semi-naive rounds over the compiled
     slot engine, body literals in cost order, in this process, in the
@@ -1281,7 +1273,7 @@ def evaluate(
         checkpoint_every=checkpoint_every,
         checkpoint_sink=checkpoint_sink,
     )
-    return driver.run(_LocalExecutor(driver, engine), max_iterations=max_iterations)
+    return driver.run(_LocalExecutor(driver, engine))
 
 
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:

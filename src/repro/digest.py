@@ -11,8 +11,8 @@ fixpoint?" must agree byte-for-byte:
   count and recovery path on an identical fixpoint digest.
 
 This module is the single definition — all of them import it, and
-:meth:`repro.core.rewrite.OptimizationReport.cache_key` exposes the
-same digest for cache keying.
+:func:`repro.magic.pipeline.artifact_key` builds the cache key on the
+same digest.
 
 The workload digest is the program-shape digest bound to an **additive
 multiset hash** of the EDB: the sum, modulo 2**256, of one SHA-256 per

@@ -16,12 +16,10 @@ from .pipeline import (
     CACHEABLE_ORDERS,
     PIPELINE_ORDERS,
     EquivalenceCheck,
-    PipelineArtifact,
     PipelineReport,
     artifact_key,
     assert_equivalent,
     check_equivalence,
-    compile_artifact,
     query_atom_answers,
     run_pipeline,
     specialize_pipeline,
@@ -37,12 +35,10 @@ __all__ = [
     "CACHEABLE_ORDERS",
     "PIPELINE_ORDERS",
     "EquivalenceCheck",
-    "PipelineArtifact",
     "PipelineReport",
     "artifact_key",
     "assert_equivalent",
     "check_equivalence",
-    "compile_artifact",
     "query_atom_answers",
     "run_pipeline",
     "specialize_pipeline",

@@ -25,11 +25,17 @@ pipeline order computes the same answers to the query atom as the
 original program.  :func:`check_equivalence` /
 :func:`assert_equivalent` evaluate original vs. transformed programs on
 a database and compare answers (and work counters).
+
+One outcome: :func:`run_pipeline` returns a :class:`PipelineReport` for
+the complete pipeline, or a governed run raises the
+:class:`~repro.robustness.errors.EvaluationAborted` that stopped it.
+The report is also what :func:`specialize_pipeline` caches per query
+shape; :meth:`PipelineReport.for_goal` re-seeds it per request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from ..constraints.integrity import IntegrityConstraint
@@ -41,14 +47,8 @@ from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..digest import program_digest
 from ..observability.trace import get_tracer
-from ..robustness.budget import (
-    Budget,
-    CancellationToken,
-    FallbackStep,
-    Governor,
-    record_fallback,
-)
-from ..robustness.errors import Cancelled, EvaluationAborted
+from ..robustness.budget import Budget, CancellationToken, Governor
+from ..robustness.errors import abort_phase
 from .adorn import adornment_of, bound_args
 from .sips import SipsStrategy, get_sips, left_to_right
 from .transform import MagicProgram, magic_transform, match_query_atom
@@ -63,9 +63,7 @@ __all__ = [
     "check_equivalence",
     "assert_equivalent",
     "CACHEABLE_ORDERS",
-    "PipelineArtifact",
     "artifact_key",
-    "compile_artifact",
     "specialize_pipeline",
 ]
 
@@ -95,8 +93,6 @@ class PipelineReport:
     magic: MagicProgram | None
     program: Program | None
     satisfiable: bool = True
-    fallback_chain: tuple[FallbackStep, ...] = ()
-    _answer_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def answer_predicate(self) -> str | None:
@@ -127,6 +123,50 @@ class PipelineReport:
             if match_query_atom(row, self.query_atom)
         )
 
+    def for_goal(self, query_atom: Atom) -> "PipelineReport":
+        """This compiled pipeline, re-seeded for another goal of its shape.
+
+        ``query_atom`` must share the report's predicate and binding
+        pattern; only its constant values may differ.  The magic seed —
+        the one place those values occur in a :data:`CACHEABLE_ORDERS`
+        program — is swapped in the final program, in ``magic`` and in
+        the magic stage; everything else is shared with ``self``.
+        """
+        if self.order not in CACHEABLE_ORDERS:
+            raise ValueError(
+                f"pipeline order {self.order!r} produces constant-dependent "
+                f"programs and cannot be re-seeded for another goal "
+                f"(cacheable: {', '.join(CACHEABLE_ORDERS)})"
+            )
+        shape = adornment_of(self.query_atom, frozenset())
+        if (
+            query_atom.predicate != self.query_atom.predicate
+            or adornment_of(query_atom, frozenset()) != shape
+        ):
+            raise ValueError(
+                f"pipeline compiled for shape {self.query_atom.predicate}/{shape}, "
+                f"which {query_atom} does not match"
+            )
+        if self.magic is None:
+            return replace(self, query_atom=query_atom)
+        old = self.magic.seed
+        seed = Rule(Atom(old.head.predicate, bound_args(query_atom, shape)), ())
+        rules = self.magic.program.rules
+        at = rules.index(old)
+        program = Program(
+            rules[:at] + (seed,) + rules[at + 1 :],
+            self.magic.program.query,
+            validate=False,
+        )
+        return replace(
+            self,
+            query_atom=query_atom,
+            stages=self.stages[:-1]
+            + (replace(self.stages[-1], program=program, detail=f"seed {seed.head}"),),
+            magic=replace(self.magic, program=program, query_atom=query_atom, seed=seed),
+            program=program,
+        )
+
     def summary(self) -> str:
         lines = [
             f"pipeline order: {self.order}",
@@ -137,8 +177,6 @@ class PipelineReport:
             size = "empty" if stage.program is None else f"{len(stage.program.rules)} rules"
             detail = f" — {stage.detail}" if stage.detail else ""
             lines.append(f"after {stage.name}: {size}{detail}")
-        for step in self.fallback_chain:
-            lines.append(f"fallback: {step.describe()}")
         if self.program is None:
             lines.append("final program: empty (query unsatisfiable)")
         else:
@@ -175,13 +213,12 @@ def run_pipeline(
     when the semantic stage proves the query unsatisfiable under the
     constraints.
 
-    With a ``budget`` (or a shared running
-    :class:`~repro.robustness.budget.Governor`) the run degrades
-    instead of failing: the semantic stage degrades internally (see
-    :func:`~repro.core.rewrite.optimize`), and a stage that trips a
-    limit (or an injected fault) is *skipped*, leaving the previous
-    stage's program in place.  Every fallback is recorded in
-    ``report.fallback_chain``.  Cancellation always propagates.
+    A ``budget`` (or a shared running
+    :class:`~repro.robustness.budget.Governor`) or a ``cancellation``
+    token governs every stage: a tripped limit, a fired token or an
+    injected fault raises its
+    :class:`~repro.robustness.errors.EvaluationAborted` with ``phase``
+    set, and no report is returned.
     """
     if order not in PIPELINE_ORDERS:
         raise ValueError(
@@ -195,7 +232,6 @@ def run_pipeline(
     trace_on = tracer.enabled
 
     stages: list[PipelineStage] = []
-    fallbacks: list[FallbackStep] = []
     semantic_report: OptimizationReport | None = None
     magic: MagicProgram | None = None
     current: Program | None = program
@@ -214,14 +250,9 @@ def run_pipeline(
                     rules_out=0 if current is None else len(current.rules),
                     satisfiable=current is not None,
                 )
-        fallbacks.extend(semantic_report.fallback_chain)
         detail = "unsatisfiable" if current is None else (
             "complete" if semantic_report.complete else "residues only for non-local ic's"
         )
-        if semantic_report.fallback_chain:
-            detail = "degraded: " + "; ".join(
-                step.fell_back_to for step in semantic_report.fallback_chain
-            )
         stages.append(PipelineStage("semantic rewrite", current, detail))
 
     def run_magic() -> None:
@@ -249,29 +280,20 @@ def run_pipeline(
         )
 
     plan = {
-        "semantic-first": (("semantic rewrite", run_semantic), ("magic transform", run_magic)),
-        "magic-first": (("magic transform", run_magic), ("semantic rewrite", run_semantic)),
-        "magic-only": (("magic transform", run_magic),),
-        "semantic-only": (("semantic rewrite", run_semantic),),
+        "semantic-first": (run_semantic, run_magic),
+        "magic-first": (run_magic, run_semantic),
+        "magic-only": (run_magic,),
+        "semantic-only": (run_semantic,),
     }[order]
-    with tracer.span(
+    with abort_phase("pipeline"), tracer.span(
         "pipeline", order=order, query=str(query_atom), rules=len(program.rules)
     ) as pipeline_span:
-        for stage_name, stage in plan:
+        for stage in plan:
             if current is None:
                 break
-            if governor is None:
-                stage()
-                continue
-            try:
+            if governor is not None:
                 governor.check("pipeline")
-                stage()
-            except Cancelled:
-                raise
-            except EvaluationAborted as exc:
-                # Skip the stage: the previous stage's program is still a
-                # sound input for whatever comes next.
-                record_fallback(fallbacks, stage_name, "skip stage", str(exc), tracer)
+            stage()
         if trace_on:
             pipeline_span.set(
                 stages=len(stages),
@@ -289,7 +311,6 @@ def run_pipeline(
         magic=magic,
         program=current,
         satisfiable=current is not None,
-        fallback_chain=tuple(fallbacks),
     )
 
 
@@ -358,22 +379,14 @@ def check_equivalence(
     original_rows, original_result = query_atom_answers(
         original, database, query_atom, budget=budget
     )
-    if isinstance(transformed, PipelineReport):
-        result = transformed.evaluation(database, budget=budget)
-    elif isinstance(transformed, MagicProgram):
-        result = evaluate(transformed.program, database, budget=budget)
-    elif isinstance(transformed, Program):
+    if isinstance(transformed, (PipelineReport, MagicProgram)):
+        transformed = transformed.program
+    transformed_rows: frozenset[Row] = frozenset()
+    transformed_stats = EvaluationStats()
+    if transformed is not None:
         result = evaluate(transformed, database, budget=budget)
-    else:
-        result = None
-    if result is None:
-        transformed_rows: frozenset[Row] = frozenset()
-        transformed_stats = EvaluationStats()
-    else:
         transformed_rows = frozenset(
-            row
-            for row in result.query_rows()
-            if match_query_atom(row, query_atom)
+            row for row in result.query_rows() if match_query_atom(row, query_atom)
         )
         transformed_stats = result.stats
     return EquivalenceCheck(
@@ -393,90 +406,19 @@ def check_equivalence(
 # In the cacheable orders, everything the pipeline computes — the
 # semantic rewrite, adornment, the magic rules — depends only on the
 # program, the constraints and the query atom's *binding pattern*
-# (which positions are constants), never on the constant values
-# themselves.  The values appear in exactly one place: the magic seed
-# fact.  So a serving workload where every request is ``p(c, Y)`` for a
-# different ``c`` can compile the pipeline once per shape and per
-# request only swap the seed — which is what
-# :func:`specialize_pipeline` does, backed by any mapping-like artifact
-# cache (see :class:`repro.serve.cache.ArtifactCache`).
+# (which positions are constants), never on the constant values: those
+# appear in exactly one place, the magic seed fact.  So a serving
+# workload where every request is ``p(c, Y)`` for a different ``c``
+# compiles the pipeline once per shape and swaps the seed per request
+# (:meth:`PipelineReport.for_goal`, driven by :func:`specialize_pipeline`).
 #
 # ``magic-first`` is the exception: there the semantic rewrite runs
 # *over* the guarded program, seed included, so constraint residues can
 # fold the request's constants into arbitrary rewritten rules.  Its
-# compiled output is constant-dependent and must not be shared across
-# requests — :func:`specialize_pipeline` bypasses the cache for it.
+# output must not be shared across requests and bypasses the cache.
 
-#: Orders whose compiled template is constant-independent (seed-swap sound).
+#: Orders whose compiled program is constant-independent (seed-swap sound).
 CACHEABLE_ORDERS = ("semantic-first", "magic-only", "semantic-only")
-
-
-@dataclass(frozen=True)
-class PipelineArtifact:
-    """One compiled pipeline template, constant-independent.
-
-    ``rules`` hold the final program's rules *without* the magic seed
-    (``None`` when the semantic stage proved the shape unsatisfiable);
-    ``seed_predicate``/``adornment`` rebuild the seed for any query
-    atom of the same shape.  ``semantic_report`` and ``magic`` are the
-    template's sub-reports: valid descriptions of the compiled shape,
-    but ``magic.seed`` carries the *template's* constants, not a later
-    request's.
-    """
-
-    key: tuple
-    order: str
-    sips_name: str
-    predicate: str
-    adornment: str
-    satisfiable: bool
-    original: Program
-    constraints: tuple[IntegrityConstraint, ...]
-    rules: tuple[Rule, ...] | None
-    query: str | None
-    seed_predicate: str | None
-    stages: tuple[PipelineStage, ...]
-    semantic_report: OptimizationReport | None
-    magic: MagicProgram | None
-    fallback_chain: tuple[FallbackStep, ...]
-
-    def specialize(self, query_atom: Atom) -> PipelineReport:
-        """A :class:`PipelineReport` for ``query_atom``, seeded from it.
-
-        ``query_atom`` must share the template's predicate and binding
-        pattern; only its constant values may differ.
-        """
-        if query_atom.predicate != self.predicate:
-            raise ValueError(
-                f"artifact compiled for {self.predicate}, not {query_atom.predicate}"
-            )
-        if adornment_of(query_atom, frozenset()) != self.adornment:
-            raise ValueError(
-                f"artifact compiled for shape {self.predicate}/{self.adornment}, "
-                f"which {query_atom} does not match"
-            )
-        program: Program | None = None
-        if self.rules is not None:
-            rules = self.rules
-            if self.seed_predicate is not None:
-                seed = Rule(
-                    Atom(self.seed_predicate, bound_args(query_atom, self.adornment)),
-                    (),
-                )
-                rules = (seed,) + rules
-            program = Program(rules, self.query, validate=False)
-        return PipelineReport(
-            original=self.original,
-            query_atom=query_atom,
-            constraints=self.constraints,
-            order=self.order,
-            stages=self.stages,
-            semantic_report=self.semantic_report,
-            magic=self.magic,
-            program=program,
-            satisfiable=self.satisfiable,
-            fallback_chain=self.fallback_chain,
-        )
 
 
 def artifact_key(
@@ -501,62 +443,6 @@ def artifact_key(
     return (shape, order, sips_name, query_atom.predicate, adornment_of(query_atom, frozenset()))
 
 
-def compile_artifact(
-    program: Program,
-    constraints: Iterable[IntegrityConstraint],
-    query_atom: Atom,
-    *,
-    order: str = "semantic-first",
-    sips_name: str = "left-to-right",
-    budget: "Budget | Governor | None" = None,
-) -> PipelineArtifact:
-    """Run the full pipeline once and strip it down to a reusable template."""
-    if order not in CACHEABLE_ORDERS:
-        raise ValueError(
-            f"pipeline order {order!r} produces constant-dependent programs "
-            f"and cannot be compiled to a shared artifact "
-            f"(cacheable: {', '.join(CACHEABLE_ORDERS)})"
-        )
-    constraints = tuple(constraints)
-    report = run_pipeline(
-        program,
-        constraints,
-        query_atom,
-        order=order,
-        sips=get_sips(sips_name),
-        budget=budget,
-    )
-    rules: tuple[Rule, ...] | None = None
-    seed_predicate: str | None = None
-    adornment = adornment_of(query_atom, frozenset())
-    if report.program is not None:
-        rules = report.program.rules
-        if report.magic is not None:
-            seed = report.magic.seed
-            rules = tuple(rule for rule in rules if rule != seed)
-            seed_predicate = seed.head.predicate
-            adornment = report.magic.adorned.query_adornment
-    return PipelineArtifact(
-        key=artifact_key(
-            program, constraints, query_atom, order=order, sips_name=sips_name
-        ),
-        order=order,
-        sips_name=sips_name,
-        predicate=query_atom.predicate,
-        adornment=adornment,
-        satisfiable=report.satisfiable,
-        original=report.original,
-        constraints=constraints,
-        rules=rules,
-        query=None if report.program is None else report.program.query,
-        seed_predicate=seed_predicate,
-        stages=report.stages,
-        semantic_report=report.semantic_report,
-        magic=report.magic,
-        fallback_chain=report.fallback_chain,
-    )
-
-
 def specialize_pipeline(
     program: Program,
     constraints: Iterable[IntegrityConstraint],
@@ -574,64 +460,48 @@ def specialize_pipeline(
     mapping-style ``get(key)`` / ``put(key, value)`` (e.g.
     :class:`repro.serve.cache.ArtifactCache`); with ``None`` the
     pipeline always compiles fresh.  A hit **skips the semantic
-    rewrite, adornment and the magic transform entirely** — only the
-    seed fact is rebuilt from the request's constants — which is the
-    serving fast path.  Every consult emits a ``cache_site`` trace
-    event (default ``pipeline.cache``; the daemon passes
-    ``serve.cache``, which doubles as a chaos-injection site) carrying
-    the hit/miss outcome.
+    rewrite, adornment and the magic transform entirely** — the cached
+    report is re-seeded by :meth:`PipelineReport.for_goal` — which is
+    the serving fast path.  Only a compile that finished is stored: one
+    that ``budget`` aborts raises and leaves the cache as it was.  Every
+    consult emits a ``cache_site`` trace event (default
+    ``pipeline.cache``; the daemon passes ``serve.cache``, which doubles
+    as a chaos-injection site) carrying the hit/miss outcome.
 
-    ``magic-first`` templates are constant-dependent (see
+    ``magic-first`` programs are constant-dependent (see
     :data:`CACHEABLE_ORDERS`), so that order always compiles fresh and
     its trace events carry ``cacheable=False``.
     """
     constraints = tuple(constraints)
-    tracer = get_tracer()
-    if order not in CACHEABLE_ORDERS:
-        tracer.event(
-            cache_site,
-            hit=False,
-            cacheable=False,
-            order=order,
-            predicate=query_atom.predicate,
-            adornment=adornment_of(query_atom, frozenset()),
-        )
-        report = run_pipeline(
-            program,
-            constraints,
-            query_atom,
-            order=order,
-            sips=get_sips(sips_name),
-            budget=budget,
-        )
-        return report, False
-    key = artifact_key(
-        program, constraints, query_atom, order=order, sips_name=sips_name
-    )
-    artifact: PipelineArtifact | None = None
-    if cache is not None:
-        artifact = cache.get(key)
-    hit = artifact is not None
-    tracer.event(
-        cache_site,
-        hit=hit,
-        cacheable=True,
-        order=order,
-        predicate=query_atom.predicate,
-        adornment=key[-1],
-    )
-    if artifact is None:
-        artifact = compile_artifact(
-            program,
-            constraints,
-            query_atom,
-            order=order,
-            sips_name=sips_name,
-            budget=budget,
+    key = None
+    cached: PipelineReport | None = None
+    if order in CACHEABLE_ORDERS:
+        key = artifact_key(
+            program, constraints, query_atom, order=order, sips_name=sips_name
         )
         if cache is not None:
-            cache.put(key, artifact)
-    return artifact.specialize(query_atom), hit
+            cached = cache.get(key)
+    get_tracer().event(
+        cache_site,
+        hit=cached is not None,
+        cacheable=key is not None,
+        order=order,
+        predicate=query_atom.predicate,
+        adornment=adornment_of(query_atom, frozenset()),
+    )
+    if cached is not None:
+        return cached.for_goal(query_atom), True
+    report = run_pipeline(
+        program,
+        constraints,
+        query_atom,
+        order=order,
+        sips=get_sips(sips_name),
+        budget=budget,
+    )
+    if key is not None and cache is not None:
+        cache.put(key, report)
+    return report, False
 
 
 def assert_equivalent(

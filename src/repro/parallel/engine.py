@@ -1002,7 +1002,6 @@ def evaluate_sharded(
     workers: int,
     pool: WorkerPool | None = None,
     provenance: bool = False,
-    max_iterations: int | None = None,
     strategy: str = "seminaive",
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
@@ -1084,7 +1083,7 @@ def evaluate_sharded(
         started_cpu,
     )
     try:
-        return driver.run(executor, max_iterations=max_iterations)
+        return driver.run(executor)
     finally:
         if pool is None:
             executor.pool.close()

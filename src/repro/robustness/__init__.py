@@ -1,7 +1,7 @@
 """Resource-governed execution: budgets, deadlines, cancellation, chaos.
 
 The robustness layer makes every long-running phase of the system
-bounded, cancellable and degrade-gracefully (see ``docs/robustness.md``):
+bounded and cancellable, ending in a typed abort (see ``docs/robustness.md``):
 
 * :mod:`repro.robustness.errors` — the :class:`ReproError` taxonomy;
   aborted executions carry the tripped phase and the partial fixpoint;

@@ -104,11 +104,9 @@ class Budget:
     Every field defaults to ``None`` (unlimited).  ``timeout`` is
     wall-clock seconds from the moment the :class:`Governor` starts;
     ``max_iterations`` bounds the *total* semi-naive rounds across all
-    SCCs (unlike the legacy per-SCC ``max_iterations`` argument of
-    :func:`~repro.datalog.evaluation.evaluate`, which truncates
-    silently); ``max_facts`` / ``max_rows_scanned`` bound the derived
-    facts and join rows scanned; ``max_expansions`` bounds symbolic
-    work — adornment enumeration steps and query-tree node expansions.
+    SCCs; ``max_facts`` / ``max_rows_scanned`` bound the derived facts
+    and join rows scanned; ``max_expansions`` bounds symbolic work —
+    adornment enumeration steps and query-tree node expansions.
     """
 
     timeout: float | None = None
@@ -149,11 +147,11 @@ class CancellationToken:
 
 @dataclass(frozen=True)
 class FallbackStep:
-    """One rung of a degradation ladder, recorded for reports.
+    """One degradation a durable session took, recorded for its reply.
 
-    ``stage`` names the strategy that was abandoned, ``fell_back_to``
-    the strategy tried next, and ``reason`` the one-line cause (the
-    message of the aborting exception).
+    ``stage`` names the step that was abandoned (a checkpoint save, an
+    incremental ingest, a checkpoint restore), ``fell_back_to`` what
+    ran instead (in-memory, a recompute) and ``reason`` the cause.
     """
 
     stage: str

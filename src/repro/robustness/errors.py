@@ -25,7 +25,8 @@ raises them (:mod:`repro.datalog.parser`, :mod:`repro.datalog.rules`,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datalog.evaluation import EvaluationResult, EvaluationStats
@@ -37,6 +38,7 @@ __all__ = [
     "BudgetExceededError",
     "Cancelled",
     "InjectedFault",
+    "abort_phase",
 ]
 
 
@@ -105,6 +107,17 @@ class EvaluationAborted(ReproError):
         return self
 
 
+@contextmanager
+def abort_phase(phase: str) -> Iterator[None]:
+    """Name the phase on any abort leaving the block without one (a
+    budget trip knows its phase; a fault injected at a trace site does not)."""
+    try:
+        yield
+    except EvaluationAborted as exc:
+        exc.with_context(phase=phase)
+        raise
+
+
 class BudgetExceededError(EvaluationAborted):
     """A :class:`~repro.robustness.budget.Budget` limit was reached."""
 
@@ -117,8 +130,8 @@ class InjectedFault(EvaluationAborted):
     """A fault armed by :class:`~repro.robustness.faults.FaultInjector`.
 
     Subclassing :class:`EvaluationAborted` is the point: injected
-    faults travel the exact same partial-result and degradation paths
-    real budget trips do, which is what the chaos tests verify.
+    faults travel the exact same abort and partial-result paths real
+    budget trips do, which is what the chaos tests verify.
     """
 
     def __init__(self, message: str, *, site: str, occurrence: int, **kwargs):

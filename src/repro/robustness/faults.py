@@ -26,7 +26,7 @@ hot path:
 Because :class:`InjectedFault` subclasses
 :class:`~repro.robustness.errors.EvaluationAborted`, an injected fault
 exercises the *same* partial-result path of the evaluation engine and
-the *same* degradation ladder of the optimizer that real budget trips
+the *same* typed abort out of the optimizer that real budget trips
 use — which is precisely what the chaos tests assert.
 
 Disk I/O fails with an ``OSError`` instead: :class:`FlakyIO`, the base

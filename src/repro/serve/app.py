@@ -27,7 +27,9 @@ The request life cycle:
 Query modes: ``magic`` (default) runs the cached-specialized pipeline
 over the tenant's EDB — the artifact cache makes repeated query shapes
 skip rewrite/adornment/transform (``serve.cache`` trace events record
-hit/miss, and double as the cache's fault site); ``materialized``
+hit/miss, and double as the cache's fault site), and holds finished
+compiles only: a request whose budget trips mid-rewrite is a 503 that
+leaves the cache as it was; ``materialized``
 answers from the tenant's resident fixpoint with zero evaluation.
 """
 
@@ -122,8 +124,8 @@ class ServeApp:
         if isinstance(exc, JournalUnavailable):
             # The write-ahead journal could not fsync within the retry
             # budget: the ingest was NOT acknowledged and nothing
-            # mutated — retryable, so 503 rather than 400.  Degrading
-            # to an unjournaled ingest here would silently reintroduce
+            # mutated — retryable, so 503 rather than 400.  Accepting
+            # the ingest unjournaled here would silently reintroduce
             # the lost-acknowledged-write window the journal closes.
             self.aborted += 1
             return 503, {"error": str(exc), "retryable": True}
@@ -208,8 +210,8 @@ class ServeApp:
             async with tenant.lock.read_locked():
                 return 200, {"tenant": name, **tenant.info()}
 
-    async def _healthz(self) -> dict:
-        """Readiness: liveness plus the fleet's journal lag."""
+    def _journal_totals(self) -> dict:
+        """Fleet-wide journal lag and replay count (registry read lock held)."""
         # Journal lag: acknowledged-but-not-yet-checkpointed ingest
         # records across the fleet — the work a kill right now would
         # replay on restart.  Positive lag is the steady state (a
@@ -218,13 +220,18 @@ class ServeApp:
         # growing past that means checkpoints keep failing and restarts
         # keep getting slower.
         journal = {"lag": 0, "replayed": 0}
+        for name in self.registry.names():
+            tenant = self.registry.get(name)
+            info = tenant.session.journal_info()
+            if info is not None:
+                journal["lag"] += info["lag"]
+            journal["replayed"] += tenant.replayed
+        return journal
+
+    async def _healthz(self) -> dict:
+        """Readiness: liveness plus the fleet's journal lag."""
         async with self.registry.lock.read_locked():
-            for name in self.registry.names():
-                tenant = self.registry.get(name)
-                info = tenant.session.journal_info()
-                if info is not None:
-                    journal["lag"] += info["lag"]
-                journal["replayed"] += tenant.replayed
+            journal = self._journal_totals()
         return {
             "ok": True,
             "ready": True,
@@ -234,17 +241,13 @@ class ServeApp:
         }
 
     async def _stats(self) -> dict:
-        journal = {"lag": 0, "replayed": 0}
         async with self.registry.lock.read_locked():
             tenants = {}
             for name in self.registry.names():
                 tenant = self.registry.get(name)
                 async with tenant.lock.read_locked():
                     tenants[name] = tenant.info()
-                per_tenant = tenants[name].get("journal")
-                if per_tenant is not None:
-                    journal["lag"] += per_tenant["lag"]
-                journal["replayed"] += tenant.replayed
+            journal = self._journal_totals()
         return {
             "uptime_seconds": time.monotonic() - self.started_at,
             "requests": self.requests,

@@ -1,12 +1,14 @@
 """The LRU artifact cache behind per-request pipeline specialization.
 
-One entry is one :class:`~repro.magic.pipeline.PipelineArtifact` — a
-compiled, constant-independent pipeline template — keyed by
-:func:`~repro.magic.pipeline.artifact_key` (program-shape digest,
-stage order, SIPS, query predicate, adornment pattern).  The daemon
-shares a single cache across tenants: the key's digest component keeps
-tenants with different programs apart, while tenants registered with
-the *same* program and constraints genuinely share compiled templates.
+One entry is one finished :class:`~repro.magic.pipeline.PipelineReport`
+— the pipeline compiled for the first goal of a shape, which
+:meth:`~repro.magic.pipeline.PipelineReport.for_goal` re-seeds for
+every later one — keyed by :func:`~repro.magic.pipeline.artifact_key`
+(program-shape digest, stage order, SIPS, query predicate, adornment
+pattern).  The daemon shares a single cache across tenants: the key's
+digest component keeps tenants with different programs apart, while
+tenants registered with the *same* program and constraints genuinely
+share compiled reports.
 
 Thread-safe: the daemon consults the cache from executor threads.
 """
@@ -18,37 +20,37 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..magic.pipeline import PipelineArtifact
+    from ..magic.pipeline import PipelineReport
 
 __all__ = ["ArtifactCache"]
 
 
 class ArtifactCache:
-    """A bounded LRU mapping of artifact keys to compiled templates."""
+    """A bounded LRU mapping of artifact keys to compiled reports."""
 
     def __init__(self, capacity: int = 128):
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[tuple, PipelineArtifact]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, PipelineReport]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: tuple) -> "PipelineArtifact | None":
+    def get(self, key: tuple) -> "PipelineReport | None":
         with self._lock:
-            artifact = self._entries.get(key)
-            if artifact is None:
+            report = self._entries.get(key)
+            if report is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return artifact
+            return report
 
-    def put(self, key: tuple, artifact: "PipelineArtifact") -> None:
+    def put(self, key: tuple, report: "PipelineReport") -> None:
         with self._lock:
-            self._entries[key] = artifact
+            self._entries[key] = report
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

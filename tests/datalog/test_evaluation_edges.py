@@ -1,20 +1,34 @@
 """Evaluation edge cases not covered by the main engine tests."""
 
+import inspect
+
 import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
+from repro.robustness import Budget, BudgetExceededError
+
+
+def _partial_after(program, db, rounds, **options):
+    """The partial fixpoint a ``rounds``-iteration budget leaves behind."""
+    with pytest.raises(BudgetExceededError) as info:
+        evaluate(program, db, budget=Budget(max_iterations=rounds), **options)
+    assert info.value.limit == "max_iterations"
+    return info.value.partial
 
 
 class TestMaxIterations:
+    """Rounds are bounded by ``Budget(max_iterations=)`` only: it raises
+    and carries the partial fixpoint; nothing truncates silently."""
+
     def test_bounded_iterations_truncate_closure(self):
         program = parse_program(
             "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).", query="t"
         )
         db = Database.from_rows({"e": [(i, i + 1) for i in range(10)]})
         full = evaluate(program, db)
-        bounded = evaluate(program, db, max_iterations=2)
+        bounded = _partial_after(program, db, 2)
         assert bounded.rows("t") < full.rows("t")
 
     def test_unbounded_by_default(self):
@@ -23,53 +37,34 @@ class TestMaxIterations:
         )
         db = Database.from_rows({"e": [(i, i + 1) for i in range(10)]})
         assert len(evaluate(program, db).rows("t")) == 55
+        assert "max_iterations" not in inspect.signature(evaluate).parameters
 
     @pytest.mark.parametrize("engine", ["slots", "interpreted"])
     def test_exact_boundary_round_reaches_the_fixpoint(self, engine):
-        # The bound is on *completed* rounds: a fixpoint that needs
-        # exactly N rounds is reached under max_iterations=N, and only
-        # N-1 truncates it.
+        # The bound is strict: a budget of exactly the rounds the
+        # fixpoint takes never trips, one less does.
         program = parse_program(
             "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).", query="t"
         )
         db = Database.from_rows({"e": [(i, i + 1) for i in range(10)]})
         full = evaluate(program, db, engine=engine)
-        # The last semi-naive round only confirms the empty delta, so
-        # the last *productive* round is rounds - 1.
-        productive = full.stats.iterations - 1
-        assert productive > 1
-        at_boundary = evaluate(program, db, engine=engine, max_iterations=productive)
-        assert at_boundary.rows("t") == full.rows("t")
-        truncated = evaluate(
-            program, db, engine=engine, max_iterations=productive - 1
+        rounds = full.stats.iterations
+        at_boundary = evaluate(
+            program, db, engine=engine, budget=Budget(max_iterations=rounds)
         )
+        assert at_boundary.rows("t") == full.rows("t")
+        # The last semi-naive round only confirms the empty delta, so
+        # tripping on it loses nothing; tripping a round earlier does.
+        productive = rounds - 1
+        assert productive > 1
+        confirmed = _partial_after(program, db, productive, engine=engine)
+        assert confirmed.rows("t") == full.rows("t")
+        truncated = _partial_after(program, db, productive - 1, engine=engine)
         assert truncated.rows("t") < full.rows("t")
 
-    @pytest.mark.parametrize("engine", ["slots", "interpreted"])
-    def test_bound_resets_per_scc(self, engine):
-        # Two independent recursive SCCs, each needing R rounds.  The
-        # legacy bound is per-SCC, so max_iterations=R still reaches the
-        # full fixpoint even though 2R rounds ran in total — unlike the
-        # governed Budget.max_iterations, which bounds the total.
-        program = parse_program(
-            """
-            t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).
-            u(X, Y) :- f(X, Y). u(X, Y) :- f(X, Z), u(Z, Y).
-            """,
-            query="t",
-        )
-        rows = [(i, i + 1) for i in range(10)]
-        db = Database.from_rows({"e": rows, "f": rows})
-        full = evaluate(program, db, engine=engine)
-        per_scc = full.stats.iterations // 2
-        assert full.stats.iterations == 2 * per_scc  # symmetric SCCs
-        bounded = evaluate(program, db, engine=engine, max_iterations=per_scc)
-        assert bounded.rows("t") == full.rows("t")
-        assert bounded.rows("u") == full.rows("u")
-
     def test_governed_budget_bounds_total_rounds_instead(self):
-        from repro.robustness import Budget, BudgetExceededError
-
+        # Two independent recursive SCCs, each needing R rounds: the
+        # budget counts all 2R, so R is not enough.
         program = parse_program(
             """
             t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).
@@ -83,15 +78,15 @@ class TestMaxIterations:
         with pytest.raises(BudgetExceededError):
             evaluate(program, db, budget=Budget(max_iterations=per_scc))
 
-    def test_truncation_is_silent_and_partial_is_monotone(self):
-        # The legacy keyword never raises; deeper bounds only add facts.
+    def test_truncation_raises_partial_is_monotone(self):
+        # Deeper bounds only add facts to the partial the abort carries.
         program = parse_program(
             "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).", query="t"
         )
         db = Database.from_rows({"e": [(i, i + 1) for i in range(10)]})
         previous = frozenset()
         for bound in (1, 2, 3, 4):
-            rows = evaluate(program, db, max_iterations=bound).rows("t")
+            rows = _partial_after(program, db, bound).rows("t")
             assert previous <= rows
             previous = rows
 

@@ -79,3 +79,35 @@ def test_bash_blocks_name_real_cli_commands(source):
 
     for match in re.finditer(r"python -m repro (\w+)", source):
         assert match.group(1) in subcommands, match.group(1)
+
+
+def _package_map_paths():
+    """Every ``*.py`` / package path the architecture page's map names."""
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    tree = next(
+        m.group(2) for m in FENCE.finditer(text) if m.group(2).startswith("src/repro/")
+    )
+    package = ""
+    for line in tree.splitlines()[1:]:
+        entry = re.match(r"(│   )?[├└]── (.+)", line)
+        if entry is None:
+            continue  # a description continued on the next line
+        names = re.split(r"\s{2,}", entry.group(2))[0]
+        if entry.group(1) is None:
+            package = names if names.endswith("/") else ""
+            yield names
+        else:
+            for name in re.findall(r"\w+\.py", names):
+                yield package + name
+
+
+def test_package_map_names_real_paths():
+    paths = list(_package_map_paths())
+    assert "core/rewrite.py" in paths and "cli.py" in paths  # the parse found the map
+    missing = [p for p in paths if not (REPO_ROOT / "src" / "repro" / p).exists()]
+    assert not missing, f"docs/architecture.md names paths that do not exist: {missing}"
+    packages = {
+        p.name + "/" for p in (REPO_ROOT / "src" / "repro").iterdir()
+        if (p / "__init__.py").exists()
+    }
+    assert packages <= set(paths), f"package map omits {sorted(packages - set(paths))}"

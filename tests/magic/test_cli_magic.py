@@ -92,3 +92,41 @@ class TestPipelineCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "query unsatisfiable" in out
+
+
+class TestCompareFlag:
+    """``P`` is the 4-5x larger fixpoint on a bound goal: without
+    ``--compare`` only the transformed program is evaluated."""
+
+    @pytest.fixture()
+    def evaluations(self, monkeypatch):
+        import repro.cli as cli
+        import repro.magic.pipeline as pipeline
+
+        seen = []
+        for module in (cli, pipeline):
+            original = module.evaluate
+
+            def counting(program, *args, _original=original, **kwargs):
+                seen.append(program.query)
+                return _original(program, *args, **kwargs)
+
+            monkeypatch.setattr(module, "evaluate", counting)
+        return seen
+
+    @pytest.mark.parametrize("command", ["magic", "pipeline"])
+    def test_original_runs_only_under_compare(
+        self, files, capsys, evaluations, command
+    ):
+        argv = [command, files["program.dl"], "--goal", "p(1, Y)", "--data", files["facts.dl"]]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert evaluations == ["p__bf"]
+        assert "original work:" not in plain
+        del evaluations[:]
+        assert main(argv + ["--compare"]) == 0
+        compared = capsys.readouterr().out
+        assert evaluations == ["p", "p__bf"]
+        # --compare only appends: same answers, same work line.
+        assert compared.startswith(plain)
+        assert "answers match" in compared

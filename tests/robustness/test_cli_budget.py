@@ -89,17 +89,19 @@ class TestRunExitCodes:
 
 
 class TestPipelineBudget:
-    def test_pipeline_with_tiny_timeout_degrades_but_succeeds(self, files, capsys):
-        # Stage skipping is graceful degradation, not failure: with no
-        # evaluation requested the command still exits 0 and reports
-        # the fallbacks in its summary.
+    def test_pipeline_with_tiny_timeout_exits_one(self, files, capsys):
+        # A deadline that trips inside the rewrite ends like one that
+        # trips inside evaluation: exit 1, ``aborted:``, no traceback —
+        # and no program that could pass for the complete rewrite.
         code = main([
             "pipeline", files["program.dl"], "--constraints", files["ics.dl"],
             "--goal", "p(0, Y)", "--timeout", "0.000001",
         ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fallback:" in out
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "aborted:" in captured.err
+        assert "Traceback" not in captured.err
+        assert "final program" not in captured.out
 
     def test_magic_with_generous_budget_matches_unbudgeted(self, files, capsys):
         assert main([

@@ -1,24 +1,24 @@
-"""The graceful-degradation ladders of optimize() and run_pipeline().
+"""One ending for a governed rewrite: a program or a typed abort.
 
-Governed runs degrade instead of failing: full query-tree rewrite ->
-residue-only rewrite -> original program (optimizer), and tripped
-pipeline stages are skipped with the previous program kept as a sound
-input.  Ungoverned runs keep the legacy fail-fast behavior.
+``optimize()`` and ``run_pipeline()`` never answer a tripped limit with
+a cheaper program: the budget trip, the cancellation or the injected
+fault surfaces with ``phase`` set, and no report comes back that could
+be mistaken for the complete rewrite.
 """
+
+import dataclasses
 
 import pytest
 
-import repro.core.rewrite as rewrite_module
 from repro.core.adornments import AdornmentLimitError
-from repro.core.rewrite import optimize
+from repro.core.rewrite import OptimizationReport, optimize
 from repro.datalog.parser import parse_atom
-from repro.magic.pipeline import run_pipeline
+from repro.magic.pipeline import PipelineReport, run_pipeline
 from repro.robustness import (
     Budget,
     BudgetExceededError,
     Cancelled,
     CancellationToken,
-    ReproError,
 )
 from repro.workloads.programs import good_path
 
@@ -28,62 +28,43 @@ def workload():
     return good_path()
 
 
+def _field_names(report_type):
+    return {f.name for f in dataclasses.fields(report_type)}
+
+
 class TestOptimizeLadder:
     def test_ungoverned_run_has_no_fallbacks(self, workload):
         program, constraints = workload
         report = optimize(program, constraints)
-        assert report.fallback_chain == ()
-        assert report.tree is not None
+        assert "fallback_chain" not in _field_names(OptimizationReport)
+        assert report.tree.roots and report.adornment_result.adornments
 
     def test_ungoverned_adornment_guard_still_raises(self, workload):
         program, constraints = workload
         with pytest.raises(RuntimeError):
             optimize(program, constraints, max_adornments=0)
-        # The guard error is also a structured budget error now.
-        with pytest.raises(AdornmentLimitError):
+        # The guard error is also a structured budget error, and a
+        # budget does not change what it means.
+        with pytest.raises(AdornmentLimitError) as ungoverned:
             optimize(program, constraints, max_adornments=0)
+        with pytest.raises(AdornmentLimitError) as governed:
+            optimize(
+                program, constraints, max_adornments=0, budget=Budget(max_facts=10**9)
+            )
+        assert str(governed.value) == str(ungoverned.value)
+        assert governed.value.phase == ungoverned.value.phase == "adornments"
 
-    def test_expansion_trip_falls_back_to_residue_only(self, workload):
+    @pytest.mark.parametrize(
+        "budget, limit",
+        [(Budget(max_expansions=1), "max_expansions"), (Budget(timeout=0.0), "timeout")],
+        ids=["expansions", "timeout"],
+    )
+    def test_tripped_limit_aborts(self, workload, budget, limit):
         program, constraints = workload
-        report = optimize(program, constraints, budget=Budget(max_expansions=1))
-        assert report.satisfiable is True
-        assert report.program is not None
-        assert report.complete is False
-        # The full rewrite was abandoned; its artifacts are absent.
-        assert report.adornment_result is None
-        assert report.tree is None
-        (step,) = report.fallback_chain
-        assert step.stage == "query-tree rewrite"
-        assert step.fell_back_to == "residue-only rewrite"
-        assert "expansion" in step.reason
-        # Residue injection still happened: the rewrite differs from the
-        # original (the good-path residue Y <= X is attached).
-        assert report.program.rules != program.rules
-
-    def test_timeout_zero_falls_back_instead_of_failing(self, workload):
-        program, constraints = workload
-        report = optimize(program, constraints, budget=Budget(timeout=0.0))
-        assert report.satisfiable is True
-        assert report.program is not None
-        assert len(report.fallback_chain) >= 1
-        assert report.fallback_chain[0].fell_back_to == "residue-only rewrite"
-
-    def test_residue_failure_falls_back_to_original_program(
-        self, workload, monkeypatch
-    ):
-        program, constraints = workload
-
-        def broken(*args, **kwargs):
-            raise ReproError("synthetic residue failure")
-
-        monkeypatch.setattr(rewrite_module, "constrain_program", broken)
-        report = optimize(program, constraints, budget=Budget(max_expansions=1))
-        assert report.program is program
-        assert report.satisfiable is True
-        assert report.complete is False
-        stages = [step.fell_back_to for step in report.fallback_chain]
-        assert stages == ["residue-only rewrite", "original program"]
-        assert "synthetic residue failure" in report.fallback_chain[1].reason
+        with pytest.raises(BudgetExceededError) as info:
+            optimize(program, constraints, budget=budget)
+        assert info.value.limit == limit
+        assert info.value.phase in {"optimize", "adornments", "querytree"}
 
     def test_cancellation_is_never_degraded(self, workload):
         program, constraints = workload
@@ -92,14 +73,6 @@ class TestOptimizeLadder:
         with pytest.raises(Cancelled):
             optimize(program, constraints, cancellation=token)
 
-    def test_report_rendering_survives_a_skipped_tree_phase(self, workload):
-        program, constraints = workload
-        report = optimize(program, constraints, budget=Budget(max_expansions=1))
-        assert "skipped by a budget fallback" in report.render_tree()
-        summary = report.summary()
-        assert any("fallback:" in line for line in summary.splitlines())
-        assert "== Budget fallbacks ==" in report.explain()
-
 
 class TestPipelineDegradation:
     QUERY = "goodPath(1, Y)"
@@ -107,46 +80,23 @@ class TestPipelineDegradation:
     def test_ungoverned_pipeline_has_no_fallbacks(self, workload):
         program, constraints = workload
         report = run_pipeline(program, constraints, parse_atom(self.QUERY))
-        assert report.fallback_chain == ()
+        assert "fallback_chain" not in _field_names(PipelineReport)
         assert report.satisfiable is True
+        assert [s.name for s in report.stages] == ["semantic rewrite", "magic transform"]
 
-    def test_timeout_zero_skips_every_stage(self, workload):
+    @pytest.mark.parametrize(
+        "budget, phases",
+        [
+            (Budget(timeout=0.0), {"pipeline"}),
+            (Budget(max_expansions=1), {"adornments", "querytree"}),
+        ],
+        ids=["timeout", "expansions"],
+    )
+    def test_tripped_limit_aborts(self, workload, budget, phases):
         program, constraints = workload
-        report = run_pipeline(
-            program,
-            constraints,
-            parse_atom(self.QUERY),
-            budget=Budget(timeout=0.0),
-        )
-        # Both stages were skipped; the original program survives.
-        assert [step.stage for step in report.fallback_chain] == [
-            "semantic rewrite",
-            "magic transform",
-        ]
-        assert all(step.fell_back_to == "skip stage" for step in report.fallback_chain)
-        assert report.program is not None
-        assert report.program.rules == report.original.rules
-        assert report.satisfiable is True
-        assert report.stages == ()
-
-    def test_semantic_degradation_is_surfaced_in_the_pipeline_report(self, workload):
-        program, constraints = workload
-        report = run_pipeline(
-            program,
-            constraints,
-            parse_atom(self.QUERY),
-            budget=Budget(max_expansions=1),
-        )
-        # The semantic stage degraded internally but still ran; its
-        # fallback steps bubble up into the pipeline's chain.
-        assert any(
-            step.fell_back_to == "residue-only rewrite"
-            for step in report.fallback_chain
-        )
-        semantic = next(s for s in report.stages if s.name == "semantic rewrite")
-        assert semantic.detail.startswith("degraded:")
-        summary = report.summary()
-        assert any("fallback:" in line for line in summary.splitlines())
+        with pytest.raises(BudgetExceededError) as info:
+            run_pipeline(program, constraints, parse_atom(self.QUERY), budget=budget)
+        assert info.value.phase in phases
 
     def test_pipeline_cancellation_propagates(self, workload):
         program, constraints = workload

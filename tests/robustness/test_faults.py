@@ -2,9 +2,9 @@
 
 Covers four distinct injection sites (``plan``, ``index_build``,
 ``span:scc``, ``span:pipeline.stage``) plus the optimizer span, and
-asserts each one degrades exactly like a real budget trip: partial
-fixpoints out of the evaluation engine, skipped stages in the pipeline,
-the residue-only rung in the optimizer.
+asserts each one ends exactly like a real budget trip: partial
+fixpoints out of the evaluation engine, a typed abort with ``phase``
+set out of the pipeline and the optimizer.
 """
 
 import pytest
@@ -114,36 +114,30 @@ class TestEvaluationFaults:
 
 
 class TestPipelineFaults:
-    def test_faulted_stage_is_skipped_and_magic_still_runs(self, workload):
+    def test_faulted_stage_surfaces_as_injected_fault(self, workload):
         program, constraints, _ = workload
         injector = FaultInjector().arm("span:pipeline.stage", at=1)
         with chaos(injector):
-            report = run_pipeline(
-                program,
-                constraints,
-                parse_atom("goodPath(1, Y)"),
-                budget=Budget(max_facts=10**9),
-            )
-        (step,) = report.fallback_chain
-        assert step.stage == "semantic rewrite"
-        assert step.fell_back_to == "skip stage"
-        assert "injected fault" in step.reason
-        # The magic stage still ran, on the unrewritten program.
-        assert [s.name for s in report.stages] == ["magic transform"]
-        assert report.magic is not None
-        assert report.satisfiable is True
+            with pytest.raises(InjectedFault) as info:
+                run_pipeline(
+                    program,
+                    constraints,
+                    parse_atom("goodPath(1, Y)"),
+                    budget=Budget(max_facts=10**9),
+                )
+        assert info.value.site == "span:pipeline.stage"
+        assert info.value.phase == "pipeline"
 
-    def test_optimizer_fault_degrades_to_residue_only(self, workload):
+    def test_optimizer_fault_surfaces_as_injected_fault(self, workload):
         program, constraints, _ = workload
         injector = FaultInjector().arm("span:optimize.adornments", at=1)
         with chaos(injector):
             from repro.core.rewrite import optimize
 
-            report = optimize(program, constraints, budget=Budget(max_facts=10**9))
-        (step,) = report.fallback_chain
-        assert step.fell_back_to == "residue-only rewrite"
-        assert "injected fault" in step.reason
-        assert report.program is not None
+            with pytest.raises(InjectedFault) as info:
+                optimize(program, constraints, budget=Budget(max_facts=10**9))
+        assert info.value.site == "span:optimize.adornments"
+        assert info.value.phase == "optimize"
 
     def test_chaos_restores_the_previous_tracer(self):
         from repro.observability import get_tracer

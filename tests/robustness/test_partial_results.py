@@ -108,9 +108,8 @@ def test_pre_cancelled_token_aborts_with_empty_or_partial_idb(engine):
 
 
 def test_iteration_budget_partial_matches_silent_truncation_shape():
-    # The governed max_iterations counts *total* rounds; on a single-SCC
-    # program it lines up with the legacy per-SCC bound, so the partial
-    # carried by the exception equals the silently truncated result.
+    # One round short of the fixpoint: the exception names the limit
+    # and carries what the completed rounds derived.
     program, database = _workload(2)
     full = evaluate(program, database.copy())
     if full.stats.iterations < 2:

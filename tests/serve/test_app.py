@@ -358,6 +358,37 @@ class TestBudgets:
         assert second_status == 200
         assert second_payload["answers"] == expected_answers(ALPHA, "p(0, Y)")
 
+    def test_a_timeout_inside_the_rewrite_leaves_no_cached_program(self):
+        """The poisoned-cache regression on the wire: the 503 stores
+        nothing, so the next query of the shape compiles the real
+        pipeline and costs what it costs on a fresh daemon."""
+
+        async def drive(app, *goals):
+            await register(app, "alpha", ALPHA)
+            return [
+                await app.handle("POST", "/programs/alpha/query", body)
+                for body in goals
+            ]
+
+        ((_, fresh),) = run(drive(ServeApp(), {"goal": "p(3, Y)"}))
+        app = ServeApp()
+        (status, aborted), (_, after), (_, third) = run(
+            drive(
+                app,
+                {"goal": "p(0, Y)", "timeout": 1e-6},
+                {"goal": "p(3, Y)"},
+                {"goal": "p(5, Y)"},
+            )
+        )
+        assert status == 503 and aborted["aborted"] is True
+        assert aborted["phase"] in {"pipeline", "optimize", "adornments", "querytree"}
+        assert after["cache_hit"] is False
+        assert after["stats"]["rows_scanned"] == fresh["stats"]["rows_scanned"]
+        assert after["answers"] == expected_answers(ALPHA, "p(3, Y)")
+        assert third["cache_hit"] is True
+        assert third["answers"] == expected_answers(ALPHA, "p(5, Y)")
+        assert app.cache.stats()["entries"] == 1
+
 
 class TestChaos:
     def test_armed_serve_request_fault_is_503(self):

@@ -70,16 +70,21 @@ class TestSharedDigests:
         assert workload_digest(program, small) != workload_digest(program, large)
 
     def test_optimization_report_cache_key_is_stable(self):
-        from repro.core.rewrite import optimize
-        from repro.datalog.parser import parse_constraints, parse_program
+        """The artifact key of the cached report is built on
+        ``program_digest`` of what the rewrite saw, and nothing else."""
+        from repro.datalog.parser import parse_atom, parse_constraints, parse_program
+        from repro.magic.pipeline import artifact_key, run_pipeline
         from repro.workloads.programs import ab_transitive_closure
 
         program, constraints = ab_transitive_closure()
-        first = optimize(program, constraints).cache_key()
-        second = optimize(program, constraints).cache_key()
-        assert first == second
-        other = optimize(
+        goal = parse_atom("p(0, Y)")
+        first = artifact_key(program, constraints, goal)
+        assert first == artifact_key(program, constraints, goal)
+        semantic = run_pipeline(program, constraints, goal).semantic_report
+        assert first[0] == program_digest(semantic.original, semantic.constraints)
+        other = artifact_key(
             parse_program(SPEC["program"], query="p"),
             tuple(parse_constraints(":- e(X, X).")),
-        ).cache_key()
+            goal,
+        )
         assert other != first

@@ -1,12 +1,13 @@
-"""Seed-swap specialization: cached artifacts answer like fresh runs.
+"""Seed-swap specialization: cached reports answer like fresh runs.
 
-The load-bearing invariant of the serving layer: a pipeline artifact
-is compiled once per (program shape, order, sips, predicate,
-adornment) and re-seeded per request — for every cacheable order the
-specialized program answers each goal exactly like a fresh
-``run_pipeline`` over the same goal.  ``magic-first`` is the
-counterexample (the semantic rewrite sees the seed constants) and must
-bypass the cache.
+The load-bearing invariant of the serving layer: a pipeline is
+compiled once per (program shape, order, sips, predicate, adornment)
+and its report re-seeded per request (``PipelineReport.for_goal``) —
+for every cacheable order the re-seeded program answers each goal
+exactly like a fresh ``run_pipeline`` over the same goal.
+``magic-first`` is the counterexample (the semantic rewrite sees the
+seed constants) and must bypass the cache.  Only a compile that
+finished is ever stored.
 """
 
 import pytest
@@ -19,12 +20,12 @@ from repro.magic.pipeline import (
     CACHEABLE_ORDERS,
     PIPELINE_ORDERS,
     artifact_key,
-    compile_artifact,
     specialize_pipeline,
 )
 from repro.magic.transform import match_query_atom
 from repro.observability import RingBufferSink
 from repro.observability.trace import tracing
+from repro.robustness import Budget, BudgetExceededError, Governor
 from repro.serve.cache import ArtifactCache
 from repro.workloads.generators import ab_database
 from repro.workloads.programs import ab_transitive_closure
@@ -55,19 +56,59 @@ def test_cacheable_orders_excludes_magic_first():
     assert set(CACHEABLE_ORDERS) < set(PIPELINE_ORDERS)
 
 
-def test_compile_artifact_rejects_magic_first(workload):
+def test_for_goal_rejects_magic_first(workload):
     program, constraints, _ = workload
+    report = run_pipeline(program, constraints, goal(0), order="magic-first")
     with pytest.raises(ValueError, match="magic-first"):
-        compile_artifact(program, constraints, goal(0), order="magic-first")
+        report.for_goal(goal(1))
 
 
 def test_specialize_rejects_shape_mismatch(workload):
     program, constraints, _ = workload
-    artifact = compile_artifact(program, constraints, goal(0), order="semantic-first")
+    report = run_pipeline(program, constraints, goal(0), order="semantic-first")
     with pytest.raises(ValueError):
-        artifact.specialize(goal(0, predicate="q"))
-    with pytest.raises(ValueError):  # bb adornment, artifact is bf
-        artifact.specialize(Atom("p", (Constant(0), Constant(1))))
+        report.for_goal(goal(0, predicate="q"))
+    with pytest.raises(ValueError):  # bb adornment, the report is bf
+        report.for_goal(Atom("p", (Constant(0), Constant(1))))
+
+
+def test_for_goal_swaps_the_seed_everywhere(workload):
+    program, constraints, _ = workload
+    compiled = run_pipeline(program, constraints, goal(0))
+    reseeded = compiled.for_goal(goal(7))
+    fresh = run_pipeline(program, constraints, goal(7))
+    assert reseeded.query_atom == goal(7)
+    assert reseeded.program.rules == fresh.program.rules
+    assert reseeded.magic.seed == fresh.magic.seed
+    assert reseeded.magic.program is reseeded.program
+    assert reseeded.stages[-1].program is reseeded.program
+    assert reseeded.summary() == fresh.summary()
+    # The compiled report is shared across requests and left as it was.
+    assert compiled.query_atom == goal(0)
+    assert compiled.magic.seed.head.args == (Constant(0),)
+
+
+def test_an_aborted_compile_is_never_cached(workload):
+    """The poisoned-cache regression: a budget that trips inside the
+    rewrite raises, and the next query of the shape compiles afresh."""
+    program, constraints, _ = workload
+    cache = ArtifactCache()
+    with pytest.raises(BudgetExceededError) as info:
+        specialize_pipeline(
+            program, constraints, goal(0), cache=cache,
+            budget=Governor(Budget(timeout=1e-3)),
+        )
+    assert info.value.phase in {"optimize", "adornments", "querytree", "pipeline"}
+    assert len(cache) == 0
+    healthy = run_pipeline(program, constraints, goal(1))
+    second, hit_second = specialize_pipeline(program, constraints, goal(1), cache=cache)
+    assert hit_second is False
+    assert len(second.program.rules) == len(healthy.program.rules)
+    assert second.magic is not None
+    third, hit_third = specialize_pipeline(program, constraints, goal(2), cache=cache)
+    assert hit_third is True
+    assert third.query_atom == goal(2)
+    assert third.magic.seed.head.args == (Constant(2),)
 
 
 @pytest.mark.parametrize("order", CACHEABLE_ORDERS)
