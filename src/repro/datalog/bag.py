@@ -87,7 +87,7 @@ class BagRelation:
 
 
 def _topological_idb_order(program: Program) -> list[str]:
-    graph = program.dependency_graph()
+    graph = program.dependency_graph
     order: list[str] = []
     visiting: set[str] = set()
     done: set[str] = set()

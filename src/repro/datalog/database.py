@@ -202,7 +202,8 @@ class Relation:
         self._indexes: dict[
             tuple[int, ...], tuple[Callable[[Row], Row], dict[Row, list[Row]]]
         ] = {}
-        self.extend(rows)
+        if rows:  # the engines make empty relations by the dozen per run
+            self.extend(rows)
 
     def add(self, row: Sequence[Value]) -> bool:
         """Insert a tuple; return True when it was new."""

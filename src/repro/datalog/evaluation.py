@@ -249,7 +249,7 @@ class EvaluationSnapshot:
     format without reaching into engine internals.
 
     ``completed_sccs`` counts the SCCs (in the deterministic Tarjan
-    topological order of :func:`_sccs`) whose fixpoints are fully
+    topological order of :attr:`Program.schedule`) whose fixpoints are fully
     contained in ``idb``; ``scc_index``/``iteration`` locate the
     in-progress SCC and the rounds already run inside it; ``delta`` is
     the semi-naive frontier feeding its next round (``None`` for naive
@@ -637,57 +637,6 @@ def _make_engine(engine: str, database, idb, tracer: Tracer, plans=None):
     raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
 
 
-def _sccs(graph: Mapping[str, set[str]]) -> list[list[str]]:
-    """Tarjan's strongly connected components, returned in topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    components: list[list[str]] = []
-
-    def strongconnect(node: str) -> None:
-        work = [(node, iter(sorted(graph.get(node, ()))))]
-        index[node] = low[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        while work:
-            current, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph.get(succ, ())))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[current] = min(low[current], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[current])
-            if low[current] == index[current]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == current:
-                        break
-                components.append(component)
-
-    for node in sorted(graph):
-        if node not in index:
-            strongconnect(node)
-    return components
-
-
 # ----------------------------------------------------------------------
 # The fixpoint driver: one SCC/round loop, seed x round executor
 # ----------------------------------------------------------------------
@@ -755,6 +704,7 @@ class _Driver:
         governor: "Governor | None" = None,
         resume_from: "EvaluationSnapshot | None" = None,
         live: "EvaluationResult | None" = None,
+        seed_fact: "tuple[str, Row] | None" = None,
         strategy: str = "seminaive",
         provenance: bool = False,
         checkpoint_every: int = 0,
@@ -769,6 +719,7 @@ class _Driver:
         self.trace_on = tracer.enabled
         self.governor = governor
         self.resume_from = resume_from
+        self.seed_fact = seed_fact
         self.strategy = strategy
         #: the governor's phase label ("ingest" under the ingest seed)
         self.phase = "evaluate"
@@ -777,7 +728,6 @@ class _Driver:
         self.started = time.perf_counter()
         self.stats = stats = EvaluationStats()
         self.interner = interner = database.interner
-        idb_preds = program.idb_predicates
         #: Ingest seed only: every frontier this run filled.  Each row it
         #: adds to a live relation is in exactly one of them, so they are
         #: what :meth:`discard_added` takes back after an abort.
@@ -789,8 +739,11 @@ class _Driver:
         else:
             self.idb = idb = {
                 pred: database.new_relation(program.arity_of(pred))
-                for pred in idb_preds
+                for pred in program.idb_predicates
             }
+            if seed_fact is not None and seed_fact[0] not in idb:
+                # No rule derives the fact's predicate: the row is all of it.
+                idb[seed_fact[0]] = database.new_relation(len(seed_fact[1]))
         if resume_from is not None:
             stats.merge(resume_from.stats)
             if interner is not None and resume_from.interner is not None:
@@ -814,9 +767,8 @@ class _Driver:
 
         # A closure, not a method: the interpreter calls it per row.
         def relation_of(predicate: str, arity: int) -> Relation:
-            if predicate in idb_preds:
-                return idb[predicate]
-            return database.relation(predicate, arity)
+            rel = idb.get(predicate)
+            return database.relation(predicate, arity) if rel is None else rel
 
         self.relation_of = relation_of
 
@@ -833,6 +785,18 @@ class _Driver:
 
     def elapsed(self) -> float:
         return self.base_wall + (time.perf_counter() - self.started)
+
+    def fire_seed_fact(self) -> None:
+        """Derive the seed fact, counted as one firing of the body-less
+        rule it stands for."""
+        predicate, row = self.seed_fact
+        self.stats.rule_firings += 1
+        if self.idb[predicate].add(row):
+            self.stats.facts_derived += 1
+            if self.prov is not None:
+                head = Atom(predicate, tuple(map(Constant, row)))
+                self.prov[predicate, row] = (Rule(head), ())
+        self.check()
 
     def fire_rule(
         self,
@@ -1020,6 +984,8 @@ class _Driver:
             if self.trace_on:
                 self.tracer.event("iteration", index=stats.iterations, delta_in=None)
             before = stats.facts_derived
+            if self.seed_fact is not None:
+                self.fire_seed_fact()
             for plan in plans:
                 self.fire_rule(plan, None, None, None, stats.iterations)
             changed = stats.facts_derived > before
@@ -1052,21 +1018,14 @@ class _Driver:
                 for row in rows:
                     rel.add(row)
                 changed[pred] = rel
-        graph = program.dependency_graph()
-        components = _sccs(graph)
-        for scc_index, component in enumerate(components):
+        seed_pred = None if self.seed_fact is None else self.seed_fact[0]
+        if seed_pred is not None and resume_from is None:  # else the snapshot has it
+            self.fire_seed_fact()
+        for scc_index, scc in enumerate(program.schedule):
+            members, recursive, rules, exit_rules, delta_rules = scc
             if resume_from is not None and scc_index < resume_from.completed_sccs:
                 continue  # fixpoint already contained in the seeded IDB
             self.check()
-            members = set(component)
-            recursive = len(component) > 1 or any(
-                head in graph.get(head, set()) for head in component
-            )
-            rules = [
-                (index, rule)
-                for index, rule in enumerate(program.rules)
-                if rule.head.predicate in members
-            ]
             with tracer.span(
                 "scc",
                 index=scc_index,
@@ -1074,21 +1033,9 @@ class _Driver:
                 recursive=recursive,
             ):
                 if changed is None and not recursive:
-                    for _, rule in rules:
+                    for rule in rules:
                         self.fire_rule(eng.make_plan(rule, None), None, None, scc_index, None)
                     continue
-                exit_rules = []
-                delta_rules: list[tuple[int, Rule, int]] = []
-                for index, rule in rules:
-                    recursive_positions = [
-                        i
-                        for i, item in enumerate(rule.body)
-                        if isinstance(item, Literal) and item.positive and item.predicate in members
-                    ]
-                    if not recursive_positions:
-                        exit_rules.append(rule)
-                    for pos in recursive_positions:
-                        delta_rules.append((index, rule, pos))
                 delta = {pred: executor.new_frontier(pred) for pred in members}
                 if changed is not None:
                     self.added.append(delta)
@@ -1107,12 +1054,14 @@ class _Driver:
                             delta[pred].add(row)
                     iterations = resume_from.iteration
                 elif changed is None:
+                    if seed_pred in members:  # its exit "rule" fired up front
+                        delta[seed_pred].add(self.seed_fact[1])
                     for rule in exit_rules:
                         self.fire_rule(eng.make_plan(rule, None), None, delta, scc_index, None)
                 else:
                     # Each plan is compiled immediately before it fires,
                     # so its cost order reads the live relation sizes.
-                    for _, rule in rules:
+                    for rule in rules:
                         for pos, item in enumerate(rule.body):
                             if (
                                 not isinstance(item, Literal)
@@ -1153,7 +1102,7 @@ class _Driver:
                     for pred in members:
                         if len(scc_new[pred]):
                             changed[pred] = scc_new[pred]
-        return len(components)
+        return len(program.schedule)
 
 
 def _absorb(into: dict[str, Relation], delta: dict[str, Relation]) -> None:
@@ -1212,6 +1161,8 @@ def evaluate(
     checkpoint_every: int = 0,
     checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
     resume_from: EvaluationSnapshot | None = None,
+    seed_fact: "tuple[str, Row] | None" = None,
+    plans: "dict | None" = None,
 ) -> EvaluationResult:
     """Evaluate ``program`` bottom-up over ``database``.
 
@@ -1259,6 +1210,17 @@ def evaluate(
     cumulatively (budget limits therefore account for pre-checkpoint
     work too).  The snapshot must match ``strategy`` and is
     engine-independent; ``provenance=True`` cannot resume.
+
+    Two inputs serve a program evaluated again and again (a cached
+    magic program, request after request).  ``seed_fact`` is a
+    ``(predicate, row)`` derived as if ``program`` began with the
+    body-less rule ``predicate(row).`` — same relations, same work
+    counters — so a query's constants are data and the ``Program``
+    object is shared.  ``plans`` is a table the caller keeps between
+    runs: a ``(rule, delta position)`` compiles into it once and is
+    fetched from it afterwards.  Plans are costed on ``database``'s
+    sizes when compiled, so keep one table per database; any table
+    gives the same fixpoint.
     """
     if tracer is None:
         tracer = get_tracer()
@@ -1268,12 +1230,13 @@ def evaluate(
         tracer=tracer,
         governor=Governor.of(budget, cancellation),
         resume_from=resume_from,
+        seed_fact=seed_fact,
         strategy=strategy,
         provenance=provenance,
         checkpoint_every=checkpoint_every,
         checkpoint_sink=checkpoint_sink,
     )
-    return driver.run(_LocalExecutor(driver, engine))
+    return driver.run(_LocalExecutor(driver, engine, plans))
 
 
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:

@@ -15,7 +15,8 @@ The program classes of the paper are validated here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .atoms import Literal, OrderAtom
@@ -41,16 +42,20 @@ class PredicateInfo:
 
 @dataclass(frozen=True)
 class Program:
-    """An ordered, immutable collection of safe rules plus a query predicate."""
+    """An ordered, immutable collection of safe rules plus a query predicate.
+
+    Arities, the IDB set, the dependency graph and the SCC schedule are
+    pure functions of the rules: each is computed once per object
+    (``cached_property`` writes ``__dict__`` directly, which a frozen
+    dataclass allows) and shared by every evaluation of it.
+    """
 
     rules: tuple[Rule, ...]
     query: str | None = None
-    _pred_arity: Mapping[str, int] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __init__(self, rules: Iterable[Rule], query: str | None = None, *, validate: bool = True):
         object.__setattr__(self, "rules", tuple(rules))
         object.__setattr__(self, "query", query)
-        object.__setattr__(self, "_pred_arity", None)
         if validate:
             self._validate()
 
@@ -83,7 +88,7 @@ class Program:
     # ------------------------------------------------------------------
     # Predicate structure
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def idb_predicates(self) -> frozenset[str]:
         return frozenset(rule.head.predicate for rule in self.rules)
 
@@ -95,14 +100,16 @@ class Program:
             preds |= {p for p in rule.body_predicates() if p not in idb}
         return frozenset(preds)
 
-    def arity_of(self, predicate: str) -> int:
+    @cached_property
+    def _pred_arity(self) -> Mapping[str, int]:
+        arities: dict[str, int] = {}
         for rule in self.rules:
-            if rule.head.predicate == predicate:
-                return rule.head.arity
-            for lit in rule.relational_literals:
-                if lit.predicate == predicate:
-                    return lit.atom.arity
-        raise KeyError(predicate)
+            for atom in (rule.head, *(lit.atom for lit in rule.relational_literals)):
+                arities.setdefault(atom.predicate, atom.arity)
+        return arities
+
+    def arity_of(self, predicate: str) -> int:
+        return self._pred_arity[predicate]
 
     def rules_for(self, predicate: str) -> tuple[Rule, ...]:
         """All rules whose head predicate is ``predicate``."""
@@ -120,7 +127,8 @@ class Program:
     # ------------------------------------------------------------------
     # Dependency graph and recursion
     # ------------------------------------------------------------------
-    def dependency_graph(self) -> dict[str, set[str]]:
+    @cached_property
+    def dependency_graph(self) -> Mapping[str, set[str]]:
         """Map each IDB predicate to the IDB predicates its rules use."""
         idb = self.idb_predicates
         graph: dict[str, set[str]] = {p: set() for p in idb}
@@ -130,8 +138,36 @@ class Program:
             }
         return graph
 
+    @cached_property
+    def schedule(self) -> tuple[tuple, ...]:
+        """What a semi-naive run needs of each SCC of the dependency
+        graph, in topological order: ``(members, recursive, rules, exit
+        rules, delta rules)`` — exit rules have no positive subgoal in
+        the SCC, delta rules are ``(rule index, rule, body position)``
+        per positive subgoal in it."""
+        graph = self.dependency_graph
+        schedule = []
+        for component in _sccs(graph):
+            members = frozenset(component)
+            rules = [(i, r) for i, r in enumerate(self.rules) if r.head.predicate in members]
+            delta_rules = tuple(
+                (index, rule, pos)
+                for index, rule in rules
+                for pos, item in enumerate(rule.body)
+                if isinstance(item, Literal) and item.positive and item.predicate in members
+            )
+            inside = {index for index, _, _ in delta_rules}
+            schedule.append((
+                members,
+                len(component) > 1 or component[0] in graph[component[0]],
+                tuple(rule for _, rule in rules),
+                tuple(rule for index, rule in rules if index not in inside),
+                delta_rules,
+            ))
+        return tuple(schedule)
+
     def _reachable(self, start: str) -> set[str]:
-        graph = self.dependency_graph()
+        graph = self.dependency_graph
         seen: set[str] = set()
         stack = [start]
         while stack:
@@ -219,3 +255,54 @@ class Program:
         if self.query is not None:
             lines.append(f"% query: {self.query}")
         return "\n".join(lines)
+
+
+def _sccs(graph: Mapping[str, set[str]]) -> list[list[str]]:
+    """Tarjan's strongly connected components, returned in topological order."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    counter = [0]
+    components: list[list[str]] = []
+
+    def strongconnect(node: str) -> None:
+        work = [(node, iter(sorted(graph.get(node, ()))))]
+        index[node] = low[node] = counter[0]
+        counter[0] += 1
+        stack.append(node)
+        on_stack.add(node)
+        while work:
+            current, successors = work[-1]
+            advanced = False
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = counter[0]
+                    counter[0] += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(sorted(graph.get(succ, ())))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[current] = min(low[current], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[current])
+            if low[current] == index[current]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == current:
+                        break
+                components.append(component)
+
+    for node in sorted(graph):
+        if node not in index:
+            strongconnect(node)
+    return components

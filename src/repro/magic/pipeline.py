@@ -30,12 +30,15 @@ One outcome: :func:`run_pipeline` returns a :class:`PipelineReport` for
 the complete pipeline, or a governed run raises the
 :class:`~repro.robustness.errors.EvaluationAborted` that stopped it.
 The report is also what :func:`specialize_pipeline` caches per query
-shape; :meth:`PipelineReport.for_goal` re-seeds it per request.
+shape: every goal of the shape is answered by the one cached report,
+its constants entering the fixpoint as a row of the magic seed
+predicate (:meth:`PipelineReport.evaluation`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ..constraints.integrity import IntegrityConstraint
@@ -43,13 +46,13 @@ from ..core.rewrite import OptimizationReport, optimize
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, Row
 from ..datalog.evaluation import EvaluationResult, EvaluationStats, evaluate
-from ..datalog.program import Program
-from ..datalog.rules import Rule
+from ..datalog.program import Program, ProgramError
+from ..datalog.terms import Constant
 from ..digest import program_digest
 from ..observability.trace import get_tracer
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import abort_phase
-from .adorn import adornment_of, bound_args
+from .adorn import adornment_of
 from .sips import SipsStrategy, get_sips, left_to_right
 from .transform import MagicProgram, magic_transform, match_query_atom
 
@@ -80,9 +83,10 @@ class PipelineStage:
     detail: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineReport:
-    """Everything one pipeline run produced."""
+    """Everything one pipeline run produced (hashed by identity: the
+    daemon's tenants key their kept plans by the cached report)."""
 
     original: Program
     query_atom: Atom
@@ -99,72 +103,67 @@ class PipelineReport:
         """The predicate of the final program holding the answers."""
         return None if self.program is None else self.program.query
 
+    @cached_property
+    def _seedless(self) -> Program:
+        """``program`` without its magic seed rule: the constant-free
+        form that answers every goal of a cacheable magic shape."""
+        seed = self.magic.seed
+        return Program(
+            [rule for rule in self.program.rules if rule != seed],
+            self.program.query,
+            validate=False,
+        )
+
     def evaluation(
         self,
         database: Database,
+        goal: Atom | None = None,
         *,
+        plans: dict | None = None,
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
     ) -> EvaluationResult | None:
+        """Evaluate the final program over ``database`` for ``goal``.
+
+        ``goal`` defaults to the atom the pipeline was compiled for and
+        may differ from it in its constants only.  In the
+        :data:`CACHEABLE_ORDERS` those occur in one place, the magic
+        seed, and reach :func:`~repro.datalog.evaluation.evaluate` as a
+        row of the seed predicate beside the seed-free program: nothing
+        is built per goal, and the counters equal those of evaluating
+        ``program``.  ``plans`` is ``evaluate``'s kept-plan table.
+        """
         if self.program is None:
             return None
-        return evaluate(
-            self.program, database, budget=budget, cancellation=cancellation
-        )
-
-    def answers(self, database: Database) -> frozenset[Row]:
-        """The final program's answers to the query atom over ``database``."""
-        result = self.evaluation(database)
-        if result is None:
-            return frozenset()
-        return frozenset(
-            row
-            for row in result.query_rows()
-            if match_query_atom(row, self.query_atom)
-        )
-
-    def for_goal(self, query_atom: Atom) -> "PipelineReport":
-        """This compiled pipeline, re-seeded for another goal of its shape.
-
-        ``query_atom`` must share the report's predicate and binding
-        pattern; only its constant values may differ.  The magic seed —
-        the one place those values occur in a :data:`CACHEABLE_ORDERS`
-        program — is swapped in the final program, in ``magic`` and in
-        the magic stage; everything else is shared with ``self``.
-        """
-        if self.order not in CACHEABLE_ORDERS:
-            raise ValueError(
-                f"pipeline order {self.order!r} produces constant-dependent "
-                f"programs and cannot be re-seeded for another goal "
-                f"(cacheable: {', '.join(CACHEABLE_ORDERS)})"
-            )
-        shape = adornment_of(self.query_atom, frozenset())
+        goal = goal or self.query_atom
         if (
-            query_atom.predicate != self.query_atom.predicate
-            or adornment_of(query_atom, frozenset()) != shape
+            goal.predicate != self.query_atom.predicate
+            or adornment_of(goal, frozenset()) != adornment_of(self.query_atom, frozenset())
+            or (self.order not in CACHEABLE_ORDERS and goal != self.query_atom)
         ):
             raise ValueError(
-                f"pipeline compiled for shape {self.query_atom.predicate}/{shape}, "
-                f"which {query_atom} does not match"
+                f"pipeline compiled for {self.query_atom} in order {self.order!r} "
+                f"cannot answer {goal}: only constants may differ, and only "
+                f"in the orders {', '.join(CACHEABLE_ORDERS)}"
             )
-        if self.magic is None:
-            return replace(self, query_atom=query_atom)
-        old = self.magic.seed
-        seed = Rule(Atom(old.head.predicate, bound_args(query_atom, shape)), ())
-        rules = self.magic.program.rules
-        at = rules.index(old)
-        program = Program(
-            rules[:at] + (seed,) + rules[at + 1 :],
-            self.magic.program.query,
-            validate=False,
+        program, seed = self.program, None
+        if self.magic is not None and self.order in CACHEABLE_ORDERS:
+            program = self._seedless
+            row = tuple(a.value for a in goal.args if isinstance(a, Constant))
+            seed = (self.magic.seed.head.predicate, row)
+        return evaluate(
+            program, database, seed_fact=seed, plans=plans,
+            budget=budget, cancellation=cancellation,
         )
-        return replace(
-            self,
-            query_atom=query_atom,
-            stages=self.stages[:-1]
-            + (replace(self.stages[-1], program=program, detail=f"seed {seed.head}"),),
-            magic=replace(self.magic, program=program, query_atom=query_atom, seed=seed),
-            program=program,
+
+    def answers(self, database: Database, goal: Atom | None = None) -> frozenset[Row]:
+        """The final program's answers to ``goal`` over ``database``."""
+        result = self.evaluation(database, goal)
+        if result is None:
+            return frozenset()
+        goal = goal or self.query_atom
+        return frozenset(
+            row for row in result.query_rows() if match_query_atom(row, goal)
         )
 
     def summary(self) -> str:
@@ -189,7 +188,7 @@ class PipelineReport:
 
 def _as_query_program(program: Program, query_atom: Atom) -> Program:
     if query_atom.predicate not in program.idb_predicates:
-        raise ValueError(
+        raise ProgramError(
             f"query atom {query_atom} does not use an IDB predicate of the program"
         )
     if program.query != query_atom.predicate:
@@ -409,8 +408,9 @@ def check_equivalence(
 # (which positions are constants), never on the constant values: those
 # appear in exactly one place, the magic seed fact.  So a serving
 # workload where every request is ``p(c, Y)`` for a different ``c``
-# compiles the pipeline once per shape and swaps the seed per request
-# (:meth:`PipelineReport.for_goal`, driven by :func:`specialize_pipeline`).
+# compiles the pipeline once per shape (:func:`specialize_pipeline`) and
+# feeds each request's constants in as data
+# (:meth:`PipelineReport.evaluation`).
 #
 # ``magic-first`` is the exception: there the semantic rewrite runs
 # *over* the guarded program, seed included, so constraint residues can
@@ -428,6 +428,7 @@ def artifact_key(
     *,
     order: str = "semantic-first",
     sips_name: str = "left-to-right",
+    shape: str | None = None,
 ) -> tuple:
     """The cache key of one compiled pipeline shape.
 
@@ -437,9 +438,12 @@ def artifact_key(
     adornment artifacts are data-independent, so ingesting facts must
     *not* invalidate them), and the adornment is the query atom's
     binding pattern, so ``p(1, Y)`` and ``p(2, Y)`` share one entry
-    while ``p(X, 1)`` compiles its own.
+    while ``p(X, 1)`` compiles its own.  ``shape`` is that digest for a
+    caller that keeps it (a daemon tenant, per query predicate) instead
+    of having the program hashed per call.
     """
-    shape = program_digest(program.with_query(query_atom.predicate), tuple(constraints))
+    if shape is None:
+        shape = program_digest(_as_query_program(program, query_atom), tuple(constraints))
     return (shape, order, sips_name, query_atom.predicate, adornment_of(query_atom, frozenset()))
 
 
@@ -453,6 +457,7 @@ def specialize_pipeline(
     cache=None,
     budget: "Budget | Governor | None" = None,
     cache_site: str = "pipeline.cache",
+    shape: str | None = None,
 ) -> tuple[PipelineReport, bool]:
     """A pipeline report for ``query_atom``, through an artifact cache.
 
@@ -460,9 +465,12 @@ def specialize_pipeline(
     mapping-style ``get(key)`` / ``put(key, value)`` (e.g.
     :class:`repro.serve.cache.ArtifactCache`); with ``None`` the
     pipeline always compiles fresh.  A hit **skips the semantic
-    rewrite, adornment and the magic transform entirely** — the cached
-    report is re-seeded by :meth:`PipelineReport.for_goal` — which is
-    the serving fast path.  Only a compile that finished is stored: one
+    rewrite, adornment and the magic transform entirely** and returns
+    the cached report itself, compiled for the *first* goal of the
+    shape: answer ``query_atom`` with ``report.evaluation(db,
+    query_atom)`` / ``report.answers(db, query_atom)``, which build
+    nothing.  ``shape`` is :func:`artifact_key`'s precomputed digest.
+    Only a compile that finished is stored: one
     that ``budget`` aborts raises and leaves the cache as it was.  Every
     consult emits a ``cache_site`` trace event (default
     ``pipeline.cache``; the daemon passes ``serve.cache``, which doubles
@@ -477,7 +485,8 @@ def specialize_pipeline(
     cached: PipelineReport | None = None
     if order in CACHEABLE_ORDERS:
         key = artifact_key(
-            program, constraints, query_atom, order=order, sips_name=sips_name
+            program, constraints, query_atom,
+            order=order, sips_name=sips_name, shape=shape,
         )
         if cache is not None:
             cached = cache.get(key)
@@ -490,7 +499,7 @@ def specialize_pipeline(
         adornment=adornment_of(query_atom, frozenset()),
     )
     if cached is not None:
-        return cached.for_goal(query_atom), True
+        return cached, True
     report = run_pipeline(
         program,
         constraints,

@@ -49,7 +49,6 @@ from ..datalog.evaluation import (
     EvaluationSnapshot,
     EvaluationStats,
     _evaluate_ingest,
-    _sccs,
     evaluate,
 )
 from ..datalog.program import Program
@@ -660,7 +659,7 @@ class Session:
         a degraded save recorded in ``fallback_chain``."""
         snapshot = EvaluationSnapshot(
             strategy="seminaive",
-            completed_sccs=len(_sccs(self.program.dependency_graph())),
+            completed_sccs=len(self.program.schedule),
             scc_index=None,
             iteration=result.stats.iterations,
             idb={pred: rel.rows() for pred, rel in result.idb.items()},

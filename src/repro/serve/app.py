@@ -41,7 +41,7 @@ import time
 from typing import TYPE_CHECKING
 
 from ..datalog.terms import Constant
-from ..magic.pipeline import specialize_pipeline
+from ..magic.pipeline import CACHEABLE_ORDERS, specialize_pipeline
 from ..magic.transform import match_query_atom
 from ..observability.trace import get_tracer
 from ..robustness.budget import Budget, RequestGovernorFactory
@@ -243,10 +243,12 @@ class ServeApp:
     async def _stats(self) -> dict:
         async with self.registry.lock.read_locked():
             tenants = {}
+            planned = set()  # cached shapes some tenant holds plans for
             for name in self.registry.names():
                 tenant = self.registry.get(name)
                 async with tenant.lock.read_locked():
                     tenants[name] = tenant.info()
+                planned.update(id(r) for r, kept in tenant.plans.items() if kept)
             journal = self._journal_totals()
         return {
             "uptime_seconds": time.monotonic() - self.started_at,
@@ -255,7 +257,7 @@ class ServeApp:
             "rejected": self.rejected,
             "governors_minted": self.governors.minted,
             "journal": journal,
-            "cache": self.cache.stats(),
+            "cache": {**self.cache.stats(), "shapes_with_plans": len(planned)},
             "tenants": tenants,
         }
 
@@ -265,7 +267,7 @@ class ServeApp:
         async with self.registry.lock.read_locked():
             tenant = self.registry.get(name)
         async with tenant.lock.read_locked():
-            if request.goal.predicate not in tenant.program.idb_predicates:
+            if request.goal.predicate not in tenant.shapes:
                 raise UsageError(
                     f"query atom {request.goal} does not use an IDB predicate "
                     f"of program {name!r}"
@@ -294,6 +296,7 @@ class ServeApp:
             cache=self.cache,
             budget=governor,
             cache_site="serve.cache",
+            shape=tenant.shapes[request.goal.predicate],
         )
         if report.program is None:
             return {
@@ -303,7 +306,12 @@ class ServeApp:
                 "satisfiable": False,
                 "answers": [],
             }
-        result = report.evaluation(tenant.database, budget=governor)
+        # Plans outlive the request only beside a report that does.
+        cached = request.order in CACHEABLE_ORDERS
+        plans = tenant.plans.setdefault(report, {}) if cached else None
+        result = report.evaluation(
+            tenant.database, request.goal, plans=plans, budget=governor
+        )
         answers = frozenset(
             row for row in result.query_rows()
             if match_query_atom(row, request.goal)

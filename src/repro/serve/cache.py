@@ -1,9 +1,10 @@
 """The LRU artifact cache behind per-request pipeline specialization.
 
 One entry is one finished :class:`~repro.magic.pipeline.PipelineReport`
-— the pipeline compiled for the first goal of a shape, which
-:meth:`~repro.magic.pipeline.PipelineReport.for_goal` re-seeds for
-every later one — keyed by :func:`~repro.magic.pipeline.artifact_key`
+— the pipeline compiled for the first goal of a shape, which answers
+every later one with the goal's constants fed in as data
+(:meth:`~repro.magic.pipeline.PipelineReport.evaluation`) — keyed by
+:func:`~repro.magic.pipeline.artifact_key`
 (program-shape digest, stage order, SIPS, query predicate, adornment
 pattern).  The daemon shares a single cache across tenants: the key's
 digest component keeps tenants with different programs apart, while
