@@ -9,6 +9,7 @@ EDB atoms (never IDB), optionally negated EDB atoms and order atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ..datalog.atoms import Atom, BodyItem, Literal, OrderAtom, body_variables
@@ -55,16 +56,17 @@ class IntegrityConstraint:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    @property
+    # The body never changes, so each view is computed once per object.
+    @cached_property
     def positive_atoms(self) -> tuple[Atom, ...]:
         """The positive EDB atoms of the body, in declaration order."""
         return tuple(i.atom for i in self.body if isinstance(i, Literal) and i.positive)
 
-    @property
+    @cached_property
     def negative_atoms(self) -> tuple[Atom, ...]:
         return tuple(i.atom for i in self.body if isinstance(i, Literal) and not i.positive)
 
-    @property
+    @cached_property
     def order_atoms(self) -> tuple[OrderAtom, ...]:
         return tuple(i for i in self.body if isinstance(i, OrderAtom))
 

@@ -106,6 +106,14 @@ def _renamed_apart(ic: IntegrityConstraint, rule: Rule) -> IntegrityConstraint:
     return ic.substitute(renaming) if renaming else ic
 
 
+def _mappable(rule: Rule, ic: IntegrityConstraint) -> list[bool]:
+    """Per positive atom of ``ic``, whether its predicate occurs among the
+    rule's positive body atoms; one whose predicate does not has no
+    homomorphic image there, whatever the variables are called."""
+    body = {lit.predicate for lit in rule.positive_literals}
+    return [atom.predicate in body for atom in ic.positive_atoms]
+
+
 def residues_for_rule(
     rule: Rule, ic: IntegrityConstraint, *, include_trivial: bool = False
 ) -> list[Residue]:
@@ -117,6 +125,8 @@ def residues_for_rule(
     ``include_trivial=True`` the empty mapping (whole ic as residue) is
     included as well.
     """
+    if not include_trivial and not any(_mappable(rule, ic)):
+        return []  # nothing maps, so there is no partial mapping
     ic = _renamed_apart(ic, rule)
     target = [lit.atom for lit in rule.positive_literals]
     ic_positives = list(ic.positive_atoms)
@@ -159,6 +169,8 @@ def rule_violates(rule: Rule, ic: IntegrityConstraint) -> bool:
     for ic's whose order/negated atoms appear explicitly in the rule
     (the situation Section 4.2's rewriting creates).
     """
+    if not all(_mappable(rule, ic)):
+        return False  # a positive atom of the ic has nowhere to map
     ic = _renamed_apart(ic, rule)
     target = [lit.atom for lit in rule.positive_literals]
     rule_order = OrderConstraintSet(rule.order_atoms)
@@ -209,6 +221,13 @@ def constrain_rule(
     (some residue is empty / a full violation mapping exists); otherwise
     returns the rule with all injectable residue negations appended.
     """
+    # Only ic's with an atom that can map are looked at, each renamed
+    # apart here: the two calls below find nothing left to rename.
+    constraints = [
+        _renamed_apart(ic, rule)
+        for ic in constraints
+        if any(_mappable(rule, ic)) or not ic.positive_atoms
+    ]
     if any(rule_violates(rule, ic) for ic in constraints):
         return None
     conditions = injectable_conditions(rule, constraints)

@@ -13,7 +13,7 @@ Following the paper's terminology (Section 2):
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .terms import Constant, Substitution, Term, Variable, is_variable
@@ -99,6 +99,10 @@ class Atom:
 
     predicate: str
     args: tuple[Term, ...]
+    #: :meth:`variables`, computed on first use: the atom is frozen.
+    _variables: "frozenset[Variable] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.args, tuple):
@@ -109,8 +113,12 @@ class Atom:
         return len(self.args)
 
     def variables(self) -> set[Variable]:
-        """The set of variables appearing in the atom."""
-        return {t for t in self.args if is_variable(t)}
+        """The set of variables appearing in the atom (a fresh set)."""
+        cached = self._variables
+        if cached is None:
+            cached = frozenset(t for t in self.args if is_variable(t))
+            object.__setattr__(self, "_variables", cached)
+        return set(cached)
 
     def constants(self) -> set[Constant]:
         """The set of constants appearing in the atom."""

@@ -84,31 +84,26 @@ def _check_arity(arity: int, rows: list[Row]) -> None:
         raise ArityMismatch(arity, got)
 
 
-def _projection(positions: tuple[int, ...]) -> Callable[[Row], Row]:
-    """``row -> tuple(row[i] for i in positions)``, without a generator per row."""
-    if len(positions) == 1:
-        (position,) = positions
-        return lambda row: (row[position],)
-    return itemgetter(*positions)
-
-
-def _build_index(rows: Collection[Row], positions: tuple[int, ...]) -> dict[Row, list[Row]]:
+def _build_index(rows: Collection[Row], positions: tuple[int, ...]) -> dict:
     """``rows`` bucketed by their projection on ``positions``.
 
-    The keys of the whole batch come from one ``map``: ``itemgetter``
-    with several positions returns the key tuple itself, and ``zip``
-    over a single column wraps each value in the 1-tuple a probe asks
-    for — no Python call per row.  ``rows`` is walked twice, keys and
-    rows in step: a set nobody touches meanwhile keeps its order.
+    An index on one position is keyed by the bare value, one on several
+    by the value tuple — ``itemgetter`` returns exactly that, so the
+    keys of the whole batch come from one ``map`` with no Python call
+    and no 1-tuple per row, and a kernel probes a single column with the
+    slot it already holds.  ``rows`` is walked twice, keys and rows in
+    step: a set nobody touches meanwhile keeps its order.
     """
-    keys = map(itemgetter(*positions), rows)
-    if len(positions) == 1:
-        keys = zip(keys)
-    built: dict[Row, list[Row]] = {}
+    built: dict = {}
     bucket = built.setdefault
-    for key, row in zip(keys, rows):
+    for key, row in zip(map(itemgetter(*positions), rows), rows):
         bucket(key, []).append(row)
     return built
+
+
+def _index_key(positions: tuple[int, ...], key: Sequence[Value]):
+    """A probe's key tuple as the index on ``positions`` files it."""
+    return key[0] if len(positions) == 1 else tuple(key)
 
 
 class Interner:
@@ -198,10 +193,8 @@ class Relation:
         self.arity = arity
         self._rows: set[Row] = set()
         # positions -> (row projection, index): ``add`` keys every built
-        # index with the function ``index_for`` built it with.
-        self._indexes: dict[
-            tuple[int, ...], tuple[Callable[[Row], Row], dict[Row, list[Row]]]
-        ] = {}
+        # index with the function ``_build_index`` keyed it with.
+        self._indexes: dict[tuple[int, ...], tuple[Callable[[Row], object], dict]] = {}
         if rows:  # the engines make empty relations by the dozen per run
             self.extend(rows)
 
@@ -277,10 +270,11 @@ class Relation:
         """
         if not positions:
             return list(self._rows)
-        return self.index_for(positions).get(key, [])
+        return self.index_for(positions).get(_index_key(positions, key), [])
 
-    def index_for(self, positions: tuple[int, ...], stats=None) -> dict[Row, list[Row]]:
-        """The hash index keyed by the projection on ``positions``.
+    def index_for(self, positions: tuple[int, ...], stats=None) -> dict:
+        """The hash index keyed by the projection on ``positions``: the
+        bare value for one position, the value tuple for several.
 
         Built lazily on first use and kept incrementally up to date by
         :meth:`add`, so one index serves every probe and every
@@ -292,7 +286,7 @@ class Relation:
             raise ValueError("index_for needs bound positions; use all_rows() for full scans")
         entry = self._indexes.get(positions)
         if entry is None:
-            entry = _projection(positions), _build_index(self._rows, positions)
+            entry = itemgetter(*positions), _build_index(self._rows, positions)
             self._indexes[positions] = entry
             if stats is not None:
                 stats.index_builds += 1
@@ -364,7 +358,7 @@ class ColumnarRelation:
         self._code_indexes: dict[tuple[int, ...], dict] = {}
         # positions -> (row projection, index), as in ``Relation``.
         self._value_indexes: dict[
-            tuple[int, ...], tuple[Callable[[Row], Row], dict[Row, list[Row]]]
+            tuple[int, ...], tuple[Callable[[Row], object], dict]
         ] = {}
         self._decoded: set[Row] | None = None
         self.extend(rows)
@@ -537,10 +531,11 @@ class ColumnarRelation:
         """Decoded rows matching ``key`` on ``positions`` (Relation API)."""
         if not positions:
             return list(self._decoded_rows())
-        return self.index_for(positions).get(tuple(key), [])
+        return self.index_for(positions).get(_index_key(positions, key), [])
 
-    def index_for(self, positions: tuple[int, ...], stats=None) -> dict[Row, list[Row]]:
-        """A value-level hash index (decoded view of :meth:`index_codes`).
+    def index_for(self, positions: tuple[int, ...], stats=None) -> dict:
+        """A value-level hash index (decoded view of :meth:`index_codes`),
+        keyed as :meth:`Relation.index_for` keys its own.
 
         Kept incrementally up to date by :meth:`add_codes` once built,
         exactly like :meth:`Relation.index_for`, so the tuple-at-a-time
@@ -550,7 +545,7 @@ class ColumnarRelation:
             raise ValueError("index_for needs bound positions; use all_rows() for full scans")
         entry = self._value_indexes.get(positions)
         if entry is None:
-            entry = _projection(positions), _build_index(self._decoded_rows(), positions)
+            entry = itemgetter(*positions), _build_index(self._decoded_rows(), positions)
             self._value_indexes[positions] = entry
             if stats is not None:
                 stats.index_builds += 1
@@ -638,7 +633,7 @@ class FactRows(Sequence):
         for source in sources:
             if isinstance(source, FactRows):
                 order += source._order
-                for predicate, rows in source._groups.items():
+                for predicate, rows in source.grouped().items():
                     groups[predicate] += rows
                 continue
             for fact in source:

@@ -57,13 +57,7 @@ from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import EvaluationAborted
 from .atoms import Atom, Literal, OrderAtom, evaluate_comparison
 from .database import Database, Relation, Row
-from .plan import (
-    DEFAULT_IDB_ESTIMATE,
-    RulePlan,
-    _GovernedList,
-    compile_rule,
-    order_body_greedy,
-)
+from .plan import DEFAULT_IDB_ESTIMATE, RulePlan, compile_rule, order_body_greedy
 from .program import Program
 from .rules import Rule
 from .terms import Constant, Variable
@@ -408,20 +402,20 @@ def _run_join(
     delta_relation: Relation | None,
     edb_lookup,
     stats: EvaluationStats,
-    out: list[dict[Variable, object]],
+    emit: Callable[[dict[Variable, object]], None],
 ) -> None:
-    """Depth-first execution of the interpreted plan, appending result envs."""
+    """Depth-first execution of the interpreted plan, emitting result envs."""
     if step == len(join.plan):
-        out.append(env)
+        emit(env)
         return
     item, is_delta = join.plan[step]
     if isinstance(item, Literal) and item.positive:
         relation = delta_relation if is_delta else relation_of(item.predicate, item.atom.arity)
         for extended in _probe_literal(item, env, relation, stats):
-            _run_join(join, extended, step + 1, relation_of, delta_relation, edb_lookup, stats, out)
+            _run_join(join, extended, step + 1, relation_of, delta_relation, edb_lookup, stats, emit)
     else:
         if _check_filter(item, env, edb_lookup):
-            _run_join(join, env, step + 1, relation_of, delta_relation, edb_lookup, stats, out)
+            _run_join(join, env, step + 1, relation_of, delta_relation, edb_lookup, stats, emit)
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +430,9 @@ class _EngineBase:
     :meth:`derive` inserts the head rows — plus provenance and the
     semi-naive sink delta — returning the number of *new* facts.  The
     driver never reaches into batch internals, so a batch can be a list
-    of environments (per-row engines) or a column block (the columnar
-    engine) without driver changes.
+    of environments (the interpreter: the row-by-row :meth:`derive` is
+    its), the new head rows (the generated kernels) or a column block
+    (the columnar engine) without driver changes.
     """
 
     def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
@@ -508,30 +503,38 @@ class _SlotEngine(_EngineBase):
         # call: the perf harness times plan compilation by wrapping it.
         return compile_rule(rule, delta_index, size_of=self._size_of)
 
-    def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
+    def run(
+        self, plan: RulePlan, relation_of, delta_relation, head_relation, prov, stats, governor=None
+    ):
         return plan.run(
             relation_of,
             delta_relation,
+            head_relation.all_rows(),
+            prov is not None,
             stats,
             tracer=self.tracer if self.trace_on else None,
             governor=governor,
         )
 
+    def result_count(self, results) -> int:
+        return results[0]
+
     def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
+        fresh = results[1]
+        if not fresh:
+            return 0
+        # Distinct and new already.  A list, not the dict:
+        # ``set.update(dict)`` presizes the table and costs peak memory.
+        rows = list(fresh)
+        head_pred = plan.rule.head.predicate
+        head_relation.add_fresh(rows)
+        if sink_delta is not None:
+            sink_delta[head_pred].add_fresh(rows)
         if prov is not None:
-            return super().derive(plan, results, head_relation, sink_delta, prov, stats)
-        # Batch insert: project, dedup in first-appearance order, drop
-        # the known rows, then one bulk add per relation.
-        live = head_relation.all_rows()
-        fresh = [
-            row for row in dict.fromkeys(plan.head_rows(results)) if row not in live
-        ]
-        if fresh:
-            head_relation.add_fresh(fresh)
-            if sink_delta is not None:
-                sink_delta[plan.rule.head.predicate].add_fresh(fresh)
-            stats.facts_derived += len(fresh)
-        return len(fresh)
+            for row, env in fresh.items():
+                prov[head_pred, row] = (plan.rule, tuple(plan.support_rows(env)))
+        stats.facts_derived += len(rows)
+        return len(rows)
 
 
 class _ColumnarSlotEngine(_SlotEngine):
@@ -551,7 +554,9 @@ class _ColumnarSlotEngine(_SlotEngine):
         super().__init__(database, idb, tracer, plans)
         self.interner = database.interner
 
-    def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
+    def run(
+        self, plan: RulePlan, relation_of, delta_relation, head_relation, prov, stats, governor=None
+    ):
         return plan.run_blocks(
             relation_of,
             delta_relation,
@@ -560,9 +565,6 @@ class _ColumnarSlotEngine(_SlotEngine):
             tracer=self.tracer if self.trace_on else None,
             governor=governor,
         )
-
-    def result_count(self, results) -> int:
-        return results[0]
 
     def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
         n, cols = results
@@ -610,16 +612,18 @@ class _InterpEngine(_EngineBase):
 
     compile = staticmethod(_RuleJoin)
 
-    def run(self, join: _RuleJoin, relation_of, delta_relation, stats, governor=None):
-        # The governed buffer makes the recursive interpreter cancellable
-        # mid-rule at each emitted environment, mirroring the compiled
-        # engine's per-row ticks.
-        results: list[dict[Variable, object]] = (
-            [] if governor is None else _GovernedList(governor)
-        )
-        _run_join(
-            join, {}, 0, relation_of, delta_relation, self._edb_lookup, stats, results
-        )
+    def run(
+        self, join: _RuleJoin, relation_of, delta_relation, head_relation, prov, stats, governor=None
+    ):
+        results: list[dict[Variable, object]] = []
+        emit = results.append
+        if governor is not None:
+            # Per emitted environment: cancellable mid-rule.
+            def emit(env):
+                results.append(env)
+                governor.tick("rule")
+
+        _run_join(join, {}, 0, relation_of, delta_relation, self._edb_lookup, stats, emit)
         return results
 
 
@@ -816,7 +820,13 @@ class _Driver:
         def run() -> None:
             rows_before = stats.rows_scanned
             results = eng.run(
-                plan, self.relation_of, delta_relation, stats, self.governor
+                plan,
+                self.relation_of,
+                delta_relation,
+                head_relation,
+                self.prov,
+                stats,
+                self.governor,
             )
             stats.rule_firings += eng.result_count(results)
             key = plan.rule_key
@@ -1191,8 +1201,10 @@ def evaluate(
     ``budget`` (a :class:`~repro.robustness.budget.Budget`, or an
     already-running :class:`~repro.robustness.budget.Governor` shared
     with earlier phases) and ``cancellation`` make the run governed:
-    limits are checked at SCC, round and rule boundaries (plus strided
-    per-row ticks inside the join engines), and a violated limit raises
+    limits are checked at SCC, round and rule boundaries and, inside a
+    rule's join, at every stride of scanned rows (clock, token,
+    ``max_facts`` and ``max_rows_scanned`` — a single explosive rule
+    overshoots by at most a stride), and a violated limit raises
     :class:`~repro.robustness.errors.BudgetExceededError` (or
     :class:`~repro.robustness.errors.Cancelled`) carrying the partial
     fixpoint computed so far in ``exc.partial``.  Because negation is

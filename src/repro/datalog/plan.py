@@ -19,8 +19,10 @@ compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
   flushed into the plan as soon as their variables are bound;
 * the steps are printed as **one Python function per plan shape**
   (:func:`_kernel_source`): nested ``for`` loops with probe keys and
-  filters inline, ``compile()``-d once per shape and shared by every
-  plan of that shape through a bounded cache.  The step objects stay
+  filters inline whose innermost line builds the head row and keeps it
+  only if it is new, ``compile()``-d once per shape and shared by every
+  plan of that shape — plain, governed or recording provenance —
+  through a bounded cache.  The step objects stay
   as the plan's description: :meth:`RulePlan.describe`, the profiler
   and the columnar executor read them; the kernel is derived from
   their integer layouts alone, constants travel as values, and no
@@ -302,25 +304,6 @@ class _NegStep:
         return f"neg {self.literal!r}"
 
 
-class _GovernedList(list):
-    """The result buffer of a governed rule execution.
-
-    Every emitted row ticks the governor (strided deadline/cancellation
-    check), so even a single explosive join stays cancellable without
-    a second kernel or any cost on the ungoverned hot path.
-    """
-
-    __slots__ = ("_governor",)
-
-    def __init__(self, governor):
-        super().__init__()
-        self._governor = governor
-
-    def append(self, item) -> None:
-        list.append(self, item)
-        self._governor.tick("rule")
-
-
 # ----------------------------------------------------------------------
 # Generated kernels
 # ----------------------------------------------------------------------
@@ -374,35 +357,47 @@ def _tuple(names) -> str:
 
 
 def _kernel_source(shape) -> str:
-    """Python source of ``kernel(rels, stats, out, k)`` and
-    ``heads(envs, k)`` for one plan shape.
+    """Python source of ``kernel(rels, stats, live, k, prov, gov)`` for
+    one plan shape.
 
-    ``kernel`` is the join as nested ``for`` loops over local slot
-    variables ``s<i>``, appending one slot tuple per match to ``out``;
-    work is counted in locals and flushed to ``stats`` in a ``finally``,
-    so an abort inside the loops reports the probes made so far.
-    ``heads`` projects those tuples onto the rule head.
+    Nested ``for`` loops over local slot variables ``s<i>``; the
+    innermost line builds the **head** row and files it in ``fresh``
+    unless ``live`` — the head relation's row set, only ever read here:
+    the rule may be scanning it — or ``fresh`` holds it, with the slot
+    tuple as value under ``prov``.  Returns ``(matches, fresh)``.  Work
+    is counted in locals and flushed to ``stats`` in a ``finally``, so
+    an abort inside the loops reports the probes made so far; ``gov``
+    is asked (``tick_scan``) at the first bucket after each stride of
+    scanned rows.
     """
     steps, head, num_slots, num_consts = shape
     rels = []
     for step in steps:
         if step[0] != "order":
             rels.append(f"{'g' if step[0] == 'scan' and step[1] else 'r'}{len(rels)}")
-    consts = [f"    {_tuple(f'k{i}' for i in range(num_consts))} = k"] if num_consts else []
     prologue = [f"    {_tuple(rels)} = rels"] if rels else []
-    prologue += consts + ["    append = out.append", "    probes = scanned = 0", "    try:"]
+    if num_consts:
+        prologue.append(f"    {_tuple(f'k{i}' for i in range(num_consts))} = k")
+    prologue += [
+        "    probes = scanned = matches = 0",
+        "    due = gov.stride if gov is not None else 0",
+        "    try:",
+    ]
     epilogue = ["    finally:", "        stats.probes += probes"]
-    epilogue += ["        stats.rows_scanned += scanned", ""]
-    lines = ["def kernel(rels, stats, out, k):", *prologue]
+    epilogue += ["        stats.rows_scanned += scanned"]
+    args = "rels, stats, live, k, prov, gov"
+    lines = [f"def kernel({args}):", "    fresh = dict()", *prologue]
+    done = "return matches, fresh"
     bound = loops = chained = 0  # slots bound; loops open in, functions before, this one
+    counted = False  # whether the last scan added its bucket to ``matches`` whole
 
     def emit(line: str) -> None:
         lines.append("    " * (loops + 2) + line)
 
     rel = 0
-    for step in steps:
+    for number, step in enumerate(steps):
         kind = step[0]
-        skip = "continue" if loops else "return"
+        skip = "continue" if loops else done
         if kind == "order":
             _, op, left, right = step
             a, b, py = _term(left), _term(right), _PY_OP[op]
@@ -425,10 +420,10 @@ def _kernel_source(shape) -> str:
             _, key, sets, checks, arity = step
             if loops == _MAX_LOOPS:
                 chained += 1
-                call = f"kernel{chained}(rels, stats, out, k{''.join(f', s{i}' for i in range(bound))})"
-                emit(call)
-                lines += [*epilogue, f"def {call}:", *prologue]
-                loops = 0
+                call = f"kernel{chained}({args}, fresh{''.join(f', s{i}' for i in range(bound))})"
+                emit(f"matches += {call}")
+                lines += [*epilogue, f"    {done}", "", f"def {call}:", *prologue]
+                loops, done = 0, "return matches"
             names = ["_"] * arity
             for slot, pos in sets:
                 names[pos] = f"s{slot}"
@@ -436,45 +431,49 @@ def _kernel_source(shape) -> str:
                 names[pos] = f"c{pos}"
             emit("probes += 1")
             if key:
-                emit(f"rows = {name}({_tuple(map(_term, key))}, ())")
+                # A one-column index is keyed by the bare value.
+                probe = _term(key[0]) if len(key) == 1 else _tuple(map(_term, key))
+                emit(f"rows = {name}({probe}, ())")
                 name = "rows"
             emit(f"scanned += len({name})")
+            emit("if gov is not None and scanned >= due: due = gov.tick_scan('rule', stats, scanned, len(fresh))")
+            counted = number == len(steps) - 1 and not checks
+            if counted:
+                emit(f"matches += len({name})")
             emit(f"for {_tuple(names)} in {name}:")
             loops += 1
             bound += len(sets)
             for slot, pos in checks:
                 emit(f"if s{slot} != c{pos}: continue")
-    emit(f"append({_tuple(f's{i}' for i in range(num_slots))})")
-    lines += [*epilogue, "def heads(envs, k):"]
-    if head == tuple((True, i) for i in range(num_slots)):
-        lines.append("    return envs")
-    else:
-        used = {index for is_slot, index in head if is_slot}
-        env = _tuple(f"s{i}" if i in used else "_" for i in range(num_slots)) if used else "_"
-        lines += [*consts, f"    return [{_tuple(map(_term, head))} for {env} in envs]"]
+    if not counted:
+        emit("matches += 1")
+    emit(f"h = {_tuple(map(_term, head))}")
+    support = _tuple(f"s{i}" for i in range(num_slots))
+    emit(f"if h not in live and h not in fresh: fresh[h] = {support} if prov else None")
+    lines += [*epilogue, f"    {done}"]
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=256)
 def _compiled_kernel(shape):
-    """``(kernel, heads)`` for a plan shape, compiled once per shape.
+    """The kernel of a plan shape, compiled once per shape.
 
     ``compile()`` costs more than everything else in plan compilation;
-    programs reuse a few dozen shapes, so plans share the functions and
+    programs reuse a few dozen shapes, so plans share the function and
     own only their constants tuple.  The source is registered in
-    :mod:`linecache` under ``<plan:HASH>`` for as long as the functions
-    live, so tracebacks and profiles show the generated line.
+    :mod:`linecache` under ``<plan:HASH>`` for as long as the function
+    lives, so tracebacks and profiles show the generated line.
     """
     source = _kernel_source(shape)
     name = f"<plan:{hashlib.sha1(source.encode()).hexdigest()[:12]}>"
     namespace = {"compare": evaluate_comparison, "NUMERIC": (int, float)}
     exec(compile(source, name, "exec"), namespace)
-    # Popped, so the functions are not in a cycle with their globals and
-    # die (finalizer included) with the last plan that holds them.
-    kernel, heads = namespace.pop("kernel"), namespace.pop("heads")
+    # Popped, so the function is not in a cycle with its globals and
+    # dies (finalizer included) with the last plan that holds it.
+    kernel = namespace.pop("kernel")
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
     weakref.finalize(kernel, linecache.cache.pop, name, None)
-    return kernel, heads
+    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -496,10 +495,9 @@ class _RelSpec:
 class RulePlan:
     """One rule compiled for one delta position (or none).
 
-    ``run`` executes the generated kernel and returns the matching
-    environments as slot tuples; :meth:`head_rows` projects a batch of
-    them onto the head, :meth:`head_row` / :meth:`support_rows` one of
-    them onto the head and the positive body literals (provenance).
+    ``run`` executes the generated kernel and returns the match count
+    with the head rows that are new; :meth:`support_rows` projects a
+    slot tuple onto the positive body literals (provenance).
     """
 
     __slots__ = (
@@ -514,7 +512,6 @@ class RulePlan:
         "head_layout",
         "support_layouts",
         "_kernel",
-        "_heads",
         "_consts",
     )
 
@@ -630,25 +627,30 @@ class RulePlan:
             for lit in rule.positive_literals
         )
         shape, self._consts = _plan_shape(steps, head_layout, self.num_slots)
-        self._kernel, self._heads = _compiled_kernel(shape)
+        self._kernel = _compiled_kernel(shape)
 
     # ------------------------------------------------------------------
     def run(
         self,
         relation_of,
         delta_relation: Relation | None,
+        live: set,
+        support: bool,
         stats,
         tracer=None,
         governor=None,
     ):
-        """Execute the plan; return the result environments (slot tuples).
+        """Execute the plan; return ``(matches, fresh)``.
 
+        ``fresh`` maps each head row that ``live`` — the head relation's
+        row set — does not hold to ``None``, or under ``support`` to the
+        slot tuple of its first match, in order of first appearance.
         ``relation_of(predicate, arity)`` resolves non-delta relations;
         indexes are fetched once here (built on first use, counted in
         ``stats.index_builds`` and — under an enabled ``tracer`` —
-        reported as ``index_build`` events).  With a ``governor`` (see
-        :mod:`repro.robustness.budget`) the result buffer ticks it per
-        emitted row, keeping giant single-rule joins cancellable.
+        reported as ``index_build`` events).  An active ``governor`` is
+        asked from inside the same kernel once per stride of scanned
+        rows: a giant single-rule join stays cancellable and in budget.
         """
         rels = []
         for spec in self.rel_specs:
@@ -669,11 +671,12 @@ class RulePlan:
                     )
             else:
                 rels.append(rel.all_rows())
-        out: list[tuple] = [] if governor is None else _GovernedList(governor)
+        if governor is not None and not governor.active:
+            governor = None  # can never trip: not worth a test per bucket
         stats.env_allocations += 1
-        self._kernel(rels, stats, out, self._consts)
-        stats.env_allocations += len(out)
-        return out
+        matches, fresh = self._kernel(rels, stats, live, self._consts, support, governor)
+        stats.env_allocations += matches
+        return matches, fresh
 
     # ------------------------------------------------------------------
     def run_blocks(
@@ -895,13 +898,6 @@ class RulePlan:
             if governor is not None:
                 governor.tick_batch("rule", n)
         return n, cols
-
-    def head_rows(self, envs: list[tuple]) -> list[tuple]:
-        """The head rows of a batch of result environments, in order."""
-        return self._heads(envs, self._consts)
-
-    def head_row(self, env: Sequence[object]) -> tuple:
-        return tuple(env[p] if s else p for s, p in self.head_layout)
 
     def support_rows(self, env: Sequence[object]) -> list[tuple[str, tuple]]:
         """``(predicate, ground row)`` for each positive body literal

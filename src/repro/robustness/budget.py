@@ -14,9 +14,10 @@ guardrails:
   set to stop a run at its next checkpoint;
 * :class:`Governor` — the runtime object threaded through the phases.
   Phases call :meth:`Governor.check` at round boundaries (with their
-  live :class:`~repro.datalog.evaluation.EvaluationStats`) and the
+  live :class:`~repro.datalog.evaluation.EvaluationStats`), the
   cheap strided :meth:`Governor.tick` / :meth:`Governor.expand` inside
-  tight symbolic loops.  A violated limit raises
+  tight symbolic loops, and :meth:`Governor.tick_scan` from inside a
+  join kernel, once per stride of scanned rows.  A violated limit raises
   :class:`~repro.robustness.errors.BudgetExceededError` (or
   :class:`~repro.robustness.errors.Cancelled`), which the engine driver
   enriches with the partial fixpoint on the way out.
@@ -191,7 +192,7 @@ class Governor:
         "expansions",
         "tripped",
         "_clock",
-        "_stride",
+        "stride",
         "_ticks",
     )
 
@@ -206,7 +207,7 @@ class Governor:
         self.budget = budget if budget is not None else Budget()
         self.token = cancellation
         self._clock = clock
-        self._stride = max(1, stride)
+        self.stride = max(1, stride)
         self._ticks = 0
         self.started_at = clock()
         self.deadline = (
@@ -283,17 +284,18 @@ class Governor:
                 "max_iterations",
                 f"{phase} exceeded the {budget.max_iterations}-iteration budget",
             )
-        if budget.max_facts is not None and stats.facts_derived > budget.max_facts:
+        self._check_counts(phase, stats.facts_derived, stats.rows_scanned)
+
+    def _check_counts(self, phase: str, facts: int, rows_scanned: int) -> None:
+        budget = self.budget
+        if budget.max_facts is not None and facts > budget.max_facts:
             self._trip(
                 BudgetExceededError,
                 phase,
                 "max_facts",
                 f"{phase} derived more than {budget.max_facts} facts",
             )
-        if (
-            budget.max_rows_scanned is not None
-            and stats.rows_scanned > budget.max_rows_scanned
-        ):
+        if budget.max_rows_scanned is not None and rows_scanned > budget.max_rows_scanned:
             self._trip(
                 BudgetExceededError,
                 phase,
@@ -310,7 +312,7 @@ class Governor:
         if not self.active:
             return
         self._ticks += 1
-        if self._ticks % self._stride:
+        if self._ticks % self.stride:
             return
         self._check_clock_and_token(phase)
 
@@ -329,8 +331,22 @@ class Governor:
             return
         before = self._ticks
         self._ticks = before + count
-        if before // self._stride != self._ticks // self._stride:
+        if before // self.stride != self._ticks // self.stride:
             self._check_clock_and_token(phase)
+
+    def tick_scan(self, phase: str, stats: "EvaluationStats", scanned: int, fresh: int) -> int:
+        """Checkpoint from inside one rule firing's join kernel.
+
+        Called at the first bucket boundary after the rows it scanned
+        cross a stride, with what it has not flushed to ``stats`` yet:
+        ``scanned`` rows and ``fresh`` new head rows.  Clock, token,
+        ``max_facts`` and ``max_rows_scanned`` bind here, so one
+        explosive join overshoots by at most a stride and the bucket in
+        hand.  Returns the ``scanned`` count at which it is due again.
+        """
+        self._check_clock_and_token(phase)
+        self._check_counts(phase, stats.facts_derived + fresh, stats.rows_scanned + scanned)
+        return scanned + self.stride
 
     def expand(self, phase: str) -> None:
         """Count one symbolic expansion and enforce ``max_expansions``."""

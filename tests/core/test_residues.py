@@ -1,5 +1,11 @@
 """Residue tests (CGM88 / paper Section 3, Example 3.1)."""
 
+from unittest.mock import patch
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.residues as residues_module
 from repro.core.residues import (
     constrain_program,
     constrain_rule,
@@ -10,6 +16,7 @@ from repro.core.residues import (
 from repro.datalog.atoms import Literal, OrderAtom
 from repro.datalog.parser import parse_constraints, parse_program, parse_rule
 from repro.datalog.terms import Variable
+from repro.workloads.generators import random_program
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -125,3 +132,67 @@ class TestInjection:
         ics = parse_constraints(":- startPoint(X), endPoint(Y), Y <= X.")
         # Residue injection adds Y > X, contradicting Y < X.
         assert constrain_rule(rule, ics) is None
+
+
+# ----------------------------------------------------------------------
+# The predicate pre-check: filtered enumeration == unfiltered enumeration
+# ----------------------------------------------------------------------
+#: ic's over ``random_program``'s EDB vocabulary (``e0 e1 mark blocked``),
+#: with order atoms and negated atoms, plus predicates no program has.
+IC_POOL = parse_constraints(
+    """
+    :- e0(X, Y), e1(Y, Z).
+    :- e0(X, Y), Y <= X.
+    :- e1(X, Y), mark(X), blocked(Y).
+    :- mark(X), blocked(X).
+    :- e0(X, X).
+    :- e1(X, Y), e1(Y, X), X < Y.
+    :- e0(X, Y), not mark(X).
+    :- mark(X), elsewhere(X).
+    :- elsewhere(X), nowhere(X, Y).
+    :- e0(Ic0, Ic1), e1(Ic1, Ic0).
+    :- 2 < 1.
+    """
+)
+
+#: Rules whose variables already carry the renamed-apart prefix.
+IC_NAMED_RULES = [
+    parse_rule("p(Ic0, Ic1) :- e0(Ic0, Ic2), e1(Ic2, Ic1)."),
+    parse_rule("p(Ic0, Ic0) :- e0(Ic0, Ic1), e1(Ic1, Ic0), mark(Ic1), Ic0 < Ic1."),
+    parse_rule("p(Ic1, X) :- e1(Ic1, X), not mark(Ic1)."),
+]
+
+
+def _residue_view(residues):
+    return [(sorted(map(repr, r.mapping.items())), r.literals) for r in residues]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), picks=st.sets(st.integers(0, len(IC_POOL) - 1), min_size=1))
+def test_predicate_precheck_leaves_every_answer_unchanged(seed, picks):
+    ics = [IC_POOL[i] for i in sorted(picks)]
+    rules = list(random_program(seed).rules) + IC_NAMED_RULES
+
+    def answers():
+        return [
+            (
+                [
+                    (
+                        rule_violates(rule, ic),
+                        _residue_view(residues_for_rule(rule, ic)),
+                        _residue_view(residues_for_rule(rule, ic, include_trivial=True)),
+                    )
+                    for ic in ics
+                ],
+                injectable_conditions(rule, ics),
+                constrain_rule(rule, ics),
+            )
+            for rule in rules
+        ]
+
+    filtered = answers()
+    # Every atom reported mappable: the enumeration runs unfiltered.
+    with patch.object(
+        residues_module, "_mappable", lambda rule, ic: [True] * len(ic.positive_atoms)
+    ):
+        assert answers() == filtered

@@ -58,7 +58,9 @@ class TestRelation:
         rel.add((9, 9, 9))
         expected = {}
         for row in rel.rows():
-            expected.setdefault(tuple(row[i] for i in positions), set()).add(row)
+            # One position is keyed by the bare value, several by the tuple.
+            key = tuple(row[i] for i in positions)
+            expected.setdefault(key[0] if len(key) == 1 else key, set()).add(row)
         assert {key: set(rows) for key, rows in index.items()} == expected
         assert all(len(rows) == len(set(rows)) for rows in index.values())
 
@@ -91,7 +93,7 @@ class TestRelation:
         stats = Stats()
         rel = Relation(2, [(1, 2), (1, 3), (2, 3)])
         index = rel.index_for((0,), stats)
-        assert sorted(index[(1,)]) == [(1, 2), (1, 3)]
+        assert sorted(index[1]) == [(1, 2), (1, 3)]
         assert stats.index_builds == 1
         assert rel.has_index((0,))
         # Cached: a second fetch builds nothing.

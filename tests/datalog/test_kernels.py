@@ -16,16 +16,16 @@ import pytest
 
 import repro.datalog.evaluation as evaluation
 from repro.datalog.atoms import Atom, Literal, OrderAtom
-from repro.datalog.database import ArityMismatch, Database
-from repro.datalog.evaluation import evaluate
+from repro.datalog.database import ArityMismatch, Database, Relation
+from repro.datalog.evaluation import _INT_COUNTERS, evaluate
 from repro.datalog.parser import parse_atom, parse_constraints, parse_program, parse_rule
-from repro.datalog.plan import _compiled_kernel, compile_rule
+from repro.datalog.plan import _compiled_kernel, compile_rule, order_body_cost
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
 from repro.digest import fixpoint_digest
 from repro.magic import run_pipeline
-from repro.robustness.budget import CancellationToken, Governor
+from repro.robustness.budget import Budget, CancellationToken, Governor
 from repro.robustness.errors import BudgetExceededError
 from repro.workloads.generators import (
     ab_database,
@@ -188,19 +188,20 @@ def test_code_cache_is_bounded_under_random_shapes():
 # ----------------------------------------------------------------------
 # (c) abort parity with the closure chain
 # ----------------------------------------------------------------------
-class _TripOnRow(Governor):
-    """Trips the budget on the k-th row a kernel emits."""
+class _TripAtScanned(Governor):
+    """Trips the budget inside the kernel whose bucket takes the rows
+    scanned to k (stride 1: every non-empty bucket is a checkpoint)."""
 
-    __slots__ = ("left",)
+    __slots__ = ("k",)
 
     def __init__(self, k):
-        super().__init__(cancellation=CancellationToken())
-        self.left = k
+        super().__init__(cancellation=CancellationToken(), stride=1)
+        self.k = k
 
-    def tick(self, phase):
-        self.left -= 1
-        if not self.left:
+    def tick_scan(self, phase, stats, scanned, fresh):
+        if stats.rows_scanned + scanned >= self.k:
             self._trip(BudgetExceededError, phase, "timeout", "test trip")
+        return super().tick_scan(phase, stats, scanned, fresh)
 
 
 ABORT_WORKLOADS = {
@@ -211,23 +212,28 @@ ABORT_WORKLOADS = {
 }
 
 #: (workload, k) -> probes, rows_scanned, env_allocations, budget_trips,
-#: rule_firings, facts_derived, partial-fixpoint digest — recorded from
-#: the closure-chain executor at the commit before the generated kernels.
+#: rule_firings, facts_derived, partial-fixpoint digest.  First recorded
+#: from the closure-chain executor tripping on its k-th emitted row;
+#: recorded again when the checkpoint moved from the emitted row to the
+#: scanned bucket (k now counts rows scanned).  The aborted firing's
+#: ``probes`` / ``rows_scanned`` moved with it; wherever both trips fall
+#: in the same firing — ten of the fourteen — firings, facts, allocations
+#: and the digest are the closure chain's, unchanged.
 ABORT_GOLDEN = {
     ("ab", 1): (1, 16, 1, 1, 0, 0, "e6cefa4a7911ebaf"),
     ("ab", 7): (1, 16, 1, 1, 0, 0, "e6cefa4a7911ebaf"),
-    ("ab", 40): (24, 75, 35, 1, 32, 32, "1e09d66d7878af4d"),
-    ("ab", 150): (212, 356, 159, 1, 147, 103, "e700d5e56dbe868a"),
+    ("ab", 40): (3, 64, 35, 1, 32, 32, "1e09d66d7878af4d"),
+    ("ab", 150): (69, 160, 76, 1, 71, 57, "870f30afeab71969"),
     ("goodpath", 2): (1, 30, 1, 1, 0, 0, "d1495a64fdbece72"),
-    ("goodpath", 40): (15, 70, 32, 1, 30, 30, "eec1e8fc3d9ea2d3"),
-    ("random3", 40): (14, 63, 25, 1, 23, 23, "0e47d39068d6aef3"),
-    ("random3", 150): (40, 197, 77, 1, 74, 57, "cd399b06d9d1969d"),
-    ("random3", 600): (106, 710, 206, 1, 202, 83, "76658721532986b6"),
-    ("random5", 1): (3, 5, 1, 1, 0, 0, "93a6010a4946bbb8"),
-    ("random5", 2): (4, 6, 1, 1, 0, 0, "93a6010a4946bbb8"),
-    ("random5", 7): (7, 16, 7, 1, 5, 5, "bd9001eb99fe5771"),
-    ("random5", 40): (30, 65, 37, 1, 31, 17, "36b48c24c23682a1"),
-    ("random5", 150): (99, 254, 124, 1, 115, 79, "711fa545dcd02635"),
+    ("goodpath", 40): (2, 60, 32, 1, 30, 30, "eec1e8fc3d9ea2d3"),
+    ("random3", 40): (2, 46, 25, 1, 23, 23, "0e47d39068d6aef3"),
+    ("random3", 150): (31, 153, 77, 1, 74, 57, "cd399b06d9d1969d"),
+    ("random3", 600): (90, 605, 206, 1, 202, 83, "76658721532986b6"),
+    ("random5", 1): (1, 4, 1, 1, 0, 0, "93a6010a4946bbb8"),
+    ("random5", 2): (1, 4, 1, 1, 0, 0, "93a6010a4946bbb8"),
+    ("random5", 7): (5, 9, 1, 1, 0, 0, "93a6010a4946bbb8"),
+    ("random5", 40): (20, 42, 24, 1, 20, 15, "70c4d5db67a13416"),
+    ("random5", 150): (57, 150, 73, 1, 65, 42, "bb29ff9f7a17aafd"),
 }
 
 
@@ -235,7 +241,7 @@ ABORT_GOLDEN = {
 def test_abort_inside_a_kernel_reports_the_closure_chains_work(workload, k):
     program, database = ABORT_WORKLOADS[workload]()
     with pytest.raises(BudgetExceededError) as caught:
-        evaluate(program, database, budget=_TripOnRow(k))
+        evaluate(program, database, budget=_TripAtScanned(k))
     partial = caught.value.partial
     stats = partial.stats
     assert (
@@ -247,6 +253,11 @@ def test_abort_inside_a_kernel_reports_the_closure_chains_work(workload, k):
         stats.facts_derived,
         fixpoint_digest([("partial", partial.idb)])[:16],
     ) == ABORT_GOLDEN[workload, k]
+    # The aborted firing flushed what it scanned and derived nothing.
+    assert stats.rows_scanned >= k
+    assert stats.facts_derived == sum(len(rel) for rel in partial.idb.values())
+    full = evaluate(program, database.copy())
+    assert all(partial.rows(pred) <= full.rows(pred) for pred in partial.idb)
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +287,59 @@ def test_provenance_supports_match_the_interpreter(workload):
         assert slots.rows(predicate) == plain.rows(predicate)
     for counter in ("probes", "rows_scanned", "rule_firings", "facts_derived", "iterations"):
         assert getattr(slots.stats, counter) == getattr(plain.stats, counter)
+
+
+# ----------------------------------------------------------------------
+# (d') one kernel: plain, governed and provenance runs of a random shape
+# ----------------------------------------------------------------------
+def _random_rule_database(rng, rule):
+    rows = {"n": [(value,) for value in range(3) if rng.random() < 0.5]}
+    for item in rule.body:
+        if isinstance(item, Literal) and item.positive:
+            arity = item.atom.arity
+            draws = rng.randint(4, 16) if arity else rng.randint(0, 1)
+            rows[item.predicate] = list(
+                {tuple(rng.randrange(3) for _ in range(arity)) for _ in range(draws)}
+            )
+    return Database.from_rows(rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_kernel_serves_plain_governed_and_provenance_runs(seed, monkeypatch):
+    rng = random.Random(seed)
+    compared = 0
+    for _ in range(40):
+        rule = _random_rule(rng)
+        program = Program([rule], query="h")
+        database = _random_rule_database(rng, rule)
+
+        def size_of(literal):
+            return float(len(database.relation(literal.predicate, literal.atom.arity)))
+
+        # The interpreter joins in the kernel's own body order here, so
+        # both meet the matches — and a new fact's first support — in
+        # the same sequence.
+        monkeypatch.setattr(
+            evaluation,
+            "order_body_greedy",
+            lambda rule, delta: order_body_cost(rule, delta, size_of),
+        )
+        interpreted = evaluate(program, database.copy(), engine="interpreted", provenance=True)
+        plain = evaluate(program, database.copy())
+        traced = evaluate(program, database.copy(), provenance=True)
+        governed = evaluate(program, database.copy(), budget=Governor(Budget(timeout=60), stride=1))
+        digest = fixpoint_digest([("x", interpreted.idb)])
+        for result in (plain, traced, governed):
+            assert fixpoint_digest([("x", result.idb)]) == digest
+            for counter in _INT_COUNTERS:
+                assert getattr(result.stats, counter) == getattr(plain.stats, counter), counter
+        # What an engine counts the same way whatever its loop looks like.
+        for counter in ("rule_firings", "facts_derived", "iterations", "probes"):
+            assert getattr(plain.stats, counter) == getattr(interpreted.stats, counter), counter
+        assert plain.provenance is None and governed.provenance is None
+        assert traced.provenance == interpreted.provenance
+        compared += bool(traced.provenance)
+    assert compared >= 5
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +407,65 @@ def test_join_longer_than_the_block_limit_chains_kernels():
     columnar = evaluate(program, database.to_storage("columnar"))
     for counter in PINNED:
         assert getattr(results["slots"].stats, counter) == getattr(columnar.stats, counter)
+
+
+def test_chained_kernel_records_provenance_across_its_functions():
+    hops = 20  # one chained function: slots 0..16 arrive as its arguments
+    body = ", ".join(f"e(X{i}, X{i + 1})" for i in range(hops))
+    program = parse_program(f"far(X0, X{hops}) :- {body}.", query="far")
+    database = Database.from_rows({"e": [(i, i + 1) for i in range(hops + 2)] + [(0, 1)]})
+    assert "def kernel1(" in compile_rule(program.rules[0], size_of=_unit).source()
+    result = evaluate(program, database, provenance=True)
+    plain = evaluate(program, database.copy())
+    assert result.query_rows() == plain.query_rows() == {(0, hops), (1, hops + 1), (2, hops + 2)}
+    for counter in _INT_COUNTERS:
+        assert getattr(result.stats, counter) == getattr(plain.stats, counter), counter
+    for start in range(3):
+        rule, supports = result.provenance["far", (start, start + hops)]
+        assert rule == program.rules[0]
+        assert supports == tuple(("e", (start + i, start + i + 1)) for i in range(hops))
+
+
+def test_rule_scanning_its_own_head_relation_reads_it_unchanged():
+    # The kernel iterates p's live row set while it finds new p rows:
+    # they wait in ``fresh`` until the loop is over.
+    program = parse_program("p(X, Y) :- e(X, Y).\np(X, Y) :- p(Y, X).", query="p")
+    database = Database.from_rows({"e": [(i, i + 1) for i in range(200)]})
+    expected = {(i, i + 1) for i in range(200)} | {(i + 1, i) for i in range(200)}
+    for kwargs in ({}, {"strategy": "naive"}, {"provenance": True}, {"engine": "interpreted"}):
+        assert evaluate(program, database.copy(), **kwargs).query_rows() == expected, kwargs
+    naive = evaluate(program, database.copy(), strategy="naive", provenance=True)
+    assert naive.provenance["p", (1, 0)] == (program.rules[1], (("p", (0, 1)),))
+
+
+def test_head_with_a_repeated_variable_and_a_constant():
+    program = parse_program("p(X, X, 7) :- e(X, Y).\np(Y, Y, 7) :- p(X, X, 7), e(X, Y).", query="p")
+    database = Database.from_rows({"e": [(1, 2), (1, 3), (2, 4), (5, 5)]})
+    slots = evaluate(program, database.copy(), provenance=True)
+    interpreted = evaluate(program, database.copy(), engine="interpreted")
+    assert slots.query_rows() == interpreted.query_rows() == {(n, n, 7) for n in (1, 2, 3, 4, 5)}
+    for counter in ("rule_firings", "facts_derived", "iterations"):
+        assert getattr(slots.stats, counter) == getattr(interpreted.stats, counter)
+    # Two matches, one new fact: the first match is the one recorded.
+    assert slots.stats.rule_firings > slots.stats.facts_derived
+    assert slots.provenance["p", (1, 1, 7)][1] in ((("e", (1, 2)),), (("e", (1, 3)),))
+
+
+@pytest.mark.parametrize("key,rows", [(1, [(1, "a"), (1, "b")]), (1.0, [(1, "a"), (1, "b")]), (9, [])])
+def test_one_column_index_is_keyed_by_the_value(key, rows):
+    # ``1`` and ``1.0`` are one dict key bare or wrapped; a missing key
+    # is an empty bucket, through the kernel and through ``probe``.
+    relation = Relation(2, [(1, "a"), (1, "b"), (2, "c")])
+    assert sorted(relation.probe((0,), (key,))) == rows
+    assert set(relation.index_for((0,))) == {1, 2}
+    program = parse_program("q(Y) :- want(X), e(X, Y).", query="q")
+    for storage in ("rows", "columnar"):
+        database = Database.from_rows({"want": [(key,)], "e": [(1, "a"), (1, "b"), (2, "c")]}, storage=storage)
+        for engine in ("slots", "interpreted"):
+            result = evaluate(program, database.copy(), engine=engine)
+            assert result.query_rows() == {(row[1],) for row in rows}, (storage, engine)
+    relation.add((key, "z"))  # ``add`` files the new row under the same key
+    assert sorted(relation.probe((0,), (key,)), key=repr) == sorted(rows + [(key, "z")], key=repr)
 
 
 def test_relation_of_the_wrong_arity_is_a_typed_error():

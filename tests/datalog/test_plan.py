@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.database import Database
+from repro.datalog.database import Database, Relation
 from repro.datalog.evaluation import EvaluationStats, evaluate
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.plan import (
@@ -116,34 +116,50 @@ class TestCompiledPlan:
         plan = compile_rule(parse_rule("p(X, Y) :- e(X, Z), p(Z, Y)."), 1, size_of=_unit)
         assert plan.describe() == "scan* p(Z, Y) full; scan e(X, Z) key=[1]"
         assert plan.source() == (
-            "def kernel(rels, stats, out, k):\n"
+            "def kernel(rels, stats, live, k, prov, gov):\n"
+            "    fresh = dict()\n"
             "    (r0, g1) = rels\n"
-            "    append = out.append\n"
-            "    probes = scanned = 0\n"
+            "    probes = scanned = matches = 0\n"
+            "    due = gov.stride if gov is not None else 0\n"
             "    try:\n"
             "        probes += 1\n"
             "        scanned += len(r0)\n"
+            "        if gov is not None and scanned >= due:"
+            " due = gov.tick_scan('rule', stats, scanned, len(fresh))\n"
             "        for (s0, s1) in r0:\n"
             "            probes += 1\n"
-            "            rows = g1((s0,), ())\n"
+            "            rows = g1(s0, ())\n"
             "            scanned += len(rows)\n"
+            "            if gov is not None and scanned >= due:"
+            " due = gov.tick_scan('rule', stats, scanned, len(fresh))\n"
+            "            matches += len(rows)\n"
             "            for (s2, _) in rows:\n"
-            "                append((s0, s1, s2))\n"
+            "                h = (s2, s1)\n"
+            "                if h not in live and h not in fresh:"
+            " fresh[h] = (s0, s1, s2) if prov else None\n"
             "    finally:\n"
             "        stats.probes += probes\n"
             "        stats.rows_scanned += scanned\n"
-            "\n"
-            "def heads(envs, k):\n"
-            "    return [(s2, s1) for (_, s1, s2) in envs]\n"
+            "    return matches, fresh\n"
         )
 
     def test_plans_of_one_shape_share_their_functions(self):
         first = compile_rule(parse_rule('p(X, 1) :- e(X, Y), Y < 3, not b(Y, "u").'), size_of=_unit)
         second = compile_rule(parse_rule("reach(A, x) :- hop(A, B), B < 0.5, not cut(B, 9)."), size_of=_unit)
-        assert first._kernel is second._kernel and first._heads is second._heads
+        assert first._kernel is second._kernel
         assert first._consts == (3, "u", 1) and second._consts == (0.5, 9, "x")
-        assert first.head_rows([(7, 2), (8, 0)]) == [(7, 1), (8, 1)]
-        assert second.head_rows([(7, 2)]) == [(7, "x")]
+        assert not hasattr(first, "head_rows") and not hasattr(first, "_heads")
+        # One function, two constant tuples: the head constant travels in ``k``.
+        stats = EvaluationStats()
+
+        def over(rows):
+            scanned = Relation(2, rows)
+            return lambda predicate, arity: scanned if predicate in ("e", "hop") else Relation(arity)
+
+        e = [(7, 2), (8, 0), (9, 5)]
+        assert first.run(over(e), None, set(), False, stats) == (2, {(7, 1): None, (8, 1): None})
+        assert second.run(over(e), None, {(8, "x")}, True, stats) == (1, {})  # known: dropped
+        assert second.run(over([(7, 0.2)]), None, set(), True, stats) == (1, {(7, "x"): (7, 0.2)})
 
     def test_support_rows_follow_rule_order(self):
         rule = parse_rule("q(X) :- end(Y), e(X, Y).")

@@ -130,6 +130,20 @@ class TestTickAndExpand:
         with pytest.raises(BudgetExceededError):
             governor.tick("evaluate")  # tick 4 hits the stride
 
+    def test_tick_scan_adds_the_kernels_unflushed_counts(self):
+        clock = FakeClock()
+        governor = Governor(Budget(timeout=1.0, max_facts=10, max_rows_scanned=100), clock=clock, stride=4)
+        stats = EvaluationStats(facts_derived=6, rows_scanned=90)
+        assert governor.tick_scan("rule", stats, 10, 4) == 14  # exactly at both limits
+        with pytest.raises(BudgetExceededError, match="10 facts") as info:
+            governor.tick_scan("rule", stats, 10, 5)
+        assert (info.value.phase, info.value.limit) == ("rule", "max_facts")
+        with pytest.raises(BudgetExceededError, match="100 rows"):
+            governor.tick_scan("rule", stats, 11, 4)
+        clock.now = 2.0
+        with pytest.raises(BudgetExceededError, match="deadline"):
+            governor.tick_scan("rule", stats, 0, 0)
+
     def test_expand_counts_and_trips(self):
         governor = Governor(Budget(max_expansions=2))
         governor.expand("adornments")

@@ -69,6 +69,21 @@ class TestRunExitCodes:
         assert code == 1
         assert "max_facts" in captured.err or "facts" in captured.err
 
+    def test_fact_budget_binds_inside_one_explosive_rule(self, tmp_path, capsys):
+        # 60^3 facts from one firing: the limit trips inside the join,
+        # a stride past it, not after all 216 000 have been built.
+        (tmp_path / "cross.dl").write_text("c(X, Y, Z) :- n(X), n(Y), n(Z).\n")
+        (tmp_path / "n.dl").write_text("".join(f"n({i}). " for i in range(60)))
+        code = main([
+            "run", str(tmp_path / "cross.dl"), "--query", "c",
+            "--data", str(tmp_path / "n.dl"), "--max-facts", "1000",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "aborted:" in captured.err and "more than 1000 facts" in captured.err
+        assert "partial results:" in captured.err
+        assert "216000" not in captured.err and "Traceback" not in captured.err
+
     def test_tiny_iteration_budget_exits_one(self, files, capsys):
         code = main([
             "run", files["program.dl"], "--query", "p", "--data", files["facts.dl"],

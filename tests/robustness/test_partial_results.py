@@ -10,12 +10,15 @@ the full program class of the paper.
 
 import pytest
 
+from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
+from repro.datalog.parser import parse_program
 from repro.robustness import (
     Budget,
     BudgetExceededError,
     Cancelled,
     CancellationToken,
+    Governor,
 )
 from repro.workloads.generators import random_database, random_program
 
@@ -74,6 +77,32 @@ def test_both_strategies_honor_the_budget(strategy):
             budget=Budget(max_facts=1),
         )
     assert _is_subset(_idb_rows(info.value.partial), full)
+
+
+#: One rule, 60 ``n`` rows: 216 000 facts from a single firing.
+CROSS_PRODUCT = "c(X, Y, Z) :- n(X), n(Y), n(Z)."
+
+
+@pytest.mark.parametrize(
+    "budget,limit",
+    [(Budget(max_facts=1000), "max_facts"), (Budget(max_rows_scanned=1000), "max_rows_scanned")],
+)
+def test_count_limits_bind_inside_a_single_rule_firing(budget, limit):
+    # Both limits used to be read between firings only: this join ran
+    # to its 216 000 facts before the error.  The kernel now compares
+    # what it holds unflushed at every stride of scanned rows.
+    stride = Governor().stride
+    program = parse_program(CROSS_PRODUCT, query="c")
+    database = Database.from_rows({"n": [(i,) for i in range(60)]})
+    with pytest.raises(BudgetExceededError) as info:
+        evaluate(program, database, budget=budget)
+    exc = info.value
+    assert exc.limit == limit
+    # Overshoot: one stride, plus the 60-row buckets in hand at each depth.
+    assert 1000 < exc.stats.rows_scanned < 1000 + stride + 3 * 60
+    # The aborted firing contributes nothing to the partial fixpoint.
+    assert exc.stats.facts_derived == 0 and not exc.partial.rows("c")
+    assert exc.stats.budget_trips == 1 and exc.stats.rule_firings == 0
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -325,6 +325,36 @@ class TestBudgets:
         assert app.aborted == 1
         assert app.governors.minted == 1
 
+    def test_fact_budget_trips_inside_one_explosive_rule(self):
+        # Same 503 body as a trip between firings; only ``partial`` shows
+        # that the 216 000-fact join was stopped a stride past the limit.
+        app = ServeApp()
+        cross = {
+            "program": "c(X, Y, Z) :- n(X), n(Y), n(Z).",
+            "query": "c",
+            "facts": " ".join(f"n({i})." for i in range(60)),
+        }
+
+        async def drive():
+            await register(app, "cross", cross)
+            return await app.handle(
+                "POST",
+                "/programs/cross/query",
+                {"goal": "c(X, Y, Z)", "max_facts": 1000},
+            )
+
+        status, payload = run(drive())
+        assert status == 503
+        assert sorted(payload) == [
+            "aborted", "error", "limit", "partial", "partial_answers", "phase",
+        ]
+        assert payload["limit"] == "max_facts" and payload["aborted"] is True
+        assert sorted(payload["partial"]) == [
+            "facts_derived", "iterations", "rows_scanned", "wall_time_seconds",
+        ]
+        assert payload["partial"]["rows_scanned"] < 2000
+        assert payload["partial_answers"] == 0
+
     def test_server_ceiling_binds_unlimited_requests(self):
         app = ServeApp(defaults=Budget(max_facts=1))
 
