@@ -1,27 +1,27 @@
-"""EDB storage: two interchangeable backends behind one relation contract.
+"""EDB storage: one relation layout, two encodings of its values.
 
 A :class:`Database` maps EDB predicate names to relation objects and
-owns the **storage backend** that decides how those relations hold
-their tuples (see ``docs/storage.md`` for the full contract):
+owns the **storage** that decides what their tuples hold (see
+``docs/storage.md`` for the full contract):
 
-* ``storage="rows"`` — :class:`Relation`: per-row tuple sets of plain
+* ``storage="rows"`` — :class:`Relation`: a set of tuples of plain
   Python values (the ``value`` payloads of
   :class:`~repro.datalog.terms.Constant`) with lazily built hash
   indexes keyed by the bound argument positions a join probe uses.
-  This is the seed backend the tuple-at-a-time engines run on.
-* ``storage="columnar"`` — :class:`ColumnarRelation`: dictionary-encoded
-  column arrays over a per-database :class:`Interner` that maps every
-  constant to a dense int code.  Hash indexes are built over the int
-  columns, and the compiled slot engine executes **batched block
-  kernels** over them (:meth:`repro.datalog.plan.RulePlan.run_blocks`)
-  — one kernel invocation per join step per delta block instead of one
-  slot environment per row.
+* ``storage="columnar"`` — :class:`ColumnarRelation`: the same
+  :class:`Relation` over **interner codes** — a per-database
+  :class:`Interner` maps every constant to a dense int, and a row is
+  the tuple of its values' codes.
 
-Both backends expose the same value-level API (``add`` / ``probe`` /
-``index_for`` / ``all_rows`` / ``rows`` / ``to_rows`` / containment),
-so every consumer — the interpreted engine, reports, digests,
-checkpoints — works unchanged on either; fixpoint digests are computed
-over decoded rows and are byte-identical across backends.
+The generated join kernels of :mod:`repro.datalog.plan` read
+``all_rows`` / ``index_for`` and write ``add_fresh`` in whichever
+encoding a relation stores, so one kernel serves both.  The value API
+(``add`` / ``extend`` / ``in`` / ``probe`` / ``rows`` / iteration /
+``to_rows`` / ``discard`` / ``copy``) encodes and decodes at the
+boundary, so the interpreter, reports, digests and checkpoints see
+values either way.  Answers agree under ``==``; where ``1``, ``1.0``
+and ``True`` meet, the two encodings may keep different spellings of
+one value (``docs/storage.md``).
 """
 
 from __future__ import annotations
@@ -110,11 +110,13 @@ class Interner:
     """Dictionary encoding: constants to dense int codes, per database.
 
     Codes are assigned in first-intern order (``0, 1, 2, …``) and never
-    change, so code columns stay valid as relations grow.  Lookup uses
+    change, so code rows stay valid as relations grow.  Lookup uses
     Python ``==``/``hash`` semantics — values that compare equal
-    (``1``, ``1.0``, ``True``) share one code, exactly as they collapse
-    into one element of a row-backend tuple set, so interning never
-    changes which rows a database can tell apart.
+    (``1``, ``1.0``, ``True``) share one code, as equal rows collapse
+    into one element of a row-storage tuple set, so interning never
+    changes which rows a database can tell apart.  It may change their
+    spelling: a code decodes to the value interned *first*, database
+    wide, where a row set keeps each row's own.
 
     ``hits`` counts interning calls that found an existing code — the
     ``intern_hits`` evaluation counter reports the delta accumulated
@@ -160,7 +162,7 @@ class Interner:
         """SHA-256 over the value table in code order.
 
         Two interners with equal digests assign the same code to every
-        value, so code columns and shard messages produced against one
+        value, so code rows and shard messages produced against one
         decode identically against the other.  This is the equality the
         parallel workers' mirrors are held to.
         """
@@ -185,7 +187,12 @@ class Interner:
 
 
 class Relation:
-    """A set of same-arity tuples with lazily built hash indexes."""
+    """A set of same-arity tuples with lazily built hash indexes.
+
+    ``all_rows``, ``index_for`` and ``add_fresh`` hand out and take the
+    tuples as stored: the join kernels use them, and on a
+    :class:`ColumnarRelation` they are interner codes.
+    """
 
     __slots__ = ("arity", "_rows", "_indexes")
 
@@ -220,8 +227,8 @@ class Relation:
         _check_arity(self.arity, rows)
         before = len(self._rows)
         if self._indexes:
-            for row in rows:
-                self.add(row)
+            held = self._rows
+            self.add_fresh([row for row in dict.fromkeys(rows) if row not in held])
         else:
             self._rows.update(rows)
         return len(self._rows) - before
@@ -229,11 +236,11 @@ class Relation:
     def add_fresh(self, rows: list[Row]) -> None:
         """Bulk insert of rows the caller has already vetted.
 
-        ``rows`` must be distinct tuples of this arity that the relation
-        does not hold (the engine has just filtered a head batch against
-        :meth:`all_rows`): the row set takes them in one update and each
-        built index files them in ``rows`` order, which leaves exactly
-        the state row-by-row :meth:`add` would.
+        ``rows`` must be distinct stored tuples of this arity that the
+        relation does not hold (a kernel has just filtered a head batch
+        against :meth:`all_rows`): the row set takes them in one update
+        and each built index files them in ``rows`` order, which leaves
+        exactly the state row-by-row :meth:`add` would.
         """
         self._rows.update(rows)
         for key_of, index in self._indexes.values():
@@ -318,264 +325,78 @@ class Relation:
         return fresh
 
     def __repr__(self) -> str:
-        return f"Relation(arity={self.arity}, rows={len(self._rows)})"
+        return f"{type(self).__name__}(arity={self.arity}, rows={len(self._rows)})"
 
 
-class ColumnarRelation:
-    """Dictionary-encoded columnar storage behind the relation contract.
+class ColumnarRelation(Relation):
+    """A :class:`Relation` whose rows are interner codes.
 
-    Rows live as parallel **code columns** (``columns[i][rowid]`` is the
-    int code of row ``rowid``'s value at position ``i``) over a shared
-    :class:`Interner`; ``_row_set`` holds the code tuples for O(1)
-    dedup/containment.  Code-level hash indexes
-    (:meth:`index_codes`) map a projection of int codes to rowid lists
-    and are maintained incrementally on insert — they are what the
-    batched block kernels of :mod:`repro.datalog.plan` probe.
-
-    The value-level :class:`Relation` API (``probe`` / ``index_for`` /
-    ``all_rows`` / ``rows`` / iteration / containment) is provided by
-    decoding through the interner, so the tuple-at-a-time interpreter
-    and every serialization path run unchanged on this backend.  The
-    decoded row set and any value-level indexes are caches kept
-    incrementally up to date by :meth:`add_codes`.
+    The row set holds one int tuple per row and :func:`_build_index`
+    keys the indexes by codes, so the join kernels run on it as they
+    run on a :class:`Relation`.  The value API encodes and decodes at
+    the boundary through the shared :class:`Interner`; a value it never
+    interned reads as the probe-miss sentinel, so a lookup of it misses
+    and interns nothing.
     """
 
-    __slots__ = (
-        "arity",
-        "interner",
-        "columns",
-        "_row_set",
-        "_code_indexes",
-        "_value_indexes",
-        "_decoded",
-    )
+    __slots__ = ("interner",)
 
     def __init__(self, arity: int, interner: Interner, rows: Iterable[Row] = ()):
-        self.arity = arity
+        super().__init__(arity)
         self.interner = interner
-        self.columns: list[list[int]] = [[] for _ in range(arity)]
-        self._row_set: set[tuple[int, ...]] = set()
-        self._code_indexes: dict[tuple[int, ...], dict] = {}
-        # positions -> (row projection, index), as in ``Relation``.
-        self._value_indexes: dict[
-            tuple[int, ...], tuple[Callable[[Row], object], dict]
-        ] = {}
-        self._decoded: set[Row] | None = None
-        self.extend(rows)
+        if rows:
+            self.extend(rows)
 
-    # -- writes ---------------------------------------------------------
+    def _encoded(self, row: Sequence[Value]) -> tuple:
+        return tuple(map(self.interner.code_of, row))
+
+    def _decoded(self, rows: Iterable[tuple]) -> list[Row]:
+        value_of = self.interner.values.__getitem__
+        return [tuple(map(value_of, row)) for row in rows]
+
     def add(self, row: Sequence[Value]) -> bool:
         """Insert a value tuple (interning it); return True when new."""
         row = tuple(row)
         if len(row) != self.arity:
             raise ArityMismatch(self.arity, len(row))
-        return self.add_codes(tuple(map(self.interner.intern, row)))
+        return super().add(tuple(map(self.interner.intern, row)))
 
     def extend(self, rows: Iterable[Row]) -> int:
         """Bulk :meth:`add` of value tuples; returns how many were new.
 
         Every row's arity is checked before the first is interned;
-        values are interned in order of first appearance in ``rows``, so
-        the codes are the ones row-by-row :meth:`add` would assign.
+        values are interned in order of appearance in ``rows``, so the
+        codes are the ones row-by-row :meth:`add` would assign.
         """
         rows = list(rows)
         _check_arity(self.arity, rows)
         intern = self.interner.intern
-        return self.extend_codes([tuple(map(intern, row)) for row in rows])
-
-    def add_codes(self, codes: tuple[int, ...]) -> bool:
-        """Insert an already-encoded row; return True when it was new.
-
-        The code-level write path the block kernels use: appends one
-        code per column, records the rowid in every built code index,
-        and keeps the decoded caches (when materialized) in sync.
-        """
-        if codes in self._row_set:
-            return False
-        self._row_set.add(codes)
-        for column, code in zip(self.columns, codes):
-            column.append(code)
-        if self._code_indexes:
-            rowid = len(self._row_set) - 1
-            for positions, index in self._code_indexes.items():
-                if len(positions) == 1:
-                    key = codes[positions[0]]
-                else:
-                    key = tuple(codes[i] for i in positions)
-                index.setdefault(key, []).append(rowid)
-        if self._decoded is not None or self._value_indexes:
-            values = self.interner.values
-            row = tuple(values[c] for c in codes)
-            if self._decoded is not None:
-                self._decoded.add(row)
-            for key_of, index in self._value_indexes.values():
-                index.setdefault(key_of(row), []).append(row)
-        return True
-
-    def extend_codes(self, rows: Iterable[tuple[int, ...]]) -> int:
-        """Bulk :meth:`add_codes`: insert a batch of code tuples.
-
-        Returns the number of rows that were new.  While the relation
-        has no built indexes and no decoded caches the batch extends
-        the row set and the columns wholesale — one update per column
-        instead of one per cell — which is the hot path for shard
-        hand-off in :mod:`repro.parallel`; otherwise it falls back to
-        per-row inserts so every incremental structure stays in sync.
-        """
-        live = self._row_set
-        batch: set = set()
-        fresh = []
-        for codes in rows:
-            if codes in live or codes in batch:
-                continue
-            batch.add(codes)
-            fresh.append(codes)
-        if not fresh:
-            return 0
-        if (
-            not self._code_indexes
-            and not self._value_indexes
-            and self._decoded is None
-        ):
-            self._row_set.update(fresh)
-            for column, extension in zip(self.columns, zip(*fresh)):
-                column.extend(extension)
-        else:
-            for codes in fresh:
-                self.add_codes(codes)
-        return len(fresh)
+        return super().extend([tuple(map(intern, row)) for row in rows])
 
     def discard(self, rows: Iterable[Row]) -> None:
-        """Remove value ``rows``, as :meth:`Relation.discard` does.
-
-        The columns are rewritten without them; indexes and decoded
-        caches are dropped and rebuild lazily.
-        """
-        doomed = {tuple(map(self.interner.code_of, row)) for row in rows}
-        self._row_set -= doomed
-        kept = [codes for codes in zip(*self.columns) if codes not in doomed]
-        self.columns = [list(column) for column in zip(*kept)] or [
-            [] for _ in range(self.arity)
-        ]
-        self._code_indexes.clear()
-        self._value_indexes.clear()
-        self._decoded = None
-
-    # -- code-level reads (the block-kernel API) ------------------------
-    def code_rows(self) -> set[tuple[int, ...]]:
-        """The live set of code tuples (read-only view — do not mutate)."""
-        return self._row_set
-
-    def index_codes(self, positions: tuple[int, ...], stats=None) -> dict:
-        """The code-level hash index for ``positions`` → rowid lists.
-
-        Keys are bare int codes for single-position indexes (no tuple
-        allocation on the probe hot path) and code tuples otherwise.
-        Built lazily, maintained incrementally by :meth:`add_codes`;
-        a build increments ``stats.index_builds`` when stats are given.
-        """
-        if not positions:
-            raise ValueError("index_codes needs bound positions; scan columns for full scans")
-        index = self._code_indexes.get(positions)
-        if index is None:
-            index = {}
-            if len(positions) == 1:
-                for rowid, code in enumerate(self.columns[positions[0]]):
-                    index.setdefault(code, []).append(rowid)
-            else:
-                key_columns = [self.columns[i] for i in positions]
-                for rowid, key in enumerate(zip(*key_columns)):
-                    index.setdefault(key, []).append(rowid)
-            self._code_indexes[positions] = index
-            if stats is not None:
-                stats.index_builds += 1
-        return index
-
-    def has_code_index(self, positions: tuple[int, ...]) -> bool:
-        return positions in self._code_indexes
-
-    # -- value-level reads (the Relation contract) ----------------------
-    def _decoded_rows(self) -> set[Row]:
-        if self._decoded is None:
-            # Column-wise: one list comprehension per column and one zip,
-            # not a generator per row.  zip() of no columns yields nothing,
-            # so arity 0 reads the row set (empty, or the empty tuple).
-            values = self.interner.values
-            self._decoded = (
-                set(zip(*[[values[c] for c in column] for column in self.columns]))
-                if self.arity
-                else set(self._row_set)
-            )
-        return self._decoded
+        super().discard(map(self._encoded, rows))
 
     def __contains__(self, row: Sequence[Value]) -> bool:
-        get = self.interner.codes.get
-        codes = []
-        for value in row:
-            code = get(value)
-            if code is None:
-                return False
-            codes.append(code)
-        return tuple(codes) in self._row_set
+        return self._encoded(row) in self._rows
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._decoded_rows())
-
-    def __len__(self) -> int:
-        return len(self._row_set)
+        return iter(self._decoded(self._rows))
 
     def rows(self) -> frozenset[Row]:
-        return frozenset(self._decoded_rows())
+        return frozenset(self._decoded(self._rows))
 
     def probe(self, positions: tuple[int, ...], key: Row) -> list[Row]:
-        """Decoded rows matching ``key`` on ``positions`` (Relation API)."""
-        if not positions:
-            return list(self._decoded_rows())
-        return self.index_for(positions).get(_index_key(positions, key), [])
-
-    def index_for(self, positions: tuple[int, ...], stats=None) -> dict:
-        """A value-level hash index (decoded view of :meth:`index_codes`),
-        keyed as :meth:`Relation.index_for` keys its own.
-
-        Kept incrementally up to date by :meth:`add_codes` once built,
-        exactly like :meth:`Relation.index_for`, so the tuple-at-a-time
-        engines can run unchanged on columnar storage.
-        """
-        if not positions:
-            raise ValueError("index_for needs bound positions; use all_rows() for full scans")
-        entry = self._value_indexes.get(positions)
-        if entry is None:
-            entry = itemgetter(*positions), _build_index(self._decoded_rows(), positions)
-            self._value_indexes[positions] = entry
-            if stats is not None:
-                stats.index_builds += 1
-        return entry[1]
-
-    def has_index(self, positions: tuple[int, ...]) -> bool:
-        return positions in self._value_indexes
-
-    def all_rows(self) -> set[Row]:
-        """The decoded row set (cached; read-only view — do not mutate)."""
-        return self._decoded_rows()
+        return self._decoded(super().probe(positions, self._encoded(key)))
 
     def to_rows(self) -> list[Row]:
-        """Decoded rows, deterministically ordered (sorted by repr)."""
-        return sorted(self._decoded_rows(), key=repr)
+        return sorted(self._decoded(self._rows), key=repr)
 
     def copy(self) -> "ColumnarRelation":
-        """An independent relation **sharing** this one's interner.
-
-        Codes are append-only, so sharing the dictionary keeps copies
-        cheap and code columns mutually valid; indexes and caches are
-        not copied (they rebuild lazily).
-        """
+        """An independent relation **sharing** this one's interner: codes
+        are append-only, so both stay valid against it."""
         fresh = ColumnarRelation(self.arity, self.interner)
-        fresh.columns = [list(column) for column in self.columns]
-        fresh._row_set = set(self._row_set)
+        fresh._rows = set(self._rows)
         return fresh
-
-    def __repr__(self) -> str:
-        return f"ColumnarRelation(arity={self.arity}, rows={len(self._row_set)})"
 
 
 _value_of = attrgetter("value")
@@ -692,12 +513,12 @@ class Database:
 
     Construct from ground :class:`Atom` facts or ``(predicate, row)``
     pairs; query with :meth:`relation` / :meth:`contains`.  ``storage``
-    selects the backend every relation of this database uses:
-    ``"rows"`` (:class:`Relation`, the seed tuple-set backend) or
-    ``"columnar"`` (:class:`ColumnarRelation` over one shared
-    :class:`Interner` owned by the database).  The engines create their
-    IDB/delta relations through :meth:`new_relation`, so evaluation
-    runs entirely in the database's native backend.
+    selects what every relation of this database stores: values
+    (``"rows"``, :class:`Relation`) or the codes of one
+    :class:`Interner` owned by the database (``"columnar"``,
+    :class:`ColumnarRelation`).  The engines create their IDB and delta
+    relations through :meth:`new_relation`, so a whole evaluation runs
+    in the database's own encoding.
     """
 
     __slots__ = ("_relations", "storage", "interner")
@@ -719,10 +540,10 @@ class Database:
             if storage == "columnar"
             else None
         )
-        self._relations: dict[str, Relation | ColumnarRelation] = {}
+        self._relations: dict[str, Relation] = {}
         if not isinstance(facts, FactRows):
             facts = FactRows.of(facts)
-        # One bulk load per relation.  Columnar rows are encoded here, in
+        # One bulk load per relation.  Code rows are encoded here, in
         # fact order: codes follow first appearance across predicates,
         # exactly as fact-by-fact ``add_fact`` assigns them.
         intern = None if self.interner is None else self.interner.intern
@@ -742,13 +563,12 @@ class Database:
             db._extend(predicate, list(map(tuple, rows)))
         return db
 
-    def new_relation(self, arity: int) -> "Relation | ColumnarRelation":
-        """An empty relation in this database's storage backend.
+    def new_relation(self, arity: int) -> Relation:
+        """An empty relation in this database's storage.
 
         The factory the engines use for IDB and delta relations, so
-        derived relations share the database's interner (codes from the
-        EDB and the IDB live in one dictionary) and the whole
-        evaluation stays in one backend.
+        derived relations share the database's interner: codes from the
+        EDB and the IDB live in one dictionary.
         """
         if self.storage == "columnar":
             return ColumnarRelation(arity, self.interner)
@@ -783,8 +603,7 @@ class Database:
             relation = self.new_relation(len(rows[0]))
         try:
             if encoded:
-                _check_arity(relation.arity, rows)
-                relation.extend_codes(rows)  # type: ignore[union-attr]
+                Relation.extend(relation, rows)  # stored as given: codes
             else:
                 relation.extend(rows)
         except ArityMismatch as error:
@@ -811,7 +630,7 @@ class Database:
         if not len(relation):
             del self._relations[predicate]
 
-    def relation(self, predicate: str, arity: int | None = None) -> "Relation | ColumnarRelation":
+    def relation(self, predicate: str, arity: int | None = None) -> Relation:
         """The relation for ``predicate`` (an empty one if absent)."""
         relation = self._relations.get(predicate)
         if relation is None:
@@ -893,11 +712,11 @@ class Database:
         return db
 
     def copy(self) -> "Database":
-        """An independent database in the same storage backend.
+        """An independent database in the same storage.
 
         Columnar copies **share** the interner (codes are append-only,
-        so sharing keeps them mutually valid and copies cheap); rows,
-        indexes and caches are per-copy.
+        so sharing keeps them mutually valid and copies cheap); rows and
+        indexes are per-copy.
         """
         db = Database(storage=self.storage, interner=self.interner)
         db._relations = {p: r.copy() for p, r in self._relations.items()}

@@ -95,7 +95,6 @@ class EvaluationStats:
     index_builds: int = 0
     env_allocations: int = 0
     intern_hits: int = 0
-    block_probes: int = 0
     budget_trips: int = 0
     worker_restarts: int = 0
     shards_redispatched: int = 0
@@ -429,10 +428,9 @@ class _EngineBase:
     batch; :meth:`result_count` sizes it (for ``rule_firings``) and
     :meth:`derive` inserts the head rows — plus provenance and the
     semi-naive sink delta — returning the number of *new* facts.  The
-    driver never reaches into batch internals, so a batch can be a list
-    of environments (the interpreter: the row-by-row :meth:`derive` is
-    its), the new head rows (the generated kernels) or a column block
-    (the columnar engine) without driver changes.
+    driver never reaches into batch internals: a batch is a list of
+    environments (the interpreter: the row-by-row :meth:`derive` is
+    its) or a kernel's match count with its new head rows.
     """
 
     def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
@@ -484,9 +482,18 @@ class _EngineBase:
 
 
 class _SlotEngine(_EngineBase):
-    """The compiled slot-based engine (:mod:`repro.datalog.plan`)."""
+    """The compiled slot-based engine (:mod:`repro.datalog.plan`).
+
+    On a columnar database the kernels run over interner codes: the
+    head rows they return are stored as they are, and only provenance
+    decodes them (with the support slots).
+    """
 
     name = "slots"
+
+    def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
+        super().__init__(database, idb, tracer, plans)
+        self.interner = database.interner
 
     def _size_of(self, literal: Literal) -> float:
         """Estimated relation size at plan-compile time.
@@ -514,6 +521,7 @@ class _SlotEngine(_EngineBase):
             stats,
             tracer=self.tracer if self.trace_on else None,
             governor=governor,
+            interner=self.interner,
         )
 
     def result_count(self, results) -> int:
@@ -531,75 +539,15 @@ class _SlotEngine(_EngineBase):
         if sink_delta is not None:
             sink_delta[head_pred].add_fresh(rows)
         if prov is not None:
+            decode = (
+                None if self.interner is None else self.interner.values.__getitem__
+            )
             for row, env in fresh.items():
+                if decode is not None:
+                    row, env = tuple(map(decode, row)), tuple(map(decode, env))
                 prov[head_pred, row] = (plan.rule, tuple(plan.support_rows(env)))
         stats.facts_derived += len(rows)
         return len(rows)
-
-
-class _ColumnarSlotEngine(_SlotEngine):
-    """The slot engine over columnar storage: batched block kernels.
-
-    Reuses the slot engine's plan compilation unchanged (the step
-    layouts are storage-agnostic) but executes through
-    :meth:`~repro.datalog.plan.RulePlan.run_blocks`, whose result batch
-    is ``(n, code columns)`` rather than per-row environments; head
-    insertion happens at the code level (one dedup set lookup plus one
-    ``add_codes`` per new fact) and decodes only for provenance.
-    """
-
-    name = "slots"
-
-    def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
-        super().__init__(database, idb, tracer, plans)
-        self.interner = database.interner
-
-    def run(
-        self, plan: RulePlan, relation_of, delta_relation, head_relation, prov, stats, governor=None
-    ):
-        return plan.run_blocks(
-            relation_of,
-            delta_relation,
-            self.interner,
-            stats,
-            tracer=self.tracer if self.trace_on else None,
-            governor=governor,
-        )
-
-    def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
-        n, cols = results
-        if not n:
-            return 0
-        rule = plan.rule
-        head_pred = rule.head.predicate
-        intern = self.interner.intern
-        head_cols = [
-            cols[p] if s else [intern(p)] * n for s, p in plan.head_layout
-        ]
-        keys = zip(*head_cols) if head_cols else iter([()] * n)
-        live = head_relation.code_rows()
-        add_codes = head_relation.add_codes
-        sink = None if sink_delta is None else sink_delta[head_pred].add_codes
-        values = self.interner.values
-        new = 0
-        for i, codes in enumerate(keys):
-            if codes in live:
-                continue
-            add_codes(codes)
-            new += 1
-            if sink is not None:
-                sink(codes)
-            if prov is not None:
-                env = [
-                    None if col is None else values[col[i]] for col in cols
-                ]
-                head_row = tuple(values[c] for c in codes)
-                prov[(head_pred, head_row)] = (
-                    rule,
-                    tuple(plan.support_rows(env)),
-                )
-        stats.facts_derived += new
-        return new
 
 
 class _InterpEngine(_EngineBase):
@@ -629,14 +577,10 @@ class _InterpEngine(_EngineBase):
 
 def _make_engine(engine: str, database, idb, tracer: Tracer, plans=None):
     if engine == "slots":
-        # The storage backend picks the executor: same compiled plans,
-        # block kernels on columnar databases, generated row kernels on rows.
-        if database.storage == "columnar":
-            return _ColumnarSlotEngine(database, idb, tracer, plans)
         return _SlotEngine(database, idb, tracer, plans)
     if engine == "interpreted":
-        # The interpreter runs unchanged on either backend through the
-        # value-level Relation API (columnar relations decode lazily).
+        # The interpreter runs unchanged on either storage through the
+        # value-level Relation API (columnar relations decode per read).
         return _InterpEngine(database, idb, tracer, plans)
     raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
 
@@ -647,8 +591,8 @@ def _make_engine(engine: str, database, idb, tracer: Tracer, plans=None):
 class _LocalExecutor:
     """The in-process round executor: fire a round's delta plans in turn.
 
-    Whether a plan runs over row environments or column blocks is the
-    engine adapter's business (:class:`_EngineBase`); an executor only
+    How a plan runs is the engine adapter's business
+    (:class:`_EngineBase`); an executor only
     decides *where* a round's plans run — here one after another in the
     calling process, in :class:`repro.parallel.engine._ShardedExecutor`
     across a worker fleet behind a barrier.
@@ -978,7 +922,7 @@ class _Driver:
         for frontier in self.added:
             for pred, rel in frontier.items():
                 if len(rel):
-                    self.idb[pred].discard(rel.all_rows())
+                    self.idb[pred].discard(rel.rows())
 
     def _naive_rounds(self) -> int:
         """The test oracle: fire every rule against the full relations
@@ -1187,12 +1131,12 @@ def evaluate(
     against the full relations each round) and ``engine="interpreted"``
     (the seed tuple-at-a-time interpreter, greedy body order).  A
     columnar database (:meth:`~repro.datalog.database.Database.to_storage`)
-    runs the batched block kernels of
-    :meth:`~repro.datalog.plan.RulePlan.run_blocks`, and
-    :func:`repro.parallel.evaluate_sharded` shards those across
-    processes; both are reached by direct call only, give byte-identical
-    fixpoint digests, and exist until the benchmark stops pricing them
-    (``docs/storage.md``, ``docs/parallel.md``).
+    runs the same kernels over interner codes, and
+    :func:`repro.parallel.evaluate_sharded` runs them across processes;
+    both are reached by direct call only, reach the same fixpoint, and
+    exist until the benchmark stops pricing them (``docs/storage.md``,
+    ``docs/parallel.md``).  On codes every work counter but
+    ``intern_hits`` equals the value run's.
 
     ``tracer`` overrides the globally installed tracer (see
     :func:`repro.observability.trace.tracing`); the default disabled

@@ -21,12 +21,12 @@ compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
   (:func:`_kernel_source`): nested ``for`` loops with probe keys and
   filters inline whose innermost line builds the head row and keeps it
   only if it is new, ``compile()``-d once per shape and shared by every
-  plan of that shape — plain, governed or recording provenance —
-  through a bounded cache.  The step objects stay
-  as the plan's description: :meth:`RulePlan.describe`, the profiler
-  and the columnar executor read them; the kernel is derived from
-  their integer layouts alone, constants travel as values, and no
-  predicate, variable or constant text ever reaches ``compile()``.
+  plan of that shape — plain, governed or recording provenance, over
+  value rows or interner codes — through a bounded cache.  The step
+  objects stay as the plan's description (:meth:`RulePlan.describe`,
+  the profiler); the kernel is derived from their integer layouts
+  alone, constants travel as data, and no predicate, variable or
+  constant text ever reaches ``compile()``.
 
 Plans order their body with :func:`order_body_cost`: the delta literal
 first, then literals by estimated scan cost
@@ -43,14 +43,14 @@ fetched **once per rule execution** (built lazily, reused across
 semi-naive iterations) instead of once per probed row.
 
 On columnar storage (``Database(storage="columnar")``, see
-:mod:`repro.datalog.database` and ``docs/storage.md``) the same
-compiled plan executes through :meth:`RulePlan.run_blocks` instead:
-each step becomes one **batched kernel invocation over the whole
-block** of surviving bindings — a probe loop over int-code keys against
-a code-level hash index, followed by C-speed list-comprehension gathers
-of the live columns — rather than one loop iteration per row.  The step
-layouts (probe keys, sets, checks, filters) are shared between the two
-executors, so both compute identical results from one compilation.
+``docs/storage.md``) the rows, index keys and slots hold interner
+codes, and :meth:`RulePlan.run` hands the same kernel the plan's
+constants as codes: a body constant the data never held is the
+probe-miss sentinel, a head constant is interned.  ``=`` and ``!=``
+compare codes; only an ordering comparison (``<`` ``<=`` ``>`` ``>=``)
+of a slot needs its value, so a shape with one compiles a second
+variant that decodes those operands through the interner's value
+table in the generated line.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import hashlib
 import linecache
 import weakref
 from functools import lru_cache
-from itertools import repeat as _repeat
 from typing import Callable, Sequence
 
 from .atoms import Literal, OrderAtom, evaluate_comparison
@@ -243,12 +242,11 @@ def order_body_cost(
 class _ScanStep:
     """Probe (or fully scan) a relation, binding fresh variable slots."""
 
-    __slots__ = ("literal", "is_delta", "rel_index", "key_positions", "key_layout", "sets", "checks")
+    __slots__ = ("literal", "is_delta", "key_positions", "key_layout", "sets", "checks")
 
-    def __init__(self, literal, is_delta, rel_index, key_positions, key_layout, sets, checks):
+    def __init__(self, literal, is_delta, key_positions, key_layout, sets, checks):
         self.literal = literal
         self.is_delta = is_delta
-        self.rel_index = rel_index
         self.key_positions = key_positions
         self.key_layout = key_layout
         self.sets = sets
@@ -264,12 +262,10 @@ class _ExistsStep:
     """A positive literal whose positions are all bound: set membership,
     zero rows scanned."""
 
-    __slots__ = ("literal", "is_delta", "rel_index", "layout")
+    __slots__ = ("literal", "layout")
 
-    def __init__(self, literal, is_delta, rel_index, layout):
+    def __init__(self, literal, layout):
         self.literal = literal
-        self.is_delta = is_delta
-        self.rel_index = rel_index
         self.layout = layout
 
     def describe(self) -> str:
@@ -293,11 +289,10 @@ class _OrderStep:
 class _NegStep:
     """A fully bound negated EDB literal: absence test against the relation."""
 
-    __slots__ = ("literal", "rel_index", "layout")
+    __slots__ = ("literal", "layout")
 
-    def __init__(self, literal, rel_index, layout):
+    def __init__(self, literal, layout):
         self.literal = literal
-        self.rel_index = rel_index
         self.layout = layout
 
     def describe(self) -> str:
@@ -320,14 +315,23 @@ _PY_OP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
 
 
 def _plan_shape(steps, head_layout, num_slots):
-    """``(shape, constants)`` of a compiled step list."""
-    consts: list = []
+    """``(shape, constants, roles)`` of a compiled step list.
 
-    def shaped(layout):
+    ``roles[i]`` names the :class:`~repro.datalog.database.Interner`
+    method that turns constant ``i`` into what a kernel over codes
+    compares it with: ``"code_of"`` where it meets stored codes (probe
+    keys, membership tests, ``=`` / ``!=`` against a slot), ``"intern"``
+    in the head, ``None`` where the value itself is compared.
+    """
+    consts: list = []
+    roles: list = []
+
+    def shaped(layout, role):
         terms = []
         for is_slot, payload in layout:
             if not is_slot:
                 consts.append(payload)
+                roles.append(role)
                 payload = len(consts) - 1
             terms.append((is_slot, payload))
         return tuple(terms)
@@ -336,14 +340,24 @@ def _plan_shape(steps, head_layout, num_slots):
     for step in steps:
         kind = step.__class__
         if kind is _OrderStep:
-            shape.append(("order", step.atom.op, *shaped((step.left, step.right))))
+            left, right = step.left, step.right
+            equality = step.atom.op in ("=", "!=") and (left[0] or right[0])
+            shape.append(("order", step.atom.op, *shaped((left, right), "code_of" if equality else None)))
         elif kind is _ScanStep:
             arity = step.literal.atom.arity
-            shape.append(("scan", shaped(step.key_layout), step.sets, step.checks, arity))
+            shape.append(("scan", shaped(step.key_layout, "code_of"), step.sets, step.checks, arity))
         else:
-            shape.append(("neg" if kind is _NegStep else "exists", shaped(step.layout)))
-    head = shaped(head_layout)
-    return (tuple(shape), head, num_slots, len(consts)), tuple(consts)
+            shape.append(("neg" if kind is _NegStep else "exists", shaped(step.layout, "code_of")))
+    head = shaped(head_layout, "intern")
+    return (tuple(shape), head, num_slots, len(consts)), tuple(consts), tuple(roles)
+
+
+def _orders_slots(shape) -> bool:
+    """Whether an ordering comparison of the shape reads a slot."""
+    return any(
+        step[0] == "order" and step[1] not in ("=", "!=") and (step[2][0] or step[3][0])
+        for step in shape[0]
+    )
 
 
 def _term(term) -> str:
@@ -356,7 +370,7 @@ def _tuple(names) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
 
 
-def _kernel_source(shape) -> str:
+def _kernel_source(shape, decode: bool = False) -> str:
     """Python source of ``kernel(rels, stats, live, k, prov, gov)`` for
     one plan shape.
 
@@ -368,7 +382,9 @@ def _kernel_source(shape) -> str:
     is counted in locals and flushed to ``stats`` in a ``finally``, so
     an abort inside the loops reports the probes made so far; ``gov``
     is asked (``tick_scan``) at the first bucket after each stride of
-    scanned rows.
+    scanned rows.  With ``decode`` the slots hold interner codes, ``k``
+    ends with the interner's value table ``V`` and ordering comparisons
+    read ``V[s<i>]``.
     """
     steps, head, num_slots, num_consts = shape
     rels = []
@@ -376,8 +392,9 @@ def _kernel_source(shape) -> str:
         if step[0] != "order":
             rels.append(f"{'g' if step[0] == 'scan' and step[1] else 'r'}{len(rels)}")
     prologue = [f"    {_tuple(rels)} = rels"] if rels else []
-    if num_consts:
-        prologue.append(f"    {_tuple(f'k{i}' for i in range(num_consts))} = k")
+    consts = [f"k{i}" for i in range(num_consts)] + ["V"] * decode
+    if consts:
+        prologue.append(f"    {_tuple(consts)} = k")
     prologue += [
         "    probes = scanned = matches = 0",
         "    due = gov.stride if gov is not None else 0",
@@ -404,6 +421,8 @@ def _kernel_source(shape) -> str:
             if op in ("=", "!="):
                 emit(f"if not {a} {py} {b}: {skip}")
             else:
+                if decode:
+                    a, b = (f"V[{_term(t)}]" if t[0] else _term(t) for t in (left, right))
                 emit(
                     f"if not ({a} {py} {b} if type({a}) in NUMERIC and type({b}) in NUMERIC"
                     f" else compare({a}, {b}, {op!r})): {skip}"
@@ -455,8 +474,9 @@ def _kernel_source(shape) -> str:
 
 
 @lru_cache(maxsize=256)
-def _compiled_kernel(shape):
-    """The kernel of a plan shape, compiled once per shape.
+def _compiled_kernel(shape, decode: bool = False):
+    """The kernel of a plan shape, compiled once per shape (and once
+    more, decoding, for a columnar run of a shape that orders slots).
 
     ``compile()`` costs more than everything else in plan compilation;
     programs reuse a few dozen shapes, so plans share the function and
@@ -464,16 +484,23 @@ def _compiled_kernel(shape):
     :mod:`linecache` under ``<plan:HASH>`` for as long as the function
     lives, so tracebacks and profiles show the generated line.
     """
-    source = _kernel_source(shape)
+    source = _kernel_source(shape, decode)
     name = f"<plan:{hashlib.sha1(source.encode()).hexdigest()[:12]}>"
     namespace = {"compare": evaluate_comparison, "NUMERIC": (int, float)}
     exec(compile(source, name, "exec"), namespace)
     # Popped, so the function is not in a cycle with its globals and
     # dies (finalizer included) with the last plan that holds it.
     kernel = namespace.pop("kernel")
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    weakref.finalize(kernel, linecache.cache.pop, name, None)
+    entry = linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    weakref.finalize(kernel, _forget_source, name, entry)
     return kernel
+
+
+def _forget_source(name: str, entry: tuple) -> None:
+    # A shape evicted from the cache and compiled again registers a new
+    # entry under the same name; the old kernel's death must not take it.
+    if linecache.cache.get(name) is entry:
+        del linecache.cache[name]
 
 
 # ----------------------------------------------------------------------
@@ -509,10 +536,11 @@ class RulePlan:
         "slot_of",
         "steps",
         "rel_specs",
-        "head_layout",
         "support_layouts",
         "_kernel",
         "_consts",
+        "_roles",
+        "_decoding",
     )
 
     def __init__(self, rule: Rule, delta_index: int | None, ordered_body):
@@ -560,12 +588,9 @@ class RulePlan:
                     else:
                         sets.append((slot(arg), pos))
                         fresh.add(arg)
-                rel_index = len(rel_specs)
                 if len(key_positions) == len(item.args):
                     # Fully bound: membership, no index, no rows scanned.
-                    steps.append(
-                        _ExistsStep(item, is_delta, rel_index, tuple(key_layout))
-                    )
+                    steps.append(_ExistsStep(item, tuple(key_layout)))
                     rel_specs.append(
                         _RelSpec(item.predicate, item.atom.arity, is_delta, "rows", ())
                     )
@@ -575,7 +600,6 @@ class RulePlan:
                         _ScanStep(
                             item,
                             is_delta,
-                            rel_index,
                             positions,
                             tuple(key_layout),
                             tuple(sets),
@@ -598,9 +622,8 @@ class RulePlan:
                 )
             else:
                 assert isinstance(item, Literal) and not item.positive
-                rel_index = len(rel_specs)
                 layout = tuple(term_layout(arg) for arg in item.args)
-                steps.append(_NegStep(item, rel_index, layout))
+                steps.append(_NegStep(item, layout))
                 rel_specs.append(
                     _RelSpec(item.predicate, item.atom.arity, False, "rows", ())
                 )
@@ -618,7 +641,6 @@ class RulePlan:
         self.num_slots = len(slot_of)
         self.steps = steps
         self.rel_specs = rel_specs
-        self.head_layout = head_layout
         self.support_layouts = tuple(
             tuple(
                 (False, arg.value) if isinstance(arg, Constant) else (True, slot_of[arg])
@@ -626,8 +648,10 @@ class RulePlan:
             )
             for lit in rule.positive_literals
         )
-        shape, self._consts = _plan_shape(steps, head_layout, self.num_slots)
+        shape, self._consts, self._roles = _plan_shape(steps, head_layout, self.num_slots)
         self._kernel = _compiled_kernel(shape)
+        #: the shape again when a run over codes needs the decoding variant
+        self._decoding = shape if _orders_slots(shape) else None
 
     # ------------------------------------------------------------------
     def run(
@@ -639,6 +663,7 @@ class RulePlan:
         stats,
         tracer=None,
         governor=None,
+        interner=None,
     ):
         """Execute the plan; return ``(matches, fresh)``.
 
@@ -651,6 +676,10 @@ class RulePlan:
         reported as ``index_build`` events).  An active ``governor`` is
         asked from inside the same kernel once per stride of scanned
         rows: a giant single-rule join stays cancellable and in budget.
+
+        With an ``interner`` the relations, ``live`` and therefore
+        ``fresh`` and the slot tuples hold its codes; the constants are
+        encoded for this run (see :func:`_plan_shape`).
         """
         rels = []
         for spec in self.rel_specs:
@@ -673,231 +702,19 @@ class RulePlan:
                 rels.append(rel.all_rows())
         if governor is not None and not governor.active:
             governor = None  # can never trip: not worth a test per bucket
+        kernel, consts = self._kernel, self._consts
+        if interner is not None:
+            consts = tuple(
+                value if role is None else getattr(interner, role)(value)
+                for value, role in zip(consts, self._roles)
+            )
+            if self._decoding is not None:
+                kernel = _compiled_kernel(self._decoding, True)
+                consts += (interner.values,)
         stats.env_allocations += 1
-        matches, fresh = self._kernel(rels, stats, live, self._consts, support, governor)
+        matches, fresh = kernel(rels, stats, live, consts, support, governor)
         stats.env_allocations += matches
         return matches, fresh
-
-    # ------------------------------------------------------------------
-    def run_blocks(
-        self,
-        relation_of,
-        delta_relation,
-        interner,
-        stats,
-        tracer=None,
-        governor=None,
-    ):
-        """Batched execution over columnar relations: ``(n, cols)``.
-
-        The columnar counterpart of :meth:`run`.  The block state is a
-        list of **code columns** indexed by slot (``None`` for slots not
-        yet bound) plus the current row count ``n``; every step is one
-        kernel invocation over the whole block:
-
-        * *scan* — probe the code-level hash index once per input row
-          (``stats.probes`` counts input rows, identically to the
-          per-row engine; ``stats.block_probes`` counts kernel calls),
-          accumulate matching rowids, then gather the live columns and
-          the newly bound columns with list comprehensions — the only
-          per-row Python in the loop is one dict lookup;
-        * *existence / negation / order filters* — build a keep list
-          over the block and compact every live column through it.
-
-        Probe-key constants resolve through ``interner.code_of`` (a
-        value the data never contained misses every bucket — it is
-        **not** interned); ``=``/``!=`` filters compare codes directly,
-        other comparisons decode through the interner's value table.
-        ``stats.rows_scanned`` counts exactly what the per-row engine
-        counts, so governor row budgets behave identically; a
-        ``governor`` is ticked once per kernel with the block size.
-        """
-        num_slots = self.num_slots
-        cols: list = [None] * num_slots
-        n = 1
-        code_of = interner.code_of
-        values = interner.values
-
-        def compact(keep: list) -> None:
-            nonlocal cols, n
-            if len(keep) != n:
-                cols = [
-                    None if col is None else [col[i] for i in keep] for col in cols
-                ]
-                n = len(keep)
-
-        for step in self.steps:
-            if n == 0:
-                break
-            kind = step.__class__
-            if kind is _ScanStep:
-                rel = (
-                    delta_relation
-                    if step.is_delta
-                    else relation_of(step.literal.predicate, step.literal.atom.arity)
-                )
-                stats.probes += n
-                stats.block_probes += 1
-                rel_cols = rel.columns
-                sel: list[int] = []
-                rids: list[int] = []
-                if step.key_positions:
-                    if tracer is not None and not rel.has_code_index(step.key_positions):
-                        index = rel.index_codes(step.key_positions, stats)
-                        tracer.event(
-                            "index_build",
-                            predicate=step.literal.predicate,
-                            positions=",".join(map(str, step.key_positions)),
-                            rows=len(rel),
-                            delta=step.is_delta,
-                        )
-                    else:
-                        index = rel.index_codes(step.key_positions, stats)
-                    layout = step.key_layout
-                    if len(layout) == 1:
-                        is_slot, payload = layout[0]
-                        keys = cols[payload] if is_slot else _repeat(code_of(payload), n)
-                    else:
-                        keys = zip(
-                            *(
-                                cols[p] if s else _repeat(code_of(p), n)
-                                for s, p in layout
-                            )
-                        )
-                    get = index.get
-                    sel_append = sel.append
-                    rids_append = rids.append
-                    sel_extend = sel.extend
-                    rids_extend = rids.extend
-                    i = 0
-                    for key in keys:
-                        hit = get(key)
-                        if hit:
-                            if len(hit) == 1:
-                                sel_append(i)
-                                rids_append(hit[0])
-                            else:
-                                sel_extend(_repeat(i, len(hit)))
-                                rids_extend(hit)
-                        i += 1
-                    stats.rows_scanned += len(rids)
-                else:
-                    m = len(rel)
-                    stats.rows_scanned += n * m
-                    if m:
-                        base = list(range(m))
-                        if n == 1:
-                            sel = [0] * m
-                            rids = base
-                        else:
-                            rids = base * n
-                            sel = [i for i in range(n) for _ in base]
-                if rids and step.checks:
-                    # Repeated variables within the literal: both sides
-                    # come from the same scanned row, so compare columns.
-                    setpos = {slot: pos for slot, pos in step.sets}
-                    pairs = [
-                        (rel_cols[setpos[slot]], rel_cols[pos])
-                        for slot, pos in step.checks
-                    ]
-                    kept_sel: list[int] = []
-                    kept_rids: list[int] = []
-                    for i, r in zip(sel, rids):
-                        for left, right in pairs:
-                            if left[r] != right[r]:
-                                break
-                        else:
-                            kept_sel.append(i)
-                            kept_rids.append(r)
-                    sel, rids = kept_sel, kept_rids
-                stats.env_allocations += 1
-                new_cols: list = [None] * num_slots
-                for slot in range(num_slots):
-                    col = cols[slot]
-                    if col is not None:
-                        new_cols[slot] = [col[i] for i in sel]
-                for slot, pos in step.sets:
-                    col = rel_cols[pos]
-                    new_cols[slot] = [col[r] for r in rids]
-                cols = new_cols
-                n = len(rids)
-            elif kind is _ExistsStep:
-                rel = (
-                    delta_relation
-                    if step.is_delta
-                    else relation_of(step.literal.predicate, step.literal.atom.arity)
-                )
-                stats.probes += n
-                stats.block_probes += 1
-                rowset = rel.code_rows()
-                if not step.layout:
-                    # Propositional literal: one global membership test.
-                    if () not in rowset:
-                        compact([])
-                else:
-                    keys = zip(
-                        *(
-                            cols[p] if s else _repeat(code_of(p), n)
-                            for s, p in step.layout
-                        )
-                    )
-                    compact([i for i, key in enumerate(keys) if key in rowset])
-            elif kind is _NegStep:
-                rel = relation_of(step.literal.predicate, step.literal.atom.arity)
-                rowset = rel.code_rows()
-                if not step.layout:
-                    if () in rowset:
-                        compact([])
-                else:
-                    keys = zip(
-                        *(
-                            cols[p] if s else _repeat(code_of(p), n)
-                            for s, p in step.layout
-                        )
-                    )
-                    compact([i for i, key in enumerate(keys) if key not in rowset])
-            else:
-                assert kind is _OrderStep
-                ls, lp = step.left
-                rs, rp = step.right
-                op = step.atom.op
-                if not ls and not rs:
-                    # Ground order atom: one evaluation decides the block.
-                    if not evaluate_comparison(lp, rp, op):
-                        compact([])
-                elif op == "=" or op == "!=":
-                    # Codes are bijective with ==-distinct values, so
-                    # (in)equality compares codes without decoding; an
-                    # un-interned constant can equal no stored value.
-                    left = cols[lp] if ls else _repeat(code_of(lp), n)
-                    right = cols[rp] if rs else _repeat(code_of(rp), n)
-                    if op == "=":
-                        compact(
-                            [i for i, (a, b) in enumerate(zip(left, right)) if a == b]
-                        )
-                    else:
-                        compact(
-                            [i for i, (a, b) in enumerate(zip(left, right)) if a != b]
-                        )
-                else:
-                    # Ordering comparisons need real values: codes are
-                    # dense ints in first-seen order, not value order.
-                    left = (
-                        [values[c] for c in cols[lp]] if ls else _repeat(lp, n)
-                    )
-                    right = (
-                        [values[c] for c in cols[rp]] if rs else _repeat(rp, n)
-                    )
-                    compact(
-                        [
-                            i
-                            for i, (a, b) in enumerate(zip(left, right))
-                            if evaluate_comparison(a, b, op)
-                        ]
-                    )
-            if governor is not None:
-                governor.tick_batch("rule", n)
-        return n, cols
 
     def support_rows(self, env: Sequence[object]) -> list[tuple[str, tuple]]:
         """``(predicate, ground row)`` for each positive body literal

@@ -18,6 +18,9 @@ forked processes (:mod:`repro.parallel.worker`):
   flushed to every mirror before the next plan fires — reproducing the
   sequential engine's live visibility and therefore its iteration
   counts and fixpoint digests byte for byte.
+* **One kernel** — master and workers run the generated join kernels
+  of :mod:`repro.datalog.plan` over interner codes, the very functions
+  a sequential evaluation runs; only where their rows go differs.
 * **Lazy replication** — the master keeps an append-only accept log per
   IDB predicate and a ship cursor into it.  A barrier ships a
   predicate's unshipped suffix only if one of the plans it runs reads
@@ -40,9 +43,9 @@ forked processes (:mod:`repro.parallel.worker`):
   merged partial fixpoint — a subset of the true one, because every
   shipped head row is a sound derivation.
 
-The worker warm-start reuses the PR 5 checkpoint envelope (workload
-digest + IDB seed + checksum) and ships the EDB with its interner, so
-code columns mean the same thing in every process.
+The worker warm-start reuses the checkpoint envelope (workload digest
++ IDB seed + checksum) and ships the EDB with its interner, so a code
+means the same value in every process.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ from ..datalog.evaluation import (
     EvaluationResult,
     EvaluationSnapshot,
     EvaluationStats,
-    _ColumnarSlotEngine,
     _Driver,
+    _SlotEngine,
 )
 from ..datalog.program import Program
 from ..datalog.terms import Constant, Variable
@@ -131,15 +134,15 @@ def _pre_intern_head_constants(program: Program, database: Database) -> None:
 
 
 class _DeltaBuffer:
-    """A semi-naive frontier on the master: ordered rows + a seen-set.
+    """A semi-naive frontier on the master: ordered code rows + a seen-set.
 
     The master never joins against its own delta (the workers do), so
-    the frontier does not need columnar storage, indexes or decoded
-    caches — just insertion order for deterministic sharding and a set
-    for deduplication.  Implements the slivers of the Relation API the
-    driver touches (``add``/``add_codes`` for the exit-rule sink and
-    resume seeding, ``rows`` for checkpoint snapshots, ``code_rows``
-    for sharding).
+    the frontier needs no indexes — just insertion order
+    (``row_list``) for deterministic sharding and a set for
+    deduplication.  Implements the slivers of the Relation API the
+    driver touches: ``add`` (a value row: resume and seed-fact
+    seeding), ``add_fresh`` (the exit-rule sink, barrier accepts) and
+    ``rows`` for checkpoint snapshots.
     """
 
     __slots__ = ("arity", "interner", "row_list", "seen")
@@ -154,23 +157,17 @@ class _DeltaBuffer:
         return len(self.row_list)
 
     def add(self, row) -> bool:
-        intern = self.interner.intern
-        return self.add_codes(tuple(intern(value) for value in row))
-
-    def add_codes(self, codes: tuple[int, ...]) -> bool:
+        codes = tuple(map(self.interner.intern, row))
         if codes in self.seen:
             return False
         self.seen.add(codes)
         self.row_list.append(codes)
         return True
 
-    def extend(self, rows) -> None:
-        """Bulk-append rows already deduplicated by the caller."""
+    def add_fresh(self, rows) -> None:
+        """Bulk-append code rows already deduplicated by the caller."""
         self.row_list.extend(rows)
         self.seen.update(rows)
-
-    def code_rows(self):
-        return self.row_list
 
     def rows(self) -> frozenset:
         decode = self.interner.decode
@@ -179,13 +176,14 @@ class _DeltaBuffer:
         )
 
 
-class _ShardedEngine(_ColumnarSlotEngine):
-    """The master's local engine: columnar derive that records accepts.
+class _ShardedEngine(_SlotEngine):
+    """The master's local engine: the slot engine, recording accepts.
 
     Non-recursive SCCs and exit rules run on the master (they fire once
-    — forking them buys nothing); every code row the master accepts is
-    appended to the per-predicate accept log so later barriers can
-    replicate it into whichever worker mirrors turn out to need it.
+    — forking them buys nothing); every code row a kernel finds fresh
+    is accepted and appended to the per-predicate accept log so later
+    barriers can replicate it into whichever worker mirrors turn out to
+    need it.
     """
 
     name = "sharded"
@@ -197,9 +195,7 @@ class _ShardedEngine(_ColumnarSlotEngine):
     def derive(self, plan, results, head_relation, sink_delta, prov, stats):
         new = super().derive(plan, results, head_relation, sink_delta, prov, stats)
         if new:
-            # Columns are append-only: the accepted rows are the last ``new``.
-            tail = [column[-new:] for column in head_relation.columns]
-            self.accept_log[plan.rule.head.predicate].extend(_rows_of(new, tail))
+            self.accept_log[plan.rule.head.predicate].extend(results[1])
         return new
 
 
@@ -696,7 +692,7 @@ class _ShardedExecutor:
         def partition() -> dict:
             return {
                 pred: _shard_rows(
-                    rel.code_rows(),
+                    rel.row_list,
                     pool.workers,
                     None if aligned_cols is None else aligned_cols[pred],
                 )
@@ -897,7 +893,6 @@ class _ShardedExecutor:
                     wstats = payload["stats"]
                     stats.probes += wstats["probes"]
                     stats.env_allocations += wstats["env_allocations"]
-                    stats.block_probes += wstats["block_probes"]
                     stats.index_builds += wstats["index_builds"]
                     for plan_id, count, rows in payload["plans"]:
                         stats.rule_firings += count
@@ -923,7 +918,7 @@ class _ShardedExecutor:
                         accepted += n
                         accepted_by_plan[plan_id] += n
                         continue
-                    live = idb[head_pred].code_rows()
+                    live = idb[head_pred].all_rows()
                     seen = batch_seen.get(head_pred)
                     if seen is None:
                         seen = batch_seen[head_pred] = set()
@@ -960,9 +955,9 @@ class _ShardedExecutor:
         for pred, acc in accepted_rows.items():
             if not acc:
                 continue
-            idb[pred].extend_codes(acc)
+            idb[pred].add_fresh(acc)
             accept_log[pred].extend(acc)
-            new_delta[pred].extend(acc)
+            new_delta[pred].add_fresh(acc)
             stats.facts_derived += len(acc)
         if trace_on:
             for plan_id in run_plan_ids:
@@ -1019,9 +1014,9 @@ def evaluate_sharded(
     already.  Results — fixpoint, digests,
     ``iterations``, ``rule_firings``, ``facts_derived``,
     ``rows_scanned`` (total and per rule) — are byte-identical to the
-    sequential columnar engine; the per-process counters (``probes``,
-    ``block_probes``, ``env_allocations``, ``index_builds``) report
-    fleet totals and therefore exceed the sequential values.
+    sequential engine; the per-process counters (``probes``,
+    ``env_allocations``, ``index_builds``) report fleet totals and
+    therefore exceed the sequential values.
 
     Restrictions: ``strategy`` must be ``"seminaive"`` (delta sharding
     is meaningless under naive re-evaluation) and ``provenance`` is

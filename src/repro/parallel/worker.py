@@ -3,8 +3,8 @@
 A worker is a *mirror* of the master's evaluation state.  It is warmed
 exactly once with the program, the EDB (shipped as
 ``Database.to_dict(include_interner=True)``, so dictionary codes are
-reproduced verbatim) and a PR 5 checkpoint envelope binding the
-workload digest and the IDB seed.  After that it answers barrier tasks:
+reproduced verbatim) and a checkpoint envelope binding the workload
+digest and the IDB seed.  After that it answers barrier tasks:
 
 1. apply the interner extension (values the master interned since the
    last barrier — normally empty, because the master pre-interns every
@@ -13,7 +13,7 @@ workload digest and the IDB seed.  After that it answers barrier tasks:
    per-predicate ship cursor.  The master ships a predicate's rows
    only for barriers whose plans actually *read* that predicate
    through a non-delta literal, and the worker materializes them into
-   the columnar mirror relation lazily, on the first read: predicates
+   the mirror relation lazily, on the first read: predicates
    that are only ever delta-scanned and head-derived (plain transitive
    closures, say) cost the fleet nothing to keep in sync,
 3. optionally compile the delta plans of the SCC about to iterate.
@@ -21,10 +21,11 @@ workload digest and the IDB seed.  After that it answers barrier tasks:
    compile point, so cost-based plan orders come out identical in
    every process — which is what makes per-rule ``rows_scanned``
    byte-identical to the sequential engine,
-4. run its delta shard through the requested plans via the columnar
-   block kernels (:meth:`~repro.datalog.plan.RulePlan.run_blocks`) and
-   ship back candidate head rows, pre-deduplicated against its mirror
-   and against everything it has already shipped.
+4. run its delta shard through the requested plans — the generated
+   kernels of :meth:`~repro.datalog.plan.RulePlan.run`, over codes, as
+   a sequential columnar evaluation runs them — and ship back the head
+   rows they find fresh against its mirror, less everything it has
+   already shipped.
 
 Workers never assign new interner codes (the guard in
 :meth:`_WorkerState.run_task` turns a violation into a loud protocol
@@ -32,7 +33,7 @@ error instead of a silent digest divergence) and never accept facts
 from their own results — the master is the single authority on which
 facts are new; acceptance comes back as a later barrier's updates.
 
-Row payloads travel as columns (``(n, [column, ...])`` of int codes):
+Row payloads travel transposed (``(n, [column, ...])`` of int codes):
 lists of small ints pickle several times faster than lists of tuples,
 and both ends transpose cheaply.
 
@@ -96,10 +97,10 @@ class _WorkerState:
                 "worker interner diverged from master during warm-start "
                 "(value-table digest mismatch)"
             )
-        # Per-IDB-predicate mirror state: the materialized columnar
-        # relation the block kernels read, the authoritative row set
-        # (updates land here immediately), and the backlog of rows not
-        # yet flushed into the relation.
+        # Per-IDB-predicate mirror state: the materialized relation the
+        # kernels read, the authoritative code row set (updates land
+        # here immediately), and the backlog of rows not yet flushed
+        # into the relation.
         self.idb: dict = {}
         self.mirror: dict[str, set] = {}
         self.stale: dict[str, list] = {}
@@ -112,7 +113,7 @@ class _WorkerState:
             for row in envelope.snapshot.idb.get(pred, ()):
                 relation.add(row)
             self.idb[pred] = relation
-            self.mirror[pred] = set(relation.code_rows())
+            self.mirror[pred] = set(relation.all_rows())
             self.stale[pred] = []
             self.shipped[pred] = set()
         self.plans: list = []
@@ -164,7 +165,7 @@ class _WorkerState:
             return self.database.relation(predicate, arity)
         backlog = self.stale[predicate]
         if backlog:
-            relation.extend_codes(backlog)
+            relation.add_fresh(backlog)  # new to the mirror, so to the relation
             backlog.clear()
         return relation
 
@@ -214,7 +215,9 @@ class _WorkerState:
         delta = {}
         for pred, rows in delta_rows.items():
             relation = self.database.new_relation(self.program.arity_of(pred))
-            relation.extend_codes(rows)
+            # Distinct: a shard of the master's frontier, or (aligned, after
+            # the first round) the rows this worker accepted last round.
+            relation.add_fresh(rows)
             delta[pred] = relation
 
         # Workers must never mint codes: every value a plan can produce
@@ -227,28 +230,21 @@ class _WorkerState:
                 delta_relation = delta.get(plan.delta_predicate)
                 if delta_relation is None or not len(delta_relation):
                     continue
-                rows_before = stats.rows_scanned
-                n, cols = plan.run_blocks(
-                    self._relation_of,
-                    delta_relation,
-                    interner,
-                    stats,
-                    governor=governor,
-                )
-                plan_results.append(
-                    (plan_id, n, stats.rows_scanned - rows_before)
-                )
-                if not n:
-                    continue
-                intern = interner.intern
-                head_cols = [
-                    cols[p] if s else [intern(p)] * n
-                    for s, p in plan.head_layout
-                ]
-                keys = zip(*head_cols) if head_cols else iter([()] * n)
                 head_pred = plan.rule.head.predicate
                 mirror = self.mirror[head_pred]
-                fresh: list[tuple] = []
+                rows_before = stats.rows_scanned
+                matches, found = plan.run(
+                    self._relation_of,
+                    delta_relation,
+                    mirror,
+                    False,
+                    stats,
+                    governor=governor,
+                    interner=interner,
+                )
+                plan_results.append(
+                    (plan_id, matches, stats.rows_scanned - rows_before)
+                )
                 if aligned is not None:
                     # This worker owns the head row's partition, so the
                     # mirror check is exact: fresh here means fresh on
@@ -256,22 +252,14 @@ class _WorkerState:
                     # once (round-local dedup across plans, like the
                     # sequential engine's immediate IDB insert) and the
                     # frontier (next round's local delta shard).
-                    backlog = self.stale[head_pred]
-                    front = self.frontier.setdefault(head_pred, [])
-                    for codes in keys:
-                        if codes in mirror:
-                            continue
-                        mirror.add(codes)
-                        backlog.append(codes)
-                        front.append(codes)
-                        fresh.append(codes)
+                    fresh = list(found)
+                    mirror.update(fresh)
+                    self.stale[head_pred] += fresh
+                    self.frontier.setdefault(head_pred, []).extend(fresh)
                 else:
                     shipped = self.shipped[head_pred]
-                    for codes in keys:
-                        if codes in mirror or codes in shipped:
-                            continue
-                        shipped.add(codes)
-                        fresh.append(codes)
+                    fresh = [codes for codes in found if codes not in shipped]
+                    shipped.update(fresh)
                 if fresh:
                     heads.append((plan_id, len(fresh), _columns_of(fresh)))
         except EvaluationAborted as exc:
@@ -297,7 +285,6 @@ class _WorkerState:
             "stats": {
                 "probes": stats.probes,
                 "env_allocations": stats.env_allocations,
-                "block_probes": stats.block_probes,
                 "index_builds": stats.index_builds,
                 "rows_scanned": stats.rows_scanned,
             },

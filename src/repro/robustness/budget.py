@@ -316,24 +316,6 @@ class Governor:
             return
         self._check_clock_and_token(phase)
 
-    def tick_batch(self, phase: str, count: int) -> None:
-        """Batched :meth:`tick`: advance the stride counter by ``count``.
-
-        The columnar block kernels emit whole result blocks per call
-        instead of one row at a time; ticking once per row would put a
-        Python call on the hot path the kernels exist to remove.  This
-        advances the counter in one step and touches the clock exactly
-        when the per-row ticks would have — whenever a stride boundary
-        is crossed — so block evaluation stays as cancellable as
-        row-at-a-time evaluation.
-        """
-        if not self.active or count <= 0:
-            return
-        before = self._ticks
-        self._ticks = before + count
-        if before // self.stride != self._ticks // self.stride:
-            self._check_clock_and_token(phase)
-
     def tick_scan(self, phase: str, stats: "EvaluationStats", scanned: int, fresh: int) -> int:
         """Checkpoint from inside one rule firing's join kernel.
 

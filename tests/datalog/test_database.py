@@ -57,7 +57,7 @@ class TestRelation:
         rel.extend([(1, 2, 4), (1, 2, 3)])
         rel.add((9, 9, 9))
         expected = {}
-        for row in rel.rows():
+        for row in rel.all_rows():  # as stored: codes on a ColumnarRelation
             # One position is keyed by the bare value, several by the tuple.
             key = tuple(row[i] for i in positions)
             expected.setdefault(key[0] if len(key) == 1 else key, set()).add(row)

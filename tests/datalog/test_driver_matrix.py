@@ -2,9 +2,9 @@
 
 One fixpoint driver serves three *seeds* (cold, resume from a
 checkpointed round, ingest delta) and four *round executors*
-(interpreter, slot engine on rows, slot engine on columnar blocks, the
-sharded barrier with two workers), in semi-naive and — as the oracle —
-naive strategy.  Only the slot engine on rows is reachable from a
+(interpreter, slot engine on value rows, the same kernels on interner
+codes, the sharded barrier with two workers), in semi-naive and — as
+the oracle — naive strategy.  Only the slot engine on rows is reachable from a
 command, the daemon or a ``Session``; the other three are built here by
 direct call, and only the default one has an ``ingest`` cell (a
 ``Session`` evaluates one way).  Each cell's fixpoint digest and
@@ -17,7 +17,10 @@ attribution shows up as a diff against the behaviour of the old loops.
 ingest seed began extending the live relations, indexes included,
 instead of re-seeding fresh ones.  One filter since: the ``ingest``
 cells of the three non-default executors left the file with the
-``Session`` keywords that built them; no surviving value changed.)
+``Session`` keywords that built them; no surviving value changed.
+The ``slots-columnar`` and ``sharded-w2`` cells were recorded on a
+block-at-a-time executor since replaced by the generated kernels;
+they held without a re-pin.)
 
 Regenerate (only at a commit whose behaviour is the intended
 reference)::

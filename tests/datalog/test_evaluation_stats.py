@@ -32,7 +32,6 @@ def test_as_dict_covers_every_counter_including_iterations():
         "index_builds": 2,
         "env_allocations": 6,
         "intern_hits": 0,
-        "block_probes": 0,
         "budget_trips": 0,
         "wall_time_seconds": 0.0,
         "worker_restarts": 0,
@@ -60,7 +59,6 @@ def test_merge_sums_every_counter():
             iterations=5,
             rows_scanned_by_rule={"r": 2, "t": 3},
             intern_hits=7,
-            block_probes=4,
             budget_trips=2,
             wall_time_seconds=0.5,
         )
@@ -74,7 +72,6 @@ def test_merge_sums_every_counter():
         "index_builds": 4,
         "env_allocations": 12,
         "intern_hits": 7,
-        "block_probes": 4,
         "budget_trips": 3,
         "wall_time_seconds": 0.75,
         "worker_restarts": 0,
@@ -153,12 +150,11 @@ def test_compare_zero_baseline_never_divides_by_zero():
     other = _stats()
     ratios = empty.compare(other)
     # 0/0 -> 1.0 (no change), n/0 -> inf, and never an exception.
-    # budget_trips, intern_hits, block_probes and the recovery counters
-    # are zero on both sides here, so their ratios are 1.0.
+    # budget_trips, intern_hits and the recovery counters are zero on
+    # both sides here, so their ratios are 1.0.
     zero_on_both = {
         "budget_trips",
         "intern_hits",
-        "block_probes",
         "worker_restarts",
         "shards_redispatched",
     }
@@ -178,7 +174,6 @@ def test_compare_zero_baseline_never_divides_by_zero():
         "index_builds": 1.0,
         "env_allocations": 1.0,
         "intern_hits": 1.0,
-        "block_probes": 1.0,
         "budget_trips": 1.0,
         "worker_restarts": 1.0,
         "shards_redispatched": 1.0,
@@ -186,18 +181,16 @@ def test_compare_zero_baseline_never_divides_by_zero():
 
 
 def test_compare_zero_guard_covers_storage_counters():
-    """The PR 4 zero-guard, re-asserted for the columnar counters: a
-    rows-backend baseline has zero intern_hits/block_probes, and
-    comparing a columnar run against it must yield inf, not raise."""
-    rows_baseline = _stats()  # intern_hits == block_probes == 0
-    columnar = _stats(intern_hits=12, block_probes=9)
+    """The zero-guard, re-asserted for the columnar counter: a rows
+    baseline has zero intern_hits, and comparing a columnar run against
+    it must yield inf, not raise."""
+    rows_baseline = _stats()  # intern_hits == 0
+    columnar = _stats(intern_hits=12)
     ratios = rows_baseline.compare(columnar)
     assert math.isinf(ratios["intern_hits"])
-    assert math.isinf(ratios["block_probes"])
     # And the reverse direction divides normally.
     back = columnar.compare(rows_baseline)
     assert back["intern_hits"] == 0.0
-    assert back["block_probes"] == 0.0
 
 
 def test_compare_mixed_zero_and_nonzero_counters():

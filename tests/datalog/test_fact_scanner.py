@@ -202,7 +202,7 @@ def _loaded(facts, storage):
     relations = {p: database.relation(p) for p in sorted(database.predicates())}
     if storage == "columnar":
         return database.interner.to_list(), [
-            (p, r.arity, r.columns) for p, r in relations.items()
+            (p, r.arity, r.all_rows()) for p, r in relations.items()
         ]
     return [(p, r.arity, r.rows()) for p, r in relations.items()]
 

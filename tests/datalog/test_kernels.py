@@ -1,10 +1,11 @@
-"""The generated row kernels: one nested-loop function per plan shape.
+"""The generated kernels: one nested-loop function per plan shape.
 
 What the closure chain guaranteed implicitly has to be pinned now that
 ``plan.py`` hands source text to ``compile()``: no program text ever
 reaches that source, the code cache is bounded, an abort inside a
 kernel reports exactly the work the closure chain reported, provenance
-is unchanged, and the three executors agree on shapes the canonical
+is unchanged, and the kernels over values, the same kernels over
+interner codes and the interpreter agree on shapes the canonical
 workloads never produce (arity 0 and 1, constants, repeated variables).
 """
 
@@ -363,7 +364,15 @@ lit(5) :- on(), not off(), 2 >= 2.
 pair(X, Y) :- mark(X), blocked(Y), X <= Y.
 """
 
-PINNED = ("iterations", "rule_firings", "facts_derived", "rows_scanned", "probes", "index_builds")
+PINNED = (
+    "iterations",
+    "rule_firings",
+    "facts_derived",
+    "rows_scanned",
+    "probes",
+    "index_builds",
+    "env_allocations",
+)
 
 
 def _with_extras(seed):
