@@ -18,8 +18,8 @@ The generated join kernels of :mod:`repro.datalog.plan` read
 encoding a relation stores, so one kernel serves both.  The value API
 (``add`` / ``extend`` / ``in`` / ``probe`` / ``rows`` / iteration /
 ``to_rows`` / ``discard`` / ``copy``) encodes and decodes at the
-boundary, so the interpreter, reports, digests and checkpoints see
-values either way.  Answers agree under ``==``; where ``1``, ``1.0``
+boundary, so reports, digests and checkpoints see values either
+way.  Answers agree under ``==``; where ``1``, ``1.0``
 and ``True`` meet, the two encodings may keep different spellings of
 one value (``docs/storage.md``).
 """

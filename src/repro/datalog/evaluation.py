@@ -15,8 +15,8 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   :func:`~repro.parallel.engine.evaluate_sharded` and
   :meth:`repro.persist.Session.ingest` all enter through it, so IDB
   seeding, rule firing, snapshots and the budget-trip handler exist
-  once.  ``strategy="naive"`` is a short loop on the same driver, kept
-  as the test oracle.
+  once.  The tests check it against the independent model in
+  ``perf/reference.py``, which shares no code with this package.
 * Each rule's join runs on the **compiled slot-based engine** of
   :mod:`repro.datalog.plan`: each rule is compiled once per (rule,
   delta-position) into a plan over integer variable slots — the
@@ -25,13 +25,11 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   precomputed position tuples, fully bound subgoals become zero-scan
   existence checks, hash indexes are fetched once per rule execution,
   and body literals are ordered by estimated selectivity (relation
-  size × bound-position count).  ``engine="interpreted"`` keeps the
-  original tuple-at-a-time interpreter (greedy bound-count order) as
-  the reference the tests compare against.
+  size × bound-position count).
 * :class:`EvaluationStats` counts rule firings, index probes, rows
   scanned, facts derived, index builds and environment allocations —
   plus per-rule ``rows_scanned`` — the "join work" measures the
-  benchmarks report when comparing engines and transformed programs.
+  benchmarks report when comparing transformed programs.
 * The engine is instrumented with the tracer of
   :mod:`repro.observability.trace`: an ``evaluate`` span wraps the run,
   each SCC gets an ``scc`` span, each semi-naive round an ``iteration``
@@ -50,20 +48,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import EvaluationAborted
-from .atoms import Atom, Literal, OrderAtom, evaluate_comparison
+from .atoms import Atom, Literal
 from .database import Database, Relation, Row
-from .plan import DEFAULT_IDB_ESTIMATE, RulePlan, compile_rule, order_body_greedy
+from .plan import DEFAULT_IDB_ESTIMATE, RulePlan, compile_rule
 from .program import Program
 from .rules import Rule
-from .terms import Constant, Variable
+from .terms import Constant
 
 __all__ = [
-    "ENGINES",
     "EvaluationStats",
     "EvaluationResult",
     "EvaluationSnapshot",
@@ -72,9 +69,6 @@ __all__ = [
     "evaluate_query",
     "derivation_tree",
 ]
-
-#: Valid ``engine`` arguments of :func:`evaluate`.
-ENGINES = ("slots", "interpreted")
 
 
 @dataclass
@@ -233,27 +227,25 @@ class EvaluationSnapshot:
     Emitted by :func:`evaluate` through its ``checkpoint_sink`` at
     semi-naive round boundaries, and accepted back via ``resume_from``
     to restart the fixpoint from the saved frontier instead of from
-    scratch.  The snapshot is deliberately **engine-agnostic** — it
-    captures only rows, the SCC/iteration cursor and cumulative stats,
-    never compiled plans or indexes — so a snapshot taken under the
-    compiled slot engine resumes correctly under the interpreter (and
-    vice versa).  It is also plain data: the persistence layer
-    (:mod:`repro.persist`) serializes it to the on-disk checkpoint
-    format without reaching into engine internals.
+    scratch.  The snapshot captures only rows, the SCC/iteration cursor
+    and cumulative stats, never compiled plans or indexes: it is plain
+    data, which the persistence layer (:mod:`repro.persist`) serializes
+    to the on-disk checkpoint format without reaching into engine
+    internals.
 
     ``completed_sccs`` counts the SCCs (in the deterministic Tarjan
     topological order of :attr:`Program.schedule`) whose fixpoints are fully
     contained in ``idb``; ``scc_index``/``iteration`` locate the
     in-progress SCC and the rounds already run inside it; ``delta`` is
-    the semi-naive frontier feeding its next round (``None`` for naive
-    snapshots and for completed evaluations).  ``stats`` are cumulative
-    from the very first run, so resumed statistics stay monotone.
+    the semi-naive frontier feeding its next round (``None`` for
+    completed evaluations).  ``stats`` are cumulative from the very
+    first run, so resumed statistics stay monotone.
 
     ``interner`` is the columnar backend's value table in code order
     (``None`` under rows storage): rows in the snapshot are always
-    decoded values, so the snapshot stays engine- **and**
-    storage-agnostic, but carrying the table lets a columnar resume
-    reproduce the exact code assignment of the checkpointed run.
+    decoded values, so the snapshot stays storage-agnostic, but
+    carrying the table lets a columnar resume reproduce the exact code
+    assignment of the checkpointed run.
 
     ``edb`` is the extensional database at snapshot time, carried only
     on *complete* snapshots written by the persistence layer: ingested
@@ -264,7 +256,6 @@ class EvaluationSnapshot:
     session database) and on checkpoints written before the journal.
     """
 
-    strategy: str
     completed_sccs: int
     scc_index: int | None
     iteration: int
@@ -276,161 +267,27 @@ class EvaluationSnapshot:
     edb: "Mapping[str, frozenset] | None" = None
 
 
-def _check_resume(
-    resume_from: "EvaluationSnapshot | None", strategy: str, provenance: bool
-) -> None:
-    if resume_from is None:
-        return
-    if provenance:
+def _check_resume(resume_from: "EvaluationSnapshot | None", provenance: bool) -> None:
+    if resume_from is not None and provenance:
         raise ValueError(
             "provenance=True cannot resume from a snapshot: provenance "
             "for pre-checkpoint facts was not captured"
         )
-    if resume_from.strategy != strategy:
-        # A naive snapshot has no frontier, so semi-naive resumption
-        # would treat its facts as exhausted deltas and under-derive;
-        # refuse both directions rather than silently recompute.
-        raise ValueError(
-            f"snapshot was taken under strategy {resume_from.strategy!r}; "
-            f"cannot resume with strategy {strategy!r}"
-        )
 
 
 # ----------------------------------------------------------------------
-# The interpreted engine (the seed's tuple-at-a-time baseline)
+# The engine adapter: compiled plans (x two storage backends)
 # ----------------------------------------------------------------------
-#: Sentinel distinguishing "variable unbound" from a legitimate ``None``
-#: value stored in a database row.
-_UNSET = object()
+class _SlotEngine:
+    """The compiled slot-based engine (:mod:`repro.datalog.plan`).
 
-
-class _RuleJoin:
-    """An interpreted join plan for one rule with an optional delta subgoal."""
-
-    def __init__(self, rule: Rule, delta_index: int | None):
-        self.rule = rule
-        self.rule_key = repr(rule)
-        self.delta_index = delta_index
-        self.plan = order_body_greedy(rule, delta_index)
-        self.delta_predicate: str | None = None
-        if delta_index is not None:
-            item = rule.body[delta_index]
-            assert isinstance(item, Literal)
-            self.delta_predicate = item.predicate
-
-    def head_row(self, env: Mapping[Variable, object]) -> Row:
-        return tuple(
-            arg.value if isinstance(arg, Constant) else env[arg]
-            for arg in self.rule.head.args
-        )
-
-    def support_rows(self, env: Mapping[Variable, object]) -> list[Fact]:
-        return [
-            (
-                lit.predicate,
-                tuple(
-                    arg.value if isinstance(arg, Constant) else env[arg]
-                    for arg in lit.args
-                ),
-            )
-            for lit in self.rule.positive_literals
-        ]
-
-    def describe(self) -> str:
-        return "; ".join(
-            f"{'scan* ' if is_delta else ''}{item!r}" for item, is_delta in self.plan
-        )
-
-
-def _probe_literal(
-    literal: Literal,
-    env: dict[Variable, object],
-    relation: Relation,
-    stats: EvaluationStats,
-) -> Iterable[dict[Variable, object]]:
-    """Yield extended environments matching ``literal`` against ``relation``."""
-    bound_positions: list[int] = []
-    key_values: list[object] = []
-    for i, arg in enumerate(literal.args):
-        if isinstance(arg, Constant):
-            bound_positions.append(i)
-            key_values.append(arg.value)
-        elif arg in env:
-            bound_positions.append(i)
-            key_values.append(env[arg])
-    stats.probes += 1
-    rows = relation.probe(tuple(bound_positions), tuple(key_values))
-    for row in rows:
-        stats.rows_scanned += 1
-        extended = dict(env)
-        stats.env_allocations += 1
-        consistent = True
-        for i, arg in enumerate(literal.args):
-            if isinstance(arg, Constant):
-                continue
-            # _UNSET (not None) marks unbound: a row value of None must
-            # still join consistently against an earlier binding.
-            current = extended.get(arg, _UNSET)
-            if current is _UNSET:
-                extended[arg] = row[i]
-            elif current != row[i]:
-                consistent = False
-                break
-        if consistent:
-            yield extended
-
-
-def _check_filter(item: object, env: Mapping[Variable, object], edb_lookup) -> bool:
-    """Evaluate a fully bound order atom or negated literal."""
-    if isinstance(item, OrderAtom):
-        left = item.left.value if isinstance(item.left, Constant) else env[item.left]
-        right = item.right.value if isinstance(item.right, Constant) else env[item.right]
-        return evaluate_comparison(left, right, item.op)
-    assert isinstance(item, Literal) and not item.positive
-    row = tuple(
-        arg.value if isinstance(arg, Constant) else env[arg] for arg in item.args
-    )
-    return not edb_lookup(item.predicate, row, len(row))
-
-
-def _run_join(
-    join: _RuleJoin,
-    env: dict[Variable, object],
-    step: int,
-    relation_of,
-    delta_relation: Relation | None,
-    edb_lookup,
-    stats: EvaluationStats,
-    emit: Callable[[dict[Variable, object]], None],
-) -> None:
-    """Depth-first execution of the interpreted plan, emitting result envs."""
-    if step == len(join.plan):
-        emit(env)
-        return
-    item, is_delta = join.plan[step]
-    if isinstance(item, Literal) and item.positive:
-        relation = delta_relation if is_delta else relation_of(item.predicate, item.atom.arity)
-        for extended in _probe_literal(item, env, relation, stats):
-            _run_join(join, extended, step + 1, relation_of, delta_relation, edb_lookup, stats, emit)
-    else:
-        if _check_filter(item, env, edb_lookup):
-            _run_join(join, env, step + 1, relation_of, delta_relation, edb_lookup, stats, emit)
-
-
-# ----------------------------------------------------------------------
-# Engine adapters: one driver, two join engines (x two storage backends)
-# ----------------------------------------------------------------------
-class _EngineBase:
-    """Driver-facing helpers shared by every engine adapter.
-
-    ``compile`` builds an engine-specific plan (:meth:`make_plan` adds
-    the ``plan`` trace event); ``run`` returns an engine-specific result
-    batch; :meth:`result_count` sizes it (for ``rule_firings``) and
-    :meth:`derive` inserts the head rows — plus provenance and the
-    semi-naive sink delta — returning the number of *new* facts.  The
-    driver never reaches into batch internals: a batch is a list of
-    environments (the interpreter: the row-by-row :meth:`derive` is
-    its) or a kernel's match count with its new head rows.
+    :meth:`make_plan` compiles (or fetches) a rule's plan and adds the
+    ``plan`` trace event; :meth:`run` runs its kernel, returning the
+    match count with the new head rows; :meth:`derive` inserts those
+    rows — plus provenance and the semi-naive sink delta — returning
+    how many there were.  On a columnar database the kernels run over
+    interner codes: the head rows they return are stored as they are,
+    and only provenance decodes them (with the support slots).
     """
 
     def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
@@ -441,13 +298,16 @@ class _EngineBase:
         #: (rule, delta position) -> compiled plan, when the caller keeps
         #: plans across runs (a session, between ingests); else ``None``.
         self.plans = plans
+        self.interner = database.interner
 
-    def make_plan(self, rule: Rule, delta_index: int | None):
+    def make_plan(self, rule: Rule, delta_index: int | None) -> RulePlan:
         plans = self.plans
         plan = None if plans is None else plans.get((rule, delta_index))
         if plan is not None:
             return plan
-        plan = self.compile(rule, delta_index)
+        # ``compile_rule`` is looked up as this module's global on every
+        # call: the perf harness times plan compilation by wrapping it.
+        plan = compile_rule(rule, delta_index, size_of=self._size_of)
         if plans is not None:
             plans[rule, delta_index] = plan
         if self.trace_on:
@@ -460,41 +320,6 @@ class _EngineBase:
             )
         return plan
 
-    def result_count(self, results) -> int:
-        return len(results)
-
-    def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
-        rule = plan.rule
-        head_pred = rule.head.predicate
-        new = 0
-        for env in results:
-            head_row = plan.head_row(env)
-            if head_row in head_relation:
-                continue
-            head_relation.add(head_row)
-            new += 1
-            if prov is not None:
-                prov[(head_pred, head_row)] = (rule, tuple(plan.support_rows(env)))
-            if sink_delta is not None:
-                sink_delta[head_pred].add(head_row)
-        stats.facts_derived += new
-        return new
-
-
-class _SlotEngine(_EngineBase):
-    """The compiled slot-based engine (:mod:`repro.datalog.plan`).
-
-    On a columnar database the kernels run over interner codes: the
-    head rows they return are stored as they are, and only provenance
-    decodes them (with the support slots).
-    """
-
-    name = "slots"
-
-    def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
-        super().__init__(database, idb, tracer, plans)
-        self.interner = database.interner
-
     def _size_of(self, literal: Literal) -> float:
         """Estimated relation size at plan-compile time.
 
@@ -504,11 +329,6 @@ class _SlotEngine(_EngineBase):
         if rel is not None:
             return float(len(rel)) or float(DEFAULT_IDB_ESTIMATE)
         return float(len(self.database.relation(literal.predicate, literal.atom.arity)))
-
-    def compile(self, rule: Rule, delta_index: int | None) -> RulePlan:
-        # ``compile_rule`` is looked up as this module's global on every
-        # call: the perf harness times plan compilation by wrapping it.
-        return compile_rule(rule, delta_index, size_of=self._size_of)
 
     def run(
         self, plan: RulePlan, relation_of, delta_relation, head_relation, prov, stats, governor=None
@@ -523,9 +343,6 @@ class _SlotEngine(_EngineBase):
             governor=governor,
             interner=self.interner,
         )
-
-    def result_count(self, results) -> int:
-        return results[0]
 
     def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
         fresh = results[1]
@@ -550,41 +367,6 @@ class _SlotEngine(_EngineBase):
         return len(rows)
 
 
-class _InterpEngine(_EngineBase):
-    """The seed tuple-at-a-time interpreter, kept as the perf baseline."""
-
-    name = "interpreted"
-
-    def _edb_lookup(self, predicate: str, row: Row, arity: int) -> bool:
-        return row in self.database.relation(predicate, arity)
-
-    compile = staticmethod(_RuleJoin)
-
-    def run(
-        self, join: _RuleJoin, relation_of, delta_relation, head_relation, prov, stats, governor=None
-    ):
-        results: list[dict[Variable, object]] = []
-        emit = results.append
-        if governor is not None:
-            # Per emitted environment: cancellable mid-rule.
-            def emit(env):
-                results.append(env)
-                governor.tick("rule")
-
-        _run_join(join, {}, 0, relation_of, delta_relation, self._edb_lookup, stats, emit)
-        return results
-
-
-def _make_engine(engine: str, database, idb, tracer: Tracer, plans=None):
-    if engine == "slots":
-        return _SlotEngine(database, idb, tracer, plans)
-    if engine == "interpreted":
-        # The interpreter runs unchanged on either storage through the
-        # value-level Relation API (columnar relations decode per read).
-        return _InterpEngine(database, idb, tracer, plans)
-    raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
-
-
 # ----------------------------------------------------------------------
 # The fixpoint driver: one SCC/round loop, seed x round executor
 # ----------------------------------------------------------------------
@@ -592,7 +374,7 @@ class _LocalExecutor:
     """The in-process round executor: fire a round's delta plans in turn.
 
     How a plan runs is the engine adapter's business
-    (:class:`_EngineBase`); an executor only
+    (:class:`_SlotEngine`); an executor only
     decides *where* a round's plans run — here one after another in the
     calling process, in :class:`repro.parallel.engine._ShardedExecutor`
     across a worker fleet behind a barrier.
@@ -601,11 +383,9 @@ class _LocalExecutor:
     #: extra attributes of the run's ``evaluate`` span
     span_attrs: dict = {}
 
-    def __init__(self, driver: "_Driver", engine: str, plans=None):
+    def __init__(self, driver: "_Driver", plans=None):
         self.driver = driver
-        self.eng = _make_engine(
-            engine, driver.database, driver.idb, driver.tracer, plans
-        )
+        self.eng = _SlotEngine(driver.database, driver.idb, driver.tracer, plans)
         self.plans: list = []
 
     def new_frontier(self, predicate: str) -> Relation:
@@ -653,14 +433,11 @@ class _Driver:
         resume_from: "EvaluationSnapshot | None" = None,
         live: "EvaluationResult | None" = None,
         seed_fact: "tuple[str, Row] | None" = None,
-        strategy: str = "seminaive",
         provenance: bool = False,
         checkpoint_every: int = 0,
         checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
     ):
-        _check_resume(resume_from, strategy, provenance)
-        if strategy not in ("seminaive", "naive"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+        _check_resume(resume_from, provenance)
         self.program = program
         self.database = database
         self.tracer = tracer
@@ -668,7 +445,6 @@ class _Driver:
         self.governor = governor
         self.resume_from = resume_from
         self.seed_fact = seed_fact
-        self.strategy = strategy
         #: the governor's phase label ("ingest" under the ingest seed)
         self.phase = "evaluate"
         self.checkpoint_every = checkpoint_every
@@ -713,7 +489,7 @@ class _Driver:
             {} if provenance else None
         )
 
-        # A closure, not a method: the interpreter calls it per row.
+        # A closure, not a method: a plan calls it per body literal.
         def relation_of(predicate: str, arity: int) -> Relation:
             rel = idb.get(predicate)
             return database.relation(predicate, arity) if rel is None else rel
@@ -772,7 +548,7 @@ class _Driver:
                 stats,
                 self.governor,
             )
-            stats.rule_firings += eng.result_count(results)
+            stats.rule_firings += results[0]
             key = plan.rule_key
             stats.rows_scanned_by_rule[key] = (
                 stats.rows_scanned_by_rule.get(key, 0)
@@ -821,7 +597,6 @@ class _Driver:
         snap_stats = self.stats.copy()
         snap_stats.wall_time_seconds = self.elapsed()
         return EvaluationSnapshot(
-            strategy=self.strategy,
             completed_sccs=completed,
             scc_index=scc_index,
             iteration=iteration,
@@ -876,16 +651,11 @@ class _Driver:
         try:
             with tracer.span(
                 "evaluate",
-                strategy=self.strategy,
-                engine=self.eng.name,
                 rules=len(self.program.rules),
                 seed=seed,
                 **executor.span_attrs,
             ) as root:
-                if self.strategy == "naive":
-                    completed = self._naive_rounds()
-                else:
-                    completed = self._seminaive_sccs(executor, ingest)
+                completed = self._seminaive_sccs(executor, ingest)
                 if self.checkpoint_sink is not None:
                     self.checkpoint_sink(
                         self.make_snapshot(
@@ -923,28 +693,6 @@ class _Driver:
             for pred, rel in frontier.items():
                 if len(rel):
                     self.idb[pred].discard(rel.rows())
-
-    def _naive_rounds(self) -> int:
-        """The test oracle: fire every rule against the full relations
-        until a round derives nothing new.  Naive snapshots carry no
-        frontier — the whole IDB is the state — so a resumed run simply
-        keeps iterating over the seeded relations."""
-        stats = self.stats
-        plans = [self.eng.make_plan(rule, None) for rule in self.program.rules]
-        changed = True
-        while changed:
-            stats.iterations += 1
-            self.check()
-            if self.trace_on:
-                self.tracer.event("iteration", index=stats.iterations, delta_in=None)
-            before = stats.facts_derived
-            if self.seed_fact is not None:
-                self.fire_seed_fact()
-            for plan in plans:
-                self.fire_rule(plan, None, None, None, stats.iterations)
-            changed = stats.facts_derived > before
-            self.checkpoint(0, None, stats.iterations, None)
-        return 0
 
     def _seminaive_sccs(self, executor, ingest) -> int:
         """SCC by SCC in topological order; delta rounds inside each.
@@ -1093,7 +841,7 @@ def _evaluate_ingest(
     """
     driver = _Driver(program, database, tracer=tracer, governor=governor, live=live)
     try:
-        result = driver.run(_LocalExecutor(driver, "slots", plans), ingest=new_rows)
+        result = driver.run(_LocalExecutor(driver, plans), ingest=new_rows)
         if commit is not None:
             commit()
         return result
@@ -1107,9 +855,7 @@ def evaluate(
     database: Database,
     *,
     provenance: bool = False,
-    strategy: str = "seminaive",
     tracer: Tracer | None = None,
-    engine: str = "slots",
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
     checkpoint_every: int = 0,
@@ -1126,11 +872,7 @@ def evaluate(
 
     There is one way to evaluate: semi-naive rounds over the compiled
     slot engine, body literals in cost order, in this process, in the
-    database's own storage backend.  Two references stay for the tests
-    to compare it against: ``strategy="naive"`` (re-evaluate every rule
-    against the full relations each round) and ``engine="interpreted"``
-    (the seed tuple-at-a-time interpreter, greedy body order).  A
-    columnar database (:meth:`~repro.datalog.database.Database.to_storage`)
+    database's own storage backend.  A columnar database (:meth:`~repro.datalog.database.Database.to_storage`)
     runs the same kernels over interner codes, and
     :func:`repro.parallel.evaluate_sharded` runs them across processes;
     both are reached by direct call only, reach the same fixpoint, and
@@ -1164,8 +906,7 @@ def evaluate(
     from such a snapshot: completed SCCs are skipped, the in-progress
     SCC continues from its saved frontier, and statistics continue
     cumulatively (budget limits therefore account for pre-checkpoint
-    work too).  The snapshot must match ``strategy`` and is
-    engine-independent; ``provenance=True`` cannot resume.
+    work too).  ``provenance=True`` cannot resume.
 
     Two inputs serve a program evaluated again and again (a cached
     magic program, request after request).  ``seed_fact`` is a
@@ -1187,12 +928,11 @@ def evaluate(
         governor=Governor.of(budget, cancellation),
         resume_from=resume_from,
         seed_fact=seed_fact,
-        strategy=strategy,
         provenance=provenance,
         checkpoint_every=checkpoint_every,
         checkpoint_sink=checkpoint_sink,
     )
-    return driver.run(_LocalExecutor(driver, engine, plans))
+    return driver.run(_LocalExecutor(driver, plans))
 
 
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:

@@ -1,8 +1,8 @@
 """Compiled slot-based join plans with cost-based body reordering.
 
-This module is the compiled counterpart of the tuple-at-a-time
-interpreter that seeded :mod:`repro.datalog.evaluation`.  A rule is
-compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
+This module is the join engine of :mod:`repro.datalog.evaluation`.  A
+rule is compiled **once per (rule, delta-position)** into a
+:class:`RulePlan`:
 
 * variables are mapped to integer *slots*, and each slot becomes one
   local variable of the generated kernel — no per-row ``dict`` copies,
@@ -33,9 +33,7 @@ first, then literals by estimated scan cost
 ``relation_size × SELECTIVITY^bound_positions`` (fully bound literals
 cost nothing — they become existence checks), so small relations such
 as magic predicates are joined before large ones even when neither has
-a bound argument yet.  :func:`order_body_greedy` (greedily by
-bound-argument count) is the reference interpreter's order and nothing
-else's.
+a bound argument yet.
 
 Relations are accessed through :meth:`Relation.index_for` /
 :meth:`Relation.all_rows`: the index for a probe's position set is
@@ -69,7 +67,6 @@ from .terms import Constant, Variable
 __all__ = [
     "RulePlan",
     "compile_rule",
-    "order_body_greedy",
     "order_body_cost",
     "SELECTIVITY",
     "DEFAULT_IDB_ESTIMATE",
@@ -84,8 +81,6 @@ DEFAULT_IDB_ESTIMATE = 16
 
 #: ``size_of`` callback: estimated row count of a positive literal's relation.
 SizeEstimator = Callable[[Literal], float]
-
-_ORDERED_ITEM = tuple  # (BodyItem, is_delta)
 
 
 # ----------------------------------------------------------------------
@@ -128,49 +123,6 @@ def _flush_filters(plan, bound, remaining_filters) -> None:
                 progressing = True
 
 
-def _finish_order(rule, plan, remaining_filters) -> list[tuple]:
-    if remaining_filters:
-        # Safety guarantees this never happens for safe rules whose
-        # filter variables are positively bound.
-        raise ValueError(f"rule {rule} has filters with unbound variables")
-    return plan
-
-
-def order_body_greedy(rule: Rule, delta_index: int | None) -> list[tuple]:
-    """The seed interpreter's static join order.
-
-    Returns ``(body item, is_delta)`` pairs: the delta literal (when
-    present) first, then positive literals greedily by bound-argument
-    count (ties broken toward fewer fresh variables, then textual
-    order), with filters flushed as soon as they are evaluable.
-    """
-    positives, filters, delta_pair = _split_body(rule, delta_index)
-    plan: list[tuple] = []
-    bound: set[Variable] = set()
-    if delta_pair is not None:
-        plan.append((delta_pair[1], True))
-        bound |= delta_pair[1].variables()
-    _flush_filters(plan, bound, filters)
-    while positives:
-        best = max(
-            positives,
-            key=lambda pair: (
-                sum(
-                    1
-                    for arg in pair[1].args
-                    if isinstance(arg, Constant) or arg in bound
-                ),
-                -len(pair[1].variables() - bound),
-            ),
-        )
-        positives.remove(best)
-        plan.append((best[1], False))
-        bound |= best[1].variables()
-        _flush_filters(plan, bound, filters)
-    _flush_filters(plan, bound, filters)
-    return _finish_order(rule, plan, filters)
-
-
 def _scan_cost(literal: Literal, bound: set[Variable], size_of: SizeEstimator) -> float:
     bound_count = sum(
         1 for arg in literal.args if isinstance(arg, Constant) or arg in bound
@@ -186,9 +138,10 @@ def order_body_cost(
 ) -> list[tuple]:
     """Cost-based static join order.
 
-    Like :func:`order_body_greedy` (delta literal first, filters
-    flushed as soon as bound) but positive literals are chosen greedily
-    by minimal estimated scan cost
+    Returns ``(body item, is_delta)`` pairs: the delta literal (when
+    present) first, filters flushed as soon as their variables are
+    bound, and positive literals chosen greedily by minimal estimated
+    scan cost
     ``relation_size × SELECTIVITY^bound_positions``; ties prefer more
     bound positions, then textual order.  An empty relation costs 0 and
     is scanned first, short-circuiting the whole join.
@@ -229,7 +182,11 @@ def order_body_cost(
         bound |= best[1].variables()
         _flush_filters(plan, bound, filters)
     _flush_filters(plan, bound, filters)
-    return _finish_order(rule, plan, filters)
+    if filters:
+        # Safety guarantees this never happens for safe rules whose
+        # filter variables are positively bound.
+        raise ValueError(f"rule {rule} has filters with unbound variables")
+    return plan
 
 
 # ----------------------------------------------------------------------

@@ -379,11 +379,11 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
 
 
 def profile_evaluation(
-    program: "Program", database: "Database", *, strategy: str = "seminaive"
+    program: "Program", database: "Database"
 ) -> tuple[EvaluationProfile, "EvaluationResult"]:
     """Evaluate ``program`` under a fresh tracer and profile the run."""
     from ..datalog.evaluation import evaluate
 
     sink = RingBufferSink()
-    result = evaluate(program, database, strategy=strategy, tracer=Tracer([sink]))
+    result = evaluate(program, database, tracer=Tracer([sink]))
     return build_profile(sink), result

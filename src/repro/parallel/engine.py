@@ -186,8 +186,6 @@ class _ShardedEngine(_SlotEngine):
     need it.
     """
 
-    name = "sharded"
-
     def __init__(self, database, idb, tracer, accept_log):
         super().__init__(database, idb, tracer)
         self.accept_log = accept_log
@@ -321,7 +319,6 @@ class WorkerPool:
         """
         interner = self.database.interner
         snapshot = EvaluationSnapshot(
-            strategy="seminaive",
             completed_sccs=0,
             scc_index=None,
             iteration=0,
@@ -997,7 +994,6 @@ def evaluate_sharded(
     workers: int,
     pool: WorkerPool | None = None,
     provenance: bool = False,
-    strategy: str = "seminaive",
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
@@ -1018,10 +1014,9 @@ def evaluate_sharded(
     ``env_allocations``, ``index_builds``) report fleet totals and
     therefore exceed the sequential values.
 
-    Restrictions: ``strategy`` must be ``"seminaive"`` (delta sharding
-    is meaningless under naive re-evaluation) and ``provenance`` is
-    unsupported (support tuples are process-local).  ``checkpoint_*``
-    and ``resume_from`` work exactly as in the sequential engine.
+    Restriction: ``provenance`` is unsupported (support tuples are
+    process-local).  ``checkpoint_*`` and ``resume_from`` work exactly
+    as in the sequential engine.
 
     Worker deaths and stragglers are handled by the supervision layer
     (``supervision``, a :class:`SupervisionPolicy`): the dead worker is
@@ -1037,11 +1032,6 @@ def evaluate_sharded(
         raise ValueError(
             "workers=N cannot record provenance (support tuples are "
             "process-local); use the sequential engine for derivation trees"
-        )
-    if strategy != "seminaive":
-        raise ValueError(
-            f"workers=N requires strategy='seminaive', got {strategy!r} "
-            "(delta sharding has no meaning under naive re-evaluation)"
         )
     if tracer is None:
         tracer = get_tracer()

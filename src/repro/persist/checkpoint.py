@@ -108,13 +108,11 @@ class Checkpoint:
         """A JSON-ready envelope summary (no row payloads).
 
         The shared shape behind ``repro session inspect`` and the
-        serving daemon's ``/stats``: sequence number, strategy,
-        completeness, ``latest_round``, SCC progress, fact count and
-        cumulative stats.
+        serving daemon's ``/stats``: sequence number, completeness,
+        ``latest_round``, SCC progress, fact count and cumulative stats.
         """
         return {
             "seq": self.seq,
-            "strategy": self.snapshot.strategy,
             "complete": self.complete,
             "latest_round": self.latest_round,
             "iteration": self.snapshot.iteration,
@@ -132,7 +130,7 @@ class Checkpoint:
             "seq": self.seq,
             "workload": self.workload,
             "snapshot": {
-                "strategy": snap.strategy,
+                "strategy": "seminaive",  # older builds read this key unconditionally
                 "completed_sccs": snap.completed_sccs,
                 "scc_index": snap.scc_index,
                 "iteration": snap.iteration,
@@ -167,8 +165,12 @@ class Checkpoint:
                     f"(this build reads version {CHECKPOINT_VERSION})"
                 )
             snap = payload["snapshot"]
+            # Older builds also wrote naive snapshots.  They carry no
+            # frontier, so a semi-naive resume would under-derive.
+            strategy = snap.get("strategy", "seminaive")
+            if strategy != "seminaive":
+                raise CheckpointCorrupt(f"unsupported evaluation strategy {strategy!r}")
             snapshot = EvaluationSnapshot(
-                strategy=str(snap["strategy"]),
                 completed_sccs=int(snap["completed_sccs"]),
                 scc_index=None if snap["scc_index"] is None else int(snap["scc_index"]),
                 iteration=int(snap["iteration"]),

@@ -580,8 +580,6 @@ class Session:
             # killed evaluation of this very EDB left, if any.  The
             # final checkpoint covers every applied record.
             frontier = frontiers.get(self.workload())
-            if frontier is not None and frontier.snapshot.strategy != "seminaive":
-                frontier = None
             if replayed:
                 reason = "no complete checkpoint covers the journal chain"
                 if base is not None:
@@ -658,7 +656,6 @@ class Session:
         ``result``; returns how many checkpoints landed (0 or 1), with
         a degraded save recorded in ``fallback_chain``."""
         snapshot = EvaluationSnapshot(
-            strategy="seminaive",
             completed_sccs=len(self.program.schedule),
             scc_index=None,
             iteration=result.stats.iterations,

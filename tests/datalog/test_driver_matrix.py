@@ -1,12 +1,11 @@
-"""The driver matrix: every seed x executor x strategy against goldens.
+"""The driver matrix: every seed x executor against goldens.
 
 One fixpoint driver serves three *seeds* (cold, resume from a
-checkpointed round, ingest delta) and four *round executors*
-(interpreter, slot engine on value rows, the same kernels on interner
-codes, the sharded barrier with two workers), in semi-naive and — as
-the oracle — naive strategy.  Only the slot engine on rows is reachable from a
-command, the daemon or a ``Session``; the other three are built here by
-direct call, and only the default one has an ``ingest`` cell (a
+checkpointed round, ingest delta) and three *round executors* (slot
+engine on value rows, the same kernels on interner codes, the sharded
+barrier with two workers).  Only the slot engine on rows is reachable
+from a command, the daemon or a ``Session``; the other two are built
+here by direct call, and only the default one has an ``ingest`` cell (a
 ``Session`` evaluates one way).  Each cell's fixpoint digest and
 deterministic work counters are compared with
 ``golden_driver_matrix.json``, which was generated by this file at the
@@ -20,7 +19,9 @@ cells of the three non-default executors left the file with the
 ``Session`` keywords that built them; no surviving value changed.
 The ``slots-columnar`` and ``sharded-w2`` cells were recorded on a
 block-at-a-time executor since replaced by the generated kernels;
-they held without a re-pin.)
+they held without a re-pin.  A second filter: the ``interpreted``
+executor's pairs and every ``naive`` cell left with the interpreter and
+the naive loop; the surviving cells keep their ``/seminaive`` names.)
 
 Regenerate (only at a commit whose behaviour is the intended
 reference)::
@@ -57,9 +58,6 @@ GOLDEN = Path(__file__).with_name("golden_driver_matrix.json")
 
 #: executor name -> ``run(program, database, **run_options)``
 EXECUTORS = {
-    "interpreted": lambda program, database, **options: evaluate(
-        program, database, engine="interpreted", **options
-    ),
     "slots-rows": evaluate,
     "slots-columnar": lambda program, database, **options: evaluate(
         program, database.to_storage("columnar"), **options
@@ -114,42 +112,31 @@ def _held_back(database):
 
 
 def measure(workload: str, executor: str) -> dict:
-    """All cells of one (workload, executor) pair: seed x strategy."""
+    """All cells of one (workload, executor) pair, one per seed."""
     program, database = WORKLOADS[workload]()
     run = EXECUTORS[executor]
     sequential = executor != "sharded-w2"
     cells = {}
-    for strategy in ("seminaive", "naive") if sequential else ("seminaive",):
-        snapshots = []
-        with tracing(RingBufferSink()) as tracer:
-            cold = run(
-                program,
-                database.copy(),
-                strategy=strategy,
-                checkpoint_every=1,
-                checkpoint_sink=snapshots.append,
-            )
-        cells[f"cold/{strategy}"] = _record(program, cold, sequential)
-        if sequential:
-            # The trace a cold run emits, by event name in sink order:
-            # profiler, chaos sites and the perf harness all key on it.
-            names = "\n".join(f"{e.kind}:{e.name}" for e in tracer.sinks[0])
-            cells[f"cold/{strategy}"]["trace"] = hashlib.sha256(
-                names.encode()
-            ).hexdigest()[:16]
-        cells[f"resume/{strategy}"] = [
-            _record(
-                program,
-                run(
-                    program,
-                    database.copy(),
-                    strategy=strategy,
-                    resume_from=snapshot,
-                ),
-                sequential,
-            )
-            for snapshot in snapshots
-        ]
+    snapshots = []
+    with tracing(RingBufferSink()) as tracer:
+        cold = run(
+            program,
+            database.copy(),
+            checkpoint_every=1,
+            checkpoint_sink=snapshots.append,
+        )
+    cells["cold/seminaive"] = _record(program, cold, sequential)
+    if sequential:
+        # The trace a cold run emits, by event name in sink order:
+        # profiler, chaos sites and the perf harness all key on it.
+        names = "\n".join(f"{e.kind}:{e.name}" for e in tracer.sinks[0])
+        cells["cold/seminaive"]["trace"] = hashlib.sha256(
+            names.encode()
+        ).hexdigest()[:16]
+    cells["resume/seminaive"] = [
+        _record(program, run(program, database.copy(), resume_from=snapshot), sequential)
+        for snapshot in snapshots
+    ]
     if executor == "slots-rows":
         base_rows, extra = _held_back(database)
         session = Session(program, Database.from_rows(base_rows))

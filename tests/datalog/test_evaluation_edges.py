@@ -10,10 +10,10 @@ from repro.datalog.parser import parse_facts, parse_program
 from repro.robustness import Budget, BudgetExceededError
 
 
-def _partial_after(program, db, rounds, **options):
+def _partial_after(program, db, rounds):
     """The partial fixpoint a ``rounds``-iteration budget leaves behind."""
     with pytest.raises(BudgetExceededError) as info:
-        evaluate(program, db, budget=Budget(max_iterations=rounds), **options)
+        evaluate(program, db, budget=Budget(max_iterations=rounds))
     assert info.value.limit == "max_iterations"
     return info.value.partial
 
@@ -39,27 +39,24 @@ class TestMaxIterations:
         assert len(evaluate(program, db).rows("t")) == 55
         assert "max_iterations" not in inspect.signature(evaluate).parameters
 
-    @pytest.mark.parametrize("engine", ["slots", "interpreted"])
-    def test_exact_boundary_round_reaches_the_fixpoint(self, engine):
+    def test_exact_boundary_round_reaches_the_fixpoint(self):
         # The bound is strict: a budget of exactly the rounds the
         # fixpoint takes never trips, one less does.
         program = parse_program(
             "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).", query="t"
         )
         db = Database.from_rows({"e": [(i, i + 1) for i in range(10)]})
-        full = evaluate(program, db, engine=engine)
+        full = evaluate(program, db)
         rounds = full.stats.iterations
-        at_boundary = evaluate(
-            program, db, engine=engine, budget=Budget(max_iterations=rounds)
-        )
+        at_boundary = evaluate(program, db, budget=Budget(max_iterations=rounds))
         assert at_boundary.rows("t") == full.rows("t")
         # The last semi-naive round only confirms the empty delta, so
         # tripping on it loses nothing; tripping a round earlier does.
         productive = rounds - 1
         assert productive > 1
-        confirmed = _partial_after(program, db, productive, engine=engine)
+        confirmed = _partial_after(program, db, productive)
         assert confirmed.rows("t") == full.rows("t")
-        truncated = _partial_after(program, db, productive - 1, engine=engine)
+        truncated = _partial_after(program, db, productive - 1)
         assert truncated.rows("t") < full.rows("t")
 
     def test_governed_budget_bounds_total_rounds_instead(self):

@@ -4,9 +4,10 @@ What the closure chain guaranteed implicitly has to be pinned now that
 ``plan.py`` hands source text to ``compile()``: no program text ever
 reaches that source, the code cache is bounded, an abort inside a
 kernel reports exactly the work the closure chain reported, provenance
-is unchanged, and the kernels over values, the same kernels over
-interner codes and the interpreter agree on shapes the canonical
-workloads never produce (arity 0 and 1, constants, repeated variables).
+is sound, and the kernels over values, the same kernels over interner
+codes and the independent model (``tests/reference_model.py``) agree on
+shapes the canonical workloads never produce (arity 0 and 1, constants,
+repeated variables).
 """
 
 import linecache
@@ -16,11 +17,12 @@ import traceback
 import pytest
 
 import repro.datalog.evaluation as evaluation
+from reference_model import check_provenance, model_fixpoint
 from repro.datalog.atoms import Atom, Literal, OrderAtom
 from repro.datalog.database import ArityMismatch, Database, Relation
 from repro.datalog.evaluation import _INT_COUNTERS, evaluate
 from repro.datalog.parser import parse_atom, parse_constraints, parse_program, parse_rule
-from repro.datalog.plan import _compiled_kernel, compile_rule, order_body_cost
+from repro.datalog.plan import _compiled_kernel, compile_rule
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
@@ -110,11 +112,11 @@ def test_source_holds_no_program_text():
     rename = {BENIGN["c"]: HOSTILE["c"], BENIGN["d"]: HOSTILE["d"]}
     expected = {
         tuple(rename.get(value, value) for value in row)
-        for row in evaluate(benign, benign_db, engine="interpreted").query_rows()
+        for row in model_fixpoint(benign, benign_db)[BENIGN["q"]]
     }
     assert expected
-    for engine in ("slots", "interpreted"):
-        assert evaluate(hostile, hostile_db.copy(), engine=engine).query_rows() == expected
+    assert model_fixpoint(hostile, hostile_db)[HOSTILE["q"]] == expected
+    assert evaluate(hostile, hostile_db.copy()).query_rows() == expected
 
 
 # ----------------------------------------------------------------------
@@ -265,23 +267,14 @@ def test_abort_inside_a_kernel_reports_the_closure_chains_work(workload, k):
 # (d) provenance
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workload", sorted(ABORT_WORKLOADS))
-def test_provenance_supports_match_the_interpreter(workload):
+def test_provenance_is_sound(workload):
     program, database = ABORT_WORKLOADS[workload]()
     slots = evaluate(program, database.copy(), provenance=True)
-    interpreted = evaluate(program, database.copy(), engine="interpreted", provenance=True)
     plain = evaluate(program, database.copy())
-    # The interpreter joins in greedy order and the kernels in cost order,
-    # so which derivation of a fact comes first may differ: the same
-    # facts are explained, each by a sound instance of one of its rules.
-    assert slots.provenance and slots.provenance.keys() == interpreted.provenance.keys()
-    for (predicate, row), (rule, supports) in slots.provenance.items():
-        assert rule.head.predicate == predicate
-        assert [s[0] for s in supports] == [l.predicate for l in rule.positive_literals]
-        for support_predicate, support_row in supports:
-            if support_predicate in program.idb_predicates:
-                assert support_row in slots.rows(support_predicate)
-            else:
-                assert database.contains(support_predicate, support_row)
+    # Every fact of the model's fixpoint is explained, each by a sound
+    # instance of one of its rules.
+    assert slots.provenance
+    check_provenance(program, database, slots.provenance)
     # The batch insert (provenance off) derives the same facts and counts.
     assert slots.idb.keys() == plain.idb.keys()
     for predicate in plain.idb:
@@ -305,46 +298,50 @@ def _random_rule_database(rng, rule):
     return Database.from_rows(rows)
 
 
+#: seed -> rule_firings, facts_derived, iterations, probes summed over
+#: the seed's 40 random rules (plain runs).  Recorded when an
+#: interpreter joining in the kernel's body order still checked them
+#: rule by rule.
+ONE_KERNEL_COUNTS = {
+    0: (36, 21, 0, 66),
+    1: (84, 41, 0, 83),
+    2: (44, 14, 0, 68),
+    3: (41, 22, 0, 81),
+    4: (71, 35, 0, 122),
+    5: (29, 13, 0, 62),
+    6: (40, 22, 0, 89),
+    7: (66, 39, 0, 82),
+}
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_one_kernel_serves_plain_governed_and_provenance_runs(seed, monkeypatch):
+def test_one_kernel_serves_plain_governed_and_provenance_runs(seed):
     rng = random.Random(seed)
     compared = 0
+    counts = [0, 0, 0, 0]
     for _ in range(40):
         rule = _random_rule(rng)
         program = Program([rule], query="h")
         database = _random_rule_database(rng, rule)
-
-        def size_of(literal):
-            return float(len(database.relation(literal.predicate, literal.atom.arity)))
-
-        # The interpreter joins in the kernel's own body order here, so
-        # both meet the matches — and a new fact's first support — in
-        # the same sequence.
-        monkeypatch.setattr(
-            evaluation,
-            "order_body_greedy",
-            lambda rule, delta: order_body_cost(rule, delta, size_of),
-        )
-        interpreted = evaluate(program, database.copy(), engine="interpreted", provenance=True)
+        expected = model_fixpoint(program, database)
         plain = evaluate(program, database.copy())
         traced = evaluate(program, database.copy(), provenance=True)
         governed = evaluate(program, database.copy(), budget=Governor(Budget(timeout=60), stride=1))
-        digest = fixpoint_digest([("x", interpreted.idb)])
         for result in (plain, traced, governed):
-            assert fixpoint_digest([("x", result.idb)]) == digest
+            assert {"h": result.rows("h")} == expected
             for counter in _INT_COUNTERS:
                 assert getattr(result.stats, counter) == getattr(plain.stats, counter), counter
-        # What an engine counts the same way whatever its loop looks like.
-        for counter in ("rule_firings", "facts_derived", "iterations", "probes"):
-            assert getattr(plain.stats, counter) == getattr(interpreted.stats, counter), counter
+        for index, counter in enumerate(("rule_firings", "facts_derived", "iterations", "probes")):
+            counts[index] += getattr(plain.stats, counter)
         assert plain.provenance is None and governed.provenance is None
-        assert traced.provenance == interpreted.provenance
+        check_provenance(program, database, traced.provenance)
         compared += bool(traced.provenance)
     assert compared >= 5
+    assert tuple(counts) == ONE_KERNEL_COUNTS[seed]
 
 
 # ----------------------------------------------------------------------
-# (e) the three executors agree on every step shape
+# (e) both storages and the model agree on every step shape
 # ----------------------------------------------------------------------
 #: Rules over ``random_workload``'s vocabulary that add what its programs
 #: lack: repeated variables in one literal, constants in bodies and
@@ -382,21 +379,38 @@ def _with_extras(seed):
     return Program(program.rules + tuple(extras), query="q"), database
 
 
+#: seed -> iterations, rule_firings, facts_derived of ``_with_extras``.
+#: Recorded while an interpreter in greedy body order still matched them.
+EXTRAS_COUNTS = {
+    0: (8, 1076, 279),
+    1: (8, 1152, 310),
+    2: (5, 5866, 523),
+    3: (6, 3822, 514),
+    4: (5, 4265, 510),
+    5: (11, 606, 326),
+    6: (10, 2196, 408),
+    7: (3, 387, 167),
+    8: (4, 783, 388),
+    9: (10, 3530, 408),
+    10: (12, 858, 459),
+    11: (7, 4530, 419),
+}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_executors_agree_on_digest_and_counters(seed):
     program, database = _with_extras(seed)
     rows = evaluate(program, database.copy())
     columnar = evaluate(program, database.to_storage("columnar"))
-    interpreted = evaluate(program, database.copy(), engine="interpreted")
-    digest = fixpoint_digest([("x", interpreted.idb)])
-    assert fixpoint_digest([("x", rows.idb)]) == digest
-    assert fixpoint_digest([("x", columnar.idb)]) == digest
+    expected = model_fixpoint(program, database)
+    assert {pred: rows.rows(pred) for pred in expected} == expected
+    assert fixpoint_digest([("x", columnar.idb)]) == fixpoint_digest([("x", rows.idb)])
     for counter in PINNED:
         assert getattr(rows.stats, counter) == getattr(columnar.stats, counter), counter
     assert rows.stats.rows_scanned_by_rule == columnar.stats.rows_scanned_by_rule
-    # Firings and rounds are properties of the program, not of the engine.
-    for counter in ("iterations", "rule_firings", "facts_derived"):
-        assert getattr(rows.stats, counter) == getattr(interpreted.stats, counter), counter
+    # Firings and rounds are properties of the program, not of the body order.
+    counts = tuple(getattr(rows.stats, c) for c in ("iterations", "rule_firings", "facts_derived"))
+    assert counts == EXTRAS_COUNTS[seed]
 
 
 # ----------------------------------------------------------------------
@@ -407,15 +421,12 @@ def test_join_longer_than_the_block_limit_chains_kernels():
     body = ", ".join(f"e(X{i}, X{i + 1})" for i in range(hops))
     program = parse_program(f"far(X0, X{hops}) :- {body}, X0 < X{hops}.", query="far")
     database = Database.from_rows({"e": [(i, i + 1) for i in range(hops + 3)]})
-    results = {
-        engine: evaluate(program, database.copy(), engine=engine)
-        for engine in ("slots", "interpreted")
-    }
-    assert results["slots"].query_rows() == {(i, i + hops) for i in range(4)}
-    assert results["slots"].query_rows() == results["interpreted"].query_rows()
+    rows = evaluate(program, database.copy())
+    assert rows.query_rows() == {(i, i + hops) for i in range(4)}
+    assert rows.query_rows() == model_fixpoint(program, database)["far"]
     columnar = evaluate(program, database.to_storage("columnar"))
     for counter in PINNED:
-        assert getattr(results["slots"].stats, counter) == getattr(columnar.stats, counter)
+        assert getattr(rows.stats, counter) == getattr(columnar.stats, counter)
 
 
 def test_chained_kernel_records_provenance_across_its_functions():
@@ -441,20 +452,21 @@ def test_rule_scanning_its_own_head_relation_reads_it_unchanged():
     program = parse_program("p(X, Y) :- e(X, Y).\np(X, Y) :- p(Y, X).", query="p")
     database = Database.from_rows({"e": [(i, i + 1) for i in range(200)]})
     expected = {(i, i + 1) for i in range(200)} | {(i + 1, i) for i in range(200)}
-    for kwargs in ({}, {"strategy": "naive"}, {"provenance": True}, {"engine": "interpreted"}):
+    assert model_fixpoint(program, database)["p"] == expected
+    for kwargs in ({}, {"provenance": True}):
         assert evaluate(program, database.copy(), **kwargs).query_rows() == expected, kwargs
-    naive = evaluate(program, database.copy(), strategy="naive", provenance=True)
-    assert naive.provenance["p", (1, 0)] == (program.rules[1], (("p", (0, 1)),))
+    traced = evaluate(program, database.copy(), provenance=True)
+    assert traced.provenance["p", (1, 0)] == (program.rules[1], (("p", (0, 1)),))
 
 
 def test_head_with_a_repeated_variable_and_a_constant():
     program = parse_program("p(X, X, 7) :- e(X, Y).\np(Y, Y, 7) :- p(X, X, 7), e(X, Y).", query="p")
     database = Database.from_rows({"e": [(1, 2), (1, 3), (2, 4), (5, 5)]})
     slots = evaluate(program, database.copy(), provenance=True)
-    interpreted = evaluate(program, database.copy(), engine="interpreted")
-    assert slots.query_rows() == interpreted.query_rows() == {(n, n, 7) for n in (1, 2, 3, 4, 5)}
-    for counter in ("rule_firings", "facts_derived", "iterations"):
-        assert getattr(slots.stats, counter) == getattr(interpreted.stats, counter)
+    expected = {(n, n, 7) for n in (1, 2, 3, 4, 5)}
+    assert slots.query_rows() == model_fixpoint(program, database)["p"] == expected
+    stats = slots.stats
+    assert (stats.rule_firings, stats.facts_derived, stats.iterations) == (8, 5, 2)
     # Two matches, one new fact: the first match is the one recorded.
     assert slots.stats.rule_firings > slots.stats.facts_derived
     assert slots.provenance["p", (1, 1, 7)][1] in ((("e", (1, 2)),), (("e", (1, 3)),))
@@ -470,9 +482,9 @@ def test_one_column_index_is_keyed_by_the_value(key, rows):
     program = parse_program("q(Y) :- want(X), e(X, Y).", query="q")
     for storage in ("rows", "columnar"):
         database = Database.from_rows({"want": [(key,)], "e": [(1, "a"), (1, "b"), (2, "c")]}, storage=storage)
-        for engine in ("slots", "interpreted"):
-            result = evaluate(program, database.copy(), engine=engine)
-            assert result.query_rows() == {(row[1],) for row in rows}, (storage, engine)
+        assert model_fixpoint(program, database)["q"] == {(row[1],) for row in rows}
+        result = evaluate(program, database.copy())
+        assert result.query_rows() == {(row[1],) for row in rows}, storage
     relation.add((key, "z"))  # ``add`` files the new row under the same key
     assert sorted(relation.probe((0,), (key,)), key=repr) == sorted(rows + [(key, "z")], key=repr)
 

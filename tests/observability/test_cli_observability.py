@@ -37,7 +37,7 @@ def test_trace_renders_rewrite_and_evaluation(capsys):
     out = capsys.readouterr().out
     assert "optimize query=goodPath" in out
     assert "querytree.build" in out
-    assert "evaluate strategy=seminaive" in out
+    assert "evaluate rules=" in out and "seed=cold" in out
 
 
 def test_trace_jsonl_round_trips(tmp_path, capsys):

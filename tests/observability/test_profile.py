@@ -82,13 +82,6 @@ def test_build_profile_from_captured_events_matches_helper():
         )
 
 
-def test_naive_strategy_profiles_too():
-    program, database = _workload()
-    profile, result = profile_evaluation(program, database, strategy="naive")
-    assert sum(r.firings for r in profile.rules.values()) == result.stats.rule_firings
-    assert profile.iterations == result.stats.iterations
-
-
 def test_ingest_is_traced_and_profiled_like_a_cold_run():
     """An incremental ingest runs on the shared fixpoint driver, so it
     emits the same span kinds a cold run does — tagged with its seed —

@@ -157,5 +157,5 @@ def test_committed_experiments_md_contains_generated_sections():
     )
     assert content.startswith("# EXPERIMENTS — paper vs. measured")
     assert "Generated file — do not edit." in content
-    for key in ("## E01", "## E11", "## F01", "## S01"):
+    for key in ("## E01", "## E11", "## F01"):
         assert key in content, key

@@ -44,11 +44,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="provenance"):
             evaluate_sharded(program, database, workers=2, provenance=True)
 
-    def test_rejects_naive_strategy(self):
-        program, database = _workload()
-        with pytest.raises(ValueError, match="seminaive"):
-            evaluate_sharded(program, database, workers=2, strategy="naive")
-
     def test_pool_requires_columnar_database(self):
         program, database, _ = random_workload(0)
         with pytest.raises(ValueError, match="columnar"):
@@ -122,7 +117,7 @@ def test_prebuilt_pool_matches_own_pool_digest():
 
 def test_sharded_checkpoints_resume_sequentially_and_back():
     program, database = _workload()
-    reference = evaluate(program, database.copy(), engine="slots")
+    reference = evaluate(program, database.copy())
     # Sharded run writes checkpoints...
     snaps = []
     sharded = evaluate_sharded(
@@ -136,16 +131,13 @@ def test_sharded_checkpoints_resume_sequentially_and_back():
     assert snaps, "checkpoint_every=1 must emit at least one snapshot"
     mid = snaps[len(snaps) // 2]
     # ...the sequential engine resumes from one of them...
-    sequential_resumed = evaluate(
-        program, database.copy(), engine="slots", resume_from=mid
-    )
+    sequential_resumed = evaluate(program, database.copy(), resume_from=mid)
     assert _digest(sequential_resumed) == _digest(reference)
     # ...and the sharded evaluator resumes from a sequential snapshot.
     seq_snaps = []
     evaluate(
         program,
         database.copy(),
-        engine="slots",
         checkpoint_every=1,
         checkpoint_sink=seq_snaps.append,
     )
@@ -199,7 +191,7 @@ def test_dispatch_and_merge_trace_events():
 def test_dead_worker_is_recovered_not_fatal():
     """A worker dead before dispatch is respawned, not a WorkerFailure."""
     program, database = _workload()
-    reference = evaluate(program, database.copy(), engine="slots")
+    reference = evaluate(program, database.copy())
     pool = WorkerPool(program, database, 2)
     try:
         pool.procs[0].terminate()
@@ -254,7 +246,7 @@ def test_straggler_is_killed_and_recovered():
     from repro.persist.store import RetryPolicy
 
     program, database = _workload()
-    reference = evaluate(program, database.copy(), engine="slots")
+    reference = evaluate(program, database.copy())
     pool = WorkerPool(program, database, 2)
     try:
         import os

@@ -142,9 +142,8 @@ class TestArmRandomDeterminism:
         # ``iteration`` fires once per semi-naive round in every
         # configuration, and the rng draw sequence depends only on the
         # observation sequence — so the faulted occurrences agree
-        # across both engines and every fleet size.
+        # across both storages and every fleet size.
         runs = [
-            lambda program, database: evaluate(program, database, engine="interpreted"),
             evaluate,
             lambda program, database: evaluate(program, database.to_storage("columnar")),
             *(

@@ -11,6 +11,7 @@ one never half-applied.
 
 import pytest
 
+from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
@@ -48,11 +49,9 @@ def _database(extra=()):
     return Database.from_rows({"edge": list(EDGES) + list(extra)})
 
 
-def _cold_digest(extra=(), program=None, database=None, engine="slots"):
+def _cold_digest(extra=(), program=None, database=None):
     """Digest of a from-scratch recompute over initial EDB + ``extra``."""
-    result = evaluate(
-        program or _program(), database or _database(extra), engine=engine
-    )
+    result = evaluate(program or _program(), database or _database(extra))
     return fixpoint_digest([("recovery", result.idb)])
 
 
@@ -60,13 +59,13 @@ def _digest(outcome):
     return fixpoint_digest([("recovery", outcome.result.idb)])
 
 
-@pytest.mark.parametrize("engine", ["slots", "interpreted"])
+@pytest.mark.parametrize("reference", ["slots", "model"])
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
-def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, engine, storage):
+def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, reference, storage):
     """Kill after ack but before the covering checkpoint: the journal
     suffix alone must carry the ingest across the restart — on a
-    database of either backend, against a cold recompute by either
-    engine."""
+    database of either backend, against a cold recompute by the engine
+    and by the independent model."""
     injector = FaultInjector()
     store = FlakyStore(CheckpointStore(tmp_path), injector)
     session = Session(
@@ -85,7 +84,11 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, engine, storage)
     recovered = fresh.recover()
     assert recovered.mode == "recovered"
     assert recovered.replayed >= 1
-    assert _digest(recovered) == _cold_digest([(4, 5), (5, 6)], engine=engine)
+    if reference == "model":
+        expected = model_fixpoint(_program(), _database([(4, 5), (5, 6)]))
+        assert {pred: rel.rows() for pred, rel in recovered.result.idb.items()} == expected
+    else:
+        assert _digest(recovered) == _cold_digest([(4, 5), (5, 6)])
 
 
 def test_append_crash_leaves_state_unmutated(tmp_path):

@@ -1,6 +1,7 @@
 """Property: resuming from any checkpoint reproduces the from-scratch
 fixpoint, row for row, and ingesting facts incrementally matches a cold
-recompute — across random workloads, both engines, both strategies.
+recompute by the engine and by the independent model — across random
+workloads.
 
 ``random_workload`` programs include negated EDB literals and order
 atoms, so the ingest property also exercises the non-monotone
@@ -8,74 +9,64 @@ recompute fallback (seeds that negate ``blocked`` and then ingest
 ``blocked`` facts).
 """
 
+import hashlib
+import json
+
 import pytest
 
+from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
-from repro.persist import Session
+from repro.persist import Checkpoint, CheckpointStore, Session
 from repro.workloads.generators import good_path_database, random_workload
 from repro.workloads.programs import good_path
-
-ENGINES = ("slots", "interpreted")
-STRATEGIES = ("seminaive", "naive")
 
 
 def _fixpoint(result):
     return {pred: rel.rows() for pred, rel in result.idb.items()}
 
 
-def _snapshots(program, database, **kwargs):
+def _snapshots(program, database):
     snaps = []
-    evaluate(
-        program,
-        database.copy(),
-        checkpoint_every=1,
-        checkpoint_sink=snaps.append,
-        **kwargs,
-    )
+    evaluate(program, database.copy(), checkpoint_every=1, checkpoint_sink=snaps.append)
     return snaps
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", range(6))
-def test_resume_from_every_round_matches_scratch(seed, engine, strategy):
+def test_resume_from_every_round_matches_scratch(seed):
     program, database, _ = random_workload(seed)
-    baseline = _fixpoint(
-        evaluate(program, database.copy(), engine=engine, strategy=strategy)
-    )
-    snaps = _snapshots(program, database, engine=engine, strategy=strategy)
+    baseline = _fixpoint(evaluate(program, database.copy()))
+    assert baseline == model_fixpoint(program, database)
+    snaps = _snapshots(program, database)
     assert snaps and snaps[-1].complete
     for snap in snaps:
-        resumed = evaluate(
-            program,
-            database.copy(),
-            engine=engine,
-            strategy=strategy,
-            resume_from=snap,
-        )
+        resumed = evaluate(program, database.copy(), resume_from=snap)
         assert _fixpoint(resumed) == baseline
 
 
-@pytest.mark.parametrize("seed", range(6, 10))
-def test_resume_across_engines(seed):
-    """Snapshots are engine-agnostic: a frontier captured under the
-    compiled engine resumes under the interpreter, and vice versa."""
-    program, database, _ = random_workload(seed)
-    baseline = _fixpoint(evaluate(program, database.copy()))
-    for source, target in (("slots", "interpreted"), ("interpreted", "slots")):
-        for snap in _snapshots(program, database, engine=source):
-            resumed = evaluate(
-                program, database.copy(), engine=target, resume_from=snap
-            )
-            assert _fixpoint(resumed) == baseline
-
-
-def test_resume_wrong_strategy_rejected():
+def test_naive_checkpoint_is_quarantined(tmp_path):
+    """Older builds could also write naive snapshots, which carry no
+    frontier: resumed semi-naively they would under-derive.  Recovery
+    treats one as corrupt — quarantined, and the restart falls back to
+    the checkpoint before it."""
     program, database, _ = random_workload(0)
-    snap = _snapshots(program, database, strategy="naive")[0]
-    with pytest.raises(ValueError, match="strategy"):
-        evaluate(program, database.copy(), resume_from=snap)
+    Session(
+        program, database.copy(), store=CheckpointStore(tmp_path), checkpoint_every=1
+    ).run()
+    paths = CheckpointStore(tmp_path).paths()
+    assert len(paths) >= 3
+    paths[-1].unlink()  # the complete checkpoint
+    naive = paths[-2]
+    payload = Checkpoint.decode(naive.read_text()).to_payload()
+    payload["snapshot"].update(strategy="naive", delta=None)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode()).hexdigest()
+    naive.write_text(f'{{"checksum":"{checksum}","payload":{canonical}}}')
+
+    outcome = Session(program, database.copy(), store=CheckpointStore(tmp_path)).recover()
+    assert outcome.mode == "resumed"
+    assert _fixpoint(outcome.result) == model_fixpoint(program, database)
+    assert naive.name + ".corrupt" in {path.name for path in tmp_path.glob("*.corrupt")}
 
 
 def test_resume_with_provenance_rejected():
@@ -85,14 +76,14 @@ def test_resume_with_provenance_rejected():
         evaluate(program, database.copy(), resume_from=snap, provenance=True)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("reference", ("slots", "model"))
 @pytest.mark.parametrize("seed", range(12))
-def test_ingest_matches_cold_recompute(seed, engine):
+def test_ingest_matches_cold_recompute(seed, reference):
     """Hold back a third of every EDB relation, evaluate, then ingest
-    the held-back facts: the session fixpoint must equal evaluating the
-    full database from scratch — on the engine the session itself runs
-    and on the interpreter reference — incrementally when the workload
-    is monotone, via the recompute fallback otherwise."""
+    the held-back facts: the session fixpoint must equal the full
+    database's from scratch — by the engine the session itself runs and
+    by the independent model — incrementally when the workload is
+    monotone, via the recompute fallback otherwise."""
     program, full_db, _ = random_workload(seed)
     base_rows, extra = {}, []
     for pred in sorted(full_db.predicates()):
@@ -111,7 +102,10 @@ def test_ingest_matches_cold_recompute(seed, engine):
     }
     if negated & {pred for pred, _ in extra}:
         assert outcome.mode == "recompute"
-    baseline = _fixpoint(evaluate(program, full_db.copy(), engine=engine))
+    if reference == "model":
+        baseline = model_fixpoint(program, full_db)
+    else:
+        baseline = _fixpoint(evaluate(program, full_db.copy()))
     assert _fixpoint(outcome.result) == baseline
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_model import model_fixpoint
 from repro.datalog.database import ArityMismatch, Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
@@ -77,8 +78,8 @@ def test_resume_ignores_checkpoint_of_other_workload(tmp_path):
     assert [path for path in foreign if path.exists()] == foreign
 
 
-@pytest.mark.parametrize("engine", ("slots", "interpreted"))
-def test_ingest_incremental_row_identical_to_recompute(tmp_path, engine):
+@pytest.mark.parametrize("reference", ("slots", "model"))
+def test_ingest_incremental_row_identical_to_recompute(tmp_path, reference):
     session = Session(
         _program(),
         _database(),
@@ -89,11 +90,13 @@ def test_ingest_incremental_row_identical_to_recompute(tmp_path, engine):
     outcome = session.ingest([("edge", (5, 6)), ("edge", (0, 1))])
     assert outcome.mode == "incremental"
     assert not outcome.fallback_chain
-    # against a cold recompute on the session's own engine and on the
-    # interpreter reference
-    recomputed = _rows(
-        evaluate(_program(), _database(extra=[(5, 6), (0, 1)]), engine=engine)
-    )
+    # against a cold recompute by the session's own engine and by the
+    # independent model
+    database = _database(extra=[(5, 6), (0, 1)])
+    if reference == "model":
+        recomputed = model_fixpoint(_program(), database)
+    else:
+        recomputed = _rows(evaluate(_program(), database))
     assert _rows(outcome.result) == recomputed
 
 

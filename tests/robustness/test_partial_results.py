@@ -2,14 +2,15 @@
 
 Bottom-up evaluation only ever adds facts (negation is EDB-only), so a
 run interrupted at any cooperative checkpoint must hold a partial IDB
-contained in the unbounded fixpoint — for every workload, every engine
-and every strategy.  Random workloads from the generator module include
-negated EDB literals and order atoms, so the property is exercised on
-the full program class of the paper.
+contained in the unbounded fixpoint — the engine's own, and the
+independent model's (``tests/reference_model.py``).  Random workloads
+from the generator module include negated EDB literals and order atoms,
+so the property is exercised on the full program class of the paper.
 """
 
 import pytest
 
+from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
@@ -23,7 +24,8 @@ from repro.robustness import (
 from repro.workloads.generators import random_database, random_program
 
 SEEDS = range(8)
-ENGINES = ("slots", "interpreted")
+#: who computes the unbounded fixpoint: the engine, or the model
+REFERENCES = ("slots", "model")
 
 
 def _workload(seed):
@@ -38,6 +40,12 @@ def _idb_rows(result):
     }
 
 
+def _full(program, database, reference):
+    if reference == "model":
+        return model_fixpoint(program, database)
+    return _idb_rows(evaluate(program, database.copy()))
+
+
 def _is_subset(partial, full):
     for predicate, rows in partial.items():
         if not rows <= full.get(predicate, frozenset()):
@@ -45,16 +53,16 @@ def _is_subset(partial, full):
     return True
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_tiny_fact_budget_yields_partial_subset_of_fixpoint(seed, engine):
+def test_tiny_fact_budget_yields_partial_subset_of_fixpoint(seed, reference):
     program, database = _workload(seed)
-    full = _idb_rows(evaluate(program, database.copy(), engine=engine))
+    full = _full(program, database, reference)
     total = sum(len(rows) for rows in full.values())
     if total < 2:
         pytest.skip("fixpoint too small to interrupt")
     with pytest.raises(BudgetExceededError) as info:
-        evaluate(program, database.copy(), engine=engine, budget=Budget(max_facts=1))
+        evaluate(program, database.copy(), budget=Budget(max_facts=1))
     exc = info.value
     assert exc.phase == "evaluate"
     assert exc.partial is not None and exc.stats is not None
@@ -63,20 +71,6 @@ def test_tiny_fact_budget_yields_partial_subset_of_fixpoint(seed, engine):
     partial = _idb_rows(exc.partial)
     assert _is_subset(partial, full)
     assert sum(len(rows) for rows in partial.values()) < total
-
-
-@pytest.mark.parametrize("strategy", ("seminaive", "naive"))
-def test_both_strategies_honor_the_budget(strategy):
-    program, database = _workload(3)
-    full = _idb_rows(evaluate(program, database.copy(), strategy=strategy))
-    with pytest.raises(BudgetExceededError) as info:
-        evaluate(
-            program,
-            database.copy(),
-            strategy=strategy,
-            budget=Budget(max_facts=1),
-        )
-    assert _is_subset(_idb_rows(info.value.partial), full)
 
 
 #: One rule, 60 ``n`` rows: 216 000 facts from a single firing.
@@ -105,34 +99,33 @@ def test_count_limits_bind_inside_a_single_rule_firing(budget, limit):
     assert exc.stats.budget_trips == 1 and exc.stats.rule_firings == 0
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_budget_of_exactly_the_fixpoint_cost_never_trips(engine):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_budget_of_exactly_the_fixpoint_cost_never_trips(reference):
     # Running again with limits set to the measured fixpoint cost must
     # reach the same fixpoint without tripping: budgets are strict
     # bounds, not off-by-one tripwires.
     program, database = _workload(0)
-    full = evaluate(program, database.copy(), engine=engine)
+    full = evaluate(program, database.copy())
     bounded = evaluate(
         program,
         database.copy(),
-        engine=engine,
         budget=Budget(
             max_iterations=full.stats.iterations,
             max_facts=full.stats.facts_derived,
         ),
     )
-    assert _idb_rows(bounded) == _idb_rows(full)
+    assert _idb_rows(bounded) == _full(program, database, reference)
     assert bounded.stats.budget_trips == 0
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pre_cancelled_token_aborts_with_empty_or_partial_idb(engine):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_pre_cancelled_token_aborts_with_empty_or_partial_idb(reference):
     program, database = _workload(1)
-    full = _idb_rows(evaluate(program, database.copy(), engine=engine))
+    full = _full(program, database, reference)
     token = CancellationToken()
     token.cancel()
     with pytest.raises(Cancelled) as info:
-        evaluate(program, database.copy(), engine=engine, cancellation=token)
+        evaluate(program, database.copy(), cancellation=token)
     assert _is_subset(_idb_rows(info.value.partial), full)
 
 

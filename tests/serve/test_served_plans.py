@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.datalog.evaluation as evaluation
+from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import (
@@ -33,6 +34,7 @@ from repro.datalog.program import Program, ProgramError
 from repro.magic import run_pipeline
 from repro.magic.pipeline import specialize_pipeline
 from repro.magic.transform import match_query_atom
+from repro.robustness import Budget
 from repro.robustness.errors import ReproError
 from repro.serve.app import ServeApp
 from repro.serve.wire import parse_query, rows_payload
@@ -250,12 +252,19 @@ def test_a_tripped_request_does_not_poison_the_shape(limit):
 # (f) the seed-free form costs what the complete program costs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("goal_text", ["p(2, Y)", "p(X, 5)", "p(X, Y)"])
-@pytest.mark.parametrize("reference", [{}, {"strategy": "naive"}, {"engine": "interpreted"}])
+@pytest.mark.parametrize(
+    # the options both runs take: plain, recording provenance, governed
+    "reference",
+    [{}, {"provenance": True}, {"budget": Budget(timeout=60)}],
+)
 def test_seed_row_and_seed_rule_cost_the_same(goal_text, reference):
     database = Database(parse_facts(spec(chain(8))["facts"]))
     report = run_pipeline(PROGRAM, CONSTRAINTS, parse_atom(goal_text))
     # A fresh copy per run: EDB indexes are built on first use.
     whole = evaluate(report.program, database.copy(), **reference)
+    assert whole.rows(report.program.query) == model_fixpoint(report.program, database)[
+        report.program.query
+    ]
     seed = report.magic.seed.head
     row = tuple(arg.value for arg in seed.args)
     seeded = evaluate(
@@ -266,6 +275,8 @@ def test_seed_row_and_seed_rule_cost_the_same(goal_text, reference):
     for counter in ("facts_derived", "rule_firings", "iterations",
                     "rows_scanned", "probes", "index_builds"):
         assert getattr(seeded.stats, counter) == getattr(whole.stats, counter), counter
+    if whole.provenance is not None:
+        assert seeded.provenance == whole.provenance
     if not reference:
         served = report.evaluation(database.copy()).stats
         assert served.as_dict() | {"wall_time_seconds": 0} == (

@@ -15,7 +15,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
-from repro.robustness import ReproError
+from repro.robustness import Budget, ReproError
 from repro.serve.registry import Tenant
 from repro.serve.wire import parse_register
 
@@ -132,10 +132,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "executor",
         [
-            # what `run` does, then the two reference executors by direct call
-            {"storage": "rows", "engine": "slots"},
-            {"storage": "columnar", "engine": "slots"},
-            {"storage": "rows", "engine": "interpreted"},
+            # what `run` does, the columnar storage by direct call, and
+            # the governed run of `run --timeout`
+            {"storage": "rows"},
+            {"storage": "columnar"},
+            {"storage": "rows", "budget": Budget(timeout=60)},
         ],
     )
     def test_mixed_family_comparison_is_an_input_error(self, tmp_path, capsys, executor):
@@ -149,9 +150,9 @@ class TestRun:
             evaluate(
                 parse_program(program.read_text(), query="q"),
                 Database(parse_facts(facts.read_text()), storage=executor["storage"]),
-                engine=executor["engine"],
+                budget=executor.get("budget"),
             )
-        # ...and `run` reaches only the first of them.
+        # ...and `run` reaches the first of them (the last with --timeout).
         code = main(["run", str(program), "--query", "q", "--data", str(facts)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
