@@ -233,14 +233,17 @@ class Relation:
             self._rows.update(rows)
         return len(self._rows) - before
 
-    def add_fresh(self, rows: list[Row]) -> None:
+    def add_fresh(self, rows: "list[Row] | set[Row]") -> None:
         """Bulk insert of rows the caller has already vetted.
 
         ``rows`` must be distinct stored tuples of this arity that the
         relation does not hold (a kernel has just filtered a head batch
         against :meth:`all_rows`): the row set takes them in one update
         and each built index files them in ``rows`` order, which leaves
-        exactly the state row-by-row :meth:`add` would.
+        exactly the state row-by-row :meth:`add` would.  ``rows`` is a
+        list (a kernel's ordered ``fresh`` dict, listed) or a set (a
+        renaming rule's set difference, or another relation's row set),
+        which the row set takes without hashing its rows again.
         """
         self._rows.update(rows)
         for key_of, index in self._indexes.values():

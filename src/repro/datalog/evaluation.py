@@ -19,13 +19,13 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   ``perf/reference.py``, which shares no code with this package.
 * Each rule's join runs on the **compiled slot-based engine** of
   :mod:`repro.datalog.plan`: each rule is compiled once per (rule,
-  delta-position) into a plan over integer variable slots — the
-  environment is a fixed-size list overwritten in place (no per-row
-  ``dict`` copies), probe keys and head/filter projections are
-  precomputed position tuples, fully bound subgoals become zero-scan
-  existence checks, hash indexes are fetched once per rule execution,
-  and body literals are ordered by estimated selectivity (relation
-  size × bound-position count).
+  delta-position) into a plan over integer variable slots — each slot
+  a local variable of the plan's generated kernel (no environment
+  object, no per-row ``dict`` copies), probe keys and head/filter
+  projections are precomputed position tuples, fully bound subgoals
+  become zero-scan existence checks, hash indexes are fetched once per
+  rule execution, and body literals are ordered by estimated scan cost
+  (``relation size × SELECTIVITY^bound positions``).
 * :class:`EvaluationStats` counts rule firings, index probes, rows
   scanned, facts derived, index builds and environment allocations —
   plus per-rule ``rows_scanned`` — the "join work" measures the
@@ -348,9 +348,10 @@ class _SlotEngine:
         fresh = results[1]
         if not fresh:
             return 0
-        # Distinct and new already.  A list, not the dict:
+        # Distinct and new already.  A renaming rule's set goes in as it
+        # is (``set.update(set)`` reuses its hashes); a dict as a list:
         # ``set.update(dict)`` presizes the table and costs peak memory.
-        rows = list(fresh)
+        rows = fresh if type(fresh) is set else list(fresh)
         head_pred = plan.rule.head.predicate
         head_relation.add_fresh(rows)
         if sink_delta is not None:
@@ -717,8 +718,7 @@ class _Driver:
             changed = {}
             for pred, rows in ingest.items():
                 rel = database.new_relation(database.relation(pred).arity)
-                for row in rows:
-                    rel.add(row)
+                rel.extend(rows)
                 changed[pred] = rel
         seed_pred = None if self.seed_fact is None else self.seed_fact[0]
         if seed_pred is not None and resume_from is None:  # else the snapshot has it
@@ -808,9 +808,10 @@ class _Driver:
 
 
 def _absorb(into: dict[str, Relation], delta: dict[str, Relation]) -> None:
+    # A round's frontier holds rows new to the live relation, so none of
+    # them is in ``into`` (the SCC's earlier frontiers) yet.
     for pred, rel in delta.items():
-        for row in rel.rows():
-            into[pred].add(row)
+        into[pred].add_fresh(rel.all_rows())
 
 
 def _evaluate_ingest(

@@ -20,13 +20,14 @@ rule is compiled **once per (rule, delta-position)** into a
 * the steps are printed as **one Python function per plan shape**
   (:func:`_kernel_source`): nested ``for`` loops with probe keys and
   filters inline whose innermost line builds the head row and keeps it
-  only if it is new, ``compile()``-d once per shape and shared by every
-  plan of that shape — plain, governed or recording provenance, over
-  value rows or interner codes — through a bounded cache.  The step
-  objects stay as the plan's description (:meth:`RulePlan.describe`,
-  the profiler); the kernel is derived from their integer layouts
-  alone, constants travel as data, and no predicate, variable or
-  constant text ever reaches ``compile()``.
+  only if it is new (a renaming rule ``p(X) :- q(X).`` has no loop: its
+  new rows are one set difference), ``compile()``-d once per shape and
+  shared by every plan of that shape — plain, governed or recording
+  provenance, over value rows or interner codes — through a bounded
+  cache.  The step objects stay as the plan's description
+  (:meth:`RulePlan.describe`, the profiler); the kernel is derived from
+  their integer layouts alone, constants travel as data, and no
+  predicate, variable or constant text ever reaches ``compile()``.
 
 Plans order their body with :func:`order_body_cost`: the delta literal
 first, then literals by estimated scan cost
@@ -334,16 +335,29 @@ def _kernel_source(shape, decode: bool = False) -> str:
     Nested ``for`` loops over local slot variables ``s<i>``; the
     innermost line builds the **head** row and files it in ``fresh``
     unless ``live`` — the head relation's row set, only ever read here:
-    the rule may be scanning it — or ``fresh`` holds it, with the slot
-    tuple as value under ``prov``.  Returns ``(matches, fresh)``.  Work
-    is counted in locals and flushed to ``stats`` in a ``finally``, so
-    an abort inside the loops reports the probes made so far; ``gov``
-    is asked (``tick_scan``) at the first bucket after each stride of
-    scanned rows.  With ``decode`` the slots hold interner codes, ``k``
-    ends with the interner's value table ``V`` and ordering comparisons
-    read ``V[s<i>]``.
+    the rule may be scanning it — holds it, with the slot tuple of its
+    first match as value under ``prov`` (only then is ``fresh`` asked
+    too: re-filing a ``None`` changes nothing).  Returns ``(matches,
+    fresh)``.  Work is counted in locals and flushed to ``stats`` in a
+    ``finally``, so an abort inside the loops reports the probes made
+    so far; ``gov`` is asked (``tick_scan``) at the first bucket after
+    each stride of scanned rows.  With ``decode`` the slots hold
+    interner codes, ``k`` ends with the interner's value table ``V``
+    and ordering comparisons read ``V[s<i>]``.
+
+    A renaming rule ``p(X, Y) :- q(X, Y).`` — one full scan of distinct
+    variables, the head those variables in order — has no loop: its
+    new rows are the set difference ``r0 - live``, or under ``prov``
+    the same rows in scan order, each its own support.
     """
     steps, head, num_slots, num_consts = shape
+    identity = (
+        len(steps) == 1
+        and steps[0][0] == "scan"
+        and not steps[0][1]  # no probe key: a full scan, no constant
+        and not steps[0][3]  # no repeated variable
+        and head == tuple((True, slot) for slot in range(num_slots))
+    )
     rels = []
     for step in steps:
         if step[0] != "order":
@@ -416,16 +430,21 @@ def _kernel_source(shape, decode: bool = False) -> str:
             counted = number == len(steps) - 1 and not checks
             if counted:
                 emit(f"matches += len({name})")
+            if identity:
+                break  # no loop: the set difference below is the whole join
             emit(f"for {_tuple(names)} in {name}:")
             loops += 1
             bound += len(sets)
             for slot, pos in checks:
                 emit(f"if s{slot} != c{pos}: continue")
-    if not counted:
-        emit("matches += 1")
-    emit(f"h = {_tuple(map(_term, head))}")
-    support = _tuple(f"s{i}" for i in range(num_slots))
-    emit(f"if h not in live and h not in fresh: fresh[h] = {support} if prov else None")
+    if identity:
+        emit("fresh = dict((h, h) for h in r0 if h not in live) if prov else r0 - live")
+    else:
+        if not counted:
+            emit("matches += 1")
+        emit(f"h = {_tuple(map(_term, head))}")
+        support = _tuple(f"s{i}" for i in range(num_slots))
+        emit(f"if h not in live and (not prov or h not in fresh): fresh[h] = {support} if prov else None")
     lines += [*epilogue, f"    {done}"]
     return "\n".join(lines) + "\n"
 
@@ -624,9 +643,11 @@ class RulePlan:
     ):
         """Execute the plan; return ``(matches, fresh)``.
 
-        ``fresh`` maps each head row that ``live`` — the head relation's
-        row set — does not hold to ``None``, or under ``support`` to the
-        slot tuple of its first match, in order of first appearance.
+        ``fresh`` holds each head row that ``live`` — the head relation's
+        row set — does not.  For a renaming rule without ``support`` it
+        is the set ``scanned - live``; otherwise an insertion-ordered
+        dict, in order of first appearance, mapping each row to ``None``
+        or under ``support`` to the slot tuple of its first match.
         ``relation_of(predicate, arity)`` resolves non-delta relations;
         indexes are fetched once here (built on first use, counted in
         ``stats.index_builds`` and — under an enabled ``tracer`` —

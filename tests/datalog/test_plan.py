@@ -131,7 +131,7 @@ class TestCompiledPlan:
             "            matches += len(rows)\n"
             "            for (s2, _) in rows:\n"
             "                h = (s2, s1)\n"
-            "                if h not in live and h not in fresh:"
+            "                if h not in live and (not prov or h not in fresh):"
             " fresh[h] = (s0, s1, s2) if prov else None\n"
             "    finally:\n"
             "        stats.probes += probes\n"

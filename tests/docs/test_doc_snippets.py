@@ -4,7 +4,8 @@ Every fenced ``python`` block in README.md and docs/*.md is compiled,
 and its imports of the ``repro`` package are executed — so renaming a
 public symbol without updating the docs fails CI.  Bash blocks are
 checked lightly: any ``python -m repro <command>`` they mention must
-name a real CLI subcommand.
+name a real CLI subcommand.  A generated-kernel listing must be the
+source the plan compiler prints today for the rule it is shown for.
 """
 
 import ast
@@ -79,6 +80,36 @@ def test_bash_blocks_name_real_cli_commands(source):
 
     for match in re.finditer(r"python -m repro (\w+)", source):
         assert match.group(1) in subcommands, match.group(1)
+
+
+def _kernel_listings():
+    """``(paragraph above, listing)`` of every ``def kernel(`` block in
+    docs/performance.md."""
+    text = (REPO_ROOT / "docs" / "performance.md").read_text(encoding="utf-8")
+    for match in FENCE.finditer(text):
+        if match.group(2).startswith("def kernel("):
+            paragraph = text[: match.start()].rstrip().rsplit("\n\n", 1)[-1]
+            yield paragraph, match.group(2)
+
+
+def test_kernel_listings_are_the_generated_source():
+    from repro.datalog.atoms import Literal
+    from repro.datalog.parser import parse_rule
+    from repro.datalog.plan import compile_rule
+
+    listings = list(_kernel_listings())
+    assert len(listings) >= 2
+    for paragraph, listing in listings:
+        # The paragraph ends "... for `rule` (`describe()`):".
+        rule_text, described = re.findall(r"`([^`\n]+)`", paragraph)[-2:]
+        rule = parse_rule(rule_text)
+        deltas = [None] + [
+            i for i, item in enumerate(rule.body) if isinstance(item, Literal) and item.positive
+        ]
+        plans = [compile_rule(rule, delta, size_of=lambda literal: 1.0) for delta in deltas]
+        plan = next((p for p in plans if p.describe() == described), None)
+        assert plan is not None, f"no plan of {rule_text} is described as {described!r}"
+        assert plan.source() == listing, rule_text
 
 
 def _package_map_paths():
