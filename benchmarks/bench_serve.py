@@ -145,7 +145,7 @@ def experiment() -> Experiment:
             "only on the query's adornment (its bound/free pattern), never on "
             "the bound constants — the constants enter through a single seed "
             "fact.  *Measured:* the serving daemon caches one compiled "
-            "pipeline artifact per (workload digest, order, sips, predicate, "
+            "pipeline artifact per (workload digest, order, predicate, "
             "adornment) key and re-seeds it per request; in a fixed two-sweep "
             "request sequence over two tenants, only the first goal of each "
             "adornment shape compiles (4 misses), every other request hits, "

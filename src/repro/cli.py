@@ -76,15 +76,8 @@ from .datalog.parser import (
     parse_rules,
 )
 from .datalog.program import Program
-from .magic import (
-    check_equivalence,
-    get_sips,
-    magic_transform,
-    match_query_atom,
-    run_pipeline,
-)
+from .magic import check_equivalence, magic_transform, match_query_atom, run_pipeline
 from .magic.pipeline import PIPELINE_ORDERS
-from .magic.sips import STRATEGIES
 from .observability import (
     JsonlSink,
     RingBufferSink,
@@ -293,7 +286,7 @@ def _cmd_magic(args: argparse.Namespace) -> int:
     governor = _budget_from(args)
 
     def body() -> int:
-        mp = magic_transform(program, goal, sips=get_sips(args.sips))
+        mp = magic_transform(program, goal)
         print(mp.summary())
         print()
         print(mp.program)
@@ -316,14 +309,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     governor = _budget_from(args)
 
     def body() -> int:
-        report = run_pipeline(
-            program,
-            constraints,
-            goal,
-            order=args.order,
-            sips=get_sips(args.sips),
-            budget=governor,
-        )
+        report = run_pipeline(program, constraints, goal, order=args.order, budget=governor)
         print(report.summary())
         print()
         if report.program is None:
@@ -423,7 +409,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _print_aborted_response(payload: dict) -> None:
-    """Echo a daemon 503 body the way a local abort prints (exit 1)."""
+    """Print an abort's 503 body to stderr: a local abort and a daemon
+    503 read the same (exit 1)."""
     print(f"aborted: {payload.get('error')}", file=sys.stderr)
     partial = payload.get("partial")
     if partial:
@@ -465,7 +452,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                     args.goal,
                     mode=args.mode,
                     order=args.order,
-                    sips=args.sips,
                     timeout=args.timeout,
                     max_facts=args.max_facts,
                     max_iterations=args.max_iterations,
@@ -663,10 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("magic", help="magic-sets transformation for a bound query atom")
     cmd.add_argument("program", help="program file (Datalog rules)")
     cmd.add_argument("--goal", required=True, help="query atom, e.g. 'p(1, Y)'")
-    cmd.add_argument(
-        "--sips", default="left-to-right", choices=sorted(STRATEGIES),
-        help="sideways information passing strategy",
-    )
     cmd.add_argument("--data", help="fact file (evaluate the magic program)")
     cmd.add_argument(
         "--compare", action="store_true",
@@ -685,10 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--order", default="semantic-first", choices=PIPELINE_ORDERS,
         help="stage ordering",
-    )
-    cmd.add_argument(
-        "--sips", default="left-to-right", choices=sorted(STRATEGIES),
-        help="sideways information passing strategy",
     )
     cmd.add_argument("--data", help="fact file (evaluate the final program)")
     cmd.add_argument(
@@ -790,10 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", default="semantic-first", choices=PIPELINE_ORDERS,
         help="pipeline stage ordering",
     )
-    ccmd.add_argument(
-        "--sips", default="left-to-right", choices=sorted(STRATEGIES),
-        help="sideways information passing strategy",
-    )
     budget_flags(ccmd)  # per-request limits, clamped by the server ceiling
     ccmd.set_defaults(func=_cmd_client)
     ccmd = client_sub.add_parser("ingest", help="POST /programs/{name}/ingest")
@@ -864,28 +838,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except EvaluationAborted as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        stats = exc.stats
-        partial = exc.partial
-        if stats is None and partial is not None:
-            stats = partial.stats
-        if stats is not None:
-            print(
-                f"partial results: {stats.facts_derived} facts derived in "
-                f"{stats.iterations} iterations "
-                f"({stats.wall_time_seconds:.3f}s, "
-                f"{stats.rows_scanned} rows scanned)",
-                file=sys.stderr,
-            )
-        if partial is not None and partial.program.query is not None:
-            try:
-                rows = partial.query_rows()
-            except (KeyError, ValueError):
-                rows = frozenset()
-            print(
-                f"partial answers: {len(rows)} rows in {partial.program.query}",
-                file=sys.stderr,
-            )
+        from .serve.wire import aborted_payload  # the daemon's modules stay off every start
+
+        _print_aborted_response(aborted_payload(exc))
         return 1
     except BrokenPipeError:
         # stdout was closed by a pager/head downstream; not our error.

@@ -1,10 +1,9 @@
 """Magic-sets demand transformation, composable with the semantic rewrite.
 
-The subsystem has four layers:
+The subsystem has three layers:
 
-* :mod:`repro.magic.sips` — sideways information passing strategies;
 * :mod:`repro.magic.adorn` — binding-pattern (``b``/``f``) adornment
-  propagated from a query atom;
+  propagated left to right from a query atom;
 * :mod:`repro.magic.transform` — magic predicates, seeds and guarded
   rules;
 * :mod:`repro.magic.pipeline` — composition with the paper's semantic
@@ -24,7 +23,6 @@ from .pipeline import (
     run_pipeline,
     specialize_pipeline,
 )
-from .sips import STRATEGIES, get_sips, left_to_right, most_bound_first
 from .transform import MagicProgram, magic_transform, match_query_atom
 
 __all__ = [
@@ -42,10 +40,6 @@ __all__ = [
     "query_atom_answers",
     "run_pipeline",
     "specialize_pipeline",
-    "STRATEGIES",
-    "get_sips",
-    "left_to_right",
-    "most_bound_first",
     "MagicProgram",
     "magic_transform",
     "match_query_atom",

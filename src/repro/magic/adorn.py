@@ -11,24 +11,22 @@ the magic transform then specializes the result by binding patterns.
 Starting from a query atom (its constant arguments are bound, its
 variables free), :func:`adorn_program` propagates binding patterns
 through the program: for each reachable ``(predicate, adornment)``
-pair, every rule for the predicate is walked in the order chosen by a
-SIPS (:mod:`repro.magic.sips`), each IDB subgoal is adorned by the
-variables bound at that point, and newly seen pairs are enqueued.  The
-result is the *adorned program*: one renamed copy
+pair, every rule for the predicate is walked left to right in its
+declared body order, each IDB subgoal is adorned by the variables bound
+at that point (:func:`bound_after`), and newly seen pairs are enqueued.
+The result is the *adorned program*: one renamed copy
 (``p__bf(X, Y) :- ...``) of each rule per reachable binding pattern,
-with bodies stored in SIPS order so the magic transformation can read
-prefixes off them directly.
+whose body prefixes the magic transformation reads off directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..datalog.atoms import Atom, Literal
+from ..datalog.atoms import Atom, BodyItem, Literal, OrderAtom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
-from ..datalog.terms import Constant, Term, Variable
-from .sips import SipsStrategy, bound_after, check_permutation, left_to_right
+from ..datalog.terms import Constant, Term, Variable, is_variable
 
 __all__ = [
     "ALL_BOUND",
@@ -38,6 +36,7 @@ __all__ = [
     "adorned_name",
     "bound_args",
     "bound_variables",
+    "bound_after",
     "adorn_program",
 ]
 
@@ -81,11 +80,36 @@ def bound_variables(atom: Atom, adornment: str) -> frozenset:
     )
 
 
+def bound_after(item: BodyItem, bound: frozenset) -> frozenset:
+    """The bound-variable set after processing ``item`` with ``bound`` held.
+
+    Positive literals bind all their variables; an ``=`` order atom
+    propagates a binding from a bound (or constant) side to a variable
+    on the other side; negated literals and non-equality order atoms
+    are pure filters and bind nothing.
+    """
+    if isinstance(item, Literal):
+        if item.positive:
+            return bound | item.variables()
+        return bound
+    if isinstance(item, OrderAtom) and item.op == "=":
+        extra: set[Variable] = set()
+        left_held = isinstance(item.left, Constant) or item.left in bound
+        right_held = isinstance(item.right, Constant) or item.right in bound
+        if left_held and is_variable(item.right):
+            extra.add(item.right)  # type: ignore[arg-type]
+        if right_held and is_variable(item.left):
+            extra.add(item.left)  # type: ignore[arg-type]
+        if extra:
+            return bound | extra
+    return bound
+
+
 @dataclass(frozen=True)
 class AdornedRule:
     """One rule copy specialized to a head binding pattern.
 
-    ``rule`` is the renamed copy with its body in SIPS order;
+    ``rule`` is the renamed copy, body in declared order;
     ``source`` is the original rule; ``idb_subgoals`` lists, for each
     IDB subgoal of the adorned body, its body index, original predicate
     and adornment — exactly the sites where the magic transformation
@@ -129,12 +153,7 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return candidate
 
 
-def adorn_program(
-    program: Program,
-    query_atom: Atom,
-    *,
-    sips: SipsStrategy = left_to_right,
-) -> AdornedProgram:
+def adorn_program(program: Program, query_atom: Atom) -> AdornedProgram:
     """Propagate binding patterns from ``query_atom`` through ``program``.
 
     ``query_atom`` must use an IDB predicate of ``program``; its
@@ -171,12 +190,10 @@ def adorn_program(
         predicate, adornment = worklist.pop()
         head_name = name_for(predicate, adornment)
         for rule in program.rules_for(predicate):
-            bound = bound_variables(rule.head, adornment)
-            order = check_permutation(rule, sips(rule, bound))
             body: list = []
             subgoals: list[tuple[int, str, str]] = []
-            current = bound
-            for item in order:
+            current = bound_variables(rule.head, adornment)
+            for item in rule.body:
                 if (
                     isinstance(item, Literal)
                     and item.positive

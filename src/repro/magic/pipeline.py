@@ -53,7 +53,6 @@ from ..observability.trace import get_tracer
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import abort_phase
 from .adorn import adornment_of
-from .sips import SipsStrategy, get_sips, left_to_right
 from .transform import MagicProgram, magic_transform, match_query_atom
 
 __all__ = [
@@ -202,7 +201,6 @@ def run_pipeline(
     query_atom: Atom,
     *,
     order: str = "semantic-first",
-    sips: SipsStrategy = left_to_right,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
 ) -> PipelineReport:
@@ -259,7 +257,7 @@ def run_pipeline(
         assert current is not None
         rules_in = len(current.rules)
         with tracer.span("pipeline.stage", stage="magic transform") as stage_span:
-            magic = magic_transform(current, current_atom, sips=sips)
+            magic = magic_transform(current, current_atom)
             current = magic.program
             if trace_on:
                 stage_span.set(
@@ -427,12 +425,11 @@ def artifact_key(
     query_atom: Atom,
     *,
     order: str = "semantic-first",
-    sips_name: str = "left-to-right",
     shape: str | None = None,
 ) -> tuple:
     """The cache key of one compiled pipeline shape.
 
-    ``(program-shape digest, order, SIPS, predicate, adornment)`` — the
+    ``(program-shape digest, order, predicate, adornment)`` — the
     digest is the shared :func:`repro.digest.program_digest` (program
     rules + query predicate + constraints, no EDB rows: rewrite and
     adornment artifacts are data-independent, so ingesting facts must
@@ -444,7 +441,7 @@ def artifact_key(
     """
     if shape is None:
         shape = program_digest(_as_query_program(program, query_atom), tuple(constraints))
-    return (shape, order, sips_name, query_atom.predicate, adornment_of(query_atom, frozenset()))
+    return (shape, order, query_atom.predicate, adornment_of(query_atom, frozenset()))
 
 
 def specialize_pipeline(
@@ -453,10 +450,8 @@ def specialize_pipeline(
     query_atom: Atom,
     *,
     order: str = "semantic-first",
-    sips_name: str = "left-to-right",
     cache=None,
     budget: "Budget | Governor | None" = None,
-    cache_site: str = "pipeline.cache",
     shape: str | None = None,
 ) -> tuple[PipelineReport, bool]:
     """A pipeline report for ``query_atom``, through an artifact cache.
@@ -472,9 +467,8 @@ def specialize_pipeline(
     nothing.  ``shape`` is :func:`artifact_key`'s precomputed digest.
     Only a compile that finished is stored: one
     that ``budget`` aborts raises and leaves the cache as it was.  Every
-    consult emits a ``cache_site`` trace event (default
-    ``pipeline.cache``; the daemon passes ``serve.cache``, which doubles
-    as a chaos-injection site) carrying the hit/miss outcome.
+    consult emits a ``serve.cache`` trace event carrying the hit/miss
+    outcome; the event doubles as a chaos-injection site.
 
     ``magic-first`` programs are constant-dependent (see
     :data:`CACHEABLE_ORDERS`), so that order always compiles fresh and
@@ -484,14 +478,11 @@ def specialize_pipeline(
     key = None
     cached: PipelineReport | None = None
     if order in CACHEABLE_ORDERS:
-        key = artifact_key(
-            program, constraints, query_atom,
-            order=order, sips_name=sips_name, shape=shape,
-        )
+        key = artifact_key(program, constraints, query_atom, order=order, shape=shape)
         if cache is not None:
             cached = cache.get(key)
     get_tracer().event(
-        cache_site,
+        "serve.cache",
         hit=cached is not None,
         cacheable=key is not None,
         order=order,
@@ -500,14 +491,7 @@ def specialize_pipeline(
     )
     if cached is not None:
         return cached, True
-    report = run_pipeline(
-        program,
-        constraints,
-        query_atom,
-        order=order,
-        sips=get_sips(sips_name),
-        budget=budget,
-    )
+    report = run_pipeline(program, constraints, query_atom, order=order, budget=budget)
     if key is not None and cache is not None:
         cache.put(key, report)
     return report, False

@@ -5,7 +5,7 @@ Given a program and a query atom with bound (constant) arguments,
 answers to the query atom while deriving only facts *demanded* by it:
 
 1. the program is adorned by binding patterns from the query atom
-   (:mod:`repro.magic.adorn`), bodies ordered by a SIPS;
+   (:mod:`repro.magic.adorn`), bindings passed left to right;
 2. every adorned predicate ``p__α`` gets a *magic* predicate
    ``m_p__α`` over its bound positions; the query seeds it with one
    fact holding the query atom's constants;
@@ -35,8 +35,7 @@ from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant
 from ..observability.trace import get_tracer
-from .adorn import AdornedProgram, adorn_program, bound_args
-from .sips import SipsStrategy, bound_after, left_to_right
+from .adorn import AdornedProgram, adorn_program, bound_after, bound_args
 
 __all__ = ["MAGIC_PREFIX", "MagicProgram", "magic_transform", "match_query_atom"]
 
@@ -100,12 +99,7 @@ class MagicProgram:
         return "\n".join(lines)
 
 
-def magic_transform(
-    program: Program,
-    query_atom: Atom,
-    *,
-    sips: SipsStrategy = left_to_right,
-) -> MagicProgram:
+def magic_transform(program: Program, query_atom: Atom) -> MagicProgram:
     """Apply the magic-sets transformation for ``query_atom``.
 
     On any database, the rows of :attr:`MagicProgram.answer_predicate`
@@ -116,7 +110,7 @@ def magic_transform(
     with tracer.span(
         "magic.transform", query=query_atom.predicate, rules=len(program.rules)
     ) as transform_span:
-        adorned = adorn_program(program, query_atom, sips=sips)
+        adorned = adorn_program(program, query_atom)
         result = _build_magic(program, query_atom, adorned)
         if tracer.enabled:
             transform_span.set(

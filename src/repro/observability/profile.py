@@ -359,7 +359,7 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
             entry.respawns += 1
             profile.worker_restarts += 1
             profile.shards_redispatched += 1
-        elif event.kind == "event" and event.name in ("serve.cache", "pipeline.cache"):
+        elif event.kind == "event" and event.name == "serve.cache":
             if event.attrs.get("hit"):
                 profile.serve_cache_hits += 1
             else:

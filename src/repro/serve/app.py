@@ -292,10 +292,8 @@ class ServeApp:
             tenant.constraints,
             request.goal,
             order=request.order,
-            sips_name=request.sips,
             cache=self.cache,
             budget=governor,
-            cache_site="serve.cache",
             shape=tenant.shapes[request.goal.predicate],
         )
         if report.program is None:

@@ -5,7 +5,7 @@ One entry is one finished :class:`~repro.magic.pipeline.PipelineReport`
 every later one with the goal's constants fed in as data
 (:meth:`~repro.magic.pipeline.PipelineReport.evaluation`) — keyed by
 :func:`~repro.magic.pipeline.artifact_key`
-(program-shape digest, stage order, SIPS, query predicate, adornment
+(program-shape digest, stage order, query predicate, adornment
 pattern).  The daemon shares a single cache across tenants: the key's
 digest component keeps tenants with different programs apart, while
 tenants registered with the *same* program and constraints genuinely

@@ -15,14 +15,13 @@ iterations, rows scanned, wall time, partial answer count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.database import FactRows
 from ..datalog.parser import parse_atom, parse_constraints, parse_facts, parse_program_and_facts
 from ..magic.pipeline import PIPELINE_ORDERS
-from ..magic.sips import STRATEGIES
 from ..robustness.budget import parse_limit_value, parse_timeout_value
 from ..robustness.errors import EvaluationAborted, UsageError
 
@@ -104,7 +103,6 @@ class QueryRequest:
     goal: Atom
     mode: str
     order: str
-    sips: str
     timeout: float | None
     max_facts: int | None
     max_iterations: int | None
@@ -112,9 +110,9 @@ class QueryRequest:
 
 @dataclass(frozen=True)
 class IngestRequest:
-    """``POST /programs/{name}/ingest``: new ground EDB facts."""
+    """``POST /programs/{name}/ingest``: new ground EDB facts, as rows."""
 
-    facts: tuple[Atom, ...] = field(default_factory=tuple)
+    facts: FactRows
 
 
 def parse_register(payload: object) -> RegisterRequest:
@@ -147,7 +145,7 @@ def parse_register(payload: object) -> RegisterRequest:
 def parse_query(payload: object) -> QueryRequest:
     payload = _require_object(
         payload,
-        ("goal", "mode", "order", "sips", "timeout", "max_facts", "max_iterations"),
+        ("goal", "mode", "order", "timeout", "max_facts", "max_iterations"),
     )
     goal_text = _text_field(payload, "goal", required=True)
     try:
@@ -155,12 +153,10 @@ def parse_query(payload: object) -> QueryRequest:
     except Exception as exc:
         # The same message shape _load_goal gives --goal on the CLI.
         raise UsageError(f"cannot parse goal {goal_text!r}: {exc}") from exc
-    order = _choice_field(payload, "order", PIPELINE_ORDERS, "semantic-first")
     return QueryRequest(
         goal=goal,
         mode=_choice_field(payload, "mode", QUERY_MODES, "magic"),
-        order=order,
-        sips=_choice_field(payload, "sips", tuple(STRATEGIES), "left-to-right"),
+        order=_choice_field(payload, "order", PIPELINE_ORDERS, "semantic-first"),
         timeout=parse_timeout_value(payload.get("timeout")),
         max_facts=parse_limit_value(payload.get("max_facts"), option="max-facts"),
         max_iterations=parse_limit_value(
@@ -173,7 +169,7 @@ def parse_ingest(payload: object) -> IngestRequest:
     payload = _require_object(payload, ("facts",))
     facts_text = _text_field(payload, "facts", required=True)
     try:
-        facts = tuple(parse_facts(facts_text))
+        facts = parse_facts(facts_text)
     except Exception as exc:
         raise UsageError(f"cannot parse facts: {exc}") from exc
     if not facts:

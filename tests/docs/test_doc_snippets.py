@@ -142,3 +142,30 @@ def test_package_map_names_real_paths():
         if (p / "__init__.py").exists()
     }
     assert packages <= set(paths), f"package map omits {sorted(packages - set(paths))}"
+
+
+def _documented_wire_fields():
+    """``{route: [field, ...]}`` from docs/serving.md's "Every route reads
+    a fixed set of fields — register `a`, `b`; query ...; ingest ..." sentence."""
+    text = (REPO_ROOT / "docs" / "serving.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Every route reads a fixed set of fields —(.*?)—", text, re.DOTALL)
+    assert sentence is not None, "docs/serving.md no longer lists the wire fields"
+    routes = {}
+    for clause in sentence.group(1).split(";"):
+        route, rest = clause.split(None, 1)
+        routes[route] = re.findall(r"`(\w+)`", rest)
+    return routes
+
+
+def test_serving_doc_lists_the_fields_each_route_reads():
+    from repro.robustness import UsageError
+    from repro.serve.wire import parse_ingest, parse_query, parse_register
+
+    documented = _documented_wire_fields()
+    parsers = {"register": parse_register, "query": parse_query, "ingest": parse_ingest}
+    assert set(documented) == set(parsers)
+    for route, parse in parsers.items():
+        with pytest.raises(UsageError) as refused:
+            parse({"no_such_field": 1})
+        reads = re.search(r"this route reads: (.*)\)$", str(refused.value)).group(1)
+        assert documented[route] == reads.split(", "), route

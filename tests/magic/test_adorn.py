@@ -2,16 +2,18 @@
 
 import pytest
 
-from repro.datalog.parser import parse_atom, parse_program
+from repro.datalog.parser import parse_atom, parse_program, parse_rule
 from repro.datalog.terms import Variable
 from repro.magic.adorn import (
     adorn_program,
     adorned_name,
     adornment_of,
+    bound_after,
     bound_args,
     bound_variables,
 )
-from repro.magic.sips import most_bound_first
+
+X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
 TC = """
 p(X, Y) :- e(X, Y).
@@ -39,6 +41,32 @@ class TestAdornmentOf:
         assert bound_variables(parse_atom("p(X, Y)"), "bf") == {Variable("X")}
 
 
+class TestBoundAfter:
+    def test_positive_literal_binds_its_variables(self):
+        rule = parse_rule("h(X, Y) :- e(X, Y).")
+        assert bound_after(rule.body[0], frozenset()) == {X, Y}
+
+    def test_negated_literal_binds_nothing(self):
+        rule = parse_rule("h(X) :- e(X, Y), not b(X, Y).")
+        assert bound_after(rule.body[1], frozenset({X})) == {X}
+
+    def test_order_atom_binds_nothing(self):
+        rule = parse_rule("h(X) :- e(X, Y), X < Y.")
+        assert bound_after(rule.body[1], frozenset({X})) == {X}
+
+    def test_equality_propagates_from_constant(self):
+        rule = parse_rule("h(X) :- e(X, Y), X = 5.")
+        assert bound_after(rule.body[1], frozenset()) == {X}
+
+    def test_equality_propagates_from_bound_variable(self):
+        rule = parse_rule("h(X, Y) :- e(X, Z), X = Y.")
+        assert bound_after(rule.body[1], frozenset({X})) == {X, Y}
+
+    def test_equality_between_free_variables_is_inert(self):
+        rule = parse_rule("h(X, Y) :- e(X, Y), X = Y.")
+        assert bound_after(rule.body[1], frozenset()) == frozenset()
+
+
 class TestAdornProgram:
     def test_transitive_closure_bf(self):
         program = parse_program(TC, query="p")
@@ -53,7 +81,8 @@ class TestAdornProgram:
         }
 
     def test_right_recursion_spawns_free_pattern(self):
-        # With left-to-right SIPS, p(Z, Y) before e binds nothing: ff.
+        # Bindings pass left to right: p(X, Z) before e sees no binding
+        # for Z, and Y is the head's only bound variable: ff.
         program = parse_program(
             "p(X, Y) :- e(X, Y). p(X, Y) :- p(X, Z), e(Z, Y).", query="p"
         )
@@ -61,17 +90,15 @@ class TestAdornProgram:
         assert adorned.query_adornment == "fb"
         assert adorned.patterns() == {"p": ("fb", "ff")}
 
-    def test_most_bound_sips_changes_subgoal_adornment(self):
+    def test_bodies_keep_their_declared_order(self):
+        # e(X, Z) would bind Z for p, but it comes after p in the body.
         program = parse_program(
             "q(X, Y) :- p(Z, Y), e(X, Z). p(X, Y) :- f(X, Y).", query="q"
         )
-        left = adorn_program(program, parse_atom("q(1, Y)"))
-        assert left.patterns()["p"] == ("ff",)
-        greedy = adorn_program(
-            program, parse_atom("q(1, Y)"), sips=most_bound_first
-        )
-        # e(X, Z) runs first under the greedy SIPS, binding Z for p.
-        assert greedy.patterns()["p"] == ("bf",)
+        adorned = adorn_program(program, parse_atom("q(1, Y)"))
+        assert adorned.patterns()["p"] == ("ff",)
+        (rule,) = (ar.rule for ar in adorned.rules if ar.head_predicate == "q")
+        assert repr(rule) == "q__bf(X, Y) :- p__ff(Z, Y), e(X, Z)."
 
     def test_idb_subgoal_records(self):
         program = parse_program(TC, query="p")

@@ -47,13 +47,6 @@ class TestMagicCommand:
         assert "original work:" in out
         assert "answers match" in out
 
-    def test_sips_flag(self, files, capsys):
-        assert main([
-            "magic", files["program.dl"], "--goal", "p(1, Y)",
-            "--sips", "most-bound",
-        ]) == 0
-        assert "m_p__bf(1)" in capsys.readouterr().out
-
     def test_bad_goal_exits(self, files, capsys):
         assert main(["magic", files["program.dl"], "--goal", "p(1,"]) == 2
         assert "cannot parse --goal" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from repro.datalog.evaluation import evaluate
 from repro.datalog.terms import Constant, Variable
 from repro.magic import assert_equivalent, check_equivalence, run_pipeline
 from repro.magic.pipeline import PIPELINE_ORDERS, query_atom_answers
-from repro.magic.sips import most_bound_first
 from repro.workloads import (
     ab_database,
     ab_transitive_closure,
@@ -86,14 +85,6 @@ def test_magic_reduces_work_on_bound_queries(name):
         check = check_equivalence(program, report, atom, database)
         assert check.equivalent
         assert check.transformed_stats.facts_derived < baseline.stats.facts_derived
-
-
-def test_sips_option_is_honored():
-    program, ics, database, atom = WORKLOADS["sg"]
-    report = run_pipeline(
-        program, ics, atom, order="magic-only", sips=most_bound_first
-    )
-    assert_equivalent(program, report, atom, database)
 
 
 def test_unsatisfiable_query_yields_empty_program():

@@ -69,6 +69,17 @@ class TestRunExitCodes:
         assert code == 1
         assert "max_facts" in captured.err or "facts" in captured.err
 
+    def test_a_local_abort_prints_what_client_prints_for_a_503(self, files, capsys):
+        # One renderer for both: no "in <pred>" suffix the 503 body cannot carry.
+        assert main([
+            "run", files["program.dl"], "--query", "p", "--data", files["facts.dl"],
+            "--max-facts", "1",
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "aborted: evaluate derived more than 1 facts"
+        assert err[1].startswith("partial results: 40 facts derived in 0 iterations (")
+        assert err[2:] == ["partial answers: 40 rows"]
+
     def test_fact_budget_binds_inside_one_explosive_rule(self, tmp_path, capsys):
         # 60^3 facts from one firing: the limit trips inside the join,
         # a stride past it, not after all 216 000 have been built.

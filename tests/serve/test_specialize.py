@@ -1,7 +1,7 @@
 """Seed-as-data specialization: cached reports answer like fresh runs.
 
 The load-bearing invariant of the serving layer: a pipeline is
-compiled once per (program shape, order, sips, predicate, adornment)
+compiled once per (program shape, order, predicate, adornment)
 and the one cached report answers every goal of the shape, the goal's
 constants entering the fixpoint as a row of the magic seed predicate
 (``PipelineReport.evaluation(db, goal)``) — for every cacheable order
@@ -147,7 +147,7 @@ def test_magic_first_bypasses_the_cache(workload):
     assert len(cache) == 0
     fresh = run_pipeline(program, constraints, goal(0), order="magic-first")
     assert answers(report, database, goal(0)) == answers(fresh, database, goal(0))
-    events = [e for e in sink if e.kind == "event" and e.name == "pipeline.cache"]
+    events = [e for e in sink if e.kind == "event" and e.name == "serve.cache"]
     assert events and events[0].attrs["cacheable"] is False
 
 
@@ -156,12 +156,8 @@ def test_cache_site_emits_hit_and_miss_trace_events(workload):
     cache = ArtifactCache()
     sink = RingBufferSink()
     with tracing(sink):
-        specialize_pipeline(
-            program, constraints, goal(0), cache=cache, cache_site="serve.cache"
-        )
-        specialize_pipeline(
-            program, constraints, goal(1), cache=cache, cache_site="serve.cache"
-        )
+        specialize_pipeline(program, constraints, goal(0), cache=cache)
+        specialize_pipeline(program, constraints, goal(1), cache=cache)
     events = [e for e in sink if e.kind == "event" and e.name == "serve.cache"]
     assert [e.attrs["hit"] for e in events] == [False, True]
     assert all(e.attrs["cacheable"] for e in events)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.datalog.atoms import Atom
+from repro.datalog.database import FactRows
 from repro.datalog.parser import parse_facts
 from repro.datalog.terms import Constant
 from repro.robustness import UsageError
@@ -93,6 +94,20 @@ def test_a_field_the_route_does_not_read_is_refused(parse, body, field):
         parse({**body, field: 2})
 
 
+def test_a_query_naming_a_sideways_order_is_http_400():
+    app = ServeApp()
+
+    async def drive():
+        await app.handle("PUT", "/programs/t", {"program": PROGRAM, "facts": FACTS})
+        return await app.handle(
+            "POST", "/programs/t/query", {"goal": "p(1, Y)", "sips": "most-bound"}
+        )
+
+    status, payload = asyncio.run(drive())
+    assert status == 400
+    assert "unknown field(s) 'sips'" in payload["error"]
+
+
 def test_the_benchmark_bodies_parse():
     """The field sets ``perf/serve.py`` sends."""
     parse_register({"program": PROGRAM, "constraints": "", "facts": FACTS, "query": "p"})
@@ -105,7 +120,6 @@ class TestParseQuery:
         request = parse_query({"goal": "p(1, Y)"})
         assert request.mode == "magic"
         assert request.order == "semantic-first"
-        assert request.sips == "left-to-right"
         assert request.timeout is None
 
     def test_bad_goal(self):
@@ -141,7 +155,8 @@ class TestParseIngest:
 
     def test_an_ingest_carries_real_atoms(self):
         facts = parse_ingest({"facts": FACTS}).facts
-        assert isinstance(facts, tuple) and all(type(fact) is Atom for fact in facts)
+        assert isinstance(facts, FactRows) and all(type(fact) is Atom for fact in facts)
+        assert facts == parse_facts(FACTS)
 
 
 class TestNormalizedMessagesSharedWithCli:

@@ -199,11 +199,11 @@ class TestDecisionCommands:
 
 class TestOneWayToEvaluate:
     """No front door selects an engine, a plan order, a storage backend,
-    a strategy or a worker count."""
+    a strategy, a worker count or a sideways order."""
 
     REMOVED = {
         "--engine", "--plan-order", "--storage", "--strategy",
-        "--workers", "--worker-retries",
+        "--workers", "--worker-retries", "--sips",
     }
 
     def test_no_subparser_registers_a_removed_option(self):
@@ -225,6 +225,22 @@ class TestOneWayToEvaluate:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --engine interpreted" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "prog.dl", "--goal", "p(1, Y)", "--sips", "most-bound"],
+            ["magic", "prog.dl", "--goal", "p(1, Y)", "--sips", "left-to-right"],
+            ["client", "query", "t", "--goal", "p(1, Y)", "--sips", "most-bound"],
+        ],
+        ids=["pipeline", "magic", "client-query"],
+    )
+    def test_sips_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --sips" in err and "Traceback" not in err
 
     def test_inspect_payloads_name_no_selector(self, files, tmp_path, capsys):
         assert main([
