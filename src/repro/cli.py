@@ -37,7 +37,7 @@ Examples::
     python -m repro pipeline program.dl --constraints ics.dl --goal 'p(1, Y)' \
         --order magic-first --data facts.dl --compare --trace
     python -m repro session run program.dl --query p --data facts.dl \
-        --checkpoint-dir ./ckpts --checkpoint-every 1
+        --checkpoint-dir ./ckpts
     python -m repro session ingest program.dl --query p --data facts.dl \
         --facts new_facts.dl --checkpoint-dir ./ckpts
     python -m repro session inspect program.dl --query p --data facts.dl \
@@ -337,7 +337,6 @@ def _session_from(args: argparse.Namespace) -> Session:
         database,
         store=CheckpointStore(args.checkpoint_dir),
         journal=IngestJournal(args.journal_dir) if args.journal_dir else None,
-        checkpoint_every=args.checkpoint_every,
         budget=_budget_from(args),
     )
 
@@ -691,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--checkpoint-dir", required=True, metavar="DIR",
             help="checkpoint directory (created if missing)",
-        )
-        cmd.add_argument(
-            "--checkpoint-every", type=int, default=1, metavar="N",
-            help="checkpoint after every N semi-naive rounds (default 1; "
-            "0 = only the final complete checkpoint)",
         )
         cmd.add_argument(
             "--journal-dir", metavar="DIR",

@@ -5,8 +5,7 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
 
 * One **fixpoint driver** (:class:`_Driver`) computes the IDB SCC by SCC
   in topological order of the dependency graph, with semi-naive (delta)
-  rounds inside each SCC.  A run is a *seed* — cold (empty IDB), resume
-  (the IDB, frontier and cursor of an :class:`EvaluationSnapshot`) or
+  rounds inside each SCC.  A run is a *seed* — cold (empty IDB) or
   ingest (the live relations of a prior complete fixpoint, extended in
   place from the EDB rows added since, seeded by differentiation) —
   and a *round executor*: local
@@ -14,7 +13,7 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   :mod:`repro.parallel.engine`.  :func:`evaluate`,
   :func:`~repro.parallel.engine.evaluate_sharded` and
   :meth:`repro.persist.Session.ingest` all enter through it, so IDB
-  seeding, rule firing, snapshots and the budget-trip handler exist
+  seeding, rule firing and the budget-trip handler exist
   once.  The tests check it against the independent model in
   ``perf/reference.py``, which shares no code with this package.
 * Each rule's join runs on the **compiled slot-based engine** of
@@ -63,7 +62,6 @@ from .terms import Constant
 __all__ = [
     "EvaluationStats",
     "EvaluationResult",
-    "EvaluationSnapshot",
     "DerivationNode",
     "evaluate",
     "evaluate_query",
@@ -220,61 +218,6 @@ class EvaluationResult:
         return self.rows(self.program.query)
 
 
-@dataclass(frozen=True)
-class EvaluationSnapshot:
-    """A resumable point-in-time capture of one evaluation.
-
-    Emitted by :func:`evaluate` through its ``checkpoint_sink`` at
-    semi-naive round boundaries, and accepted back via ``resume_from``
-    to restart the fixpoint from the saved frontier instead of from
-    scratch.  The snapshot captures only rows, the SCC/iteration cursor
-    and cumulative stats, never compiled plans or indexes: it is plain
-    data, which the persistence layer (:mod:`repro.persist`) serializes
-    to the on-disk checkpoint format without reaching into engine
-    internals.
-
-    ``completed_sccs`` counts the SCCs (in the deterministic Tarjan
-    topological order of :attr:`Program.schedule`) whose fixpoints are fully
-    contained in ``idb``; ``scc_index``/``iteration`` locate the
-    in-progress SCC and the rounds already run inside it; ``delta`` is
-    the semi-naive frontier feeding its next round (``None`` for
-    completed evaluations).  ``stats`` are cumulative from the very
-    first run, so resumed statistics stay monotone.
-
-    ``interner`` is the columnar backend's value table in code order
-    (``None`` under rows storage): rows in the snapshot are always
-    decoded values, so the snapshot stays storage-agnostic, but
-    carrying the table lets a columnar resume reproduce the exact code
-    assignment of the checkpointed run.
-
-    ``edb`` is the extensional database at snapshot time, carried only
-    on *complete* snapshots written by the persistence layer: ingested
-    facts live nowhere else once the write-ahead journal compacts, so a
-    complete checkpoint must be self-contained — restore = EDB + IDB
-    from the checkpoint, then replay the journal suffix.  ``None`` on
-    engine-emitted mid-evaluation snapshots (resume re-uses the live
-    session database) and on checkpoints written before the journal.
-    """
-
-    completed_sccs: int
-    scc_index: int | None
-    iteration: int
-    idb: Mapping[str, frozenset]
-    delta: Mapping[str, frozenset] | None
-    stats: EvaluationStats
-    complete: bool = False
-    interner: "tuple | None" = None
-    edb: "Mapping[str, frozenset] | None" = None
-
-
-def _check_resume(resume_from: "EvaluationSnapshot | None", provenance: bool) -> None:
-    if resume_from is not None and provenance:
-        raise ValueError(
-            "provenance=True cannot resume from a snapshot: provenance "
-            "for pre-checkpoint facts was not captured"
-        )
-
-
 # ----------------------------------------------------------------------
 # The engine adapter: compiled plans (x two storage backends)
 # ----------------------------------------------------------------------
@@ -416,12 +359,11 @@ class _Driver:
     """The fixpoint driver (see the module docstring): seed x executor.
 
     The constructor applies the seed's state to the IDB and the
-    cumulative stats — ``resume_from`` holds the checkpointed round to
-    resume; ``live`` is the ingest seed's prior complete fixpoint, whose
-    relations (rows *and* maintained indexes) the driver adopts and
-    extends in place.  The caller then builds a round executor over
-    ``driver.idb`` and calls :meth:`run` (passing the added EDB rows as
-    ``ingest`` for the ingest seed).
+    cumulative stats — ``live`` is the ingest seed's prior complete
+    fixpoint, whose relations (rows *and* maintained indexes) the
+    driver adopts and extends in place.  The caller then builds a round
+    executor over ``driver.idb`` and calls :meth:`run` (passing the
+    added EDB rows as ``ingest`` for the ingest seed).
     """
 
     def __init__(
@@ -431,25 +373,18 @@ class _Driver:
         *,
         tracer: Tracer,
         governor: "Governor | None" = None,
-        resume_from: "EvaluationSnapshot | None" = None,
         live: "EvaluationResult | None" = None,
         seed_fact: "tuple[str, Row] | None" = None,
         provenance: bool = False,
-        checkpoint_every: int = 0,
-        checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
     ):
-        _check_resume(resume_from, provenance)
         self.program = program
         self.database = database
         self.tracer = tracer
         self.trace_on = tracer.enabled
         self.governor = governor
-        self.resume_from = resume_from
         self.seed_fact = seed_fact
         #: the governor's phase label ("ingest" under the ingest seed)
         self.phase = "evaluate"
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_sink = checkpoint_sink
         self.started = time.perf_counter()
         self.stats = stats = EvaluationStats()
         self.interner = interner = database.interner
@@ -469,21 +404,9 @@ class _Driver:
             if seed_fact is not None and seed_fact[0] not in idb:
                 # No rule derives the fact's predicate: the row is all of it.
                 idb[seed_fact[0]] = database.new_relation(len(seed_fact[1]))
-        if resume_from is not None:
-            stats.merge(resume_from.stats)
-            if interner is not None and resume_from.interner is not None:
-                # Replay the checkpointed value table first so this run
-                # assigns the same codes the checkpointed run did.
-                for value in resume_from.interner:
-                    interner.intern(value)
-            for pred, rows in resume_from.idb.items():
-                if pred in idb:
-                    idb[pred].extend(rows)
         self.base_wall = stats.wall_time_seconds
         # intern_hits reports this run's dictionary re-use: the delta of
-        # the interner's hit counter, on top of any resumed base (the
-        # hits spent re-seeding the snapshot rows above are checkpointed
-        # work, already counted by the run that produced the snapshot).
+        # the interner's hit counter, on top of the live fixpoint's count.
         self.base_intern = stats.intern_hits
         self.hits0 = 0 if interner is None else interner.hits
         self.prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = (
@@ -586,41 +509,6 @@ class _Driver:
                 index_builds=stats.index_builds - before[4],
             )
 
-    def make_snapshot(
-        self,
-        completed: int,
-        scc_index: int | None,
-        iteration: int,
-        delta: "dict[str, Relation] | None",
-        complete: bool = False,
-    ) -> EvaluationSnapshot:
-        self.sync_intern_hits()
-        snap_stats = self.stats.copy()
-        snap_stats.wall_time_seconds = self.elapsed()
-        return EvaluationSnapshot(
-            completed_sccs=completed,
-            scc_index=scc_index,
-            iteration=iteration,
-            idb={pred: rel.rows() for pred, rel in self.idb.items()},
-            delta=None
-            if delta is None
-            else {pred: rel.rows() for pred, rel in delta.items()},
-            stats=snap_stats,
-            complete=complete,
-            interner=None if self.interner is None else tuple(self.interner.values),
-        )
-
-    def checkpoint(self, completed, scc_index, iteration, delta) -> None:
-        """Emit a round-boundary snapshot when one is due."""
-        if (
-            self.checkpoint_sink is not None
-            and self.checkpoint_every > 0
-            and self.stats.iterations % self.checkpoint_every == 0
-        ):
-            self.checkpoint_sink(
-                self.make_snapshot(completed, scc_index, iteration, delta)
-            )
-
     def partial_result(self, shards: "dict | None") -> EvaluationResult:
         """The fixpoint so far: the final result, or an abort's partial."""
         self.sync_intern_hits()
@@ -646,7 +534,7 @@ class _Driver:
         # a reference cycle a finished run is freed by refcount alone.
         self.eng = executor.eng
         stats, tracer = self.stats, self.tracer
-        seed = "cold" if self.resume_from is None else "resume"
+        seed = "cold"
         if ingest is not None:
             seed = self.phase = "ingest"
         try:
@@ -656,13 +544,7 @@ class _Driver:
                 seed=seed,
                 **executor.span_attrs,
             ) as root:
-                completed = self._seminaive_sccs(executor, ingest)
-                if self.checkpoint_sink is not None:
-                    self.checkpoint_sink(
-                        self.make_snapshot(
-                            completed, None, stats.iterations, None, complete=True
-                        )
-                    )
+                self._seminaive_sccs(executor, ingest)
                 if self.trace_on:
                     root.set(
                         **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
@@ -695,13 +577,12 @@ class _Driver:
                 if len(rel):
                     self.idb[pred].discard(rel.rows())
 
-    def _seminaive_sccs(self, executor, ingest) -> int:
+    def _seminaive_sccs(self, executor, ingest) -> None:
         """SCC by SCC in topological order; delta rounds inside each.
 
-        Cold and resumed runs fire a non-recursive SCC's rules once and
-        seed a recursive SCC from its exit rules (or from the resumed
-        frontier).  An ingest run instead seeds *every* SCC by
-        differentiation (Bancilhon–Ramakrishnan): ``changed`` carries,
+        A cold run fires a non-recursive SCC's rules once and seeds a
+        recursive SCC from its exit rules.  An ingest run instead seeds
+        *every* SCC by differentiation (Bancilhon–Ramakrishnan): ``changed`` carries,
         per predicate, the rows new since the prior fixpoint — first the
         ingested EDB rows, then each SCC's newly derived facts — and a
         rule fires once per positive body position whose predicate
@@ -712,7 +593,6 @@ class _Driver:
         """
         program, database, stats = self.program, self.database, self.stats
         tracer, eng = self.tracer, self.eng
-        resume_from = self.resume_from
         changed: dict[str, Relation] | None = None
         if ingest is not None:
             changed = {}
@@ -721,12 +601,10 @@ class _Driver:
                 rel.extend(rows)
                 changed[pred] = rel
         seed_pred = None if self.seed_fact is None else self.seed_fact[0]
-        if seed_pred is not None and resume_from is None:  # else the snapshot has it
+        if seed_pred is not None:
             self.fire_seed_fact()
         for scc_index, scc in enumerate(program.schedule):
             members, recursive, rules, exit_rules, delta_rules = scc
-            if resume_from is not None and scc_index < resume_from.completed_sccs:
-                continue  # fixpoint already contained in the seeded IDB
             self.check()
             with tracer.span(
                 "scc",
@@ -742,20 +620,7 @@ class _Driver:
                 if changed is not None:
                     self.added.append(delta)
                 iterations = 0
-                if (
-                    resume_from is not None
-                    and resume_from.scc_index == scc_index
-                    and resume_from.delta is not None
-                ):
-                    # The snapshot was taken at a round boundary of this
-                    # SCC: its exit rules already fired (their facts are
-                    # in the seeded IDB), so restore the frontier and
-                    # iteration cursor instead of re-deriving round one.
-                    for pred in members:
-                        for row in resume_from.delta.get(pred, ()):
-                            delta[pred].add(row)
-                    iterations = resume_from.iteration
-                elif changed is None:
+                if changed is None:
                     if seed_pred in members:  # its exit "rule" fired up front
                         delta[seed_pred].add(self.seed_fact[1])
                     for rule in exit_rules:
@@ -799,12 +664,10 @@ class _Driver:
                     delta = new_delta
                     if scc_new is not None:
                         _absorb(scc_new, delta)
-                    self.checkpoint(scc_index, scc_index, iterations, delta)
                 if scc_new is not None:
                     for pred in members:
                         if len(scc_new[pred]):
                             changed[pred] = scc_new[pred]
-        return len(program.schedule)
 
 
 def _absorb(into: dict[str, Relation], delta: dict[str, Relation]) -> None:
@@ -859,9 +722,6 @@ def evaluate(
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
-    resume_from: EvaluationSnapshot | None = None,
     seed_fact: "tuple[str, Row] | None" = None,
     plans: "dict | None" = None,
 ) -> EvaluationResult:
@@ -898,17 +758,6 @@ def evaluate(
     restricted to EDB predicates the program is monotone in its IDB, so
     the partial fixpoint is always a subset of the full one.
 
-    ``checkpoint_every`` + ``checkpoint_sink`` make the run durable:
-    after every ``checkpoint_every``-th semi-naive round (counted
-    cumulatively in ``stats.iterations``) the sink receives an
-    :class:`EvaluationSnapshot` of the IDB, the delta frontier and the
-    SCC/iteration cursor; a final ``complete=True`` snapshot is always
-    emitted when a sink is given.  ``resume_from`` restarts evaluation
-    from such a snapshot: completed SCCs are skipped, the in-progress
-    SCC continues from its saved frontier, and statistics continue
-    cumulatively (budget limits therefore account for pre-checkpoint
-    work too).  ``provenance=True`` cannot resume.
-
     Two inputs serve a program evaluated again and again (a cached
     magic program, request after request).  ``seed_fact`` is a
     ``(predicate, row)`` derived as if ``program`` began with the
@@ -927,11 +776,8 @@ def evaluate(
         database,
         tracer=tracer,
         governor=Governor.of(budget, cancellation),
-        resume_from=resume_from,
         seed_fact=seed_fact,
         provenance=provenance,
-        checkpoint_every=checkpoint_every,
-        checkpoint_sink=checkpoint_sink,
     )
     return driver.run(_LocalExecutor(driver, plans))
 

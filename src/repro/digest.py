@@ -119,7 +119,7 @@ def fixpoint_digest(results: Iterable[tuple[str, Mapping]]) -> str:
     """SHA-256 over labeled IDB fixpoints, order-independent per relation.
 
     Each item is ``(label, idb)`` where ``idb`` maps predicates to
-    relations (anything with ``.rows()``), so a resumed fixpoint can be
+    relations (anything with ``.rows()``), so a recovered fixpoint can be
     checked against a cold recompute and a served answer against the
     offline pipeline.
     """

@@ -1,8 +1,8 @@
 """The sharded semi-naive master: hash-partitioned multiprocess evaluation.
 
 ``evaluate_sharded`` runs the one fixpoint driver of
-:mod:`repro.datalog.evaluation` — SCC order, seeding, snapshots and
-budget handling are the driver's — with :class:`_ShardedExecutor` as
+:mod:`repro.datalog.evaluation` — SCC order, seeding and budget
+handling are the driver's — with :class:`_ShardedExecutor` as
 its round executor, which farms every delta join out to ``workers``
 forked processes (:mod:`repro.parallel.worker`):
 
@@ -56,13 +56,11 @@ import pickle
 import time
 from collections import defaultdict
 from multiprocessing.connection import wait as _conn_wait
-from typing import Callable
 
 from ..datalog.atoms import Literal
-from ..datalog.database import Database, Interner, Relation
+from ..datalog.database import Database, Relation
 from ..datalog.evaluation import (
     EvaluationResult,
-    EvaluationSnapshot,
     EvaluationStats,
     _Driver,
     _SlotEngine,
@@ -71,7 +69,7 @@ from ..datalog.program import Program
 from ..datalog.terms import Constant, Variable
 from ..digest import workload_digest
 from ..observability.trace import Tracer, get_tracer
-from ..persist.checkpoint import Checkpoint
+from ..persist.checkpoint import Checkpoint, EvaluationSnapshot
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import BudgetExceededError, InjectedFault, ReproError
 from .supervisor import DEFAULT_SUPERVISION, SupervisionPolicy
@@ -134,46 +132,27 @@ def _pre_intern_head_constants(program: Program, database: Database) -> None:
 
 
 class _DeltaBuffer:
-    """A semi-naive frontier on the master: ordered code rows + a seen-set.
+    """A semi-naive frontier on the master: code rows in insertion order.
 
-    The master never joins against its own delta (the workers do), so
-    the frontier needs no indexes — just insertion order
-    (``row_list``) for deterministic sharding and a set for
-    deduplication.  Implements the slivers of the Relation API the
-    driver touches: ``add`` (a value row: resume and seed-fact
-    seeding), ``add_fresh`` (the exit-rule sink, barrier accepts) and
-    ``rows`` for checkpoint snapshots.
+    The master never joins against its own delta (the workers do), and
+    every row it is handed is new to the IDB, so the frontier needs no
+    indexes and no seen-set — just insertion order (``row_list``) for
+    deterministic sharding.  Implements the sliver of the Relation API
+    the driver touches: ``len`` and ``add_fresh`` (the exit-rule sink,
+    barrier accepts).
     """
 
-    __slots__ = ("arity", "interner", "row_list", "seen")
+    __slots__ = ("row_list",)
 
-    def __init__(self, arity: int, interner: Interner):
-        self.arity = arity
-        self.interner = interner
+    def __init__(self):
         self.row_list: list[tuple[int, ...]] = []
-        self.seen: set[tuple[int, ...]] = set()
 
     def __len__(self) -> int:
         return len(self.row_list)
 
-    def add(self, row) -> bool:
-        codes = tuple(map(self.interner.intern, row))
-        if codes in self.seen:
-            return False
-        self.seen.add(codes)
-        self.row_list.append(codes)
-        return True
-
     def add_fresh(self, rows) -> None:
         """Bulk-append code rows already deduplicated by the caller."""
         self.row_list.extend(rows)
-        self.seen.update(rows)
-
-    def rows(self) -> frozenset:
-        decode = self.interner.decode
-        return frozenset(
-            tuple(decode(code) for code in codes) for codes in self.row_list
-        )
 
 
 class _ShardedEngine(_SlotEngine):
@@ -319,18 +298,12 @@ class WorkerPool:
         """
         interner = self.database.interner
         snapshot = EvaluationSnapshot(
-            completed_sccs=0,
-            scc_index=None,
-            iteration=0,
             idb={
                 pred: relation.rows()
                 for pred, relation in (idb or {}).items()
                 if len(relation)
             },
-            delta=None,
             stats=EvaluationStats(),
-            complete=False,
-            interner=tuple(interner.values),
         )
         envelope, _ = Checkpoint(
             seq=0,
@@ -455,7 +428,7 @@ class _ShardedExecutor:
     """The sharded round executor of the fixpoint driver.
 
     :class:`repro.datalog.evaluation._Driver` owns the SCC/round loop,
-    the IDB seeding, snapshots and the abort handler; this class only
+    the IDB seeding and the abort handler; this class only
     answers "where does a round's delta join run?" — on the fleet, one
     :meth:`barrier` per round (linear SCCs) or per plan (nonlinear
     ones).  Exit and non-recursive rules still fire locally on the
@@ -473,8 +446,7 @@ class _ShardedExecutor:
         self.driver = driver
         # Every code row ever accepted into the IDB, in acceptance order,
         # plus the per-predicate cursor up to which the workers have been
-        # told.  Rows seeded from a resume snapshot are excluded on
-        # purpose: they ride the warm-start envelope instead.
+        # told.
         self.accept_log: "defaultdict[str, list[tuple]]" = defaultdict(list)
         self.shipped_upto: "defaultdict[str, int]" = defaultdict(int)
         self.eng = _ShardedEngine(
@@ -527,9 +499,7 @@ class _ShardedExecutor:
         }
 
     def new_frontier(self, predicate: str) -> _DeltaBuffer:
-        return _DeltaBuffer(
-            self.driver.program.arity_of(predicate), self.driver.interner
-        )
+        return _DeltaBuffer()
 
     def begin_scc(self, members: "set[str]", delta_rules) -> None:
         """Per-SCC dispatch metadata; the *workers* compile the plans."""
@@ -997,9 +967,6 @@ def evaluate_sharded(
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
-    resume_from: EvaluationSnapshot | None = None,
     supervision: "SupervisionPolicy | None" = None,
 ) -> EvaluationResult:
     """Semi-naive evaluation sharded across ``workers`` processes.
@@ -1015,8 +982,7 @@ def evaluate_sharded(
     therefore exceed the sequential values.
 
     Restriction: ``provenance`` is unsupported (support tuples are
-    process-local).  ``checkpoint_*`` and ``resume_from`` work exactly
-    as in the sequential engine.
+    process-local).
 
     Worker deaths and stragglers are handled by the supervision layer
     (``supervision``, a :class:`SupervisionPolicy`): the dead worker is
@@ -1037,11 +1003,6 @@ def evaluate_sharded(
         tracer = get_tracer()
     database = database.to_storage("columnar")
     if pool is not None:
-        if resume_from is not None:
-            raise ValueError(
-                "a pre-built pool cannot resume from a snapshot; let "
-                "evaluate_sharded construct its own pool"
-            )
         if pool.workers != workers:
             raise ValueError(
                 f"pool has {pool.workers} workers, evaluation asked for {workers}"
@@ -1056,9 +1017,6 @@ def evaluate_sharded(
         database,
         tracer=tracer,
         governor=Governor.of(budget, cancellation),
-        resume_from=resume_from,
-        checkpoint_every=checkpoint_every,
-        checkpoint_sink=checkpoint_sink,
     )
     executor = _ShardedExecutor(
         driver,

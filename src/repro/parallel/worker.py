@@ -202,7 +202,7 @@ class _WorkerState:
             rows = _rows_of(n, columns)
             if aligned is not None:
                 # Shipped shards in aligned mode are accepted facts
-                # (the exit layer, or a resumed frontier): absorbing
+                # (the exit layer): absorbing
                 # them completes this worker's partition of the mirror,
                 # which is what makes the local dedup exact.
                 self._absorb(pred, rows)

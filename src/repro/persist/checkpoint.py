@@ -1,15 +1,15 @@
 """The on-disk checkpoint format: versioned, content-addressed JSON.
 
-A checkpoint is one :class:`~repro.datalog.evaluation.EvaluationSnapshot`
-wrapped with the metadata that makes it safe to trust across process
-boundaries:
+A checkpoint is one :class:`EvaluationSnapshot` — a complete fixpoint
+and the EDB it was computed from — wrapped with the metadata that
+makes it safe to trust across process boundaries:
 
 * a **format version** (:data:`CHECKPOINT_VERSION`), so a future format
   change can be detected instead of mis-parsed;
 * a **workload digest** — SHA-256 over the program's rules and query
   and the integrity constraints, bound to a multiset hash of every EDB
   row (:mod:`repro.digest`) — binding the checkpoint to the exact
-  inputs it was computed from.  Resuming a checkpoint
+  inputs it was computed from.  Restoring a checkpoint
   against a *different* workload would silently produce answers for
   neither, so a mismatched digest is treated exactly like corruption;
 * a **content checksum** — SHA-256 over the canonical JSON encoding of
@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..datalog.database import Row
-from ..datalog.evaluation import EvaluationSnapshot, EvaluationStats
+from ..datalog.evaluation import EvaluationStats
 from ..digest import fixpoint_digest, workload_digest
 from ..robustness.errors import ReproError
 
@@ -44,6 +44,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointCorrupt",
     "CheckpointMismatch",
+    "EvaluationSnapshot",
     "workload_digest",
     "fixpoint_digest",
 ]
@@ -82,6 +83,34 @@ def _rows_restore(payload: object) -> frozenset:
 
 
 @dataclass(frozen=True)
+class EvaluationSnapshot:
+    """A complete fixpoint as a checkpoint holds it: plain rows and counters.
+
+    ``idb`` holds every derived relation, ``stats`` the cumulative work
+    counters of the evaluations and ingests that produced them, and
+    ``edb`` the extensional database they were derived from.  Ingested
+    facts live nowhere else once the write-ahead journal compacts, so a
+    checkpoint is self-contained: restore = EDB + IDB from the
+    checkpoint, then replay the journal suffix.  ``edb`` is ``None`` on
+    checkpoints written before the journal (and on the worker warm-start
+    envelope of :mod:`repro.parallel.engine`, which ships the EDB beside
+    it).  No compiled plans, indexes or interner codes: the persistence
+    layer never reaches into engine internals.
+
+    ``completed_sccs`` is the program's SCC count — every SCC of a
+    complete fixpoint is complete.  ``complete`` is ``False`` only for
+    the per-round frontier checkpoints older builds wrote; they load so
+    that recovery can skip them, and nothing resumes from them.
+    """
+
+    idb: Mapping[str, frozenset]
+    stats: EvaluationStats
+    edb: "Mapping[str, frozenset] | None" = None
+    completed_sccs: int = 0
+    complete: bool = True
+
+
+@dataclass(frozen=True)
 class Checkpoint:
     """One durable evaluation snapshot plus its binding metadata."""
 
@@ -96,27 +125,25 @@ class Checkpoint:
 
     @property
     def latest_round(self) -> int:
-        """The semi-naive round the snapshot was taken at.
+        """The semi-naive rounds the checkpointed fixpoint took, cumulatively.
 
         Exposed on the envelope so summary consumers (``repro session
         inspect``, the daemon's ``/stats`` endpoint) never re-parse the
         snapshot payload to learn how far the fixpoint had progressed.
         """
-        return self.snapshot.iteration
+        return self.snapshot.stats.iterations
 
     def summary(self) -> dict:
         """A JSON-ready envelope summary (no row payloads).
 
         The shared shape behind ``repro session inspect`` and the
         serving daemon's ``/stats``: sequence number, completeness,
-        ``latest_round``, SCC progress, fact count and cumulative stats.
+        ``latest_round``, fact count and cumulative stats.
         """
         return {
             "seq": self.seq,
             "complete": self.complete,
             "latest_round": self.latest_round,
-            "iteration": self.snapshot.iteration,
-            "completed_sccs": self.snapshot.completed_sccs,
             "facts": sum(len(rows) for rows in self.snapshot.idb.values()),
             "stats": self.snapshot.stats.as_dict(),
         }
@@ -130,23 +157,17 @@ class Checkpoint:
             "seq": self.seq,
             "workload": self.workload,
             "snapshot": {
-                "strategy": "seminaive",  # older builds read this key unconditionally
+                # Older builds read these keys unconditionally (they
+                # resumed from per-round frontiers); a complete fixpoint
+                # has no frontier, no cursor and no interner table.
+                "strategy": "seminaive",
                 "completed_sccs": snap.completed_sccs,
-                "scc_index": snap.scc_index,
-                "iteration": snap.iteration,
+                "scc_index": None,
+                "iteration": snap.stats.iterations,
+                "delta": None,
+                "interner": None,
                 "complete": snap.complete,
                 "idb": {pred: _rows_payload(rows) for pred, rows in sorted(snap.idb.items())},
-                "delta": None
-                if snap.delta is None
-                else {pred: _rows_payload(rows) for pred, rows in sorted(snap.delta.items())},
-                # The columnar interner's value table in code order (None
-                # under rows storage): rows above are always decoded, so
-                # this is extra metadata, not a second row encoding.
-                "interner": None if snap.interner is None else list(snap.interner),
-                # The extensional database on complete snapshots: the
-                # write-ahead journal compacts once this checkpoint
-                # lands, so the checkpoint becomes the only durable
-                # copy of the ingested facts it covers.
                 "edb": None
                 if snap.edb is None
                 else {pred: _rows_payload(rows) for pred, rows in sorted(snap.edb.items())},
@@ -165,31 +186,24 @@ class Checkpoint:
                     f"(this build reads version {CHECKPOINT_VERSION})"
                 )
             snap = payload["snapshot"]
-            # Older builds also wrote naive snapshots.  They carry no
-            # frontier, so a semi-naive resume would under-derive.
+            # Older builds also wrote naive snapshots, which no build
+            # ever restored from.
             strategy = snap.get("strategy", "seminaive")
             if strategy != "seminaive":
                 raise CheckpointCorrupt(f"unsupported evaluation strategy {strategy!r}")
+            # An older build's frontier (``complete`` false) loads with
+            # its rows but without its frontier and cursor: recovery
+            # skips it, so the keys that only served resume are unread.
             snapshot = EvaluationSnapshot(
-                completed_sccs=int(snap["completed_sccs"]),
-                scc_index=None if snap["scc_index"] is None else int(snap["scc_index"]),
-                iteration=int(snap["iteration"]),
                 idb={str(p): _rows_restore(rows) for p, rows in snap["idb"].items()},
-                delta=None
-                if snap["delta"] is None
-                else {str(p): _rows_restore(rows) for p, rows in snap["delta"].items()},
                 stats=EvaluationStats.from_dict(snap["stats"]),
-                complete=bool(snap.get("complete", False)),
-                # .get: checkpoints written before the columnar backend
-                # carry no interner and load as storage-agnostic.
-                interner=None
-                if snap.get("interner") is None
-                else tuple(snap["interner"]),
                 # .get: checkpoints written before the ingest journal
                 # carry no EDB and load as derived-state-only.
                 edb=None
                 if snap.get("edb") is None
                 else {str(p): _rows_restore(rows) for p, rows in snap["edb"].items()},
+                completed_sccs=int(snap.get("completed_sccs", 0)),
+                complete=bool(snap.get("complete", False)),
             )
             return cls(
                 seq=int(payload["seq"]),

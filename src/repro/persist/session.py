@@ -6,9 +6,8 @@ one checkpoint directory.  Its durable life cycle is ``recover`` →
 
 * :meth:`Session.recover` — start *or* restart, and the **only** code
   that reads a checkpoint file or a journal segment: newest
-  self-contained checkpoint + journal replay, else an evaluation picked
-  up from the newest frontier a killed one left, else a fresh run.
-  A valid checkpoint that does not fit is skipped, never renamed.
+  self-contained checkpoint + journal replay, else a fresh run.  A
+  valid checkpoint that does not fit is skipped, never renamed.
 * :meth:`Session.ingest` — add EDB facts and extend the live fixpoint
   *in place* by semi-naive differentiation (recompute when an ingested
   predicate occurs negated): **derive, then journal, then acknowledge**
@@ -24,7 +23,9 @@ one checkpoint directory.  Its durable life cycle is ``recover`` →
   recovery that replayed records, and on this call.  Once one lands,
   the journal prefix it covers is compacted away.
 * :meth:`Session.run` — the cold evaluation recovery falls back to and
-  the tests compare against; it writes checkpoints, never reads disk.
+  the tests compare against; it writes one covering checkpoint of the
+  fixpoint, never reads disk.  A run killed mid-evaluation costs only
+  that evaluation: nothing it computed was acknowledged.
 * :meth:`Session.inspect` — a JSON-ready summary of store + journal.
 
 Checkpoint saves go through :func:`~repro.persist.store.save_with_retry`;
@@ -32,21 +33,20 @@ a store that stays broken after the retry budget **degrades** the
 session to in-memory evaluation (a
 :class:`~repro.robustness.budget.FallbackStep` and a ``budget.fallback``
 trace event) instead of failing it.  Statistics stay cumulative across
-the whole life cycle (a restored frontier or fixpoint brings its
-counters, and ingest adds to them), so budget accounting and reports
+the whole life cycle (a restored fixpoint brings its counters, and
+ingest adds to them), so budget accounting and reports
 see the true total cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..datalog.database import ArityMismatch, Database, FactRows, Row
 from ..datalog.evaluation import (
     EvaluationResult,
-    EvaluationSnapshot,
     EvaluationStats,
     _evaluate_ingest,
     evaluate,
@@ -61,7 +61,7 @@ from ..robustness.budget import (
     Governor,
     record_fallback,
 )
-from .checkpoint import Checkpoint, CheckpointError
+from .checkpoint import Checkpoint, CheckpointError, EvaluationSnapshot
 from .journal import (
     FlakyJournal,
     IngestJournal,
@@ -85,13 +85,14 @@ class SessionResult:
     """The outcome of one session operation.
 
     ``mode`` records the path taken: ``"fresh"`` (full evaluation),
-    ``"resumed"`` (recovery restarted a killed evaluation from its
-    newest frontier checkpoint), ``"incremental"`` (delta-seeded
-    ingest), ``"recompute"`` (ingest fell back to full re-evaluation),
-    ``"warm"`` (zero-evaluation checkpoint restore) or ``"recovered"``
-    (recovery replayed journal records).
+    ``"incremental"`` (delta-seeded ingest), ``"recompute"`` (ingest
+    fell back to full re-evaluation), ``"warm"`` (zero-evaluation
+    checkpoint restore) or ``"recovered"`` (recovery replayed journal
+    records).
     ``fallback_chain`` lists every degradation taken, in order;
-    ``replayed`` counts the journal records recovery re-applied.
+    ``replayed`` counts the journal records recovery re-applied, and
+    ``resumed_seq`` is the sequence number of the checkpoint a
+    recovery restored.
     """
 
     result: EvaluationResult
@@ -116,7 +117,6 @@ class Session:
         *,
         store: "CheckpointStore | FlakyStore | None" = None,
         journal: "IngestJournal | FlakyJournal | None" = None,
-        checkpoint_every: int = 1,
         constraints: Sequence[object] = (),
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
@@ -143,7 +143,6 @@ class Session:
         # first.
         self._checkpoint_bytes = 0
         self._lag_bytes = 0
-        self.checkpoint_every = checkpoint_every
         self.constraints = tuple(constraints)
         self.budget = budget
         self.cancellation = cancellation
@@ -181,56 +180,9 @@ class Session:
     def _governor(self) -> Governor | None:
         return Governor.of(self.budget, self.cancellation)
 
-    def _save(
-        self,
-        snapshot: EvaluationSnapshot,
-        governor: Governor | None,
-        fallback_chain: list[FallbackStep],
-    ) -> int:
-        """Checkpoint ``snapshot`` with retry; returns how many landed
-        (0 or 1).  A store that stays broken degrades the operation to
-        in-memory — recorded once in its ``fallback_chain``, after
-        which its later snapshots are not attempted."""
-        if self.store is None or any(
-            step.stage == "session.checkpoint" for step in fallback_chain
-        ):
-            return 0
-        if snapshot.complete and snapshot.edb is None:
-            # Complete checkpoints are self-contained: they carry the
-            # EDB so the journal can compact the records they cover
-            # without losing the only copy of ingested facts.
-            edb = {
-                pred: self.database.relation(pred).rows()
-                for pred in sorted(self.database.predicates())
-            }
-            snapshot = replace(snapshot, edb=edb)
-        checkpoint = Checkpoint(
-            seq=self.store.next_seq(), workload=self.workload(), snapshot=snapshot
-        )
-        try:
-            save_with_retry(
-                self.store, checkpoint, policy=self.retry, governor=governor
-            )
-        except CheckpointStoreUnavailable as exc:
-            record_fallback(
-                fallback_chain, "session.checkpoint", "in-memory", str(exc), self.tracer
-            )
-            return 0
-        if snapshot.complete:
-            # A self-contained checkpoint of the current EDB is durable.
-            # It reflects every journal record applied so far, so that
-            # prefix is compacted away, and lag is counted afresh
-            # against its size.
-            self._checkpoint_bytes = len(checkpoint.encode()[0])
-            self._lag_bytes = 0
-            self._covered_seq = max(self._covered_seq, self._applied_seq)
-            if self.journal is not None and self._covered_seq:
-                self.journal.compact(self._covered_seq)
-        return 1
-
     # ------------------------------------------------------------------
     def run(self) -> SessionResult:
-        """Evaluate the workload cold, checkpointing as configured.
+        """Evaluate the workload cold, then checkpoint the fixpoint.
 
         Never reads disk: this is the evaluation :meth:`recover` falls
         back to on an empty directory, and the reference the tests
@@ -238,35 +190,16 @@ class Session:
         used before, call :meth:`recover` — a cold run there knows
         nothing of the ingests the directory holds.
         """
-        return self._evaluate(None)
-
-    def _evaluate(self, frontier: Checkpoint | None) -> SessionResult:
-        """One governed, checkpointed evaluation of the current EDB,
-        started from ``frontier``'s saved round when there is one."""
         governor = self._governor()
-        fallback_chain: list[FallbackStep] = []
-        written = 0
-
-        def sink(snapshot: EvaluationSnapshot) -> None:
-            nonlocal written
-            written += self._save(snapshot, governor, fallback_chain)
-
-        self._last = evaluate(
-            self.program,
-            self.database,
-            budget=governor,
-            tracer=self._tracer,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_sink=None if self.store is None else sink,
-            resume_from=None if frontier is None else frontier.snapshot,
+        result = evaluate(
+            self.program, self.database, budget=governor, tracer=self._tracer
         )
-        return SessionResult(
-            result=self._last,
-            mode="fresh" if frontier is None else "resumed",
-            checkpoints_written=written,
-            resumed_seq=None if frontier is None else frontier.seq,
-            fallback_chain=fallback_chain,
+        outcome = SessionResult(result=result, mode="fresh")
+        outcome.checkpoints_written = self._cover(
+            result, outcome.fallback_chain, governor
         )
+        self._last = result
+        return outcome
 
     def checkpoint(self) -> bool:
         """Write a covering checkpoint of the live fixpoint now.
@@ -437,11 +370,10 @@ class Session:
         return outcome
 
     # ------------------------------------------------------------------
-    def _read_store(self) -> "tuple[Checkpoint | None, int, dict[str, Checkpoint]]":
+    def _read_store(self) -> "tuple[Checkpoint | None, int]":
         """One pass over the store, newest file first, each read at most
         once: the newest self-contained checkpoint that binds here and
-        its size on disk, plus — of the files newer than it — the newest
-        checkpoint per workload digest (frontiers of killed evaluations).
+        its size on disk.
 
         A *self-contained* checkpoint is complete and carries the EDB
         beside the fixpoint, so it can seed recovery even after the
@@ -449,9 +381,9 @@ class Session:
         reproduces its own workload digest under this session's program
         and constraints (not another workload sharing the directory)
         and contains every row of this session's initial EDB (not an
-        older registration whose facts have since changed).
+        older registration whose facts have since changed).  An older
+        build's per-round frontier is neither, and is passed over.
         """
-        frontiers: dict[str, Checkpoint] = {}
         for path in reversed(self.store.paths() if self.store is not None else []):
             try:
                 found = self.store.load(path)
@@ -472,9 +404,8 @@ class Session:
                     for row in self.database.relation(predicate)
                 )
             ):
-                return found, path.stat().st_size, frontiers
-            frontiers.setdefault(found.workload, found)
-        return None, 0, frontiers
+                return found, path.stat().st_size
+        return None, 0
 
     def recover(self) -> SessionResult:
         """Start or restart from the durable state: newest self-contained
@@ -499,11 +430,11 @@ class Session:
            a fresh covering checkpoint, after which the covered journal
            prefix is compacted away.
 
-        With no self-contained checkpoint, step 3 is an evaluation of
-        (initial EDB + chained records), picked up from the newest
-        frontier checkpoint saved for exactly that EDB if a killed
-        evaluation left one (mode ``"resumed"``) — a fresh run on an
-        empty directory, so callers use ``recover()`` unconditionally.
+        With no self-contained checkpoint, step 3 is a :meth:`run` over
+        (initial EDB + chained records) — a fresh run on an empty
+        directory, so callers use ``recover()`` unconditionally.  An
+        evaluation that was killed left no checkpoint behind, so it is
+        simply run again.
 
         The result is byte-identical to a cold recompute over (initial
         EDB + every acknowledged ingest).  A recovery that raises leaves
@@ -528,7 +459,7 @@ class Session:
         governor = self._governor()
         fallback_chain: list[FallbackStep] = []
         records = [] if self.journal is None else self.journal.replay()
-        base, base_bytes, frontiers = self._read_store()
+        base, base_bytes = self._read_store()
         if base is not None:
             edb = base.snapshot.edb
             assert edb is not None
@@ -576,10 +507,8 @@ class Session:
         if base is None or overlap:
             # No covering checkpoint anywhere (the journal is the only
             # durable copy; every acknowledged record is in the EDB now)
-            # or a non-monotone replay: evaluate, from the frontier a
-            # killed evaluation of this very EDB left, if any.  The
-            # final checkpoint covers every applied record.
-            frontier = frontiers.get(self.workload())
+            # or a non-monotone replay: evaluate.  Its checkpoint covers
+            # every applied record.
             if replayed:
                 reason = "no complete checkpoint covers the journal chain"
                 if base is not None:
@@ -590,7 +519,7 @@ class Session:
                 record_fallback(
                     fallback_chain, "session.recover", "recompute", reason, self.tracer
                 )
-            outcome = self._evaluate(frontier)
+            outcome = self.run()
             if replayed:
                 outcome.mode = "recovered"
             outcome.fallback_chain = fallback_chain + outcome.fallback_chain
@@ -652,19 +581,44 @@ class Session:
         fallback_chain: list[FallbackStep],
         governor: Governor | None,
     ) -> int:
-        """Persist a self-contained ``complete=True`` snapshot of
-        ``result``; returns how many checkpoints landed (0 or 1), with
-        a degraded save recorded in ``fallback_chain``."""
+        """Checkpoint ``result`` with retry; returns how many landed (0
+        or 1).  The checkpoint is self-contained — the fixpoint plus the
+        current EDB — so the journal can compact the records it covers
+        without losing the only copy of ingested facts.  A store that
+        stays broken degrades the operation to in-memory, recorded in
+        ``fallback_chain``."""
+        if self.store is None:
+            return 0
         snapshot = EvaluationSnapshot(
-            completed_sccs=len(self.program.schedule),
-            scc_index=None,
-            iteration=result.stats.iterations,
             idb={pred: rel.rows() for pred, rel in result.idb.items()},
-            delta=None,
             stats=result.stats.copy(),
-            complete=True,
+            edb={
+                pred: self.database.relation(pred).rows()
+                for pred in sorted(self.database.predicates())
+            },
+            completed_sccs=len(self.program.schedule),
         )
-        return self._save(snapshot, governor, fallback_chain)
+        checkpoint = Checkpoint(
+            seq=self.store.next_seq(), workload=self.workload(), snapshot=snapshot
+        )
+        try:
+            save_with_retry(
+                self.store, checkpoint, policy=self.retry, governor=governor
+            )
+        except CheckpointStoreUnavailable as exc:
+            record_fallback(
+                fallback_chain, "session.checkpoint", "in-memory", str(exc), self.tracer
+            )
+            return 0
+        # The checkpoint reflects every journal record applied so far,
+        # so that prefix is compacted away, and lag is counted afresh
+        # against its size.
+        self._checkpoint_bytes = len(checkpoint.encode()[0])
+        self._lag_bytes = 0
+        self._covered_seq = max(self._covered_seq, self._applied_seq)
+        if self.journal is not None and self._covered_seq:
+            self.journal.compact(self._covered_seq)
+        return 1
 
     # ------------------------------------------------------------------
     def _incremental_fixpoint(
@@ -696,10 +650,7 @@ class Session:
     # ------------------------------------------------------------------
     def inspect(self) -> dict:
         """A JSON-ready summary of the session's checkpoint store."""
-        info: dict = {
-            "workload": self.workload(),
-            "checkpoint_every": self.checkpoint_every,
-        }
+        info: dict = {"workload": self.workload()}
         if self.store is None:
             info["store"] = None
             return info

@@ -138,14 +138,8 @@ class Tenant:
         # materialization (crash recovery), surfaced via /stats.
         self.replayed = 0
         store = None if persist_dir is None else CheckpointStore(persist_dir)
-        # checkpoint_every=0: sessions write only complete fixpoints —
-        # the daemon checkpoints *results*, not mid-fixpoint frontiers.
         self.session = Session(
-            self.program,
-            self.database,
-            store=store,
-            checkpoint_every=0,
-            constraints=self.constraints,
+            self.program, self.database, store=store, constraints=self.constraints
         )
         self.materialized: SessionResult | None = None
         self.mode: str | None = None

@@ -1,5 +1,5 @@
 """Columnar storage: interner semantics, relation ops, serialization
-round trips and checkpoint/resume interner travel.
+round trips, and checkpoints that hold values, never codes.
 
 The contract under test is written up in ``docs/storage.md``: a
 columnar relation is a :class:`Relation` of interner codes, so the
@@ -8,6 +8,8 @@ codes while the value API (``add``/``probe``/``rows``/``in``/...)
 matches the rows storage; digests are computed over *decoded* rows, so
 they agree across storages unless ``1``, ``1.0`` and ``True`` meet.
 """
+
+import json
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.datalog.database import (
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
 from repro.digest import fixpoint_digest, workload_digest
-from repro.persist.checkpoint import Checkpoint
+from repro.persist.checkpoint import Checkpoint, EvaluationSnapshot
 from repro.workloads.generators import random_workload
 
 
@@ -265,66 +267,48 @@ def test_to_dict_without_interner_is_storage_agnostic():
     assert Database.from_dict(payload, storage="columnar").storage == "columnar"
 
 
-def test_checkpoint_round_trips_the_interner_table():
+def test_columnar_checkpoint_holds_values_not_codes(tmp_path):
+    """A checkpoint is storage-agnostic: a session over a columnar
+    database writes decoded rows and no interner table, and a rows
+    session restores it to the same fixpoint."""
+    from repro.persist import CheckpointStore, Session
+
     program = parse_program(
         "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).", query="t"
     )
-    database = Database.from_rows(
-        {"e": [("a", "b"), ("b", "c")]}, storage="columnar"
-    )
-    snapshots = []
-    evaluate(
+    rows = {"e": [("a", "b"), ("b", "c")]}
+    Session(
         program,
-        database,
-        checkpoint_every=1,
-        checkpoint_sink=snapshots.append,
-    )
-    assert snapshots and snapshots[-1].interner is not None
-    checkpoint = Checkpoint(
-        seq=1, workload=workload_digest(program, database), snapshot=snapshots[-1]
-    )
-    text, _checksum = checkpoint.encode()
-    loaded = Checkpoint.decode(text)
-    assert loaded.snapshot.interner == snapshots[-1].interner
-    assert loaded.snapshot.idb == snapshots[-1].idb
+        Database.from_rows(rows, storage="columnar"),
+        store=CheckpointStore(tmp_path),
+    ).run()
+    [path] = CheckpointStore(tmp_path).paths()
+    snapshot = json.loads(path.read_text())["payload"]["snapshot"]
+    assert snapshot["interner"] is None
+    assert snapshot["idb"]["t"] == [["a", "b"], ["a", "c"], ["b", "c"]]
+    warm = Session(
+        program, Database.from_rows(rows), store=CheckpointStore(tmp_path)
+    ).recover()
+    assert warm.mode == "warm"
+    assert warm.result.rows("t") == {("a", "b"), ("a", "c"), ("b", "c")}
 
 
 def test_pre_columnar_checkpoints_load_without_interner():
     """Payloads written before the columnar backend carry no interner
-    field and must load as storage-agnostic snapshots."""
+    field and load all the same."""
     program = parse_program("t(X, Y) :- e(X, Y).", query="t")
     database = Database.from_rows({"e": [(1, 2)]})
-    snapshots = []
-    evaluate(program, database, checkpoint_every=1, checkpoint_sink=snapshots.append)
+    result = evaluate(program, database)
     checkpoint = Checkpoint(
-        seq=1, workload=workload_digest(program, database), snapshot=snapshots[-1]
+        seq=1,
+        workload=workload_digest(program, database),
+        snapshot=EvaluationSnapshot(
+            idb={pred: rel.rows() for pred, rel in result.idb.items()},
+            stats=result.stats,
+        ),
     )
     payload = checkpoint.to_payload()
     del payload["snapshot"]["interner"]
     restored = Checkpoint.from_payload(payload)
-    assert restored.snapshot.interner is None
-
-
-@pytest.mark.parametrize("storage", STORAGES)
-def test_resume_from_mid_run_snapshot_matches_fresh_run(storage):
-    """A snapshot taken mid-fixpoint resumes to the same answers the
-    uninterrupted run computes, in either backend — and a columnar
-    resume replays the snapshot's interner so code assignment (and the
-    resulting fixpoint) is reproduced exactly."""
-    program, database, _ = random_workload(11)
-    fresh = evaluate(program, database.to_storage(storage))
-
-    snapshots = []
-    evaluate(
-        program,
-        database.to_storage(storage),
-        checkpoint_every=1,
-        checkpoint_sink=snapshots.append,
-    )
-    partial = next((s for s in snapshots if not s.complete), snapshots[0])
-    if storage == "columnar":
-        assert partial.interner is not None
-    resumed = evaluate(program, database.to_storage(storage), resume_from=partial)
-    assert {p: resumed.rows(p) for p in program.idb_predicates} == {
-        p: fresh.rows(p) for p in program.idb_predicates
-    }
+    assert restored.snapshot.idb == {"t": {(1, 2)}}
+    assert restored.encode() == checkpoint.encode()

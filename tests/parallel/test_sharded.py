@@ -1,6 +1,6 @@
 """The sharded evaluator's own contract: argument validation, the
-pool protocol, the sharding report, checkpoint/resume symmetry with the
-sequential engine, trace events, and worker-death failure modes.
+pool protocol, the sharding report, trace events, and worker-death
+failure modes.
 
 Cross-engine *agreement* (digests, iterations, work counters) lives in
 ``tests/datalog/test_engines_agree.py``; this file covers everything
@@ -65,21 +65,6 @@ class TestPoolMismatch:
             with pytest.raises(ValueError, match="different program/database"):
                 evaluate_sharded(program, database.copy(), workers=2, pool=pool)
 
-    def test_prebuilt_pool_cannot_resume(self):
-        program, database = _workload(0, nodes=4, edges=6)
-        snaps = []
-        evaluate(
-            program,
-            database.copy(),
-            checkpoint_every=1,
-            checkpoint_sink=snaps.append,
-        )
-        with WorkerPool(program, database, 2) as pool:
-            with pytest.raises(ValueError, match="cannot resume"):
-                evaluate_sharded(
-                    program, database, workers=2, pool=pool, resume_from=snaps[0]
-                )
-
 
 # ----------------------------------------------------------------------
 # The sharding report and the pre-built pool path
@@ -130,45 +115,6 @@ def test_renaming_rules_shard_like_the_sequential_engine():
         assert getattr(sharded.stats, counter) == getattr(sequential.stats, counter), counter
     assert sharded.stats.rows_scanned_by_rule == sequential.stats.rows_scanned_by_rule
     assert len(sequential.rows("s")) == 17 * 13
-
-
-# ----------------------------------------------------------------------
-# Checkpoint / resume symmetry with the sequential engine
-
-
-def test_sharded_checkpoints_resume_sequentially_and_back():
-    program, database = _workload()
-    reference = evaluate(program, database.copy())
-    # Sharded run writes checkpoints...
-    snaps = []
-    sharded = evaluate_sharded(
-        program,
-        database.copy(),
-        workers=2,
-        checkpoint_every=1,
-        checkpoint_sink=snaps.append,
-    )
-    assert _digest(sharded) == _digest(reference)
-    assert snaps, "checkpoint_every=1 must emit at least one snapshot"
-    mid = snaps[len(snaps) // 2]
-    # ...the sequential engine resumes from one of them...
-    sequential_resumed = evaluate(program, database.copy(), resume_from=mid)
-    assert _digest(sequential_resumed) == _digest(reference)
-    # ...and the sharded evaluator resumes from a sequential snapshot.
-    seq_snaps = []
-    evaluate(
-        program,
-        database.copy(),
-        checkpoint_every=1,
-        checkpoint_sink=seq_snaps.append,
-    )
-    sharded_resumed = evaluate_sharded(
-        program,
-        database.copy().to_storage("columnar"),
-        workers=2,
-        resume_from=seq_snaps[len(seq_snaps) // 2],
-    )
-    assert _digest(sharded_resumed) == _digest(reference)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,12 @@ from repro.datalog.database import Database
 from repro.datalog.evaluation import EvaluationStats, evaluate
 from repro.datalog.parser import parse_program
 from repro.digest import bind_edb, edb_hash, program_digest, rows_hash
+from repro.persist import CheckpointStore, Session
 from repro.persist.checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointCorrupt,
+    EvaluationSnapshot,
     fixpoint_digest,
     workload_digest,
 )
@@ -34,9 +36,13 @@ def _database():
 
 
 def _snapshot(**overrides):
-    snaps = []
-    evaluate(PROGRAM, _database(), checkpoint_every=1, checkpoint_sink=snaps.append)
-    snap = snaps[0]
+    result = evaluate(PROGRAM, _database())
+    snap = EvaluationSnapshot(
+        idb={pred: rel.rows() for pred, rel in result.idb.items()},
+        stats=result.stats,
+        edb={"edge": _database().relation("edge").rows()},
+        completed_sccs=len(PROGRAM.schedule),
+    )
     return replace(snap, **overrides) if overrides else snap
 
 
@@ -54,40 +60,80 @@ def test_encode_decode_round_trip():
     assert restored.workload == original.workload
     assert restored.version == CHECKPOINT_VERSION
     snap, orig = restored.snapshot, original.snapshot
-    assert snap.completed_sccs == orig.completed_sccs
-    assert snap.scc_index == orig.scc_index
-    assert snap.iteration == orig.iteration
-    assert snap.complete == orig.complete
+    assert snap.completed_sccs == orig.completed_sccs == 2
+    assert snap.complete and orig.complete
     assert dict(snap.idb) == {p: frozenset(r) for p, r in orig.idb.items()}
-    assert dict(snap.delta) == {p: frozenset(r) for p, r in orig.delta.items()}
+    assert dict(snap.edb) == {p: frozenset(r) for p, r in orig.edb.items()}
     assert snap.stats.as_dict() == orig.stats.as_dict()
     # content addressing: re-encoding reproduces the same checksum
     assert restored.encode()[1] == checksum
     assert original.filename() == f"ckpt-00000001-{checksum[:12]}.json"
 
 
-#: The checksum a build that still had a naive strategy wrote for
-#: ``_checkpoint()`` with its wall time zeroed: the format is unchanged.
-PARENT_CHECKSUM = "e8cc5485cfee906ef7e2d79e7249d67581d7c50dc7cc80a8a0b04b6075c4d0e2"
+#: The checksum a build that still wrote per-round frontier checkpoints
+#: gave the complete checkpoint of ``Session(store=…).run()`` on
+#: ``PROGRAM``, wall time zeroed, with its frontiers switched off
+#: (``checkpoint_every=0``): complete checkpoints are unchanged.
+PARENT_CHECKSUM = "00d6f48449df4742078c0cb493d83debf8296d3b0f6a7f6a94a8d8b318c8b079"
+#: The same build at its default wrote three frontiers first, so its
+#: complete checkpoint differed only in carrying ``seq`` 4.
+PARENT_DEFAULT_CHECKSUM = "1b0b0f9a69e57dee5c327f08dc6ff230cbce1aca8830d19742df66729e3df51a"
 
 
-def test_parent_format_payload_loads():
-    checkpoint = _checkpoint()
+def _session_checkpoint(directory) -> Checkpoint:
+    """The one checkpoint a session run writes, wall time zeroed."""
+    store = CheckpointStore(directory)
+    Session(PROGRAM, _database(), store=store).run()
+    [path] = store.paths()
+    checkpoint = store.load(path)
     stats = {**checkpoint.snapshot.stats.as_dict(), "wall_time_seconds": 0.0}
-    checkpoint = replace(
+    return replace(
         checkpoint,
         snapshot=replace(checkpoint.snapshot, stats=EvaluationStats.from_dict(stats)),
     )
+
+
+def test_parent_format_payload_loads(tmp_path):
+    checkpoint = _session_checkpoint(tmp_path)
     text, checksum = checkpoint.encode()
+    # This build writes the older build's bytes...
     assert checksum == PARENT_CHECKSUM
-    # Builds before one strategy read the key unconditionally, so it is
-    # still written; a payload with it or without it restores the state.
+    assert replace(checkpoint, seq=4).encode()[1] == PARENT_DEFAULT_CHECKSUM
+    # ...because the keys it read unconditionally are still written, as
+    # the constants of a complete fixpoint.
     payload = checkpoint.to_payload()
-    assert payload["snapshot"]["strategy"] == "seminaive"
-    del payload["snapshot"]["strategy"]
+    snap = payload["snapshot"]
+    assert snap["strategy"] == "seminaive"
+    assert snap["scc_index"] is None and snap["delta"] is None
+    assert snap["interner"] is None and snap["complete"] is True
+    assert snap["iteration"] == snap["stats"]["iterations"] == 3
+    assert snap["completed_sccs"] == len(PROGRAM.schedule)
+    # Those bytes decode here to the same fixpoint, with the strategy key
+    # or without it, and encode back to themselves.
+    expected = evaluate(PROGRAM, _database())
+    del snap["strategy"]
     for restored in (Checkpoint.decode(text), Checkpoint.from_payload(payload)):
+        assert restored.complete
+        assert dict(restored.snapshot.idb) == {
+            pred: rel.rows() for pred, rel in expected.idb.items()
+        }
+        assert dict(restored.snapshot.edb) == {"edge": _database().relation("edge").rows()}
         assert restored.encode() == (text, checksum)
-    assert "strategy" not in checkpoint.summary()
+
+
+def test_summary_reports_one_number_per_fact(tmp_path):
+    summary = _session_checkpoint(tmp_path).summary()
+    assert set(summary) == {"seq", "complete", "latest_round", "facts", "stats"}
+    assert summary["complete"] is True
+    assert summary["latest_round"] == summary["stats"]["iterations"] == 3
+    assert summary["facts"] == 9
+
+
+def test_naive_payload_is_corrupt():
+    payload = _checkpoint().to_payload()
+    payload["snapshot"]["strategy"] = "naive"
+    with pytest.raises(CheckpointCorrupt, match="strategy 'naive'"):
+        Checkpoint.from_payload(payload)
 
 
 def test_decode_rejects_bit_flip():

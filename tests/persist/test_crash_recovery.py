@@ -1,6 +1,6 @@
-"""Kill-restart crash tests: a session SIGKILLed mid-fixpoint restarts
-from its checkpoints to the verified answer, and damaged checkpoints
-are quarantined — never silently used."""
+"""Kill-restart crash tests: a session SIGKILLed mid-evaluation leaves
+no checkpoint behind and restarts fresh to the verified answer, and
+damaged checkpoints are quarantined — never silently used."""
 
 import json
 import os
@@ -20,22 +20,24 @@ q(Y) :- path(0, Y).
 """
 CHAIN = 40  # long enough for many semi-naive rounds
 
-# The victim: the command line itself, over a store that sleeps after
-# each save so the kill lands mid-fixpoint.
+# The victim: the command line itself, whose session evaluation marks a
+# file and then stalls, so the kill lands while the evaluation is in
+# flight.  argv[1] is the marker; the rest is the command line.
 PACED_CLI = """
-import sys, time
+import pathlib, sys, time
+import repro.persist.session as session
 from repro.cli import main
-from repro.persist import CheckpointStore
 
-save = CheckpointStore.save
+marker = pathlib.Path(sys.argv[1])
+evaluate = session.evaluate
 
-def paced(self, checkpoint):
-    path = save(self, checkpoint)
-    time.sleep(0.05)
-    return path
+def paced(*args, **kwargs):
+    marker.write_text("evaluating")
+    time.sleep(60)
+    return evaluate(*args, **kwargs)
 
-CheckpointStore.save = paced
-sys.exit(main(sys.argv[1:]))
+session.evaluate = paced
+sys.exit(main(sys.argv[2:]))
 """
 
 
@@ -59,17 +61,12 @@ def _expected_rows():
     return {pred: rel.rows() for pred, rel in result.idb.items()}
 
 
-def _spawn_session(cmd):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_repo_src(), env.get("PYTHONPATH", "")])
     )
-    return subprocess.Popen(
-        cmd,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    return env
 
 
 def _repo_src():
@@ -78,51 +75,52 @@ def _repo_src():
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def _wait_for_checkpoints(ckpt_dir, minimum, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if len(list(ckpt_dir.glob("ckpt-*.json"))) >= minimum:
-            return True
-        time.sleep(0.01)
-    return False
+def _kill_mid_evaluation(tmp_path, argv):
+    """Run ``repro <argv>`` as the paced victim and SIGKILL it once its
+    session evaluation is in flight."""
+    marker = tmp_path / "evaluating"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", PACED_CLI, str(marker), *argv],
+        env=_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert marker.exists(), "the evaluation never started"
+        os.kill(proc.pid, signal.SIGKILL)
+    finally:
+        proc.wait(timeout=30)
+    assert proc.returncode == -signal.SIGKILL
 
 
-def test_sigkill_mid_fixpoint_then_resume(tmp_path):
+def _session_args(tmp_path):
     program, data = _write_workload(tmp_path)
-    ckpt_dir = tmp_path / "ckpts"
-    cmd = [
-        sys.executable,
-        "-c",
-        PACED_CLI,
-        "session",
-        "run",
+    return [
         str(program),
         "--query",
         "q",
         "--data",
         str(data),
         "--checkpoint-dir",
-        str(ckpt_dir),
-        "--checkpoint-every",
-        "1",
+        str(tmp_path / "ckpts"),
     ]
-    proc = _spawn_session(cmd)
-    try:
-        assert _wait_for_checkpoints(ckpt_dir, minimum=2), "no checkpoints appeared"
-        os.kill(proc.pid, signal.SIGKILL)
-    finally:
-        proc.wait(timeout=30)
-    assert proc.returncode == -signal.SIGKILL
 
-    # The killed run must not have reached the complete fixpoint.
-    store = CheckpointStore(ckpt_dir)
-    interrupted = store.latest()
-    assert interrupted is not None and not interrupted.complete
+
+def test_sigkill_mid_fixpoint_then_resume(tmp_path):
+    _kill_mid_evaluation(tmp_path, ["session", "run", *_session_args(tmp_path)])
+
+    # Nothing was acknowledged and nothing was saved: the store holds no
+    # checkpoint at all, so no incomplete one.
+    ckpt_dir = tmp_path / "ckpts"
+    assert CheckpointStore(ckpt_dir).paths() == []
 
     # Restart in-process and verify the answer row for row.
     parsed = parse_program(PROGRAM_TEXT, query="q")
     outcome = Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).recover()
-    assert outcome.mode == "resumed"
+    assert outcome.mode == "fresh"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
     assert CheckpointStore(ckpt_dir).latest().complete
@@ -130,42 +128,28 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path):
 
 def test_resume_cli_after_kill_round_trips(tmp_path):
     """The whole loop through the command line: run, kill, `session
-    run` again, `session inspect` — the resumed store ends complete."""
-    program, data = _write_workload(tmp_path)
-    ckpt_dir = tmp_path / "ckpts"
-    base = [sys.executable, "-m", "repro", "session"]
-    common = [
-        str(program),
-        "--query",
-        "q",
-        "--data",
-        str(data),
-        "--checkpoint-dir",
-        str(ckpt_dir),
-        "--checkpoint-every",
-        "1",
-    ]
-    proc = _spawn_session([sys.executable, "-c", PACED_CLI, "session", "run"] + common)
-    try:
-        assert _wait_for_checkpoints(ckpt_dir, minimum=2)
-        os.kill(proc.pid, signal.SIGKILL)
-    finally:
-        proc.wait(timeout=30)
+    run` again, `session inspect` — the rerun store ends complete."""
+    common = _session_args(tmp_path)
+    _kill_mid_evaluation(tmp_path, ["session", "run", *common])
+    assert not list((tmp_path / "ckpts").glob("ckpt-*"))
 
-    env = dict(os.environ, PYTHONPATH=str(_repo_src()))
-    resumed = subprocess.run(
+    base = [sys.executable, "-m", "repro", "session"]
+    rerun = subprocess.run(
         base + ["run"] + common,
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert resumed.returncode == 0, resumed.stderr
-    assert "resumed from checkpoint" in resumed.stdout
+    assert rerun.returncode == 0, rerun.stderr
+    lines = rerun.stdout.splitlines()
+    assert "mode: fresh" in lines
+    answers = sorted(line.strip() for line in lines if line.startswith("  q("))
+    assert answers == sorted(f"q{row!r}" for row in _expected_rows()["q"])
 
     inspected = subprocess.run(
         base + ["inspect"] + common,
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -177,24 +161,19 @@ def test_resume_cli_after_kill_round_trips(tmp_path):
 
 def test_resume_with_corrupted_latest_checkpoint_quarantines(tmp_path):
     """Truncate the newest checkpoint (as a torn write would): recovery
-    quarantines it and restarts from the older valid one."""
+    quarantines it and restores the older valid one."""
     parsed = parse_program(PROGRAM_TEXT, query="q")
     ckpt_dir = tmp_path / "ckpts"
-    Session(
-        parsed, _database(), store=CheckpointStore(ckpt_dir), checkpoint_every=1
-    ).run()
+    for _ in range(2):
+        Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).run()
     store = CheckpointStore(ckpt_dir)
-    paths = store.paths()
-    assert len(paths) >= 3
-    # remove the complete checkpoint, then tear the newest remaining one
-    paths[-1].unlink()
-    torn = store.paths()[-1]
+    older, torn = store.paths()
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
 
     outcome = Session(
         parsed, _database(), store=CheckpointStore(ckpt_dir)
     ).recover()
-    assert outcome.mode == "resumed"
+    assert outcome.mode == "warm" and outcome.resumed_seq == store.load(older).seq
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
     quarantined = list(ckpt_dir.glob("*.corrupt"))
@@ -204,9 +183,7 @@ def test_resume_with_corrupted_latest_checkpoint_quarantines(tmp_path):
 def test_resume_with_all_checkpoints_destroyed_restarts_fresh(tmp_path):
     parsed = parse_program(PROGRAM_TEXT, query="q")
     ckpt_dir = tmp_path / "ckpts"
-    Session(
-        parsed, _database(), store=CheckpointStore(ckpt_dir), checkpoint_every=1
-    ).run()
+    Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).run()
     for path in CheckpointStore(ckpt_dir).paths():
         path.write_text("garbage")
     outcome = Session(

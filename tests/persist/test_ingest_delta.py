@@ -120,7 +120,7 @@ def test_one_fsync_and_no_checkpoint_below_the_lag_threshold(tmp_path, fsyncs):
     # A wide EDB: its checkpoint dwarfs a few journal frames.
     edges = [(n, n + 1) for n in range(1, 40)]
     store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(edges), store=store, checkpoint_every=0)
+    session = Session(_program(), _database(edges), store=store)
     session.run()
     files = len(store.paths())
     for node in range(40, 46):
@@ -136,7 +136,7 @@ def test_one_fsync_and_no_checkpoint_below_the_lag_threshold(tmp_path, fsyncs):
 
 def test_checkpoint_and_compaction_exactly_when_lag_reaches_checkpoint_size(tmp_path):
     store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store, checkpoint_every=0)
+    session = Session(_program(), _database(), store=store)
     session.run()
     covered_at = []
     for step, node in enumerate(range(4, 40)):
@@ -275,12 +275,17 @@ def test_rejected_recompute_ingest_is_taken_back_too():
 def test_recover_reads_each_checkpoint_file_at_most_once(tmp_path):
     initial = [(n, n + 1) for n in range(1, 30)]
     store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(initial), store=store, checkpoint_every=1)
-    session.run()  # several mid-run checkpoint files plus the complete one
-    for node in range(30, 36):
+    session = Session(_program(), _database(initial), store=store)
+    session.run()
+    for node in range(30, 33):
         session.ingest([("edge", (node, node + 1))])
+    assert session.checkpoint()  # a second covering checkpoint
+    for node in range(33, 36):
+        session.ingest([("edge", (node, node + 1))])
+    # Another workload's checkpoint lands last: recovery reads past it.
+    Session(_program(), _database(initial[:5]), store=store).run()
     uncovered = session.journal_info()["lag"]
-    assert uncovered == 6 and len(store.paths()) >= 3
+    assert uncovered == 3 and len(store.paths()) == 3
     loads = Counter()
     reader = CheckpointStore(tmp_path)
     real = reader.load
@@ -317,10 +322,7 @@ def test_any_interleaving_equals_a_cold_recompute(tmp_path, seed):
         return rows
 
     def open_session():
-        return Session(
-            _program(), _database(initial), store=CheckpointStore(tmp_path),
-            checkpoint_every=0,
-        )
+        return Session(_program(), _database(initial), store=CheckpointStore(tmp_path))
 
     session = open_session()
     session.recover()

@@ -9,6 +9,9 @@ crash-consistency contract: an acked ingest is never lost, an un-acked
 one never half-applied.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from reference_model import model_fixpoint
@@ -21,6 +24,7 @@ from repro.persist import (
     RetryPolicy,
     Session,
     fixpoint_digest,
+    workload_digest,
 )
 from repro.persist.journal import (
     FlakyJournal,
@@ -301,10 +305,10 @@ def test_every_step_a_fresh_session_on_the_initial_edb(tmp_path, steps):
         assert not list(tmp_path.glob("*.corrupt*"))
 
 
-def test_recovery_resumes_a_killed_evaluation_of_the_journal_chain(tmp_path):
-    """No self-contained checkpoint, only journal records and the
-    frontiers of an evaluation killed while it was re-deriving them:
-    recovery picks up the frontier bound to the *post-chain* digest."""
+def test_recovery_reruns_a_killed_evaluation_of_the_journal_chain(tmp_path):
+    """No self-contained checkpoint, only journal records, and an
+    evaluation killed while it was re-deriving them: the kill left
+    nothing on disk, and the next recovery evaluates the chain again."""
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
     writer = Session(
         _program(),
@@ -320,12 +324,47 @@ def test_recovery_resumes_a_killed_evaluation_of_the_journal_chain(tmp_path):
         Session(
             _program(), _database(), store=store, budget=Budget(max_iterations=2)
         ).recover()
-    frontiers = store.paths()
-    assert frontiers and not store.latest().complete
+    assert store.paths() == []
     recovered = Session(_program(), _database(), store=store).recover()
     assert recovered.mode == "recovered" and recovered.replayed == 1
-    assert recovered.resumed_seq == store.load(frontiers[-1]).seq
+    assert recovered.resumed_seq is None and recovered.checkpoints_written == 1
     assert _digest(recovered) == _cold_digest([(4, 5)])
+
+
+def test_parent_frontier_is_skipped_not_trusted(tmp_path):
+    """An older build's per-round frontier (``complete`` false, with a
+    ``delta``) still loads, but recovery runs fresh instead of resuming
+    from it — and leaves the valid file where it is."""
+    payload = {
+        "version": 2,
+        "seq": 1,
+        "workload": workload_digest(_program(), _database()),
+        "snapshot": {
+            "strategy": "seminaive",
+            "complete": False,
+            "completed_sccs": 0,
+            "scc_index": 0,
+            "iteration": 1,
+            "idb": {"path": [[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]], "q": []},
+            "delta": {"path": [[1, 3], [2, 4]]},
+            "edb": None,
+            "interner": None,
+            "stats": {"iterations": 1, "facts_derived": 5, "rule_firings": 5},
+        },
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode()).hexdigest()
+    frontier = tmp_path / f"ckpt-00000001-{checksum[:12]}.json"
+    frontier.write_text(f'{{"checksum":"{checksum}","payload":{canonical}}}')
+    store = CheckpointStore(tmp_path)
+    assert not store.load(frontier).complete
+    outcome = Session(_program(), _database(), store=store).recover()
+    assert outcome.mode == "fresh" and outcome.resumed_seq is None
+    assert {pred: rel.rows() for pred, rel in outcome.result.idb.items()} == (
+        model_fixpoint(_program(), _database())
+    )
+    assert frontier.exists() and not list(tmp_path.glob("*.corrupt*"))
+    assert outcome.checkpoints_written == 1 and store.latest().complete
 
 
 def test_failed_recovery_leaves_the_session_as_constructed(tmp_path):

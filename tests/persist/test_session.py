@@ -30,35 +30,33 @@ def _rows(result):
 
 
 def test_run_writes_checkpoints_and_final_is_complete(tmp_path):
+    """A run checkpoints its fixpoint once — no per-round frontiers."""
     store = CheckpointStore(tmp_path)
-    outcome = Session(_program(), _database(), store=store, checkpoint_every=1).run()
+    outcome = Session(_program(), _database(), store=store).run()
     assert outcome.mode == "fresh"
-    assert outcome.checkpoints_written == len(store.paths()) > 1
+    assert outcome.checkpoints_written == len(store.paths()) == 1
     latest = store.latest()
     assert latest is not None and latest.complete
+    assert latest.snapshot.edb is not None  # self-contained
 
 
 def test_resume_from_store_is_row_identical(tmp_path):
     baseline = _rows(Session(_program(), _database()).run().result)
     store = CheckpointStore(tmp_path)
-    Session(_program(), _database(), store=store, checkpoint_every=1).run()
-    # remove the final (complete) checkpoints so recovery really restarts
-    # from a mid-fixpoint frontier
-    paths = store.paths()
-    for path in paths[-2:]:
-        path.unlink()
-    resumed = Session(
-        _program(), _database(), store=CheckpointStore(tmp_path), checkpoint_every=1
-    ).recover()
-    assert resumed.mode == "resumed"
-    assert resumed.resumed_seq is not None
+    first = Session(_program(), _database(), store=store).run()
+    [path] = store.paths()
+    resumed = Session(_program(), _database(), store=CheckpointStore(tmp_path)).recover()
+    assert resumed.mode == "warm"
+    assert resumed.resumed_seq == store.load(path).seq
+    restored, before = resumed.stats.as_dict(), first.stats.as_dict()
+    # every counter restored; wall time to the nanosecond a copy keeps
+    assert restored.pop("wall_time_seconds") == pytest.approx(before.pop("wall_time_seconds"))
+    assert restored == before
     assert _rows(resumed.result) == baseline
 
 
 def test_resume_empty_store_falls_back_to_fresh(tmp_path):
-    outcome = Session(
-        _program(), _database(), store=CheckpointStore(tmp_path), checkpoint_every=1
-    ).recover()
+    outcome = Session(_program(), _database(), store=CheckpointStore(tmp_path)).recover()
     assert outcome.mode == "fresh"
     assert outcome.resumed_seq is None
 
@@ -80,12 +78,7 @@ def test_resume_ignores_checkpoint_of_other_workload(tmp_path):
 
 @pytest.mark.parametrize("reference", ("slots", "model"))
 def test_ingest_incremental_row_identical_to_recompute(tmp_path, reference):
-    session = Session(
-        _program(),
-        _database(),
-        store=CheckpointStore(tmp_path),
-        checkpoint_every=1,
-    )
+    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
     session.run()
     outcome = session.ingest([("edge", (5, 6)), ("edge", (0, 1))])
     assert outcome.mode == "incremental"
@@ -205,11 +198,10 @@ def test_unrecoverable_store_degrades_to_in_memory(tmp_path):
         _program(),
         _database(),
         store=store,
-        checkpoint_every=1,
         retry=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
     ).run()
     assert outcome.checkpoints_written == 0
-    assert len(outcome.fallback_chain) == 1  # degraded once, not per snapshot
+    assert len(outcome.fallback_chain) == 1
     step = outcome.fallback_chain[0]
     assert step.stage == "session.checkpoint" and step.fell_back_to == "in-memory"
     # evaluation itself still completed correctly in memory
@@ -222,22 +214,21 @@ def test_budget_trip_during_run_propagates(tmp_path):
             _program(),
             _database(),
             store=CheckpointStore(tmp_path),
-            checkpoint_every=1,
             budget=Budget(max_facts=1),
         ).run()
     assert info.value.partial is not None
 
 
 def test_inspect_summarizes_store(tmp_path):
-    session = Session(
-        _program(), _database(), store=CheckpointStore(tmp_path), checkpoint_every=1
-    )
+    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
     info = session.inspect()
     assert info["latest"] is None and info["store"]["checkpoints"] == 0
+    assert "checkpoint_every" not in info
     session.run()
     info = session.inspect()
     assert info["latest"]["complete"] is True
-    assert info["store"]["checkpoints"] >= 1
+    assert info["latest"]["latest_round"] == session._last.stats.iterations
+    assert info["store"]["checkpoints"] == 1
     assert info["workload"] == session.workload()
     assert info["latest"]["stats"]["facts_derived"] > 0
 
@@ -269,17 +260,18 @@ def test_inspect_without_store():
 
 def test_session_stats_cumulative_and_monotone(tmp_path):
     store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store, checkpoint_every=1)
-    first = session.run()
-    for path in store.paths()[-2:]:
-        path.unlink()
-    resumed = Session(
-        _program(), _database(), store=CheckpointStore(tmp_path), checkpoint_every=1
-    ).recover()
-    # cumulative counters never go backwards across the resume boundary
-    assert resumed.stats.facts_derived == first.stats.facts_derived
-    assert resumed.stats.iterations >= 1
-    assert resumed.stats.wall_time_seconds > 0.0
+    first = Session(_program(), _database(), store=store).run()
+    restarted = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    warm = restarted.recover()
+    # a restore brings the checkpointed counters, and an ingest adds to
+    # them: cumulative counters never go backwards across a restart
+    assert warm.stats.facts_derived == first.stats.facts_derived
+    assert warm.stats.wall_time_seconds == pytest.approx(first.stats.wall_time_seconds)
+    assert warm.stats.wall_time_seconds > 0.0
+    grown = restarted.ingest([("edge", (5, 6))])
+    for key in ("facts_derived", "rule_firings", "rows_scanned", "iterations"):
+        assert getattr(grown.stats, key) > getattr(first.stats, key)
+    assert grown.stats.wall_time_seconds > first.stats.wall_time_seconds
 
 
 def test_budget_trip_inside_ingest_does_not_leave_a_stale_prior():

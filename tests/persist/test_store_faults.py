@@ -12,6 +12,7 @@ from repro.persist.checkpoint import (
     Checkpoint,
     CheckpointCorrupt,
     CheckpointMismatch,
+    EvaluationSnapshot,
     workload_digest,
 )
 from repro.persist import Session
@@ -39,13 +40,15 @@ def _database():
 
 
 def _checkpoints(n=2):
-    snaps = []
-    evaluate(PROGRAM, _database(), checkpoint_every=1, checkpoint_sink=snaps.append)
+    result = evaluate(PROGRAM, _database())
+    snapshot = EvaluationSnapshot(
+        idb={pred: rel.rows() for pred, rel in result.idb.items()},
+        stats=result.stats,
+        edb={"edge": _database().relation("edge").rows()},
+        completed_sccs=len(PROGRAM.schedule),
+    )
     digest = workload_digest(PROGRAM, _database())
-    return [
-        Checkpoint(seq=i + 1, workload=digest, snapshot=snap)
-        for i, snap in enumerate(snaps[:n])
-    ]
+    return [Checkpoint(seq=i + 1, workload=digest, snapshot=snapshot) for i in range(n)]
 
 
 def test_save_load_latest_round_trip(tmp_path):
@@ -195,10 +198,10 @@ def test_flaky_load_faults_and_recovery_walks_past(tmp_path):
     with pytest.raises(OSError):
         store.load(base.paths()[-1])
     # the newest load faults transiently; the one reader of the store,
-    # Session.recover(), falls through to the older frontier
+    # Session.recover(), falls through to the older checkpoint
     injector.arm("checkpoint.load", at=2)
     outcome = Session(PROGRAM, _database(), store=store).recover()
-    assert outcome.mode == "resumed" and outcome.resumed_seq == first.seq
+    assert outcome.mode == "warm" and outcome.resumed_seq == first.seq
 
 
 # ----------------------------------------------------------------------

@@ -310,6 +310,10 @@ class TestSessionRoundTrips:
             ["session", "recover", "prog.dl", "--checkpoint-dir", "d"],
             ["session", "run", "prog.dl", "--checkpoint-dir", "d", "--throttle", "0.1"],
             ["session", "run", "prog.dl", "--checkpoint-dir", "d", "--no-journal"],
+            ["session", "run", "prog.dl", "--checkpoint-dir", "d", "--checkpoint-every", "1"],
+            ["session", "ingest", "prog.dl", "--checkpoint-dir", "d", "--facts", "f.dl",
+             "--checkpoint-every", "0"],
+            ["session", "inspect", "prog.dl", "--checkpoint-dir", "d", "--checkpoint-every", "1"],
         ],
     )
     def test_the_removed_verbs_and_flags_are_usage_errors(self, argv, capsys):
