@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ..constraints.dense_order import OrderConstraintSet
@@ -71,6 +72,8 @@ __all__ = [
     "AdornedRule",
     "AdornmentResult",
     "LocalAtomIndex",
+    "Frontier",
+    "FrontierTable",
     "compute_adornments",
     "base_triplets",
     "trivial_triplet",
@@ -195,11 +198,12 @@ class AdornedRule:
     head_triplet_origins: tuple[tuple[Triplet, tuple[int, ...]], ...]
     """Pairs (head triplet, indices into ``derivations`` that produced it)."""
 
+    @cached_property
+    def _origins(self) -> dict[Triplet, tuple[int, ...]]:
+        return dict(self.head_triplet_origins)
+
     def origins_of(self, head_triplet: Triplet) -> tuple[int, ...]:
-        for triplet, indices in self.head_triplet_origins:
-            if triplet == head_triplet:
-                return indices
-        return ()
+        return self._origins.get(head_triplet, ())
 
 
 class LocalAtomIndex:
@@ -233,8 +237,16 @@ class AdornmentResult:
     adornments: dict[str, list[frozenset[Triplet]]]
     adorned_rules: list[AdornedRule]
     adornment_ids: dict[tuple[str, frozenset[Triplet]], int]
+    frontiers: "FrontierTable" = field(repr=False, compare=False)
+    """The frontier table both phases of one rewrite read."""
     inconsistencies: list[tuple[int, Derivation]] = field(default_factory=list)
     """(rule index, derivation) pairs whose residue came out empty."""
+
+    def __post_init__(self) -> None:
+        self._rules_by_head: dict[tuple[str, frozenset[Triplet]], list[AdornedRule]] = {}
+        for adorned in self.adorned_rules:
+            key = (adorned.rule.head.predicate, adorned.head_adornment)
+            self._rules_by_head.setdefault(key, []).append(adorned)
 
     def adorned_name(self, predicate: str, adornment: frozenset[Triplet]) -> str:
         """A stable printable name ``p@k`` for an adorned predicate."""
@@ -244,32 +256,55 @@ class AdornmentResult:
     def rules_for(
         self, predicate: str, adornment: frozenset[Triplet]
     ) -> list[AdornedRule]:
-        return [
-            adorned
-            for adorned in self.adorned_rules
-            if adorned.rule.head.predicate == predicate
-            and adorned.head_adornment == adornment
-        ]
+        """The adorned rules for ``predicate`` with head ``adornment``,
+        in the order they were adorned."""
+        return list(self._rules_by_head.get((predicate, adornment), ()))
+
+
+# ----------------------------------------------------------------------
+# Frontiers of partially mapped ic's
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Frontier:
+    """What the positive atoms of an ic leave exposed once some are mapped.
+
+    ``variables`` are the frontier variables (shared between unmapped
+    and mapped atoms), ``names`` their names, and ``unmapped_names`` the
+    names of every variable of the unmapped atoms.
+    """
+
+    variables: frozenset[Variable]
+    names: frozenset[str]
+    unmapped_names: frozenset[str]
+
+
+class FrontierTable(dict):
+    """The :class:`Frontier` of each ``(ic index, unmapped)`` pair over
+    one constraint list, computed on first use.  Both phases of one
+    rewrite share it through :attr:`AdornmentResult.frontiers`."""
+
+    def __init__(self, constraints: Sequence[IntegrityConstraint]) -> None:
+        super().__init__()
+        self.constraints = tuple(constraints)
+
+    def __missing__(self, key: tuple[int, frozenset[int]]) -> Frontier:
+        ic_index, unmapped = key
+        unmapped_vars: set[Variable] = set()
+        mapped_vars: set[Variable] = set()
+        for index, atom in enumerate(self.constraints[ic_index].positive_atoms):
+            (unmapped_vars if index in unmapped else mapped_vars).update(atom.variables())
+        shared = frozenset(unmapped_vars & mapped_vars)
+        frontier = self[key] = Frontier(
+            shared,
+            frozenset(v.name for v in shared),
+            frozenset(v.name for v in unmapped_vars),
+        )
+        return frontier
 
 
 # ----------------------------------------------------------------------
 # Base triplets for EDB occurrences
 # ----------------------------------------------------------------------
-def _frontier_variables(
-    ic: IntegrityConstraint, unmapped: frozenset[int]
-) -> set[Variable]:
-    """Variables shared between unmapped and mapped positive atoms of the ic."""
-    positives = ic.positive_atoms
-    unmapped_vars: set[Variable] = set()
-    mapped_vars: set[Variable] = set()
-    for index, atom in enumerate(positives):
-        if index in unmapped:
-            unmapped_vars |= atom.variables()
-        else:
-            mapped_vars |= atom.variables()
-    return unmapped_vars & mapped_vars
-
-
 def _retention_ok(
     rule: Rule,
     rule_order: OrderConstraintSet,
@@ -299,10 +334,11 @@ def base_triplets(
     occurrence: Atom,
     rule: Rule,
     rule_order: OrderConstraintSet,
-    constraints: Sequence[IntegrityConstraint],
+    frontiers: FrontierTable,
     local_index: LocalAtomIndex,
 ) -> list[tuple[Triplet, dict[str, Term]]]:
-    """All triplets of an EDB occurrence within ``rule``.
+    """All triplets of an EDB occurrence within ``rule``, for every ic of
+    ``frontiers.constraints``.
 
     Returns pairs (predicate-level triplet, rule-level sigma): the
     predicate-level sigma speaks in argument positions of the occurrence
@@ -311,20 +347,25 @@ def base_triplets(
     is always included.
     """
     results: list[tuple[Triplet, dict[str, Term]]] = []
-    for ic_index, ic in enumerate(constraints):
+    for ic_index, ic in enumerate(frontiers.constraints):
         results.append((trivial_triplet(ic_index, ic), {}))
         positives = ic.positive_atoms
-        indices = range(len(positives))
-        for size in range(1, len(positives) + 1):
-            for subset in itertools.combinations(indices, size):
+        indices = frozenset(range(len(positives)))
+        # Only atoms over the occurrence's predicate have an image in it.
+        mappable = [
+            i for i, atom in enumerate(positives)
+            if atom.predicate == occurrence.predicate
+        ]
+        for size in range(1, len(mappable) + 1):
+            for subset in itertools.combinations(mappable, size):
                 chosen = [positives[i] for i in subset]
                 for hom in extend_homomorphism(chosen, [occurrence]):
                     if not _retention_ok(
                         rule, rule_order, hom, ic_index, subset, local_index
                     ):
                         continue
-                    unmapped = frozenset(indices) - frozenset(subset)
-                    frontier = _frontier_variables(ic, unmapped)
+                    unmapped = indices - frozenset(subset)
+                    frontier = frontiers[(ic_index, unmapped)].variables
                     rule_sigma: dict[str, Term] = {}
                     sigma: dict[str, SigmaImage] = {}
                     ok = True
@@ -435,10 +476,18 @@ def _combine_rule_triplets(
     return derivations
 
 
+def _head_positions(head: Atom) -> dict[Term, frozenset[int]]:
+    """Each head term mapped to the argument positions holding it."""
+    positions: dict[Term, frozenset[int]] = {}
+    for i, arg in enumerate(head.args):
+        positions[arg] = positions.get(arg, frozenset()) | {i}
+    return positions
+
+
 def _head_triplet_from(
     derivation: Derivation,
-    ic: IntegrityConstraint,
-    head: Atom,
+    frontier: Frontier,
+    head_positions: Mapping[Term, frozenset[int]],
 ) -> Triplet | None:
     """Project a rule-level derivation onto the head predicate.
 
@@ -446,28 +495,20 @@ def _head_triplet_from(
     not inherited); visible non-frontier variables of the unmapped atoms
     are kept as well.
     """
-    frontier = _frontier_variables(ic, derivation.unmapped)
     rule_sigma = derivation.rule_sigma_dict()
-    head_positions: dict[Term, frozenset[int]] = {}
-    for i, arg in enumerate(head.args):
-        head_positions.setdefault(arg, frozenset())
-        head_positions[arg] |= {i}
-    unmapped_vars: set[str] = set()
-    for index in derivation.unmapped:
-        unmapped_vars |= {v.name for v in ic.positive_atoms[index].variables()}
     sigma: dict[str, SigmaImage] = {}
-    for var in frontier:
-        image = rule_sigma.get(var.name)
+    for name in frontier.names:
+        image = rule_sigma.get(name)
         if image is None:
             return None
         if isinstance(image, Constant):
-            sigma[var.name] = image
+            sigma[name] = image
         elif image in head_positions:
-            sigma[var.name] = head_positions[image]
+            sigma[name] = head_positions[image]
         else:
             return None  # frontier variable invisible at the head
     for name, image in rule_sigma.items():
-        if name in sigma or name not in unmapped_vars:
+        if name in sigma or name not in frontier.unmapped_names:
             continue
         if isinstance(image, Constant):
             sigma[name] = image
@@ -479,6 +520,92 @@ def _head_triplet_from(
 # ----------------------------------------------------------------------
 # The bottom-up fixpoint
 # ----------------------------------------------------------------------
+def _new_choices(
+    seen: tuple[int, ...] | None, sizes: tuple[int, ...]
+) -> Iterable[tuple[int, ...]]:
+    """Adornment-index tuples over ``sizes`` not enumerated over ``seen``.
+
+    ``seen`` holds the per-subgoal adornment counts of a rule's previous
+    visit (``None``: never visited).  The tuples come in the
+    lexicographic order of the full product, so adorned rules and
+    adornment numbers arise in the order a full re-enumeration would
+    produce them.
+    """
+    if seen is None:
+        return itertools.product(*map(range, sizes))
+    # One block per position holding the first new index (as in
+    # semi-naive evaluation), merged back into the product's order.
+    return sorted(
+        itertools.chain.from_iterable(
+            itertools.product(
+                *map(range, seen[:first]),
+                range(seen[first], sizes[first]),
+                *map(range, sizes[first + 1:]),
+            )
+            for first in range(len(sizes))
+        )
+    )
+
+
+#: Per ic index, the triplets one subgoal offers, each with its
+#: rule-level sigma.
+_ByIc = list[list[tuple[Triplet, dict[str, Term]]]]
+
+
+class _RuleWork:
+    """One rule's share of the fixpoint, kept across rounds: its IDB
+    subgoals, the adornment counts its last visit saw, the triplet
+    options of its EDB subgoals (built on the first visit that
+    enumerates anything) and of each adornment met at an IDB subgoal."""
+
+    def __init__(self, rule: Rule, idb: frozenset[str], ics: int) -> None:
+        self.rule = rule
+        self.positives = rule.positive_literals
+        self.idb_positions = [
+            i for i, literal in enumerate(self.positives) if literal.predicate in idb
+        ]
+        self.idb_predicates = [self.positives[i].predicate for i in self.idb_positions]
+        self.head_positions = _head_positions(rule.head)
+        self.seen: tuple[int, ...] | None = None
+        self._ics = ics
+        self._edb_options: list[_ByIc | None] | None = None
+        self._idb_options: dict[tuple[int, int], _ByIc] = {}
+
+    def edb_options(
+        self, frontiers: FrontierTable, local_index: LocalAtomIndex
+    ) -> list[_ByIc | None]:
+        """Per positive subgoal, its base triplets by ic (``None`` at IDB
+        subgoals)."""
+        if self._edb_options is None:
+            rule_order = OrderConstraintSet(self.rule.order_atoms)
+            self._edb_options = [None] * len(self.positives)
+            for i, literal in enumerate(self.positives):
+                if i in self.idb_positions:
+                    continue
+                by_ic: _ByIc = [[] for _ in range(self._ics)]
+                for triplet, rule_sigma in base_triplets(
+                    literal.atom, self.rule, rule_order, frontiers, local_index
+                ):
+                    by_ic[triplet.ic].append((triplet, rule_sigma))
+                self._edb_options[i] = by_ic
+        return self._edb_options
+
+    def idb_options(
+        self, position: int, index: int, adornment: frozenset[Triplet]
+    ) -> _ByIc:
+        """The triplets of ``adornment``, the ``index``-th of the IDB
+        subgoal at ``position``, by ic."""
+        options = self._idb_options.get((position, index))
+        if options is None:
+            atom = self.positives[position].atom
+            options = self._idb_options[(position, index)] = [[] for _ in range(self._ics)]
+            for triplet in adornment:
+                rule_sigma = _occurrence_image(triplet, atom)
+                if rule_sigma is not None:
+                    options[triplet.ic].append((triplet, rule_sigma))
+        return options
+
+
 def compute_adornments(
     program: Program,
     constraints: Sequence[IntegrityConstraint],
@@ -508,12 +635,13 @@ def compute_adornments(
     """
     local_index = local_index or LocalAtomIndex()
     constraints = tuple(constraints)
+    frontiers = FrontierTable(constraints)
     idb = program.idb_predicates
     adornments: dict[str, list[frozenset[Triplet]]] = {p: [] for p in idb}
     adorned_rules: list[AdornedRule] = []
-    adorned_rule_keys: set[tuple] = set()
     adornment_ids: dict[tuple[str, frozenset[Triplet]], int] = {}
     inconsistencies: list[tuple[int, Derivation]] = []
+    works = [_RuleWork(rule, idb, len(constraints)) for rule in program.rules]
 
     def register(predicate: str, adornment: frozenset[Triplet]) -> bool:
         """Record an adornment; True when new."""
@@ -544,48 +672,29 @@ def compute_adornments(
             changed = False
             rounds += 1
             round_start = (len(adorned_rules), len(adornment_ids))
-            for rule_index, rule in enumerate(program.rules):
-                rule_order = OrderConstraintSet(rule.order_atoms)
-                positives = rule.positive_literals
-                # Available adornment choices per positive subgoal.
-                choice_sets: list[list[frozenset[Triplet] | None]] = []
-                edb_triplets: dict[int, list[tuple[Triplet, dict[str, Term]]]] = {}
-                subgoal_ready = True
-                for i, literal in enumerate(positives):
-                    if literal.predicate in idb:
-                        available = adornments[literal.predicate]
-                        if not available:
-                            subgoal_ready = False
-                            break
-                        choice_sets.append(list(available))
-                    else:
-                        edb_triplets[i] = base_triplets(
-                            literal.atom, rule, rule_order, constraints, local_index
-                        )
-                        choice_sets.append([None])
-                if not subgoal_ready:
+            for rule_index, work in enumerate(works):
+                rule = work.rule
+                # Adornments available per IDB subgoal; a visit enumerates
+                # only the choices its previous visit could not see.
+                sizes = tuple(len(adornments[p]) for p in work.idb_predicates)
+                if not all(sizes) or sizes == work.seen:
                     continue
-                for choice in itertools.product(*choice_sets):
+                seen, work.seen = work.seen, sizes
+                edb_options = work.edb_options(frontiers, local_index)
+                for indices in _new_choices(seen, sizes):
                     if governor is not None:
                         governor.expand("adornments")
-                    key = (rule_index, tuple(choice))
-                    if key in adorned_rule_keys:
-                        continue
-                    # Build per-subgoal triplet options (rule-level sigma attached).
-                    per_subgoal_by_ic: list[dict[int, list[tuple[Triplet, dict[str, Term]]]]] = []
-                    for i, literal in enumerate(positives):
-                        options: dict[int, list[tuple[Triplet, dict[str, Term]]]] = {
-                            ic_index: [] for ic_index in range(len(constraints))
-                        }
-                        if choice[i] is None:
-                            for triplet, rule_sigma in edb_triplets[i]:
-                                options[triplet.ic].append((triplet, rule_sigma))
-                        else:
-                            for triplet in choice[i]:
-                                rule_sigma = _occurrence_image(triplet, literal.atom)
-                                if rule_sigma is not None:
-                                    options[triplet.ic].append((triplet, rule_sigma))
-                        per_subgoal_by_ic.append(options)
+                    choice: list[frozenset[Triplet] | None] = [None] * len(edb_options)
+                    # Per-subgoal triplet options (rule-level sigma attached),
+                    # indexed by ic.
+                    per_subgoal_by_ic = list(edb_options)
+                    for position, predicate, index in zip(
+                        work.idb_positions, work.idb_predicates, indices
+                    ):
+                        choice[position] = adornments[predicate][index]
+                        per_subgoal_by_ic[position] = work.idb_options(
+                            position, index, choice[position]
+                        )
 
                     derivations: list[Derivation] = []
                     inconsistent = False
@@ -595,7 +704,7 @@ def compute_adornments(
                         per_subgoal = [
                             options[ic_index] for options in per_subgoal_by_ic
                         ]
-                        if positives and any(not opts for opts in per_subgoal):
+                        if per_subgoal and any(not opts for opts in per_subgoal):
                             # A subgoal with no triplet options for this ic
                             # cannot happen (the trivial triplet is always
                             # there), but guard anyway.
@@ -609,14 +718,16 @@ def compute_adornments(
                             derivations.append(derivation)
                         if inconsistent:
                             break
-                    adorned_rule_keys.add(key)
                     if inconsistent:
                         continue
                     # Project onto the head.
                     head_triplets: dict[Triplet, list[int]] = {}
                     for d_index, derivation in enumerate(derivations):
-                        ic = constraints[derivation.ic]
-                        head_triplet = _head_triplet_from(derivation, ic, rule.head)
+                        head_triplet = _head_triplet_from(
+                            derivation,
+                            frontiers[(derivation.ic, derivation.unmapped)],
+                            work.head_positions,
+                        )
                         if head_triplet is not None:
                             head_triplets.setdefault(head_triplet, []).append(d_index)
                     head_adornment = frozenset(head_triplets)
@@ -655,4 +766,5 @@ def compute_adornments(
         adorned_rules=adorned_rules,
         adornment_ids=adornment_ids,
         inconsistencies=inconsistencies,
+        frontiers=frontiers,
     )

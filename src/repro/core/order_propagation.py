@@ -193,31 +193,33 @@ def propagate_order_constraints(
     idb = frozenset(r.head.predicate for r in normalized)
     constants = _order_constants(program)
     projections: dict[str, frozenset[OrderAtom] | None] = {p: None for p in idb}
-    #: rule index -> (projections of its IDB subgoals, its head projection)
-    memo: dict[int, tuple[tuple, frozenset[OrderAtom] | None]] = {}
+    #: per rule, its head projection (None: underivable) under the
+    #: current projections of its IDB subgoals
+    heads: list[frozenset[OrderAtom] | None] = [None] * len(normalized)
+    #: the rules to re-project when a predicate's projection changes
+    readers: dict[str, list[int]] = {p: [] for p in idb}
+    for index, rule in enumerate(normalized):
+        for predicate in {
+            lit.predicate for lit in rule.positive_literals if lit.predicate in idb
+        }:
+            readers[predicate].append(index)
 
-    def head_projection(index: int, rule: Rule) -> frozenset[OrderAtom] | None:
-        """The rule's head projection under the current ``projections``
-        (None: underivable), recomputed only when an input changed."""
-        inputs = tuple(
-            projections[literal.predicate]
-            for literal in rule.positive_literals
-            if literal.predicate in idb
-        )
-        cached = memo.get(index)
-        if cached is None or cached[0] != inputs:
-            context = _rule_context(rule, projections, idb)
-            projected = None
-            if context is not None:
-                projected = _head_projection(rule, solvers[tuple(context)], constants)
-            cached = memo[index] = (inputs, projected)
-        return cached[1]
-
-    changed = True
-    while changed:
-        changed = False
+    # Rounds in rule order, as a full re-projection would run them, but
+    # visiting only the rules whose subgoal projections changed since
+    # their last visit: revisiting any other rule meets a projection
+    # with a head projection it already entails, which changes nothing.
+    dirty = [True] * len(normalized)
+    while any(dirty):
         for index, rule in enumerate(normalized):
-            head_proj = head_projection(index, rule)
+            if not dirty[index]:
+                continue
+            dirty[index] = False
+            context = _rule_context(rule, projections, idb)
+            head_proj = heads[index] = (
+                None
+                if context is None
+                else _head_projection(rule, solvers[tuple(context)], constants)
+            )
             if head_proj is None:
                 continue
             predicate = rule.head.predicate
@@ -234,12 +236,12 @@ def propagate_order_constraints(
                     ):
                         continue
                 projections[predicate] = updated
-                changed = True
+                for reader in readers[predicate]:
+                    dirty[reader] = True
 
     kept: list[Rule] = []
     for index, rule in enumerate(normalized):
-        # The confirming round left every rule's entry current.
-        if head_projection(index, rule) is None:
+        if heads[index] is None:
             dropped.append(rule)
             continue
         if push:

@@ -26,7 +26,7 @@ symbolic derivation.
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -39,7 +39,7 @@ from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Substitution, Term, Variable, fresh_variables
 from ..datalog.unify import unify_atoms
-from .adornments import AdornedRule, AdornmentResult, Triplet
+from .adornments import AdornedRule, AdornmentResult, FrontierTable, Triplet
 
 __all__ = ["GoalNode", "RuleNode", "QueryTree", "build_query_tree"]
 
@@ -165,17 +165,8 @@ class QueryTree:
 # ----------------------------------------------------------------------
 # Label propagation
 # ----------------------------------------------------------------------
-def _vars_of_unmapped(
-    ic: IntegrityConstraint, unmapped: frozenset[int]
-) -> set[str]:
-    names: set[str] = set()
-    for index in unmapped:
-        names |= {v.name for v in ic.positive_atoms[index].variables()}
-    return names
-
-
 def _restrict_sigma(
-    sigma: Sequence[tuple[str, object]], names: set[str]
+    sigma: Sequence[tuple[str, object]], names: frozenset[str]
 ) -> dict[str, object]:
     return {name: image for name, image in sigma if name in names}
 
@@ -183,53 +174,31 @@ def _restrict_sigma(
 def _corresponding_adornment_triplets(
     label_triplet: Triplet,
     adornment: frozenset[Triplet],
-    constraints: Sequence[IntegrityConstraint],
+    label_var_names: frozenset[str],
 ) -> list[Triplet]:
     """Adornment triplets a label triplet can correspond to.
 
     Per the paper's invariant, a label triplet ``(I, sigma', s')``
     corresponds to an adornment triplet ``(I, tau, s)`` with
     ``s' <= s`` and ``sigma'`` equal to the restriction of ``tau`` to
-    the variables of ``s'``.
+    the variables of ``s'`` (``label_var_names``).
     """
     matches = []
     label_sigma = label_triplet.sigma_dict()
-    ic = constraints[label_triplet.ic]
-    label_var_names: set[str] = set()
-    for index in label_triplet.unmapped:
-        label_var_names |= {v.name for v in ic.positive_atoms[index].variables()}
     for candidate in adornment:
         if candidate.ic != label_triplet.ic:
             continue
         if not label_triplet.unmapped <= candidate.unmapped:
             continue
-        restricted = {
-            name: image
-            for name, image in candidate.sigma
-            if name in label_var_names
-        }
-        if restricted == label_sigma:
+        if _restrict_sigma(candidate.sigma, label_var_names) == label_sigma:
             matches.append(candidate)
     return matches
-
-
-def _frontier_names(ic: IntegrityConstraint, unmapped: frozenset[int]) -> set[str]:
-    """Names of variables shared between unmapped and mapped positive atoms."""
-    unmapped_vars: set[str] = set()
-    mapped_vars: set[str] = set()
-    for index, atom in enumerate(ic.positive_atoms):
-        names = {v.name for v in atom.variables()}
-        if index in unmapped:
-            unmapped_vars |= names
-        else:
-            mapped_vars |= names
-    return unmapped_vars & mapped_vars
 
 
 def _push_labels(
     goal: GoalNode,
     adorned: AdornedRule,
-    constraints: Sequence[IntegrityConstraint],
+    frontiers: FrontierTable,
 ) -> tuple[frozenset[Triplet], list[frozenset[Triplet]]]:
     """Compute the rule-node label and per-positive-subgoal labels.
 
@@ -244,20 +213,15 @@ def _push_labels(
     subgoal_labels: list[set[Triplet]] = [set() for _ in positives]
     assert goal.adornment is not None
     for label_triplet in goal.label:
-        ic = constraints[label_triplet.ic]
-        names = _vars_of_unmapped(ic, label_triplet.unmapped)
-        frontier = _frontier_names(ic, label_triplet.unmapped)
+        shape = frontiers[(label_triplet.ic, label_triplet.unmapped)]
+        names, frontier = shape.unmapped_names, shape.names
         for adn_triplet in _corresponding_adornment_triplets(
-            label_triplet, goal.adornment, constraints
+            label_triplet, goal.adornment, names
         ):
             for derivation_index in adorned.origins_of(adn_triplet):
                 derivation = adorned.derivations[derivation_index]
-                rule_sigma = {
-                    name: term
-                    for name, term in derivation.rule_sigma
-                    if name in names
-                }
-                if frontier <= set(rule_sigma):
+                rule_sigma = _restrict_sigma(derivation.rule_sigma, names)
+                if frontier <= rule_sigma.keys():
                     rule_label.add(
                         Triplet.make(
                             label_triplet.ic, label_triplet.unmapped, rule_sigma
@@ -265,7 +229,7 @@ def _push_labels(
                     )
                 for i, contributor in enumerate(derivation.contributors):
                     restricted = _restrict_sigma(contributor.sigma, names)
-                    if not frontier <= set(restricted):
+                    if not frontier <= restricted.keys():
                         continue
                     subgoal_labels[i].add(
                         Triplet.make(
@@ -295,14 +259,13 @@ def build_query_tree(
         raise ValueError("the program needs a query predicate")
     query = program.query
     arity = program.arity_of(query)
-    constraints = result.constraints
 
     tracer = get_tracer()
     trace_on = tracer.enabled
 
     roots: list[GoalNode] = []
     expanded: dict[tuple, GoalNode] = {}
-    queue: list[GoalNode] = []
+    queue: deque[GoalNode] = deque()
     for adornment in result.adornments.get(query, []):
         root_atom = Atom(query, tuple(Variable(f"V{i}") for i in range(arity)))
         root = GoalNode(
@@ -320,7 +283,7 @@ def build_query_tree(
         while queue:
             if governor is not None:
                 governor.expand("querytree")
-            goal = queue.pop(0)
+            goal = queue.popleft()
             key = goal.key()
             existing = expanded.get(key)
             if existing is not None and existing is not goal:
@@ -334,7 +297,7 @@ def build_query_tree(
                     )
                 continue
             expanded[key] = goal
-            _expand_goal(goal, result, constraints, queue, tracer, trace_on)
+            _expand_goal(goal, result, queue, tracer, trace_on)
 
         tree = QueryTree(roots=roots, adornment_result=result, expanded=expanded)
         _prune(tree)
@@ -364,7 +327,7 @@ def _adorned_text(result: AdornmentResult, goal) -> str:
         return goal.predicate
 
 
-def _expand_goal(goal, result, constraints, queue, tracer, trace_on):
+def _expand_goal(goal, result, queue, tracer, trace_on):
     """Expand one goal class: attach a RuleNode per matching adorned rule."""
     assert goal.adornment is not None
     for adorned in result.rules_for(goal.predicate, goal.adornment):
@@ -380,7 +343,7 @@ def _expand_goal(goal, result, constraints, queue, tracer, trace_on):
         # positional correspondence through the positive literals.
         renamed_adorned = _rename_adorned(adorned, rule)
         rule_label, subgoal_labels = _push_labels(
-            goal, renamed_adorned, constraints
+            goal, renamed_adorned, result.frontiers
         )
         rule_node = RuleNode(adorned=renamed_adorned, instance=instance, label=rule_label)
         for i, literal in enumerate(instance.positive_literals):

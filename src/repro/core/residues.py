@@ -98,12 +98,19 @@ class Residue:
         return f"residue[{inner}] of {self.constraint!r}"
 
 
-def _renamed_apart(ic: IntegrityConstraint, rule: Rule) -> IntegrityConstraint:
-    avoid = rule.variables()
-    own = sorted(ic.variables(), key=lambda v: v.name)
-    stream = fresh_variables("Ic", avoid=avoid | set(own))
-    renaming = Substitution({v: next(stream) for v in own if v in avoid})
-    return ic.substitute(renaming) if renaming else ic
+def _renamed_apart(
+    ic: IntegrityConstraint, avoid: set[Variable]
+) -> IntegrityConstraint:
+    """``ic`` with every variable in ``avoid`` (a rule's) renamed fresh;
+    ``ic`` itself when they are already disjoint."""
+    own = ic.variables()
+    if avoid.isdisjoint(own):
+        return ic
+    stream = fresh_variables("Ic", avoid=avoid | own)
+    renaming = Substitution(
+        {v: next(stream) for v in sorted(own, key=lambda v: v.name) if v in avoid}
+    )
+    return ic.substitute(renaming)
 
 
 def _mappable(rule: Rule, ic: IntegrityConstraint) -> list[bool]:
@@ -127,7 +134,13 @@ def residues_for_rule(
     """
     if not include_trivial and not any(_mappable(rule, ic)):
         return []  # nothing maps, so there is no partial mapping
-    ic = _renamed_apart(ic, rule)
+    return _residues(rule, _renamed_apart(ic, rule.variables()), include_trivial)
+
+
+def _residues(
+    rule: Rule, ic: IntegrityConstraint, include_trivial: bool = False
+) -> list[Residue]:
+    """:func:`residues_for_rule` for an ``ic`` already renamed apart."""
     target = [lit.atom for lit in rule.positive_literals]
     ic_positives = list(ic.positive_atoms)
     other_items: list[BodyItem] = [
@@ -171,7 +184,11 @@ def rule_violates(rule: Rule, ic: IntegrityConstraint) -> bool:
     """
     if not all(_mappable(rule, ic)):
         return False  # a positive atom of the ic has nowhere to map
-    ic = _renamed_apart(ic, rule)
+    return _violates(rule, _renamed_apart(ic, rule.variables()))
+
+
+def _violates(rule: Rule, ic: IntegrityConstraint) -> bool:
+    """:func:`rule_violates` for an ``ic`` already renamed apart."""
     target = [lit.atom for lit in rule.positive_literals]
     rule_order = OrderConstraintSet(rule.order_atoms)
     negated_in_rule = {lit.atom for lit in rule.negative_literals}
@@ -197,11 +214,21 @@ def injectable_conditions(
     Conditions already entailed by the rule body are dropped, and
     duplicates are removed while preserving a stable order.
     """
+    variables = rule.variables()
+    return _conditions(rule, [_renamed_apart(ic, variables) for ic in constraints])
+
+
+def _conditions(
+    rule: Rule, constraints: Sequence[IntegrityConstraint]
+) -> list[BodyItem]:
+    """:func:`injectable_conditions` for ic's already renamed apart."""
     rule_order = OrderConstraintSet(rule.order_atoms)
     existing = set(rule.body)
     conditions: list[BodyItem] = []
     for ic in constraints:
-        for residue in residues_for_rule(rule, ic):
+        if not any(_mappable(rule, ic)):
+            continue  # nothing maps, so there is no partial mapping
+        for residue in _residues(rule, ic):
             condition = residue.negation()
             if condition is None or condition in existing:
                 continue
@@ -222,15 +249,18 @@ def constrain_rule(
     returns the rule with all injectable residue negations appended.
     """
     # Only ic's with an atom that can map are looked at, each renamed
-    # apart here: the two calls below find nothing left to rename.
+    # apart once, here.
+    variables = rule.variables()
     constraints = [
-        _renamed_apart(ic, rule)
+        _renamed_apart(ic, variables)
         for ic in constraints
         if any(_mappable(rule, ic)) or not ic.positive_atoms
     ]
-    if any(rule_violates(rule, ic) for ic in constraints):
+    if any(
+        _violates(rule, ic) for ic in constraints if all(_mappable(rule, ic))
+    ):
         return None
-    conditions = injectable_conditions(rule, constraints)
+    conditions = _conditions(rule, constraints)
     if not conditions:
         return rule
     constrained = rule.with_extra_conditions(conditions)
@@ -249,9 +279,39 @@ def constrain_program(
     paper's Section 3 second example); those require
     :func:`repro.core.rewrite.optimize`.
     """
+    return _constrain_shapes(program, constraints)[0]
+
+
+def _constrain_shapes(
+    program: Program, constraints: Sequence[IntegrityConstraint]
+) -> tuple[Program, int]:
+    """:func:`constrain_program`, and how many rule shapes it checked.
+
+    What :func:`constrain_rule` does to a rule depends only on its
+    *shape*: the positive literals over an ic predicate (the only
+    homomorphic targets, and the only ones a condition can repeat), the
+    negated literals, the order atoms, and the
+    variable set (renaming the ic's apart depends on it).  Rules sharing
+    a shape are checked once and get the same conditions appended.
+    """
+    ic_predicates = {p for ic in constraints for p in ic.predicates()}
+    outcomes: dict[tuple, tuple[BodyItem, ...] | None] = {}
     kept: list[Rule] = []
     for rule in program.rules:
-        constrained = constrain_rule(rule, constraints)
-        if constrained is not None:
-            kept.append(constrained)
-    return Program(kept, program.query)
+        shape = (
+            tuple(
+                lit for lit in rule.positive_literals if lit.predicate in ic_predicates
+            ),
+            rule.negative_literals,
+            rule.order_atoms,
+            frozenset(rule.variables()),
+        )
+        if shape not in outcomes:
+            constrained = constrain_rule(rule, constraints)
+            outcomes[shape] = (
+                None if constrained is None else constrained.body[len(rule.body):]
+            )
+        appended = outcomes[shape]
+        if appended is not None:
+            kept.append(rule.with_extra_conditions(appended) if appended else rule)
+    return Program(kept, program.query), len(outcomes)

@@ -41,7 +41,7 @@ from .adornments import AdornmentResult, compute_adornments
 from .local_atoms import LocalAtomPlan, prepare_local_atoms
 from .order_propagation import propagate_order_constraints
 from .querytree import GoalNode, QueryTree, RuleNode, build_query_tree
-from .residues import constrain_program, injectable_conditions
+from .residues import _constrain_shapes
 
 __all__ = ["OptimizationReport", "optimize"]
 
@@ -410,11 +410,12 @@ def optimize(
             if rewritten is not None and inject_residues:
                 with tracer.span("optimize.residues") as span:
                     body_atoms_before = sum(len(r.body) for r in rewritten.rules)
-                    rewritten = constrain_program(rewritten, constraints)
+                    rewritten, checked = _constrain_shapes(rewritten, constraints)
                     if trace_on:
                         span.set(
+                            checked=checked,
                             injected=sum(len(r.body) for r in rewritten.rules)
-                            - body_atoms_before
+                            - body_atoms_before,
                         )
                     if not rewritten.rules_for(query):
                         rewritten = None

@@ -1,6 +1,8 @@
 """Order-propagation (LMSS93-style preprocessing) tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.constraints.dense_order as dense_order
 import repro.core.order_propagation as order_propagation
@@ -9,7 +11,10 @@ from repro.core.order_propagation import normalize_rule, propagate_order_constra
 from repro.core.rewrite import optimize
 from repro.datalog.atoms import OrderAtom
 from repro.datalog.parser import parse_constraints, parse_program, parse_rule
+from repro.datalog.program import Program
+from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
+from repro.workloads.generators import random_program
 from repro.workloads.programs import flight_routes
 
 
@@ -218,3 +223,22 @@ def test_flight_builds_each_structure_once_and_none_in_the_confirming_round(buil
         assert len(passes) >= 3  # two rounds at least, then the keep/push pass
         confirming = call[passes[-2]:passes[-1]]
         assert confirming == ["pass"], confirming
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), extra_rules=st.integers(0, 4))
+def test_order_free_programs_pass_through_unchanged(seed, extra_rules):
+    """Without an order atom there is nothing to propagate: every IDB
+    predicate's projection is empty, no rule is dropped, none changes."""
+    program = random_program(seed, extra_rules=extra_rules)
+    stripped = Program(
+        [
+            Rule(rule.head, tuple(i for i in rule.body if not isinstance(i, OrderAtom)))
+            for rule in program.rules
+        ],
+        program.query,
+    )
+    outcome = propagate_order_constraints(stripped)
+    assert outcome.program.rules == stripped.rules
+    assert outcome.projections == {p: frozenset() for p in stripped.idb_predicates}
+    assert outcome.dropped_rules == ()

@@ -196,3 +196,87 @@ def test_predicate_precheck_leaves_every_answer_unchanged(seed, picks):
         residues_module, "_mappable", lambda rule, ic: [True] * len(ic.positive_atoms)
     ):
         assert answers() == filtered
+
+
+# ----------------------------------------------------------------------
+# constrain_program checks each rule shape once
+# ----------------------------------------------------------------------
+def _rule_by_rule(program, ics):
+    """``constrain_program`` spelled out: ``constrain_rule`` on every rule."""
+    kept = [constrain_rule(rule, ics) for rule in program.rules]
+    return tuple(rule for rule in kept if rule is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), picks=st.sets(st.integers(0, len(IC_POOL) - 1), min_size=1))
+def test_constrain_program_equals_constrain_rule_on_every_rule(seed, picks):
+    ics = [IC_POOL[i] for i in sorted(picks)]
+    program = random_program(seed, extra_rules=4)
+    assert constrain_program(program, ics).rules == _rule_by_rule(program, ics)
+
+
+def _rewrite_compile_cases():
+    """The twelve program / ic / goal texts of the ``rewrite_compile``
+    benchmark workload (``perf/inputs.py``), seed 0."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "perf" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perf_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    return inputs.rewrite_compile(0, "smoke")
+
+
+def test_constrain_program_equals_constrain_rule_on_rewritten_programs():
+    from repro.core.rewrite import optimize
+    from repro.datalog.parser import parse_atom
+
+    cases = _rewrite_compile_cases()
+    assert len(cases) == 12
+    shared = 0
+    for case in cases:
+        goal = parse_atom(case.goal)
+        program = parse_program(case.program, query=goal.predicate)
+        ics = parse_constraints(case.constraints)
+        # P' as the residue pass of ``optimize`` receives it.
+        rewritten = optimize(program, ics, inject_residues=False).program
+        assert rewritten is not None, case.name
+        constrained, checked = residues_module._constrain_shapes(rewritten, ics)
+        assert constrained.rules == _rule_by_rule(rewritten, ics), case.name
+        shared += len(rewritten.rules) - checked
+    assert shared > 0  # rules do share shapes, so the memo is exercised
+
+
+def test_rule_shape_includes_the_variable_set():
+    """``C`` and ``Y`` occur only in the IDB subgoal; ``Y`` is also the
+    name of an ic variable, so renaming the ic apart differs between the
+    two rules, and they are two shapes, not one."""
+    program = parse_program(
+        """
+        p(A, B) :- e0(A, B), p(B, C).
+        p(A, B) :- e0(A, B), p(B, Y).
+        p(A, B) :- e1(A, B).
+        """,
+        query="p",
+    )
+    ics = parse_constraints(":- e0(X, Y), Y <= X.")
+    constrained, checked = residues_module._constrain_shapes(program, ics)
+    assert checked == 3
+    assert constrained.rules == _rule_by_rule(program, ics)
+    assert [repr(rule) for rule in constrained.rules[:2]] == [
+        "p(A, B) :- e0(A, B), p(B, C), B > A.",
+        "p(A, B) :- e0(A, B), p(B, Y), B > A.",
+    ]
+
+
+def test_renamed_apart_leaves_a_disjoint_ic_untouched():
+    ic = parse_constraints(":- e0(X, Y), Y <= X.")[0]
+    rule = parse_rule("p(A, B) :- e0(A, B).")
+    assert residues_module._renamed_apart(ic, rule.variables()) is ic
+    clashing = parse_rule("p(X, B) :- e0(X, B).")
+    renamed = residues_module._renamed_apart(ic, clashing.variables())
+    assert renamed.variables().isdisjoint(clashing.variables())
