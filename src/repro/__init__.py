@@ -11,15 +11,9 @@ of conjunctive queries) live alongside it.
 
 __version__ = "1.0.0"
 
+from ._lazy import lazy_exports
 from .constraints import IntegrityConstraint
-from .core import (
-    OptimizationReport,
-    is_empty_program,
-    is_query_reachable,
-    is_satisfiable,
-    optimize,
-    program_contained_in_ucq,
-)
+from .core import OptimizationReport, optimize
 from .magic import (
     MagicProgram,
     PipelineReport,
@@ -28,23 +22,12 @@ from .magic import (
     magic_transform,
     run_pipeline,
 )
-from .persist import (
-    Checkpoint,
-    CheckpointCorrupt,
-    CheckpointError,
-    CheckpointStore,
-    FlakyStore,
-    RetryPolicy,
-    Session,
-    SessionResult,
-)
 from .robustness import (
     Budget,
     BudgetExceededError,
     Cancelled,
     CancellationToken,
     EvaluationAborted,
-    FaultInjector,
     InjectedFault,
     ReproError,
 )
@@ -66,6 +49,28 @@ from .datalog import (
     parse_rule,
     parse_rules,
 )
+
+# Read through each subpackage's own table: the decision procedures,
+# durable sessions and the fault injector load on first use.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "is_empty_program",
+        "is_query_reachable",
+        "is_satisfiable",
+        "program_contained_in_ucq",
+    ),
+    ".persist": (
+        "Checkpoint",
+        "CheckpointCorrupt",
+        "CheckpointError",
+        "CheckpointStore",
+        "FlakyStore",
+        "RetryPolicy",
+        "Session",
+        "SessionResult",
+    ),
+    ".robustness": ("FaultInjector",),
+})
 
 __all__ = [
     "__version__",

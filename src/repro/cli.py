@@ -57,14 +57,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+# The front end every evaluating command runs (parse, rewrite, magic,
+# evaluate) is imported here, and so is what ``main`` needs to report an
+# error.  Whatever only some commands run is imported inside them: the
+# decision procedures, sessions, the daemon, its client, the profiler
+# and the report renderers.
 from .constraints.integrity import IntegrityConstraint, violations
-from .core.containment import program_contained_in_ucq
-from .core.emptiness import is_empty_program, unsatisfiable_initialization_rules
-from .core.reachability import is_satisfiable
 from .core.rewrite import optimize
-from .cq.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
 from .datalog.database import Database, FactRows
 from .datalog.evaluation import EvaluationStats, evaluate
 from .datalog.parser import (
@@ -76,27 +77,14 @@ from .datalog.parser import (
     parse_rules,
 )
 from .datalog.program import Program
-from .magic import check_equivalence, magic_transform, match_query_atom, run_pipeline
-from .magic.pipeline import PIPELINE_ORDERS
-from .observability import (
-    JsonlSink,
-    RingBufferSink,
-    profile_evaluation,
-    regenerate_experiments,
-    render_trace,
-    trace_summary,
-    tracing,
-)
-from .persist import CheckpointStore, IngestJournal, Session
-from .robustness import (
-    Budget,
-    EvaluationAborted,
-    Governor,
-    ReproError,
-    UsageError,
-    parse_limit_value,
-    parse_timeout_value,
-)
+from .magic.pipeline import PIPELINE_ORDERS, check_equivalence, run_pipeline
+from .magic.transform import magic_transform, match_query_atom
+from .observability.trace import JsonlSink, RingBufferSink, tracing
+from .robustness.budget import Budget, Governor, parse_limit_value, parse_timeout_value
+from .robustness.errors import EvaluationAborted, ReproError, UsageError
+
+if TYPE_CHECKING:
+    from .persist.session import Session
 
 __all__ = ["main"]
 
@@ -164,6 +152,8 @@ def _with_optional_trace(args: argparse.Namespace, body) -> int:
     the per-span summary to the command's output."""
     if not getattr(args, "trace", False):
         return body()
+    from .observability.report import trace_summary
+
     sink = RingBufferSink()
     with tracing(sink):
         code = body()
@@ -328,6 +318,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _session_from(args: argparse.Namespace) -> Session:
+    from .persist.journal import IngestJournal
+    from .persist.session import Session
+    from .persist.store import CheckpointStore
+
     program, inline_facts = parse_program_and_facts(_read(args.program), query=args.query)
     if program.query is None:
         raise UsageError("--query is required for this command")
@@ -392,7 +386,8 @@ def _cmd_session_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import ServeApp, run_server
+    from .serve.app import ServeApp
+    from .serve.http import run_server
 
     defaults = Budget(
         timeout=args.timeout,
@@ -471,6 +466,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .observability.report import render_trace
+
     program, inline_facts = parse_program_and_facts(_read(args.program), query=args.query)
     constraints = _load_constraints(args)
     database = _database_from(args, inline_facts)
@@ -503,6 +500,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .observability.profile import profile_evaluation
+
     program, inline_facts = parse_program_and_facts(_read(args.program), query=args.query)
     database = _database_from(args, inline_facts)
     profile, result = profile_evaluation(program, database)
@@ -527,6 +526,8 @@ def _bench(argv: Sequence[str]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .observability.report import regenerate_experiments
+
     if not args.regenerate:
         raise UsageError("pass --regenerate (optionally with --check)")
     stale, _content = regenerate_experiments(
@@ -562,6 +563,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_satisfiable(args: argparse.Namespace) -> int:
+    from .core.reachability import is_satisfiable
+
     program = _load_program(args)
     constraints = _load_constraints(args)
     answer = is_satisfiable(program, constraints)
@@ -570,6 +573,8 @@ def _cmd_satisfiable(args: argparse.Namespace) -> int:
 
 
 def _cmd_empty(args: argparse.Namespace) -> int:
+    from .core.emptiness import is_empty_program, unsatisfiable_initialization_rules
+
     program = parse_program(_read(args.program))
     constraints = _load_constraints(args)
     if is_empty_program(program, constraints):
@@ -582,6 +587,9 @@ def _cmd_empty(args: argparse.Namespace) -> int:
 
 
 def _cmd_contained(args: argparse.Namespace) -> int:
+    from .core.containment import program_contained_in_ucq
+    from .cq.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
+
     program = _load_program(args)
     rules = parse_rules(_read(args.ucq))
     union = UnionOfConjunctiveQueries(
@@ -832,7 +840,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except EvaluationAborted as exc:
-        from .serve.wire import aborted_payload  # the daemon's modules stay off every start
+        # Loads repro.serve and repro.serve.wire only: the package's
+        # __init__ imports none of the daemon's modules.
+        from .serve.wire import aborted_payload
 
         _print_aborted_response(aborted_payload(exc))
         return 1

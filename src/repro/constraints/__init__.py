@@ -1,14 +1,7 @@
 """Integrity constraints, dense-order reasoning and locality analysis."""
 
+from .._lazy import lazy_exports
 from .dense_order import OrderConstraintSet, UnsatisfiableError, UnsupportedModelError
-from .dependencies import (
-    disjointness_constraint,
-    domain_constraint,
-    functional_dependency,
-    inclusion_dependency,
-    key_constraint,
-    multivalued_dependency,
-)
 from .integrity import (
     IntegrityConstraint,
     check_no_idb,
@@ -25,6 +18,19 @@ from .locality import (
     local_atoms,
     nonlocal_atoms,
 )
+
+# Constructors for the classical dependencies: callers build constraints
+# with them, the rewrite never calls them.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".dependencies": (
+        "disjointness_constraint",
+        "domain_constraint",
+        "functional_dependency",
+        "inclusion_dependency",
+        "key_constraint",
+        "multivalued_dependency",
+    ),
+})
 
 __all__ = [
     "OrderConstraintSet",

@@ -1,23 +1,13 @@
 """The paper's core algorithms: residues, adornments, query tree, rewriting,
 satisfiability, reachability, emptiness and containment."""
 
+from .._lazy import lazy_exports
 from .adornments import (
     AdornedRule,
     AdornmentResult,
     LocalAtomIndex,
     Triplet,
     compute_adornments,
-)
-from .containment import (
-    containment_as_satisfiability,
-    program_contained_in_ucq,
-    satisfiability_as_noncontainment,
-)
-from .emptiness import (
-    EmptinessTooLargeError,
-    is_empty_program,
-    rule_satisfiable_wrt,
-    unsatisfiable_initialization_rules,
 )
 from .local_atoms import (
     LocalAtomPlan,
@@ -32,13 +22,6 @@ from .order_propagation import (
     propagate_order_constraints,
 )
 from .querytree import GoalNode, QueryTree, RuleNode, build_query_tree
-from .reachability import (
-    bounded_satisfiability,
-    is_query_reachable,
-    is_satisfiable,
-    reachability_program,
-    satisfiability_as_reachability,
-)
 from .residues import (
     Residue,
     constrain_program,
@@ -48,7 +31,29 @@ from .residues import (
     rule_violates,
 )
 from .rewrite import OptimizationReport, optimize
-from .visualize import dependency_dot, querytree_dot
+
+# The Section 5 decision procedures and the DOT renderers: no rewrite runs them.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".containment": (
+        "containment_as_satisfiability",
+        "program_contained_in_ucq",
+        "satisfiability_as_noncontainment",
+    ),
+    ".emptiness": (
+        "EmptinessTooLargeError",
+        "is_empty_program",
+        "rule_satisfiable_wrt",
+        "unsatisfiable_initialization_rules",
+    ),
+    ".reachability": (
+        "bounded_satisfiability",
+        "is_query_reachable",
+        "is_satisfiable",
+        "reachability_program",
+        "satisfiability_as_reachability",
+    ),
+    ".visualize": ("dependency_dot", "querytree_dot"),
+})
 
 __all__ = [
     "AdornedRule",

@@ -1,7 +1,7 @@
 """Datalog substrate: IR, parser, storage and bottom-up evaluation engine."""
 
+from .._lazy import lazy_exports
 from .atoms import Atom, BodyItem, Literal, OrderAtom
-from .bag import BagRelation, RecursiveProgramError, bag_equal, evaluate_bag
 from .database import Database, Relation
 from .evaluation import (
     DerivationNode,
@@ -21,11 +21,16 @@ from .parser import (
     parse_rules,
     parse_term,
 )
-from .pretty import format_constraints, format_program, format_rule, format_rules
 from .program import Program, ProgramError
 from .rules import Rule, UnsafeRuleError
 from .terms import Constant, Substitution, Term, Variable, fresh_variables
 from .unify import match_atom, unify_atoms, unify_terms
+
+# Bag semantics and the pretty-printer: no evaluation runs them.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".bag": ("BagRelation", "RecursiveProgramError", "bag_equal", "evaluate_bag"),
+    ".pretty": ("format_constraints", "format_program", "format_rule", "format_rules"),
+})
 
 __all__ = [
     "Atom",

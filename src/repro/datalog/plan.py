@@ -512,7 +512,7 @@ class RulePlan:
         "slot_of",
         "steps",
         "rel_specs",
-        "support_layouts",
+        "_support_layouts",
         "_kernel",
         "_consts",
         "_roles",
@@ -617,13 +617,7 @@ class RulePlan:
         self.num_slots = len(slot_of)
         self.steps = steps
         self.rel_specs = rel_specs
-        self.support_layouts = tuple(
-            tuple(
-                (False, arg.value) if isinstance(arg, Constant) else (True, slot_of[arg])
-                for arg in lit.args
-            )
-            for lit in rule.positive_literals
-        )
+        self._support_layouts = None  # built by the first support_rows call
         shape, self._consts, self._roles = _plan_shape(steps, head_layout, self.num_slots)
         self._kernel = _compiled_kernel(shape)
         #: the shape again when a run over codes needs the decoding variant
@@ -697,9 +691,21 @@ class RulePlan:
     def support_rows(self, env: Sequence[object]) -> list[tuple[str, tuple]]:
         """``(predicate, ground row)`` for each positive body literal
         (original rule order) — the provenance supports."""
+        layouts = self._support_layouts
+        if layouts is None:
+            # Only the provenance path reads these.  Threads sharing a
+            # kept plan may both build them: the results are equal.
+            slot_of = self.slot_of
+            layouts = self._support_layouts = tuple(
+                tuple(
+                    (False, arg.value) if isinstance(arg, Constant) else (True, slot_of[arg])
+                    for arg in lit.args
+                )
+                for lit in self.rule.positive_literals
+            )
         return [
             (lit.predicate, tuple(env[p] if s else p for s, p in layout))
-            for lit, layout in zip(self.rule.positive_literals, self.support_layouts)
+            for lit, layout in zip(self.rule.positive_literals, layouts)
         ]
 
     def describe(self) -> str:

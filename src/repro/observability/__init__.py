@@ -15,6 +15,7 @@ Three layers, each consuming the previous one:
 See ``docs/observability.md`` for the event schema and usage guide.
 """
 
+from .._lazy import lazy_exports
 from .trace import (
     NULL_TRACER,
     JsonlSink,
@@ -28,21 +29,26 @@ from .trace import (
     set_tracer,
     tracing,
 )
-from .profile import (
-    EvaluationProfile,
-    RuleProfile,
-    ShardProfile,
-    build_profile,
-    profile_evaluation,
-)
-from .report import (
-    Experiment,
-    md_table,
-    regenerate_experiments,
-    render_trace,
-    trace_summary,
-    work_ratio_table,
-)
+
+# The profiler and the report renderers consume traces; only the
+# ``profile``, ``trace`` and ``report`` commands and ``--trace`` run them.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".profile": (
+        "EvaluationProfile",
+        "RuleProfile",
+        "ShardProfile",
+        "build_profile",
+        "profile_evaluation",
+    ),
+    ".report": (
+        "Experiment",
+        "md_table",
+        "regenerate_experiments",
+        "render_trace",
+        "trace_summary",
+        "work_ratio_table",
+    ),
+})
 
 __all__ = [
     "TraceEvent",

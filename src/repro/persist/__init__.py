@@ -20,34 +20,41 @@ new facts without cold recomputation (see ``docs/robustness.md``,
   recover/ingest/checkpoint life cycle; ``recover()`` is the one reader.
 """
 
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    Checkpoint,
-    CheckpointCorrupt,
-    CheckpointError,
-    CheckpointMismatch,
-    fixpoint_digest,
-    workload_digest,
-)
-from .journal import (
-    JOURNAL_VERSION,
-    FlakyJournal,
-    IngestJournal,
-    JournalCorrupt,
-    JournalError,
-    JournalMismatch,
-    JournalRecord,
-    JournalUnavailable,
-    commit_with_retry,
-)
-from .session import Session, SessionResult
-from .store import (
-    CheckpointStore,
-    CheckpointStoreUnavailable,
-    FlakyStore,
-    RetryPolicy,
-    save_with_retry,
-)
+from .._lazy import lazy_exports
+
+# Nothing is imported up front: a caller that needs one layer (the
+# sharded engine's checkpoint format, the client's retry policy) does
+# not load the session and journal beside it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".checkpoint": (
+        "CHECKPOINT_VERSION",
+        "Checkpoint",
+        "CheckpointCorrupt",
+        "CheckpointError",
+        "CheckpointMismatch",
+        "fixpoint_digest",
+        "workload_digest",
+    ),
+    ".journal": (
+        "JOURNAL_VERSION",
+        "FlakyJournal",
+        "IngestJournal",
+        "JournalCorrupt",
+        "JournalError",
+        "JournalMismatch",
+        "JournalRecord",
+        "JournalUnavailable",
+        "commit_with_retry",
+    ),
+    ".session": ("Session", "SessionResult"),
+    ".store": (
+        "CheckpointStore",
+        "CheckpointStoreUnavailable",
+        "FlakyStore",
+        "RetryPolicy",
+        "save_with_retry",
+    ),
+})
 
 __all__ = [
     "CHECKPOINT_VERSION",

@@ -12,6 +12,7 @@ bounded and cancellable, ending in a typed abort (see ``docs/robustness.md``):
   harness armed at trace-event sites.
 """
 
+from .._lazy import lazy_exports
 from .budget import (
     Budget,
     CancellationToken,
@@ -29,7 +30,11 @@ from .errors import (
     ReproError,
     UsageError,
 )
-from .faults import ChaosTracer, FaultInjector, chaos
+
+# The fault-injection harness: tests and the smoke scripts arm it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".faults": ("ChaosTracer", "FaultInjector", "chaos"),
+})
 
 __all__ = [
     "Budget",

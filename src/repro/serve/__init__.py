@@ -27,11 +27,17 @@ ceiling and the request's own limits); a tripped budget returns HTTP
 exit code 1.
 """
 
-from .app import ServeApp
-from .cache import ArtifactCache
-from .client import ServeClient, ServeClientError
-from .http import ServeDaemon, run_server
-from .registry import Tenant, TenantRegistry
+from .._lazy import lazy_exports
+
+# Nothing is imported up front: the CLI reads ``wire`` alone to report
+# a tripped budget, and ``repro client`` needs the client alone.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".app": ("ServeApp",),
+    ".cache": ("ArtifactCache",),
+    ".client": ("ServeClient", "ServeClientError"),
+    ".http": ("ServeDaemon", "run_server"),
+    ".registry": ("Tenant", "TenantRegistry"),
+})
 
 __all__ = [
     "ServeApp",

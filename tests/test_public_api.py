@@ -1,5 +1,8 @@
 """Integration tests through the top-level public API only."""
 
+import importlib
+import pkgutil
+
 import repro
 from repro import (
     Database,
@@ -23,8 +26,17 @@ class TestVersionAndExports:
         assert repro.__version__ == "1.0.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        # Every subpackage too: a name missing from a lazy-export table
+        # fails here, not on a caller's first use.
+        packages = [repro] + [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        assert len(packages) > 1
+        for package in packages:
+            for name in package.__all__:
+                assert getattr(package, name) is not None, f"{package.__name__}.{name}"
 
 
 class TestEndToEnd:
