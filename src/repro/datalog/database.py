@@ -259,6 +259,10 @@ class Relation:
         self._rows.difference_update(rows)
         self._indexes.clear()
 
+    def encode(self, row: Sequence[Value]) -> Row:
+        """The tuple this relation stores for the value row ``row``."""
+        return tuple(row)
+
     def __contains__(self, row: Sequence[Value]) -> bool:
         return tuple(row) in self._rows
 
@@ -350,7 +354,9 @@ class ColumnarRelation(Relation):
         if rows:
             self.extend(rows)
 
-    def _encoded(self, row: Sequence[Value]) -> tuple:
+    def encode(self, row: Sequence[Value]) -> tuple:
+        """The code row of ``row``; a value never interned reads as the
+        probe-miss sentinel."""
         return tuple(map(self.interner.code_of, row))
 
     def _decoded(self, rows: Iterable[tuple]) -> list[Row]:
@@ -377,10 +383,10 @@ class ColumnarRelation(Relation):
         return super().extend([tuple(map(intern, row)) for row in rows])
 
     def discard(self, rows: Iterable[Row]) -> None:
-        super().discard(map(self._encoded, rows))
+        super().discard(map(self.encode, rows))
 
     def __contains__(self, row: Sequence[Value]) -> bool:
-        return self._encoded(row) in self._rows
+        return self.encode(row) in self._rows
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._decoded(self._rows))
@@ -389,7 +395,7 @@ class ColumnarRelation(Relation):
         return frozenset(self._decoded(self._rows))
 
     def probe(self, positions: tuple[int, ...], key: Row) -> list[Row]:
-        return self._decoded(super().probe(positions, self._encoded(key)))
+        return self._decoded(super().probe(positions, self.encode(key)))
 
     def to_rows(self) -> list[Row]:
         return sorted(self._decoded(self._rows), key=repr)
@@ -400,6 +406,48 @@ class ColumnarRelation(Relation):
         fresh = ColumnarRelation(self.arity, self.interner)
         fresh._rows = set(self._rows)
         return fresh
+
+
+class Frontier:
+    """A semi-naive frontier: one round's new rows, as stored, in a list.
+
+    The fixpoint loop files each row here as it files it into the live
+    relation, which has just checked that the row is new: the rows are
+    distinct by construction, and the next round only walks them, so
+    holding them in a second hash set would hash every derived row
+    twice.  A frontier reads as much of a :class:`Relation` as a kernel
+    and the fixpoint loop use — ``len``, ``all_rows`` (a list: iteration and
+    ``in``), ``index_for`` / ``has_index`` for a delta literal with a
+    constant, and ``add_fresh`` — in either storage's encoding.
+    """
+
+    __slots__ = ("arity", "_rows", "_indexes")
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self._rows: list[Row] = []
+        self._indexes: dict[tuple[int, ...], tuple[Callable[[Row], object], dict]] = {}
+
+    def add_fresh(self, rows: "list[Row] | set[Row]") -> None:
+        """Append rows no row of this frontier equals (as
+        :meth:`Relation.add_fresh`)."""
+        self._rows += rows
+        for key_of, index in self._indexes.values():
+            for row in rows:
+                index.setdefault(key_of(row), []).append(row)
+
+    index_for = Relation.index_for
+    has_index = Relation.has_index
+
+    def all_rows(self) -> list[Row]:
+        """The internal row list (read-only view — do not mutate)."""
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return f"Frontier(arity={self.arity}, rows={len(self._rows)})"
 
 
 _value_of = attrgetter("value")

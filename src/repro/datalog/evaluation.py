@@ -24,7 +24,10 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   projections are precomputed position tuples, fully bound subgoals
   become zero-scan existence checks, hash indexes are fetched once per
   rule execution, and body literals are ordered by estimated scan cost
-  (``relation size × SELECTIVITY^bound positions``).
+  (``relation size × SELECTIVITY^bound positions``).  A round's new
+  rows are filed into the live relation — the one hash set they enter
+  — and into that round's :class:`~repro.datalog.database.Frontier`,
+  a list the next round walks.
 * :class:`EvaluationStats` counts rule firings, index probes, rows
   scanned, facts derived, index builds and environment allocations —
   plus per-rule ``rows_scanned`` — the "join work" measures the
@@ -53,7 +56,7 @@ from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import EvaluationAborted
 from .atoms import Atom, Literal
-from .database import Database, Relation, Row
+from .database import Database, Frontier, Relation, Row
 from .plan import DEFAULT_IDB_ESTIMATE, RulePlan, compile_rule
 from .program import Program
 from .rules import Rule
@@ -291,10 +294,11 @@ class _SlotEngine:
         fresh = results[1]
         if not fresh:
             return 0
-        # Distinct and new already.  A renaming rule's set goes in as it
-        # is (``set.update(set)`` reuses its hashes); a dict as a list:
-        # ``set.update(dict)`` presizes the table and costs peak memory.
-        rows = fresh if type(fresh) is set else list(fresh)
+        # Distinct and new already.  A renaming rule's set or list goes
+        # in as it is (``set.update(set)`` reuses its hashes); a dict as
+        # a list: ``set.update(dict)`` presizes the table and costs peak
+        # memory.  The live relation is the one set that hashes them.
+        rows = list(fresh) if type(fresh) is dict else fresh
         head_pred = plan.rule.head.predicate
         head_relation.add_fresh(rows)
         if sink_delta is not None:
@@ -332,11 +336,9 @@ class _LocalExecutor:
         self.eng = _SlotEngine(driver.database, driver.idb, driver.tracer, plans)
         self.plans: list = []
 
-    def new_frontier(self, predicate: str) -> Relation:
-        """An empty delta relation for one member of the current SCC."""
-        return self.driver.database.new_relation(
-            self.driver.program.arity_of(predicate)
-        )
+    def new_frontier(self, predicate: str) -> Frontier:
+        """An empty frontier for one member of the current SCC."""
+        return Frontier(self.driver.program.arity_of(predicate))
 
     def begin_scc(self, members: set[str], delta_rules) -> None:
         # Called after the SCC was seeded, so cost estimates see the
@@ -391,7 +393,7 @@ class _Driver:
         #: Ingest seed only: every frontier this run filled.  Each row it
         #: adds to a live relation is in exactly one of them, so they are
         #: what :meth:`discard_added` takes back after an abort.
-        self.added: "list[dict[str, Relation]] | None" = None
+        self.added: "list[dict[str, Frontier]] | None" = None
         if live is not None:
             stats.merge(live.stats)
             self.idb = idb = live.idb
@@ -449,8 +451,8 @@ class _Driver:
     def fire_rule(
         self,
         plan,
-        delta_relation: Relation | None,
-        sink_delta: dict[str, Relation] | None,
+        delta_relation: "Relation | Frontier | None",
+        sink_delta: "dict[str, Frontier] | None",
         scc_index: int | None,
         iteration: int | None,
     ) -> None:
@@ -575,7 +577,8 @@ class _Driver:
         for frontier in self.added:
             for pred, rel in frontier.items():
                 if len(rel):
-                    self.idb[pred].discard(rel.rows())
+                    # Stored rows: codes on columnar storage.
+                    Relation.discard(self.idb[pred], rel.all_rows())
 
     def _seminaive_sccs(self, executor, ingest) -> None:
         """SCC by SCC in topological order; delta rounds inside each.
@@ -593,7 +596,7 @@ class _Driver:
         """
         program, database, stats = self.program, self.database, self.stats
         tracer, eng = self.tracer, self.eng
-        changed: dict[str, Relation] | None = None
+        changed: "dict[str, Relation | Frontier] | None" = None
         if ingest is not None:
             changed = {}
             for pred, rows in ingest.items():
@@ -622,7 +625,8 @@ class _Driver:
                 iterations = 0
                 if changed is None:
                     if seed_pred in members:  # its exit "rule" fired up front
-                        delta[seed_pred].add(self.seed_fact[1])
+                        live = self.idb[seed_pred]
+                        delta[seed_pred].add_fresh([live.encode(self.seed_fact[1])])
                     for rule in exit_rules:
                         self.fire_rule(eng.make_plan(rule, None), None, delta, scc_index, None)
                 else:
@@ -670,7 +674,7 @@ class _Driver:
                             changed[pred] = scc_new[pred]
 
 
-def _absorb(into: dict[str, Relation], delta: dict[str, Relation]) -> None:
+def _absorb(into: dict[str, Frontier], delta: dict[str, Frontier]) -> None:
     # A round's frontier holds rows new to the live relation, so none of
     # them is in ``into`` (the SCC's earlier frontiers) yet.
     for pred, rel in delta.items():

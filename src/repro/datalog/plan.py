@@ -39,7 +39,9 @@ a bound argument yet.
 Relations are accessed through :meth:`Relation.index_for` /
 :meth:`Relation.all_rows`: the index for a probe's position set is
 fetched **once per rule execution** (built lazily, reused across
-semi-naive iterations) instead of once per probed row.
+semi-naive iterations) instead of once per probed row, and a bucket
+whose key an outer loop fixes is looked up once per row of that loop
+(``hoisted to loop N`` in :meth:`RulePlan.describe`).
 
 On columnar storage (``Database(storage="columnar")``, see
 ``docs/storage.md``) the rows, index keys and slots hold interner
@@ -49,7 +51,7 @@ probe-miss sentinel, a head constant is interned.  ``=`` and ``!=``
 compare codes; only an ordering comparison (``<`` ``<=`` ``>`` ``>=``)
 of a slot needs its value, so a shape with one compiles a second
 variant that decodes those operands through the interner's value
-table in the generated line.
+table where their loop binds them.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ import hashlib
 import linecache
 import weakref
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Callable, Sequence
 
 from .atoms import Literal, OrderAtom, evaluate_comparison
-from .database import ArityMismatch, Relation
+from .database import ArityMismatch, Frontier, Relation
 from .rules import Rule
 from .terms import Constant, Variable
 
@@ -124,16 +127,6 @@ def _flush_filters(plan, bound, remaining_filters) -> None:
                 progressing = True
 
 
-def _scan_cost(literal: Literal, bound: set[Variable], size_of: SizeEstimator) -> float:
-    bound_count = sum(
-        1 for arg in literal.args if isinstance(arg, Constant) or arg in bound
-    )
-    arity = len(literal.args)
-    if arity and bound_count == arity:
-        return 0.0  # fully bound: compiles to an existence check, scans nothing
-    return max(size_of(literal), 0.0) * (SELECTIVITY ** bound_count)
-
-
 def order_body_cost(
     rule: Rule, delta_index: int | None, size_of: SizeEstimator
 ) -> list[tuple]:
@@ -145,7 +138,8 @@ def order_body_cost(
     scan cost
     ``relation_size × SELECTIVITY^bound_positions``; ties prefer more
     bound positions, then textual order.  An empty relation costs 0 and
-    is scanned first, short-circuiting the whole join.
+    is scanned first, short-circuiting the whole join.  A fully bound
+    literal costs 0 too: it compiles to an existence check.
 
     Once variables are bound, the choice is restricted to *connected*
     literals — ones sharing a bound variable or costing nothing — so a
@@ -159,28 +153,29 @@ def order_body_cost(
         plan.append((delta_pair[1], True))
         bound |= delta_pair[1].variables()
     _flush_filters(plan, bound, filters)
-    while positives:
-        candidates = [
-            pair
-            for pair in positives
-            if pair[1].variables() & bound
-            or _scan_cost(pair[1], bound, size_of) == 0.0
-        ] or positives
-        best = min(
-            candidates,
-            key=lambda pair: (
-                _scan_cost(pair[1], bound, size_of),
-                -sum(
-                    1
-                    for arg in pair[1].args
-                    if isinstance(arg, Constant) or arg in bound
-                ),
-                pair[0],
-            ),
-        )
-        positives.remove(best)
+    # Each literal's size, variables and constants are read once per call.
+    left = []
+    for index, item in positives:
+        terms = [arg for arg in item.args if not isinstance(arg, Constant)]
+        constants = len(item.args) - len(terms)
+        left.append((index, item, max(size_of(item), 0.0), item.variables(), terms, constants))
+    is_bound = bound.__contains__  # ``bound`` only ever grows in place
+    while left:
+        scored = []
+        for entry in left:
+            index, _, size, variables, terms, constants = entry
+            bound_count = constants + sum(map(is_bound, terms))
+            arity = constants + len(terms)
+            if arity and bound_count == arity:
+                cost = 0.0  # fully bound: an existence check, scans nothing
+            else:
+                cost = size * (SELECTIVITY ** bound_count)
+            connected = cost == 0.0 or not variables.isdisjoint(bound)
+            scored.append(((cost, -bound_count, index), connected, entry))
+        best = min([s for s in scored if s[1]] or scored)[2]
+        left.remove(best)
         plan.append((best[1], False))
-        bound |= best[1].variables()
+        bound |= best[3]
         _flush_filters(plan, bound, filters)
     _flush_filters(plan, bound, filters)
     if filters:
@@ -310,12 +305,42 @@ def _plan_shape(steps, head_layout, num_slots):
     return (tuple(shape), head, num_slots, len(consts)), tuple(consts), tuple(roles)
 
 
+def _ordering(step) -> bool:
+    """Whether a shape step is an ordering comparison (``<`` ``<=`` ``>`` ``>=``)."""
+    return step[0] == "order" and step[1] not in ("=", "!=")
+
+
 def _orders_slots(shape) -> bool:
     """Whether an ordering comparison of the shape reads a slot."""
-    return any(
-        step[0] == "order" and step[1] not in ("=", "!=") and (step[2][0] or step[3][0])
-        for step in shape[0]
-    )
+    return any(_ordering(step) and (step[2][0] or step[3][0]) for step in shape[0])
+
+
+def _hoists(steps) -> dict[int, int]:
+    """``{step number: loop}`` for each keyed scan whose key is fixed
+    outside the loop the scan sits in.
+
+    Loops are numbered from 1 in nesting order; ``loop`` is the one
+    whose row binds the key's last slot, 0 when only constants key it,
+    and never one before the chained function the scan runs in.  The
+    kernel looks such a bucket up on its first use per row of ``loop``
+    and reuses it for every row of the loops in between.
+    """
+    bound_in: dict[int, int] = {}  # slot -> the loop binding it
+    hoists: dict[int, int] = {}
+    loops = base = 0  # loops open; loops open outside this chained function
+    for number, step in enumerate(steps):
+        if step[0] != "scan":
+            continue
+        _, key, sets, _, _ = step
+        if loops - base == _MAX_LOOPS:
+            base = loops
+        loop = max([base, *(bound_in[slot] for is_slot, slot in key if is_slot)])
+        if key and loop < loops:
+            hoists[number] = loop
+        loops += 1
+        for slot, _ in sets:
+            bound_in[slot] = loops
+    return hoists
 
 
 def _term(term) -> str:
@@ -343,12 +368,20 @@ def _kernel_source(shape, decode: bool = False) -> str:
     so far; ``gov`` is asked (``tick_scan``) at the first bucket after
     each stride of scanned rows.  With ``decode`` the slots hold
     interner codes, ``k`` ends with the interner's value table ``V``
-    and ordering comparisons read ``V[s<i>]``.
+    and ordering comparisons read the decoded ``v<i> = V[s<i>]``.
+
+    Nothing is done more often than its inputs change.  A probe whose
+    key an outer loop fixes (:func:`_hoists`) is made on first use per
+    row of that loop and kept in ``b<i>``; an empty bucket ends the
+    loop it sits in.  Each operand of an ordering comparison is
+    type-tested once — a constant in the prologue, a slot where its
+    loop binds it — into ``t<operand>``.
 
     A renaming rule ``p(X, Y) :- q(X, Y).`` — one full scan of distinct
     variables, the head those variables in order — has no loop: its
-    new rows are the set difference ``r0 - live``, or under ``prov``
-    the same rows in scan order, each its own support.
+    new rows are the set difference ``r0 - live`` (over a frontier,
+    which is a list, the rows ``live`` lacks), or under ``prov`` the
+    same rows in scan order, each its own support.
     """
     steps, head, num_slots, num_consts = shape
     identity = (
@@ -358,14 +391,19 @@ def _kernel_source(shape, decode: bool = False) -> str:
         and not steps[0][3]  # no repeated variable
         and head == tuple((True, slot) for slot in range(num_slots))
     )
-    rels = []
-    for step in steps:
+    hoists = _hoists(steps)
+    rels, rel_of = [], {}
+    for number, step in enumerate(steps):
         if step[0] != "order":
-            rels.append(f"{'g' if step[0] == 'scan' and step[1] else 'r'}{len(rels)}")
+            rel_of[number] = f"{'g' if step[0] == 'scan' and step[1] else 'r'}{len(rels)}"
+            rels.append(rel_of[number])
+    # The operands ordering comparisons read, each type-tested once.
+    tested = {term for step in steps if _ordering(step) for term in step[2:]}
     prologue = [f"    {_tuple(rels)} = rels"] if rels else []
     consts = [f"k{i}" for i in range(num_consts)] + ["V"] * decode
     if consts:
         prologue.append(f"    {_tuple(consts)} = k")
+    prologue += [f"    tk{i} = type(k{i}) in NUMERIC" for is_slot, i in sorted(tested) if not is_slot]
     prologue += [
         "    probes = scanned = matches = 0",
         "    due = gov.stride if gov is not None else 0",
@@ -376,31 +414,34 @@ def _kernel_source(shape, decode: bool = False) -> str:
     args = "rels, stats, live, k, prov, gov"
     lines = [f"def kernel({args}):", "    fresh = dict()", *prologue]
     done = "return matches, fresh"
-    bound = loops = chained = 0  # slots bound; loops open in, functions before, this one
+    # slots bound; loops open in this function, in all; functions before this one
+    bound = loops = depth = chained = 0
     counted = False  # whether the last scan added its bucket to ``matches`` whole
 
     def emit(line: str) -> None:
         lines.append("    " * (loops + 2) + line)
 
-    rel = 0
+    def test(slot: int) -> None:
+        if decode:
+            emit(f"v{slot} = V[s{slot}]")
+        emit(f"ts{slot} = type({'v' if decode else 's'}{slot}) in NUMERIC")
+
     for number, step in enumerate(steps):
         kind = step[0]
         skip = "continue" if loops else done
         if kind == "order":
             _, op, left, right = step
-            a, b, py = _term(left), _term(right), _PY_OP[op]
+            py = _PY_OP[op]
             if op in ("=", "!="):
-                emit(f"if not {a} {py} {b}: {skip}")
+                emit(f"if not {_term(left)} {py} {_term(right)}: {skip}")
             else:
-                if decode:
-                    a, b = (f"V[{_term(t)}]" if t[0] else _term(t) for t in (left, right))
+                a, b = (f"v{t[1]}" if decode and t[0] else _term(t) for t in (left, right))
                 emit(
-                    f"if not ({a} {py} {b} if type({a}) in NUMERIC and type({b}) in NUMERIC"
+                    f"if not ({a} {py} {b} if t{_term(left)} and t{_term(right)}"
                     f" else compare({a}, {b}, {op!r})): {skip}"
                 )
             continue
-        name = rels[rel]
-        rel += 1
+        name = rel_of[number]
         if kind == "exists":
             emit("probes += 1")
             emit(f"if {_tuple(map(_term, step[1]))} not in {name}: {skip}")
@@ -414,17 +455,31 @@ def _kernel_source(shape, decode: bool = False) -> str:
                 emit(f"matches += {call}")
                 lines += [*epilogue, f"    {done}", "", f"def {call}:", *prologue]
                 loops, done = 0, "return matches"
+                later = {t for s in steps[number:] if _ordering(s) for t in s[2:]}
+                for slot in range(bound):
+                    if (True, slot) in later:
+                        test(slot)
             names = ["_"] * arity
             for slot, pos in sets:
                 names[pos] = f"s{slot}"
             for slot, pos in checks:
                 names[pos] = f"c{pos}"
-            emit("probes += 1")
             if key:
                 # A one-column index is keyed by the bare value.
                 probe = _term(key[0]) if len(key) == 1 else _tuple(map(_term, key))
-                emit(f"rows = {name}({probe}, ())")
-                name = "rows"
+                if number in hoists:
+                    bucket = f"b{name[1:]}"
+                    emit(f"if {bucket} is None:")
+                    emit(f"    probes += 1")
+                    emit(f"    {bucket} = {name}({probe}, ())")
+                    emit(f"if not {bucket}: break")
+                    name = bucket
+                else:
+                    emit("probes += 1")
+                    emit(f"rows = {name}({probe}, ())")
+                    name = "rows"
+            else:
+                emit("probes += 1")
             emit(f"scanned += len({name})")
             emit("if gov is not None and scanned >= due: due = gov.tick_scan('rule', stats, scanned, len(fresh))")
             counted = number == len(steps) - 1 and not checks
@@ -432,13 +487,22 @@ def _kernel_source(shape, decode: bool = False) -> str:
                 emit(f"matches += len({name})")
             if identity:
                 break  # no loop: the set difference below is the whole join
+            for later, loop in hoists.items():
+                if loop == depth:
+                    emit(f"b{rel_of[later][1:]} = None")
             emit(f"for {_tuple(names)} in {name}:")
             loops += 1
+            depth += 1
             bound += len(sets)
             for slot, pos in checks:
                 emit(f"if s{slot} != c{pos}: continue")
+            for slot, _ in sets:
+                if (True, slot) in tested:
+                    test(slot)
     if identity:
-        emit("fresh = dict((h, h) for h in r0 if h not in live) if prov else r0 - live")
+        emit("if prov: fresh = dict((h, h) for h in r0 if h not in live)")
+        emit("elif type(r0) is set: fresh = r0 - live")
+        emit("else: fresh = list(filterfalse(live.__contains__, r0))")
     else:
         if not counted:
             emit("matches += 1")
@@ -462,7 +526,11 @@ def _compiled_kernel(shape, decode: bool = False):
     """
     source = _kernel_source(shape, decode)
     name = f"<plan:{hashlib.sha1(source.encode()).hexdigest()[:12]}>"
-    namespace = {"compare": evaluate_comparison, "NUMERIC": (int, float)}
+    namespace = {
+        "compare": evaluate_comparison,
+        "NUMERIC": (int, float),
+        "filterfalse": filterfalse,
+    }
     exec(compile(source, name, "exec"), namespace)
     # Popped, so the function is not in a cycle with its globals and
     # dies (finalizer included) with the last plan that holds it.
@@ -513,6 +581,7 @@ class RulePlan:
         "steps",
         "rel_specs",
         "_support_layouts",
+        "_shape",
         "_kernel",
         "_consts",
         "_roles",
@@ -619,15 +688,16 @@ class RulePlan:
         self.rel_specs = rel_specs
         self._support_layouts = None  # built by the first support_rows call
         shape, self._consts, self._roles = _plan_shape(steps, head_layout, self.num_slots)
+        self._shape = shape
         self._kernel = _compiled_kernel(shape)
-        #: the shape again when a run over codes needs the decoding variant
-        self._decoding = shape if _orders_slots(shape) else None
+        #: whether a run over codes needs the decoding variant
+        self._decoding = _orders_slots(shape)
 
     # ------------------------------------------------------------------
     def run(
         self,
         relation_of,
-        delta_relation: Relation | None,
+        delta_relation: "Relation | Frontier | None",
         live: set,
         support: bool,
         stats,
@@ -639,7 +709,8 @@ class RulePlan:
 
         ``fresh`` holds each head row that ``live`` — the head relation's
         row set — does not.  For a renaming rule without ``support`` it
-        is the set ``scanned - live``; otherwise an insertion-ordered
+        is ``scanned - live``, a set, or a list when the scan is a
+        :class:`~repro.datalog.database.Frontier`; otherwise an insertion-ordered
         dict, in order of first appearance, mapping each row to ``None``
         or under ``support`` to the slot tuple of its first match.
         ``relation_of(predicate, arity)`` resolves non-delta relations;
@@ -680,8 +751,8 @@ class RulePlan:
                 value if role is None else getattr(interner, role)(value)
                 for value, role in zip(consts, self._roles)
             )
-            if self._decoding is not None:
-                kernel = _compiled_kernel(self._decoding, True)
+            if self._decoding:
+                kernel = _compiled_kernel(self._shape, True)
                 consts += (interner.values,)
         stats.env_allocations += 1
         matches, fresh = kernel(rels, stats, live, consts, support, governor)
@@ -709,8 +780,15 @@ class RulePlan:
         ]
 
     def describe(self) -> str:
-        """One line per step — the plan the profiler and traces report."""
-        return "; ".join(step.describe() for step in self.steps)
+        """One line per step — the plan the profiler and traces report.
+
+        A scan whose key an outer loop fixes says which (:func:`_hoists`).
+        """
+        hoists = _hoists(self._shape[0])
+        return "; ".join(
+            step.describe() + (f" hoisted to loop {hoists[number]}" if number in hoists else "")
+            for number, step in enumerate(self.steps)
+        )
 
     def source(self) -> str:
         """The generated kernel's source (``<plan:…>`` in tracebacks)."""

@@ -50,7 +50,7 @@ import signal
 import time
 import traceback
 
-from ..datalog.database import Database
+from ..datalog.database import Database, Frontier
 from ..datalog.evaluation import EvaluationStats
 from ..datalog.plan import DEFAULT_IDB_ESTIMATE, compile_rule
 from ..digest import workload_digest
@@ -214,11 +214,11 @@ class _WorkerState:
             self.frontier = {}
         delta = {}
         for pred, rows in delta_rows.items():
-            relation = self.database.new_relation(self.program.arity_of(pred))
+            frontier = Frontier(self.program.arity_of(pred))
             # Distinct: a shard of the master's frontier, or (aligned, after
             # the first round) the rows this worker accepted last round.
-            relation.add_fresh(rows)
-            delta[pred] = relation
+            frontier.add_fresh(rows)
+            delta[pred] = frontier
 
         # Workers must never mint codes: every value a plan can produce
         # (head constants included) was pre-interned by the master, so

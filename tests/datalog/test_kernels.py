@@ -227,7 +227,14 @@ ABORT_WORKLOADS = {
 #: read 153 rows scanned until renaming rules became a set difference:
 #: the set's rows reach the head's indexes and the frontier in another
 #: order, so the aborted firing's bucket boundary moved by one row;
-#: every other counter and the digest did not move.
+#: every other counter and the digest did not move.  Three moved again
+#: when frontiers became lists in derivation order and keyed probes
+#: fixed by an outer loop began to be made once per row of that loop:
+#: the aborted firing walks its delta in another order, so the trip
+#: lands elsewhere in it — ``("random3", 600)`` read 90 probes and 605
+#: rows scanned, ``("random5", 40)`` 42 rows scanned and ``("random5",
+#: 150)`` 57 probes; allocations, trips, firings, facts and the partial
+#: digest did not move.
 ABORT_GOLDEN = {
     ("ab", 1): (1, 16, 1, 1, 0, 0, "e6cefa4a7911ebaf"),
     ("ab", 7): (1, 16, 1, 1, 0, 0, "e6cefa4a7911ebaf"),
@@ -237,12 +244,12 @@ ABORT_GOLDEN = {
     ("goodpath", 40): (2, 60, 32, 1, 30, 30, "eec1e8fc3d9ea2d3"),
     ("random3", 40): (2, 46, 25, 1, 23, 23, "0e47d39068d6aef3"),
     ("random3", 150): (31, 154, 77, 1, 74, 57, "cd399b06d9d1969d"),
-    ("random3", 600): (90, 605, 206, 1, 202, 83, "76658721532986b6"),
+    ("random3", 600): (88, 601, 206, 1, 202, 83, "76658721532986b6"),
     ("random5", 1): (1, 4, 1, 1, 0, 0, "93a6010a4946bbb8"),
     ("random5", 2): (1, 4, 1, 1, 0, 0, "93a6010a4946bbb8"),
     ("random5", 7): (5, 9, 1, 1, 0, 0, "93a6010a4946bbb8"),
-    ("random5", 40): (20, 42, 24, 1, 20, 15, "70c4d5db67a13416"),
-    ("random5", 150): (57, 150, 73, 1, 65, 42, "bb29ff9f7a17aafd"),
+    ("random5", 40): (20, 40, 24, 1, 20, 15, "70c4d5db67a13416"),
+    ("random5", 150): (67, 150, 73, 1, 65, 42, "bb29ff9f7a17aafd"),
 }
 
 
@@ -307,16 +314,19 @@ def _random_rule_database(rng, rule):
 #: seed -> rule_firings, facts_derived, iterations, probes summed over
 #: the seed's 40 random rules (plain runs).  Recorded when an
 #: interpreter joining in the kernel's body order still checked them
-#: rule by rule.
+#: rule by rule.  Seeds 0, 4 and 7 read 66, 122 and 82 probes until a
+#: probe keyed only by constants or outer-loop slots was made once per
+#: row of the loop fixing its key, not once per row of the loop it sits
+#: in; the other counters did not move.
 ONE_KERNEL_COUNTS = {
-    0: (36, 21, 0, 66),
+    0: (36, 21, 0, 64),
     1: (84, 41, 0, 83),
     2: (44, 14, 0, 68),
     3: (41, 22, 0, 81),
-    4: (71, 35, 0, 122),
+    4: (71, 35, 0, 121),
     5: (29, 13, 0, 62),
     6: (40, 22, 0, 89),
-    7: (66, 39, 0, 82),
+    7: (66, 39, 0, 80),
 }
 
 

@@ -6,6 +6,7 @@ from repro.datalog.database import Database, Relation
 from repro.datalog.evaluation import EvaluationStats, evaluate
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.plan import SELECTIVITY, compile_rule, order_body_cost
+from repro.observability import RingBufferSink, tracing
 
 
 def _unit(literal):
@@ -138,6 +139,36 @@ class TestCompiledPlan:
             "        stats.rows_scanned += scanned\n"
             "    return matches, fresh\n"
         )
+
+    def test_describe_marks_a_hoisted_probe_with_its_loop(self):
+        # parent(V1, YP) is keyed by YP, which the delta row binds.
+        text = "sg_2(V0, V1) :- parent(V0, XP), sg_2(XP, YP), parent(V1, YP)."
+        plan = compile_rule(parse_rule(text), 1, size_of=_unit)
+        assert plan.describe() == (
+            "scan* sg_2(XP, YP) full; scan parent(V0, XP) key=[1]; "
+            "scan parent(V1, YP) key=[1] hoisted to loop 1"
+        )
+        assert plan.source().count("probes += 1") == 3
+        assert "            b2 = None\n            for (s2, _) in rows:\n" in plan.source()
+        # A key of constants only is fixed by the firing itself: loop 0.
+        sizes = {"e": 1.0, "f": 1.0, "g": 1000.0}
+        plan = compile_rule(
+            parse_rule("q(X, W) :- e(X, Z), f(Z, Y), g(3, W)."),
+            size_of=lambda lit: sizes[lit.predicate],
+        )
+        assert plan.describe() == (
+            "scan e(X, Z) full; scan f(Z, Y) key=[0]; scan g(3, W) key=[0] hoisted to loop 0"
+        )
+        # The ``plan`` trace event, which ``repro profile`` reports, says so too.
+        program = parse_program("sg_2(X, Y) :- sibling(X, Y).\n" + text, query="sg_2")
+        database = Database.from_rows({"sibling": [(1, 2)], "parent": [(3, 1), (4, 2)]})
+        with tracing(RingBufferSink()) as tracer:
+            evaluate(program, database)
+        steps = [event.attrs["steps"] for event in tracer.sinks[0] if event.name == "plan"]
+        assert [step for step in steps if "hoisted" in step] == [
+            "scan* sg_2(XP, YP) full; scan parent(V0, XP) key=[1]; "
+            "scan parent(V1, YP) key=[1] hoisted to loop 1"
+        ]
 
     def test_plans_of_one_shape_share_their_functions(self):
         first = compile_rule(parse_rule('p(X, 1) :- e(X, Y), Y < 3, not b(Y, "u").'), size_of=_unit)
