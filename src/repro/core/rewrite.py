@@ -12,10 +12,14 @@ incorporates* its integrity constraints:
 3. run the [LMSS93]-style order propagation preprocessing;
 4. bottom-up adornments, top-down query tree, pruning;
 5. extract the rewritten program ``P'`` from the surviving rule nodes,
-   naming adorned predicates ``p_1, p_2, ...`` and bridging the query
-   predicate over its surviving adornments;
+   naming adorned predicates ``p_1, p_2, ...``.  A query predicate with
+   one surviving class keeps its own name for that class; one with
+   several is bridged over them by renaming rules ``p(V̄) :- p_k(V̄).``,
+   which make it a union view: evaluation reads it as the union of its
+   classes and copies no row (:attr:`Program.union_views`);
 6. inject single-literal residue negations (CGM88) into the rules of
-   ``P'``.
+   ``P'``, then read an EDB relation directly wherever an IDB predicate
+   only renamed it (``sg_1`` → ``sibling``).
 
 The :class:`OptimizationReport` carries every intermediate artifact so
 examples and benchmarks can show the whole story.
@@ -23,6 +27,7 @@ examples and benchmarks can show the whole story.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -139,7 +144,12 @@ class OptimizationReport:
         if self.tree.roots:
             sections.append("== Query tree ==\n" + self.tree.render())
         if self.program is not None:
-            sections.append("== Rewritten program P' ==\n" + repr(self.program))
+            rewritten = repr(self.program)
+            for view, members in self.program.union_views.items():
+                rewritten += (
+                    f"\n% {view} is read as the union of {', '.join(members)}"
+                )
+            sections.append("== Rewritten program P' ==\n" + rewritten)
         else:
             sections.append(
                 "== Rewritten program P' ==\n(empty: the query is unsatisfiable "
@@ -163,7 +173,13 @@ def _class_nodes(tree: QueryTree) -> dict[tuple, GoalNode]:
 def _assign_names(
     classes: dict[tuple, GoalNode], tree: QueryTree, query: str
 ) -> dict[tuple, str]:
-    """Stable names ``p_1, p_2, ...`` per predicate, avoiding collisions."""
+    """Stable names ``p_1, p_2, ...`` per predicate, avoiding collisions.
+
+    When the query predicate has a single surviving root class, that
+    class is named after the query predicate itself: it *is* the
+    query's relation, so no bridge rule has to copy it.
+    """
+    roots = {root.resolved().class_key() for root in tree.surviving_roots()}
     taken = set(tree.adornment_result.program.idb_predicates)
     taken |= set(tree.adornment_result.program.edb_predicates)
     by_predicate: dict[str, list[tuple]] = {}
@@ -182,6 +198,8 @@ def _assign_names(
                 candidate += "x"
             taken.add(candidate)
             names[key] = candidate
+    if len(roots) == 1 and roots <= names.keys():
+        names[roots.pop()] = query
     return names
 
 
@@ -204,12 +222,13 @@ def _rules_from_tree(
             if canon not in seen:
                 seen.add(canon)
                 rules.append(new_rule)
-    # Bridge the query predicate over its surviving root classes.
+    # Bridge the query predicate over its surviving root classes (a
+    # single one already carries the query predicate's name).
     bridge_args = tuple(Variable(f"V{i}") for i in range(arity))
     for root in tree.surviving_roots():
         key = root.resolved().class_key()
         name = names.get(key)
-        if name is None:
+        if name is None or name == query:
             continue
         rules.append(
             Rule(Atom(query, bridge_args), (Literal(Atom(name, bridge_args)),))
@@ -237,6 +256,44 @@ def _render_rule_node(
         else:
             body.append(item)
     return Rule(Atom(head_name, instance.head.args), tuple(body))
+
+
+def _inline_edb_renamings(program: Program) -> Program:
+    """Read an EDB relation where ``P'`` only renamed it.
+
+    An IDB predicate other than the query whose only rule is an
+    identity renaming of an EDB relation (``sg_1(XP, YP) :-
+    sibling(XP, YP).``) is that relation: the rule goes and the bodies
+    read the relation itself.  Repeated until no such predicate is left.
+    """
+    rules = program.rules
+    while True:
+        heads = Counter(rule.head.predicate for rule in rules)
+        alias = {}
+        for rule in rules:
+            head, member = rule.head.predicate, rule.renamed_predicate()
+            if (
+                member is not None
+                and member not in heads
+                and heads[head] == 1
+                and head != program.query
+            ):
+                alias[head] = member
+        if not alias:
+            break
+        rules = tuple(dict.fromkeys(
+            Rule(rule.head, tuple(
+                Literal(Atom(alias[item.predicate], item.args), item.positive)
+                if isinstance(item, Literal) and item.predicate in alias
+                else item
+                for item in rule.body
+            ))
+            for rule in rules
+            if rule.head.predicate not in alias
+        ))
+    if rules is program.rules:
+        return program
+    return Program(rules, program.query, validate=False)
 
 
 def _canonical_rule_key(rule: Rule) -> tuple:
@@ -420,6 +477,8 @@ def optimize(
                     if not rewritten.rules_for(query):
                         rewritten = None
                         satisfiable = False
+            if rewritten is not None:
+                rewritten = _inline_edb_renamings(rewritten)
 
         if trace_on:
             opt_span.set(

@@ -44,6 +44,7 @@ __all__ = [
     "Interner",
     "Relation",
     "ColumnarRelation",
+    "UnionView",
     "Database",
 ]
 
@@ -448,6 +449,65 @@ class Frontier:
 
     def __repr__(self) -> str:
         return f"Frontier(arity={self.arity}, rows={len(self._rows)})"
+
+
+class UnionView:
+    """A relation that is the union of ``members``, read on demand.
+
+    What an evaluation hands out for a union view
+    (:attr:`~repro.datalog.program.Program.union_views`): no row is
+    stored, so the view is always as current as its members — the live
+    relations an ingest extends in place.  It reads like a
+    :class:`Relation` through the value API (``len``, ``in``,
+    iteration, ``rows``, ``probe``, ``to_rows``) and ``all_rows``; a
+    probe asks each member's own index.  The members share one storage
+    (one database's relations), so on codes the union is taken before
+    anything is decoded.
+    """
+
+    __slots__ = ("arity", "members")
+
+    def __init__(self, arity: int, members: Sequence[Relation]):
+        self.arity = arity
+        self.members = tuple(members)
+
+    def all_rows(self) -> "set[Row] | frozenset[Row]":
+        """The stored rows of every member (codes on columnar storage)."""
+        if len(self.members) == 1:
+            return self.members[0].all_rows()
+        return frozenset().union(*(m.all_rows() for m in self.members))
+
+    def _decoded(self, rows: Iterable[Row]) -> Iterable[Row]:
+        first = self.members[0]
+        return first._decoded(rows) if isinstance(first, ColumnarRelation) else rows
+
+    def rows(self) -> frozenset[Row]:
+        return frozenset(self._decoded(self.all_rows()))
+
+    def __len__(self) -> int:
+        return len(self.all_rows())
+
+    def __contains__(self, row: Sequence[Value]) -> bool:
+        return any(row in member for member in self.members)
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.rows())
+
+    def probe(self, positions: tuple[int, ...], key: Row) -> list[Row]:
+        """Rows whose projection on ``positions`` equals ``key``, each
+        once, from every member's index."""
+        if len(self.members) == 1:
+            return self.members[0].probe(positions, key)
+        found: dict = {}
+        for member in self.members:
+            found.update(dict.fromkeys(member.probe(positions, key)))
+        return list(found)
+
+    def to_rows(self) -> list[Row]:
+        return sorted(self.rows(), key=repr)
+
+    def __repr__(self) -> str:
+        return f"UnionView(arity={self.arity}, members={len(self.members)})"
 
 
 _value_of = attrgetter("value")

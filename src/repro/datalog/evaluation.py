@@ -56,7 +56,7 @@ from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import EvaluationAborted
 from .atoms import Atom, Literal
-from .database import Database, Frontier, Relation, Row
+from .database import Database, Frontier, Relation, Row, UnionView
 from .plan import DEFAULT_IDB_ESTIMATE, RulePlan, compile_rule
 from .program import Program
 from .rules import Rule
@@ -190,7 +190,11 @@ Fact = tuple[str, Row]
 
 @dataclass
 class EvaluationResult:
-    """The computed IDB plus statistics and (optionally) provenance."""
+    """The computed IDB plus statistics and (optionally) provenance.
+
+    ``idb`` holds the relations the fixpoint stored: one per IDB
+    predicate but the union views, which :meth:`relation` reads from
+    their members."""
 
     idb: dict[str, Relation]
     stats: EvaluationStats
@@ -202,15 +206,29 @@ class EvaluationResult:
     #: :func:`repro.parallel.engine.evaluate_sharded` only.
     shards: dict | None = None
 
-    def relation(self, predicate: str) -> Relation:
-        """The computed relation for an IDB predicate (empty if none derived)."""
+    def relation(self, predicate: str) -> "Relation | UnionView":
+        """The relation of any predicate of the program.
+
+        An IDB predicate reads its computed relation, a union view
+        (:attr:`Program.union_views`) the union of its members', and an
+        EDB predicate the database's relation (empty if it holds none).
+        """
+        program = self.program
+        members = program.union_views.get(predicate)
+        if members is not None:
+            parts = [self.relation(member) for member in members]
+            own = self.idb.get(predicate)  # a ``seed_fact`` on the view
+            if own is not None:
+                parts.append(own)
+            return UnionView(program.arity_of(predicate), parts)
         rel = self.idb.get(predicate)
         if rel is not None:
             return rel
         try:
-            return Relation(self.program.arity_of(predicate))
+            arity = program.arity_of(predicate)
         except KeyError:
-            raise KeyError(f"unknown IDB predicate {predicate}") from None
+            raise KeyError(f"unknown predicate {predicate}") from None
+        return self.database.relation(predicate, arity)
 
     def rows(self, predicate: str) -> frozenset[Row]:
         return self.relation(predicate).rows()
@@ -399,9 +417,11 @@ class _Driver:
             self.idb = idb = live.idb
             self.added = []
         else:
+            views = program.union_views
             self.idb = idb = {
                 pred: database.new_relation(program.arity_of(pred))
                 for pred in program.idb_predicates
+                if pred not in views
             }
             if seed_fact is not None and seed_fact[0] not in idb:
                 # No rule derives the fact's predicate: the row is all of it.
@@ -515,7 +535,7 @@ class _Driver:
         """The fixpoint so far: the final result, or an abort's partial."""
         self.sync_intern_hits()
         self.stats.wall_time_seconds = self.elapsed()
-        return EvaluationResult(
+        result = EvaluationResult(
             idb=self.idb,
             stats=self.stats,
             program=self.program,
@@ -523,6 +543,18 @@ class _Driver:
             provenance=self.prov,
             shards=shards,
         )
+        if self.prov is not None:
+            # A union view's rows are not derived; each is explained by
+            # the renaming rule of the first member that holds it.
+            views = self.program.union_views
+            for rule in self.program.rules:
+                if rule.head.predicate in views:
+                    member = rule.renamed_predicate()
+                    for row in result.relation(member):
+                        self.prov.setdefault(
+                            (rule.head.predicate, row), (rule, ((member, row),))
+                        )
+        return result
 
     # -- the run -------------------------------------------------------
     def run(

@@ -139,15 +139,39 @@ class Program:
         return graph
 
     @cached_property
+    def union_views(self) -> Mapping[str, tuple[str, ...]]:
+        """The IDB predicates that are the union of other relations.
+
+        A *union view* ``q`` is read by no rule body, and every rule for
+        it is an identity renaming ``q(V̄) :- r(V̄)``
+        (:meth:`~repro.datalog.rules.Rule.renamed_predicate`).  It maps
+        to its members ``r`` in rule order.  No fixpoint fires those
+        rules: an evaluation stores no row of ``q`` and reads it as the
+        union of its members' relations."""
+        read = {p for rule in self.rules for p in rule.body_predicates()}
+        renamed: dict[str, list[str | None]] = {}
+        for rule in self.rules:
+            renamed.setdefault(rule.head.predicate, []).append(rule.renamed_predicate())
+        return {
+            head: tuple(dict.fromkeys(members))
+            for head, members in renamed.items()
+            if head not in read and None not in members
+        }
+
+    @cached_property
     def schedule(self) -> tuple[tuple, ...]:
         """What a semi-naive run needs of each SCC of the dependency
         graph, in topological order: ``(members, recursive, rules, exit
         rules, delta rules)`` — exit rules have no positive subgoal in
         the SCC, delta rules are ``(rule index, rule, body position)``
-        per positive subgoal in it."""
+        per positive subgoal in it.  A union view's SCC is left out:
+        a run fires none of its rules."""
         graph = self.dependency_graph
+        views = self.union_views
         schedule = []
         for component in _sccs(graph):
+            if component[0] in views:  # a view is read by nothing: a lone SCC
+                continue
             members = frozenset(component)
             rules = [(i, r) for i, r in enumerate(self.rules) if r.head.predicate in members]
             delta_rules = tuple(

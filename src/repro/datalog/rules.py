@@ -91,6 +91,25 @@ class Rule:
     def is_fact(self) -> bool:
         return not self.body and self.head.is_ground()
 
+    def renamed_predicate(self) -> str | None:
+        """``r`` when the rule is an identity renaming ``q(V̄) :- r(V̄)``
+        (one positive literal, distinct variables, same order, ``r`` not
+        ``q``); ``None`` otherwise."""
+        if len(self.body) != 1:
+            return None
+        item = self.body[0]
+        args = self.head.args
+        if (
+            not isinstance(item, Literal)
+            or not item.positive
+            or item.args != args
+            or item.predicate == self.head.predicate
+            or not all(map(is_variable, args))
+            or len(set(args)) != len(args)
+        ):
+            return None
+        return item.predicate
+
     # ------------------------------------------------------------------
     # Variables and safety
     # ------------------------------------------------------------------

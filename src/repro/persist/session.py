@@ -560,9 +560,13 @@ class Session:
 
     def _restore(self, snapshot: EvaluationSnapshot) -> EvaluationResult:
         """Make a complete snapshot's IDB the live fixpoint (no evaluation)."""
+        # A union view stores nothing: rows an older checkpoint holds
+        # for one are dropped, and the view reads its live members.
+        views = self.program.union_views
         idb = {
             pred: self.database.new_relation(self.program.arity_of(pred))
             for pred in self.program.idb_predicates
+            if pred not in views
         }
         for pred, rows in snapshot.idb.items():
             if pred in idb:

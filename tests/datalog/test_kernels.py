@@ -234,7 +234,9 @@ ABORT_WORKLOADS = {
 #: lands elsewhere in it — ``("random3", 600)`` read 90 probes and 605
 #: rows scanned, ``("random5", 40)`` 42 rows scanned and ``("random5",
 #: 150)`` 57 probes; allocations, trips, firings, facts and the partial
-#: digest did not move.
+#: digest did not move.  The three ``random3`` digests moved when
+#: ``q(X, Y) :- p2(X, Y).`` became a union view: its empty relation left
+#: the partial IDB; no counter moved.
 ABORT_GOLDEN = {
     ("ab", 1): (1, 16, 1, 1, 0, 0, "e6cefa4a7911ebaf"),
     ("ab", 7): (1, 16, 1, 1, 0, 0, "e6cefa4a7911ebaf"),
@@ -242,9 +244,9 @@ ABORT_GOLDEN = {
     ("ab", 150): (69, 160, 76, 1, 71, 57, "870f30afeab71969"),
     ("goodpath", 2): (1, 30, 1, 1, 0, 0, "d1495a64fdbece72"),
     ("goodpath", 40): (2, 60, 32, 1, 30, 30, "eec1e8fc3d9ea2d3"),
-    ("random3", 40): (2, 46, 25, 1, 23, 23, "0e47d39068d6aef3"),
-    ("random3", 150): (31, 154, 77, 1, 74, 57, "cd399b06d9d1969d"),
-    ("random3", 600): (88, 601, 206, 1, 202, 83, "76658721532986b6"),
+    ("random3", 40): (2, 46, 25, 1, 23, 23, "4cfe85578d2cc2b5"),
+    ("random3", 150): (31, 154, 77, 1, 74, 57, "7a2ce4850fdeef0e"),
+    ("random3", 600): (88, 601, 206, 1, 202, 83, "ac651ce59441abf0"),
     ("random5", 1): (1, 4, 1, 1, 0, 0, "93a6010a4946bbb8"),
     ("random5", 2): (1, 4, 1, 1, 0, 0, "93a6010a4946bbb8"),
     ("random5", 7): (5, 9, 1, 1, 0, 0, "93a6010a4946bbb8"),
@@ -317,16 +319,19 @@ def _random_rule_database(rng, rule):
 #: rule by rule.  Seeds 0, 4 and 7 read 66, 122 and 82 probes until a
 #: probe keyed only by constants or outer-loop slots was made once per
 #: row of the loop fixing its key, not once per row of the loop it sits
-#: in; the other counters did not move.
+#: in; the other counters did not move.  Seeds 0, 1, 2, 5, 6 and 7 fell
+#: again when a rule ``h(V̄) :- r(V̄).`` made ``h`` a union view that no
+#: kernel fills: (36, 21, 0, 64), (84, 41, 0, 83), (44, 14, 0, 68),
+#: (29, 13, 0, 62), (40, 22, 0, 89) and (66, 39, 0, 80) before.
 ONE_KERNEL_COUNTS = {
-    0: (36, 21, 0, 64),
-    1: (84, 41, 0, 83),
-    2: (44, 14, 0, 68),
+    0: (36, 21, 0, 62),
+    1: (80, 37, 0, 81),
+    2: (41, 11, 0, 65),
     3: (41, 22, 0, 81),
     4: (71, 35, 0, 121),
-    5: (29, 13, 0, 62),
-    6: (40, 22, 0, 89),
-    7: (66, 39, 0, 80),
+    5: (29, 13, 0, 61),
+    6: (40, 22, 0, 88),
+    7: (58, 31, 0, 77),
 }
 
 
@@ -397,18 +402,22 @@ def _with_extras(seed):
 
 #: seed -> iterations, rule_firings, facts_derived of ``_with_extras``.
 #: Recorded while an interpreter in greedy body order still matched them.
+#: Where ``q(X, Y) :- p2(X, Y).`` is unguarded, ``q`` became a union view
+#: and firings and facts fell by ``q``'s rows (seed 0 read 1076 and 279,
+#: 1: 1152, 310; 2: 5866, 523; 3: 3822, 514; 4: 4265, 510; 6: 2196, 408;
+#: 8: 783, 388; 9: 3530, 408; 10: 858, 459).
 EXTRAS_COUNTS = {
-    0: (8, 1076, 279),
-    1: (8, 1152, 310),
-    2: (5, 5866, 523),
-    3: (6, 3822, 514),
-    4: (5, 4265, 510),
+    0: (8, 1010, 213),
+    1: (8, 1105, 263),
+    2: (5, 5745, 402),
+    3: (6, 3686, 378),
+    4: (5, 4156, 401),
     5: (11, 606, 326),
-    6: (10, 2196, 408),
+    6: (10, 2090, 302),
     7: (3, 387, 167),
-    8: (4, 783, 388),
-    9: (10, 3530, 408),
-    10: (12, 858, 459),
+    8: (4, 676, 281),
+    9: (10, 3442, 320),
+    10: (12, 724, 325),
     11: (7, 4530, 419),
 }
 
@@ -434,7 +443,13 @@ def test_executors_agree_on_digest_and_counters(seed):
 # ----------------------------------------------------------------------
 #: A renaming rule ``p(X, Y) :- q(X, Y).`` in each place it can stand.
 IDENTITY_CASES = {
-    "edb": ("p(X, Y) :- e(X, Y).", {"e": [(i, (i * 7) % 13) for i in range(40)]}),
+    # ``r`` reads ``p``: without it ``p`` is the union view below.
+    "edb": (
+        "p(X, Y) :- e(X, Y).\nr(X) :- p(X, X).",
+        {"e": [(i, (i * 7) % 13) for i in range(40)]},
+    ),
+    # Read by no rule: a union view of ``e``, which no kernel fills.
+    "view": ("p(X, Y) :- e(X, Y).", {"e": [(i, (i * 7) % 13) for i in range(40)]}),
     # q :- p fires as a delta rule of the recursive SCC {p, q}.
     "delta": (
         "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), q(Z, Y).\nq(X, Y) :- p(X, Y).",
@@ -456,8 +471,12 @@ IDENTITY_CASES = {
 
 #: name -> ``PINNED`` counters and the fixpoint digest, recorded from the
 #: nested-loop kernel (on both storages; every other counter is 0).
+#: ``edb`` was the lone ``p(X, Y) :- e(X, Y).`` — (0, 40, 40, 40, 1, 0,
+#: 41) — until such a predicate became a union view (``view``, no work);
+#: it now adds ``r``'s one scan, (0, 1, 1, 40, 1, 0, 2) when run alone.
 IDENTITY_GOLDEN = {
-    "edb": ((0, 40, 40, 40, 1, 0, 41), "d73a6da169cebe94"),
+    "edb": ((0, 41, 41, 80, 2, 0, 43), "ee106f097466cf17"),
+    "view": ((0, 0, 0, 0, 0, 0, 0), "2d711642b726b044"),
     "delta": ((26, 351, 338, 520, 196, 1, 378), "9c0c5c356fe621f7"),
     "indexed_head": ((6, 95, 68, 163, 86, 2, 113), "1882fd90bddadbde"),
     "own_head": ((1, 50, 25, 50, 2, 0, 52), "14aa6cc4c4539c46"),
@@ -513,15 +532,18 @@ def test_renaming_rule_supports_each_row_by_itself(name, storage):
 COPY_TRIPS = {
     # The copy's one bucket passes its check with nothing fresh yet; the
     # check after the firing trips.
-    "max_facts": (1000, 1000, 1000, {"p": 500, "c": 500}),
+    "max_facts": (1000, 1000, 1000, {"p": 500, "c": 500, "loop": 0}),
     # The copy's bucket trips inside the kernel: none of its rows is added.
-    "max_rows_scanned": (1000, 500, 500, {"p": 500, "c": 0}),
+    "max_rows_scanned": (1000, 500, 500, {"p": 500, "c": 0, "loop": 0}),
 }
 
 
 @pytest.mark.parametrize("limit", sorted(COPY_TRIPS))
 def test_budget_over_a_copy_trips_where_the_nested_loop_did(limit):
-    program = parse_program("p(X, Y) :- e(X, Y).\nc(X, Y) :- p(X, Y).", query="c")
+    # ``loop`` reads ``c``, so ``c`` is a stored copy, not a union view.
+    program = parse_program(
+        "p(X, Y) :- e(X, Y).\nc(X, Y) :- p(X, Y).\nloop(X) :- c(X, X).", query="c"
+    )
     database = Database.from_rows({"e": [(i, i + 1) for i in range(500)]})
     with pytest.raises(BudgetExceededError) as caught:
         evaluate(program, database, budget=Budget(**{limit: 510}))

@@ -103,7 +103,8 @@ class TestCompiledPlan:
             compile_rule(rule, size_of=_unit)
 
     def test_plan_run_counts_env_allocations(self):
-        program = parse_program("p(X, Y) :- e(X, Y).", query="p")
+        # A filter, so ``p`` is no union view of ``e`` and the rule runs.
+        program = parse_program("p(X, Y) :- e(X, Y), X < Y.", query="p")
         database = Database.from_rows({"e": [(1, 2), (3, 4)]})
         result = evaluate(program, database)
         # One slot-list per rule execution plus one tuple per result row.

@@ -35,8 +35,10 @@ def _workload(seed):
 
 
 def _idb_rows(result):
+    # Every IDB predicate, union views (stored nowhere) included.
     return {
-        predicate: relation.rows() for predicate, relation in result.idb.items()
+        predicate: result.rows(predicate)
+        for predicate in result.program.idb_predicates
     }
 
 
