@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 from ..constraints.dense_order import OrderConstraintSet
 from ..constraints.integrity import IntegrityConstraint
 from ..cq.homomorphism import extend_homomorphism
-from ..datalog.atoms import Atom, Literal, OrderAtom
+from ..datalog.atoms import Atom, OrderAtom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Substitution, Term, Variable
@@ -110,10 +110,6 @@ class Triplet:
 
     def is_trivial(self) -> bool:
         return not self.sigma and bool(self.unmapped)
-
-    def is_inconsistent(self) -> bool:
-        """All EDB atoms of the ic are mapped."""
-        return not self.unmapped
 
     def render(self, constraints: Sequence[IntegrityConstraint]) -> str:
         ic = constraints[self.ic]

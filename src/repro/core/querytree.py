@@ -34,10 +34,9 @@ from ..constraints.dense_order import OrderConstraintSet
 from ..constraints.integrity import IntegrityConstraint
 from ..observability.trace import get_tracer
 from ..robustness.budget import Budget, Governor
-from ..datalog.atoms import Atom, Literal, OrderAtom
-from ..datalog.program import Program
+from ..datalog.atoms import Atom
 from ..datalog.rules import Rule
-from ..datalog.terms import Constant, Substitution, Term, Variable, fresh_variables
+from ..datalog.terms import Constant, Term, Variable
 from ..datalog.unify import unify_atoms
 from .adornments import AdornedRule, AdornmentResult, FrontierTable, Triplet
 
@@ -153,10 +152,6 @@ class QueryTree:
             yield node
             for rule_node in node.children:
                 stack.extend(rule_node.subgoals)
-
-    def all_rule_nodes(self) -> Iterable[RuleNode]:
-        for goal in self.all_goal_nodes():
-            yield from goal.children
 
     def render(self) -> str:
         return "\n\n".join(root.render(self.constraints) for root in self.roots)

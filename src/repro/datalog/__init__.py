@@ -4,10 +4,8 @@ from .._lazy import lazy_exports
 from .atoms import Atom, BodyItem, Literal, OrderAtom
 from .database import Database, Relation
 from .evaluation import (
-    DerivationNode,
     EvaluationResult,
     EvaluationStats,
-    derivation_tree,
     evaluate,
     evaluate_query,
 )
@@ -43,10 +41,8 @@ __all__ = [
     "OrderAtom",
     "Database",
     "Relation",
-    "DerivationNode",
     "EvaluationResult",
     "EvaluationStats",
-    "derivation_tree",
     "evaluate",
     "evaluate_query",
     "ParseError",

@@ -131,9 +131,6 @@ class Atom:
         """Apply a substitution to every argument."""
         return Atom(self.predicate, tuple(theta.apply(t) for t in self.args))
 
-    def rename_predicate(self, new_name: str) -> "Atom":
-        return Atom(new_name, self.args)
-
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
         return f"{self.predicate}({inner})"

@@ -40,10 +40,6 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
   every rule execution a ``rule`` span carrying its wall time plus the
   per-rule deltas of the work counters.  With the default disabled
   tracer none of this fires — the hot path pays one boolean check.
-* With ``provenance=True`` the engine records, for each derived fact,
-  the first rule instantiation that produced it; :func:`derivation_tree`
-  then reconstructs a ground derivation tree in the paper's sense (goal
-  nodes alternating with rule nodes, EDB literals at the leaves).
 """
 
 from __future__ import annotations
@@ -55,20 +51,17 @@ from typing import Callable, Mapping, Sequence
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import EvaluationAborted
-from .atoms import Atom, Literal
+from .atoms import Literal
 from .database import Database, Frontier, Relation, Row, UnionView
 from .plan import DEFAULT_IDB_ESTIMATE, RulePlan, compile_rule
 from .program import Program
 from .rules import Rule
-from .terms import Constant
 
 __all__ = [
     "EvaluationStats",
     "EvaluationResult",
-    "DerivationNode",
     "evaluate",
     "evaluate_query",
-    "derivation_tree",
 ]
 
 
@@ -184,13 +177,10 @@ class EvaluationStats:
 #: :meth:`~EvaluationStats.from_dict` are derived from.
 _INT_COUNTERS = tuple(f.name for f in fields(EvaluationStats) if f.type == "int")
 
-#: A ground fact key: (predicate, row of values).
-Fact = tuple[str, Row]
-
 
 @dataclass
 class EvaluationResult:
-    """The computed IDB plus statistics and (optionally) provenance.
+    """The computed IDB plus statistics.
 
     ``idb`` holds the relations the fixpoint stored: one per IDB
     predicate but the union views, which :meth:`relation` reads from
@@ -200,7 +190,6 @@ class EvaluationResult:
     stats: EvaluationStats
     program: Program
     database: Database
-    provenance: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = None
     #: Sharded-evaluation report: per-worker task/CPU totals plus the
     #: modeled critical path — set by
     #: :func:`repro.parallel.engine.evaluate_sharded` only.
@@ -248,10 +237,9 @@ class _SlotEngine:
     :meth:`make_plan` compiles (or fetches) a rule's plan and adds the
     ``plan`` trace event; :meth:`run` runs its kernel, returning the
     match count with the new head rows; :meth:`derive` inserts those
-    rows — plus provenance and the semi-naive sink delta — returning
-    how many there were.  On a columnar database the kernels run over
-    interner codes: the head rows they return are stored as they are,
-    and only provenance decodes them (with the support slots).
+    rows — and the semi-naive sink delta — returning how many there
+    were.  On a columnar database the kernels run over interner codes:
+    the head rows they return are stored as they are.
     """
 
     def __init__(self, database: Database, idb, tracer: Tracer, plans=None):
@@ -294,21 +282,18 @@ class _SlotEngine:
             return float(len(rel)) or float(DEFAULT_IDB_ESTIMATE)
         return float(len(self.database.relation(literal.predicate, literal.atom.arity)))
 
-    def run(
-        self, plan: RulePlan, relation_of, delta_relation, head_relation, prov, stats, governor=None
-    ):
+    def run(self, plan: RulePlan, relation_of, delta_relation, head_relation, stats, governor=None):
         return plan.run(
             relation_of,
             delta_relation,
             head_relation.all_rows(),
-            prov is not None,
             stats,
             tracer=self.tracer if self.trace_on else None,
             governor=governor,
             interner=self.interner,
         )
 
-    def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
+    def derive(self, plan, results, head_relation, sink_delta, stats) -> int:
         fresh = results[1]
         if not fresh:
             return 0
@@ -317,18 +302,9 @@ class _SlotEngine:
         # a list: ``set.update(dict)`` presizes the table and costs peak
         # memory.  The live relation is the one set that hashes them.
         rows = list(fresh) if type(fresh) is dict else fresh
-        head_pred = plan.rule.head.predicate
         head_relation.add_fresh(rows)
         if sink_delta is not None:
-            sink_delta[head_pred].add_fresh(rows)
-        if prov is not None:
-            decode = (
-                None if self.interner is None else self.interner.values.__getitem__
-            )
-            for row, env in fresh.items():
-                if decode is not None:
-                    row, env = tuple(map(decode, row)), tuple(map(decode, env))
-                prov[head_pred, row] = (plan.rule, tuple(plan.support_rows(env)))
+            sink_delta[plan.rule.head.predicate].add_fresh(rows)
         stats.facts_derived += len(rows)
         return len(rows)
 
@@ -395,7 +371,6 @@ class _Driver:
         governor: "Governor | None" = None,
         live: "EvaluationResult | None" = None,
         seed_fact: "tuple[str, Row] | None" = None,
-        provenance: bool = False,
     ):
         self.program = program
         self.database = database
@@ -431,9 +406,6 @@ class _Driver:
         # the interner's hit counter, on top of the live fixpoint's count.
         self.base_intern = stats.intern_hits
         self.hits0 = 0 if interner is None else interner.hits
-        self.prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = (
-            {} if provenance else None
-        )
 
         # A closure, not a method: a plan calls it per body literal.
         def relation_of(predicate: str, arity: int) -> Relation:
@@ -463,9 +435,6 @@ class _Driver:
         self.stats.rule_firings += 1
         if self.idb[predicate].add(row):
             self.stats.facts_derived += 1
-            if self.prov is not None:
-                head = Atom(predicate, tuple(map(Constant, row)))
-                self.prov[predicate, row] = (Rule(head), ())
         self.check()
 
     def fire_rule(
@@ -490,7 +459,6 @@ class _Driver:
                 self.relation_of,
                 delta_relation,
                 head_relation,
-                self.prov,
                 stats,
                 self.governor,
             )
@@ -501,7 +469,7 @@ class _Driver:
                 + stats.rows_scanned
                 - rows_before
             )
-            eng.derive(plan, results, head_relation, sink_delta, self.prov, stats)
+            eng.derive(plan, results, head_relation, sink_delta, stats)
             self.check()
 
         if not self.trace_on:
@@ -535,26 +503,13 @@ class _Driver:
         """The fixpoint so far: the final result, or an abort's partial."""
         self.sync_intern_hits()
         self.stats.wall_time_seconds = self.elapsed()
-        result = EvaluationResult(
+        return EvaluationResult(
             idb=self.idb,
             stats=self.stats,
             program=self.program,
             database=self.database,
-            provenance=self.prov,
             shards=shards,
         )
-        if self.prov is not None:
-            # A union view's rows are not derived; each is explained by
-            # the renaming rule of the first member that holds it.
-            views = self.program.union_views
-            for rule in self.program.rules:
-                if rule.head.predicate in views:
-                    member = rule.renamed_predicate()
-                    for row in result.relation(member):
-                        self.prov.setdefault(
-                            (rule.head.predicate, row), (rule, ((member, row),))
-                        )
-        return result
 
     # -- the run -------------------------------------------------------
     def run(
@@ -754,7 +709,6 @@ def evaluate(
     program: Program,
     database: Database,
     *,
-    provenance: bool = False,
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
@@ -763,9 +717,7 @@ def evaluate(
 ) -> EvaluationResult:
     """Evaluate ``program`` bottom-up over ``database``.
 
-    Returns an :class:`EvaluationResult` with the full IDB.  With
-    ``provenance=True`` each derived fact remembers the first rule
-    instantiation that produced it (for :func:`derivation_tree`).
+    Returns an :class:`EvaluationResult` with the full IDB.
 
     There is one way to evaluate: semi-naive rounds over the compiled
     slot engine, body literals in cost order, in this process, in the
@@ -813,7 +765,6 @@ def evaluate(
         tracer=tracer,
         governor=Governor.of(budget, cancellation),
         seed_fact=seed_fact,
-        provenance=provenance,
     )
     return driver.run(_LocalExecutor(driver, plans))
 
@@ -821,67 +772,3 @@ def evaluate(
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:
     """Convenience wrapper: evaluate and return the query relation's rows."""
     return evaluate(program, database).query_rows()
-
-
-@dataclass
-class DerivationNode:
-    """A node of a ground derivation tree (paper, Section 2).
-
-    Goal nodes carry a fact; the ``rule`` of an IDB goal node is the rule
-    node below it, with ``children`` being the goal nodes of the rule's
-    positive subgoals.  EDB goal nodes are leaves (``rule is None``).
-    """
-
-    predicate: str
-    row: Row
-    rule: Rule | None = None
-    children: list["DerivationNode"] = field(default_factory=list)
-
-    def leaves(self) -> list["DerivationNode"]:
-        if self.rule is None:
-            return [self]
-        result: list[DerivationNode] = []
-        for child in self.children:
-            result.extend(child.leaves())
-        return result
-
-    def goal_nodes(self) -> list["DerivationNode"]:
-        """All goal nodes of the tree (this node included)."""
-        result = [self]
-        for child in self.children:
-            result.extend(child.goal_nodes())
-        return result
-
-    def render(self, indent: str = "") -> str:
-        label = f"{self.predicate}({', '.join(map(repr, self.row))})"
-        lines = [f"{indent}{label}" + ("" if self.rule is None else f"   [{self.rule!r}]")]
-        for child in self.children:
-            lines.append(child.render(indent + "  "))
-        return "\n".join(lines)
-
-
-def derivation_tree(result: EvaluationResult, predicate: str, row: Sequence[object]) -> DerivationNode:
-    """Reconstruct a derivation tree for a derived fact.
-
-    Requires the evaluation to have been run with ``provenance=True``.
-    The provenance records first derivations, so the reconstruction is
-    well-founded (no cycles).
-    """
-    if result.provenance is None:
-        raise ValueError("evaluation was run without provenance=True")
-    row = tuple(row)
-    idb_preds = result.program.idb_predicates
-
-    def build(fact: Fact) -> DerivationNode:
-        pred, fact_row = fact
-        if pred not in idb_preds:
-            return DerivationNode(pred, fact_row)
-        entry = result.provenance.get(fact)
-        if entry is None:
-            raise KeyError(f"fact {pred}{fact_row} was not derived")
-        rule, supports = entry
-        node = DerivationNode(pred, fact_row, rule=rule)
-        node.children = [build(s) for s in supports]
-        return node
-
-    return build((predicate, row))

@@ -22,12 +22,12 @@ rule is compiled **once per (rule, delta-position)** into a
   filters inline whose innermost line builds the head row and keeps it
   only if it is new (a renaming rule ``p(X) :- q(X).`` has no loop: its
   new rows are one set difference), ``compile()``-d once per shape and
-  shared by every plan of that shape — plain, governed or recording
-  provenance, over value rows or interner codes — through a bounded
-  cache.  The step objects stay as the plan's description
-  (:meth:`RulePlan.describe`, the profiler); the kernel is derived from
-  their integer layouts alone, constants travel as data, and no
-  predicate, variable or constant text ever reaches ``compile()``.
+  shared by every plan of that shape — plain or governed, over value
+  rows or interner codes — through a bounded cache.  The step objects
+  stay as the plan's description (:meth:`RulePlan.describe`, the
+  profiler); the kernel is derived from their integer layouts alone,
+  constants travel as data, and no predicate, variable or constant
+  text ever reaches ``compile()``.
 
 Plans order their body with :func:`order_body_cost`: the delta literal
 first, then literals by estimated scan cost
@@ -61,7 +61,7 @@ import linecache
 import weakref
 from functools import lru_cache
 from itertools import filterfalse
-from typing import Callable, Sequence
+from typing import Callable
 
 from .atoms import Literal, OrderAtom, evaluate_comparison
 from .database import ArityMismatch, Frontier, Relation
@@ -354,15 +354,13 @@ def _tuple(names) -> str:
 
 
 def _kernel_source(shape, decode: bool = False) -> str:
-    """Python source of ``kernel(rels, stats, live, k, prov, gov)`` for
-    one plan shape.
+    """Python source of ``kernel(rels, stats, live, k, gov)`` for one
+    plan shape.
 
     Nested ``for`` loops over local slot variables ``s<i>``; the
     innermost line builds the **head** row and files it in ``fresh``
     unless ``live`` — the head relation's row set, only ever read here:
-    the rule may be scanning it — holds it, with the slot tuple of its
-    first match as value under ``prov`` (only then is ``fresh`` asked
-    too: re-filing a ``None`` changes nothing).  Returns ``(matches,
+    the rule may be scanning it — holds it.  Returns ``(matches,
     fresh)``.  Work is counted in locals and flushed to ``stats`` in a
     ``finally``, so an abort inside the loops reports the probes made
     so far; ``gov`` is asked (``tick_scan``) at the first bucket after
@@ -380,8 +378,7 @@ def _kernel_source(shape, decode: bool = False) -> str:
     A renaming rule ``p(X, Y) :- q(X, Y).`` — one full scan of distinct
     variables, the head those variables in order — has no loop: its
     new rows are the set difference ``r0 - live`` (over a frontier,
-    which is a list, the rows ``live`` lacks), or under ``prov`` the
-    same rows in scan order, each its own support.
+    which is a list, the rows ``live`` lacks).
     """
     steps, head, num_slots, num_consts = shape
     identity = (
@@ -411,7 +408,7 @@ def _kernel_source(shape, decode: bool = False) -> str:
     ]
     epilogue = ["    finally:", "        stats.probes += probes"]
     epilogue += ["        stats.rows_scanned += scanned"]
-    args = "rels, stats, live, k, prov, gov"
+    args = "rels, stats, live, k, gov"
     lines = [f"def kernel({args}):", "    fresh = dict()", *prologue]
     done = "return matches, fresh"
     # slots bound; loops open in this function, in all; functions before this one
@@ -500,15 +497,13 @@ def _kernel_source(shape, decode: bool = False) -> str:
                 if (True, slot) in tested:
                     test(slot)
     if identity:
-        emit("if prov: fresh = dict((h, h) for h in r0 if h not in live)")
-        emit("elif type(r0) is set: fresh = r0 - live")
+        emit("if type(r0) is set: fresh = r0 - live")
         emit("else: fresh = list(filterfalse(live.__contains__, r0))")
     else:
         if not counted:
             emit("matches += 1")
         emit(f"h = {_tuple(map(_term, head))}")
-        support = _tuple(f"s{i}" for i in range(num_slots))
-        emit(f"if h not in live and (not prov or h not in fresh): fresh[h] = {support} if prov else None")
+        emit("if h not in live: fresh[h] = None")
     lines += [*epilogue, f"    {done}"]
     return "\n".join(lines) + "\n"
 
@@ -567,8 +562,7 @@ class RulePlan:
     """One rule compiled for one delta position (or none).
 
     ``run`` executes the generated kernel and returns the match count
-    with the head rows that are new; :meth:`support_rows` projects a
-    slot tuple onto the positive body literals (provenance).
+    with the head rows that are new.
     """
 
     __slots__ = (
@@ -577,10 +571,8 @@ class RulePlan:
         "delta_index",
         "delta_predicate",
         "num_slots",
-        "slot_of",
         "steps",
         "rel_specs",
-        "_support_layouts",
         "_shape",
         "_kernel",
         "_consts",
@@ -682,11 +674,9 @@ class RulePlan:
             raise ValueError(
                 f"rule {rule} has a head variable not bound by a positive subgoal"
             ) from exc
-        self.slot_of = slot_of
         self.num_slots = len(slot_of)
         self.steps = steps
         self.rel_specs = rel_specs
-        self._support_layouts = None  # built by the first support_rows call
         shape, self._consts, self._roles = _plan_shape(steps, head_layout, self.num_slots)
         self._shape = shape
         self._kernel = _compiled_kernel(shape)
@@ -699,7 +689,6 @@ class RulePlan:
         relation_of,
         delta_relation: "Relation | Frontier | None",
         live: set,
-        support: bool,
         stats,
         tracer=None,
         governor=None,
@@ -708,11 +697,10 @@ class RulePlan:
         """Execute the plan; return ``(matches, fresh)``.
 
         ``fresh`` holds each head row that ``live`` — the head relation's
-        row set — does not.  For a renaming rule without ``support`` it
-        is ``scanned - live``, a set, or a list when the scan is a
-        :class:`~repro.datalog.database.Frontier`; otherwise an insertion-ordered
-        dict, in order of first appearance, mapping each row to ``None``
-        or under ``support`` to the slot tuple of its first match.
+        row set — does not.  For a renaming rule it is ``scanned - live``,
+        a set, or a list when the scan is a
+        :class:`~repro.datalog.database.Frontier`; otherwise an
+        insertion-ordered dict of the rows in order of first appearance.
         ``relation_of(predicate, arity)`` resolves non-delta relations;
         indexes are fetched once here (built on first use, counted in
         ``stats.index_builds`` and — under an enabled ``tracer`` —
@@ -721,7 +709,7 @@ class RulePlan:
         rows: a giant single-rule join stays cancellable and in budget.
 
         With an ``interner`` the relations, ``live`` and therefore
-        ``fresh`` and the slot tuples hold its codes; the constants are
+        ``fresh`` hold its codes; the constants are
         encoded for this run (see :func:`_plan_shape`).
         """
         rels = []
@@ -755,29 +743,9 @@ class RulePlan:
                 kernel = _compiled_kernel(self._shape, True)
                 consts += (interner.values,)
         stats.env_allocations += 1
-        matches, fresh = kernel(rels, stats, live, consts, support, governor)
+        matches, fresh = kernel(rels, stats, live, consts, governor)
         stats.env_allocations += matches
         return matches, fresh
-
-    def support_rows(self, env: Sequence[object]) -> list[tuple[str, tuple]]:
-        """``(predicate, ground row)`` for each positive body literal
-        (original rule order) — the provenance supports."""
-        layouts = self._support_layouts
-        if layouts is None:
-            # Only the provenance path reads these.  Threads sharing a
-            # kept plan may both build them: the results are equal.
-            slot_of = self.slot_of
-            layouts = self._support_layouts = tuple(
-                tuple(
-                    (False, arg.value) if isinstance(arg, Constant) else (True, slot_of[arg])
-                    for arg in lit.args
-                )
-                for lit in self.rule.positive_literals
-            )
-        return [
-            (lit.predicate, tuple(env[p] if s else p for s, p in layout))
-            for lit, layout in zip(self.rule.positive_literals, layouts)
-        ]
 
     def describe(self) -> str:
         """One line per step — the plan the profiler and traces report.

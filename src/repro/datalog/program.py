@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .atoms import Literal, OrderAtom
+from .atoms import Literal
 from .rules import Rule, UnsafeRuleError
 from ..robustness.errors import ReproError
 
@@ -254,9 +254,6 @@ class Program:
     # ------------------------------------------------------------------
     def with_query(self, query: str) -> "Program":
         return Program(self.rules, query)
-
-    def with_rules(self, rules: Sequence[Rule]) -> "Program":
-        return Program(tuple(rules), self.query)
 
     def relevant_rules(self) -> "Program":
         """Restrict to rules reachable from the query predicate (if set).

@@ -159,9 +159,6 @@ class Rule:
         renaming = Substitution({v: next(stream) for v in clashing})
         return self.substitute(renaming)
 
-    def with_body(self, body: Sequence[BodyItem]) -> "Rule":
-        return Rule(self.head, tuple(body))
-
     def with_extra_conditions(self, extra: Sequence[BodyItem]) -> "Rule":
         """Append conditions (e.g. negated residues) to the body, deduplicated."""
         existing = set(self.body)

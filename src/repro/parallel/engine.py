@@ -169,8 +169,8 @@ class _ShardedEngine(_SlotEngine):
         super().__init__(database, idb, tracer)
         self.accept_log = accept_log
 
-    def derive(self, plan, results, head_relation, sink_delta, prov, stats):
-        new = super().derive(plan, results, head_relation, sink_delta, prov, stats)
+    def derive(self, plan, results, head_relation, sink_delta, stats):
+        new = super().derive(plan, results, head_relation, sink_delta, stats)
         if new:
             self.accept_log[plan.rule.head.predicate].extend(results[1])
         return new
@@ -963,7 +963,6 @@ def evaluate_sharded(
     *,
     workers: int,
     pool: WorkerPool | None = None,
-    provenance: bool = False,
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
@@ -981,9 +980,6 @@ def evaluate_sharded(
     ``env_allocations``, ``index_builds``) report fleet totals and
     therefore exceed the sequential values.
 
-    Restriction: ``provenance`` is unsupported (support tuples are
-    process-local).
-
     Worker deaths and stragglers are handled by the supervision layer
     (``supervision``, a :class:`SupervisionPolicy`): the dead worker is
     respawned warm from the master's current state and its shard
@@ -994,11 +990,6 @@ def evaluate_sharded(
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
-    if provenance:
-        raise ValueError(
-            "workers=N cannot record provenance (support tuples are "
-            "process-local); use the sequential engine for derivation trees"
-        )
     if tracer is None:
         tracer = get_tracer()
     database = database.to_storage("columnar")

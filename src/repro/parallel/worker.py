@@ -237,7 +237,6 @@ class _WorkerState:
                     self._relation_of,
                     delta_relation,
                     mirror,
-                    False,
                     stats,
                     governor=governor,
                     interner=interner,

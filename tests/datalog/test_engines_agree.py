@@ -15,7 +15,7 @@ import pytest
 
 from repro.datalog.atoms import IncomparableValues
 from repro.datalog.database import STORAGES, Database
-from repro.datalog.evaluation import _INT_COUNTERS, derivation_tree, evaluate
+from repro.datalog.evaluation import _INT_COUNTERS, evaluate
 from repro.datalog.parser import parse_facts, parse_program
 from repro.parallel import evaluate_sharded
 from repro.digest import fixpoint_digest
@@ -24,7 +24,7 @@ from repro.robustness.errors import BudgetExceededError
 from repro.workloads.generators import random_workload
 from repro.workloads.programs import good_path
 from repro.workloads.generators import good_path_bidirectional_database
-from reference_model import check_provenance, model_fixpoint
+from reference_model import model_fixpoint
 
 
 def _agree_with_the_model(program, database):
@@ -206,27 +206,6 @@ def test_storages_agree_on_coded_edge_cases(case):
                 run()
         else:
             assert run().query_rows() == expected, name
-
-
-def test_derivation_trees_agree_across_storages():
-    """Provenance over codes decodes the support slots: every answer of
-    a chain (one derivation each) gets the tree the rows storage gives,
-    and every recorded derivation is a sound rule instance."""
-    program = parse_program(
-        "p(X, Y) :- e(X, Y).\np(X, Z) :- e(X, Y), p(Y, Z).\nroot(X) :- p(X, d).",
-        query="root",
-    )
-    facts = parse_facts("e(a, b). e(b, c). e(c, d).")
-    trees = {}
-    for storage in STORAGES:
-        database = Database(facts, storage=storage)
-        result = evaluate(program, database, provenance=True)
-        check_provenance(program, database, result.provenance)
-        trees[storage] = {
-            row: derivation_tree(result, "root", row) for row in result.query_rows()
-        }
-    assert len(trees["rows"]) == 3
-    assert trees["columnar"] == trees["rows"]
 
 
 #: Rows the cost order scans on Example 3.1, per rule.  The greedy

@@ -1,5 +1,5 @@
 """Evaluation-engine tests: semi-naive correctness, negation, order atoms,
-provenance, statistics — cross-validated against networkx reachability."""
+statistics — cross-validated against networkx reachability."""
 
 import networkx as nx
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.database import Database
-from repro.datalog.evaluation import derivation_tree, evaluate, evaluate_query
-from repro.datalog.parser import parse_facts, parse_program
+from repro.datalog.evaluation import evaluate, evaluate_query
+from repro.datalog.parser import parse_program
 
 TC = parse_program(
     """
@@ -133,36 +133,13 @@ class TestConstantsInRules:
         assert evaluate_query(program, db) == {(7, 1)}
 
 
-class TestStatsAndProvenance:
+class TestStats:
     def test_stats_counters_move(self):
         result = evaluate(TC, edges_db([(1, 2), (2, 3), (3, 4)]))
         assert result.stats.facts_derived == 6
         assert result.stats.probes > 0
         assert result.stats.rows_scanned > 0
         assert result.stats.iterations >= 2
-
-    def test_provenance_tree_structure(self):
-        result = evaluate(TC, edges_db([(1, 2), (2, 3)]), provenance=True)
-        tree = derivation_tree(result, "t", (1, 3))
-        assert tree.predicate == "t" and tree.row == (1, 3)
-        leaves = {(leaf.predicate, leaf.row) for leaf in tree.leaves()}
-        assert leaves == {("e", (1, 2)), ("e", (2, 3))}
-        assert len(tree.goal_nodes()) >= 3
-
-    def test_provenance_requires_flag(self):
-        result = evaluate(TC, edges_db([(1, 2)]))
-        with pytest.raises(ValueError):
-            derivation_tree(result, "t", (1, 2))
-
-    def test_derivation_of_underived_fact(self):
-        result = evaluate(TC, edges_db([(1, 2)]), provenance=True)
-        with pytest.raises(KeyError):
-            derivation_tree(result, "t", (9, 9))
-
-    def test_render_contains_leaf(self):
-        result = evaluate(TC, edges_db([(1, 2)]), provenance=True)
-        text = derivation_tree(result, "t", (1, 2)).render()
-        assert "e(1, 2)" in text
 
 
 class TestResultAccessors:

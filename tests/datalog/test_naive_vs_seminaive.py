@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_model
-from reference_model import check_provenance, model_fixpoint
+from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
@@ -83,13 +83,6 @@ def test_unknown_strategy_rejected():
     program = parse_program(PROGRAMS["tc"])
     with pytest.raises(TypeError):
         evaluate(program, Database(), strategy="naive")
-
-
-def test_provenance_is_sound():
-    program = parse_program(PROGRAMS["nonlinear_tc"], query="t")
-    database = _random_database(7)
-    result = evaluate(program, database, provenance=True)
-    check_provenance(program, database, result.provenance)
 
 
 def test_the_model_imports_nothing_from_repro():

@@ -114,7 +114,7 @@ class TestCompiledPlan:
         plan = compile_rule(parse_rule("p(X, Y) :- e(X, Z), p(Z, Y)."), 1, size_of=_unit)
         assert plan.describe() == "scan* p(Z, Y) full; scan e(X, Z) key=[1]"
         assert plan.source() == (
-            "def kernel(rels, stats, live, k, prov, gov):\n"
+            "def kernel(rels, stats, live, k, gov):\n"
             "    fresh = dict()\n"
             "    (r0, g1) = rels\n"
             "    probes = scanned = matches = 0\n"
@@ -133,8 +133,7 @@ class TestCompiledPlan:
             "            matches += len(rows)\n"
             "            for (s2, _) in rows:\n"
             "                h = (s2, s1)\n"
-            "                if h not in live and (not prov or h not in fresh):"
-            " fresh[h] = (s0, s1, s2) if prov else None\n"
+            "                if h not in live: fresh[h] = None\n"
             "    finally:\n"
             "        stats.probes += probes\n"
             "        stats.rows_scanned += scanned\n"
@@ -185,23 +184,9 @@ class TestCompiledPlan:
             return lambda predicate, arity: scanned if predicate in ("e", "hop") else Relation(arity)
 
         e = [(7, 2), (8, 0), (9, 5)]
-        assert first.run(over(e), None, set(), False, stats) == (2, {(7, 1): None, (8, 1): None})
-        assert second.run(over(e), None, {(8, "x")}, True, stats) == (1, {})  # known: dropped
-        assert second.run(over([(7, 0.2)]), None, set(), True, stats) == (1, {(7, "x"): (7, 0.2)})
-
-    def test_support_rows_follow_rule_order(self):
-        rule = parse_rule("q(X) :- end(Y), e(X, Y).")
-        plan = compile_rule(
-            rule, size_of=lambda lit: {"end": 1.0, "e": 100.0}[lit.predicate]
-        )
-        # Provenance supports stay in textual rule order even though the
-        # plan scans end(Y) first.
-        program = parse_program("q(X) :- end(Y), e(X, Y).", query="q")
-        database = Database.from_rows({"end": [(2,)], "e": [(1, 2)]})
-        result = evaluate(program, database, provenance=True)
-        (rule_used, supports), = [result.provenance[("q", (1,))]]
-        del rule_used
-        assert [s[0] for s in [supports[0], supports[1]]] == ["end", "e"]
+        assert first.run(over(e), None, set(), stats) == (2, {(7, 1): None, (8, 1): None})
+        assert second.run(over(e), None, {(8, "x")}, stats) == (1, {})  # known: dropped
+        assert second.run(over([(7, 0.2)]), None, set(), stats) == (1, {(7, "x"): None})
 
 
 class TestNoneValues:

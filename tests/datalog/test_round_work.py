@@ -7,15 +7,15 @@ loop is looked up once per row of that loop (``hoisted to loop N`` in
 once, and a round's new rows are held in a list frontier that hashes
 nothing.  Random recursive programs built to hit every one of those
 paths are checked against the independent model
-(``tests/reference_model.py``) on both storages, plain, under
-provenance and under a stride-1 governor.
+(``tests/reference_model.py``) on both storages, plain and under a
+stride-1 governor.
 """
 
 import random
 
 import pytest
 
-from reference_model import check_provenance, model_fixpoint
+from reference_model import model_fixpoint
 from repro.datalog.database import Database, Frontier, Relation
 from repro.datalog.evaluation import _INT_COUNTERS, EvaluationStats, evaluate
 from repro.datalog.parser import parse_program, parse_rule
@@ -96,14 +96,12 @@ def test_hoisted_probes_flags_and_frontiers_agree_with_the_model(seed):
         database = _database(random.Random(data_seed), values, storage)
         expected = model_fixpoint(program, database)
         plain = evaluate(program, database.copy())
-        traced = evaluate(program, database.copy(), provenance=True)
         governed = evaluate(
             program, database.copy(), budget=Governor(Budget(timeout=60), stride=1)
         )
-        for result in (plain, traced, governed):
+        for result in (plain, governed):
             assert {pred: result.rows(pred) for pred in expected} == expected
             assert _counters(result) == _counters(plain)
-        check_provenance(program, database, traced.provenance)
         outcome = (_counters(plain), fixpoint_digest([("x", plain.idb)]))
         assert baseline is None or outcome == baseline, storage
         baseline = outcome
@@ -142,14 +140,12 @@ def test_join_longer_than_the_block_limit_hoists_inside_its_chained_kernel():
             database = Database.from_rows({"e": edges, "f": f_rows}, storage=storage)
             expected = model_fixpoint(program, database)
             plain = evaluate(program, database.copy())
-            traced = evaluate(program, database.copy(), provenance=True)
             governed = evaluate(
                 program, database.copy(), budget=Governor(Budget(timeout=60), stride=1)
             )
-            for result in (plain, traced, governed):
+            for result in (plain, governed):
                 assert {"far": result.rows("far")} == expected
                 assert _counters(result) == _counters(plain)
-            check_provenance(program, database, traced.provenance)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +187,7 @@ def test_sg_kernel_looks_parent_up_once_per_key_binding(delta_row, lookups):
     frontier = Frontier(2)
     frontier.add_fresh([delta_row])
     stats = EvaluationStats()
-    matches, fresh = plan.run(lambda predicate, arity: parent, frontier, set(), False, stats)
+    matches, fresh = plan.run(lambda predicate, arity: parent, frontier, set(), stats)
     assert parent.lookups == lookups
     assert stats.probes == 1 + lookups  # the delta's full scan counts one
     if delta_row == (1, 2):

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from reference_model import check_provenance, model_fixpoint
+from reference_model import model_fixpoint
 from repro.datalog.database import Database, UnionView
-from repro.datalog.evaluation import derivation_tree, evaluate
+from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.persist import CheckpointStore, Session
 from repro.serve.app import ServeApp
@@ -111,19 +111,6 @@ def test_an_edb_predicate_reads_the_databases_relation(storage):
     assert len(evaluate(closure, _database({"f": [(1, 2)]})).relation("e")) == 0
     with pytest.raises(KeyError):
         result.relation("nowhere")
-
-
-def test_a_view_fact_derives_from_the_member_that_holds_it():
-    result = evaluate(PROGRAM, _database(), provenance=True)
-    check_provenance(PROGRAM, _database(), result.provenance)
-    for row, member in (((1, 4), "p"), ((7, 8), "f"), ((1, 3), "p")):
-        tree = derivation_tree(result, "r", row)
-        assert repr(tree.rule) == f"r(X, Y) :- {member}(X, Y)."
-        [child] = tree.children
-        assert (child.predicate, child.row) == (member, row)
-    assert derivation_tree(result, "r", (7, 8)).children[0].rule is None  # EDB leaf
-    with pytest.raises(KeyError):
-        derivation_tree(result, "r", (8, 7))
 
 
 @pytest.mark.parametrize("storage", ["rows", "columnar"])

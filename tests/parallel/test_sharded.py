@@ -41,11 +41,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             WorkerPool(program, database, 0)
 
-    def test_rejects_provenance(self):
-        program, database = _workload()
-        with pytest.raises(ValueError, match="provenance"):
-            evaluate_sharded(program, database, workers=2, provenance=True)
-
     def test_pool_requires_columnar_database(self):
         program, database, _ = random_workload(0)
         with pytest.raises(ValueError, match="columnar"):

@@ -93,36 +93,3 @@ def model_fixpoint(program, database, *, naive=False):
         predicate: frozenset(model.rows(predicate))
         for predicate in {rule.head.predicate for rule in program.rules}
     }
-
-
-def check_provenance(program, database, provenance):
-    """Assert that ``provenance`` explains exactly the fixpoint, soundly.
-
-    Each entry's rule is bound against its supports: the bound head must
-    be the fact, every support must hold in the EDB or the IDB, and every
-    negated literal and order atom of the rule must hold.
-    """
-    model = _model(program, database)
-    derived = {
-        (predicate, row)
-        for predicate in {rule.head.predicate for rule in program.rules}
-        for row in model.rows(predicate)
-    }
-    assert set(provenance) == derived
-    value = reference._value
-    for (predicate, row), (rule, supports) in provenance.items():
-        head, body = _atom(rule.head), [_item(item) for item in rule.body]
-        positives = [item for item in body if item[0] == "pos"]
-        assert [support[0] for support in supports] == [item[1] for item in positives]
-        env = {}
-        for (_, pred, args), (_, support) in zip(positives, supports):
-            assert support in model.rows(pred), (pred, support)
-            env = reference._bind(args, support, env)
-            assert env is not None, (rule, supports)
-        assert head[0] == predicate
-        assert tuple(value(arg, env) for arg in head[1]) == row, (rule, row)
-        for item in body:
-            if item[0] == "neg":
-                assert tuple(value(arg, env) for arg in item[2]) not in model.rows(item[1])
-            elif item[0] == "cmp":
-                assert reference._COMPARE[item[1]](value(item[2], env), value(item[3], env))

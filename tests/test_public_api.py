@@ -1,6 +1,7 @@
 """Integration tests through the top-level public API only."""
 
 import importlib
+import inspect
 import pkgutil
 
 import repro
@@ -37,6 +38,25 @@ class TestVersionAndExports:
         for package in packages:
             for name in package.__all__:
                 assert getattr(package, name) is not None, f"{package.__name__}.{name}"
+
+    def test_evaluation_options_are_pinned(self):
+        # An option added later shows up here, in the diff.
+        from repro.parallel import evaluate_sharded
+
+        def keyword_only(function):
+            return [
+                name
+                for name, parameter in inspect.signature(function).parameters.items()
+                if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+            ]
+
+        assert keyword_only(evaluate) == ["tracer", "budget", "cancellation", "seed_fact", "plans"]
+        assert keyword_only(evaluate_sharded) == [
+            "workers", "pool", "tracer", "budget", "cancellation", "supervision"
+        ]
+        datalog = importlib.import_module("repro.datalog")
+        for name in ("derivation_tree", "DerivationNode"):
+            assert name not in datalog.__all__ and not hasattr(datalog, name)
 
 
 class TestEndToEnd:
