@@ -5,8 +5,9 @@ bound/free pattern of the goal — never per constant: the semantic
 rewrite, adornment and magic transform run once, and each request only
 swaps the magic seed fact (Levy & Sagiv's binding passing is constant-
 independent by construction).  This bench drives the in-process
-:class:`~repro.serve.app.ServeApp` through a fixed request sequence
-and records, per request, whether the artifact cache hit and the
+:class:`~repro.serve.app.ServeApp` through a fixed request sequence of
+``mode: "magic"`` queries (a query naming no mode probes the tenant's
+resident fixpoint instead, and compiles nothing) and records, per request, whether the artifact cache hit and the
 evaluation work counters; the acceptance claims are (a) goals that
 differ only in their constants share one artifact, and (b) served
 answers are byte-identical to the single-process pipeline's.
@@ -46,7 +47,9 @@ def _drive(workloads: dict, passes: int = 2) -> list[dict]:
             for name, spec in workloads.items():
                 for goal in spec["goals"]:
                     status, payload = await app.handle(
-                        "POST", f"/programs/{name}/query", {"goal": goal}
+                        "POST",
+                        f"/programs/{name}/query",
+                        {"goal": goal, "mode": "magic"},
                     )
                     assert status == 200, (name, goal)
                     responses.append(

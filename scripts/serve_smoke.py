@@ -4,10 +4,11 @@
 Boots the real daemon (``repro serve``) on an ephemeral port with a
 persist directory, then walks the full tenant life cycle over HTTP:
 
-1. register a program, query it (mode ``fresh``, full evaluation);
+1. register a program (mode ``fresh``, full evaluation) and query it;
 2. ingest two dozen facts one request at a time and query again
-   (answers grow); checkpoints follow journal lag, so every one of the
-   ingests is acknowledged but not yet checkpoint-covered;
+   (answers grow, and the default answer equals the magic-mode one);
+   checkpoints follow journal lag, so every one of the ingests is
+   acknowledged but not yet checkpoint-covered;
 3. SIGKILL the daemon mid-flight;
 4. restart it on the same persist directory, re-register the workload
    with its *original* facts and verify the tenant comes back
@@ -132,6 +133,13 @@ def main() -> int:
                 )
             before = client.query(TENANT, "p(0, Y)", mode="materialized")
             before_bytes = json.dumps(before["answers"], sort_keys=True)
+            # A query naming no mode probes the fixpoint; magic recomputes
+            # the answer the pipeline's way, and the two must agree.
+            if second["mode"] != "materialized":
+                return _fail(f"a default query answered in mode {second['mode']!r}")
+            magic = client.query(TENANT, "p(0, Y)", mode="magic")
+            if json.dumps(magic["answers"], sort_keys=True) != before_bytes:
+                return _fail("default and magic-mode answers differ before the kill")
         finally:
             _kill(daemon, client)
         print(f"killed daemon pid {daemon.pid} with {uncovered} uncovered records")
@@ -171,7 +179,7 @@ def main() -> int:
                         f"restart {restart} answers differ from the pre-kill daemon\n"
                         f"  before: {before_bytes}\n  after:  {after_bytes}"
                     )
-                magic = client.query(TENANT, "p(0, Y)")
+                magic = client.query(TENANT, "p(0, Y)", mode="magic")
                 if json.dumps(magic["answers"], sort_keys=True) != before_bytes:
                     return _fail(
                         f"magic-mode answers differ after restart {restart}"

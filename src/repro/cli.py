@@ -762,13 +762,15 @@ def build_parser() -> argparse.ArgumentParser:
     ccmd = client_sub.add_parser("query", help="POST /programs/{name}/query")
     ccmd.add_argument("name", help="tenant name")
     ccmd.add_argument("--goal", required=True, help="query atom, e.g. 'p(1, Y)'")
+    # Sent only when given, so the daemon's default applies otherwise.
     ccmd.add_argument(
-        "--mode", default="magic", choices=("magic", "materialized"),
-        help="answer via the specialized pipeline (default) or the resident fixpoint",
+        "--mode", choices=("magic", "materialized"),
+        help="answer from the resident fixpoint (the daemon's default) or "
+        "via the specialized pipeline",
     )
     ccmd.add_argument(
-        "--order", default="semantic-first", choices=PIPELINE_ORDERS,
-        help="pipeline stage ordering",
+        "--order", choices=PIPELINE_ORDERS,
+        help="pipeline stage ordering (implies --mode magic)",
     )
     budget_flags(ccmd)  # per-request limits, clamped by the server ceiling
     ccmd.set_defaults(func=_cmd_client)

@@ -1,9 +1,10 @@
 """The serving daemon: multi-tenant Datalog querying over HTTP.
 
 ``repro serve`` boots an asyncio HTTP daemon (stdlib only) that keeps
-any number of registered programs ("tenants") resident and answers
-bound query atoms against them with the full magic-sets pipeline,
-specialized per request:
+any number of registered programs ("tenants") resident, each with its
+fixpoint kept current across ingests, and answers query atoms by
+probing that fixpoint — or, on request (``mode: "magic"`` or an
+``order``), with the full magic-sets pipeline, specialized per request:
 
 * :mod:`repro.serve.wire` — the JSON wire format: request parsing
   (shared, normalized diagnostics with the CLI) and response shaping;
@@ -20,7 +21,7 @@ specialized per request:
 * :mod:`repro.serve.client` — the blocking client used by
   ``repro client`` and the smoke scripts.
 
-Every request runs under its own
+Every magic request runs under its own
 :class:`~repro.robustness.budget.Governor` (the tighter of the server's
 ceiling and the request's own limits); a tripped budget returns HTTP
 503 carrying the same partial-result diagnostics the CLI prints on

@@ -15,7 +15,7 @@ The request life cycle:
    :class:`~repro.robustness.errors.UsageError` becomes HTTP 400 with
    the same normalized message the CLI prints with exit code 2;
 3. CPU-bound work (pipeline specialization, evaluation, ingest) runs
-   in an executor thread under a **per-request**
+   in an executor thread; a magic query runs under a **per-request**
    :class:`~repro.robustness.budget.Governor` minted by
    :class:`~repro.robustness.budget.RequestGovernorFactory` — the
    tighter of the server ceiling and the request's own limits;
@@ -24,13 +24,16 @@ The request life cycle:
    hierarchy on purpose) becomes HTTP 503 whose body carries the same
    partial-result diagnostics the CLI prints on exit code 1.
 
-Query modes: ``magic`` (default) runs the cached-specialized pipeline
-over the tenant's EDB — the artifact cache makes repeated query shapes
-skip rewrite/adornment/transform (``serve.cache`` trace events record
-hit/miss, and double as the cache's fault site), and holds finished
-compiles only: a request whose budget trips mid-rewrite is a 503 that
-leaves the cache as it was; ``materialized``
-answers from the tenant's resident fixpoint with zero evaluation.
+Query modes: ``materialized`` (the default, for a request naming
+neither ``mode`` nor ``order``) answers from the tenant's resident
+fixpoint — one hash probe on the goal's constants, on the event loop
+under the tenant read lock, with zero evaluation, so no budget binds
+it.  ``magic`` (asked for by name, or by naming an ``order``) runs the
+cached-specialized pipeline over the tenant's EDB — the artifact cache
+makes repeated query shapes skip rewrite/adornment/transform
+(``serve.cache`` trace events record hit/miss, and double as the
+cache's fault site), and holds finished compiles only: a request whose
+budget trips mid-rewrite is a 503 that leaves the cache as it was.
 """
 
 from __future__ import annotations

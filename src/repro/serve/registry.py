@@ -12,7 +12,7 @@ newest complete checkpoint with **zero evaluation** and replays the
 suffix of the tenant's write-ahead ingest journal — the acknowledged
 ingests since that checkpoint (checkpoints follow journal lag, so
 there normally are some).  A restarted
-daemon therefore answers ``materialized`` queries for its old tenants
+daemon therefore answers queries for its old tenants
 without losing a single acknowledged write (asserted byte-for-byte by
 the serve and journal-kill scripts of CI's ``smoke`` job).  Both the journal and
 the checkpoints live under the tenant's directory when the daemon

@@ -42,9 +42,9 @@ __all__ = [
     "aborted_payload",
 ]
 
-#: How a query is answered: ``magic`` runs the specialized pipeline
-#: over the EDB; ``materialized`` answers from the tenant's resident
-#: fixpoint with zero evaluation.
+#: How a query is answered: ``materialized`` (the default) probes the
+#: tenant's resident fixpoint with zero evaluation; ``magic`` runs the
+#: specialized pipeline over the EDB.
 QUERY_MODES = ("magic", "materialized")
 
 
@@ -153,9 +153,12 @@ def parse_query(payload: object) -> QueryRequest:
     except Exception as exc:
         # The same message shape _load_goal gives --goal on the CLI.
         raise UsageError(f"cannot parse goal {goal_text!r}: {exc}") from exc
+    # A query naming neither field reads the fixpoint the tenant keeps;
+    # naming an order asks for the pipeline, so it selects magic.
+    default_mode = "magic" if "order" in payload else "materialized"
     return QueryRequest(
         goal=goal,
-        mode=_choice_field(payload, "mode", QUERY_MODES, "magic"),
+        mode=_choice_field(payload, "mode", QUERY_MODES, default_mode),
         order=_choice_field(payload, "order", PIPELINE_ORDERS, "semantic-first"),
         timeout=parse_timeout_value(payload.get("timeout")),
         max_facts=parse_limit_value(payload.get("max_facts"), option="max-facts"),

@@ -113,7 +113,7 @@ class TestRoutes:
         app = ServeApp(persist_root=tmp_path)
         spec = {"program": "q(X) :- e(X, Y), Y < 3.", "query": "q", "facts": "e(1, 2)."}
         bad = 'e(2, "abc"). e(7, 0).'
-        ask = ("POST", "/programs/alpha/query", {"goal": "q(X)"})
+        ask = ("POST", "/programs/alpha/query", {"goal": "q(X)", "mode": "magic"})
         resident = ("POST", "/programs/alpha/query", {"goal": "q(X)", "mode": "materialized"})
 
         async def drive():
@@ -158,7 +158,7 @@ class TestRoutes:
             assert registered["mode"] == "fresh"
             assert registered["latest_round"] >= 1
             status, answer = await app.handle(
-                "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                "POST", "/programs/alpha/query", {"goal": "p(0, Y)", "mode": "magic"}
             )
             assert status == 200
             status, stats = await app.handle("GET", "/stats")
@@ -182,7 +182,8 @@ class TestRoutes:
             hits = []
             for constant in (0, 1, 2, 3):
                 _, payload = await app.handle(
-                    "POST", "/programs/alpha/query", {"goal": f"p({constant}, Y)"}
+                    "POST", "/programs/alpha/query",
+                    {"goal": f"p({constant}, Y)", "mode": "magic"},
                 )
                 hits.append(payload["cache_hit"])
                 assert payload["answers"] == expected_answers(ALPHA, f"p({constant}, Y)")
@@ -271,14 +272,14 @@ class TestRoutes:
         async def drive():
             await register(app, "alpha", ALPHA)
             _, before = await app.handle(
-                "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                "POST", "/programs/alpha/query", {"goal": "p(0, Y)", "mode": "magic"}
             )
             status, ingested = await app.handle(
                 "POST", "/programs/alpha/ingest", {"facts": "e(10, 11)."}
             )
             assert status == 200
             _, after = await app.handle(
-                "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                "POST", "/programs/alpha/query", {"goal": "p(0, Y)", "mode": "magic"}
             )
             return before, ingested, after
 
@@ -314,7 +315,7 @@ class TestBudgets:
             return await app.handle(
                 "POST",
                 "/programs/alpha/query",
-                {"goal": "p(0, Y)", "max_facts": 1},
+                {"goal": "p(0, Y)", "max_facts": 1, "mode": "magic"},
             )
 
         status, payload = run(drive())
@@ -340,7 +341,7 @@ class TestBudgets:
             return await app.handle(
                 "POST",
                 "/programs/cross/query",
-                {"goal": "c(X, Y, Z)", "max_facts": 1000},
+                {"goal": "c(X, Y, Z)", "max_facts": 1000, "mode": "magic"},
             )
 
         status, payload = run(drive())
@@ -361,7 +362,7 @@ class TestBudgets:
         async def drive():
             await register(app, "alpha", ALPHA)
             return await app.handle(
-                "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                "POST", "/programs/alpha/query", {"goal": "p(0, Y)", "mode": "magic"}
             )
 
         status, payload = run(drive())
@@ -376,10 +377,10 @@ class TestBudgets:
             first = await app.handle(
                 "POST",
                 "/programs/alpha/query",
-                {"goal": "p(0, Y)", "max_facts": 1},
+                {"goal": "p(0, Y)", "max_facts": 1, "mode": "magic"},
             )
             second = await app.handle(
-                "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                "POST", "/programs/alpha/query", {"goal": "p(0, Y)", "mode": "magic"}
             )
             return first, second
 
@@ -400,14 +401,14 @@ class TestBudgets:
                 for body in goals
             ]
 
-        ((_, fresh),) = run(drive(ServeApp(), {"goal": "p(3, Y)"}))
+        ((_, fresh),) = run(drive(ServeApp(), {"goal": "p(3, Y)", "mode": "magic"}))
         app = ServeApp()
         (status, aborted), (_, after), (_, third) = run(
             drive(
                 app,
-                {"goal": "p(0, Y)", "timeout": 1e-6},
-                {"goal": "p(3, Y)"},
-                {"goal": "p(5, Y)"},
+                {"goal": "p(0, Y)", "timeout": 1e-6, "mode": "magic"},
+                {"goal": "p(3, Y)", "mode": "magic"},
+                {"goal": "p(5, Y)", "mode": "magic"},
             )
         )
         assert status == 503 and aborted["aborted"] is True
@@ -452,10 +453,10 @@ class TestChaos:
             await register(app, "alpha", ALPHA)
             with chaos(injector):
                 faulted = await app.handle(
-                    "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                    "POST", "/programs/alpha/query", {"goal": "p(0, Y)", "mode": "magic"}
                 )
             healthy = await app.handle(
-                "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                "POST", "/programs/alpha/query", {"goal": "p(0, Y)", "mode": "magic"}
             )
             return faulted, healthy
 
@@ -469,8 +470,9 @@ class TestChaos:
 class TestConcurrency:
     @pytest.mark.parametrize("clients", [8])
     def test_concurrent_clients_get_single_threaded_answers(self, clients):
-        """N async clients over two tenants; every response equals the
-        single-threaded pipeline's answers for that goal."""
+        """N async clients over two tenants, half on the default path and
+        half on magic; every response equals the single-threaded
+        pipeline's answers for that goal."""
         app = ServeApp()
         goals = {
             "alpha": ["p(0, Y)", "p(1, Y)", "p(2, Y)"],
@@ -487,8 +489,10 @@ class TestConcurrency:
             responses = []
             for step in range(6):
                 tenant, goal = plan[(index + step) % len(plan)]
+                # Odd clients ask magic, which runs in executor threads.
+                body = {"goal": goal, **({"mode": "magic"} if index % 2 else {})}
                 status, payload = await app.handle(
-                    "POST", f"/programs/{tenant}/query", {"goal": goal}
+                    "POST", f"/programs/{tenant}/query", body
                 )
                 assert status == 200, payload
                 responses.append((tenant, goal, payload["answers"]))
@@ -504,9 +508,9 @@ class TestConcurrency:
                 assert answers == expected[(tenant, goal)]
 
     def test_concurrent_queries_and_ingest_stay_consistent(self):
-        """Writers exclude readers: a query never sees a half-applied
-        ingest — every response matches the pipeline over either the
-        old or the new EDB."""
+        """Writers exclude readers: a query, default or magic, never sees
+        a half-applied ingest — every response matches the pipeline over
+        either the old or the new EDB."""
         app = ServeApp()
         before = expected_answers(ALPHA, "p(0, Y)")
         extended = dict(ALPHA, facts=ALPHA["facts"] + "\ne(10, 11).")
@@ -514,9 +518,10 @@ class TestConcurrency:
 
         async def reader(index):
             seen = []
+            body = {"goal": "p(0, Y)", **({"mode": "magic"} if index % 2 else {})}
             for _ in range(4):
                 status, payload = await app.handle(
-                    "POST", "/programs/alpha/query", {"goal": "p(0, Y)"}
+                    "POST", "/programs/alpha/query", body
                 )
                 assert status == 200, payload
                 seen.append(payload["answers"])

@@ -66,7 +66,7 @@ def test_from_url_parses_host_and_port(daemon):
 
 
 def test_query_over_the_wire(client):
-    payload = client.query("alpha", "p(0, Y)")
+    payload = client.query("alpha", "p(0, Y)", mode="magic")
     assert payload["satisfiable"] is True
     assert [0, 8] in payload["answers"]
     assert payload["stats"]["facts_derived"] > 0
@@ -97,7 +97,7 @@ def test_malformed_timeout_is_400_with_normalized_message(client):
 
 def test_budget_trip_is_503_with_partial_diagnostics(client):
     with pytest.raises(ServeClientError) as info:
-        client.query("alpha", "p(0, Y)", max_facts=1)
+        client.query("alpha", "p(0, Y)", mode="magic", max_facts=1)
     assert info.value.status == 503
     payload = info.value.payload
     assert payload["aborted"] is True
@@ -111,6 +111,7 @@ def test_ingest_over_the_wire(client):
 
 
 def test_stats_over_the_wire(client):
+    client.query("alpha", "p(0, Y)", mode="magic")
     payload = client.stats()
     assert "alpha" in payload["tenants"]
     assert payload["cache"]["hits"] + payload["cache"]["misses"] > 0

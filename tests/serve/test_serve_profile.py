@@ -20,11 +20,11 @@ def _drive_traced():
 
     async def run():
         await app.handle("PUT", "/programs/t1", SPEC)
-        await app.handle("POST", "/programs/t1/query", {"goal": "p(0, Y)"})
-        await app.handle("POST", "/programs/t1/query", {"goal": "p(1, Y)"})
-        await app.handle(
-            "POST", "/programs/t1/query", {"goal": "p(0, Y)", "max_facts": 1}
-        )
+        for body in ({"goal": "p(0, Y)"}, {"goal": "p(1, Y)"},
+                     {"goal": "p(0, Y)", "max_facts": 1}):
+            await app.handle(
+                "POST", "/programs/t1/query", {**body, "mode": "magic"}
+            )
         await app.handle("POST", "/programs/t1/ingest", {"facts": "e(8, 9)."})
 
     with tracing(sink):

@@ -237,9 +237,11 @@ def test_a_tripped_request_does_not_poison_the_shape(limit):
 
     async def drive():
         tripped = await app.handle(
-            "POST", "/programs/t/query", {"goal": "p(1, Y)", **limit}
+            "POST", "/programs/t/query", {"goal": "p(1, Y)", "mode": "magic", **limit}
         )
-        normal = await app.handle("POST", "/programs/t/query", {"goal": "p(5, Y)"})
+        normal = await app.handle(
+            "POST", "/programs/t/query", {"goal": "p(5, Y)", "mode": "magic"}
+        )
         return tripped, normal
 
     (status, payload), (ok, reply) = asyncio.run(drive())

@@ -118,7 +118,7 @@ def test_the_benchmark_bodies_parse():
 class TestParseQuery:
     def test_defaults(self):
         request = parse_query({"goal": "p(1, Y)"})
-        assert request.mode == "magic"
+        assert request.mode == "materialized"
         assert request.order == "semantic-first"
         assert request.timeout is None
 

@@ -324,6 +324,31 @@ class TestSessionRoundTrips:
         assert "usage:" in err and "Traceback" not in err
 
 
+class TestClientQuery:
+    """``client query`` sends ``mode``/``order`` only when given, so a
+    plain query takes whatever the daemon's default is."""
+
+    @pytest.mark.parametrize(
+        "flags, sent",
+        [
+            ([], {}),
+            (["--mode", "magic"], {"mode": "magic"}),
+            (["--mode", "materialized"], {"mode": "materialized"}),
+            (["--order", "magic-first"], {"order": "magic-first"}),
+        ],
+    )
+    def test_payload_names_only_the_flags_given(self, flags, sent, monkeypatch, capsys):
+        from repro.serve.client import ServeClient
+
+        requests = []
+        monkeypatch.setattr(
+            ServeClient, "request",
+            lambda self, method, path, payload=None: requests.append(payload) or {},
+        )
+        assert main(["client", "query", "t", "--goal", "p(1, Y)", *flags]) == 0
+        assert requests == [{"goal": "p(1, Y)", **sent}]
+
+
 class TestBenchPassThrough:
     """``repro bench <args>`` is ``python perf/run.py <args>``."""
 
