@@ -8,16 +8,17 @@ ingest.
 
 1. **Daemon kill.** Boot the real daemon (``repro serve``) with a
    persist directory, register a tenant, acknowledge two dozen ingests
-   over HTTP — checkpoints follow journal lag, so every one of them is
-   still uncovered — SIGKILL the daemon, restart it and re-register
-   with the *original* facts only.  Recovery must surface every acked
-   ingest by itself — from the self-contained checkpoint and the
-   journal, ``replayed`` equal to the uncovered count — and the answers
+   over HTTP — bases (durable copies of the EDB) follow journal lag, so
+   every one of them is still uncovered — SIGKILL the daemon, restart
+   it and re-register with the *original* facts only.  Recovery must
+   surface every acked ingest by itself — from the journal, ``replayed``
+   equal to the uncovered count, then one evaluation — and the answers
    must be byte-identical to an in-process recompute over initial +
-   ingested facts.  A second kill and restart must replay nothing.
+   ingested facts.  A second kill and restart must replay nothing: it
+   folds in the base the first recovery wrote and re-derives.
 
 2. **Fsync-window kill.** A child process acknowledges one ingest with
-   checkpoint saves forced to fail (acked but journal-covered only),
+   base saves forced to fail (acked but journal-covered only),
    then dies by SIGKILL while a second ingest faults at
    ``journal.fsync``.  The un-acked record's bytes may or may not be
    durable, so recovery is allowed to land on either admissible state —
@@ -63,9 +64,13 @@ PROGRAM = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y)."
 FACTS = "\n".join(f"e({i}, {i + 1})." for i in range(12))
 INGESTS = ["e(12, 13).", "e(13, 14)."]
 TENANT = "journal-smoke"
-#: The daemon-kill phase: an EDB whose checkpoint dwarfs two dozen
-#: journal frames, so none of the ingests is checkpoint-covered.
-DAEMON_FACTS = "\n".join(f"e({i}, {i + 1})." for i in range(60))
+#: The daemon-kill phase: a chain from 0 plus edges disjoint from it, an
+#: EDB whose base dwarfs two dozen journal frames, so none of the
+#: ingests is base-covered.
+DAEMON_FACTS = "\n".join(
+    [f"e({i}, {i + 1})." for i in range(60)]
+    + [f"e({i}, {i + 1})." for i in range(1000, 1680, 2)]
+)
 DAEMON_INGESTS = [f"e({i}, {i + 1})." for i in range(60, 84)]
 
 FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0)
@@ -149,7 +154,7 @@ def daemon_kill_phase() -> int:
                     f"{uncovered} uncovered records after {len(DAEMON_INGESTS)} "
                     "acked ingests; expected all of them (and at least 20)"
                 )
-            print(f"daemon-kill: acked {uncovered} ingests, none checkpoint-covered")
+            print(f"daemon-kill: acked {uncovered} ingests, none base-covered")
         finally:
             _kill(daemon, client)
         print(f"daemon-kill: killed pid {daemon.pid}")
@@ -157,7 +162,7 @@ def daemon_kill_phase() -> int:
         # Restart twice on the original facts only: the first recovery
         # must replay every acknowledged ingest, the second nothing.
         for restart, (want_mode, want_replayed) in enumerate(
-            [("recovered", uncovered), ("warm", 0)], start=1
+            [("recovered", uncovered), ("recovered", 0)], start=1
         ):
             daemon, client = _boot(persist)
             try:
@@ -194,7 +199,7 @@ def child(root: Path) -> None:
     store = CheckpointStore(root)
     session = Session(program, database, store=store, retry=FAST_RETRY)
     session.run()
-    # Checkpoint saves now fail, lag-triggered or not: the next ingest is
+    # Base saves now fail, lag-triggered or not: the next ingest is
     # acked by its journal fsync alone, so only a replay can carry it
     # across the kill.
     session.store = FlakyStore(

@@ -340,8 +340,7 @@ def _print_session_outcome(session: Session, outcome) -> None:
     program = result.program
     for step in outcome.fallback_chain:
         print(f"fallback: {step.describe()}")
-    detail = "" if outcome.resumed_seq is None else f" from checkpoint {outcome.resumed_seq}"
-    print(f"mode: {outcome.mode}{detail}")
+    print(f"mode: {outcome.mode}")
     print(f"checkpoints written: {outcome.checkpoints_written}")
     if outcome.replayed:
         print(f"journal records replayed: {outcome.replayed}")
@@ -350,7 +349,7 @@ def _print_session_outcome(session: Session, outcome) -> None:
     for row in sorted(rows, key=repr):
         print(f"  {program.query}{row!r}")
     print(
-        f"work (cumulative): {result.stats.iterations} iterations, "
+        f"work: {result.stats.iterations} iterations, "
         f"{result.stats.rows_scanned} rows scanned, "
         f"{result.stats.facts_derived} facts derived"
     )
@@ -370,8 +369,8 @@ def _cmd_session_ingest(args: argparse.Namespace) -> int:
     if not facts:
         raise UsageError(f"--facts file {args.facts} holds no ground facts")
     outcome = session.ingest(facts)
-    # This process is about to exit: leave the next command a covering
-    # checkpoint to restore instead of a journal suffix to replay.
+    # This process is about to exit: leave the next command a base
+    # covering the ingest instead of a journal suffix to replay.
     session.checkpoint()
     _print_session_outcome(session, outcome)
     return 0

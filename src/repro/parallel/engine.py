@@ -43,9 +43,9 @@ forked processes (:mod:`repro.parallel.worker`):
   merged partial fixpoint — a subset of the true one, because every
   shipped head row is a sound derivation.
 
-The worker warm-start reuses the checkpoint envelope (workload digest
-+ IDB seed + checksum) and ships the EDB with its interner, so a code
-means the same value in every process.
+The worker warm-start ships the EDB with its interner, the IDB seed as
+plain rows and the workload digest the worker checks them against, so a
+code means the same value in every process.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from ..datalog.program import Program
 from ..datalog.terms import Constant, Variable
 from ..digest import workload_digest
 from ..observability.trace import Tracer, get_tracer
-from ..persist.checkpoint import Checkpoint, EvaluationSnapshot
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import BudgetExceededError, InjectedFault, ReproError
 from .supervisor import DEFAULT_SUPERVISION, SupervisionPolicy
@@ -98,7 +97,7 @@ class WorkerFailure(ReproError):
 class FleetExhausted(WorkerFailure):
     """The supervision retry budget ran out for this evaluation run.
 
-    Every respawn consumes one :class:`~repro.persist.store.RetryPolicy`
+    Every respawn consumes one :class:`~repro.robustness.budget.RetryPolicy`
     backoff delay; when the iterator runs dry the fleet is declared
     unrecoverable at its current size.
     """
@@ -243,7 +242,7 @@ class WorkerPool:
     """A fleet of warmed shard workers bound to one program + EDB.
 
     Construction forks the processes and performs the warm-start
-    hand-off (program, EDB with interner, checkpoint envelope); both
+    hand-off (program, EDB with interner, IDB seed); both
     are the per-run fixed cost the benchmarks report separately as
     ``shard_overhead_seconds``.  The pool is a context manager; it is
     single-use per evaluation but a benchmark may construct it ahead
@@ -277,7 +276,7 @@ class WorkerPool:
                 self.conns.append(conn)
                 self.procs.append(proc)
             for index, conn in enumerate(self.conns):
-                conn.send(("warm", {**warm, "index": index}))
+                conn.send(("start", {**warm, "index": index}))
             for index in range(workers):
                 self._check_ready(index)
         except BaseException:
@@ -296,26 +295,17 @@ class WorkerPool:
         mirrors are complete up to the current barrier and re-shipped
         accept-log suffixes deduplicate as no-ops.
         """
-        interner = self.database.interner
-        snapshot = EvaluationSnapshot(
-            idb={
-                pred: relation.rows()
-                for pred, relation in (idb or {}).items()
-                if len(relation)
-            },
-            stats=EvaluationStats(),
-        )
-        envelope, _ = Checkpoint(
-            seq=0,
-            workload=workload_digest(self.program, self.database),
-            snapshot=snapshot,
-        ).encode()
-        self.interner_digest = interner.digest()
+        self.interner_digest = self.database.interner.digest()
         return {
             "workers": self.workers,
             "program": self.program,
             "edb": self.database.to_dict(include_interner=True),
-            "envelope": envelope,
+            "idb": {
+                pred: relation.rows()
+                for pred, relation in (idb or {}).items()
+                if len(relation)
+            },
+            "workload": workload_digest(self.program, self.database),
             "interner_digest": self.interner_digest,
         }
 
@@ -353,7 +343,7 @@ class WorkerPool:
         The replacement is warmed from the master's *current* IDB and
         interner (``idb`` is the live relation map), which is exactly
         the state a worker is held to at a barrier boundary: mid-merge
-        the round's accepted rows are not yet flushed, so the envelope
+        the round's accepted rows are not yet flushed, so the IDB seed
         captures barrier-start state and the in-flight task's update
         suffixes re-absorb idempotently.  Returns the new connection;
         raises :class:`WorkerFailure` if the replacement fails to warm.
@@ -367,7 +357,7 @@ class WorkerPool:
         proc, conn = self._spawn()
         self.procs[index] = proc
         self.conns[index] = conn
-        conn.send(("warm", {**warm, "index": index}))
+        conn.send(("start", {**warm, "index": index}))
         self._check_ready(index)
         return conn
 
@@ -729,7 +719,7 @@ class _ShardedExecutor:
                 # payload (the replacement has no plans) and a fresh
                 # deadline slice; interner extension and accept-log
                 # updates re-absorb idempotently on top of the warm
-                # envelope.  Shards are pure functions of ``(round,
+                # IDB seed.  Shards are pure functions of ``(round,
                 # partition)``: the master's delta buffers hold the full
                 # current-round frontier (in aligned mode too —
                 # ``new_delta`` accumulates every accepted row), so the

@@ -6,8 +6,8 @@ merge both stamp per-worker liveness), and a worker that neither
 replies nor dies within the straggler window is presumed stuck and
 killed.  Recovery — respawn a warm replacement from the current master
 state and re-dispatch the lost shard — runs under a bounded
-:class:`~repro.persist.store.RetryPolicy`, reusing the checkpoint
-store's capped-exponential-backoff-with-seeded-jitter semantics; when
+:class:`~repro.robustness.budget.RetryPolicy`, the same
+capped exponential backoff with seeded jitter as every durable write; when
 the budget is exhausted the engine raises
 :class:`~repro.parallel.engine.FleetExhausted`.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..persist.store import RetryPolicy
+from ..robustness.budget import RetryPolicy
 
 __all__ = ["SupervisionPolicy", "DEFAULT_SUPERVISION"]
 

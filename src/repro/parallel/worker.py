@@ -3,8 +3,9 @@
 A worker is a *mirror* of the master's evaluation state.  It is warmed
 exactly once with the program, the EDB (shipped as
 ``Database.to_dict(include_interner=True)``, so dictionary codes are
-reproduced verbatim) and a checkpoint envelope binding the workload
-digest and the IDB seed.  After that it answers barrier tasks:
+reproduced verbatim), the IDB seed as plain rows, and the workload
+digest the worker checks the shipped program and EDB against.  After
+that it answers barrier tasks:
 
 1. apply the interner extension (values the master interned since the
    last barrier — normally empty, because the master pre-interns every
@@ -54,7 +55,6 @@ from ..datalog.database import Database, Frontier
 from ..datalog.evaluation import EvaluationStats
 from ..datalog.plan import DEFAULT_IDB_ESTIMATE, compile_rule
 from ..digest import workload_digest
-from ..persist.checkpoint import Checkpoint
 from ..robustness.budget import Budget, Governor
 from ..robustness.errors import EvaluationAborted
 
@@ -85,10 +85,9 @@ class _WorkerState:
             database = database.to_storage("columnar")
         self.database = database
         self.interner = database.interner
-        envelope = Checkpoint.decode(payload["envelope"])
-        if envelope.workload != workload_digest(self.program, self.database):
+        if payload["workload"] != workload_digest(self.program, self.database):
             raise ValueError(
-                "worker warm-start envelope does not match the shipped "
+                "worker warm-start IDB does not match the shipped "
                 "program/EDB (workload digest mismatch)"
             )
         expected = payload.get("interner_digest")
@@ -110,7 +109,7 @@ class _WorkerState:
         self.shipped: dict[str, set] = {}
         for pred in self.program.idb_predicates:
             relation = database.new_relation(self.program.arity_of(pred))
-            for row in envelope.snapshot.idb.get(pred, ()):
+            for row in payload["idb"].get(pred, ()):
                 relation.add(row)
             self.idb[pred] = relation
             self.mirror[pred] = set(relation.all_rows())
@@ -313,7 +312,7 @@ def worker_main(conn) -> None:
         if kind == "stop":
             return
         try:
-            if kind == "warm":
+            if kind == "start":
                 state = _WorkerState(message[1])
                 conn.send(
                     (

@@ -1,16 +1,19 @@
-"""Durable evaluation sessions: checkpoint/restore, recover, ingest.
+"""Durable evaluation sessions: bases, journal, recover, ingest.
 
-The persistence layer makes fixpoints survive process death and absorb
-new facts without cold recomputation (see ``docs/robustness.md``,
-"Durability & recovery"):
+The persistence layer makes a session's EDB survive process death —
+every acknowledged ingest included — and keeps its fixpoint current
+across ingests without cold recomputation; a restart re-derives the
+fixpoint from the durable EDB (see ``docs/robustness.md``, "Durability
+& recovery"):
 
 * :mod:`repro.persist.checkpoint` — the versioned, content-addressed
-  on-disk format (:class:`Checkpoint`), the workload and fixpoint
-  digests, and the corruption/mismatch error taxonomy;
+  on-disk base format (:class:`Checkpoint`, an EDB), the workload and
+  fixpoint digests, and the corruption error taxonomy;
 * :mod:`repro.persist.store` — :class:`CheckpointStore` (atomic
   write-temp-fsync-rename saves, checksum-verified loads, quarantine of
   corrupt files only), the chaos-harness :class:`FlakyStore`, and
-  :func:`save_with_retry` under a :class:`RetryPolicy`;
+  :func:`save_with_retry` under a
+  :class:`~repro.robustness.budget.RetryPolicy`;
 * :mod:`repro.persist.journal` — :class:`IngestJournal`, the
   append-only CRC-framed write-ahead log of acknowledged ingests
   (fsync-before-ack, torn-tail truncation, segment rotation and
@@ -23,15 +26,14 @@ new facts without cold recomputation (see ``docs/robustness.md``,
 from .._lazy import lazy_exports
 
 # Nothing is imported up front: a caller that needs one layer (the
-# sharded engine's checkpoint format, the client's retry policy) does
-# not load the session and journal beside it.
+# checkpoint format, the store) does not load the session and journal
+# beside it.
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".checkpoint": (
         "CHECKPOINT_VERSION",
         "Checkpoint",
         "CheckpointCorrupt",
         "CheckpointError",
-        "CheckpointMismatch",
         "fixpoint_digest",
         "workload_digest",
     ),
@@ -61,7 +63,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointCorrupt",
-    "CheckpointMismatch",
     "CheckpointStore",
     "CheckpointStoreUnavailable",
     "FlakyJournal",

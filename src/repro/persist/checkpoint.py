@@ -1,17 +1,19 @@
-"""The on-disk checkpoint format: versioned, content-addressed JSON.
+"""The on-disk base format: a session's EDB as versioned, content-addressed JSON.
 
-A checkpoint is one :class:`EvaluationSnapshot` — a complete fixpoint
-and the EDB it was computed from — wrapped with the metadata that
-makes it safe to trust across process boundaries:
+A checkpoint ("base") holds the extensional database a session had
+reached when it was written — the initial EDB plus every ingest the
+journal had acknowledged — and never the fixpoint: a fixpoint is a
+function of its EDB, so recovery re-derives it.  The EDB is wrapped
+with the metadata that makes it safe to trust across process
+boundaries:
 
-* a **format version** (:data:`CHECKPOINT_VERSION`), so a future format
-  change can be detected instead of mis-parsed;
+* a **format version** (:data:`CHECKPOINT_VERSION`), so a format change
+  is detected instead of mis-parsed;
 * a **workload digest** — SHA-256 over the program's rules and query
   and the integrity constraints, bound to a multiset hash of every EDB
-  row (:mod:`repro.digest`) — binding the checkpoint to the exact
-  inputs it was computed from.  Restoring a checkpoint
-  against a *different* workload would silently produce answers for
-  neither, so a mismatched digest is treated exactly like corruption;
+  row (:mod:`repro.digest`) — binding the base to the exact workload
+  it belongs to.  Recovery folds in only a base whose EDB reproduces
+  its own digest under the session's program;
 * a **content checksum** — SHA-256 over the canonical JSON encoding of
   the payload, embedded next to it and baked into the filename
   (``ckpt-<seq>-<checksum12>.json``).  The payload is serialized once:
@@ -19,10 +21,15 @@ makes it safe to trust across process boundaries:
   or a bit flip fails verification on load and the file is quarantined
   (renamed to ``*.corrupt``), never silently used.
 
+Version 3 is ``{version, seq, workload, edb}``.  A version-2 file (an
+older build's, which also stored the fixpoint and its counters) is read
+for its ``edb`` only, and only when it is ``complete``: its ingested
+rows may exist nowhere else once the journal compacted their records.
+Nothing else in it is read, and this build never writes it.
+
 Rows must contain JSON scalars only (ints, strings, floats, bools,
-``None``) — which is what the parser produces — so the relation/row
-round trip is lossless and ``repr``-stable, keeping
-:func:`fixpoint_digest` byte-identical across a save/load cycle.
+``None``) — which is what the parser produces — so the row round trip
+is lossless and ``repr``-stable.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..datalog.database import Row
-from ..datalog.evaluation import EvaluationStats
 from ..digest import fixpoint_digest, workload_digest
 from ..robustness.errors import ReproError
 
@@ -43,16 +49,13 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointCorrupt",
-    "CheckpointMismatch",
-    "EvaluationSnapshot",
     "workload_digest",
     "fixpoint_digest",
 ]
 
-#: Format version written into (and required of) every checkpoint file.
-#: Version 2: workload digests bind to the multiset EDB hash, and the
-#: file embeds the canonical payload bytes the checksum was taken over.
-CHECKPOINT_VERSION = 2
+#: Format version written into every base file.  Version 3 holds the
+#: EDB alone; version 2 (read for its EDB) also held the fixpoint.
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ReproError):
@@ -61,10 +64,6 @@ class CheckpointError(ReproError):
 
 class CheckpointCorrupt(CheckpointError):
     """A checkpoint failed structural or checksum verification."""
-
-
-class CheckpointMismatch(CheckpointError):
-    """A (valid) checkpoint belongs to a different workload digest."""
 
 
 # workload_digest / fixpoint_digest are re-exported from
@@ -76,103 +75,42 @@ def _rows_payload(rows: "Iterable[Row]") -> list[list]:
     return [list(row) for row in sorted(rows, key=repr)]
 
 
-def _rows_restore(payload: object) -> frozenset:
+def _rows_read(payload: object) -> frozenset:
     if not isinstance(payload, list):
         raise CheckpointCorrupt(f"rows payload is {type(payload).__name__}, not a list")
     return frozenset(tuple(row) for row in payload)
 
 
-@dataclass(frozen=True)
-class EvaluationSnapshot:
-    """A complete fixpoint as a checkpoint holds it: plain rows and counters.
-
-    ``idb`` holds every derived relation, ``stats`` the cumulative work
-    counters of the evaluations and ingests that produced them, and
-    ``edb`` the extensional database they were derived from.  Ingested
-    facts live nowhere else once the write-ahead journal compacts, so a
-    checkpoint is self-contained: restore = EDB + IDB from the
-    checkpoint, then replay the journal suffix.  ``edb`` is ``None`` on
-    checkpoints written before the journal (and on the worker warm-start
-    envelope of :mod:`repro.parallel.engine`, which ships the EDB beside
-    it).  No compiled plans, indexes or interner codes: the persistence
-    layer never reaches into engine internals.
-
-    ``completed_sccs`` is the program's SCC count — every SCC of a
-    complete fixpoint is complete.  ``complete`` is ``False`` only for
-    the per-round frontier checkpoints older builds wrote; they load so
-    that recovery can skip them, and nothing resumes from them.
-    """
-
-    idb: Mapping[str, frozenset]
-    stats: EvaluationStats
-    edb: "Mapping[str, frozenset] | None" = None
-    completed_sccs: int = 0
-    complete: bool = True
+def _edb_read(payload: Mapping) -> "dict[str, frozenset]":
+    return {str(pred): _rows_read(rows) for pred, rows in payload.items()}
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One durable evaluation snapshot plus its binding metadata."""
+    """One durable EDB plus its binding metadata.
+
+    ``edb`` is ``None`` only when read from a valid version-2 file that
+    holds no usable EDB (an older build's per-round frontier, or a file
+    written before the journal): recovery passes over it and leaves it
+    where it is.
+    """
 
     seq: int
     workload: str
-    snapshot: EvaluationSnapshot
-    version: int = CHECKPOINT_VERSION
+    edb: "Mapping[str, frozenset] | None"
 
     @property
-    def complete(self) -> bool:
-        return self.snapshot.complete
-
-    @property
-    def latest_round(self) -> int:
-        """The semi-naive rounds the checkpointed fixpoint took, cumulatively.
-
-        Exposed on the envelope so summary consumers (``repro session
-        inspect``, the daemon's ``/stats`` endpoint) never re-parse the
-        snapshot payload to learn how far the fixpoint had progressed.
-        """
-        return self.snapshot.stats.iterations
-
-    def summary(self) -> dict:
-        """A JSON-ready envelope summary (no row payloads).
-
-        The shared shape behind ``repro session inspect`` and the
-        serving daemon's ``/stats``: sequence number, completeness,
-        ``latest_round``, fact count and cumulative stats.
-        """
-        return {
-            "seq": self.seq,
-            "complete": self.complete,
-            "latest_round": self.latest_round,
-            "facts": sum(len(rows) for rows in self.snapshot.idb.values()),
-            "stats": self.snapshot.stats.as_dict(),
-        }
+    def edb_facts(self) -> int:
+        return sum(len(rows) for rows in self.edb.values())
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         """The canonical JSON-ready payload (checksum not included)."""
-        snap = self.snapshot
         return {
-            "version": self.version,
+            "version": CHECKPOINT_VERSION,
             "seq": self.seq,
             "workload": self.workload,
-            "snapshot": {
-                # Older builds read these keys unconditionally (they
-                # resumed from per-round frontiers); a complete fixpoint
-                # has no frontier, no cursor and no interner table.
-                "strategy": "seminaive",
-                "completed_sccs": snap.completed_sccs,
-                "scc_index": None,
-                "iteration": snap.stats.iterations,
-                "delta": None,
-                "interner": None,
-                "complete": snap.complete,
-                "idb": {pred: _rows_payload(rows) for pred, rows in sorted(snap.idb.items())},
-                "edb": None
-                if snap.edb is None
-                else {pred: _rows_payload(rows) for pred, rows in sorted(snap.edb.items())},
-                "stats": snap.stats.as_dict(),
-            },
+            "edb": {pred: _rows_payload(rows) for pred, rows in sorted(self.edb.items())},
         }
 
     @classmethod
@@ -180,37 +118,18 @@ class Checkpoint:
         """Rebuild from a payload, raising :class:`CheckpointCorrupt` on bad shapes."""
         try:
             version = int(payload["version"])
-            if version != CHECKPOINT_VERSION:
+            if version == CHECKPOINT_VERSION:
+                edb = _edb_read(payload["edb"])
+            elif version == 2:
+                snap = payload["snapshot"]
+                edb = snap.get("edb")
+                edb = None if edb is None or not snap.get("complete") else _edb_read(edb)
+            else:
                 raise CheckpointCorrupt(
                     f"unsupported checkpoint version {version} "
-                    f"(this build reads version {CHECKPOINT_VERSION})"
+                    f"(this build reads versions 2 and {CHECKPOINT_VERSION})"
                 )
-            snap = payload["snapshot"]
-            # Older builds also wrote naive snapshots, which no build
-            # ever restored from.
-            strategy = snap.get("strategy", "seminaive")
-            if strategy != "seminaive":
-                raise CheckpointCorrupt(f"unsupported evaluation strategy {strategy!r}")
-            # An older build's frontier (``complete`` false) loads with
-            # its rows but without its frontier and cursor: recovery
-            # skips it, so the keys that only served resume are unread.
-            snapshot = EvaluationSnapshot(
-                idb={str(p): _rows_restore(rows) for p, rows in snap["idb"].items()},
-                stats=EvaluationStats.from_dict(snap["stats"]),
-                # .get: checkpoints written before the ingest journal
-                # carry no EDB and load as derived-state-only.
-                edb=None
-                if snap.get("edb") is None
-                else {str(p): _rows_restore(rows) for p, rows in snap["edb"].items()},
-                completed_sccs=int(snap.get("completed_sccs", 0)),
-                complete=bool(snap.get("complete", False)),
-            )
-            return cls(
-                seq=int(payload["seq"]),
-                workload=str(payload["workload"]),
-                snapshot=snapshot,
-                version=version,
-            )
+            return cls(seq=int(payload["seq"]), workload=str(payload["workload"]), edb=edb)
         except CheckpointCorrupt:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -226,7 +145,7 @@ class Checkpoint:
     def encode(self) -> tuple[str, str]:
         """``(file text, checksum)`` — canonical JSON with embedded checksum.
 
-        The payload is serialized once per checkpoint (snapshots are
+        The payload is serialized once per checkpoint (checkpoints are
         immutable): the checksum is taken over those bytes and the
         envelope assembled around them.
         """

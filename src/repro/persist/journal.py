@@ -1,9 +1,9 @@
 """The write-ahead ingest journal: fsync-before-ack durability for deltas.
 
-Checkpoints make *fixpoints* durable; :class:`IngestJournal` makes the
-acknowledgment of a :meth:`Session.ingest
+Base files (:mod:`repro.persist.checkpoint`) make an EDB durable;
+:class:`IngestJournal` makes the acknowledgment of a :meth:`Session.ingest
 <repro.persist.session.Session.ingest>` durable, so a process killed
-before the next checkpoint — or ingesting while the checkpoint store is
+before the next base — or ingesting while the checkpoint store is
 degraded to in-memory — loses nothing it acknowledged.  The classic
 write-ahead contract:
 
@@ -19,13 +19,13 @@ write-ahead contract:
   there, so a crash mid-append costs at most the unacknowledged tail,
   never a parse error;
 * **segment rotation and compaction** — records land in numbered
-  ``journal-<n>.log`` segments; once a *covering* complete checkpoint
-  lands (its workload digest reflects every row up to sequence ``s``),
-  :meth:`IngestJournal.compact` deletes the segments that ``s`` fully
-  covers.
+  ``journal-<n>.log`` segments; once a *covering* base lands (its EDB
+  holds every row up to sequence ``s``), :meth:`IngestJournal.compact`
+  deletes the segments that ``s`` fully covers.
 
-Recovery is *newest self-contained checkpoint + idempotent replay of
-the journal suffix*, and :meth:`Session.recover
+The durable state is the newest base plus this journal.  Recovery
+folds in the base, replays the journal suffix idempotently, and
+re-derives the fixpoint with one evaluation; :meth:`Session.recover
 <repro.persist.session.Session.recover>` — the journal's only reader —
 documents it.  Replaying a record whose rows are already present is a
 no-op by construction (EDB rows are sets).
@@ -50,10 +50,10 @@ from pathlib import Path
 from typing import Mapping
 
 from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import Governor
+from ..robustness.budget import Governor, RetryPolicy
 from ..robustness.faults import FlakyIO
 from .checkpoint import CheckpointError
-from .store import RetryPolicy, with_retry
+from .store import with_retry
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -95,7 +95,7 @@ class JournalRecord:
 
     ``workload`` is the digest of the session's workload *before* this
     record's rows were applied — the chain link that lets recovery
-    position the record against the initial EDB and any checkpoint.
+    position the record against the initial EDB and any base.
     ``rows`` are the deduplicated ``(predicate, row)`` pairs that were
     genuinely new at append time, in sorted-predicate order.
     """
@@ -386,17 +386,17 @@ class IngestJournal:
         return suffix
 
     def lag(self, covered_seq: int | None = None) -> int:
-        """How many acknowledged records a covering checkpoint has NOT
+        """How many acknowledged records a covering base has NOT
         absorbed yet (the daemon's ``journal_lag`` health field)."""
         covered = self._covered if covered_seq is None else covered_seq
         return sum(1 for record in self.records() if record.seq > covered)
 
     # -- compaction ----------------------------------------------------
     def compact(self, covered_seq: int) -> int:
-        """Drop segments fully covered by a complete checkpoint.
+        """Drop segments fully covered by a base.
 
         ``covered_seq`` is the highest record sequence whose rows the
-        newest complete checkpoint reflects.  A segment is deleted only
+        newest base holds.  A segment is deleted only
         when *every* record in it is covered; a partially covered
         segment stays (replay is idempotent, so re-seeing covered
         records is harmless).  Returns the number of segments removed.

@@ -1,48 +1,51 @@
 """Durable evaluation sessions: recover, ingest, checkpoint.
 
 A :class:`Session` binds one workload (program + *initial* database) to
-one checkpoint directory.  Its durable life cycle is ``recover`` →
-``ingest``\\ * → ``checkpoint``; each method's docstring is the contract:
+one checkpoint directory.  What is durable is the EDB: base files
+(:mod:`repro.persist.checkpoint`, each the EDB a session had reached)
+plus the ingest journal.  The fixpoint is never stored — it is a
+function of the EDB, and recovery re-derives it.  The durable life
+cycle is ``recover`` → ``ingest``\\ * → ``checkpoint``; each method's
+docstring is the contract:
 
 * :meth:`Session.recover` — start *or* restart, and the **only** code
-  that reads a checkpoint file or a journal segment: newest
-  self-contained checkpoint + journal replay, else a fresh run.  A
-  valid checkpoint that does not fit is skipped, never renamed.
+  that reads a base file or a journal segment: fold in the newest base
+  that binds here, chain the journal onto it, then run one governed
+  evaluation.  A valid base that does not fit is skipped, never
+  renamed.
 * :meth:`Session.ingest` — add EDB facts and extend the live fixpoint
   *in place* by semi-naive differentiation (recompute when an ingested
   predicate occurs negated): **derive, then journal, then acknowledge**
   — the journal fsync is the acknowledgment and the only durable write
   an ingest waits for; a batch rejected on the way is taken back whole.
   A session that holds no fixpoint yet recovers first.
-* :meth:`Session.checkpoint` — checkpoints follow **journal lag**: a
-  covering self-contained checkpoint (EDB + fixpoint) is written when
-  the journal bytes acknowledged since the last one reach that
-  checkpoint's own size — so checkpoint writes stay within 2x of
-  journal writes, and a restart replays at most one checkpoint's worth
-  of journal — and additionally after every full evaluation, after a
-  recovery that replayed records, and on this call.  Once one lands,
-  the journal prefix it covers is compacted away.
-* :meth:`Session.run` — the cold evaluation recovery falls back to and
-  the tests compare against; it writes one covering checkpoint of the
-  fixpoint, never reads disk.  A run killed mid-evaluation costs only
-  that evaluation: nothing it computed was acknowledged.
+* :meth:`Session.checkpoint` — bases follow **journal lag**: a base is
+  written when the journal bytes acknowledged since the last one reach
+  that base's own size (with no base on disk, the size a base of the
+  caller's EDB would have) — so base writes stay within 2x of journal
+  writes, and a restart replays at most one base's worth of journal —
+  and additionally after a recovery that replayed records, and on this
+  call.  Once one lands, the journal prefix it covers is compacted
+  away.
+* :meth:`Session.run` — a cold evaluation of the EDB as it stands;
+  it writes nothing and never reads disk.  The caller re-supplies the
+  initial EDB on every start, so nothing needs writing until an ingest.
 * :meth:`Session.inspect` — a JSON-ready summary of store + journal.
 
-Checkpoint saves go through :func:`~repro.persist.store.save_with_retry`;
-a store that stays broken after the retry budget **degrades** the
-session to in-memory evaluation (a
-:class:`~repro.robustness.budget.FallbackStep` and a ``budget.fallback``
-trace event) instead of failing it.  Statistics stay cumulative across
-the whole life cycle (a restored fixpoint brings its counters, and
-ingest adds to them), so budget accounting and reports
-see the true total cost.
+Base saves go through :func:`~repro.persist.store.save_with_retry`; a
+store that stays broken after the retry budget **degrades** the session
+to in-memory evaluation (a :class:`~repro.robustness.budget.FallbackStep`
+and a ``budget.fallback`` trace event) instead of failing it.  Work
+counters start afresh with every process: a recovery's are those of
+its evaluation, and ingests add to them.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..datalog.database import ArityMismatch, Database, FactRows, Row
 from ..datalog.evaluation import (
@@ -59,9 +62,10 @@ from ..robustness.budget import (
     CancellationToken,
     FallbackStep,
     Governor,
+    RetryPolicy,
     record_fallback,
 )
-from .checkpoint import Checkpoint, CheckpointError, EvaluationSnapshot
+from .checkpoint import Checkpoint, CheckpointError
 from .journal import (
     FlakyJournal,
     IngestJournal,
@@ -73,7 +77,6 @@ from .store import (
     CheckpointStore,
     CheckpointStoreUnavailable,
     FlakyStore,
-    RetryPolicy,
     save_with_retry,
 )
 
@@ -84,27 +87,46 @@ __all__ = ["Session", "SessionResult"]
 class SessionResult:
     """The outcome of one session operation.
 
-    ``mode`` records the path taken: ``"fresh"`` (full evaluation),
-    ``"incremental"`` (delta-seeded ingest), ``"recompute"`` (ingest
-    fell back to full re-evaluation), ``"warm"`` (zero-evaluation
-    checkpoint restore) or ``"recovered"`` (recovery replayed journal
-    records).
-    ``fallback_chain`` lists every degradation taken, in order;
-    ``replayed`` counts the journal records recovery re-applied, and
-    ``resumed_seq`` is the sequence number of the checkpoint a
-    recovery restored.
+    ``mode`` records the path taken: ``"fresh"`` (full evaluation over
+    the caller's EDB alone), ``"incremental"`` (delta-seeded ingest),
+    ``"recompute"`` (ingest fell back to full re-evaluation) or
+    ``"recovered"`` (recovery folded in a base or replayed journal
+    records, then evaluated).  ``fallback_chain`` lists every
+    degradation taken, in order; ``replayed`` counts the journal
+    records recovery re-applied.
     """
 
     result: EvaluationResult
     mode: str
     checkpoints_written: int = 0
-    resumed_seq: int | None = None
     fallback_chain: list[FallbackStep] = field(default_factory=list)
     replayed: int = 0
 
     @property
     def stats(self) -> EvaluationStats:
         return self.result.stats
+
+
+@dataclass(frozen=True)
+class _Base:
+    """A base file on disk: the one a restart would fold in."""
+
+    seq: int
+    edb_facts: int
+    bytes: int
+    path: Path
+
+    def summary(self) -> dict:
+        try:
+            age = max(0.0, time.time() - self.path.stat().st_mtime)
+        except OSError:
+            age = None
+        return {
+            "seq": self.seq,
+            "edb_facts": self.edb_facts,
+            "bytes": self.bytes,
+            "age_seconds": age,
+        }
 
 
 class Session:
@@ -132,17 +154,17 @@ class Session:
             journal = IngestJournal(Path(store.directory) / "journal", tracer=tracer)
         self.journal = journal
         # Journal positions.  Every record up to ``_applied_seq`` has
-        # its rows in the EDB (ingest and recovery advance it); a
-        # self-contained checkpoint on disk reflects every record up to
-        # ``_covered_seq`` (advanced when one lands).
+        # its rows in the EDB (ingest and recovery advance it); a base
+        # on disk reflects every record up to ``_covered_seq`` (advanced
+        # when one lands).
         self._applied_seq = 0
         self._covered_seq = 0
-        # Journal lag in bytes: the size of the newest covering
-        # checkpoint, and the journal bytes acknowledged since it
-        # landed.  An ingest checkpoints when the second reaches the
-        # first.
-        self._checkpoint_bytes = 0
+        # The newest base this session read or wrote, and the journal
+        # bytes acknowledged since.  A base is due when the second
+        # reaches the first's size (:meth:`_lag_limit`).
+        self._base: _Base | None = None
         self._lag_bytes = 0
+        self._unwritten_base_bytes: int | None = None
         self.constraints = tuple(constraints)
         self.budget = budget
         self.cancellation = cancellation
@@ -162,7 +184,7 @@ class Session:
         return self._tracer if self._tracer is not None else get_tracer()
 
     def workload(self) -> str:
-        """The digest binding checkpoints to this exact workload."""
+        """The digest binding bases and journal records to this exact workload."""
         if self._edb_hash is None:
             self._edb_hash = edb_hash(self.database)
         return bind_edb(self._shape, self._edb_hash)
@@ -182,43 +204,36 @@ class Session:
 
     # ------------------------------------------------------------------
     def run(self) -> SessionResult:
-        """Evaluate the workload cold, then checkpoint the fixpoint.
+        """Evaluate the workload's EDB as it stands, cold; write nothing.
 
-        Never reads disk: this is the evaluation :meth:`recover` falls
-        back to on an empty directory, and the reference the tests
-        compare recovery against.  Over a directory that may have been
-        used before, call :meth:`recover` — a cold run there knows
-        nothing of the ingests the directory holds.
+        Never reads disk: over a directory that may have been used
+        before, call :meth:`recover` — a cold run there knows nothing of
+        the ingests the directory holds.
         """
-        governor = self._governor()
         result = evaluate(
-            self.program, self.database, budget=governor, tracer=self._tracer
-        )
-        outcome = SessionResult(result=result, mode="fresh")
-        outcome.checkpoints_written = self._cover(
-            result, outcome.fallback_chain, governor
+            self.program, self.database, budget=self._governor(), tracer=self._tracer
         )
         self._last = result
-        return outcome
+        return SessionResult(result=result, mode="fresh")
 
     def checkpoint(self) -> bool:
-        """Write a covering checkpoint of the live fixpoint now.
+        """Write a base of the session's EDB now, if any ingest is uncovered.
 
-        The explicit counterpart of the lag-triggered checkpoint of
+        The explicit counterpart of the lag-triggered base of
         :meth:`ingest` (``repro session ingest`` calls it before
         exiting): the journal prefix it covers is compacted away.
-        Returns whether the store now holds a checkpoint reflecting
-        every acknowledged ingest — trivially so when nothing was
-        acknowledged since the last one; ``False`` without a store or a
+        Returns whether the durable state now needs no journal record
+        this session acknowledged — trivially so when nothing was
+        acknowledged since the last base; ``False`` without a store or a
         current fixpoint, or when the store stayed broken through the
         retry budget (traced as a ``budget.fallback`` like any degraded
         save).
         """
-        if self._checkpoint_bytes and not self._lag_bytes:
-            return True
         if self._last is None or self.store is None:
             return False
-        return self._cover(self._last, [], self._governor()) > 0
+        if not self._lag_bytes:
+            return True
+        return self._cover([], self._governor()) > 0
 
     # ------------------------------------------------------------------
     def _negated_predicates(self) -> set[str]:
@@ -278,7 +293,7 @@ class Session:
         Ordering: normalize and validate, decide the path, stage the
         new rows in the EDB and derive, and only then journal them with
         append+fsync — the acknowledgment, and the only durable write
-        an ingest waits for unless journal lag makes a checkpoint due.
+        an ingest waits for unless journal lag makes a base due.
         A crash after the fsync is recoverable via :meth:`recover`;
         anything that raises before it — a typed error or budget trip
         in the derivation, a journal that cannot fsync — takes the
@@ -338,7 +353,20 @@ class Session:
 
         try:
             if reason is None:
-                result = self._incremental_fixpoint(new_rows, live, governor, commit)
+                # The shared fixpoint driver's ingest seed extends
+                # ``live``'s relations in place, then commits; there is
+                # no current fixpoint while it runs.
+                self._last = None
+                result = _evaluate_ingest(
+                    self.program,
+                    self.database,
+                    new_rows,
+                    live,
+                    plans=self._plans,
+                    tracer=self.tracer,
+                    governor=governor,
+                    commit=commit,
+                )
             else:
                 record_fallback(
                     fallback_chain, "session.ingest", "recompute", reason, self.tracer
@@ -362,37 +390,32 @@ class Session:
             mode="incremental" if reason is None else "recompute",
             fallback_chain=fallback_chain,
         )
-        # Checkpoints follow journal lag.
-        if self.store is not None and self._lag_bytes >= self._checkpoint_bytes:
-            outcome.checkpoints_written += self._cover(
-                outcome.result, fallback_chain, governor
-            )
+        # Bases follow journal lag.
+        if self.store is not None and self._lag_bytes >= self._lag_limit():
+            outcome.checkpoints_written += self._cover(fallback_chain, governor)
         return outcome
 
     # ------------------------------------------------------------------
-    def _read_store(self) -> "tuple[Checkpoint | None, int]":
+    def _read_store(self) -> "tuple[Checkpoint, _Base] | None":
         """One pass over the store, newest file first, each read at most
-        once: the newest self-contained checkpoint that binds here and
-        its size on disk.
+        once: the newest base that binds here.
 
-        A *self-contained* checkpoint is complete and carries the EDB
-        beside the fixpoint, so it can seed recovery even after the
-        journal compacted the records it covers.  It binds when its EDB
-        reproduces its own workload digest under this session's program
-        and constraints (not another workload sharing the directory)
-        and contains every row of this session's initial EDB (not an
-        older registration whose facts have since changed).  An older
-        build's per-round frontier is neither, and is passed over.
+        A base binds when its EDB reproduces its own workload digest
+        under this session's program and constraints (not another
+        workload sharing the directory) and contains every row of this
+        session's initial EDB (not an older registration whose facts
+        have since changed).  A valid file that holds no EDB (an older
+        build's per-round frontier) is passed over.
         """
         for path in reversed(self.store.paths() if self.store is not None else []):
             try:
                 found = self.store.load(path)
+                size = path.stat().st_size
             except (CheckpointError, OSError):
                 continue  # unreadable: an older file may still serve
-            edb = found.snapshot.edb
+            edb = found.edb
             if (
-                found.complete
-                and edb is not None
+                edb is not None
                 and found.workload
                 == bind_edb(
                     self._shape,
@@ -404,20 +427,19 @@ class Session:
                     for row in self.database.relation(predicate)
                 )
             ):
-                return found, path.stat().st_size
-        return None, 0
+                return found, _Base(found.seq, found.edb_facts, size, path)
+        return None
 
     def recover(self) -> SessionResult:
-        """Start or restart from the durable state: newest self-contained
-        checkpoint + journal replay.
+        """Start or restart from the durable state: newest binding base,
+        journal chain, one evaluation.
 
         The session must be constructed with the workload's *initial*
         EDB (as first registered).  Recovery then:
 
-        1. folds in the EDB of the newest self-contained checkpoint that
-           binds to this workload — the durable copy of every ingested
-           fact whose journal record has been compacted away — and
-           restores its fixpoint (zero evaluation);
+        1. folds in the EDB of the newest base that binds to this
+           workload — the durable copy of every ingested fact whose
+           journal record has been compacted away;
         2. chains the journal's acknowledged records onto that EDB:
            each record carries the pre-ingest workload digest, and the
            digest moves by one hash per row, so the walk costs the
@@ -425,16 +447,14 @@ class Session:
            EDB already contains are stale and skipped; a record that
            neither chains nor is contained raises
            :class:`~repro.persist.journal.JournalMismatch`);
-        3. re-applies the chained records as one delta — incrementally
-           when monotone, by governed recompute otherwise — and writes
-           a fresh covering checkpoint, after which the covered journal
-           prefix is compacted away.
+        3. runs one governed evaluation over the result — monotone or
+           not, replayed or not — and, when it replayed records, writes
+           a base covering them, after which the covered journal prefix
+           is compacted away.
 
-        With no self-contained checkpoint, step 3 is a :meth:`run` over
-        (initial EDB + chained records) — a fresh run on an empty
-        directory, so callers use ``recover()`` unconditionally.  An
-        evaluation that was killed left no checkpoint behind, so it is
-        simply run again.
+        On an empty directory this is a fresh run, so callers use
+        ``recover()`` unconditionally.  An evaluation that was killed
+        left nothing behind, so it is simply run again.
 
         The result is byte-identical to a cold recompute over (initial
         EDB + every acknowledged ingest).  A recovery that raises leaves
@@ -442,7 +462,7 @@ class Session:
         simply be called again.
         """
         self.workload()
-        before = self._edb_hash, self._applied_seq, self._covered_seq
+        before = self._edb_hash, self._applied_seq, self._covered_seq, self._base
         folded: list[tuple[str, Row]] = []
         try:
             return self._recover(folded)
@@ -450,21 +470,20 @@ class Session:
             for predicate in {predicate for predicate, _ in folded}:
                 rows = [row for pred, row in folded if pred == predicate]
                 self.database.discard_rows(predicate, rows)
-            self._edb_hash, self._applied_seq, self._covered_seq = before
+            self._edb_hash, self._applied_seq, self._covered_seq, self._base = before
             self._last = None  # an abort must not leave a stale fixpoint
             raise
 
     def _recover(self, folded: list[tuple[str, Row]]) -> SessionResult:
         """:meth:`recover`, noting in ``folded`` each row it adds to the EDB."""
         governor = self._governor()
-        fallback_chain: list[FallbackStep] = []
         records = [] if self.journal is None else self.journal.replay()
-        base, base_bytes = self._read_store()
-        if base is not None:
-            edb = base.snapshot.edb
-            assert edb is not None
+        found = self._read_store()
+        if found is not None:
+            base, self._base = found
+            assert base.edb is not None
             folded += self._add_rows(
-                (pred, row) for pred, rows in edb.items() for row in rows
+                (pred, row) for pred, rows in base.edb.items() for row in rows
             )
         head = self.workload()
         edb_sum = self._edb_hash
@@ -485,10 +504,12 @@ class Session:
                 replayed += 1
             elif all(pair in chained or contains(*pair) for pair in record.rows):
                 # Stale: the EDB already includes these rows (the base
-                # checkpoint covers them, or a re-registration resent
-                # ingested facts).  Idempotent replay skips them; those
-                # ahead of the chain are durable elsewhere already.
-                if not replayed:
+                # covers them, or a re-registration resent ingested
+                # facts).  Idempotent replay skips them.  Only a base
+                # makes them durable elsewhere: rows the caller resent
+                # may be missing from the next registration, so with no
+                # base the record stays until a base is written.
+                if not replayed and found is not None:
                     self._covered_seq = max(self._covered_seq, record.seq)
             else:
                 raise JournalMismatch(
@@ -500,54 +521,20 @@ class Session:
         if records:
             self._applied_seq = max(self._applied_seq, records[-1].seq)
 
-        new_rows: dict[str, list[Row]] = {}
-        for predicate, row in chained:
-            new_rows.setdefault(predicate, []).append(row)
-        overlap = self._negated_predicates() & set(new_rows)
-        if base is None or overlap:
-            # No covering checkpoint anywhere (the journal is the only
-            # durable copy; every acknowledged record is in the EDB now)
-            # or a non-monotone replay: evaluate.  Its checkpoint covers
-            # every applied record.
-            if replayed:
-                reason = "no complete checkpoint covers the journal chain"
-                if base is not None:
-                    reason = (
-                        f"replayed predicate(s) {', '.join(sorted(overlap))} "
-                        "occur negated (non-monotonic)"
-                    )
-                record_fallback(
-                    fallback_chain, "session.recover", "recompute", reason, self.tracer
-                )
-            outcome = self.run()
-            if replayed:
-                outcome.mode = "recovered"
-            outcome.fallback_chain = fallback_chain + outcome.fallback_chain
-            outcome.replayed = replayed
-            return outcome
-
-        self._checkpoint_bytes = base_bytes
+        self._last = evaluate(
+            self.program, self.database, budget=governor, tracer=self._tracer
+        )
         outcome = SessionResult(
-            result=self._restore(base.snapshot),
-            mode="warm",
-            resumed_seq=base.seq,
-            fallback_chain=fallback_chain,
+            result=self._last,
+            mode="recovered" if found is not None or replayed else "fresh",
             replayed=replayed,
         )
-        if not replayed:
-            # Pure warm restore: the checkpoint already reflects every
-            # acknowledged record.
-            if self.journal is not None and self._covered_seq:
-                self.journal.compact(self._covered_seq)
-            return outcome
-        outcome.result = self._incremental_fixpoint(new_rows, outcome.result, governor)
-        outcome.mode = "recovered"
-        # A replayed suffix is owed a checkpoint now; if the save
-        # fails, the next ingest tries again.
-        self._lag_bytes = self._checkpoint_bytes
-        outcome.checkpoints_written = self._cover(
-            outcome.result, fallback_chain, governor
-        )
+        if replayed:
+            # The replayed suffix is owed a base; if the save fails, the
+            # next ingest or checkpoint() tries again.
+            outcome.checkpoints_written = self._cover(outcome.fallback_chain, governor)
+        elif self.journal is not None and self._covered_seq:
+            self.journal.compact(self._covered_seq)
         return outcome
 
     def journal_info(self) -> dict | None:
@@ -558,66 +545,50 @@ class Session:
         info["lag"] = self.journal.lag(max(self._covered_seq, info["covered_seq"]))
         return info
 
-    def _restore(self, snapshot: EvaluationSnapshot) -> EvaluationResult:
-        """Make a complete snapshot's IDB the live fixpoint (no evaluation)."""
-        # A union view stores nothing: rows an older checkpoint holds
-        # for one are dropped, and the view reads its live members.
-        views = self.program.union_views
-        idb = {
-            pred: self.database.new_relation(self.program.arity_of(pred))
-            for pred in self.program.idb_predicates
-            if pred not in views
-        }
-        for pred, rows in snapshot.idb.items():
-            if pred in idb:
-                idb[pred].extend(rows)
-        self._last = EvaluationResult(
-            idb=idb,
-            stats=snapshot.stats.copy(),
-            program=self.program,
-            database=self.database,
-        )
-        return self._last
-
-    def _cover(
-        self,
-        result: EvaluationResult,
-        fallback_chain: list[FallbackStep],
-        governor: Governor | None,
-    ) -> int:
-        """Checkpoint ``result`` with retry; returns how many landed (0
-        or 1).  The checkpoint is self-contained — the fixpoint plus the
-        current EDB — so the journal can compact the records it covers
-        without losing the only copy of ingested facts.  A store that
-        stays broken degrades the operation to in-memory, recorded in
-        ``fallback_chain``."""
-        if self.store is None:
-            return 0
-        snapshot = EvaluationSnapshot(
-            idb={pred: rel.rows() for pred, rel in result.idb.items()},
-            stats=result.stats.copy(),
+    def _base_checkpoint(self, seq: int) -> Checkpoint:
+        """A base of the session's EDB as it stands."""
+        return Checkpoint(
+            seq=seq,
+            workload=self.workload(),
             edb={
                 pred: self.database.relation(pred).rows()
                 for pred in sorted(self.database.predicates())
             },
-            completed_sccs=len(self.program.schedule),
         )
-        checkpoint = Checkpoint(
-            seq=self.store.next_seq(), workload=self.workload(), snapshot=snapshot
-        )
+
+    def _lag_limit(self) -> int:
+        """The journal bytes that make a base due: the newest base's
+        size, or with none on disk, the size a base of the caller's EDB
+        would have (measured once)."""
+        if self._base is not None:
+            return self._base.bytes
+        if self._unwritten_base_bytes is None:
+            self._unwritten_base_bytes = len(self._base_checkpoint(0).encode()[0])
+        return self._unwritten_base_bytes
+
+    def _cover(self, fallback_chain: list[FallbackStep], governor: Governor | None) -> int:
+        """Write a base of the current EDB with retry; returns how many
+        landed (0 or 1).  It reflects every journal record applied so
+        far, so the journal can compact them without losing the only
+        copy of ingested facts.  A store that stays broken degrades the
+        operation to in-memory, recorded in ``fallback_chain``, and the
+        base stays due."""
+        if self.store is None:
+            return 0
+        checkpoint = self._base_checkpoint(self.store.next_seq())
         try:
-            save_with_retry(
+            path = save_with_retry(
                 self.store, checkpoint, policy=self.retry, governor=governor
             )
         except CheckpointStoreUnavailable as exc:
             record_fallback(
                 fallback_chain, "session.checkpoint", "in-memory", str(exc), self.tracer
             )
+            self._lag_bytes = max(self._lag_bytes, self._lag_limit())
             return 0
-        # The checkpoint reflects every journal record applied so far,
-        # so that prefix is compacted away, and lag is counted afresh
-        # against its size.
-        self._checkpoint_bytes = len(checkpoint.encode()[0])
+        self._base = _Base(
+            checkpoint.seq, checkpoint.edb_facts, len(checkpoint.encode()[0]), path
+        )
         self._lag_bytes = 0
         self._covered_seq = max(self._covered_seq, self._applied_seq)
         if self.journal is not None and self._covered_seq:
@@ -625,33 +596,21 @@ class Session:
         return 1
 
     # ------------------------------------------------------------------
-    def _incremental_fixpoint(
-        self,
-        new_rows: Mapping[str, Sequence[Row]],
-        live: EvaluationResult,
-        governor: Governor | None,
-        commit: "Callable[[], object] | None" = None,
-    ) -> EvaluationResult:
-        """Delta-seeded re-derivation over the already-updated database:
-        the shared fixpoint driver's *ingest* seed, extending ``live``'s
-        relations in place, then ``commit`` (the ingest's journal
-        write).  There is no current fixpoint while it runs — nor after
-        it raises: ``live`` is then rolled back, and the caller takes
-        the rows it staged back out of the EDB."""
-        self._last = None
-        self._last = _evaluate_ingest(
-            self.program,
-            self.database,
-            new_rows,
-            live,
-            plans=self._plans,
-            tracer=self.tracer,
-            governor=governor,
-            commit=commit,
-        )
-        return self._last
+    def base_summary(self) -> dict | None:
+        """The base a restart would fold in, as ``{seq, edb_facts,
+        bytes, age_seconds}`` (``None`` when there is none).
 
-    # ------------------------------------------------------------------
+        A live session reports the newest base it read or wrote; one
+        that has not recovered yet looks it up by :meth:`recover`'s own
+        binding rule.
+        """
+        if self._last is None:
+            found = self._read_store()
+            base = None if found is None else found[1]
+        else:
+            base = self._base
+        return None if base is None else base.summary()
+
     def inspect(self) -> dict:
         """A JSON-ready summary of the session's checkpoint store."""
         info: dict = {"workload": self.workload()}
@@ -663,8 +622,6 @@ class Session:
             "checkpoints": len(self.store.paths()),
             "corrupt": sorted(p.name for p in self.store.directory.glob("*.corrupt*")),
         }
-        # The envelope summary carries ``latest_round`` and
-        # ``age_seconds`` together (shared with the daemon's /stats).
-        info["latest"] = self.store.latest_summary(expect_workload=self.workload())
+        info["latest"] = self.base_summary()
         info["journal"] = self.journal_info()
         return info

@@ -1,6 +1,7 @@
 """Checkpoint stores: atomic durable writes, quarantine, faults, retries.
 
-:class:`CheckpointStore` owns one checkpoint directory.  Saves are
+:class:`CheckpointStore` owns one directory of base files (each a
+session's EDB, :mod:`repro.persist.checkpoint`).  Saves are
 atomic in the crash-consistency sense — write to a temp file in the
 same directory, flush, ``fsync``, then ``os.replace`` onto the final
 content-addressed name — so a process killed at *any* instant leaves
@@ -8,14 +9,14 @@ either the previous set of valid checkpoints or the previous set plus
 one new valid checkpoint (plus, at worst, an ignorable ``*.tmp``).
 Loads verify the embedded checksum; a file that fails is **quarantined**
 — renamed to ``*.corrupt`` with a ``checkpoint.quarantine`` trace event
-— and never used.  A *valid* checkpoint is never renamed: one carrying
-another workload digest than the expected one is another workload's, or
-a later state's, and is simply not returned.
+— and never used.  A *valid* checkpoint is never renamed: whether it
+binds to a workload is decided by its one reader,
+:meth:`Session.recover <repro.persist.session.Session.recover>`.
 
 :class:`FlakyStore` is the store under the chaos harness
 (:class:`~repro.robustness.faults.FlakyIO`).  :func:`with_retry` is the
 retry loop of every durable write — capped exponential backoff with
-seeded jitter (:class:`RetryPolicy`), clamped to the
+seeded jitter (:class:`~repro.robustness.budget.RetryPolicy`), clamped to the
 :class:`~repro.robustness.budget.Governor` — and
 :func:`save_with_retry` is that loop around a checkpoint save.
 """
@@ -23,16 +24,14 @@ seeded jitter (:class:`RetryPolicy`), clamped to the
 from __future__ import annotations
 
 import os
-import random
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import Governor
+from ..robustness.budget import Governor, RetryPolicy
 from ..robustness.faults import FlakyIO
-from .checkpoint import Checkpoint, CheckpointCorrupt, CheckpointError, CheckpointMismatch
+from .checkpoint import Checkpoint, CheckpointCorrupt, CheckpointError
 
 Item = TypeVar("Item")
 T = TypeVar("T")
@@ -93,8 +92,7 @@ class CheckpointStore:
                 "checkpoint.save",
                 path=final.name,
                 seq=checkpoint.seq,
-                complete=checkpoint.complete,
-                facts=sum(len(rows) for rows in checkpoint.snapshot.idb.values()),
+                edb_facts=checkpoint.edb_facts,
                 bytes=len(text),
             )
         return final
@@ -110,18 +108,14 @@ class CheckpointStore:
         os.replace(tmp, final)
 
     # ------------------------------------------------------------------
-    def load(
-        self, path: str | os.PathLike, *, expect_workload: str | None = None
-    ) -> Checkpoint:
+    def load(self, path: str | os.PathLike) -> Checkpoint:
         """Load and verify one checkpoint file.
 
         Corruption (unparsable, malformed, checksum mismatch)
         quarantines the file and raises — a corrupt file is garbage no
-        matter who asks.  When ``expect_workload`` is given, a valid
-        checkpoint carrying another digest raises
-        :class:`~repro.persist.checkpoint.CheckpointMismatch` and stays
-        where it is: it is another workload's, or a later state's,
-        perfectly good checkpoint.
+        matter who asks.  A valid file is never renamed, whichever
+        workload it belongs to: deciding whether it binds is the
+        reader's business.
         """
         path = Path(path)
         try:
@@ -133,62 +127,10 @@ class CheckpointStore:
         except CheckpointCorrupt as exc:
             self.quarantine(path, str(exc))
             raise
-        if expect_workload is not None and checkpoint.workload != expect_workload:
-            raise CheckpointMismatch(
-                f"{path.name}: workload digest {checkpoint.workload[:12]}… does "
-                f"not match expected {expect_workload[:12]}…"
-            )
         tracer = self.tracer
         if tracer.enabled:
-            tracer.event(
-                "checkpoint.load",
-                path=path.name,
-                seq=checkpoint.seq,
-                complete=checkpoint.complete,
-            )
+            tracer.event("checkpoint.load", path=path.name, seq=checkpoint.seq)
         return checkpoint
-
-    def latest(self, *, expect_workload: str | None = None) -> Checkpoint | None:
-        """The newest loadable checkpoint (``None`` if the store is empty).
-
-        Walks newest to oldest; corrupt files are quarantined in
-        passing and the walk continues, so one torn final write never
-        blocks recovery from the checkpoint before it.
-        """
-        found = self.latest_with_path(expect_workload=expect_workload)
-        return None if found is None else found[0]
-
-    def latest_with_path(
-        self, *, expect_workload: str | None = None
-    ) -> tuple[Checkpoint, Path] | None:
-        """:meth:`latest` plus the file it was loaded from."""
-        for path in reversed(self.paths()):
-            try:
-                return self.load(path, expect_workload=expect_workload), path
-            except CheckpointError:
-                continue
-        return None
-
-    def latest_summary(self, *, expect_workload: str | None = None) -> dict | None:
-        """The newest checkpoint's envelope summary plus its on-disk age.
-
-        Read-only diagnostic: the :meth:`Checkpoint.summary
-        <repro.persist.checkpoint.Checkpoint.summary>` dict extended
-        with ``age_seconds`` — the file's mtime against the wall clock —
-        so ``repro session inspect`` and the serving daemon's ``/stats``
-        report checkpoint age and round number together from one code
-        path.
-        """
-        found = self.latest_with_path(expect_workload=expect_workload)
-        if found is None:
-            return None
-        checkpoint, path = found
-        summary = checkpoint.summary()
-        try:
-            summary["age_seconds"] = max(0.0, time.time() - path.stat().st_mtime)
-        except OSError:
-            summary["age_seconds"] = None
-        return summary
 
     # ------------------------------------------------------------------
     def quarantine(self, path: Path, reason: str) -> Path:
@@ -235,33 +177,9 @@ class FlakyStore(FlakyIO):
         self._fault("checkpoint.save", tear)
         return self.store.save(checkpoint)
 
-    def load(self, path, *, expect_workload: str | None = None) -> Checkpoint:
+    def load(self, path) -> Checkpoint:
         self._fault("checkpoint.load")
-        return self.store.load(path, expect_workload=expect_workload)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic seeded jitter.
-
-    Attempt ``k`` (0-based) sleeps ``min(base_delay * 2**k, max_delay)``
-    scaled by a jitter factor drawn uniformly from
-    ``[1 - jitter, 1 + jitter]`` from a generator seeded with ``seed``
-    — deterministic for tests, decorrelated in aggregate.
-    """
-
-    attempts: int = 4
-    base_delay: float = 0.02
-    max_delay: float = 0.5
-    jitter: float = 0.25
-    seed: int = 0
-
-    def delays(self) -> Iterator[float]:
-        """The back-off delays between attempts (``attempts - 1`` of them)."""
-        rng = random.Random(self.seed)
-        for attempt in range(max(0, self.attempts - 1)):
-            base = min(self.base_delay * (2**attempt), self.max_delay)
-            yield base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        return self.store.load(path)
 
 
 def with_retry(

@@ -12,6 +12,9 @@ guardrails:
   expansions);
 * :class:`CancellationToken` — a thread-safe flag an outside caller can
   set to stop a run at its next checkpoint;
+* :class:`RetryPolicy` — capped exponential backoff with seeded jitter,
+  shared by every retried durable write, the serving client and the
+  sharded fleet's supervision;
 * :class:`Governor` — the runtime object threaded through the phases.
   Phases call :meth:`Governor.check` at round boundaries (with their
   live :class:`~repro.datalog.evaluation.EvaluationStats`), the
@@ -30,10 +33,11 @@ accepts a pre-started governor for exactly this reason.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import BudgetExceededError, Cancelled, UsageError
 
@@ -46,6 +50,7 @@ __all__ = [
     "Governor",
     "FallbackStep",
     "record_fallback",
+    "RetryPolicy",
     "RequestGovernorFactory",
     "parse_timeout_value",
     "parse_limit_value",
@@ -172,6 +177,30 @@ def record_fallback(
         tracer.event(
             "budget.fallback", stage=stage, fell_back_to=fell_back_to, reason=reason
         )
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Capped exponential backoff with deterministic seeded jitter.
+
+    Attempt ``k`` (0-based) sleeps ``min(base_delay * 2**k, max_delay)``
+    scaled by a jitter factor drawn uniformly from
+    ``[1 - jitter, 1 + jitter]`` from a generator seeded with ``seed``
+    — deterministic for tests, decorrelated in aggregate.
+    """
+
+    attempts: int = 4
+    base_delay: float = 0.02
+    max_delay: float = 0.5
+    jitter: float = 0.25
+    seed: int = 0
+
+    def delays(self) -> Iterator[float]:
+        """The back-off delays between attempts (``attempts - 1`` of them)."""
+        rng = random.Random(self.seed)
+        for attempt in range(max(0, self.attempts - 1)):
+            base = min(self.base_delay * (2**attempt), self.max_delay)
+            yield base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
 
 class Governor:

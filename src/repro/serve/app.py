@@ -201,7 +201,6 @@ class ServeApp:
         return 200, {
             "tenant": name,
             "mode": outcome.mode,
-            "resumed_seq": outcome.resumed_seq,
             "idb_facts": sum(len(rel) for rel in outcome.result.idb.values()),
             "latest_round": outcome.result.stats.iterations,
             "fallbacks": [step.describe() for step in outcome.fallback_chain],

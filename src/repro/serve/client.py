@@ -8,7 +8,7 @@ distinguish bad input (400), unknown tenants (404) and budget-tripped
 requests (503, with partial diagnostics) without string matching.
 
 Transport failures (a dropped keep-alive, a daemon mid-restart) are
-retried under the shared :class:`~repro.persist.store.RetryPolicy` —
+retried under the shared :class:`~repro.robustness.budget.RetryPolicy` —
 the same capped-exponential-backoff-with-seeded-jitter curve the
 checkpoint store uses — and the retry
 counts are surfaced on the client (``retries_total``,
@@ -21,7 +21,7 @@ import json
 import time
 from http.client import HTTPConnection
 
-from ..persist.store import RetryPolicy
+from ..robustness.budget import RetryPolicy
 
 __all__ = ["ServeClient", "ServeClientError"]
 
@@ -93,7 +93,7 @@ class ServeClient:
 
         Transport failures (a dropped keep-alive, connection refused
         while the daemon restarts) retry on a fresh connection under
-        the client's :class:`~repro.persist.store.RetryPolicy`: the
+        the client's :class:`~repro.robustness.budget.RetryPolicy`: the
         backoff delays are capped-exponential with seeded jitter, and
         the attempt count is bounded — the final failure re-raises.
         """

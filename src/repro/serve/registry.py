@@ -7,16 +7,15 @@ anchors it to a per-tenant checkpoint directory when the daemon runs
 with ``--persist-dir``.
 
 Registration is where recovery happens: the tenant materializes via
-:meth:`~repro.persist.session.Session.recover`, which restores the
-newest complete checkpoint with **zero evaluation** and replays the
-suffix of the tenant's write-ahead ingest journal — the acknowledged
-ingests since that checkpoint (checkpoints follow journal lag, so
-there normally are some).  A restarted
-daemon therefore answers queries for its old tenants
-without losing a single acknowledged write (asserted byte-for-byte by
-the serve and journal-kill scripts of CI's ``smoke`` job).  Both the journal and
-the checkpoints live under the tenant's directory when the daemon
-runs with ``--persist-dir``.
+:meth:`~repro.persist.session.Session.recover`, which folds in the
+tenant's newest base (an EDB the tenant had reached), replays the
+suffix of its write-ahead ingest journal — the acknowledged ingests
+since that base (bases follow journal lag, so there normally are some)
+— and evaluates the result once.  A restarted daemon therefore answers
+queries for its old tenants without losing a single acknowledged write
+(asserted byte-for-byte by the serve and journal-kill scripts of CI's
+``smoke`` job).  Both the journal and the bases live under the
+tenant's directory when the daemon runs with ``--persist-dir``.
 
 Concurrency follows the read/write split of the API: queries only read
 tenant state and run concurrently; ``ingest`` (and re-registration)
@@ -148,13 +147,12 @@ class Tenant:
     def materialize(self) -> SessionResult:
         """Bring the full fixpoint resident, crash-consistently.
 
-        :meth:`~repro.persist.session.Session.recover` subsumes the
-        old warm-start-else-run split: it restores the newest complete
-        checkpoint when one covers the workload, replays any journal
-        suffix of acknowledged ingests the kill arrived before a
-        checkpoint could cover, and falls back to a fresh evaluation
-        when the persist dir is empty — so a SIGKILLed daemon comes
-        back serving every ingest it ever acknowledged.
+        :meth:`~repro.persist.session.Session.recover` folds in the
+        newest base that binds to the workload and any journal suffix
+        of acknowledged ingests the kill arrived before a base could
+        cover, then evaluates once — a fresh evaluation when the persist
+        dir is empty — so a SIGKILLed daemon comes back serving every
+        ingest it ever acknowledged.
         """
         outcome = self.session.recover()
         self.materialized = outcome
@@ -190,14 +188,14 @@ class Tenant:
             info["idb_facts"] = sum(len(rel) for rel in result.idb.values())
             info["latest_round"] = result.stats.iterations
         if self.session.store is not None:
-            # The newest checkpoint in the tenant's own directory: with
-            # journal lag it predates the ingests counted below.
-            info["checkpoint"] = self.session.store.latest_summary()
+            # The base a restart would fold in: with journal lag it
+            # predates the ingests counted below.
+            info["checkpoint"] = self.session.base_summary()
         journal = self.session.journal_info()
         if journal is not None:
-            # The fsynced-but-not-yet-checkpointed records: what a kill
-            # right now would replay on the next start, bounded by one
-            # checkpoint's worth of journal bytes.
+            # The fsynced records no base covers yet: what a kill right
+            # now would replay on the next start, bounded by one base's
+            # worth of journal bytes.
             info["journal"] = {
                 "records": journal["records"],
                 "last_seq": journal["last_seq"],

@@ -24,7 +24,7 @@ from repro.datalog.database import (
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
 from repro.digest import fixpoint_digest, workload_digest
-from repro.persist.checkpoint import Checkpoint, EvaluationSnapshot
+from repro.persist.checkpoint import Checkpoint
 from repro.workloads.generators import random_workload
 
 
@@ -272,47 +272,51 @@ def test_to_dict_without_interner_is_storage_agnostic():
 
 
 def test_columnar_checkpoint_holds_values_not_codes(tmp_path):
-    """A checkpoint is storage-agnostic: a session over a columnar
-    database writes decoded rows and no interner table, and a rows
-    session restores it to the same fixpoint."""
+    """A base is storage-agnostic: a session over a columnar database
+    writes decoded rows and no interner table, and a rows session
+    recovers it to the same fixpoint."""
     from repro.persist import CheckpointStore, Session
 
     program = parse_program(
         "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).", query="t"
     )
     rows = {"e": [("a", "b"), ("b", "c")]}
-    Session(
+    writer = Session(
         program,
         Database.from_rows(rows, storage="columnar"),
         store=CheckpointStore(tmp_path),
-    ).run()
+    )
+    writer.ingest([("e", ("c", "d"))])
+    assert writer.checkpoint()
+    writer.journal.close()
     [path] = CheckpointStore(tmp_path).paths()
-    snapshot = json.loads(path.read_text())["payload"]["snapshot"]
-    assert snapshot["interner"] is None
-    assert snapshot["idb"]["t"] == [["a", "b"], ["a", "c"], ["b", "c"]]
-    warm = Session(
+    payload = json.loads(path.read_text())["payload"]
+    assert payload["edb"] == {"e": [["a", "b"], ["b", "c"], ["c", "d"]]}
+    recovered = Session(
         program, Database.from_rows(rows), store=CheckpointStore(tmp_path)
     ).recover()
-    assert warm.mode == "warm"
-    assert warm.result.rows("t") == {("a", "b"), ("a", "c"), ("b", "c")}
+    assert recovered.mode == "recovered"
+    assert recovered.result.rows("t") == {
+        ("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")
+    }
 
 
 def test_pre_columnar_checkpoints_load_without_interner():
-    """Payloads written before the columnar backend carry no interner
-    field and load all the same."""
+    """Version-2 payloads written before the columnar backend carry no
+    interner field and load all the same, for their EDB."""
     program = parse_program("t(X, Y) :- e(X, Y).", query="t")
     database = Database.from_rows({"e": [(1, 2)]})
-    result = evaluate(program, database)
-    checkpoint = Checkpoint(
-        seq=1,
-        workload=workload_digest(program, database),
-        snapshot=EvaluationSnapshot(
-            idb={pred: result.rows(pred) for pred in program.idb_predicates},
-            stats=result.stats,
-        ),
-    )
-    payload = checkpoint.to_payload()
-    del payload["snapshot"]["interner"]
+    payload = {
+        "version": 2,
+        "seq": 1,
+        "workload": workload_digest(program, database),
+        "snapshot": {
+            "complete": True,
+            "idb": {"t": [[1, 2]]},
+            "edb": {"e": [[1, 2]]},
+            "stats": {},
+        },
+    }
     restored = Checkpoint.from_payload(payload)
-    assert restored.snapshot.idb == {"t": {(1, 2)}}
-    assert restored.encode() == checkpoint.encode()
+    assert restored.edb == {"e": {(1, 2)}}
+    assert restored.workload == workload_digest(program, database)

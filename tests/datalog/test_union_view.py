@@ -4,10 +4,10 @@
 relation, so :attr:`Program.union_views` makes it a view over ``p`` (an
 IDB predicate) and ``f`` (an EDB relation).  No round fires its rules;
 every front door reads it as the union of its members — after a cold
-run on either storage, through a session's warm start and ingests, from
-a checkpoint an older build wrote with rows for ``r``, and through the
-daemon's ``materialized`` probe — and always as the independent model
-computes it.
+run on either storage, through a session's recovery and ingests, from
+a checkpoint an older build wrote with rows for ``r`` (never read), and
+through the daemon's ``materialized`` probe — and always as the
+independent model computes it.
 """
 
 import asyncio
@@ -114,17 +114,19 @@ def test_an_edb_predicate_reads_the_databases_relation(storage):
 
 
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
-def test_warm_start_and_ingest_keep_the_view_live(tmp_path, storage):
+def test_recovery_and_ingest_keep_the_view_live(tmp_path, storage):
     first = Session(PROGRAM, _database(storage=storage), store=CheckpointStore(tmp_path))
     assert first.run().result.rows("r") == _expected(ROWS)
+    grown = _with(ROWS, MORE[:1])
+    assert first.ingest(MORE[:1]).result.rows("r") == _expected(grown)
+    first.journal.close()  # acknowledged, and left to the journal
     restarted = Session(
         PROGRAM, _database(storage=storage), store=CheckpointStore(tmp_path)
     )
-    warm = restarted.recover()
-    assert warm.mode == "warm" and "r" not in warm.result.idb
-    assert warm.result.rows("r") == _expected(ROWS)
-    grown = ROWS
-    for fact in MORE:
+    recovered = restarted.recover()
+    assert recovered.mode == "recovered" and "r" not in recovered.result.idb
+    assert recovered.result.rows("r") == _expected(grown)
+    for fact in MORE[1:]:
         grown = _with(grown, [fact])
         outcome = restarted.ingest([fact])
         assert outcome.mode == "incremental"
@@ -137,7 +139,7 @@ def test_a_checkpoint_holding_rows_for_a_view_still_restores(tmp_path):
     rows = {"e": ROWS["e"], "f": [(7, 8)]}
     session = Session(PROGRAM, _database(rows), store=CheckpointStore(tmp_path))
     outcome = session.recover()
-    assert outcome.mode == "warm" and outcome.resumed_seq == 1
+    assert outcome.mode == "recovered" and session.base_summary()["seq"] == 1
     assert sorted(outcome.result.idb) == ["p"]
     assert outcome.result.rows("r") == _expected(rows)
     outcome = session.ingest(MORE)

@@ -1,14 +1,16 @@
-"""Checkpoint format: round trips, checksums, digests, version gates."""
+"""Base format: round trips, checksums, digests, the version-2 read."""
 
 import hashlib
 import json
 import random
-from dataclasses import replace
+import shutil
+from pathlib import Path
 
 import pytest
 
+from reference_model import model_fixpoint
 from repro.datalog.database import Database
-from repro.datalog.evaluation import EvaluationStats, evaluate
+from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.digest import bind_edb, edb_hash, program_digest, rows_hash
 from repro.persist import CheckpointStore, Session
@@ -16,7 +18,6 @@ from repro.persist.checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointCorrupt,
-    EvaluationSnapshot,
     fixpoint_digest,
     workload_digest,
 )
@@ -30,110 +31,118 @@ PROGRAM = parse_program(
     query="q",
 )
 
+#: Written by ``Session(p/r program, e: (1, 2) (2, 3) (3, 4), f: (7, 8)).run()``
+#: in a build whose checkpoints (format version 2) held the fixpoint,
+#: its counters and the keys older builds read, beside the EDB.
+PARENT_CHECKPOINT = Path(__file__).resolve().parent / "fixtures" / "ckpt-00000001-c12db7abedef.json"
+PARENT_PROGRAM = parse_program(
+    """
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+    r(X, Y) :- p(X, Y).
+    r(X, Y) :- f(X, Y).
+    """,
+    query="r",
+)
+
 
 def _database():
     return Database.from_rows({"edge": [(1, 2), (2, 3), (3, 4)]})
 
 
-def _snapshot(**overrides):
-    result = evaluate(PROGRAM, _database())
-    snap = EvaluationSnapshot(
-        idb={pred: rel.rows() for pred, rel in result.idb.items()},
-        stats=result.stats,
-        edb={"edge": _database().relation("edge").rows()},
-        completed_sccs=len(PROGRAM.schedule),
-    )
-    return replace(snap, **overrides) if overrides else snap
-
-
 def _checkpoint(seq=1):
     return Checkpoint(
-        seq=seq, workload=workload_digest(PROGRAM, _database()), snapshot=_snapshot()
+        seq=seq,
+        workload=workload_digest(PROGRAM, _database()),
+        edb={"edge": _database().relation("edge").rows()},
     )
+
+
+def _signed(payload: dict) -> str:
+    """A checkpoint file's text for ``payload``, with a valid checksum."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode()).hexdigest()
+    return f'{{"checksum":"{checksum}","payload":{canonical}}}'
 
 
 def test_encode_decode_round_trip():
     original = _checkpoint()
     text, checksum = original.encode()
     restored = Checkpoint.decode(text)
-    assert restored.seq == original.seq
-    assert restored.workload == original.workload
-    assert restored.version == CHECKPOINT_VERSION
-    snap, orig = restored.snapshot, original.snapshot
-    assert snap.completed_sccs == orig.completed_sccs == 2
-    assert snap.complete and orig.complete
-    assert dict(snap.idb) == {p: frozenset(r) for p, r in orig.idb.items()}
-    assert dict(snap.edb) == {p: frozenset(r) for p, r in orig.edb.items()}
-    assert snap.stats.as_dict() == orig.stats.as_dict()
+    assert restored == original
+    assert restored.edb_facts == 3
+    assert json.loads(text)["payload"] == {
+        "version": CHECKPOINT_VERSION,
+        "seq": 1,
+        "workload": original.workload,
+        "edb": {"edge": [[1, 2], [2, 3], [3, 4]]},
+    }
     # content addressing: re-encoding reproduces the same checksum
     assert restored.encode()[1] == checksum
     assert original.filename() == f"ckpt-00000001-{checksum[:12]}.json"
 
 
-#: The checksum a build that still wrote per-round frontier checkpoints
-#: gave the complete checkpoint of ``Session(store=…).run()`` on
-#: ``PROGRAM``, wall time zeroed, with its frontiers switched off
-#: (``checkpoint_every=0``): complete checkpoints are unchanged.
-PARENT_CHECKSUM = "00d6f48449df4742078c0cb493d83debf8296d3b0f6a7f6a94a8d8b318c8b079"
-#: The same build at its default wrote three frontiers first, so its
-#: complete checkpoint differed only in carrying ``seq`` 4.
-PARENT_DEFAULT_CHECKSUM = "1b0b0f9a69e57dee5c327f08dc6ff230cbce1aca8830d19742df66729e3df51a"
+def test_parent_format_payload_loads():
+    """A version-2 file is read for its EDB, and nothing else of it."""
+    text = PARENT_CHECKPOINT.read_text()
+    payload = json.loads(text)["payload"]
+    assert payload["version"] == 2 and payload["snapshot"]["idb"]
+    restored = Checkpoint.decode(text)
+    assert restored.seq == 1 and restored.workload == payload["workload"]
+    assert restored.edb == {"e": {(1, 2), (2, 3), (3, 4)}, "f": {(7, 8)}}
+    # Its EDB reproduces its digest, so recovery may fold it in...
+    edb = Database.from_rows(restored.edb)
+    assert workload_digest(PARENT_PROGRAM, edb) == restored.workload
+    # ...and re-encoded it is a version-3 base: no fixpoint, no counters.
+    rewritten = json.loads(restored.encode()[0])["payload"]
+    assert set(rewritten) == {"version", "seq", "workload", "edb"}
+    assert rewritten["version"] == CHECKPOINT_VERSION == 3
 
 
-def _session_checkpoint(directory) -> Checkpoint:
-    """The one checkpoint a session run writes, wall time zeroed."""
-    store = CheckpointStore(directory)
-    Session(PROGRAM, _database(), store=store).run()
-    [path] = store.paths()
-    checkpoint = store.load(path)
-    stats = {**checkpoint.snapshot.stats.as_dict(), "wall_time_seconds": 0.0}
-    return replace(
-        checkpoint,
-        snapshot=replace(checkpoint.snapshot, stats=EvaluationStats.from_dict(stats)),
-    )
+def test_a_parent_checkpoint_recovers_its_edb_and_re_derives(tmp_path):
+    """The committed version-2 fixture, under the initial EDB ``e``
+    alone: recovery folds in its ``f`` row and derives the fixpoint."""
+    shutil.copy(PARENT_CHECKPOINT, tmp_path / PARENT_CHECKPOINT.name)
+    initial = {"e": [(1, 2), (2, 3), (3, 4)]}
+    outcome = Session(
+        PARENT_PROGRAM, Database.from_rows(initial), store=CheckpointStore(tmp_path)
+    ).recover()
+    assert outcome.mode == "recovered" and outcome.replayed == 0
+    assert outcome.result.database.relation("f").rows() == {(7, 8)}
+    full = Database.from_rows({**initial, "f": [(7, 8)]})
+    assert outcome.result.rows("r") == model_fixpoint(PARENT_PROGRAM, full)["r"]
 
 
-def test_parent_format_payload_loads(tmp_path):
-    checkpoint = _session_checkpoint(tmp_path)
-    text, checksum = checkpoint.encode()
-    # This build writes the older build's bytes...
-    assert checksum == PARENT_CHECKSUM
-    assert replace(checkpoint, seq=4).encode()[1] == PARENT_DEFAULT_CHECKSUM
-    # ...because the keys it read unconditionally are still written, as
-    # the constants of a complete fixpoint.
-    payload = checkpoint.to_payload()
-    snap = payload["snapshot"]
-    assert snap["strategy"] == "seminaive"
-    assert snap["scc_index"] is None and snap["delta"] is None
-    assert snap["interner"] is None and snap["complete"] is True
-    assert snap["iteration"] == snap["stats"]["iterations"] == 3
-    assert snap["completed_sccs"] == len(PROGRAM.schedule)
-    # Those bytes decode here to the same fixpoint, with the strategy key
-    # or without it, and encode back to themselves.
-    expected = evaluate(PROGRAM, _database())
-    del snap["strategy"]
-    for restored in (Checkpoint.decode(text), Checkpoint.from_payload(payload)):
-        assert restored.complete
-        assert dict(restored.snapshot.idb) == {
-            pred: rel.rows() for pred, rel in expected.idb.items()
-        }
-        assert dict(restored.snapshot.edb) == {"edge": _database().relation("edge").rows()}
-        assert restored.encode() == (text, checksum)
+def test_a_parent_checkpoints_idb_is_never_read(tmp_path):
+    """A version-2 file with a valid checksum whose ``idb`` holds a row
+    that does not derive: recovery returns the re-derived fixpoint."""
+    payload = json.loads(PARENT_CHECKPOINT.read_text())["payload"]
+    payload["snapshot"]["idb"]["p"].append([4, 1])
+    payload["snapshot"]["idb"]["r"].append([4, 1])
+    (tmp_path / "ckpt-00000001-000000000000.json").write_text(_signed(payload))
+    database = Database.from_rows({"e": [(1, 2), (2, 3), (3, 4)], "f": [(7, 8)]})
+    outcome = Session(
+        PARENT_PROGRAM, database.copy(), store=CheckpointStore(tmp_path)
+    ).recover()
+    fixpoint = {pred: outcome.result.rows(pred) for pred in ("p", "r")}
+    assert fixpoint == model_fixpoint(PARENT_PROGRAM, database)
+    assert (4, 1) not in fixpoint["p"]
 
 
 def test_summary_reports_one_number_per_fact(tmp_path):
-    summary = _session_checkpoint(tmp_path).summary()
-    assert set(summary) == {"seq", "complete", "latest_round", "facts", "stats"}
-    assert summary["complete"] is True
-    assert summary["latest_round"] == summary["stats"]["iterations"] == 3
-    assert summary["facts"] == 9
-
-
-def test_naive_payload_is_corrupt():
-    payload = _checkpoint().to_payload()
-    payload["snapshot"]["strategy"] = "naive"
-    with pytest.raises(CheckpointCorrupt, match="strategy 'naive'"):
-        Checkpoint.from_payload(payload)
+    """A base is summarised by its EDB facts, not by a fixpoint."""
+    store = CheckpointStore(tmp_path)
+    session = Session(PROGRAM, _database(), store=store)
+    session.run()
+    session.ingest([("edge", (4, 5))])
+    assert session.checkpoint()
+    [path] = store.paths()
+    summary = session.base_summary()
+    assert set(summary) == {"seq", "edb_facts", "bytes", "age_seconds"}
+    assert summary["seq"] == store.load(path).seq == 1
+    assert summary["edb_facts"] == 4
+    assert summary["bytes"] == path.stat().st_size
+    assert summary["age_seconds"] >= 0
 
 
 def test_decode_rejects_bit_flip():
@@ -163,23 +172,26 @@ def test_unsupported_version_is_corrupt():
 
 def test_malformed_payload_is_corrupt_not_keyerror():
     payload = _checkpoint().to_payload()
-    del payload["snapshot"]["idb"]
+    del payload["edb"]
     with pytest.raises(CheckpointCorrupt, match="malformed"):
         Checkpoint.from_payload(payload)
+    parent = json.loads(PARENT_CHECKPOINT.read_text())["payload"]
+    del parent["snapshot"]
+    with pytest.raises(CheckpointCorrupt, match="malformed"):
+        Checkpoint.from_payload(parent)
 
 
 def test_old_checkpoint_stats_missing_new_fields_load():
-    payload = _checkpoint().to_payload()
-    # Simulate a checkpoint written before PR-4 counters existed.
+    """A version-2 file's counters are never read: whatever its stats
+    hold, it loads for its EDB — and only a complete one does."""
+    payload = json.loads(PARENT_CHECKPOINT.read_text())["payload"]
     for key in ("budget_trips", "wall_time_seconds"):
         del payload["snapshot"]["stats"][key]
-    restored = Checkpoint.from_payload(payload)
-    assert restored.snapshot.stats.budget_trips == 0
-    assert restored.snapshot.stats.wall_time_seconds == 0.0
-    # ...and it still merges/compares cleanly against current stats.
-    current = EvaluationStats()
-    current.merge(restored.snapshot.stats)
-    assert current.compare(restored.snapshot.stats)
+    assert Checkpoint.from_payload(payload).edb_facts == 4
+    payload["snapshot"]["stats"] = "not counters"
+    assert Checkpoint.from_payload(payload).edb_facts == 4
+    payload["snapshot"]["complete"] = False
+    assert Checkpoint.from_payload(payload).edb is None
 
 
 def test_workload_digest_sensitivity():
@@ -194,22 +206,12 @@ def test_workload_digest_sensitivity():
 
 
 def test_fixpoint_digest_survives_serialization():
-    """JSON round trip of the IDB must not change the digest."""
-    from repro.datalog.database import Relation
-
-    result = evaluate(PROGRAM, _database())
-    before = fixpoint_digest([("unit", result.idb)])
-    ckpt = Checkpoint(
-        seq=1,
-        workload=workload_digest(PROGRAM, _database()),
-        snapshot=_snapshot(idb={p: r.rows() for p, r in result.idb.items()}),
-    )
-    restored = Checkpoint.decode(ckpt.encode()[0])
-    idb = {
-        pred: Relation(len(next(iter(rows))) if rows else 1, rows)
-        for pred, rows in restored.snapshot.idb.items()
-    }
-    assert fixpoint_digest([("unit", idb)]) == before
+    """A base's EDB round trip re-derives the identical fixpoint."""
+    before = fixpoint_digest([("unit", evaluate(PROGRAM, _database()).idb)])
+    restored = Checkpoint.decode(_checkpoint().encode()[0])
+    database = Database.from_rows(restored.edb)
+    assert workload_digest(PROGRAM, database) == restored.workload
+    assert fixpoint_digest([("unit", evaluate(PROGRAM, database).idb)]) == before
 
 
 def test_payload_is_serialized_once_per_checkpoint(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 """Kill-restart crash tests: a session SIGKILLed mid-evaluation leaves
-no checkpoint behind and restarts fresh to the verified answer, and
-damaged checkpoints are quarantined — never silently used."""
+nothing behind and restarts fresh to the verified answer, and damaged
+bases are quarantined — never silently used."""
 
 import json
 import os
@@ -11,7 +11,7 @@ import time
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.persist import CheckpointStore, Session
+from repro.persist import Checkpoint, CheckpointStore, Session, workload_digest
 
 PROGRAM_TEXT = """
 path(X, Y) :- step(X, Y).
@@ -53,6 +53,19 @@ def _write_workload(tmp_path):
 
 def _database():
     return Database.from_rows({"step": [(i, i + 1) for i in range(CHAIN)]})
+
+
+def _save_base(store, seq):
+    """A base of the initial EDB, as an ingest-free session would leave."""
+    database = _database()
+    program = parse_program(PROGRAM_TEXT, query="q")
+    return store.save(
+        Checkpoint(
+            seq=seq,
+            workload=workload_digest(program, database),
+            edb={"step": database.relation("step").rows()},
+        )
+    )
 
 
 def _expected_rows():
@@ -123,12 +136,13 @@ def test_sigkill_mid_fixpoint_then_resume(tmp_path):
     assert outcome.mode == "fresh"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
-    assert CheckpointStore(ckpt_dir).latest().complete
+    assert CheckpointStore(ckpt_dir).paths() == []  # a run writes nothing
 
 
 def test_resume_cli_after_kill_round_trips(tmp_path):
     """The whole loop through the command line: run, kill, `session
-    run` again, `session inspect` — the rerun store ends complete."""
+    run` again, `session ingest`, `session inspect` — the store ends
+    holding the base the ingest left."""
     common = _session_args(tmp_path)
     _kill_mid_evaluation(tmp_path, ["session", "run", *common])
     assert not list((tmp_path / "ckpts").glob("ckpt-*"))
@@ -147,6 +161,17 @@ def test_resume_cli_after_kill_round_trips(tmp_path):
     answers = sorted(line.strip() for line in lines if line.startswith("  q("))
     assert answers == sorted(f"q{row!r}" for row in _expected_rows()["q"])
 
+    (tmp_path / "more.dl").write_text(f"step({CHAIN}, {CHAIN + 1}).\n")
+    ingested = subprocess.run(
+        base + ["ingest"] + common + ["--facts", str(tmp_path / "more.dl")],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert ingested.returncode == 0, ingested.stderr
+    assert "mode: incremental" in ingested.stdout.splitlines()
+
     inspected = subprocess.run(
         base + ["inspect"] + common,
         env=_env(),
@@ -156,24 +181,26 @@ def test_resume_cli_after_kill_round_trips(tmp_path):
     )
     assert inspected.returncode == 0, inspected.stderr
     info = json.loads(inspected.stdout)
-    assert info["latest"]["complete"] is True
+    assert info["latest"]["seq"] == 1
+    assert info["latest"]["edb_facts"] == CHAIN + 1
+    assert info["journal"]["lag"] == 0
 
 
 def test_resume_with_corrupted_latest_checkpoint_quarantines(tmp_path):
-    """Truncate the newest checkpoint (as a torn write would): recovery
-    quarantines it and restores the older valid one."""
+    """Truncate the newest base (as a torn write would): recovery
+    quarantines it and folds in the older valid one."""
     parsed = parse_program(PROGRAM_TEXT, query="q")
     ckpt_dir = tmp_path / "ckpts"
-    for _ in range(2):
-        Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).run()
     store = CheckpointStore(ckpt_dir)
+    for seq in (1, 2):
+        _save_base(store, seq)
     older, torn = store.paths()
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
 
-    outcome = Session(
-        parsed, _database(), store=CheckpointStore(ckpt_dir)
-    ).recover()
-    assert outcome.mode == "warm" and outcome.resumed_seq == store.load(older).seq
+    session = Session(parsed, _database(), store=CheckpointStore(ckpt_dir))
+    outcome = session.recover()
+    assert outcome.mode == "recovered"
+    assert session.base_summary()["seq"] == store.load(older).seq
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
     quarantined = list(ckpt_dir.glob("*.corrupt"))
@@ -183,7 +210,7 @@ def test_resume_with_corrupted_latest_checkpoint_quarantines(tmp_path):
 def test_resume_with_all_checkpoints_destroyed_restarts_fresh(tmp_path):
     parsed = parse_program(PROGRAM_TEXT, query="q")
     ckpt_dir = tmp_path / "ckpts"
-    Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).run()
+    _save_base(CheckpointStore(ckpt_dir), 1)
     for path in CheckpointStore(ckpt_dir).paths():
         path.write_text("garbage")
     outcome = Session(

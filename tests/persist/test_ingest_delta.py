@@ -1,9 +1,9 @@
 """Ingest priced by the delta: identities and counts, never a time.
 
 An incremental ingest extends the session's live relations in place,
-waits for one journal fsync and nothing else, and a covering checkpoint
-is written exactly when the journal has grown by the last checkpoint's
-size.  After any interleaving of ingests, aborted ingests, dropped
+waits for one journal fsync and nothing else, and a covering base is
+written exactly when the journal has grown by the last base's size (by
+the size a base of the initial EDB would have, before the first).  After any interleaving of ingests, aborted ingests, dropped
 sessions and recoveries, the fixpoint equals a cold recompute over the
 initial EDB plus every acknowledged ingest.
 """
@@ -19,7 +19,14 @@ from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.observability import RingBufferSink, tracing
-from repro.persist import CheckpointStore, IngestJournal, Session, fixpoint_digest
+from repro.persist import (
+    Checkpoint,
+    CheckpointStore,
+    IngestJournal,
+    Session,
+    fixpoint_digest,
+    workload_digest,
+)
 from repro.robustness import Budget, BudgetExceededError
 
 PROGRAM_TEXT = """
@@ -57,6 +64,7 @@ def _journal_records(root) -> int:
 
 def _journal_bytes(store):
     return sum(p.stat().st_size for p in (store.directory / "journal").glob("*.log"))
+
 
 
 @pytest.fixture
@@ -117,13 +125,13 @@ def test_ingest_keeps_compiled_plans_between_ingests(monkeypatch):
 
 
 def test_one_fsync_and_no_checkpoint_below_the_lag_threshold(tmp_path, fsyncs):
-    # A wide EDB: its checkpoint dwarfs a few journal frames.
-    edges = [(n, n + 1) for n in range(1, 40)]
+    # A wide EDB: a base of it dwarfs a few journal frames.
+    edges = [(n, n + 1) for n in range(1000, 1200)]
     store = CheckpointStore(tmp_path)
     session = Session(_program(), _database(edges), store=store)
     session.run()
     files = len(store.paths())
-    for node in range(40, 46):
+    for node in range(1200, 1206):
         before = fsyncs["n"]
         outcome = session.ingest([("edge", (node, node + 1))])
         assert outcome.mode == "incremental"
@@ -131,7 +139,7 @@ def test_one_fsync_and_no_checkpoint_below_the_lag_threshold(tmp_path, fsyncs):
         assert fsyncs["n"] - before == 1  # the journal's: the acknowledgment
         assert len(store.paths()) == files
     assert session.journal_info()["lag"] == 6
-    assert _journal_bytes(store) < store.paths()[-1].stat().st_size
+    assert files == 0 and _journal_bytes(store) < session._lag_limit()
 
 
 def test_checkpoint_and_compaction_exactly_when_lag_reaches_checkpoint_size(tmp_path):
@@ -140,25 +148,25 @@ def test_checkpoint_and_compaction_exactly_when_lag_reaches_checkpoint_size(tmp_
     session.run()
     covered_at = []
     for step, node in enumerate(range(4, 40)):
-        threshold = store.paths()[-1].stat().st_size
+        threshold = session._lag_limit()
         files = len(store.paths())
         lag_before = _journal_bytes(store)
         outcome = session.ingest([("edge", (node, node + 1))])
         if outcome.checkpoints_written:
             covered_at.append(step)
             # Due: the acknowledged journal bytes reached the last
-            # covering checkpoint's size, and not one ingest earlier.
+            # base's size, and not one ingest earlier.
             assert lag_before < threshold
-            assert session._checkpoint_bytes == store.paths()[-1].stat().st_size
+            assert session._lag_limit() == store.paths()[-1].stat().st_size
             assert len(store.paths()) == files + 1
-            assert store.latest().snapshot.edb is not None
+            assert store.load(store.paths()[-1]).edb_facts == len(EDGES) + step + 1
             assert _journal_bytes(store) == 0  # compacted
             assert session.journal_info()["lag"] == 0
         else:
             assert len(store.paths()) == files
             assert lag_before < _journal_bytes(store) < threshold
     # A tiny EDB crosses the threshold within a few ingests, repeatedly,
-    # and less often as the checkpoint (and so the threshold) grows.
+    # and less often as the base (and so the threshold) grows.
     assert len(covered_at) >= 2 and covered_at[0] <= 10
     gaps = [b - a for a, b in zip(covered_at, covered_at[1:])]
     assert gaps == sorted(gaps)
@@ -279,13 +287,20 @@ def test_recover_reads_each_checkpoint_file_at_most_once(tmp_path):
     session.run()
     for node in range(30, 33):
         session.ingest([("edge", (node, node + 1))])
-    assert session.checkpoint()  # a second covering checkpoint
+    assert session.checkpoint()  # a covering base
     for node in range(33, 36):
         session.ingest([("edge", (node, node + 1))])
-    # Another workload's checkpoint lands last: recovery reads past it.
-    Session(_program(), _database(initial[:5]), store=store).run()
+    # Another workload's base lands last: recovery reads past it.
+    other = _database(initial[:5])
+    store.save(
+        Checkpoint(
+            seq=store.next_seq(),
+            workload=workload_digest(_program(), other),
+            edb={"edge": other.relation("edge").rows()},
+        )
+    )
     uncovered = session.journal_info()["lag"]
-    assert uncovered == 3 and len(store.paths()) == 3
+    assert uncovered == 3 and len(store.paths()) == 2
     loads = Counter()
     reader = CheckpointStore(tmp_path)
     real = reader.load
@@ -309,7 +324,9 @@ def test_any_interleaving_equals_a_cold_recompute(tmp_path, seed):
     records left uncovered; after every step the fixpoint is the cold
     recompute over the initial EDB plus every acknowledged ingest."""
     rng = random.Random(seed)
-    initial = [(n, n + 1) for n in range(1, 40)]
+    # A chain plus disjoint edges: a base of it outweighs a dozen
+    # journal frames, so restarts find long uncovered suffixes.
+    initial = [(n, n + 1) for n in range(1, 40)] + [(n, n + 1) for n in range(1000, 1400, 2)]
     acked = list(initial)  # every row whose journal fsync returned
 
     def fresh_rows():
@@ -363,8 +380,8 @@ def test_any_interleaving_equals_a_cold_recompute(tmp_path, seed):
             outcome = session.ingest([("edge", row) for row in rows])
             acked += rows
             assert outcome.mode in ("incremental", "recompute")
-        # Lag never outgrows one checkpoint's worth of journal.
-        assert session._lag_bytes < session._checkpoint_bytes
+        # Lag never outgrows one base's worth of journal.
+        assert session._lag_bytes < session._lag_limit()
         assert session.workload() == Session(_program(), _database(acked)).workload()
         assert _digest(session._last) == _cold_digest(acked), step
     assert most_replayed >= 5  # recoveries really replayed long suffixes

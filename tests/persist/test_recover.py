@@ -168,8 +168,8 @@ def test_recover_twice_is_idempotent(tmp_path):
     first = Session(_program(), _database(), store=store).recover()
     assert first.replayed == 1
     second = Session(_program(), _database(), store=store).recover()
-    # The first recovery checkpointed and compacted; the second restores
-    # warm with nothing left to replay — and the fixpoint is unchanged.
+    # The first recovery wrote a base and compacted; the second folds it
+    # in with nothing left to replay — and the fixpoint is unchanged.
     assert second.replayed == 0
     assert _digest(second) == _digest(first) == _cold_digest([(4, 5)])
 
@@ -262,8 +262,9 @@ def test_recovery_after_compaction_uses_self_contained_checkpoint(
 
 
 def test_journal_only_recovery_without_any_checkpoint(tmp_path):
-    """No complete checkpoint at all (every save failed): recovery
-    degrades to a full run over initial EDB + journal suffix."""
+    """No base at all (every save failed): recovery is the same
+    evaluation as always, over initial EDB + journal suffix, and writes
+    the base the replay is owed."""
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
     store = FlakyStore(CheckpointStore(tmp_path), injector)
     session = Session(_program(), _database(), store=store, retry=FAST)
@@ -272,8 +273,8 @@ def test_journal_only_recovery_without_any_checkpoint(tmp_path):
     recovered = Session(
         _program(), _database(), store=CheckpointStore(tmp_path)
     ).recover()
-    assert recovered.replayed == 1
-    assert recovered.fallback_chain
+    assert recovered.mode == "recovered" and recovered.replayed == 1
+    assert not recovered.fallback_chain and recovered.checkpoints_written == 1
     assert _digest(recovered) == _cold_digest([(4, 5)])
 
 
@@ -299,7 +300,7 @@ def test_every_step_a_fresh_session_on_the_initial_edb(tmp_path, steps):
             assert session.checkpoint()
         else:
             outcome = session.recover()
-            assert outcome.mode == ("fresh" if step == "start" else "warm")
+            assert outcome.mode == ("fresh" if step == "start" else "recovered")
         session.journal.close()
         assert _digest(outcome) == _cold_digest(ingested), step
         assert not list(tmp_path.glob("*.corrupt*"))
@@ -327,7 +328,7 @@ def test_recovery_reruns_a_killed_evaluation_of_the_journal_chain(tmp_path):
     assert store.paths() == []
     recovered = Session(_program(), _database(), store=store).recover()
     assert recovered.mode == "recovered" and recovered.replayed == 1
-    assert recovered.resumed_seq is None and recovered.checkpoints_written == 1
+    assert recovered.checkpoints_written == 1
     assert _digest(recovered) == _cold_digest([(4, 5)])
 
 
@@ -357,14 +358,14 @@ def test_parent_frontier_is_skipped_not_trusted(tmp_path):
     frontier = tmp_path / f"ckpt-00000001-{checksum[:12]}.json"
     frontier.write_text(f'{{"checksum":"{checksum}","payload":{canonical}}}')
     store = CheckpointStore(tmp_path)
-    assert not store.load(frontier).complete
+    assert store.load(frontier).edb is None  # valid, but holds no EDB
     outcome = Session(_program(), _database(), store=store).recover()
-    assert outcome.mode == "fresh" and outcome.resumed_seq is None
+    assert outcome.mode == "fresh"
     assert {pred: rel.rows() for pred, rel in outcome.result.idb.items()} == (
         model_fixpoint(_program(), _database())
     )
     assert frontier.exists() and not list(tmp_path.glob("*.corrupt*"))
-    assert outcome.checkpoints_written == 1 and store.latest().complete
+    assert outcome.checkpoints_written == 0 and store.paths() == [frontier]
 
 
 def test_failed_recovery_leaves_the_session_as_constructed(tmp_path):
@@ -388,3 +389,67 @@ def test_failed_recovery_leaves_the_session_as_constructed(tmp_path):
     session.journal.close()
     recovered = Session(_program(), _database(), store=store).recover()
     assert _digest(recovered) == _cold_digest([(4, 5), (5, 6), (6, 7)])
+
+
+def test_a_parent_checkpoint_and_a_compacted_journal_recover_every_row(tmp_path):
+    """A directory an older build left: its version-2 checkpoint holds an
+    ingested row whose journal record was compacted away, and its
+    journal the ingests since.  Recovery from the initial EDB returns
+    every one of them, and the next restart replays nothing."""
+    from pathlib import Path
+
+    from repro.persist.journal import JournalRecord
+
+    fixture = Path(__file__).resolve().parent / "fixtures" / "ckpt-00000001-c12db7abedef.json"
+    (tmp_path / fixture.name).write_text(fixture.read_text())
+    program = parse_program(
+        """
+        p(X, Y) :- e(X, Y).
+        p(X, Y) :- e(X, Z), p(Z, Y).
+        r(X, Y) :- p(X, Y).
+        r(X, Y) :- f(X, Y).
+        """,
+        query="r",
+    )
+    initial = {"e": [(1, 2), (2, 3), (3, 4)]}
+    covered = Database.from_rows({**initial, "f": [(7, 8)]})
+    journal = IngestJournal(tmp_path / "journal")
+    # The compacted record's sequence is gone; the journal resumes after it.
+    for seq, row in ((2, (4, 5)), (3, (5, 6))):
+        journal.commit(
+            JournalRecord(seq=seq, workload=workload_digest(program, covered), rows=(("e", row),))
+        )
+        covered.add_row("e", row)
+    journal.close()
+    for want_replayed in (2, 0):
+        outcome = Session(
+            program, Database.from_rows(initial), store=CheckpointStore(tmp_path)
+        ).recover()
+        assert outcome.mode == "recovered" and outcome.replayed == want_replayed
+        assert outcome.result.database.to_dict() == covered.to_dict()
+        assert {pred: outcome.result.rows(pred) for pred in ("p", "r")} == (
+            model_fixpoint(program, covered)
+        )
+
+
+def test_a_stale_record_with_no_base_is_kept_for_the_original_edb(tmp_path):
+    """An ingest below the lag limit has only its journal record.  A
+    restart that re-registers the ingested EDB finds the record stale,
+    but with no base holding the row it must not compact it away: a
+    later restart with the original EDB still answers the ingest."""
+    first = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    first.recover()
+    first.ingest([("edge", (4, 5))])
+    first.journal.close()
+    assert not CheckpointStore(tmp_path).paths()  # below the lag limit
+    grown = Session(_program(), _database([(4, 5)]), store=CheckpointStore(tmp_path))
+    assert grown.recover().replayed == 0
+    grown.journal.close()
+    original = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    recovered = original.recover()
+    assert recovered.replayed == 1
+    assert original.database.contains("edge", (4, 5))
+    assert _digest(recovered) == _cold_digest([(4, 5)])
+    assert {pred: rel.rows() for pred, rel in recovered.result.idb.items()} == (
+        model_fixpoint(_program(), _database([(4, 5)]))
+    )

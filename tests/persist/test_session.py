@@ -29,49 +29,59 @@ def _rows(result):
     return {pred: rel.rows() for pred, rel in result.idb.items()}
 
 
-def test_run_writes_checkpoints_and_final_is_complete(tmp_path):
-    """A run checkpoints its fixpoint once — no per-round frontiers."""
+def test_run_writes_nothing(tmp_path):
+    """A run evaluates the EDB it was given; the caller re-supplies that
+    EDB on every start, so there is nothing to make durable."""
     store = CheckpointStore(tmp_path)
     outcome = Session(_program(), _database(), store=store).run()
     assert outcome.mode == "fresh"
-    assert outcome.checkpoints_written == len(store.paths()) == 1
-    latest = store.latest()
-    assert latest is not None and latest.complete
-    assert latest.snapshot.edb is not None  # self-contained
+    assert outcome.checkpoints_written == 0
+    assert store.paths() == [] and not list(tmp_path.rglob("*.log"))
+
+
+def _with_base(tmp_path, extra):
+    """A directory holding one base: the initial EDB plus ``extra``."""
+    store = CheckpointStore(tmp_path)
+    session = Session(_program(), _database(), store=store)
+    session.ingest([("edge", row) for row in extra])
+    assert session.checkpoint()
+    session.journal.close()
+    return store
 
 
 def test_resume_from_store_is_row_identical(tmp_path):
-    baseline = _rows(Session(_program(), _database()).run().result)
-    store = CheckpointStore(tmp_path)
-    first = Session(_program(), _database(), store=store).run()
+    baseline = _rows(Session(_program(), _database(extra=[(5, 6)])).run().result)
+    store = _with_base(tmp_path, [(5, 6)])
     [path] = store.paths()
-    resumed = Session(_program(), _database(), store=CheckpointStore(tmp_path)).recover()
-    assert resumed.mode == "warm"
-    assert resumed.resumed_seq == store.load(path).seq
-    restored, before = resumed.stats.as_dict(), first.stats.as_dict()
-    # every counter restored; wall time to the nanosecond a copy keeps
-    assert restored.pop("wall_time_seconds") == pytest.approx(before.pop("wall_time_seconds"))
-    assert restored == before
-    assert _rows(resumed.result) == baseline
+    resumed = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    outcome = resumed.recover()
+    assert outcome.mode == "recovered" and outcome.replayed == 0
+    assert resumed.base_summary()["seq"] == store.load(path).seq
+    # The fixpoint is re-derived, so its counters are this evaluation's.
+    cold = evaluate(_program(), _database(extra=[(5, 6)])).stats.as_dict()
+    derived = outcome.stats.as_dict()
+    assert derived.pop("wall_time_seconds") > 0.0
+    cold.pop("wall_time_seconds")
+    assert derived == cold
+    assert _rows(outcome.result) == baseline
 
 
 def test_resume_empty_store_falls_back_to_fresh(tmp_path):
     outcome = Session(_program(), _database(), store=CheckpointStore(tmp_path)).recover()
     assert outcome.mode == "fresh"
-    assert outcome.resumed_seq is None
+    assert outcome.checkpoints_written == 0
 
 
 def test_resume_ignores_checkpoint_of_other_workload(tmp_path):
-    store = CheckpointStore(tmp_path)
-    Session(_program(), _database(), store=store).run()
+    store = _with_base(tmp_path, [(5, 6)])
     foreign = store.paths()
-    other_db = _database(extra=[(5, 6)])
+    other_db = _database(extra=[(7, 8)])
     outcome = Session(
         _program(), other_db, store=CheckpointStore(tmp_path)
     ).recover()
-    # a foreign checkpoint is ignored — and stays where it is: it is
-    # somebody's perfectly valid checkpoint
-    assert outcome.mode == "fresh" and outcome.resumed_seq is None
+    # a foreign base is ignored — and stays where it is: it is
+    # somebody's perfectly valid base
+    assert outcome.mode == "fresh"
     assert not list(tmp_path.glob("*.corrupt*"))
     assert [path for path in foreign if path.exists()] == foreign
 
@@ -94,12 +104,14 @@ def test_ingest_incremental_row_identical_to_recompute(tmp_path, reference):
 
 
 def test_ingest_from_store_without_in_memory_result(tmp_path):
-    Session(_program(), _database(), store=CheckpointStore(tmp_path)).run()
-    # a brand-new session (fresh process) ingests off the stored fixpoint
+    _with_base(tmp_path, [(0, 1)])
+    # a brand-new session (fresh process) recovers the stored EDB, then ingests
     session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
     outcome = session.ingest(parse_facts("edge(5, 6)."))
     assert outcome.mode == "incremental"
-    recomputed = _rows(Session(_program(), _database(extra=[(5, 6)])).run().result)
+    recomputed = _rows(
+        Session(_program(), _database(extra=[(0, 1), (5, 6)])).run().result
+    )
     assert _rows(outcome.result) == recomputed
 
 
@@ -194,18 +206,28 @@ def test_ingest_rejects_wrong_arity_before_journaling_anything(tmp_path):
 def test_unrecoverable_store_degrades_to_in_memory(tmp_path):
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
     store = FlakyStore(CheckpointStore(tmp_path), injector)
-    outcome = Session(
+    # An acknowledged ingest no base covers: the recovery that replays
+    # it owes the directory a base, and cannot write one.
+    writer = Session(_program(), _database(), journal=IngestJournal(tmp_path / "journal"))
+    writer.ingest([("edge", (5, 6))])
+    writer.journal.close()
+    session = Session(
         _program(),
         _database(),
         store=store,
         retry=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
-    ).run()
+    )
+    outcome = session.recover()
+    assert outcome.replayed == 1
     assert outcome.checkpoints_written == 0
+    assert not session.checkpoint()
     assert len(outcome.fallback_chain) == 1
     step = outcome.fallback_chain[0]
     assert step.stage == "session.checkpoint" and step.fell_back_to == "in-memory"
-    # evaluation itself still completed correctly in memory
-    assert _rows(outcome.result) == _rows(Session(_program(), _database()).run().result)
+    # the ingest itself still completed correctly in memory
+    assert _rows(outcome.result) == _rows(
+        Session(_program(), _database(extra=[(5, 6)])).run().result
+    )
 
 
 def test_budget_trip_during_run_propagates(tmp_path):
@@ -225,32 +247,55 @@ def test_inspect_summarizes_store(tmp_path):
     assert info["latest"] is None and info["store"]["checkpoints"] == 0
     assert "checkpoint_every" not in info
     session.run()
+    assert session.inspect()["latest"] is None  # a run writes nothing
+    session.ingest([("edge", (5, 6))])
+    assert session.checkpoint()
     info = session.inspect()
-    assert info["latest"]["complete"] is True
-    assert info["latest"]["latest_round"] == session._last.stats.iterations
+    assert info["latest"]["seq"] == 1 and info["latest"]["edb_facts"] == 5
     assert info["store"]["checkpoints"] == 1
     assert info["workload"] == session.workload()
-    assert info["latest"]["stats"]["facts_derived"] > 0
+    assert info["journal"]["lag"] == 0
+
+
+def test_inspect_reports_the_base_recovery_uses(tmp_path):
+    """Inspecting from the initial files reports the base recovery would
+    fold in — the newest that binds — not the newest whose digest is the
+    initial EDB's."""
+    writer = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    writer.ingest([("edge", (5, 6))])
+    assert writer.checkpoint()
+    writer.ingest([("edge", (6, 7))])
+    assert writer.checkpoint()
+    writer.journal.close()
+    inspected = Session(_program(), _database(), store=CheckpointStore(tmp_path)).inspect()
+    restarted = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    restarted.recover()
+    assert inspected["latest"]["seq"] == restarted.base_summary()["seq"] == 2
+    assert inspected["latest"]["edb_facts"] == len(EDGES) + 2
 
 
 def test_inspect_is_read_only_across_workloads(tmp_path):
     """Inspecting with a different data file (e.g. pre-ingest) must not
-    quarantine the other workload's valid checkpoints."""
+    quarantine the other workload's valid bases."""
     session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
     session.run()
     session.ingest([("edge", (5, 6))])
-    assert session.checkpoint()  # complete checkpoint, new digest
+    assert session.checkpoint()  # a base, new digest
     stale = Session(_program(), _database(), store=CheckpointStore(tmp_path))
     info = stale.inspect()
     assert not info["store"]["corrupt"]
     assert not list(tmp_path.glob("*.corrupt"))
-    # the stale view still resolves ITS newest checkpoint...
-    assert info["latest"] is not None
-    # ...and the post-ingest session still finds its own afterwards
+    # the pre-ingest view still resolves the base recovery would use...
+    assert info["latest"]["edb_facts"] == len(EDGES) + 1
+    # ...and so does the post-ingest one
     combined = Session(
         _program(), _database(extra=[(5, 6)]), store=CheckpointStore(tmp_path)
     )
-    assert combined.inspect()["latest"]["complete"] is True
+    assert combined.inspect()["latest"]["seq"] == info["latest"]["seq"] == 1
+    foreign = Session(
+        _program(), _database(extra=[(7, 8)]), store=CheckpointStore(tmp_path)
+    )
+    assert foreign.inspect()["latest"] is None
 
 
 def test_inspect_without_store():
@@ -259,19 +304,16 @@ def test_inspect_without_store():
 
 
 def test_session_stats_cumulative_and_monotone(tmp_path):
-    store = CheckpointStore(tmp_path)
-    first = Session(_program(), _database(), store=store).run()
-    restarted = Session(_program(), _database(), store=CheckpointStore(tmp_path))
-    warm = restarted.recover()
-    # a restore brings the checkpointed counters, and an ingest adds to
-    # them: cumulative counters never go backwards across a restart
-    assert warm.stats.facts_derived == first.stats.facts_derived
-    assert warm.stats.wall_time_seconds == pytest.approx(first.stats.wall_time_seconds)
-    assert warm.stats.wall_time_seconds > 0.0
-    grown = restarted.ingest([("edge", (5, 6))])
+    # Counters start afresh with every process; within one, an ingest
+    # adds to what the evaluation before it counted.
+    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    first = session.recover()
+    assert first.stats.wall_time_seconds > 0.0
+    first = first.stats.copy()
+    grown = session.ingest([("edge", (5, 6))])
     for key in ("facts_derived", "rule_firings", "rows_scanned", "iterations"):
-        assert getattr(grown.stats, key) > getattr(first.stats, key)
-    assert grown.stats.wall_time_seconds > first.stats.wall_time_seconds
+        assert getattr(grown.stats, key) > getattr(first, key)
+    assert grown.stats.wall_time_seconds > first.wall_time_seconds
 
 
 def test_budget_trip_inside_ingest_does_not_leave_a_stale_prior():

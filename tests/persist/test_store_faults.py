@@ -5,16 +5,9 @@ import os
 import pytest
 
 from repro.datalog.database import Database
-from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.observability import RingBufferSink, Tracer
-from repro.persist.checkpoint import (
-    Checkpoint,
-    CheckpointCorrupt,
-    CheckpointMismatch,
-    EvaluationSnapshot,
-    workload_digest,
-)
+from repro.persist.checkpoint import Checkpoint, CheckpointCorrupt, workload_digest
 from repro.persist import Session
 from repro.persist.store import (
     CheckpointStore,
@@ -40,15 +33,17 @@ def _database():
 
 
 def _checkpoints(n=2):
-    result = evaluate(PROGRAM, _database())
-    snapshot = EvaluationSnapshot(
-        idb={pred: rel.rows() for pred, rel in result.idb.items()},
-        stats=result.stats,
-        edb={"edge": _database().relation("edge").rows()},
-        completed_sccs=len(PROGRAM.schedule),
-    )
     digest = workload_digest(PROGRAM, _database())
-    return [Checkpoint(seq=i + 1, workload=digest, snapshot=snapshot) for i in range(n)]
+    edb = {"edge": _database().relation("edge").rows()}
+    return [Checkpoint(seq=i + 1, workload=digest, edb=edb) for i in range(n)]
+
+
+def _recovered_from(store):
+    """The seq of the base a fresh session's recovery folds in."""
+    session = Session(PROGRAM, _database(), store=store)
+    session.recover()
+    summary = session.base_summary()
+    return None if summary is None else summary["seq"]
 
 
 def test_save_load_latest_round_trip(tmp_path):
@@ -58,10 +53,10 @@ def test_save_load_latest_round_trip(tmp_path):
     store.save(second)
     assert len(store.paths()) == 2
     assert store.next_seq() == 3
-    latest = store.latest()
-    assert latest is not None and latest.seq == 2
+    assert store.load(store.paths()[-1]) == second
     loaded = store.load(store.paths()[0])
     assert loaded.seq == 1
+    assert _recovered_from(store) == 2
 
 
 def test_save_leaves_no_temp_files(tmp_path):
@@ -91,8 +86,7 @@ def test_latest_walks_past_quarantined_to_older_valid(tmp_path):
     store.save(first)
     newest = store.save(second)
     newest.write_text("garbage")
-    latest = store.latest()
-    assert latest is not None and latest.seq == first.seq
+    assert _recovered_from(store) == first.seq
     assert newest.with_name(newest.name + ".corrupt").exists()
     # the corrupt file is never considered again
     assert len(store.paths()) == 1
@@ -126,22 +120,25 @@ def test_double_quarantine_keeps_both_forensic_copies(tmp_path):
 
 
 def test_workload_mismatch_is_never_quarantined(tmp_path):
-    """A valid checkpoint of another workload — or of a later state of
-    this one — is not returned, and is left untouched on disk."""
+    """A valid base of another workload is not folded in by recovery,
+    and is left untouched on disk."""
     store = CheckpointStore(tmp_path)
     (ckpt,) = _checkpoints(1)
     path = store.save(ckpt)
-    with pytest.raises(CheckpointMismatch):
-        store.load(path, expect_workload="0" * 64)
+    other = parse_program("q(X) :- edge(X, Y).", query="q")
+    outcome = Session(other, _database(), store=store).recover()
+    assert outcome.mode == "fresh"
     assert path.exists()
     assert not list(tmp_path.glob("*.corrupt*"))
-    assert store.latest(expect_workload="0" * 64) is None
-    assert path.exists()  # still loadable by its own workload
-    assert store.latest(expect_workload=ckpt.workload).seq == ckpt.seq
+    assert store.load(path) == ckpt  # still loadable, and its own workload's
+    assert _recovered_from(store) == ckpt.seq
 
 
 def test_empty_store_latest_is_none(tmp_path):
-    assert CheckpointStore(tmp_path).latest() is None
+    assert _recovered_from(CheckpointStore(tmp_path)) is None
+    assert Session(PROGRAM, _database(), store=CheckpointStore(tmp_path)).inspect()[
+        "latest"
+    ] is None
     assert CheckpointStore(tmp_path / "made" / "up").next_seq() == 1
 
 
@@ -200,8 +197,9 @@ def test_flaky_load_faults_and_recovery_walks_past(tmp_path):
     # the newest load faults transiently; the one reader of the store,
     # Session.recover(), falls through to the older checkpoint
     injector.arm("checkpoint.load", at=2)
-    outcome = Session(PROGRAM, _database(), store=store).recover()
-    assert outcome.mode == "warm" and outcome.resumed_seq == first.seq
+    session = Session(PROGRAM, _database(), store=store)
+    assert session.recover().mode == "recovered"
+    assert session.base_summary()["seq"] == first.seq
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Warm restart: a restarted daemon answers without recomputing.
+"""Restart: a restarted daemon re-derives its tenants from the EDB.
 
-With ``--persist-dir`` every tenant anchors to a per-tenant checkpoint
-directory; re-registering the same workload after a restart must
-rebuild the fixpoint from the checkpoint with **zero evaluation**
-(mode ``warm``) and answer byte-identically.  The checkpoint summary
-surfaces ``latest_round`` and ``age_seconds`` together (the satellite
-claim shared with ``repro session inspect``).
+With ``--persist-dir`` every tenant anchors to a per-tenant directory
+holding bases (the EDB the tenant had reached) and the ingest journal.
+Re-registering the same workload after a restart folds in the newest
+base that binds, replays the journal, and evaluates once (mode
+``recovered``); the answers are byte-identical.  The tenant's
+``checkpoint`` block reports the base a restart would fold in, with
+its age; ``latest_round`` is the current fixpoint's.
 """
 
 import asyncio
@@ -17,6 +18,7 @@ SPEC = {
     "query": "p",
     "facts": "\n".join(f"e({i}, {i + 1})." for i in range(8)),
 }
+QUERY = ("POST", "/programs/wr/query", {"goal": "p(0, Y)", "mode": "materialized"})
 
 
 def drive(app, *requests):
@@ -29,30 +31,34 @@ def drive(app, *requests):
     return asyncio.run(run())
 
 
-def test_restart_answers_warm_and_byte_identical(tmp_path):
+def _ingested(tmp_path, facts="e(8, 9)."):
+    """A first daemon: register, ingest, leave a base covering the ingest."""
     first = ServeApp(persist_root=tmp_path)
-    (status, registered), (_, before) = drive(
+    (_, registered), _, (_, before) = drive(
         first,
         ("PUT", "/programs/wr", SPEC),
-        ("POST", "/programs/wr/query", {"goal": "p(0, Y)", "mode": "materialized"}),
+        ("POST", "/programs/wr/ingest", {"facts": facts}),
+        QUERY,
     )
-    assert status == 200
     assert registered["mode"] == "fresh"
+    assert "resumed_seq" not in registered
+    session = first.registry.get("wr").session
+    assert session.checkpoint()
+    session.journal.close()
+    return before
 
+
+def test_restart_re_derives_byte_identical_answers(tmp_path):
+    before = _ingested(tmp_path)
     # A brand-new app on the same persist root: the daemon restarted.
     second = ServeApp(persist_root=tmp_path)
-    (_, reregistered), (_, after) = drive(
-        second,
-        ("PUT", "/programs/wr", SPEC),
-        ("POST", "/programs/wr/query", {"goal": "p(0, Y)", "mode": "materialized"}),
-    )
-    assert reregistered["mode"] == "warm"
-    assert reregistered["resumed_seq"] is not None
-    assert reregistered["idb_facts"] == registered["idb_facts"]
-    assert reregistered["latest_round"] == registered["latest_round"]
-    # Byte-identical answers, and the response says no evaluation ran.
+    (_, reregistered), (_, after) = drive(second, ("PUT", "/programs/wr", SPEC), QUERY)
+    assert reregistered["mode"] == "recovered"
+    assert "resumed_seq" not in reregistered
+    assert reregistered["idb_facts"] == 45  # the closure of the chain 0..9
     assert after["answers"] == before["answers"]
-    assert after["materialized_mode"] == "warm"
+    assert [0, 9] in after["answers"]
+    assert after["materialized_mode"] == "recovered"
 
 
 def test_checkpoint_summary_reports_round_and_age(tmp_path):
@@ -63,41 +69,38 @@ def test_checkpoint_summary_reports_round_and_age(tmp_path):
         ("GET", "/programs/wr", None),
     )
     assert status == 200
+    assert inspected["latest_round"] == registered["latest_round"]
+    assert inspected["checkpoint"] is None  # a registration writes nothing
+    ((_, ingested),) = drive(app, ("POST", "/programs/wr/ingest", {"facts": "e(8, 9)."}))
+    assert app.registry.get("wr").session.checkpoint()
+    ((_, inspected),) = drive(app, ("GET", "/programs/wr", None))
     checkpoint = inspected["checkpoint"]
-    assert checkpoint is not None
-    assert checkpoint["complete"] is True
-    assert checkpoint["latest_round"] == registered["latest_round"]
-    assert checkpoint["age_seconds"] >= 0
+    assert inspected["latest_round"] == ingested["latest_round"]
+    assert set(checkpoint) == {"seq", "edb_facts", "bytes", "age_seconds"}
+    assert checkpoint["seq"] == 1 and checkpoint["edb_facts"] == 9
+    assert checkpoint["bytes"] > 0 and checkpoint["age_seconds"] >= 0
 
 
-def test_changed_workload_does_not_warm_start(tmp_path):
-    first = ServeApp(persist_root=tmp_path)
-    drive(first, ("PUT", "/programs/wr", SPEC))
+def test_changed_workload_does_not_fold_the_old_base(tmp_path):
+    _ingested(tmp_path)
     changed = dict(SPEC, facts=SPEC["facts"] + "\ne(100, 101).")
     second = ServeApp(persist_root=tmp_path)
-    ((_, reregistered),) = drive(second, ("PUT", "/programs/wr", changed))
-    # Different EDB -> different workload digest -> full evaluation.
-    assert reregistered["mode"] == "fresh"
-
-
-def test_ingest_re_anchors_the_warm_start_digest(tmp_path):
-    first = ServeApp(persist_root=tmp_path)
-    drive(
-        first,
-        ("PUT", "/programs/wr", SPEC),
-        ("POST", "/programs/wr/ingest", {"facts": "e(8, 9)."}),
+    (_, reregistered), (_, answer) = drive(
+        second, ("PUT", "/programs/wr", changed), QUERY
     )
-    assert first.registry.get("wr").session.checkpoint()
-    # Restart registering the *ingested* EDB: the post-ingest checkpoint
-    # anchors it, so the restart is warm against the new digest.
+    # The old base lacks e(100, 101): it belongs to another registration.
+    assert reregistered["mode"] == "fresh"
+    assert [0, 9] not in answer["answers"]
+
+
+def test_ingest_re_anchors_the_base_digest(tmp_path):
+    _ingested(tmp_path)
+    # Restart registering the *ingested* EDB: the post-ingest base still
+    # binds (it holds every registered row), so the restart folds it in.
     grown = dict(SPEC, facts=SPEC["facts"] + "\ne(8, 9).")
     second = ServeApp(persist_root=tmp_path)
-    (_, reregistered), (_, answer) = drive(
-        second,
-        ("PUT", "/programs/wr", grown),
-        ("POST", "/programs/wr/query", {"goal": "p(0, Y)", "mode": "materialized"}),
-    )
-    assert reregistered["mode"] == "warm"
+    (_, reregistered), (_, answer) = drive(second, ("PUT", "/programs/wr", grown), QUERY)
+    assert reregistered["mode"] == "recovered"
     assert [0, 9] in answer["answers"]
 
 
@@ -108,14 +111,24 @@ def test_tenants_isolate_persist_directories(tmp_path):
         "query": "q",
         "facts": "f(1, 2).",
     }
-    drive(app, ("PUT", "/programs/a", SPEC), ("PUT", "/programs/b", other))
+    drive(
+        app,
+        ("PUT", "/programs/a", SPEC),
+        ("PUT", "/programs/b", other),
+        ("POST", "/programs/a/ingest", {"facts": "e(8, 9)."}),
+        ("POST", "/programs/b/ingest", {"facts": "f(2, 3)."}),
+    )
     assert (tmp_path / "a").is_dir()
     assert (tmp_path / "b").is_dir()
+    for name in ("a", "b"):
+        app.registry.get(name).session.journal.close()
     restarted = ServeApp(persist_root=tmp_path)
-    (_, alpha), (_, beta) = drive(
+    (_, alpha), (_, beta), (_, answer) = drive(
         restarted,
         ("PUT", "/programs/a", SPEC),
         ("PUT", "/programs/b", other),
+        ("POST", "/programs/b/query", {"goal": "q(X, Y)", "mode": "materialized"}),
     )
-    assert alpha["mode"] == "warm"
-    assert beta["mode"] == "warm"
+    assert alpha["mode"] == "recovered"
+    assert beta["mode"] == "recovered"
+    assert answer["answers"] == [[1, 2], [2, 3]]

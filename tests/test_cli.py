@@ -298,10 +298,10 @@ class TestSessionRoundTrips:
         assert session("ingest", "f1.dl") == ("incremental", 6)
         shutil.copytree(tmp_path / "ckpt", tmp_path / "twin")
         # a restart straight after the ingest ...
-        assert session("run") == ("warm", 6)
+        assert session("run") == ("recovered", 6)
         # ... and, in a directory that saw no restart, a second ingest
         assert session("ingest", "f2.dl", ckpt="twin") == ("incremental", 10)
-        assert session("run", ckpt="twin") == ("warm", 10)
+        assert session("run", ckpt="twin") == ("recovered", 10)
 
     @pytest.mark.parametrize(
         "argv",
