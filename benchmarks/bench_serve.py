@@ -1,16 +1,15 @@
-"""E12 — serving: per-request magic specialization and the artifact cache.
+"""E12 — serving: magic templates are constant-free.
 
-The daemon compiles one pipeline artifact per *adornment shape* — the
-bound/free pattern of the goal — never per constant: the semantic
-rewrite, adornment and magic transform run once, and each request only
-swaps the magic seed fact (Levy & Sagiv's binding passing is constant-
-independent by construction).  This bench drives the in-process
-:class:`~repro.serve.app.ServeApp` through a fixed request sequence of
-``mode: "magic"`` queries (a query naming no mode probes the tenant's
-resident fixpoint instead, and compiles nothing) and records, per request, whether the artifact cache hit and the
-evaluation work counters; the acceptance claims are (a) goals that
-differ only in their constants share one artifact, and (b) served
-answers are byte-identical to the single-process pipeline's.
+Binding passing yields magic templates that depend on the goal's
+adornment (its bound/free pattern), never on its constants: those
+enter through the one seed rule.  This bench compiles every goal of two
+tenants with :func:`~repro.magic.pipeline.run_pipeline` and checks that
+goals of one adornment compile to the same program once the seed rule
+is removed.  It then drives the in-process
+:class:`~repro.serve.app.ServeApp` with ``mode: "magic"`` queries (a
+query naming no mode probes the tenant's resident fixpoint instead)
+and checks that every served answer equals the single-process
+pipeline's.
 """
 
 import asyncio
@@ -21,13 +20,26 @@ from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_atom, parse_facts, parse_program
 from repro.magic import run_pipeline
+from repro.magic.adorn import adornment_of
 from repro.magic.transform import match_query_atom
 from repro.serve.app import ServeApp
 from repro.serve.wire import rows_payload
 
 
-def _drive(workloads: dict, passes: int = 2) -> list[dict]:
-    """Register every workload, then run ``passes`` goal sweeps."""
+def _template(report) -> tuple:
+    """The compiled magic program without its seed rule."""
+    return tuple(rule for rule in report.program.rules if rule != report.magic.seed)
+
+
+def _compile(spec: dict, goal_text: str):
+    program = parse_program(spec["program"], query=spec["query"])
+    report = run_pipeline(program, (), parse_atom(goal_text), order="semantic-first")
+    assert report.program is not None and report.magic is not None
+    return report
+
+
+def _drive(workloads: dict) -> list[dict]:
+    """Register every workload, then send each goal once as magic."""
     app = ServeApp()
 
     async def run() -> list[dict]:
@@ -43,18 +55,15 @@ def _drive(workloads: dict, passes: int = 2) -> list[dict]:
                 },
             )
             assert status == 200, name
-        for sweep in range(1, passes + 1):
-            for name, spec in workloads.items():
-                for goal in spec["goals"]:
-                    status, payload = await app.handle(
-                        "POST",
-                        f"/programs/{name}/query",
-                        {"goal": goal, "mode": "magic"},
-                    )
-                    assert status == 200, (name, goal)
-                    responses.append(
-                        {"sweep": sweep, "tenant": name, "goal": goal, **payload}
-                    )
+        for name, spec in workloads.items():
+            for goal in spec["goals"]:
+                status, payload = await app.handle(
+                    "POST",
+                    f"/programs/{name}/query",
+                    {"goal": goal, "mode": "magic"},
+                )
+                assert status == 200, (name, goal)
+                responses.append({"tenant": name, "goal": goal, **payload})
         return responses
 
     return asyncio.run(run())
@@ -62,32 +71,28 @@ def _drive(workloads: dict, passes: int = 2) -> list[dict]:
 
 def _expected_answers(spec: dict, goal_text: str) -> list[list]:
     """The single-process pipeline's answers for one goal."""
-    program = parse_program(spec["program"], query=spec["query"])
-    database = Database(parse_facts(spec["facts"]))
+    report = _compile(spec, goal_text)
+    result = evaluate(report.program, Database(parse_facts(spec["facts"])))
     goal = parse_atom(goal_text)
-    report = run_pipeline(program, (), goal, order="semantic-first")
-    assert report.program is not None
-    result = evaluate(report.program, database)
     return rows_payload(
         frozenset(row for row in result.query_rows() if match_query_atom(row, goal))
     )
 
 
-def test_cache_hits_are_constant_independent():
-    """Goals differing only in constants share one compiled artifact."""
-    workloads = serve_workloads(True)
-    responses = _drive(workloads, passes=2)
-    first_sweep = [r for r in responses if r["sweep"] == 1]
-    # Per tenant: one bound-free shape (three goals) and one bound-bound
-    # shape — only the first goal of each shape compiles.
-    assert sum(1 for r in first_sweep if not r["cache_hit"]) == 2 * len(workloads)
-    assert all(r["cache_hit"] for r in responses if r["sweep"] == 2)
+def test_magic_templates_are_constant_free():
+    """``p(0, V)`` and ``p(1, V)`` compile to one program but the seed."""
+    spec = serve_workloads(True)["alpha"]
+    first, second = _compile(spec, "p(0, V)"), _compile(spec, "p(1, V)")
+    assert first.magic.seed != second.magic.seed
+    assert _template(first) == _template(second)
+    bound = _compile(spec, "p(0, 1)")
+    assert _template(bound) != _template(first)  # another adornment
 
 
 def test_served_answers_match_pipeline():
     """Every served response equals the single-process pipeline."""
     workloads = serve_workloads(True)
-    for response in _drive(workloads, passes=1):
+    for response in _drive(workloads):
         spec = workloads[response["tenant"]]
         assert response["answers"] == _expected_answers(spec, response["goal"])
 
@@ -95,32 +100,36 @@ def test_served_answers_match_pipeline():
 def experiment() -> Experiment:
     def build() -> str:
         workloads = serve_workloads(False)
-        responses = _drive(workloads, passes=2)
         rows = []
         mismatches = 0
-        for response in responses:
+        templates: dict[tuple, tuple] = {}
+        for response in _drive(workloads):
             spec = workloads[response["tenant"]]
             if response["answers"] != _expected_answers(spec, response["goal"]):
                 mismatches += 1
+            report = _compile(spec, response["goal"])
+            shape = (response["tenant"], adornment_of(report.query_atom, frozenset()))
+            first = templates.setdefault(shape, _template(report))
             stats = response["stats"]
             rows.append(
                 [
-                    response["sweep"],
                     response["tenant"],
                     f"`{response['goal']}`",
-                    "hit" if response["cache_hit"] else "miss",
+                    f"`{shape[1]}`",
+                    len(report.program.rules),
+                    "yes" if _template(report) == first else "NO",
                     len(response["answers"]),
                     stats["facts_derived"],
                     stats["rows_scanned"],
                 ]
             )
-        hits = sum(1 for r in responses if r["cache_hit"])
         table = md_table(
             [
-                "sweep",
                 "tenant",
                 "goal",
-                "artifact cache",
+                "adornment",
+                "magic rules",
+                "template = first of its adornment",
                 "answers",
                 "facts derived",
                 "rows scanned",
@@ -128,10 +137,9 @@ def experiment() -> Experiment:
             rows,
         )
         summary = (
-            f"\n\n{len(responses)} requests compiled {len(responses) - hits} "
-            f"artifacts ({hits} cache hits); goals that differ only in their "
-            "constants hit the artifact compiled for their adornment shape "
-            "(sweep 1 rows 2–3 of each tenant), and every served answer set "
+            f"\n\n{len(rows)} goals over {len(templates)} adornments; goals of "
+            "one adornment compile to one program but the seed rule, and every "
+            "served answer set "
             + (
                 "equals the single-process pipeline's, byte for byte."
                 if mismatches == 0
@@ -142,18 +150,16 @@ def experiment() -> Experiment:
 
     return Experiment(
         key="E12",
-        title="Serving: per-request specialization and the artifact cache",
+        title="Serving: magic templates are constant-free",
         narrative=(
             "*Paper:* the magic templates produced by binding passing depend "
             "only on the query's adornment (its bound/free pattern), never on "
             "the bound constants — the constants enter through a single seed "
-            "fact.  *Measured:* the serving daemon caches one compiled "
-            "pipeline artifact per (workload digest, order, predicate, "
-            "adornment) key and re-seeds it per request; in a fixed two-sweep "
-            "request sequence over two tenants, only the first goal of each "
-            "adornment shape compiles (4 misses), every other request hits, "
-            "and served answers are byte-identical to the single-process "
-            "pipeline — caching changes work, never answers."
+            "rule.  *Measured:* each goal of two tenants compiled with "
+            "`run_pipeline` (semantic-first); per adornment, the programs "
+            "without their seed rule are equal.  The daemon's `mode: magic` "
+            "requests compile each goal afresh, and their answers are "
+            "byte-identical to the single-process pipeline's."
         ),
         build=build,
     )

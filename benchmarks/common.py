@@ -94,10 +94,8 @@ def serve_workloads(quick: bool) -> dict[str, dict]:
 
     Each is a recursive closure over a seeded random edge set, shipped
     as program/facts *text* (the daemon's wire format) together with
-    the goal shapes the clients cycle.  Per tenant the bound-first
-    goals share one adornment — the artifact cache collapses them to a
-    single compiled pipeline, so almost every request after warmup is
-    a cache hit."""
+    the goals the clients send.  Per tenant the bound-first goals share
+    one adornment, so their magic programs differ in the seed alone."""
 
     def edge_facts(predicate: str, nodes: int, edges: int, seed: int) -> str:
         rng = random.Random(seed)

@@ -396,7 +396,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     app = ServeApp(
         persist_root=None if args.persist_dir is None else Path(args.persist_dir),
         defaults=None if defaults.unlimited else defaults,
-        cache_capacity=args.cache_capacity,
     )
     return run_server(app, host=args.host, port=args.port)
 
@@ -732,10 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--persist-dir", metavar="DIR",
         help="root directory for per-tenant checkpoints (enables warm restart)",
     )
-    cmd.add_argument(
-        "--cache-capacity", type=int, default=128, metavar="N",
-        help="pipeline artifact cache entries (default 128)",
-    )
     budget_flags(cmd)  # the server-side ceiling every request is clamped to
     cmd.set_defaults(func=_cmd_serve)
 
@@ -765,11 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
     ccmd.add_argument(
         "--mode", choices=("magic", "materialized"),
         help="answer from the resident fixpoint (the daemon's default) or "
-        "via the specialized pipeline",
+        "via the magic-sets pipeline",
     )
     ccmd.add_argument(
         "--order", choices=PIPELINE_ORDERS,
-        help="pipeline stage ordering (implies --mode magic)",
+        help="pipeline stage ordering (implies --mode magic; "
+        "refused beside --mode materialized)",
     )
     budget_flags(ccmd)  # per-request limits, clamped by the server ceiling
     ccmd.set_defaults(func=_cmd_client)

@@ -206,9 +206,6 @@ class EvaluationResult:
         members = program.union_views.get(predicate)
         if members is not None:
             parts = [self.relation(member) for member in members]
-            own = self.idb.get(predicate)  # a ``seed_fact`` on the view
-            if own is not None:
-                parts.append(own)
             return UnionView(program.arity_of(predicate), parts)
         rel = self.idb.get(predicate)
         if rel is not None:
@@ -370,14 +367,12 @@ class _Driver:
         tracer: Tracer,
         governor: "Governor | None" = None,
         live: "EvaluationResult | None" = None,
-        seed_fact: "tuple[str, Row] | None" = None,
     ):
         self.program = program
         self.database = database
         self.tracer = tracer
         self.trace_on = tracer.enabled
         self.governor = governor
-        self.seed_fact = seed_fact
         #: the governor's phase label ("ingest" under the ingest seed)
         self.phase = "evaluate"
         self.started = time.perf_counter()
@@ -398,9 +393,6 @@ class _Driver:
                 for pred in program.idb_predicates
                 if pred not in views
             }
-            if seed_fact is not None and seed_fact[0] not in idb:
-                # No rule derives the fact's predicate: the row is all of it.
-                idb[seed_fact[0]] = database.new_relation(len(seed_fact[1]))
         self.base_wall = stats.wall_time_seconds
         # intern_hits reports this run's dictionary re-use: the delta of
         # the interner's hit counter, on top of the live fixpoint's count.
@@ -427,15 +419,6 @@ class _Driver:
 
     def elapsed(self) -> float:
         return self.base_wall + (time.perf_counter() - self.started)
-
-    def fire_seed_fact(self) -> None:
-        """Derive the seed fact, counted as one firing of the body-less
-        rule it stands for."""
-        predicate, row = self.seed_fact
-        self.stats.rule_firings += 1
-        if self.idb[predicate].add(row):
-            self.stats.facts_derived += 1
-        self.check()
 
     def fire_rule(
         self,
@@ -590,9 +573,6 @@ class _Driver:
                 rel = database.new_relation(database.relation(pred).arity)
                 rel.extend(rows)
                 changed[pred] = rel
-        seed_pred = None if self.seed_fact is None else self.seed_fact[0]
-        if seed_pred is not None:
-            self.fire_seed_fact()
         for scc_index, scc in enumerate(program.schedule):
             members, recursive, rules, exit_rules, delta_rules = scc
             self.check()
@@ -611,9 +591,6 @@ class _Driver:
                     self.added.append(delta)
                 iterations = 0
                 if changed is None:
-                    if seed_pred in members:  # its exit "rule" fired up front
-                        live = self.idb[seed_pred]
-                        delta[seed_pred].add_fresh([live.encode(self.seed_fact[1])])
                     for rule in exit_rules:
                         self.fire_rule(eng.make_plan(rule, None), None, delta, scc_index, None)
                 else:
@@ -712,8 +689,6 @@ def evaluate(
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
-    seed_fact: "tuple[str, Row] | None" = None,
-    plans: "dict | None" = None,
 ) -> EvaluationResult:
     """Evaluate ``program`` bottom-up over ``database``.
 
@@ -745,17 +720,6 @@ def evaluate(
     fixpoint computed so far in ``exc.partial``.  Because negation is
     restricted to EDB predicates the program is monotone in its IDB, so
     the partial fixpoint is always a subset of the full one.
-
-    Two inputs serve a program evaluated again and again (a cached
-    magic program, request after request).  ``seed_fact`` is a
-    ``(predicate, row)`` derived as if ``program`` began with the
-    body-less rule ``predicate(row).`` — same relations, same work
-    counters — so a query's constants are data and the ``Program``
-    object is shared.  ``plans`` is a table the caller keeps between
-    runs: a ``(rule, delta position)`` compiles into it once and is
-    fetched from it afterwards.  Plans are costed on ``database``'s
-    sizes when compiled, so keep one table per database; any table
-    gives the same fixpoint.
     """
     if tracer is None:
         tracer = get_tracer()
@@ -764,9 +728,8 @@ def evaluate(
         database,
         tracer=tracer,
         governor=Governor.of(budget, cancellation),
-        seed_fact=seed_fact,
     )
-    return driver.run(_LocalExecutor(driver, plans))
+    return driver.run(_LocalExecutor(driver))
 
 
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:

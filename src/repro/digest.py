@@ -5,14 +5,10 @@ fixpoint?" must agree byte-for-byte:
 
 * the **persistence layer** binds checkpoints to the exact inputs they
   were computed from (:mod:`repro.persist.checkpoint`);
-* the **serving layer** keys its rewrite/adornment artifact cache by
-  program shape (:mod:`repro.serve`);
 * the **tests and smoke scripts** gate every engine, storage, worker
   count and recovery path on an identical fixpoint digest.
 
-This module is the single definition — all of them import it, and
-:func:`repro.magic.pipeline.artifact_key` builds the cache key on the
-same digest.
+This module is the single definition — all of them import it.
 
 The workload digest is the program-shape digest bound to an **additive
 multiset hash** of the EDB: the sum, modulo 2**256, of one SHA-256 per
@@ -92,9 +88,7 @@ def workload_digest(
     facts and re-anchors the session on a new digest.
 
     With ``database=None`` the digest covers program + constraints
-    only: the *program shape* digest used to key rewrite/adornment
-    artifacts, which are data-independent (see
-    :func:`repro.magic.pipeline.specialize_pipeline`).
+    only: the data-independent *program shape* digest.
     """
     digest = hashlib.sha256()
     for rule in program.rules:

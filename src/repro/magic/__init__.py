@@ -12,16 +12,13 @@ The subsystem has three layers:
 
 from .adorn import AdornedProgram, AdornedRule, adorn_program, adornment_of
 from .pipeline import (
-    CACHEABLE_ORDERS,
     PIPELINE_ORDERS,
     EquivalenceCheck,
     PipelineReport,
-    artifact_key,
     assert_equivalent,
     check_equivalence,
     query_atom_answers,
     run_pipeline,
-    specialize_pipeline,
 )
 from .transform import MagicProgram, magic_transform, match_query_atom
 
@@ -30,16 +27,13 @@ __all__ = [
     "AdornedRule",
     "adorn_program",
     "adornment_of",
-    "CACHEABLE_ORDERS",
     "PIPELINE_ORDERS",
     "EquivalenceCheck",
     "PipelineReport",
-    "artifact_key",
     "assert_equivalent",
     "check_equivalence",
     "query_atom_answers",
     "run_pipeline",
-    "specialize_pipeline",
     "MagicProgram",
     "magic_transform",
     "match_query_atom",

@@ -29,16 +29,13 @@ a database and compare answers (and work counters).
 One outcome: :func:`run_pipeline` returns a :class:`PipelineReport` for
 the complete pipeline, or a governed run raises the
 :class:`~repro.robustness.errors.EvaluationAborted` that stopped it.
-The report is also what :func:`specialize_pipeline` caches per query
-shape: every goal of the shape is answered by the one cached report,
-its constants entering the fixpoint as a row of the magic seed
-predicate (:meth:`PipelineReport.evaluation`).
+A report answers the goal it was compiled for; another goal compiles
+its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from ..constraints.integrity import IntegrityConstraint
@@ -47,12 +44,9 @@ from ..datalog.atoms import Atom
 from ..datalog.database import Database, Row
 from ..datalog.evaluation import EvaluationResult, EvaluationStats, evaluate
 from ..datalog.program import Program, ProgramError
-from ..datalog.terms import Constant
-from ..digest import program_digest
 from ..observability.trace import get_tracer
 from ..robustness.budget import Budget, CancellationToken, Governor
 from ..robustness.errors import abort_phase
-from .adorn import adornment_of
 from .transform import MagicProgram, magic_transform, match_query_atom
 
 __all__ = [
@@ -64,9 +58,6 @@ __all__ = [
     "EquivalenceCheck",
     "check_equivalence",
     "assert_equivalent",
-    "CACHEABLE_ORDERS",
-    "artifact_key",
-    "specialize_pipeline",
 ]
 
 #: Valid stage orderings.
@@ -82,10 +73,9 @@ class PipelineStage:
     detail: str = ""
 
 
-@dataclass(eq=False)
+@dataclass
 class PipelineReport:
-    """Everything one pipeline run produced (hashed by identity: the
-    daemon's tenants key their kept plans by the cached report)."""
+    """Everything one pipeline run produced."""
 
     original: Program
     query_atom: Atom
@@ -102,67 +92,29 @@ class PipelineReport:
         """The predicate of the final program holding the answers."""
         return None if self.program is None else self.program.query
 
-    @cached_property
-    def _seedless(self) -> Program:
-        """``program`` without its magic seed rule: the constant-free
-        form that answers every goal of a cacheable magic shape."""
-        seed = self.magic.seed
-        return Program(
-            [rule for rule in self.program.rules if rule != seed],
-            self.program.query,
-            validate=False,
-        )
-
     def evaluation(
         self,
         database: Database,
-        goal: Atom | None = None,
         *,
-        plans: dict | None = None,
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
     ) -> EvaluationResult | None:
-        """Evaluate the final program over ``database`` for ``goal``.
-
-        ``goal`` defaults to the atom the pipeline was compiled for and
-        may differ from it in its constants only.  In the
-        :data:`CACHEABLE_ORDERS` those occur in one place, the magic
-        seed, and reach :func:`~repro.datalog.evaluation.evaluate` as a
-        row of the seed predicate beside the seed-free program: nothing
-        is built per goal, and the counters equal those of evaluating
-        ``program``.  ``plans`` is ``evaluate``'s kept-plan table.
-        """
+        """Evaluate the final program over ``database`` (``None`` when
+        the query is unsatisfiable)."""
         if self.program is None:
             return None
-        goal = goal or self.query_atom
-        if (
-            goal.predicate != self.query_atom.predicate
-            or adornment_of(goal, frozenset()) != adornment_of(self.query_atom, frozenset())
-            or (self.order not in CACHEABLE_ORDERS and goal != self.query_atom)
-        ):
-            raise ValueError(
-                f"pipeline compiled for {self.query_atom} in order {self.order!r} "
-                f"cannot answer {goal}: only constants may differ, and only "
-                f"in the orders {', '.join(CACHEABLE_ORDERS)}"
-            )
-        program, seed = self.program, None
-        if self.magic is not None and self.order in CACHEABLE_ORDERS:
-            program = self._seedless
-            row = tuple(a.value for a in goal.args if isinstance(a, Constant))
-            seed = (self.magic.seed.head.predicate, row)
         return evaluate(
-            program, database, seed_fact=seed, plans=plans,
-            budget=budget, cancellation=cancellation,
+            self.program, database, budget=budget, cancellation=cancellation
         )
 
-    def answers(self, database: Database, goal: Atom | None = None) -> frozenset[Row]:
-        """The final program's answers to ``goal`` over ``database``."""
-        result = self.evaluation(database, goal)
+    def answers(self, database: Database) -> frozenset[Row]:
+        """The final program's answers to the query atom over ``database``."""
+        result = self.evaluation(database)
         if result is None:
             return frozenset()
-        goal = goal or self.query_atom
         return frozenset(
-            row for row in result.query_rows() if match_query_atom(row, goal)
+            row for row in result.query_rows()
+            if match_query_atom(row, self.query_atom)
         )
 
     def summary(self) -> str:
@@ -394,107 +346,6 @@ def check_equivalence(
         original_stats=original_result.stats,
         transformed_stats=transformed_stats,
     )
-
-
-# ----------------------------------------------------------------------
-# Cached specialization: compile once per query *shape*, seed per request
-# ----------------------------------------------------------------------
-#
-# In the cacheable orders, everything the pipeline computes — the
-# semantic rewrite, adornment, the magic rules — depends only on the
-# program, the constraints and the query atom's *binding pattern*
-# (which positions are constants), never on the constant values: those
-# appear in exactly one place, the magic seed fact.  So a serving
-# workload where every request is ``p(c, Y)`` for a different ``c``
-# compiles the pipeline once per shape (:func:`specialize_pipeline`) and
-# feeds each request's constants in as data
-# (:meth:`PipelineReport.evaluation`).
-#
-# ``magic-first`` is the exception: there the semantic rewrite runs
-# *over* the guarded program, seed included, so constraint residues can
-# fold the request's constants into arbitrary rewritten rules.  Its
-# output must not be shared across requests and bypasses the cache.
-
-#: Orders whose compiled program is constant-independent (seed-swap sound).
-CACHEABLE_ORDERS = ("semantic-first", "magic-only", "semantic-only")
-
-
-def artifact_key(
-    program: Program,
-    constraints: Iterable[IntegrityConstraint],
-    query_atom: Atom,
-    *,
-    order: str = "semantic-first",
-    shape: str | None = None,
-) -> tuple:
-    """The cache key of one compiled pipeline shape.
-
-    ``(program-shape digest, order, predicate, adornment)`` — the
-    digest is the shared :func:`repro.digest.program_digest` (program
-    rules + query predicate + constraints, no EDB rows: rewrite and
-    adornment artifacts are data-independent, so ingesting facts must
-    *not* invalidate them), and the adornment is the query atom's
-    binding pattern, so ``p(1, Y)`` and ``p(2, Y)`` share one entry
-    while ``p(X, 1)`` compiles its own.  ``shape`` is that digest for a
-    caller that keeps it (a daemon tenant, per query predicate) instead
-    of having the program hashed per call.
-    """
-    if shape is None:
-        shape = program_digest(_as_query_program(program, query_atom), tuple(constraints))
-    return (shape, order, query_atom.predicate, adornment_of(query_atom, frozenset()))
-
-
-def specialize_pipeline(
-    program: Program,
-    constraints: Iterable[IntegrityConstraint],
-    query_atom: Atom,
-    *,
-    order: str = "semantic-first",
-    cache=None,
-    budget: "Budget | Governor | None" = None,
-    shape: str | None = None,
-) -> tuple[PipelineReport, bool]:
-    """A pipeline report for ``query_atom``, through an artifact cache.
-
-    Returns ``(report, cache_hit)``.  ``cache`` is any object with
-    mapping-style ``get(key)`` / ``put(key, value)`` (e.g.
-    :class:`repro.serve.cache.ArtifactCache`); with ``None`` the
-    pipeline always compiles fresh.  A hit **skips the semantic
-    rewrite, adornment and the magic transform entirely** and returns
-    the cached report itself, compiled for the *first* goal of the
-    shape: answer ``query_atom`` with ``report.evaluation(db,
-    query_atom)`` / ``report.answers(db, query_atom)``, which build
-    nothing.  ``shape`` is :func:`artifact_key`'s precomputed digest.
-    Only a compile that finished is stored: one
-    that ``budget`` aborts raises and leaves the cache as it was.  Every
-    consult emits a ``serve.cache`` trace event carrying the hit/miss
-    outcome; the event doubles as a chaos-injection site.
-
-    ``magic-first`` programs are constant-dependent (see
-    :data:`CACHEABLE_ORDERS`), so that order always compiles fresh and
-    its trace events carry ``cacheable=False``.
-    """
-    constraints = tuple(constraints)
-    key = None
-    cached: PipelineReport | None = None
-    if order in CACHEABLE_ORDERS:
-        key = artifact_key(program, constraints, query_atom, order=order, shape=shape)
-        if cache is not None:
-            cached = cache.get(key)
-    get_tracer().event(
-        "serve.cache",
-        hit=cached is not None,
-        cacheable=key is not None,
-        order=order,
-        predicate=query_atom.predicate,
-        adornment=adornment_of(query_atom, frozenset()),
-    )
-    if cached is not None:
-        return cached, True
-    report = run_pipeline(program, constraints, query_atom, order=order, budget=budget)
-    if key is not None and cache is not None:
-        cache.put(key, report)
-    return report, False
 
 
 def assert_equivalent(

@@ -164,8 +164,6 @@ class EvaluationProfile:
     journal_compactions: int = 0
     quarantines: list[str] = field(default_factory=list)
     tenants: dict[str, TenantServeProfile] = field(default_factory=dict)
-    serve_cache_hits: int = 0
-    serve_cache_misses: int = 0
     shards: dict[int, ShardProfile] = field(default_factory=dict)
     worker_restarts: int = 0
     shards_redispatched: int = 0
@@ -257,10 +255,7 @@ class EvaluationProfile:
                 )
         if self.tenants:
             lines.append("")
-            lines.append(
-                f"serving: {self.serve_cache_hits} artifact cache hits, "
-                f"{self.serve_cache_misses} misses"
-            )
+            lines.append("serving, per tenant:")
             lines.append(
                 f"{'time(ms)':>10} {'reqs':>6} {'queries':>8} {'ingests':>8} "
                 f"{'errors':>7} {'aborted':>8}  tenant"
@@ -359,11 +354,6 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
             entry.respawns += 1
             profile.worker_restarts += 1
             profile.shards_redispatched += 1
-        elif event.kind == "event" and event.name == "serve.cache":
-            if event.attrs.get("hit"):
-                profile.serve_cache_hits += 1
-            else:
-                profile.serve_cache_misses += 1
         elif event.kind == "event" and event.name == "plan":
             # The compiled plan of a (rule, delta) pair: keep the most
             # informative one per rule (delta plans override the base

@@ -4,13 +4,10 @@
 any number of registered programs ("tenants") resident, each with its
 fixpoint kept current across ingests, and answers query atoms by
 probing that fixpoint — or, on request (``mode: "magic"`` or an
-``order``), with the full magic-sets pipeline, specialized per request:
+``order``), with the full magic-sets pipeline, compiled per request:
 
 * :mod:`repro.serve.wire` — the JSON wire format: request parsing
   (shared, normalized diagnostics with the CLI) and response shaping;
-* :mod:`repro.serve.cache` — the LRU artifact cache behind
-  :func:`repro.magic.pipeline.specialize_pipeline`: repeated query
-  *shapes* skip the semantic rewrite, adornment and magic transform;
 * :mod:`repro.serve.registry` — tenant state (program, constraints,
   live database, materialized fixpoint) behind per-tenant
   reader-writer locks, with checkpoint-backed warm start;
@@ -34,7 +31,6 @@ from .._lazy import lazy_exports
 # a tripped budget, and ``repro client`` needs the client alone.
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".app": ("ServeApp",),
-    ".cache": ("ArtifactCache",),
     ".client": ("ServeClient", "ServeClientError"),
     ".http": ("ServeDaemon", "run_server"),
     ".registry": ("Tenant", "TenantRegistry"),
@@ -42,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 __all__ = [
     "ServeApp",
-    "ArtifactCache",
     "ServeClient",
     "ServeClientError",
     "ServeDaemon",

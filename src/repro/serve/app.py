@@ -14,7 +14,7 @@ The request life cycle:
 2. input is parsed by :mod:`repro.serve.wire`; a
    :class:`~repro.robustness.errors.UsageError` becomes HTTP 400 with
    the same normalized message the CLI prints with exit code 2;
-3. CPU-bound work (pipeline specialization, evaluation, ingest) runs
+3. CPU-bound work (the magic pipeline, evaluation, ingest) runs
    in an executor thread; a magic query runs under a **per-request**
    :class:`~repro.robustness.budget.Governor` minted by
    :class:`~repro.robustness.budget.RequestGovernorFactory` — the
@@ -28,12 +28,11 @@ Query modes: ``materialized`` (the default, for a request naming
 neither ``mode`` nor ``order``) answers from the tenant's resident
 fixpoint — one hash probe on the goal's constants, on the event loop
 under the tenant read lock, with zero evaluation, so no budget binds
-it.  ``magic`` (asked for by name, or by naming an ``order``) runs the
-cached-specialized pipeline over the tenant's EDB — the artifact cache
-makes repeated query shapes skip rewrite/adornment/transform
-(``serve.cache`` trace events record hit/miss, and double as the
-cache's fault site), and holds finished compiles only: a request whose
-budget trips mid-rewrite is a 503 that leaves the cache as it was.
+it.  ``magic`` (asked for by name, or by naming an ``order``) compiles
+the pipeline for the goal (:func:`~repro.magic.pipeline.run_pipeline`)
+and evaluates its program once over the tenant's EDB; the request keeps
+nothing, so one whose budget trips is a 503 that leaves the next
+request as it would have been.
 """
 
 from __future__ import annotations
@@ -44,13 +43,13 @@ import time
 from typing import TYPE_CHECKING
 
 from ..datalog.terms import Constant
-from ..magic.pipeline import CACHEABLE_ORDERS, specialize_pipeline
+# The name ``perf/serve.py`` wraps to time a served magic compile.
+from ..magic.pipeline import run_pipeline as specialize_pipeline
 from ..magic.transform import match_query_atom
 from ..observability.trace import get_tracer
 from ..robustness.budget import Budget, RequestGovernorFactory
 from ..robustness.errors import EvaluationAborted, ReproError, UsageError
 from ..persist.journal import JournalUnavailable
-from .cache import ArtifactCache
 from .registry import Tenant, TenantRegistry, UnknownTenant
 from .wire import (
     QueryRequest,
@@ -78,10 +77,8 @@ class ServeApp:
         *,
         persist_root: "Path | None" = None,
         defaults: Budget | None = None,
-        cache_capacity: int = 128,
     ):
         self.registry = TenantRegistry(persist_root)
-        self.cache = ArtifactCache(cache_capacity)
         self.governors = RequestGovernorFactory(defaults)
         self.started_at = time.monotonic()
         self.requests = 0
@@ -245,12 +242,10 @@ class ServeApp:
     async def _stats(self) -> dict:
         async with self.registry.lock.read_locked():
             tenants = {}
-            planned = set()  # cached shapes some tenant holds plans for
             for name in self.registry.names():
                 tenant = self.registry.get(name)
                 async with tenant.lock.read_locked():
                     tenants[name] = tenant.info()
-                planned.update(id(r) for r, kept in tenant.plans.items() if kept)
             journal = self._journal_totals()
         return {
             "uptime_seconds": time.monotonic() - self.started_at,
@@ -259,7 +254,6 @@ class ServeApp:
             "rejected": self.rejected,
             "governors_minted": self.governors.minted,
             "journal": journal,
-            "cache": {**self.cache.stats(), "shapes_with_plans": len(planned)},
             "tenants": tenants,
         }
 
@@ -269,7 +263,7 @@ class ServeApp:
         async with self.registry.lock.read_locked():
             tenant = self.registry.get(name)
         async with tenant.lock.read_locked():
-            if request.goal.predicate not in tenant.shapes:
+            if request.goal.predicate not in tenant.program.idb_predicates:
                 raise UsageError(
                     f"query atom {request.goal} does not use an IDB predicate "
                     f"of program {name!r}"
@@ -289,29 +283,21 @@ class ServeApp:
         return 200, {"tenant": name, "goal": str(request.goal), **response}
 
     def _answer_magic(self, tenant: Tenant, request: QueryRequest, governor) -> dict:
-        report, cache_hit = specialize_pipeline(
+        report = specialize_pipeline(
             tenant.program,
             tenant.constraints,
             request.goal,
             order=request.order,
-            cache=self.cache,
             budget=governor,
-            shape=tenant.shapes[request.goal.predicate],
         )
         if report.program is None:
             return {
                 "mode": "magic",
                 "order": request.order,
-                "cache_hit": cache_hit,
                 "satisfiable": False,
                 "answers": [],
             }
-        # Plans outlive the request only beside a report that does.
-        cached = request.order in CACHEABLE_ORDERS
-        plans = tenant.plans.setdefault(report, {}) if cached else None
-        result = report.evaluation(
-            tenant.database, request.goal, plans=plans, budget=governor
-        )
+        result = report.evaluation(tenant.database, budget=governor)
         answers = frozenset(
             row for row in result.query_rows()
             if match_query_atom(row, request.goal)
@@ -319,7 +305,6 @@ class ServeApp:
         return {
             "mode": "magic",
             "order": request.order,
-            "cache_hit": cache_hit,
             "satisfiable": True,
             "answers": rows_payload(answers),
             "stats": {

@@ -31,10 +31,8 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import TYPE_CHECKING, Iterable
-from weakref import WeakKeyDictionary
 
 from ..datalog.database import Database
-from ..digest import program_digest
 from ..persist.session import Session, SessionResult
 from ..persist.store import CheckpointStore
 from ..robustness.errors import UsageError
@@ -120,14 +118,6 @@ class Tenant:
         self.name = name
         self.program = request.program
         self.constraints = request.constraints
-        #: query predicate -> ``artifact_key``'s ``shape``: no query hashes the program
-        self.shapes = {
-            pred: program_digest(self.program.with_query(pred), self.constraints)
-            for pred in self.program.idb_predicates
-        }
-        #: cached report -> its ``evaluate(plans=)`` table, costed on this
-        #: tenant's relation sizes; weakly keyed, so eviction drops the table
-        self.plans: "WeakKeyDictionary[object, dict]" = WeakKeyDictionary()
         self.database = Database(request.facts)
         self.lock = ReadWriteLock()
         self.registered_at = time.time()
@@ -180,8 +170,6 @@ class Tenant:
             "edb_facts": edb_facts,
             "queries": self.queries,
             "ingests": self.ingests,
-            # Growing with traffic = this tenant's queries compile per request.
-            "plans_kept": sum(map(len, self.plans.values())),
         }
         if self.materialized is not None:
             result = self.materialized.result

@@ -44,7 +44,7 @@ __all__ = [
 
 #: How a query is answered: ``materialized`` (the default) probes the
 #: tenant's resident fixpoint with zero evaluation; ``magic`` runs the
-#: specialized pipeline over the EDB.
+#: magic-sets pipeline over the EDB.
 QUERY_MODES = ("magic", "materialized")
 
 
@@ -156,9 +156,15 @@ def parse_query(payload: object) -> QueryRequest:
     # A query naming neither field reads the fixpoint the tenant keeps;
     # naming an order asks for the pipeline, so it selects magic.
     default_mode = "magic" if "order" in payload else "materialized"
+    mode = _choice_field(payload, "mode", QUERY_MODES, default_mode)
+    if mode == "materialized" and "order" in payload:
+        raise UsageError(
+            "field 'order' does not apply to mode 'materialized' "
+            "(a materialized answer runs no pipeline)"
+        )
     return QueryRequest(
         goal=goal,
-        mode=_choice_field(payload, "mode", QUERY_MODES, default_mode),
+        mode=mode,
         order=_choice_field(payload, "order", PIPELINE_ORDERS, "semantic-first"),
         timeout=parse_timeout_value(payload.get("timeout")),
         max_facts=parse_limit_value(payload.get("max_facts"), option="max-facts"),

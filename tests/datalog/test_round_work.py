@@ -212,11 +212,3 @@ def test_frontier_keeps_derivation_order_and_a_maintained_index():
     assert frontier.index_for((0,), stats) is index and stats.index_builds == 1
     assert len(frontier) == 3 and (1, "b") in frontier.all_rows()
 
-
-@pytest.mark.parametrize("storage", ["rows", "columnar"])
-def test_seed_fact_enters_the_frontier_as_stored(storage):
-    program = parse_program("reach(Y) :- reach(X), e(X, Y).", query="reach")
-    database = Database.from_rows({"e": [("s", "a"), ("a", "b"), ("b", "c")]}, storage=storage)
-    result = evaluate(program, database, seed_fact=("reach", ("s",)))
-    assert result.query_rows() == {("s",), ("a",), ("b",), ("c",)}
-    assert result.stats.iterations == 4

@@ -2,8 +2,8 @@
 
 Every tenant keeps ``P``'s full fixpoint current (registration
 materialises it, each ingest extends it in place), so the default answer
-is one probe into it: no specialisation, no evaluation, no kept plans.
-Naming ``mode: "magic"`` or any ``order`` still runs the specialised
+is one probe into it: no pipeline, no evaluation.
+Naming ``mode: "magic"`` or any ``order`` still runs the magic
 pipeline.  By Theorem 4.1 the two agree on every acknowledged state that
 satisfies the ic's, and the probe is ``evaluate(P)``'s own answer.
 """
@@ -81,8 +81,6 @@ def test_a_default_query_evaluates_nothing(monkeypatch):
     assert {reply["mode"] for reply in replies} == {"materialized"}
     assert runs == [] and specialised == []
     tenant = app.registry.get("t")
-    assert tenant.info()["plans_kept"] == 0
-    assert app.cache.stats()["entries"] == 0
     assert tenant.queries == len(GOALS)
     for goal, reply in zip(GOALS, replies):
         assert reply["answers"] == closure(RULES, "p", SPEC["facts"], goal), goal

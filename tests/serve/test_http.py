@@ -113,8 +113,8 @@ def test_ingest_over_the_wire(client):
 def test_stats_over_the_wire(client):
     client.query("alpha", "p(0, Y)", mode="magic")
     payload = client.stats()
-    assert "alpha" in payload["tenants"]
-    assert payload["cache"]["hits"] + payload["cache"]["misses"] > 0
+    assert payload["tenants"]["alpha"]["queries"] >= 1
+    assert "cache" not in payload
 
 
 def test_concurrent_thread_clients_agree(daemon):

@@ -40,13 +40,11 @@ def test_profile_aggregates_per_tenant_lines():
     assert tenant.ingests == 1
     assert tenant.errors == 1
     assert tenant.aborted == 1
-    assert profile.serve_cache_misses == 1
-    assert profile.serve_cache_hits >= 1
 
 
 def test_profile_render_has_serving_section():
     text = _drive_traced().render()
-    assert "artifact cache hits" in text
+    assert "serving, per tenant:" in text
     assert "tenant" in text
     assert "t1" in text
 
@@ -68,23 +66,3 @@ class TestSharedDigests:
         small = Database(parse_facts("e(1, 2)."))
         large = Database(parse_facts("e(1, 2).\ne(2, 3)."))
         assert workload_digest(program, small) != workload_digest(program, large)
-
-    def test_optimization_report_cache_key_is_stable(self):
-        """The artifact key of the cached report is built on
-        ``program_digest`` of what the rewrite saw, and nothing else."""
-        from repro.datalog.parser import parse_atom, parse_constraints, parse_program
-        from repro.magic.pipeline import artifact_key, run_pipeline
-        from repro.workloads.programs import ab_transitive_closure
-
-        program, constraints = ab_transitive_closure()
-        goal = parse_atom("p(0, Y)")
-        first = artifact_key(program, constraints, goal)
-        assert first == artifact_key(program, constraints, goal)
-        semantic = run_pipeline(program, constraints, goal).semantic_report
-        assert first[0] == program_digest(semantic.original, semantic.constraints)
-        other = artifact_key(
-            parse_program(SPEC["program"], query="p"),
-            tuple(parse_constraints(":- e(X, X).")),
-            goal,
-        )
-        assert other != first

@@ -111,8 +111,28 @@ def test_a_query_naming_a_sideways_order_is_http_400():
 def test_the_benchmark_bodies_parse():
     """The field sets ``perf/serve.py`` sends."""
     parse_register({"program": PROGRAM, "constraints": "", "facts": FACTS, "query": "p"})
-    parse_query({"goal": "p(1, Y)", "mode": "materialized", "order": "magic-first"})
+    parse_query({"goal": "p(1, Y)", "mode": "materialized"})
+    parse_query({"goal": "p(1, Y)", "order": "magic-first"})
     parse_ingest({"facts": FACTS})
+
+
+def test_an_order_on_a_materialized_query_is_http_400():
+    """A materialized answer runs no pipeline, so an ``order`` beside it
+    would be dropped: the request is refused, naming the field."""
+    with pytest.raises(UsageError, match="'order'"):
+        parse_query({"goal": "p(1, Y)", "mode": "materialized", "order": "magic-first"})
+    app = ServeApp()
+
+    async def drive():
+        await app.handle("PUT", "/programs/t", {"program": PROGRAM, "facts": FACTS})
+        return await app.handle(
+            "POST", "/programs/t/query",
+            {"goal": "p(1, Y)", "mode": "materialized", "order": "semantic-first"},
+        )
+
+    status, payload = asyncio.run(drive())
+    assert status == 400
+    assert "'order'" in payload["error"]
 
 
 class TestParseQuery:

@@ -348,6 +348,31 @@ class TestClientQuery:
         assert main(["client", "query", "t", "--goal", "p(1, Y)", *flags]) == 0
         assert requests == [{"goal": "p(1, Y)", **sent}]
 
+    def test_an_order_on_a_materialized_query_exits_2(self, monkeypatch, capsys):
+        import asyncio
+
+        from repro.serve.app import ServeApp
+        from repro.serve.client import ServeClient, ServeClientError
+
+        app = ServeApp()
+
+        def request(self, method, path, payload=None):
+            status, body = asyncio.run(app.handle(method, path, payload))
+            if status >= 400:
+                raise ServeClientError(status, body)
+            return body
+
+        monkeypatch.setattr(ServeClient, "request", request)
+        program = "p(X, Y) :- e(X, Y).\ne(1, 2)."
+        assert asyncio.run(app.handle("PUT", "/programs/t", {"program": program}))[0] == 200
+        code = main([
+            "client", "query", "t", "--goal", "p(1, Y)",
+            "--mode", "materialized", "--order", "magic-first",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'order'" in err
+
 
 class TestBenchPassThrough:
     """``repro bench <args>`` is ``python perf/run.py <args>``."""

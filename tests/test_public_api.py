@@ -4,6 +4,8 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import repro
 from repro import (
     Database,
@@ -50,13 +52,22 @@ class TestVersionAndExports:
                 if parameter.kind is inspect.Parameter.KEYWORD_ONLY
             ]
 
-        assert keyword_only(evaluate) == ["tracer", "budget", "cancellation", "seed_fact", "plans"]
+        assert keyword_only(evaluate) == ["tracer", "budget", "cancellation"]
         assert keyword_only(evaluate_sharded) == [
             "workers", "pool", "tracer", "budget", "cancellation", "supervision"
         ]
         datalog = importlib.import_module("repro.datalog")
         for name in ("derivation_tree", "DerivationNode"):
             assert name not in datalog.__all__ and not hasattr(datalog, name)
+
+    def test_the_magic_artifact_cache_is_gone(self):
+        magic = importlib.import_module("repro.magic")
+        for name in ("CACHEABLE_ORDERS", "artifact_key", "specialize_pipeline"):
+            assert name not in magic.__all__ and not hasattr(magic, name)
+        serve = importlib.import_module("repro.serve")
+        assert "ArtifactCache" not in serve.__all__ and not hasattr(serve, "ArtifactCache")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.serve.cache")
 
 
 class TestEndToEnd:
