@@ -84,35 +84,20 @@ class EvaluationStats:
     env_allocations: int = 0
     intern_hits: int = 0
     budget_trips: int = 0
-    worker_restarts: int = 0
-    shards_redispatched: int = 0
     wall_time_seconds: float = 0.0
     rows_scanned_by_rule: dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "EvaluationStats") -> None:
-        # getattr with a default, not attribute access: ``other`` may be
-        # a stats object deserialized from an older checkpoint that
-        # predates newer counters (see :meth:`from_dict`).
+        """Add ``other``'s counters to these."""
         for name in _INT_COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name, 0))
-        # Wall-clock merges in integer nanoseconds: float ``+=`` is
-        # commutative but not associative, so shard stats merged in
-        # different orders could disagree in the last bits.  Integer
-        # addition is exact, so any merge order yields the same float.
-        self.wall_time_seconds = (
-            round(self.wall_time_seconds * 1e9)
-            + round(getattr(other, "wall_time_seconds", 0.0) * 1e9)
-        ) / 1e9
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.wall_time_seconds += other.wall_time_seconds
         merged = self.rows_scanned_by_rule
-        for key, value in getattr(other, "rows_scanned_by_rule", {}).items():
+        for key, value in other.rows_scanned_by_rule.items():
             merged[key] = merged.get(key, 0) + value
-        # Keep the per-rule attribution sorted by rule key so the dict's
-        # insertion order — and every JSON rendering of it — is
-        # independent of the order shard stats arrived in.
-        self.rows_scanned_by_rule = dict(sorted(merged.items()))
 
     def as_dict(self) -> dict[str, object]:
-        """The counters as a plain dict (report tables, checkpoints, trace events)."""
+        """The counters as a plain dict (report tables, trace events)."""
         payload: dict[str, object] = {
             name: getattr(self, name) for name in _INT_COUNTERS
         }
@@ -120,61 +105,10 @@ class EvaluationStats:
         payload["rows_scanned_by_rule"] = dict(sorted(self.rows_scanned_by_rule.items()))
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "EvaluationStats":
-        """Rebuild stats from an :meth:`as_dict` payload, tolerantly.
-
-        Checkpoints written by older versions predate newer counters
-        (``budget_trips`` and ``wall_time_seconds`` arrived in PR 4, for
-        instance): missing fields default to zero instead of raising
-        ``KeyError``, and unknown fields written by *newer* versions are
-        ignored, so stats survive both directions of a version skew.
-        """
-        stats = cls()
-        for key in _INT_COUNTERS:
-            setattr(stats, key, int(payload.get(key, 0)))  # type: ignore[call-overload]
-        stats.wall_time_seconds = float(payload.get("wall_time_seconds", 0.0))  # type: ignore[arg-type]
-        by_rule = payload.get("rows_scanned_by_rule", {})
-        stats.rows_scanned_by_rule = {
-            str(rule): int(count) for rule, count in by_rule.items()  # type: ignore[union-attr]
-        }
-        return stats
-
-    def copy(self) -> "EvaluationStats":
-        """An independent copy (checkpoints must not alias live counters)."""
-        fresh = EvaluationStats()
-        fresh.merge(self)
-        return fresh
-
-    def compare(self, other: "EvaluationStats") -> dict[str, float]:
-        """Per-scalar-counter ratios ``other / self`` (1.0 when both are zero).
-
-        The benchmarks report these as work ratios of a transformed
-        program against its baseline: a ratio below 1.0 on
-        ``facts_derived`` means the transformation derived fewer facts.
-        Only the integer counters are compared: the per-rule breakdown
-        is not a ratio and ``wall_time_seconds`` (a float) is too noisy
-        to be a meaningful work ratio, so both are skipped.
-        """
-        ratios: dict[str, float] = {}
-        mine = self.as_dict()
-        theirs = other.as_dict()
-        for key, value in mine.items():
-            if not isinstance(value, int):
-                continue
-            # .get, not [] — ``other`` may have been loaded from an older
-            # checkpoint whose as_dict lacked newer counters.
-            other_value = theirs.get(key, 0)
-            if value == 0:
-                ratios[key] = 1.0 if other_value == 0 else float("inf")
-            else:
-                ratios[key] = other_value / value
-        return ratios
-
 
 #: The integer work counters, in declaration order — the one list
-#: :meth:`~EvaluationStats.merge`, :meth:`~EvaluationStats.as_dict` and
-#: :meth:`~EvaluationStats.from_dict` are derived from.
+#: :meth:`~EvaluationStats.merge` and :meth:`~EvaluationStats.as_dict`
+#: are derived from.
 _INT_COUNTERS = tuple(f.name for f in fields(EvaluationStats) if f.type == "int")
 
 
@@ -318,9 +252,6 @@ class _LocalExecutor:
     calling process, in :class:`repro.parallel.engine._ShardedExecutor`
     across a worker fleet behind a barrier.
     """
-
-    #: extra attributes of the run's ``evaluate`` span
-    span_attrs: dict = {}
 
     def __init__(self, driver: "_Driver", plans=None):
         self.driver = driver
@@ -514,7 +445,6 @@ class _Driver:
                 "evaluate",
                 rules=len(self.program.rules),
                 seed=seed,
-                **executor.span_attrs,
             ) as root:
                 self._seminaive_sccs(executor, ingest)
                 if self.trace_on:

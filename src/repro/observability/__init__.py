@@ -36,7 +36,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".profile": (
         "EvaluationProfile",
         "RuleProfile",
-        "ShardProfile",
         "build_profile",
         "profile_evaluation",
     ),
@@ -64,7 +63,6 @@ __all__ = [
     "read_jsonl",
     "EvaluationProfile",
     "RuleProfile",
-    "ShardProfile",
     "build_profile",
     "profile_evaluation",
     "Experiment",

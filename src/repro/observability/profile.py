@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "RuleProfile",
-    "ShardProfile",
     "TenantServeProfile",
     "EvaluationProfile",
     "build_profile",
@@ -71,43 +70,6 @@ class RuleProfile:
         self.rows_scanned += int(attrs.get("rows_scanned", 0))  # type: ignore[arg-type]
         self.facts_derived += int(attrs.get("facts_derived", 0))  # type: ignore[arg-type]
         self.index_builds += int(attrs.get("index_builds", 0))  # type: ignore[arg-type]
-
-
-@dataclass
-class ShardProfile:
-    """Accumulated work of one shard worker (``shard.*`` trace events).
-
-    ``tasks`` counts dispatches, ``delta_rows``/``update_rows`` the
-    rows shipped to the worker (frontier shards and accept-log
-    replication respectively), ``results``/``accepted`` the candidate
-    head rows it shipped back and how many the master accepted, and
-    ``elapsed`` the worker-side wall time summed over its tasks.
-    """
-
-    worker: int
-    tasks: int = 0
-    delta_rows: int = 0
-    update_rows: int = 0
-    results: int = 0
-    accepted: int = 0
-    elapsed: float = 0.0
-    aborted: int = 0
-    retries: int = 0
-    respawns: int = 0
-
-    def absorb_dispatch(self, event: TraceEvent) -> None:
-        attrs = event.attrs
-        self.tasks += 1
-        self.delta_rows += int(attrs.get("delta_rows", 0))  # type: ignore[arg-type]
-        self.update_rows += int(attrs.get("update_rows", 0))  # type: ignore[arg-type]
-
-    def absorb_merge(self, event: TraceEvent) -> None:
-        attrs = event.attrs
-        self.results += int(attrs.get("results", 0))  # type: ignore[arg-type]
-        self.accepted += int(attrs.get("accepted", 0))  # type: ignore[arg-type]
-        self.elapsed += float(attrs.get("elapsed", 0.0))  # type: ignore[arg-type]
-        if attrs.get("aborted"):
-            self.aborted += 1
 
 
 @dataclass
@@ -164,9 +126,6 @@ class EvaluationProfile:
     journal_compactions: int = 0
     quarantines: list[str] = field(default_factory=list)
     tenants: dict[str, TenantServeProfile] = field(default_factory=dict)
-    shards: dict[int, ShardProfile] = field(default_factory=dict)
-    worker_restarts: int = 0
-    shards_redispatched: int = 0
 
     def top_rules(self, k: int = 10, *, key: str = "time") -> list[RuleProfile]:
         """The k hottest rules by ``key`` (any counter attribute)."""
@@ -202,11 +161,6 @@ class EvaluationProfile:
             lines.append(f"budget trip: {trip}")
         for fallback in self.fallbacks:
             lines.append(f"fallback: {fallback}")
-        if self.worker_restarts or self.shards_redispatched:
-            lines.append(
-                f"recovery: {self.worker_restarts} worker restart(s), "
-                f"{self.shards_redispatched} shard(s) re-dispatched"
-            )
         lines += [
             "",
             f"top {min(top, len(self.rules))} rules by time:",
@@ -235,23 +189,6 @@ class EvaluationProfile:
                 lines.append(
                     f"{entry.time * 1000:10.3f} {entry.firings:8d} {entry.probes:8d} "
                     f"{entry.rows_scanned:9d} {entry.facts_derived:7d}  {name}"
-                )
-        if self.shards:
-            lines.append("")
-            lines.append(f"shard workers ({len(self.shards)}):")
-            lines.append(
-                f"{'worker':>6} {'tasks':>6} {'delta':>8} {'updates':>8} "
-                f"{'results':>8} {'accepted':>9} {'time(ms)':>10}"
-            )
-            for worker in sorted(self.shards):
-                entry = self.shards[worker]
-                flag = "  ABORTED" if entry.aborted else ""
-                if entry.respawns:
-                    flag += f"  RESPAWNED x{entry.respawns}"
-                lines.append(
-                    f"{entry.worker:6d} {entry.tasks:6d} {entry.delta_rows:8d} "
-                    f"{entry.update_rows:8d} {entry.results:8d} "
-                    f"{entry.accepted:9d} {entry.elapsed * 1000:10.3f}{flag}"
                 )
         if self.tenants:
             lines.append("")
@@ -335,25 +272,6 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
             profile.tenants.setdefault(
                 tenant, TenantServeProfile(tenant)
             ).absorb(event)
-        elif event.kind == "event" and event.name == "shard.dispatch":
-            worker = int(event.attrs.get("worker", -1))  # type: ignore[arg-type]
-            profile.shards.setdefault(worker, ShardProfile(worker)).absorb_dispatch(
-                event
-            )
-        elif event.kind == "event" and event.name == "shard.merge":
-            worker = int(event.attrs.get("worker", -1))  # type: ignore[arg-type]
-            profile.shards.setdefault(worker, ShardProfile(worker)).absorb_merge(
-                event
-            )
-        elif event.kind == "event" and event.name == "shard.retry":
-            worker = int(event.attrs.get("worker", -1))  # type: ignore[arg-type]
-            profile.shards.setdefault(worker, ShardProfile(worker)).retries += 1
-        elif event.kind == "event" and event.name == "shard.respawn":
-            worker = int(event.attrs.get("worker", -1))  # type: ignore[arg-type]
-            entry = profile.shards.setdefault(worker, ShardProfile(worker))
-            entry.respawns += 1
-            profile.worker_restarts += 1
-            profile.shards_redispatched += 1
         elif event.kind == "event" and event.name == "plan":
             # The compiled plan of a (rule, delta) pair: keep the most
             # informative one per rule (delta plans override the base

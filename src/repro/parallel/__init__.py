@@ -11,20 +11,11 @@ frontiers at round boundaries.  Fixpoints, digests and the join work
 counters are byte-identical to the sequential engines — see
 ``docs/parallel.md``.
 
-Worker deaths, protocol breaks and stragglers are supervised: the
-master respawns warm replacements and re-dispatches the lost shard
-under a bounded retry budget (:class:`SupervisionPolicy`), raising
-:class:`FleetExhausted` when the budget runs dry.
+The run is neither traced nor governed, and nothing is respawned: a
+worker that dies or fails ends it with :class:`WorkerFailure`, or with
+the worker's own :class:`~repro.robustness.errors.ReproError`.
 """
 
-from .engine import FleetExhausted, WorkerFailure, WorkerPool, evaluate_sharded
-from .supervisor import DEFAULT_SUPERVISION, SupervisionPolicy
+from .engine import WorkerFailure, WorkerPool, evaluate_sharded
 
-__all__ = [
-    "DEFAULT_SUPERVISION",
-    "FleetExhausted",
-    "SupervisionPolicy",
-    "WorkerFailure",
-    "WorkerPool",
-    "evaluate_sharded",
-]
+__all__ = ["WorkerFailure", "WorkerPool", "evaluate_sharded"]

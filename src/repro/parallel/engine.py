@@ -1,8 +1,8 @@
 """The sharded semi-naive master: hash-partitioned multiprocess evaluation.
 
 ``evaluate_sharded`` runs the one fixpoint driver of
-:mod:`repro.datalog.evaluation` — SCC order, seeding and budget
-handling are the driver's — with :class:`_ShardedExecutor` as
+:mod:`repro.datalog.evaluation` — SCC order and seeding are the
+driver's — with :class:`_ShardedExecutor` as
 its round executor, which farms every delta join out to ``workers``
 forked processes (:mod:`repro.parallel.worker`):
 
@@ -32,20 +32,15 @@ forked processes (:mod:`repro.parallel.worker`):
   their mirrors and against everything they have already shipped, but
   only the master accepts facts into the IDB; the accepted rows travel
   back to the workers through the accept log.
-* **Governance** — one :class:`~repro.robustness.budget.Governor`
-  rules the fleet: the master checks all limits at barriers with the
-  cumulative stats, and every task carries the governor's *remaining*
-  wall-clock slice as the worker-side budget.  Any worker trip aborts
-  the fleet; the master folds the aborted workers' partial stats in
-  via :meth:`EvaluationStats.merge` (order-independent by
-  construction) and raises the usual
-  :class:`~repro.robustness.errors.BudgetExceededError` carrying a
-  merged partial fixpoint — a subset of the true one, because every
-  shipped head row is a sound derivation.
+* **No governance, no tracing** — the driver runs on the disabled
+  tracer with no budget.  A worker that dies or replies with an error
+  ends the run: its own :class:`~repro.robustness.errors.ReproError`
+  is raised again on the master, anything else as
+  :class:`WorkerFailure`.  Nothing is respawned or retried.
 
-The worker warm-start ships the EDB with its interner, the IDB seed as
-plain rows and the workload digest the worker checks them against, so a
-code means the same value in every process.
+The worker warm-start ships the EDB with its interner and the workload
+digest the worker checks it against, so a code means the same value in
+every process.
 """
 
 from __future__ import annotations
@@ -58,49 +53,39 @@ from collections import defaultdict
 from multiprocessing.connection import wait as _conn_wait
 
 from ..datalog.atoms import Literal
-from ..datalog.database import Database, Relation
-from ..datalog.evaluation import (
-    EvaluationResult,
-    EvaluationStats,
-    _Driver,
-    _SlotEngine,
-)
+from ..datalog.database import Database
+from ..datalog.evaluation import EvaluationResult, _Driver, _SlotEngine
 from ..datalog.program import Program
 from ..datalog.terms import Constant, Variable
 from ..digest import workload_digest
-from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import Budget, CancellationToken, Governor
-from ..robustness.errors import BudgetExceededError, InjectedFault, ReproError
-from .supervisor import DEFAULT_SUPERVISION, SupervisionPolicy
+from ..observability.trace import NULL_TRACER
+from ..robustness.errors import ReproError
 from .worker import _columns_of, _rows_of, worker_main
 
-__all__ = [
-    "FleetExhausted",
-    "SupervisionPolicy",
-    "WorkerFailure",
-    "WorkerPool",
-    "evaluate_sharded",
-]
+__all__ = ["WorkerFailure", "WorkerPool", "evaluate_sharded"]
 
 
 class WorkerFailure(ReproError):
-    """A shard worker died or broke protocol (not a budget trip).
+    """A shard worker died, broke protocol or failed with an error that
+    is not a :class:`~repro.robustness.errors.ReproError` (its message
+    carries the worker's traceback)."""
 
-    Budget trips inside workers travel the normal
-    :class:`~repro.robustness.errors.BudgetExceededError` path (CLI
-    exit 1, partial fixpoint attached); this error is for crashes and
-    protocol violations the supervision layer could not (or was not
-    allowed to) recover from.
+
+def _worker_error(index: int, payload: dict) -> ReproError:
+    """The master-side error for a worker's ``("error", ...)`` reply.
+
+    A worker's own :class:`ReproError` comes back as its class and
+    message, not as the pickled exception: a class whose constructor
+    takes other arguments than its message (``IncomparableValues(left,
+    right)``) does not unpickle.  The instance is rebuilt around the
+    message without calling its constructor.
     """
-
-
-class FleetExhausted(WorkerFailure):
-    """The supervision retry budget ran out for this evaluation run.
-
-    Every respawn consumes one :class:`~repro.robustness.budget.RetryPolicy`
-    backoff delay; when the iterator runs dry the fleet is declared
-    unrecoverable at its current size.
-    """
+    cls = payload["type"]
+    if cls is None:
+        return WorkerFailure(f"worker {index} failed: {payload['message']}")
+    error = cls.__new__(cls)
+    error.args = (payload["message"],)
+    return error
 
 
 def _fork_context():
@@ -242,21 +227,14 @@ class WorkerPool:
     """A fleet of warmed shard workers bound to one program + EDB.
 
     Construction forks the processes and performs the warm-start
-    hand-off (program, EDB with interner, IDB seed); both
-    are the per-run fixed cost the benchmarks report separately as
-    ``shard_overhead_seconds``.  The pool is a context manager; it is
-    single-use per evaluation but a benchmark may construct it ahead
-    of the timed region and pass it to ``evaluate_sharded(..., pool=...)``.
+    hand-off (program, EDB with interner); both are the per-run fixed
+    cost the benchmark reports separately as ``parallel.pool_start_s``.
+    The pool is a context manager; it is single-use per evaluation but
+    a benchmark may construct it ahead of the timed region and pass it
+    to ``evaluate_sharded(..., pool=...)``.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        database: Database,
-        workers: int,
-        *,
-        idb: "dict[str, Relation] | None" = None,
-    ):
+    def __init__(self, program: Program, database: Database, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if database.storage != "columnar":
@@ -265,101 +243,44 @@ class WorkerPool:
         self.database = database
         self.workers = workers
         _pre_intern_head_constants(program, database)
-        warm = self._warm_payload(idb)
-        self._ctx = _fork_context()
+        self.interner_digest = interner_digest = database.interner.digest()
+        warm = {
+            "workers": workers,
+            "program": program,
+            "edb": database.to_dict(include_interner=True),
+            "workload": workload_digest(program, database),
+            "interner_digest": interner_digest,
+        }
+        ctx = _fork_context()
         self.conns = []
         self.procs = []
         self._closed = False
         try:
             for index in range(workers):
-                proc, conn = self._spawn()
-                self.conns.append(conn)
+                parent_conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(target=worker_main, args=(child_conn,), daemon=True)
+                proc.start()
+                child_conn.close()
+                self.conns.append(parent_conn)
                 self.procs.append(proc)
             for index, conn in enumerate(self.conns):
                 conn.send(("start", {**warm, "index": index}))
             for index in range(workers):
-                self._check_ready(index)
+                kind, payload = self.recv(index)
+                if kind != "ready":
+                    raise WorkerFailure(
+                        f"worker {index} failed to warm up: "
+                        f"{payload.get('message', kind)}"
+                    )
+                if payload.get("interner_digest") != interner_digest:
+                    raise WorkerFailure(
+                        f"worker {index} warm-start interner digest mismatch"
+                    )
         except BaseException:
             self.close()
             raise
         # Values shipped so far; take_intern_extension() sends the rest.
         self.sent_values = len(database.interner)
-
-    # ------------------------------------------------------------------
-    def _warm_payload(self, idb: "dict[str, Relation] | None") -> dict:
-        """The warm-start hand-off, built from the *current* state.
-
-        Called at construction and again on every :meth:`respawn`: a
-        replacement worker is warmed from the master's live IDB and
-        interner (a superset of anything the dead worker knew), so its
-        mirrors are complete up to the current barrier and re-shipped
-        accept-log suffixes deduplicate as no-ops.
-        """
-        self.interner_digest = self.database.interner.digest()
-        return {
-            "workers": self.workers,
-            "program": self.program,
-            "edb": self.database.to_dict(include_interner=True),
-            "idb": {
-                pred: relation.rows()
-                for pred, relation in (idb or {}).items()
-                if len(relation)
-            },
-            "workload": workload_digest(self.program, self.database),
-            "interner_digest": self.interner_digest,
-        }
-
-    def _spawn(self):
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=worker_main, args=(child_conn,), daemon=True
-        )
-        proc.start()
-        child_conn.close()
-        return proc, parent_conn
-
-    def _check_ready(self, index: int) -> None:
-        kind, payload = self._recv(index)
-        if kind != "ready":
-            raise WorkerFailure(
-                f"worker {index} failed to warm up: "
-                f"{payload.get('message', kind)}"
-            )
-        if payload.get("interner_digest") != self.interner_digest:
-            raise WorkerFailure(
-                f"worker {index} warm-start interner digest mismatch"
-            )
-
-    def kill(self, index: int) -> None:
-        """SIGKILL worker ``index`` and reap it (the chaos kill lever)."""
-        proc = self.procs[index]
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=5.0)
-
-    def respawn(self, index: int, *, idb: "dict[str, Relation] | None" = None) -> object:
-        """Reap worker ``index`` and warm a replacement in its slot.
-
-        The replacement is warmed from the master's *current* IDB and
-        interner (``idb`` is the live relation map), which is exactly
-        the state a worker is held to at a barrier boundary: mid-merge
-        the round's accepted rows are not yet flushed, so the IDB seed
-        captures barrier-start state and the in-flight task's update
-        suffixes re-absorb idempotently.  Returns the new connection;
-        raises :class:`WorkerFailure` if the replacement fails to warm.
-        """
-        self.kill(index)
-        try:
-            self.conns[index].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        warm = self._warm_payload(idb)
-        proc, conn = self._spawn()
-        self.procs[index] = proc
-        self.conns[index] = conn
-        conn.send(("start", {**warm, "index": index}))
-        self._check_ready(index)
-        return conn
 
     def take_intern_extension(self) -> list:
         """Values interned by the master since the last barrier."""
@@ -368,7 +289,7 @@ class WorkerPool:
         self.sent_values = len(values)
         return extension
 
-    def _recv(self, index: int):
+    def recv(self, index: int):
         try:
             return self.conns[index].recv()
         except (EOFError, OSError) as exc:
@@ -399,7 +320,7 @@ class WorkerPool:
             except OSError:  # pragma: no cover
                 pass
         # The joins above reaped every exit status; close() releases the
-        # Process objects' OS resources too, so an aborted round leaves
+        # Process objects' OS resources too, so a failed run leaves
         # no dead or zombie worker behind in the pool.
         for proc in self.procs:
             try:
@@ -417,22 +338,15 @@ class WorkerPool:
 class _ShardedExecutor:
     """The sharded round executor of the fixpoint driver.
 
-    :class:`repro.datalog.evaluation._Driver` owns the SCC/round loop,
-    the IDB seeding and the abort handler; this class only
+    :class:`repro.datalog.evaluation._Driver` owns the SCC/round loop
+    and the IDB seeding; this class only
     answers "where does a round's delta join run?" — on the fleet, one
     :meth:`barrier` per round (linear SCCs) or per plan (nonlinear
     ones).  Exit and non-recursive rules still fire locally on the
     master through :class:`_ShardedEngine`, which records every accept.
     """
 
-    def __init__(
-        self,
-        driver,
-        pool: "WorkerPool | None",
-        workers: int,
-        policy: SupervisionPolicy,
-        started_cpu: float,
-    ):
+    def __init__(self, driver, pool: WorkerPool, started_cpu: float):
         self.driver = driver
         # Every code row ever accepted into the IDB, in acceptance order,
         # plus the per-predicate cursor up to which the workers have been
@@ -442,21 +356,7 @@ class _ShardedExecutor:
         self.eng = _ShardedEngine(
             driver.database, driver.idb, driver.tracer, self.accept_log
         )
-        if pool is None:
-            pool = WorkerPool(
-                driver.program, driver.database, workers, idb=driver.idb
-            )
         self.pool = pool
-        self.span_attrs = {"workers": pool.workers}
-        self.policy = policy
-        # One backoff iterator per run: every worker recovery consumes
-        # one delay, so the whole evaluation is bounded to
-        # ``attempts - 1`` respawns before FleetExhausted.
-        self.retry_delays = policy.retry.delays()
-        # Per-worker dispatch heartbeat (``time.monotonic`` at the last
-        # successful send): merge-side liveness checks measure straggler
-        # time from here.
-        self.sent_at = [0.0] * pool.workers
         # Per-worker accounting and the modeled critical path.  Both
         # sides report CPU time (``time.process_time``), which is immune
         # to core contention: the master's own CPU is its serial work
@@ -538,10 +438,6 @@ class _ShardedExecutor:
             else _alignment(delta_rules, members, self.driver.program)
         )
         self.first_round = True
-        # Retained past the SCC's first barrier so recovery can
-        # re-dispatch the compile payload to replacement workers that
-        # never saw it.
-        self.compile_cache: dict = {}
 
     def run_round(self, delta, new_delta, scc_index: int, iteration: int) -> None:
         delta_pred_of = self.delta_pred_of
@@ -553,8 +449,6 @@ class _ShardedExecutor:
                         {pred: delta[pred]},
                         self.needed_of[plan_id],
                         new_delta,
-                        scc_index,
-                        iteration,
                     )
         else:
             run_ids = [
@@ -570,8 +464,6 @@ class _ShardedExecutor:
                 delta,
                 needed,
                 new_delta,
-                scc_index,
-                iteration,
                 self.aligned_cols,
                 self.aligned_cols is None or self.first_round,
             )
@@ -583,8 +475,6 @@ class _ShardedExecutor:
         delta_by_pred,
         needed,
         new_delta,
-        scc_index,
-        iteration,
         aligned_cols=None,
         ship_delta=True,
     ) -> None:
@@ -596,25 +486,17 @@ class _ShardedExecutor:
         ships only on the SCC's first round (``ship_delta``) —
         afterwards each worker's frontier *is* its shard — and replies
         are accepted without re-deduplication, because partition
-        ownership makes the workers' mirror checks exact.
+        ownership makes the workers' mirror checks exact.  The SCC's
+        compile payload rides its first barrier.
 
-        The SCC's compile payload rides its first barrier and is
-        retained in ``compile_cache`` so a replacement worker (which
-        has no compiled plans) can be re-dispatched mid-SCC.  Worker
-        deaths, protocol errors and stragglers are *recovered* —
-        respawn plus shard re-dispatch under the run's retry budget —
-        raising :class:`FleetExhausted` only when the budget runs dry;
-        worker budget trips still raise the usual abort.
+        A worker that is dead at dispatch or at merge, or that replies
+        with an error, ends the run (:func:`_worker_error`).
         """
-        driver, pool, policy = self.driver, self.pool, self.policy
-        stats, idb, governor = driver.stats, driver.idb, driver.governor
-        tracer, trace_on = driver.tracer, driver.trace_on
+        driver, pool = self.driver, self.pool
+        stats, idb = driver.stats, driver.idb
         accept_log, shipped_upto = self.accept_log, self.shipped_upto
-        plan_meta, compile_cache = self.plan_meta, self.compile_cache
-        retry_delays, sent_at = self.retry_delays, self.sent_at
-        worker_report = self.worker_report
+        plan_meta, worker_report = self.plan_meta, self.worker_report
         compile_specs, self.compile_specs = self.compile_specs, None
-        extension = pool.take_intern_extension()
         updates = []
         for pred in sorted(needed):
             log = accept_log[pred]
@@ -636,233 +518,74 @@ class _ShardedExecutor:
                 "sizes": {pred: len(rel) for pred, rel in idb.items()},
                 "aligned": aligned_cols,
             }
-            compile_cache["payload"] = compile_payload
-        deadline = None if governor is None else governor.remaining()
         task = {
-            "intern": extension,
+            "intern": pool.take_intern_extension(),
             "updates": updates,
             "compile": compile_payload,
             "plans": run_plan_ids,
-            "deadline": deadline,
         }
         shared = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
-        def partition() -> dict:
-            return {
-                pred: _shard_rows(
-                    rel.row_list,
-                    pool.workers,
-                    None if aligned_cols is None else aligned_cols[pred],
-                )
-                for pred, rel in delta_by_pred.items()
-                if len(rel)
-            }
-
-        def shard_of(index: int, buckets: dict) -> list:
-            return [
+        shard_by_pred = {
+            pred: _shard_rows(
+                rel.row_list,
+                pool.workers,
+                None if aligned_cols is None else aligned_cols[pred],
+            )
+            for pred, rel in delta_by_pred.items()
+            if ship_delta and len(rel)
+        }
+        for index in range(pool.workers):
+            shard = [
                 (pred, len(bucket), _columns_of(bucket))
-                for pred, by_worker in buckets.items()
+                for pred, by_worker in shard_by_pred.items()
                 for bucket in (by_worker[index],)
                 if bucket
             ]
-
-        shard_by_pred = partition() if ship_delta else {}
-        update_rows = sum(n for _, n, _ in updates)
-        straggler_limit = policy.straggler_limit(deadline)
-
-        def recover(index: int, reason: str) -> None:
-            """Respawn worker ``index`` and re-dispatch its shard.
-
-            Loops until the replacement is warm and dispatched or the
-            retry budget runs dry (:class:`FleetExhausted`).  Each
-            attempt consumes one backoff delay, clamped to the
-            governor's remaining deadline — recovery never outlives
-            the budget's timeout.
-            """
-            while True:
-                driver.check()
-                delay = next(retry_delays, None)
-                if delay is None:
-                    raise FleetExhausted(
-                        f"worker {index} unrecoverable: retry budget of "
-                        f"{policy.retry.attempts - 1} restart(s) exhausted "
-                        f"({reason})"
-                    )
-                if trace_on:
-                    tracer.event(
-                        "shard.retry",
-                        worker=index,
-                        scc=scc_index,
-                        iteration=iteration,
-                        delay=round(delay, 6),
-                        reason=reason,
-                    )
-                remaining = None if governor is None else governor.remaining()
-                if remaining is not None:
-                    delay = max(0.0, min(delay, remaining))
-                if delay > 0:
-                    time.sleep(delay)
-                try:
-                    conn = pool.respawn(index, idb=idb)
-                except WorkerFailure as exc:
-                    reason = f"respawn failed: {exc}"
-                    continue
-                stats.worker_restarts += 1
-                if trace_on:
-                    tracer.event(
-                        "shard.respawn",
-                        worker=index,
-                        scc=scc_index,
-                        iteration=iteration,
-                        reason=reason,
-                    )
-                # The recovery task always carries the SCC's compile
-                # payload (the replacement has no plans) and a fresh
-                # deadline slice; interner extension and accept-log
-                # updates re-absorb idempotently on top of the warm
-                # IDB seed.  Shards are pure functions of ``(round,
-                # partition)``: the master's delta buffers hold the full
-                # current-round frontier (in aligned mode too —
-                # ``new_delta`` accumulates every accepted row), so the
-                # replacement's bucket comes out byte-identical to the
-                # one the dead worker held, even when the original
-                # dispatch shipped no delta at all (``ship_delta=False``:
-                # live workers keep their own frontier, but a
-                # replacement lost its).
-                blob = pickle.dumps(
-                    {
-                        **task,
-                        "compile": compile_cache.get("payload"),
-                        "deadline": None
-                        if governor is None
-                        else governor.remaining(),
-                    },
-                    pickle.HIGHEST_PROTOCOL,
-                )
-                try:
-                    conn.send(
-                        ("task", blob, shard_of(index, shard_by_pred or partition()))
-                    )
-                except (BrokenPipeError, OSError) as exc:
-                    reason = f"re-dispatch failed ({exc.__class__.__name__})"
-                    continue
-                stats.shards_redispatched += 1
-                sent_at[index] = time.monotonic()
-                return
-
-        for index in range(pool.workers):
-            shard = shard_of(index, shard_by_pred)
-            if trace_on:
-                try:
-                    tracer.event(
-                        "shard.dispatch",
-                        worker=index,
-                        scc=scc_index,
-                        iteration=iteration,
-                        plans=len(run_plan_ids),
-                        delta_rows=sum(n for _, n, _ in shard),
-                        update_rows=update_rows,
-                    )
-                except InjectedFault:
-                    # The chaos harness's worker-kill site: an armed
-                    # fault at ``shard.dispatch`` kills this worker
-                    # instead of aborting the run — the dead pipe on
-                    # the send below engages recovery.
-                    pool.kill(index)
             try:
                 pool.conns[index].send(("task", shared, shard))
-                sent_at[index] = time.monotonic()
             except (BrokenPipeError, OSError) as exc:
-                # A worker that died between barriers (or was killed by
-                # the chaos site above) surfaces here, on the dispatch
-                # send.
-                recover(index, f"died before dispatch ({exc.__class__.__name__})")
+                raise WorkerFailure(
+                    f"worker {index} died before dispatch "
+                    f"({exc.__class__.__name__})"
+                ) from exc
 
         # Merge replies in arrival order, overlapping the master's
         # dedup work with the slower workers' compute.  Every decision
         # below is content-based (sets and sums), so arrival order
-        # cannot change what is accepted — only which worker a
-        # duplicate is attributed to in the trace.
-        aborted: "dict | None" = None
+        # cannot change what is accepted.  A dead worker's pipe closes,
+        # which wakes the wait; a stopped but live one blocks it.
         round_max_cpu = 0.0
-        firings_by_plan: "defaultdict[int, int]" = defaultdict(int)
-        rows_by_plan: "defaultdict[int, int]" = defaultdict(int)
-        accepted_by_plan: "defaultdict[int, int]" = defaultdict(int)
         accepted_rows: "dict[str, list[tuple]]" = {}
         batch_seen: "dict[str, set]" = {}
         outstanding = set(range(pool.workers))
         while outstanding:
-            # Deadline-based liveness: without a straggler limit the
-            # wait blocks (a dead worker's pipe closes and wakes it);
-            # with one, the wait polls so silent-but-alive workers can
-            # be declared stuck, killed and recovered.
             by_conn = {pool.conns[i]: i for i in outstanding}
-            ready = _conn_wait(
-                list(by_conn), None if straggler_limit is None else 0.05
-            )
-            if not ready:
-                now = time.monotonic()
-                for index in sorted(by_conn.values()):
-                    if not pool.procs[index].is_alive():
-                        recover(index, "died mid-round")
-                    elif (
-                        straggler_limit is not None
-                        and now - sent_at[index] > straggler_limit
-                    ):
-                        pool.kill(index)
-                        recover(
-                            index,
-                            f"straggler exceeded {straggler_limit:.3f}s",
-                        )
-                continue
-            for conn in ready:
+            for conn in _conn_wait(list(by_conn)):
                 index = by_conn[conn]
-                try:
-                    kind, payload = conn.recv()
-                except (EOFError, OSError) as exc:
-                    recover(
-                        index, f"died mid-protocol ({exc.__class__.__name__})"
-                    )
-                    continue
+                kind, payload = pool.recv(index)
                 if kind == "error":
-                    # A protocol break (worker traceback) is treated
-                    # like a crash: kill the broken worker, recover.
-                    pool.kill(index)
-                    recover(
-                        index,
-                        f"worker error: {payload.get('message', '').strip().splitlines()[-1] if payload.get('message') else 'unknown'}",
-                    )
-                    continue
+                    raise _worker_error(index, payload)
                 outstanding.discard(index)
-                cpu = payload.get("cpu", 0.0)
+                cpu = payload["cpu"]
                 report = worker_report[index]
                 report["tasks"] += 1
                 report["cpu_seconds"] += cpu
-                report["wall_seconds"] += payload.get("elapsed", 0.0)
+                report["wall_seconds"] += payload["elapsed"]
                 round_max_cpu = max(round_max_cpu, cpu)
-                if kind == "abort":
-                    # Fold the tripped worker's partial counters in
-                    # through the order-independent merge; its head rows
-                    # are sound derivations, merged below like any
-                    # other reply's.
-                    stats.merge(EvaluationStats.from_dict(payload["stats"]))
-                    aborted = payload
-                else:
-                    wstats = payload["stats"]
-                    stats.probes += wstats["probes"]
-                    stats.env_allocations += wstats["env_allocations"]
-                    stats.index_builds += wstats["index_builds"]
-                    for plan_id, count, rows in payload["plans"]:
-                        stats.rule_firings += count
-                        stats.rows_scanned += rows
-                        firings_by_plan[plan_id] += count
-                        rows_by_plan[plan_id] += rows
-                        key = plan_meta[plan_id][0]
-                        stats.rows_scanned_by_rule[key] = (
-                            stats.rows_scanned_by_rule.get(key, 0) + rows
-                        )
+                wstats = payload["stats"]
+                stats.probes += wstats["probes"]
+                stats.env_allocations += wstats["env_allocations"]
+                stats.index_builds += wstats["index_builds"]
+                for plan_id, count, rows in payload["plans"]:
+                    stats.rule_firings += count
+                    stats.rows_scanned += rows
+                    key = plan_meta[plan_id][0]
+                    stats.rows_scanned_by_rule[key] = (
+                        stats.rows_scanned_by_rule.get(key, 0) + rows
+                    )
                 results = 0
                 accepted = 0
-                for plan_id, n, cols in payload.get("heads", ()):
+                for plan_id, n, cols in payload["heads"]:
                     head_pred = plan_meta[plan_id][1]
                     results += n
                     if aligned_cols is not None:
@@ -870,10 +593,10 @@ class _ShardedExecutor:
                         # the only process that can derive these rows
                         # and its mirror is complete for its partition,
                         # so every row is fresh by construction.
-                        acc = accepted_rows.setdefault(head_pred, [])
-                        acc.extend(_rows_of(n, cols))
+                        accepted_rows.setdefault(head_pred, []).extend(
+                            _rows_of(n, cols)
+                        )
                         accepted += n
-                        accepted_by_plan[plan_id] += n
                         continue
                     live = idb[head_pred].all_rows()
                     seen = batch_seen.get(head_pred)
@@ -887,27 +610,8 @@ class _ShardedExecutor:
                         seen.add(codes)
                         acc.append(codes)
                         accepted += 1
-                        accepted_by_plan[plan_id] += 1
                 report["results"] += results
                 report["accepted"] += accepted
-                if trace_on:
-                    try:
-                        tracer.event(
-                            "shard.merge",
-                            worker=index,
-                            scc=scc_index,
-                            iteration=iteration,
-                            results=results,
-                            accepted=accepted,
-                            elapsed=round(payload.get("elapsed", 0.0), 6),
-                            aborted=kind == "abort",
-                        )
-                    except InjectedFault:
-                        # Chaos worker-kill at the merge ack: the reply
-                        # was already folded in, so the kill costs
-                        # nothing this round — the dead pipe engages
-                        # recovery at the next dispatch.
-                        pool.kill(index)
         self.barrier_max_cpu += round_max_cpu
         for pred, acc in accepted_rows.items():
             if not acc:
@@ -916,35 +620,6 @@ class _ShardedExecutor:
             accept_log[pred].extend(acc)
             new_delta[pred].add_fresh(acc)
             stats.facts_derived += len(acc)
-        if trace_on:
-            for plan_id in run_plan_ids:
-                if not (
-                    firings_by_plan[plan_id]
-                    or rows_by_plan[plan_id]
-                    or accepted_by_plan[plan_id]
-                ):
-                    continue
-                key, head_pred = plan_meta[plan_id]
-                with tracer.span(
-                    "rule",
-                    predicate=head_pred,
-                    rule=key,
-                    scc=scc_index,
-                    iteration=iteration,
-                    delta=True,
-                ) as span:
-                    span.set(
-                        firings=firings_by_plan[plan_id],
-                        rows_scanned=rows_by_plan[plan_id],
-                        facts_derived=accepted_by_plan[plan_id],
-                    )
-        if aborted is not None:
-            raise BudgetExceededError(
-                aborted.get("message")
-                or "worker budget slice exhausted; fleet aborted",
-                limit=aborted.get("limit") or "timeout",
-            )
-        driver.check()
 
 
 def evaluate_sharded(
@@ -953,10 +628,6 @@ def evaluate_sharded(
     *,
     workers: int,
     pool: WorkerPool | None = None,
-    tracer: Tracer | None = None,
-    budget: "Budget | Governor | None" = None,
-    cancellation: CancellationToken | None = None,
-    supervision: "SupervisionPolicy | None" = None,
 ) -> EvaluationResult:
     """Semi-naive evaluation sharded across ``workers`` processes.
 
@@ -970,18 +641,12 @@ def evaluate_sharded(
     ``env_allocations``, ``index_builds``) report fleet totals and
     therefore exceed the sequential values.
 
-    Worker deaths and stragglers are handled by the supervision layer
-    (``supervision``, a :class:`SupervisionPolicy`): the dead worker is
-    respawned warm from the master's current state and its shard
-    re-dispatched — byte-identical results, because shards are pure
-    functions of ``(round, partition)`` and a dead worker's reply was
-    never merged.  Recovery is bounded by the policy's retry budget;
-    exhausting it raises :class:`FleetExhausted`.
+    The run is neither traced nor governed.  A worker that dies or
+    fails ends it with an error (see :func:`_worker_error`); a pool
+    built here is closed either way.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
-    if tracer is None:
-        tracer = get_tracer()
     database = database.to_storage("columnar")
     if pool is not None:
         if pool.workers != workers:
@@ -993,21 +658,12 @@ def evaluate_sharded(
                 "pool was built for a different program/database object"
             )
     started_cpu = time.process_time()
-    driver = _Driver(
-        program,
-        database,
-        tracer=tracer,
-        governor=Governor.of(budget, cancellation),
-    )
-    executor = _ShardedExecutor(
-        driver,
-        pool,
-        workers,
-        supervision if supervision is not None else DEFAULT_SUPERVISION,
-        started_cpu,
-    )
+    driver = _Driver(program, database, tracer=NULL_TRACER)
+    own_pool = pool is None
+    if own_pool:
+        pool = WorkerPool(program, database, workers)
     try:
-        return driver.run(executor)
+        return driver.run(_ShardedExecutor(driver, pool, started_cpu))
     finally:
-        if pool is None:
-            executor.pool.close()
+        if own_pool:
+            pool.close()

@@ -3,8 +3,8 @@
 A worker is a *mirror* of the master's evaluation state.  It is warmed
 exactly once with the program, the EDB (shipped as
 ``Database.to_dict(include_interner=True)``, so dictionary codes are
-reproduced verbatim), the IDB seed as plain rows, and the workload
-digest the worker checks the shipped program and EDB against.  After
+reproduced verbatim) and the workload digest the worker checks the
+shipped program and EDB against.  After
 that it answers barrier tasks:
 
 1. apply the interner extension (values the master interned since the
@@ -38,10 +38,9 @@ Row payloads travel transposed (``(n, [column, ...])`` of int codes):
 lists of small ints pickle several times faster than lists of tuples,
 and both ends transpose cheaply.
 
-The per-task ``deadline`` is the master governor's remaining wall-clock
-slice; a worker that trips it replies ``("abort", ...)`` with whatever
-head rows it had already produced (every one of them is a sound
-derivation, so the master may fold them into the partial fixpoint).
+A task that raises replies ``("error", {"message", "type"})``: the
+exception's class when it is a :class:`~repro.robustness.errors.ReproError`
+(with ``str(exc)`` as the message), else ``None`` and the traceback.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ from ..datalog.database import Database, Frontier
 from ..datalog.evaluation import EvaluationStats
 from ..datalog.plan import DEFAULT_IDB_ESTIMATE, compile_rule
 from ..digest import workload_digest
-from ..robustness.budget import Budget, Governor
-from ..robustness.errors import EvaluationAborted
+from ..robustness.errors import ReproError
 
 __all__ = ["worker_main"]
 
@@ -87,7 +85,7 @@ class _WorkerState:
         self.interner = database.interner
         if payload["workload"] != workload_digest(self.program, self.database):
             raise ValueError(
-                "worker warm-start IDB does not match the shipped "
+                "worker warm-start does not match the shipped "
                 "program/EDB (workload digest mismatch)"
             )
         expected = payload.get("interner_digest")
@@ -108,11 +106,8 @@ class _WorkerState:
         # it — it can never become new again — or deduplicated it).
         self.shipped: dict[str, set] = {}
         for pred in self.program.idb_predicates:
-            relation = database.new_relation(self.program.arity_of(pred))
-            for row in payload["idb"].get(pred, ()):
-                relation.add(row)
-            self.idb[pred] = relation
-            self.mirror[pred] = set(relation.all_rows())
+            self.idb[pred] = database.new_relation(self.program.arity_of(pred))
+            self.mirror[pred] = set()
             self.stale[pred] = []
             self.shipped[pred] = set()
         self.plans: list = []
@@ -188,14 +183,6 @@ class _WorkerState:
         if not plan_ids:
             return ("ok", self._reply(plan_results, heads, stats, task_started, task_cpu0))
 
-        deadline = task.get("deadline")
-        governor = None
-        if deadline is not None:
-            # The master's remaining wall-clock slice.  A non-positive
-            # slice still constructs a governor: its first tick trips,
-            # which is exactly the abort the fleet wants.
-            governor = Governor(Budget(timeout=max(deadline, 1e-9)))
-
         delta_rows: dict[str, list] = {}
         for pred, n, columns in task.get("delta", ()):
             rows = _rows_of(n, columns)
@@ -223,48 +210,41 @@ class _WorkerState:
         # (head constants included) was pre-interned by the master, so
         # any growth here means the mirrors have diverged.
         expected_values = len(interner)
-        try:
-            for plan_id in plan_ids:
-                plan = self.plans[plan_id]
-                delta_relation = delta.get(plan.delta_predicate)
-                if delta_relation is None or not len(delta_relation):
-                    continue
-                head_pred = plan.rule.head.predicate
-                mirror = self.mirror[head_pred]
-                rows_before = stats.rows_scanned
-                matches, found = plan.run(
-                    self._relation_of,
-                    delta_relation,
-                    mirror,
-                    stats,
-                    governor=governor,
-                    interner=interner,
-                )
-                plan_results.append(
-                    (plan_id, matches, stats.rows_scanned - rows_before)
-                )
-                if aligned is not None:
-                    # This worker owns the head row's partition, so the
-                    # mirror check is exact: fresh here means fresh on
-                    # the master too.  Accepted rows join the mirror at
-                    # once (round-local dedup across plans, like the
-                    # sequential engine's immediate IDB insert) and the
-                    # frontier (next round's local delta shard).
-                    fresh = list(found)
-                    mirror.update(fresh)
-                    self.stale[head_pred] += fresh
-                    self.frontier.setdefault(head_pred, []).extend(fresh)
-                else:
-                    shipped = self.shipped[head_pred]
-                    fresh = [codes for codes in found if codes not in shipped]
-                    shipped.update(fresh)
-                if fresh:
-                    heads.append((plan_id, len(fresh), _columns_of(fresh)))
-        except EvaluationAborted as exc:
-            reply = self._reply(plan_results, heads, stats, task_started, task_cpu0)
-            reply["limit"] = exc.limit or "timeout"
-            reply["message"] = str(exc)
-            return ("abort", reply)
+        for plan_id in plan_ids:
+            plan = self.plans[plan_id]
+            delta_relation = delta.get(plan.delta_predicate)
+            if delta_relation is None or not len(delta_relation):
+                continue
+            head_pred = plan.rule.head.predicate
+            mirror = self.mirror[head_pred]
+            rows_before = stats.rows_scanned
+            matches, found = plan.run(
+                self._relation_of,
+                delta_relation,
+                mirror,
+                stats,
+                interner=interner,
+            )
+            plan_results.append(
+                (plan_id, matches, stats.rows_scanned - rows_before)
+            )
+            if aligned is not None:
+                # This worker owns the head row's partition, so the
+                # mirror check is exact: fresh here means fresh on
+                # the master too.  Accepted rows join the mirror at
+                # once (round-local dedup across plans, like the
+                # sequential engine's immediate IDB insert) and the
+                # frontier (next round's local delta shard).
+                fresh = list(found)
+                mirror.update(fresh)
+                self.stale[head_pred] += fresh
+                self.frontier.setdefault(head_pred, []).extend(fresh)
+            else:
+                shipped = self.shipped[head_pred]
+                fresh = [codes for codes in found if codes not in shipped]
+                shipped.update(fresh)
+            if fresh:
+                heads.append((plan_id, len(fresh), _columns_of(fresh)))
         if len(interner) != expected_values:
             raise RuntimeError(
                 "worker interned "
@@ -296,7 +276,7 @@ def worker_main(conn) -> None:
     per worker per barrier and then receives one reply per worker — so
     a plain blocking loop over the pipe is deadlock-free.  Task
     messages arrive as ``("task", shared_blob, shard)``: the shared
-    part (updates, compile specs, deadline) is pickled once by the
+    part (updates, compile specs) is pickled once by the
     master and broadcast; only the delta shard differs per worker.
     SIGINT is ignored: on Ctrl-C the master coordinates shutdown by
     closing the pipes (recv raises EOFError and the worker exits).
@@ -332,8 +312,14 @@ def worker_main(conn) -> None:
                 conn.send(state.run_task(task))
             else:
                 raise RuntimeError(f"unknown message kind {kind!r}")
-        except Exception:
+        except Exception as exc:
+            # The class travels, not the instance: an error class whose
+            # constructor takes other arguments does not unpickle.
+            if isinstance(exc, ReproError):
+                error = {"message": str(exc), "type": type(exc)}
+            else:
+                error = {"message": traceback.format_exc(), "type": None}
             try:
-                conn.send(("error", {"message": traceback.format_exc()}))
+                conn.send(("error", error))
             except (BrokenPipeError, OSError):
                 return

@@ -13,8 +13,7 @@ guardrails:
 * :class:`CancellationToken` — a thread-safe flag an outside caller can
   set to stop a run at its next checkpoint;
 * :class:`RetryPolicy` — capped exponential backoff with seeded jitter,
-  shared by every retried durable write, the serving client and the
-  sharded fleet's supervision;
+  shared by every retried durable write and the serving client;
 * :class:`Governor` — the runtime object threaded through the phases.
   Phases call :meth:`Governor.check` at round boundaries (with their
   live :class:`~repro.datalog.evaluation.EvaluationStats`), the

@@ -19,8 +19,6 @@ from repro.datalog.evaluation import _INT_COUNTERS, evaluate
 from repro.datalog.parser import parse_facts, parse_program
 from repro.parallel import evaluate_sharded
 from repro.digest import fixpoint_digest
-from repro.robustness.budget import Budget
-from repro.robustness.errors import BudgetExceededError
 from repro.workloads.generators import random_workload
 from repro.workloads.programs import good_path
 from repro.workloads.generators import good_path_bidirectional_database
@@ -108,28 +106,6 @@ def test_sharded_evaluator_agrees_across_input_storages(storage):
     assert sharded.stats.iterations == sequential.stats.iterations
 
 
-def test_sharded_budget_trip_partial_is_subset_of_fixpoint():
-    """A budget trip mid-fleet aborts every worker and merges what was
-    accepted so far: the partial IDB must be a subset of the true
-    fixpoint, with merged stats and a sharding report attached."""
-    program, database, _ = random_workload(21, nodes=8, edges=40)
-    full = evaluate(program, database.to_storage("columnar"))
-    with pytest.raises(BudgetExceededError) as info:
-        evaluate_sharded(
-            program,
-            database.to_storage("columnar"),
-            workers=4,
-            budget=Budget(max_facts=1),
-        )
-    exc = info.value
-    assert exc.partial is not None and exc.stats is not None
-    for predicate, relation in exc.partial.idb.items():
-        assert set(relation.rows()) <= set(full.rows(predicate)), predicate
-    derived = sum(len(rel) for rel in exc.partial.idb.values())
-    assert derived < sum(len(full.rows(p)) for p in program.idb_predicates)
-    assert exc.partial.shards is not None and exc.partial.shards["workers"] == 4
-
-
 def test_storages_agree_on_example31():
     """Example 3.1 (the paper's goodPath workload): both storages
     compute identical answers under the compiled engine, and every work
@@ -166,6 +142,15 @@ CODED_EDGE_CASES = {
         'n(5). n("abc").',
         IncomparableValues,
         False,
+    ),
+    # The comparison fails inside a worker's delta plan: its own error
+    # reaches the caller, not a respawn loop.
+    "incomparable-in-a-recursive-rule": (
+        "big",
+        "big(X, Y) :- e(X, Y).\nbig(X, Z) :- big(X, Y), e(Y, Z), Y > Z.",
+        'e(1, "abc"). e("abc", 2). e(2, 1).',
+        IncomparableValues,
+        True,
     ),
     # A constant no row holds probes as the miss sentinel.
     "negated-constant-never-held": (

@@ -1,11 +1,12 @@
 """The sharded evaluator's own contract: argument validation, the
-pool protocol, the sharding report, trace events, and worker-death
-failure modes.
+pool protocol, the sharding report, and worker-death failure modes.
 
 Cross-engine *agreement* (digests, iterations, work counters) lives in
 ``tests/datalog/test_engines_agree.py``; this file covers everything
 around the fixpoint itself.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -13,8 +14,7 @@ from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.digest import fixpoint_digest
-from repro.observability import RingBufferSink, build_profile, tracing
-from repro.parallel import WorkerFailure, WorkerPool, evaluate_sharded
+from repro.parallel import WorkerFailure, WorkerPool, engine, evaluate_sharded, worker
 from repro.workloads.generators import random_workload
 
 
@@ -113,141 +113,48 @@ def test_renaming_rules_shard_like_the_sequential_engine():
 
 
 # ----------------------------------------------------------------------
-# Trace events
+# Failure modes: a dead or failing worker ends the run
 
 
-def test_dispatch_and_merge_trace_events():
+def test_dead_worker_before_dispatch_raises_worker_failure():
     program, database = _workload()
-    sink = RingBufferSink()
-    with tracing(sink):
-        evaluate_sharded(program, database, workers=2)
-    events = [e for e in sink.events if e.name.startswith("shard.")]
-    dispatches = [e for e in events if e.name == "shard.dispatch"]
-    merges = [e for e in events if e.name == "shard.merge"]
-    assert dispatches and merges
-    for event in dispatches:
-        assert event.attrs["worker"] in (0, 1)
-        assert event.attrs["delta_rows"] >= 0
-    for event in merges:
-        assert event.attrs["results"] >= 0
-        assert event.attrs["accepted"] >= 0
-        assert event.attrs["elapsed"] >= 0.0
-    # Every dispatched (worker, scc, iteration) barrier merges back.
-    dispatched = {
-        (e.attrs["worker"], e.attrs["scc"], e.attrs["iteration"])
-        for e in dispatches
-    }
-    merged = {
-        (e.attrs["worker"], e.attrs["scc"], e.attrs["iteration"])
-        for e in merges
-    }
-    assert dispatched == merged
-    # ...and the profiler turns them into its per-worker table.
-    assert "shard workers (2):" in build_profile(sink).render()
-
-
-# ----------------------------------------------------------------------
-# Failure modes and supervision
-
-
-def test_dead_worker_is_recovered_not_fatal():
-    """A worker dead before dispatch is respawned, not a WorkerFailure."""
-    program, database = _workload()
-    reference = evaluate(program, database.copy())
     pool = WorkerPool(program, database, 2)
     try:
         pool.procs[0].terminate()
         pool.procs[0].join(timeout=5.0)
-        result = evaluate_sharded(program, database, workers=2, pool=pool)
-    finally:
-        pool.close()
-    assert _digest(result) == _digest(reference)
-    assert result.stats.worker_restarts >= 1
-    assert result.stats.shards_redispatched >= 1
-    assert result.stats.iterations == reference.stats.iterations
-    assert result.stats.rule_firings == reference.stats.rule_firings
-
-
-def test_recovery_exhaustion_raises_fleet_exhausted():
-    """A worker that dies on every respawn drains the retry budget."""
-    from repro.parallel import FleetExhausted, SupervisionPolicy
-    from repro.persist.store import RetryPolicy
-
-    program, database = _workload()
-    pool = WorkerPool(program, database, 2)
-    original_respawn = pool.respawn
-
-    def doomed_respawn(index, *, idb=None):
-        conn = original_respawn(index, idb=idb)
-        pool.kill(index)  # replacement dies immediately
-        return conn
-
-    pool.respawn = doomed_respawn
-    try:
-        pool.procs[0].terminate()
-        pool.procs[0].join(timeout=5.0)
-        with pytest.raises(FleetExhausted, match="retry budget"):
-            evaluate_sharded(
-                program,
-                database,
-                workers=2,
-                pool=pool,
-                supervision=SupervisionPolicy(
-                    retry=RetryPolicy(attempts=2, base_delay=0.0)
-                ),
-            )
-    finally:
-        pool.close()
-
-
-def test_straggler_is_killed_and_recovered():
-    """A SIGSTOP-ed worker trips the straggler timeout and is replaced."""
-    import signal
-
-    from repro.parallel import SupervisionPolicy
-    from repro.persist.store import RetryPolicy
-
-    program, database = _workload()
-    reference = evaluate(program, database.copy())
-    pool = WorkerPool(program, database, 2)
-    try:
-        import os
-
-        os.kill(pool.procs[0].pid, signal.SIGSTOP)
-        result = evaluate_sharded(
-            program,
-            database,
-            workers=2,
-            pool=pool,
-            supervision=SupervisionPolicy(
-                retry=RetryPolicy(base_delay=0.0),
-                straggler_timeout=0.5,
-            ),
-        )
-    finally:
-        pool.close()
-    assert _digest(result) == _digest(reference)
-    assert result.stats.worker_restarts >= 1
-
-
-def test_recovery_trace_events():
-    """shard.retry and shard.respawn events are emitted on recovery."""
-    program, database = _workload()
-    pool = WorkerPool(program, database, 2)
-    sink = RingBufferSink()
-    try:
-        pool.procs[1].terminate()
-        pool.procs[1].join(timeout=5.0)
-        with tracing(sink):
+        with pytest.raises(WorkerFailure, match="worker 0"):
             evaluate_sharded(program, database, workers=2, pool=pool)
     finally:
         pool.close()
-    retries = [e for e in sink.events if e.name == "shard.retry"]
-    respawns = [e for e in sink.events if e.name == "shard.respawn"]
-    assert retries and respawns
-    assert retries[0].attrs["worker"] == 1
-    assert "reason" in retries[0].attrs and retries[0].attrs["delay"] >= 0.0
-    assert respawns[0].attrs["worker"] == 1
+
+
+def test_dead_worker_of_an_own_pool_leaves_no_children(monkeypatch):
+    """With ``pool=None`` the run builds its pool, and a worker death
+    still closes it: no worker process outlives the error."""
+
+    class DoomedPool(WorkerPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.procs[0].terminate()
+            self.procs[0].join(timeout=5.0)
+
+    monkeypatch.setattr(engine, "WorkerPool", DoomedPool)
+    program, database = _workload()
+    with pytest.raises(WorkerFailure):
+        evaluate_sharded(program, database, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_crash_is_a_worker_failure_carrying_its_traceback(monkeypatch):
+    # Forked workers inherit the patched method.
+    def crash(self, task):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(worker._WorkerState, "run_task", crash)
+    program, database = _workload()
+    with pytest.raises(WorkerFailure, match="RuntimeError: kernel exploded"):
+        evaluate_sharded(program, database, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_close_is_idempotent():
@@ -258,7 +165,7 @@ def test_pool_close_is_idempotent():
 
 
 def test_pool_close_leaves_no_zombies():
-    """After an aborted round every worker process is reaped and closed."""
+    """After a worker death every worker process is reaped and closed."""
     program, database = _workload()
     pool = WorkerPool(program, database, 2)
     procs = list(pool.procs)

@@ -53,12 +53,17 @@ class TestVersionAndExports:
             ]
 
         assert keyword_only(evaluate) == ["tracer", "budget", "cancellation"]
-        assert keyword_only(evaluate_sharded) == [
-            "workers", "pool", "tracer", "budget", "cancellation", "supervision"
-        ]
+        assert keyword_only(evaluate_sharded) == ["workers", "pool"]
         datalog = importlib.import_module("repro.datalog")
         for name in ("derivation_tree", "DerivationNode"):
             assert name not in datalog.__all__ and not hasattr(datalog, name)
+
+    def test_fleet_supervision_is_gone(self):
+        parallel = importlib.import_module("repro.parallel")
+        for name in ("SupervisionPolicy", "FleetExhausted", "DEFAULT_SUPERVISION"):
+            assert name not in parallel.__all__ and not hasattr(parallel, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.parallel.supervisor")
 
     def test_the_magic_artifact_cache_is_gone(self):
         magic = importlib.import_module("repro.magic")
