@@ -18,7 +18,8 @@ ingest.
    folds in the base the first recovery wrote and re-derives.
 
 2. **Fsync-window kill.** A child process acknowledges one ingest with
-   base saves forced to fail (acked but journal-covered only),
+   base writes forced to fail at ``checkpoint.save`` (acked by its
+   journal record only),
    then dies by SIGKILL while a second ingest faults at
    ``journal.fsync``.  The un-acked record's bytes may or may not be
    durable, so recovery is allowed to land on either admissible state —
@@ -50,13 +51,13 @@ from repro.datalog.database import Database  # noqa: E402
 from repro.datalog.evaluation import evaluate  # noqa: E402
 from repro.datalog.parser import parse_facts, parse_program  # noqa: E402
 from repro.persist import (  # noqa: E402
-    CheckpointStore,
-    FlakyStore,
+    FlakyJournal,
+    IngestJournal,
+    JournalUnavailable,
     RetryPolicy,
     Session,
     fixpoint_digest,
 )
-from repro.persist.journal import FlakyJournal, JournalUnavailable  # noqa: E402
 from repro.robustness import FaultInjector  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 
@@ -196,15 +197,19 @@ def child(root: Path) -> None:
     """The crashing process of the fsync-window phase."""
     program = parse_program(PROGRAM, query="p")
     database = Database(parse_facts(FACTS))
-    store = CheckpointStore(root)
-    session = Session(program, database, store=store, retry=FAST_RETRY)
-    session.run()
-    # Base saves now fail, lag-triggered or not: the next ingest is
-    # acked by its journal fsync alone, so only a replay can carry it
-    # across the kill.
-    session.store = FlakyStore(
-        store, FaultInjector().arm_random("checkpoint.save", rate=1.0)
+    session = Session(
+        program,
+        database,
+        journal=FlakyJournal(
+            IngestJournal(root / "journal"),
+            FaultInjector().arm_random("checkpoint.save", rate=1.0),
+        ),
+        retry=FAST_RETRY,
     )
+    session.run()
+    # Base writes fail, lag-triggered or not: the next ingest is acked
+    # by its journal fsync alone, so only a replay can carry it across
+    # the kill.
     session.ingest([("e", (12, 13))])
     print("acked", flush=True)
     # The second ingest faults at the fsync itself: never acknowledged,
@@ -241,7 +246,9 @@ def fsync_window_phase() -> int:
 
         program = parse_program(PROGRAM, query="p")
         database = Database(parse_facts(FACTS))
-        recovered = Session(program, database, store=CheckpointStore(root)).recover()
+        recovered = Session(
+            program, database, journal=IngestJournal(root / "journal")
+        ).recover()
         digest = fixpoint_digest([("smoke", recovered.result.idb)])
         acked_only = _digest_of(FACTS, INGESTS[0])
         with_inflight = _digest_of(FACTS, *INGESTS)

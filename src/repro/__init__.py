@@ -60,11 +60,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "program_contained_in_ucq",
     ),
     ".persist": (
-        "Checkpoint",
-        "CheckpointCorrupt",
-        "CheckpointError",
-        "CheckpointStore",
-        "FlakyStore",
+        "FlakyJournal",
+        "IngestJournal",
         "RetryPolicy",
         "Session",
         "SessionResult",
@@ -87,11 +84,8 @@ __all__ = [
     "check_equivalence",
     "magic_transform",
     "run_pipeline",
-    "Checkpoint",
-    "CheckpointCorrupt",
-    "CheckpointError",
-    "CheckpointStore",
-    "FlakyStore",
+    "FlakyJournal",
+    "IngestJournal",
     "RetryPolicy",
     "Session",
     "SessionResult",

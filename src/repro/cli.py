@@ -320,7 +320,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _session_from(args: argparse.Namespace) -> Session:
     from .persist.journal import IngestJournal
     from .persist.session import Session
-    from .persist.store import CheckpointStore
 
     program, inline_facts = parse_program_and_facts(_read(args.program), query=args.query)
     if program.query is None:
@@ -329,8 +328,7 @@ def _session_from(args: argparse.Namespace) -> Session:
     return Session(
         program,
         database,
-        store=CheckpointStore(args.checkpoint_dir),
-        journal=IngestJournal(args.journal_dir) if args.journal_dir else None,
+        journal=IngestJournal(Path(args.checkpoint_dir) / "journal"),
         budget=_budget_from(args),
     )
 
@@ -695,12 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--data", help="fact file (inline program facts also count)")
         cmd.add_argument(
             "--checkpoint-dir", required=True, metavar="DIR",
-            help="checkpoint directory (created if missing)",
-        )
-        cmd.add_argument(
-            "--journal-dir", metavar="DIR",
-            help="write-ahead ingest journal directory "
-            "(default: <checkpoint-dir>/journal)",
+            help="session directory: its journal holds the base EDB and the "
+            "ingests since (created if missing)",
         )
         budget_flags(cmd)
         cmd.set_defaults(func=func)
@@ -708,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     session_command(
         "run",
-        "start, or restart from the directory's checkpoints and journal",
+        "start, or restart from the directory's journal",
         _cmd_session_run,
     )
     cmd = session_command(
@@ -719,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="file of new ground facts to ingest",
     )
     session_command(
-        "inspect", "summarize the checkpoint store as JSON", _cmd_session_inspect
+        "inspect", "summarize the directory's base and journal as JSON",
+        _cmd_session_inspect,
     )
 
     cmd = sub.add_parser(
@@ -729,7 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--port", type=int, default=8484, help="bind port (0 = ephemeral)")
     cmd.add_argument(
         "--persist-dir", metavar="DIR",
-        help="root directory for per-tenant checkpoints (enables warm restart)",
+        help="root directory for per-tenant journals (a restart recovers every "
+        "acknowledged ingest)",
     )
     budget_flags(cmd)  # the server-side ceiling every request is clamped to
     cmd.set_defaults(func=_cmd_serve)

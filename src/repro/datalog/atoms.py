@@ -51,10 +51,16 @@ def flip_comparison(op: str) -> str:
 class IncomparableValues(ReproError, TypeError):
     """An order comparison between values that share no order: a number
     against a string, say.  Bad input data, so a :class:`ReproError`
-    (CLI exit 2, HTTP 400); a ``TypeError`` for callers that predate it."""
+    (CLI exit 2, HTTP 400); a ``TypeError`` for callers that predate it.
+
+    The message names the two value types in sorted order, not the
+    values: which incomparable pair a join meets first follows set
+    iteration order (string hashing), and one input must give one
+    message in every process."""
 
     def __init__(self, left: object, right: object):
-        super().__init__(f"values {left!r} and {right!r} are not order-comparable")
+        first, second = sorted((type(left).__name__, type(right).__name__))
+        super().__init__(f"values of types {first} and {second} are not order-comparable")
 
 
 def evaluate_comparison(left: object, right: object, op: str) -> bool:

@@ -114,7 +114,6 @@ class EvaluationProfile:
     budget_trips: list[str] = field(default_factory=list)
     fallbacks: list[str] = field(default_factory=list)
     checkpoint_saves: int = 0
-    checkpoint_loads: int = 0
     checkpoint_retries: int = 0
     checkpoint_bytes: int = 0
     journal_appends: int = 0
@@ -124,7 +123,6 @@ class EvaluationProfile:
     journal_replayed: int = 0
     journal_truncations: int = 0
     journal_compactions: int = 0
-    quarantines: list[str] = field(default_factory=list)
     tenants: dict[str, TenantServeProfile] = field(default_factory=dict)
 
     def top_rules(self, k: int = 10, *, key: str = "time") -> list[RuleProfile]:
@@ -140,11 +138,10 @@ class EvaluationProfile:
             f"{self.sccs} SCCs, {self.iterations} semi-naive iterations, "
             f"{self.index_builds} index builds",
         ]
-        if self.checkpoint_saves or self.checkpoint_loads or self.checkpoint_retries:
+        if self.checkpoint_saves or self.checkpoint_retries:
             lines.append(
-                f"durability: {self.checkpoint_saves} checkpoint saves "
-                f"({self.checkpoint_bytes} bytes), {self.checkpoint_loads} loads, "
-                f"{self.checkpoint_retries} retries"
+                f"durability: {self.checkpoint_saves} base writes "
+                f"({self.checkpoint_bytes} bytes), {self.checkpoint_retries} retries"
             )
         if self.journal_appends or self.journal_replayed or self.journal_retries:
             lines.append(
@@ -155,8 +152,6 @@ class EvaluationProfile:
                 f"{self.journal_truncations} torn-tail truncations, "
                 f"{self.journal_compactions} compactions"
             )
-        for quarantine in self.quarantines:
-            lines.append(f"quarantined: {quarantine}")
         for trip in self.budget_trips:
             lines.append(f"budget trip: {trip}")
         for fallback in self.fallbacks:
@@ -240,8 +235,6 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
         elif event.kind == "event" and event.name == "checkpoint.save":
             profile.checkpoint_saves += 1
             profile.checkpoint_bytes += int(event.attrs.get("bytes", 0))  # type: ignore[arg-type]
-        elif event.kind == "event" and event.name == "checkpoint.load":
-            profile.checkpoint_loads += 1
         elif event.kind == "event" and event.name == "checkpoint.retry":
             profile.checkpoint_retries += 1
         elif event.kind == "event" and event.name == "journal.append":
@@ -257,10 +250,6 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
             profile.journal_truncations += 1
         elif event.kind == "event" and event.name == "journal.compact":
             profile.journal_compactions += 1
-        elif event.kind == "event" and event.name == "checkpoint.quarantine":
-            profile.quarantines.append(
-                f"{event.attrs.get('path', '?')} ({event.attrs.get('reason', '')})"
-            )
         elif event.kind == "event" and event.name == "budget.fallback":
             profile.fallbacks.append(
                 f"{event.attrs.get('stage', '?')} -> "

@@ -1,16 +1,19 @@
-"""The write-ahead ingest journal: fsync-before-ack durability for deltas.
+"""The ingest journal: the one durable format of a session's EDB.
 
-Base files (:mod:`repro.persist.checkpoint`) make an EDB durable;
-:class:`IngestJournal` makes the acknowledgment of a :meth:`Session.ingest
-<repro.persist.session.Session.ingest>` durable, so a process killed
-before the next base — or ingesting while the checkpoint store is
-degraded to in-memory — loses nothing it acknowledged.  The classic
-write-ahead contract:
+A session's durable state is its EDB (the fixpoint is a function of
+it, and recovery re-derives it).  :class:`IngestJournal` holds that EDB
+in one directory of numbered segments ``journal-<n>.log``, each a
+sequence of CRC-framed lines ``J1 <crc32> <len> <canonical json>``.
+Every frame is one :class:`JournalRecord`, of one of two kinds:
 
-* **append-only, CRC-framed records** — each ingest is one normalized
-  :class:`JournalRecord` (sequence number, the *pre-ingest* workload
-  digest, the deduplicated EDB rows) encoded as a single framed line
-  ``J1 <crc32> <len> <canonical json>``;
+* an **ingest record** — sequence number, the *pre-ingest* workload
+  digest, and the deduplicated rows one acknowledged
+  :meth:`Session.ingest <repro.persist.session.Session.ingest>` added;
+* a **base** — the session's whole EDB, that EDB's workload digest and
+  the time it was written.
+
+The write-ahead contract:
+
 * **fsync before ack** — :meth:`IngestJournal.commit` writes the frame
   and ``fsync``\\ s the segment before the caller acknowledges anything;
   a record is *acknowledged* exactly when the fsync returned;
@@ -18,42 +21,51 @@ write-ahead contract:
   first frame that fails CRC/shape verification and truncates the file
   there, so a crash mid-append costs at most the unacknowledged tail,
   never a parse error;
-* **segment rotation and compaction** — records land in numbered
-  ``journal-<n>.log`` segments; once a *covering* base lands (its EDB
-  holds every row up to sequence ``s``), :meth:`IngestJournal.compact`
-  deletes the segments that ``s`` fully covers.
+* **one base per directory** — :meth:`IngestJournal.write_base` starts
+  a fresh segment with the base and fsyncs it, and only then does
+  :meth:`IngestJournal.compact` unlink every older segment.  A
+  directory therefore holds one base plus the ingest records after it
+  (a new directory starts with ingest records alone: no base is
+  written before one is due).
 
-The durable state is the newest base plus this journal.  Recovery
-folds in the base, replays the journal suffix idempotently, and
-re-derives the fixpoint with one evaluation; :meth:`Session.recover
-<repro.persist.session.Session.recover>` — the journal's only reader —
-documents it.  Replaying a record whose rows are already present is a
-no-op by construction (EDB rows are sets).
+Frames are written as version 2, which marks a base by its
+``written`` time; a version-1 frame (an older build's ingest record)
+is read as an ingest record.  An older build truncates a segment at
+the first version-2 frame it meets, so a directory this build has
+written is not for it.
 
-:class:`FlakyJournal` is the journal under the chaos harness
-(:class:`~repro.robustness.faults.FlakyIO`); :func:`commit_with_retry`
-is :func:`~repro.persist.store.with_retry` around a commit.
+An older build also kept bases beside the journal, in the parent
+directory, as ``ckpt-*.json`` files.  :func:`legacy_bases` reads them
+for recovery, which consults them only when no base frame binds;
+:meth:`IngestJournal.compact` deletes them once a base frame covers
+them.
 
-This journal is also the durable delta-log substrate that DRed-style
-retractions (parked in ROADMAP) would replay: a deletion record is just
-a future ``kind`` on the same frame format.
+:meth:`Session.recover <repro.persist.session.Session.recover>` is the
+journal's only reader.  :class:`FlakyJournal` is the journal under the
+chaos harness (:class:`~repro.robustness.faults.FlakyIO`);
+:func:`with_retry` is the retry loop of both durable writes, and
+:func:`commit_with_retry` / :func:`save_with_retry` are that loop
+around an ingest commit and a base write.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Governor, RetryPolicy
+from ..robustness.errors import ReproError
 from ..robustness.faults import FlakyIO
-from .checkpoint import CheckpointError
-from .store import with_retry
+
+Item = TypeVar("Item")
+T = TypeVar("T")
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -64,17 +76,21 @@ __all__ = [
     "JournalUnavailable",
     "IngestJournal",
     "FlakyJournal",
+    "RetryPolicy",
     "commit_with_retry",
+    "legacy_bases",
+    "save_with_retry",
+    "with_retry",
 ]
 
-#: Format tag written at the head of every frame (bump on layout change).
-JOURNAL_VERSION = 1
+#: Format version written into every frame; version 1 is still read.
+JOURNAL_VERSION = 2
 
 _MAGIC = b"J1"
 
 
-class JournalError(CheckpointError):
-    """Base class of every journal-layer error."""
+class JournalError(ReproError):
+    """Base class of every persistence-layer error."""
 
 
 class JournalCorrupt(JournalError):
@@ -86,48 +102,61 @@ class JournalMismatch(JournalError):
 
 
 class JournalUnavailable(JournalError):
-    """Every retry of a journal commit failed; the ingest is NOT acked."""
+    """Every retry of a durable write failed: an ingest is NOT acked, a
+    base is not written."""
 
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One normalized, acknowledged-once-fsynced ingest.
+    """One frame: an acknowledged ingest, or a base.
 
-    ``workload`` is the digest of the session's workload *before* this
-    record's rows were applied — the chain link that lets recovery
-    position the record against the initial EDB and any base.
-    ``rows`` are the deduplicated ``(predicate, row)`` pairs that were
-    genuinely new at append time, in sorted-predicate order.
+    For an ingest record, ``workload`` is the digest of the session's
+    workload *before* its rows were applied — the chain link that lets
+    recovery position the record against the initial EDB and the base
+    — and ``rows`` are the deduplicated ``(predicate, row)`` pairs that
+    were genuinely new at append time, in sorted-predicate order.
+
+    A base has ``written`` set (seconds since the epoch), ``rows``
+    holding the session's whole EDB and ``workload`` that EDB's digest.
     """
 
     seq: int
     workload: str
     rows: tuple[tuple[str, tuple], ...]
+    written: float | None = None
+
+    @property
+    def base(self) -> bool:
+        return self.written is not None
 
     def to_payload(self) -> dict:
-        return {
+        payload = {
             "version": JOURNAL_VERSION,
             "seq": self.seq,
             "workload": self.workload,
             "rows": [[predicate, list(row)] for predicate, row in self.rows],
         }
+        if self.base:
+            payload["written"] = self.written
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "JournalRecord":
         try:
             version = int(payload["version"])
-            if version != JOURNAL_VERSION:
+            if version not in (1, JOURNAL_VERSION):
                 raise JournalCorrupt(
                     f"unsupported journal record version {version} "
-                    f"(this build reads version {JOURNAL_VERSION})"
+                    f"(this build reads versions 1 and {JOURNAL_VERSION})"
                 )
-            rows = tuple(
-                (str(predicate), tuple(row)) for predicate, row in payload["rows"]
-            )
+            written = payload.get("written")
             return cls(
                 seq=int(payload["seq"]),
                 workload=str(payload["workload"]),
-                rows=rows,
+                rows=tuple(
+                    (str(predicate), tuple(row)) for predicate, row in payload["rows"]
+                ),
+                written=None if written is None else float(written),
             )
         except JournalCorrupt:
             raise
@@ -170,18 +199,9 @@ def _parse_frame(data: bytes, offset: int) -> "tuple[JournalRecord, int] | None"
 class IngestJournal:
     """An append-only, fsync-before-ack journal in one directory."""
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        tracer: Tracer | None = None,
-        segment_records: int = 512,
-    ):
-        if segment_records < 1:
-            raise ValueError(f"segment_records must be >= 1, got {segment_records}")
+    def __init__(self, directory: str | os.PathLike, *, tracer: Tracer | None = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_records = segment_records
         self._tracer = tracer
         self._segments: "dict[Path, list[JournalRecord]] | None" = None
         self._active: Path | None = None
@@ -189,14 +209,12 @@ class IngestJournal:
         self._good_offset = 0
         self._pending: "tuple[JournalRecord, int] | None" = None
         self._last_seq = 0
-        self._covered = 0
         self._next_segment = 1
 
     @property
     def tracer(self) -> Tracer:
-        # Resolved per call, like the checkpoint store: the journal must
-        # see a tracer installed globally (e.g. by chaos()) after
-        # construction.
+        # Resolved per call: the journal must see a tracer installed
+        # globally (e.g. by chaos()) after construction.
         return self._tracer if self._tracer is not None else get_tracer()
 
     # -- scanning ------------------------------------------------------
@@ -213,8 +231,7 @@ class IngestJournal:
         active: Path | None = None
         good_offset = 0
         tracer = self.tracer
-        paths = self._segment_paths()
-        for path in paths:
+        for path in self._segment_paths():
             number = _segment_number(path)
             if number is not None:
                 next_segment = max(next_segment, number + 1)
@@ -252,7 +269,7 @@ class IngestJournal:
 
     # -- append / sync / commit ----------------------------------------
     def next_seq(self) -> int:
-        """One past the highest record sequence number on disk."""
+        """One past the highest frame sequence number on disk."""
         self.open()
         return self._last_seq + 1
 
@@ -272,23 +289,24 @@ class IngestJournal:
             self._fd = os.open(self._active, os.O_RDWR | os.O_CREAT, 0o644)
         return self._fd
 
-    def rotate(self) -> Path:
-        """Close the active segment and start a new one."""
+    def _fresh_segment(self) -> None:
+        """Make the active segment one that holds no acknowledged frame:
+        a new one, unless the active one already holds none (a failed
+        base write left it, and its retry reuses it)."""
         self.open()
+        assert self._segments is not None
+        if self._active is not None and not self._segments[self._active]:
+            return
         self._close_fd()
-        previous = self._active
         self._active = None
         self._pending = None
         self._ensure_fd()
-        assert self._active is not None
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.event(
-                "journal.rotate",
-                segment=self._active.name,
-                previous=None if previous is None else previous.name,
-            )
-        return self._active
+
+    def _acknowledge(self, record: JournalRecord, size: int) -> None:
+        assert self._segments is not None and self._active is not None
+        self._good_offset += size
+        self._last_seq = max(self._last_seq, record.seq)
+        self._segments[self._active].append(record)
 
     def append(self, record: JournalRecord) -> int:
         """Write (but do not yet fsync) one frame; returns its size.
@@ -298,13 +316,6 @@ class IngestJournal:
         retry loop in :func:`commit_with_retry` needs no special
         truncation step.
         """
-        self.open()
-        assert self._segments is not None
-        if (
-            self._active is not None
-            and len(self._segments[self._active]) >= self.segment_records
-        ):
-            self.rotate()
         frame = record.encode()
         self.spill(frame)
         self._pending = (record, len(frame))
@@ -327,11 +338,8 @@ class IngestJournal:
         assert self._fd is not None and self._active is not None
         os.fsync(self._fd)
         record, size = self._pending
-        self._good_offset += size
-        self._last_seq = max(self._last_seq, record.seq)
-        assert self._segments is not None
-        self._segments[self._active].append(record)
         self._pending = None
+        self._acknowledge(record, size)
         tracer = self.tracer
         if tracer.enabled:
             tracer.event(
@@ -348,11 +356,33 @@ class IngestJournal:
         self.sync()
         return size
 
+    def write_base(self, base: JournalRecord) -> int:
+        """Write ``base`` as the first frame of a fresh segment and
+        ``fsync`` it; returns the frame's size.  Older segments stay
+        until :meth:`compact`."""
+        self._fresh_segment()
+        frame = base.encode()
+        self.spill(frame)
+        assert self._fd is not None and self._active is not None
+        os.fsync(self._fd)
+        self._acknowledge(base, len(frame))
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.event(
+                "checkpoint.save",
+                seq=base.seq,
+                edb_facts=len(base.rows),
+                bytes=len(frame),
+                segment=self._active.name,
+            )
+        return len(frame)
+
     def spill(self, data: bytes) -> None:
         """Write raw bytes at the acknowledged offset without acking:
-        :meth:`append`'s write, and on its own a write interrupted
-        mid-frame (:class:`FlakyJournal`'s ``torn`` flavor) — the next
-        scan truncates the bytes away, the next append overwrites them."""
+        the write of :meth:`append` and :meth:`write_base`, and on its
+        own a write interrupted mid-frame (:class:`FlakyJournal`'s
+        ``torn`` flavor) — the next scan truncates the bytes away, the
+        next write overwrites them."""
         self.open()
         fd = self._ensure_fd()
         os.lseek(fd, self._good_offset, os.SEEK_SET)
@@ -360,72 +390,75 @@ class IngestJournal:
         os.ftruncate(fd, self._good_offset + len(data))
 
     # -- reading -------------------------------------------------------
-    def records(self) -> list[JournalRecord]:
-        """Every live (acknowledged, uncompacted) record, by sequence."""
+    def frames(self) -> list[JournalRecord]:
+        """Every live (acknowledged, uncompacted) frame, bases included,
+        by sequence."""
         self.open()
         assert self._segments is not None
         out = [record for records in self._segments.values() for record in records]
         out.sort(key=lambda record: record.seq)
         return out
 
-    def replay(self, after_seq: int = 0) -> list[JournalRecord]:
-        """The records with ``seq > after_seq``, oldest first.
+    def records(self) -> list[JournalRecord]:
+        """The live ingest records, by sequence."""
+        return [frame for frame in self.frames() if not frame.base]
+
+    def replay(self) -> list[JournalRecord]:
+        """:meth:`frames`, read for recovery.
 
         Emits one ``journal.replay`` trace event per call — the chaos
         site for recovery-path faults.
         """
-        suffix = [r for r in self.records() if r.seq > after_seq]
+        frames = self.frames()
         tracer = self.tracer
         if tracer.enabled:
             tracer.event(
                 "journal.replay",
-                records=len(suffix),
-                after_seq=after_seq,
+                records=sum(1 for frame in frames if not frame.base),
                 last_seq=self._last_seq,
             )
-        return suffix
+        return frames
 
-    def lag(self, covered_seq: int | None = None) -> int:
-        """How many acknowledged records a covering base has NOT
-        absorbed yet (the daemon's ``journal_lag`` health field)."""
-        covered = self._covered if covered_seq is None else covered_seq
-        return sum(1 for record in self.records() if record.seq > covered)
+    def lag(self, covered_seq: int) -> int:
+        """How many live ingest records have a sequence number above
+        ``covered_seq`` — those no base has absorbed yet (the daemon's
+        ``journal_lag`` health field)."""
+        return sum(1 for record in self.records() if record.seq > covered_seq)
 
     # -- compaction ----------------------------------------------------
-    def compact(self, covered_seq: int) -> int:
-        """Drop segments fully covered by a base.
-
-        ``covered_seq`` is the highest record sequence whose rows the
-        newest base holds.  A segment is deleted only
-        when *every* record in it is covered; a partially covered
-        segment stays (replay is idempotent, so re-seeing covered
-        records is harmless).  Returns the number of segments removed.
-        """
+    def compact(self, base_seq: int) -> int:
+        """Unlink every segment older than the one base ``base_seq``
+        starts, and every legacy ``ckpt-*.json`` base beside the
+        journal: that base holds their rows.  Returns the number of
+        segments removed (none when no segment starts at that base)."""
         self.open()
-        self._covered = max(self._covered, covered_seq)
         assert self._segments is not None
+        paths = list(self._segments)
+        for start, path in enumerate(paths):
+            first = self._segments[path][:1]
+            if first and first[0].base and first[0].seq == base_seq:
+                break
+        else:
+            return 0
         removed = 0
-        for path, records in list(self._segments.items()):
-            if not records or max(r.seq for r in records) > self._covered:
-                continue
-            if path == self._active:
-                if self._pending is not None:
-                    continue  # never drop an in-flight frame
-                self._close_fd()
-                self._active = None
-                self._good_offset = 0
+        for path in paths[:start]:
             del self._segments[path]
             try:
                 path.unlink()
             except OSError:
                 continue
             removed += 1
+        for legacy in self.directory.parent.glob("ckpt-*.json"):
+            try:
+                legacy.unlink()
+            except OSError:
+                continue
         if removed:
             tracer = self.tracer
             if tracer.enabled:
                 tracer.event(
                     "journal.compact",
-                    covered_seq=self._covered,
+                    base_seq=base_seq,
                     segments_removed=removed,
                     records_live=len(self.records()),
                 )
@@ -435,14 +468,11 @@ class IngestJournal:
     def info(self) -> dict:
         """A JSON-ready summary for ``session inspect`` and ``/stats``."""
         self.open()
-        records = self.records()
         return {
             "directory": str(self.directory),
             "segments": len(self._segment_paths()),
-            "records": len(records),
+            "records": len(self.records()),
             "last_seq": self._last_seq,
-            "covered_seq": self._covered,
-            "lag": sum(1 for r in records if r.seq > self._covered),
         }
 
     def _close_fd(self) -> None:
@@ -465,13 +495,53 @@ def _segment_number(path: Path) -> int | None:
     return int(stem) if stem.isdigit() else None
 
 
+def legacy_bases(directory: Path) -> Iterator[JournalRecord]:
+    """The ``ckpt-*.json`` bases an older build wrote into ``directory``,
+    newest first, each as a base record (``written`` is the file's
+    modification time).
+
+    Such a file is ``{"checksum": <sha256>, "payload": <canonical
+    json>}``.  A version-3 payload is ``{version, seq, workload, edb}``;
+    a version-2 payload is read for its ``edb`` only, and only when
+    ``complete``: its ingested rows may exist nowhere else once the
+    journal compacted their records.  A file that does not verify or
+    holds no EDB is passed over, and left where it is.
+    """
+    for path in sorted(directory.glob("ckpt-*.json"), reverse=True):
+        try:
+            envelope = json.loads(path.read_text())
+            payload = envelope["payload"]
+            canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            if hashlib.sha256(canonical.encode()).hexdigest() != envelope["checksum"]:
+                continue
+            version = payload["version"]
+            if version == 3:
+                edb = payload["edb"]
+            elif version == 2 and payload["snapshot"].get("complete"):
+                edb = payload["snapshot"]["edb"]
+            else:
+                continue
+            yield JournalRecord(
+                seq=int(payload["seq"]),
+                workload=str(payload["workload"]),
+                rows=tuple(
+                    (str(predicate), tuple(row))
+                    for predicate, rows in edb.items()
+                    for row in rows
+                ),
+                written=path.stat().st_mtime,
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            continue
+
+
 class FlakyJournal(FlakyIO):
-    """An :class:`IngestJournal` whose ``append``, ``sync`` and
-    ``replay`` fail on command (sites ``journal.append`` /
-    ``journal.fsync`` / ``journal.replay``); a *torn* append lands the
-    first half of the frame at the acknowledged offset — a write
-    interrupted mid-frame — for torn-tail truncation to find on
-    reopen."""
+    """An :class:`IngestJournal` whose ``append``, ``sync``,
+    ``write_base`` and ``replay`` fail on command (sites
+    ``journal.append`` / ``journal.fsync`` / ``checkpoint.save`` /
+    ``journal.replay``); a *torn* append or base write lands the first
+    half of the frame at the acknowledged offset — a write interrupted
+    mid-frame — for torn-tail truncation to find on reopen."""
 
     @property
     def journal(self) -> IngestJournal:
@@ -494,9 +564,70 @@ class FlakyJournal(FlakyIO):
         self.sync()
         return size
 
-    def replay(self, after_seq: int = 0) -> list[JournalRecord]:
+    def write_base(self, base: JournalRecord) -> int:
+        def tear() -> None:
+            frame = base.encode()
+            self.journal._fresh_segment()
+            self.journal.spill(frame[: len(frame) // 2])
+
+        self._fault("checkpoint.save", tear)
+        return self.journal.write_base(base)
+
+    def replay(self) -> list[JournalRecord]:
         self._fault("journal.replay")
-        return self.journal.replay(after_seq)
+        return self.journal.replay()
+
+
+def with_retry(
+    target: object,
+    write: Callable[[Item], T],
+    item: Item,
+    *,
+    phase: str,
+    what: str,
+    policy: RetryPolicy | None = None,
+    governor: Governor | None = None,
+    sleep=time.sleep,
+) -> T:
+    """``write(item)`` — one durable write to ``target`` of a numbered
+    (``.seq``) item — retrying transient ``OSError`` failures.
+
+    Before every attempt the governor (if any) is consulted, so a
+    deadline that expires mid-backoff aborts with the usual
+    :class:`~repro.robustness.errors.BudgetExceededError` instead of
+    burning the remaining budget on sleeps; each sleep is clamped to
+    the governor's remaining time and traced as ``<phase>.retry``.
+    An exhausted attempt budget raises :class:`JournalUnavailable`.
+    """
+    policy = policy if policy is not None else RetryPolicy()
+    delays = policy.delays()
+    last_error: OSError | None = None
+    for attempt in range(1, max(1, policy.attempts) + 1):
+        if governor is not None:
+            governor.check(phase)
+        try:
+            return write(item)
+        except OSError as exc:
+            last_error = exc
+            delay = next(delays, None)
+            if delay is None:
+                break
+            remaining = governor.remaining() if governor is not None else None
+            if remaining is not None:
+                delay = max(0.0, min(delay, remaining))
+            tracer = target.tracer  # type: ignore[attr-defined]
+            if tracer.enabled:
+                tracer.event(
+                    f"{phase}.retry",
+                    seq=item.seq,  # type: ignore[attr-defined]
+                    attempt=attempt,
+                    delay=round(delay, 6),
+                    error=str(exc),
+                )
+            sleep(delay)
+    raise JournalUnavailable(
+        f"{what} failed after {policy.attempts} attempts: {last_error}"
+    ) from last_error
 
 
 def commit_with_retry(
@@ -507,10 +638,10 @@ def commit_with_retry(
     governor: Governor | None = None,
     sleep=time.sleep,
 ) -> int:
-    """Commit ``record`` under :func:`~repro.persist.store.with_retry`;
-    returns the acknowledged frame's size in bytes.  An exhausted
-    attempt budget raises :class:`JournalUnavailable` — the ingest is
-    then NOT acknowledged and the session takes the staged batch back.
+    """Commit ``record`` under :func:`with_retry`; returns the
+    acknowledged frame's size in bytes.  An exhausted attempt budget
+    raises :class:`JournalUnavailable` — the ingest is then NOT
+    acknowledged and the session takes the staged batch back.
     Re-attempts are safe: :meth:`IngestJournal.append` always writes at
     the last acknowledged offset, so a failed attempt's frame is
     overwritten, never duplicated."""
@@ -520,7 +651,30 @@ def commit_with_retry(
         record,
         phase="journal",
         what="journal commit",
-        unavailable=JournalUnavailable,
+        policy=policy,
+        governor=governor,
+        sleep=sleep,
+    )
+
+
+def save_with_retry(
+    journal: "IngestJournal | FlakyJournal",
+    base: JournalRecord,
+    *,
+    policy: RetryPolicy | None = None,
+    governor: Governor | None = None,
+    sleep=time.sleep,
+) -> int:
+    """Write ``base`` under :func:`with_retry`; returns the frame's
+    size.  An exhausted attempt budget raises :class:`JournalUnavailable`
+    — the caller's cue to degrade to in-memory evaluation.  A retry
+    reuses the segment a failed attempt started."""
+    return with_retry(
+        journal,
+        journal.write_base,
+        base,
+        phase="checkpoint",
+        what="base write",
         policy=policy,
         governor=governor,
         sleep=sleep,

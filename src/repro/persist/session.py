@@ -1,18 +1,17 @@
 """Durable evaluation sessions: recover, ingest, checkpoint.
 
 A :class:`Session` binds one workload (program + *initial* database) to
-one checkpoint directory.  What is durable is the EDB: base files
-(:mod:`repro.persist.checkpoint`, each the EDB a session had reached)
-plus the ingest journal.  The fixpoint is never stored — it is a
-function of the EDB, and recovery re-derives it.  The durable life
-cycle is ``recover`` → ``ingest``\\ * → ``checkpoint``; each method's
-docstring is the contract:
+one ingest journal (:mod:`repro.persist.journal`).  What is durable is
+the EDB, in the journal's one format: a base frame holding the EDB a
+session had reached, plus the ingest records acknowledged since.  The
+fixpoint is never stored — it is a function of the EDB, and recovery
+re-derives it.  The durable life cycle is ``recover`` → ``ingest``\\* →
+``checkpoint``; each method's docstring is the contract:
 
 * :meth:`Session.recover` — start *or* restart, and the **only** code
-  that reads a base file or a journal segment: fold in the newest base
-  that binds here, chain the journal onto it, then run one governed
-  evaluation.  A valid base that does not fit is skipped, never
-  renamed.
+  that reads the journal: fold in the newest base that binds here,
+  chain the ingest records onto it, then run one governed evaluation.
+  A base that does not fit is skipped.
 * :meth:`Session.ingest` — add EDB facts and extend the live fixpoint
   *in place* by semi-naive differentiation (recompute when an ingested
   predicate occurs negated): **derive, then journal, then acknowledge**
@@ -21,30 +20,30 @@ docstring is the contract:
   A session that holds no fixpoint yet recovers first.
 * :meth:`Session.checkpoint` — bases follow **journal lag**: a base is
   written when the journal bytes acknowledged since the last one reach
-  that base's own size (with no base on disk, the size a base of the
+  that base's own size (with no base yet, the size a base of the
   caller's EDB would have) — so base writes stay within 2x of journal
   writes, and a restart replays at most one base's worth of journal —
-  and additionally after a recovery that replayed records, and on this
-  call.  Once one lands, the journal prefix it covers is compacted
-  away.
+  and additionally after a recovery that replayed records or folded in
+  a legacy base, and on this call.  A base starts a fresh segment; once
+  it is fsynced, every older segment is unlinked.
 * :meth:`Session.run` — a cold evaluation of the EDB as it stands;
   it writes nothing and never reads disk.  The caller re-supplies the
   initial EDB on every start, so nothing needs writing until an ingest.
-* :meth:`Session.inspect` — a JSON-ready summary of store + journal.
+* :meth:`Session.inspect` — a JSON-ready summary of base + journal.
 
-Base saves go through :func:`~repro.persist.store.save_with_retry`; a
-store that stays broken after the retry budget **degrades** the session
-to in-memory evaluation (a :class:`~repro.robustness.budget.FallbackStep`
-and a ``budget.fallback`` trace event) instead of failing it.  Work
-counters start afresh with every process: a recovery's are those of
-its evaluation, and ingests add to them.
+Bases are written through :func:`~repro.persist.journal.save_with_retry`;
+a journal that stays broken after the retry budget **degrades** the
+session to in-memory evaluation (a
+:class:`~repro.robustness.budget.FallbackStep` and a ``budget.fallback``
+trace event) instead of failing it.  Work counters start afresh with
+every process: a recovery's are those of its evaluation, and ingests
+add to them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..datalog.database import ArityMismatch, Database, FactRows, Row
@@ -65,18 +64,14 @@ from ..robustness.budget import (
     RetryPolicy,
     record_fallback,
 )
-from .checkpoint import Checkpoint, CheckpointError
 from .journal import (
     FlakyJournal,
     IngestJournal,
     JournalMismatch,
     JournalRecord,
+    JournalUnavailable,
     commit_with_retry,
-)
-from .store import (
-    CheckpointStore,
-    CheckpointStoreUnavailable,
-    FlakyStore,
+    legacy_bases,
     save_with_retry,
 )
 
@@ -107,37 +102,14 @@ class SessionResult:
         return self.result.stats
 
 
-@dataclass(frozen=True)
-class _Base:
-    """A base file on disk: the one a restart would fold in."""
-
-    seq: int
-    edb_facts: int
-    bytes: int
-    path: Path
-
-    def summary(self) -> dict:
-        try:
-            age = max(0.0, time.time() - self.path.stat().st_mtime)
-        except OSError:
-            age = None
-        return {
-            "seq": self.seq,
-            "edb_facts": self.edb_facts,
-            "bytes": self.bytes,
-            "age_seconds": age,
-        }
-
-
 class Session:
-    """One durable evaluation workload bound to a checkpoint store."""
+    """One durable evaluation workload bound to an ingest journal."""
 
     def __init__(
         self,
         program: Program,
         database: Database,
         *,
-        store: "CheckpointStore | FlakyStore | None" = None,
         journal: "IngestJournal | FlakyJournal | None" = None,
         constraints: Sequence[object] = (),
         budget: "Budget | Governor | None" = None,
@@ -147,11 +119,6 @@ class Session:
     ):
         self.program = program
         self.database = database
-        self.store = store
-        # The write-ahead ingest journal lives with the checkpoint store
-        # (``<dir>/journal``) unless one is passed to place it elsewhere.
-        if journal is None and store is not None:
-            journal = IngestJournal(Path(store.directory) / "journal", tracer=tracer)
         self.journal = journal
         # Journal positions.  Every record up to ``_applied_seq`` has
         # its rows in the EDB (ingest and recovery advance it); a base
@@ -159,12 +126,14 @@ class Session:
         # when one lands).
         self._applied_seq = 0
         self._covered_seq = 0
-        # The newest base this session read or wrote, and the journal
-        # bytes acknowledged since.  A base is due when the second
-        # reaches the first's size (:meth:`_lag_limit`).
-        self._base: _Base | None = None
+        # The newest base this session read or wrote, its frame size
+        # (with no base, the size a base of the caller's EDB would
+        # have; measured on first use), and the journal bytes
+        # acknowledged since.  A base is due when the last reaches the
+        # size (:meth:`_lag_limit`).
+        self._base: JournalRecord | None = None
+        self._base_bytes: int | None = None
         self._lag_bytes = 0
-        self._unwritten_base_bytes: int | None = None
         self.constraints = tuple(constraints)
         self.budget = budget
         self.cancellation = cancellation
@@ -221,15 +190,15 @@ class Session:
 
         The explicit counterpart of the lag-triggered base of
         :meth:`ingest` (``repro session ingest`` calls it before
-        exiting): the journal prefix it covers is compacted away.
-        Returns whether the durable state now needs no journal record
-        this session acknowledged — trivially so when nothing was
-        acknowledged since the last base; ``False`` without a store or a
-        current fixpoint, or when the store stayed broken through the
-        retry budget (traced as a ``budget.fallback`` like any degraded
-        save).
+        exiting): the segments it covers are unlinked.  Returns whether
+        the durable state now needs no journal record this session
+        acknowledged — trivially so when nothing was acknowledged since
+        the last base; ``False`` without a journal or a current
+        fixpoint, or when the base write failed through the retry
+        budget (traced as a ``budget.fallback`` like any degraded
+        write).
         """
-        if self._last is None or self.store is None:
+        if self._last is None or self.journal is None:
             return False
         if not self._lag_bytes:
             return True
@@ -391,44 +360,40 @@ class Session:
             fallback_chain=fallback_chain,
         )
         # Bases follow journal lag.
-        if self.store is not None and self._lag_bytes >= self._lag_limit():
+        if self.journal is not None and self._lag_bytes >= self._lag_limit():
             outcome.checkpoints_written += self._cover(fallback_chain, governor)
         return outcome
 
     # ------------------------------------------------------------------
-    def _read_store(self) -> "tuple[Checkpoint, _Base] | None":
-        """One pass over the store, newest file first, each read at most
-        once: the newest base that binds here.
+    def _binds(self, base: JournalRecord) -> bool:
+        """Whether ``base`` may be folded in here: its EDB reproduces its
+        own workload digest under this session's program and constraints
+        (not another workload sharing the directory) and contains every
+        row of this session's initial EDB (not an older registration
+        whose facts have since changed)."""
+        if base.workload != bind_edb(self._shape, rows_hash(base.rows)):
+            return False
+        held = set(base.rows)
+        return all(
+            (predicate, row) in held
+            for predicate in self.database.predicates()
+            for row in self.database.relation(predicate)
+        )
 
-        A base binds when its EDB reproduces its own workload digest
-        under this session's program and constraints (not another
-        workload sharing the directory) and contains every row of this
-        session's initial EDB (not an older registration whose facts
-        have since changed).  A valid file that holds no EDB (an older
-        build's per-round frontier) is passed over.
-        """
-        for path in reversed(self.store.paths() if self.store is not None else []):
-            try:
-                found = self.store.load(path)
-                size = path.stat().st_size
-            except (CheckpointError, OSError):
-                continue  # unreadable: an older file may still serve
-            edb = found.edb
-            if (
-                edb is not None
-                and found.workload
-                == bind_edb(
-                    self._shape,
-                    rows_hash((pred, row) for pred, rows in edb.items() for row in rows),
-                )
-                and all(
-                    row in edb.get(predicate, ())
-                    for predicate in self.database.predicates()
-                    for row in self.database.relation(predicate)
-                )
-            ):
-                return found, _Base(found.seq, found.edb_facts, size, path)
-        return None
+    def _binding_base(
+        self, frames: Sequence[JournalRecord]
+    ) -> "tuple[JournalRecord | None, bool]":
+        """The newest base among ``frames`` that binds here; with none,
+        the newest legacy ``ckpt-*.json`` beside the journal that does.
+        The flag says whether the base came from a legacy file."""
+        for frame in reversed(frames):
+            if frame.base and self._binds(frame):
+                return frame, False
+        if self.journal is not None:
+            for base in legacy_bases(self.journal.directory.parent):
+                if self._binds(base):
+                    return base, True
+        return None, False
 
     def recover(self) -> SessionResult:
         """Start or restart from the durable state: newest binding base,
@@ -437,9 +402,12 @@ class Session:
         The session must be constructed with the workload's *initial*
         EDB (as first registered).  Recovery then:
 
-        1. folds in the EDB of the newest base that binds to this
+        1. folds in the EDB of the newest base frame that binds to this
            workload — the durable copy of every ingested fact whose
-           journal record has been compacted away;
+           journal record has been compacted away.  Only when no base
+           frame binds does it read the ``ckpt-*.json`` files an older
+           build left beside the journal
+           (:func:`~repro.persist.journal.legacy_bases`);
         2. chains the journal's acknowledged records onto that EDB:
            each record carries the pre-ingest workload digest, and the
            digest moves by one hash per row, so the walk costs the
@@ -448,9 +416,9 @@ class Session:
            neither chains nor is contained raises
            :class:`~repro.persist.journal.JournalMismatch`);
         3. runs one governed evaluation over the result — monotone or
-           not, replayed or not — and, when it replayed records, writes
-           a base covering them, after which the covered journal prefix
-           is compacted away.
+           not, replayed or not — and, when it replayed records or
+           folded in a legacy file, writes a base frame covering them,
+           after which every older segment (and legacy file) goes.
 
         On an empty directory this is a fresh run, so callers use
         ``recover()`` unconditionally.  An evaluation that was killed
@@ -462,7 +430,9 @@ class Session:
         simply be called again.
         """
         self.workload()
-        before = self._edb_hash, self._applied_seq, self._covered_seq, self._base
+        before = (
+            self._edb_hash, self._applied_seq, self._covered_seq, self._base, self._base_bytes
+        )
         folded: list[tuple[str, Row]] = []
         try:
             return self._recover(folded)
@@ -470,21 +440,22 @@ class Session:
             for predicate in {predicate for predicate, _ in folded}:
                 rows = [row for pred, row in folded if pred == predicate]
                 self.database.discard_rows(predicate, rows)
-            self._edb_hash, self._applied_seq, self._covered_seq, self._base = before
+            (
+                self._edb_hash, self._applied_seq, self._covered_seq, self._base,
+                self._base_bytes,
+            ) = before
             self._last = None  # an abort must not leave a stale fixpoint
             raise
 
     def _recover(self, folded: list[tuple[str, Row]]) -> SessionResult:
         """:meth:`recover`, noting in ``folded`` each row it adds to the EDB."""
         governor = self._governor()
-        records = [] if self.journal is None else self.journal.replay()
-        found = self._read_store()
-        if found is not None:
-            base, self._base = found
-            assert base.edb is not None
-            folded += self._add_rows(
-                (pred, row) for pred, rows in base.edb.items() for row in rows
-            )
+        frames = [] if self.journal is None else self.journal.replay()
+        records = [frame for frame in frames if not frame.base]
+        base, legacy = self._binding_base(frames)
+        if base is not None:
+            self._base, self._base_bytes = base, None
+            folded += self._add_rows(base.rows)
         head = self.workload()
         edb_sum = self._edb_hash
         contains = self.database.contains
@@ -509,7 +480,7 @@ class Session:
                 # makes them durable elsewhere: rows the caller resent
                 # may be missing from the next registration, so with no
                 # base the record stays until a base is written.
-                if not replayed and found is not None:
+                if not replayed and base is not None:
                     self._covered_seq = max(self._covered_seq, record.seq)
             else:
                 raise JournalMismatch(
@@ -526,15 +497,16 @@ class Session:
         )
         outcome = SessionResult(
             result=self._last,
-            mode="recovered" if found is not None or replayed else "fresh",
+            mode="recovered" if base is not None or replayed else "fresh",
             replayed=replayed,
         )
-        if replayed:
-            # The replayed suffix is owed a base; if the save fails, the
-            # next ingest or checkpoint() tries again.
+        if replayed or legacy:
+            # The replayed suffix (or the legacy file) is owed a base
+            # frame; if the write fails, the next ingest or checkpoint()
+            # tries again.
             outcome.checkpoints_written = self._cover(outcome.fallback_chain, governor)
-        elif self.journal is not None and self._covered_seq:
-            self.journal.compact(self._covered_seq)
+        elif base is not None:
+            self.journal.compact(base.seq)  # type: ignore[union-attr]
         return outcome
 
     def journal_info(self) -> dict | None:
@@ -542,57 +514,55 @@ class Session:
         if self.journal is None:
             return None
         info = self.journal.info()
-        info["lag"] = self.journal.lag(max(self._covered_seq, info["covered_seq"]))
+        info["lag"] = self.journal.lag(self._covered_seq)
         return info
 
-    def _base_checkpoint(self, seq: int) -> Checkpoint:
+    def _base_record(self, seq: int) -> JournalRecord:
         """A base of the session's EDB as it stands."""
-        return Checkpoint(
+        return JournalRecord(
             seq=seq,
             workload=self.workload(),
-            edb={
-                pred: self.database.relation(pred).rows()
-                for pred in sorted(self.database.predicates())
-            },
+            rows=tuple(
+                (predicate, row)
+                for predicate in sorted(self.database.predicates())
+                for row in sorted(self.database.relation(predicate).rows(), key=repr)
+            ),
+            written=time.time(),
         )
 
     def _lag_limit(self) -> int:
         """The journal bytes that make a base due: the newest base's
-        size, or with none on disk, the size a base of the caller's EDB
+        frame size, or with none, the size a base of the caller's EDB
         would have (measured once)."""
-        if self._base is not None:
-            return self._base.bytes
-        if self._unwritten_base_bytes is None:
-            self._unwritten_base_bytes = len(self._base_checkpoint(0).encode()[0])
-        return self._unwritten_base_bytes
+        if self._base_bytes is None:
+            base = self._base if self._base is not None else self._base_record(0)
+            self._base_bytes = len(base.encode())
+        return self._base_bytes
 
     def _cover(self, fallback_chain: list[FallbackStep], governor: Governor | None) -> int:
         """Write a base of the current EDB with retry; returns how many
         landed (0 or 1).  It reflects every journal record applied so
-        far, so the journal can compact them without losing the only
-        copy of ingested facts.  A store that stays broken degrades the
+        far, so every older segment can go without losing the only copy
+        of ingested facts.  A journal that stays broken degrades the
         operation to in-memory, recorded in ``fallback_chain``, and the
         base stays due."""
-        if self.store is None:
+        if self.journal is None:
             return 0
-        checkpoint = self._base_checkpoint(self.store.next_seq())
+        base = self._base_record(self.journal.next_seq())
         try:
-            path = save_with_retry(
-                self.store, checkpoint, policy=self.retry, governor=governor
+            size = save_with_retry(
+                self.journal, base, policy=self.retry, governor=governor
             )
-        except CheckpointStoreUnavailable as exc:
+        except JournalUnavailable as exc:
             record_fallback(
                 fallback_chain, "session.checkpoint", "in-memory", str(exc), self.tracer
             )
             self._lag_bytes = max(self._lag_bytes, self._lag_limit())
             return 0
-        self._base = _Base(
-            checkpoint.seq, checkpoint.edb_facts, len(checkpoint.encode()[0]), path
-        )
+        self._base, self._base_bytes = base, size
         self._lag_bytes = 0
         self._covered_seq = max(self._covered_seq, self._applied_seq)
-        if self.journal is not None and self._covered_seq:
-            self.journal.compact(self._covered_seq)
+        self.journal.compact(base.seq)
         return 1
 
     # ------------------------------------------------------------------
@@ -604,24 +574,26 @@ class Session:
         that has not recovered yet looks it up by :meth:`recover`'s own
         binding rule.
         """
-        if self._last is None:
-            found = self._read_store()
-            base = None if found is None else found[1]
-        else:
+        if self._last is not None:
             base = self._base
-        return None if base is None else base.summary()
+            size = None if base is None else self._lag_limit()
+        else:
+            frames = [] if self.journal is None else self.journal.frames()
+            base = self._binding_base(frames)[0]
+            size = None if base is None else len(base.encode())
+        if base is None:
+            return None
+        return {
+            "seq": base.seq,
+            "edb_facts": len(base.rows),
+            "bytes": size,
+            "age_seconds": max(0.0, time.time() - base.written),  # type: ignore[operator]
+        }
 
     def inspect(self) -> dict:
-        """A JSON-ready summary of the session's checkpoint store."""
-        info: dict = {"workload": self.workload()}
-        if self.store is None:
-            info["store"] = None
-            return info
-        info["store"] = {
-            "directory": str(self.store.directory),
-            "checkpoints": len(self.store.paths()),
-            "corrupt": sorted(p.name for p in self.store.directory.glob("*.corrupt*")),
+        """A JSON-ready summary of the session's base and journal."""
+        return {
+            "workload": self.workload(),
+            "latest": self.base_summary(),
+            "journal": self.journal_info(),
         }
-        info["latest"] = self.base_summary()
-        info["journal"] = self.journal_info()
-        return info

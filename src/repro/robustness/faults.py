@@ -30,8 +30,7 @@ the *same* typed abort out of the optimizer that real budget trips
 use — which is precisely what the chaos tests assert.
 
 Disk I/O fails with an ``OSError`` instead: :class:`FlakyIO`, the base
-of :class:`~repro.persist.store.FlakyStore` and
-:class:`~repro.persist.journal.FlakyJournal`, translates.
+of :class:`~repro.persist.journal.FlakyJournal`, translates.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ probing that fixpoint — or, on request (``mode: "magic"`` or an
   (shared, normalized diagnostics with the CLI) and response shaping;
 * :mod:`repro.serve.registry` — tenant state (program, constraints,
   live database, materialized fixpoint) behind per-tenant
-  reader-writer locks, with checkpoint-backed warm start;
+  reader-writer locks; with a persist directory, a registration
+  recovers the tenant's acknowledged ingests from its journal and
+  re-derives its fixpoint;
 * :mod:`repro.serve.app` — :class:`ServeApp`, the transport-free
   request handler (every route is an ``async`` method call, so tests
   drive it without sockets);

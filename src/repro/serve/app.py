@@ -211,13 +211,12 @@ class ServeApp:
 
     def _journal_totals(self) -> dict:
         """Fleet-wide journal lag and replay count (registry read lock held)."""
-        # Journal lag: acknowledged-but-not-yet-checkpointed ingest
-        # records across the fleet — the work a kill right now would
-        # replay on restart.  Positive lag is the steady state (a
-        # checkpoint is written once the journal has grown by the last
-        # checkpoint's size, which also bounds it); lag that keeps
-        # growing past that means checkpoints keep failing and restarts
-        # keep getting slower.
+        # Journal lag: acknowledged ingest records no base covers yet,
+        # across the fleet — the work a kill right now would replay on
+        # restart.  Positive lag is the steady state (a base is written
+        # once the journal has grown by the last base's size, which
+        # also bounds it); lag that keeps growing past that means base
+        # writes keep failing and restarts keep getting slower.
         journal = {"lag": 0, "replayed": 0}
         for name in self.registry.names():
             tenant = self.registry.get(name)

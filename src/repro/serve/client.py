@@ -10,7 +10,7 @@ requests (503, with partial diagnostics) without string matching.
 Transport failures (a dropped keep-alive, a daemon mid-restart) are
 retried under the shared :class:`~repro.robustness.budget.RetryPolicy` —
 the same capped-exponential-backoff-with-seeded-jitter curve the
-checkpoint store uses — and the retry
+ingest journal uses — and the retry
 counts are surfaced on the client (``retries_total``,
 ``last_retries``).
 """

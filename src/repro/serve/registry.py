@@ -3,19 +3,18 @@
 A :class:`Tenant` owns one registered workload — program, constraints,
 the live EDB and a *materialized* fixpoint kept current across ingests
 — plus the durable :class:`~repro.persist.session.Session` that
-anchors it to a per-tenant checkpoint directory when the daemon runs
-with ``--persist-dir``.
+anchors it to a per-tenant ingest journal (``<persist-dir>/<tenant>/
+journal``) when the daemon runs with ``--persist-dir``.
 
 Registration is where recovery happens: the tenant materializes via
 :meth:`~repro.persist.session.Session.recover`, which folds in the
-tenant's newest base (an EDB the tenant had reached), replays the
-suffix of its write-ahead ingest journal — the acknowledged ingests
-since that base (bases follow journal lag, so there normally are some)
-— and evaluates the result once.  A restarted daemon therefore answers
-queries for its old tenants without losing a single acknowledged write
-(asserted byte-for-byte by the serve and journal-kill scripts of CI's
-``smoke`` job).  Both the journal and the bases live under the
-tenant's directory when the daemon runs with ``--persist-dir``.
+journal's base (an EDB the tenant had reached), replays the ingest
+records after it — the acknowledged ingests since that base (bases
+follow journal lag, so there normally are some) — and evaluates the
+result once.  A restarted daemon therefore answers queries for its old
+tenants without losing a single acknowledged write (asserted
+byte-for-byte by the serve and journal-kill scripts of CI's ``smoke``
+job).
 
 Concurrency follows the read/write split of the API: queries only read
 tenant state and run concurrently; ``ingest`` (and re-registration)
@@ -33,8 +32,8 @@ import time
 from typing import TYPE_CHECKING, Iterable
 
 from ..datalog.database import Database
+from ..persist.journal import IngestJournal
 from ..persist.session import Session, SessionResult
-from ..persist.store import CheckpointStore
 from ..robustness.errors import UsageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -126,9 +125,9 @@ class Tenant:
         # Journal replay bookkeeping: records re-applied at the last
         # materialization (crash recovery), surfaced via /stats.
         self.replayed = 0
-        store = None if persist_dir is None else CheckpointStore(persist_dir)
+        journal = None if persist_dir is None else IngestJournal(persist_dir / "journal")
         self.session = Session(
-            self.program, self.database, store=store, constraints=self.constraints
+            self.program, self.database, journal=journal, constraints=self.constraints
         )
         self.materialized: SessionResult | None = None
         self.mode: str | None = None
@@ -175,9 +174,9 @@ class Tenant:
             result = self.materialized.result
             info["idb_facts"] = sum(len(rel) for rel in result.idb.values())
             info["latest_round"] = result.stats.iterations
-        if self.session.store is not None:
-            # The base a restart would fold in: with journal lag it
-            # predates the ingests counted below.
+        if self.session.journal is not None:
+            # The base frame a restart would fold in: with journal lag
+            # it predates the ingests counted below.
             info["checkpoint"] = self.session.base_summary()
         journal = self.session.journal_info()
         if journal is not None:

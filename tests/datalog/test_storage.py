@@ -9,6 +9,7 @@ matches the rows storage; digests are computed over *decoded* rows, so
 they agree across storages unless ``1``, ``1.0`` and ``True`` meet.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -24,7 +25,7 @@ from repro.datalog.database import (
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
 from repro.digest import fixpoint_digest, workload_digest
-from repro.persist.checkpoint import Checkpoint
+from repro.persist.journal import legacy_bases
 from repro.workloads.generators import random_workload
 
 
@@ -275,7 +276,7 @@ def test_columnar_checkpoint_holds_values_not_codes(tmp_path):
     """A base is storage-agnostic: a session over a columnar database
     writes decoded rows and no interner table, and a rows session
     recovers it to the same fixpoint."""
-    from repro.persist import CheckpointStore, Session
+    from repro.persist import IngestJournal, Session
 
     program = parse_program(
         "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).", query="t"
@@ -284,16 +285,16 @@ def test_columnar_checkpoint_holds_values_not_codes(tmp_path):
     writer = Session(
         program,
         Database.from_rows(rows, storage="columnar"),
-        store=CheckpointStore(tmp_path),
+        journal=IngestJournal(tmp_path / "journal"),
     )
     writer.ingest([("e", ("c", "d"))])
     assert writer.checkpoint()
     writer.journal.close()
-    [path] = CheckpointStore(tmp_path).paths()
-    payload = json.loads(path.read_text())["payload"]
-    assert payload["edb"] == {"e": [["a", "b"], ["b", "c"], ["c", "d"]]}
+    [segment] = (tmp_path / "journal").glob("journal-*.log")
+    payload = json.loads(segment.read_bytes().split(b" ", 3)[3])
+    assert payload["rows"] == [["e", ["a", "b"]], ["e", ["b", "c"]], ["e", ["c", "d"]]]
     recovered = Session(
-        program, Database.from_rows(rows), store=CheckpointStore(tmp_path)
+        program, Database.from_rows(rows), journal=IngestJournal(tmp_path / "journal")
     ).recover()
     assert recovered.mode == "recovered"
     assert recovered.result.rows("t") == {
@@ -301,7 +302,7 @@ def test_columnar_checkpoint_holds_values_not_codes(tmp_path):
     }
 
 
-def test_pre_columnar_checkpoints_load_without_interner():
+def test_pre_columnar_checkpoints_load_without_interner(tmp_path):
     """Version-2 payloads written before the columnar backend carry no
     interner field and load all the same, for their EDB."""
     program = parse_program("t(X, Y) :- e(X, Y).", query="t")
@@ -317,6 +318,11 @@ def test_pre_columnar_checkpoints_load_without_interner():
             "stats": {},
         },
     }
-    restored = Checkpoint.from_payload(payload)
-    assert restored.edb == {"e": {(1, 2)}}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode()).hexdigest()
+    (tmp_path / "ckpt-00000001-000000000000.json").write_text(
+        f'{{"checksum":"{checksum}","payload":{canonical}}}'
+    )
+    [restored] = legacy_bases(tmp_path)
+    assert restored.rows == (("e", (1, 2)),)
     assert restored.workload == workload_digest(program, database)

@@ -20,7 +20,7 @@ from reference_model import model_fixpoint
 from repro.datalog.database import Database, UnionView
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
-from repro.persist import CheckpointStore, Session
+from repro.persist import IngestJournal, Session
 from repro.serve.app import ServeApp
 from repro.serve.wire import rows_payload
 
@@ -115,13 +115,13 @@ def test_an_edb_predicate_reads_the_databases_relation(storage):
 
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
 def test_recovery_and_ingest_keep_the_view_live(tmp_path, storage):
-    first = Session(PROGRAM, _database(storage=storage), store=CheckpointStore(tmp_path))
+    first = Session(PROGRAM, _database(storage=storage), journal=IngestJournal(tmp_path / "journal"))
     assert first.run().result.rows("r") == _expected(ROWS)
     grown = _with(ROWS, MORE[:1])
     assert first.ingest(MORE[:1]).result.rows("r") == _expected(grown)
     first.journal.close()  # acknowledged, and left to the journal
     restarted = Session(
-        PROGRAM, _database(storage=storage), store=CheckpointStore(tmp_path)
+        PROGRAM, _database(storage=storage), journal=IngestJournal(tmp_path / "journal")
     )
     recovered = restarted.recover()
     assert recovered.mode == "recovered" and "r" not in recovered.result.idb
@@ -137,7 +137,7 @@ def test_recovery_and_ingest_keep_the_view_live(tmp_path, storage):
 def test_a_checkpoint_holding_rows_for_a_view_still_restores(tmp_path):
     shutil.copy(PARENT_CHECKPOINT, tmp_path / PARENT_CHECKPOINT.name)
     rows = {"e": ROWS["e"], "f": [(7, 8)]}
-    session = Session(PROGRAM, _database(rows), store=CheckpointStore(tmp_path))
+    session = Session(PROGRAM, _database(rows), journal=IngestJournal(tmp_path / "journal"))
     outcome = session.recover()
     assert outcome.mode == "recovered" and session.base_summary()["seq"] == 1
     assert sorted(outcome.result.idb) == ["p"]

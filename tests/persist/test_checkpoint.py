@@ -1,9 +1,10 @@
-"""Base format: round trips, checksums, digests, the version-2 read."""
+"""Base format: the base frame, the legacy ``ckpt-*.json`` read, digests."""
 
 import hashlib
 import json
 import random
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,13 @@ from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.digest import bind_edb, edb_hash, program_digest, rows_hash
-from repro.persist import CheckpointStore, Session
-from repro.persist.checkpoint import (
-    CHECKPOINT_VERSION,
-    Checkpoint,
-    CheckpointCorrupt,
-    fixpoint_digest,
-    workload_digest,
+from repro.persist import IngestJournal, Session, fixpoint_digest, workload_digest
+from repro.persist.journal import (
+    JOURNAL_VERSION,
+    JournalCorrupt,
+    JournalRecord,
+    _parse_frame,
+    legacy_bases,
 )
 
 PROGRAM = parse_program(
@@ -50,67 +51,77 @@ def _database():
     return Database.from_rows({"edge": [(1, 2), (2, 3), (3, 4)]})
 
 
-def _checkpoint(seq=1):
-    return Checkpoint(
+def _base(seq=1):
+    return JournalRecord(
         seq=seq,
         workload=workload_digest(PROGRAM, _database()),
-        edb={"edge": _database().relation("edge").rows()},
+        rows=tuple(("edge", row) for row in sorted(_database().relation("edge").rows())),
+        written=1_700_000_000.5,
     )
 
 
 def _signed(payload: dict) -> str:
-    """A checkpoint file's text for ``payload``, with a valid checksum."""
+    """A legacy base file's text for ``payload``, with a valid checksum."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(canonical.encode()).hexdigest()
     return f'{{"checksum":"{checksum}","payload":{canonical}}}'
 
 
+def _legacy(directory):
+    return list(legacy_bases(Path(directory)))
+
+
 def test_encode_decode_round_trip():
-    original = _checkpoint()
-    text, checksum = original.encode()
-    restored = Checkpoint.decode(text)
-    assert restored == original
-    assert restored.edb_facts == 3
-    assert json.loads(text)["payload"] == {
-        "version": CHECKPOINT_VERSION,
+    original = _base()
+    frame = original.encode()
+    restored, end = _parse_frame(frame, 0)
+    assert restored == original and end == len(frame)
+    assert restored.base and len(restored.rows) == 3
+    assert json.loads(frame.split(b" ", 3)[3]) == {
+        "version": JOURNAL_VERSION,
         "seq": 1,
         "workload": original.workload,
-        "edb": {"edge": [[1, 2], [2, 3], [3, 4]]},
+        "rows": [["edge", [1, 2]], ["edge", [2, 3]], ["edge", [3, 4]]],
+        "written": 1_700_000_000.5,
     }
-    # content addressing: re-encoding reproduces the same checksum
-    assert restored.encode()[1] == checksum
-    assert original.filename() == f"ckpt-00000001-{checksum[:12]}.json"
+    # An ingest record carries no ``written``: that is what marks a base.
+    record = JournalRecord(seq=2, workload="w" * 64, rows=(("edge", (4, 5)),))
+    assert not record.base and "written" not in record.to_payload()
 
 
-def test_parent_format_payload_loads():
+def test_parent_format_payload_loads(tmp_path):
     """A version-2 file is read for its EDB, and nothing else of it."""
-    text = PARENT_CHECKPOINT.read_text()
-    payload = json.loads(text)["payload"]
+    shutil.copy(PARENT_CHECKPOINT, tmp_path / PARENT_CHECKPOINT.name)
+    payload = json.loads(PARENT_CHECKPOINT.read_text())["payload"]
     assert payload["version"] == 2 and payload["snapshot"]["idb"]
-    restored = Checkpoint.decode(text)
-    assert restored.seq == 1 and restored.workload == payload["workload"]
-    assert restored.edb == {"e": {(1, 2), (2, 3), (3, 4)}, "f": {(7, 8)}}
-    # Its EDB reproduces its digest, so recovery may fold it in...
-    edb = Database.from_rows(restored.edb)
+    [restored] = _legacy(tmp_path)
+    assert restored.base and restored.seq == 1
+    assert restored.workload == payload["workload"]
+    assert set(restored.rows) == {("e", (1, 2)), ("e", (2, 3)), ("e", (3, 4)), ("f", (7, 8))}
+    # Its EDB reproduces its digest, so recovery may fold it in.
+    edb = Database.from_rows({"e": [(1, 2), (2, 3), (3, 4)], "f": [(7, 8)]})
     assert workload_digest(PARENT_PROGRAM, edb) == restored.workload
-    # ...and re-encoded it is a version-3 base: no fixpoint, no counters.
-    rewritten = json.loads(restored.encode()[0])["payload"]
-    assert set(rewritten) == {"version", "seq", "workload", "edb"}
-    assert rewritten["version"] == CHECKPOINT_VERSION == 3
 
 
 def test_a_parent_checkpoint_recovers_its_edb_and_re_derives(tmp_path):
     """The committed version-2 fixture, under the initial EDB ``e``
-    alone: recovery folds in its ``f`` row and derives the fixpoint."""
+    alone: recovery folds in its ``f`` row, derives the fixpoint and
+    leaves the row in a base frame instead of the file."""
     shutil.copy(PARENT_CHECKPOINT, tmp_path / PARENT_CHECKPOINT.name)
     initial = {"e": [(1, 2), (2, 3), (3, 4)]}
     outcome = Session(
-        PARENT_PROGRAM, Database.from_rows(initial), store=CheckpointStore(tmp_path)
+        PARENT_PROGRAM,
+        Database.from_rows(initial),
+        journal=IngestJournal(tmp_path / "journal"),
     ).recover()
     assert outcome.mode == "recovered" and outcome.replayed == 0
+    assert outcome.checkpoints_written == 1
     assert outcome.result.database.relation("f").rows() == {(7, 8)}
     full = Database.from_rows({**initial, "f": [(7, 8)]})
     assert outcome.result.rows("r") == model_fixpoint(PARENT_PROGRAM, full)["r"]
+    assert not list(tmp_path.glob("ckpt-*.json"))
+    [base] = IngestJournal(tmp_path / "journal").frames()
+    assert base.base and ("f", (7, 8)) in base.rows
 
 
 def test_a_parent_checkpoints_idb_is_never_read(tmp_path):
@@ -122,7 +133,7 @@ def test_a_parent_checkpoints_idb_is_never_read(tmp_path):
     (tmp_path / "ckpt-00000001-000000000000.json").write_text(_signed(payload))
     database = Database.from_rows({"e": [(1, 2), (2, 3), (3, 4)], "f": [(7, 8)]})
     outcome = Session(
-        PARENT_PROGRAM, database.copy(), store=CheckpointStore(tmp_path)
+        PARENT_PROGRAM, database.copy(), journal=IngestJournal(tmp_path / "journal")
     ).recover()
     fixpoint = {pred: outcome.result.rows(pred) for pred in ("p", "r")}
     assert fixpoint == model_fixpoint(PARENT_PROGRAM, database)
@@ -131,67 +142,82 @@ def test_a_parent_checkpoints_idb_is_never_read(tmp_path):
 
 def test_summary_reports_one_number_per_fact(tmp_path):
     """A base is summarised by its EDB facts, not by a fixpoint."""
-    store = CheckpointStore(tmp_path)
-    session = Session(PROGRAM, _database(), store=store)
+    session = Session(PROGRAM, _database(), journal=IngestJournal(tmp_path / "journal"))
     session.run()
     session.ingest([("edge", (4, 5))])
     assert session.checkpoint()
-    [path] = store.paths()
+    [segment] = sorted((tmp_path / "journal").glob("journal-*.log"))
     summary = session.base_summary()
     assert set(summary) == {"seq", "edb_facts", "bytes", "age_seconds"}
-    assert summary["seq"] == store.load(path).seq == 1
+    assert summary["seq"] == 2  # the ingest record was 1
     assert summary["edb_facts"] == 4
-    assert summary["bytes"] == path.stat().st_size
-    assert summary["age_seconds"] >= 0
+    assert summary["bytes"] == segment.stat().st_size  # the segment is the base
+    assert 0 <= summary["age_seconds"] < 60
+    # A session that has not recovered yet reports the same base.
+    fresh = Session(PROGRAM, _database(), journal=IngestJournal(tmp_path / "journal"))
+    assert {**fresh.base_summary(), "age_seconds": 0} == {**summary, "age_seconds": 0}
 
 
-def test_decode_rejects_bit_flip():
-    text, _ = _checkpoint().encode()
+def test_decode_rejects_bit_flip(tmp_path):
+    """A legacy file whose checksum does not verify is passed over, and
+    left where it is."""
+    text = _signed({"version": 3, "seq": 1, "workload": "w", "edb": {"e": [[1, 2]]}})
     flipped = text.replace('"seq":1', '"seq":2', 1)
     assert flipped != text
-    with pytest.raises(CheckpointCorrupt, match="checksum mismatch"):
-        Checkpoint.decode(flipped)
+    path = tmp_path / "ckpt-00000001-000000000000.json"
+    path.write_text(flipped)
+    assert _legacy(tmp_path) == []
+    path.write_text(text)
+    assert [base.seq for base in _legacy(tmp_path)] == [1]
+    assert path.exists()
 
 
-def test_decode_rejects_truncation_and_garbage():
-    text, _ = _checkpoint().encode()
-    with pytest.raises(CheckpointCorrupt):
-        Checkpoint.decode(text[: len(text) // 2])
-    with pytest.raises(CheckpointCorrupt):
-        Checkpoint.decode("not json at all")
-    with pytest.raises(CheckpointCorrupt, match="envelope"):
-        Checkpoint.decode(json.dumps({"payload": {}}))
+def test_decode_rejects_truncation_and_garbage(tmp_path):
+    text = _signed({"version": 3, "seq": 1, "workload": "w", "edb": {"e": [[1, 2]]}})
+    for bad in (text[: len(text) // 2], "not json at all", json.dumps({"payload": {}})):
+        (tmp_path / "ckpt-00000001-000000000000.json").write_text(bad)
+        assert _legacy(tmp_path) == []
+    # A frame that fails its CRC is a torn tail, never a record.
+    frame = bytearray(_base().encode())
+    frame[20] ^= 0xFF
+    assert _parse_frame(bytes(frame), 0) is None
 
 
 def test_unsupported_version_is_corrupt():
-    payload = _checkpoint().to_payload()
-    payload["version"] = CHECKPOINT_VERSION + 1
-    with pytest.raises(CheckpointCorrupt, match="version"):
-        Checkpoint.from_payload(payload)
+    payload = _base().to_payload()
+    payload["version"] = JOURNAL_VERSION + 1
+    with pytest.raises(JournalCorrupt, match="version"):
+        JournalRecord.from_payload(payload)
+    payload["version"] = 1  # an older build's ingest record is read
+    assert JournalRecord.from_payload(payload).seq == 1
 
 
-def test_malformed_payload_is_corrupt_not_keyerror():
-    payload = _checkpoint().to_payload()
-    del payload["edb"]
-    with pytest.raises(CheckpointCorrupt, match="malformed"):
-        Checkpoint.from_payload(payload)
+def test_malformed_payload_is_corrupt_not_keyerror(tmp_path):
+    payload = _base().to_payload()
+    del payload["rows"]
+    with pytest.raises(JournalCorrupt, match="malformed"):
+        JournalRecord.from_payload(payload)
     parent = json.loads(PARENT_CHECKPOINT.read_text())["payload"]
     del parent["snapshot"]
-    with pytest.raises(CheckpointCorrupt, match="malformed"):
-        Checkpoint.from_payload(parent)
+    (tmp_path / "ckpt-00000001-000000000000.json").write_text(_signed(parent))
+    assert _legacy(tmp_path) == []
 
 
-def test_old_checkpoint_stats_missing_new_fields_load():
+def test_old_checkpoint_stats_missing_new_fields_load(tmp_path):
     """A version-2 file's counters are never read: whatever its stats
     hold, it loads for its EDB — and only a complete one does."""
     payload = json.loads(PARENT_CHECKPOINT.read_text())["payload"]
+    path = tmp_path / "ckpt-00000001-000000000000.json"
     for key in ("budget_trips", "wall_time_seconds"):
         del payload["snapshot"]["stats"][key]
-    assert Checkpoint.from_payload(payload).edb_facts == 4
+    path.write_text(_signed(payload))
+    assert [len(base.rows) for base in _legacy(tmp_path)] == [4]
     payload["snapshot"]["stats"] = "not counters"
-    assert Checkpoint.from_payload(payload).edb_facts == 4
+    path.write_text(_signed(payload))
+    assert [len(base.rows) for base in _legacy(tmp_path)] == [4]
     payload["snapshot"]["complete"] = False
-    assert Checkpoint.from_payload(payload).edb is None
+    path.write_text(_signed(payload))
+    assert _legacy(tmp_path) == []
 
 
 def test_workload_digest_sensitivity():
@@ -208,32 +234,33 @@ def test_workload_digest_sensitivity():
 def test_fixpoint_digest_survives_serialization():
     """A base's EDB round trip re-derives the identical fixpoint."""
     before = fixpoint_digest([("unit", evaluate(PROGRAM, _database()).idb)])
-    restored = Checkpoint.decode(_checkpoint().encode()[0])
-    database = Database.from_rows(restored.edb)
+    restored, _ = _parse_frame(_base().encode(), 0)
+    rows: dict = {}
+    for predicate, row in restored.rows:
+        rows.setdefault(predicate, []).append(row)
+    database = Database.from_rows(rows)
     assert workload_digest(PROGRAM, database) == restored.workload
     assert fixpoint_digest([("unit", evaluate(PROGRAM, database).idb)]) == before
 
 
 def test_payload_is_serialized_once_per_checkpoint(tmp_path, monkeypatch):
-    """encode / filename / save share one canonical serialization, and
-    the checksum is of exactly the payload bytes the file embeds."""
-    from repro.persist import CheckpointStore
-
+    """A base write serializes the EDB once, and the size it reports —
+    the next lag limit — is that of the frame on disk."""
+    session = Session(PROGRAM, _database(), journal=IngestJournal(tmp_path / "journal"))
+    session.run()
+    session.ingest([("edge", (4, 5))])
     calls = []
-    real = Checkpoint.to_payload
+    real = JournalRecord.to_payload
     monkeypatch.setattr(
-        Checkpoint, "to_payload", lambda self: calls.append(1) or real(self)
+        JournalRecord, "to_payload", lambda self: calls.append(self.base) or real(self)
     )
-    ckpt = _checkpoint()
-    text, checksum = ckpt.encode()
-    path = CheckpointStore(tmp_path).save(ckpt)
-    assert path.name == ckpt.filename() and path.read_text() == text
-    assert len(calls) == 1
-    prefix = f'{{"checksum":"{checksum}","payload":'
-    assert text.startswith(prefix) and text.endswith("}")
-    embedded = text[len(prefix):-1]
-    assert hashlib.sha256(embedded.encode()).hexdigest() == checksum
-    assert json.loads(embedded) == real(ckpt)
+    before = time.time()
+    assert session.checkpoint()
+    assert calls == [True]
+    [segment] = sorted((tmp_path / "journal").glob("journal-*.log"))
+    assert session._lag_limit() == segment.stat().st_size
+    [base] = IngestJournal(tmp_path / "journal").frames()
+    assert base.base and before <= base.written <= time.time()
 
 
 @pytest.mark.parametrize("seed", range(5))

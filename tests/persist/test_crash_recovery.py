@@ -1,6 +1,6 @@
 """Kill-restart crash tests: a session SIGKILLed mid-evaluation leaves
-nothing behind and restarts fresh to the verified answer, and damaged
-bases are quarantined — never silently used."""
+nothing behind and restarts fresh to the verified answer, and a damaged
+base frame is truncated away — never silently used."""
 
 import json
 import os
@@ -11,7 +11,7 @@ import time
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.persist import Checkpoint, CheckpointStore, Session, workload_digest
+from repro.persist import IngestJournal, JournalRecord, Session, workload_digest
 
 PROGRAM_TEXT = """
 path(X, Y) :- step(X, Y).
@@ -55,17 +55,22 @@ def _database():
     return Database.from_rows({"step": [(i, i + 1) for i in range(CHAIN)]})
 
 
-def _save_base(store, seq):
-    """A base of the initial EDB, as an ingest-free session would leave."""
+def _save_base(journal, seq):
+    """A base frame of the initial EDB, in a fresh segment of its own."""
     database = _database()
     program = parse_program(PROGRAM_TEXT, query="q")
-    return store.save(
-        Checkpoint(
+    journal.write_base(
+        JournalRecord(
             seq=seq,
             workload=workload_digest(program, database),
-            edb={"step": database.relation("step").rows()},
+            rows=tuple(("step", row) for row in sorted(database.relation("step").rows())),
+            written=1.0,
         )
     )
+
+
+def _journal(ckpt_dir):
+    return IngestJournal(ckpt_dir / "journal")
 
 
 def _expected_rows():
@@ -125,18 +130,18 @@ def _session_args(tmp_path):
 def test_sigkill_mid_fixpoint_then_resume(tmp_path):
     _kill_mid_evaluation(tmp_path, ["session", "run", *_session_args(tmp_path)])
 
-    # Nothing was acknowledged and nothing was saved: the store holds no
-    # checkpoint at all, so no incomplete one.
+    # Nothing was acknowledged and nothing was written: the journal holds
+    # no frame at all, so no incomplete one.
     ckpt_dir = tmp_path / "ckpts"
-    assert CheckpointStore(ckpt_dir).paths() == []
+    assert _journal(ckpt_dir).frames() == []
 
     # Restart in-process and verify the answer row for row.
     parsed = parse_program(PROGRAM_TEXT, query="q")
-    outcome = Session(parsed, _database(), store=CheckpointStore(ckpt_dir)).recover()
+    outcome = Session(parsed, _database(), journal=_journal(ckpt_dir)).recover()
     assert outcome.mode == "fresh"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
-    assert CheckpointStore(ckpt_dir).paths() == []  # a run writes nothing
+    assert _journal(ckpt_dir).frames() == []  # a run writes nothing
 
 
 def test_resume_cli_after_kill_round_trips(tmp_path):
@@ -181,41 +186,39 @@ def test_resume_cli_after_kill_round_trips(tmp_path):
     )
     assert inspected.returncode == 0, inspected.stderr
     info = json.loads(inspected.stdout)
-    assert info["latest"]["seq"] == 1
+    assert info["latest"]["seq"] == 2  # the base frame after the ingest's record
     assert info["latest"]["edb_facts"] == CHAIN + 1
     assert info["journal"]["lag"] == 0
 
 
-def test_resume_with_corrupted_latest_checkpoint_quarantines(tmp_path):
-    """Truncate the newest base (as a torn write would): recovery
-    quarantines it and folds in the older valid one."""
+def test_resume_with_a_torn_latest_base_folds_in_the_older_one(tmp_path):
+    """Truncate the newest base (as a crash mid-write would, before
+    compaction): recovery truncates it away and folds in the older one."""
     parsed = parse_program(PROGRAM_TEXT, query="q")
     ckpt_dir = tmp_path / "ckpts"
-    store = CheckpointStore(ckpt_dir)
+    journal = _journal(ckpt_dir)
     for seq in (1, 2):
-        _save_base(store, seq)
-    older, torn = store.paths()
+        _save_base(journal, seq)
+    journal.close()
+    older, torn = sorted((ckpt_dir / "journal").glob("journal-*.log"))
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
 
-    session = Session(parsed, _database(), store=CheckpointStore(ckpt_dir))
+    session = Session(parsed, _database(), journal=_journal(ckpt_dir))
     outcome = session.recover()
     assert outcome.mode == "recovered"
-    assert session.base_summary()["seq"] == store.load(older).seq
+    assert session.base_summary()["seq"] == 1
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()
-    quarantined = list(ckpt_dir.glob("*.corrupt"))
-    assert quarantined and torn.name + ".corrupt" in {p.name for p in quarantined}
+    assert older.exists() and torn.stat().st_size == 0
 
 
 def test_resume_with_all_checkpoints_destroyed_restarts_fresh(tmp_path):
     parsed = parse_program(PROGRAM_TEXT, query="q")
     ckpt_dir = tmp_path / "ckpts"
-    _save_base(CheckpointStore(ckpt_dir), 1)
-    for path in CheckpointStore(ckpt_dir).paths():
+    _save_base(_journal(ckpt_dir), 1)
+    for path in (ckpt_dir / "journal").glob("journal-*.log"):
         path.write_text("garbage")
-    outcome = Session(
-        parsed, _database(), store=CheckpointStore(ckpt_dir)
-    ).recover()
+    outcome = Session(parsed, _database(), journal=_journal(ckpt_dir)).recover()
     assert outcome.mode == "fresh"
     rows = {pred: rel.rows() for pred, rel in outcome.result.idb.items()}
     assert rows == _expected_rows()

@@ -11,6 +11,7 @@ initial EDB plus every acknowledged ingest.
 import os
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,8 @@ from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.observability import RingBufferSink, tracing
 from repro.persist import (
-    Checkpoint,
-    CheckpointStore,
     IngestJournal,
+    JournalRecord,
     Session,
     fixpoint_digest,
     workload_digest,
@@ -53,17 +53,31 @@ def _cold_digest(edges):
     return _digest(evaluate(_program(), _database(edges)))
 
 
+def _journal(root):
+    return IngestJournal(root / "journal")
+
+
 def _journal_records(root) -> int:
-    """How many records the journal under ``root`` holds right now."""
-    journal = IngestJournal(root / "journal")
+    """How many ingest records the journal under ``root`` holds right now."""
+    journal = _journal(root)
     try:
         return len(journal.records())
     finally:
         journal.close()
 
 
-def _journal_bytes(store):
-    return sum(p.stat().st_size for p in (store.directory / "journal").glob("*.log"))
+def _bases(root):
+    return [frame for frame in _journal(root).frames() if frame.base]
+
+
+def _segments(root):
+    return sorted((root / "journal").glob("journal-*.log"))
+
+
+def _journal_bytes(root):
+    """The bytes of the segments, the base frame's excepted."""
+    total = sum(path.stat().st_size for path in _segments(root))
+    return total - sum(len(base.encode()) for base in _bases(root))
 
 
 
@@ -127,44 +141,44 @@ def test_ingest_keeps_compiled_plans_between_ingests(monkeypatch):
 def test_one_fsync_and_no_checkpoint_below_the_lag_threshold(tmp_path, fsyncs):
     # A wide EDB: a base of it dwarfs a few journal frames.
     edges = [(n, n + 1) for n in range(1000, 1200)]
-    store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(edges), store=store)
+    session = Session(_program(), _database(edges), journal=_journal(tmp_path))
     session.run()
-    files = len(store.paths())
     for node in range(1200, 1206):
         before = fsyncs["n"]
         outcome = session.ingest([("edge", (node, node + 1))])
         assert outcome.mode == "incremental"
         assert outcome.checkpoints_written == 0
         assert fsyncs["n"] - before == 1  # the journal's: the acknowledgment
-        assert len(store.paths()) == files
+        assert not _bases(tmp_path)
     assert session.journal_info()["lag"] == 6
-    assert files == 0 and _journal_bytes(store) < session._lag_limit()
+    assert _journal_bytes(tmp_path) < session._lag_limit()
 
 
 def test_checkpoint_and_compaction_exactly_when_lag_reaches_checkpoint_size(tmp_path):
-    store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store)
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     session.run()
     covered_at = []
     for step, node in enumerate(range(4, 40)):
         threshold = session._lag_limit()
-        files = len(store.paths())
-        lag_before = _journal_bytes(store)
+        bases = _bases(tmp_path)
+        lag_before = _journal_bytes(tmp_path)
         outcome = session.ingest([("edge", (node, node + 1))])
         if outcome.checkpoints_written:
             covered_at.append(step)
             # Due: the acknowledged journal bytes reached the last
             # base's size, and not one ingest earlier.
             assert lag_before < threshold
-            assert session._lag_limit() == store.paths()[-1].stat().st_size
-            assert len(store.paths()) == files + 1
-            assert store.load(store.paths()[-1]).edb_facts == len(EDGES) + step + 1
-            assert _journal_bytes(store) == 0  # compacted
+            # Compacted: one segment, holding the new base alone.
+            [segment] = _segments(tmp_path)
+            [base] = _bases(tmp_path)
+            assert base not in bases
+            assert session._lag_limit() == segment.stat().st_size
+            assert len(base.rows) == len(EDGES) + step + 1
+            assert _journal_bytes(tmp_path) == 0
             assert session.journal_info()["lag"] == 0
         else:
-            assert len(store.paths()) == files
-            assert lag_before < _journal_bytes(store) < threshold
+            assert _bases(tmp_path) == bases
+            assert lag_before < _journal_bytes(tmp_path) < threshold
     # A tiny EDB crosses the threshold within a few ingests, repeatedly,
     # and less often as the base (and so the threshold) grows.
     assert len(covered_at) >= 2 and covered_at[0] <= 10
@@ -173,20 +187,19 @@ def test_checkpoint_and_compaction_exactly_when_lag_reaches_checkpoint_size(tmp_
 
 
 def test_explicit_checkpoint_covers_and_is_idempotent(tmp_path):
-    store = CheckpointStore(tmp_path)
     session = Session(
-        _program(), _database([(n, n + 1) for n in range(1, 30)]), store=store
+        _program(), _database([(n, n + 1) for n in range(1, 30)]), journal=_journal(tmp_path)
     )
     assert not session.checkpoint()  # no fixpoint yet
     session.run()
-    files = len(store.paths())
-    assert session.checkpoint() and len(store.paths()) == files  # nothing uncovered
+    assert session.checkpoint() and not _bases(tmp_path)  # nothing uncovered
     session.ingest([("edge", (30, 31))])
     assert session.journal_info()["lag"] == 1
-    assert session.checkpoint() and len(store.paths()) == files + 1
+    assert session.checkpoint()
+    [base] = _bases(tmp_path)
     assert session.journal_info()["lag"] == 0
-    assert session.checkpoint() and len(store.paths()) == files + 1
-    assert not Session(_program(), _database()).checkpoint()  # no store
+    assert session.checkpoint() and _bases(tmp_path) == [base]
+    assert not Session(_program(), _database()).checkpoint()  # no journal
 
 
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
@@ -235,7 +248,7 @@ def test_rejected_ingest_leaves_session_and_journal_untouched(tmp_path):
     def database():
         return Database.from_rows({"n": [(1,), (5,)]})
 
-    session = Session(program, database(), store=CheckpointStore(tmp_path))
+    session = Session(program, database(), journal=_journal(tmp_path))
     live = session.run().result
     before = (
         session.workload(),
@@ -243,7 +256,7 @@ def test_rejected_ingest_leaves_session_and_journal_untouched(tmp_path):
         {pred: rel.rows() for pred, rel in live.idb.items()},
         _tree_bytes(tmp_path),
     )
-    with pytest.raises(IncomparableValues, match="'abc' and 3 are not order-comparable"):
+    with pytest.raises(IncomparableValues, match="types int and str are not order-comparable"):
         session.ingest([("n", ("abc",)), ("n", (7,)), ("fresh", (1,))])
     assert session._last is live
     assert before == (
@@ -259,7 +272,7 @@ def test_rejected_ingest_leaves_session_and_journal_untouched(tmp_path):
     assert session.run().result.rows("big") == {(5,), (9,)}
     session.journal.close()
     # ...and a fresh process recovers every acknowledged ingest, only those.
-    recovered = Session(program, database(), store=CheckpointStore(tmp_path)).recover()
+    recovered = Session(program, database(), journal=_journal(tmp_path)).recover()
     assert recovered.result.rows("big") == {(5,), (9,)}
     assert recovered.result.database.relation("n").rows() == {(1,), (5,), (9,)}
 
@@ -280,39 +293,39 @@ def test_rejected_recompute_ingest_is_taken_back_too():
     assert outcome.mode == "recompute" and outcome.result.rows("big") == {(9,)}
 
 
-def test_recover_reads_each_checkpoint_file_at_most_once(tmp_path):
+def test_recover_reads_each_checkpoint_file_at_most_once(tmp_path, monkeypatch):
     initial = [(n, n + 1) for n in range(1, 30)]
-    store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(initial), store=store)
+    session = Session(_program(), _database(initial), journal=_journal(tmp_path))
     session.run()
     for node in range(30, 33):
         session.ingest([("edge", (node, node + 1))])
     assert session.checkpoint()  # a covering base
     for node in range(33, 36):
         session.ingest([("edge", (node, node + 1))])
-    # Another workload's base lands last: recovery reads past it.
+    # Another workload's base lands last, uncompacted: recovery reads
+    # past it.
     other = _database(initial[:5])
-    store.save(
-        Checkpoint(
-            seq=store.next_seq(),
+    session.journal.write_base(
+        JournalRecord(
+            seq=session.journal.next_seq(),
             workload=workload_digest(_program(), other),
-            edb={"edge": other.relation("edge").rows()},
+            rows=tuple(("edge", row) for row in sorted(other.relation("edge").rows())),
+            written=1.0,
         )
     )
     uncovered = session.journal_info()["lag"]
-    assert uncovered == 3 and len(store.paths()) == 2
-    loads = Counter()
-    reader = CheckpointStore(tmp_path)
-    real = reader.load
+    assert uncovered == 3 and len(_bases(tmp_path)) == 2
+    reads = Counter()
+    real = Path.read_bytes
 
-    def counting(path, **kwargs):
-        loads[path] += 1
-        return real(path, **kwargs)
+    def counting(path):
+        reads[path.name] += 1
+        return real(path)
 
-    reader.load = counting
-    recovered = Session(_program(), _database(initial), store=reader).recover()
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    recovered = Session(_program(), _database(initial), journal=_journal(tmp_path)).recover()
     assert recovered.replayed == uncovered
-    assert loads and max(loads.values()) == 1
+    assert reads and max(reads.values()) == 1
     edges = initial + [(n, n + 1) for n in range(30, 36)]
     assert _digest(recovered.result) == _cold_digest(edges)
 
@@ -339,7 +352,7 @@ def test_any_interleaving_equals_a_cold_recompute(tmp_path, seed):
         return rows
 
     def open_session():
-        return Session(_program(), _database(initial), store=CheckpointStore(tmp_path))
+        return Session(_program(), _database(initial), journal=_journal(tmp_path))
 
     session = open_session()
     session.recover()

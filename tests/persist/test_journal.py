@@ -1,12 +1,14 @@
-"""IngestJournal mechanics: framing, torn tails, rotation, compaction.
+"""IngestJournal mechanics: framing, torn tails, bases, compaction.
 
-The journal is the durability substrate under ``Session.ingest`` — an
+The journal is the durability substrate under ``Session`` — an
 append-only log of CRC-framed records where a record is *acknowledged*
-exactly when its fsync returns.  These tests pin the format and the
-recovery-relevant invariants directly; crash/recovery semantics through
-the session layer live in ``test_recover.py``.
+exactly when its fsync returns, and where a base starts a fresh
+segment.  These tests pin the format and the recovery-relevant
+invariants directly; crash/recovery semantics through the session layer
+live in ``test_recover.py``.
 """
 
+import json
 import zlib
 
 import pytest
@@ -17,15 +19,21 @@ from repro.persist.journal import (
     IngestJournal,
     JournalRecord,
     JournalUnavailable,
+    RetryPolicy,
     commit_with_retry,
 )
-from repro.persist.store import RetryPolicy
 from repro.robustness import FaultInjector
 
 
 def _record(seq, rows=((("edge"), (1, 2)),)):
     return JournalRecord(
         seq=seq, workload="w" * 64, rows=tuple((p, tuple(r)) for p, r in rows)
+    )
+
+
+def _base(seq):
+    return JournalRecord(
+        seq=seq, workload="b" * 64, rows=(("edge", (1, 2)),), written=1.0
     )
 
 
@@ -52,7 +60,21 @@ def test_commit_then_reopen_replays_in_order(tmp_path):
     reopened = IngestJournal(tmp_path)
     assert [r.seq for r in reopened.replay()] == [1, 2, 3]
     assert reopened.next_seq() == 4
-    assert [r.seq for r in reopened.replay(after_seq=2)] == [3]
+
+
+def test_a_version_1_frame_is_read_as_an_ingest_record(tmp_path):
+    """An older build's frames are version 1; a reopen reads them, and
+    this build's frames continue the same segment after them."""
+    payload = json.dumps(
+        {"version": 1, "seq": 1, "workload": "w" * 64, "rows": [["edge", [1, 2]]]},
+        sort_keys=True, separators=(",", ":"),
+    ).encode()
+    frame = b"J1 %08x %d %s\n" % (zlib.crc32(payload) & 0xFFFFFFFF, len(payload), payload)
+    (tmp_path / "journal-00000001.log").write_bytes(frame)
+    journal = IngestJournal(tmp_path)
+    assert journal.records() == [_record(1)]
+    journal.commit(_record(2))
+    assert [r.seq for r in IngestJournal(tmp_path).records()] == [1, 2]
 
 
 def test_torn_tail_is_truncated_on_open(tmp_path):
@@ -88,28 +110,38 @@ def test_corrupted_middle_frame_drops_the_suffix(tmp_path):
 
 
 def test_segment_rotation_and_info(tmp_path):
-    journal = IngestJournal(tmp_path, segment_records=2)
-    for seq in range(1, 6):
+    """Only a base starts a segment: ingest records share one."""
+    journal = IngestJournal(tmp_path)
+    for seq in range(1, 4):
         journal.commit(_record(seq))
-    assert len(sorted(tmp_path.glob("journal-*.log"))) == 3
+    journal.write_base(_base(4))
+    journal.commit(_record(5))
+    first, second = sorted(tmp_path.glob("journal-*.log"))
+    assert [r.seq for r in IngestJournal(tmp_path).frames()] == [1, 2, 3, 4, 5]
+    assert [f.base for f in IngestJournal(tmp_path).frames()] == [False] * 3 + [True, False]
     info = journal.info()
-    assert info["records"] == 5
+    assert info["segments"] == 2
+    assert info["records"] == 4  # the base is not an ingest record
     assert info["last_seq"] == 5
-    assert info["lag"] == 5
+    assert journal.lag(0) == 4 and journal.lag(4) == 1
 
 
-def test_compaction_removes_only_fully_covered_segments(tmp_path):
-    journal = IngestJournal(tmp_path, segment_records=2)
-    for seq in range(1, 6):
+def test_compaction_removes_every_segment_older_than_the_base(tmp_path):
+    journal = IngestJournal(tmp_path)
+    for seq in range(1, 3):
         journal.commit(_record(seq))
-    removed = journal.compact(4)
-    assert removed == 2  # segments [1,2] and [3,4]; seq 5 stays
-    assert [r.seq for r in journal.replay()] == [5]
-    assert journal.lag(4) == 1
-    assert journal.lag(5) == 0
-    # A fresh open sees the same surviving suffix.
-    assert [r.seq for r in IngestJournal(tmp_path).replay()] == [5]
-    assert IngestJournal(tmp_path).next_seq() == 6
+    journal.write_base(_base(3))
+    journal.commit(_record(4))
+    journal.write_base(_base(5))
+    journal.commit(_record(6))
+    assert journal.compact(3) == 1  # the segment of records 1 and 2
+    assert journal.compact(99) == 0  # no segment starts at such a base
+    assert journal.compact(5) == 1
+    assert [r.seq for r in journal.frames()] == [5, 6]
+    assert journal.lag(5) == 1
+    # A fresh open sees the same surviving base and suffix.
+    assert [r.seq for r in IngestJournal(tmp_path).frames()] == [5, 6]
+    assert IngestJournal(tmp_path).next_seq() == 7
 
 
 def test_append_without_sync_is_not_acknowledged(tmp_path):
@@ -212,16 +244,17 @@ def test_enospc_flavor_surfaces_as_oserror(tmp_path):
 
 def test_journal_trace_events(tmp_path):
     sink = RingBufferSink()
-    journal = IngestJournal(tmp_path, tracer=Tracer([sink]), segment_records=1)
+    journal = IngestJournal(tmp_path, tracer=Tracer([sink]))
     journal.commit(_record(1))
-    journal.commit(_record(2))
+    journal.write_base(_base(2))
     journal.replay()
-    journal.compact(1)
+    journal.compact(2)
     names = [event.name for event in sink]
     for expected in (
         "journal.append",
         "journal.fsync",
         "journal.replay",
         "journal.compact",
+        "checkpoint.save",
     ):
         assert expected in names, names

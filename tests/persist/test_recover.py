@@ -19,8 +19,6 @@ from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.persist import (
-    CheckpointStore,
-    FlakyStore,
     RetryPolicy,
     Session,
     fixpoint_digest,
@@ -31,6 +29,7 @@ from repro.persist.journal import (
     IngestJournal,
     JournalMismatch,
     JournalUnavailable,
+    legacy_bases,
 )
 from repro.robustness import Budget, BudgetExceededError, FaultInjector
 
@@ -63,6 +62,14 @@ def _digest(outcome):
     return fixpoint_digest([("recovery", outcome.result.idb)])
 
 
+def _journal(root):
+    return IngestJournal(root / "journal")
+
+
+def _bases(root):
+    return [frame for frame in _journal(root).frames() if frame.base]
+
+
 @pytest.mark.parametrize("reference", ["slots", "model"])
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
 def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, reference, storage):
@@ -71,9 +78,11 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, reference, stora
     database of either backend, against a cold recompute by the engine
     and by the independent model."""
     injector = FaultInjector()
-    store = FlakyStore(CheckpointStore(tmp_path), injector)
     session = Session(
-        _program(), _database().to_storage(storage), store=store, retry=FAST
+        _program(),
+        _database().to_storage(storage),
+        journal=FlakyJournal(_journal(tmp_path), injector),
+        retry=FAST,
     )
     session.run()
     session.ingest([("edge", (4, 5))])
@@ -83,7 +92,7 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, reference, stora
     assert not session.checkpoint()  # degraded: no durable checkpoint
     # -- restart --------------------------------------------------------
     fresh = Session(
-        _program(), _database().to_storage(storage), store=CheckpointStore(tmp_path)
+        _program(), _database().to_storage(storage), journal=_journal(tmp_path)
     )
     recovered = fresh.recover()
     assert recovered.mode == "recovered"
@@ -98,15 +107,14 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, reference, stora
 def test_append_crash_leaves_state_unmutated(tmp_path):
     """A journal failure *before* the fsync is a clean refusal: nothing
     is acknowledged, nothing is mutated, recovery sees no trace."""
-    store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store, retry=FAST)
+    session = Session(_program(), _database(), journal=_journal(tmp_path), retry=FAST)
     session.run()
     injector = FaultInjector().arm_random("journal.append", rate=1.0)
     session.journal = FlakyJournal(session.journal, injector)
     with pytest.raises(JournalUnavailable):
         session.ingest([("edge", (4, 5))])
     assert (4, 5) not in session.database.relation("edge").rows()
-    recovered = Session(_program(), _database(), store=store).recover()
+    recovered = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     assert recovered.replayed == 0
     assert _digest(recovered) == _cold_digest()
 
@@ -116,14 +124,13 @@ def test_fsync_crash_window_recovers_acked_or_acked_plus_inflight(tmp_path):
     durable.  Recovery must land on exactly one of the two admissible
     states — acked-only, or acked plus the in-flight record — never a
     torn hybrid."""
-    store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store, retry=FAST)
+    session = Session(_program(), _database(), journal=_journal(tmp_path), retry=FAST)
     session.run()
     injector = FaultInjector().arm_random("journal.fsync", rate=1.0)
     session.journal = FlakyJournal(session.journal, injector)
     with pytest.raises(JournalUnavailable):
         session.ingest([("edge", (4, 5))])
-    recovered = Session(_program(), _database(), store=store).recover()
+    recovered = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     assert _digest(recovered) in {_cold_digest(), _cold_digest([(4, 5)])}
 
 
@@ -131,43 +138,30 @@ def test_crash_during_replay_is_retryable(tmp_path):
     """A fault while *reading* the journal during recovery aborts that
     recovery without consuming anything: the next attempt replays the
     identical suffix."""
-    store = CheckpointStore(tmp_path)
-    Session(_program(), _database(), store=store).run()
-    # A store-less writer shares the journal: its ingest is acked but
-    # never checkpoint-covered, exactly the state a crash leaves behind.
-    writer = Session(
-        _program(),
-        _database(),
-        journal=IngestJournal(tmp_path / "journal"),
-    )
+    Session(_program(), _database(), journal=_journal(tmp_path)).run()
+    # One small ingest stays below the lag limit: acked but never
+    # base-covered, exactly the state a crash leaves behind.
+    writer = Session(_program(), _database(), journal=_journal(tmp_path))
     writer.ingest([("edge", (4, 5))])
     injector = FaultInjector().arm("journal.replay", at=1)
-    flaky = FlakyJournal(
-        IngestJournal(CheckpointStore(tmp_path).directory / "journal"), injector
-    )
     crashed = Session(
-        _program(), _database(), store=CheckpointStore(tmp_path), journal=flaky
+        _program(), _database(), journal=FlakyJournal(_journal(tmp_path), injector)
     )
     with pytest.raises(OSError):
         crashed.recover()
-    retry = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    retry = Session(_program(), _database(), journal=_journal(tmp_path))
     recovered = retry.recover()
     assert recovered.replayed == 1
     assert _digest(recovered) == _cold_digest([(4, 5)])
 
 
 def test_recover_twice_is_idempotent(tmp_path):
-    store = CheckpointStore(tmp_path)
-    Session(_program(), _database(), store=store).run()
-    writer = Session(
-        _program(),
-        _database(),
-        journal=IngestJournal(tmp_path / "journal"),
-    )
+    Session(_program(), _database(), journal=_journal(tmp_path)).run()
+    writer = Session(_program(), _database(), journal=_journal(tmp_path))
     writer.ingest([("edge", (4, 5))])
-    first = Session(_program(), _database(), store=store).recover()
+    first = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     assert first.replayed == 1
-    second = Session(_program(), _database(), store=store).recover()
+    second = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     # The first recovery wrote a base and compacted; the second folds it
     # in with nothing left to replay — and the fixpoint is unchanged.
     assert second.replayed == 0
@@ -177,18 +171,13 @@ def test_recover_twice_is_idempotent(tmp_path):
 def test_foreign_journal_raises_mismatch(tmp_path):
     """A journal whose records chain from a different workload must be
     rejected, not silently replayed into the wrong fixpoint."""
-    store = CheckpointStore(tmp_path)
-    Session(_program(), _database(), store=store).run()
-    writer = Session(
-        _program(),
-        _database(),
-        journal=IngestJournal(tmp_path / "journal"),
-    )
+    Session(_program(), _database(), journal=_journal(tmp_path)).run()
+    writer = Session(_program(), _database(), journal=_journal(tmp_path))
     writer.ingest([("edge", (9, 10))])
     foreign = parse_program(
         PROGRAM_TEXT + "\n    r(X) :- edge(X, X).\n", query="q"
     )
-    impostor = Session(foreign, _database(), store=store)
+    impostor = Session(foreign, _database(), journal=_journal(tmp_path))
     with pytest.raises(JournalMismatch):
         impostor.recover()
 
@@ -210,23 +199,22 @@ def test_budget_trip_mid_recompute_fallback_is_recoverable(tmp_path):
     database = Database.from_rows(
         {"source": [(1,)], "edge": list(EDGES), "blocked": [(3,)]}
     )
-    store = CheckpointStore(tmp_path)
-    Session(negation, database, store=store).run()
+    Session(negation, database, journal=_journal(tmp_path)).run()
     # Negation forces the recompute fallback on ingest; a one-fact budget
     # trips it before the journal fsync.
     tripper = Session(
-        negation, database, store=store, budget=Budget(max_facts=1)
+        negation, database, journal=_journal(tmp_path), budget=Budget(max_facts=1)
     )
     with pytest.raises(BudgetExceededError):
         tripper.ingest([("blocked", (4,))])
     assert tripper.journal.last_seq == 0  # nothing was acknowledged
     assert not database.contains("blocked", (4,))
-    recovered = Session(negation, database, store=store).recover()
+    recovered = Session(negation, database, journal=_journal(tmp_path)).recover()
     assert _digest(recovered) == _cold_digest(program=negation, database=database)
     tripper.budget = None
     assert tripper.ingest([("edge", (4, 5))]).mode == "incremental"
     tripper.journal.close()
-    recovered = Session(negation, database, store=store).recover()
+    recovered = Session(negation, database, journal=_journal(tmp_path)).recover()
     cold = evaluate(
         negation,
         Database.from_rows(
@@ -247,15 +235,16 @@ def test_recovery_after_compaction_uses_self_contained_checkpoint(
     """Once a covering checkpoint lands and the journal is compacted,
     the checkpoint itself must carry the ingested EDB rows — recovery
     from the initial database alone still yields the full fixpoint."""
-    store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database().to_storage(storage), store=store)
+    session = Session(
+        _program(), _database().to_storage(storage), journal=_journal(tmp_path)
+    )
     session.run()
     session.ingest([("edge", (4, 5))])
     session.ingest([("edge", (5, 6))])
     assert session.checkpoint()
     assert session.journal_info()["lag"] == 0  # fully compacted
     recovered = Session(
-        _program(), _database().to_storage(storage), store=store
+        _program(), _database().to_storage(storage), journal=_journal(tmp_path)
     ).recover()
     assert recovered.replayed == 0
     assert _digest(recovered) == _cold_digest([(4, 5), (5, 6)])
@@ -266,12 +255,16 @@ def test_journal_only_recovery_without_any_checkpoint(tmp_path):
     evaluation as always, over initial EDB + journal suffix, and writes
     the base the replay is owed."""
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
-    store = FlakyStore(CheckpointStore(tmp_path), injector)
-    session = Session(_program(), _database(), store=store, retry=FAST)
+    session = Session(
+        _program(),
+        _database(),
+        journal=FlakyJournal(_journal(tmp_path), injector),
+        retry=FAST,
+    )
     session.run()
     session.ingest([("edge", (4, 5))])
     recovered = Session(
-        _program(), _database(), store=CheckpointStore(tmp_path)
+        _program(), _database(), journal=_journal(tmp_path)
     ).recover()
     assert recovered.mode == "recovered" and recovered.replayed == 1
     assert not recovered.fallback_chain and recovered.checkpoints_written == 1
@@ -292,7 +285,7 @@ def test_every_step_a_fresh_session_on_the_initial_edb(tmp_path, steps):
     after every step, and no valid checkpoint is ever renamed."""
     ingested = []
     for step in steps:
-        session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+        session = Session(_program(), _database(), journal=_journal(tmp_path))
         if isinstance(step, tuple):
             ingested.append(step)
             outcome = session.ingest([("edge", step)])
@@ -314,19 +307,21 @@ def test_recovery_reruns_a_killed_evaluation_of_the_journal_chain(tmp_path):
     writer = Session(
         _program(),
         _database(),
-        store=FlakyStore(CheckpointStore(tmp_path), injector),
+        journal=FlakyJournal(_journal(tmp_path), injector),
         retry=FAST,
     )
     writer.run()
     writer.ingest([("edge", (4, 5))])  # acknowledged; nothing else is on disk
     writer.journal.close()
-    store = CheckpointStore(tmp_path)
     with pytest.raises(BudgetExceededError):  # "killed" after two rounds
         Session(
-            _program(), _database(), store=store, budget=Budget(max_iterations=2)
+            _program(),
+            _database(),
+            journal=_journal(tmp_path),
+            budget=Budget(max_iterations=2),
         ).recover()
-    assert store.paths() == []
-    recovered = Session(_program(), _database(), store=store).recover()
+    assert _bases(tmp_path) == []
+    recovered = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     assert recovered.mode == "recovered" and recovered.replayed == 1
     assert recovered.checkpoints_written == 1
     assert _digest(recovered) == _cold_digest([(4, 5)])
@@ -357,27 +352,27 @@ def test_parent_frontier_is_skipped_not_trusted(tmp_path):
     checksum = hashlib.sha256(canonical.encode()).hexdigest()
     frontier = tmp_path / f"ckpt-00000001-{checksum[:12]}.json"
     frontier.write_text(f'{{"checksum":"{checksum}","payload":{canonical}}}')
-    store = CheckpointStore(tmp_path)
-    assert store.load(frontier).edb is None  # valid, but holds no EDB
-    outcome = Session(_program(), _database(), store=store).recover()
+    assert list(legacy_bases(tmp_path)) == []  # valid, but holds no EDB
+    outcome = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     assert outcome.mode == "fresh"
     assert {pred: rel.rows() for pred, rel in outcome.result.idb.items()} == (
         model_fixpoint(_program(), _database())
     )
     assert frontier.exists() and not list(tmp_path.glob("*.corrupt*"))
-    assert outcome.checkpoints_written == 0 and store.paths() == [frontier]
+    assert outcome.checkpoints_written == 0 and _bases(tmp_path) == []
 
 
 def test_failed_recovery_leaves_the_session_as_constructed(tmp_path):
     """A budget trip inside recovery's replay takes the folded rows back
     out: the same session can recover again — or ingest, which does."""
-    store = CheckpointStore(tmp_path)
-    writer = Session(_program(), _database(), store=store)
+    writer = Session(_program(), _database(), journal=_journal(tmp_path))
     writer.run()
     writer.ingest([("edge", (4, 5))])
     writer.ingest([("edge", (5, 6))])  # acknowledged, not checkpoint-covered
     writer.journal.close()
-    session = Session(_program(), _database(), store=store, budget=Budget(max_facts=1))
+    session = Session(
+        _program(), _database(), journal=_journal(tmp_path), budget=Budget(max_facts=1)
+    )
     with pytest.raises(BudgetExceededError):
         session.recover()
     assert session._last is None
@@ -387,7 +382,7 @@ def test_failed_recovery_leaves_the_session_as_constructed(tmp_path):
     outcome = session.ingest([("edge", (6, 7))])
     assert _digest(outcome) == _cold_digest([(4, 5), (5, 6), (6, 7)])
     session.journal.close()
-    recovered = Session(_program(), _database(), store=store).recover()
+    recovered = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     assert _digest(recovered) == _cold_digest([(4, 5), (5, 6), (6, 7)])
 
 
@@ -395,7 +390,8 @@ def test_a_parent_checkpoint_and_a_compacted_journal_recover_every_row(tmp_path)
     """A directory an older build left: its version-2 checkpoint holds an
     ingested row whose journal record was compacted away, and its
     journal the ingests since.  Recovery from the initial EDB returns
-    every one of them, and the next restart replays nothing."""
+    every one of them and leaves a base frame in place of the file, and
+    the next restart replays nothing."""
     from pathlib import Path
 
     from repro.persist.journal import JournalRecord
@@ -413,7 +409,7 @@ def test_a_parent_checkpoint_and_a_compacted_journal_recover_every_row(tmp_path)
     )
     initial = {"e": [(1, 2), (2, 3), (3, 4)]}
     covered = Database.from_rows({**initial, "f": [(7, 8)]})
-    journal = IngestJournal(tmp_path / "journal")
+    journal = _journal(tmp_path)
     # The compacted record's sequence is gone; the journal resumes after it.
     for seq, row in ((2, (4, 5)), (3, (5, 6))):
         journal.commit(
@@ -423,13 +419,14 @@ def test_a_parent_checkpoint_and_a_compacted_journal_recover_every_row(tmp_path)
     journal.close()
     for want_replayed in (2, 0):
         outcome = Session(
-            program, Database.from_rows(initial), store=CheckpointStore(tmp_path)
+            program, Database.from_rows(initial), journal=_journal(tmp_path)
         ).recover()
         assert outcome.mode == "recovered" and outcome.replayed == want_replayed
         assert outcome.result.database.to_dict() == covered.to_dict()
         assert {pred: outcome.result.rows(pred) for pred in ("p", "r")} == (
             model_fixpoint(program, covered)
         )
+        assert not list(tmp_path.glob("ckpt-*.json")) and len(_bases(tmp_path)) == 1
 
 
 def test_a_stale_record_with_no_base_is_kept_for_the_original_edb(tmp_path):
@@ -437,15 +434,15 @@ def test_a_stale_record_with_no_base_is_kept_for_the_original_edb(tmp_path):
     restart that re-registers the ingested EDB finds the record stale,
     but with no base holding the row it must not compact it away: a
     later restart with the original EDB still answers the ingest."""
-    first = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    first = Session(_program(), _database(), journal=_journal(tmp_path))
     first.recover()
     first.ingest([("edge", (4, 5))])
     first.journal.close()
-    assert not CheckpointStore(tmp_path).paths()  # below the lag limit
-    grown = Session(_program(), _database([(4, 5)]), store=CheckpointStore(tmp_path))
+    assert not _bases(tmp_path)  # below the lag limit
+    grown = Session(_program(), _database([(4, 5)]), journal=_journal(tmp_path))
     assert grown.recover().replayed == 0
     grown.journal.close()
-    original = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    original = Session(_program(), _database(), journal=_journal(tmp_path))
     recovered = original.recover()
     assert recovered.replayed == 1
     assert original.database.contains("edge", (4, 5))

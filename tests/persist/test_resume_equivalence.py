@@ -14,7 +14,8 @@ import pytest
 from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
-from repro.persist import CheckpointStore, IngestJournal, Session
+from repro.persist import FlakyJournal, IngestJournal, RetryPolicy, Session
+from repro.robustness import FaultInjector
 from repro.workloads.generators import random_workload
 
 
@@ -76,14 +77,21 @@ def test_non_monotone_journal_replay_matches_cold_recompute(tmp_path, seed):
     base_rows, extra = _split(full_db)
     negated = {lit.predicate for rule in program.rules for lit in rule.negative_literals}
     assert "blocked" in negated & {pred for pred, _ in extra}
+    # Every base write fails, so the records stay the only copy.
     writer = Session(
-        program, Database.from_rows(base_rows), journal=IngestJournal(tmp_path / "journal")
+        program,
+        Database.from_rows(base_rows),
+        journal=FlakyJournal(
+            IngestJournal(tmp_path / "journal"),
+            FaultInjector().arm_random("checkpoint.save", rate=1.0),
+        ),
+        retry=RetryPolicy(attempts=1),
     )
     for pred in sorted({pred for pred, _ in extra}):
         writer.ingest([(p, row) for p, row in extra if p == pred])
     writer.journal.close()
     outcome = Session(
-        program, Database.from_rows(base_rows), store=CheckpointStore(tmp_path)
+        program, Database.from_rows(base_rows), journal=IngestJournal(tmp_path / "journal")
     ).recover()
     assert outcome.mode == "recovered" and outcome.replayed >= 1
     assert not outcome.fallback_chain

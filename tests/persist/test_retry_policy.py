@@ -1,8 +1,7 @@
 """RetryPolicy in isolation: jitter determinism, caps, deadline clamps.
 
-The policy backs every durable write (checkpoint saves, journal
-commits); until now it was only exercised indirectly through the store
-and supervisor suites.  These tests pin its contract directly:
+The policy backs every durable write (base writes, journal
+commits).  These tests pin its contract directly:
 attempt ``k`` sleeps ``min(base_delay * 2**k, max_delay)`` scaled by a
 jitter factor drawn from a generator seeded with ``seed``.
 """
@@ -12,7 +11,7 @@ import math
 import pytest
 
 from repro.persist.journal import JournalUnavailable, commit_with_retry
-from repro.persist.store import RetryPolicy
+from repro.persist.journal import RetryPolicy
 from repro.robustness import Budget, BudgetExceededError, Governor
 
 

@@ -6,7 +6,7 @@ from reference_model import model_fixpoint
 from repro.datalog.database import ArityMismatch, Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
-from repro.persist import CheckpointStore, FlakyStore, IngestJournal, RetryPolicy, Session
+from repro.persist import FlakyJournal, IngestJournal, RetryPolicy, Session
 from repro.robustness import Budget, BudgetExceededError, FaultInjector
 
 PROGRAM_TEXT = """
@@ -29,34 +29,40 @@ def _rows(result):
     return {pred: rel.rows() for pred, rel in result.idb.items()}
 
 
+def _journal(root):
+    return IngestJournal(root / "journal")
+
+
+def _bases(root):
+    return [frame for frame in _journal(root).frames() if frame.base]
+
+
 def test_run_writes_nothing(tmp_path):
     """A run evaluates the EDB it was given; the caller re-supplies that
     EDB on every start, so there is nothing to make durable."""
-    store = CheckpointStore(tmp_path)
-    outcome = Session(_program(), _database(), store=store).run()
+    outcome = Session(_program(), _database(), journal=_journal(tmp_path)).run()
     assert outcome.mode == "fresh"
     assert outcome.checkpoints_written == 0
-    assert store.paths() == [] and not list(tmp_path.rglob("*.log"))
+    assert not list(tmp_path.rglob("*.log"))
 
 
 def _with_base(tmp_path, extra):
     """A directory holding one base: the initial EDB plus ``extra``."""
-    store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store)
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     session.ingest([("edge", row) for row in extra])
     assert session.checkpoint()
     session.journal.close()
-    return store
+    [base] = _bases(tmp_path)
+    return base
 
 
 def test_resume_from_store_is_row_identical(tmp_path):
     baseline = _rows(Session(_program(), _database(extra=[(5, 6)])).run().result)
-    store = _with_base(tmp_path, [(5, 6)])
-    [path] = store.paths()
-    resumed = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    base = _with_base(tmp_path, [(5, 6)])
+    resumed = Session(_program(), _database(), journal=_journal(tmp_path))
     outcome = resumed.recover()
     assert outcome.mode == "recovered" and outcome.replayed == 0
-    assert resumed.base_summary()["seq"] == store.load(path).seq
+    assert resumed.base_summary()["seq"] == base.seq
     # The fixpoint is re-derived, so its counters are this evaluation's.
     cold = evaluate(_program(), _database(extra=[(5, 6)])).stats.as_dict()
     derived = outcome.stats.as_dict()
@@ -67,28 +73,24 @@ def test_resume_from_store_is_row_identical(tmp_path):
 
 
 def test_resume_empty_store_falls_back_to_fresh(tmp_path):
-    outcome = Session(_program(), _database(), store=CheckpointStore(tmp_path)).recover()
+    outcome = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
     assert outcome.mode == "fresh"
     assert outcome.checkpoints_written == 0
 
 
 def test_resume_ignores_checkpoint_of_other_workload(tmp_path):
-    store = _with_base(tmp_path, [(5, 6)])
-    foreign = store.paths()
+    foreign = _with_base(tmp_path, [(5, 6)])
     other_db = _database(extra=[(7, 8)])
-    outcome = Session(
-        _program(), other_db, store=CheckpointStore(tmp_path)
-    ).recover()
+    outcome = Session(_program(), other_db, journal=_journal(tmp_path)).recover()
     # a foreign base is ignored — and stays where it is: it is
     # somebody's perfectly valid base
     assert outcome.mode == "fresh"
-    assert not list(tmp_path.glob("*.corrupt*"))
-    assert [path for path in foreign if path.exists()] == foreign
+    assert _bases(tmp_path) == [foreign]
 
 
 @pytest.mark.parametrize("reference", ("slots", "model"))
 def test_ingest_incremental_row_identical_to_recompute(tmp_path, reference):
-    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     session.run()
     outcome = session.ingest([("edge", (5, 6)), ("edge", (0, 1))])
     assert outcome.mode == "incremental"
@@ -106,7 +108,7 @@ def test_ingest_incremental_row_identical_to_recompute(tmp_path, reference):
 def test_ingest_from_store_without_in_memory_result(tmp_path):
     _with_base(tmp_path, [(0, 1)])
     # a brand-new session (fresh process) recovers the stored EDB, then ingests
-    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     outcome = session.ingest(parse_facts("edge(5, 6)."))
     assert outcome.mode == "incremental"
     recomputed = _rows(
@@ -116,7 +118,7 @@ def test_ingest_from_store_without_in_memory_result(tmp_path):
 
 
 def test_ingest_duplicate_facts_is_noop(tmp_path):
-    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     before = _rows(session.run().result)
     outcome = session.ingest([("edge", (1, 2))])
     assert _rows(outcome.result) == before
@@ -205,16 +207,15 @@ def test_ingest_rejects_wrong_arity_before_journaling_anything(tmp_path):
 
 def test_unrecoverable_store_degrades_to_in_memory(tmp_path):
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
-    store = FlakyStore(CheckpointStore(tmp_path), injector)
     # An acknowledged ingest no base covers: the recovery that replays
     # it owes the directory a base, and cannot write one.
-    writer = Session(_program(), _database(), journal=IngestJournal(tmp_path / "journal"))
+    writer = Session(_program(), _database(), journal=_journal(tmp_path))
     writer.ingest([("edge", (5, 6))])
     writer.journal.close()
     session = Session(
         _program(),
         _database(),
-        store=store,
+        journal=FlakyJournal(_journal(tmp_path), injector),
         retry=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
     )
     outcome = session.recover()
@@ -235,24 +236,24 @@ def test_budget_trip_during_run_propagates(tmp_path):
         Session(
             _program(),
             _database(),
-            store=CheckpointStore(tmp_path),
+            journal=_journal(tmp_path),
             budget=Budget(max_facts=1),
         ).run()
     assert info.value.partial is not None
 
 
 def test_inspect_summarizes_store(tmp_path):
-    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     info = session.inspect()
-    assert info["latest"] is None and info["store"]["checkpoints"] == 0
-    assert "checkpoint_every" not in info
+    assert set(info) == {"workload", "latest", "journal"}
+    assert info["latest"] is None and info["journal"]["records"] == 0
     session.run()
     assert session.inspect()["latest"] is None  # a run writes nothing
     session.ingest([("edge", (5, 6))])
     assert session.checkpoint()
     info = session.inspect()
-    assert info["latest"]["seq"] == 1 and info["latest"]["edb_facts"] == 5
-    assert info["store"]["checkpoints"] == 1
+    assert info["latest"]["seq"] == 2 and info["latest"]["edb_facts"] == 5
+    assert info["journal"]["segments"] == 1 and info["journal"]["records"] == 0
     assert info["workload"] == session.workload()
     assert info["journal"]["lag"] == 0
 
@@ -261,52 +262,52 @@ def test_inspect_reports_the_base_recovery_uses(tmp_path):
     """Inspecting from the initial files reports the base recovery would
     fold in — the newest that binds — not the newest whose digest is the
     initial EDB's."""
-    writer = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    writer = Session(_program(), _database(), journal=_journal(tmp_path))
     writer.ingest([("edge", (5, 6))])
     assert writer.checkpoint()
     writer.ingest([("edge", (6, 7))])
     assert writer.checkpoint()
     writer.journal.close()
-    inspected = Session(_program(), _database(), store=CheckpointStore(tmp_path)).inspect()
-    restarted = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    inspected = Session(_program(), _database(), journal=_journal(tmp_path)).inspect()
+    restarted = Session(_program(), _database(), journal=_journal(tmp_path))
     restarted.recover()
-    assert inspected["latest"]["seq"] == restarted.base_summary()["seq"] == 2
+    assert inspected["latest"]["seq"] == restarted.base_summary()["seq"] == 4
     assert inspected["latest"]["edb_facts"] == len(EDGES) + 2
 
 
 def test_inspect_is_read_only_across_workloads(tmp_path):
     """Inspecting with a different data file (e.g. pre-ingest) must not
-    quarantine the other workload's valid bases."""
-    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    touch the other workload's valid bases."""
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     session.run()
     session.ingest([("edge", (5, 6))])
     assert session.checkpoint()  # a base, new digest
-    stale = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    bases = _bases(tmp_path)
+    stale = Session(_program(), _database(), journal=_journal(tmp_path))
     info = stale.inspect()
-    assert not info["store"]["corrupt"]
-    assert not list(tmp_path.glob("*.corrupt"))
+    assert _bases(tmp_path) == bases
     # the pre-ingest view still resolves the base recovery would use...
     assert info["latest"]["edb_facts"] == len(EDGES) + 1
     # ...and so does the post-ingest one
     combined = Session(
-        _program(), _database(extra=[(5, 6)]), store=CheckpointStore(tmp_path)
+        _program(), _database(extra=[(5, 6)]), journal=_journal(tmp_path)
     )
-    assert combined.inspect()["latest"]["seq"] == info["latest"]["seq"] == 1
+    assert combined.inspect()["latest"]["seq"] == info["latest"]["seq"] == 2
     foreign = Session(
-        _program(), _database(extra=[(7, 8)]), store=CheckpointStore(tmp_path)
+        _program(), _database(extra=[(7, 8)]), journal=_journal(tmp_path)
     )
     assert foreign.inspect()["latest"] is None
 
 
 def test_inspect_without_store():
     info = Session(_program(), _database()).inspect()
-    assert info["store"] is None
+    assert info["latest"] is None and info["journal"] is None
 
 
 def test_session_stats_cumulative_and_monotone(tmp_path):
     # Counters start afresh with every process; within one, an ingest
     # adds to what the evaluation before it counted.
-    session = Session(_program(), _database(), store=CheckpointStore(tmp_path))
+    session = Session(_program(), _database(), journal=_journal(tmp_path))
     first = session.recover()
     assert first.stats.wall_time_seconds > 0.0
     first = first.stats.as_dict()

@@ -1,18 +1,16 @@
-"""Store behavior: atomicity, quarantine, fault flavors, retry policy."""
-
-import os
+"""Base writes: one base per directory, torn writes, fault flavors, retry policy."""
 
 import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
 from repro.observability import RingBufferSink, Tracer
-from repro.persist.checkpoint import Checkpoint, CheckpointCorrupt, workload_digest
-from repro.persist import Session
-from repro.persist.store import (
-    CheckpointStore,
-    CheckpointStoreUnavailable,
-    FlakyStore,
+from repro.persist import Session, workload_digest
+from repro.persist.journal import (
+    FlakyJournal,
+    IngestJournal,
+    JournalRecord,
+    JournalUnavailable,
     RetryPolicy,
     save_with_retry,
 )
@@ -28,178 +26,143 @@ PROGRAM = parse_program(
 )
 
 
-def _database():
-    return Database.from_rows({"edge": [(1, 2), (2, 3), (3, 4)]})
+def _database(extra=()):
+    return Database.from_rows({"edge": [(1, 2), (2, 3), (3, 4), *extra]})
 
 
-def _checkpoints(n=2):
-    digest = workload_digest(PROGRAM, _database())
-    edb = {"edge": _database().relation("edge").rows()}
-    return [Checkpoint(seq=i + 1, workload=digest, edb=edb) for i in range(n)]
+def _base(seq, extra=()):
+    database = _database(extra)
+    return JournalRecord(
+        seq=seq,
+        workload=workload_digest(PROGRAM, database),
+        rows=tuple(("edge", row) for row in sorted(database.relation("edge").rows())),
+        written=1.0,
+    )
 
 
-def _recovered_from(store):
+def _segments(root):
+    return sorted((root / "journal").glob("journal-*.log"))
+
+
+def _recovered_from(root):
     """The seq of the base a fresh session's recovery folds in."""
-    session = Session(PROGRAM, _database(), store=store)
+    session = Session(PROGRAM, _database(), journal=IngestJournal(root / "journal"))
     session.recover()
     summary = session.base_summary()
     return None if summary is None else summary["seq"]
 
 
 def test_save_load_latest_round_trip(tmp_path):
-    store = CheckpointStore(tmp_path)
-    first, second = _checkpoints(2)
-    store.save(first)
-    store.save(second)
-    assert len(store.paths()) == 2
-    assert store.next_seq() == 3
-    assert store.load(store.paths()[-1]) == second
-    loaded = store.load(store.paths()[0])
-    assert loaded.seq == 1
-    assert _recovered_from(store) == 2
+    journal = IngestJournal(tmp_path / "journal")
+    journal.write_base(_base(1))
+    journal.write_base(_base(2, [(4, 5)]))
+    assert len(_segments(tmp_path)) == 2  # a base starts a fresh segment
+    assert journal.next_seq() == 3
+    assert journal.compact(2) == 1  # only once it is fsynced do older ones go
+    assert [frame.seq for frame in IngestJournal(tmp_path / "journal").frames()] == [2]
+    assert _recovered_from(tmp_path) == 2
 
 
 def test_save_leaves_no_temp_files(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.save(_checkpoints(1)[0])
-    assert not list(tmp_path.glob("*.tmp"))
+    session = Session(PROGRAM, _database(), journal=IngestJournal(tmp_path / "journal"))
+    session.ingest([("edge", (4, 5))])
+    assert session.checkpoint()
+    assert [path.name for path in (tmp_path / "journal").iterdir()] == [
+        _segments(tmp_path)[0].name
+    ]
 
 
-def test_corrupt_checkpoint_quarantined_on_load(tmp_path):
+def test_a_torn_base_frame_is_truncated_on_open(tmp_path):
     sink = RingBufferSink()
-    store = CheckpointStore(tmp_path, tracer=Tracer([sink]))
-    (ckpt,) = _checkpoints(1)
-    path = store.save(ckpt)
-    # Torn write: truncate the file in place.
-    path.write_bytes(path.read_bytes()[:50])
-    with pytest.raises(CheckpointCorrupt):
-        store.load(path)
-    assert not path.exists()
-    assert path.with_name(path.name + ".corrupt").exists()
-    names = [event.name for event in sink]
-    assert "checkpoint.quarantine" in names
+    journal = IngestJournal(tmp_path / "journal")
+    journal.write_base(_base(1))
+    [segment] = _segments(tmp_path)
+    segment.write_bytes(segment.read_bytes()[:50])
+    reopened = IngestJournal(tmp_path / "journal", tracer=Tracer([sink]))
+    assert reopened.frames() == []
+    assert "journal.truncate" in [event.name for event in sink]
+    assert segment.read_bytes() == b""
+    assert _recovered_from(tmp_path) is None
 
 
-def test_latest_walks_past_quarantined_to_older_valid(tmp_path):
-    store = CheckpointStore(tmp_path)
-    first, second = _checkpoints(2)
-    store.save(first)
-    newest = store.save(second)
+def test_recovery_walks_past_a_torn_base_to_the_older_one(tmp_path):
+    """A crash mid-way through a base write leaves the older segments,
+    compaction never having run: recovery folds in the older base."""
+    journal = IngestJournal(tmp_path / "journal")
+    journal.write_base(_base(1))
+    journal.write_base(_base(2, [(4, 5)]))
+    newest = _segments(tmp_path)[-1]
     newest.write_text("garbage")
-    assert _recovered_from(store) == first.seq
-    assert newest.with_name(newest.name + ".corrupt").exists()
-    # the corrupt file is never considered again
-    assert len(store.paths()) == 1
-
-
-def test_double_quarantine_keeps_both_forensic_copies(tmp_path):
-    """Regression: quarantining a *recreated* file of the same name must
-    not clobber the earlier ``.corrupt`` copy — each gets a unique
-    suffix and both stay on disk for forensics."""
-    store = CheckpointStore(tmp_path)
-    (ckpt,) = _checkpoints(1)
-    path = store.save(ckpt)
-    first_bytes = path.read_bytes()[:50]
-    path.write_bytes(first_bytes)
-    with pytest.raises(CheckpointCorrupt):
-        store.load(path)
-    # The same sequence number is written again (a retry after the
-    # torn save) and gets corrupted again.
-    path = store.save(ckpt)
-    second_bytes = path.read_bytes()[:60]
-    path.write_bytes(second_bytes)
-    with pytest.raises(CheckpointCorrupt):
-        store.load(path)
-    first = path.with_name(path.name + ".corrupt")
-    second = path.with_name(path.name + ".corrupt.1")
-    assert first.exists() and second.exists()
-    assert first.read_bytes() == first_bytes
-    assert second.read_bytes() == second_bytes
-    # Neither forensic copy is ever offered as a checkpoint again.
-    assert store.paths() == []
+    assert _recovered_from(tmp_path) == 1
 
 
 def test_workload_mismatch_is_never_quarantined(tmp_path):
     """A valid base of another workload is not folded in by recovery,
     and is left untouched on disk."""
-    store = CheckpointStore(tmp_path)
-    (ckpt,) = _checkpoints(1)
-    path = store.save(ckpt)
+    IngestJournal(tmp_path / "journal").write_base(_base(1))
+    [segment] = _segments(tmp_path)
+    before = segment.read_bytes()
     other = parse_program("q(X) :- edge(X, Y).", query="q")
-    outcome = Session(other, _database(), store=store).recover()
+    outcome = Session(
+        other, _database(), journal=IngestJournal(tmp_path / "journal")
+    ).recover()
     assert outcome.mode == "fresh"
-    assert path.exists()
-    assert not list(tmp_path.glob("*.corrupt*"))
-    assert store.load(path) == ckpt  # still loadable, and its own workload's
-    assert _recovered_from(store) == ckpt.seq
+    assert _segments(tmp_path) == [segment] and segment.read_bytes() == before
+    assert _recovered_from(tmp_path) == 1
 
 
 def test_empty_store_latest_is_none(tmp_path):
-    assert _recovered_from(CheckpointStore(tmp_path)) is None
-    assert Session(PROGRAM, _database(), store=CheckpointStore(tmp_path)).inspect()[
-        "latest"
-    ] is None
-    assert CheckpointStore(tmp_path / "made" / "up").next_seq() == 1
+    assert _recovered_from(tmp_path) is None
+    session = Session(PROGRAM, _database(), journal=IngestJournal(tmp_path / "journal"))
+    assert session.inspect()["latest"] is None
+    assert IngestJournal(tmp_path / "made" / "up").next_seq() == 1
 
 
 # ----------------------------------------------------------------------
-# FlakyStore fault flavors
+# FlakyJournal fault flavors at checkpoint.save
 # ----------------------------------------------------------------------
 def test_flaky_transient_then_success(tmp_path):
     injector = FaultInjector().arm("checkpoint.save", at=1)
-    store = FlakyStore(CheckpointStore(tmp_path), injector)
-    (ckpt,) = _checkpoints(1)
+    journal = FlakyJournal(IngestJournal(tmp_path / "journal"), injector)
     with pytest.raises(OSError):
-        store.save(ckpt)
-    assert store.save(ckpt).exists()
+        journal.write_base(_base(1))
+    assert journal.write_base(_base(1)) > 0
     assert injector.fired == [("checkpoint.save", 1)]
+    assert [frame.seq for frame in IngestJournal(tmp_path / "journal").frames()] == [1]
 
 
 def test_flaky_enospc_flavor(tmp_path):
     import errno
 
     injector = FaultInjector().arm("checkpoint.save", at=1)
-    store = FlakyStore(CheckpointStore(tmp_path), injector, flavors=("enospc",))
+    journal = FlakyJournal(
+        IngestJournal(tmp_path / "journal"), injector, flavors=("enospc",)
+    )
     with pytest.raises(OSError) as info:
-        store.save(_checkpoints(1)[0])
+        journal.write_base(_base(1))
     assert info.value.errno == errno.ENOSPC
-    assert not list(tmp_path.glob("ckpt-*.json"))
+    assert IngestJournal(tmp_path / "journal").frames() == []
 
 
 def test_flaky_torn_write_lands_truncated_bytes(tmp_path):
     injector = FaultInjector().arm("checkpoint.save", at=1)
-    base = CheckpointStore(tmp_path)
-    store = FlakyStore(base, injector, flavors=("torn",))
-    (ckpt,) = _checkpoints(1)
+    inner = IngestJournal(tmp_path / "journal")
+    inner.commit(JournalRecord(seq=1, workload="w" * 64, rows=(("edge", (4, 5)),)))
+    journal = FlakyJournal(inner, injector, flavors=("torn",))
     with pytest.raises(OSError):
-        store.save(ckpt)
-    torn = list(tmp_path.glob("ckpt-*.json"))
-    assert len(torn) == 1  # truncated bytes really landed on the final path
-    with pytest.raises(CheckpointCorrupt):
-        base.load(torn[0])
-    assert torn[0].with_name(torn[0].name + ".corrupt").exists()
+        journal.write_base(_base(2))
+    first, torn = _segments(tmp_path)  # the half frame landed in a fresh segment
+    assert 0 < torn.stat().st_size < len(_base(2).encode())
+    assert [frame.seq for frame in IngestJournal(tmp_path / "journal").frames()] == [1]
+    assert torn.stat().st_size == 0  # truncated on reopen
+    # A retry on the same handle reuses the segment the torn write started.
+    journal.write_base(_base(2))
+    assert _segments(tmp_path) == [first, torn]
 
 
 def test_flaky_rejects_unknown_flavor(tmp_path):
     with pytest.raises(ValueError, match="flavor"):
-        FlakyStore(CheckpointStore(tmp_path), FaultInjector(), flavors=("explode",))
-
-
-def test_flaky_load_faults_and_recovery_walks_past(tmp_path):
-    base = CheckpointStore(tmp_path)
-    first, second = _checkpoints(2)
-    base.save(first)
-    base.save(second)
-    injector = FaultInjector().arm("checkpoint.load", at=1)
-    store = FlakyStore(base, injector)
-    with pytest.raises(OSError):
-        store.load(base.paths()[-1])
-    # the newest load faults transiently; the one reader of the store,
-    # Session.recover(), falls through to the older checkpoint
-    injector.arm("checkpoint.load", at=2)
-    session = Session(PROGRAM, _database(), store=store)
-    assert session.recover().mode == "recovered"
-    assert session.base_summary()["seq"] == first.seq
+        FlakyJournal(IngestJournal(tmp_path), FaultInjector(), flavors=("explode",))
 
 
 # ----------------------------------------------------------------------
@@ -221,17 +184,17 @@ def test_retry_policy_delays_capped_exponential_with_jitter():
 def test_save_with_retry_recovers(tmp_path):
     injector = FaultInjector().arm("checkpoint.save", at=1, times=2)
     sink = RingBufferSink()
-    store = FlakyStore(
-        CheckpointStore(tmp_path, tracer=Tracer([sink])), injector
+    journal = FlakyJournal(
+        IngestJournal(tmp_path / "journal", tracer=Tracer([sink])), injector
     )
     sleeps = []
-    path = save_with_retry(
-        store,
-        _checkpoints(1)[0],
+    size = save_with_retry(
+        journal,
+        _base(1),
         policy=RetryPolicy(attempts=4, base_delay=0.001, max_delay=0.002),
         sleep=sleeps.append,
     )
-    assert path.exists()
+    assert size == _segments(tmp_path)[-1].stat().st_size
     assert len(sleeps) == 2
     retries = [event for event in sink if event.name == "checkpoint.retry"]
     assert len(retries) == 2
@@ -240,11 +203,11 @@ def test_save_with_retry_recovers(tmp_path):
 
 def test_save_with_retry_exhaustion_raises_unavailable(tmp_path):
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
-    store = FlakyStore(CheckpointStore(tmp_path), injector)
-    with pytest.raises(CheckpointStoreUnavailable, match="after 3 attempts"):
+    journal = FlakyJournal(IngestJournal(tmp_path / "journal"), injector)
+    with pytest.raises(JournalUnavailable, match="after 3 attempts"):
         save_with_retry(
-            store,
-            _checkpoints(1)[0],
+            journal,
+            _base(1),
             policy=RetryPolicy(attempts=3, base_delay=0.001, max_delay=0.002),
             sleep=lambda _s: None,
         )
@@ -252,7 +215,7 @@ def test_save_with_retry_exhaustion_raises_unavailable(tmp_path):
 
 def test_save_with_retry_respects_governor_deadline(tmp_path):
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
-    store = FlakyStore(CheckpointStore(tmp_path), injector)
+    journal = FlakyJournal(IngestJournal(tmp_path / "journal"), injector)
     clock = [0.0]
     governor = Governor(Budget(timeout=10.0), clock=lambda: clock[0])
     sleeps = []
@@ -263,10 +226,10 @@ def test_save_with_retry_respects_governor_deadline(tmp_path):
 
     # backoff sleeps are clamped to the remaining deadline
     clock[0] = 9.999
-    with pytest.raises(CheckpointStoreUnavailable):
+    with pytest.raises(JournalUnavailable):
         save_with_retry(
-            store,
-            _checkpoints(1)[0],
+            journal,
+            _base(1),
             policy=RetryPolicy(attempts=2, base_delay=5.0, max_delay=5.0, jitter=0.0),
             governor=governor,
             sleep=sleep,
@@ -277,8 +240,8 @@ def test_save_with_retry_respects_governor_deadline(tmp_path):
     clock[0] = 10.5
     with pytest.raises(BudgetExceededError):
         save_with_retry(
-            store,
-            _checkpoints(1)[0],
+            journal,
+            _base(1),
             policy=RetryPolicy(attempts=2, base_delay=0.001, max_delay=0.002),
             governor=governor,
             sleep=sleep,

@@ -136,7 +136,7 @@ class TestRoutes:
 
         rejected, served, recovered = run(drive())
         for reply in rejected:
-            assert reply == (400, {"error": "values 'abc' and 3 are not order-comparable"})
+            assert reply == (400, {"error": "values of types int and str are not order-comparable"})
         assert [status for status, _ in served] == [200] * 5
         assert [payload["answers"] for _, payload in served] == [
             [[1]], [[1]], [[1], [3]], [[1], [3]], [[1], [3]]

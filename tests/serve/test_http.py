@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from repro.persist.store import RetryPolicy
+from repro.robustness.budget import RetryPolicy
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import ServeDaemon

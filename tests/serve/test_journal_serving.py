@@ -14,7 +14,7 @@ import asyncio
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_facts, parse_program
-from repro.persist import FlakyStore, RetryPolicy, Session
+from repro.persist import RetryPolicy, Session
 from repro.persist.journal import FlakyJournal, IngestJournal
 from repro.robustness import FaultInjector
 
@@ -44,10 +44,10 @@ def _make_app(tmp_path):
 def _orphan_ingest(tmp_path, name, rows):
     """Leave acked-but-uncovered records in a tenant's journal.
 
-    Simulates the crash window: a store-less session shares the
-    tenant's journal and acknowledges an ingest, but no checkpoint ever
+    Simulates the crash window: a second session shares the tenant's
+    journal and acknowledges an ingest below the lag limit, so no base
     covers it — exactly the state a SIGKILL between the journal fsync
-    and the checkpoint save leaves behind.
+    and the base write leaves behind.
     """
     program = parse_program(SPEC["program"], query=SPEC["query"])
     database = Database(parse_facts(SPEC["facts"]))
@@ -113,7 +113,7 @@ def test_healthz_reports_positive_lag_when_checkpoints_fail(tmp_path):
     drive(app, ("PUT", "/programs/jr", SPEC))
     tenant = app.registry.get("jr")
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
-    tenant.session.store = FlakyStore(tenant.session.store, injector)
+    tenant.session.journal = FlakyJournal(tenant.session.journal, injector)
     tenant.session.retry = RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0)
     (status, _), (_, health) = drive(
         app,

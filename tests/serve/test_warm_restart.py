@@ -77,7 +77,8 @@ def test_checkpoint_summary_reports_round_and_age(tmp_path):
     checkpoint = inspected["checkpoint"]
     assert inspected["latest_round"] == ingested["latest_round"]
     assert set(checkpoint) == {"seq", "edb_facts", "bytes", "age_seconds"}
-    assert checkpoint["seq"] == 1 and checkpoint["edb_facts"] == 9
+    # The base frame's seq follows the ingest record's (1) in the journal.
+    assert checkpoint["seq"] == 2 and checkpoint["edb_facts"] == 9
     assert checkpoint["bytes"] > 0 and checkpoint["age_seconds"] >= 0
 
 

@@ -36,10 +36,8 @@ DEFERRED = (
 #: Durable sessions: the daemon runs them, a batch job does not.
 PERSIST = (
     "repro.persist",
-    "repro.persist.checkpoint",
     "repro.persist.journal",
     "repro.persist.session",
-    "repro.persist.store",
 )
 #: No front door reaches these packages at all.
 NEVER = ("repro.parallel", "repro.machines")

@@ -74,6 +74,23 @@ class TestVersionAndExports:
         with pytest.raises(ImportError):
             importlib.import_module("repro.serve.cache")
 
+    def test_the_checkpoint_store_is_gone(self):
+        persist = importlib.import_module("repro.persist")
+        for name in (
+            "Checkpoint", "CheckpointStore", "FlakyStore", "CheckpointError",
+            "CheckpointCorrupt", "CheckpointStoreUnavailable",
+        ):
+            assert name not in persist.__all__ and not hasattr(persist, name)
+            assert name not in repro.__all__ and not hasattr(repro, name)
+        for module in ("repro.persist.checkpoint", "repro.persist.store"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        from repro.persist import IngestJournal, JournalError, Session
+
+        assert issubclass(JournalError, repro.ReproError)
+        assert "store" not in inspect.signature(Session).parameters
+        assert "segment_records" not in inspect.signature(IngestJournal).parameters
+
 
 class TestEndToEnd:
     def test_full_workflow(self):
