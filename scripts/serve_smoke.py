@@ -10,20 +10,23 @@ persist directory, then walks the full tenant life cycle over HTTP:
    bases (durable copies of the EDB) follow journal lag, and a base of
    this EDB outweighs two dozen journal frames, so every one of the
    ingests is acknowledged but not yet base-covered;
-3. SIGKILL the daemon mid-flight;
-4. restart it on the same persist directory, re-register the workload
+3. send one raw request whose ``Content-Length`` is not a number: the
+   daemon must answer 400 and close, then serve a fresh connection;
+4. SIGKILL the daemon mid-flight;
+5. restart it on the same persist directory, re-register the workload
    with its *original* facts and verify the tenant comes back
    ``recovered`` — a replay of exactly the uncovered records, then one
    evaluation — with materialized and magic answers byte-identical to
    the pre-kill daemon's;
-5. SIGKILL and restart once more: the first recovery wrote a base
+6. SIGKILL and restart once more: the first recovery wrote a base
    covering the replayed records, so this one folds that base in,
    replays nothing and re-derives — and the answers are byte-identical
    again.
 
 Exits non-zero on any deviation: a cold restart (mode ``fresh`` after
 the kill), a replay count that is not the expected one, missing
-answers, or any byte difference in the served JSON.
+answers, any byte difference in the served JSON, or a malformed
+request not answered 400.
 
 Usage (from the repository root)::
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -100,6 +104,18 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _malformed_length_status(client: ServeClient) -> bytes:
+    """The status line the daemon answers a non-numeric ``Content-Length``
+    with, on a connection of its own, read until the daemon closes it."""
+    request = b"POST /programs/smoke/query HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+    with socket.create_connection((client.host, client.port), timeout=60) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply.split(b"\r\n", 1)[0]
+
+
 def _kill(daemon: subprocess.Popen, client: ServeClient) -> None:
     client.close()
     os.kill(daemon.pid, signal.SIGKILL)
@@ -147,6 +163,15 @@ def main() -> int:
             magic = client.query(TENANT, "p(0, Y)", mode="magic")
             if json.dumps(magic["answers"], sort_keys=True) != before_bytes:
                 return _fail("default and magic-mode answers differ before the kill")
+
+            status = _malformed_length_status(client)
+            if status != b"HTTP/1.1 400 Bad Request":
+                return _fail(f"a malformed Content-Length was answered {status!r}")
+            client.close()  # the next request opens a fresh connection
+            after_bad = client.query(TENANT, "p(0, Y)", mode="materialized")
+            if json.dumps(after_bad["answers"], sort_keys=True) != before_bytes:
+                return _fail("a fresh connection after the malformed request was not served")
+            print("malformed Content-Length: 400, then a fresh connection served")
         finally:
             _kill(daemon, client)
         print(f"killed daemon pid {daemon.pid} with {uncovered} uncovered records")

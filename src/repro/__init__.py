@@ -25,8 +25,6 @@ from .magic import (
 from .robustness import (
     Budget,
     BudgetExceededError,
-    Cancelled,
-    CancellationToken,
     EvaluationAborted,
     InjectedFault,
     ReproError,
@@ -91,8 +89,6 @@ __all__ = [
     "SessionResult",
     "Budget",
     "BudgetExceededError",
-    "Cancelled",
-    "CancellationToken",
     "EvaluationAborted",
     "FaultInjector",
     "InjectedFault",

@@ -618,9 +618,9 @@ def compute_adornments(
     :class:`AdornmentLimitError` (a ``RuntimeError``) rather than
     looping for hours.  ``budget`` (a
     :class:`~repro.robustness.budget.Budget` or a shared running
-    :class:`~repro.robustness.budget.Governor`) additionally enforces
-    the wall-clock deadline, cancellation and ``max_expansions`` at
-    every adorned-rule expansion.
+    :class:`~repro.robustness.budget.Governor`) additionally polls the
+    wall-clock deadline at every round and (strided) at every
+    adorned-rule expansion.
 
     With ``treat_complete_as_inconsistent=False`` a complete mapping
     (empty residue) does *not* abort the adorned rule: the empty-residue
@@ -679,7 +679,7 @@ def compute_adornments(
                 edb_options = work.edb_options(frontiers, local_index)
                 for indices in _new_choices(seen, sizes):
                     if governor is not None:
-                        governor.expand("adornments")
+                        governor.tick("adornments")
                     choice: list[frozenset[Triplet] | None] = [None] * len(edb_options)
                     # Per-subgoal triplet options (rule-level sigma attached),
                     # indexed by ic.

@@ -243,10 +243,9 @@ def build_query_tree(
     """Build the query forest for the program's query predicate.
 
     ``budget`` (a :class:`~repro.robustness.budget.Budget` or a shared
-    running :class:`~repro.robustness.budget.Governor`) enforces the
-    deadline, cancellation and ``max_expansions`` at every node
-    expansion — the construction is worst-case exponential in the
-    number of adorned equivalence classes.
+    running :class:`~repro.robustness.budget.Governor`) polls the
+    deadline (strided) at every node expansion — the construction is
+    worst-case exponential in the number of adorned equivalence classes.
     """
     governor = Governor.of(budget)
     program = result.program
@@ -277,7 +276,7 @@ def build_query_tree(
         shared = 0
         while queue:
             if governor is not None:
-                governor.expand("querytree")
+                governor.tick("querytree")
             goal = queue.popleft()
             key = goal.key()
             existing = expanded.get(key)

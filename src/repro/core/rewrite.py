@@ -34,7 +34,7 @@ from typing import Iterable
 from ..constraints.integrity import IntegrityConstraint, check_no_idb
 from ..constraints.locality import is_fully_local
 from ..observability.trace import get_tracer
-from ..robustness.budget import Budget, CancellationToken, Governor
+from ..robustness.budget import Budget, Governor
 from ..robustness.errors import abort_phase
 from ..datalog.atoms import Atom, Literal
 from ..datalog.database import Database, Row
@@ -72,10 +72,9 @@ class OptimizationReport:
         database: Database,
         *,
         budget: "Budget | Governor | None" = None,
-        cancellation: CancellationToken | None = None,
     ) -> frozenset[Row]:
         """Evaluate the rewritten program's query over a database."""
-        result = self.evaluation(database, budget=budget, cancellation=cancellation)
+        result = self.evaluation(database, budget=budget)
         return frozenset() if result is None else result.query_rows()
 
     def evaluation(
@@ -83,13 +82,10 @@ class OptimizationReport:
         database: Database,
         *,
         budget: "Budget | Governor | None" = None,
-        cancellation: CancellationToken | None = None,
     ) -> EvaluationResult | None:
         if self.program is None:
             return None
-        return evaluate(
-            self.program, database, budget=budget, cancellation=cancellation
-        )
+        return evaluate(self.program, database, budget=budget)
 
     def render_tree(self) -> str:
         return self.tree.render()
@@ -323,7 +319,6 @@ def optimize(
     propagate_orders: bool = True,
     max_adornments: int = 4096,
     budget: "Budget | Governor | None" = None,
-    cancellation: CancellationToken | None = None,
 ) -> OptimizationReport:
     """Rewrite ``program`` to completely incorporate ``constraints``.
 
@@ -335,15 +330,14 @@ def optimize(
     constraints were used only for sound residue injection.
 
     With a ``budget`` (a :class:`~repro.robustness.budget.Budget` or a
-    shared running :class:`~repro.robustness.budget.Governor`) or a
-    ``cancellation`` token the run is governed: a tripped limit, a fired
-    token or an injected fault raises the matching
+    shared running :class:`~repro.robustness.budget.Governor`) the run
+    is governed: a tripped limit or an injected fault raises the matching
     :class:`~repro.robustness.errors.EvaluationAborted` with ``phase``
     set.  There is no partial rewrite — the caller gets ``P'`` or the
     typed abort.
     """
     constraints = tuple(constraints)
-    governor = Governor.of(budget, cancellation)
+    governor = Governor.of(budget)
     if program.query is None:
         raise ValueError("optimize() needs a program with a query predicate")
     check_no_idb(constraints, program)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import Budget, CancellationToken, Governor
+from ..robustness.budget import Budget, Governor
 from ..robustness.errors import EvaluationAborted
 from .atoms import Literal
 from .database import Database, Frontier, Relation, Row, UnionView
@@ -618,7 +618,6 @@ def evaluate(
     *,
     tracer: Tracer | None = None,
     budget: "Budget | Governor | None" = None,
-    cancellation: CancellationToken | None = None,
 ) -> EvaluationResult:
     """Evaluate ``program`` bottom-up over ``database``.
 
@@ -640,16 +639,15 @@ def evaluate(
 
     ``budget`` (a :class:`~repro.robustness.budget.Budget`, or an
     already-running :class:`~repro.robustness.budget.Governor` shared
-    with earlier phases) and ``cancellation`` make the run governed:
-    limits are checked at SCC, round and rule boundaries and, inside a
-    rule's join, at every stride of scanned rows (clock, token,
-    ``max_facts`` and ``max_rows_scanned`` — a single explosive rule
-    overshoots by at most a stride), and a violated limit raises
-    :class:`~repro.robustness.errors.BudgetExceededError` (or
-    :class:`~repro.robustness.errors.Cancelled`) carrying the partial
-    fixpoint computed so far in ``exc.partial``.  Because negation is
-    restricted to EDB predicates the program is monotone in its IDB, so
-    the partial fixpoint is always a subset of the full one.
+    with earlier phases) makes the run governed: limits are checked at
+    SCC, round and rule boundaries and, inside a rule's join, at every
+    stride of scanned rows (the deadline and ``max_facts`` — a single
+    explosive rule overshoots by at most a stride), and a violated limit
+    raises :class:`~repro.robustness.errors.BudgetExceededError`
+    carrying the partial fixpoint computed so far in ``exc.partial``.
+    Because negation is restricted to EDB predicates the program is
+    monotone in its IDB, so the partial fixpoint is always a subset of
+    the full one.
     """
     if tracer is None:
         tracer = get_tracer()
@@ -657,7 +655,7 @@ def evaluate(
         program,
         database,
         tracer=tracer,
-        governor=Governor.of(budget, cancellation),
+        governor=Governor.of(budget),
     )
     return driver.run(_LocalExecutor(driver))
 

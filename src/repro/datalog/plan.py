@@ -706,7 +706,8 @@ class RulePlan:
         ``stats.index_builds`` and — under an enabled ``tracer`` —
         reported as ``index_build`` events).  An active ``governor`` is
         asked from inside the same kernel once per stride of scanned
-        rows: a giant single-rule join stays cancellable and in budget.
+        rows: a giant single-rule join stays inside its deadline and its
+        ``max_facts``.
 
         With an ``interner`` the relations, ``live`` and therefore
         ``fresh`` hold its codes; the constants are

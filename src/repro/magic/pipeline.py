@@ -45,7 +45,7 @@ from ..datalog.database import Database, Row
 from ..datalog.evaluation import EvaluationResult, EvaluationStats, evaluate
 from ..datalog.program import Program, ProgramError
 from ..observability.trace import get_tracer
-from ..robustness.budget import Budget, CancellationToken, Governor
+from ..robustness.budget import Budget, Governor
 from ..robustness.errors import abort_phase
 from .transform import MagicProgram, magic_transform, match_query_atom
 
@@ -97,15 +97,12 @@ class PipelineReport:
         database: Database,
         *,
         budget: "Budget | Governor | None" = None,
-        cancellation: CancellationToken | None = None,
     ) -> EvaluationResult | None:
         """Evaluate the final program over ``database`` (``None`` when
         the query is unsatisfiable)."""
         if self.program is None:
             return None
-        return evaluate(
-            self.program, database, budget=budget, cancellation=cancellation
-        )
+        return evaluate(self.program, database, budget=budget)
 
     def answers(self, database: Database) -> frozenset[Row]:
         """The final program's answers to the query atom over ``database``."""
@@ -154,7 +151,6 @@ def run_pipeline(
     *,
     order: str = "semantic-first",
     budget: "Budget | Governor | None" = None,
-    cancellation: CancellationToken | None = None,
 ) -> PipelineReport:
     """Chain the semantic rewrite and the magic transform in ``order``.
 
@@ -163,9 +159,8 @@ def run_pipeline(
     constraints.
 
     A ``budget`` (or a shared running
-    :class:`~repro.robustness.budget.Governor`) or a ``cancellation``
-    token governs every stage: a tripped limit, a fired token or an
-    injected fault raises its
+    :class:`~repro.robustness.budget.Governor`) governs every stage: a
+    tripped limit or an injected fault raises its
     :class:`~repro.robustness.errors.EvaluationAborted` with ``phase``
     set, and no report is returned.
     """
@@ -174,7 +169,7 @@ def run_pipeline(
             f"unknown pipeline order {order!r} (valid: {', '.join(PIPELINE_ORDERS)})"
         )
     constraints = tuple(constraints)
-    governor = Governor.of(budget, cancellation)
+    governor = Governor.of(budget)
     program = _as_query_program(program, query_atom)
 
     tracer = get_tracer()

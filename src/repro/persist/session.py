@@ -58,7 +58,6 @@ from ..digest import bind_edb, edb_hash, program_digest, rows_hash
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import (
     Budget,
-    CancellationToken,
     FallbackStep,
     Governor,
     RetryPolicy,
@@ -113,7 +112,6 @@ class Session:
         journal: "IngestJournal | FlakyJournal | None" = None,
         constraints: Sequence[object] = (),
         budget: "Budget | Governor | None" = None,
-        cancellation: CancellationToken | None = None,
         tracer: Tracer | None = None,
         retry: RetryPolicy | None = None,
     ):
@@ -136,7 +134,6 @@ class Session:
         self._lag_bytes = 0
         self.constraints = tuple(constraints)
         self.budget = budget
-        self.cancellation = cancellation
         self._tracer = tracer
         self.retry = retry if retry is not None else RetryPolicy()
         self._last: EvaluationResult | None = None
@@ -169,7 +166,7 @@ class Session:
 
     # ------------------------------------------------------------------
     def _governor(self) -> Governor | None:
-        return Governor.of(self.budget, self.cancellation)
+        return Governor.of(self.budget)
 
     # ------------------------------------------------------------------
     def run(self) -> SessionResult:

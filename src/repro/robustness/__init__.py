@@ -1,13 +1,13 @@
-"""Resource-governed execution: budgets, deadlines, cancellation, chaos.
+"""Resource-governed execution: budgets, deadlines, typed aborts, chaos.
 
 The robustness layer makes every long-running phase of the system
-bounded and cancellable, ending in a typed abort (see ``docs/robustness.md``):
+bounded, ending in a typed abort (see ``docs/robustness.md``):
 
 * :mod:`repro.robustness.errors` — the :class:`ReproError` taxonomy;
   aborted executions carry the tripped phase and the partial fixpoint;
-* :mod:`repro.robustness.budget` — :class:`Budget`,
-  :class:`CancellationToken` and the :class:`Governor` checked at round
-  and expansion boundaries;
+* :mod:`repro.robustness.budget` — :class:`Budget` (timeout, iterations,
+  facts) and the :class:`Governor` checked at round and expansion
+  boundaries;
 * :mod:`repro.robustness.faults` — the deterministic fault-injection
   harness armed at trace-event sites.
 """
@@ -15,7 +15,6 @@ bounded and cancellable, ending in a typed abort (see ``docs/robustness.md``):
 from .._lazy import lazy_exports
 from .budget import (
     Budget,
-    CancellationToken,
     FallbackStep,
     Governor,
     RequestGovernorFactory,
@@ -24,7 +23,6 @@ from .budget import (
 )
 from .errors import (
     BudgetExceededError,
-    Cancelled,
     EvaluationAborted,
     InjectedFault,
     ReproError,
@@ -38,7 +36,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 __all__ = [
     "Budget",
-    "CancellationToken",
     "FallbackStep",
     "Governor",
     "RequestGovernorFactory",
@@ -48,7 +45,6 @@ __all__ = [
     "UsageError",
     "EvaluationAborted",
     "BudgetExceededError",
-    "Cancelled",
     "InjectedFault",
     "FaultInjector",
     "ChaosTracer",

@@ -1,4 +1,4 @@
-"""Budgets, deadlines and cooperative cancellation for long-running phases.
+"""Budgets and deadlines for long-running phases.
 
 The engine's inputs are adversarial by nature: satisfiability w.r.t.
 integrity constraints is undecidable for ``{theta,not}``-programs
@@ -7,22 +7,19 @@ and fixpoint evaluation — polynomial in data — is unbounded in practice
 on generated workloads.  This module supplies the standard production
 guardrails:
 
-* :class:`Budget` — a declarative bundle of limits (wall-clock timeout,
-  semi-naive iterations, derived facts, rows scanned, symbolic
-  expansions);
-* :class:`CancellationToken` — a thread-safe flag an outside caller can
-  set to stop a run at its next checkpoint;
+* :class:`Budget` — the three limits every front door can set: a
+  wall-clock timeout, semi-naive iterations and derived facts;
 * :class:`RetryPolicy` — capped exponential backoff with seeded jitter,
   shared by every retried durable write and the serving client;
 * :class:`Governor` — the runtime object threaded through the phases.
   Phases call :meth:`Governor.check` at round boundaries (with their
   live :class:`~repro.datalog.evaluation.EvaluationStats`), the
-  cheap strided :meth:`Governor.tick` / :meth:`Governor.expand` inside
-  tight symbolic loops, and :meth:`Governor.tick_scan` from inside a
-  join kernel, once per stride of scanned rows.  A violated limit raises
-  :class:`~repro.robustness.errors.BudgetExceededError` (or
-  :class:`~repro.robustness.errors.Cancelled`), which the engine driver
-  enriches with the partial fixpoint on the way out.
+  cheap strided :meth:`Governor.tick` inside tight symbolic loops
+  (every adornment step and query-tree expansion), and
+  :meth:`Governor.tick_scan` from inside a join kernel, once per stride
+  of scanned rows.  A violated limit raises
+  :class:`~repro.robustness.errors.BudgetExceededError`, which the
+  engine driver enriches with the partial fixpoint on the way out.
 
 A single :class:`Governor` may be shared across phases (rewrite, then
 magic, then evaluation) so ``--timeout`` bounds the whole command, not
@@ -33,19 +30,17 @@ accepts a pre-started governor for exactly this reason.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .errors import BudgetExceededError, Cancelled, UsageError
+from .errors import BudgetExceededError, UsageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datalog.evaluation import EvaluationStats
 
 __all__ = [
     "Budget",
-    "CancellationToken",
     "Governor",
     "FallbackStep",
     "record_fallback",
@@ -107,47 +102,19 @@ class Budget:
     """Declarative resource limits for one governed run.
 
     Every field defaults to ``None`` (unlimited).  ``timeout`` is
-    wall-clock seconds from the moment the :class:`Governor` starts;
+    wall-clock seconds from the moment the :class:`Governor` starts and
+    bounds symbolic work too (adornments, query tree);
     ``max_iterations`` bounds the *total* semi-naive rounds across all
-    SCCs; ``max_facts`` / ``max_rows_scanned`` bound the derived facts
-    and join rows scanned; ``max_expansions`` bounds symbolic work —
-    adornment enumeration steps and query-tree node expansions.
+    SCCs; ``max_facts`` bounds the derived facts.
     """
 
     timeout: float | None = None
     max_iterations: int | None = None
     max_facts: int | None = None
-    max_rows_scanned: int | None = None
-    max_expansions: int | None = None
 
     @property
     def unlimited(self) -> bool:
-        return (
-            self.timeout is None
-            and self.max_iterations is None
-            and self.max_facts is None
-            and self.max_rows_scanned is None
-            and self.max_expansions is None
-        )
-
-
-class CancellationToken:
-    """A cooperative cancellation flag, safe to set from another thread."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def __repr__(self) -> str:
-        return f"<CancellationToken {'cancelled' if self.cancelled else 'live'}>"
+        return self.timeout is None and self.max_iterations is None and self.max_facts is None
 
 
 @dataclass(frozen=True)
@@ -203,175 +170,111 @@ class RetryPolicy:
 
 
 class Governor:
-    """The runtime enforcer of one :class:`Budget` (plus cancellation).
+    """The runtime enforcer of one :class:`Budget`.
 
     The deadline is anchored when the governor is constructed.  Checks
-    are cooperative and cheap: an inactive governor (no limits, no
-    token) reduces every call to one attribute read, and the strided
-    :meth:`tick` touches the clock only every ``stride`` calls.
+    are cooperative and cheap: an inactive governor (no limits) reduces
+    every call to one attribute read, and the strided :meth:`tick`
+    touches the clock only every ``stride`` calls.
     """
 
-    __slots__ = (
-        "budget",
-        "token",
-        "deadline",
-        "started_at",
-        "active",
-        "expansions",
-        "tripped",
-        "_clock",
-        "stride",
-        "_ticks",
-    )
+    __slots__ = ("budget", "deadline", "active", "_clock", "stride", "_ticks")
 
     def __init__(
         self,
         budget: Budget | None = None,
-        cancellation: CancellationToken | None = None,
         *,
         clock: Callable[[], float] = time.perf_counter,
         stride: int = 256,
     ):
         self.budget = budget if budget is not None else Budget()
-        self.token = cancellation
         self._clock = clock
         self.stride = max(1, stride)
         self._ticks = 0
-        self.started_at = clock()
-        self.deadline = (
-            None if self.budget.timeout is None else self.started_at + self.budget.timeout
-        )
-        self.active = cancellation is not None or not self.budget.unlimited
-        self.expansions = 0
-        self.tripped: BudgetExceededError | Cancelled | None = None
+        self.deadline = None if self.budget.timeout is None else clock() + self.budget.timeout
+        self.active = not self.budget.unlimited
 
     # ------------------------------------------------------------------
     @staticmethod
-    def of(
-        budget: "Budget | Governor | None",
-        cancellation: CancellationToken | None = None,
-    ) -> "Governor | None":
+    def of(budget: "Budget | Governor | None") -> "Governor | None":
         """Normalize a ``budget=`` argument into a governor (or ``None``).
 
         Accepts a :class:`Budget` (a fresh governor is started now), an
         already-running :class:`Governor` (shared deadlines across
-        phases), or ``None`` — which yields a governor only when a
-        cancellation token was given.
+        phases), or ``None``.
         """
-        if isinstance(budget, Governor):
+        if budget is None or isinstance(budget, Governor):
             return budget
-        if budget is None and cancellation is None:
-            return None
-        return Governor(budget, cancellation)
+        return Governor(budget)
 
     # ------------------------------------------------------------------
-    def elapsed(self) -> float:
-        return self._clock() - self.started_at
-
     def remaining(self) -> float | None:
         """Seconds until the deadline (``None`` without a timeout)."""
         if self.deadline is None:
             return None
         return self.deadline - self._clock()
 
-    def _trip(self, cls, phase: str, limit: str, message: str) -> None:
-        exc = cls(message, phase=phase, limit=limit)
-        self.tripped = exc
-        raise exc
-
-    def _check_clock_and_token(self, phase: str) -> None:
-        if self.token is not None and self.token.cancelled:
-            self._trip(Cancelled, phase, "cancelled", f"{phase} was cancelled")
+    def _check_clock(self, phase: str) -> None:
         if self.deadline is not None and self._clock() > self.deadline:
-            self._trip(
-                BudgetExceededError,
-                phase,
-                "timeout",
+            raise BudgetExceededError(
                 f"{phase} exceeded the {self.budget.timeout}s deadline",
+                phase=phase,
+                limit="timeout",
             )
 
     def check(self, phase: str, stats: "EvaluationStats | None" = None) -> None:
-        """Full checkpoint: cancellation, deadline and stats limits.
+        """Full checkpoint: deadline and stats limits.
 
         Called at round boundaries (per SCC, per semi-naive iteration,
         per rule execution) with the evaluation's live stats.
         """
         if not self.active:
             return
-        self._check_clock_and_token(phase)
-        budget = self.budget
+        self._check_clock(phase)
         if stats is None:
             return
-        if (
-            budget.max_iterations is not None
-            and stats.iterations > budget.max_iterations
-        ):
-            self._trip(
-                BudgetExceededError,
-                phase,
-                "max_iterations",
-                f"{phase} exceeded the {budget.max_iterations}-iteration budget",
+        limit = self.budget.max_iterations
+        if limit is not None and stats.iterations > limit:
+            raise BudgetExceededError(
+                f"{phase} exceeded the {limit}-iteration budget",
+                phase=phase,
+                limit="max_iterations",
             )
-        self._check_counts(phase, stats.facts_derived, stats.rows_scanned)
+        self._check_facts(phase, stats.facts_derived)
 
-    def _check_counts(self, phase: str, facts: int, rows_scanned: int) -> None:
-        budget = self.budget
-        if budget.max_facts is not None and facts > budget.max_facts:
-            self._trip(
-                BudgetExceededError,
-                phase,
-                "max_facts",
-                f"{phase} derived more than {budget.max_facts} facts",
-            )
-        if budget.max_rows_scanned is not None and rows_scanned > budget.max_rows_scanned:
-            self._trip(
-                BudgetExceededError,
-                phase,
-                "max_rows_scanned",
-                f"{phase} scanned more than {budget.max_rows_scanned} rows",
+    def _check_facts(self, phase: str, facts: int) -> None:
+        limit = self.budget.max_facts
+        if limit is not None and facts > limit:
+            raise BudgetExceededError(
+                f"{phase} derived more than {limit} facts", phase=phase, limit="max_facts"
             )
 
     def tick(self, phase: str) -> None:
-        """Strided checkpoint for tight loops: clock and token only.
+        """Strided checkpoint for tight loops: the clock only.
 
         Touches the clock once per ``stride`` calls, so it is safe to
-        call per emitted row or per symbolic combination.
+        call per emitted row or per symbolic expansion.
         """
         if not self.active:
             return
         self._ticks += 1
         if self._ticks % self.stride:
             return
-        self._check_clock_and_token(phase)
+        self._check_clock(phase)
 
     def tick_scan(self, phase: str, stats: "EvaluationStats", scanned: int, fresh: int) -> int:
         """Checkpoint from inside one rule firing's join kernel.
 
         Called at the first bucket boundary after the rows it scanned
         cross a stride, with what it has not flushed to ``stats`` yet:
-        ``scanned`` rows and ``fresh`` new head rows.  Clock, token,
-        ``max_facts`` and ``max_rows_scanned`` bind here, so one
-        explosive join overshoots by at most a stride and the bucket in
-        hand.  Returns the ``scanned`` count at which it is due again.
+        ``scanned`` rows and ``fresh`` new head rows.  The deadline and
+        ``max_facts`` bind here, so one explosive join overshoots by at
+        most a stride and the bucket in hand.  Returns the ``scanned``
+        count at which it is due again.
         """
-        self._check_clock_and_token(phase)
-        self._check_counts(phase, stats.facts_derived + fresh, stats.rows_scanned + scanned)
+        self._check_clock(phase)
+        self._check_facts(phase, stats.facts_derived + fresh)
         return scanned + self.stride
-
-    def expand(self, phase: str) -> None:
-        """Count one symbolic expansion and enforce ``max_expansions``."""
-        if not self.active:
-            return
-        self.expansions += 1
-        limit = self.budget.max_expansions
-        if limit is not None and self.expansions > limit:
-            self._trip(
-                BudgetExceededError,
-                phase,
-                "max_expansions",
-                f"{phase} exceeded the {limit}-expansion budget",
-            )
-        self.tick(phase)
 
 
 def _tightest(server: float | None, request: float | None) -> float | None:
@@ -407,17 +310,14 @@ class RequestGovernorFactory:
         timeout: float | None = None,
         max_facts: int | None = None,
         max_iterations: int | None = None,
-        cancellation: CancellationToken | None = None,
     ) -> Governor | None:
         """A fresh governor for one request (``None`` when unbounded)."""
         budget = Budget(
             timeout=_tightest(self.defaults.timeout, timeout),
             max_iterations=_tightest(self.defaults.max_iterations, max_iterations),
             max_facts=_tightest(self.defaults.max_facts, max_facts),
-            max_rows_scanned=self.defaults.max_rows_scanned,
-            max_expansions=self.defaults.max_expansions,
         )
-        if budget.unlimited and cancellation is None:
+        if budget.unlimited:
             return None
         self.minted += 1
-        return Governor(budget, cancellation)
+        return Governor(budget)

@@ -10,13 +10,14 @@ traceback.  Two families matter:
   :class:`ReproError` and the builtin they historically derived from
   (``ValueError``/``RuntimeError``), so existing ``except ValueError``
   call sites keep working.
-* **aborted executions** — :class:`EvaluationAborted` and its
-  subclasses :class:`BudgetExceededError`, :class:`Cancelled` and
-  :class:`InjectedFault`.  These are *cooperative* interruptions raised
-  at round/expansion boundaries; they carry the phase that tripped, the
-  partial fixpoint computed so far (when the evaluation engine was
-  running) and its :class:`~repro.datalog.evaluation.EvaluationStats`,
-  so callers get partial results instead of nothing.
+* **aborted executions** — :class:`EvaluationAborted` and its two
+  subclasses, one per cause: :class:`BudgetExceededError` (a limit ran
+  out) and :class:`InjectedFault` (a fault armed by a test).  These are
+  *cooperative* interruptions raised at round/expansion boundaries;
+  they carry the phase that tripped, the partial fixpoint computed so
+  far (when the evaluation engine was running) and its
+  :class:`~repro.datalog.evaluation.EvaluationStats`, so callers get
+  partial results instead of nothing.
 
 The input-error classes themselves stay defined next to the code that
 raises them (:mod:`repro.datalog.parser`, :mod:`repro.datalog.rules`,
@@ -36,7 +37,6 @@ __all__ = [
     "UsageError",
     "EvaluationAborted",
     "BudgetExceededError",
-    "Cancelled",
     "InjectedFault",
     "abort_phase",
 ]
@@ -62,8 +62,8 @@ class EvaluationAborted(ReproError):
 
     ``phase`` names the phase that tripped (``"evaluate"``,
     ``"adornments"``, ``"querytree"``, ``"pipeline"``, ...); ``limit``
-    names the resource that ran out (``"timeout"``, ``"max_facts"``,
-    ``"cancelled"``, ``"fault"``, ...).  When the evaluation engine was
+    names the resource that ran out (``"timeout"``, ``"max_iterations"``,
+    ``"max_facts"``) or ``"fault"``.  When the evaluation engine was
     running, ``partial`` holds the partial fixpoint as an
     :class:`~repro.datalog.evaluation.EvaluationResult` (a *subset* of
     the unbounded fixpoint — bottom-up evaluation only ever adds facts)
@@ -120,10 +120,6 @@ def abort_phase(phase: str) -> Iterator[None]:
 
 class BudgetExceededError(EvaluationAborted):
     """A :class:`~repro.robustness.budget.Budget` limit was reached."""
-
-
-class Cancelled(EvaluationAborted):
-    """A :class:`~repro.robustness.budget.CancellationToken` fired."""
 
 
 class InjectedFault(EvaluationAborted):

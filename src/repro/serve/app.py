@@ -20,8 +20,8 @@ The request life cycle:
    :class:`~repro.robustness.budget.RequestGovernorFactory` — the
    tighter of the server ceiling and the request's own limits;
 4. an :class:`~repro.robustness.errors.EvaluationAborted` (budget
-   trip, cancellation or injected fault — they share one type
-   hierarchy on purpose) becomes HTTP 503 whose body carries the same
+   trip or injected fault — they share one type hierarchy on
+   purpose) becomes HTTP 503 whose body carries the same
    partial-result diagnostics the CLI prints on exit code 1.
 
 Query modes: ``materialized`` (the default, for a request naming

@@ -30,6 +30,12 @@ _REASONS = {
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
+class _BadFraming(Exception):
+    """A request the shell cannot frame (a bad ``Content-Length`` or an
+    over-long line): answered 400, then the connection closes (the rest
+    of the stream cannot be trusted)."""
+
+
 class ServeDaemon:
     """One listening server bound to a :class:`ServeApp`."""
 
@@ -67,7 +73,11 @@ class ServeDaemon:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadFraming as exc:
+                    await self._write_response(writer, 400, {"error": str(exc)}, False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -79,7 +89,7 @@ class ServeDaemon:
                 await self._write_response(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
@@ -89,8 +99,15 @@ class ServeDaemon:
                 pass
 
     @staticmethod
-    async def _read_request(reader: asyncio.StreamReader):
-        line = await reader.readline()
+    async def _readline(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # the line outgrew the stream's buffer limit
+            raise _BadFraming("request line or header line too long") from None
+
+    @classmethod
+    async def _read_request(cls, reader: asyncio.StreamReader):
+        line = await cls._readline(reader)
         if not line:
             return None
         try:
@@ -99,14 +116,21 @@ class ServeDaemon:
             return None
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await cls._readline(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadFraming(
+                f"invalid Content-Length {declared!r}: expected a non-negative integer"
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise ConnectionError("request body too large")
+            raise _BadFraming(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
         return method.upper(), path, headers, body

@@ -206,9 +206,16 @@ class TenantRegistry:
         return self.persist_root / name
 
     def create(self, name: str, request: "RegisterRequest") -> Tenant:
-        """Build (but do not yet install) a tenant for ``request``."""
-        if not name or "/" in name:
-            raise UsageError(f"invalid tenant name {name!r}")
+        """Build (but do not yet install) a tenant for ``request``.
+
+        The name is the tenant's directory under the persist root, so it
+        must be one plain path component: never empty, ``.`` or ``..``,
+        and free of ``/``, ``\\`` and NUL.
+        """
+        if name in ("", ".", "..") or any(char in name for char in "/\\\0"):
+            raise UsageError(
+                f"invalid tenant name {name!r}: expected one plain path component"
+            )
         return Tenant(name, request, persist_dir=self._tenant_dir(name))
 
     def install(self, tenant: Tenant) -> None:

@@ -28,7 +28,7 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
 from repro.digest import fixpoint_digest
 from repro.magic import run_pipeline
-from repro.robustness.budget import Budget, CancellationToken, Governor
+from repro.robustness.budget import Budget, Governor
 from repro.robustness.errors import BudgetExceededError
 from repro.workloads.generators import (
     ab_database,
@@ -194,18 +194,20 @@ def test_code_cache_is_bounded_under_random_shapes():
 # (c) abort parity with the closure chain
 # ----------------------------------------------------------------------
 class _TripAtScanned(Governor):
-    """Trips the budget inside the kernel whose bucket takes the rows
-    scanned to k (stride 1: every non-empty bucket is a checkpoint)."""
+    """Trips the deadline inside the kernel whose bucket takes the rows
+    scanned to k (stride 1: every non-empty bucket is a checkpoint).
 
-    __slots__ = ("k",)
+    The clock reads the rows scanned as of the kernel's last
+    checkpoint, so a deadline of ``k - 1`` is a deadline in rows."""
 
-    def __init__(self, k):
-        super().__init__(cancellation=CancellationToken(), stride=1)
-        self.k = k
+    __slots__ = ("now",)
+
+    def __init__(self, k, stride=1):
+        self.now = 0
+        super().__init__(Budget(timeout=k - 1), clock=lambda: self.now, stride=stride)
 
     def tick_scan(self, phase, stats, scanned, fresh):
-        if stats.rows_scanned + scanned >= self.k:
-            self._trip(BudgetExceededError, phase, "timeout", "test trip")
+        self.now = stats.rows_scanned + scanned
         return super().tick_scan(phase, stats, scanned, fresh)
 
 
@@ -494,7 +496,14 @@ COPY_TRIPS = {
     # check after the firing trips.
     "max_facts": (1000, 1000, 1000, {"p": 500, "c": 500, "loop": 0}),
     # The copy's bucket trips inside the kernel: none of its rows is added.
-    "max_rows_scanned": (1000, 500, 500, {"p": 500, "c": 0, "loop": 0}),
+    "timeout": (1000, 500, 500, {"p": 500, "c": 0, "loop": 0}),
+}
+
+#: limit -> a governor that trips once 510 facts are derived or 510 rows
+#: scanned, at the default stride.
+COPY_BUDGETS = {
+    "max_facts": lambda: Budget(max_facts=510),
+    "timeout": lambda: _TripAtScanned(511, stride=Governor().stride),
 }
 
 
@@ -506,7 +515,7 @@ def test_budget_over_a_copy_trips_where_the_nested_loop_did(limit):
     )
     database = Database.from_rows({"e": [(i, i + 1) for i in range(500)]})
     with pytest.raises(BudgetExceededError) as caught:
-        evaluate(program, database, budget=Budget(**{limit: 510}))
+        evaluate(program, database, budget=COPY_BUDGETS[limit]())
     assert caught.value.limit == limit
     partial = caught.value.partial
     stats = partial.stats

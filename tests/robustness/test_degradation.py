@@ -1,9 +1,9 @@
 """One ending for a governed rewrite: a program or a typed abort.
 
 ``optimize()`` and ``run_pipeline()`` never answer a tripped limit with
-a cheaper program: the budget trip, the cancellation or the injected
-fault surfaces with ``phase`` set, and no report comes back that could
-be mistaken for the complete rewrite.
+a cheaper program: the budget trip or the injected fault surfaces with
+``phase`` set, and no report comes back that could be mistaken for the
+complete rewrite.
 """
 
 import dataclasses
@@ -14,12 +14,7 @@ from repro.core.adornments import AdornmentLimitError
 from repro.core.rewrite import OptimizationReport, optimize
 from repro.datalog.parser import parse_atom
 from repro.magic.pipeline import PipelineReport, run_pipeline
-from repro.robustness import (
-    Budget,
-    BudgetExceededError,
-    Cancelled,
-    CancellationToken,
-)
+from repro.robustness import Budget, BudgetExceededError, Governor
 from repro.workloads.programs import good_path
 
 
@@ -30,6 +25,34 @@ def workload():
 
 def _field_names(report_type):
     return {f.name for f in dataclasses.fields(report_type)}
+
+
+def _deadline_after_reads(reads):
+    """A governor whose clock passes its deadline on read ``reads`` after
+    construction, polled at every tick (stride 1)."""
+    count = 0
+
+    def clock():
+        nonlocal count
+        count += 1
+        return 2.0 if count > reads else 0.0
+
+    return Governor(Budget(timeout=1.0), clock=clock, stride=1)
+
+
+def _trip_phases(run):
+    """The phase of each trip, tripping at every clock read ``run`` makes."""
+    phases = []
+    reads = 1
+    while True:
+        try:
+            run(_deadline_after_reads(reads))
+        except BudgetExceededError as exc:
+            assert exc.limit == "timeout"
+            phases.append(exc.phase)
+            reads += 1
+        else:
+            return phases
 
 
 class TestOptimizeLadder:
@@ -54,24 +77,18 @@ class TestOptimizeLadder:
         assert str(governed.value) == str(ungoverned.value)
         assert governed.value.phase == ungoverned.value.phase == "adornments"
 
-    @pytest.mark.parametrize(
-        "budget, limit",
-        [(Budget(max_expansions=1), "max_expansions"), (Budget(timeout=0.0), "timeout")],
-        ids=["expansions", "timeout"],
-    )
-    def test_tripped_limit_aborts(self, workload, budget, limit):
+    @pytest.mark.parametrize("at", ["expansions", "timeout"])
+    def test_tripped_limit_aborts(self, workload, at):
         program, constraints = workload
-        with pytest.raises(BudgetExceededError) as info:
-            optimize(program, constraints, budget=budget)
-        assert info.value.limit == limit
-        assert info.value.phase in {"optimize", "adornments", "querytree"}
-
-    def test_cancellation_is_never_degraded(self, workload):
-        program, constraints = workload
-        token = CancellationToken()
-        token.cancel()
-        with pytest.raises(Cancelled):
-            optimize(program, constraints, cancellation=token)
+        if at == "timeout":
+            with pytest.raises(BudgetExceededError) as info:
+                optimize(program, constraints, budget=Budget(timeout=0.0))
+            assert (info.value.phase, info.value.limit) == ("optimize", "timeout")
+            return
+        # A deadline passing at any expansion aborts in the phase expanding.
+        phases = _trip_phases(lambda governor: optimize(program, constraints, budget=governor))
+        assert set(phases) == {"optimize", "adornments", "querytree"}
+        assert phases == sorted(phases, key=["optimize", "adornments", "querytree"].index)
 
 
 class TestPipelineDegradation:
@@ -84,28 +101,21 @@ class TestPipelineDegradation:
         assert report.satisfiable is True
         assert [s.name for s in report.stages] == ["semantic rewrite", "magic transform"]
 
-    @pytest.mark.parametrize(
-        "budget, phases",
-        [
-            (Budget(timeout=0.0), {"pipeline"}),
-            (Budget(max_expansions=1), {"adornments", "querytree"}),
-        ],
-        ids=["timeout", "expansions"],
-    )
-    def test_tripped_limit_aborts(self, workload, budget, phases):
+    @pytest.mark.parametrize("at", ["timeout", "expansions"])
+    def test_tripped_limit_aborts(self, workload, at):
         program, constraints = workload
-        with pytest.raises(BudgetExceededError) as info:
-            run_pipeline(program, constraints, parse_atom(self.QUERY), budget=budget)
-        assert info.value.phase in phases
-
-    def test_pipeline_cancellation_propagates(self, workload):
-        program, constraints = workload
-        token = CancellationToken()
-        token.cancel()
-        with pytest.raises(Cancelled):
-            run_pipeline(
-                program, constraints, parse_atom(self.QUERY), cancellation=token
-            )
+        goal = parse_atom(self.QUERY)
+        if at == "timeout":
+            with pytest.raises(BudgetExceededError) as info:
+                run_pipeline(program, constraints, goal, budget=Budget(timeout=0.0))
+            assert info.value.phase == "pipeline"
+            return
+        phases = _trip_phases(
+            lambda governor: run_pipeline(program, constraints, goal, budget=governor)
+        )
+        assert {"adornments", "querytree"} <= set(phases) <= {
+            "pipeline", "optimize", "adornments", "querytree"
+        }
 
     def test_fact_budget_trips_pipeline_evaluation(self, workload):
         from repro.workloads.generators import good_path_bidirectional_database

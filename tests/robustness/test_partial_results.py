@@ -14,13 +14,7 @@ from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
-from repro.robustness import (
-    Budget,
-    BudgetExceededError,
-    Cancelled,
-    CancellationToken,
-    Governor,
-)
+from repro.robustness import Budget, BudgetExceededError, Governor
 from repro.workloads.generators import random_database, random_program
 
 SEEDS = range(8)
@@ -79,19 +73,34 @@ def test_tiny_fact_budget_yields_partial_subset_of_fixpoint(seed, reference):
 CROSS_PRODUCT = "c(X, Y, Z) :- n(X), n(Y), n(Z)."
 
 
+class _RowsClock(Governor):
+    """A deadline measured in rows: the clock reads the rows scanned as
+    of the kernel's last checkpoint, so ``Budget(timeout=1000)`` passes
+    its deadline once the join has scanned more than 1 000 rows."""
+
+    def __init__(self, budget):
+        self.now = 0
+        super().__init__(budget, clock=lambda: self.now)
+
+    def tick_scan(self, phase, stats, scanned, fresh):
+        self.now = stats.rows_scanned + scanned
+        return super().tick_scan(phase, stats, scanned, fresh)
+
+
 @pytest.mark.parametrize(
     "budget,limit",
-    [(Budget(max_facts=1000), "max_facts"), (Budget(max_rows_scanned=1000), "max_rows_scanned")],
+    [(Budget(max_facts=1000), "max_facts"), (Budget(timeout=1000), "timeout")],
 )
 def test_count_limits_bind_inside_a_single_rule_firing(budget, limit):
     # Both limits used to be read between firings only: this join ran
-    # to its 216 000 facts before the error.  The kernel now compares
-    # what it holds unflushed at every stride of scanned rows.
+    # to its 216 000 facts before the error.  The kernel now reads the
+    # clock and compares the facts it holds unflushed at every stride
+    # of scanned rows.
     stride = Governor().stride
     program = parse_program(CROSS_PRODUCT, query="c")
     database = Database.from_rows({"n": [(i,) for i in range(60)]})
     with pytest.raises(BudgetExceededError) as info:
-        evaluate(program, database, budget=budget)
+        evaluate(program, database, budget=_RowsClock(budget))
     exc = info.value
     assert exc.limit == limit
     # Overshoot: one stride, plus the 60-row buckets in hand at each depth.
@@ -121,13 +130,12 @@ def test_budget_of_exactly_the_fixpoint_cost_never_trips(reference):
 
 
 @pytest.mark.parametrize("reference", REFERENCES)
-def test_pre_cancelled_token_aborts_with_empty_or_partial_idb(reference):
+def test_spent_deadline_aborts_with_empty_or_partial_idb(reference):
     program, database = _workload(1)
     full = _full(program, database, reference)
-    token = CancellationToken()
-    token.cancel()
-    with pytest.raises(Cancelled) as info:
-        evaluate(program, database.copy(), cancellation=token)
+    with pytest.raises(BudgetExceededError) as info:
+        evaluate(program, database.copy(), budget=Budget(timeout=0.0))
+    assert info.value.limit == "timeout"
     assert _is_subset(_idb_rows(info.value.partial), full)
 
 

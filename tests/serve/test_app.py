@@ -16,10 +16,11 @@ from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_atom, parse_facts, parse_program
 from repro.magic import run_pipeline
 from repro.magic.transform import match_query_atom
-from repro.robustness import Budget, FaultInjector
+from repro.robustness import Budget, FaultInjector, UsageError
 from repro.robustness.faults import chaos
 from repro.serve.app import ServeApp
-from repro.serve.wire import rows_payload
+from repro.serve.registry import TenantRegistry
+from repro.serve.wire import parse_register, rows_payload
 
 ALPHA = {
     "program": "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).",
@@ -142,6 +143,24 @@ class TestRoutes:
             [[1]], [[1]], [[1], [3]], [[1], [3]], [[1], [3]]
         ]
         assert recovered["mode"] == "recovered"
+
+    @pytest.mark.parametrize("name", [".", "..", "a\\b", "a\x00b"])
+    def test_a_tenant_name_must_be_one_path_component(self, name, tmp_path):
+        # Each name once reached outside the persist root (``..``), the
+        # root itself (``.``) or a 500 (NUL).
+        app = ServeApp(persist_root=tmp_path / "root")
+        status, payload = run(app.handle("PUT", f"/programs/{name}", ALPHA))
+        assert status == 400
+        assert payload == {
+            "error": f"invalid tenant name {name!r}: expected one plain path component"
+        }
+        assert not any(tmp_path.rglob("*"))
+        assert app.registry.names() == []
+
+    @pytest.mark.parametrize("name", ["", "a/b", "/"])
+    def test_a_name_no_route_carries_is_refused_by_the_registry(self, name):
+        with pytest.raises(UsageError, match="one plain path component"):
+            TenantRegistry().create(name, parse_register(ALPHA))
 
     def test_register_naming_a_removed_option_is_400(self):
         status, payload = run(

@@ -6,14 +6,17 @@ clients exercise keep-alive, status mapping (400/404/503 as
 """
 
 import asyncio
+import json
+import socket
 import threading
 
 import pytest
 
+from repro.cli import main
 from repro.robustness.budget import RetryPolicy
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.http import ServeDaemon
+from repro.serve.http import MAX_BODY_BYTES, ServeDaemon
 
 PROGRAM = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y)."
 FACTS = "\n".join(f"e({i}, {i + 1})." for i in range(8))
@@ -102,6 +105,52 @@ def test_budget_trip_is_503_with_partial_diagnostics(client):
     payload = info.value.payload
     assert payload["aborted"] is True
     assert payload["partial"]["facts_derived"] >= 1
+
+
+def _raw_exchange(daemon, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; read until the daemon closes it."""
+    with socket.create_connection((daemon.host, daemon.port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        ("Content-Length: abc", "invalid Content-Length 'abc': expected a non-negative integer"),
+        ("Content-Length: -5", "invalid Content-Length '-5': expected a non-negative integer"),
+        (
+            f"Content-Length: {MAX_BODY_BYTES + 1}",
+            f"request body of {MAX_BODY_BYTES + 1} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+        ),
+        ("X-Pad: " + "a" * 70_000, "request line or header line too long"),
+    ],
+    ids=["not-a-number", "negative", "over-the-limit", "header-too-long"],
+)
+def test_a_body_that_cannot_be_framed_is_400_then_close(daemon, client, caplog, header, error):
+    reply = _raw_exchange(
+        daemon, f"POST /programs/alpha/query HTTP/1.1\r\n{header}\r\n\r\n".encode()
+    )
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body) == {"error": error}
+    assert not [record for record in caplog.records if record.name == "asyncio"]
+    # The daemon keeps serving: a fresh connection is answered.
+    assert client.query("alpha", "p(0, Y)")["answers"]
+
+
+def test_client_register_refuses_a_name_outside_the_root(daemon, tmp_path, capsys):
+    program = tmp_path / "p.dl"
+    program.write_text(PROGRAM)
+    argv = ["client", "--url", daemon.url, "register", "..", "--program", str(program)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid tenant name '..': expected one plain path component" in err
 
 
 def test_ingest_over_the_wire(client):

@@ -1,5 +1,6 @@
 """Integration tests through the top-level public API only."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -52,7 +53,10 @@ class TestVersionAndExports:
                 if parameter.kind is inspect.Parameter.KEYWORD_ONLY
             ]
 
-        assert keyword_only(evaluate) == ["tracer", "budget", "cancellation"]
+        assert keyword_only(evaluate) == ["tracer", "budget"]
+        assert [f.name for f in dataclasses.fields(repro.Budget)] == [
+            "timeout", "max_iterations", "max_facts"
+        ]
         assert keyword_only(evaluate_sharded) == ["workers", "pool"]
         datalog = importlib.import_module("repro.datalog")
         for name in ("derivation_tree", "DerivationNode"):
@@ -90,6 +94,15 @@ class TestVersionAndExports:
         assert issubclass(JournalError, repro.ReproError)
         assert "store" not in inspect.signature(Session).parameters
         assert "segment_records" not in inspect.signature(IngestJournal).parameters
+
+    def test_cancellation_is_gone(self):
+        robustness = importlib.import_module("repro.robustness")
+        for name in ("CancellationToken", "Cancelled"):
+            assert name not in robustness.__all__ and not hasattr(robustness, name)
+            assert name not in repro.__all__ and not hasattr(repro, name)
+        program = parse_program("p(X) :- e(X).", query="p")
+        with pytest.raises(TypeError):
+            evaluate(program, Database(), cancellation=object())
 
 
 class TestEndToEnd:
