@@ -54,11 +54,10 @@ from repro.persist import (  # noqa: E402
     FlakyJournal,
     IngestJournal,
     JournalUnavailable,
-    RetryPolicy,
     Session,
     fixpoint_digest,
 )
-from repro.robustness import FaultInjector  # noqa: E402
+from repro.robustness import FaultInjector, budget  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 
 PROGRAM = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y)."
@@ -73,8 +72,6 @@ DAEMON_FACTS = "\n".join(
     + [f"e({i}, {i + 1})." for i in range(1000, 1680, 2)]
 )
 DAEMON_INGESTS = [f"e({i}, {i + 1})." for i in range(60, 84)]
-
-FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0)
 
 
 def _fail(message: str) -> int:
@@ -195,6 +192,8 @@ def daemon_kill_phase() -> int:
 
 def child(root: Path) -> None:
     """The crashing process of the fsync-window phase."""
+    # Retries that always fail need not sleep.
+    budget.RETRY_DELAYS = (0.0,)
     program = parse_program(PROGRAM, query="p")
     database = Database(parse_facts(FACTS))
     session = Session(
@@ -204,7 +203,6 @@ def child(root: Path) -> None:
             IngestJournal(root / "journal"),
             FaultInjector().arm_random("checkpoint.save", rate=1.0),
         ),
-        retry=FAST_RETRY,
     )
     session.run()
     # Base writes fail, lag-triggered or not: the next ingest is acked

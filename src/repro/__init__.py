@@ -60,7 +60,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".persist": (
         "FlakyJournal",
         "IngestJournal",
-        "RetryPolicy",
         "Session",
         "SessionResult",
     ),
@@ -84,7 +83,6 @@ __all__ = [
     "run_pipeline",
     "FlakyJournal",
     "IngestJournal",
-    "RetryPolicy",
     "Session",
     "SessionResult",
     "Budget",

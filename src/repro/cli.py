@@ -336,8 +336,6 @@ def _session_from(args: argparse.Namespace) -> Session:
 def _print_session_outcome(session: Session, outcome) -> None:
     result = outcome.result
     program = result.program
-    for step in outcome.fallback_chain:
-        print(f"fallback: {step.describe()}")
     print(f"mode: {outcome.mode}")
     print(f"checkpoints written: {outcome.checkpoints_written}")
     if outcome.replayed:

@@ -112,7 +112,6 @@ class EvaluationProfile:
     events: int = 0
     index_builds: int = 0
     budget_trips: list[str] = field(default_factory=list)
-    fallbacks: list[str] = field(default_factory=list)
     checkpoint_saves: int = 0
     checkpoint_retries: int = 0
     checkpoint_bytes: int = 0
@@ -154,8 +153,6 @@ class EvaluationProfile:
             )
         for trip in self.budget_trips:
             lines.append(f"budget trip: {trip}")
-        for fallback in self.fallbacks:
-            lines.append(f"fallback: {fallback}")
         lines += [
             "",
             f"top {min(top, len(self.rules))} rules by time:",
@@ -250,12 +247,6 @@ def build_profile(events: Iterable[TraceEvent]) -> EvaluationProfile:
             profile.journal_truncations += 1
         elif event.kind == "event" and event.name == "journal.compact":
             profile.journal_compactions += 1
-        elif event.kind == "event" and event.name == "budget.fallback":
-            profile.fallbacks.append(
-                f"{event.attrs.get('stage', '?')} -> "
-                f"{event.attrs.get('fell_back_to', '?')} "
-                f"({event.attrs.get('reason', '')})"
-            )
         elif event.kind == "span" and event.name == "serve.request":
             tenant = str(event.attrs.get("tenant") or "-")
             profile.tenants.setdefault(

@@ -12,8 +12,8 @@ fixpoint from the durable EDB (see ``docs/robustness.md``, "Durability
   (fsync-before-ack, torn-tail truncation, compaction at each base),
   the reader of an older build's ``ckpt-*.json`` bases, the
   chaos-harness :class:`FlakyJournal`, and :func:`commit_with_retry` /
-  :func:`save_with_retry` under a
-  :class:`~repro.robustness.budget.RetryPolicy`;
+  :func:`save_with_retry` on the one retry schedule
+  :data:`~repro.robustness.budget.RETRY_DELAYS`;
 * :mod:`repro.persist.session` — :class:`Session`, the durable
   recover/ingest/checkpoint life cycle; ``recover()`` is the one reader.
 
@@ -36,7 +36,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "JournalMismatch",
         "JournalRecord",
         "JournalUnavailable",
-        "RetryPolicy",
         "commit_with_retry",
         "save_with_retry",
     ),
@@ -52,7 +51,6 @@ __all__ = [
     "JournalMismatch",
     "JournalRecord",
     "JournalUnavailable",
-    "RetryPolicy",
     "Session",
     "SessionResult",
     "commit_with_retry",

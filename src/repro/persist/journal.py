@@ -16,7 +16,9 @@ The write-ahead contract:
 
 * **fsync before ack** — :meth:`IngestJournal.commit` writes the frame
   and ``fsync``\\ s the segment before the caller acknowledges anything;
-  a record is *acknowledged* exactly when the fsync returned;
+  a record is *acknowledged* exactly when the fsync returned.  A new
+  segment's directory entry (and a new journal directory's own) is
+  ``fsync``\\ ed when the segment is created, before any frame in it;
 * **torn-tail truncation on open** — scanning a segment stops at the
   first frame that fails CRC/shape verification and truncates the file
   there, so a crash mid-append costs at most the unacknowledged tail,
@@ -42,14 +44,16 @@ them.
 
 :meth:`Session.recover <repro.persist.session.Session.recover>` is the
 journal's only reader.  :class:`FlakyJournal` is the journal under the
-chaos harness (:class:`~repro.robustness.faults.FlakyIO`);
-:func:`with_retry` is the retry loop of both durable writes, and
+chaos harness.  :func:`with_retry` is the retry loop of both durable
+writes, on the one schedule
+:data:`~repro.robustness.budget.RETRY_DELAYS`, and
 :func:`commit_with_retry` / :func:`save_with_retry` are that loop
 around an ingest commit and a base write.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -57,17 +61,19 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import Governor, RetryPolicy
-from ..robustness.errors import ReproError
-from ..robustness.faults import FlakyIO
+from ..robustness import budget
+from ..robustness.budget import Governor
+from ..robustness.errors import InjectedFault, ReproError
+from ..robustness.faults import FaultInjector
 
 Item = TypeVar("Item")
 T = TypeVar("T")
 
 __all__ = [
+    "FAULT_FLAVORS",
     "JOURNAL_VERSION",
     "JournalRecord",
     "JournalError",
@@ -76,7 +82,6 @@ __all__ = [
     "JournalUnavailable",
     "IngestJournal",
     "FlakyJournal",
-    "RetryPolicy",
     "commit_with_retry",
     "legacy_bases",
     "save_with_retry",
@@ -201,6 +206,12 @@ class IngestJournal:
 
     def __init__(self, directory: str | os.PathLike, *, tracer: Tracer | None = None):
         self.directory = Path(directory)
+        # The parent of each directory made here: the first segment's
+        # creation syncs their new entries too.
+        self._unsynced = [
+            path.parent for path in (self.directory, *self.directory.parents)
+            if not path.exists()
+        ]
         self.directory.mkdir(parents=True, exist_ok=True)
         self._tracer = tracer
         self._segments: "dict[Path, list[JournalRecord]] | None" = None
@@ -285,8 +296,21 @@ class IngestJournal:
             assert self._segments is not None
             self._segments[self._active] = []
             self._good_offset = 0
+            self._unsynced.insert(0, self.directory)
         if self._fd is None:
             self._fd = os.open(self._active, os.O_RDWR | os.O_CREAT, 0o644)
+        if self._unsynced:
+            # A file's fsync does not make its directory entry durable:
+            # sync the new segment's entry before a frame in it is
+            # acknowledged, and so before compact() unlinks the
+            # segments a base in it replaces.
+            for directory in self._unsynced:
+                fd = os.open(directory, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+            self._unsynced = []
         return self._fd
 
     def _fresh_segment(self) -> None:
@@ -535,24 +559,69 @@ def legacy_bases(directory: Path) -> Iterator[JournalRecord]:
             continue
 
 
-class FlakyJournal(FlakyIO):
+#: The ``OSError`` flavors :class:`FlakyJournal` can inject, in cycling order.
+FAULT_FLAVORS = ("transient", "torn", "enospc")
+
+
+class FlakyJournal:
     """An :class:`IngestJournal` whose ``append``, ``sync``,
     ``write_base`` and ``replay`` fail on command (sites
     ``journal.append`` / ``journal.fsync`` / ``checkpoint.save`` /
-    ``journal.replay``); a *torn* append or base write lands the first
-    half of the frame at the acknowledged offset — a write interrupted
-    mid-frame — for torn-tail truncation to find on reopen."""
+    ``journal.replay``); every other attribute is the wrapped journal's.
 
-    @property
-    def journal(self) -> IngestJournal:
-        return self.inner  # type: ignore[return-value]
+    The :class:`~repro.robustness.faults.FaultInjector` decides *when*
+    (``arm("checkpoint.save", at=2)``, ``arm_random(...)``) exactly as
+    it does for engine trace sites; ``flavors`` decide *how*, cycling
+    per fired occurrence: ``"transient"`` — ``OSError(EIO)``, nothing
+    written; ``"torn"`` — the first half of the frame lands at the
+    acknowledged offset (a write interrupted mid-frame, for torn-tail
+    truncation to find on reopen), then ``OSError(EIO)``; ``"enospc"``
+    — ``OSError(ENOSPC)``, nothing written.
+    """
+
+    def __init__(
+        self,
+        journal: IngestJournal,
+        injector: FaultInjector,
+        *,
+        flavors: Sequence[str] = ("transient",),
+    ):
+        for flavor in flavors:
+            if flavor not in FAULT_FLAVORS:
+                raise ValueError(
+                    f"unknown fault flavor {flavor!r} (valid: {', '.join(FAULT_FLAVORS)})"
+                )
+        self.journal = journal
+        self.injector = injector
+        self.flavors = tuple(flavors)
+        self._fired = 0
+
+    def __getattr__(self, name: str):
+        if name == "journal":  # not constructed yet: nothing to delegate to
+            raise AttributeError(name)
+        return getattr(self.journal, name)
+
+    def _fault(self, site: str, record: JournalRecord | None = None) -> None:
+        """Count one occurrence of ``site``; raise ``OSError`` if it is
+        armed, after landing half of ``record``'s frame if it tears."""
+        try:
+            self.injector.observe(site, {})
+        except InjectedFault as exc:
+            flavor = self.flavors[self._fired % len(self.flavors)]
+            self._fired += 1
+            if flavor == "enospc":
+                raise OSError(
+                    errno.ENOSPC, f"no space left on device (injected at {site})"
+                ) from exc
+            if flavor == "torn" and record is not None:
+                if record.base:  # a base starts a fresh segment
+                    self.journal._fresh_segment()
+                frame = record.encode()
+                self.journal.spill(frame[: len(frame) // 2])
+            raise OSError(errno.EIO, f"injected {flavor} I/O error at {site}") from exc
 
     def append(self, record: JournalRecord) -> int:
-        def tear() -> None:
-            frame = record.encode()
-            self.journal.spill(frame[: len(frame) // 2])
-
-        self._fault("journal.append", tear)
+        self._fault("journal.append", record)
         return self.journal.append(record)
 
     def sync(self) -> None:
@@ -565,12 +634,7 @@ class FlakyJournal(FlakyIO):
         return size
 
     def write_base(self, base: JournalRecord) -> int:
-        def tear() -> None:
-            frame = base.encode()
-            self.journal._fresh_segment()
-            self.journal.spill(frame[: len(frame) // 2])
-
-        self._fault("checkpoint.save", tear)
+        self._fault("checkpoint.save", base)
         return self.journal.write_base(base)
 
     def replay(self) -> list[JournalRecord]:
@@ -585,33 +649,35 @@ def with_retry(
     *,
     phase: str,
     what: str,
-    policy: RetryPolicy | None = None,
     governor: Governor | None = None,
     sleep=time.sleep,
 ) -> T:
     """``write(item)`` — one durable write to ``target`` of a numbered
-    (``.seq``) item — retrying transient ``OSError`` failures.
+    (``.seq``) item — retrying transient ``OSError`` failures on the
+    :data:`~repro.robustness.budget.RETRY_DELAYS` schedule, one attempt
+    more than it has delays.
 
     Before every attempt the governor (if any) is consulted, so a
     deadline that expires mid-backoff aborts with the usual
     :class:`~repro.robustness.errors.BudgetExceededError` instead of
     burning the remaining budget on sleeps; each sleep is clamped to
     the governor's remaining time and traced as ``<phase>.retry``.
-    An exhausted attempt budget raises :class:`JournalUnavailable`.
+    A spent schedule raises :class:`JournalUnavailable`.
     """
-    policy = policy if policy is not None else RetryPolicy()
-    delays = policy.delays()
-    last_error: OSError | None = None
-    for attempt in range(1, max(1, policy.attempts) + 1):
+    delays = budget.RETRY_DELAYS
+    attempt = 0
+    while True:
         if governor is not None:
             governor.check(phase)
+        attempt += 1
         try:
             return write(item)
         except OSError as exc:
-            last_error = exc
-            delay = next(delays, None)
-            if delay is None:
-                break
+            if attempt > len(delays):
+                raise JournalUnavailable(
+                    f"{what} failed after {attempt} attempts: {exc}"
+                ) from exc
+            delay = delays[attempt - 1]
             remaining = governor.remaining() if governor is not None else None
             if remaining is not None:
                 delay = max(0.0, min(delay, remaining))
@@ -625,33 +691,28 @@ def with_retry(
                     error=str(exc),
                 )
             sleep(delay)
-    raise JournalUnavailable(
-        f"{what} failed after {policy.attempts} attempts: {last_error}"
-    ) from last_error
 
 
 def commit_with_retry(
     journal: "IngestJournal | FlakyJournal",
     record: JournalRecord,
     *,
-    policy: RetryPolicy | None = None,
     governor: Governor | None = None,
     sleep=time.sleep,
 ) -> int:
     """Commit ``record`` under :func:`with_retry`; returns the
-    acknowledged frame's size in bytes.  An exhausted attempt budget
-    raises :class:`JournalUnavailable` — the ingest is then NOT
-    acknowledged and the session takes the staged batch back.
-    Re-attempts are safe: :meth:`IngestJournal.append` always writes at
-    the last acknowledged offset, so a failed attempt's frame is
-    overwritten, never duplicated."""
+    acknowledged frame's size in bytes.  A spent schedule raises
+    :class:`JournalUnavailable` — the ingest is then NOT acknowledged
+    and the session takes the staged batch back.  Re-attempts are safe:
+    :meth:`IngestJournal.append` always writes at the last acknowledged
+    offset, so a failed attempt's frame is overwritten, never
+    duplicated."""
     return with_retry(
         journal,
         journal.commit,
         record,
         phase="journal",
         what="journal commit",
-        policy=policy,
         governor=governor,
         sleep=sleep,
     )
@@ -661,21 +722,19 @@ def save_with_retry(
     journal: "IngestJournal | FlakyJournal",
     base: JournalRecord,
     *,
-    policy: RetryPolicy | None = None,
     governor: Governor | None = None,
     sleep=time.sleep,
 ) -> int:
     """Write ``base`` under :func:`with_retry`; returns the frame's
-    size.  An exhausted attempt budget raises :class:`JournalUnavailable`
-    — the caller's cue to degrade to in-memory evaluation.  A retry
-    reuses the segment a failed attempt started."""
+    size.  A spent schedule raises :class:`JournalUnavailable`; the
+    session then leaves its base due.  A retry reuses the segment a
+    failed attempt started."""
     return with_retry(
         journal,
         journal.write_base,
         base,
         phase="checkpoint",
         what="base write",
-        policy=policy,
         governor=governor,
         sleep=sleep,
     )

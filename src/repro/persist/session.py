@@ -31,19 +31,19 @@ re-derives it.  The durable life cycle is ``recover`` → ``ingest``\\* →
   initial EDB on every start, so nothing needs writing until an ingest.
 * :meth:`Session.inspect` — a JSON-ready summary of base + journal.
 
-Bases are written through :func:`~repro.persist.journal.save_with_retry`;
-a journal that stays broken after the retry budget **degrades** the
-session to in-memory evaluation (a
-:class:`~repro.robustness.budget.FallbackStep` and a ``budget.fallback``
-trace event) instead of failing it.  Work counters start afresh with
-every process: a recovery's are those of its evaluation, and ingests
-add to them.
+Bases are written through :func:`~repro.persist.journal.save_with_retry`.
+A base write never fails the operation that owed it: when the retry
+schedule or the governor's deadline runs out first, the base stays due
+(journal lag, in :meth:`Session.journal_info`) and the next ingest or
+:meth:`Session.checkpoint` tries again.  Work counters start afresh
+with every process: a recovery's are those of its evaluation, and
+ingests add to them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..datalog.database import ArityMismatch, Database, FactRows, Row
@@ -56,13 +56,8 @@ from ..datalog.evaluation import (
 from ..datalog.program import Program
 from ..digest import bind_edb, edb_hash, program_digest, rows_hash
 from ..observability.trace import Tracer, get_tracer
-from ..robustness.budget import (
-    Budget,
-    FallbackStep,
-    Governor,
-    RetryPolicy,
-    record_fallback,
-)
+from ..robustness.budget import Budget, Governor
+from ..robustness.errors import BudgetExceededError
 from .journal import (
     FlakyJournal,
     IngestJournal,
@@ -85,15 +80,13 @@ class SessionResult:
     the caller's EDB alone), ``"incremental"`` (delta-seeded ingest),
     ``"recompute"`` (ingest fell back to full re-evaluation) or
     ``"recovered"`` (recovery folded in a base or replayed journal
-    records, then evaluated).  ``fallback_chain`` lists every
-    degradation taken, in order; ``replayed`` counts the journal
-    records recovery re-applied.
+    records, then evaluated).  ``replayed`` counts the journal records
+    recovery re-applied.
     """
 
     result: EvaluationResult
     mode: str
     checkpoints_written: int = 0
-    fallback_chain: list[FallbackStep] = field(default_factory=list)
     replayed: int = 0
 
     @property
@@ -113,7 +106,6 @@ class Session:
         constraints: Sequence[object] = (),
         budget: "Budget | Governor | None" = None,
         tracer: Tracer | None = None,
-        retry: RetryPolicy | None = None,
     ):
         self.program = program
         self.database = database
@@ -135,7 +127,6 @@ class Session:
         self.constraints = tuple(constraints)
         self.budget = budget
         self._tracer = tracer
-        self.retry = retry if retry is not None else RetryPolicy()
         self._last: EvaluationResult | None = None
         #: Compiled (rule, delta position) plans, kept between ingests.
         self._plans: dict = {}
@@ -191,15 +182,13 @@ class Session:
         the durable state now needs no journal record this session
         acknowledged — trivially so when nothing was acknowledged since
         the last base; ``False`` without a journal or a current
-        fixpoint, or when the base write failed through the retry
-        budget (traced as a ``budget.fallback`` like any degraded
-        write).
+        fixpoint, or when the base did not land (the base stays due).
         """
         if self._last is None or self.journal is None:
             return False
         if not self._lag_bytes:
             return True
-        return self._cover([], self._governor()) > 0
+        return self._cover(self._governor()) > 0
 
     # ------------------------------------------------------------------
     def _negated_predicates(self) -> set[str]:
@@ -229,9 +218,7 @@ class Session:
                 for row in new_rows[predicate]
             ),
         )
-        self._lag_bytes += commit_with_retry(
-            self.journal, record, policy=self.retry, governor=governor
-        )
+        self._lag_bytes += commit_with_retry(self.journal, record, governor=governor)
         self._applied_seq = record.seq
 
     def ingest(self, facts: Iterable[object]) -> SessionResult:
@@ -253,14 +240,16 @@ class Session:
         result), compiled plans are kept between ingests, and the
         workload digest moves by one hash per added row.  When an
         ingested predicate occurs negated in the program the update is
-        non-monotonic, and the session falls back to a full recompute,
-        recorded in the result's ``fallback_chain``.
+        non-monotonic, and the session recomputes in full (``mode``
+        ``"recompute"``).
 
         Ordering: normalize and validate, decide the path, stage the
         new rows in the EDB and derive, and only then journal them with
         append+fsync — the acknowledgment, and the only durable write
-        an ingest waits for unless journal lag makes a base due.
-        A crash after the fsync is recoverable via :meth:`recover`;
+        an ingest waits for unless journal lag makes a base due (a base
+        that does not land stays due and raises nothing: the ingest
+        was acknowledged).  A crash after the fsync is recoverable via
+        :meth:`recover`;
         anything that raises before it — a typed error or budget trip
         in the derivation, a journal that cannot fsync — takes the
         whole batch back (EDB, fixpoint, digest, journal), so the
@@ -280,13 +269,12 @@ class Session:
             for row in rows:
                 if len(row) != arity:
                     raise ArityMismatch(arity, len(row), predicate)
-        fallback_chain: list[FallbackStep] = []
         if self._last is None:
-            fallback_chain += self.recover().fallback_chain
+            self.recover()
         live = self._last
         assert live is not None
         # Deduplicate against the current EDB without mutating it — the
-        # fallback decision below must be taken on a pristine session.
+        # path decision below must be taken on a pristine session.
         contains = self.database.contains
         new_rows: dict[str, list[Row]] = {}
         for predicate, rows in groups.items():
@@ -296,9 +284,7 @@ class Session:
 
         if not new_rows:
             # Nothing actually new: the prior fixpoint still stands.
-            return SessionResult(
-                result=live, mode="incremental", fallback_chain=fallback_chain
-            )
+            return SessionResult(result=live, mode="incremental")
 
         reason = None
         overlap = self._negated_predicates() & set(new_rows)
@@ -334,9 +320,6 @@ class Session:
                     commit=commit,
                 )
             else:
-                record_fallback(
-                    fallback_chain, "session.ingest", "recompute", reason, self.tracer
-                )
                 result = evaluate(
                     self.program, self.database, budget=governor, tracer=self._tracer
                 )
@@ -352,13 +335,11 @@ class Session:
             raise
         self._last = result
         outcome = SessionResult(
-            result=result,
-            mode="incremental" if reason is None else "recompute",
-            fallback_chain=fallback_chain,
+            result=result, mode="incremental" if reason is None else "recompute"
         )
         # Bases follow journal lag.
         if self.journal is not None and self._lag_bytes >= self._lag_limit():
-            outcome.checkpoints_written += self._cover(fallback_chain, governor)
+            outcome.checkpoints_written = self._cover(governor)
         return outcome
 
     # ------------------------------------------------------------------
@@ -415,7 +396,8 @@ class Session:
         3. runs one governed evaluation over the result — monotone or
            not, replayed or not — and, when it replayed records or
            folded in a legacy file, writes a base frame covering them,
-           after which every older segment (and legacy file) goes.
+           after which every older segment (and legacy file) goes.  A
+           base that does not land stays due; the evaluation stands.
 
         On an empty directory this is a fresh run, so callers use
         ``recover()`` unconditionally.  An evaluation that was killed
@@ -501,7 +483,7 @@ class Session:
             # The replayed suffix (or the legacy file) is owed a base
             # frame; if the write fails, the next ingest or checkpoint()
             # tries again.
-            outcome.checkpoints_written = self._cover(outcome.fallback_chain, governor)
+            outcome.checkpoints_written = self._cover(governor)
         elif base is not None:
             self.journal.compact(base.seq)  # type: ignore[union-attr]
         return outcome
@@ -536,24 +518,19 @@ class Session:
             self._base_bytes = len(base.encode())
         return self._base_bytes
 
-    def _cover(self, fallback_chain: list[FallbackStep], governor: Governor | None) -> int:
+    def _cover(self, governor: Governor | None) -> int:
         """Write a base of the current EDB with retry; returns how many
         landed (0 or 1).  It reflects every journal record applied so
         far, so every older segment can go without losing the only copy
-        of ingested facts.  A journal that stays broken degrades the
-        operation to in-memory, recorded in ``fallback_chain``, and the
-        base stays due."""
+        of ingested facts.  A journal that stays broken, or a deadline
+        spent before the base lands, raises nothing: every record it
+        would cover is already durable, and the base stays due."""
         if self.journal is None:
             return 0
         base = self._base_record(self.journal.next_seq())
         try:
-            size = save_with_retry(
-                self.journal, base, policy=self.retry, governor=governor
-            )
-        except JournalUnavailable as exc:
-            record_fallback(
-                fallback_chain, "session.checkpoint", "in-memory", str(exc), self.tracer
-            )
+            size = save_with_retry(self.journal, base, governor=governor)
+        except (JournalUnavailable, BudgetExceededError):
             self._lag_bytes = max(self._lag_bytes, self._lag_limit())
             return 0
         self._base, self._base_bytes = base, size

@@ -15,7 +15,6 @@ bounded, ending in a typed abort (see ``docs/robustness.md``):
 from .._lazy import lazy_exports
 from .budget import (
     Budget,
-    FallbackStep,
     Governor,
     RequestGovernorFactory,
     parse_limit_value,
@@ -36,7 +35,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 __all__ = [
     "Budget",
-    "FallbackStep",
     "Governor",
     "RequestGovernorFactory",
     "parse_timeout_value",

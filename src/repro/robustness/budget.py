@@ -9,8 +9,8 @@ guardrails:
 
 * :class:`Budget` — the three limits every front door can set: a
   wall-clock timeout, semi-naive iterations and derived facts;
-* :class:`RetryPolicy` — capped exponential backoff with seeded jitter,
-  shared by every retried durable write and the serving client;
+* :data:`RETRY_DELAYS` — the back-off schedule of every retried
+  durable write and of the serving client;
 * :class:`Governor` — the runtime object threaded through the phases.
   Phases call :meth:`Governor.check` at round boundaries (with their
   live :class:`~repro.datalog.evaluation.EvaluationStats`), the
@@ -29,10 +29,9 @@ accepts a pre-started governor for exactly this reason.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .errors import BudgetExceededError, UsageError
 
@@ -42,9 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Budget",
     "Governor",
-    "FallbackStep",
-    "record_fallback",
-    "RetryPolicy",
+    "RETRY_DELAYS",
     "RequestGovernorFactory",
     "parse_timeout_value",
     "parse_limit_value",
@@ -117,56 +114,9 @@ class Budget:
         return self.timeout is None and self.max_iterations is None and self.max_facts is None
 
 
-@dataclass(frozen=True)
-class FallbackStep:
-    """One degradation a durable session took, recorded for its reply.
-
-    ``stage`` names the step that was abandoned (a checkpoint save, an
-    incremental ingest, a checkpoint restore), ``fell_back_to`` what
-    ran instead (in-memory, a recompute) and ``reason`` the cause.
-    """
-
-    stage: str
-    fell_back_to: str
-    reason: str
-
-    def describe(self) -> str:
-        return f"{self.stage} -> {self.fell_back_to} ({self.reason})"
-
-
-def record_fallback(
-    chain: list[FallbackStep], stage: str, fell_back_to: str, reason: str, tracer
-) -> None:
-    """Record one degradation: a ``chain`` step and a ``budget.fallback`` event."""
-    chain.append(FallbackStep(stage=stage, fell_back_to=fell_back_to, reason=reason))
-    if tracer.enabled:
-        tracer.event(
-            "budget.fallback", stage=stage, fell_back_to=fell_back_to, reason=reason
-        )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic seeded jitter.
-
-    Attempt ``k`` (0-based) sleeps ``min(base_delay * 2**k, max_delay)``
-    scaled by a jitter factor drawn uniformly from
-    ``[1 - jitter, 1 + jitter]`` from a generator seeded with ``seed``
-    — deterministic for tests, decorrelated in aggregate.
-    """
-
-    attempts: int = 4
-    base_delay: float = 0.02
-    max_delay: float = 0.5
-    jitter: float = 0.25
-    seed: int = 0
-
-    def delays(self) -> Iterator[float]:
-        """The back-off delays between attempts (``attempts - 1`` of them)."""
-        rng = random.Random(self.seed)
-        for attempt in range(max(0, self.attempts - 1)):
-            base = min(self.base_delay * (2**attempt), self.max_delay)
-            yield base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+#: The sleeps between the attempts of a retried write: four attempts,
+#: each delay doubling.  Read at every call, so a test may patch it.
+RETRY_DELAYS = (0.02, 0.04, 0.08)
 
 
 class Governor:

@@ -200,7 +200,6 @@ class ServeApp:
             "mode": outcome.mode,
             "idb_facts": sum(len(rel) for rel in outcome.result.idb.values()),
             "latest_round": outcome.result.stats.iterations,
-            "fallbacks": [step.describe() for step in outcome.fallback_chain],
         }
 
     async def _inspect(self, name: str) -> tuple[int, dict]:
@@ -353,5 +352,4 @@ class ServeApp:
             "ingested": len(request.facts),
             "idb_facts": sum(len(rel) for rel in outcome.result.idb.values()),
             "latest_round": outcome.result.stats.iterations,
-            "fallbacks": [step.describe() for step in outcome.fallback_chain],
         }

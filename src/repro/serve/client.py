@@ -1,18 +1,16 @@
 """A small blocking client for the serving daemon (stdlib only).
 
-Backs the ``repro client`` CLI command, the serving benchmark and the
-``serve_smoke.py`` CI script.  One :class:`ServeClient` holds one
-keep-alive connection; errors surface as :class:`ServeClientError`
-carrying the HTTP status and the decoded JSON body, so callers can
-distinguish bad input (400), unknown tenants (404) and budget-tripped
-requests (503, with partial diagnostics) without string matching.
+Backs the ``repro client`` CLI command and the ``serve_smoke.py``
+script.  One :class:`ServeClient` holds one keep-alive connection;
+errors surface as :class:`ServeClientError` carrying the HTTP status
+and the decoded JSON body, so callers can distinguish bad input (400),
+unknown tenants (404) and budget-tripped requests (503, with partial
+diagnostics) without string matching.
 
 Transport failures (a dropped keep-alive, a daemon mid-restart) are
-retried under the shared :class:`~repro.robustness.budget.RetryPolicy` —
-the same capped-exponential-backoff-with-seeded-jitter curve the
-ingest journal uses — and the retry
-counts are surfaced on the client (``retries_total``,
-``last_retries``).
+retried on :data:`~repro.robustness.budget.RETRY_DELAYS`, the schedule
+the ingest journal's writes use, and the retry counts are surfaced on
+the client (``retries_total``, ``last_retries``).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import json
 import time
 from http.client import HTTPConnection
 
-from ..robustness.budget import RetryPolicy
+from ..robustness import budget
 
 __all__ = ["ServeClient", "ServeClientError"]
 
@@ -38,18 +36,10 @@ class ServeClientError(Exception):
 class ServeClient:
     """Blocking JSON client over one keep-alive HTTP connection."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8484,
-        timeout: float = 60.0,
-        *,
-        retry: RetryPolicy | None = None,
-    ):
+    def __init__(self, host: str = "127.0.0.1", port: int = 8484, timeout: float = 60.0):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
         #: Transport retries across the client's lifetime / last request.
         self.retries_total = 0
         self.last_retries = 0
@@ -92,14 +82,13 @@ class ServeClient:
         """One round trip; raises :class:`ServeClientError` on >= 400.
 
         Transport failures (a dropped keep-alive, connection refused
-        while the daemon restarts) retry on a fresh connection under
-        the client's :class:`~repro.robustness.budget.RetryPolicy`: the
-        backoff delays are capped-exponential with seeded jitter, and
-        the attempt count is bounded — the final failure re-raises.
+        while the daemon restarts) retry on a fresh connection after
+        each delay of :data:`~repro.robustness.budget.RETRY_DELAYS`;
+        the failure after the last one re-raises.
         """
         body = None if payload is None else json.dumps(payload)
         self.last_retries = 0
-        delays = self.retry.delays()
+        delays = iter(budget.RETRY_DELAYS)
         while True:
             try:
                 response, raw = self._round_trip(method, path, body)
@@ -111,8 +100,7 @@ class ServeClient:
                     raise
                 self.last_retries += 1
                 self.retries_total += 1
-                if delay > 0:
-                    time.sleep(delay)
+                time.sleep(delay)
         decoded = json.loads(raw.decode("utf-8")) if raw else {}
         if response.status >= 400:
             raise ServeClientError(response.status, decoded)

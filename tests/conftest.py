@@ -20,3 +20,17 @@ def built(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", logged)
     return constructed
+
+
+@pytest.fixture
+def fast_retry(monkeypatch):
+    """Retried writes and client requests sleep not at all: every delay
+    of ``RETRY_DELAYS`` becomes 0.  Call the fixture's value with a
+    number of attempts to shorten the schedule too."""
+    from repro.robustness import budget
+
+    def schedule(attempts: int = len(budget.RETRY_DELAYS) + 1) -> None:
+        monkeypatch.setattr(budget, "RETRY_DELAYS", (0.0,) * (attempts - 1))
+
+    schedule()
+    return schedule

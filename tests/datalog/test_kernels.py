@@ -10,6 +10,7 @@ canonical workloads never produce (arity 0 and 1, constants, repeated
 variables).
 """
 
+import gc
 import linecache
 import random
 import traceback
@@ -185,7 +186,9 @@ def test_code_cache_is_bounded_under_random_shapes():
         compile_rule(_random_rule(rng), size_of=_unit)
         assert _compiled_kernel.cache_info().currsize <= bound
     assert _compiled_kernel.cache_info().misses - misses_before > bound
-    # Evicted kernels take their linecache entry with them.
+    # Evicted kernels take their linecache entry with them, once nothing
+    # holds them: earlier tests may leave one in cyclic garbage.
+    gc.collect()
     registered = [name for name in linecache.cache if name.startswith("<plan:")]
     assert len(registered) <= bound
 

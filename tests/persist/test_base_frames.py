@@ -14,7 +14,7 @@ from pathlib import Path
 from reference_model import model_fixpoint
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.persist import FlakyJournal, IngestJournal, RetryPolicy, Session
+from repro.persist import FlakyJournal, IngestJournal, Session
 from repro.robustness import FaultInjector
 
 PROGRAM = parse_program(
@@ -78,7 +78,7 @@ def test_two_hundred_ingests_leave_one_base_and_the_records_after_it(tmp_path):
     assert _rows(recovered) == model_fixpoint(PROGRAM, _database(ingested))
 
 
-def test_a_torn_base_write_loses_no_acknowledged_row(tmp_path):
+def test_a_torn_base_write_loses_no_acknowledged_row(tmp_path, fast_retry):
     """``checkpoint.save`` tears every base write (half a frame lands in
     the fresh segment) until the retries run out: the ingests stay
     acknowledged by their journal records beside the older base, and a
@@ -88,7 +88,6 @@ def test_a_torn_base_write_loses_no_acknowledged_row(tmp_path):
         PROGRAM,
         _database(),
         journal=FlakyJournal(_journal(tmp_path), injector, flavors=("torn",)),
-        retry=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
     )
     session.ingest([("edge", (31, 32))])
     assert session.checkpoint()  # the older base
@@ -98,7 +97,7 @@ def test_a_torn_base_write_loses_no_acknowledged_row(tmp_path):
         ingested.append((node, node + 1))
         outcome = session.ingest([("edge", ingested[-1])])
         assert outcome.checkpoints_written == 0
-    assert any(step.stage == "session.checkpoint" for step in outcome.fallback_chain)
+    assert session.journal_info()["lag"] == len(ingested) - 1
     assert injector.fired  # the tear really happened
     session.journal.close()  # the kill: only the directory survives
     restarted = Session(PROGRAM, _database(), journal=_journal(tmp_path))

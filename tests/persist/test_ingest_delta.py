@@ -10,6 +10,7 @@ initial EDB plus every acknowledged ingest.
 
 import os
 import random
+import stat
 from collections import Counter
 from pathlib import Path
 
@@ -83,12 +84,13 @@ def _journal_bytes(root):
 
 @pytest.fixture
 def fsyncs(monkeypatch):
-    """Counts ``os.fsync`` calls made while the test runs."""
+    """Counts ``os.fsync`` calls made while the test runs, of files
+    (``"file"``) and of directories (``"dir"``)."""
     calls = Counter()
     real = os.fsync
 
     def counting(fd):
-        calls["n"] += 1
+        calls["dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"] += 1
         return real(fd)
 
     monkeypatch.setattr(os, "fsync", counting)
@@ -144,11 +146,14 @@ def test_one_fsync_and_no_checkpoint_below_the_lag_threshold(tmp_path, fsyncs):
     session = Session(_program(), _database(edges), journal=_journal(tmp_path))
     session.run()
     for node in range(1200, 1206):
-        before = fsyncs["n"]
+        before = fsyncs.copy()
         outcome = session.ingest([("edge", (node, node + 1))])
         assert outcome.mode == "incremental"
         assert outcome.checkpoints_written == 0
-        assert fsyncs["n"] - before == 1  # the journal's: the acknowledgment
+        assert fsyncs["file"] - before["file"] == 1  # the acknowledgment
+        # The first ingest creates the segment: its directory and that
+        # directory's parent (the journal made it) are synced once.
+        assert fsyncs["dir"] - before["dir"] == (2 if node == 1200 else 0)
         assert not _bases(tmp_path)
     assert session.journal_info()["lag"] == 6
     assert _journal_bytes(tmp_path) < session._lag_limit()

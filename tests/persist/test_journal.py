@@ -9,7 +9,10 @@ live in ``test_recover.py``.
 """
 
 import json
+import os
+import stat
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,6 @@ from repro.persist.journal import (
     IngestJournal,
     JournalRecord,
     JournalUnavailable,
-    RetryPolicy,
     commit_with_retry,
 )
 from repro.robustness import FaultInjector
@@ -170,12 +172,7 @@ def test_retry_after_failed_append_does_not_duplicate(tmp_path):
 def test_transient_fault_is_retried_to_success(tmp_path, site):
     injector = FaultInjector().arm(site, at=1)
     journal = FlakyJournal(IngestJournal(tmp_path), injector)
-    commit_with_retry(
-        journal,
-        _record(1),
-        policy=RetryPolicy(attempts=3, base_delay=0.0, max_delay=0.0),
-        sleep=lambda _s: None,
-    )
+    commit_with_retry(journal, _record(1), sleep=lambda _s: None)
     assert [r.seq for r in journal.replay()] == [1]
 
 
@@ -183,12 +180,7 @@ def test_exhausted_retries_raise_journal_unavailable(tmp_path):
     injector = FaultInjector().arm_random("journal.append", rate=1.0)
     journal = FlakyJournal(IngestJournal(tmp_path), injector)
     with pytest.raises(JournalUnavailable):
-        commit_with_retry(
-            journal,
-            _record(1),
-            policy=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
-            sleep=lambda _s: None,
-        )
+        commit_with_retry(journal, _record(1), sleep=lambda _s: None)
     # Nothing was acknowledged: a recovery replay sees an empty journal.
     assert IngestJournal(tmp_path).replay() == []
 
@@ -201,12 +193,7 @@ def test_fsync_fault_leaves_unacked_record_in_indeterminate_window(tmp_path):
     injector = FaultInjector().arm_random("journal.fsync", rate=1.0)
     journal = FlakyJournal(IngestJournal(tmp_path), injector)
     with pytest.raises(JournalUnavailable):
-        commit_with_retry(
-            journal,
-            _record(1),
-            policy=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
-            sleep=lambda _s: None,
-        )
+        commit_with_retry(journal, _record(1), sleep=lambda _s: None)
     # Not acknowledged on this handle...
     assert journal.journal.last_seq == 0
     # ...but the complete frame landed, so a reopen sees it.
@@ -219,12 +206,7 @@ def test_torn_flavor_leaves_half_frame_that_reopen_truncates(tmp_path):
     injector = FaultInjector().arm_random("journal.append", rate=1.0)
     journal = FlakyJournal(inner, injector, flavors=("torn",))
     with pytest.raises(JournalUnavailable):
-        commit_with_retry(
-            journal,
-            _record(2),
-            policy=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
-            sleep=lambda _s: None,
-        )
+        commit_with_retry(journal, _record(2), sleep=lambda _s: None)
     # The spilled half-frame is scrubbed on the next open; the
     # acknowledged prefix survives byte-for-byte.
     assert [r.seq for r in IngestJournal(tmp_path).replay()] == [1]
@@ -240,6 +222,54 @@ def test_enospc_flavor_surfaces_as_oserror(tmp_path):
     with pytest.raises(OSError) as info:
         journal.commit(_record(1))
     assert info.value.errno == errno.ENOSPC
+
+
+def test_a_new_segment_is_synced_into_its_directory_first(tmp_path, monkeypatch):
+    """A file's fsync does not make its new directory entry durable, so
+    the journal syncs the directory of each segment it creates (and the
+    parent of the directory it made) before a frame in that segment is
+    acknowledged, and before compaction unlinks what a base replaces."""
+    events = []
+    real_fsync, real_unlink = os.fsync, Path.unlink
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(("dir" if stat.S_ISDIR(info.st_mode) else "file", info.st_ino))
+        return real_fsync(fd)
+
+    def unlink(path, *args, **kwargs):
+        events.append(("unlink", path.name))
+        return real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    root = tmp_path / "journal"
+    journal = IngestJournal(root)
+    assert events == []  # nothing is synced before a segment exists
+    journal.commit(_record(1))
+    [first] = root.glob("journal-*.log")
+    first_ino = first.stat().st_ino
+    assert events == [
+        ("dir", root.stat().st_ino),
+        ("dir", tmp_path.stat().st_ino),
+        ("file", first_ino),
+    ]
+    events.clear()
+    journal.commit(_record(2))
+    assert events == [("file", first_ino)]  # no new entry, no directory sync
+    events.clear()
+    journal.write_base(_base(3))
+    journal.compact(3)
+    [second] = root.glob("journal-*.log")
+    assert events == [
+        ("dir", root.stat().st_ino),
+        ("file", second.stat().st_ino),
+        ("unlink", first.name),
+    ]
+    # A journal over a directory that exists syncs only the directory.
+    events.clear()
+    IngestJournal(root).write_base(_base(4))
+    assert [kind for kind, _ in events] == ["dir", "file"]
 
 
 def test_journal_trace_events(tmp_path):

@@ -6,8 +6,8 @@ from reference_model import model_fixpoint
 from repro.datalog.database import ArityMismatch, Database
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_facts, parse_program
-from repro.persist import FlakyJournal, IngestJournal, RetryPolicy, Session
-from repro.robustness import Budget, BudgetExceededError, FaultInjector
+from repro.persist import FlakyJournal, IngestJournal, Session
+from repro.robustness import Budget, BudgetExceededError, FaultInjector, Governor
 
 PROGRAM_TEXT = """
 path(X, Y) :- edge(X, Y).
@@ -94,7 +94,6 @@ def test_ingest_incremental_row_identical_to_recompute(tmp_path, reference):
     session.run()
     outcome = session.ingest([("edge", (5, 6)), ("edge", (0, 1))])
     assert outcome.mode == "incremental"
-    assert not outcome.fallback_chain
     # against a cold recompute by the session's own engine and by the
     # independent model
     database = _database(extra=[(5, 6), (0, 1)])
@@ -140,7 +139,6 @@ def test_ingest_negated_predicate_falls_back_to_recompute():
     # blocking node 2 RETRACTS q facts: incremental delta-seeding cannot do that
     outcome = session.ingest([("blocked", (2,))])
     assert outcome.mode == "recompute"
-    assert any(s.fell_back_to == "recompute" for s in outcome.fallback_chain)
     fresh_db = Database.from_rows({"e": EDGES, "blocked": [(9,), (2,)]})
     assert _rows(outcome.result) == _rows(Session(program, fresh_db).run().result)
 
@@ -150,7 +148,7 @@ def test_ingest_without_prior_fixpoint_recovers_first():
     nothing on disk, a fresh run — and is then an ordinary delta."""
     session = Session(_program(), _database())
     outcome = session.ingest([("edge", (5, 6))])
-    assert outcome.mode == "incremental" and not outcome.fallback_chain
+    assert outcome.mode == "incremental"
     assert _rows(outcome.result) == _rows(
         Session(_program(), _database(extra=[(5, 6)])).run().result
     )
@@ -205,7 +203,7 @@ def test_ingest_rejects_wrong_arity_before_journaling_anything(tmp_path):
     assert journal.info()["records"] == 0
 
 
-def test_unrecoverable_store_degrades_to_in_memory(tmp_path):
+def test_unrecoverable_store_degrades_to_in_memory(tmp_path, fast_retry):
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
     # An acknowledged ingest no base covers: the recovery that replays
     # it owes the directory a base, and cannot write one.
@@ -216,19 +214,75 @@ def test_unrecoverable_store_degrades_to_in_memory(tmp_path):
         _program(),
         _database(),
         journal=FlakyJournal(_journal(tmp_path), injector),
-        retry=RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0),
     )
     outcome = session.recover()
     assert outcome.replayed == 1
     assert outcome.checkpoints_written == 0
     assert not session.checkpoint()
-    assert len(outcome.fallback_chain) == 1
-    step = outcome.fallback_chain[0]
-    assert step.stage == "session.checkpoint" and step.fell_back_to == "in-memory"
+    # the base stays due: the replayed record is journal lag
+    assert session.journal_info()["lag"] == 1
     # the ingest itself still completed correctly in memory
     assert _rows(outcome.result) == _rows(
         Session(_program(), _database(extra=[(5, 6)])).run().result
     )
+
+
+def _late_clock():
+    """A governor with a 10 s deadline on a clock the test moves."""
+    clock = [0.0]
+    return clock, Governor(Budget(timeout=10.0), clock=lambda: clock[0])
+
+
+def test_a_deadline_spent_after_the_ack_leaves_the_base_due(tmp_path):
+    """The deadline passes right after the journal fsync, with a base
+    due: the ingest was acknowledged, so it returns, and the base it
+    owed stays due instead of failing it."""
+    clock, governor = _late_clock()
+    journal = _journal(tmp_path)
+    commit = journal.commit
+
+    def commit_then_late(record):
+        size = commit(record)
+        clock[0] = 11.0
+        return size
+
+    journal.commit = commit_then_late
+    session = Session(_program(), _database(), journal=journal, budget=governor)
+    session.run()
+    limit = session._lag_limit()  # a base of the initial EDB's size
+    ingested = [(node, node + 1) for node in range(10, 30)]
+    outcome = session.ingest([("edge", row) for row in ingested])
+    assert session._lag_bytes >= limit  # so a base was due
+    assert outcome.mode == "incremental" and outcome.checkpoints_written == 0
+    assert not session.checkpoint()
+    assert session.journal_info()["lag"] == 1 and not _bases(tmp_path)
+    session.journal.close()
+    recovered = Session(_program(), _database(), journal=_journal(tmp_path)).recover()
+    assert recovered.replayed == 1
+    assert _rows(recovered.result) == model_fixpoint(_program(), _database(ingested))
+
+
+def test_a_deadline_spent_after_recovery_keeps_its_evaluation(tmp_path, monkeypatch):
+    """Recovery replays a record and so owes a base; the deadline
+    passes once its evaluation is done: the evaluation stands and the
+    base stays due."""
+    writer = Session(_program(), _database(), journal=_journal(tmp_path))
+    writer.ingest([("edge", (5, 6))])
+    writer.journal.close()
+    clock, governor = _late_clock()
+
+    def evaluate_then_late(*args, **kwargs):
+        result = evaluate(*args, **kwargs)
+        clock[0] = 11.0
+        return result
+
+    monkeypatch.setattr("repro.persist.session.evaluate", evaluate_then_late)
+    session = Session(_program(), _database(), journal=_journal(tmp_path), budget=governor)
+    outcome = session.recover()
+    assert outcome.mode == "recovered" and outcome.replayed == 1
+    assert outcome.checkpoints_written == 0
+    assert session.journal_info()["lag"] == 1
+    assert _rows(outcome.result) == model_fixpoint(_program(), _database([(5, 6)]))
 
 
 def test_budget_trip_during_run_propagates(tmp_path):

@@ -1,4 +1,4 @@
-"""Base writes: one base per directory, torn writes, fault flavors, retry policy."""
+"""Base writes: one base per directory, torn writes, fault flavors, retries."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.persist.journal import (
     IngestJournal,
     JournalRecord,
     JournalUnavailable,
-    RetryPolicy,
     save_with_retry,
 )
 from repro.robustness import Budget, BudgetExceededError, FaultInjector, Governor
@@ -166,21 +165,8 @@ def test_flaky_rejects_unknown_flavor(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Retry policy
+# Retries
 # ----------------------------------------------------------------------
-def test_retry_policy_delays_capped_exponential_with_jitter():
-    policy = RetryPolicy(attempts=5, base_delay=0.1, max_delay=0.3, jitter=0.5, seed=7)
-    delays = list(policy.delays())
-    assert len(delays) == 4
-    caps = [0.1, 0.2, 0.3, 0.3]
-    for delay, cap in zip(delays, caps):
-        assert 0.5 * cap <= delay <= 1.5 * cap
-    # deterministic for a fixed seed
-    assert delays == list(policy.delays())
-    # jitter actually varies across attempts
-    assert len({round(d / c, 6) for d, c in zip(delays, caps)}) > 1
-
-
 def test_save_with_retry_recovers(tmp_path):
     injector = FaultInjector().arm("checkpoint.save", at=1, times=2)
     sink = RingBufferSink()
@@ -188,12 +174,7 @@ def test_save_with_retry_recovers(tmp_path):
         IngestJournal(tmp_path / "journal", tracer=Tracer([sink])), injector
     )
     sleeps = []
-    size = save_with_retry(
-        journal,
-        _base(1),
-        policy=RetryPolicy(attempts=4, base_delay=0.001, max_delay=0.002),
-        sleep=sleeps.append,
-    )
+    size = save_with_retry(journal, _base(1), sleep=sleeps.append)
     assert size == _segments(tmp_path)[-1].stat().st_size
     assert len(sleeps) == 2
     retries = [event for event in sink if event.name == "checkpoint.retry"]
@@ -204,13 +185,8 @@ def test_save_with_retry_recovers(tmp_path):
 def test_save_with_retry_exhaustion_raises_unavailable(tmp_path):
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
     journal = FlakyJournal(IngestJournal(tmp_path / "journal"), injector)
-    with pytest.raises(JournalUnavailable, match="after 3 attempts"):
-        save_with_retry(
-            journal,
-            _base(1),
-            policy=RetryPolicy(attempts=3, base_delay=0.001, max_delay=0.002),
-            sleep=lambda _s: None,
-        )
+    with pytest.raises(JournalUnavailable, match="after 4 attempts"):
+        save_with_retry(journal, _base(1), sleep=lambda _s: None)
 
 
 def test_save_with_retry_respects_governor_deadline(tmp_path):
@@ -227,22 +203,10 @@ def test_save_with_retry_respects_governor_deadline(tmp_path):
     # backoff sleeps are clamped to the remaining deadline
     clock[0] = 9.999
     with pytest.raises(JournalUnavailable):
-        save_with_retry(
-            journal,
-            _base(1),
-            policy=RetryPolicy(attempts=2, base_delay=5.0, max_delay=5.0, jitter=0.0),
-            governor=governor,
-            sleep=sleep,
-        )
+        save_with_retry(journal, _base(1), governor=governor, sleep=sleep)
     assert sleeps and sleeps[0] <= 10.0 - 9.999 + 1e-9
 
     # and once the deadline passes, the governor aborts before retrying
     clock[0] = 10.5
     with pytest.raises(BudgetExceededError):
-        save_with_retry(
-            journal,
-            _base(1),
-            policy=RetryPolicy(attempts=2, base_delay=0.001, max_delay=0.002),
-            governor=governor,
-            sleep=sleep,
-        )
+        save_with_retry(journal, _base(1), governor=governor, sleep=sleep)

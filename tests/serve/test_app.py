@@ -191,6 +191,21 @@ class TestRoutes:
         # An unbounded request needs no governor at all.
         assert stats["governors_minted"] == 0
 
+    def test_register_and_ingest_replies_carry_no_fallbacks(self):
+        app = ServeApp()
+
+        async def drive():
+            registered = await register(app, "alpha", ALPHA)
+            status, ingested = await app.handle(
+                "POST", "/programs/alpha/ingest", {"facts": "e(10, 11)."}
+            )
+            assert status == 200
+            return registered, ingested
+
+        registered, ingested = run(drive())
+        assert set(registered) == {"tenant", "mode", "idb_facts", "latest_round"}
+        assert set(ingested) == {"tenant", "mode", "ingested", "idb_facts", "latest_round"}
+
     def test_goal_must_be_idb(self):
         app = ServeApp()
 

@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.robustness.budget import RetryPolicy
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import MAX_BODY_BYTES, ServeDaemon
@@ -191,13 +190,14 @@ def test_concurrent_thread_clients_agree(daemon):
 
 
 # ----------------------------------------------------------------------
-# The client's RetryPolicy over a failing transport (no socket needed)
+# The client's retries over a failing transport (no socket needed)
 
 
+@pytest.mark.usefixtures("fast_retry")
 class TestClientRetry:
     def _flaky(self, failures, response_payload=b'{"ok": true}'):
         """A client whose transport fails ``failures`` times, then works."""
-        client = ServeClient(retry=RetryPolicy(base_delay=0.0, jitter=0.0))
+        client = ServeClient()
         state = {"left": failures}
 
         class _Response:
@@ -228,7 +228,7 @@ class TestClientRetry:
         assert client.last_retries == 0
 
     def test_exhausted_policy_reraises(self):
-        client = self._flaky(10)  # default policy allows 3 retries
+        client = self._flaky(10)  # the schedule allows 3 retries
         with pytest.raises(ConnectionResetError):
             client.request("GET", "/healthz")
         assert client.retries_total == 3

@@ -14,7 +14,7 @@ import asyncio
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_facts, parse_program
-from repro.persist import RetryPolicy, Session
+from repro.persist import Session
 from repro.persist.journal import FlakyJournal, IngestJournal
 from repro.robustness import FaultInjector
 
@@ -105,7 +105,7 @@ def test_healthz_and_stats_expose_journal_lag(tmp_path):
     assert tenant["last_seq"] >= 1  # the record existed before compaction
 
 
-def test_healthz_reports_positive_lag_when_checkpoints_fail(tmp_path):
+def test_healthz_reports_positive_lag_when_checkpoints_fail(tmp_path, fast_retry):
     """An acked ingest whose checkpoint save keeps failing stays in the
     journal: the daemon answers 200 (durability is the fsync, not the
     checkpoint) but ``/healthz`` shows the record as replay lag."""
@@ -114,7 +114,6 @@ def test_healthz_reports_positive_lag_when_checkpoints_fail(tmp_path):
     tenant = app.registry.get("jr")
     injector = FaultInjector().arm_random("checkpoint.save", rate=1.0)
     tenant.session.journal = FlakyJournal(tenant.session.journal, injector)
-    tenant.session.retry = RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0)
     (status, _), (_, health) = drive(
         app,
         ("POST", "/programs/jr/ingest", {"facts": "e(8, 9)."}),
@@ -124,14 +123,13 @@ def test_healthz_reports_positive_lag_when_checkpoints_fail(tmp_path):
     assert health["journal"]["lag"] >= 1
 
 
-def test_journal_unavailable_ingest_is_retryable_503(tmp_path):
+def test_journal_unavailable_ingest_is_retryable_503(tmp_path, fast_retry):
     app = _make_app(tmp_path)
     drive(app, ("PUT", "/programs/jr", SPEC))
     tenant = app.registry.get("jr")
     injector = FaultInjector().arm_random("journal.append", rate=1.0)
     healthy_journal = tenant.session.journal
     tenant.session.journal = FlakyJournal(healthy_journal, injector)
-    tenant.session.retry = RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0)
     (status, payload), (_, answer) = drive(
         app,
         ("POST", "/programs/jr/ingest", {"facts": "e(8, 9)."}),

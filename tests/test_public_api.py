@@ -105,6 +105,28 @@ class TestVersionAndExports:
             evaluate(program, Database(), cancellation=object())
 
 
+    def test_the_retry_policy_and_fallback_chain_are_gone(self):
+        from repro.persist import Session
+        from repro.serve.client import ServeClient
+
+        modules = [
+            importlib.import_module(name)
+            for name in (
+                "repro.robustness", "repro.robustness.budget",
+                "repro.robustness.faults", "repro.persist", "repro.persist.journal",
+            )
+        ]
+        for name in ("RetryPolicy", "FallbackStep", "FlakyIO"):
+            for module in (repro, *modules):
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in getattr(module, "__all__", ())
+        program = parse_program("p(X) :- e(X).", query="p")
+        with pytest.raises(TypeError):
+            Session(program, Database(), journal=None, retry=object())
+        with pytest.raises(TypeError):
+            ServeClient(retry=object())
+
+
 class TestEndToEnd:
     def test_full_workflow(self):
         program = parse_program(
